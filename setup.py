@@ -40,4 +40,7 @@ setup(
     include_package_data=False,
     exclude_package_data={"": ["_cache/*", "_cache/**", "*.json"]},
     ext_modules=ext_modules,
+    # What the tier-1 suite imports beyond numpy (CI's tier1 job
+    # installs the same list).
+    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
 )

@@ -22,9 +22,10 @@ multiply the ways of breaking:
 * ``mutable-global-state`` -- a module-level mutable container written
   from a function body is cross-cell shared state, the exact hazard of
   interleaved multi-cell loops.
-* ``signature-purity`` -- ``fingerprint``/``signature`` functions are
-  cache-key producers; any side effect in them (or one level into
-  their callees) corrupts key stability.
+* ``signature-purity`` -- ``fingerprint``/``signature`` functions (and
+  the sweep-level ``fingerprint_cells``) are cache-key producers; any
+  side effect in them (or one level into their callees) corrupts key
+  stability.
 
 All checks are pure AST over :class:`repro.analysis.project.ProjectIndex`
 -- no imports of analyzed code -- so they run identically on the live
@@ -604,7 +605,7 @@ class MutableGlobalStateRule(AstRule):
 
 # --- signature-purity --------------------------------------------------------
 
-_SIGNATURE_NAMES = ("fingerprint", "signature")
+_SIGNATURE_NAMES = ("fingerprint", "fingerprint_cells", "signature")
 
 _WRITE_IO_SUFFIXES = (".write", ".write_text", ".write_bytes", ".unlink",
                       ".mkdir", ".rmdir", ".rmtree", ".touch", ".rename",

@@ -1,8 +1,9 @@
 """Fingerprint coverage: every dataclass field reaches its signature.
 
 The result cache (:mod:`repro.eval.parallel`) is keyed by
-:meth:`repro.eval.scenarios.Scenario.fingerprint`, which folds in
-:meth:`FlowDef.signature` and ``_topology_signature``.  The failure
+:func:`repro.eval.scenarios.fingerprint_cells` (``Scenario.fingerprint``
+is its one-cell case), which folds in :meth:`FlowDef.signature` and
+``_topology_signature``.  The failure
 mode this rule exists for: someone adds a behavioural field to one of
 those dataclasses, forgets the signature function, and two scenarios
 that differ only in the new field now *alias the same cache entry* --
@@ -121,7 +122,7 @@ def default_specs() -> list[CoverageSpec]:
     return [
         CoverageSpec(
             cls=scenarios.Scenario,
-            consumer=scenarios.Scenario.fingerprint,
+            consumer=scenarios.fingerprint_cells,
             relpath="eval/scenarios.py",
             exclusions=(
                 ("name", "display label; renames keep cache entries"),

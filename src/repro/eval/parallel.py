@@ -41,6 +41,7 @@ from repro.eval.scenarios import (
     AgentRef,
     Scenario,
     ScenarioSuite,
+    fingerprint_cells,
     simulate_scenario,
 )
 from repro.netsim.network import FlowRecord
@@ -511,6 +512,15 @@ class ParallelRunner:
     unchanged: hits and misses, fingerprint keys, and result rows are
     all per cell.
 
+    Whenever a cache or a checkpoint is active, ``run`` fingerprints
+    the whole sweep once, up front, through
+    :func:`~repro.eval.scenarios.fingerprint_cells`: the sub-signatures
+    cells share (named-trace content, topology, agent parameters) are
+    computed once per sweep instead of once per cell, and the keys are
+    the per-cell ``Scenario.fingerprint()`` ones.  Nothing is memoised
+    across sweeps -- a trace re-registered under the same name or a
+    live agent adapted in place must change the keys of the next run.
+
     A failing scenario raises :class:`ScenarioError` naming the cell.
     With ``early_abort=True`` batching is disabled (cells dispatch
     one-per-task, exactly the pre-batching shape) so the first failure
@@ -531,7 +541,10 @@ class ParallelRunner:
       crashes or blows its deadline (``cell_timeout`` x cells in the
       batch) is respawned and the batch re-run within the retry
       budget, then reported as failed cells.  Results are bit-identical
-      to the classic pool -- cells are pure seeded simulations.
+      to the classic pool -- cells are pure seeded simulations.  With
+      ``n_workers > 1`` every sweep goes through that pool, down to a
+      single pending cell; ``n_workers <= 1`` runs in-process, where a
+      deadline cannot be enforced and a crash is not isolated.
     * ``checkpoint=path`` journals every completed cell to a
       :class:`~repro.eval.resilience.SweepCheckpoint`; re-running the
       same suite resumes from the completed cells with their original
@@ -606,9 +619,13 @@ class ParallelRunner:
 
         checkpoint: SweepCheckpoint | None = None
         restored: dict[int, tuple] = {}
-        fingerprints: list[str | None] = [None] * len(scenarios)
+        # One pass over the whole sweep, before anything is looked up:
+        # the cells share their trace, topology and agent signatures.
+        fingerprints: list[str | None] = (
+            fingerprint_cells(scenarios)
+            if self.cache or self.checkpoint_path is not None
+            else [None] * len(scenarios))
         if self.checkpoint_path is not None:
-            fingerprints = [s.fingerprint() for s in scenarios]
             checkpoint = SweepCheckpoint(self.checkpoint_path)
             restored = checkpoint.resume(fingerprints)
 
@@ -633,8 +650,6 @@ class ParallelRunner:
                                               elapsed=elapsed, events=events)
                 continue
             fingerprint = fingerprints[idx]
-            if fingerprint is None and self.cache:
-                fingerprint = scenario.fingerprint()
             cached = self.cache.get(fingerprint) if self.cache else None
             if cached is not None:
                 results[idx] = ScenarioResult(scenario, cached, cached=True)
@@ -675,7 +690,12 @@ class ParallelRunner:
                                              len(pending))))
                        for start in range(0, len(pending), batch_size)]
 
-            if self.n_workers > 1 and len(batches) > 1:
+            resilient = (self.retry is not None
+                         or self.cell_timeout is not None)
+            # A lone batch skips the classic pool (nothing to overlap),
+            # but never the resilient one: deadlines and crash isolation
+            # need the cell out of this process.
+            if self.n_workers > 1 and (len(batches) > 1 or resilient):
                 global _FORK_BATCHES, _FORK_SCENARIOS, _FORK_WARM_REFS
                 _FORK_SCENARIOS = [s for _, s, _ in pending]
                 _FORK_BATCHES = batches
@@ -683,7 +703,7 @@ class ParallelRunner:
                     {flow.agent for s in _FORK_SCENARIOS for flow in s.flows
                      if isinstance(flow.agent, AgentRef)}, key=AgentRef.key))
                 try:
-                    if self.retry is not None or self.cell_timeout is not None:
+                    if resilient:
                         self._run_resilient(batches, record_result)
                     else:
                         self._run_pool(batches, record_result)

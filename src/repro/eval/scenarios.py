@@ -44,7 +44,8 @@ from repro.netsim.topology import TopologySpec
 from repro.netsim.traces import make_trace
 
 __all__ = ["AgentRef", "ChurnSchedule", "FlowDef", "Scenario", "ScenarioSuite",
-           "build_scenario_simulation", "run_scenario", "simulate_scenario"]
+           "build_scenario_simulation", "fingerprint_cells", "run_scenario",
+           "simulate_scenario"]
 
 #: Bumped whenever scenario execution changes in a way that invalidates
 #: previously cached results.  v7: cache entries gained a content
@@ -210,10 +211,18 @@ class FlowDef:
     def display_label(self) -> str:
         return self.label or self.scheme
 
-    def signature(self) -> list:
+    def signature(self, agent_signature: str | None = None) -> list:
+        """Canonical content of the flow (for fingerprints).
+
+        ``agent_signature`` is ``_agent_signature(self.agent)`` when the
+        caller already holds it (:func:`fingerprint_cells` digests each
+        distinct agent once per sweep).
+        """
+        if agent_signature is None:
+            agent_signature = _agent_signature(self.agent)
         weights = None if self.weights is None else [
             f"{float(w):.8f}" for w in self.weights]
-        return [self.scheme.lower(), weights, _agent_signature(self.agent),
+        return [self.scheme.lower(), weights, agent_signature,
                 float(self.start), float(self.stop),
                 self.seed, self.rate_frac, self.path]
 
@@ -239,13 +248,16 @@ def _trace_signature(trace) -> list | str | None:
     return sig
 
 
-def _topology_signature(spec: TopologySpec | None) -> list | None:
+def _topology_signature(spec: TopologySpec | None,
+                        trace_signatures: dict) -> list | None:
     """Canonical content of a topology spec (for fingerprints).
 
     The spec's display ``name`` is excluded (renames keep their cache
     entries); named traces on links are hashed by the content their
     registry factory currently produces, mirroring scenario-level
-    traces.
+    traces.  ``trace_signatures`` maps every trace name the links use
+    to that content signature (:func:`fingerprint_cells` builds each
+    named trace once per sweep, not once per link per cell).
     """
     if spec is None:
         return None
@@ -255,7 +267,7 @@ def _topology_signature(spec: TopologySpec | None) -> list | None:
                        ld.queue_packets, ld.loss_rate, ld.trace,
                        fault_signature(ld.faults)]
         if ld.trace is not None:
-            entry.append(_trace_signature(make_trace(ld.trace)))
+            entry.append(trace_signatures[ld.trace])
         links.append(entry)
     paths = [[p.name, list(p.links), p.return_delay_ms,
               None if p.reverse_links is None else list(p.reverse_links),
@@ -468,22 +480,57 @@ class Scenario:
                        trace=make_trace(self.trace, cache=trace_cache))
 
     def fingerprint(self) -> str:
-        """Content hash identifying the scenario's *results*.
+        """Content hash identifying the scenario's *results*: the
+        one-cell case of :func:`fingerprint_cells`."""
+        return fingerprint_cells([self])[0]
 
-        The display name, suite, and churn label are deliberately
-        excluded so renames keep their cache entries (a churn schedule
-        is fully captured by the start/stop it wrote onto the flows).
-        A named trace -- scenario-level or on a topology link -- is
-        hashed by the *content* its registry factory currently
-        produces, not just the name, so re-registering a trace
-        invalidates its cached results.  With a topology, the
-        superseded single-link network axes are excluded too: only
-        packet size still shapes results.
-        """
-        net = self.network
-        named_trace = None if self.trace is None else _trace_signature(
-            make_trace(self.trace))
-        if self.topology is None:
+    def run(self) -> list[FlowRecord]:
+        return run_scenario(self)
+
+
+def fingerprint_cells(scenarios) -> list[str]:
+    """Content hash identifying each scenario's *results*, in order.
+
+    The display name, suite, and churn label are deliberately excluded
+    so renames keep their cache entries (a churn schedule is fully
+    captured by the start/stop it wrote onto the flows).  A named
+    trace -- scenario-level or on a topology link -- is hashed by the
+    *content* its registry factory currently produces, not just the
+    name, so re-registering a trace invalidates its cached results.
+    With a topology, the superseded single-link network axes are
+    excluded too: only packet size still shapes results.
+
+    The cells of a sweep share most of what is expensive to sign, so
+    every sub-signature that is a pure function of a shared object is
+    computed once per call: the content of each distinct trace name,
+    the signature of each distinct :class:`TopologySpec` object, the
+    parameter digest of each distinct agent object.  Nothing is kept
+    past the call -- a trace re-registered or a live agent adapted in
+    place between two sweeps changes the keys of the second.
+    """
+    scenarios = list(scenarios)
+    # Shared objects are keyed by identity, never equality: equal specs
+    # may still serialise differently (``10 == 10.0``), and every
+    # object stays alive -- its id unique -- for the whole call.  "No
+    # trace", "no topology" and "no agent" sign through the same tables.
+    topologies = {id(s.topology): s.topology for s in scenarios}
+    agents = {id(f.agent): f.agent for s in scenarios for f in s.flows}
+    trace_names = {s.trace for s in scenarios}
+    trace_names.update(ld.trace for spec in topologies.values()
+                       if spec is not None for ld in spec.links)
+    trace_sigs = {name: _trace_signature(make_trace(name))
+                  for name in sorted(trace_names - {None})}
+    trace_sigs[None] = None
+    topology_sigs = {key: _topology_signature(spec, trace_sigs)
+                     for key, spec in topologies.items()}
+    agent_sigs = {key: _agent_signature(agent)
+                  for key, agent in agents.items()}
+
+    code = _code_digest()
+    fingerprints = []
+    for s in scenarios:
+        net = s.network
+        if s.topology is None:
             network_sig = [net.bandwidth_mbps, net.one_way_ms, net.buffer_bdp,
                            net.queue_packets, net.loss_rate, net.packet_bytes,
                            _trace_signature(net.trace)]
@@ -491,22 +538,20 @@ class Scenario:
             network_sig = ["topology", net.packet_bytes]
         payload = {
             "version": SCENARIO_CACHE_VERSION,
-            "code": _code_digest(),
+            "code": code,
             "network": network_sig,
-            "trace": named_trace,
-            "topology": _topology_signature(self.topology),
-            "flows": [f.signature() for f in self.flows],
-            "duration": float(self.duration),
-            "seed": int(self.seed),
-            "mi_duration": self.mi_duration,
-            "transit": self.transit,
-            "engine": self.engine,
+            "trace": trace_sigs[s.trace],
+            "topology": topology_sigs[id(s.topology)],
+            "flows": [f.signature(agent_sigs[id(f.agent)]) for f in s.flows],
+            "duration": float(s.duration),
+            "seed": int(s.seed),
+            "mi_duration": s.mi_duration,
+            "transit": s.transit,
+            "engine": s.engine,
         }
         blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
-
-    def run(self) -> list[FlowRecord]:
-        return run_scenario(self)
+        fingerprints.append(hashlib.sha256(blob).hexdigest())
+    return fingerprints
 
 
 def _controller_kwargs(flow: FlowDef, agent) -> dict:

@@ -176,13 +176,13 @@ class TestFingerprintCoverage:
 
     def test_scenario_subclass_with_new_behavioural_field_is_flagged(self):
         """The drift regression the rule exists for: a new Scenario
-        field that fingerprint() does not consume must be caught."""
+        field that fingerprint_cells() does not consume must be caught."""
         @dataclass(frozen=True)
         class AqmScenario(scenarios.Scenario):
-            aqm: str = "fifo"  # behavioural, but unknown to fingerprint()
+            aqm: str = "fifo"  # behavioural, but unknown to the fingerprint
 
         spec = CoverageSpec(cls=AqmScenario,
-                            consumer=scenarios.Scenario.fingerprint,
+                            consumer=scenarios.fingerprint_cells,
                             relpath="eval/scenarios.py",
                             exclusions=(("name", "label"), ("suite", "label"),
                                         ("lineup", "label"),
@@ -228,13 +228,16 @@ class TestProjectIndex:
             index.callees["models.zoo:default_zoo"]
 
     def test_self_method_edge(self, index):
-        callees = index.callees["eval.scenarios:Scenario.fingerprint"]
-        assert "eval.scenarios:_code_digest" in callees
+        # fingerprint() is the one-cell case of fingerprint_cells()
+        assert "eval.scenarios:fingerprint_cells" in \
+            index.callees["eval.scenarios:Scenario.fingerprint"]
+        assert "eval.scenarios:_code_digest" in \
+            index.callees["eval.scenarios:fingerprint_cells"]
 
     def test_cross_module_function_edge(self, index):
-        # fingerprint() -> make_trace() lives two packages away
+        # fingerprint_cells() -> make_trace() lives two packages away
         assert "netsim.traces:make_trace" in \
-            index.callees["eval.scenarios:Scenario.fingerprint"]
+            index.callees["eval.scenarios:fingerprint_cells"]
 
     def test_enclosing_function_lookup(self, index):
         fn = index.functions["netsim.link:Link.transmit"]

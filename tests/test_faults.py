@@ -105,7 +105,8 @@ class TestFaultSpecs:
             coerce_faults("flap")
 
     def test_topology_with_faults_fingerprints(self):
-        sig = _topology_signature
+        def sig(spec):
+            return _topology_signature(spec, {})  # no named traces
         base = dumbbell(bandwidth_mbps=8.0)
         faulted = base.with_faults({"hop0": (FLAP, GE)})
         assert sig(base) != sig(faulted)

@@ -13,6 +13,7 @@ from repro.eval.parallel import (
 from repro.eval.scenarios import ChurnSchedule, FlowDef, Scenario, ScenarioSuite
 from repro.eval.runner import EvalNetwork
 from repro.netsim.topology import dumbbell_asymmetric, parking_lot
+from repro.netsim.traces import ConstantTrace, register_trace
 
 NET = EvalNetwork(bandwidth_mbps=8.0, one_way_ms=10.0, buffer_bdp=1.0)
 
@@ -96,6 +97,41 @@ class TestParallelRunner:
                                  duration=1.0))
         assert cache.clear() == 2
         assert cache.clear() == 0
+
+
+class TestSweepFingerprinting:
+    def test_named_trace_built_once_per_name_per_run(self, tmp_path):
+        """A noise-free count of the parent's fingerprinting work: one
+        factory call per distinct trace name per ``run()``, whatever
+        the cell count.  Cells build in the forked workers, whose calls
+        land in their own copy of the counter."""
+        calls = []
+
+        def counted(name, pps):
+            def factory():
+                calls.append(name)
+                return ConstantTrace(pps)
+            return factory
+
+        register_trace("count-a", counted("count-a", 500.0), overwrite=True)
+        register_trace("count-b", counted("count-b", 700.0), overwrite=True)
+        suite = ScenarioSuite(name="count", lineups=("cubic",),
+                              traces=("count-a", "count-b"),
+                              seeds=tuple(range(32)), duration=0.2)
+        assert len(suite) == 64
+        once_each = ["count-a", "count-b"]
+
+        cached = ParallelRunner(n_workers=2, cache_dir=tmp_path / "cache")
+        cold = cached.run(suite)
+        assert cold.cache_misses == 64 and sorted(calls) == once_each
+        calls.clear()
+        warm = cached.run(suite)
+        assert warm.cache_hits == 64 and sorted(calls) == once_each
+        calls.clear()
+        journaled = ParallelRunner(n_workers=2, use_cache=False,
+                                   checkpoint=tmp_path / "sweep.jsonl")
+        assert _flat(journaled.run(suite)) == _flat(cold)
+        assert sorted(calls) == once_each
 
 
 class TestCacheEviction:

@@ -18,12 +18,13 @@ Four layers, mirroring ``repro.eval.resilience``:
 import json
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.eval.parallel import ParallelRunner, ScenarioError
+from repro.eval.parallel import ParallelRunner, ResultCache, ScenarioError
 from repro.eval.resilience import (
     IDEMPOTENT_TASKS,
     MI_FIELDS,
@@ -38,6 +39,7 @@ from repro.eval.resilience import (
 )
 from repro.eval.runner import EvalNetwork
 from repro.eval.scenarios import Scenario, ScenarioSuite
+from repro.netsim.topology import dumbbell
 
 NET = EvalNetwork(bandwidth_mbps=8.0, one_way_ms=10.0, buffer_bdp=1.0)
 
@@ -82,6 +84,11 @@ def _kill_once(marker: Path):
             marker.write_text("killed")
             os._exit(17)
     return hook
+
+
+def _wedge(arg):
+    """Chaos hook: the worker hangs before it starts its task."""
+    time.sleep(60.0)
 
 
 def _always_kill(target):
@@ -380,6 +387,36 @@ class TestResilientDispatchIdentity:
         assert classic == resilient == serial
 
 
+class TestLoneCellDispatch:
+    """One pending cell (e.g. all a resumed sweep still has to run)
+    still leaves the parent when a resilience knob is set."""
+
+    CELL = Scenario(name="lone", network=NET, flows=("cubic",), duration=1.0)
+
+    def test_wedged_lone_cell_times_out(self):
+        runner = ParallelRunner(n_workers=2, use_cache=False,
+                                cell_timeout=0.3, max_failures=1,
+                                retry=RetryPolicy(max_attempts=1))
+        set_chaos_hook(_wedge)
+        t0 = time.perf_counter()
+        outcome = runner.run(self.CELL)
+        assert time.perf_counter() - t0 < 10.0  # killed, not waited out
+        [result] = outcome.results
+        assert result.records == [] and "CellTimeout" in result.error
+        [row] = outcome.table.rows
+        assert "CellTimeout" in row["error"] and row["utilization"] is None
+
+    def test_lone_cell_survives_a_worker_crash(self, tmp_path):
+        reference = ParallelRunner(n_workers=1, use_cache=False).run(self.CELL)
+        set_chaos_hook(_kill_once(tmp_path / "killed"))
+        outcome = ParallelRunner(
+            n_workers=2, use_cache=False,
+            retry=RetryPolicy(max_attempts=2, backoff_s=0.0)).run(self.CELL)
+        assert (tmp_path / "killed").exists()
+        assert [records_digest(r.records) for r in outcome] == \
+            [records_digest(r.records) for r in reference]
+
+
 class TestCheckpointResume:
     def test_env_var_supplies_default_path(self, tmp_path, monkeypatch):
         journal = tmp_path / "env.jsonl"
@@ -439,3 +476,53 @@ class TestCheckpointResume:
         third = ParallelRunner(**kwargs).run(SMALL)
         assert [r.elapsed for r in third] == [r.elapsed for r in second]
         assert [records_digest(r.records) for r in third] == ref_digests
+
+
+class TestPerCellKeysStillServe:
+    """Journals and cache entries written under per-cell
+    ``Scenario.fingerprint()`` keys are what the runner's one up-front
+    ``fingerprint_cells`` pass looks up: the keys did not move."""
+
+    @staticmethod
+    def _cells():
+        topo = dumbbell(bandwidth_mbps=8.0)
+        traced = replace(topo, links=tuple(
+            replace(ld, trace="wifi-walk") for ld in topo.links))
+        return (ScenarioSuite(name="keys", lineups=("cubic", "vegas"),
+                              traces=(None, "wifi-walk", "fig1-step"),
+                              seeds=(0, 1), duration=1.0).expand()
+                + ScenarioSuite(name="keys-topo", lineups=("cubic",),
+                                topologies=(topo, traced),
+                                duration=1.0).expand())
+
+    @staticmethod
+    def _serves_the_fakes(outcome) -> bool:
+        """Cell ``idx`` came back as the ``_fake_record(idx)`` stored
+        under its key: nothing simulated could produce that."""
+        return [[record_to_json(rec) for rec in r.records]
+                for r in outcome] == \
+            [[record_to_json(_fake_record(idx))]
+             for idx in range(len(outcome))]
+
+    def test_journal_resumes_in_full(self, tmp_path):
+        cells = self._cells()
+        keys = [cell.fingerprint() for cell in cells]
+        journal = SweepCheckpoint(tmp_path / "sweep.jsonl")
+        journal.resume(keys)
+        for idx, key in enumerate(keys):
+            journal.record(idx, key, [_fake_record(idx)], 100.0 + idx, idx)
+        journal.close()
+        outcome = ParallelRunner(n_workers=2, use_cache=False,
+                                 checkpoint=journal.path).run(cells)
+        assert self._serves_the_fakes(outcome)
+        assert [(r.elapsed, r.events) for r in outcome] == \
+            [(100.0 + idx, idx) for idx in range(len(cells))]
+
+    def test_result_cache_serves_in_full(self, tmp_path):
+        cells = self._cells()
+        cache = ResultCache(tmp_path)
+        for idx, cell in enumerate(cells):
+            cache.put(cell.fingerprint(), cell.name, [_fake_record(idx)])
+        outcome = ParallelRunner(n_workers=2, cache_dir=tmp_path).run(cells)
+        assert outcome.cache_hits == len(cells)
+        assert self._serves_the_fakes(outcome)

@@ -1,5 +1,7 @@
 """Tests for declarative scenarios, suites, and the trace registry."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,10 @@ from repro.eval.scenarios import (
     Scenario,
     ScenarioSuite,
     _agent_signature,
+    fingerprint_cells,
     run_scenario,
 )
+from repro.netsim.faults import LinkFlapSchedule
 from repro.netsim.topology import dumbbell, dumbbell_asymmetric, parking_lot
 from repro.netsim.traces import (
     ConstantTrace,
@@ -140,6 +144,74 @@ class TestScenario:
             scheme_factory("bbr", NET, seed=0, initial_rate=NET.bottleneck_pps / 2),
             NET, duration=1.0, seed=0)
         assert record.mean_throughput_pps == legacy.mean_throughput_pps
+
+
+class TestFingerprintCells:
+    """The sweep-level entry point: shared sub-signatures are computed
+    once per call, the keys are exactly the per-cell ones, and nothing
+    outlives the call."""
+
+    @staticmethod
+    def _mixed_cells(trace: str, agent) -> list:
+        base = dumbbell(bandwidth_mbps=8.0)
+        traced = replace(base, links=tuple(
+            replace(ld, trace=trace) for ld in base.links))
+        weights = (0.5, 0.3, 0.2)
+        cells = ScenarioSuite(
+            name="named", lineups=("cubic", ("bbr", "vegas")),
+            traces=(None, trace, "fig1-step"), seeds=(0, 1),
+            duration=1.0).expand()
+        cells += ScenarioSuite(
+            name="topo", lineups=(("cubic", "bbr"),),
+            topologies=(base, traced),
+            faults=(None, {"hop0": LinkFlapSchedule(period=0.8,
+                                                    down_time=0.05)}),
+            churns=(None, ChurnSchedule(gap=0.2)), duration=1.0).expand()
+        cells += ScenarioSuite(
+            name="agents", lineups={
+                "ref": (FlowDef("mocc", weights=weights, agent=AgentRef()),),
+                "live": (FlowDef("mocc", weights=weights, agent=agent),
+                         FlowDef("cubic", start=0.5))},
+            traces=(None, trace), seeds=(0, 1), duration=1.0).expand()
+        return cells
+
+    def test_matches_per_cell_fingerprints_on_mixed_cells(self):
+        register_trace("fpc-mixed", lambda: ConstantTrace(150.0))
+        cells = self._mixed_cells("fpc-mixed",
+                                  MoccAgent(DEFAULT_TRAINING, seed=3))
+        keys = fingerprint_cells(cells)
+        assert keys == [c.fingerprint() for c in cells]
+        assert len(set(keys)) == len(cells)
+        assert fingerprint_cells(iter(cells[:3])) == keys[:3]
+        assert fingerprint_cells([]) == []
+
+    def test_reregistered_trace_changes_keys_on_next_call(self):
+        register_trace("fpc-rereg", lambda: ConstantTrace(100.0))
+        cells = self._mixed_cells("fpc-rereg",
+                                  MoccAgent(DEFAULT_TRAINING, seed=3))
+        before = fingerprint_cells(cells)
+        register_trace("fpc-rereg", lambda: ConstantTrace(200.0),
+                       overwrite=True)
+        after = fingerprint_cells(cells)
+        uses = [c.trace == "fpc-rereg" or (
+            c.topology is not None
+            and any(ld.trace == "fpc-rereg" for ld in c.topology.links))
+            for c in cells]
+        assert any(uses) and not all(uses)
+        assert [a != b for a, b in zip(after, before)] == uses
+
+    def test_in_place_agent_update_changes_keys_on_next_call(self):
+        register_trace("fpc-adapt", lambda: ConstantTrace(100.0))
+        agent = MoccAgent(DEFAULT_TRAINING, seed=3)
+        cells = self._mixed_cells("fpc-adapt", agent)
+        before = fingerprint_cells(cells)
+        # Online adaptation writes parameters in place: same object,
+        # different model.
+        next(iter(agent.model.parameters().values())).value += 1.0
+        after = fingerprint_cells(cells)
+        uses = [any(f.agent is agent for f in c.flows) for c in cells]
+        assert any(uses) and not all(uses)
+        assert [a != b for a, b in zip(after, before)] == uses
 
 
 class TestChurnSchedule:
