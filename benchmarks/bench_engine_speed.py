@@ -7,17 +7,12 @@ block-drawn RNG, monotonic-deque filters in BBR/Copa -- under a
 bit-identity guarantee (tests/test_golden_traces.py), and this
 benchmark is what keeps the speed from silently rotting:
 
-* measures every :data:`~repro.eval.perf.PERF_SHAPES` shape under both
-  transit engines (warm, best-of-N) plus the full serial pipeline;
+* measures every :data:`~repro.eval.perf.PERF_SHAPES` shape (warm,
+  best-of-N) plus the full serial pipeline;
 * measures the batched multi-cell dispatch shape (PR 8): a 16-cell
   short-duration grid through :class:`~repro.eval.parallel.ParallelRunner`
   under batch-per-worker vs cell-per-task dispatch, reporting cells/sec
   for both and the speedup (the checked-in baseline records >=1.5x);
-* measures the kernel engine shape (PR 9): paired reference-vs-kernel
-  events/sec on the gated shapes (solo, event transit) plus a batched
-  :class:`~repro.eval.batch.BatchRunner` grid of kernel cells, gated
-  against the build-mode floor (>=1.5x compiled, parity interpreted;
-  event counts must match *exactly* -- that assert is never skipped);
 * writes ``BENCH_engine.json`` (in ``BENCH_OUTPUT_DIR``, default the
   working directory) with raw events/sec, cells/sec, and
   machine-normalized events-per-calibration-op;
@@ -33,8 +28,8 @@ The baseline also carries the measured *pre-optimization* numbers
 single-bottleneck and ack-congestion shapes.
 
 Run as a script with ``--profile`` to skip the gates and instead write
-per-shape cProfile summaries (top-20 by cumulative time, both engines)
-to ``BENCH_OUTPUT_DIR`` -- the starting point for any hot-path work.
+per-shape cProfile summaries (top-20 by cumulative time) to
+``BENCH_OUTPUT_DIR`` -- the starting point for any hot-path work.
 """
 
 import os
@@ -66,15 +61,14 @@ def bench_engine_speed(benchmark):
     repeats = perf_repeats()
 
     report = run_once(benchmark, lambda: engine_speed_report(
-        duration=duration, repeats=repeats, pipeline=True, batched=True,
-        kernel=True))
+        duration=duration, repeats=repeats, pipeline=True, batched=True))
 
-    rows = [[s["shape"], s["transit"], s["events"], s["events_per_sec"],
+    rows = [[s["shape"], s["events"], s["events_per_sec"],
              s["cells_per_sec"], s["events_per_calibration_op"]]
             for s in report["shapes"]]
     print_table("Engine speed (events/sec; normalized = per calibration op)",
-                ["shape", "transit", "events", "events/s", "cells/s",
-                 "normalized"], rows)
+                ["shape", "events", "events/s", "cells/s", "normalized"],
+                rows)
     print(f"pipeline: {report['pipeline_cells']} cells in "
           f"{report['pipeline_wall_s']}s -> "
           f"{report['pipeline_cells_per_sec']} cells/s, "
@@ -85,48 +79,19 @@ def bench_engine_speed(benchmark):
           f"{b['batched_cells_per_sec']} cells/s vs cell-per-task "
           f"{b['per_cell_cells_per_sec']} cells/s -> {b['speedup']}x")
 
-    k = report["kernel"]
-    mode = "compiled" if k["compiled"] else "interpreted"
-    krows = [[shape, d["reference_events_per_sec"],
-              d["kernel_events_per_sec"], d["speedup"],
-              str(d["events_match"])]
-             for shape, d in k["shapes"].items()]
-    kb = k["batched"]
-    krows.append([f"batched x{kb['cells']}", kb["reference_events_per_sec"],
-                  kb["kernel_events_per_sec"], kb["speedup"],
-                  str(kb["events_match"])])
-    print_table(f"Kernel engine vs reference ({mode} build)",
-                ["shape", "ref ev/s", "kernel ev/s", "speedup", "ev match"],
-                krows)
-
     for s in report["shapes"]:
         assert s["events"] > 0 and s["events_per_sec"] > 0, s
     assert report["pipeline_cells_per_sec"] > 0
     assert b["batched_cells_per_sec"] > 0 and b["per_cell_cells_per_sec"] > 0
-    # Bit-identity makes event counts a correctness property, not a
-    # perf number: a mismatch fails even under REPRO_PERF_SMOKE_SKIP.
-    assert k["events_match"], (
-        "kernel and reference engines disagree on events processed",
-        k["shapes"])
     # The batching win itself (>= 1.5x measured at baseline time) is
     # gated against BENCH_engine_baseline.json by check_regression
     # below, tolerance-buffered like every other perf number.
 
-    # The kernel speedup floor is absolute (same-machine ratio) and
-    # keyed by build mode, so it gates even without a baseline file.
-    floor = k["min_speedup"]["compiled" if k["compiled"] else "uncompiled"]
-    failures = [
-        f"kernel[{mode}]: {name} speedup {val}x fell below the "
-        f"{floor}x floor"
-        for name, val in (("single-bottleneck",
-                           k["speedup_single_bottleneck"]),
-                          ("parking-lot", k["speedup_parking_lot"]),
-                          ("batched", k["batched_speedup"]))
-        if val < floor]
+    failures = []
     if BASELINE_PATH.exists():
         baseline = load_report(BASELINE_PATH)
         tolerance = float(os.environ.get("REPRO_PERF_TOLERANCE", "0.30"))
-        failures += check_regression(report, baseline, tolerance=tolerance)
+        failures = check_regression(report, baseline, tolerance=tolerance)
         report["baseline_check"] = {
             "baseline": str(BASELINE_PATH), "tolerance": tolerance,
             "failures": failures,
@@ -145,18 +110,17 @@ def bench_engine_speed(benchmark):
                 print(" ", f)
         else:
             raise AssertionError(
-                "engine speed gate failed (floor or checked-in baseline; "
+                "engine speed gate failed (checked-in baseline; "
                 "set REPRO_PERF_SMOKE_SKIP=1 on known-noisy hosts):\n  "
                 + "\n  ".join(failures))
 
 
-def profile_shapes(duration: float = 5.0, out_dir=".",
-                   shapes=None, engines=("reference", "kernel")) -> list:
-    """cProfile every shape x engine; write top-20 cumulative summaries.
+def profile_shapes(duration: float = 5.0, out_dir=".", shapes=None) -> list:
+    """cProfile every shape; write top-20 cumulative summaries.
 
-    One ``BENCH_profile_<shape>_<engine>.txt`` per combination, sorted
-    by cumulative time -- what "where does the event loop spend its
-    time" questions start from.  Construction happens outside the
+    One ``BENCH_profile_<shape>.txt`` per shape, sorted by cumulative
+    time -- what "where does the event loop spend its time" questions
+    start from.  Construction happens outside the
     profiled window, like :func:`~repro.eval.perf.measure_shape`.
     """
     import cProfile
@@ -168,24 +132,21 @@ def profile_shapes(duration: float = 5.0, out_dir=".",
     out_dir = Path(out_dir)
     paths = []
     for shape in shapes or PERF_SHAPES:
-        for engine in engines:
-            sims = [build_scenario_simulation(s)
-                    for s in perf_scenarios(shape, duration=duration,
-                                            engine=engine)]
-            prof = cProfile.Profile()
-            prof.enable()
-            for sim in sims:
-                sim.run_all()
-            prof.disable()
-            path = out_dir / f"BENCH_profile_{shape}_{engine}.txt"
-            with path.open("w") as fh:
-                fh.write(f"# shape={shape} engine={engine} "
-                         f"duration={duration}s: top-20 by cumulative "
-                         f"time\n")
-                pstats.Stats(prof, stream=fh) \
-                    .sort_stats("cumulative").print_stats(20)
-            paths.append(path)
-            print(f"wrote {path}")
+        sims = [build_scenario_simulation(s)
+                for s in perf_scenarios(shape, duration=duration)]
+        prof = cProfile.Profile()
+        prof.enable()
+        for sim in sims:
+            sim.run_all()
+        prof.disable()
+        path = out_dir / f"BENCH_profile_{shape}.txt"
+        with path.open("w") as fh:
+            fh.write(f"# shape={shape} duration={duration}s: top-20 by "
+                     f"cumulative time\n")
+            pstats.Stats(prof, stream=fh) \
+                .sort_stats("cumulative").print_stats(20)
+        paths.append(path)
+        print(f"wrote {path}")
     return paths
 
 
@@ -196,9 +157,8 @@ if __name__ == "__main__":
         description="Engine-speed utilities (the benchmark itself runs "
                     "under pytest; see the module docstring).")
     parser.add_argument("--profile", action="store_true",
-                        help="cProfile every perf shape under both engines; "
-                             "write top-20 cumulative summaries to "
-                             "BENCH_OUTPUT_DIR")
+                        help="cProfile every perf shape; write top-20 "
+                             "cumulative summaries to BENCH_OUTPUT_DIR")
     parser.add_argument("--duration", type=float, default=5.0,
                         help="simulated seconds per profiled cell")
     cli = parser.parse_args()

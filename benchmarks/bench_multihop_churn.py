@@ -9,8 +9,7 @@ cross traffic arrives and leaves on staggered / on-off schedules
 (the :data:`~repro.eval.sweeps.MULTIHOP_BENCH_CHURNS` grid), all
 through the shared :class:`~repro.eval.parallel.ParallelRunner` and
 (since PR 4) over the event-driven per-hop engine, whose shared hops
-see honestly time-ordered arrivals from every flow (see
-``bench_shared_hop_contention.py`` for the eager-twin diff).
+see honestly time-ordered arrivals from every flow.
 
 Headline shapes asserted:
 
@@ -67,13 +66,10 @@ def bench_multihop_churn_grid(benchmark, runner):
 
     for (scheme, hops, churn), pps in through.items():
         # The through flow crosses every queue yet keeps a live share.
-        # The floor is deliberately low: under the event-driven per-hop
-        # engine the through flow honestly pays at *every* shared
-        # queue (the eager engine's future-stamped transits used to
-        # reserve downstream service ahead of the cross traffic), and
-        # a delay-based scheme against per-hop CUBIC on three
-        # bottlenecks legitimately ends up deep in the classic
-        # parking-lot beat-down.
+        # The floor is deliberately low: the through flow pays at
+        # *every* shared queue, and a delay-based scheme against
+        # per-hop CUBIC on three bottlenecks legitimately ends up deep
+        # in the classic parking-lot beat-down.
         assert pps / bottleneck_pps > 0.01, (scheme, hops, churn)
         assert pps <= bottleneck_pps * 1.05, (scheme, hops, churn)
     for scheme in MULTIHOP_BENCH_SCHEMES:

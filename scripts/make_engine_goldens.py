@@ -8,7 +8,9 @@ Only regenerate when a PR *intentionally* changes simulation results
 (new physics, fixed accounting) -- never to paper over an optimization
 that failed bit-identity.  The grid definition lives next to the test
 (``golden_suites``/``compute_goldens``) so generator and checker can
-never drift apart.
+never drift apart.  The ``pre_refactor_single_hop`` block is frozen
+history (the scheme that produced it is deleted) and is carried over
+verbatim, never recomputed.
 
 Usage::
 
@@ -30,13 +32,14 @@ from test_golden_traces import GOLDEN_PATH, compute_goldens  # noqa: E402
 
 def main() -> None:
     scenarios = compute_goldens()
+    frozen = json.loads(GOLDEN_PATH.read_text())["pre_refactor_single_hop"]
     payload = {
         "generated": date.today().isoformat(),
         "numpy": np.__version__,
         "python": sys.version.split()[0],
+        "pre_refactor_single_hop": frozen,
         "scenarios": scenarios,
     }
-    GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH} ({len(scenarios)} scenarios)")
 

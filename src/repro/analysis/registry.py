@@ -22,11 +22,6 @@ from repro.analysis.rules_determinism import (
     UnsortedWalkRule,
     WallClockRule,
 )
-from repro.analysis.rules_compiled import (
-    CompiledDigestRule,
-    CompiledHandlerTableRule,
-    CompiledPoolFieldsRule,
-)
 from repro.analysis.rules_engine import (
     EventTableRule,
     HeapPushRule,
@@ -57,10 +52,6 @@ _RULE_CLASSES = (
     HeapPushRule,
     SlotsAttrsRule,
     TransmitUnpackRule,
-    # compiled-core (kernel/reference engine sync)
-    CompiledPoolFieldsRule,
-    CompiledHandlerTableRule,
-    CompiledDigestRule,
     # RNG-stream discipline
     AdhocRngRule,
     # cross-module dataflow (whole-program layer)

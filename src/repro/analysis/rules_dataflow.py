@@ -3,7 +3,7 @@ taint, mutable global state, and signature purity.
 
 These are the properties the per-file lints cannot see (PR 6's rules
 stop at a module boundary) and that the next engine steps -- batched
-multi-cell execution, compiled kernels, cross-host sharding --
+multi-cell execution, cross-host sharding --
 multiply the ways of breaking:
 
 * ``rng-stream-ownership`` -- every generator ``netsim`` constructs

@@ -54,7 +54,6 @@ from repro.eval.sweeps import (
     SweepResult,
     ack_congestion_suite,
     multihop_churn_suite,
-    shared_hop_suites,
     sweep_schemes,
 )
 
@@ -73,7 +72,6 @@ __all__ = [
     "sweep_schemes",
     "multihop_churn_suite",
     "ack_congestion_suite",
-    "shared_hop_suites",
     "AgentRef",
     "ChurnSchedule",
     "FlowDef",

@@ -28,8 +28,6 @@ import numpy as np
 
 from repro.eval.batch import BatchRunner, warm_agent_refs
 from repro.eval.resilience import (
-    MI_FIELDS,
-    RECORD_FIELDS,
     ResilientPool,
     RetryPolicy,
     SweepCheckpoint,
@@ -63,13 +61,6 @@ class ScenarioError(RuntimeError):
         if detail:
             message += f": {detail}"
         super().__init__(message)
-
-# Record (de)serialization lives in repro.eval.resilience (shared with
-# the checkpoint journal); the old private names stay importable.
-_MI_FIELDS = MI_FIELDS
-_RECORD_FIELDS = RECORD_FIELDS
-_record_to_json = record_to_json
-_record_from_json = record_from_json
 
 
 def _payload_sha(records_payload: list) -> str:
@@ -162,7 +153,7 @@ class ResultCache:
             body = payload["records"]
             if payload.get("sha") != _payload_sha(body):
                 raise ValueError("cache entry failed its content checksum")
-            records = [_record_from_json(r) for r in body]
+            records = [record_from_json(r) for r in body]
         except (ValueError, KeyError, TypeError, AttributeError):
             self._quarantine(path)
             return None
@@ -173,7 +164,7 @@ class ResultCache:
         return records
 
     def put(self, fingerprint: str, name: str, records: list[FlowRecord]) -> None:
-        records_payload = [_record_to_json(r) for r in records]
+        records_payload = [record_to_json(r) for r in records]
         payload = {"version": SCENARIO_CACHE_VERSION, "name": name,
                    "sha": _payload_sha(records_payload),
                    "records": records_payload}
@@ -314,7 +305,6 @@ class ScenarioResult:
                 "path": path,
                 "churn": (self.scenario.churn.label()
                           if self.scenario.churn is not None else None),
-                "transit": self.scenario.transit,
                 "seed": self.scenario.seed,
                 "duration": self.scenario.duration,
                 "throughput_pps": (record.mean_throughput_pps
@@ -359,16 +349,25 @@ class ResultTable:
         return np.asarray([r[column] for r in self.rows])
 
     def mean(self, column: str, **equals) -> float:
+        """Mean of ``column`` over matching rows; failed cells' ``None``
+        metrics are skipped, and nothing left to average is ``nan``."""
         table = self.filter(**equals) if equals else self
-        return float(np.mean(table.values(column)))
+        values = [r[column] for r in table.rows if r[column] is not None]
+        return float(np.mean(values)) if values else float("nan")
 
     def pivot(self, index: str, columns: str, values: str) -> tuple:
-        """``(row_labels, col_labels, matrix)`` -- means over duplicates."""
+        """``(row_labels, col_labels, matrix)`` -- means over duplicates.
+
+        Failed cells' ``None`` values are skipped; a group with nothing
+        left to average stays ``nan``.
+        """
         row_labels = list(dict.fromkeys(r[index] for r in self.rows))
         col_labels = list(dict.fromkeys(r[columns] for r in self.rows))
         matrix = np.full((len(row_labels), len(col_labels)), np.nan)
         counts = np.zeros_like(matrix)
         for r in self.rows:
+            if r[values] is None:
+                continue
             i, j = row_labels.index(r[index]), col_labels.index(r[columns])
             if counts[i, j] == 0:
                 matrix[i, j] = 0.0

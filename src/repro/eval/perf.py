@@ -16,8 +16,7 @@ standard shapes it is measured on:
   dumbbell against a CUBIC upload queued on the ack path (wired
   reverse-link transit).
 
-Every shape is measured under both transit engines (``event`` and the
-frozen ``eager`` twin), through the *standard* scenario wiring
+Every shape is measured through the *standard* scenario wiring
 (:func:`~repro.eval.scenarios.build_scenario_simulation`), so the
 numbers describe what evaluation sweeps actually pay.
 
@@ -35,10 +34,9 @@ from __future__ import annotations
 import heapq
 import json
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from repro.eval.batch import BatchRunner
 from repro.eval.parallel import ParallelRunner
 from repro.eval.runner import EvalNetwork
 from repro.eval.scenarios import (
@@ -49,11 +47,9 @@ from repro.eval.scenarios import (
 )
 from repro.netsim.topology import dumbbell_asymmetric, parking_lot
 
-__all__ = ["PERF_SCHEMES", "PERF_SHAPES", "KERNEL_GATED_SHAPES",
-           "KERNEL_MIN_SPEEDUP", "EngineSample", "perf_scenarios",
+__all__ = ["PERF_SCHEMES", "PERF_SHAPES", "EngineSample", "perf_scenarios",
            "measure_shape", "calibration_score", "batched_grid_scenarios",
-           "measure_batched", "measure_kernel", "engine_speed_report",
-           "check_regression"]
+           "measure_batched", "engine_speed_report", "check_regression"]
 
 #: Heuristic schemes the perf shapes run (no trained models: the
 #: harness must be cold-start cheap and CI-friendly).
@@ -65,28 +61,16 @@ _PERF_BANDWIDTH_MBPS = 16.0
 _PERF_DELAY_MS = 8.0
 
 
-#: Shapes the kernel speedup acceptance applies to (the two event-loop
-#: bound grids; ack-congestion is RTO/recovery dominated and only
-#: bit-identity gated).
-KERNEL_GATED_SHAPES = ("single-bottleneck", "parking-lot")
-
-
-def perf_scenarios(shape: str, transit: str = "event", duration: float = 10.0,
-                   seed: int = 0, schemes=PERF_SCHEMES,
-                   engine: str = "reference") -> list[Scenario]:
+def perf_scenarios(shape: str, duration: float = 10.0, seed: int = 0,
+                   schemes=PERF_SCHEMES) -> list[Scenario]:
     """The concrete scenarios one measurement shape runs."""
     schemes = tuple(schemes)
-    if engine != "reference":
-        return [replace(s, engine=engine)
-                for s in perf_scenarios(shape, transit=transit,
-                                        duration=duration, seed=seed,
-                                        schemes=schemes)]
     net = EvalNetwork(bandwidth_mbps=_PERF_BANDWIDTH_MBPS,
                       one_way_ms=_PERF_DELAY_MS)
     if shape == "single-bottleneck":
         return [Scenario(name=f"perf/single/{'+'.join(schemes)}", network=net,
                          flows=schemes, duration=duration, seed=seed,
-                         transit=transit, suite="perf")]
+                         suite="perf")]
     if shape == "parking-lot":
         topo = parking_lot(2, bandwidth_mbps=_PERF_BANDWIDTH_MBPS,
                            delay_ms=_PERF_DELAY_MS)
@@ -95,8 +79,8 @@ def perf_scenarios(shape: str, transit: str = "event", duration: float = 10.0,
             flows=(FlowDef(scheme, path="through", label=f"{scheme}-through"),
                    FlowDef("cubic", path="cross0", label="cross0"),
                    FlowDef("cubic", path="cross1", label="cross1")),
-            topology=topo, duration=duration, seed=seed, transit=transit,
-            suite="perf") for scheme in schemes]
+            topology=topo, duration=duration, seed=seed, suite="perf")
+            for scheme in schemes]
     if shape == "ack-congestion":
         topo = dumbbell_asymmetric(
             bandwidth_mbps=_PERF_BANDWIDTH_MBPS, delay_ms=_PERF_DELAY_MS,
@@ -105,22 +89,19 @@ def perf_scenarios(shape: str, transit: str = "event", duration: float = 10.0,
             name=f"perf/ack/{scheme}", network=net,
             flows=(FlowDef(scheme, path="through", label=f"{scheme}-dl"),
                    FlowDef("cubic", path="reverse", label="ul0")),
-            topology=topo, duration=duration, seed=seed, transit=transit,
-            suite="perf") for scheme in schemes]
+            topology=topo, duration=duration, seed=seed, suite="perf")
+            for scheme in schemes]
     raise ValueError(f"unknown perf shape {shape!r}; known: {PERF_SHAPES}")
 
 
 @dataclass
 class EngineSample:
-    """One timed measurement: a shape under one transit mode and one
-    engine core."""
+    """One timed measurement of a shape."""
 
     shape: str
-    transit: str
     cells: int
     events: int
     wall_s: float
-    engine: str = "reference"
 
     @property
     def events_per_sec(self) -> float:
@@ -131,9 +112,8 @@ class EngineSample:
         return self.cells / self.wall_s if self.wall_s > 0 else 0.0
 
 
-def measure_shape(shape: str, transit: str = "event", duration: float = 10.0,
-                  seed: int = 0, schemes=PERF_SCHEMES,
-                  repeats: int = 1, engine: str = "reference") -> EngineSample:
+def measure_shape(shape: str, duration: float = 10.0, seed: int = 0,
+                  schemes=PERF_SCHEMES, repeats: int = 1) -> EngineSample:
     """Build a shape's simulations, time ``run_all``, count events.
 
     Construction (controller sizing, topology builds) happens *outside*
@@ -146,16 +126,16 @@ def measure_shape(shape: str, transit: str = "event", duration: float = 10.0,
     """
     best: EngineSample | None = None
     for _ in range(max(1, repeats)):
-        scenarios = perf_scenarios(shape, transit=transit, duration=duration,
-                                   seed=seed, schemes=schemes, engine=engine)
+        scenarios = perf_scenarios(shape, duration=duration, seed=seed,
+                                   schemes=schemes)
         sims = [build_scenario_simulation(s) for s in scenarios]
         t0 = time.perf_counter()
         for sim in sims:
             sim.run_all()
         wall = time.perf_counter() - t0
         events = sum(sim.events_processed for sim in sims)
-        sample = EngineSample(shape=shape, transit=transit, cells=len(sims),
-                              events=events, wall_s=wall, engine=engine)
+        sample = EngineSample(shape=shape, cells=len(sims), events=events,
+                              wall_s=wall)
         if best is None or sample.wall_s < best.wall_s:
             best = sample
     return best
@@ -266,137 +246,10 @@ def measure_batched(cells: int = BATCH_GRID_CELLS,
     }
 
 
-#: Kernel speedup acceptance floors by build mode, recorded into every
-#: kernel measurement (and hence into the checked-in baseline, which is
-#: where :func:`check_regression` reads them back from).  The >=1.5x
-#: acceptance applies to *compiled* builds (CI's mypyc job): under
-#: CPython 3.11's cheap Python-to-Python calls the interpreted kernel's
-#: structural wins (struct-of-arrays pool, fused dispatch) buy ~1.1x,
-#: so the interpreted gate is a parity floor -- the kernel may never be
-#: meaningfully slower than the reference it mirrors.
-KERNEL_MIN_SPEEDUP = {"compiled": 1.5, "uncompiled": 0.95}
-
-
-def _measure_kernel_batched(cells: int, duration: float, schemes,
-                            repeats: int) -> dict:
-    """Kernel vs reference through the in-process batch interleaver.
-
-    Reuses the standard batched grid's scenarios (wifi-walk dumbbell
-    cells) but at a longer horizon than the dispatch-overhead grid, so
-    the sliced ``step_until`` event loops -- the thing the kernel
-    accelerates -- dominate the wall time instead of cell construction.
-    Engines alternate inside every repeat round; best wall per engine.
-    """
-    base = batched_grid_scenarios(cells=cells, duration=duration,
-                                  schemes=schemes)
-    grids = (("reference", base),
-             ("kernel", [replace(s, engine="kernel") for s in base]))
-    runner = BatchRunner()
-    runner.run(base)  # warm traces/zoo/allocator outside any timed pass
-    walls: dict = {}
-    events: dict = {}
-    for _ in range(max(1, repeats)):
-        for engine, scenarios in grids:
-            t0 = time.perf_counter()
-            out = runner.run(scenarios)
-            wall = time.perf_counter() - t0
-            for cell in out:
-                if cell.error is not None:
-                    raise RuntimeError(
-                        f"batched kernel measurement: {engine} cell "
-                        f"{cell.scenario.name!r} failed: {cell.error}")
-            events[engine] = sum(c.events for c in out)
-            if engine not in walls or wall < walls[engine]:
-                walls[engine] = wall
-    ref_eps = (events["reference"] / walls["reference"]
-               if walls["reference"] > 0 else 0.0)
-    ker_eps = (events["kernel"] / walls["kernel"]
-               if walls["kernel"] > 0 else 0.0)
-    return {
-        "cells": int(cells),
-        "duration": float(duration),
-        "trace": BATCH_GRID_TRACE,
-        "reference_wall_s": round(walls["reference"], 4),
-        "kernel_wall_s": round(walls["kernel"], 4),
-        "reference_events_per_sec": round(ref_eps, 1),
-        "kernel_events_per_sec": round(ker_eps, 1),
-        "events_match": events["reference"] == events["kernel"],
-        "speedup": round(ker_eps / ref_eps, 3) if ref_eps > 0 else 0.0,
-    }
-
-
-def measure_kernel(duration: float = 6.0, seed: int = 0, schemes=PERF_SCHEMES,
-                   repeats: int = 3, batched: bool = True,
-                   batch_cells: int = 8, batch_duration: float = 3.0) -> dict:
-    """Paired reference-vs-kernel measurement on the gated shapes.
-
-    Solo: each :data:`KERNEL_GATED_SHAPES` shape runs under both engine
-    cores at event transit, *interleaved* (reference then kernel inside
-    every repeat round, best-of per engine) so machine-speed drift hits
-    both engines alike instead of biasing whichever ran last.  Batched:
-    the same comparison through an in-process
-    :class:`~repro.eval.batch.BatchRunner` grid -- sliced ``step_until``
-    driving, the regime batching exists for.
-
-    Returns the ``kernel`` report section: per-shape events/sec for
-    both engines, speedups (plain same-machine ratios -- no calibration
-    normalization needed), an ``events_match`` flag (bit-identity makes
-    any event-count mismatch an accounting bug), the build mode
-    (``compiled``), and the :data:`KERNEL_MIN_SPEEDUP` floors the
-    checked-in baseline carries for :func:`check_regression`.
-    """
-    from repro.netsim.kernel import KERNEL_COMPILED
-
-    payload = {
-        "compiled": bool(KERNEL_COMPILED),
-        "duration": float(duration),
-        "repeats": int(repeats),
-        "schemes": list(schemes),
-        "min_speedup": dict(KERNEL_MIN_SPEEDUP),
-        "shapes": {},
-    }
-    events_match = True
-    for shape in KERNEL_GATED_SHAPES:
-        best: dict = {"reference": None, "kernel": None}
-        for _ in range(max(1, repeats)):
-            for engine in ("reference", "kernel"):
-                sample = measure_shape(shape, transit="event",
-                                       duration=duration, seed=seed,
-                                       schemes=schemes, engine=engine)
-                prev = best[engine]
-                if prev is None or sample.wall_s < prev.wall_s:
-                    best[engine] = sample
-        ref, ker = best["reference"], best["kernel"]
-        match = ref.events == ker.events
-        events_match = events_match and match
-        speedup = (ker.events_per_sec / ref.events_per_sec
-                   if ref.events_per_sec > 0 else 0.0)
-        payload["shapes"][shape] = {
-            "reference_events_per_sec": round(ref.events_per_sec, 1),
-            "kernel_events_per_sec": round(ker.events_per_sec, 1),
-            "reference_events": int(ref.events),
-            "kernel_events": int(ker.events),
-            "events_match": match,
-            "speedup": round(speedup, 3),
-        }
-        payload["speedup_" + shape.replace("-", "_")] = round(speedup, 3)
-    if batched:
-        b = _measure_kernel_batched(cells=batch_cells,
-                                    duration=batch_duration,
-                                    schemes=schemes, repeats=repeats)
-        payload["batched"] = b
-        payload["batched_speedup"] = b["speedup"]
-        events_match = events_match and b["events_match"]
-    payload["events_match"] = events_match
-    return payload
-
-
-def engine_speed_report(shapes=PERF_SHAPES, transits=("event", "eager"),
-                        duration: float = 10.0, seed: int = 0,
-                        schemes=PERF_SCHEMES, repeats: int = 1,
-                        pipeline: bool = True, batched: bool = True,
-                        kernel: bool = True) -> dict:
-    """Measure every shape x transit; return the BENCH_engine payload.
+def engine_speed_report(shapes=PERF_SHAPES, duration: float = 10.0,
+                        seed: int = 0, schemes=PERF_SCHEMES, repeats: int = 1,
+                        pipeline: bool = True, batched: bool = True) -> dict:
+    """Measure every shape; return the BENCH_engine payload.
 
     ``pipeline=True`` additionally times the same scenarios end to end
     through a serial, uncached :class:`ParallelRunner` -- cells/sec of
@@ -408,21 +261,16 @@ def engine_speed_report(shapes=PERF_SHAPES, transits=("event", "eager"),
     batch-per-worker vs cell-per-task dispatch, with the speedup and a
     calibration-normalized cells/sec that :func:`check_regression`
     gates against the baseline.
-
-    ``kernel=True`` adds the kernel-engine shape
-    (:func:`measure_kernel`): paired reference-vs-kernel speedups on
-    the gated shapes, solo and batched, gated by
-    :func:`check_regression` against the build-mode floor.
     """
     # Warm the interpreter (bytecode caches, allocator arenas, numpy
     # dispatch) outside any timed window so the first measured shape is
     # not billed for process cold start.
-    measure_shape(shapes[0], transit=transits[0], duration=min(duration, 2.0),
-                  seed=seed, schemes=schemes)
+    measure_shape(shapes[0], duration=min(duration, 2.0), seed=seed,
+                  schemes=schemes)
     calibration = calibration_score()
-    samples = [measure_shape(shape, transit=transit, duration=duration,
-                             seed=seed, schemes=schemes, repeats=repeats)
-               for shape in shapes for transit in transits]
+    samples = [measure_shape(shape, duration=duration, seed=seed,
+                             schemes=schemes, repeats=repeats)
+               for shape in shapes]
     report = {
         "benchmark": "engine_speed",
         "duration": float(duration),
@@ -438,10 +286,9 @@ def engine_speed_report(shapes=PERF_SHAPES, transits=("event", "eager"),
                    for s in samples],
     }
     if pipeline:
-        scenarios = [s for shape in shapes for transit in transits
-                     for s in perf_scenarios(shape, transit=transit,
-                                             duration=duration, seed=seed,
-                                             schemes=schemes)]
+        scenarios = [s for shape in shapes
+                     for s in perf_scenarios(shape, duration=duration,
+                                             seed=seed, schemes=schemes)]
         runner = ParallelRunner(n_workers=1, use_cache=False)
         outcome = runner.run(scenarios)
         report["pipeline_cells"] = len(outcome)
@@ -456,13 +303,6 @@ def engine_speed_report(shapes=PERF_SHAPES, transits=("event", "eager"),
         sample["cells_per_calibration_op"] = round(
             sample["batched_cells_per_sec"] / calibration, 9)
         report["batched"] = sample
-    if kernel:
-        # Short diagnostic reports keep the batched grid's horizon in
-        # proportion; full-length runs use the standard 3.0s regime.
-        report["kernel"] = measure_kernel(duration=duration, seed=seed,
-                                          schemes=schemes,
-                                          repeats=max(1, repeats),
-                                          batch_duration=min(3.0, duration))
     return report
 
 
@@ -470,8 +310,8 @@ def check_regression(report: dict, baseline: dict,
                      tolerance: float = 0.30) -> list[str]:
     """Compare a fresh report against a checked-in baseline.
 
-    Returns human-readable failure strings for every shape x transit
-    whose *normalized* events/sec (events per calibration op) fell more
+    Returns human-readable failure strings for every shape whose
+    *normalized* events/sec (events per calibration op) fell more
     than ``tolerance`` below the baseline's; empty list means no
     regression.  Shapes present in only one report are ignored (grids
     may grow).
@@ -481,28 +321,20 @@ def check_regression(report: dict, baseline: dict,
     speedup are gated the same way -- so a change that quietly erodes
     the batching win (say, per-batch setup creeping back in) fails CI
     just like an event-loop slowdown.
-
-    When both reports carry the ``kernel`` engine shape, its speedups
-    are gated against the *absolute* floor the baseline's
-    ``min_speedup`` table records for the fresh report's build mode
-    (``compiled`` -> the 1.5x acceptance; interpreted fallback -> the
-    parity floor).  Speedups are same-machine ratios, so no tolerance
-    is applied; an engine event-count mismatch also fails outright.
     """
     def normalized(payload: dict) -> dict:
-        return {(s["shape"], s["transit"]): s["events_per_calibration_op"]
+        return {s["shape"]: s["events_per_calibration_op"]
                 for s in payload.get("shapes", [])}
 
     fresh, base = normalized(report), normalized(baseline)
     failures = []
-    for key in sorted(set(fresh) & set(base)):
-        floor = base[key] * (1.0 - tolerance)
-        if fresh[key] < floor:
-            shape, transit = key
+    for shape in sorted(set(fresh) & set(base)):
+        floor = base[shape] * (1.0 - tolerance)
+        if fresh[shape] < floor:
             failures.append(
-                f"{shape}/{transit}: normalized events/sec "
-                f"{fresh[key]:.6f} fell below {floor:.6f} "
-                f"(baseline {base[key]:.6f} - {tolerance:.0%})")
+                f"{shape}: normalized events/sec "
+                f"{fresh[shape]:.6f} fell below {floor:.6f} "
+                f"(baseline {base[shape]:.6f} - {tolerance:.0%})")
     fresh_b, base_b = report.get("batched"), baseline.get("batched")
     if fresh_b and base_b:
         gates = (("cells_per_calibration_op", "normalized batched cells/sec",
@@ -517,26 +349,6 @@ def check_regression(report: dict, baseline: dict,
                     f"batched: {label} {fresh_b[key]:{fmt}} fell below "
                     f"{floor:{fmt}} (baseline {base_b[key]:{fmt}} - "
                     f"{tolerance:.0%})")
-    fresh_k, base_k = report.get("kernel"), baseline.get("kernel")
-    if fresh_k and base_k:
-        floors = base_k.get("min_speedup") or KERNEL_MIN_SPEEDUP
-        mode = "compiled" if fresh_k.get("compiled") else "uncompiled"
-        floor = float(floors.get(mode, KERNEL_MIN_SPEEDUP[mode]))
-        for key, label in (("speedup_single_bottleneck",
-                            "single-bottleneck kernel speedup"),
-                           ("speedup_parking_lot",
-                            "parking-lot kernel speedup"),
-                           ("batched_speedup", "batched kernel speedup")):
-            val = fresh_k.get(key)
-            if val is not None and val < floor:
-                failures.append(
-                    f"kernel[{mode}]: {label} {val:.3f}x fell below the "
-                    f"{floor:.2f}x floor (same-machine ratio; no "
-                    f"tolerance applied)")
-        if not fresh_k.get("events_match", True):
-            failures.append(
-                "kernel: engines disagree on events processed "
-                "(events accounting or bit-identity break)")
     return failures
 
 

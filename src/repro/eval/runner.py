@@ -115,34 +115,26 @@ def scheme_factory(name: str, network: EvalNetwork, seed: int = 0,
 
 
 def run_scheme(controller, network: EvalNetwork, duration: float = 30.0,
-               seed: int = 0, mi_duration: float | None = None,
-               transit: str = "event") -> FlowRecord:
+               seed: int = 0, mi_duration: float | None = None) -> FlowRecord:
     """Run one flow of ``controller`` over ``network``; return aggregates."""
     link = network.build_link(seed=seed * 31 + 17)
     spec = FlowSpec(controller=controller, packet_bytes=network.packet_bytes,
                     mi_duration=mi_duration)
-    sim = Simulation(link, [spec], duration=duration, seed=seed,
-                     transit=transit)
+    sim = Simulation(link, [spec], duration=duration, seed=seed)
     return sim.run_all()[0]
 
 
 def build_competition(controllers, network: EvalNetwork, duration: float = 60.0,
                       start_times=None, stop_times=None, seed: int = 0,
-                      mi_duration: float | None = None,
-                      transit: str = "event",
-                      engine: str = "reference") -> Simulation:
+                      mi_duration: float | None = None) -> Simulation:
     """Wire several controllers sharing the bottleneck into a Simulation.
 
     The construction half of :func:`run_competition`, split out so
     callers that need the live :class:`Simulation` -- engine-speed
     profiling (:mod:`repro.eval.perf`), incremental ``run(until=...)``
     drivers -- reuse the exact seeding and sizing of the standard
-    evaluation path.  ``engine`` selects the core
-    (:func:`repro.netsim.engine_class`): the pure-Python reference or
-    the bit-identical array-backed kernel.
+    evaluation path.
     """
-    from repro.netsim import engine_class
-
     n = len(controllers)
     start_times = start_times or [0.0] * n
     stop_times = stop_times or [float("inf")] * n
@@ -150,23 +142,18 @@ def build_competition(controllers, network: EvalNetwork, duration: float = 60.0,
     specs = [FlowSpec(controller=c, packet_bytes=network.packet_bytes,
                       start_time=t0, stop_time=t1, mi_duration=mi_duration)
              for c, t0, t1 in zip(controllers, start_times, stop_times)]
-    return engine_class(engine)(link, specs, duration=duration, seed=seed,
-                                transit=transit)
+    return Simulation(link, specs, duration=duration, seed=seed)
 
 
 def run_competition(controllers, network: EvalNetwork, duration: float = 60.0,
                     start_times=None, stop_times=None, seed: int = 0,
-                    mi_duration: float | None = None,
-                    transit: str = "event") -> list[FlowRecord]:
+                    mi_duration: float | None = None) -> list[FlowRecord]:
     """Run several controllers sharing the bottleneck (dumbbell setup).
 
     ``start_times``/``stop_times`` allow the staggered-flow arrivals of
-    the fairness experiment (Fig. 11).  ``transit`` selects the
-    hop-transit scheme (bit-identical either way on this single-link
-    shape; see :class:`~repro.netsim.network.Simulation`).
+    the fairness experiment (Fig. 11).
     """
     sim = build_competition(controllers, network, duration=duration,
                             start_times=start_times, stop_times=stop_times,
-                            seed=seed, mi_duration=mi_duration,
-                            transit=transit)
+                            seed=seed, mi_duration=mi_duration)
     return sim.run_all()

@@ -37,7 +37,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.eval.runner import EvalNetwork, build_competition, scheme_factory
-from repro.netsim import engine_class
 from repro.netsim.faults import coerce_faults, fault_signature
 from repro.netsim.network import FlowRecord, FlowSpec, Simulation
 from repro.netsim.topology import TopologySpec
@@ -48,11 +47,9 @@ __all__ = ["AgentRef", "ChurnSchedule", "FlowDef", "Scenario", "ScenarioSuite",
            "simulate_scenario"]
 
 #: Bumped whenever scenario execution changes in a way that invalidates
-#: previously cached results.  v7: cache entries gained a content
-#: checksum and the topology signature gained per-link fault schedules
-#: (v6: the ``engine=`` axis; v5: host-portable code digest; v4:
-#: event-driven per-hop forward transit).
-SCENARIO_CACHE_VERSION = "v7"
+#: previously cached results.  v8: the ``transit`` and ``engine``
+#: fields left the fingerprint payload (one engine, one transit).
+SCENARIO_CACHE_VERSION = "v8"
 
 
 def _simulation_code_digest() -> str:
@@ -429,18 +426,6 @@ class Scenario:
     topology: TopologySpec | None = None
     #: Churn schedule applied to the flow line-up at construction.
     churn: ChurnSchedule | None = None
-    #: Hop-transit scheme: ``"event"`` (per-hop arrival-time events,
-    #: the production engine) or ``"eager"`` (the pre-refactor
-    #: emit-time transit, kept as a comparison twin -- see
-    #: :class:`repro.netsim.network.Simulation`).
-    transit: str = "event"
-    #: Engine core: ``"reference"`` (the pure-Python loop, default and
-    #: source of truth) or ``"kernel"`` (the array-backed accelerated
-    #: core, bit-identical by contract -- see
-    #: :mod:`repro.netsim.kernel`).  Fingerprinted defensively: results
-    #: must never differ, but a cached row should still say which
-    #: engine produced it.
-    engine: str = "reference"
     suite: str = ""
     #: Display label of the line-up this scenario came from (set by
     #: :meth:`ScenarioSuite.expand`); lets consumers key results
@@ -454,12 +439,6 @@ class Scenario:
         if self.churn is not None:
             flows = self.churn.apply(flows, self.duration)
         object.__setattr__(self, "flows", flows)
-        if self.transit not in ("event", "eager"):
-            raise ValueError(f"unknown transit mode {self.transit!r}; "
-                             f"use 'event' or 'eager'")
-        if self.engine not in ("reference", "kernel"):
-            raise ValueError(f"unknown engine {self.engine!r}; "
-                             f"use 'reference' or 'kernel'")
         if self.trace is not None and self.network.trace is not None:
             raise ValueError("give either a named trace or network.trace, not both")
         if self.topology is not None:
@@ -546,8 +525,6 @@ def fingerprint_cells(scenarios) -> list[str]:
             "duration": float(s.duration),
             "seed": int(s.seed),
             "mi_duration": s.mi_duration,
-            "transit": s.transit,
-            "engine": s.engine,
         }
         blob = json.dumps(payload, sort_keys=True).encode()
         fingerprints.append(hashlib.sha256(blob).hexdigest())
@@ -603,9 +580,7 @@ def build_scenario_simulation(scenario: Scenario,
     return build_competition(controllers, network, duration=scenario.duration,
                              start_times=starts, stop_times=stops,
                              seed=scenario.seed,
-                             mi_duration=scenario.mi_duration,
-                             transit=scenario.transit,
-                             engine=scenario.engine)
+                             mi_duration=scenario.mi_duration)
 
 
 def simulate_scenario(scenario: Scenario) -> tuple[list[FlowRecord], Simulation]:
@@ -654,9 +629,8 @@ def _build_topology_simulation(scenario: Scenario,
             controller=controller, start_time=flow.start, stop_time=flow.stop,
             packet_bytes=packet_bytes, mi_duration=scenario.mi_duration,
             path=flow.path))
-    return engine_class(scenario.engine)(
-        topology, flow_specs, duration=scenario.duration,
-        seed=scenario.seed, transit=scenario.transit)
+    return Simulation(topology, flow_specs, duration=scenario.duration,
+                      seed=scenario.seed)
 
 
 def _coerce_lineups(lineups) -> tuple:
@@ -715,15 +689,7 @@ class ScenarioSuite:
       topology via :meth:`TopologySpec.with_faults` -- needs a
       non-``None`` topology;
     * ``churns`` -- :class:`ChurnSchedule` entries rewriting the
-      line-up's start/stop times (``None`` = the line-up's own times);
-    * ``transits`` -- hop-transit schemes (``"event"`` and/or
-      ``"eager"``): pairing both runs every cell under the per-hop
-      event engine *and* its eager emit-time twin, the grid shape the
-      shared-hop divergence benchmarks diff;
-    * ``engines`` -- engine cores (``"reference"`` and/or
-      ``"kernel"``): pairing both runs every cell under the pure-Python
-      reference loop *and* the array-backed kernel, the grid shape the
-      bit-identity gate diffs.
+      line-up's start/stop times (``None`` = the line-up's own times).
 
     ``expand()`` returns the cross product as concrete
     :class:`Scenario` objects with stable, human-readable names.
@@ -740,8 +706,6 @@ class ScenarioSuite:
     reverse_paths: tuple = (None,)
     faults: tuple = (None,)
     churns: tuple = (None,)
-    transits: tuple = ("event",)
-    engines: tuple = ("reference",)
     seeds: tuple = (0,)
     duration: float = 20.0
     mi_duration: float | None = None
@@ -751,7 +715,7 @@ class ScenarioSuite:
         object.__setattr__(self, "lineups", _coerce_lineups(self.lineups))
         for axis in ("bandwidths_mbps", "rtts_ms", "losses", "buffers",
                      "traces", "topologies", "reverse_paths", "faults",
-                     "churns", "transits", "engines", "seeds"):
+                     "churns", "seeds"):
             object.__setattr__(self, axis, tuple(getattr(self, axis)))
         if any(rev is not None for rev in self.reverse_paths) and \
                 any(topo is None for topo in self.topologies):
@@ -768,8 +732,7 @@ class ScenarioSuite:
         return (len(self.lineups) * len(self.bandwidths_mbps) * len(self.rtts_ms)
                 * len(self.losses) * len(self.buffers) * len(self.traces)
                 * len(self.topologies) * len(self.reverse_paths)
-                * len(self.faults) * len(self.churns) * len(self.transits)
-                * len(self.engines) * len(self.seeds))
+                * len(self.faults) * len(self.churns) * len(self.seeds))
 
     def _network(self, bandwidth, rtt, loss, buffer, trace) -> EvalNetwork:
         is_packets = isinstance(buffer, (int, np.integer)) and not isinstance(buffer, bool)
@@ -785,16 +748,13 @@ class ScenarioSuite:
                 ("loss", self.losses), ("buf", self.buffers),
                 ("trace", self.traces), ("topo", self.topologies),
                 ("rev", self.reverse_paths), ("faults", self.faults),
-                ("churn", self.churns),
-                ("transit", self.transits), ("engine", self.engines),
-                ("seed", self.seeds)]
+                ("churn", self.churns), ("seed", self.seeds)]
         varying = {label for label, values in axes if len(values) > 1}
         for (label, flows), bw, rtt, loss, buf, trace, topo, rev, flt, \
-                churn, transit, engine, seed in product(
+                churn, seed in product(
                 self.lineups, self.bandwidths_mbps, self.rtts_ms, self.losses,
                 self.buffers, self.traces, self.topologies,
-                self.reverse_paths, self.faults, self.churns, self.transits,
-                self.engines, self.seeds):
+                self.reverse_paths, self.faults, self.churns, self.seeds):
             if rev is not None:
                 topo = topo.with_reverse_paths(rev)
             if flt is not None:
@@ -806,10 +766,9 @@ class ScenarioSuite:
                       "rev": _reverse_label(rev),
                       "faults": _faults_label(flt),
                       "churn": churn.label() if churn is not None else None,
-                      "transit": transit, "engine": engine, "seed": seed}
+                      "seed": seed}
             for axis in ("bw", "rtt", "loss", "buf", "trace", "topo",
-                         "rev", "faults", "churn", "transit", "engine",
-                         "seed"):
+                         "rev", "faults", "churn", "seed"):
                 if axis in varying:
                     parts.append(f"{axis}={values[axis]}")
             scenarios.append(Scenario(
@@ -818,7 +777,7 @@ class ScenarioSuite:
                 flows=flows, duration=self.duration, seed=int(seed),
                 mi_duration=self.mi_duration,
                 trace=None if topo is not None else trace,
-                topology=topo, churn=churn, transit=transit, engine=engine,
+                topology=topo, churn=churn,
                 suite=self.name, lineup=label))
         return scenarios
 

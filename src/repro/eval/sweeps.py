@@ -28,17 +28,11 @@ import numpy as np
 from repro.eval.parallel import ParallelRunner
 from repro.eval.runner import EvalNetwork
 from repro.eval.scenarios import ChurnSchedule, FlowDef, ScenarioSuite
-from repro.netsim.topology import (
-    LinkDef,
-    PathDef,
-    TopologySpec,
-    dumbbell_asymmetric,
-    parking_lot,
-)
+from repro.netsim.topology import dumbbell_asymmetric, parking_lot
 
 __all__ = ["SweepResult", "sweep_suite", "sweep_schemes",
            "multihop_churn_suite", "multihop_bench_suites",
-           "ack_congestion_suite", "shared_hop_suites",
+           "ack_congestion_suite",
            "FIG5_BANDWIDTHS", "FIG5_LATENCIES", "FIG5_LOSSES", "FIG5_BUFFERS",
            "FIG5_BENCH_SCHEMES", "FIG5_BENCH_SWEEPS", "FIG5_BENCH_BASE",
            "FIG5_BENCH_DURATION", "FIG5_BENCH_SEED",
@@ -49,10 +43,7 @@ __all__ = ["SweepResult", "sweep_suite", "sweep_schemes",
            "ACK_BENCH_SCHEMES", "ACK_BENCH_BANDWIDTH",
            "ACK_BENCH_REVERSE_BANDWIDTH", "ACK_BENCH_DELAY_MS",
            "ACK_BENCH_REVERSE_LOADS", "ACK_BENCH_CHURNS",
-           "ACK_BENCH_DURATION", "ACK_BENCH_SEED",
-           "SHARED_HOP_BENCH_SCHEMES", "SHARED_HOP_BENCH_HOPS",
-           "SHARED_HOP_BENCH_BANDWIDTH", "SHARED_HOP_BENCH_DELAY_MS",
-           "SHARED_HOP_BENCH_DURATION", "SHARED_HOP_BENCH_SEEDS"]
+           "ACK_BENCH_DURATION", "ACK_BENCH_SEED"]
 
 #: The x-axes of Fig. 5 (subsampled where the paper's grid is dense).
 FIG5_BANDWIDTHS = (10.0, 20.0, 30.0, 40.0, 50.0)
@@ -105,20 +96,6 @@ ACK_BENCH_CHURNS = (
 )
 ACK_BENCH_DURATION = 14.0
 ACK_BENCH_SEED = 4
-
-#: The grid benchmarks/bench_shared_hop_contention.py runs: heuristic
-#: through schemes against per-hop CUBIC cross traffic, every cell run
-#: under both the event-driven per-hop engine and its eager emit-time
-#: twin -- a parking lot (where the engines must measurably diverge:
-#: eager future-stamping misstates shared-hop queue occupancy) and a
-#: single-bottleneck control (where they must agree bit-for-bit).
-SHARED_HOP_BENCH_SCHEMES = ("cubic", "bbr", "copa", "vivace")
-SHARED_HOP_BENCH_HOPS = 2
-SHARED_HOP_BENCH_BANDWIDTH = 16.0
-SHARED_HOP_BENCH_DELAY_MS = 8.0
-SHARED_HOP_BENCH_DURATION = 14.0
-SHARED_HOP_BENCH_SEEDS = (5, 6)
-
 
 @dataclass
 class SweepResult:
@@ -241,7 +218,6 @@ def multihop_churn_suite(schemes, hops: int = 3, churns=(None,),
                          seeds=(MULTIHOP_BENCH_SEED,),
                          controller_kwargs: dict | None = None,
                          trace: str | None = None,
-                         transits=("event",),
                          name: str | None = None) -> ScenarioSuite:
     """Parking-lot contention with churning cross traffic as a grid.
 
@@ -251,8 +227,6 @@ def multihop_churn_suite(schemes, hops: int = 3, churns=(None,),
     (``skip=1`` entries leave the through flow persistent).  Per-hop
     parameters accept scalars or length-``hops`` sequences, so uneven
     bottlenecks and per-hop traces (e.g. ``"leo-handover"``) drop in.
-    ``transits=("event", "eager")`` additionally pairs every cell with
-    its eager emit-time twin.
     """
     controller_kwargs = controller_kwargs or {}
     topo = parking_lot(hops, bandwidth_mbps=bandwidth_mbps, delay_ms=delay_ms,
@@ -266,7 +240,6 @@ def multihop_churn_suite(schemes, hops: int = 3, churns=(None,),
         lineups[f"{scheme}-through"] = (through,) + cross
     return ScenarioSuite(name=name or f"multihop{hops}", lineups=lineups,
                          topologies=(topo,), churns=tuple(churns),
-                         transits=tuple(transits),
                          duration=duration, seeds=tuple(seeds))
 
 
@@ -309,52 +282,6 @@ def ack_congestion_suite(schemes, bandwidth_mbps=ACK_BENCH_BANDWIDTH,
                          topologies=(topo,), reverse_paths=(None, twin),
                          churns=tuple(churns), duration=duration,
                          seeds=tuple(seeds))
-
-
-def shared_hop_suites(schemes=SHARED_HOP_BENCH_SCHEMES,
-                      hops=SHARED_HOP_BENCH_HOPS,
-                      bandwidth_mbps=SHARED_HOP_BENCH_BANDWIDTH,
-                      delay_ms=SHARED_HOP_BENCH_DELAY_MS,
-                      cross_scheme: str = "cubic",
-                      duration: float = SHARED_HOP_BENCH_DURATION,
-                      seeds=SHARED_HOP_BENCH_SEEDS,
-                      controller_kwargs: dict | None = None) -> tuple:
-    """``(parking_lot_suite, control_suite)`` for the engine-twin diff.
-
-    Both grids run every cell under ``transits=("event", "eager")``:
-
-    * the parking lot shares its downstream hops between the through
-      flow and per-hop cross traffic, so the eager twin's future-stamped
-      transits misstate queue occupancy there -- the engines must
-      measurably diverge;
-    * the control is the same contention collapsed onto a *single*
-      shared bottleneck (through + one cross flow on one link), where
-      neither engine schedules any intermediate hop event -- results
-      must agree bit-for-bit.
-    """
-    controller_kwargs = controller_kwargs or {}
-    lot = multihop_churn_suite(
-        schemes, hops=hops, churns=(None,), bandwidth_mbps=bandwidth_mbps,
-        delay_ms=delay_ms, cross_scheme=cross_scheme, duration=duration,
-        seeds=tuple(seeds), controller_kwargs=controller_kwargs,
-        transits=("event", "eager"), name=f"shared-hop{hops}")
-    control_topo = TopologySpec(
-        name="shared-hop-ctrl",
-        links=(LinkDef(name="hop0", bandwidth_mbps=float(bandwidth_mbps),
-                       delay_ms=float(delay_ms)),),
-        paths=(PathDef("through", ("hop0",)), PathDef("cross0", ("hop0",))),
-        default_path="through")
-    lineups = {}
-    for scheme in schemes:
-        through = replace(_flow_for(scheme, controller_kwargs),
-                          path="through", label=f"{scheme}-through")
-        lineups[f"{scheme}-through"] = (
-            through, FlowDef(cross_scheme, path="cross0", label="cross0"))
-    control = ScenarioSuite(name="shared-hop-ctrl", lineups=lineups,
-                            topologies=(control_topo,),
-                            transits=("event", "eager"),
-                            duration=duration, seeds=tuple(seeds))
-    return lot, control
 
 
 def multihop_bench_suites(schemes=MULTIHOP_BENCH_SCHEMES,

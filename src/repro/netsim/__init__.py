@@ -68,26 +68,6 @@ from repro.netsim.network import Simulation, FlowSpec, FlowRecord
 from repro.netsim.history import StatHistory
 from repro.netsim.env import CongestionControlEnv, MoccEnv, RewardComponents
 
-#: Engine cores selectable through the scenario ``engine=`` axis.
-ENGINES = ("reference", "kernel")
-
-
-def engine_class(engine: str = "reference") -> type[Simulation]:
-    """Resolve an ``engine=`` axis value to a simulation class.
-
-    ``"reference"`` is the pure-Python :class:`Simulation` (default;
-    the golden-trace source of truth); ``"kernel"`` is the array-backed
-    accelerated core (:class:`repro.netsim.kernel.KernelSimulation`,
-    bit-identical by contract, optionally mypyc-compiled).  The kernel
-    module is imported lazily so the default path never pays for it.
-    """
-    if engine == "reference":
-        return Simulation
-    if engine == "kernel":
-        from repro.netsim.kernel import KernelSimulation
-        return KernelSimulation
-    raise ValueError(f"unknown engine {engine!r}; known: {ENGINES}")
-
 __all__ = [
     "STREAMS",
     "StreamDef",
@@ -122,8 +102,6 @@ __all__ = [
     "Simulation",
     "FlowSpec",
     "FlowRecord",
-    "ENGINES",
-    "engine_class",
     "StatHistory",
     "CongestionControlEnv",
     "MoccEnv",

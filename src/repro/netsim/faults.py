@@ -32,12 +32,11 @@ All randomness is confined to two named streams minted in
 * flap-window jitter comes from ``link.fault-flap``.  Windows extend
   lazily but *in lockstep across specs and cycles*, so the jitter of
   cycle ``k`` of spec ``s`` is a fixed position in the stream -- a pure
-  function of ``(s, k)`` no matter in what order (or from which
-  engine) queries arrive;
+  function of ``(s, k)`` no matter in what order queries arrive;
 * Gilbert-Elliott chains draw from ``link.fault-loss`` once per
   offered packet (plus one loss draw when the current state's loss
-  probability is positive), in transmit order.  Reference and kernel
-  engines offer packets to a faulted link in the identical event
+  probability is positive), in transmit order.  Serial, pooled and
+  batched runs offer packets to a faulted link in the identical event
   order, so the chains -- and hence digests -- match bit for bit.
 
 A fault never zeroes the service rate (downtime is modelled as a busy

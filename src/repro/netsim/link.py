@@ -98,11 +98,10 @@ class Link:
         self.dropped_random = 0
         self.dropped_fault = 0
         #: Timestamp of the most recent ``transmit()`` offer.  A FIFO
-        #: server only sees time-ordered arrivals; the eager transit
-        #: scheme violates that on shared downstream hops (it offers
-        #: future-stamped packets interleaved with present ones), which
-        #: ``reordered`` counts.  The event-driven scheduler keeps this
-        #: at zero on every link.
+        #: server only sees time-ordered arrivals: every offer must be
+        #: stamped no earlier than the one before it.  ``reordered``
+        #: counts violations; the per-hop scheduler keeps it at zero on
+        #: every link.
         self.last_arrival = float("-inf")
         self.reordered = 0
 

@@ -36,15 +36,6 @@ Event kinds:
   real sender);
 * ``mi``    -- a flow's monitor-interval boundary.
 
-``transit="eager"`` retains the pre-refactor scheme -- every forward
-hop transited at emit time with a future-stamped cursor, the reverse
-walk collapsed into the ``rcv`` handler, buffer-dropped acks delivered
-late instead of lost -- as a frozen comparison twin.  Single-hop
-forward paths with the default pure-propagation return are bit
-identical between the two modes (neither schedules any intermediate
-event); multi-hop paths diverge exactly where eager future-stamping
-misstates queue occupancy on shared hops.
-
 The engine supports incremental execution (``run(until=...)``) so the
 gym-style environments can interleave RL decisions with simulation.
 """
@@ -251,23 +242,13 @@ class SimState:
 class Simulation:
     """Event-driven simulation of flows routed over a topology.
 
-    ``transit`` selects the hop-transit scheme: ``"event"`` (default)
-    walks every packet link by link at its true per-hop arrival times;
-    ``"eager"`` is the pre-refactor engine that computed all forward
-    hop transits at emit time (kept as the comparison twin for the
-    bit-identity and divergence guarantees -- see the module
-    docstring).
+    Every packet walks its path link by link at its true per-hop
+    arrival times (see the module docstring).
     """
 
     def __init__(self, links: Link | list[Link] | Topology, specs: list[FlowSpec],
                  duration: float, seed: int = 0, jitter: float = 0.02,
-                 transit: str = "event",
                  hop_jitter: float = HOP_JITTER_FACTOR):
-        if transit not in ("event", "eager"):
-            raise ValueError(f"unknown transit mode {transit!r}; "
-                             f"use 'event' or 'eager'")
-        self.transit = transit
-        self._eager = transit == "eager"
         self.hop_jitter = float(hop_jitter)
         if isinstance(links, Topology):
             self.topology = links
@@ -282,8 +263,8 @@ class Simulation:
         self.rng = stream_rng("sim.pacing", seed)
         #: Dedicated stream for per-hop forwarding dither: hop events
         #: must not consume ``self.rng``, or the send-pacing jitter
-        #: sequence (and with it every single-hop race) would shift
-        #: relative to the eager twin.
+        #: sequence (and with it every single-hop race) would depend
+        #: on how many hops other flows' packets cross.
         self._hop_rng = stream_rng("sim.hop-dither", seed)
         # Prefetched uniform blocks (see RNG_BLOCK).  Nothing outside
         # the engine reads these generators, so prefetching cannot
@@ -455,15 +436,12 @@ class Simulation:
                         flow.packet_bytes)
         flow.next_seq += 1
         flow.note_sent(packet)
-        if self._eager:
-            self._emit_eager(flow, packet)
-        else:
-            # The packet enters the forward direction now: hop 0 is
-            # transited synchronously (its arrival time *is* the
-            # current clock), later hops via deferred "hop" events.
-            self._advance_packet(flow, packet)
+        # The packet enters the forward direction now: hop 0 is
+        # transited synchronously (its arrival time *is* the current
+        # clock), later hops via deferred "hop" events.
+        self._advance_packet(flow, packet)
 
-    # --- unified per-hop scheduler (transit="event") -------------------------
+    # --- unified per-hop scheduler -------------------------------------------
 
     def _advance_packet(self, flow: Flow, packet: Packet) -> None:
         """Offer ``packet`` to its next link at the current clock.
@@ -474,8 +452,7 @@ class Simulation:
         ``flow.reverse_links`` at the flow's ack wire size.  Every
         ``link.transmit`` happens at the true arrival time, so a shared
         link's queue sees one time-ordered arrival stream from all
-        flows -- the property the eager scheme broke with
-        future-stamped transits.
+        flows.
         """
         if packet.reversing:
             self._advance_reverse(flow, packet)
@@ -565,9 +542,7 @@ class Simulation:
         (a real sender cannot tell the difference): the packet parks in
         ``flow.pending_acks`` until a later cumulative ack reaches the
         sender, with an ``"rto"`` event as the retransmit-timeout
-        fallback.  (The eager twin keeps its frozen pre-refactor
-        semantics: every dropped ack delivered late or at normal
-        timing, never lost.)
+        fallback.
         """
         reverse_links = flow.reverse_links
         hop = packet.hop
@@ -613,78 +588,11 @@ class Simulation:
             packet.ack_time = cursor
             heappush(self._heap, (cursor, seq, EV_ACK, flow, packet))
 
-    # --- eager twin (transit="eager", the pre-refactor scheme) ---------------
-
-    def _emit_eager(self, flow: Flow, packet: Packet) -> None:
-        """Transit every forward hop at emit time (future-stamped)."""
-        cursor = self.now
-        queue_delay = 0.0
-        delivered = True
-        for hop, link in enumerate(flow.links):
-            ok, drop_kind, depart, hop_queue_delay = link.transmit(cursor)
-            queue_delay += hop_queue_delay
-            if not ok:
-                delivered = False
-                packet.dropped = True
-                packet.drop_kind = drop_kind
-                if drop_kind == "random":
-                    loss_cursor = depart
-                else:
-                    loss_cursor = cursor + hop_queue_delay + link.delay
-                for l in flow.links[hop + 1:]:
-                    loss_cursor += (l.queue_delay_at(loss_cursor)
-                                    + 1.0 / l.bandwidth_at(loss_cursor)
-                                    + l.delay)
-                self._push(loss_cursor, EV_RCV, flow, packet)
-                break
-            cursor = depart
-        packet.queue_delay = queue_delay
-
-        if delivered:
-            packet.arrival_time = cursor
-            self._push(cursor, EV_RCV, flow, packet)
-
-    def _transit_reverse(self, flow: Flow, cursor: float) -> tuple[float, float]:
-        """Eager twin's reverse walk: all hops at ``rcv`` time.
-
-        Returns ``(arrival_time_at_sender, accumulated_queue_delay)``.
-        Keeps the pre-refactor semantics exactly: a buffer-dropped ack
-        is *delivered late* (with the timing a packet just behind the
-        drop would see) rather than lost.
-        """
-        size = flow.ack_size
-        queue_delay = 0.0
-        for link in flow.reverse_links:
-            pure = link.pure_delay
-            if pure is not None:
-                cursor += pure
-                continue
-            delivered, drop_kind, depart, hop_queue_delay = \
-                link.transmit(cursor, size)
-            queue_delay += hop_queue_delay
-            if delivered or drop_kind == "random":
-                # A random drop's depart_time already carries the full
-                # queue + service + propagation timing.
-                cursor = depart
-            else:
-                cursor += (hop_queue_delay
-                           + size / link.bandwidth_at(cursor) + link.delay)
-        return cursor, queue_delay
-
     # --- receiver / sender-side handlers -------------------------------------
 
     def _handle_receive(self, flow: Flow, packet: Packet) -> None:
         """The receiver observed a packet (or a drop's gap): its ack /
         loss notice starts walking the flow's reverse links."""
-        if self._eager:
-            arrival, queue_delay = self._transit_reverse(flow, self.now)
-            if packet.dropped:
-                self._push(arrival, EV_LOSS, flow, packet)
-            else:
-                packet.ack_time = arrival
-                packet.ack_queue_delay = queue_delay
-                self._push(arrival, EV_ACK, flow, packet)
-            return
         packet.reversing = True
         pure = flow.pure_return_delay
         if pure is not None:

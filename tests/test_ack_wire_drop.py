@@ -4,8 +4,7 @@ PR 4 made *buffer*-dropped acks real (pending_acks + rto recovery) but
 left random wire drops of acks delivered at normal timing -- the
 ROADMAP gap this PR closes: a corrupted ack never reaches the sender
 either, and a real stack recovers exactly the same way (a later
-cumulative ack, or a spurious retransmit timeout).  The eager twin
-keeps its frozen delivered-at-normal-timing semantics.
+cumulative ack, or a spurious retransmit timeout).
 """
 
 import numpy as np
@@ -33,11 +32,11 @@ def lossy_reverse_topology(rev_loss=0.3, rev_queue=500):
                     reverse_paths={"through": ("rev",), "up": ("fwd",)})
 
 
-def run_through(topo, duration=8.0, transit="event", stop=float("inf")):
+def run_through(topo, duration=8.0, stop=float("inf")):
     sim = Simulation(topo, [FlowSpec(ExternalRateController(60.0),
                                      path="through", keep_packets=True,
                                      stop_time=stop)],
-                     duration=duration, seed=33, transit=transit)
+                     duration=duration, seed=33)
     sim.run_all()
     return sim.flows[0], sim
 
@@ -86,15 +85,6 @@ class TestWireDroppedAcks:
         forward_drops = [p for p in flow.packets if p.dropped]
         assert len(forward_drops) > 50
         assert flow.total_lost >= 0.8 * len(forward_drops)
-
-    def test_eager_twin_keeps_frozen_semantics(self):
-        """The comparison twin must not grow ack loss: wire-dropped
-        acks stay delivered at normal timing."""
-        flow, _ = run_through(lossy_reverse_topology(), transit="eager")
-        assert not any(p.ack_recovered or p.ack_dropped
-                       for p in flow.packets)
-        assert flow.pending_acks == {}
-        assert flow.total_acked > 100
 
     def test_wire_drops_inflate_measured_rtt(self):
         """A recovered ack carries the *recovery* moment (the next

@@ -36,11 +36,6 @@ from repro.analysis.rules_batch import (
 from repro.analysis.rules_dataflow import (ENV_ALLOWLIST, EnvTaintRule,
                                            RngStreamOwnershipRule,
                                            SignaturePurityRule)
-from repro.analysis.rules_compiled import (
-    CompiledDigestRule,
-    check_handler_table,
-    check_pool_fields,
-)
 from repro.analysis.rules_engine import check_engine_source
 from repro.analysis.rules_fingerprint import (
     CoverageSpec,
@@ -403,52 +398,6 @@ class TestIsolationRules:
         # must not attribute installed-tree results to them.
         assert BatchIsolationRule().check_project(
             FIXTURES / "proj_batch_bad") == []
-
-
-class TestCompiledCoreRules:
-    """The kernel engine's sync rules: field table, handler arity,
-    and the live digest probe."""
-
-    def test_pool_fixture_yields_all_four_defects(self):
-        from repro.netsim.packet import Packet
-        source = (FIXTURES / "bad_kernel_pool.py").read_text()
-        findings = check_pool_fields(source, "bad_kernel_pool.py",
-                                     packet_slots=tuple(Packet.__slots__))
-        messages = " | ".join(f.message for f in findings)
-        assert len(findings) == 4
-        assert "ack_recovered" in messages and "checksum" in messages
-        assert "__init__" in messages and "send_time" in messages
-        assert "grow" in messages and "extend" in messages
-        assert "alloc" in messages and "stale" in messages
-
-    def test_table_fixture_flags_short_handler_tuple(self):
-        source = (FIXTURES / "bad_kernel_table.py").read_text()
-        (finding,) = check_handler_table(source, "bad_kernel_table.py", 8)
-        assert "7 slots" in finding.message
-        assert "8 EV_*" in finding.message
-
-    def test_real_kernel_passes_static_checks(self):
-        from repro.netsim.packet import Packet
-        source = (SRC_ROOT / "netsim" / "kernel.py").read_text()
-        assert check_pool_fields(
-            source, "netsim/kernel.py",
-            packet_slots=tuple(Packet.__slots__)) == []
-        assert check_handler_table(source, "netsim/kernel.py", 8) == []
-
-    def test_worker_scoping(self):
-        # No POOL_FIELDS literal: not kernel-shaped, nothing to check.
-        assert check_pool_fields("x = 1\n", "other.py",
-                                 packet_slots=("a",)) == []
-        # The table worker is only ever pointed at kernel.py, where a
-        # missing _handlers tuple is itself the defect.
-        (finding,) = check_handler_table("x = 1\n", "kernel.py", 8)
-        assert "no _handlers table" in finding.message
-
-    def test_live_digest_probe_is_clean(self):
-        assert CompiledDigestRule().check_project(default_root()) == []
-
-    def test_digest_probe_skips_foreign_roots(self):
-        assert CompiledDigestRule().check_project(FIXTURES) == []
 
 
 class TestSuppressionsAndBaseline:

@@ -9,15 +9,12 @@ Three guarantees, layered:
 * **Batching is invisible.**  ``BatchRunner`` interleaves N cells in
   one process sharing only frozen assets, so every cell's records are
   bit-identical to running it solo -- pinned here across every perf
-  shape and both transit engines, and at the runner level by the
-  serial == process-parallel == batched identity grid.
+  shape, and at the runner level by the serial == process-parallel
+  == batched identity grid.
 * **Failures stay per cell.**  A mid-batch ``ScenarioError`` surfaces
   the failing cell's name while its batch siblings complete (and
   cache).
 """
-
-import hashlib
-import json
 
 import numpy as np
 import pytest
@@ -27,8 +24,9 @@ from repro.eval.batch import (
     BatchRunner,
     warm_agent_refs,
 )
-from repro.eval.parallel import ParallelRunner, ScenarioError, _record_to_json
+from repro.eval.parallel import ParallelRunner, ScenarioError
 from repro.eval.perf import PERF_SHAPES, batched_grid_scenarios, perf_scenarios
+from repro.eval.resilience import records_digest
 from repro.eval.scenarios import (
     ChurnSchedule,
     FlowDef,
@@ -39,12 +37,6 @@ from repro.eval.scenarios import (
 from repro.eval.runner import EvalNetwork
 from repro.netsim.network import SimState
 from repro.netsim.topology import parking_lot
-
-
-def records_digest(records) -> str:
-    """Full-rows digest (per-MI streams included), as the goldens use."""
-    blob = json.dumps([_record_to_json(r) for r in records], sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def solo_digest(scenario) -> str:
@@ -124,10 +116,9 @@ class TestSimStateStepping:
 class TestBatchRunner:
     """Interleaved cells == solo cells, bit for bit."""
 
-    @pytest.mark.parametrize("transit", ("event", "eager"))
     @pytest.mark.parametrize("shape", PERF_SHAPES)
-    def test_batched_cells_match_solo_runs(self, shape, transit):
-        scenarios = perf_scenarios(shape, transit=transit, duration=0.5)
+    def test_batched_cells_match_solo_runs(self, shape):
+        scenarios = perf_scenarios(shape, duration=0.5)
         cells = BatchRunner(slice_seconds=0.07).run(scenarios)
         assert len(cells) == len(scenarios)
         for scenario, cell in zip(scenarios, cells):
@@ -194,31 +185,28 @@ class TestBatchRunner:
         warm_agent_refs(perf_scenarios("single-bottleneck", duration=0.3))
 
 
-def identity_suite(transit: str) -> list[Scenario]:
+def identity_suite() -> list[Scenario]:
     """Satellite grid: single-bottleneck, parking lot, and churn cells."""
     churn = ChurnSchedule("on-off", gap=0.5, on_time=1.0, period=1.5, skip=1)
     single = ScenarioSuite(
-        name=f"batch-identity-{transit}/single",
+        name="batch-identity/single",
         lineups={"duo": ("cubic", "bbr")},
-        churns=(None, churn),
-        transits=(transit,), duration=2.0, seeds=(3,))
+        churns=(None, churn), duration=2.0, seeds=(3,))
     lot = ScenarioSuite(
-        name=f"batch-identity-{transit}/lot",
+        name="batch-identity/lot",
         lineups={"lot": (FlowDef("copa", path="through", label="through"),
                          FlowDef("cubic", path="cross0", label="cross0"),
                          FlowDef("cubic", path="cross1", label="cross1"))},
         topologies=(parking_lot(2, bandwidth_mbps=10.0, delay_ms=5.0),),
-        churns=(None, churn),
-        transits=(transit,), duration=2.0, seeds=(3,))
+        churns=(None, churn), duration=2.0, seeds=(3,))
     return single.expand() + lot.expand()
 
 
 class TestRunnerDispatchIdentity:
     """Serial == process-parallel == batched, per cell (satellite 3)."""
 
-    @pytest.mark.parametrize("transit", ("event", "eager"))
-    def test_three_dispatch_modes_agree(self, transit, tmp_path):
-        suite = identity_suite(transit)
+    def test_three_dispatch_modes_agree(self):
+        suite = identity_suite()
         runs = {
             "serial": ParallelRunner(n_workers=1, use_cache=False,
                                      batch_size=1).run(suite),
@@ -239,14 +227,14 @@ class TestRunnerDispatchIdentity:
                 assert r.events > 0 and r.elapsed > 0.0
 
     def test_result_rows_carry_events_and_wall(self):
-        suite = identity_suite("event")
+        suite = identity_suite()
         result = ParallelRunner(n_workers=1, use_cache=False).run(suite)
         for row in result.table:
             assert row["events"] > 0
             assert row["wall_s"] > 0.0
 
     def test_cached_rows_report_zero_events(self, tmp_path):
-        suite = identity_suite("event")
+        suite = identity_suite()
         runner = ParallelRunner(n_workers=1, cache_dir=tmp_path)
         first = runner.run(suite)
         assert first.cache_misses == len(first)
@@ -288,7 +276,7 @@ class TestRunnerDispatchIdentity:
 
 
 class TestBatchInterrupts:
-    """Interrupts stay surgical under either engine core.
+    """Interrupts stay surgical.
 
     A deterministic cell exception is a per-cell error (siblings
     complete and cache); a KeyboardInterrupt is *not* a cell failure
@@ -298,19 +286,16 @@ class TestBatchInterrupts:
     the interrupt cancelled.
     """
 
-    ENGINES = ("reference", "kernel")
-
-    def _cells(self, engine, duration=0.4):
+    def _cells(self, duration=0.4):
         return ScenarioSuite(
-            name=f"interrupt-{engine}", lineups=("cubic", "vegas", "bbr"),
-            engines=(engine,), duration=duration).expand()
+            name="interrupt", lineups=("cubic", "vegas", "bbr"),
+            duration=duration).expand()
 
-    def _interrupt_on_second_cell(self, probe_scenario, monkeypatch):
-        """Patch the engine's state class so the second *distinct*
-        state object to step raises KeyboardInterrupt (strong refs, so
-        id-reuse after gc can never alias two states)."""
-        state_cls = type(build_scenario_simulation(probe_scenario).state)
-        original = state_cls.step_until
+    def _interrupt_on_second_cell(self, monkeypatch):
+        """Patch ``SimState`` so the second *distinct* state object to
+        step raises KeyboardInterrupt (strong refs, so id-reuse after
+        gc can never alias two states)."""
+        original = SimState.step_until
         seen: list = []
 
         def interrupting(self, horizon):
@@ -320,40 +305,34 @@ class TestBatchInterrupts:
                     raise KeyboardInterrupt
             return original(self, horizon)
 
-        monkeypatch.setattr(state_cls, "step_until", interrupting)
-        return state_cls, original
+        monkeypatch.setattr(SimState, "step_until", interrupting)
+        return original
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_mid_batch_exception_spares_and_caches_siblings(
-            self, engine, tmp_path):
-        good = self._cells(engine)
-        bad = Scenario(name=f"interrupt-{engine}/broken",
+    def test_mid_batch_exception_spares_and_caches_siblings(self, tmp_path):
+        good = self._cells()
+        bad = Scenario(name="interrupt/broken",
                        network=EvalNetwork(), flows=("no-such-scheme",),
-                       duration=0.4, engine=engine)
+                       duration=0.4)
         runner = ParallelRunner(n_workers=1, cache_dir=tmp_path,
                                 batch_size=4)
         with pytest.raises(ScenarioError) as err:
             runner.run([good[0], bad, good[1], good[2]])
-        assert err.value.scenario_name == f"interrupt-{engine}/broken"
+        assert err.value.scenario_name == "interrupt/broken"
         # Every healthy batch sibling completed and cached despite the
         # failure in the middle of the batch.
         again = runner.run(good)
         assert again.cache_hits == len(good)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_keyboard_interrupt_is_not_a_cell_error(self, engine,
-                                                    monkeypatch):
-        scenarios = self._cells(engine)
-        self._interrupt_on_second_cell(scenarios[0], monkeypatch)
+    def test_keyboard_interrupt_is_not_a_cell_error(self, monkeypatch):
+        scenarios = self._cells()
+        self._interrupt_on_second_cell(monkeypatch)
         with pytest.raises(KeyboardInterrupt):
             BatchRunner(slice_seconds=0.1).run(scenarios)
 
-    @pytest.mark.parametrize("engine", ENGINES)
     def test_interrupted_sweep_keeps_completed_cells_cached(
-            self, engine, tmp_path, monkeypatch):
-        scenarios = self._cells(engine)
-        state_cls, original = self._interrupt_on_second_cell(
-            scenarios[0], monkeypatch)
+            self, tmp_path, monkeypatch):
+        scenarios = self._cells()
+        original = self._interrupt_on_second_cell(monkeypatch)
         runner = ParallelRunner(n_workers=1, cache_dir=tmp_path,
                                 batch_size=1)
         with pytest.raises(KeyboardInterrupt):
@@ -361,6 +340,6 @@ class TestBatchInterrupts:
         assert scenarios[0].fingerprint() in runner.cache
         assert scenarios[1].fingerprint() not in runner.cache
         # Resuming after the interrupt only pays for the cancelled tail.
-        monkeypatch.setattr(state_cls, "step_until", original)
+        monkeypatch.setattr(SimState, "step_until", original)
         resumed = runner.run(scenarios)
         assert resumed.cache_hits == 1 and resumed.cache_misses == 2

@@ -1,4 +1,4 @@
-"""Deterministic fault injection: specs, runtime, and engine identity.
+"""Deterministic fault injection: specs, runtime, and dispatch identity.
 
 Four layers of guarantees:
 
@@ -11,18 +11,16 @@ Four layers of guarantees:
 * **Faults-off is bit-identical.**  A topology without faults builds
   links with ``fault is None`` -- the golden-trace suite pins the
   fast path itself.
-* **Engines agree under faults.**  Every fault configuration produces
-  identical record digests on the reference and kernel engines, under
-  both transit schemes, and identically through serial, process-pool,
-  and batched dispatch.
+* **Runs agree under faults.**  Every fault configuration replays to
+  identical record digests, differs from its fault-free twin, and
+  comes out identically through serial, process-pool, and batched
+  dispatch.
 """
-
-import hashlib
-import json
 
 import pytest
 
-from repro.eval.parallel import ParallelRunner, _record_to_json
+from repro.eval.parallel import ParallelRunner
+from repro.eval.resilience import records_digest
 from repro.eval.scenarios import ScenarioSuite, _topology_signature
 from repro.netsim.faults import (
     BlackoutWindow,
@@ -34,11 +32,6 @@ from repro.netsim.faults import (
     fault_signature,
 )
 from repro.netsim.topology import dumbbell, parking_lot
-
-
-def records_digest(records) -> str:
-    blob = json.dumps([_record_to_json(r) for r in records], sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def suite_digests(suite, **runner_kwargs) -> dict:
@@ -185,23 +178,19 @@ class TestFaultProcess:
         assert draws(c) != base
 
 
-def faulted_suite(engine, transit="event", schemes=("cubic", "vivace"),
-                  faults=None):
+def faulted_suite(faults):
     topo = parking_lot(2, bandwidth_mbps=6.0, delay_ms=8.0)
     return ScenarioSuite(
-        name=f"faults-{engine}-{transit}",
-        lineups=[schemes],
+        name="faults",
+        lineups=[("cubic", "vivace")],
         topologies=(topo,),
-        faults=(faults if faults is not None
-                else {"hop0": (FLAP, GE), "hop1": (BROWNOUT, BLACKOUT)},),
-        transits=(transit,),
-        engines=(engine,),
+        faults=(faults,),
         duration=4.0,
         seeds=(0,))
 
 
-class TestEngineIdentityUnderFaults:
-    """reference == kernel, event and eager, across fault mixes."""
+class TestReplayIdentityUnderFaults:
+    """Two fresh runs agree, and differ from clean, across fault mixes."""
 
     CONFIGS = [
         {"hop0": (FLAP,)},
@@ -213,47 +202,36 @@ class TestEngineIdentityUnderFaults:
         {"hop0": (FLAP, GE), "hop1": (BROWNOUT, BLACKOUT)},
     ]
 
-    @pytest.mark.parametrize("transit", ["event", "eager"])
     @pytest.mark.parametrize("config", CONFIGS,
                              ids=lambda c: "+".join(
                                  f"{k}:{'+'.join(type(s).__name__ for s in v)}"
                                  for k, v in sorted(c.items())))
-    def test_digests_match(self, transit, config):
-        digests = {}
-        for engine in ("reference", "kernel"):
-            suite = faulted_suite(engine, transit=transit, faults=config)
-            runner = ParallelRunner(n_workers=1, use_cache=False)
-            result = runner.run(suite)
-            digests[engine] = [
-                (records_digest(r.records), r.events) for r in result]
-        assert digests["reference"] == digests["kernel"]
+    def test_digests_match(self, config):
+        def run(faults):
+            result = ParallelRunner(n_workers=1, use_cache=False).run(
+                faulted_suite(faults))
+            return [(records_digest(r.records), r.events) for r in result]
+
+        first = run(config)
+        assert first == run(config)
         # a fault mix that never perturbs anything would vacuously pass:
         # the same lineup without faults must differ
-        clean = ParallelRunner(n_workers=1, use_cache=False).run(
-            faulted_suite("reference", transit=transit,
-                          faults={"hop0": ()}))
-        clean_digests = [(records_digest(r.records), r.events)
-                         for r in clean]
-        assert clean_digests != digests["reference"]
+        assert run({"hop0": ()}) != first
 
 
 class TestDispatchIdentityUnderFaults:
     """serial == process-pool == batched for a faulted grid."""
 
     def test_all_dispatch_paths_agree(self):
-        def grid(engine):
-            return ScenarioSuite(
-                name="faults-dispatch",
-                lineups=[("cubic", "bbr")],
-                topologies=(parking_lot(2, bandwidth_mbps=6.0),),
-                faults=(None, {"hop0": (FLAP, GE)}),
-                engines=(engine,),
-                duration=3.0,
-                seeds=(0, 1))
-
-        for engine in ("reference", "kernel"):
-            serial = suite_digests(grid(engine), n_workers=1)
-            pooled = suite_digests(grid(engine), n_workers=2, batch_size=1)
-            batched = suite_digests(grid(engine), n_workers=2, batch_size=3)
-            assert serial == pooled == batched
-            assert len(serial) == 4  # faults axis (2) x seeds (2)
+        grid = ScenarioSuite(
+            name="faults-dispatch",
+            lineups=[("cubic", "bbr")],
+            topologies=(parking_lot(2, bandwidth_mbps=6.0),),
+            faults=(None, {"hop0": (FLAP, GE)}),
+            duration=3.0,
+            seeds=(0, 1))
+        serial = suite_digests(grid, n_workers=1)
+        pooled = suite_digests(grid, n_workers=2, batch_size=1)
+        batched = suite_digests(grid, n_workers=2, batch_size=3)
+        assert serial == pooled == batched
+        assert len(serial) == 4  # faults axis (2) x seeds (2)

@@ -5,9 +5,15 @@ allocation-free transit, flat-buffer MI statistics, block-drawn RNG)
 under a hard guarantee: **the floats do not move**.  These tests pin
 that guarantee to goldens generated from the *pre-optimization* engine
 (see ``scripts/make_engine_goldens.py``): a seeded multi-flow,
-multi-hop, wired-reverse grid is re-run on the current engine, under
-both transit modes, and every scenario's full result rows (per-MI
-records included) must digest-identically match.
+multi-hop, wired-reverse grid is re-run on the current engine and
+every scenario's full result rows (per-MI records included) must
+digest-identically match.
+
+The file also carries a frozen ``pre_refactor_single_hop`` block: the
+digests the pre-PR-4 emit-time transit scheme (deleted in PR 13)
+produced on the eight single-bottleneck cells.  The live engine must
+still equal them -- the "single-bottleneck == pre-refactor engine"
+guarantee, kept as a frozen check now that the old scheme is gone.
 
 The digest covers every float the result cache persists, serialized
 via JSON ``repr`` (shortest round-trip -- exact for float64).  A
@@ -28,7 +34,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.eval.parallel import ParallelRunner, _record_to_json
+from repro.eval.parallel import ParallelRunner
+from repro.eval.resilience import record_to_json
 from repro.eval.scenarios import ChurnSchedule, FlowDef, ScenarioSuite
 from repro.netsim.topology import dumbbell_asymmetric, parking_lot
 
@@ -37,9 +44,8 @@ GOLDEN_PATH = Path(__file__).parent / "goldens" / "engine_golden.json"
 
 def golden_suites() -> tuple:
     """The pinned grid: single-bottleneck x loss x trace, a churned
-    parking lot, and a wired-reverse asymmetric dumbbell -- every cell
-    under both transit engines.  Heuristic schemes only (no model zoo),
-    fixed seeds, short durations."""
+    parking lot, and a wired-reverse asymmetric dumbbell.  Heuristic
+    schemes only (no model zoo), fixed seeds, short durations."""
     lot = parking_lot(2, bandwidth_mbps=12.0, delay_ms=6.0)
     asym = dumbbell_asymmetric(bandwidth_mbps=12.0, delay_ms=6.0,
                                reverse_bandwidth_mbps=1.2)
@@ -48,8 +54,7 @@ def golden_suites() -> tuple:
         lineups={"duo": ("cubic", "bbr"),
                  "trio": ("copa", "vivace", "vegas")},
         bandwidths_mbps=(8.0,), losses=(0.0, 0.02),
-        traces=(None, "fig1-step"), transits=("event", "eager"),
-        duration=4.0, seeds=(11,))
+        traces=(None, "fig1-step"), duration=4.0, seeds=(11,))
     lot_suite = ScenarioSuite(
         name="golden-lot",
         lineups={f"{s}-through": (
@@ -60,15 +65,14 @@ def golden_suites() -> tuple:
         topologies=(lot,),
         churns=(None, ChurnSchedule("on-off", gap=1.0, on_time=1.5,
                                     period=2.5, skip=1)),
-        transits=("event", "eager"), duration=4.0, seeds=(11,))
+        duration=4.0, seeds=(11,))
     ack_suite = ScenarioSuite(
         name="golden-ack",
         lineups={f"{s}-dl": (
             FlowDef(s, path="through", label=f"{s}-dl"),
             FlowDef("cubic", path="reverse", label="ul0"))
             for s in ("cubic", "vivace")},
-        topologies=(asym,), transits=("event", "eager"),
-        duration=4.0, seeds=(11,))
+        topologies=(asym,), duration=4.0, seeds=(11,))
     return single, lot_suite, ack_suite
 
 
@@ -78,7 +82,7 @@ def compute_goldens() -> dict:
     scenarios = {}
     for suite in golden_suites():
         for result in runner.run(suite):
-            rows = [_record_to_json(r) for r in result.records]
+            rows = [record_to_json(r) for r in result.records]
             blob = json.dumps(rows, sort_keys=True)
             scenarios[result.scenario.name] = {
                 "digest": hashlib.sha256(blob.encode()).hexdigest(),
@@ -129,7 +133,12 @@ class TestGoldenTraces:
                 f"{len(mismatched)} scenario(s) diverged from the "
                 f"pre-optimization goldens: {mismatched[:5]}")
 
-    def test_both_transit_modes_covered(self, goldens):
-        names = list(goldens["scenarios"])
-        assert any("transit=event" in n for n in names)
-        assert any("transit=eager" in n for n in names)
+    def test_single_hop_equals_pre_refactor_engine(self, goldens, fresh):
+        frozen = goldens["pre_refactor_single_hop"]
+        single = sorted(n for n in goldens["scenarios"]
+                        if n.startswith("golden-single/"))
+        assert sorted(frozen) == single and len(single) == 8
+        for name, digest in frozen.items():
+            assert goldens["scenarios"][name]["digest"] == digest, name
+            if os.environ.get("REPRO_GOLDEN_RELAXED") != "1":
+                assert fresh[name]["digest"] == digest, name

@@ -1,18 +1,12 @@
 """Tests for the event-driven per-hop transit scheduler.
 
-Three guarantees anchor the refactor:
+Two guarantees anchor the scheduler (the third, bit-identity of
+single-hop shapes with the pre-refactor engine, is a frozen digest
+check in ``tests/test_golden_traces.py``):
 
-* **bit-identity** -- single-hop forward paths with pure-propagation
-  returns produce byte-for-byte the same results under the event
-  engine as under the eager emit-time twin (the pre-refactor engine),
-  so every single-bottleneck result in the paper's evaluation is
-  unchanged;
-* **in-order arrivals** -- under the event engine every link's
-  ``transmit()`` offers are time-ordered across all flows and both
-  directions (the eager twin violates this on shared downstream hops
-  with future-stamped transits);
-* **honest shared-hop queueing** -- on a parking lot the two engines
-  measurably diverge, and the event engine's results are identical
+* **in-order arrivals** -- every link's ``transmit()`` offers are
+  time-ordered across all flows and both directions;
+* **honest shared-hop queueing** -- parking-lot results are identical
   serial vs. parallel.
 
 Plus the satellites: real ack loss on queued reverse paths (cumulative
@@ -24,17 +18,13 @@ import numpy as np
 import pytest
 
 from repro.eval.parallel import ParallelRunner
-from repro.eval.scenarios import Scenario, ScenarioSuite
-from repro.eval.runner import EvalNetwork
-from repro.eval.sweeps import shared_hop_suites
+from repro.eval.sweeps import multihop_churn_suite
 from repro.netsim.link import Link
 from repro.netsim.network import ACK_BYTES, FlowSpec, Simulation
 from repro.netsim.packet import Packet
 from repro.netsim.sender import ExternalRateController
 from repro.netsim.topology import Topology
 from repro.netsim.traces import ConstantTrace
-
-NET = EvalNetwork(bandwidth_mbps=8.0, one_way_ms=15.0)
 
 
 def make_link(pps=100.0, delay=0.02, queue=50, loss=0.0, seed=0, name=""):
@@ -50,7 +40,7 @@ def record_signature(record):
                    s.min_rtt, s.latency_gradient) for s in record.records))
 
 
-def parking_lot_sim(transit, duration=10.0, **kwargs):
+def parking_lot_sim(duration=10.0, **kwargs):
     links = [make_link(pps=100.0, delay=0.01, queue=20, seed=1, name="a"),
              make_link(pps=100.0, delay=0.01, queue=20, seed=2, name="b")]
     topo = Topology.parking_lot(links)
@@ -58,70 +48,15 @@ def parking_lot_sim(transit, duration=10.0, **kwargs):
         FlowSpec(ExternalRateController(90.0), path="through"),
         FlowSpec(ExternalRateController(60.0), path="cross0"),
         FlowSpec(ExternalRateController(60.0), path="cross1"),
-    ], duration=duration, seed=3, transit=transit, **kwargs)
+    ], duration=duration, seed=3, **kwargs)
     return sim, links
 
 
-class TestSingleHopBitIdentity:
-    """The fingerprint-twin guarantee on single-bottleneck shapes."""
-
-    def run_single_link(self, transit):
-        link = make_link(pps=80.0, delay=0.02, queue=25, loss=0.03, seed=4)
-        sim = Simulation(link, [
-            FlowSpec(ExternalRateController(70.0), keep_packets=True),
-            FlowSpec(ExternalRateController(50.0), start_time=1.0,
-                     stop_time=6.0),
-        ], duration=8.0, seed=4, transit=transit)
-        records = sim.run_all()
-        packets = [(p.seq, p.send_time, p.arrival_time, p.ack_time,
-                    p.dropped, p.drop_kind, p.queue_delay)
-                   for p in sim.flows[0].packets]
-        return [record_signature(r) for r in records], packets
-
-    def test_direct_simulation_identical(self):
-        assert self.run_single_link("event") == self.run_single_link("eager")
-
-    def test_suite_grid_identical(self):
-        """Every single-bottleneck cell of a transit-paired grid must be
-        byte-identical between the engines (the existing fingerprint
-        grids, extended with the transits axis)."""
-        suite = ScenarioSuite(
-            name="twin", lineups=("cubic", ("vegas", "bbr")),
-            bandwidths_mbps=(6.0, 12.0), losses=(0.0, 0.02),
-            traces=(None, "fig1-step"), transits=("event", "eager"),
-            duration=3.0, seeds=(7,))
-        outcome = ParallelRunner(n_workers=1, use_cache=False).run(suite)
-        cells = {}
-        for result in outcome:
-            twin_key = result.scenario.name.replace(
-                f"transit={result.scenario.transit}", "transit=*")
-            cells.setdefault(twin_key, {})[result.scenario.transit] = [
-                record_signature(r) for r in result.records]
-        assert len(cells) == len(suite) // 2
-        for twin_key, pair in cells.items():
-            assert pair["event"] == pair["eager"], twin_key
-
-    def test_fingerprints_differ_between_transit_modes(self):
-        a = Scenario(name="x", network=NET, flows=("cubic",))
-        b = Scenario(name="x", network=NET, flows=("cubic",),
-                     transit="eager")
-        assert a.transit == "event"
-        assert a.fingerprint() != b.fingerprint()
-
-    def test_unknown_transit_rejected(self):
-        with pytest.raises(ValueError, match="transit"):
-            Simulation(make_link(), [FlowSpec(ExternalRateController(1.0))],
-                       duration=1.0, transit="psychic")
-        with pytest.raises(ValueError, match="transit"):
-            Scenario(name="x", network=NET, flows=("cubic",),
-                     transit="psychic")
-
-
 class TestInOrderArrivals:
-    """Every link sees a time-ordered transmit stream (event engine)."""
+    """Every link sees a time-ordered transmit stream."""
 
     def test_event_engine_in_order_on_every_link(self):
-        sim, links = parking_lot_sim("event")
+        sim, links = parking_lot_sim()
         times = {id(l): [] for l in links}
         for link in links:
             original = link.transmit
@@ -139,18 +74,9 @@ class TestInOrderArrivals:
                 f"link {link.name} saw out-of-order arrivals"
             assert link.reordered == 0
 
-    def test_eager_twin_reorders_shared_downstream_hop(self):
-        """The pre-refactor scheme future-stamps through-flow transits,
-        interleaving them out of time order with cross-traffic on the
-        shared second hop -- the dishonesty the refactor removes."""
-        sim, links = parking_lot_sim("eager")
-        sim.run_all()
-        assert links[0].reordered == 0  # first hop transits at emit time
-        assert links[1].reordered > 50
-
     def test_reverse_direction_in_order_too(self):
         """Wired reverse links also see time-ordered offers: acks are
-        deferred per hop like data, not walked eagerly at rcv time."""
+        deferred per hop like data, not walked at rcv time."""
         links = {"fwd": make_link(pps=400.0, delay=0.01, queue=100, name="fwd"),
                  "mid": make_link(pps=120.0, delay=0.005, queue=40, name="mid"),
                  "rev": make_link(pps=60.0, delay=0.01, queue=40, name="rev")}
@@ -160,52 +86,25 @@ class TestInOrderArrivals:
         sim = Simulation(topo, [
             FlowSpec(ExternalRateController(80.0), path="dl"),
             FlowSpec(ExternalRateController(50.0), path="up"),
-        ], duration=8.0, seed=11, transit="event")
+        ], duration=8.0, seed=11)
         sim.run_all()
         assert all(l.reordered == 0 for l in links.values())
 
 
-class TestSharedHopDivergence:
-    """Eager vs. event must differ where queue occupancy was misstated."""
-
-    def test_parking_lot_diverges(self):
-        (ev, _), _ = parking_lot_sim("event"), None
-        records_event = ev.run_all()
-        ea, _ = parking_lot_sim("eager")
-        records_eager = ea.run_all()
-        through_event, through_eager = records_event[0], records_eager[0]
-        assert record_signature(through_event) != \
-            record_signature(through_eager)
-        # The divergence is substantive, not float dust: the shared-hop
-        # queueing signal (RTT or loss) shifts by at least a few percent.
-        delta = abs(through_event.mean_rtt - through_eager.mean_rtt)
-        assert (delta > 0.02 * through_eager.mean_rtt
-                or abs(through_event.loss_rate - through_eager.loss_rate)
-                > 0.01)
-
+class TestSharedHopQueueing:
     def test_shared_hop_suite_serial_equals_parallel(self):
         """Two flows crossing one parking-lot hop see identical queue
         delays (and everything else) serial vs. parallel."""
-        lot, control = shared_hop_suites(schemes=("cubic", "bbr"),
-                                         duration=3.0, seeds=(5,))
+        suite = multihop_churn_suite(("cubic", "bbr"), hops=2,
+                                     bandwidth_mbps=16.0, delay_ms=8.0,
+                                     duration=3.0, seeds=(5,))
         serial = ParallelRunner(n_workers=1, use_cache=False)
         parallel = ParallelRunner(n_workers=2, use_cache=False)
-        for suite in (lot, control):
-            flat_serial = [(r.scenario.name, record_signature(rec))
-                           for r in serial.run(suite) for rec in r.records]
-            flat_parallel = [(r.scenario.name, record_signature(rec))
-                             for r in parallel.run(suite) for rec in r.records]
-            assert flat_serial == flat_parallel
-
-    def test_control_suite_is_transit_invariant(self):
-        """The single-bottleneck control grid must not diverge."""
-        _, control = shared_hop_suites(schemes=("cubic",), duration=3.0,
-                                       seeds=(5,))
-        outcome = ParallelRunner(n_workers=1, use_cache=False).run(control)
-        by_transit = {r.scenario.transit: [record_signature(rec)
-                                           for rec in r.records]
-                      for r in outcome}
-        assert by_transit["event"] == by_transit["eager"]
+        flat_serial = [(r.scenario.name, record_signature(rec))
+                       for r in serial.run(suite) for rec in r.records]
+        flat_parallel = [(r.scenario.name, record_signature(rec))
+                         for r in parallel.run(suite) for rec in r.records]
+        assert flat_serial == flat_parallel
 
 
 def ack_loss_topology(rev_queue=2, rev_pps=50.0, ack_bytes=None):
@@ -224,14 +123,13 @@ class TestAckLoss:
     """A reverse-path buffer drop now really drops the ack."""
 
     def run_through(self, topo, upload_rate=100.0, duration=8.0,
-                    through_stop=float("inf"), transit="event"):
+                    through_stop=float("inf")):
         specs = [FlowSpec(ExternalRateController(50.0), path="through",
                          keep_packets=True, stop_time=through_stop)]
         if upload_rate:
             specs.append(FlowSpec(ExternalRateController(upload_rate),
                                   path="up"))
-        sim = Simulation(topo, specs, duration=duration, seed=21,
-                         transit=transit)
+        sim = Simulation(topo, specs, duration=duration, seed=21)
         records = sim.run_all()
         return records, sim.flows[0]
 
@@ -307,14 +205,6 @@ class TestAckLoss:
         assert parked.ack_recovered and parked.ack_time == 0.5
         assert flow.pending_acks == {}
         assert flow.total_acked == 1 and flow.total_lost == 1
-
-    def test_eager_twin_keeps_delivered_late_semantics(self):
-        """The frozen pre-refactor twin must not grow ack loss."""
-        records, flow = self.run_through(ack_loss_topology(),
-                                         transit="eager")
-        assert not any(p.ack_recovered or p.ack_dropped
-                       for p in flow.packets)
-        assert flow.pending_acks == {}
 
 
 class TestPerPathAckBytes:

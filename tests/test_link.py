@@ -148,12 +148,11 @@ class TestPropagationLink:
         assert PropagationLink(0.02).pure_delay == pytest.approx(0.02)
         assert make_link().pure_delay is None
 
-    def test_engines_never_call_transmit_on_pure_links(self, monkeypatch):
-        """Both engine cores compute pure-link arrivals inline
+    def test_engine_never_calls_transmit_on_pure_links(self, monkeypatch):
+        """The engine computes pure-link arrivals inline
         (``now + pure_delay``); the zero-work fast path means
-        ``transmit`` is never invoked from a hot loop even though
+        ``transmit`` is never invoked from the hot loop even though
         every ack transits the pure reverse pseudo-link."""
-        from repro.netsim.kernel import KernelSimulation
         from repro.netsim.network import FlowSpec, Simulation
         from repro.netsim.sender import ExternalRateController
 
@@ -162,16 +161,14 @@ class TestPropagationLink:
         monkeypatch.setattr(
             PropagationLink, "transmit",
             lambda self, t, size=1.0: calls.append(t) or orig(self, t, size))
-        for cls in (Simulation, KernelSimulation):
-            for transit in ("event", "eager"):
-                link = make_link(pps=200.0)
-                sim = cls(link, [FlowSpec(ExternalRateController(100.0))],
-                          duration=0.5, seed=1, transit=transit)
-                (record,) = sim.run_all()
-                # Packets were delivered and acked, so the reverse
-                # (pure) pseudo-link was exercised -- without the call.
-                assert record.mean_throughput_pps > 0
-                assert sim.events_processed > 50
+        sim = Simulation(make_link(pps=200.0),
+                         [FlowSpec(ExternalRateController(100.0))],
+                         duration=0.5, seed=1)
+        (record,) = sim.run_all()
+        # Packets were delivered and acked, so the reverse (pure)
+        # pseudo-link was exercised -- without the call.
+        assert record.mean_throughput_pps > 0
+        assert sim.events_processed > 50
         assert calls == []
 
 

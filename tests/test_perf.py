@@ -5,13 +5,10 @@ import pytest
 
 from repro.eval.parallel import ParallelRunner
 from repro.eval.perf import (
-    KERNEL_GATED_SHAPES,
-    KERNEL_MIN_SPEEDUP,
     PERF_SHAPES,
     calibration_score,
     check_regression,
     engine_speed_report,
-    measure_kernel,
     measure_shape,
     perf_scenarios,
 )
@@ -22,11 +19,11 @@ from repro.netsim.sender import ExternalRateController
 from repro.netsim.traces import ConstantTrace
 
 
-def tiny_sim(duration=1.0, transit="event"):
+def tiny_sim(duration=1.0):
     link = Link(ConstantTrace(100.0), delay=0.01, queue_size=50,
                 rng=np.random.default_rng(0))
     return Simulation(link, [FlowSpec(ExternalRateController(50.0))],
-                      duration=duration, seed=1, transit=transit)
+                      duration=duration, seed=1)
 
 
 class TestEventCounter:
@@ -47,12 +44,6 @@ class TestEventCounter:
             stepped.run(until=t)
         whole.run()
         assert stepped.events_processed == whole.events_processed
-
-    def test_both_transits_count(self):
-        for transit in ("event", "eager"):
-            sim = tiny_sim(transit=transit)
-            sim.run_all()
-            assert sim.events_processed > 100
 
 
 class TestPerfShapes:
@@ -89,9 +80,8 @@ class TestPerfShapes:
 class TestReportAndRegression:
     def test_report_structure(self):
         report = engine_speed_report(shapes=("single-bottleneck",),
-                                     transits=("event",), duration=0.5,
-                                     schemes=("cubic",), pipeline=True,
-                                     kernel=False)
+                                     duration=0.5, schemes=("cubic",),
+                                     pipeline=True)
         assert report["calibration_ops_per_sec"] > 0
         (entry,) = report["shapes"]
         assert entry["shape"] == "single-bottleneck"
@@ -99,83 +89,25 @@ class TestReportAndRegression:
         assert entry["events_per_calibration_op"] > 0
         assert report["pipeline_cells"] == 1
         assert report["pipeline_events_per_sec"] > 0
-        assert "kernel" not in report
 
     def test_check_regression(self):
         base = {"shapes": [
-            {"shape": "parking-lot", "transit": "event",
-             "events_per_calibration_op": 0.40},
-            {"shape": "only-in-baseline", "transit": "event",
-             "events_per_calibration_op": 1.0}]}
-        ok = {"shapes": [{"shape": "parking-lot", "transit": "event",
+            {"shape": "parking-lot", "events_per_calibration_op": 0.40},
+            {"shape": "only-in-baseline", "events_per_calibration_op": 1.0}]}
+        ok = {"shapes": [{"shape": "parking-lot",
                           "events_per_calibration_op": 0.35}]}
-        bad = {"shapes": [{"shape": "parking-lot", "transit": "event",
+        bad = {"shapes": [{"shape": "parking-lot",
                            "events_per_calibration_op": 0.20}]}
         assert check_regression(ok, base) == []
         failures = check_regression(bad, base)
         assert len(failures) == 1 and "parking-lot" in failures[0]
         # 30% tolerance exactly at the floor passes.
-        edge = {"shapes": [{"shape": "parking-lot", "transit": "event",
+        edge = {"shapes": [{"shape": "parking-lot",
                             "events_per_calibration_op": 0.28}]}
         assert check_regression(edge, base) == []
 
     def test_calibration_score_positive(self):
         assert calibration_score(iters=20_000) > 0
-
-
-class TestKernelMeasurement:
-    def test_measure_kernel_payload(self):
-        k = measure_kernel(duration=0.5, schemes=("cubic",), repeats=1,
-                           batched=True, batch_cells=2, batch_duration=0.4)
-        assert isinstance(k["compiled"], bool)
-        assert tuple(k["shapes"]) == KERNEL_GATED_SHAPES
-        for shape in KERNEL_GATED_SHAPES:
-            entry = k["shapes"][shape]
-            assert entry["reference_events"] == entry["kernel_events"]
-            assert entry["speedup"] > 0
-        assert k["events_match"] is True
-        assert k["min_speedup"] == KERNEL_MIN_SPEEDUP
-        assert k["speedup_single_bottleneck"] > 0
-        assert k["speedup_parking_lot"] > 0
-        assert k["batched"]["cells"] == 2
-        assert k["batched_speedup"] > 0
-
-    def test_kernel_regression_gates(self):
-        base = {"shapes": [],
-                "kernel": {"min_speedup": dict(KERNEL_MIN_SPEEDUP)}}
-
-        def fresh(compiled, events_match=True, **speedups):
-            k = {"compiled": compiled, "events_match": events_match}
-            k.update(speedups)
-            return {"shapes": [], "kernel": k}
-
-        # Interpreted builds gate on the 0.95 parity floor.
-        ok = fresh(False, speedup_single_bottleneck=1.1,
-                   speedup_parking_lot=1.0, batched_speedup=1.2)
-        assert check_regression(ok, base) == []
-        slow = fresh(False, speedup_single_bottleneck=1.1,
-                     speedup_parking_lot=0.80, batched_speedup=1.2)
-        (failure,) = check_regression(slow, base)
-        assert "parking-lot" in failure and "0.95" in failure
-
-        # Compiled builds gate on the 1.5x acceptance floor: the same
-        # interpreted-grade numbers fail across the board.
-        compiled = fresh(True, speedup_single_bottleneck=1.1,
-                         speedup_parking_lot=1.0, batched_speedup=1.2)
-        failures = check_regression(compiled, base)
-        assert len(failures) == 3
-        assert all("1.50" in f for f in failures)
-
-        # An events mismatch is a correctness break, never speed noise.
-        broken = fresh(False, events_match=False,
-                       speedup_single_bottleneck=1.1,
-                       speedup_parking_lot=1.1, batched_speedup=1.2)
-        (failure,) = check_regression(broken, base)
-        assert "events" in failure
-
-        # No kernel section on either side: nothing to gate.
-        assert check_regression({"shapes": []}, base) == []
-        assert check_regression(ok, {"shapes": []}) == []
 
 
 class TestSuiteEventsPerSec:

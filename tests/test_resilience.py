@@ -16,6 +16,7 @@ Four layers, mirroring ``repro.eval.resilience``:
 """
 
 import json
+import math
 import os
 import time
 from dataclasses import replace
@@ -38,7 +39,11 @@ from repro.eval.resilience import (
     set_chaos_hook,
 )
 from repro.eval.runner import EvalNetwork
-from repro.eval.scenarios import Scenario, ScenarioSuite
+from repro.eval.scenarios import (
+    SCENARIO_CACHE_VERSION,
+    Scenario,
+    ScenarioSuite,
+)
 from repro.netsim.topology import dumbbell
 
 NET = EvalNetwork(bandwidth_mbps=8.0, one_way_ms=10.0, buffer_bdp=1.0)
@@ -325,6 +330,19 @@ class TestCacheIntegrity:
         assert runner.run([scenario]).cache_misses == 1
         assert path.with_suffix(".quarantined").exists()
 
+    def test_previous_version_entry_is_a_plain_miss(self, tmp_path):
+        runner = ParallelRunner(n_workers=1, cache_dir=tmp_path)
+        scenario = self._scenario()
+        runner.run([scenario])
+        path = runner.cache._path(scenario.fingerprint())
+        payload = json.loads(path.read_text())
+        assert payload["version"] == SCENARIO_CACHE_VERSION != "v7"
+        payload["version"] = "v7"  # checksum still valid: only stale
+        path.write_text(json.dumps(payload))
+        assert runner.run([scenario]).cache_misses == 1  # not served
+        assert not list(tmp_path.glob("*.quarantined"))
+        assert json.loads(path.read_text())["version"] == SCENARIO_CACHE_VERSION
+
     def test_clear_removes_quarantined_entries(self, tmp_path):
         runner = ParallelRunner(n_workers=1, cache_dir=tmp_path)
         scenario = self._scenario()
@@ -366,6 +384,17 @@ class TestFailureBudget:
         healthy = [row for row in outcome.table if row["error"] is None]
         assert len(healthy) == 2
         assert all(row["throughput_mbps"] is not None for row in healthy)
+        # Aggregates skip the failed cell's None metrics; a group with
+        # nothing but failures is nan, not a TypeError.
+        table = outcome.table
+        assert table.mean("utilization") == pytest.approx(
+            sum(row["utilization"] for row in healthy) / 2)
+        assert math.isnan(table.mean("utilization", lineup="no-such-scheme"))
+        lineups, _, matrix = table.pivot("lineup", "suite", "utilization")
+        assert lineups == ["cubic", "no-such-scheme", "vegas"]
+        assert math.isnan(matrix[1, 0])
+        assert matrix[0, 0] == healthy[0]["utilization"]
+        assert matrix[2, 0] == healthy[1]["utilization"]
 
     def test_budget_exhaustion_aborts(self):
         runner = ParallelRunner(n_workers=1, use_cache=False, max_failures=0)

@@ -504,18 +504,6 @@ class TestScenarioSuite:
         scenario = suite.expand()[0]
         assert scenario.trace is None and scenario.topology is not None
 
-    def test_transit_axis(self):
-        suite = ScenarioSuite(name="tw", lineups=("cubic",),
-                              transits=("event", "eager"))
-        event, eager = suite.expand()
-        assert len(suite) == 2
-        assert event.transit == "event" and "transit=event" in event.name
-        assert eager.transit == "eager" and "transit=eager" in eager.name
-        # A single-entry axis stays out of scenario names (and the
-        # default is the event engine).
-        only, = ScenarioSuite(name="tw1", lineups=("cubic",)).expand()
-        assert only.transit == "event" and "transit=" not in only.name
-
     def test_fingerprint_sensitive_to_path_ack_bytes(self):
         def with_ack(ack):
             spec = dumbbell_asymmetric(16.0, ack_bytes=ack)
