@@ -10,7 +10,9 @@ that failed bit-identity.  The grid definition lives next to the test
 (``golden_suites``/``compute_goldens``) so generator and checker can
 never drift apart.  The ``pre_refactor_single_hop`` block is frozen
 history (the scheme that produced it is deleted) and is carried over
-verbatim, never recomputed.
+verbatim, never recomputed.  The ``learned_controllers`` block pins
+policy inference in the loop (seeded untrained MOCC/Aurora agents); the
+same "never to paper over" rule applies to it.
 
 Usage::
 
@@ -27,11 +29,13 @@ import numpy as np
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tests"))
 
-from test_golden_traces import GOLDEN_PATH, compute_goldens  # noqa: E402
+from test_golden_traces import (  # noqa: E402
+    GOLDEN_PATH, compute_goldens, learned_suites)
 
 
 def main() -> None:
     scenarios = compute_goldens()
+    learned = compute_goldens(learned_suites())
     frozen = json.loads(GOLDEN_PATH.read_text())["pre_refactor_single_hop"]
     payload = {
         "generated": date.today().isoformat(),
@@ -39,9 +43,11 @@ def main() -> None:
         "python": sys.version.split()[0],
         "pre_refactor_single_hop": frozen,
         "scenarios": scenarios,
+        "learned_controllers": learned,
     }
     GOLDEN_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN_PATH} ({len(scenarios)} scenarios)")
+    print(f"wrote {GOLDEN_PATH} ({len(scenarios)} scenarios, "
+          f"{len(learned)} learned-controller cells)")
 
 
 if __name__ == "__main__":

@@ -51,6 +51,7 @@ class Orca(Controller):
         self.rng = np.random.default_rng(seed)
         self.scale = 1.0
         self.history = StatHistory(agent.config.history_length if agent else 10)
+        self._plan = agent.model.plan() if agent else None
         self._mi_count = 0
         #: Policy inference counter (overhead accounting, Fig. 17).
         self.inference_count = 0
@@ -62,6 +63,7 @@ class Orca(Controller):
 
     def on_flow_start(self, flow: Flow, now: float) -> None:
         self.history.reset()
+        self._plan = self.agent.model.plan() if self.agent else None
 
     def on_ack(self, flow: Flow, packet: Packet, now: float) -> None:
         self.cubic.on_ack(flow, packet, now)
@@ -74,11 +76,11 @@ class Orca(Controller):
     def on_mi(self, flow: Flow, stats: MonitorIntervalStats, now: float) -> None:
         self.history.push(flow, stats)
         self._mi_count += 1
-        if self.agent is None or self._mi_count % self.rl_interval != 0:
+        if self._plan is None or self._mi_count % self.rl_interval != 0:
             return
-        action, _, _ = self.agent.model.act(self.history.vector(), None, self.rng,
-                                            deterministic=self.deterministic)
+        action = self._plan.action(self.history.vector(), self.rng,
+                                   self.deterministic)
         self.inference_count += 1
         self.scale = float(np.clip(
-            apply_action(self.scale, float(action[0]), self.action_scale),
+            apply_action(self.scale, action, self.action_scale),
             self.MIN_SCALE, self.MAX_SCALE))

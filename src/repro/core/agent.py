@@ -10,6 +10,13 @@ interface: at each monitor interval it feeds the statistics history to
 the network and applies Eq. 1 to its pacing rate.  This is the
 "inference path" a real deployment runs -- the datapath shims in
 :mod:`repro.datapath` wrap it with call-frequency accounting.
+
+Inference is actor-only: a controller resolves an
+:class:`~repro.rl.policy.InferencePlan` when its flow starts (the
+preference embedding is computed once, there) and each interval costs
+one no-grad actor forward -- no critic, no log-probability, no backward
+caches.  ``model.act`` / :meth:`MoccAgent.act` return the full rollout
+triple and are for training and one-off queries, not the control loop.
 """
 
 from __future__ import annotations
@@ -104,6 +111,11 @@ class PolicyRateController(Controller):
     At every monitor interval the controller pushes the interval's
     statistics into its history window, queries the policy, and applies
     the Eq. 1 multiplicative adjustment to the pacing rate.
+
+    The policy is frozen for the duration of a flow: the inference plan
+    (and with it the preference embedding of ``weights``) is resolved at
+    ``on_flow_start``, so a model reloaded or trained between flows is
+    picked up by the next one.
     """
 
     kind = "rate"
@@ -120,6 +132,7 @@ class PolicyRateController(Controller):
         self.rate = float(initial_rate)
         self.action_scale = action_scale
         self.history = StatHistory(history_length)
+        self._plan = model.plan(self.weights)
         self.deterministic = deterministic
         self.rng = np.random.default_rng(seed)
         #: Number of policy inferences performed (overhead accounting).
@@ -127,14 +140,14 @@ class PolicyRateController(Controller):
 
     def on_flow_start(self, flow: Flow, now: float) -> None:
         self.history.reset()
+        self._plan = self.model.plan(self.weights)
 
     def on_mi(self, flow: Flow, stats: MonitorIntervalStats, now: float) -> None:
         self.history.push(flow, stats)
-        w = self.weights if self.model.weight_dim > 0 else None
-        action, _, _ = self.model.act(self.history.vector(), w, self.rng,
-                                      deterministic=self.deterministic)
+        action = self._plan.action(self.history.vector(), self.rng,
+                                   self.deterministic)
         self.inference_count += 1
-        self.rate = apply_action(self.rate, float(action[0]), self.action_scale)
+        self.rate = apply_action(self.rate, action, self.action_scale)
 
     def pacing_rate(self, now: float) -> float:
         return self.rate

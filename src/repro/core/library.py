@@ -27,6 +27,7 @@ from repro.core.weights import validate_weights
 from repro.netsim.env import apply_action
 from repro.netsim.history import GRADIENT_SCALE, StatHistory
 from repro.netsim.sender import LATENCY_RATIO_CAP, SEND_RATIO_CAP
+from repro.rl.policy import InferencePlan
 
 __all__ = ["NetworkStatus", "MOCC"]
 
@@ -60,21 +61,26 @@ class MOCC:
         self.weights: np.ndarray | None = None
         self._min_mean_rtt: float | None = None
         self._prev_mean_rtt: float | None = None
-        self._registered = False
+        self._plan: InferencePlan | None = None  # resolved by register()
         #: Policy inference counter (used by the overhead study).
         self.inference_count = 0
 
     # --- the three §5 calls ----------------------------------------------
 
     def register(self, weights) -> None:
-        """``Register(w)``: set the application requirement."""
+        """``Register(w)``: set the application requirement.
+
+        Also resolves the actor-only inference plan (the preference
+        embedding of ``w`` is computed once, here): the policy is frozen
+        until the next ``register``.
+        """
         self.weights = validate_weights(weights)
         self.history.reset()
-        self._registered = True
+        self._plan = self.agent.model.plan(self.weights)
 
     def report_status(self, status: NetworkStatus) -> None:
         """``ReportStatus(st)``: fold one interval's status into state."""
-        if not self._registered:
+        if self._plan is None:
             raise RuntimeError("call register() before report_status()")
         if status.duration <= 0:
             raise ValueError("status duration must be positive")
@@ -107,10 +113,10 @@ class MOCC:
 
     def get_sending_rate(self) -> float:
         """``GetSendingRate()``: the rate for the next interval (pps)."""
-        if not self._registered:
+        if self._plan is None:
             raise RuntimeError("call register() before get_sending_rate()")
-        action = self.agent.act(self.history.vector(), self.weights, self.rng,
-                                deterministic=self.deterministic)
+        action = self._plan.action(self.history.vector(), self.rng,
+                                   self.deterministic)
         self.inference_count += 1
         self.rate = apply_action(self.rate, action, self.agent.config.action_scale)
         return self.rate

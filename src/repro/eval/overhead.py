@@ -11,6 +11,14 @@ time spent inside a controller's decision callbacks per simulated
 second of traffic.  The *relative* ordering (UDT-style per-interval
 inference >> CCP-style batched inference ~ heuristics) is the result
 the paper's Fig. 17 reports.
+
+What is timed for the learned schemes is the deployed inference path:
+one actor-only, no-grad forward per consulted interval through the
+flow's :class:`~repro.rl.policy.InferencePlan` (no critic, no
+log-probability, preference embedding computed once per flow) -- about
+12 us a decision against 1-3 us for the heuristics, so the ordering
+above holds with a ~5-10x gap rather than the ~30x the full
+``model.act`` call used to cost.
 """
 
 from __future__ import annotations

@@ -19,8 +19,6 @@ scale-free.
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from repro.netsim.sender import Flow, LATENCY_RATIO_CAP, MonitorIntervalStats
@@ -34,8 +32,22 @@ GRADIENT_SCALE = 10.0
 RATE_RATIO_CAP = 4.0
 
 
+def _clamp(x: float, lo: float, hi: float) -> float:
+    """``float(np.clip(x, lo, hi))`` for scalars, bit for bit: NaN and
+    -0.0 pass through, infinities land on the bounds."""
+    if x < lo:
+        return lo
+    if x > hi:
+        return hi
+    return x
+
+
 class StatHistory:
-    """Sliding window of the last ``eta`` statistic vectors."""
+    """Sliding window of the last ``eta`` statistic vectors.
+
+    One flat float64 buffer, oldest first, shifted in place on every
+    push -- the per-MI path allocates nothing.
+    """
 
     FEATURES = 4  # l_t, p_t, q_t, r_t
 
@@ -43,40 +55,48 @@ class StatHistory:
         if length < 1:
             raise ValueError("history length must be >= 1")
         self.length = length
-        self._window: deque[np.ndarray] = deque(maxlen=length)
+        self._buf = np.empty(self.FEATURES * length)
         self.reset()
 
     def reset(self) -> None:
         """Fill with the neutral statistic <l=1, p=1, q=0, r=1>."""
-        self._window.clear()
-        for _ in range(self.length):
-            self._window.append(np.array([1.0, 1.0, 0.0, 1.0]))
+        self._buf.reshape(self.length, self.FEATURES)[:] = (1.0, 1.0, 0.0, 1.0)
+
+    def _append(self, send_ratio: float, latency_ratio: float,
+                gradient: float, rate_ratio: float) -> None:
+        buf = self._buf
+        buf[:-4] = buf[4:]
+        buf[-4] = send_ratio
+        buf[-3] = latency_ratio
+        buf[-2] = gradient
+        buf[-1] = rate_ratio
 
     def push(self, flow: Flow, stats: MonitorIntervalStats) -> None:
         """Append the statistics of one finished monitor interval."""
-        send_ratio = stats.send_ratio()
-        latency_ratio = flow.latency_ratio(stats)
-        gradient = float(np.clip(stats.latency_gradient * GRADIENT_SCALE, -10.0, 10.0))
         max_thr = flow.max_throughput_seen
         if max_thr and max_thr > 0:
-            rate_ratio = float(np.clip(stats.rate_pps / max_thr, 0.0, RATE_RATIO_CAP))
+            rate_ratio = _clamp(stats.rate_pps / max_thr, 0.0, RATE_RATIO_CAP)
         else:
             rate_ratio = 1.0
-        self._window.append(np.array([send_ratio, latency_ratio, gradient, rate_ratio]))
+        self._append(stats.send_ratio(), flow.latency_ratio(stats),
+                     _clamp(stats.latency_gradient * GRADIENT_SCALE, -10.0, 10.0),
+                     rate_ratio)
 
     def push_raw(self, send_ratio: float, latency_ratio: float, gradient: float,
                  rate_ratio: float = 1.0) -> None:
         """Append a raw statistic vector (used by tests and replayers)."""
-        self._window.append(np.array([
-            float(np.clip(send_ratio, 0.0, 10.0)),
-            float(np.clip(latency_ratio, 0.0, LATENCY_RATIO_CAP)),
-            float(np.clip(gradient, -10.0, 10.0)),
-            float(np.clip(rate_ratio, 0.0, RATE_RATIO_CAP)),
-        ]))
+        self._append(_clamp(send_ratio, 0.0, 10.0),
+                     _clamp(latency_ratio, 0.0, LATENCY_RATIO_CAP),
+                     _clamp(gradient, -10.0, 10.0),
+                     _clamp(rate_ratio, 0.0, RATE_RATIO_CAP))
 
     def vector(self) -> np.ndarray:
-        """Flattened state: ``4 * eta`` floats, oldest first."""
-        return np.concatenate(list(self._window))
+        """Flattened state: ``4 * eta`` floats, oldest first.
+
+        An independent copy: environments and rollout buffers hold
+        observations across later pushes.
+        """
+        return self._buf.copy()
 
     @property
     def dim(self) -> int:

@@ -12,6 +12,10 @@ Conventions
 * Inputs are 2-D arrays of shape ``(batch, features)``; single samples
   can be passed as 1-D arrays and are promoted internally.
 * ``forward`` caches whatever ``backward`` needs; call them in pairs.
+* ``infer`` is ``forward`` without the caches or the input re-wrapping:
+  the same numpy ops on the same shapes (so results are bit-identical),
+  for callers that run a frozen network and never call ``backward``.
+  It requires a 2-D float64 input.
 * Parameters and gradients are exposed as flat ``{name: array}`` dicts
   so optimizers and serialization never need to know the architecture.
 """
@@ -67,6 +71,10 @@ class Module:
         """Accumulate parameter gradients; return gradient w.r.t. input."""
         raise NotImplementedError
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """``forward`` for a 2-D float64 ``x``, caching nothing."""
+        raise NotImplementedError
+
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
 
@@ -116,6 +124,9 @@ class Dense(Module):
         self._x = x
         return x @ self.W.value + self.b.value
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return x @ self.W.value + self.b.value
+
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._x is None:
             raise RuntimeError("backward called before forward")
@@ -135,6 +146,9 @@ class Tanh(Module):
         self._y = np.tanh(x)
         return self._y
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return np.tanh(x)
+
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._y is None:
             raise RuntimeError("backward called before forward")
@@ -150,6 +164,9 @@ class ReLU(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
         return np.where(self._mask, x, 0.0)
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return np.where(x > 0, x, 0.0)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -173,6 +190,11 @@ class Sequential(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:
             x = layer.forward(x)
+        return x
+
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        for layer in self.layers:
+            x = layer.infer(x)
         return x
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

@@ -18,6 +18,11 @@ requirements into consideration."
 
 A plain single-objective actor-critic (for Aurora/Orca baselines) is the
 degenerate case ``weight_dim=0``, which skips the PN entirely.
+
+Two ways to run the model on one state: :meth:`PreferenceActorCritic.act`
+returns the ``(action, log_prob, value)`` triple rollout collection
+needs; an :class:`InferencePlan` runs only the actor, for controllers
+that consult a frozen policy once per monitor interval.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 from repro.rl.distributions import DiagGaussian
 from repro.rl.nn import MLP, Dense, Module, Parameter, Sequential, Tanh
 
-__all__ = ["PreferenceActorCritic"]
+__all__ = ["PreferenceActorCritic", "InferencePlan"]
 
 
 class PreferenceActorCritic(Module):
@@ -126,8 +131,12 @@ class PreferenceActorCritic(Module):
         """Sample an action for a single state.
 
         Returns ``(action, log_prob, value)`` -- all scalars/1-D arrays.
+        Actor and critic run cache-free (``infer``): gradients come from
+        the batched :meth:`forward` the PPO update runs later.
         """
-        mean, value = self.forward(obs, weights)
+        joint = self._embed(obs, weights)
+        mean = self.actor.infer(joint)
+        value = self.critic.infer(joint)[:, 0]
         if deterministic:
             action = mean[0]
         else:
@@ -139,6 +148,10 @@ class PreferenceActorCritic(Module):
         """Critic value for a single state."""
         _, value = self.forward(obs, weights)
         return float(value[0])
+
+    def plan(self, weights: np.ndarray | None = None) -> "InferencePlan":
+        """Actor-only inference for one flow under a fixed ``weights``."""
+        return InferencePlan(self, weights)
 
     # --- snapshots ---------------------------------------------------------
 
@@ -160,6 +173,46 @@ class PreferenceActorCritic(Module):
             pref_hidden=self.pref_hidden if self.pref_hidden else 16)
         twin.load_state_dict(self.state_dict())
         return twin
+
+
+class InferencePlan:
+    """Per-flow, actor-only, no-grad inference under one weight vector.
+
+    Holds the ``(1, obs_dim + pref_hidden)`` joint input row of Fig. 3.
+    Its preference half is computed **once**, here, from the model's
+    preference sub-network; each call overwrites only the observation
+    half and runs the actor.  The critic, the log-probability and the
+    backward caches -- everything :meth:`PreferenceActorCritic.act`
+    produces that a deployed controller discards -- are never computed;
+    the actor sees the same ops on the same shapes, so actions are
+    bit-identical to ``act``'s.
+
+    **Contract: the policy is frozen for the duration of a flow.**
+    Actor weights are read live on every call (in-place updates are
+    seen), but the preference embedding is a snapshot: resolve a new
+    plan (controllers do at ``on_flow_start`` / ``register``) after
+    the model's parameters are reloaded or trained.
+    """
+
+    def __init__(self, model: PreferenceActorCritic,
+                 weights: np.ndarray | None = None):
+        self._actor = model.actor
+        self._log_std = model.log_std
+        self._joint = model._embed(np.zeros((1, model.obs_dim)), weights)
+        self._obs = self._joint[0, :model.obs_dim]
+
+    def mean(self, obs: np.ndarray) -> np.ndarray:
+        """Gaussian mean, shape ``(1, act_dim)``, for one flat state."""
+        self._obs[:] = obs
+        return self._actor.infer(self._joint)
+
+    def action(self, obs: np.ndarray, rng: np.random.Generator,
+               deterministic: bool) -> float:
+        """The Eq. 1 adjustment scalar for one flat state."""
+        mean = self.mean(obs)
+        if not deterministic:
+            mean = DiagGaussian.sample(mean, self._log_std.value, rng)
+        return float(mean[0, 0])
 
 
 def _dense_widths(mlp: MLP) -> list[int]:

@@ -10,6 +10,7 @@ from repro.baselines.base import SCHEME_REGISTRY, make_controller
 from repro.config import DEFAULT_TRAINING
 from repro.core.agent import MoccAgent
 from repro.eval.runner import EvalNetwork, run_scheme
+from repro.netsim.env import apply_action
 from repro.netsim.packet import Packet
 from repro.netsim.sender import ExternalRateController, Flow
 
@@ -222,6 +223,33 @@ class TestRLBaselines:
         run_scheme(orca, NET, duration=5.0, seed=6)
         assert Orca.MIN_SCALE <= orca.scale <= Orca.MAX_SCALE
         assert orca.inference_count > 0
+
+    def test_orca_scale_equals_act_path(self):
+        """Orca's actor-only plan against the ``model.act`` call it
+        replaced: same supervision decisions, bit for bit."""
+        agent = MoccAgent(DEFAULT_TRAINING, weight_dim=0, seed=2)
+
+        class ActPathOrca(Orca):
+            def on_mi(self, flow, stats, now):
+                self.history.push(flow, stats)
+                self._mi_count += 1
+                if self._mi_count % self.rl_interval != 0:
+                    return
+                action, _, _ = self.agent.model.act(
+                    self.history.vector(), None, self.rng,
+                    deterministic=self.deterministic)
+                self.inference_count += 1
+                self.scale = float(np.clip(
+                    apply_action(self.scale, float(action[0]), self.action_scale),
+                    self.MIN_SCALE, self.MAX_SCALE))
+
+        for deterministic in (True, False):
+            new, old = (cls(agent=agent, rl_interval=2, deterministic=deterministic,
+                            seed=3) for cls in (Orca, ActPathOrca))
+            records = [run_scheme(c, NET, duration=5.0, seed=6) for c in (new, old)]
+            assert new.scale == old.scale != 1.0
+            assert new.inference_count == old.inference_count > 0
+            assert records[0].mean_throughput_pps == records[1].mean_throughput_pps
 
     def test_orca_rejects_conditioned_model(self):
         with pytest.raises(ValueError):

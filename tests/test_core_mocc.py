@@ -12,7 +12,9 @@ from repro.core.objectives import (
     dynamic_reward,
 )
 from repro.core.online import AdaptationTrace, RequirementReplay
-from repro.netsim.env import RewardComponents
+from repro.netsim.env import RewardComponents, apply_action
+from repro.netsim.packet import Packet
+from repro.netsim.sender import ExternalRateController, Flow
 
 
 class TestObjectives:
@@ -122,6 +124,113 @@ class TestPolicyRateController:
         run_scheme(ctrl, net, duration=2.0, seed=1)
         # One inference per monitor interval (2 s / 40 ms = ~50).
         assert 40 <= ctrl.inference_count <= 55
+
+
+class ActPathController(PolicyRateController):
+    """``on_mi`` as it was before the actor-only plan: the full
+    ``model.act`` (critic, log-prob, caches) every interval."""
+
+    def on_mi(self, flow, stats, now):
+        self.history.push(flow, stats)
+        w = self.weights if self.model.weight_dim > 0 else None
+        action, _, _ = self.model.act(self.history.vector(), w, self.rng,
+                                      deterministic=self.deterministic)
+        self.inference_count += 1
+        self.rate = apply_action(self.rate, float(action[0]), self.action_scale)
+
+
+def one_interval():
+    """A ``(flow, stats)`` pair with non-neutral statistics."""
+    flow = Flow(flow_id=0, controller=ExternalRateController(100.0))
+    for i in range(10):
+        p = Packet(flow_id=0, seq=i, send_time=i * 0.05)
+        flow.note_sent(p)
+        flow.note_ack(p, now=i * 0.05 + 0.04 + 0.001 * i)
+    return flow, flow.finish_mi(0.5, 100.0, 0.04, 100.0)
+
+
+W = [0.5, 0.3, 0.2]
+
+
+class TestInferencePath:
+    """The per-MI actor-only plan against the ``model.act`` path it
+    replaced, and the frozen-for-a-flow contract around it."""
+
+    @pytest.mark.parametrize("weight_dim", [3, 0])
+    @pytest.mark.parametrize("deterministic", [True, False])
+    def test_rates_equal_act_path_over_a_flow(self, weight_dim, deterministic):
+        from repro.eval.runner import EvalNetwork, run_scheme
+        net = EvalNetwork(bandwidth_mbps=2.0, one_way_ms=20.0, buffer_bdp=2.0)
+        model = MoccAgent(DEFAULT_TRAINING, weight_dim=weight_dim, seed=3).model
+        trajectories = []
+        for cls in (PolicyRateController, ActPathController):
+            ctrl = cls(model, weights=W if weight_dim else None,
+                       initial_rate=120.0, deterministic=deterministic, seed=5)
+            rates, on_mi = [], ctrl.on_mi
+
+            def spy(flow, stats, now, on_mi=on_mi, ctrl=ctrl, rates=rates):
+                on_mi(flow, stats, now)
+                rates.append(ctrl.rate)
+
+            ctrl.on_mi = spy
+            run_scheme(ctrl, net, duration=10.0, seed=1)
+            assert ctrl.inference_count == len(rates) > 200
+            trajectories.append(rates)
+        assert trajectories[0] == trajectories[1]
+
+    def test_flow_start_picks_up_reloaded_model(self):
+        agent, other = (MoccAgent(DEFAULT_TRAINING, seed=s) for s in (1, 2))
+        flow, stats = one_interval()
+        restarted, stale = (MoccController(agent, W) for _ in range(2))
+        stale.on_flow_start(flow, 0.0)
+        agent.model.load_state_dict(other.model.state_dict())
+        restarted.on_flow_start(flow, 0.0)
+        fresh = MoccController(other, W)
+        fresh.on_flow_start(flow, 0.0)
+        for ctrl in (restarted, stale, fresh):
+            ctrl.on_mi(flow, stats, 0.5)
+        assert restarted.rate == fresh.rate
+        # The contract's other half: mid-flow, the embedding is frozen.
+        assert stale.rate != fresh.rate
+
+    def test_inplace_actor_update_seen_mid_flow(self):
+        agent = MoccAgent(DEFAULT_TRAINING, seed=1)
+        flow, stats = one_interval()
+        running = MoccController(agent, W)
+        running.on_flow_start(flow, 0.0)
+        agent.model.actor.layers[-1].b.value += 0.3
+        fresh = MoccController(agent.clone(), W)
+        fresh.on_flow_start(flow, 0.0)
+        for ctrl in (running, fresh):
+            ctrl.on_mi(flow, stats, 0.5)
+        assert running.rate == fresh.rate != 100.0
+
+    def test_library_register_picks_up_reloaded_model(self):
+        agent, other = (MoccAgent(DEFAULT_TRAINING, seed=s) for s in (1, 2))
+        status = NetworkStatus(sent=20, acked=19, lost=1, mean_rtt=0.05,
+                               duration=0.05)
+        lib, fresh = MOCC(agent), MOCC(other)
+        lib.register(W)
+        agent.model.load_state_dict(other.model.state_dict())
+        lib.register(W)
+        fresh.register(W)
+        for library in (lib, fresh):
+            library.report_status(status)
+        assert lib.get_sending_rate() == fresh.get_sending_rate()
+        # In-place actor updates need no re-register.
+        for a in (agent, other):
+            a.model.actor.layers[-1].b.value += 0.3
+        assert lib.get_sending_rate() == fresh.get_sending_rate()
+
+    def test_library_matches_agent_act(self):
+        agent = MoccAgent(DEFAULT_TRAINING, seed=4)
+        lib = MOCC(agent, initial_rate=100.0)
+        lib.register(W)
+        lib.report_status(NetworkStatus(sent=20, acked=19, lost=1,
+                                        mean_rtt=0.05, duration=0.05))
+        action = agent.act(lib.history.vector(), lib.weights, lib.rng)
+        want = apply_action(100.0, action, agent.config.action_scale)
+        assert lib.get_sending_rate() == want
 
 
 class TestLibraryAPI:

@@ -15,6 +15,16 @@ produced on the eight single-bottleneck cells.  The live engine must
 still equal them -- the "single-bottleneck == pre-refactor engine"
 guarantee, kept as a frozen check now that the old scheme is gone.
 
+A ``learned_controllers`` block pins two single-flow cells driven by
+seeded *untrained* policies (one preference-conditioned, one
+``weight_dim=0``), recorded on the commit before the actor-only
+inference path landed.  It gates the whole per-MI chain -- history
+push and clamps, policy inference, Eq. 1 -- end to end.  Eq. 1 damps
+an action by ``action_scale`` before adding it to 1, so a single
+one-ulp action change is usually rounded away; a systematic one
+(every MI nudged by an ulp) does move both digests.  The ``==``
+differential tests in ``test_policy.py`` are the per-call one-ulp gate.
+
 The digest covers every float the result cache persists, serialized
 via JSON ``repr`` (shortest round-trip -- exact for float64).  A
 mismatch therefore means the engine's arithmetic changed, not a
@@ -34,6 +44,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.agent import MoccAgent
 from repro.eval.parallel import ParallelRunner
 from repro.eval.resilience import record_to_json
 from repro.eval.scenarios import ChurnSchedule, FlowDef, ScenarioSuite
@@ -76,11 +87,40 @@ def golden_suites() -> tuple:
     return single, lot_suite, ack_suite
 
 
-def compute_goldens() -> dict:
-    """Run the golden grid; return per-scenario digests + summaries."""
+def _untrained_agent(weight_dim: int) -> MoccAgent:
+    """``MoccAgent(seed=0)`` with its output head rescaled.
+
+    The "small" output init keeps an untrained policy's actions ~1e-2,
+    which Eq. 1 flattens to a constant sub-capacity rate: the history
+    never leaves its neutral fill and ulp-level drift never reaches the
+    pacing rate.  A head gain of -200 makes the flow ramp into
+    congestion (queueing for MOCC, queueing and loss for Aurora), so
+    every statistic -- and the clamps on them -- is exercised.
+    """
+    agent = MoccAgent(weight_dim=weight_dim, seed=0)
+    agent.model.actor.layers[-1].W.value *= -200.0
+    return agent
+
+
+def learned_suites() -> tuple:
+    """Policy inference in the loop, without the model zoo: MOCC at one
+    weight vector and an Aurora-style ``weight_dim=0`` policy, both
+    seeded and untrained (weights are a pure function of the seed)."""
+    return (ScenarioSuite(
+        name="golden-learned",
+        lineups={"mocc": (FlowDef("mocc", weights=(0.5, 0.3, 0.2),
+                                  agent=_untrained_agent(3)),),
+                 "aurora": (FlowDef("aurora-throughput",
+                                    agent=_untrained_agent(0)),)},
+        bandwidths_mbps=(6.0,), duration=3.0, seeds=(11,)),)
+
+
+def compute_goldens(suites: tuple | None = None) -> dict:
+    """Run a golden grid (default: the heuristic one); return
+    per-scenario digests + summaries."""
     runner = ParallelRunner(n_workers=1, use_cache=False)
     scenarios = {}
-    for suite in golden_suites():
+    for suite in golden_suites() if suites is None else suites:
         for result in runner.run(suite):
             rows = [record_to_json(r) for r in result.records]
             blob = json.dumps(rows, sort_keys=True)
@@ -142,3 +182,13 @@ class TestGoldenTraces:
             assert goldens["scenarios"][name]["digest"] == digest, name
             if os.environ.get("REPRO_GOLDEN_RELAXED") != "1":
                 assert fresh[name]["digest"] == digest, name
+
+    @pytest.mark.skipif(os.environ.get("REPRO_GOLDEN_RELAXED") == "1",
+                        reason="digest identity needs the reference BLAS")
+    def test_learned_controllers_digest_identical(self, goldens):
+        pinned = goldens["learned_controllers"]
+        got = compute_goldens(learned_suites())
+        assert sorted(got) == sorted(pinned) and len(pinned) == 2
+        for name, entry in pinned.items():
+            assert got[name]["digest"] == entry["digest"], (
+                name, entry["summary"], got[name]["summary"])

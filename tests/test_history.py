@@ -1,11 +1,54 @@
 """Tests for the statistics history window (repro.netsim.history)."""
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from repro.netsim.history import GRADIENT_SCALE, RATE_RATIO_CAP, StatHistory
+from repro.netsim.history import (GRADIENT_SCALE, RATE_RATIO_CAP, StatHistory,
+                                  _clamp)
 from repro.netsim.packet import Packet
-from repro.netsim.sender import ExternalRateController, Flow
+from repro.netsim.sender import LATENCY_RATIO_CAP, ExternalRateController, Flow
+
+#: Every (lo, hi) pair ``push``/``push_raw`` clamp to.
+CLAMP_BOUNDS = ((0.0, 10.0), (0.0, LATENCY_RATIO_CAP), (-10.0, 10.0),
+                (0.0, RATE_RATIO_CAP))
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+class TestClampMatchesNpClip:
+    """The scalar clamp replaced ``float(np.clip(x, lo, hi))`` on the
+    per-MI path; it must agree on every double, bit for bit."""
+
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    @example(float("nan"))
+    @example(float("inf"))
+    @example(float("-inf"))
+    @example(-0.0)
+    @example(0.0)
+    @example(10.0)
+    @example(-10.0)
+    @example(RATE_RATIO_CAP)
+    def test_bit_identical_to_np_clip(self, x):
+        for lo, hi in CLAMP_BOUNDS:
+            assert _bits(_clamp(x, lo, hi)) == _bits(float(np.clip(x, lo, hi))), \
+                (x, lo, hi)
+
+    @given(st.lists(st.tuples(*[st.floats(allow_nan=True, allow_infinity=True)] * 4),
+                    min_size=1, max_size=8))
+    def test_push_raw_window_equals_clipped_rows(self, rows):
+        h = StatHistory(3)
+        for row in rows:
+            h.push_raw(*row)
+        want = [1.0, 1.0, 0.0, 1.0] * 3
+        for row in rows:
+            want = want[4:] + [float(np.clip(x, lo, hi))
+                               for x, (lo, hi) in zip(row, CLAMP_BOUNDS)]
+        assert h.vector().tobytes() == np.array(want).tobytes()
 
 
 class TestStatHistory:
@@ -37,6 +80,18 @@ class TestStatHistory:
         h = StatHistory(2)
         h.push_raw(5, 5, 5, 2)
         h.reset()
+        np.testing.assert_allclose(h.vector(), [1, 1, 0, 1, 1, 1, 0, 1])
+
+    def test_vector_is_independent_of_later_pushes(self):
+        # MoccEnv / RolloutBuffer hold observations across steps.
+        h = StatHistory(2)
+        h.push_raw(2.0, 3.0, 0.5, 1.5)
+        held = h.vector()
+        snapshot = held.copy()
+        h.push_raw(4.0, 5.0, -0.5, 0.5)
+        h.reset()
+        np.testing.assert_array_equal(held, snapshot)
+        held[:] = 7.0
         np.testing.assert_allclose(h.vector(), [1, 1, 0, 1, 1, 1, 0, 1])
 
     def test_invalid_length(self):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.netsim.history import StatHistory
+from repro.rl.distributions import DiagGaussian
 from repro.rl.nn import numerical_gradient
 from repro.rl.policy import PreferenceActorCritic
 
@@ -122,6 +124,94 @@ class TestActing:
         _, _, value = model.act(np.ones(6), w, np.random.default_rng(0),
                                 deterministic=True)
         assert value == pytest.approx(model.value(np.ones(6), w))
+
+
+def reference_act(model, obs, weights, rng, deterministic=False):
+    """``act`` as it was before the actor-only path: the caching
+    ``forward`` for actor and critic, then sample and log-prob."""
+    mean, value = model.forward(obs, weights)
+    if deterministic:
+        action = mean[0]
+    else:
+        action = DiagGaussian.sample(mean, model.log_std.value, rng)[0]
+    log_prob = float(DiagGaussian.log_prob(action, mean, model.log_std.value)[0])
+    return action, log_prob, float(value[0])
+
+
+def random_pushes(history, rng, n):
+    """Yield ``n`` observations from seeded random ``push_raw`` rows."""
+    for _ in range(n):
+        history.push_raw(*rng.uniform((0.0, 0.0, -12.0, 0.0), (12.0, 12.0, 12.0, 5.0)))
+        yield history.vector()
+
+
+@pytest.mark.parametrize("weight_dim", [3, 0])
+class TestInferencePlan:
+    """Differential: the plan must equal the full model bit for bit
+    (``==``, never ``approx``) -- it is the same ops on the same shapes."""
+
+    WEIGHTS = np.array([0.5, 0.3, 0.2])
+
+    def _model(self, weight_dim):
+        return make_model(weight_dim=weight_dim, obs_dim=40, hidden=(64, 32),
+                          pref_hidden=16, seed=4)
+
+    def test_mean_equals_forward_and_deterministic_act(self, weight_dim):
+        model = self._model(weight_dim)
+        w = self.WEIGHTS if weight_dim else None
+        plan = model.plan(w)
+        rng = np.random.default_rng(0)
+        for obs in random_pushes(StatHistory(10), rng, 300):
+            got = plan.mean(obs)
+            assert got.shape == (1, 1)
+            assert got[0, 0] == model.forward(obs, w)[0][0, 0]
+            old_action, _, _ = reference_act(model, obs, w, rng, deterministic=True)
+            assert plan.action(obs, rng, True) == float(old_action[0])
+
+    def test_sampled_branch_draws_the_same_value(self, weight_dim):
+        model = self._model(weight_dim)
+        w = self.WEIGHTS if weight_dim else None
+        plan = model.plan(w)
+        rng_new, rng_old = np.random.default_rng(7), np.random.default_rng(7)
+        for obs in random_pushes(StatHistory(10), np.random.default_rng(1), 200):
+            old_action, _, _ = reference_act(model, obs, w, rng_old)
+            assert plan.action(obs, rng_new, False) == float(old_action[0])
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+    def test_act_triple_unchanged(self, weight_dim):
+        model = self._model(weight_dim)
+        w = self.WEIGHTS if weight_dim else None
+        for deterministic in (True, False):
+            rng_new, rng_old = np.random.default_rng(3), np.random.default_rng(3)
+            for obs in random_pushes(StatHistory(10), np.random.default_rng(2), 50):
+                action, log_prob, value = model.act(obs, w, rng_new, deterministic)
+                want = reference_act(model, obs, w, rng_old, deterministic)
+                assert action.shape == (1,) and action[0] == want[0][0]
+                assert (log_prob, value) == want[1:]
+
+    def test_actor_updates_seen_live_embedding_snapshotted(self, weight_dim):
+        model = self._model(weight_dim)
+        w = self.WEIGHTS if weight_dim else None
+        obs = np.linspace(0.0, 2.0, 40)
+        plan = model.plan(w)
+        before = plan.mean(obs)[0, 0]
+        # In-place actor update (what Adam and load_state_dict do): live.
+        model.actor.layers[-1].b.value += 0.25
+        assert plan.mean(obs)[0, 0] == model.forward(obs, w)[0][0, 0] != before
+        if weight_dim:
+            # The preference embedding is frozen for the flow; a fresh
+            # plan picks the new one up.
+            model.pref_net.layers[0].b.value += 0.5
+            assert plan.mean(obs)[0, 0] != model.forward(obs, w)[0][0, 0]
+            assert model.plan(w).mean(obs)[0, 0] == model.forward(obs, w)[0][0, 0]
+
+    def test_conditioned_model_needs_weights(self, weight_dim):
+        model = self._model(weight_dim)
+        if weight_dim:
+            with pytest.raises(ValueError, match="weights"):
+                model.plan(None)
+        else:
+            model.plan(None)
 
 
 class TestCloneAndState:
