@@ -16,11 +16,10 @@ fairness/CDF analyses.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import multiprocessing as mp
 import os
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,8 +30,8 @@ from repro.eval.resilience import (
     ResilientPool,
     RetryPolicy,
     SweepCheckpoint,
-    record_from_json,
-    record_to_json,
+    seal,
+    unseal,
 )
 from repro.eval.scenarios import (
     SCENARIO_CACHE_VERSION,
@@ -63,17 +62,6 @@ class ScenarioError(RuntimeError):
         super().__init__(message)
 
 
-def _payload_sha(records_payload: list) -> str:
-    """Content checksum of a cache entry's serialised record list.
-
-    Canonical-JSON based so it survives a write/parse round trip:
-    verifying re-dumps the *parsed* payload and compares, which only
-    works because ``json.dumps`` emits shortest-round-trip floats.
-    """
-    body = json.dumps(records_payload, sort_keys=True)
-    return hashlib.sha256(body.encode("utf-8")).hexdigest()
-
-
 #: Default size cap of the on-disk result cache, megabytes.  Long-lived
 #: sweep machines accumulate entries across many suites; without a cap
 #: the directory grows without bound.
@@ -81,7 +69,8 @@ DEFAULT_CACHE_MAX_MB = 2048.0
 
 
 class ResultCache:
-    """Fingerprint-keyed store of finished scenario results (JSON files).
+    """Fingerprint-keyed store of finished scenario results, one
+    :func:`~repro.eval.resilience.seal`-ed ``<fingerprint>.json`` each.
 
     The default location is ``repro/eval/_cache`` next to the model
     cache; set ``REPRO_RESULT_CACHE`` to relocate it (CI points it at a
@@ -129,34 +118,20 @@ class ResultCache:
 
     def get(self, fingerprint: str) -> list[FlowRecord] | None:
         path = self._path(fingerprint)
-        if not path.exists():
-            return None
-        # Unreadable files and stale versions are plain misses; an
-        # entry that *parses* but fails its content checksum (torn
-        # write, bit rot, concurrent truncation) is quarantined so the
-        # cell is recomputed instead of serving corrupt records.
         try:
-            text = path.read_text()
+            line = path.read_bytes()
         except OSError:
-            return None
-        try:
-            payload = json.loads(text)
-            if not isinstance(payload, dict):
-                raise ValueError("cache entry is not a JSON object")
-            version = payload.get("version")
-        except ValueError:
+            return None  # absent or unreadable: a plain miss
+        # An entry that is there but does not unseal (torn write, bit
+        # rot, concurrent truncation) is quarantined so the cell is
+        # recomputed instead of serving corrupt records.
+        entry = unseal(line)
+        if entry is None:
             self._quarantine(path)
             return None
-        if version != SCENARIO_CACHE_VERSION:
+        fields, records = entry
+        if fields.get("version") != SCENARIO_CACHE_VERSION:
             return None  # stale format: put() will overwrite it
-        try:
-            body = payload["records"]
-            if payload.get("sha") != _payload_sha(body):
-                raise ValueError("cache entry failed its content checksum")
-            records = [record_from_json(r) for r in body]
-        except (ValueError, KeyError, TypeError, AttributeError):
-            self._quarantine(path)
-            return None
         try:
             os.utime(path)  # LRU touch: a hit keeps the entry young
         except OSError:
@@ -164,14 +139,16 @@ class ResultCache:
         return records
 
     def put(self, fingerprint: str, name: str, records: list[FlowRecord]) -> None:
-        records_payload = [record_to_json(r) for r in records]
-        payload = {"version": SCENARIO_CACHE_VERSION, "name": name,
-                   "sha": _payload_sha(records_payload),
-                   "records": records_payload}
         path = self._path(fingerprint)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload))
-        tmp.replace(path)
+        # Staged under this writer's pid: sweeps sharing the directory
+        # may put the same cell at once, and each replace is atomic.
+        tmp = path.with_suffix(f".{os.getpid()}.tmp")
+        tmp.write_bytes(seal({"version": SCENARIO_CACHE_VERSION,
+                              "name": name}, records))
+        try:
+            tmp.replace(path)
+        except FileNotFoundError:
+            return  # a concurrent clear() took the staged file with it
         if self.max_bytes > 0:
             # Amortized eviction: keep a running size estimate and only
             # pay the full directory scan once it crosses the cap (an
@@ -229,13 +206,15 @@ class ResultCache:
         return self._path(fingerprint).exists()
 
     def clear(self) -> int:
-        """Delete all entries (quarantined ones included); returns how
-        many were removed.  Tolerates entries vanishing concurrently --
-        two racing ``clear()`` calls both succeed, splitting the count.
+        """Delete all entries (quarantined ones and staging files a
+        killed writer left included); returns how many were removed.
+        Tolerates entries vanishing concurrently -- two racing
+        ``clear()`` calls both succeed, splitting the count.
         """
         removed = 0
         doomed = (sorted(self.cache_dir.glob("*.json"))
-                  + sorted(self.cache_dir.glob("*.quarantined")))
+                  + sorted(self.cache_dir.glob("*.quarantined"))
+                  + sorted(self.cache_dir.glob("*.tmp")))
         for path in doomed:
             try:
                 path.unlink()
@@ -520,6 +499,16 @@ class ParallelRunner:
     across sweeps -- a trace re-registered under the same name or a
     live agent adapted in place must change the keys of the next run.
 
+    Out-of-process dispatch is always
+    :class:`~repro.eval.resilience.ResilientPool`: a worker that
+    crashes or blows its deadline is respawned and its batch re-run
+    within the retry budget, then reported as failed cells -- a dead
+    worker never hangs a sweep.  Re-running is safe because cells are
+    pure seeded simulations.  The one dispatch decision: a lone batch
+    with neither ``retry`` nor ``cell_timeout`` set stays in process
+    (nothing to overlap), as does everything under ``n_workers <= 1``
+    -- where a deadline cannot be enforced and a crash is not isolated.
+
     A failing scenario raises :class:`ScenarioError` naming the cell.
     With ``early_abort=True`` batching is disabled (cells dispatch
     one-per-task, exactly the pre-batching shape) so the first failure
@@ -531,19 +520,11 @@ class ParallelRunner:
     ``error`` column (metrics ``None``) and the run succeeds; the
     failure past the budget aborts as before.
 
-    Resilience knobs (all off by default -- the default dispatch path
-    is byte-for-byte the classic ``multiprocessing.Pool``):
-
-    * ``retry=RetryPolicy(...)`` and/or ``cell_timeout=seconds``
-      switch multi-worker dispatch to
-      :class:`~repro.eval.resilience.ResilientPool`: a worker that
-      crashes or blows its deadline (``cell_timeout`` x cells in the
-      batch) is respawned and the batch re-run within the retry
-      budget, then reported as failed cells.  Results are bit-identical
-      to the classic pool -- cells are pure seeded simulations.  With
-      ``n_workers > 1`` every sweep goes through that pool, down to a
-      single pending cell; ``n_workers <= 1`` runs in-process, where a
-      deadline cannot be enforced and a crash is not isolated.
+    * ``retry=RetryPolicy(...)`` sets the budget and backoff for
+      transient failures (``None`` = the default ``RetryPolicy()``);
+      ``cell_timeout=seconds`` sets a deadline of ``cell_timeout`` x
+      cells in the batch (``None`` = none).  Either one also sends a
+      lone batch through the pool.
     * ``checkpoint=path`` journals every completed cell to a
       :class:`~repro.eval.resilience.SweepCheckpoint`; re-running the
       same suite resumes from the completed cells with their original
@@ -594,9 +575,6 @@ class ParallelRunner:
             # decides which already-journaled cells are skipped.
             checkpoint = os.environ.get("REPRO_SWEEP_CHECKPOINT") or None
         self.checkpoint_path = None if checkpoint is None else Path(checkpoint)
-
-    def _warm_agents(self, scenarios: list[Scenario]) -> None:
-        warm_agent_refs(scenarios)
 
     def _pick_batch_size(self, n_pending: int) -> int:
         if self.early_abort:
@@ -656,7 +634,7 @@ class ParallelRunner:
                 pending.append((idx, scenario, fingerprint))
 
         if pending:
-            self._warm_agents([s for _, s, _ in pending])
+            warm_agent_refs([s for _, s, _ in pending])
             failures: list[tuple[int, str, str]] = []
 
             def record_result(position: int, payload, error: str | None):
@@ -664,8 +642,8 @@ class ParallelRunner:
                 if error is not None:
                     failures.append((position, scenario.name, error))
                     if self.early_abort:
-                        # Raising inside the pool's with-block terminates
-                        # it, cancelling every shard not yet started.
+                        # Raising out of the dispatch loop closes the
+                        # pool, cancelling every shard not yet finished.
                         raise ScenarioError(scenario.name, error)
                     if (self.max_failures is not None
                             and len(failures) > self.max_failures):
@@ -689,12 +667,12 @@ class ParallelRunner:
                                              len(pending))))
                        for start in range(0, len(pending), batch_size)]
 
-            resilient = (self.retry is not None
-                         or self.cell_timeout is not None)
-            # A lone batch skips the classic pool (nothing to overlap),
-            # but never the resilient one: deadlines and crash isolation
-            # need the cell out of this process.
-            if self.n_workers > 1 and (len(batches) > 1 or resilient):
+            # A lone batch with no deadline or retry budget asked for
+            # stays here (nothing to overlap); with one, it needs the
+            # cell out of this process.
+            if self.n_workers > 1 and (len(batches) > 1
+                                       or self.retry is not None
+                                       or self.cell_timeout is not None):
                 global _FORK_BATCHES, _FORK_SCENARIOS, _FORK_WARM_REFS
                 _FORK_SCENARIOS = [s for _, s, _ in pending]
                 _FORK_BATCHES = batches
@@ -702,10 +680,7 @@ class ParallelRunner:
                     {flow.agent for s in _FORK_SCENARIOS for flow in s.flows
                      if isinstance(flow.agent, AgentRef)}, key=AgentRef.key))
                 try:
-                    if resilient:
-                        self._run_resilient(batches, record_result)
-                    else:
-                        self._run_pool(batches, record_result)
+                    self._dispatch(batches, record_result)
                 finally:
                     _FORK_BATCHES = []
                     _FORK_SCENARIOS = []
@@ -735,21 +710,8 @@ class ParallelRunner:
         ordered = [results[idx] for idx in range(len(scenarios))]
         return SuiteResult(results=ordered, elapsed=time.perf_counter() - t0)
 
-    def _run_pool(self, batches: list[list[int]], record_result) -> None:
-        """Classic dispatch: ``multiprocessing.Pool`` over batches."""
-        ctx = mp.get_context("fork")
-        with ctx.Pool(processes=min(self.n_workers, len(batches)),
-                      initializer=_init_batch_worker) as pool:
-            # Unordered so completed batches cache (and abort checks
-            # run) as they land, not in shard order.
-            for batch_results in pool.imap_unordered(
-                    _execute_batch, range(len(batches)), chunksize=1):
-                for position, payload, error in batch_results:
-                    record_result(position, payload, error)
-
-    def _run_resilient(self, batches: list[list[int]],
-                       record_result) -> None:
-        """Crash/timeout-tolerant dispatch via ResilientPool.
+    def _dispatch(self, batches: list[list[int]], record_result) -> None:
+        """Run the batches on the pool, one task per batch.
 
         The batch deadline scales with its size (``cell_timeout`` is
         per cell).  A batch whose retry budget is exhausted -- or that
@@ -765,11 +727,14 @@ class ParallelRunner:
             timeout = (None if self.cell_timeout is None
                        else self.cell_timeout * len(batch))
             tasks.append((index, index, timeout))
-        for index, batch_results, error in pool.execute(tasks):
-            if batch_results is None:
-                for position in batches[index]:
-                    record_result(position, None,
-                                  error or "batch produced no result")
-            else:
-                for position, payload, cell_error in batch_results:
-                    record_result(position, payload, cell_error)
+        # closing(): an abort raised by record_result tears the workers
+        # down now, not whenever the generator is collected.
+        with closing(pool.execute(tasks)) as outcomes:
+            for index, batch_results, error in outcomes:
+                if batch_results is None:
+                    for position in batches[index]:
+                        record_result(position, None,
+                                      error or "batch produced no result")
+                else:
+                    for position, payload, cell_error in batch_results:
+                        record_result(position, payload, cell_error)

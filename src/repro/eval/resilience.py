@@ -1,27 +1,32 @@
-"""Resilient sweep runtime: crash recovery, timeouts, checkpoint/resume.
+"""Sweep runtime: the worker pool, the sealed record codec, the journal.
 
 Production-scale sweeps die for reasons that have nothing to do with
 the cells themselves: a worker process OOM-killed mid-batch, one cell
 wedging on a pathological parameter corner, a corrupt cache entry, the
-whole run preempted halfway through a 10^4-cell grid.  This module
-gives :class:`~repro.eval.parallel.ParallelRunner` the machinery to
-survive all four without compromising the determinism contract:
+whole run preempted halfway through a 10^4-cell grid.  This module is
+what :class:`~repro.eval.parallel.ParallelRunner` runs every
+out-of-process sweep on, and it survives all four without compromising
+the determinism contract:
 
+* :func:`seal` / :func:`unseal` -- the one on-disk form of a record
+  list.  Cache entries and journal lines are both sealed lines: a
+  sha256 over the exact bytes stored, verified over the exact bytes
+  read.
 * :class:`RetryPolicy` -- bounded retries with exponential backoff and
   seeded jitter for *transient* failures (worker crashes, timeouts).
   Deterministic cell failures -- an exception raised by the task
   function itself -- are never retried: a seeded simulation that
   failed once fails identically every time.
-* :class:`ResilientPool` -- a fork-based process pool that knows which
-  worker holds which task (one duplex pipe per worker), so a crashed
-  or deadline-blown worker is terminated, respawned, and its task
-  either requeued (within the retry budget) or reported as a failed
-  result instead of wedging the sweep.
-* :class:`SweepCheckpoint` -- an append-only JSONL journal of
-  completed cells, each line fingerprint-keyed and content-checksummed
-  so an interrupted grid resumes from exactly the cells it finished --
-  with the original records, wall time, and event counts, hence
-  row-for-row identical digests to an uninterrupted run.
+* :class:`ResilientPool` -- the process pool.  Fork-based, one duplex
+  pipe per worker, so it knows which worker holds which task: a
+  crashed or deadline-blown worker is terminated, respawned, and its
+  task either requeued (within the retry budget) or reported as a
+  failed result instead of wedging the sweep.
+* :class:`SweepCheckpoint` -- an append-only journal of completed
+  cells, one sealed line each, fingerprint-keyed so an interrupted
+  grid resumes from exactly the cells it finished -- with the original
+  records, wall time, and event counts, hence row-for-row identical
+  digests to an uninterrupted run.
 * :func:`set_chaos_hook` -- the deterministic fault-injection point
   the chaos tests and the CI chaos smoke job use to kill a worker at a
   chosen cell (fork inheritance carries the hook into workers).
@@ -55,7 +60,7 @@ from repro.netsim.sender import MonitorIntervalStats
 
 __all__ = ["IDEMPOTENT_TASKS", "ResilientPool", "RetryPolicy",
            "SweepCheckpoint", "record_from_json", "record_to_json",
-           "records_digest", "set_chaos_hook"]
+           "records_digest", "seal", "set_chaos_hook", "unseal"]
 
 #: Justified idempotent-task allowlist: the only functions a
 #: :class:`ResilientPool` may be constructed around (and therefore
@@ -101,14 +106,43 @@ def record_from_json(payload: dict) -> FlowRecord:
     return FlowRecord(records=stats, **fields)
 
 
-def records_json(records: list[FlowRecord]) -> str:
-    """Canonical JSON body of a record list (checksum input)."""
-    return json.dumps([record_to_json(r) for r in records], sort_keys=True)
-
-
 def records_digest(records: list[FlowRecord]) -> str:
     """Content digest of a cell's records (order- and bit-sensitive)."""
-    return hashlib.sha256(records_json(records).encode("utf-8")).hexdigest()
+    body = json.dumps([record_to_json(r) for r in records], sort_keys=True)
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+
+
+# A sealed line is ``{"sha":"<64 hex>","sealed":[fields, records]}``:
+# valid JSON, with the checksummed body at a fixed offset so it is
+# hashed as the bytes it was stored as, never re-serialised.
+_SEAL_BODY_AT = len(b'{"sha":"","sealed":') + 64
+
+
+def _sealed(body: bytes) -> bytes:
+    sha = hashlib.sha256(body).hexdigest().encode("ascii")
+    return b'{"sha":"%b","sealed":%b}' % (sha, body)
+
+
+def seal(fields: dict, records: list[FlowRecord]) -> bytes:
+    """One newline-free line holding ``fields`` and ``records`` under a
+    sha256 of its body; what cache entries and journal lines are."""
+    return _sealed(json.dumps(
+        [fields, [record_to_json(r) for r in records]]).encode("ascii"))
+
+
+def unseal(line: bytes) -> tuple[dict, list[FlowRecord]] | None:
+    """``(fields, records)`` of a line :func:`seal` wrote, or ``None``
+    for anything else: any flipped, missing or added byte fails."""
+    body = line[_SEAL_BODY_AT:-1]
+    if line != _sealed(body):
+        return None
+    try:
+        fields, payload = json.loads(body)
+        if not isinstance(fields, dict):
+            return None
+        return fields, [record_from_json(r) for r in payload]
+    except (ValueError, KeyError, TypeError):
+        return None
 
 
 # --- chaos hook ---------------------------------------------------------------
@@ -223,12 +257,12 @@ class _PoolWorker:
 
 
 class ResilientPool:
-    """A crash- and timeout-surviving process pool for idempotent tasks.
+    """The sweep runtime's process pool: idempotent tasks, surviving
+    worker crashes and blown deadlines.
 
-    Unlike ``multiprocessing.Pool`` -- which wedges or collapses when a
-    worker dies mid-task -- this pool assigns exactly one task per
-    worker over a dedicated duplex pipe, so it always knows *which*
-    task a dead or deadline-blown worker was holding.  That worker is
+    Each worker holds exactly one task at a time over a dedicated
+    duplex pipe, so the pool always knows *which* task a dead or
+    deadline-blown worker was holding.  That worker is
     terminated and respawned, and the task is requeued under
     ``retry`` (transient failures only: an exception *returned* by the
     task function is deterministic and reported immediately, never
@@ -299,10 +333,17 @@ class ResilientPool:
         if not queue:
             return
         delayed: list = []  # (ready_at, task) backing off before requeue
+        # Every live worker, respawned ones included: what close owns.
         workers = [self._spawn(ctx)
                    for _ in range(min(self.n_workers, len(queue)))]
         idle = list(workers)
         inflight: dict = {}  # conn -> (worker, task, deadline | None)
+
+        def respawn(worker: _PoolWorker) -> None:
+            self._kill(worker)
+            fresh = workers[workers.index(worker)] = self._spawn(ctx)
+            idle.append(fresh)
+
         try:
             while queue or delayed or inflight:
                 now = time.perf_counter()
@@ -340,8 +381,7 @@ class ResilientPool:
                         # Worker died mid-task (chaos kill, OOM,
                         # segfault): respawn and requeue within budget.
                         del inflight[conn]
-                        self._kill(worker)
-                        idle.append(self._spawn(ctx))
+                        respawn(worker)
                         verdict = self._next_move(
                             task, "WorkerCrash: worker process died "
                                   f"while running task {task.task_id!r}",
@@ -359,8 +399,7 @@ class ResilientPool:
                     if worker.proc.is_alive() and not expired:
                         continue
                     del inflight[conn]
-                    self._kill(worker)
-                    idle.append(self._spawn(ctx))
+                    respawn(worker)
                     if expired:
                         reason = (f"CellTimeout: task {task.task_id!r} "
                                   f"exceeded {task.timeout:.3f}s")
@@ -371,28 +410,23 @@ class ResilientPool:
                     if verdict is not None:
                         yield verdict
         finally:
-            for worker in idle:
-                try:
-                    worker.conn.send(None)
-                except (OSError, BrokenPipeError):
-                    pass
+            # A worker still in flight here is running a task nobody
+            # will collect (early close, abort): terminate it at once.
+            # Idle ones get the sentinel and a moment to exit.
+            for worker in workers:
+                if worker.conn in inflight:
+                    worker.proc.terminate()
+                else:
+                    try:
+                        worker.conn.send(None)
+                    except OSError:
+                        pass
             for worker in workers:
                 worker.proc.join(timeout=1.0)
-                if worker.proc.is_alive():
-                    worker.proc.terminate()
-                    worker.proc.join()
-                try:
-                    worker.conn.close()
-                except OSError:
-                    pass
+                self._kill(worker)
 
 
 # --- sweep checkpoint ---------------------------------------------------------
-
-
-def _line_sha(payload: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()[:16]
 
 
 def _suite_sha(fingerprints: list[str]) -> str:
@@ -401,16 +435,17 @@ def _suite_sha(fingerprints: list[str]) -> str:
 
 
 class SweepCheckpoint:
-    """Append-only JSONL journal of a sweep's completed cells.
+    """Append-only journal of a sweep's completed cells, one
+    :func:`seal`-ed line each.
 
     Line 0 is a manifest binding the journal to one suite (the ordered
     cell fingerprints) and one cache version; every following line is
     a completed cell -- index, fingerprint, records, wall time, event
-    count -- sealed by a content checksum.  :meth:`resume` validates
-    the chain and returns the completed cells; a manifest mismatch
-    (different suite, changed code) starts the journal over, and a
-    corrupt or torn tail is dropped (the journal is rewritten up to
-    the last intact line) rather than trusted.
+    count.  :meth:`resume` validates the chain and returns the
+    completed cells; a manifest mismatch (different suite, changed
+    code) starts the journal over, and a corrupt or torn tail is
+    dropped (the journal is rewritten up to the last intact line)
+    rather than trusted.
 
     The journal lives in the parent: workers never write it, so a
     crashed worker can at worst lose its in-flight cells, never
@@ -429,58 +464,43 @@ class SweepCheckpoint:
         corruption resets the journal (fresh manifest, no cells).
         """
         fingerprints = list(fingerprints)
-        suite = _suite_sha(fingerprints)
+        manifest = {"kind": "manifest", "version": SCENARIO_CACHE_VERSION,
+                    "suite": _suite_sha(fingerprints),
+                    "cells": len(fingerprints)}
         completed: dict[int, tuple] = {}
-        kept: list[str] = []
+        kept: list[bytes] = []
         try:
-            lines = self.path.read_text().splitlines()
+            lines = self.path.read_bytes().split(b"\n")
         except OSError:
             lines = []
-        if lines:
-            try:
-                manifest = json.loads(lines[0])
-            except ValueError:
-                manifest = None
-            if (isinstance(manifest, dict)
-                    and manifest.get("kind") == "manifest"
-                    and manifest.get("version") == SCENARIO_CACHE_VERSION
-                    and manifest.get("suite") == suite):
-                for line in lines[1:]:
-                    entry = self._parse_cell(line, fingerprints)
-                    if entry is None:
-                        break  # torn/corrupt tail: drop it and stop
-                    idx, payload = entry
-                    completed[idx] = payload
-                    kept.append(line)
-        manifest_line = json.dumps({"kind": "manifest",
-                                    "version": SCENARIO_CACHE_VERSION,
-                                    "suite": suite, "cells": len(fingerprints)},
-                                   sort_keys=True)
+        if lines and unseal(lines[0]) == (manifest, []):
+            for line in lines[1:]:
+                entry = self._parse_cell(line, fingerprints)
+                if entry is None:
+                    break  # torn/corrupt tail: drop it and stop
+                idx, payload = entry
+                completed[idx] = payload
+                kept.append(line)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self.path.with_suffix(".tmp")
-        tmp.write_text("\n".join([manifest_line] + kept) + "\n")
+        tmp.write_bytes(b"\n".join([seal(manifest, [])] + kept) + b"\n")
         tmp.replace(self.path)
-        self._fh = open(self.path, "a", encoding="utf-8")
+        self._fh = open(self.path, "ab")
         return completed
 
-    def _parse_cell(self, line: str, fingerprints: list[str]):
-        try:
-            payload = json.loads(line)
-        except ValueError:
+    def _parse_cell(self, line: bytes, fingerprints: list[str]):
+        entry = unseal(line)
+        if entry is None:
             return None
-        if not isinstance(payload, dict) or payload.get("kind") != "cell":
-            return None
-        sha = payload.pop("sha", None)
-        if sha != _line_sha(payload):
-            return None
-        idx = payload.get("idx")
-        if (not isinstance(idx, int) or not 0 <= idx < len(fingerprints)
-                or payload.get("fp") != fingerprints[idx]):
+        fields, records = entry
+        idx = fields.get("idx")
+        if (fields.get("kind") != "cell" or not isinstance(idx, int)
+                or not 0 <= idx < len(fingerprints)
+                or fields.get("fp") != fingerprints[idx]):
             return None
         try:
-            records = [record_from_json(r) for r in payload["records"]]
-            return idx, (records, float(payload["elapsed"]),
-                         int(payload["events"]))
+            return idx, (records, float(fields["elapsed"]),
+                         int(fields["events"]))
         except (KeyError, TypeError, ValueError):
             return None
 
@@ -489,11 +509,9 @@ class SweepCheckpoint:
         """Append one completed cell (flushed so a kill loses nothing)."""
         if self._fh is None:
             raise RuntimeError("call resume() before record()")
-        payload = {"kind": "cell", "idx": int(idx), "fp": fingerprint,
-                   "elapsed": float(elapsed), "events": int(events),
-                   "records": [record_to_json(r) for r in records]}
-        payload["sha"] = _line_sha(payload)
-        self._fh.write(json.dumps(payload, sort_keys=True) + "\n")
+        fields = {"kind": "cell", "idx": int(idx), "fp": fingerprint,
+                  "elapsed": float(elapsed), "events": int(events)}
+        self._fh.write(seal(fields, records) + b"\n")
         self._fh.flush()
 
     def close(self) -> None:

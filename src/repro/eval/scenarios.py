@@ -47,9 +47,10 @@ __all__ = ["AgentRef", "ChurnSchedule", "FlowDef", "Scenario", "ScenarioSuite",
            "simulate_scenario"]
 
 #: Bumped whenever scenario execution changes in a way that invalidates
-#: previously cached results.  v8: the ``transit`` and ``engine``
-#: fields left the fingerprint payload (one engine, one transit).
-SCENARIO_CACHE_VERSION = "v8"
+#: previously cached results, or the on-disk form of an entry changes.
+#: v9: cache entries and journal lines became sealed lines
+#: (``repro.eval.resilience.seal``); results themselves did not move.
+SCENARIO_CACHE_VERSION = "v9"
 
 
 def _simulation_code_digest() -> str:

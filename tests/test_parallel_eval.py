@@ -10,6 +10,7 @@ from repro.eval.parallel import (
     ResultTable,
     ScenarioError,
 )
+from repro.eval.resilience import seal, unseal
 from repro.eval.scenarios import ChurnSchedule, FlowDef, Scenario, ScenarioSuite
 from repro.eval.runner import EvalNetwork
 from repro.netsim.topology import dumbbell_asymmetric, parking_lot
@@ -79,7 +80,8 @@ class TestParallelRunner:
         scenario = Scenario(name="v", network=NET, flows=("cubic",), duration=1.0)
         runner.run([scenario])
         path = runner.cache._path(scenario.fingerprint())
-        path.write_text(path.read_text().replace('"version": "', '"version": "stale-'))
+        fields, records = unseal(path.read_bytes())
+        path.write_bytes(seal({**fields, "version": "stale"}, records))
         assert runner.run([scenario]).cache_misses == 1
 
     def test_records_for(self, tmp_path):

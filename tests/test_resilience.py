@@ -7,6 +7,8 @@ Four layers, mirroring ``repro.eval.resilience``:
   deterministic task exceptions are never retried, crashed workers
   are respawned and the task requeued within budget, exhausted
   budgets come back as error results.
+* **seal / unseal** -- the one record codec: damage at every byte
+  offset is refused, by the codec and by both stores built on it.
 * **SweepCheckpoint** -- journal round trips, manifest binding, and
   corruption handling (torn tails and tampered lines are dropped).
 * **ParallelRunner integration** -- failure budgets become error
@@ -15,8 +17,8 @@ Four layers, mirroring ``repro.eval.resilience``:
   uninterrupted run.
 """
 
-import json
 import math
+import multiprocessing as mp
 import os
 import time
 from dataclasses import replace
@@ -36,7 +38,9 @@ from repro.eval.resilience import (
     record_from_json,
     record_to_json,
     records_digest,
+    seal,
     set_chaos_hook,
+    unseal,
 )
 from repro.eval.runner import EvalNetwork
 from repro.eval.scenarios import (
@@ -80,6 +84,14 @@ def _log_and_fail(arg):
 def _sleep_forever(arg):
     time.sleep(60.0)
     return arg
+
+
+def _nap_or_sleep_forever(arg):
+    """Positive values nap that long and return; the rest never do."""
+    if arg > 0:
+        time.sleep(arg)
+        return arg
+    time.sleep(60.0)
 
 
 def _kill_once(marker: Path):
@@ -224,6 +236,29 @@ class TestResilientPool:
         assert "CellTimeout" in error and "0.300s" in error
         assert time.perf_counter() - t0 < 10.0  # killed, not waited out
 
+    def test_early_close_reaps_a_respawned_worker(self, tmp_path):
+        before = set(mp.active_children())
+        # Task 0's worker is killed once; its respawn picks task 0 up
+        # again (and never finishes it) while task 1 is still napping.
+        set_chaos_hook(_kill_batch_once(tmp_path / "killed", 0))
+        pool = ResilientPool(2, _nap_or_sleep_forever,
+                             retry=RetryPolicy(backoff_s=0.02))
+        outcomes = pool.execute([(0, 0, None), (1, 0.4, None)])
+        assert next(outcomes) == (1, 0.4, None)
+        outcomes.close()
+        assert (tmp_path / "killed").exists()
+        assert set(mp.active_children()) == before
+
+    def test_early_close_terminates_inflight_workers_at_once(self):
+        before = set(mp.active_children())
+        pool = ResilientPool(3, _nap_or_sleep_forever)
+        outcomes = pool.execute([(0, 0.05, None), (1, 0, None), (2, 0, None)])
+        assert next(outcomes) == (0, 0.05, None)
+        t0 = time.perf_counter()
+        outcomes.close()  # two workers mid-task: no grace period each
+        assert time.perf_counter() - t0 < 1.0
+        assert set(mp.active_children()) == before
+
 
 def _fake_record(k: int):
     payload = {name: float(k) for name in RECORD_FIELDS}
@@ -231,6 +266,65 @@ def _fake_record(k: int):
     payload["scheme"] = f"scheme{k}"
     payload["records"] = [[float(k + j)] * len(MI_FIELDS) for j in range(2)]
     return record_from_json(payload)
+
+
+def _damaged(line: bytes):
+    """Every single-byte flip (three masks) and every truncation."""
+    for at in range(len(line)):
+        for mask in (0x01, 0x20, 0x80):
+            yield line[:at] + bytes([line[at] ^ mask]) + line[at + 1:]
+        yield line[:at]
+
+
+class TestSealedCodec:
+    FIELDS = {"version": SCENARIO_CACHE_VERSION, "name": "cell"}
+
+    def test_round_trip_and_layout(self):
+        line = seal(self.FIELDS, [_fake_record(1), _fake_record(2)])
+        assert b"\n" not in line
+        fields, records = unseal(line)
+        assert fields == self.FIELDS
+        assert records_digest(records) == records_digest(
+            [_fake_record(1), _fake_record(2)])
+        # The checksum covers the stored bytes themselves: equivalent
+        # JSON spelled differently is not the sealed line.
+        assert unseal(line.replace(b", ", b",")) is None
+
+    def test_damage_at_every_offset_is_refused(self):
+        line = seal(self.FIELDS, [_fake_record(1)])
+        assert all(unseal(bad) is None for bad in _damaged(line))
+        assert unseal(line + b"}") is None
+
+    def test_result_cache_quarantines_damage_at_every_offset(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = "f" * 64
+        path = cache._path(key)
+        for bad in _damaged(seal(self.FIELDS, [_fake_record(1)])):
+            path.write_bytes(bad)
+            assert cache.get(key) is None
+            assert not path.exists()  # moved aside, never read again
+            path.with_suffix(".quarantined").unlink()
+        # A miss is recomputed and re-put: the key serves again.
+        cache.put(key, "cell", [_fake_record(1)])
+        assert records_digest(cache.get(key)) == records_digest(
+            [_fake_record(1)])
+
+    def test_journal_drops_damage_at_every_offset_and_its_tail(self, tmp_path):
+        fps = ["fp0", "fp1", "fp2"]
+        path = tmp_path / "j.jsonl"
+        ck = SweepCheckpoint(path)
+        ck.resume(fps)
+        for idx, fp in enumerate(fps):
+            ck.record(idx, fp, [_fake_record(idx)], 0.5, 10)
+        ck.close()
+        manifest, first, middle, last, end = path.read_bytes().split(b"\n")
+        assert end == b"" and unseal(middle) is not None
+        for bad in _damaged(middle):
+            path.write_bytes(b"\n".join([manifest, first, bad, last, b""]))
+            ck = SweepCheckpoint(path)
+            assert set(ck.resume(fps)) == {0}
+            ck.close()
+            assert path.read_bytes() == manifest + b"\n" + first + b"\n"
 
 
 class TestSweepCheckpoint:
@@ -273,11 +367,14 @@ class TestSweepCheckpoint:
         ck.record(0, "fp0", [_fake_record(0)], 0.5, 10)
         ck.record(1, "fp1", [_fake_record(1)], 0.6, 20)
         ck.close()
-        with open(path, "a") as fh:
-            fh.write('{"kind": "cell", "idx": 2, "records"')  # torn write
+        intact = path.read_bytes()
+        torn = seal({"kind": "cell", "idx": 2, "fp": "fp2", "elapsed": 0.7,
+                     "events": 30}, [_fake_record(2)])[:-40]
+        with open(path, "ab") as fh:
+            fh.write(torn)  # killed mid-write: no tail, no newline
         restored = SweepCheckpoint(path).resume(self.FPS)
         assert set(restored) == {0, 1}
-        assert '"records"\n' not in path.read_text()  # tail rewritten away
+        assert path.read_bytes() == intact  # tail rewritten away
 
     def test_tampered_line_invalidates_itself_and_the_tail(self, tmp_path):
         path = tmp_path / "j.jsonl"
@@ -287,6 +384,7 @@ class TestSweepCheckpoint:
         ck.record(1, "fp1", [_fake_record(1)], 0.6, 20)
         ck.close()
         lines = path.read_text().splitlines()
+        assert '"elapsed": 0.5' in lines[1]
         lines[1] = lines[1].replace('"elapsed": 0.5', '"elapsed": 9.9')
         path.write_text("\n".join(lines) + "\n")
         # Checksum catches the edit; everything after the first bad
@@ -312,9 +410,10 @@ class TestCacheIntegrity:
         scenario = self._scenario()
         runner.run([scenario])
         path = runner.cache._path(scenario.fingerprint())
-        payload = json.loads(path.read_text())
-        payload["records"][0]["mean_rtt"] = 999.0  # bit rot, sha now stale
-        path.write_text(json.dumps(payload))
+        entry = path.read_bytes()
+        assert b'"mean_rtt": ' in entry
+        # Bit rot that still parses as JSON: the sha is now stale.
+        path.write_bytes(entry.replace(b'"mean_rtt": ', b'"mean_rtt": 9', 1))
         outcome = runner.run([scenario])
         assert outcome.cache_misses == 1  # recomputed, not served corrupt
         assert path.with_suffix(".quarantined").exists()
@@ -335,13 +434,13 @@ class TestCacheIntegrity:
         scenario = self._scenario()
         runner.run([scenario])
         path = runner.cache._path(scenario.fingerprint())
-        payload = json.loads(path.read_text())
-        assert payload["version"] == SCENARIO_CACHE_VERSION != "v7"
-        payload["version"] = "v7"  # checksum still valid: only stale
-        path.write_text(json.dumps(payload))
+        fields, records = unseal(path.read_bytes())
+        assert fields["version"] == SCENARIO_CACHE_VERSION != "v7"
+        # Sealed intact under the old version: only stale, not damaged.
+        path.write_bytes(seal({**fields, "version": "v7"}, records))
         assert runner.run([scenario]).cache_misses == 1  # not served
         assert not list(tmp_path.glob("*.quarantined"))
-        assert json.loads(path.read_text())["version"] == SCENARIO_CACHE_VERSION
+        assert unseal(path.read_bytes())[0]["version"] == SCENARIO_CACHE_VERSION
 
     def test_clear_removes_quarantined_entries(self, tmp_path):
         runner = ParallelRunner(n_workers=1, cache_dir=tmp_path)
@@ -351,6 +450,18 @@ class TestCacheIntegrity:
         path.write_text("{broken")
         runner.run([scenario])  # quarantines, recomputes, re-puts
         assert runner.cache.clear() == 2  # fresh entry + quarantined one
+        assert not list(tmp_path.glob("*"))
+
+    def test_stray_staging_file_neither_breaks_put_nor_survives_clear(
+            self, tmp_path):
+        cache = ResultCache(tmp_path)
+        key = "f" * 64
+        stray = cache._path(key).with_suffix(".tmp")
+        stray.write_bytes(b'{"sha":"half an ent')  # a writer killed mid-put
+        cache.put(key, "cell", [_fake_record(1)])
+        assert cache.get(key) is not None
+        assert stray.exists()  # staging names are per writer: not reused
+        assert cache.clear() == 2
         assert not list(tmp_path.glob("*"))
 
 
@@ -402,18 +513,27 @@ class TestFailureBudget:
             runner.run(_failing_suite())
 
 
-class TestResilientDispatchIdentity:
-    def test_retry_and_timeout_dispatch_matches_classic(self):
-        def digests(**kwargs):
-            outcome = ParallelRunner(use_cache=False, **kwargs).run(SMALL)
-            return [(records_digest(r.records), r.events) for r in outcome]
+class TestPoolDispatchIdentity:
+    @staticmethod
+    def _digests(**kwargs):
+        outcome = ParallelRunner(use_cache=False, **kwargs).run(SMALL)
+        return [(records_digest(r.records), r.events) for r in outcome]
 
-        classic = digests(n_workers=2, batch_size=1)
-        resilient = digests(n_workers=2, batch_size=1,
-                            retry=RetryPolicy(max_attempts=2),
-                            cell_timeout=120.0)
-        serial = digests(n_workers=1)
-        assert classic == resilient == serial
+    def test_pool_dispatch_matches_serial(self):
+        pooled = self._digests(n_workers=2, batch_size=1)
+        knobbed = self._digests(n_workers=2, batch_size=1,
+                                retry=RetryPolicy(max_attempts=2),
+                                cell_timeout=120.0)
+        assert pooled == knobbed == self._digests(n_workers=1)
+
+    def test_default_runner_survives_a_worker_kill(self, tmp_path):
+        # No retry=, cell_timeout= or checkpoint=: the one pool still
+        # respawns the dead worker and re-runs its batch.
+        set_chaos_hook(_kill_batch_once(tmp_path / "killed", 1))
+        survived = self._digests(n_workers=2)
+        assert (tmp_path / "killed").exists()
+        set_chaos_hook(None)
+        assert survived == self._digests(n_workers=1)
 
 
 class TestLoneCellDispatch:
