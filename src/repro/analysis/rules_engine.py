@@ -6,7 +6,9 @@ deep into a run, or (at worst) a silently wrong trace:
 
 * ``event-handler-table`` -- the ``EV_*`` integer event kinds index a
   per-simulation handler tuple; adding a kind without growing the
-  table (or never pushing it) dispatches the wrong handler;
+  table (or never pushing it) dispatches the wrong handler, and a
+  ``None`` slot (a kind the loop handles inline) with no
+  ``kind == EV_*`` branch dispatches ``None``;
 * ``heap-push-arity`` -- every heap entry must share one tuple shape
   (``(time, seq, kind, flow, packet)``): a short tuple breaks the
   tie-breaking contract that keeps event order bit-exact, and a
@@ -49,7 +51,9 @@ def check_engine_source(source: str, relpath: str,
     ``EV_A, EV_B, ... = range(N)`` unpack and to register handlers as a
     ``self._handlers = (...)`` tuple; both are matched structurally so
     the same check runs on the real engine and on the known-bad
-    fixtures.
+    fixtures.  A ``None`` slot marks a kind the event loop handles
+    inline, which is legal only if some ``== EV_<kind>`` comparison in
+    the module can route it there.
     """
     tree = ast.parse(source)
     findings: list[Finding] = []
@@ -100,6 +104,19 @@ def check_engine_source(source: str, relpath: str,
             f"_handlers registers {len(handlers.value.elts)} handlers "
             f"for {len(ev_names)} EV_* kinds; every kind must be "
             f"registered exactly once at its index"))
+    else:
+        inline = {operand.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare)
+                  and all(isinstance(op, ast.Eq) for op in node.ops)
+                  for operand in (node.left, *node.comparators)
+                  if isinstance(operand, ast.Name)}
+        for name, slot in zip(ev_names, handlers.value.elts):
+            if isinstance(slot, ast.Constant) and slot.value is None \
+                    and name not in inline:
+                findings.append(Finding(
+                    relpath, slot.lineno, slot.col_offset, rule_id,
+                    f"_handlers slot for {name} is None but no "
+                    f"`kind == {name}` branch handles it inline"))
 
     loads = Counter(node.id for node in ast.walk(tree)
                     if isinstance(node, ast.Name)
@@ -119,7 +136,8 @@ class EventTableRule(ProjectRule):
     id = "event-handler-table"
     family = "engine"
     description = ("every EV_* event kind is registered exactly once in "
-                   "Simulation._handlers and scheduled by some push site")
+                   "Simulation._handlers (None only with an inline "
+                   "`kind == EV_*` branch) and scheduled by some push site")
     anchors = ("netsim/network.py",)
 
     def check_project(self, root: Path):

@@ -42,9 +42,8 @@ gym-style environments can interleave RL decisions with simulation.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
-from heapq import heappush
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -81,21 +80,20 @@ ACK_RTO_FACTOR = 3.0
 #: full downstream queue the same flow then loses the race for every
 #: freed buffer slot on exact float ties -- permanent starvation no
 #: store-and-forward device exhibits, the per-hop analogue of the
-#: pacing jitter ``_handle_send`` applies.
+#: pacing jitter ``_drain`` applies to rate-paced sends.
 HOP_JITTER_FACTOR = 0.5
 
-# Integer event kinds, indexing the per-simulation handler table -- the
-# hot loop dispatches ``handlers[kind](flow, packet)`` instead of
-# walking a string-comparison chain.  Heap order is unaffected: the
+# Integer event kinds, indexing the per-simulation handler table (see
+# ``Simulation._drain``).  Heap order never depends on them: the
 # per-push sequence number breaks every time tie before a kind would be
-# compared, so swapping strings for ints keeps event order bit-exact.
+# compared.
 EV_START, EV_SEND, EV_HOP, EV_RCV, EV_ACK, EV_LOSS, EV_RTO, EV_MI = range(8)
 
 #: How many uniform draws are prefetched per block from the pacing and
 #: hop-dither generators.  Block draws are element-wise identical to
-#: repeated scalar draws on the same ``numpy`` bitstream, so batching
-#: changes no result -- it only amortizes the per-call generator
-#: overhead across ``RNG_BLOCK`` packets.
+#: repeated scalar draws on the same ``numpy`` bitstream, and
+#: ``tolist()`` makes them Python floats exactly, so batching changes
+#: no result -- it only amortizes the per-call generator overhead.
 RNG_BLOCK = 512
 
 
@@ -140,24 +138,23 @@ class FlowRecord:
 
 
 class SimState:
-    """Resumable stepping core over one :class:`Simulation`'s event loop.
+    """Resumable stepping handle over one :class:`Simulation`.
 
-    The mutable loop state (heap, sequence counter, clock, lifetime
-    event count) stays on the simulation object; ``SimState`` owns the
-    *loop* -- the pop/dispatch slice that :meth:`Simulation.run` used
-    to inline -- so callers can advance a cell by time slice
+    All mutable loop state (heap, sequence counter, clock, lifetime
+    event count) lives on the simulation, and so does the one
+    pop/dispatch loop, :meth:`Simulation._drain` (it draws the pacing
+    jitter, so it sits with the generator's owner).  ``SimState`` is
+    the slicing surface over it: advance a cell by time
     (:meth:`step_until`) or by event count (:meth:`step_events`) and
     interleave many cells inside one process (:mod:`repro.eval.batch`).
 
-    Each step method re-hoists the loop-invariant lookups (heap,
-    handler table, ``heappop``) into locals at the top of its slice,
-    so within a slice the loop body is exactly the monolithic ``run``
-    loop.  Across slices the heap order -- and with it every handler
-    side effect -- is untouched: handlers read the clock only after a
-    pop stores the event's own timestamp, so the horizon bump at the
-    end of :meth:`step_until` can never leak into a handler.  That is
-    the whole bit-identity argument, and ``tests/test_golden_traces.py``
-    plus the batched identity grid in ``tests/test_batch.py`` pin it.
+    Slicing is invisible: a slice boundary only decides *when* the
+    next ``heappop`` happens, never what it returns, and every handler
+    -- inline or on the table -- sees the popped event's own timestamp,
+    so the horizon bump at the end of :meth:`step_until` can never
+    leak into the dynamics.  ``tests/test_golden_traces.py`` and
+    ``tests/test_batch.py`` (single-stepped cells == one-shot cells,
+    on every fused branch) pin it.
     """
 
     __slots__ = ("sim",)
@@ -179,36 +176,13 @@ class SimState:
 
     def step_until(self, until: float | None = None) -> int:
         """Process every event with ``time <= until`` (clamped to the
-        duration); leave the clock on the horizon.  Returns the number
-        of events processed in this slice.
-
-        The loop body is deliberately bare -- heap pop, clock store,
-        one indexed dispatch through the handler table -- with every
-        loop-invariant lookup hoisted to a local.  All handlers share
-        the ``(flow, packet)`` signature (packet ``None`` for
-        flow-level events) so dispatch needs no per-kind argument
-        shapes.
+        duration) and leave the clock on the horizon -- or where it
+        was, for a horizon behind it.  Returns the number of events
+        processed in this slice.
         """
         sim = self.sim
         horizon = sim.duration if until is None else min(until, sim.duration)
-        heap = sim._heap
-        handlers = sim._handlers
-        pop = heapq.heappop
-        processed = 0
-        # Pop-first loop: testing the popped event against the horizon
-        # (and pushing the lone overshooting event back, key unchanged,
-        # so pop order is unaffected) is cheaper than re-reading
-        # ``heap[0][0]`` on every iteration of the hot loop.
-        while heap:
-            item = pop(heap)
-            time = item[0]
-            if time > horizon:
-                heappush(heap, item)
-                break
-            sim.now = time
-            processed += 1
-            handlers[item[2]](item[3], item[4])
-        sim.events_processed += processed
+        processed = sim._drain(horizon, -1)
         sim.now = max(sim.now, horizon)
         return processed
 
@@ -221,22 +195,7 @@ class SimState:
         ``step_until``) lands the clock on the duration.
         """
         sim = self.sim
-        horizon = sim.duration
-        heap = sim._heap
-        handlers = sim._handlers
-        pop = heapq.heappop
-        processed = 0
-        while heap and processed < n:
-            item = pop(heap)
-            time = item[0]
-            if time > horizon:
-                heappush(heap, item)
-                break
-            sim.now = time
-            processed += 1
-            handlers[item[2]](item[3], item[4])
-        sim.events_processed += processed
-        return processed
+        return sim._drain(sim.duration, n if n > 0 else 0)
 
 
 class Simulation:
@@ -276,18 +235,18 @@ class Simulation:
         self.now = 0.0
         self._heap: list[tuple[float, int, int, int, Packet | None]] = []
         self._seq = 0
-        #: Lifetime count of events dispatched by :meth:`run` -- the
-        #: denominator-free engine-speed metric (events/sec = this over
-        #: wall time) tracked by :mod:`repro.eval.perf` and
-        #: ``benchmarks/bench_engine_speed.py``.
+        #: Lifetime count of events popped and handled by
+        #: :meth:`_drain` -- pinned per cell by the perf ledger's
+        #: ``expected.json`` and the numerator of its ``netsim.events``
+        #: / ``netsim.run_calops_per_event`` layer metrics.
         self.events_processed = 0
-        # Handler table indexed by the EV_* event kinds.
+        # Handler table indexed by the EV_* event kinds; ``None`` marks
+        # a kind :meth:`_drain` handles inline.
         self._handlers = (
-            self._handle_start, self._handle_send, self._advance_packet,
-            self._handle_receive, self._handle_ack, self._handle_loss,
+            self._handle_start, None, self._advance_packet,
+            None, None, self._handle_loss,
             self._handle_ack_rto, self._handle_mi)
-        #: Resumable stepping core.  :meth:`run` is a thin delegate;
-        #: batched execution drives this directly in time slices.
+        #: Resumable stepping handle (:meth:`run` delegates to it).
         self.state = SimState(self)
 
         #: Base RTT of the topology's default path -- the single-path
@@ -339,7 +298,7 @@ class Simulation:
     def run(self, until: float | None = None) -> None:
         """Process events up to ``until`` (default: the full duration).
 
-        One full-width slice of the stepping core: ``run(t)`` and any
+        One full-width slice of :meth:`_drain`: ``run(t)`` and any
         sequence of ``step_until`` calls ending at ``t`` are
         bit-identical (see :class:`SimState`).
         """
@@ -364,6 +323,197 @@ class Simulation:
                 if end > flow.mi_start:
                     self._close_mi(flow, end)
 
+    # --- the event loop ---------------------------------------------------------
+
+    def _drain(self, horizon: float, budget: int) -> int:
+        """Pop and handle events with ``time <= horizon``, at most
+        ``budget`` of them (negative: no cap); returns how many.
+
+        The one pop/dispatch loop.  ``EV_SEND``, ``EV_ACK`` and
+        ``EV_RCV`` -- ~95 % of all events -- are handled right here
+        instead of through a call (``None`` in ``self._handlers``);
+        the rest dispatch through that table.  The clock and the push
+        sequence counter are loop locals: controllers are handed
+        ``now`` as an argument and nothing inline reads ``self.now``,
+        so ``now`` is stored before, and ``seq`` stored before and
+        re-read after, each out-of-line ``self.`` call that reads the
+        clock or pushes; both land on the instance when the loop exits
+        (``self.now`` on the last handled event, as
+        :meth:`SimState.step_events` promises).  Heap keys, push order,
+        RNG draw order and every float expression are those of the
+        per-kind handlers this loop replaced.
+        """
+        heap = self._heap
+        handlers = self._handlers
+        jitter = self.jitter
+        now = self.now
+        seq = self._seq
+        processed = 0
+        try:
+            while heap and processed != budget:
+                # Pop first: pushing the lone overshooting event back
+                # (key unchanged, so pop order is unaffected) beats
+                # re-reading ``heap[0][0]`` on every iteration.
+                item = heappop(heap)
+                time, _, kind, flow, packet = item
+                if time > horizon:
+                    heappush(heap, item)
+                    break
+                now = time
+                processed += 1
+                if kind == EV_ACK:
+                    if flow.pending_acks:
+                        self.now = now
+                        self._recover_pending(flow, packet.seq)
+                    # Flow.note_ack, inlined.
+                    flow.total_acked += 1
+                    flow.mi_acked += 1
+                    inflight = flow.inflight - 1
+                    flow.inflight = inflight if inflight > 0 else 0
+                    if now > flow.last_event_time:
+                        flow.last_event_time = now
+                    rtt = now - packet.send_time
+                    flow.last_rtt = rtt
+                    srtt = flow.srtt
+                    flow.srtt = (rtt if srtt is None
+                                 else 0.875 * srtt + 0.125 * rtt)
+                    min_seen = flow.min_rtt_seen
+                    if min_seen is None or rtt < min_seen:
+                        flow.min_rtt_seen = rtt
+                    flow._mi_times.append(now)
+                    flow._mi_rtts.append(rtt)
+                    if rtt < flow._mi_min_rtt:
+                        flow._mi_min_rtt = rtt
+                    cb = flow.on_ack_cb
+                    if cb is not None:
+                        cb(flow, packet, now)
+                    # Ack clock (_clock_window + _send_now): a
+                    # window flow sends as soon as the window opens.
+                    if flow.is_window and not flow.stopped \
+                            and flow.inflight < flow.cwnd_fn(now) \
+                            and not flow.send_scheduled \
+                            and now < flow.stop_time:
+                        flow.send_scheduled = True
+                        seq += 1
+                        heappush(heap, (now, seq, EV_SEND, flow, None))
+                elif kind == EV_SEND:
+                    flow.send_scheduled = False
+                    if flow.stopped or now >= flow.stop_time:
+                        continue
+                    window = flow.is_window
+                    emit = True
+                    if window:
+                        cwnd = flow.cwnd_fn(now)
+                        if flow.inflight >= cwnd:
+                            continue  # re-armed by the next ack/loss
+                    else:
+                        # min(max(rate, MIN_RATE_PPS), flow.max_rate)
+                        rate = flow.pacing_fn(now)
+                        if MIN_RATE_PPS > rate:
+                            rate = MIN_RATE_PPS
+                        if flow.max_rate < rate:
+                            rate = flow.max_rate
+                        if flow.cap_fn is not None:
+                            cap = flow.cap_fn(now)
+                            emit = cap is None or flow.inflight < cap
+                    if emit:
+                        packet = Packet(flow.flow_id, flow.next_seq, now,
+                                        flow.packet_bytes)
+                        flow.next_seq += 1
+                        # Flow.note_sent, inlined.
+                        flow.total_sent += 1
+                        flow.mi_sent += 1
+                        flow.inflight += 1
+                        if now > flow.last_event_time:
+                            flow.last_event_time = now
+                        if flow.keep_packets:
+                            flow.packets.append(packet)
+                        # Hop 0 is transited synchronously (its arrival
+                        # time *is* the clock), later hops via EV_HOP.
+                        delivered, drop_kind, depart, queue_delay = \
+                            flow.links[0].transmit(now)
+                        packet.queue_delay += queue_delay
+                        if not delivered:
+                            self.now = now
+                            self._seq = seq
+                            self._forward_drop(flow, packet, drop_kind,
+                                               depart, queue_delay)
+                            seq = self._seq
+                        elif flow.n_links > 1:
+                            packet.hop = 1
+                            seq += 1
+                            heappush(heap, (
+                                self._dither_arrival(flow, packet, depart),
+                                seq, EV_HOP, flow, packet))
+                        else:
+                            packet.hop = 1
+                            packet.arrival_time = depart
+                            seq += 1
+                            heappush(heap, (depart, seq, EV_RCV, flow, packet))
+                    if window:
+                        if flow.inflight >= cwnd:
+                            continue
+                        # Pace the remaining window over one smoothed RTT.
+                        srtt = flow.srtt or max(flow.base_rtt, MIN_MI_DURATION)
+                        due = now + srtt / (1.0 if 1.0 > cwnd else cwnd)
+                    else:
+                        # Small pacing jitter: without it, equal-rate
+                        # flows phase-lock (one flow's packet always
+                        # reaches a full queue first and the other takes
+                        # every drop) -- an artifact no real pacer has.
+                        pos = self._jitter_pos
+                        buf = self._jitter_buf
+                        if buf is None or pos >= RNG_BLOCK:
+                            buf = self._jitter_buf = \
+                                self.rng.random(RNG_BLOCK).tolist()
+                            pos = 0
+                        self._jitter_pos = pos + 1
+                        due = now + (1.0 / rate) * (
+                            1.0 + jitter * (buf[pos] - 0.5))
+                    # The flow is neither stopped nor send-scheduled
+                    # here (checked / cleared above).
+                    if due < flow.stop_time:
+                        flow.send_scheduled = True
+                        seq += 1
+                        heappush(heap, (due if due > now else now, seq,
+                                        EV_SEND, flow, None))
+                elif kind == EV_RCV:
+                    # The receiver observed the packet (or a drop's
+                    # gap): its ack / loss notice walks the reverse
+                    # links -- for the dominant shape, one
+                    # pure-propagation pseudo-link, in one addition.
+                    packet.reversing = True
+                    pure = flow.pure_return_delay
+                    if pure is None:
+                        packet.hop = 0
+                        self.now = now
+                        self._seq = seq
+                        self._advance_reverse(flow, packet)
+                        seq = self._seq
+                        continue
+                    packet.hop = 1
+                    cursor = now + pure
+                    seq += 1
+                    if packet.dropped:
+                        heappush(heap, (cursor, seq, EV_LOSS, flow, packet))
+                    else:
+                        packet.ack_time = cursor
+                        heappush(heap, (cursor, seq, EV_ACK, flow, packet))
+                else:
+                    self.now = now
+                    self._seq = seq
+                    handlers[kind](flow, packet)
+                    seq = self._seq
+        finally:
+            # Also when a hook raises: whichever of the local and the
+            # attribute is ahead is current, and keeping it means the
+            # heap never sees a sequence number twice.
+            if seq > self._seq:
+                self._seq = seq
+            self.now = now
+            self.events_processed += processed
+        return processed
+
     # --- event handlers -------------------------------------------------------
 
     def _handle_start(self, flow: Flow, packet: Packet | None = None) -> None:
@@ -371,75 +521,14 @@ class Simulation:
         flow.mi_start = self.now
         flow.controller.on_flow_start(flow, self.now)
         self._push(self.now + flow.mi_duration, EV_MI, flow, None)
-        self._schedule_send(flow, self.now)
+        self._send_now(flow)
 
-    def _next_jitter(self) -> float:
-        """Next send-pacing uniform, served from the prefetched block.
-
-        ``tolist()`` converts the block to Python floats once at draw
-        time (exact: float64 -> float is lossless), so per-packet reads
-        are plain list indexing with no numpy scalar boxing.
-        """
-        pos = self._jitter_pos
-        buf = self._jitter_buf
-        if buf is None or pos >= RNG_BLOCK:
-            buf = self._jitter_buf = self.rng.random(RNG_BLOCK).tolist()
-            pos = 0
-        self._jitter_pos = pos + 1
-        return buf[pos]
-
-    def _handle_send(self, flow: Flow, packet: Packet | None = None) -> None:
-        flow.send_scheduled = False
-        now = self.now
-        if flow.stopped or now >= flow.stop_time:
-            return
-        if flow.is_window:
-            cwnd = flow.cwnd_fn(now)
-            if flow.inflight >= cwnd:
-                return  # re-armed by the next ack/loss
-            self._emit_packet(flow)
-            if flow.inflight < cwnd:
-                # Pace the remaining window over one smoothed RTT.
-                srtt = flow.srtt or max(flow.base_rtt, MIN_MI_DURATION)
-                gap = srtt / max(cwnd, 1.0)
-                self._schedule_send(flow, now + gap)
-        else:
-            rate = flow.pacing_fn(now)
-            rate = min(max(rate, MIN_RATE_PPS), flow.max_rate)
-            cap_fn = flow.cap_fn
-            if cap_fn is None:
-                self._emit_packet(flow)
-            else:
-                cap = cap_fn(now)
-                if cap is None or flow.inflight < cap:
-                    self._emit_packet(flow)
-            # Small pacing jitter: without it, equal-rate flows phase-lock
-            # (one flow's packet always reaches a full queue first and the
-            # other takes every drop) -- an artifact no real pacer has.
-            gap = (1.0 / rate) * (1.0 + self.jitter * (self._next_jitter() - 0.5))
-            self._schedule_send(flow, now + gap)
-
-    def _schedule_send(self, flow: Flow, time: float) -> None:
-        if flow.send_scheduled or flow.stopped:
-            return
-        if time >= flow.stop_time:
+    def _send_now(self, flow: Flow) -> None:
+        """Schedule a send attempt at the current clock, at most once."""
+        if flow.send_scheduled or flow.stopped or self.now >= flow.stop_time:
             return
         flow.send_scheduled = True
-        now = self.now
-        seq = self._seq + 1
-        self._seq = seq
-        heappush(self._heap, (time if time > now else now, seq, EV_SEND,
-                              flow, None))
-
-    def _emit_packet(self, flow: Flow) -> None:
-        packet = Packet(flow.flow_id, flow.next_seq, self.now,
-                        flow.packet_bytes)
-        flow.next_seq += 1
-        flow.note_sent(packet)
-        # The packet enters the forward direction now: hop 0 is
-        # transited synchronously (its arrival time *is* the current
-        # clock), later hops via deferred "hop" events.
-        self._advance_packet(flow, packet)
+        self._push(self.now, EV_SEND, flow, None)
 
     # --- unified per-hop scheduler -------------------------------------------
 
@@ -458,31 +547,11 @@ class Simulation:
             self._advance_reverse(flow, packet)
             return
         hop = packet.hop
-        links = flow.links
-        link = links[hop]
-        delivered, drop_kind, depart, queue_delay = link.transmit(self.now)
+        delivered, drop_kind, depart, queue_delay = \
+            flow.links[hop].transmit(self.now)
         packet.queue_delay += queue_delay
         if not delivered:
-            packet.dropped = True
-            packet.drop_kind = drop_kind
-            # The receiver observes the gap roughly when the dropped
-            # packet would have arrived.  A random drop happens on the
-            # wire, so ``depart_time`` already carries the normal
-            # queue + service + propagation timing of the dropping
-            # link; a buffer drop never occupies the queue, so charge
-            # the timing a surviving packet just behind it would see.
-            # The links past the drop charge their *current* queue
-            # occupancy plus service, not bare propagation -- the gap
-            # is observed at the receiver only after the packets
-            # already queued downstream drain ahead of it.
-            if drop_kind == "random":
-                cursor = depart
-            else:
-                cursor = self.now + queue_delay + link.delay
-            for l in links[hop + 1:]:
-                cursor += (l.queue_delay_at(cursor)
-                           + 1.0 / l.bandwidth_at(cursor) + l.delay)
-            self._push(cursor, EV_RCV, flow, packet)
+            self._forward_drop(flow, packet, drop_kind, depart, queue_delay)
             return
         hop += 1
         packet.hop = hop
@@ -494,6 +563,34 @@ class Simulation:
         else:
             packet.arrival_time = depart
             heappush(self._heap, (depart, seq, EV_RCV, flow, packet))
+
+    def _forward_drop(self, flow: Flow, packet: Packet, drop_kind: str,
+                      depart: float, queue_delay: float) -> None:
+        """``flow.links[packet.hop]`` just dropped ``packet`` at the
+        current clock: schedule the receiver's observation of the gap.
+
+        The receiver observes the gap roughly when the dropped packet
+        would have arrived.  A random drop happens on the wire, so
+        ``depart`` already carries the normal queue + service +
+        propagation timing of the dropping link; a buffer drop never
+        occupies the queue, so charge the timing a surviving packet
+        just behind it would see.  The links past the drop charge their
+        *current* queue occupancy plus service, not bare propagation --
+        the gap is observed at the receiver only after the packets
+        already queued downstream drain ahead of it.
+        """
+        packet.dropped = True
+        packet.drop_kind = drop_kind
+        hop = packet.hop
+        links = flow.links
+        if drop_kind == "random":
+            cursor = depart
+        else:
+            cursor = self.now + queue_delay + links[hop].delay
+        for l in links[hop + 1:]:
+            cursor += (l.queue_delay_at(cursor)
+                       + 1.0 / l.bandwidth_at(cursor) + l.delay)
+        self._push(cursor, EV_RCV, flow, packet)
 
     def _dither_arrival(self, flow: Flow, packet: Packet, depart: float) -> float:
         """Forwarding dither for a deferred hop arrival.
@@ -590,30 +687,6 @@ class Simulation:
 
     # --- receiver / sender-side handlers -------------------------------------
 
-    def _handle_receive(self, flow: Flow, packet: Packet) -> None:
-        """The receiver observed a packet (or a drop's gap): its ack /
-        loss notice starts walking the flow's reverse links."""
-        packet.reversing = True
-        pure = flow.pure_return_delay
-        if pure is not None:
-            # The dominant shape -- a single pure-propagation reverse
-            # pseudo-link -- fully inlined: the whole reverse walk is
-            # one addition and one push.
-            packet.hop = 1
-            cursor = self.now + pure
-            seq = self._seq + 1
-            self._seq = seq
-            if packet.dropped:
-                heappush(self._heap,
-                         (cursor, seq, EV_LOSS, flow, packet))
-            else:
-                packet.ack_time = cursor
-                heappush(self._heap,
-                         (cursor, seq, EV_ACK, flow, packet))
-            return
-        packet.hop = 0
-        self._advance_reverse(flow, packet)
-
     def _recover_pending(self, flow: Flow, before_seq: int) -> None:
         """Cumulative feedback below ``before_seq`` reached the sender:
         any earlier delivered packet whose own ack was dropped on the
@@ -628,19 +701,6 @@ class Simulation:
             flow.note_ack(recovered, self.now)
             if flow.on_ack_cb is not None:
                 flow.on_ack_cb(flow, recovered, self.now)
-
-    def _handle_ack(self, flow: Flow, packet: Packet) -> None:
-        now = self.now
-        if flow.pending_acks:
-            self._recover_pending(flow, packet.seq)
-        flow.note_ack(packet, now)
-        cb = flow.on_ack_cb
-        if cb is not None:
-            cb(flow, packet, now)
-        # _clock_window inlined: this runs once per delivered packet.
-        if flow.is_window and not flow.stopped \
-                and flow.inflight < flow.cwnd_fn(now):
-            self._schedule_send(flow, now)
 
     def _handle_ack_rto(self, flow: Flow, packet: Packet) -> None:
         """Retransmit-timeout fallback for a buffer-dropped ack."""
@@ -671,7 +731,7 @@ class Simulation:
         if flow.stopped or not flow.is_window:
             return
         if flow.inflight < flow.cwnd_fn(self.now):
-            self._schedule_send(flow, self.now)
+            self._send_now(flow)
 
     def _handle_mi(self, flow: Flow, packet: Packet | None = None) -> None:
         if flow.stopped:

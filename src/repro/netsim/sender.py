@@ -240,7 +240,7 @@ class Flow:
         #: on the reverse path, keyed by sequence number.  Acknowledged
         #: (and removed) when a later cumulative ack reaches the
         #: sender, or surfaced as a retransmit-timeout loss if none
-        #: does (see ``Simulation._handle_ack`` / ``"rto"`` events).
+        #: does (see ``Simulation._recover_pending`` / ``"rto"`` events).
         self.pending_acks: dict[int, Packet] = {}
         #: Latest scheduled arrival per hop and direction under the
         #: event-driven scheduler -- the monotonicity floors that keep
@@ -312,7 +312,10 @@ class Flow:
         """
         return list(zip(self._mi_times, self._mi_rtts))
 
-    # --- accounting hooks (called by the engine) ---------------------------
+    # --- accounting hooks --------------------------------------------------
+    # ``Simulation._drain`` carries ``note_sent`` and ``note_ack`` inline
+    # on its per-packet path; the methods serve its cold callers (parked
+    # ack recovery) and unit tests, and must change together with it.
 
     def note_sent(self, packet: Packet) -> None:
         self.total_sent += 1
@@ -362,9 +365,11 @@ class Flow:
             # wraps (umr_sum / count) minus the wrapper overhead, so
             # the quotient is bit-identical.
             rtts = np.frombuffer(self._mi_rtts)
-            mean_rtt: float | None = float(np.add.reduce(rtts) / n)
+            rtt_mean = np.add.reduce(rtts) / n
+            mean_rtt: float | None = float(rtt_mean)
             min_rtt: float | None = self._mi_min_rtt
-            gradient = (_rtt_slope_arrays(np.frombuffer(self._mi_times), rtts)
+            gradient = (_rtt_slope_arrays(np.frombuffer(self._mi_times), rtts,
+                                          rtt_mean)
                         if n > 1 else 0.0)
         else:
             mean_rtt = None
@@ -428,18 +433,19 @@ class Flow:
         return self.total_lost / total
 
 
-def _rtt_slope_arrays(times: np.ndarray, rtts: np.ndarray) -> float:
+def _rtt_slope_arrays(times: np.ndarray, rtts: np.ndarray,
+                      rtt_mean: float) -> float:
     """Least-squares slope of RTT vs. ack time over parallel arrays.
 
-    ``np.add.reduce(x) / n`` is ``x.mean()`` without the wrapper (same
-    pairwise kernel, bit-identical quotient).
+    ``rtt_mean`` is ``np.add.reduce(rtts) / n``, which the MI close
+    already holds: ``x.mean()`` without the wrapper (same pairwise
+    kernel, bit-identical quotient).
     """
-    n = times.shape[0]
-    t_center = times - np.add.reduce(times) / n
+    t_center = times - np.add.reduce(times) / times.shape[0]
     denom = float(np.dot(t_center, t_center))
     if denom <= 1e-12:
         return 0.0
-    return float(np.dot(t_center, rtts - np.add.reduce(rtts) / n) / denom)
+    return float(np.dot(t_center, rtts - rtt_mean) / denom)
 
 
 def _rtt_slope(samples: list[tuple[float, float]]) -> float:
@@ -452,4 +458,4 @@ def _rtt_slope(samples: list[tuple[float, float]]) -> float:
         return 0.0
     times = np.array([s[0] for s in samples])
     rtts = np.array([s[1] for s in samples])
-    return _rtt_slope_arrays(times, rtts)
+    return _rtt_slope_arrays(times, rtts, np.add.reduce(rtts) / len(samples))

@@ -176,9 +176,16 @@ class RandomWalkTrace(BandwidthTrace):
         self.high = float(high_pps)
 
     def bandwidth_at(self, t: float) -> float:
+        # Called per offer to a trace-driven link: a compare-chain
+        # clamp and ``item`` (float64 -> float, exact) instead of
+        # min/max/len calls and a boxed numpy scalar.
+        values = self.values
         idx = int(t / self.interval)
-        idx = min(max(idx, 0), len(self.values) - 1)
-        return float(self.values[idx])
+        if idx < 0:
+            idx = 0
+        elif idx >= values.size:
+            idx = values.size - 1
+        return values.item(idx)
 
     def max_bandwidth(self) -> float:
         return self.high

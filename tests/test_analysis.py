@@ -26,6 +26,7 @@ import pytest
 from repro.analysis import (Analyzer, Baseline, Finding, ProjectIndex,
                             all_rules, rules_by_id)
 from repro.analysis.core import default_root, parse_suppressions
+from repro.analysis.report import render_sarif
 from repro.analysis.rules_batch import (
     BatchIsolationRule,
     BatchRngRule,
@@ -62,12 +63,20 @@ def run_rule(rule_id: str, fixture: str):
     return rule.check(ast.parse(source), source, fixture)
 
 
+@pytest.fixture(scope="session")
+def repo_findings():
+    """The one in-process whole-repo analyzer pass (~2 s), shared by
+    the clean-repo gate and the clean-repo SARIF rendering;
+    ``TestCli.test_repo_run_is_clean_json`` is the one subprocess pass,
+    for the exit code."""
+    return Analyzer().analyze()
+
+
 class TestRepoClean:
     """The tier-1 gate: zero findings on the repo, empty baseline."""
 
-    def test_default_analysis_is_clean(self):
-        findings = Analyzer().analyze()
-        assert findings == [], "\n".join(str(f) for f in findings)
+    def test_default_analysis_is_clean(self, repo_findings):
+        assert repo_findings == [], "\n".join(str(f) for f in repo_findings)
 
     def test_shipped_baseline_is_empty(self):
         baseline = Baseline.load(REPO / ".replint-baseline.json")
@@ -129,6 +138,13 @@ class TestEngineRules:
         assert "range(2)" in messages
         assert "2 handlers" in messages
         assert "EV_C" in messages
+
+    def test_none_slot_without_inline_branch_is_flagged(self):
+        source = (FIXTURES / "bad_engine_none_slot.py").read_text()
+        findings = check_engine_source(source, "bad_engine_none_slot.py")
+        # EV_A's None slot has its ``kind == EV_A`` branch; EV_B's has none.
+        assert len(findings) == 1
+        assert "EV_B is None" in findings[0].message
 
     def test_heap_push_fires(self):
         findings = run_rule("heap-push-arity", "bad_heap_push.py")
@@ -570,10 +586,9 @@ class TestSarif:
             assert loc["region"]["startColumn"] >= 1
         return run
 
-    def test_clean_repo_sarif_validates_with_empty_results(self):
-        proc = _run_cli("--format=sarif")
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        run = self._validate(json.loads(proc.stdout))
+    def test_clean_repo_sarif_validates_with_empty_results(self, repo_findings):
+        run = self._validate(json.loads(
+            render_sarif(repo_findings, all_rules())))
         assert run["results"] == []
         # driver metadata still lists the full rule set
         ids = {r["id"] for r in run["tool"]["driver"]["rules"]}

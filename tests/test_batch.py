@@ -35,8 +35,9 @@ from repro.eval.scenarios import (
     build_scenario_simulation,
 )
 from repro.eval.runner import EvalNetwork
+from repro.netsim.faults import GilbertElliottLoss, LinkFlapSchedule
 from repro.netsim.network import SimState
-from repro.netsim.topology import parking_lot
+from repro.netsim.topology import dumbbell, dumbbell_asymmetric, parking_lot
 
 
 def solo_digest(scenario) -> str:
@@ -45,8 +46,83 @@ def solo_digest(scenario) -> str:
     return records_digest(sim.run_all())
 
 
+def _branch_cells():
+    """One short cell per branch of the fused drain loop."""
+    net = EvalNetwork(bandwidth_mbps=8.0, one_way_ms=8.0)
+    common = dict(network=net, duration=1.0, seed=3)
+    cubic_cross = (FlowDef("cubic", path="cross0"),
+                   FlowDef("cubic", path="cross1"))
+    flaky = dumbbell(bandwidth_mbps=8.0, delay_ms=8.0).with_faults({
+        "hop0": (LinkFlapSchedule(period=0.4, down_time=0.05, start=0.2,
+                                  policy="drop"),
+                 GilbertElliottLoss(p_enter_bad=0.02, p_exit_bad=0.3))})
+    return [
+        # window + rate + inflight_cap senders, pure-propagation return
+        Scenario(name="step/dumbbell", flows=("cubic", "vivace", "bbr"),
+                 **common),
+        # first hop hands over to EV_HOP; drops with links downstream
+        Scenario(name="step/lot", flows=(FlowDef("bbr", path="through"),
+                                         *cubic_cross),
+                 topology=parking_lot(2, bandwidth_mbps=8.0, delay_ms=8.0),
+                 **common),
+        # queued reverse link: EV_RCV off the fast path, parked acks,
+        # cumulative-ack recovery and RTOs
+        Scenario(name="step/ack",
+                 flows=(FlowDef("cubic", path="through"),
+                        FlowDef("cubic", path="reverse")),
+                 topology=dumbbell_asymmetric(
+                     bandwidth_mbps=8.0, delay_ms=8.0,
+                     reverse_bandwidth_mbps=0.8), **common),
+        # random wire loss on the synchronous first hop
+        Scenario(name="step/wire-loss", flows=("cubic", "copa"),
+                 network=EvalNetwork(bandwidth_mbps=8.0, one_way_ms=8.0,
+                                     loss_rate=0.03),
+                 duration=1.0, seed=3),
+        # faulted link: transmit()'s cold twin, "fault" drops
+        Scenario(name="step/faults", flows=("cubic", "vivace"),
+                 topology=flaky, **common),
+        # stop_time lands mid-run: sends, ack clock and MI all gate on it
+        Scenario(name="step/churn",
+                 flows=(FlowDef("cubic"),
+                        FlowDef("bbr", start=0.2, stop=0.55),
+                        FlowDef("vivace", stop=0.7)), **common),
+    ]
+
+
+def _loop_state(sim):
+    """Everything a slice boundary could have corrupted."""
+    return (sim.events_processed, sim._seq, sim.now,
+            [(link.delivered, link.dropped_buffer, link.dropped_random,
+              link.dropped_fault, link.busy_until) for link in sim.links])
+
+
 class TestSimStateStepping:
     """The resumable core against the one-shot loop."""
+
+    @pytest.mark.parametrize("cell", _branch_cells(), ids=lambda c: c.name)
+    def test_single_stepping_every_fused_branch(self, cell):
+        """Every event its own slice: the loop-local clock and sequence
+        counter are written back at each boundary on each branch."""
+        whole = build_scenario_simulation(cell)
+        reference = records_digest(whole.run_all())
+        sim = build_scenario_simulation(cell)
+        state = sim.state
+        while not state.done:
+            due = state.peek_time()
+            assert state.step_events(1) == 1
+            assert sim.now == due
+        state.step_until(None)  # nothing left; lands the clock
+        assert _loop_state(sim) == _loop_state(whole)
+        assert records_digest(sim.run_all()) == reference
+
+    def test_empty_slices_process_and_move_nothing(self, scenario):
+        sim = build_scenario_simulation(scenario)
+        sim.state.step_until(0.3)
+        before = _loop_state(sim), sim.state.peek_time(), len(sim._heap)
+        assert sim.state.step_events(0) == 0
+        assert sim.state.step_until(0.1) == 0  # horizon behind the clock
+        assert (_loop_state(sim), sim.state.peek_time(),
+                len(sim._heap)) == before
 
     @pytest.fixture(scope="class")
     def scenario(self):
@@ -57,6 +133,22 @@ class TestSimStateStepping:
         sim = build_scenario_simulation(scenario)
         records = sim.run_all()
         return records_digest(records), sim.events_processed
+
+    def test_raising_hook_leaves_loop_state_consistent(self, scenario):
+        """An exception out of a controller hook mid-slice still writes
+        the loop locals back: no pending event is ahead of ``_seq``."""
+        sim = build_scenario_simulation(scenario)
+        n = sim.state.step_until(0.3)
+
+        def boom(flow, packet, now):
+            raise RuntimeError("hook failed")
+
+        sim.flows[0].on_ack_cb = boom
+        with pytest.raises(RuntimeError, match="hook failed"):
+            sim.state.step_until(None)
+        assert sim.events_processed > n
+        assert sim._seq >= max(item[1] for item in sim._heap)
+        assert 0.3 <= sim.now < sim.duration
 
     def test_step_until_slices_are_bit_identical(self, scenario, reference):
         digest, events = reference
