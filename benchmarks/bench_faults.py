@@ -9,30 +9,27 @@ properties:
 
 * **Divergence** -- every faulted cell's records differ from the
   clean cell's (same lineup, same seed): the schedules actually
-  perturb the dynamics, they are not dead configuration.  This is a
-  correctness assert and is never skipped.
+  perturb the dynamics, they are not dead configuration.
 * **Bounded overhead** -- the fault bookkeeping on the hot path
-  (outage checks, capacity scaling, wire-loss draws) may not slow the
-  engine beyond ``REPRO_FAULT_OVERHEAD_TOL`` (default: faulted runs
-  keep >= 50% of the clean events/sec).  Perf gate only:
-  ``REPRO_PERF_SMOKE_SKIP=1`` demotes a failure to a report line on
-  known-noisy hosts.
+  (outage checks, capacity scaling, wire-loss draws) may not halve the
+  engine: every faulted combo keeps >= ``OVERHEAD_FLOOR`` of its clean
+  twin's events/sec.  Both sides of the ratio are measured in one
+  process on one host, so it needs no calibration.
 
-Writes ``BENCH_faults.json`` (in ``BENCH_OUTPUT_DIR``, default the
-working directory) with per-combo events/sec, utilization, and the
-overhead ratios.  ``FAULT_BENCH_DURATION`` overrides the simulated
-seconds per cell (default 6.0).
+Prints per-combo events/sec, utilization, loss and the overhead ratios.
 """
 
-import os
-from pathlib import Path
-
 from repro.eval.parallel import ParallelRunner
-from repro.eval.perf import write_report
 from repro.eval.resilience import records_digest
 from repro.eval.scenarios import ScenarioSuite
 from repro.netsim.faults import GilbertElliottLoss, LinkFlapSchedule
 from repro.netsim.topology import parking_lot
+
+#: Simulated seconds per cell.
+DURATION = 4.0
+#: Faulted events/sec over clean events/sec may not fall below this
+#: (measured 0.69-0.96 across the six faulted combos).
+OVERHEAD_FLOOR = 0.5
 
 FLAP = LinkFlapSchedule(period=0.8, down_time=0.05, start=0.3, jitter=0.02)
 GE = GilbertElliottLoss(p_enter_bad=0.01, p_exit_bad=0.25, loss_bad=0.4)
@@ -50,18 +47,18 @@ FAULT_GRID = {
 SEEDS = (0, 1)
 
 
-def _suite(lineup_name: str, fault_name: str, duration: float) -> ScenarioSuite:
+def _suite(lineup_name: str, fault_name: str) -> ScenarioSuite:
     return ScenarioSuite(
         name=f"bench-faults/{lineup_name}/{fault_name}",
         lineups={lineup_name: LINEUPS[lineup_name]},
         topologies=(parking_lot(2, bandwidth_mbps=6.0, delay_ms=8.0),),
         faults=(FAULT_GRID[fault_name],),
-        duration=duration,
+        duration=DURATION,
         seeds=SEEDS)
 
 
-def fault_grid_report(duration: float) -> dict:
-    """Run the lineup x fault grid serially; one combo entry each.
+def fault_grid_report() -> dict:
+    """Run the lineup x fault grid serially; ``{combo: entry}``.
 
     Serial execution (``n_workers=1``, cache off) so per-cell wall
     times measure the engine, not pool scheduling -- the overhead
@@ -71,33 +68,26 @@ def fault_grid_report(duration: float) -> dict:
     combos = {}
     for lineup_name in LINEUPS:
         for fault_name in FAULT_GRID:
-            outcome = runner.run(_suite(lineup_name, fault_name, duration))
+            outcome = runner.run(_suite(lineup_name, fault_name))
             events = sum(r.events for r in outcome)
             wall = sum(r.elapsed for r in outcome)
             combos[f"{lineup_name}/{fault_name}"] = {
-                "lineup": lineup_name,
-                "faults": fault_name,
                 "cells": len(outcome),
                 "events": events,
-                "wall_s": round(wall, 4),
                 "events_per_sec": round(events / wall, 1),
                 "utilization": round(
                     outcome.table.mean("utilization"), 4),
                 "loss_rate": round(outcome.table.mean("loss_rate"), 5),
                 "digests": [records_digest(r.records) for r in outcome],
             }
-    return {"duration": duration, "seeds": list(SEEDS), "combos": combos}
+    return combos
 
 
 def bench_faults(benchmark):
-    """Measure the fault grid, write BENCH_faults.json, gate overhead."""
+    """Measure the fault grid, print it, check divergence and overhead."""
     from conftest import print_table, run_once
 
-    duration = float(os.environ.get("FAULT_BENCH_DURATION", "6.0"))
-    tolerance = float(os.environ.get("REPRO_FAULT_OVERHEAD_TOL", "0.5"))
-
-    report = run_once(benchmark, lambda: fault_grid_report(duration))
-    combos = report["combos"]
+    combos = run_once(benchmark, fault_grid_report)
 
     print_table(
         "Fault grid (per lineup x schedule; serial, cache off)",
@@ -106,53 +96,24 @@ def bench_faults(benchmark):
           c["utilization"], c["loss_rate"]]
          for name, c in combos.items()])
 
-    # Divergence: a fault schedule that never perturbs the dynamics is
-    # dead configuration.  Correctness assert -- never skipped.
-    for lineup_name in LINEUPS:
-        clean = combos[f"{lineup_name}/clean"]["digests"]
-        for fault_name in FAULT_GRID:
-            if fault_name == "clean":
-                continue
-            faulted = combos[f"{lineup_name}/{fault_name}"]["digests"]
-            assert faulted != clean, (
-                f"{lineup_name}/{fault_name} produced bit-identical "
-                f"records to the clean run: the schedule never fired")
-
-    # Overhead: fault bookkeeping must not halve the engine (default
-    # tolerance 0.5 = faulted keeps >= 50% of clean events/sec).
-    failures = []
     overhead = {}
     for lineup_name in LINEUPS:
-        clean_evps = combos[f"{lineup_name}/clean"]["events_per_sec"]
+        clean = combos[f"{lineup_name}/clean"]
         for fault_name in FAULT_GRID:
             if fault_name == "clean":
                 continue
-            evps = combos[f"{lineup_name}/{fault_name}"]["events_per_sec"]
-            ratio = evps / clean_evps
-            overhead[f"{lineup_name}/{fault_name}"] = round(ratio, 3)
-            if ratio < 1.0 - tolerance:
-                failures.append(
-                    f"{lineup_name}/{fault_name}: {evps} events/s is "
-                    f"{ratio:.2f}x the clean {clean_evps} events/s "
-                    f"(floor {1.0 - tolerance:.2f}x)")
-    report["overhead_ratio_vs_clean"] = overhead
-    report["overhead_check"] = {
-        "tolerance": tolerance, "failures": failures,
-        "skipped": os.environ.get("REPRO_PERF_SMOKE_SKIP") == "1"}
+            faulted = combos[f"{lineup_name}/{fault_name}"]
+            # Divergence: a fault schedule that never perturbs the
+            # dynamics is dead configuration.
+            assert faulted["digests"] != clean["digests"], (
+                f"{lineup_name}/{fault_name} produced bit-identical "
+                f"records to the clean run: the schedule never fired")
+            overhead[f"{lineup_name}/{fault_name}"] = round(
+                faulted["events_per_sec"] / clean["events_per_sec"], 3)
     print("overhead (faulted events/s / clean events/s):",
           ", ".join(f"{k}={v}" for k, v in overhead.items()))
 
-    out = Path(os.environ.get("BENCH_OUTPUT_DIR", ".")) / "BENCH_faults.json"
-    write_report(report, out)
-    print(f"\nwrote {out}")
-
-    if failures:
-        if os.environ.get("REPRO_PERF_SMOKE_SKIP") == "1":
-            print("FAULT OVERHEAD (gate skipped via REPRO_PERF_SMOKE_SKIP):")
-            for f in failures:
-                print(" ", f)
-        else:
-            raise AssertionError(
-                "fault-injection overhead gate failed (set "
-                "REPRO_PERF_SMOKE_SKIP=1 on known-noisy hosts):\n  "
-                + "\n  ".join(failures))
+    slow = {k: v for k, v in overhead.items() if v < OVERHEAD_FLOOR}
+    assert not slow, (
+        f"fault bookkeeping slowed the engine below {OVERHEAD_FLOOR}x "
+        f"the clean events/s: {slow}")

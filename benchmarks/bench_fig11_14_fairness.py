@@ -154,7 +154,7 @@ def bench_fig14_friendliness_weights(benchmark, runner, mocc_agent):
                 ["variant", "RTT ms", "ratio"],
                 [[name, rtt, r] for (name, rtt), r in ratios.items()])
     # Ratios stay within a moderate band (paper: 0.43-2.04; ours is
-    # wider at short RTTs -- see EXPERIMENTS.md) and the
+    # wider at short RTTs, hence the loose bounds) and the
     # throughput-weighted variant is the more aggressive one on average.
     values = np.array(list(ratios.values()))
     assert np.all(values > 0.05) and np.all(values < 10.0)

@@ -63,8 +63,8 @@ def bench_fig15_friendliness(benchmark, runner, mocc_agent):
     # MOCC-Throughput is the aggressive variant; Balance/Latency are
     # friendlier.  Against queue-filling CUBIC our latency-aware MOCC
     # backs off much like Vegas does (delay-based schemes always lose
-    # to loss-based ones on a shared drop-tail queue) -- the paper's
-    # MOCC is more competitive; see EXPERIMENTS.md.
+    # to loss-based ones on a shared drop-tail queue); the paper's
+    # MOCC is more competitive.
     assert mean_of("MOCC-Throughput") >= mean_of("MOCC-Latency") * 0.9
     for (name, rtt), r in ratios.items():
         assert 0.01 < r < 50.0, (name, rtt, r)

@@ -72,7 +72,7 @@ def bench_fig6_reward_cdf(benchmark, zoo, mocc_agent, aurora_throughput):
     # The learning-based ordering of the paper holds: MOCC > enhanced
     # Aurora > vanilla Aurora, and MOCC beats the classic heuristics.
     # (In this reproduction BBR's hand-tuned model edges out our
-    # small-budget MOCC policies on raw reward -- see EXPERIMENTS.md.)
+    # small-budget MOCC policies on raw reward, so BBR is not asserted.)
     assert means["MOCC"] > means["Aurora"]
     assert means["MOCC"] > means["CUBIC"]
     assert means["MOCC"] > means["Vegas"] - 0.05

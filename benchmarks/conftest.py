@@ -4,8 +4,8 @@ Each benchmark regenerates one of the paper's evaluation artifacts: it
 runs the experiment once (timed via pytest-benchmark), prints the rows
 or series the paper's figure plots, and asserts the headline *shape*
 (who wins, roughly by how much).  Absolute numbers differ from the
-paper -- the substrate is a simulator, not the authors' testbed -- and
-EXPERIMENTS.md records the paper-vs-measured comparison per figure.
+paper -- the substrate is a simulator, not the authors' testbed -- so
+each benchmark states the paper's number beside its own assert.
 
 Trained models come from the seeded zoo cache; the first run trains
 them (a few minutes total), later runs load from disk.

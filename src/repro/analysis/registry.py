@@ -28,12 +28,11 @@ from repro.analysis.rules_engine import (
     SlotsAttrsRule,
     TransmitUnpackRule,
 )
-from repro.analysis.rules_fingerprint import FingerprintCoverageRule
-from repro.analysis.rules_resilience import (
+from repro.analysis.rules_faults import (
     FaultSignatureCoverageRule,
     FaultStreamDeclarationRule,
-    ResilienceRetryRule,
 )
+from repro.analysis.rules_fingerprint import FingerprintCoverageRule
 from repro.analysis.rules_rng import AdhocRngRule
 
 __all__ = ["all_rules", "rules_by_id"]
@@ -65,10 +64,9 @@ _RULE_CLASSES = (
     BatchSharedMutableRule,
     BatchRngRule,
     BatchIsolationRule,
-    # fault injection & resilient sweep runtime
+    # fault injection
     FaultSignatureCoverageRule,
     FaultStreamDeclarationRule,
-    ResilienceRetryRule,
 )
 
 

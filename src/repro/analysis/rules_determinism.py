@@ -14,7 +14,7 @@ cache safe.  These rules flag the classic ways that contract erodes:
 * ``wall-clock`` -- ``time.time()`` / ``datetime.now()`` reads:
   results must depend on the simulation clock, never the host's
   (``time.perf_counter`` is fine -- measuring wall time is how the
-  perf harness works, it just must not shape results);
+  runner reports ``elapsed``, it just must not shape results);
 * ``unsorted-walk`` -- ``os.listdir``/``glob`` results used without
   ``sorted()``: directory order is filesystem-dependent, so anything
   it feeds (cache pruning order, digest input order, suite discovery)

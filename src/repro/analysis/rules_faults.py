@@ -1,9 +1,8 @@
-"""Fault-injection and resilient-runtime rules.
+"""Fault-injection rules.
 
-The fault layer (:mod:`repro.netsim.faults`) and the resilient sweep
-runtime (:mod:`repro.eval.resilience`) each extend the determinism
-contract in a way generic rules cannot see, so three dedicated checks
-guard them:
+The fault layer (:mod:`repro.netsim.faults`) extends the determinism
+contract in a way generic rules cannot see, so two dedicated checks
+guard it:
 
 ``fault-signature-coverage``
     Static: every fault-spec dataclass in ``netsim/faults.py`` must
@@ -21,15 +20,6 @@ guard them:
     from sibling per-link streams by salt and keyed by link position
     -- and the fault streams' salts must not collide with any other
     salted stream.
-
-``resilience-idempotent-retry``
-    Static: :class:`~repro.eval.resilience.ResilientPool` re-runs its
-    task function after crashes and timeouts, which is only sound for
-    idempotent tasks.  Every pool call site's task function must be a
-    module-level function named on the justified
-    ``IDEMPOTENT_TASKS`` allowlist in ``eval/resilience.py``; stale
-    entries (function gone, or no pool uses it) are findings, the same
-    honesty mechanism the env and batch allowlists use.
 """
 
 from __future__ import annotations
@@ -42,17 +32,10 @@ from repro.analysis.core import Finding, ProjectRule, dotted_name
 __all__ = [
     "FaultSignatureCoverageRule",
     "FaultStreamDeclarationRule",
-    "ResilienceRetryRule",
 ]
 
 FAULTS_RELPATH = "netsim/faults.py"
 STREAMS_RELPATH = "netsim/rngstreams.py"
-RESILIENCE_RELPATH = "eval/resilience.py"
-
-TASK_ALLOWLIST_NAME = "IDEMPOTENT_TASKS"
-
-#: Directory names never scanned (mirrors the analyzer's skip set).
-_SKIP_DIRS = ("__pycache__", "_cache")
 
 
 def _parse_tree(root: Path, relpath: str) -> ast.Module | None:
@@ -61,19 +44,6 @@ def _parse_tree(root: Path, relpath: str) -> ast.Module | None:
         return ast.parse(path.read_text(encoding="utf-8"))
     except (OSError, SyntaxError, ValueError):
         return None  # missing/broken files are the parse-error rule's job
-
-
-def _iter_sources(root: Path):
-    """``(relpath, tree)`` for every parseable module under ``root``."""
-    root = Path(root)
-    for path in sorted(root.rglob("*.py")):
-        if any(part in _SKIP_DIRS for part in path.parts):
-            continue
-        relpath = path.relative_to(root).as_posix()
-        try:
-            yield relpath, ast.parse(path.read_text(encoding="utf-8"))
-        except (OSError, SyntaxError, ValueError):
-            continue
 
 
 # --- fault-signature-coverage ------------------------------------------------
@@ -231,166 +201,4 @@ class FaultStreamDeclarationRule(ProjectRule):
                         f"fault stream {name!r} shares salt "
                         f"{info['salt']:#x} with stream {other!r}; salted "
                         f"streams must have pairwise distinct salts"))
-        return findings
-
-
-# --- resilience-idempotent-retry ----------------------------------------------
-
-def _parse_task_allowlist(tree: ast.Module, rule_id: str):
-    """``(names, findings, lineno)`` from the IDEMPOTENT_TASKS literal."""
-    findings: list[Finding] = []
-    for node in tree.body:
-        if isinstance(node, ast.AnnAssign) and \
-                isinstance(node.target, ast.Name) and \
-                node.target.id == TASK_ALLOWLIST_NAME:
-            value = node.value
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == TASK_ALLOWLIST_NAME
-                for t in node.targets):
-            value = node.value
-        else:
-            continue
-        names: list[str] = []
-        if not isinstance(value, ast.Tuple):
-            findings.append(Finding(
-                RESILIENCE_RELPATH, node.lineno, node.col_offset, rule_id,
-                f"{TASK_ALLOWLIST_NAME} must be a literal tuple of "
-                f"(dotted_function_name, justification) pairs"))
-            return names, findings, node.lineno
-        for elt in value.elts:
-            if (isinstance(elt, ast.Tuple) and len(elt.elts) == 2
-                    and all(isinstance(e, ast.Constant)
-                            and isinstance(e.value, str)
-                            for e in elt.elts)):
-                name, why = (e.value for e in elt.elts)
-                if not why.strip():
-                    findings.append(Finding(
-                        RESILIENCE_RELPATH, elt.lineno, elt.col_offset,
-                        rule_id,
-                        f"{TASK_ALLOWLIST_NAME} entry {name!r} has an "
-                        f"empty justification"))
-                names.append(name)
-            else:
-                findings.append(Finding(
-                    RESILIENCE_RELPATH, elt.lineno, elt.col_offset, rule_id,
-                    f"{TASK_ALLOWLIST_NAME} entries must be literal "
-                    f"(dotted_function_name, justification) string pairs"))
-        return names, findings, node.lineno
-    return None, findings, 1
-
-
-def _module_of(relpath: str) -> str:
-    """Dotted module of a root-relative path (root == the repro pkg)."""
-    parts = relpath[:-3].split("/")
-    if parts and parts[-1] == "__init__":
-        parts = parts[:-1]
-    return ".".join(["repro"] + parts)
-
-
-def _entry_defined(root: Path, entry: str) -> bool:
-    """Does allowlist entry ``entry`` name a real module-level function?"""
-    if not entry.startswith("repro."):
-        return False
-    parts = entry.split(".")
-    module_parts, func = parts[1:-1], parts[-1]
-    if not module_parts:
-        return False
-    tree = _parse_tree(root, "/".join(module_parts) + ".py")
-    if tree is None:
-        return False
-    return any(isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-               and node.name == func for node in tree.body)
-
-
-class ResilienceRetryRule(ProjectRule):
-    id = "resilience-idempotent-retry"
-    description = ("ResilientPool task functions must be module-level "
-                   "functions on the justified IDEMPOTENT_TASKS allowlist "
-                   "(retries re-run them)")
-    family = "resilience"
-    anchors = (RESILIENCE_RELPATH, "eval/")
-
-    def _task_arg(self, call: ast.Call) -> ast.AST | None:
-        for kw in call.keywords:
-            if kw.arg == "fn":
-                return kw.value
-        if len(call.args) >= 2:
-            return call.args[1]
-        return None
-
-    def check_project(self, root: Path) -> list:
-        root = Path(root)
-        resilience_tree = _parse_tree(root, RESILIENCE_RELPATH)
-        allow: list[str] | None = None
-        findings: list[Finding] = []
-        allow_line = 1
-        if resilience_tree is not None:
-            allow, findings, allow_line = _parse_task_allowlist(
-                resilience_tree, self.id)
-
-        used: set[str] = set()
-        sites = 0
-        for relpath, tree in _iter_sources(root):
-            if relpath == RESILIENCE_RELPATH:
-                continue  # the pool's own definition is not a call site
-            module = _module_of(relpath)
-            for node in ast.walk(tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = dotted_name(node.func)
-                if func is None or \
-                        func.rsplit(".", 1)[-1] != "ResilientPool":
-                    continue
-                sites += 1
-                arg = self._task_arg(node)
-                if arg is None:
-                    continue  # no task argument: a TypeError at runtime
-                if isinstance(arg, ast.Name):
-                    full = f"{module}.{arg.id}"
-                    if allow is not None and full in allow:
-                        used.add(full)
-                        continue
-                    findings.append(Finding(
-                        relpath, arg.lineno, arg.col_offset, self.id,
-                        f"ResilientPool task {full!r} is not on "
-                        f"{TASK_ALLOWLIST_NAME}; retries re-run the task, "
-                        f"so list it with an idempotency justification"))
-                elif (full := dotted_name(arg)) is not None:
-                    last = full.rsplit(".", 1)[-1]
-                    match = next((entry for entry in (allow or ())
-                                  if entry.rsplit(".", 1)[-1] == last), None)
-                    if match is not None:
-                        used.add(match)
-                        continue
-                    findings.append(Finding(
-                        relpath, arg.lineno, arg.col_offset, self.id,
-                        f"ResilientPool task {full!r} matches no "
-                        f"{TASK_ALLOWLIST_NAME} entry"))
-                else:
-                    findings.append(Finding(
-                        relpath, arg.lineno, arg.col_offset, self.id,
-                        f"ResilientPool task must be a module-level "
-                        f"function named on {TASK_ALLOWLIST_NAME}, not an "
-                        f"inline expression (workers re-import it by "
-                        f"reference and retries re-run it)"))
-
-        if sites and allow is None:
-            findings.append(Finding(
-                RESILIENCE_RELPATH, 1, 0, self.id,
-                f"ResilientPool is used but no module-level "
-                f"{TASK_ALLOWLIST_NAME} is declared in "
-                f"{RESILIENCE_RELPATH}; declare the allowlist so retry "
-                f"safety stays auditable"))
-        for entry in allow or ():
-            if not _entry_defined(root, entry):
-                findings.append(Finding(
-                    RESILIENCE_RELPATH, allow_line, 0, self.id,
-                    f"stale {TASK_ALLOWLIST_NAME} entry {entry!r}: no "
-                    f"module-level function by that dotted name exists; "
-                    f"remove or fix the entry"))
-            elif sites and entry not in used:
-                findings.append(Finding(
-                    RESILIENCE_RELPATH, allow_line, 0, self.id,
-                    f"stale {TASK_ALLOWLIST_NAME} entry {entry!r}: no "
-                    f"ResilientPool call site uses it; remove the entry"))
         return findings

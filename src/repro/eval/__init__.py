@@ -8,10 +8,9 @@ Every table/figure in the paper's §6 is regenerated from these pieces:
   fairness index, friendliness ratio, reward statistics.
 * :mod:`repro.eval.scenarios` -- declarative scenarios and suite grids.
 * :mod:`repro.eval.parallel` -- sharded suite execution + result cache.
-* :mod:`repro.eval.sweeps` -- the Fig. 5 parameter sweeps and the
-  multi-bottleneck + churn grids beyond the paper's evaluation.
-* :mod:`repro.eval.perf` -- engine-speed profiling: events/sec and
-  cells/sec on the standard shapes (the BENCH_engine harness).
+* :mod:`repro.eval.sweeps` -- the Fig. 5 parameter sweeps, the
+  multi-bottleneck + churn grids beyond the paper's evaluation, and
+  the model-free engine-shape and batched-grid scenario builders.
 * :mod:`repro.eval.gaussian` -- 1-sigma ellipses for Fig. 1(b).
 * :mod:`repro.eval.cdf` -- empirical CDFs (Figs. 6, 12, 16, 18).
 * :mod:`repro.eval.overhead` -- control-loop CPU cost (Fig. 17).

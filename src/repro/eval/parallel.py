@@ -235,7 +235,7 @@ class ScenarioResult:
     elapsed: float = 0.0
     #: Heap events the simulation dispatched (0 for cache-served
     #: results -- no simulation ran).  Feeds the suite-level
-    #: events/sec engine-speed metric (see :mod:`repro.eval.perf`).
+    #: :attr:`SuiteResult.events_per_sec`.
     events: int = 0
     #: Failure detail when the cell failed inside a budgeted run
     #: (``ParallelRunner(max_failures=...)``); ``None`` for healthy

@@ -31,10 +31,11 @@ the determinism contract:
   the chaos tests and the CI chaos smoke job use to kill a worker at a
   chosen cell (fork inheritance carries the hook into workers).
 
-Retry safety is machine-checked: :data:`IDEMPOTENT_TASKS` is the
-justified allowlist of task functions the pool may re-run, and
-replint's ``resilience-idempotent-retry`` rule flags any
-:class:`ResilientPool` call site whose task function is not listed.
+Retry safety is a contract on the pool's task function (see
+:class:`ResilientPool`): the one the runner passes,
+``repro.eval.parallel._execute_batch``, is a pure function of its
+seeded scenarios writing to a fingerprint-keyed store, and the
+killed-and-retried == serial digest tests are its proof.
 
 All timeout arithmetic uses ``time.perf_counter()`` (monotonic,
 wall-clock-rule clean) and never feeds simulation state -- elapsed
@@ -58,25 +59,9 @@ from repro.eval.scenarios import SCENARIO_CACHE_VERSION
 from repro.netsim.network import FlowRecord
 from repro.netsim.sender import MonitorIntervalStats
 
-__all__ = ["IDEMPOTENT_TASKS", "ResilientPool", "RetryPolicy",
-           "SweepCheckpoint", "record_from_json", "record_to_json",
-           "records_digest", "seal", "set_chaos_hook", "unseal"]
-
-#: Justified idempotent-task allowlist: the only functions a
-#: :class:`ResilientPool` may be constructed around (and therefore
-#: transparently re-run after a crash or timeout).  Each entry is
-#: ``(dotted_function_name, justification)``.  The replint
-#: ``resilience-idempotent-retry`` rule parses this tuple straight
-#: from the AST and flags pool call sites whose task function is not
-#: listed, plus stale entries naming functions that no longer exist.
-IDEMPOTENT_TASKS: tuple[tuple[str, str], ...] = (
-    ("repro.eval.parallel._execute_batch",
-     "every batch cell is a pure function of its seeded scenario: "
-     "re-running after a crash or timeout reproduces bit-identical "
-     "records (the golden-trace gate pins this), and results land in "
-     "a fingerprint-keyed store, so a duplicate completion is a "
-     "harmless overwrite"),
-)
+__all__ = ["ResilientPool", "RetryPolicy", "SweepCheckpoint",
+           "record_from_json", "record_to_json", "records_digest", "seal",
+           "set_chaos_hook", "unseal"]
 
 # --- record (de)serialization ------------------------------------------------
 # Shared by the result cache, the checkpoint journal, and the digest
@@ -269,9 +254,10 @@ class ResilientPool:
     retried).  Tasks whose retry budget is exhausted come back as
     error results; the pool itself never raises for a task.
 
-    ``fn`` must be a module-level function named in
-    :data:`IDEMPOTENT_TASKS` -- re-running it must be observationally
-    equivalent to running it once (replint enforces the allowlist).
+    ``fn`` must be a module-level function (workers import it by
+    reference) and idempotent: the pool re-runs it after a crash or a
+    timeout, so running it twice must be observationally equivalent to
+    running it once.
     """
 
     #: Parent poll granularity, seconds: the latency ceiling on

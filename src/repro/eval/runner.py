@@ -130,10 +130,9 @@ def build_competition(controllers, network: EvalNetwork, duration: float = 60.0,
     """Wire several controllers sharing the bottleneck into a Simulation.
 
     The construction half of :func:`run_competition`, split out so
-    callers that need the live :class:`Simulation` -- engine-speed
-    profiling (:mod:`repro.eval.perf`), incremental ``run(until=...)``
-    drivers -- reuse the exact seeding and sizing of the standard
-    evaluation path.
+    callers that need the live :class:`Simulation` -- incremental
+    ``run(until=...)`` drivers -- reuse the exact seeding and sizing of
+    the standard evaluation path.
     """
     n = len(controllers)
     start_times = start_times or [0.0] * n

@@ -560,9 +560,10 @@ def build_scenario_simulation(scenario: Scenario,
 
     The construction half of :func:`run_scenario`: same agent
     resolution, controller sizing, link/topology seeding.  Exposed so
-    engine-speed profiling (:mod:`repro.eval.perf`) can time ``run_all``
-    and read ``Simulation.events_processed`` on exactly the simulations
-    the evaluation pipeline would run.
+    callers that need the live simulation (the batch runner, the perf
+    ledger, stepping tests) can drive ``run_all`` / ``state`` and read
+    ``Simulation.events_processed`` on exactly the simulations the
+    evaluation pipeline would run.
 
     ``trace_cache`` is the batched-execution hook: cells built with a
     shared cache dict reuse (frozen, read-only) named-trace instances

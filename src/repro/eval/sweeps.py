@@ -17,6 +17,13 @@ Beyond the paper's single-bottleneck grids, :func:`multihop_churn_suite`
 declares parking-lot (multi-bottleneck) contention with churning cross
 traffic over the ``topologies``/``churns`` axes -- the workload family
 the paper's evaluation omits.
+
+Two model-free builders serve the engine and batching tests and the CI
+batched smoke: :func:`perf_scenarios` (one of :data:`PERF_SHAPES` --
+single bottleneck, 2-hop parking lot, queued ack path -- run by the
+heuristic :data:`PERF_SCHEMES`) and :func:`batched_grid_scenarios` (a
+short ``wifi-walk`` grid whose per-cell set-up is comparable to its
+run time, the regime batched dispatch exists for).
 """
 
 from __future__ import annotations
@@ -27,12 +34,19 @@ import numpy as np
 
 from repro.eval.parallel import ParallelRunner
 from repro.eval.runner import EvalNetwork
-from repro.eval.scenarios import ChurnSchedule, FlowDef, ScenarioSuite
+from repro.eval.scenarios import (
+    ChurnSchedule,
+    FlowDef,
+    Scenario,
+    ScenarioSuite,
+)
 from repro.netsim.topology import dumbbell_asymmetric, parking_lot
 
 __all__ = ["SweepResult", "sweep_suite", "sweep_schemes",
            "multihop_churn_suite", "multihop_bench_suites",
            "ack_congestion_suite",
+           "PERF_SCHEMES", "PERF_SHAPES", "perf_scenarios",
+           "batched_grid_scenarios",
            "FIG5_BANDWIDTHS", "FIG5_LATENCIES", "FIG5_LOSSES", "FIG5_BUFFERS",
            "FIG5_BENCH_SCHEMES", "FIG5_BENCH_SWEEPS", "FIG5_BENCH_BASE",
            "FIG5_BENCH_DURATION", "FIG5_BENCH_SEED",
@@ -96,6 +110,18 @@ ACK_BENCH_CHURNS = (
 )
 ACK_BENCH_DURATION = 14.0
 ACK_BENCH_SEED = 4
+
+#: Heuristic schemes the perf shapes run (no trained models: they must
+#: be cold-start cheap and CI-friendly).
+PERF_SCHEMES = ("cubic", "bbr", "copa", "vivace")
+#: The three engine shapes: every scheme on one link; each scheme
+#: across two shared hops against per-hop CUBIC cross traffic; each
+#: scheme downloading against a CUBIC upload queued on its ack path.
+PERF_SHAPES = ("single-bottleneck", "parking-lot", "ack-congestion")
+
+_PERF_BANDWIDTH_MBPS = 16.0
+_PERF_DELAY_MS = 8.0
+
 
 @dataclass
 class SweepResult:
@@ -297,3 +323,55 @@ def multihop_bench_suites(schemes=MULTIHOP_BENCH_SCHEMES,
     return [multihop_churn_suite(schemes, hops=h, churns=churns,
                                  controller_kwargs=controller_kwargs)
             for h in hops]
+
+
+def perf_scenarios(shape: str, duration: float = 10.0, seed: int = 0,
+                   schemes=PERF_SCHEMES) -> list[Scenario]:
+    """The concrete scenarios one of :data:`PERF_SHAPES` runs."""
+    schemes = tuple(schemes)
+    net = EvalNetwork(bandwidth_mbps=_PERF_BANDWIDTH_MBPS,
+                      one_way_ms=_PERF_DELAY_MS)
+    if shape == "single-bottleneck":
+        return [Scenario(name=f"perf/single/{'+'.join(schemes)}", network=net,
+                         flows=schemes, duration=duration, seed=seed,
+                         suite="perf")]
+    if shape == "parking-lot":
+        topo = parking_lot(2, bandwidth_mbps=_PERF_BANDWIDTH_MBPS,
+                           delay_ms=_PERF_DELAY_MS)
+        return [Scenario(
+            name=f"perf/lot/{scheme}", network=net,
+            flows=(FlowDef(scheme, path="through", label=f"{scheme}-through"),
+                   FlowDef("cubic", path="cross0", label="cross0"),
+                   FlowDef("cubic", path="cross1", label="cross1")),
+            topology=topo, duration=duration, seed=seed, suite="perf")
+            for scheme in schemes]
+    if shape == "ack-congestion":
+        topo = dumbbell_asymmetric(
+            bandwidth_mbps=_PERF_BANDWIDTH_MBPS, delay_ms=_PERF_DELAY_MS,
+            reverse_bandwidth_mbps=_PERF_BANDWIDTH_MBPS / 10.0)
+        return [Scenario(
+            name=f"perf/ack/{scheme}", network=net,
+            flows=(FlowDef(scheme, path="through", label=f"{scheme}-dl"),
+                   FlowDef("cubic", path="reverse", label="ul0")),
+            topology=topo, duration=duration, seed=seed, suite="perf")
+            for scheme in schemes]
+    raise ValueError(f"unknown perf shape {shape!r}; known: {PERF_SHAPES}")
+
+
+def batched_grid_scenarios(cells: int = 16, duration: float = 0.25,
+                           schemes=PERF_SCHEMES,
+                           trace: str = "wifi-walk") -> list[Scenario]:
+    """A short-duration grid: ``cells`` cells, seeds x ``schemes``.
+
+    ``wifi-walk`` is the most construction-heavy registered trace,
+    which is what the shared per-batch trace cache amortizes.
+    """
+    schemes = tuple(schemes)
+    if cells % len(schemes):
+        raise ValueError(f"cells ({cells}) must be a multiple of the "
+                         f"scheme count ({len(schemes)})")
+    suite = ScenarioSuite(name="perf-batched", lineups=list(schemes),
+                          traces=(trace,),
+                          seeds=tuple(range(cells // len(schemes))),
+                          duration=duration)
+    return suite.expand()

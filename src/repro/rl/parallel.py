@@ -9,7 +9,8 @@ ways:
   Python-level NN overhead even on one core;
 * :class:`ProcessCollector` farms rollout collection out to OS
   processes (the host has few cores, so the measured speedup is
-  bounded accordingly -- see EXPERIMENTS.md for Fig. 19).
+  bounded accordingly: ``benchmarks/bench_fig16_19_deepdive.py``
+  asserts only that two processes take < 1.5x the serial time).
 
 All collectors share one call signature::
 

@@ -38,16 +38,15 @@ from repro.analysis.rules_dataflow import (ENV_ALLOWLIST, EnvTaintRule,
                                            RngStreamOwnershipRule,
                                            SignaturePurityRule)
 from repro.analysis.rules_engine import check_engine_source
+from repro.analysis.rules_faults import (
+    FaultSignatureCoverageRule,
+    FaultStreamDeclarationRule,
+)
 from repro.analysis.rules_fingerprint import (
     CoverageSpec,
     check_coverage,
     consumed_attrs,
     default_specs,
-)
-from repro.analysis.rules_resilience import (
-    FaultSignatureCoverageRule,
-    FaultStreamDeclarationRule,
-    ResilienceRetryRule,
 )
 from repro.eval import scenarios
 
@@ -715,7 +714,7 @@ class TestFixturesStayBad:
 
 
 class TestFaultResilienceRules:
-    """The fault-injection / resilient-runtime rule family."""
+    """The fault-injection rule family."""
 
     def test_fault_signature_coverage_fires(self):
         findings = FaultSignatureCoverageRule().check_project(
@@ -736,32 +735,7 @@ class TestFaultResilienceRules:
         assert "'link.fault-flap' must derive 'salted-indexed'" in messages
         assert "shares salt 0x464c4150 with stream 'link.loss'" in messages
 
-    def test_retry_rule_fires_on_unlisted_stale_and_inline(self):
-        findings = ResilienceRetryRule().check_project(
-            FIXTURES / "proj_resilience_bad")
-        messages = " | ".join(f.message for f in findings)
-        assert "'repro.eval.sweep._unlisted_task' is not on " \
-               "IDEMPOTENT_TASKS" in messages
-        assert "must be a module-level function named on " \
-               "IDEMPOTENT_TASKS, not an inline expression" in messages
-        assert "stale IDEMPOTENT_TASKS entry " \
-               "'repro.eval.vanished._run_cell'" in messages
-        assert "'repro.eval.sweep._noop_task' has an empty justification" \
-            in messages
-        # the listed, used, existing entry itself raises nothing extra
-        assert "'repro.eval.sweep._noop_task' is not on" not in messages
-
-    def test_missing_allowlist_with_call_sites_is_a_finding(self, tmp_path):
-        (tmp_path / "eval").mkdir(parents=True)
-        (tmp_path / "eval" / "runner.py").write_text(
-            "def task(arg):\n    return arg\n\n"
-            "pool = ResilientPool(2, task)\n")
-        messages = " | ".join(
-            f.message
-            for f in ResilienceRetryRule().check_project(tmp_path))
-        assert "no module-level IDEMPOTENT_TASKS is declared" in messages
-
     def test_family_is_clean_on_the_live_tree(self):
         for rule in (FaultSignatureCoverageRule(),
-                     FaultStreamDeclarationRule(), ResilienceRetryRule()):
+                     FaultStreamDeclarationRule()):
             assert rule.check_project(SRC_ROOT) == [], rule.id

@@ -25,7 +25,6 @@ from repro.eval.batch import (
     warm_agent_refs,
 )
 from repro.eval.parallel import ParallelRunner, ScenarioError
-from repro.eval.perf import PERF_SHAPES, batched_grid_scenarios, perf_scenarios
 from repro.eval.resilience import records_digest
 from repro.eval.scenarios import (
     ChurnSchedule,
@@ -35,6 +34,7 @@ from repro.eval.scenarios import (
     build_scenario_simulation,
 )
 from repro.eval.runner import EvalNetwork
+from repro.eval.sweeps import PERF_SHAPES, batched_grid_scenarios, perf_scenarios
 from repro.netsim.faults import GilbertElliottLoss, LinkFlapSchedule
 from repro.netsim.network import SimState
 from repro.netsim.topology import dumbbell, dumbbell_asymmetric, parking_lot
@@ -203,6 +203,21 @@ class TestSimStateStepping:
         sim.run(0.5)
         assert sim.now == 0.5
         assert not sim.state.done
+
+
+class TestPerfShapes:
+    def test_unknown_shape_rejected(self):
+        with pytest.raises(ValueError, match="perf shape"):
+            perf_scenarios("moebius-strip")
+
+    def test_shapes_build_and_run(self):
+        for shape in PERF_SHAPES:
+            scenarios = perf_scenarios(shape, duration=0.5,
+                                       schemes=("cubic",))
+            sims = [build_scenario_simulation(s) for s in scenarios]
+            for sim in sims:
+                sim.run_all()
+                assert sim.events_processed > 0
 
 
 class TestBatchRunner:

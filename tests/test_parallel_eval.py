@@ -101,6 +101,19 @@ class TestParallelRunner:
         assert cache.clear() == 0
 
 
+class TestSuiteEventsPerSec:
+    def test_runner_surfaces_engine_speed(self, tmp_path):
+        suite = ScenarioSuite(name="eps", lineups=("cubic",), duration=1.0)
+        runner = ParallelRunner(n_workers=1, cache_dir=tmp_path)
+        first = runner.run(suite)
+        assert first.total_events > 0
+        assert first.events_per_sec > 0
+        # A cache-served re-run simulated nothing.
+        second = runner.run(suite)
+        assert second.total_events == 0
+        assert second.events_per_sec is None
+
+
 class TestSweepFingerprinting:
     def test_named_trace_built_once_per_name_per_run(self, tmp_path):
         """A noise-free count of the parent's fingerprinting work: one

@@ -29,7 +29,6 @@ import pytest
 
 from repro.eval.parallel import ParallelRunner, ResultCache, ScenarioError
 from repro.eval.resilience import (
-    IDEMPOTENT_TASKS,
     MI_FIELDS,
     RECORD_FIELDS,
     ResilientPool,
@@ -154,13 +153,6 @@ class TestRetryPolicy:
         rng = np.random.default_rng(0)
         assert [policy.delay(k, rng) for k in (1, 2, 3)] == [
             0.25, 0.75, 2.25]
-
-    def test_allowlist_entries_are_justified(self):
-        # The live mirror of replint's resilience-idempotent-retry rule.
-        assert IDEMPOTENT_TASKS
-        for entry, justification in IDEMPOTENT_TASKS:
-            assert entry.startswith("repro.")
-            assert justification.strip()
 
 
 class TestResilientPool:
