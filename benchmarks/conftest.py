@@ -11,8 +11,6 @@ Trained models come from the seeded zoo cache; the first run trains
 them (a few minutes total), later runs load from disk.
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -31,15 +29,13 @@ def zoo():
 
 @pytest.fixture(scope="session")
 def runner():
-    """Shared scenario runner: sharded across cores, results memoized.
+    """Shared scenario runner: sharded across cores (one worker per
+    core, capped at 8), results memoized.
 
-    ``REPRO_EVAL_WORKERS`` pins the worker count (0 = auto: one per
-    core, capped at 8); ``REPRO_RESULT_CACHE`` relocates the on-disk
-    result cache.  A benchmark re-run with an unchanged suite is
-    served from the cache.
+    ``REPRO_RESULT_CACHE`` relocates the on-disk result cache.  A
+    benchmark re-run with an unchanged suite is served from the cache.
     """
-    workers = int(os.environ.get("REPRO_EVAL_WORKERS", "0")) or None
-    return ParallelRunner(n_workers=workers)
+    return ParallelRunner()
 
 
 @pytest.fixture(scope="session")

@@ -1,9 +1,8 @@
 #!/usr/bin/env python
 """Convenience entry point for replint (works without installing repro).
 
-Same CLI as ``python -m repro.analysis``; typical pre-commit use::
-
-    python scripts/replint.py --changed-only
+Same CLI as ``python -m repro.analysis``; the pre-commit hook runs it
+with no arguments (a full scan).
 """
 import sys
 from pathlib import Path

@@ -1,70 +1,20 @@
 """Command line for replint (``python -m repro.analysis``).
 
-Exit codes: 0 clean, 1 non-baselined findings, 2 usage error.
+Exit codes: 0 clean, 1 findings, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import fnmatch
-import subprocess
 import sys
 from pathlib import Path
 
-from repro.analysis.core import Analyzer, Baseline, default_root
+from repro.analysis.core import Analyzer, default_root
 from repro.analysis.registry import all_rules
 from repro.analysis.report import render_json, render_sarif, render_text
 
 __all__ = ["main"]
-
-BASELINE_NAME = ".replint-baseline.json"
-
-
-def _find_baseline(root: Path) -> Path | None:
-    """Nearest checked-in baseline: package root, src/, or repo root."""
-    for candidate in (root, root.parent, root.parent.parent):
-        path = candidate / BASELINE_NAME
-        if path.exists():
-            return path
-    return None
-
-
-def _changed_files(root: Path) -> list[Path] | None:
-    """Analyzable ``*.py`` files touched vs HEAD (worktree + index +
-    untracked).
-
-    Untracked files matter: a freshly added module is invisible to
-    ``git diff HEAD`` until staged, which would let ``--changed-only``
-    skip exactly the file most likely to carry new findings.
-
-    Returns ``None`` when git is unavailable -- the caller falls back
-    to a full scan rather than silently analyzing nothing.
-    """
-    repo = root.parent.parent  # <repo>/src/repro -> <repo>
-    names: set[str] = set()
-    commands = (
-        ["git", "diff", "--name-only", "HEAD"],
-        ["git", "diff", "--name-only", "--cached", "HEAD"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    )
-    for command in commands:
-        proc = subprocess.run(command, cwd=repo, capture_output=True,
-                              text=True)
-        if proc.returncode != 0:
-            return None
-        names.update(line.strip() for line in proc.stdout.splitlines()
-                     if line.strip())
-    files = []
-    for name in sorted(names):
-        path = (repo / name).resolve()
-        if path.suffix == ".py" and path.exists():
-            try:
-                path.relative_to(root)
-            except ValueError:
-                continue
-            files.append(path)
-    return files
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -79,17 +29,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(default: the installed repro package)")
     parser.add_argument("--format", choices=("text", "json", "sarif"),
                         default="text")
-    parser.add_argument("--baseline", default=None,
-                        help=f"baseline file (default: nearest "
-                             f"{BASELINE_NAME})")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="report every finding, ignoring any baseline")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="accept current findings into the baseline "
-                             "file and exit 0")
-    parser.add_argument("--changed-only", action="store_true",
-                        help="analyze only files changed vs HEAD "
-                             "(git diff --name-only)")
     parser.add_argument("--select", default=None,
                         help="comma-separated rule ids or glob patterns "
                              "(e.g. rng-*, batch-*) to run exclusively")
@@ -164,10 +103,6 @@ def main(argv=None) -> int:
     analyzer = Analyzer(root=root, rules=rules)
 
     files = None
-    if args.paths and args.changed_only:
-        print("replint: give explicit paths or --changed-only, not both",
-              file=sys.stderr)
-        return 2
     if args.paths:
         files = [Path(p).resolve() for p in args.paths]
         missing = [p for p in files if not p.exists()]
@@ -175,26 +110,9 @@ def main(argv=None) -> int:
             print(f"replint: no such file: "
                   f"{', '.join(str(p) for p in missing)}", file=sys.stderr)
             return 2
-    elif args.changed_only:
-        files = _changed_files(root)
-        if files is not None and not files:
-            print("no changed files to analyze")
-            return 0
 
     findings = analyzer.analyze(files)
     n_files = len(files) if files is not None else len(analyzer.iter_files())
-
-    baseline_path = Path(args.baseline) if args.baseline \
-        else _find_baseline(root)
-    if args.write_baseline:
-        target = baseline_path or root.parent.parent / BASELINE_NAME
-        Baseline.write(target, findings)
-        print(f"wrote {len(findings)} finding(s) to {target}")
-        return 0
-
-    n_baselined = 0
-    if baseline_path is not None and not args.no_baseline:
-        findings, n_baselined = Baseline.load(baseline_path).split(findings)
 
     if args.format == "sarif":
         # Rebase finding paths (package-relative) onto repo-relative
@@ -206,5 +124,5 @@ def main(argv=None) -> int:
         sys.stdout.write(render_sarif(findings, rules, uri_prefix))
     else:
         render = render_json if args.format == "json" else render_text
-        sys.stdout.write(render(findings, n_baselined, n_files))
+        sys.stdout.write(render(findings, n_files))
     return 1 if findings else 0

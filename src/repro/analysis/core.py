@@ -1,4 +1,4 @@
-"""The replint framework: findings, rules, suppressions, baseline, driver.
+"""The replint framework: findings, rules, suppressions, driver.
 
 Two rule shapes cover everything the analyzer checks:
 
@@ -6,31 +6,26 @@ Two rule shapes cover everything the analyzer checks:
   source for suppression comments).  These are pure syntax: no imports
   of the analyzed code, so they run on any file, including the
   known-bad fixtures under ``tests/fixtures/replint/``.
-* :class:`ProjectRule` -- a whole-project check that may *introspect*
-  live objects (dataclass fields, ``__slots__``, handler tables).
-  Each declares ``anchors`` -- the source files whose change makes it
-  worth re-running -- so ``--changed-only`` stays fast without
-  silently skipping cross-file invariants.
+* :class:`ProjectRule` -- a check that reads several files of the
+  tree at once (a registry against its users); it runs on whole-tree
+  scans only.
 
 Findings are suppressed inline with ``# replint: disable=RULE`` on the
 flagged line (``disable=all`` silences every rule there;
-``disable-file=RULE`` anywhere in a file silences the whole file), or
-collectively through a checked-in JSON baseline keyed by
-``(rule, path, message)`` -- line numbers drift too easily to key on.
-The repository ships an *empty* baseline on purpose: every real
-finding the rules surface is fixed or suppressed with a justification
-comment, and CI fails on anything new.
+``disable-file=RULE`` anywhere in a file silences the whole file).
+There is no accepted-findings list: every real finding the rules
+surface is fixed or suppressed with a justification comment, and CI
+fails on anything new.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-__all__ = ["Analyzer", "AstRule", "Baseline", "Finding", "ProjectRule",
+__all__ = ["Analyzer", "AstRule", "Finding", "ProjectRule",
            "Rule", "dotted_name", "parse_suppressions"]
 
 
@@ -44,10 +39,6 @@ class Finding:
     rule: str
     message: str
 
-    def key(self) -> tuple:
-        """Baseline identity: line numbers drift, messages rarely do."""
-        return (self.rule, self.path, self.message)
-
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"
 
@@ -58,7 +49,7 @@ class Finding:
 class Rule:
     """Base class: an identified, documented, package-scoped check."""
 
-    #: Stable identifier used in reports, suppressions, and baselines.
+    #: Stable identifier used in reports and suppressions.
     id: str = ""
     #: One-line description shown by ``--list-rules``.
     description: str = ""
@@ -83,25 +74,10 @@ class AstRule(Rule):
 
 
 class ProjectRule(Rule):
-    """A whole-project check (may import and introspect live objects)."""
-
-    #: Files (relative to the root) whose change triggers this rule in
-    #: ``--changed-only`` mode.  An entry ending in ``/`` is a prefix:
-    #: any changed file under that directory triggers the rule.
-    anchors: tuple = ()
+    """A check over several files at once; whole-tree scans only."""
 
     def check_project(self, root: Path) -> list:
         raise NotImplementedError
-
-    def anchored_by(self, relpaths) -> bool:
-        """Is any of ``relpaths`` an anchor hit for this rule?"""
-        for anchor in self.anchors:
-            if anchor.endswith("/"):
-                if any(r.startswith(anchor) for r in relpaths):
-                    return True
-            elif anchor in relpaths:
-                return True
-        return False
 
 
 def dotted_name(node: ast.AST) -> str | None:
@@ -152,45 +128,6 @@ def _is_suppressed(finding: Finding, per_line: dict, file_wide: set) -> bool:
     return bool(ids & {finding.rule, "all", "*"})
 
 
-# --- baseline ----------------------------------------------------------------
-
-class Baseline:
-    """Checked-in set of accepted findings (``.replint-baseline.json``).
-
-    Keys are ``(rule, path, message)`` so entries survive unrelated
-    edits shifting line numbers.  An empty baseline -- the state this
-    repository maintains -- means every finding fails CI.
-    """
-
-    def __init__(self, keys=()):
-        self.keys = set(keys)
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Baseline":
-        payload = json.loads(Path(path).read_text())
-        keys = {(f["rule"], f["path"], f["message"])
-                for f in payload.get("findings", [])}
-        return cls(keys)
-
-    @staticmethod
-    def write(path: str | Path, findings) -> None:
-        payload = {
-            "version": 1,
-            "findings": [{"rule": f.rule, "path": f.path, "message": f.message}
-                         for f in sorted(findings)],
-        }
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True)
-                              + "\n")
-
-    def split(self, findings) -> tuple[list, int]:
-        """``(new_findings, n_baselined)`` after filtering accepted keys."""
-        kept = [f for f in findings if f.key() not in self.keys]
-        return kept, len(findings) - len(kept)
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-
 # --- driver ------------------------------------------------------------------
 
 def default_root() -> Path:
@@ -207,9 +144,8 @@ class Analyzer:
 
     ``root`` is the package directory findings are reported relative to
     (default: the live ``repro`` package).  ``analyze()`` with no file
-    list scans the whole tree and runs every project rule;  with an
-    explicit file list (the ``--changed-only`` path) project rules run
-    only when one of their anchor files is in the list.
+    list scans the whole tree and runs every rule; with an explicit
+    file list only the per-file rules run.
     """
 
     def __init__(self, root: str | Path | None = None, rules=None):
@@ -235,12 +171,13 @@ class Analyzer:
 
         Suppression comments are honoured for every finding whose path
         resolves to a readable file -- including project-rule findings,
-        whose locations point into the anchor sources.
+        whose locations point into the files they read.
         """
         explicit = files is not None
         paths = [Path(f).resolve() for f in files] if explicit else self.iter_files()
         ast_rules = [r for r in self.rules if isinstance(r, AstRule)]
-        project_rules = [r for r in self.rules if isinstance(r, ProjectRule)]
+        project_rules = [] if explicit else [
+            r for r in self.rules if isinstance(r, ProjectRule)]
 
         findings: list[Finding] = []
         suppressions: dict[str, tuple[dict, set]] = {}
@@ -263,10 +200,7 @@ class Analyzer:
                     if not _is_suppressed(finding, per_line, file_wide):
                         findings.append(finding)
 
-        relpaths = {self.relpath(p) for p in paths}
         for rule in project_rules:
-            if explicit and not rule.anchored_by(relpaths):
-                continue
             for finding in rule.check_project(self.root):
                 per_line, file_wide = self._suppressions_for(
                     finding.path, suppressions)

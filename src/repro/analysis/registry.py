@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-from repro.analysis.rules_batch import (
-    BatchIsolationRule,
-    BatchRngRule,
-    BatchSharedMutableRule,
-)
+from repro.analysis.rules_batch import BatchRngRule, BatchSharedMutableRule
 from repro.analysis.rules_dataflow import (
     EnvTaintRule,
     MutableGlobalStateRule,
@@ -28,11 +24,7 @@ from repro.analysis.rules_engine import (
     SlotsAttrsRule,
     TransmitUnpackRule,
 )
-from repro.analysis.rules_faults import (
-    FaultSignatureCoverageRule,
-    FaultStreamDeclarationRule,
-)
-from repro.analysis.rules_fingerprint import FingerprintCoverageRule
+from repro.analysis.rules_faults import FaultStreamDeclarationRule
 from repro.analysis.rules_rng import AdhocRngRule
 
 __all__ = ["all_rules", "rules_by_id"]
@@ -44,8 +36,6 @@ _RULE_CLASSES = (
     WallClockRule,
     UnsortedWalkRule,
     SetIterationRule,
-    # fingerprint coverage
-    FingerprintCoverageRule,
     # engine invariants
     EventTableRule,
     HeapPushRule,
@@ -53,7 +43,7 @@ _RULE_CLASSES = (
     TransmitUnpackRule,
     # RNG-stream discipline
     AdhocRngRule,
-    # cross-module dataflow (whole-program layer)
+    # dataflow
     RngStreamOwnershipRule,
     RngForeignDrawRule,
     RngSharedDrainRule,
@@ -63,9 +53,7 @@ _RULE_CLASSES = (
     # cross-cell isolation (batched execution)
     BatchSharedMutableRule,
     BatchRngRule,
-    BatchIsolationRule,
     # fault injection
-    FaultSignatureCoverageRule,
     FaultStreamDeclarationRule,
 )
 

@@ -9,8 +9,7 @@ from repro.analysis.core import finding_to_dict
 __all__ = ["render_json", "render_sarif", "render_text"]
 
 
-def render_text(findings, n_baselined: int = 0, n_files: int | None = None
-                ) -> str:
+def render_text(findings, n_files: int | None = None) -> str:
     """Human-readable report: one line per finding plus a summary."""
     lines = [str(f) for f in findings]
     if findings:
@@ -23,21 +22,17 @@ def render_text(findings, n_baselined: int = 0, n_files: int | None = None
         lines.append(f"{len(findings)} finding(s) ({breakdown})")
     else:
         lines.append("no findings")
-    if n_baselined:
-        lines.append(f"{n_baselined} baselined finding(s) suppressed")
     if n_files is not None:
         lines.append(f"{n_files} file(s) analyzed")
     return "\n".join(lines) + "\n"
 
 
-def render_json(findings, n_baselined: int = 0, n_files: int | None = None
-                ) -> str:
+def render_json(findings, n_files: int | None = None) -> str:
     """Machine-readable report (the CI artifact format)."""
     payload = {
         "findings": [finding_to_dict(f) for f in findings],
         "summary": {
             "total": len(findings),
-            "baselined": n_baselined,
             "files": n_files,
         },
     }
@@ -51,8 +46,7 @@ SARIF_VERSION = "2.1.0"
 def render_sarif(findings, rules=(), uri_prefix: str = "") -> str:
     """SARIF 2.1.0 report for GitHub code scanning.
 
-    ``findings`` are post-suppression/post-baseline (the emitter never
-    resurrects accepted findings).  ``rules`` supplies the tool-driver
+    ``findings`` are post-suppression.  ``rules`` supplies the tool-driver
     rule metadata; ``uri_prefix`` rebases finding paths (relative to
     the analyzed package root) onto repository-relative URIs, e.g.
     ``"src/repro"`` so code scanning annotates the right files.

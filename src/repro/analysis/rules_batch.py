@@ -5,16 +5,17 @@ process, which is only sound if the cells behave exactly as if each
 ran alone.  The contract (documented in that module) is: cells share
 *immutable* assets only, every shared binding is declared on a
 justified ``SHARED_IMMUTABLE_ALLOWLIST``, and the batch layer itself
-never mints or drains an RNG stream.  Three rules check the contract
-from independent directions:
+never mints or drains an RNG stream.  Two static rules check the
+declared half of the contract; the live half -- two built cells'
+object graphs share no unlisted mutable object -- is a test beside the
+batch runner's own (``tests/test_batch.py``):
 
 ``batch-shared-mutable``
     Static: any object created *outside* the per-cell build loop and
     handed to a cell build (``build_scenario_simulation`` /
     ``Simulation``) must flow through an allowlisted binding name --
     and every allowlist entry must correspond to such a binding
-    (stale entries are findings, the same honesty mechanism the env
-    allowlist uses).
+    (stale entries are findings).
 
 ``batch-rng-derivation``
     Static: the batch layer must not construct or draw from RNG
@@ -22,34 +23,19 @@ from independent directions:
     scenario seed, through the :mod:`repro.netsim.rngstreams`
     registry -- the contrapositive of "generators handed to a cell
     trace to a cell-indexed stream derivation".
-
-``batch-cell-isolation``
-    Live: build two probe cells of the installed package sharing a
-    named trace, walk both object graphs, and assert that every
-    object reachable from *both* cells' :class:`SimState` instances
-    is immutable (or justified).  A shared ``np.random.Generator`` is
-    called out specially.  The probe only runs against the installed
-    package root; foreign roots (fixture trees) are covered by the
-    static rules, and :func:`check_cell_isolation` is exposed so the
-    tests can aim the walker at hand-built bad cells.
 """
 
 from __future__ import annotations
 
 import ast
-import gc
-import types
 from pathlib import Path
 
-from repro.analysis.core import (AstRule, Finding, ProjectRule, default_root,
-                                 dotted_name)
+from repro.analysis.core import AstRule, Finding, ProjectRule, dotted_name
 
 __all__ = [
     "BatchSharedMutableRule",
     "BatchRngRule",
-    "BatchIsolationRule",
     "check_batch_source",
-    "check_cell_isolation",
 ]
 
 #: The module the batch contract lives in, relative to the package root.
@@ -198,7 +184,6 @@ class BatchSharedMutableRule(ProjectRule):
     description = ("objects shared across batched cells must flow through "
                    "the justified SHARED_IMMUTABLE_ALLOWLIST")
     family = "isolation"
-    anchors = (BATCH_RELPATH,)
 
     def check_project(self, root: Path) -> list:
         path = Path(root) / BATCH_RELPATH
@@ -238,144 +223,3 @@ class BatchRngRule(AstRule):
                     f"layer; interleaving order must never influence any "
                     f"cell's stream state"))
         return findings
-
-
-# --- live: walk two probe cells' object graphs ------------------------------
-
-#: Never traversed (and never reported): code/metadata objects shared
-#: by construction, not by the batch layer.
-_PRUNE_TYPES = (type, types.ModuleType, types.FunctionType,
-                types.BuiltinFunctionType, types.CodeType,
-                types.GetSetDescriptorType, types.MemberDescriptorType,
-                types.MappingProxyType, property, staticmethod, classmethod)
-
-#: Traversed but never reported: immutable values (or pure references
-#: whose targets are themselves walked, like tuples and bound methods).
-_INERT_TYPES = (str, bytes, bool, int, float, complex, type(None),
-                frozenset, range, slice, tuple, types.MethodType)
-
-
-def _reachable(obj) -> dict:
-    """``{id: object}`` for everything reachable from ``obj``."""
-    seen: dict = {}
-    stack = [obj]
-    while stack:
-        cur = stack.pop()
-        if id(cur) in seen or isinstance(cur, _PRUNE_TYPES):
-            continue
-        seen[id(cur)] = cur
-        stack.extend(gc.get_referents(cur))
-    return seen
-
-
-def _default_allowed(obj) -> bool:
-    """The live counterpart of the declared allowlist: frozen traces."""
-    import numpy as np
-
-    from repro.netsim.traces import BandwidthTrace
-    if isinstance(obj, BandwidthTrace):
-        return all(not value.flags.writeable
-                   for value in vars(obj).values()
-                   if isinstance(value, np.ndarray))
-    return False
-
-
-def check_cell_isolation(states, allowed=_default_allowed,
-                         relpath: str = BATCH_RELPATH,
-                         rule_id: str = "batch-cell-isolation") -> list:
-    """Findings for mutable objects reachable from >= 2 of ``states``.
-
-    ``states`` are the cells' :class:`SimState` objects (anything
-    rooting a cell's object graph works).  ``allowed(obj)`` says
-    whether a shared object is justified -- the default accepts only
-    traces whose array payloads are frozen read-only, mirroring the
-    declared allowlist in :mod:`repro.eval.batch`.
-    """
-    import numpy as np
-
-    graphs = [_reachable(state) for state in states]
-    counts: dict = {}
-    for graph in graphs:
-        for obj_id in graph:
-            counts[obj_id] = counts.get(obj_id, 0) + 1
-    shared = [(next(g[obj_id] for g in graphs if obj_id in g), n)
-              for obj_id, n in counts.items() if n >= 2]
-
-    def _is_frozen_dataclass(obj) -> bool:
-        params = getattr(type(obj), "__dataclass_params__", None)
-        return params is not None and params.frozen
-
-    # A justified instance's attribute ``__dict__`` is the same asset,
-    # not an independent sharing channel -- exempt it alongside its
-    # owner (mutating it is already a hard fault for frozen arrays and
-    # is what the probe exists to keep impossible elsewhere).
-    exempt_ids = {id(vars(obj)) for obj, _ in shared
-                  if hasattr(obj, "__dict__")
-                  and (_is_frozen_dataclass(obj) or allowed(obj))}
-
-    messages: set = set()
-    for obj, n in shared:
-        if id(obj) in exempt_ids:
-            continue
-        if isinstance(obj, _INERT_TYPES) or \
-                isinstance(obj, (np.dtype, np.generic)):
-            continue
-        if isinstance(obj, np.ndarray) and not obj.flags.writeable:
-            continue
-        if _is_frozen_dataclass(obj):
-            # The instance cannot be rebound; its field values are
-            # themselves in the walk and judged on their own.
-            continue
-        if allowed(obj):
-            continue
-        kind = f"{type(obj).__module__}.{type(obj).__qualname__}"
-        if isinstance(obj, (np.random.Generator, np.random.BitGenerator,
-                            np.random.SeedSequence)):
-            messages.add(
-                f"{kind} is reachable from {n} cells' SimStates; every "
-                f"generator handed to a cell must derive from that "
-                f"cell's own cell-indexed stream (rngstreams registry)")
-        else:
-            messages.add(
-                f"mutable {kind} is reachable from {n} cells' SimStates; "
-                f"cross-cell objects must be immutable and justified in "
-                f"{ALLOWLIST_NAME}")
-    return [Finding(relpath, 1, 0, rule_id, message)
-            for message in sorted(messages)]
-
-
-class BatchIsolationRule(ProjectRule):
-    id = "batch-cell-isolation"
-    description = ("no unlisted mutable object is reachable from two "
-                   "batched cells' SimStates (live two-cell probe)")
-    family = "isolation"
-    anchors = (BATCH_RELPATH, "eval/scenarios.py", "netsim/")
-
-    def check_project(self, root: Path) -> list:
-        if Path(root).resolve() != default_root():
-            # The probe builds cells of the *installed* package; on a
-            # foreign root it would attribute installed-tree findings
-            # to files that are not being analyzed.  The static rules
-            # carry the contract there.
-            return []
-        try:
-            from repro.eval.batch import BatchRunner
-            from repro.eval.scenarios import ScenarioSuite
-        except Exception as exc:  # pragma: no cover - environment issue
-            return [Finding(BATCH_RELPATH, 1, 0, self.id,
-                            f"isolation probe could not import the batch "
-                            f"layer: {exc}")]
-        # Two classical-scheme cells sharing one named trace: cheap to
-        # build (no zoo resolution, nothing is run) yet exercising the
-        # exact sharing path -- make_trace(cache=...) -- batches use.
-        scenarios = ScenarioSuite(
-            name="replint-isolation-probe", lineups=[("cubic", "bbr")],
-            traces=("wifi-walk",), seeds=(0, 1), duration=0.05).expand()
-        cells = BatchRunner(prewarm=False).build_cells(scenarios)
-        broken = [c for c in cells if c.error is not None]
-        if broken:
-            return [Finding(BATCH_RELPATH, 1, 0, self.id,
-                            f"isolation probe cell failed to build: "
-                            f"{broken[0].error}")]
-        return check_cell_isolation([cell.sim.state for cell in cells],
-                                    rule_id=self.id)

@@ -1,9 +1,7 @@
-"""Cross-module dataflow rules: RNG-stream ownership, env/config
-taint, mutable global state, and signature purity.
+"""Dataflow rules: RNG-stream ownership, environment reads, mutable
+global state, and signature purity.
 
-These are the properties the per-file lints cannot see (PR 6's rules
-stop at a module boundary) and that the next engine steps -- batched
-multi-cell execution, cross-host sharding --
+The properties batched multi-cell execution and cross-host sharding
 multiply the ways of breaking:
 
 * ``rng-stream-ownership`` -- every generator ``netsim`` constructs
@@ -14,22 +12,20 @@ multiply the ways of breaking:
   consumer: drawing from *another object's* generator, or fanning one
   local generator out to several consumers, couples their bitstreams
   to each other's call order.
-* ``env-taint`` -- an ``os.environ`` read whose value can reach
-  ``Simulation``/``Scenario`` execution or a cached result row is an
-  unfingerprinted cache key; it must be fingerprinted or sit on the
-  justified allowlist (stale allowlist entries are findings, like
-  stale fingerprint exclusions).
+* ``env-taint`` -- an environment read is an input no fingerprint
+  sees; the package reads the environment in ``config.py`` only (two
+  cache *locations*), and the rule rejects ``os.environ`` /
+  ``os.getenv`` in every other file.
 * ``mutable-global-state`` -- a module-level mutable container written
   from a function body is cross-cell shared state, the exact hazard of
   interleaved multi-cell loops.
-* ``signature-purity`` -- ``fingerprint``/``signature`` functions (and
-  the sweep-level ``fingerprint_cells``) are cache-key producers; any
-  side effect in them (or one level into their callees) corrupts key
+* ``signature-purity`` -- ``sign``/``fingerprint``/``*_form``
+  functions are cache-key producers; any side effect in them (or one
+  level into the same-file functions they call) corrupts key
   stability.
 
-All checks are pure AST over :class:`repro.analysis.project.ProjectIndex`
--- no imports of analyzed code -- so they run identically on the live
-package and on fixture trees.
+All checks are pure AST -- no imports of analyzed code -- so they run
+identically on the live package and on fixture trees.
 """
 
 from __future__ import annotations
@@ -38,14 +34,13 @@ import ast
 from pathlib import Path
 
 from repro.analysis.core import AstRule, Finding, ProjectRule, dotted_name
-from repro.analysis.project import ProjectIndex
 from repro.analysis.rules_determinism import (_WALL_CLOCK,
                                               _WALL_CLOCK_SUFFIXES,
                                               SIMULATION_PACKAGES)
 
 __all__ = ["RngStreamOwnershipRule", "RngForeignDrawRule",
            "RngSharedDrainRule", "EnvTaintRule", "MutableGlobalStateRule",
-           "SignaturePurityRule", "ENV_ALLOWLIST"]
+           "SignaturePurityRule"]
 
 #: Generator methods that consume stream state when called.
 _DRAW_METHODS = frozenset({
@@ -103,7 +98,6 @@ class RngStreamOwnershipRule(ProjectRule):
     description = ("every netsim RNG construction goes through a stream "
                    "declared in netsim/rngstreams.py; declared "
                    "derivations must be collision-free or justified")
-    anchors = ("netsim/",)
 
     def check_project(self, root):
         root = Path(root)
@@ -377,110 +371,39 @@ class RngSharedDrainRule(AstRule):
 
 # --- env-taint ---------------------------------------------------------------
 
-#: Environment variables that may legitimately reach execution paths,
-#: with the reason each cannot corrupt a cached result row.  A stale
-#: entry (variable no longer read anywhere) is itself a finding.
-ENV_ALLOWLIST = {
-    "REPRO_RESULT_CACHE":
-        "cache *location* only; rows are keyed by scenario fingerprint, "
-        "so moving the cache cannot change any row's content",
-    "REPRO_RESULT_CACHE_MAX_MB":
-        "LRU size cap; affects eviction timing, never the content of a "
-        "fingerprint-keyed row",
-    "REPRO_MODEL_CACHE":
-        "model checkpoint directory; checkpoints are keyed by pipeline "
-        "version + training-config fingerprint, not by path",
-    "REPRO_SWEEP_CHECKPOINT":
-        "checkpoint journal *location* only; the journal decides which "
-        "fingerprint-matched cells are skipped on resume, and restored "
-        "rows are the checksummed records the original run produced",
-}
+#: The one file allowed to read the environment, relative to the root.
+_CONFIG_RELPATH = "config.py"
 
-#: Modules whose execution produces results or cache rows: a tainted
-#: env read is one whose enclosing function can be reached from (or
-#: lives in) these.
-_SENSITIVE_PREFIXES = ("netsim",)
-_SENSITIVE_MODULES = frozenset({"eval.scenarios", "eval.runner",
-                                "eval.parallel"})
+_ENV_NAMES = ("environ", "getenv")
 
 
-def _module_sensitive(module: str | None) -> bool:
-    if not module:
-        return False
-    return module in _SENSITIVE_MODULES or any(
-        module == p or module.startswith(p + ".")
-        for p in _SENSITIVE_PREFIXES)
-
-
-def _env_reads(tree):
-    """``(node, varname_or_None)`` for every environ/getenv read."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            name = dotted_name(node.func) or ""
-            if name in ("os.getenv", "getenv") \
-                    or name.endswith("environ.get"):
-                arg = node.args[0] if node.args else None
-                var = arg.value if isinstance(arg, ast.Constant) \
-                    and isinstance(arg.value, str) else None
-                yield node, var
-        elif isinstance(node, ast.Subscript):
-            base = dotted_name(node.value)
-            if base in ("os.environ", "environ"):
-                sl = node.slice
-                var = sl.value if isinstance(sl, ast.Constant) \
-                    and isinstance(sl.value, str) else None
-                yield node, var
-
-
-class EnvTaintRule(ProjectRule):
+class EnvTaintRule(AstRule):
     id = "env-taint"
     family = "env-taint"
-    description = ("os.environ reads reaching Simulation/Scenario "
-                   "execution or cached rows must be fingerprinted or "
-                   "on the justified allowlist (stale entries flagged)")
-    anchors = ("netsim/", "eval/", "models/", "analysis/rules_dataflow.py")
+    description = ("the environment is read in config.py only; an "
+                   "os.environ / os.getenv anywhere else is an input no "
+                   "fingerprint sees")
 
-    def check_project(self, root):
-        index = ProjectIndex(root)
+    def applies_to(self, relpath):
+        return relpath != _CONFIG_RELPATH
+
+    def check(self, tree, source, relpath):
         findings = []
-        seen_vars: set = set()
-        any_reads = False
-        for info in sorted(index.modules.values(), key=lambda m: m.relpath):
-            for node, var in _env_reads(info.tree):
-                any_reads = True
-                if var is not None:
-                    seen_vars.add(var)
-                fn = index.enclosing_function(info.relpath, node.lineno)
-                tainted = _module_sensitive(info.module)
-                if not tainted and fn is not None:
-                    tainted = any(
-                        _module_sensitive(index.functions[c].module)
-                        for c in index.transitive_callers(fn.qualname)
-                        if c in index.functions)
-                if not tainted:
-                    continue
-                where = f" (in {fn.qualname})" if fn else ""
-                if var is None:
-                    findings.append(Finding(
-                        info.relpath, node.lineno, node.col_offset, self.id,
-                        f"environment read with a non-literal variable "
-                        f"name{where}; allowlist membership cannot be "
-                        f"verified statically"))
-                elif var not in ENV_ALLOWLIST:
-                    findings.append(Finding(
-                        info.relpath, node.lineno, node.col_offset, self.id,
-                        f"os.environ read of {var!r}{where} can reach "
-                        f"simulation/cached results; fold it into the "
-                        f"fingerprint or allowlist it with a reason"))
-        # Staleness is a property of a tree that reads the environment
-        # at all -- on a read-free tree the allowlist is vacuously moot
-        # (and flagging it there would fail every unrelated fixture).
-        if any_reads:
-            for var in sorted(set(ENV_ALLOWLIST) - seen_vars):
-                findings.append(Finding(
-                    "analysis/rules_dataflow.py", 1, 0, self.id,
-                    f"allowlisted env var {var!r} is no longer read "
-                    f"anywhere; remove the stale ENV_ALLOWLIST entry"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in _ENV_NAMES \
+                    and dotted_name(node.value) == "os":
+                name = f"os.{node.attr}"
+            elif isinstance(node, ast.ImportFrom) and node.module == "os" \
+                    and any(a.name in _ENV_NAMES for a in node.names):
+                name = "from os import " + ", ".join(
+                    a.name for a in node.names if a.name in _ENV_NAMES)
+            else:
+                continue
+            findings.append(Finding(
+                relpath, node.lineno, node.col_offset, self.id,
+                f"{name} outside {_CONFIG_RELPATH}: the value can reach "
+                f"simulation or cached results unseen by any fingerprint; "
+                f"read it in {_CONFIG_RELPATH} and pass it down"))
         return findings
 
 
@@ -605,7 +528,8 @@ class MutableGlobalStateRule(AstRule):
 
 # --- signature-purity --------------------------------------------------------
 
-_SIGNATURE_NAMES = ("fingerprint", "fingerprint_cells", "signature")
+_SIGNATURE_NAMES = ("fingerprint", "fingerprint_cells", "sign", "signature")
+_SIGNATURE_SUFFIXES = ("_signature", "_fingerprint", "_form")
 
 _WRITE_IO_SUFFIXES = (".write", ".write_text", ".write_bytes", ".unlink",
                       ".mkdir", ".rmdir", ".rmtree", ".touch", ".rename",
@@ -613,8 +537,7 @@ _WRITE_IO_SUFFIXES = (".write", ".write_text", ".write_bytes", ".unlink",
 
 
 def _is_signature_function(name: str) -> bool:
-    return name in _SIGNATURE_NAMES or name.endswith("_signature") \
-        or name.endswith("_fingerprint")
+    return name in _SIGNATURE_NAMES or name.endswith(_SIGNATURE_SUFFIXES)
 
 
 def _purity_violations(fn_node):
@@ -668,18 +591,11 @@ def _purity_violations(fn_node):
                 yield node, f"draws from an RNG via {name}()"
             elif name in _WALL_CLOCK or name.endswith(_WALL_CLOCK_SUFFIXES):
                 yield node, f"reads the wall clock via {name}()"
-            elif name in ("os.getenv", "getenv") \
-                    or name.endswith("environ.get"):
-                yield node, f"reads the environment via {name}()"
             elif name == "print" or any(name.endswith(s)
                                         for s in _WRITE_IO_SUFFIXES):
                 yield node, f"performs write I/O via {name}()"
             elif name == "open" and _open_writes(node):
                 yield node, "opens a file for writing"
-        elif isinstance(node, ast.Subscript):
-            base = dotted_name(node.value)
-            if base in ("os.environ", "environ"):
-                yield node, "reads the environment via os.environ[...]"
 
 
 def _open_writes(call) -> bool:
@@ -692,46 +608,58 @@ def _open_writes(call) -> bool:
     return isinstance(mode, str) and any(c in mode for c in "wax+")
 
 
-class SignaturePurityRule(ProjectRule):
+def _functions(tree):
+    """``(qualified name, class name or None, node)`` for every function
+    at module level or directly inside a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name, None, node
+        elif isinstance(node, ast.ClassDef):
+            for child in node.body:
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{child.name}", node.name, child
+
+
+class SignaturePurityRule(AstRule):
     id = "signature-purity"
     family = "signature-purity"
-    description = ("fingerprint/signature functions (and their direct "
-                   "callees) must be side-effect-free: no stores, write "
-                   "I/O, RNG use, env or clock reads")
-    anchors = ("eval/scenarios.py", "netsim/", "eval/runner.py")
+    description = ("sign/fingerprint/*_form functions (and the same-file "
+                   "functions they call) must be side-effect-free: no "
+                   "stores, write I/O, RNG use or clock reads")
+    packages = ("netsim", "eval")
 
-    def check_project(self, root):
-        index = ProjectIndex(root)
+    def check(self, tree, source, relpath):
+        functions = {qual: (cls, node) for qual, cls, node in _functions(tree)}
         findings = []
         emitted: set = set()
-        for qual, fn in sorted(index.functions.items()):
-            short = qual.split(":")[-1]
-            if not _is_signature_function(short.rsplit(".", 1)[-1]):
+
+        def report(node, message):
+            key = (node.lineno, message)
+            if key not in emitted:
+                emitted.add(key)
+                findings.append(Finding(relpath, node.lineno,
+                                        node.col_offset, self.id, message))
+
+        for qual, (cls, fn) in sorted(functions.items()):
+            if not _is_signature_function(fn.name):
                 continue
-            for node, what in _purity_violations(fn.node):
-                key = (fn.relpath, node.lineno, what)
-                if key not in emitted:
-                    emitted.add(key)
-                    findings.append(Finding(
-                        fn.relpath, node.lineno, node.col_offset, self.id,
-                        f"{short}() {what}; cache-key producers must be "
-                        f"pure"))
-            # One level of call-through: a helper the signature function
+            for node, what in _purity_violations(fn):
+                report(node, f"{qual}() {what}; cache-key producers must "
+                             f"be pure")
+            # One level of call-through: a same-file helper the function
             # calls directly is part of the cache key computation.
-            for callee_qual in sorted(index.callees.get(qual, ())):
-                callee = index.functions.get(callee_qual)
-                if callee is None:
+            for call in ast.walk(fn):
+                if not isinstance(call, ast.Call):
                     continue
-                callee_short = callee_qual.split(":")[-1]
-                if _is_signature_function(callee_short.rsplit(".", 1)[-1]):
-                    continue  # checked in its own right
-                for node, what in _purity_violations(callee.node):
-                    key = (callee.relpath, node.lineno, what)
-                    if key not in emitted:
-                        emitted.add(key)
-                        findings.append(Finding(
-                            callee.relpath, node.lineno, node.col_offset,
-                            self.id,
-                            f"{callee_short}() {what}, and {short}() calls "
-                            f"it; cache-key producers must be pure"))
+                parts = (dotted_name(call.func) or "").split(".")
+                if parts[0] in ("self", "cls") and cls and len(parts) == 2:
+                    callee = f"{cls}.{parts[1]}"
+                else:
+                    callee = ".".join(parts)
+                if callee not in functions \
+                        or _is_signature_function(functions[callee][1].name):
+                    continue  # unresolved, or checked in its own right
+                for node, what in _purity_violations(functions[callee][1]):
+                    report(node, f"{callee}() {what}, and {qual}() calls "
+                                 f"it; cache-key producers must be pure")
         return findings

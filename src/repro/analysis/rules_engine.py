@@ -24,9 +24,9 @@ deep into a run, or (at worst) a silently wrong trace:
 
 The per-file checks are plain :class:`~repro.analysis.core.AstRule`
 syntax; the handler-table check is a
-:class:`~repro.analysis.core.ProjectRule` anchored at
-``netsim/network.py`` whose worker, :func:`check_engine_source`, also
-runs on fixture files in the self-tests.
+:class:`~repro.analysis.core.ProjectRule` over ``netsim/network.py``
+whose worker, :func:`check_engine_source`, also runs on fixture files
+in the self-tests.
 """
 
 from __future__ import annotations
@@ -138,7 +138,6 @@ class EventTableRule(ProjectRule):
     description = ("every EV_* event kind is registered exactly once in "
                    "Simulation._handlers (None only with an inline "
                    "`kind == EV_*` branch) and scheduled by some push site")
-    anchors = ("netsim/network.py",)
 
     def check_project(self, root: Path):
         path = root / "netsim" / "network.py"

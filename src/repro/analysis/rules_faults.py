@@ -1,16 +1,9 @@
 """Fault-injection rules.
 
 The fault layer (:mod:`repro.netsim.faults`) extends the determinism
-contract in a way generic rules cannot see, so two dedicated checks
-guard it:
-
-``fault-signature-coverage``
-    Static: every fault-spec dataclass in ``netsim/faults.py`` must
-    list *all* of its fields in ``_signature_fields``.  The topology
-    fingerprint folds fault schedules in through those tuples -- a
-    field that escapes them is a knob that changes simulated results
-    without changing the cache key, i.e. a cache poisoner.  Stale
-    entries naming no field are findings too.
+contract in a way generic rules cannot see, so a dedicated check
+guards it (that every fault knob reaches the cache key is structural:
+specs are signed field by field, :mod:`repro.netsim.signing`):
 
 ``fault-stream-declaration``
     Static: every RNG stream the fault runtime mints
@@ -29,10 +22,7 @@ from pathlib import Path
 
 from repro.analysis.core import Finding, ProjectRule, dotted_name
 
-__all__ = [
-    "FaultSignatureCoverageRule",
-    "FaultStreamDeclarationRule",
-]
+__all__ = ["FaultStreamDeclarationRule"]
 
 FAULTS_RELPATH = "netsim/faults.py"
 STREAMS_RELPATH = "netsim/rngstreams.py"
@@ -44,77 +34,6 @@ def _parse_tree(root: Path, relpath: str) -> ast.Module | None:
         return ast.parse(path.read_text(encoding="utf-8"))
     except (OSError, SyntaxError, ValueError):
         return None  # missing/broken files are the parse-error rule's job
-
-
-# --- fault-signature-coverage ------------------------------------------------
-
-class FaultSignatureCoverageRule(ProjectRule):
-    id = "fault-signature-coverage"
-    description = ("every field of every fault-spec dataclass is listed in "
-                   "_signature_fields (fault knobs must reach the topology "
-                   "fingerprint)")
-    family = "faults"
-    anchors = (FAULTS_RELPATH,)
-
-    def check_project(self, root: Path) -> list:
-        tree = _parse_tree(root, FAULTS_RELPATH)
-        if tree is None:
-            return []
-        findings: list[Finding] = []
-        for node in tree.body:
-            if not isinstance(node, ast.ClassDef):
-                continue
-            is_dataclass = any(
-                (dotted_name(d) or dotted_name(getattr(d, "func", d)) or "")
-                .rsplit(".", 1)[-1] == "dataclass"
-                for d in node.decorator_list)
-            fields = [stmt.target.id for stmt in node.body
-                      if isinstance(stmt, ast.AnnAssign)
-                      and isinstance(stmt.target, ast.Name)
-                      and not stmt.target.id.startswith("_")]
-            declared: list[str] | None = None
-            declared_line = node.lineno
-            for stmt in node.body:
-                if isinstance(stmt, ast.Assign) and any(
-                        isinstance(t, ast.Name)
-                        and t.id == "_signature_fields"
-                        for t in stmt.targets):
-                    declared_line = stmt.lineno
-                    if isinstance(stmt.value, (ast.Tuple, ast.List)) and all(
-                            isinstance(e, ast.Constant)
-                            and isinstance(e.value, str)
-                            for e in stmt.value.elts):
-                        declared = [e.value for e in stmt.value.elts]
-                    else:
-                        findings.append(Finding(
-                            FAULTS_RELPATH, stmt.lineno, stmt.col_offset,
-                            self.id,
-                            f"{node.name}._signature_fields must be a "
-                            f"literal tuple of field-name strings"))
-                        declared = []
-            if not is_dataclass or not fields:
-                continue
-            if declared is None:
-                findings.append(Finding(
-                    FAULTS_RELPATH, node.lineno, node.col_offset, self.id,
-                    f"fault spec {node.name} declares no _signature_fields; "
-                    f"its knobs would never reach the topology fingerprint"))
-                continue
-            for name in fields:
-                if name not in declared:
-                    findings.append(Finding(
-                        FAULTS_RELPATH, node.lineno, node.col_offset, self.id,
-                        f"field {name!r} of fault spec {node.name} is "
-                        f"missing from _signature_fields; changing it "
-                        f"would alter simulated results without changing "
-                        f"the cache key"))
-            for name in declared:
-                if name not in fields:
-                    findings.append(Finding(
-                        FAULTS_RELPATH, declared_line, 0, self.id,
-                        f"stale _signature_fields entry {name!r} on "
-                        f"{node.name}: no such field; remove it"))
-        return findings
 
 
 # --- fault-stream-declaration -------------------------------------------------
@@ -141,7 +60,6 @@ class FaultStreamDeclarationRule(ProjectRule):
     description = ("fault RNG streams are declared in the rngstreams "
                    "registry as salted-indexed with collision-free salts")
     family = "faults"
-    anchors = (FAULTS_RELPATH, STREAMS_RELPATH)
 
     def check_project(self, root: Path) -> list:
         faults_tree = _parse_tree(root, FAULTS_RELPATH)

@@ -10,12 +10,36 @@ Two tables in the paper pin down the configuration surface:
 
 Both are captured here as frozen dataclasses so every component of the
 library draws its defaults from a single place.
+
+This is also the one module that reads the process environment: two
+variables, each the *location* of an on-disk cache (never its
+content -- entries are keyed by fingerprint, so moving a cache cannot
+change what a key returns).  The replint ``env-taint`` rule rejects
+an ``os.environ`` read anywhere else in the package.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass
+from pathlib import Path
+
+_PACKAGE = Path(__file__).resolve().parent
+
+
+def result_cache_dir() -> Path:
+    """Where finished scenario results are memoized:
+    ``REPRO_RESULT_CACHE``, else ``eval/_cache`` inside the package."""
+    return Path(os.environ.get("REPRO_RESULT_CACHE")
+                or _PACKAGE / "eval" / "_cache")
+
+
+def model_cache_dir() -> Path:
+    """Where trained model checkpoints are kept:
+    ``REPRO_MODEL_CACHE``, else ``models/_cache`` inside the package."""
+    return Path(os.environ.get("REPRO_MODEL_CACHE")
+                or _PACKAGE / "models" / "_cache")
 
 
 @dataclass(frozen=True)

@@ -25,11 +25,11 @@ stream -- is constructed per cell by ``build_scenario_simulation``
 from the cell's own scenario seed, so generators always trace to a
 cell-indexed derivation through the :mod:`repro.netsim.rngstreams`
 registry and no two cells ever share one.  The batch layer itself
-never mints or drains a stream.  ``repro.analysis``'s ``isolation``
-rule family machine-checks all of this: the static rules read
-:data:`SHARED_IMMUTABLE_ALLOWLIST` below, and the live rule walks two
-probe cells' object graphs asserting no unlisted mutable object is
-reachable from both.
+never mints or drains a stream.  Two checks hold all of this:
+``repro.analysis``'s static ``isolation`` rules read
+:data:`SHARED_IMMUTABLE_ALLOWLIST` below, and ``tests/test_batch.py``
+walks two built cells' object graphs asserting no unlisted mutable
+object is reachable from both.
 """
 
 from __future__ import annotations
@@ -52,9 +52,9 @@ __all__ = ["SHARED_IMMUTABLE_ALLOWLIST", "BatchCell", "BatchRunner",
 #: cell.  Each entry is ``(binding_name, justification)``.  The replint
 #: ``isolation`` family parses this tuple straight from the AST: the
 #: ``batch-shared-mutable`` rule flags any outside-loop binding handed
-#: to a cell build under a name not listed here, and the live
-#: ``batch-cell-isolation`` rule independently verifies the objects
-#: those names carry really are immutable at share time.
+#: to a cell build under a name not listed here, and the two-cell probe
+#: in ``tests/test_batch.py`` independently verifies the objects those
+#: names carry really are immutable at share time.
 SHARED_IMMUTABLE_ALLOWLIST: tuple[tuple[str, str], ...] = (
     ("trace_cache",
      "named-trace instances are pure time->capacity functions, memoized "
@@ -81,7 +81,7 @@ def warm_agent_refs(scenarios: list[Scenario]) -> None:
     """
     refs = {flow.agent for s in scenarios for flow in s.flows
             if isinstance(flow.agent, AgentRef)}
-    for ref in sorted(refs, key=AgentRef.key):
+    for ref in sorted(refs, key=repr):
         ref.resolve()
 
 
@@ -132,8 +132,7 @@ class BatchRunner:
         """Construct every cell, sharing one frozen named-trace cache.
 
         Build failures are captured per cell, not raised.  Exposed for
-        the replint ``batch-cell-isolation`` probe and the isolation
-        tests, which inspect built-but-unrun cells.
+        the isolation tests, which inspect built-but-unrun cells.
         """
         if self.prewarm:
             warm_agent_refs(scenarios)

@@ -25,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.config import result_cache_dir
 from repro.eval.batch import BatchRunner, warm_agent_refs
 from repro.eval.resilience import (
     ResilientPool,
@@ -35,11 +36,9 @@ from repro.eval.resilience import (
 )
 from repro.eval.scenarios import (
     SCENARIO_CACHE_VERSION,
-    AgentRef,
     Scenario,
     ScenarioSuite,
     fingerprint_cells,
-    simulate_scenario,
 )
 from repro.netsim.network import FlowRecord
 
@@ -72,28 +71,24 @@ class ResultCache:
     """Fingerprint-keyed store of finished scenario results, one
     :func:`~repro.eval.resilience.seal`-ed ``<fingerprint>.json`` each.
 
-    The default location is ``repro/eval/_cache`` next to the model
-    cache; set ``REPRO_RESULT_CACHE`` to relocate it (CI points it at a
-    workspace-local directory).
+    The default location is
+    :func:`repro.config.result_cache_dir` (``repro/eval/_cache`` next
+    to the model cache unless ``REPRO_RESULT_CACHE`` relocates it; CI
+    points it at a workspace-local directory).
 
     The store is a size-capped LRU: ``get`` touches the entry's mtime,
     ``put`` evicts oldest-touched entries once the directory exceeds
-    ``max_bytes`` (default :data:`DEFAULT_CACHE_MAX_MB`, overridable
-    via ``REPRO_RESULT_CACHE_MAX_MB``; ``0`` disables eviction).
-    ``prune()`` is the explicit entry point for maintenance jobs.
+    ``max_bytes`` (default :data:`DEFAULT_CACHE_MAX_MB`; ``0`` disables
+    eviction).  ``prune()`` is the explicit entry point for maintenance
+    jobs.
     """
 
     def __init__(self, cache_dir: str | Path | None = None,
                  max_bytes: int | None = None):
-        if cache_dir is None:
-            cache_dir = os.environ.get("REPRO_RESULT_CACHE") or (
-                Path(__file__).resolve().parent / "_cache")
-        self.cache_dir = Path(cache_dir)
+        self.cache_dir = Path(cache_dir or result_cache_dir())
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         if max_bytes is None:
-            env = os.environ.get("REPRO_RESULT_CACHE_MAX_MB")
-            max_mb = float(env) if env else DEFAULT_CACHE_MAX_MB
-            max_bytes = int(max_mb * 1e6)
+            max_bytes = int(DEFAULT_CACHE_MAX_MB * 1e6)
         self.max_bytes = int(max_bytes)
         #: Running size estimate so put() only pays a directory scan
         #: when the cap is actually threatened (None = not yet known).
@@ -201,9 +196,6 @@ class ResultCache:
             removed += 1
         self._approx_bytes = total
         return removed
-
-    def __contains__(self, fingerprint: str) -> bool:
-        return self._path(fingerprint).exists()
 
     def clear(self) -> int:
         """Delete all entries (quarantined ones and staging files a
@@ -419,12 +411,6 @@ class SuiteResult:
         return len(self.results)
 
 
-def _execute(scenario: Scenario) -> tuple[list[FlowRecord], float, int]:
-    t0 = time.perf_counter()
-    records, sim = simulate_scenario(scenario)
-    return records, time.perf_counter() - t0, sim.events_processed
-
-
 #: Cell batches staged for the forked pool, as lists of positions into
 #: the pending list.  Workers index into the parent's copy-on-write
 #: memory instead of receiving pickled scenarios -- live agents
@@ -432,7 +418,6 @@ def _execute(scenario: Scenario) -> tuple[list[FlowRecord], float, int]:
 #: pipe once per task.
 _FORK_BATCHES: list[list[int]] = []
 _FORK_SCENARIOS: list[Scenario] = []
-_FORK_WARM_REFS: tuple[AgentRef, ...] = ()
 
 
 def _init_batch_worker() -> None:
@@ -444,8 +429,7 @@ def _init_batch_worker() -> None:
     it loads each agent exactly once.  Either way no batch task ever
     re-resolves refs itself (``BatchRunner(prewarm=False)`` below).
     """
-    for ref in _FORK_WARM_REFS:
-        ref.resolve()
+    warm_agent_refs(_FORK_SCENARIOS)
 
 
 def _execute_batch(batch_index: int):
@@ -529,9 +513,8 @@ class ParallelRunner:
       :class:`~repro.eval.resilience.SweepCheckpoint`; re-running the
       same suite resumes from the completed cells with their original
       records, wall times, and event counts (row-for-row identical to
-      an uninterrupted run).  ``REPRO_SWEEP_CHECKPOINT`` supplies a
-      default path.  The journal only ever affects *which cells
-      execute*, never their results.
+      an uninterrupted run).  The journal only ever affects *which
+      cells execute*, never their results.
     """
 
     #: Auto batch sizing: leave at least this many batches per worker
@@ -570,10 +553,6 @@ class ParallelRunner:
         if retry is not None and not isinstance(retry, RetryPolicy):
             raise TypeError("retry must be a RetryPolicy")
         self.retry = retry
-        if checkpoint is None:
-            # Checkpoint location never reaches a simulation: it only
-            # decides which already-journaled cells are skipped.
-            checkpoint = os.environ.get("REPRO_SWEEP_CHECKPOINT") or None
         self.checkpoint_path = None if checkpoint is None else Path(checkpoint)
 
     def _pick_batch_size(self, n_pending: int) -> int:
@@ -673,18 +652,14 @@ class ParallelRunner:
             if self.n_workers > 1 and (len(batches) > 1
                                        or self.retry is not None
                                        or self.cell_timeout is not None):
-                global _FORK_BATCHES, _FORK_SCENARIOS, _FORK_WARM_REFS
+                global _FORK_BATCHES, _FORK_SCENARIOS
                 _FORK_SCENARIOS = [s for _, s, _ in pending]
                 _FORK_BATCHES = batches
-                _FORK_WARM_REFS = tuple(sorted(
-                    {flow.agent for s in _FORK_SCENARIOS for flow in s.flows
-                     if isinstance(flow.agent, AgentRef)}, key=AgentRef.key))
                 try:
                     self._dispatch(batches, record_result)
                 finally:
                     _FORK_BATCHES = []
                     _FORK_SCENARIOS = []
-                    _FORK_WARM_REFS = ()
             else:
                 # Serial reference path: same BatchRunner, in process.
                 # The parent already warmed the zoo above.

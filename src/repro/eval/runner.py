@@ -9,7 +9,7 @@ sharing the bottleneck -- the fairness/friendliness setups of §6.4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,8 +26,10 @@ from repro.baselines import (
 from repro.core.agent import MoccAgent, MoccController
 from repro.netsim.link import Link
 from repro.netsim.network import FlowRecord, FlowSpec, Simulation
+from repro.netsim.signing import canonical
 from repro.netsim.topology import MIN_QUEUE_PACKETS
-from repro.netsim.traces import BandwidthTrace, ConstantTrace, mbps_to_pps
+from repro.netsim.traces import (BandwidthTrace, ConstantTrace, mbps_to_pps,
+                                 trace_form)
 
 __all__ = ["EvalNetwork", "scheme_factory", "build_competition", "run_scheme",
            "run_competition"]
@@ -48,7 +50,8 @@ class EvalNetwork:
     queue_packets: int | None = None
     loss_rate: float = 0.0
     packet_bytes: int = 1500
-    trace: BandwidthTrace | None = None
+    trace: BandwidthTrace | None = field(default=None,
+                                         metadata=canonical(trace_form))
 
     @property
     def bottleneck_pps(self) -> float:

@@ -30,17 +30,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from repro.eval.runner import EvalNetwork, build_competition, scheme_factory
-from repro.netsim.faults import coerce_faults, fault_signature
+from repro.netsim.faults import coerce_faults
 from repro.netsim.network import FlowRecord, FlowSpec, Simulation
+from repro.netsim.signing import UNSIGNED, Signer, canonical
 from repro.netsim.topology import TopologySpec
-from repro.netsim.traces import make_trace
+from repro.netsim.traces import make_trace, named_trace_form
 
 __all__ = ["AgentRef", "ChurnSchedule", "FlowDef", "Scenario", "ScenarioSuite",
            "build_scenario_simulation", "fingerprint_cells", "run_scenario",
@@ -48,9 +49,9 @@ __all__ = ["AgentRef", "ChurnSchedule", "FlowDef", "Scenario", "ScenarioSuite",
 
 #: Bumped whenever scenario execution changes in a way that invalidates
 #: previously cached results, or the on-disk form of an entry changes.
-#: v9: cache entries and journal lines became sealed lines
-#: (``repro.eval.resilience.seal``); results themselves did not move.
-SCENARIO_CACHE_VERSION = "v9"
+#: v10: the hashed payload is derived from ``dataclasses.fields()``
+#: (:mod:`repro.netsim.signing`); results themselves did not move.
+SCENARIO_CACHE_VERSION = "v10"
 
 
 def _simulation_code_digest() -> str:
@@ -114,6 +115,14 @@ def _code_digest() -> str:
     return _CODE_DIGEST
 
 
+def _weights_form(weights, _owner, _signer) -> list | None:
+    """Signing form of an objective-weight vector: fixed-point text, so
+    a tuple, a list and an array of the same weights share one key."""
+    if weights is None:
+        return None
+    return [f"{float(w):.8f}" for w in weights]
+
+
 @dataclass(frozen=True)
 class AgentRef:
     """Picklable reference to a model in the zoo's on-disk cache.
@@ -131,14 +140,8 @@ class AgentRef:
     quality: str = "fast"
     seed: int = 0
     omega: int = 36
-    weights: tuple | None = None
-
-    def key(self) -> str:
-        parts = [self.kind, self.flavor, self.quality,
-                 f"seed{self.seed}", f"omega{self.omega}"]
-        if self.weights is not None:
-            parts.append("w" + ",".join(f"{float(w):.6f}" for w in self.weights))
-        return "_".join(parts)
+    weights: tuple | None = field(default=None,
+                                  metadata=canonical(_weights_form))
 
     def resolve(self, zoo=None):
         from repro.models.zoo import default_zoo
@@ -157,21 +160,27 @@ class AgentRef:
         raise ValueError(f"unknown agent kind {self.kind!r}")
 
 
-def _agent_signature(agent) -> str:
-    """Stable identity of a flow's agent for scenario fingerprints."""
+def _agent_form(agent, _owner, signer):
+    """Signing form of a flow's agent: an :class:`AgentRef` by its
+    fields, a live agent by its parameters."""
     if agent is None:
-        return "none"
+        return None
     if isinstance(agent, AgentRef):
-        return "ref:" + agent.key()
+        return signer.sign(agent)
     # A live agent (e.g. handed in by a fixture): hash its parameters so
-    # differently-trained models never share cache entries.  No
-    # memoization by object identity -- online adaptation mutates
+    # differently-trained models never share cache entries.  Digested
+    # once per pass, never across passes -- online adaptation mutates
     # models in place, and a stale digest would alias cache entries.
+    return signer.once(("live-agent", id(agent)), agent,
+                       lambda: _parameter_digest(agent))
+
+
+def _parameter_digest(agent) -> str:
     digest = hashlib.sha256()
     state = agent.model.state_dict()
     for name in sorted(state):
         digest.update(name.encode())
-        digest.update(np.ascontiguousarray(state[name]).tobytes())
+        digest.update(np.ascontiguousarray(state[name]))
     return "live:" + digest.hexdigest()[:16]
 
 
@@ -196,33 +205,22 @@ class FlowDef:
     topology's default path).
     """
 
-    scheme: str
-    weights: tuple | None = None
-    agent: object | None = None
+    scheme: str = field(metadata=canonical(
+        lambda scheme, _owner, _signer: scheme.lower()))
+    weights: tuple | None = field(default=None,
+                                  metadata=canonical(_weights_form))
+    agent: object | None = field(default=None,
+                                 metadata=canonical(_agent_form))
     start: float = 0.0
     stop: float = float("inf")
     seed: int | None = None
     rate_frac: float | None = None
-    label: str = ""
+    # Display label: display_label() falls back to the signed scheme.
+    label: str = field(default="", metadata=UNSIGNED)
     path: str | None = None
 
     def display_label(self) -> str:
         return self.label or self.scheme
-
-    def signature(self, agent_signature: str | None = None) -> list:
-        """Canonical content of the flow (for fingerprints).
-
-        ``agent_signature`` is ``_agent_signature(self.agent)`` when the
-        caller already holds it (:func:`fingerprint_cells` digests each
-        distinct agent once per sweep).
-        """
-        if agent_signature is None:
-            agent_signature = _agent_signature(self.agent)
-        weights = None if self.weights is None else [
-            f"{float(w):.8f}" for w in self.weights]
-        return [self.scheme.lower(), weights, agent_signature,
-                float(self.start), float(self.stop),
-                self.seed, self.rate_frac, self.path]
 
     @staticmethod
     def coerce(flow) -> "FlowDef":
@@ -231,47 +229,6 @@ class FlowDef:
         if isinstance(flow, str):
             return FlowDef(scheme=flow)
         raise TypeError(f"cannot interpret {flow!r} as a flow")
-
-
-def _trace_signature(trace) -> list | str | None:
-    """Canonical content of a live trace object (for fingerprints)."""
-    if trace is None:
-        return None
-    sig: list = [type(trace).__name__]
-    for name in sorted(vars(trace)):
-        value = vars(trace)[name]
-        if isinstance(value, np.ndarray):
-            value = hashlib.sha256(np.ascontiguousarray(value).tobytes()).hexdigest()[:16]
-        sig.append([name, value if isinstance(value, str) else repr(value)])
-    return sig
-
-
-def _topology_signature(spec: TopologySpec | None,
-                        trace_signatures: dict) -> list | None:
-    """Canonical content of a topology spec (for fingerprints).
-
-    The spec's display ``name`` is excluded (renames keep their cache
-    entries); named traces on links are hashed by the content their
-    registry factory currently produces, mirroring scenario-level
-    traces.  ``trace_signatures`` maps every trace name the links use
-    to that content signature (:func:`fingerprint_cells` builds each
-    named trace once per sweep, not once per link per cell).
-    """
-    if spec is None:
-        return None
-    links = []
-    for ld in spec.links:
-        entry: list = [ld.name, ld.bandwidth_mbps, ld.delay_ms, ld.buffer_bdp,
-                       ld.queue_packets, ld.loss_rate, ld.trace,
-                       fault_signature(ld.faults)]
-        if ld.trace is not None:
-            entry.append(trace_signatures[ld.trace])
-        links.append(entry)
-    paths = [[p.name, list(p.links), p.return_delay_ms,
-              None if p.reverse_links is None else list(p.reverse_links),
-              p.ack_bytes]
-             for p in spec.paths]
-    return [links, paths, spec.default_path]
 
 
 @dataclass(frozen=True)
@@ -408,30 +365,50 @@ class ChurnSchedule:
         return tuple(out)
 
 
+#: The single-link axes of ``Scenario.network`` a topology supersedes:
+#: its links carry their own capacity, delay, buffer, loss and trace.
+#: What is *not* named here -- packet size, any field added later --
+#: still shapes results under a topology and stays in the key.
+_SUPERSEDED_BY_TOPOLOGY = ("bandwidth_mbps", "one_way_ms", "buffer_bdp",
+                           "queue_packets", "loss_rate", "trace")
+
+
+def _network_form(network, scenario, signer) -> list:
+    """Signing form of ``Scenario.network``."""
+    if scenario.topology is None:
+        return signer.sign(network)
+    return signer.sign(network, omit=_SUPERSEDED_BY_TOPOLOGY)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A concrete, picklable, fingerprintable experiment."""
 
-    name: str
-    network: EvalNetwork
+    # Display name: renames keep their cache entries.
+    name: str = field(metadata=UNSIGNED)
+    network: EvalNetwork = field(metadata=canonical(_network_form))
     flows: tuple
     duration: float = 20.0
     seed: int = 0
     mi_duration: float | None = None
     #: Name of a registered trace (see :func:`repro.netsim.traces.register_trace`)
     #: applied on top of ``network``; keeps the scenario declarative.
-    trace: str | None = None
+    trace: str | None = field(default=None,
+                              metadata=canonical(named_trace_form))
     #: Multi-bottleneck topology; when set it supersedes the
     #: single-link ``network`` (which still contributes packet size)
     #: and flows may name the paths they traverse.
     topology: TopologySpec | None = None
     #: Churn schedule applied to the flow line-up at construction.
-    churn: ChurnSchedule | None = None
-    suite: str = ""
+    #: Unsigned: fully captured by the start/stop it writes onto the
+    #: (signed) flows in ``__post_init__``.
+    churn: ChurnSchedule | None = field(default=None, metadata=UNSIGNED)
+    # Grouping label, never shapes results.
+    suite: str = field(default="", metadata=UNSIGNED)
     #: Display label of the line-up this scenario came from (set by
     #: :meth:`ScenarioSuite.expand`); lets consumers key results
     #: structurally instead of parsing the scenario name.
-    lineup: str = ""
+    lineup: str = field(default="", metadata=UNSIGNED)
 
     def __post_init__(self):
         flows = tuple(FlowDef.coerce(f) for f in self.flows)
@@ -471,63 +448,29 @@ class Scenario:
 def fingerprint_cells(scenarios) -> list[str]:
     """Content hash identifying each scenario's *results*, in order.
 
-    The display name, suite, and churn label are deliberately excluded
-    so renames keep their cache entries (a churn schedule is fully
-    captured by the start/stop it wrote onto the flows).  A named
-    trace -- scenario-level or on a topology link -- is hashed by the
-    *content* its registry factory currently produces, not just the
-    name, so re-registering a trace invalidates its cached results.
-    With a topology, the superseded single-link network axes are
-    excluded too: only packet size still shapes results.
+    Every field of the scenario and of the specs it holds is hashed
+    unless its declaration opts out (:mod:`repro.netsim.signing`):
+    display names, suite and line-up labels, and the churn schedule
+    (fully captured by the start/stop it wrote onto the flows) do, so
+    renames keep their cache entries.  A named trace -- scenario-level
+    or on a topology link -- is hashed by the *content* its registry
+    factory currently produces, not the name, so re-registering a
+    trace invalidates its cached results.  With a topology, the
+    single-link network axes it supersedes leave the key.
 
     The cells of a sweep share most of what is expensive to sign, so
-    every sub-signature that is a pure function of a shared object is
-    computed once per call: the content of each distinct trace name,
-    the signature of each distinct :class:`TopologySpec` object, the
-    parameter digest of each distinct agent object.  Nothing is kept
-    past the call -- a trace re-registered or a live agent adapted in
-    place between two sweeps changes the keys of the second.
+    one :class:`~repro.netsim.signing.Signer` pass covers the call:
+    each distinct spec object, named trace and live agent is signed
+    once.  Nothing is kept past the call -- a trace re-registered or a
+    live agent adapted in place between two sweeps changes the keys of
+    the second.
     """
-    scenarios = list(scenarios)
-    # Shared objects are keyed by identity, never equality: equal specs
-    # may still serialise differently (``10 == 10.0``), and every
-    # object stays alive -- its id unique -- for the whole call.  "No
-    # trace", "no topology" and "no agent" sign through the same tables.
-    topologies = {id(s.topology): s.topology for s in scenarios}
-    agents = {id(f.agent): f.agent for s in scenarios for f in s.flows}
-    trace_names = {s.trace for s in scenarios}
-    trace_names.update(ld.trace for spec in topologies.values()
-                       if spec is not None for ld in spec.links)
-    trace_sigs = {name: _trace_signature(make_trace(name))
-                  for name in sorted(trace_names - {None})}
-    trace_sigs[None] = None
-    topology_sigs = {key: _topology_signature(spec, trace_sigs)
-                     for key, spec in topologies.items()}
-    agent_sigs = {key: _agent_signature(agent)
-                  for key, agent in agents.items()}
-
+    signer = Signer()
     code = _code_digest()
     fingerprints = []
-    for s in scenarios:
-        net = s.network
-        if s.topology is None:
-            network_sig = [net.bandwidth_mbps, net.one_way_ms, net.buffer_bdp,
-                           net.queue_packets, net.loss_rate, net.packet_bytes,
-                           _trace_signature(net.trace)]
-        else:
-            network_sig = ["topology", net.packet_bytes]
-        payload = {
-            "version": SCENARIO_CACHE_VERSION,
-            "code": code,
-            "network": network_sig,
-            "trace": trace_sigs[s.trace],
-            "topology": topology_sigs[id(s.topology)],
-            "flows": [f.signature(agent_sigs[id(f.agent)]) for f in s.flows],
-            "duration": float(s.duration),
-            "seed": int(s.seed),
-            "mi_duration": s.mi_duration,
-        }
-        blob = json.dumps(payload, sort_keys=True).encode()
+    for scenario in scenarios:
+        blob = json.dumps([SCENARIO_CACHE_VERSION, code,
+                           signer.sign(scenario)]).encode()
         fingerprints.append(hashlib.sha256(blob).hexdigest())
     return fingerprints
 

@@ -13,7 +13,8 @@ Budgets come in two presets:
 * ``full`` -- a couple of minutes per model; what the benchmarks use.
 
 All training is seeded, so a cache hit and a retrain produce identical
-models.  Set ``REPRO_MODEL_CACHE`` to relocate the cache directory.
+models.  ``REPRO_MODEL_CACHE`` relocates the cache directory (read by
+:func:`repro.config.model_cache_dir`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.config import DEFAULT_TRAINING, TRAINING_RANGES, TrainingConfig
+from repro.config import (DEFAULT_TRAINING, TRAINING_RANGES, TrainingConfig,
+                          model_cache_dir)
 from repro.core.agent import MoccAgent
 from repro.core.offline import OfflineTrainer, train_single_objective
 from repro.core.weights import LATENCY_WEIGHTS, THROUGHPUT_WEIGHTS, simplex_grid
@@ -65,19 +67,12 @@ BUDGETS = {
 PIPELINE_VERSION = "v3"
 
 
-def _default_cache_dir() -> Path:
-    env = os.environ.get("REPRO_MODEL_CACHE")
-    if env:
-        return Path(env)
-    return Path(__file__).resolve().parent / "_cache"
-
-
 class ModelZoo:
     """Train-on-first-use registry of the experiments' models."""
 
     def __init__(self, cache_dir: str | Path | None = None,
                  config: TrainingConfig = DEFAULT_TRAINING):
-        self.cache_dir = Path(cache_dir) if cache_dir else _default_cache_dir()
+        self.cache_dir = Path(cache_dir or model_cache_dir())
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.config = config
         self._memory: dict[str, MoccAgent] = {}
@@ -105,7 +100,15 @@ class ModelZoo:
             agent = MoccAgent.load(path)
         else:
             agent = train()
-            agent.save(path)
+            # Staged under this writer's pid and renamed into place: a
+            # trainer killed mid-write, or two cold workers training
+            # the same key, never leave a torn checkpoint at ``path``.
+            tmp = path.with_name(f"{key}.{os.getpid()}.tmp.npz")
+            try:
+                agent.save(tmp)
+                os.replace(tmp, path)
+            finally:
+                tmp.unlink(missing_ok=True)
         self._memory[key] = agent
         return agent
 

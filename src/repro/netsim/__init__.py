@@ -11,6 +11,8 @@ Layers, bottom-up:
 * :mod:`repro.netsim.rngstreams` -- the named RNG-stream registry:
   every generator the package constructs is declared there (owner,
   seed domain, derivation) and minted via :func:`stream_rng`.
+* :mod:`repro.netsim.signing` -- field-driven content signatures: the
+  one helper every cache-keyed spec is signed through.
 * :mod:`repro.netsim.traces` -- bandwidth processes (constant, step,
   random-walk, piecewise).
 * :mod:`repro.netsim.packet` -- packet records.
@@ -33,6 +35,7 @@ Layers, bottom-up:
 """
 
 from repro.netsim.rngstreams import STREAMS, StreamDef, stream_rng
+from repro.netsim.signing import UNSIGNED, Signer, canonical
 from repro.netsim.traces import (
     BandwidthTrace,
     ConstantTrace,
@@ -49,7 +52,6 @@ from repro.netsim.faults import (
     GilbertElliottLoss,
     LinkFlapSchedule,
     RateBrownout,
-    fault_signature,
 )
 from repro.netsim.link import Link, PropagationLink
 from repro.netsim.sender import MonitorIntervalStats, Flow
@@ -72,6 +74,9 @@ __all__ = [
     "STREAMS",
     "StreamDef",
     "stream_rng",
+    "UNSIGNED",
+    "Signer",
+    "canonical",
     "BandwidthTrace",
     "ConstantTrace",
     "StepTrace",
@@ -85,7 +90,6 @@ __all__ = [
     "GilbertElliottLoss",
     "LinkFlapSchedule",
     "RateBrownout",
-    "fault_signature",
     "Link",
     "PropagationLink",
     "MonitorIntervalStats",

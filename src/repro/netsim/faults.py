@@ -15,8 +15,9 @@ sweep via the ``faults=`` axis):
   scaled by ``factor`` inside the window);
 * :class:`BlackoutWindow` -- a single leo-handover-style total outage.
 
-Specs are frozen, validated, and fingerprinted (:func:`fault_signature`
-feeds the topology signature, so a changed schedule is a cache miss).
+Specs are frozen, validated, and fingerprinted: a ``LinkDef`` signs its
+``faults`` field by field (:mod:`repro.netsim.signing`), so any changed
+knob -- type, timing, probabilities, policy -- is a cache miss.
 The runtime state machine is :class:`FaultProcess`, one per faulted
 link, built by :meth:`TopologySpec.build` with the scenario seed and
 the link's position -- the same ``(seed, index)`` keying as the
@@ -52,7 +53,7 @@ from repro.netsim.rngstreams import stream_rng
 
 __all__ = ["BlackoutWindow", "FAULT_SPEC_TYPES", "FaultProcess",
            "GilbertElliottLoss", "LinkFlapSchedule", "RateBrownout",
-           "coerce_faults", "fault_signature"]
+           "coerce_faults"]
 
 #: Down-window admission policies: ``queue`` parks arrivals behind the
 #: recovery time (drop-tail still applies to the parked backlog, dead
@@ -79,8 +80,6 @@ class LinkFlapSchedule:
     start: float = 0.0
     jitter: float = 0.0
     policy: str = "queue"
-
-    _signature_fields = ("period", "down_time", "start", "jitter", "policy")
 
     def __post_init__(self):
         if self.period <= 0.0:
@@ -112,10 +111,8 @@ class GilbertElliottLoss:
     loss_good: float = 0.0
     loss_bad: float = 0.5
 
-    _signature_fields = ("p_enter_bad", "p_exit_bad", "loss_good", "loss_bad")
-
     def __post_init__(self):
-        for name in self._signature_fields:
+        for name in ("p_enter_bad", "p_exit_bad", "loss_good", "loss_bad"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
@@ -128,8 +125,6 @@ class RateBrownout:
     start: float
     duration: float
     factor: float
-
-    _signature_fields = ("start", "duration", "factor")
 
     def __post_init__(self):
         if self.start < 0.0:
@@ -149,8 +144,6 @@ class BlackoutWindow:
     start: float
     duration: float
     policy: str = "queue"
-
-    _signature_fields = ("start", "duration", "policy")
 
     def __post_init__(self):
         if self.start < 0.0:
@@ -178,22 +171,6 @@ def coerce_faults(value) -> tuple:
                 f"{tuple(t.__name__ for t in FAULT_SPEC_TYPES)}, "
                 f"got {spec!r}")
     return specs
-
-
-def fault_signature(specs) -> list:
-    """Canonical JSONable form of a fault-spec tuple.
-
-    Folded into :func:`repro.eval.scenarios._topology_signature` so any
-    schedule change -- type, timing, probabilities, policy -- is a
-    scenario-cache miss.
-    """
-    signature = []
-    for spec in coerce_faults(specs):
-        entry = [type(spec).__name__]
-        for name in spec._signature_fields:
-            entry.append(getattr(spec, name))
-        signature.append(entry)
-    return signature
 
 
 class FaultProcess:
@@ -309,11 +286,6 @@ class FaultProcess:
             if p > 0.0 and rng.random() < p:
                 lost = True
         return lost
-
-    # --- introspection ------------------------------------------------------
-
-    def signature(self) -> list:
-        return fault_signature(self.specs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         names = ", ".join(type(s).__name__ for s in self.specs)

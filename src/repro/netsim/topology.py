@@ -33,14 +33,16 @@ ack *loss*, and asymmetric satellite/cable routes emergent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.netsim.faults import FaultProcess, coerce_faults
 from repro.netsim.link import Link, PropagationLink
 from repro.netsim.rngstreams import stream_rng
-from repro.netsim.traces import ConstantTrace, make_trace, mbps_to_pps
+from repro.netsim.signing import UNSIGNED, canonical
+from repro.netsim.traces import (ConstantTrace, make_trace, mbps_to_pps,
+                                 named_trace_form)
 
 __all__ = ["Path", "Topology", "LinkDef", "PathDef", "TopologySpec",
            "dumbbell", "chain", "parking_lot", "dumbbell_asymmetric"]
@@ -254,7 +256,8 @@ class LinkDef:
     buffer_bdp: float = 1.0
     queue_packets: int | None = None
     loss_rate: float = 0.0
-    trace: str | None = None
+    trace: str | None = field(default=None,
+                              metadata=canonical(named_trace_form))
     faults: tuple = ()
 
     def __post_init__(self):
@@ -318,7 +321,8 @@ class TopologySpec:
     execution.
     """
 
-    name: str
+    # Display name: renames keep their cache entries.
+    name: str = field(metadata=UNSIGNED)
     links: tuple
     paths: tuple
     default_path: str = ""

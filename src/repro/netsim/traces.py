@@ -14,6 +14,7 @@ reproducible.
 from __future__ import annotations
 
 import bisect
+import hashlib
 
 import numpy as np
 
@@ -31,6 +32,8 @@ __all__ = [
     "freeze_trace",
     "make_trace",
     "trace_names",
+    "trace_form",
+    "named_trace_form",
 ]
 
 #: Default simulated packet size (bytes).  1500 B is the standard
@@ -295,6 +298,31 @@ def make_trace(name: str, cache: dict | None = None) -> BandwidthTrace:
 def trace_names() -> tuple:
     """Names of all registered traces, sorted."""
     return tuple(sorted(_TRACE_REGISTRY))
+
+
+def trace_form(trace, _owner=None, _signer=None) -> list | None:
+    """Signing form of a field holding a live trace: its class and the
+    content of every attribute (see :mod:`repro.netsim.signing`)."""
+    if trace is None:
+        return None
+    form: list = [type(trace).__name__]
+    for name in sorted(vars(trace)):
+        value = vars(trace)[name]
+        if isinstance(value, np.ndarray):
+            value = hashlib.sha256(
+                np.ascontiguousarray(value)).hexdigest()[:16]
+        form.append([name, value if isinstance(value, str) else repr(value)])
+    return form
+
+
+def named_trace_form(name, _owner, signer) -> list | None:
+    """Signing form of a field naming a registered trace: the *content*
+    its factory currently produces, so re-registering a name is a cache
+    miss and renaming it is not.  Each name is built once per pass."""
+    if name is None:
+        return None
+    return signer.once(("named-trace", name), None,
+                       lambda: trace_form(make_trace(name)))
 
 
 def _leo_handover_trace(horizon: float = 600.0, period: float = 15.0,

@@ -1,13 +1,12 @@
-"""Fixture: env reads inside a sensitive (simulation) module."""
+"""Fixture: env reads outside config.py."""
 
 import os
+from os import getenv
 
 
 def speed_hack():
-    # tainted: read in a netsim module, not allowlisted
     return os.environ.get("SIM_SPEED_HACK")
 
 
 def lookup(key):
-    # tainted and unverifiable: the variable name is dynamic
-    return os.getenv(key)
+    return getenv(key)

@@ -1,23 +1,6 @@
-"""Known-bad fault layer: undeclared streams, uncovered spec fields."""
-
-from dataclasses import dataclass
+"""Known-bad fault layer: undeclared and mis-derived streams."""
 
 from .rngstreams import stream_rng
-
-
-@dataclass(frozen=True)
-class LeakySpec:
-    period: float
-    down_time: float
-    secret_knob: float = 0.0  # absent from _signature_fields: cache poison
-
-    _signature_fields = ("period", "down_time", "ghost_field")
-
-
-@dataclass(frozen=True)
-class UnsignedSpec:
-    start: float
-    duration: float
 
 
 class FaultProcess:

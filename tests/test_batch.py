@@ -14,7 +14,14 @@ Three guarantees, layered:
 * **Failures stay per cell.**  A mid-batch ``ScenarioError`` surfaces
   the failing cell's name while its batch siblings complete (and
   cache).
+
+``TestCellIsolation`` holds the live half of the cross-cell isolation
+contract (the static half is replint's ``isolation`` family): two built
+cells' object graphs share no unlisted mutable object.
 """
+
+import gc
+import types
 
 import numpy as np
 import pytest
@@ -38,6 +45,7 @@ from repro.eval.sweeps import PERF_SHAPES, batched_grid_scenarios, perf_scenario
 from repro.netsim.faults import GilbertElliottLoss, LinkFlapSchedule
 from repro.netsim.network import SimState
 from repro.netsim.topology import dumbbell, dumbbell_asymmetric, parking_lot
+from repro.netsim.traces import BandwidthTrace, freeze_trace, make_trace
 
 
 def solo_digest(scenario) -> str:
@@ -292,6 +300,114 @@ class TestBatchRunner:
         warm_agent_refs(perf_scenarios("single-bottleneck", duration=0.3))
 
 
+#: Never traversed (and never reported): code/metadata objects shared
+#: by construction, not by the batch layer.
+_PRUNE_TYPES = (type, types.ModuleType, types.FunctionType,
+                types.BuiltinFunctionType, types.CodeType,
+                types.GetSetDescriptorType, types.MemberDescriptorType,
+                types.MappingProxyType, property, staticmethod, classmethod)
+
+#: Traversed but never reported: immutable values (or pure references
+#: whose targets are themselves walked, like tuples and bound methods).
+_INERT_TYPES = (str, bytes, bool, int, float, complex, type(None),
+                frozenset, range, slice, tuple, types.MethodType,
+                np.dtype, np.generic)
+
+
+def _reachable(obj) -> dict:
+    """``{id: object}`` for everything reachable from ``obj``."""
+    seen: dict = {}
+    stack = [obj]
+    while stack:
+        cur = stack.pop()
+        if id(cur) in seen or isinstance(cur, _PRUNE_TYPES):
+            continue
+        seen[id(cur)] = cur
+        stack.extend(gc.get_referents(cur))
+    return seen
+
+
+def _is_frozen_dataclass(obj) -> bool:
+    params = getattr(type(obj), "__dataclass_params__", None)
+    return params is not None and params.frozen
+
+
+def _is_frozen_trace(obj) -> bool:
+    """The live counterpart of ``SHARED_IMMUTABLE_ALLOWLIST``: a trace
+    whose array payloads are read-only."""
+    return isinstance(obj, BandwidthTrace) and all(
+        not value.flags.writeable for value in vars(obj).values()
+        if isinstance(value, np.ndarray))
+
+
+def shared_mutables(states) -> list[str]:
+    """One message per kind of mutable object reachable from >= 2 of
+    ``states`` (anything rooting a cell's object graph works)."""
+    graphs = [_reachable(state) for state in states]
+    counts: dict = {}
+    for graph in graphs:
+        for obj_id in graph:
+            counts[obj_id] = counts.get(obj_id, 0) + 1
+    shared = [(next(g[obj_id] for g in graphs if obj_id in g), n)
+              for obj_id, n in counts.items() if n >= 2]
+    # A justified instance's attribute ``__dict__`` is the same asset,
+    # not an independent sharing channel.
+    exempt = {id(vars(obj)) for obj, _ in shared if hasattr(obj, "__dict__")
+              and (_is_frozen_dataclass(obj) or _is_frozen_trace(obj))}
+    messages = set()
+    for obj, n in shared:
+        if id(obj) in exempt or isinstance(obj, _INERT_TYPES) \
+                or _is_frozen_dataclass(obj) or _is_frozen_trace(obj):
+            continue
+        if isinstance(obj, np.ndarray) and not obj.flags.writeable:
+            continue
+        kind = f"{type(obj).__module__}.{type(obj).__qualname__}"
+        if isinstance(obj, (np.random.Generator, np.random.BitGenerator,
+                            np.random.SeedSequence)):
+            messages.add(f"{kind} is reachable from {n} cells; every "
+                         f"generator must derive from its own cell's "
+                         f"cell-indexed stream")
+        else:
+            messages.add(f"mutable {kind} is reachable from {n} cells")
+    return sorted(messages)
+
+
+class _FakeState:
+    def __init__(self, **attrs):
+        self.__dict__.update(attrs)
+        self.own = {"per-cell": []}  # mutable but unshared
+
+
+class TestCellIsolation:
+    """Interleaved cells share only frozen assets -- checked on the
+    object graphs themselves, not on what the batch layer declares."""
+
+    def test_walker_flags_shared_dict_and_generator(self):
+        registry, rng = {"x": [1]}, np.random.default_rng(3)
+        messages = " | ".join(shared_mutables(
+            [_FakeState(shared=registry, rng=rng),
+             _FakeState(shared=registry, rng=rng)]))
+        assert "mutable builtins.dict is reachable from 2 cells" in messages
+        assert "Generator is reachable from 2 cells" in messages
+        assert "cell-indexed stream" in messages
+
+    def test_walker_accepts_frozen_shared_trace(self):
+        trace = freeze_trace(make_trace("wifi-walk"))
+        assert shared_mutables([_FakeState(trace=trace),
+                                _FakeState(trace=trace)]) == []
+
+    def test_built_cells_share_no_mutable_object(self):
+        # Two classical-scheme cells sharing one named trace: cheap to
+        # build (no zoo resolution, nothing is run) yet exercising the
+        # exact sharing path -- make_trace(cache=...) -- batches use.
+        scenarios = ScenarioSuite(
+            name="isolation-probe", lineups=[("cubic", "bbr")],
+            traces=("wifi-walk",), seeds=(0, 1), duration=0.05).expand()
+        cells = BatchRunner(prewarm=False).build_cells(scenarios)
+        assert [cell.error for cell in cells] == [None, None]
+        assert shared_mutables([cell.sim.state for cell in cells]) == []
+
+
 def identity_suite() -> list[Scenario]:
     """Satellite grid: single-bottleneck, parking lot, and churn cells."""
     churn = ChurnSchedule("on-off", gap=0.5, on_time=1.0, period=1.5, skip=1)
@@ -444,8 +560,8 @@ class TestBatchInterrupts:
                                 batch_size=1)
         with pytest.raises(KeyboardInterrupt):
             runner.run(scenarios)
-        assert scenarios[0].fingerprint() in runner.cache
-        assert scenarios[1].fingerprint() not in runner.cache
+        assert runner.cache.get(scenarios[0].fingerprint()) is not None
+        assert runner.cache.get(scenarios[1].fingerprint()) is None
         # Resuming after the interrupt only pays for the cancelled tail.
         monkeypatch.setattr(SimState, "step_until", original)
         resumed = runner.run(scenarios)

@@ -21,7 +21,7 @@ import pytest
 
 from repro.eval.parallel import ParallelRunner
 from repro.eval.resilience import records_digest
-from repro.eval.scenarios import ScenarioSuite, _topology_signature
+from repro.eval.scenarios import ScenarioSuite
 from repro.netsim.faults import (
     BlackoutWindow,
     FaultProcess,
@@ -29,8 +29,8 @@ from repro.netsim.faults import (
     LinkFlapSchedule,
     RateBrownout,
     coerce_faults,
-    fault_signature,
 )
+from repro.netsim.signing import Signer
 from repro.netsim.topology import dumbbell, parking_lot
 
 
@@ -69,13 +69,15 @@ class TestFaultSpecs:
             bad()
 
     def test_signature_covers_every_field(self):
-        # The replint fault-signature-coverage rule pins this statically;
-        # this is the live mirror: every dataclass field appears.
+        # Signatures are derived from dataclasses.fields(): the shape a
+        # spec signs under names its class and every field it declares.
         for spec in (FLAP, GE, BROWNOUT, BLACKOUT):
-            fields = set(spec.__dataclass_fields__)
-            assert fields == set(spec._signature_fields)
+            names = ",".join(spec.__dataclass_fields__)
+            assert Signer().sign(spec)[0] == f"{type(spec).__name__}({names})"
 
     def test_signature_changes_with_any_knob(self):
+        def fault_signature(specs):
+            return Signer().value(specs)
         base = fault_signature((FLAP,))
         for changed in (
                 LinkFlapSchedule(period=0.9, down_time=0.05, start=0.3,
@@ -99,7 +101,7 @@ class TestFaultSpecs:
 
     def test_topology_with_faults_fingerprints(self):
         def sig(spec):
-            return _topology_signature(spec, {})  # no named traces
+            return Signer().sign(spec)
         base = dumbbell(bandwidth_mbps=8.0)
         faulted = base.with_faults({"hop0": (FLAP, GE)})
         assert sig(base) != sig(faulted)

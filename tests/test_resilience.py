@@ -427,9 +427,9 @@ class TestCacheIntegrity:
         runner.run([scenario])
         path = runner.cache._path(scenario.fingerprint())
         fields, records = unseal(path.read_bytes())
-        assert fields["version"] == SCENARIO_CACHE_VERSION != "v7"
+        assert fields["version"] == SCENARIO_CACHE_VERSION != "v9"
         # Sealed intact under the old version: only stale, not damaged.
-        path.write_bytes(seal({**fields, "version": "v7"}, records))
+        path.write_bytes(seal({**fields, "version": "v9"}, records))
         assert runner.run([scenario]).cache_misses == 1  # not served
         assert not list(tmp_path.glob("*.quarantined"))
         assert unseal(path.read_bytes())[0]["version"] == SCENARIO_CACHE_VERSION
@@ -559,15 +559,6 @@ class TestLoneCellDispatch:
 
 
 class TestCheckpointResume:
-    def test_env_var_supplies_default_path(self, tmp_path, monkeypatch):
-        journal = tmp_path / "env.jsonl"
-        monkeypatch.setenv("REPRO_SWEEP_CHECKPOINT", str(journal))
-        runner = ParallelRunner(n_workers=1, use_cache=False)
-        assert runner.checkpoint_path == journal
-        runner.run([Scenario(name="env", network=NET, flows=("cubic",),
-                             duration=1.0)])
-        assert journal.exists()
-
     def test_completed_run_restores_rows_bit_identically(self, tmp_path):
         journal = tmp_path / "ck.jsonl"
         kwargs = dict(n_workers=2, use_cache=False, checkpoint=journal,

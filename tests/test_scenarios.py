@@ -1,6 +1,6 @@
 """Tests for declarative scenarios, suites, and the trace registry."""
 
-from dataclasses import replace
+from dataclasses import field, make_dataclass, replace
 
 import numpy as np
 import pytest
@@ -16,12 +16,24 @@ from repro.eval.scenarios import (
     FlowDef,
     Scenario,
     ScenarioSuite,
-    _agent_signature,
     fingerprint_cells,
     run_scenario,
 )
-from repro.netsim.faults import LinkFlapSchedule
-from repro.netsim.topology import dumbbell, dumbbell_asymmetric, parking_lot
+from repro.netsim.faults import (
+    BlackoutWindow,
+    GilbertElliottLoss,
+    LinkFlapSchedule,
+    RateBrownout,
+)
+from repro.netsim.signing import UNSIGNED, Signer
+from repro.netsim.topology import (
+    LinkDef,
+    PathDef,
+    TopologySpec,
+    dumbbell,
+    dumbbell_asymmetric,
+    parking_lot,
+)
 from repro.netsim.traces import (
     ConstantTrace,
     StepTrace,
@@ -108,10 +120,11 @@ class TestScenario:
     def test_live_agent_signatures_differ_by_parameters(self):
         a1 = MoccAgent(DEFAULT_TRAINING, seed=1)
         a2 = MoccAgent(DEFAULT_TRAINING, seed=2)
-        assert _agent_signature(a1) == _agent_signature(a1)
-        assert _agent_signature(a1) != _agent_signature(a2)
-        assert _agent_signature(None) == "none"
-        assert _agent_signature(AgentRef()).startswith("ref:")
+        fp = lambda agent: Scenario(
+            name="x", network=NET, flows=(FlowDef(
+                "mocc", weights=(0.5, 0.3, 0.2), agent=agent),)).fingerprint()
+        assert fp(a1) == fp(a1)
+        assert len({fp(a1), fp(a2), fp(None), fp(AgentRef())}) == 4
 
     def test_run_matches_legacy_single_flow(self):
         scenario = Scenario(name="parity", network=NET, flows=("cubic",),
@@ -212,6 +225,103 @@ class TestFingerprintCells:
         uses = [any(f.agent is agent for f in c.flows) for c in cells]
         assert any(uses) and not all(uses)
         assert [a != b for a, b in zip(after, before)] == uses
+
+
+_HOP = LinkDef("hop0")
+_THROUGH = PathDef("through", ("hop0",))
+
+
+def _on_link(fault) -> Scenario:
+    topology = TopologySpec("t", (LinkDef("hop0", faults=(fault,)),),
+                            (_THROUGH,))
+    return Scenario(name="x", network=NET, flows=("cubic",),
+                    topology=topology)
+
+
+#: Every class a fingerprint signs, with how an instance of (a subclass
+#: of) it is placed inside a scenario.
+SIGNED_CLASSES = {
+    Scenario: lambda cls, **extra: cls(
+        name="x", network=NET, flows=("cubic",), **extra),
+    EvalNetwork: lambda cls, **extra: Scenario(
+        name="x", network=cls(bandwidth_mbps=8.0, **extra), flows=("cubic",)),
+    FlowDef: lambda cls, **extra: Scenario(
+        name="x", network=NET, flows=(cls("cubic", **extra),)),
+    AgentRef: lambda cls, **extra: Scenario(
+        name="x", network=NET, flows=(FlowDef(
+            "mocc", weights=(0.5, 0.3, 0.2), agent=cls(**extra)),)),
+    LinkDef: lambda cls, **extra: Scenario(
+        name="x", network=NET, flows=("cubic",), topology=TopologySpec(
+            "t", (cls("hop0", **extra),), (_THROUGH,))),
+    PathDef: lambda cls, **extra: Scenario(
+        name="x", network=NET, flows=("cubic",), topology=TopologySpec(
+            "t", (_HOP,), (cls("through", ("hop0",), **extra),))),
+    TopologySpec: lambda cls, **extra: Scenario(
+        name="x", network=NET, flows=("cubic",),
+        topology=cls("t", (_HOP,), (_THROUGH,), **extra)),
+    LinkFlapSchedule: lambda cls, **extra: _on_link(
+        cls(period=1.0, down_time=0.1, **extra)),
+    GilbertElliottLoss: lambda cls, **extra: _on_link(
+        cls(p_enter_bad=0.1, p_exit_bad=0.5, **extra)),
+    RateBrownout: lambda cls, **extra: _on_link(
+        cls(start=0.0, duration=1.0, factor=0.5, **extra)),
+    BlackoutWindow: lambda cls, **extra: _on_link(
+        cls(start=0.0, duration=1.0, **extra)),
+}
+
+
+def _with_extra_field(cls, **field_kwargs):
+    """A subclass declaring one more field -- and nothing else: no
+    signature method, no list entry, no signing code."""
+    return make_dataclass(
+        f"Extra{cls.__name__}",
+        [("extra", int, field(default=0, **field_kwargs))],
+        bases=(cls,), frozen=True)
+
+
+class TestFieldDrivenSignatures:
+    """Every field reaches the key by construction: the defect the
+    deleted coverage rules policed from outside, planted directly."""
+
+    @pytest.mark.parametrize("cls", SIGNED_CLASSES, ids=lambda c: c.__name__)
+    def test_new_field_on_a_subclass_changes_the_fingerprint(self, cls):
+        place, sub = SIGNED_CLASSES[cls], _with_extra_field(cls)
+        assert place(sub, extra=1).fingerprint() \
+            != place(sub, extra=2).fingerprint()
+        assert place(sub, extra=1).fingerprint() \
+            == place(sub, extra=1).fingerprint()
+
+    @pytest.mark.parametrize("cls", SIGNED_CLASSES, ids=lambda c: c.__name__)
+    def test_opted_out_field_does_not(self, cls):
+        place = SIGNED_CLASSES[cls]
+        sub = _with_extra_field(cls, metadata=UNSIGNED)
+        assert place(sub, extra=1).fingerprint() \
+            == place(sub, extra=2).fingerprint()
+
+    def test_new_network_field_stays_hashed_under_a_topology(self):
+        """Only the axes a topology is declared to supersede leave the
+        key; a field added to EvalNetwork later does not."""
+        sub = _with_extra_field(EvalNetwork)
+        fp = lambda **kw: Scenario(
+            name="x", network=sub(**kw), flows=("cubic",),
+            topology=parking_lot(2)).fingerprint()
+        assert fp(extra=1) != fp(extra=2)
+        assert fp(extra=1) == fp(extra=1, bandwidth_mbps=40.0)
+
+    def test_omitting_an_unknown_field_is_an_error(self):
+        with pytest.raises(ValueError, match="no field"):
+            Signer().sign(NET, omit=("bandwidth",))
+
+    def test_value_without_a_form_is_refused_not_guessed(self):
+        sub = make_dataclass("Odd", [("knob", object, field(default=None))],
+                             bases=(EvalNetwork,), frozen=True)
+        with pytest.raises(TypeError, match="canonical"):
+            Signer().sign(sub(knob={"a": 1}))
+
+    def test_shared_spec_is_signed_once_per_pass(self):
+        signer, topology = Signer(), parking_lot(2)
+        assert signer.sign(topology) is signer.sign(topology)
+        assert signer.sign(topology) == Signer().sign(parking_lot(2))
 
 
 class TestChurnSchedule:
@@ -406,12 +516,11 @@ class TestTopologyScenarios:
 
 class TestAgentRef:
     def test_keys_distinguish_models(self):
-        keys = {AgentRef().key(),
-                AgentRef(quality="full").key(),
-                AgentRef(kind="aurora", flavor="latency").key(),
+        refs = (AgentRef(), AgentRef(quality="full"),
+                AgentRef(kind="aurora", flavor="latency"),
                 AgentRef(kind="aurora_for", flavor="rtc",
-                         weights=(0.2, 0.3, 0.5)).key()}
-        assert len(keys) == 4
+                         weights=(0.2, 0.3, 0.5)))
+        assert len({repr(Signer().sign(ref)) for ref in refs}) == 4
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown agent kind"):

@@ -1,5 +1,7 @@
 """Tests for the training pipeline: collectors, offline/online, DQN, zoo."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,35 @@ class TestZoo:
             zoo2 = ModelZoo(cache_dir=tmp_path)
             a2 = zoo2.aurora_for([0.5, 0.3, 0.2], tag="t", quality="tiny")
             np.testing.assert_allclose(a1.model.log_std.value, a2.model.log_std.value)
+        finally:
+            BUDGETS.pop("tiny")
+
+    def test_interrupted_save_leaves_no_checkpoint(self, tmp_path,
+                                                   monkeypatch):
+        BUDGETS["tiny"] = TrainingBudget(1, 1, 1, 1, 32, 8)
+        real_savez = np.savez
+
+        def torn_savez(path, **arrays):
+            real_savez(path, **arrays)
+            whole = Path(path).read_bytes()
+            Path(path).write_bytes(whole[:len(whole) // 2])
+            raise OSError("killed mid-write")
+
+        try:
+            monkeypatch.setattr(np, "savez", torn_savez)
+            with pytest.raises(OSError, match="killed mid-write"):
+                ModelZoo(cache_dir=tmp_path).aurora_for(
+                    [0.5, 0.3, 0.2], tag="t", quality="tiny")
+            # Nothing a later run would mistake for a checkpoint.
+            assert not list(tmp_path.glob("*.npz"))
+            monkeypatch.setattr(np, "savez", real_savez)
+            trained = ModelZoo(cache_dir=tmp_path).aurora_for(
+                [0.5, 0.3, 0.2], tag="t", quality="tiny")
+            assert len(list(tmp_path.glob("*.npz"))) == 1
+            loaded = ModelZoo(cache_dir=tmp_path).aurora_for(
+                [0.5, 0.3, 0.2], tag="t", quality="tiny")
+            np.testing.assert_array_equal(trained.model.log_std.value,
+                                          loaded.model.log_std.value)
         finally:
             BUDGETS.pop("tiny")
 
