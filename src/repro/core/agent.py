@@ -15,8 +15,9 @@ Inference is actor-only: a controller resolves an
 :class:`~repro.rl.policy.InferencePlan` when its flow starts (the
 preference embedding is computed once, there) and each interval costs
 one no-grad actor forward -- no critic, no log-probability, no backward
-caches.  ``model.act`` / :meth:`MoccAgent.act` return the full rollout
-triple and are for training and one-off queries, not the control loop.
+caches.  Rollout collection resolves a plan per rollout the same way;
+``model.act`` / :meth:`MoccAgent.act` build a one-shot plan per call
+and are for one-off queries, not a loop.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.config import NetworkParams, NetworkRanges, TRAINING_RANGES
-from repro.netsim.history import StatHistory
+from repro.netsim.history import StatHistory, _clamp
 from repro.netsim.link import Link
 from repro.netsim.network import FlowSpec, Simulation
 from repro.netsim.rngstreams import stream_rng
@@ -46,8 +46,8 @@ class RewardComponents:
 
     def weighted(self, weights) -> float:
         """Scalarise with a weight vector ``<w_thr, w_lat, w_loss>``."""
-        w = np.asarray(weights, dtype=np.float64)
-        return float(w[0] * self.o_thr + w[1] * self.o_lat + w[2] * self.o_loss)
+        return float(weights[0] * self.o_thr + weights[1] * self.o_lat
+                     + weights[2] * self.o_loss)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.o_thr, self.o_lat, self.o_loss])
@@ -189,25 +189,26 @@ class CongestionControlEnv:
         is a :class:`RewardComponents` -- callers scalarise it with
         their own objective (fixed for Aurora, dynamic for MOCC).
         """
-        if self._sim is None or self._controller is None:
+        sim, controller = self._sim, self._controller
+        if sim is None or controller is None:
             raise RuntimeError("call reset() before step()")
-        action = float(np.clip(action, -self.ACTION_CLIP, self.ACTION_CLIP))
-        new_rate = apply_action(self._controller.rate, action, self.action_scale)
-        self._controller.set_rate(new_rate)
+        flow = sim.flows[0]
+        action = _clamp(float(action), -self.ACTION_CLIP, self.ACTION_CLIP)
+        controller.set_rate(apply_action(controller.rate, action, self.action_scale))
 
-        target = self._sim.now + self._mi
-        before = len(self._flow.records)
-        self._sim.run(until=target)
-        if len(self._flow.records) > before:
-            stats = self._flow.records[-1]
+        target = sim.now + self._mi
+        before = len(flow.records)
+        sim.run(until=target)
+        if len(flow.records) > before:
+            stats = flow.records[-1]
         else:  # Degenerate MI (no events); synthesise an empty interval.
-            stats = self._flow.finish_mi(target, self._link_capacity(), self._sim.base_rtt,
-                                         self._controller.rate)
+            stats = flow.finish_mi(target, self._link_capacity(), sim.base_rtt,
+                                   controller.rate)
         components = components_from_stats(stats)
-        self.history.push(self._flow, stats)
+        self.history.push(flow, stats)
         self._steps += 1
         done = self._steps >= self.max_steps
-        info = {"stats": stats, "rate_pps": self._controller.rate,
+        info = {"stats": stats, "rate_pps": controller.rate,
                 "params": self._active_params}
         return self.history.vector(), components, done, info
 

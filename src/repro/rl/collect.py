@@ -52,6 +52,9 @@ def collect_rollout(env: MoccEnv, model: PreferenceActorCritic, weights,
     conditioned = model.weight_dim > 0
     weights = resolve_objective(weights, conditioned)
     buffer = RolloutBuffer(env.observation_dim, model.weight_dim, model.act_dim, steps)
+    # The model is frozen until the next PPO update: one plan serves
+    # the whole rollout (its preference embedding is computed here).
+    plan = model.plan(weights)
 
     if obs_state is None:
         obs, w_obs = env.reset(weights)
@@ -62,8 +65,7 @@ def collect_rollout(env: MoccEnv, model: PreferenceActorCritic, weights,
     episode_total = 0.0
     done = False
     for _ in range(steps):
-        w_in = w_obs if conditioned else None
-        action, log_prob, value = model.act(obs, w_in, rng)
+        action, log_prob, value = plan.act(obs, rng)
         next_obs, next_w, reward, _, done, _ = env.step(float(action[0]))
         buffer.add(obs, action, log_prob, value, reward, done,
                    weights=w_obs if conditioned else None)
@@ -75,10 +77,7 @@ def collect_rollout(env: MoccEnv, model: PreferenceActorCritic, weights,
         else:
             obs, w_obs = next_obs, next_w
 
-    if done:
-        bootstrap = 0.0
-    else:
-        bootstrap = model.value(obs, w_obs if conditioned else None)
+    bootstrap = 0.0 if done else plan.value(obs)
     if not episode_rewards:
         # No episode completed (the rollout is shorter than an episode,
         # e.g. after sharding across workers): extrapolate the per-step
@@ -100,15 +99,15 @@ def run_policy_episode(env: MoccEnv, model: PreferenceActorCritic, weights,
     """
     conditioned = model.weight_dim > 0
     weights = resolve_objective(weights, conditioned)
-    obs, w_obs = env.reset(weights)
+    plan = model.plan(weights)
+    obs, _ = env.reset(weights)
     total = 0.0
     comps = np.zeros(3)
     steps = 0
     done = False
     while not done:
-        w_in = w_obs if conditioned else None
-        action, _, _ = model.act(obs, w_in, rng, deterministic=deterministic)
-        obs, w_obs, reward, components, done, _ = env.step(float(action[0]))
+        obs, _, reward, components, done, _ = env.step(
+            plan.action(obs, rng, deterministic))
         total += reward
         comps += components.as_array()
         steps += 1

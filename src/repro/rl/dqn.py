@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.netsim.env import MoccEnv, apply_action
-from repro.rl.nn import MLP, Dense, Module, Parameter, Sequential, Tanh
+from repro.rl.nn import MLP, Dense, Module, ParameterArena, Sequential, Tanh
 from repro.rl.optim import Adam, clip_grad_norm
 
 __all__ = ["QNetwork", "ReplayBuffer", "DQNConfig", "DQNTrainer", "action_bins"]
@@ -50,15 +50,10 @@ class QNetwork(Module):
             self.pref_net = None
         self.trunk = MLP(obs_dim + self.pref_hidden, hidden_sizes, n_actions,
                          activation="tanh", rng=rng)
+        self._params = ParameterArena.of(pref=self.pref_net, trunk=self.trunk)
 
-    def parameters(self) -> dict[str, Parameter]:
-        params = {}
-        if self.pref_net is not None:
-            for name, p in self.pref_net.parameters().items():
-                params[f"pref.{name}"] = p
-        for name, p in self.trunk.parameters().items():
-            params[f"trunk.{name}"] = p
-        return params
+    def parameters(self) -> ParameterArena:
+        return self._params
 
     def forward(self, obs: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))

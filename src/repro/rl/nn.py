@@ -18,6 +18,15 @@ Conventions
   It requires a 2-D float64 input.
 * Parameters and gradients are exposed as flat ``{name: array}`` dicts
   so optimizers and serialization never need to know the architecture.
+* A *model* (the unit an optimizer trains) packs its parameters into a
+  :class:`ParameterArena` when it is built: every ``Parameter.value`` /
+  ``.grad`` is from then on a shaped view into the arena's two flat
+  float64 vectors, so an optimizer step, ``zero_grad`` and the clip
+  scale are one pass over a vector each instead of one per tensor,
+  and the flat value vector is the whole model (what a rollout worker
+  is sent).  Everything that writes parameters writes them in place
+  (``load_state_dict``, ``+=``); rebinding ``param.value`` would
+  detach it from the arena.
 """
 
 from __future__ import annotations
@@ -32,8 +41,7 @@ __all__ = [
     "Sequential",
     "MLP",
     "Parameter",
-    "flatten_params",
-    "unflatten_params",
+    "ParameterArena",
     "numerical_gradient",
 ]
 
@@ -51,6 +59,50 @@ class Parameter:
     @property
     def shape(self):
         return self.value.shape
+
+
+class ParameterArena(dict):
+    """``{name: Parameter}`` backed by one flat ``value`` and one flat
+    ``grad`` vector, laid out in insertion order.
+
+    Building it moves the parameters in: their current values and
+    gradients are copied into the vectors and rebound as views.
+    Pickling and ``copy.deepcopy`` rebuild the arena around the copied
+    parameters, so a copy is aliased to its own vectors.
+    """
+
+    def __init__(self, named: dict[str, Parameter]):
+        super().__init__(named)
+        size = sum(p.value.size for p in named.values())
+        self.value = np.empty(size)
+        self.grad = np.empty(size)
+        offset = 0
+        for param in named.values():
+            span = slice(offset, offset + param.value.size)
+            self.value[span] = param.value.ravel()
+            self.grad[span] = param.grad.ravel()
+            param.value = self.value[span].reshape(param.shape)
+            param.grad = self.grad[span].reshape(param.shape)
+            offset = span.stop
+
+    @classmethod
+    def of(cls, **blocks: "Module | Parameter | None") -> "ParameterArena":
+        """Arena over ``name=Parameter`` and ``prefix=Module`` blocks
+        (``prefix.<its parameter names>``); ``None`` blocks are skipped."""
+        named: dict[str, Parameter] = {}
+        for prefix, block in blocks.items():
+            if isinstance(block, Parameter):
+                named[prefix] = block
+            elif block is not None:
+                for name, param in block.parameters().items():
+                    named[f"{prefix}.{name}"] = param
+        return cls(named)
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+    def zero_grad(self) -> None:
+        self.grad.fill(0.0)
 
 
 class Module:
@@ -232,30 +284,6 @@ class MLP(Sequential):
         super().__init__(*layers)
         self.in_features = in_features
         self.out_features = out_features
-
-
-# --- parameter vector helpers (snapshots, distances, tests) -------------
-
-
-def flatten_params(params: dict[str, Parameter]) -> np.ndarray:
-    """Concatenate parameter values into a single 1-D vector.
-
-    Iteration order is the sorted parameter name, so the layout is stable
-    across calls for the same module.
-    """
-    return np.concatenate([params[name].value.ravel() for name in sorted(params)])
-
-
-def unflatten_params(params: dict[str, Parameter], flat: np.ndarray) -> None:
-    """Write a flat vector (from :func:`flatten_params`) back into params."""
-    offset = 0
-    for name in sorted(params):
-        param = params[name]
-        size = param.value.size
-        param.value[...] = flat[offset:offset + size].reshape(param.value.shape)
-        offset += size
-    if offset != flat.size:
-        raise ValueError(f"flat vector has {flat.size} entries, expected {offset}")
 
 
 def numerical_gradient(f, params: dict[str, Parameter], eps: float = 1e-6) -> dict[str, np.ndarray]:

@@ -105,8 +105,7 @@ class VectorCollector:
         finished: list[float] = []
 
         for _ in range(per_env):
-            w_in = w_batch if conditioned else None
-            mean, value = model.forward(obs, w_in)
+            mean, value = model.infer(obs, w_batch)
             actions = DiagGaussian.sample(mean, model.log_std.value, rng)
             log_probs = DiagGaussian.log_prob(actions, mean, model.log_std.value)
             for i, env in enumerate(self.envs):
@@ -121,8 +120,7 @@ class VectorCollector:
                     next_obs, _ = env.reset(weights)
                 obs[i] = next_obs
 
-        w_in = w_batch if conditioned else None
-        _, boot_values = model.forward(obs, w_in)
+        _, boot_values = model.infer(obs, w_batch)
         bootstraps = []
         for i, buffer in enumerate(buffers):
             bootstraps.append(0.0 if buffer.dones[buffer.size - 1] else float(boot_values[i]))
@@ -144,9 +142,9 @@ class VectorCollector:
 
 def _worker_collect(args):
     """Process-pool entry point: build env + model, collect one rollout."""
-    (spec, arch, state, weights, steps, seed, seed_offset) = args
+    (spec, arch, flat, weights, steps, seed, seed_offset) = args
     model = PreferenceActorCritic(**arch)
-    model.load_state_dict(state)
+    model.parameters().value[:] = flat
     env = spec.build(seed_offset=seed_offset)
     rng = np.random.default_rng(seed)
     buffer, bootstrap, mean_reward, _ = collect_rollout(env, model, weights, steps, rng)
@@ -192,9 +190,9 @@ class ProcessCollector:
                 rng: np.random.Generator):
         per_worker = max(steps // self.n_workers, 1)
         arch = model.architecture()
-        state = model.state_dict()
+        flat = model.parameters().value
         weights = resolve_objective(weights, model.weight_dim > 0)
-        jobs = [(self.spec, arch, state, weights, per_worker,
+        jobs = [(self.spec, arch, flat, weights, per_worker,
                  int(rng.integers(0, 2 ** 31)), 1000 * (i + 1))
                 for i in range(self.n_workers)]
         results = self._pool.map(_worker_collect, jobs)

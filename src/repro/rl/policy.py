@@ -19,10 +19,12 @@ requirements into consideration."
 A plain single-objective actor-critic (for Aurora/Orca baselines) is the
 degenerate case ``weight_dim=0``, which skips the PN entirely.
 
-Two ways to run the model on one state: :meth:`PreferenceActorCritic.act`
-returns the ``(action, log_prob, value)`` triple rollout collection
-needs; an :class:`InferencePlan` runs only the actor, for controllers
-that consult a frozen policy once per monitor interval.
+One way to run the model on one state: an :class:`InferencePlan`,
+resolved once per flow or per rollout.  ``plan.action`` runs only the
+actor, for controllers that consult a frozen policy once per monitor
+interval; ``plan.act`` returns the ``(action, log_prob, value)`` triple
+rollout collection needs.  :meth:`PreferenceActorCritic.act` and
+``.value`` are one-shot plans for one-off queries.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.rl.distributions import DiagGaussian
-from repro.rl.nn import MLP, Dense, Module, Parameter, Sequential, Tanh
+from repro.rl.nn import MLP, Dense, Module, Parameter, ParameterArena, Sequential, Tanh
 
 __all__ = ["PreferenceActorCritic", "InferencePlan"]
 
@@ -74,22 +76,17 @@ class PreferenceActorCritic(Module):
         self.critic = MLP(trunk_in, hidden_sizes, 1, activation="tanh", rng=rng)
         self.log_std = Parameter(np.full(act_dim, init_log_std))
 
-    # --- parameters -----------------------------------------------------
+        self._params = ParameterArena.of(
+            log_std=self.log_std, pref=self.pref_net, actor=self.actor,
+            critic=self.critic)
 
-    def parameters(self) -> dict[str, Parameter]:
-        params: dict[str, Parameter] = {"log_std": self.log_std}
-        if self.pref_net is not None:
-            for name, p in self.pref_net.parameters().items():
-                params[f"pref.{name}"] = p
-        for name, p in self.actor.parameters().items():
-            params[f"actor.{name}"] = p
-        for name, p in self.critic.parameters().items():
-            params[f"critic.{name}"] = p
-        return params
+    def parameters(self) -> ParameterArena:
+        return self._params
 
     # --- forward/backward ------------------------------------------------
 
-    def _embed(self, obs: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+    def _embed(self, obs: np.ndarray, weights: np.ndarray | None,
+               cache: bool = True) -> np.ndarray:
         obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
         if self.pref_net is None:
             return obs
@@ -98,7 +95,7 @@ class PreferenceActorCritic(Module):
         weights = np.atleast_2d(np.asarray(weights, dtype=np.float64))
         if weights.shape[0] == 1 and obs.shape[0] > 1:
             weights = np.repeat(weights, obs.shape[0], axis=0)
-        pref = self.pref_net.forward(weights)
+        pref = self.pref_net.forward(weights) if cache else self.pref_net.infer(weights)
         return np.concatenate([obs, pref], axis=1)
 
     def forward(self, obs: np.ndarray, weights: np.ndarray | None = None):
@@ -112,6 +109,11 @@ class PreferenceActorCritic(Module):
         mean = self.actor.forward(joint)
         value = self.critic.forward(joint)[:, 0]
         return mean, value
+
+    def infer(self, obs: np.ndarray, weights: np.ndarray | None = None):
+        """:meth:`forward` for a batch of states, caching nothing."""
+        joint = self._embed(obs, weights, cache=False)
+        return self.actor.infer(joint), self.critic.infer(joint)[:, 0]
 
     def backward(self, d_mean: np.ndarray, d_value: np.ndarray,
                  d_log_std: np.ndarray | None = None) -> None:
@@ -128,29 +130,18 @@ class PreferenceActorCritic(Module):
 
     def act(self, obs: np.ndarray, weights: np.ndarray | None,
             rng: np.random.Generator, deterministic: bool = False):
-        """Sample an action for a single state.
+        """Sample an action for a single state (a one-shot plan).
 
         Returns ``(action, log_prob, value)`` -- all scalars/1-D arrays.
-        Actor and critic run cache-free (``infer``): gradients come from
-        the batched :meth:`forward` the PPO update runs later.
         """
-        joint = self._embed(obs, weights)
-        mean = self.actor.infer(joint)
-        value = self.critic.infer(joint)[:, 0]
-        if deterministic:
-            action = mean[0]
-        else:
-            action = DiagGaussian.sample(mean, self.log_std.value, rng)[0]
-        log_prob = float(DiagGaussian.log_prob(action, mean, self.log_std.value)[0])
-        return action, log_prob, float(value[0])
+        return self.plan(weights).act(obs, rng, deterministic)
 
     def value(self, obs: np.ndarray, weights: np.ndarray | None = None) -> float:
-        """Critic value for a single state."""
-        _, value = self.forward(obs, weights)
-        return float(value[0])
+        """Critic value for a single state (a one-shot plan)."""
+        return self.plan(weights).value(obs)
 
     def plan(self, weights: np.ndarray | None = None) -> "InferencePlan":
-        """Actor-only inference for one flow under a fixed ``weights``."""
+        """No-grad single-state inference under a fixed ``weights``."""
         return InferencePlan(self, weights)
 
     # --- snapshots ---------------------------------------------------------
@@ -176,30 +167,39 @@ class PreferenceActorCritic(Module):
 
 
 class InferencePlan:
-    """Per-flow, actor-only, no-grad inference under one weight vector.
+    """Single-state, no-grad inference under one weight vector.
 
     Holds the ``(1, obs_dim + pref_hidden)`` joint input row of Fig. 3.
     Its preference half is computed **once**, here, from the model's
     preference sub-network; each call overwrites only the observation
-    half and runs the actor.  The critic, the log-probability and the
-    backward caches -- everything :meth:`PreferenceActorCritic.act`
-    produces that a deployed controller discards -- are never computed;
-    the actor sees the same ops on the same shapes, so actions are
-    bit-identical to ``act``'s.
+    half and runs the networks cache-free (``infer``), so a plan never
+    disturbs the backward caches of a batched :meth:`forward`.  A
+    deployed controller calls :meth:`action` -- actor only, no critic,
+    no log-probability; a rollout calls :meth:`act` and :meth:`value`.
+    All run the ops of a one-row ``forward`` on the same ``(1, n)``
+    shapes, so results are bit-identical to it.
 
-    **Contract: the policy is frozen for the duration of a flow.**
-    Actor weights are read live on every call (in-place updates are
+    **Contract: the policy is frozen for the duration of a plan** (a
+    flow; a rollout between two PPO updates).  Actor, critic and
+    ``log_std`` are read live on every call (in-place updates are
     seen), but the preference embedding is a snapshot: resolve a new
-    plan (controllers do at ``on_flow_start`` / ``register``) after
-    the model's parameters are reloaded or trained.
+    plan (controllers do at ``on_flow_start`` / ``register``,
+    collectors per ``collect``) after the model's parameters are
+    reloaded or trained.
     """
 
     def __init__(self, model: PreferenceActorCritic,
                  weights: np.ndarray | None = None):
         self._actor = model.actor
+        self._critic = model.critic
         self._log_std = model.log_std
-        self._joint = model._embed(np.zeros((1, model.obs_dim)), weights)
+        self._joint = np.zeros((1, model.obs_dim + model.pref_hidden))
         self._obs = self._joint[0, :model.obs_dim]
+        if model.pref_net is not None:
+            if weights is None:
+                raise ValueError("model was built with a preference sub-network; pass weights")
+            self._joint[0, model.obs_dim:] = model.pref_net.infer(
+                np.asarray(weights, dtype=np.float64).reshape(1, -1))[0]
 
     def mean(self, obs: np.ndarray) -> np.ndarray:
         """Gaussian mean, shape ``(1, act_dim)``, for one flat state."""
@@ -213,6 +213,21 @@ class InferencePlan:
         if not deterministic:
             mean = DiagGaussian.sample(mean, self._log_std.value, rng)
         return float(mean[0, 0])
+
+    def act(self, obs: np.ndarray, rng: np.random.Generator,
+            deterministic: bool = False):
+        """``(action, log_prob, value)`` for one flat state."""
+        mean = self.mean(obs)
+        value = self._critic.infer(self._joint)
+        log_std = self._log_std.value
+        action = mean if deterministic else DiagGaussian.sample(mean, log_std, rng)
+        log_prob = DiagGaussian.log_prob(action, mean, log_std)
+        return action[0], float(log_prob[0]), float(value[0, 0])
+
+    def value(self, obs: np.ndarray) -> float:
+        """Critic value for one flat state."""
+        self._obs[:] = obs
+        return float(self._critic.infer(self._joint)[0, 0])
 
 
 def _dense_widths(mlp: MLP) -> list[int]:

@@ -254,12 +254,3 @@ class PPOTrainer:
         approx_kl = float(np.mean(old_log_probs - new_log_probs))
         return PPOStats(policy_loss, value_loss, entropy, clip_fraction, approx_kl)
 
-
-def snapshot(model: PreferenceActorCritic) -> dict[str, np.ndarray]:
-    """Convenience alias for ``model.state_dict()`` used by experiments."""
-    return model.state_dict()
-
-
-def restore(model: PreferenceActorCritic, state: dict[str, np.ndarray]) -> None:
-    """Convenience alias for ``model.load_state_dict``."""
-    model.load_state_dict(state)

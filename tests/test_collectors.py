@@ -7,7 +7,8 @@ import pytest
 
 from repro.config import DEFAULT_TRAINING, NetworkParams
 from repro.core.agent import MoccAgent
-from repro.rl.collect import BALANCED_OBJECTIVE, evaluate_policy, resolve_objective
+from repro.rl.collect import (BALANCED_OBJECTIVE, collect_rollout, evaluate_policy,
+                              resolve_objective)
 from repro.rl.parallel import EnvSpec, ProcessCollector, SerialCollector, VectorCollector
 
 SPEC = EnvSpec(params=NetworkParams(3.0, 20.0, 200, 0.0), max_steps=16, seed=2)
@@ -75,6 +76,29 @@ class TestCollectorParity:
                                       np.random.default_rng(0))
             finally:
                 collector.close()
+
+
+    def test_process_workers_roll_out_the_shipped_model(self):
+        """A worker receives the model as its one flat value vector and
+        writes it in place: its rollout equals the same shard collected
+        in-process on the original (trained-away-from-init) model."""
+        model = _conditioned()
+        model.parameters().value[:] += np.random.default_rng(5).normal(
+            scale=0.05, size=model.parameters().value.size)
+        collector = ProcessCollector(SPEC, n_workers=2)
+        try:
+            buffers, boots, _ = collector.collect(model, WEIGHTS, 16,
+                                                  np.random.default_rng(0))
+        finally:
+            collector.close()
+        seeds = np.random.default_rng(0).integers(0, 2 ** 31, size=2)
+        for i, (buffer, boot) in enumerate(zip(buffers, boots)):
+            want, want_boot, _, _ = collect_rollout(
+                SPEC.build(seed_offset=1000 * (i + 1)), model, WEIGHTS, 8,
+                np.random.default_rng(int(seeds[i])))
+            assert boot == want_boot
+            for field in ("obs", "weights", "actions", "log_probs", "values", "rewards"):
+                assert np.array_equal(getattr(buffer, field), getattr(want, field)), field
 
 
 class TestVectorRewardFallback:

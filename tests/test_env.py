@@ -85,6 +85,15 @@ class TestRewardComponents:
         reward = comps.weighted([0.5, 0.3, 0.2])
         assert reward == pytest.approx(0.5 + 0.15 + 0.05)
 
+    @given(st.tuples(*[st.floats(0.0, 1.0)] * 3), st.tuples(*[st.floats(0.0, 1.0)] * 3))
+    def test_weighted_same_float_for_any_weight_container(self, comps, w):
+        """``weighted`` indexes its argument as given; the reward is the
+        float the float64-array form (what MoccEnv holds) always gave."""
+        comps = RewardComponents(*comps)
+        arr = np.asarray(w, dtype=np.float64)
+        want = float(arr[0] * comps.o_thr + arr[1] * comps.o_lat + arr[2] * comps.o_loss)
+        assert comps.weighted(arr) == comps.weighted(list(w)) == comps.weighted(w) == want
+
     def test_components_bounded(self):
         comps = components_from_stats(self._stats(acked=1000, mean_rtt=0.001))
         assert 0.0 <= comps.o_thr <= 1.0
@@ -122,6 +131,18 @@ class TestCongestionControlEnv:
         for _ in range(20):
             _, _, _, info = env.step(1.0)
         assert info["rate_pps"] > info0["rate_pps"]
+
+    @pytest.mark.parametrize("action, bound", [(5e3, 1e3), (float("inf"), 1e3),
+                                               (-5e3, -1e3), (float("-inf"), -1e3)])
+    def test_out_of_range_action_steps_like_the_bound(self, action, bound):
+        assert abs(bound) == CongestionControlEnv.ACTION_CLIP
+        rates = []
+        for a in (action, bound):
+            env = CongestionControlEnv(params=PARAMS, max_steps=5, seed=2)
+            env.reset()
+            obs, _, _, info = env.step(a)
+            rates.append((info["rate_pps"], obs.tobytes()))
+        assert rates[0] == rates[1]
 
     def test_reward_components_in_range(self):
         env = CongestionControlEnv(params=PARAMS, max_steps=20, seed=3)

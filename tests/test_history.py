@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from repro.netsim.env import CongestionControlEnv
 from repro.netsim.history import (GRADIENT_SCALE, RATE_RATIO_CAP, StatHistory,
                                   _clamp)
 from repro.netsim.packet import Packet
@@ -14,6 +15,8 @@ from repro.netsim.sender import LATENCY_RATIO_CAP, ExternalRateController, Flow
 #: Every (lo, hi) pair ``push``/``push_raw`` clamp to.
 CLAMP_BOUNDS = ((0.0, 10.0), (0.0, LATENCY_RATIO_CAP), (-10.0, 10.0),
                 (0.0, RATE_RATIO_CAP))
+#: ... and the action bound ``CongestionControlEnv.step`` clamps to.
+ACTION_BOUNDS = (-CongestionControlEnv.ACTION_CLIP, CongestionControlEnv.ACTION_CLIP)
 
 
 def _bits(x: float) -> bytes:
@@ -34,7 +37,7 @@ class TestClampMatchesNpClip:
     @example(-10.0)
     @example(RATE_RATIO_CAP)
     def test_bit_identical_to_np_clip(self, x):
-        for lo, hi in CLAMP_BOUNDS:
+        for lo, hi in CLAMP_BOUNDS + (ACTION_BOUNDS,):
             assert _bits(_clamp(x, lo, hi)) == _bits(float(np.clip(x, lo, hi))), \
                 (x, lo, hi)
 

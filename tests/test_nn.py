@@ -11,12 +11,11 @@ from hypothesis import given, settings, strategies as st
 from repro.rl.nn import (
     MLP,
     Dense,
+    ParameterArena,
     ReLU,
     Sequential,
     Tanh,
-    flatten_params,
     numerical_gradient,
-    unflatten_params,
 )
 
 
@@ -187,24 +186,49 @@ class TestStateDict:
 
 
 class TestFlatten:
+    """The arena *is* the flat parameter vector."""
+
     def test_roundtrip(self):
         mlp = MLP(3, (4,), 2, rng=np.random.default_rng(1))
-        flat = flatten_params(mlp.parameters())
+        flat = ParameterArena(mlp.parameters()).value.copy()
         twin = MLP(3, (4,), 2, rng=np.random.default_rng(2))
-        unflatten_params(twin.parameters(), flat)
-        np.testing.assert_allclose(flatten_params(twin.parameters()), flat)
+        ParameterArena(twin.parameters()).value[:] = flat
+        for name, value in mlp.state_dict().items():
+            np.testing.assert_array_equal(twin.state_dict()[name], value)
 
     def test_size_mismatch_raises(self):
-        mlp = MLP(3, (4,), 2)
+        arena = ParameterArena(MLP(3, (4,), 2).parameters())
         with pytest.raises(ValueError):
-            unflatten_params(mlp.parameters(), np.zeros(7))
+            arena.value[:] = np.zeros(7)
 
     @given(st.integers(1, 5), st.integers(1, 5))
     @settings(max_examples=10, deadline=None)
     def test_flat_length(self, in_dim, out_dim):
         layer = Dense(in_dim, out_dim)
-        flat = flatten_params(layer.parameters())
+        flat = ParameterArena(layer.parameters()).value
         assert flat.size == in_dim * out_dim + out_dim
+
+    def test_parameters_are_views_in_insertion_order(self):
+        layer = Dense(2, 3, rng=np.random.default_rng(0))
+        before = layer.state_dict()
+        layer.b.grad[...] = 7.0
+        arena = ParameterArena(layer.parameters())
+        assert list(arena) == ["W", "b"]
+        for flat, attr in ((arena.value, "value"), (arena.grad, "grad")):
+            assert getattr(layer.W, attr).base is flat
+            assert getattr(layer.b, attr).base is flat
+        np.testing.assert_array_equal(arena.value[:6].reshape(2, 3), before["W"])
+        np.testing.assert_array_equal(arena.grad, [0.0] * 6 + [7.0] * 3)
+        arena.value[6:] = [1.0, 2.0, 3.0]
+        np.testing.assert_array_equal(layer.b.value, [1.0, 2.0, 3.0])
+        arena.zero_grad()
+        assert not layer.b.grad.any()
+
+    def test_of_names_blocks_and_skips_none(self):
+        head, bias = Dense(2, 1), Dense(1, 1).b
+        arena = ParameterArena.of(bias=bias, head=head, missing=None)
+        assert list(arena) == ["bias", "head.W", "head.b"]
+        assert arena["head.W"] is head.W and bias.value.base is arena.value
 
 
 class TestSequential:

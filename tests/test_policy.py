@@ -1,11 +1,17 @@
 """Tests for the preference-conditioned actor-critic (repro.rl.policy)."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.core.agent import MoccAgent
 from repro.netsim.history import StatHistory
 from repro.rl.distributions import DiagGaussian
+from repro.rl.dqn import QNetwork
 from repro.rl.nn import numerical_gradient
+from repro.rl.optim import Adam
 from repro.rl.policy import PreferenceActorCritic
 
 
@@ -93,6 +99,35 @@ class TestBackward:
         pref_grads = [p.grad for n, p in model.parameters().items()
                       if n.startswith("pref.")]
         assert any(np.any(g != 0) for g in pref_grads)
+
+    @pytest.mark.parametrize("weight_dim", [3, 0])
+    def test_single_state_queries_leave_backward_caches_alone(self, weight_dim):
+        """``forward(batch) -> value/act(one state) -> backward`` used to
+        backpropagate through the single state's caches (a matmul shape
+        error, or silently wrong gradients at batch size 1)."""
+        model = make_model(weight_dim=weight_dim, seed=7)
+        rng = np.random.default_rng(8)
+        obs = rng.normal(size=(4, 6))
+        w = np.abs(rng.normal(size=(4, 3))) + 0.1 if weight_dim else None
+        w_one = w[0] if weight_dim else None
+        d_mean, d_value = rng.normal(size=(4, 1)), rng.normal(size=4)
+
+        def grads(between):
+            model.forward(obs, w)
+            between()
+            model.zero_grad()
+            model.backward(d_mean, d_value)
+            return model.parameters().grad.copy()
+
+        def queries():
+            model.value(rng.normal(size=6), w_one)
+            model.act(rng.normal(size=6), w_one, rng)
+            model.plan(w_one).act(rng.normal(size=6), rng)
+            model.infer(rng.normal(size=(2, 6)), None if w is None else w[:2])
+
+        want = grads(lambda: None)
+        assert want.any()
+        assert np.array_equal(grads(queries), want)
 
 
 class TestActing:
@@ -189,6 +224,28 @@ class TestInferencePlan:
                 assert action.shape == (1,) and action[0] == want[0][0]
                 assert (log_prob, value) == want[1:]
 
+    def test_plan_act_and_value_equal_reference(self, weight_dim):
+        """One plan over a whole rollout: the triple, the bootstrap value
+        and the number of RNG draws are those of the per-call formula."""
+        model = self._model(weight_dim)
+        w = self.WEIGHTS if weight_dim else None
+        plan = model.plan(w)
+        for deterministic in (True, False):
+            rng_new, rng_old = np.random.default_rng(5), np.random.default_rng(5)
+            for obs in random_pushes(StatHistory(10), np.random.default_rng(6), 100):
+                action, log_prob, value = plan.act(obs, rng_new, deterministic)
+                want = reference_act(model, obs, w, rng_old, deterministic)
+                assert action.shape == (1,) and action[0] == want[0][0]
+                assert type(log_prob) is type(value) is float
+                assert (log_prob, value) == want[1:]
+                assert plan.value(obs) == want[2] == model.value(obs, w)
+            assert rng_new.bit_generator.state == rng_old.bit_generator.state
+        # Batched no-grad inference is the same rows, cache-free.
+        batch = np.stack(list(random_pushes(StatHistory(10), np.random.default_rng(9), 8)))
+        w_batch = np.repeat(w[None, :], 8, axis=0) if weight_dim else None
+        for got, want in zip(model.infer(batch, w_batch), model.forward(batch, w_batch)):
+            assert np.array_equal(got, want)
+
     def test_actor_updates_seen_live_embedding_snapshotted(self, weight_dim):
         model = self._model(weight_dim)
         w = self.WEIGHTS if weight_dim else None
@@ -245,3 +302,66 @@ class TestCloneAndState:
         assert any(n.startswith("pref.") for n in names)
         assert any(n.startswith("actor.") for n in names)
         assert any(n.startswith("critic.") for n in names)
+
+
+def _state_loaded(model, tmp_path):
+    twin = make_model(seed=4)
+    twin.load_state_dict(model.state_dict())
+    return twin
+
+
+def _agent_loaded(model, tmp_path):
+    agent = MoccAgent(weight_dim=model.weight_dim)
+    agent.model = model
+    agent.save(tmp_path / "agent.npz")
+    return MoccAgent.load(tmp_path / "agent.npz").model
+
+
+def _agent_cloned(model, tmp_path):
+    agent = MoccAgent(weight_dim=model.weight_dim)
+    agent.model = model
+    return agent.clone().model
+
+
+def _pickled(model, tmp_path):
+    return pickle.loads(pickle.dumps(model))
+
+
+COPIES = {
+    "load_state_dict": (make_model, _state_loaded),
+    "clone": (make_model, lambda m, _: m.clone()),
+    "deepcopy": (make_model, lambda m, _: copy.deepcopy(m)),
+    "pickle": (make_model, _pickled),
+    "unconditioned_deepcopy": (lambda: make_model(weight_dim=0), lambda m, _: copy.deepcopy(m)),
+    "agent_load": (lambda: MoccAgent(seed=3).model, _agent_loaded),
+    "agent_clone": (lambda: MoccAgent(seed=3).model, _agent_cloned),
+    "qnetwork_clone": (lambda: QNetwork(6, 3, 5), lambda q, _: q.clone()),
+    "qnetwork_pickle": (lambda: QNetwork(6, 3, 5), _pickled),
+}
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_arena_aliasing_survives_copies(how, tmp_path):
+    """Every way a model is copied or reloaded leaves each parameter a
+    view into the copy's own two vectors, and the copy's layers holding
+    those very parameters -- so an optimizer on the copy trains the
+    copy, and only the copy."""
+    make, copy_of = COPIES[how]
+    model = make()
+    twin = copy_of(model, tmp_path)
+    arena, original = twin.parameters(), model.state_dict()
+    assert arena is not model.parameters()
+    assert list(arena) == list(original)
+    assert np.array_equal(arena.value, model.parameters().value)
+    for param in arena.values():
+        assert param.value.base is arena.value
+        assert param.grad.base is arena.grad
+    trunk = twin.actor if hasattr(twin, "actor") else twin.trunk
+    prefix = "actor" if hasattr(twin, "actor") else "trunk"
+    assert trunk.layers[0].W is arena[f"{prefix}.0.W"]
+    arena.grad[:] = 1.0
+    Adam(arena, lr=0.1).step()
+    for name, param in arena.items():
+        assert np.all(param.value != original[name]), name
+        assert np.array_equal(model.state_dict()[name], original[name])
+    assert np.array_equal(trunk.layers[0].W.value, twin.state_dict()[f"{prefix}.0.W"])

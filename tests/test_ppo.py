@@ -122,6 +122,29 @@ class TestPPOMechanics:
         assert np.isfinite(stats.policy_loss)
 
 
+    def test_two_trainers_on_one_model_see_each_other(self):
+        """OfflineTrainer and OnlineAdapter each put a PPOTrainer on the
+        same model: the parameters belong to the model, so either
+        trainer's update is the other's starting point."""
+        model, first = self._setup(weight_dim=3)
+        second = PPOTrainer(model, PPOConfig(), rng=np.random.default_rng(12))
+        assert first.optimizer.params is second.optimizer.params is model.parameters()
+        start = model.parameters().value.copy()
+        first.update(self._buffer(model, weight_dim=3, rng_seed=13))
+        after_first = model.parameters().value.copy()
+        assert np.all(after_first != start)
+        second.update(self._buffer(model, weight_dim=3, rng_seed=14))
+        after_second = model.parameters().value.copy()
+        assert np.all(after_second != after_first)
+        # Moment estimates stay per trainer: the second has seen one
+        # update's worth of steps, the first nothing of the second's.
+        assert first.optimizer._t == second.optimizer._t > 0
+        assert not np.array_equal(first.optimizer._m, second.optimizer._m)
+        # A plan resolved after both updates acts on the trained model.
+        mean = model.plan(np.full(3, 1 / 3)).mean(np.ones(3))
+        assert mean[0, 0] == model.forward(np.ones(3), np.full(3, 1 / 3))[0][0, 0]
+
+
 class TestPPOConfig:
     def test_from_training_config(self):
         cfg = PPOConfig.from_training_config(DEFAULT_TRAINING)
