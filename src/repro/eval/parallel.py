@@ -138,8 +138,9 @@ class ResultCache:
         # Staged under this writer's pid: sweeps sharing the directory
         # may put the same cell at once, and each replace is atomic.
         tmp = path.with_suffix(f".{os.getpid()}.tmp")
-        tmp.write_bytes(seal({"version": SCENARIO_CACHE_VERSION,
-                              "name": name}, records))
+        line = seal({"version": SCENARIO_CACHE_VERSION, "name": name},
+                    records)
+        tmp.write_bytes(line)
         try:
             tmp.replace(path)
         except FileNotFoundError:
@@ -156,7 +157,7 @@ class ResultCache:
                         total += p.stat().st_size
                     self._approx_bytes = total
                 else:
-                    self._approx_bytes += path.stat().st_size
+                    self._approx_bytes += len(line)
             except OSError:
                 # A concurrent prune/clear raced the scan; the next
                 # put() re-measures from scratch.

@@ -11,7 +11,10 @@ the determinism contract:
 * :func:`seal` / :func:`unseal` -- the one on-disk form of a record
   list.  Cache entries and journal lines are both sealed lines: a
   sha256 over the exact bytes stored, verified over the exact bytes
-  read.
+  read.  Inside the line a record is its aggregates plus its monitor
+  intervals packed as binary column blocks (:func:`record_to_json`);
+  :func:`records_digest` is a cell's identity and does not depend on
+  that form.
 * :class:`RetryPolicy` -- bounded retries with exponential backoff and
   seeded jitter for *transient* failures (worker crashes, timeouts).
   Deterministic cell failures -- an exception raised by the task
@@ -47,11 +50,17 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing as mp
+import struct
 import time
+from binascii import a2b_base64, b2a_base64
 from collections import deque
 from dataclasses import dataclass
+from dataclasses import fields as dataclass_fields
+from itertools import chain
 from multiprocessing.connection import wait as _connection_wait
+from operator import attrgetter
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -63,37 +72,141 @@ __all__ = ["ResilientPool", "RetryPolicy", "SweepCheckpoint",
            "record_from_json", "record_to_json", "records_digest", "seal",
            "set_chaos_hook", "unseal"]
 
-# --- record (de)serialization ------------------------------------------------
+# --- record codec -------------------------------------------------------------
 # Shared by the result cache, the checkpoint journal, and the digest
 # helpers; lives here (not in repro.eval.parallel) so parallel can
 # import the resilience layer without a cycle.
+#
+# What is stored comes from ``dataclasses.fields()`` and the
+# annotations, never from a list kept by hand beside the dataclasses:
+# a field added to either class is persisted, and one whose type has
+# no stored form stops the import instead of being dropped on disk.
 
-#: Per-monitor-interval fields persisted in caches and checkpoints.
-MI_FIELDS = ("flow_id", "start", "end", "sent", "acked", "lost", "mean_rtt",
-             "min_rtt", "latency_gradient", "capacity_pps", "base_rtt",
-             "packet_bytes", "rate_pps")
-RECORD_FIELDS = ("flow_id", "scheme", "mean_throughput_pps",
-                 "mean_throughput_mbps", "mean_utilization", "mean_rtt",
-                 "base_rtt", "loss_rate")
+_HISTORY_TYPE = list[MonitorIntervalStats]
+
+
+def _typed_fields(cls: type, storable: tuple) -> list[tuple]:
+    """``[(field name, resolved annotation), ...]`` of a stored
+    dataclass; ``TypeError`` for a field the codec has no form for."""
+    hints = get_type_hints(cls)
+    typed = [(f.name, hints[f.name]) for f in dataclass_fields(cls)]
+    for name, hint in typed:
+        if hint not in storable:
+            raise TypeError(
+                f"{cls.__name__}.{name}: {hint!r} has no stored form in "
+                f"repro.eval.resilience (one of {storable})")
+    return typed
+
+
+_RECORD_TYPES = _typed_fields(
+    FlowRecord, (int, float, str, float | None, _HISTORY_TYPE))
+#: The aggregates of a ``FlowRecord``, stored as plain JSON values.
+RECORD_FIELDS = tuple(name for name, hint in _RECORD_TYPES
+                      if hint != _HISTORY_TYPE)
+#: Its one monitor-interval history, stored as packed column blocks.
+(_HISTORY,) = (name for name, hint in _RECORD_TYPES if hint == _HISTORY_TYPE)
+
+_MI_TYPES = _typed_fields(MonitorIntervalStats, (int, float, float | None))
+#: Per-monitor-interval fields, in constructor order.
+MI_FIELDS = tuple(name for name, _ in _MI_TYPES)
+_MI_ROW = attrgetter(*MI_FIELDS)
+# Positions (in MI_FIELDS) of the columns in stored order: every
+# ``int`` column, then every ``float`` one.  An optional column is a
+# float column with a bitmap of its ``None`` rows after the blocks --
+# presence is carried, so NaN is a value like any other.
+_INT_AT = tuple(at for at, (_, hint) in enumerate(_MI_TYPES) if hint is int)
+_FLOAT_AT = tuple(at for at, (_, hint) in enumerate(_MI_TYPES)
+                  if hint is not int)
+_OPTIONAL_AT = tuple(at for at, (_, hint) in enumerate(_MI_TYPES)
+                     if hint == float | None)
+_STORED_AT = _INT_AT + _FLOAT_AT
+
+
+def _block_format(rows: int) -> str:
+    return f"<{rows * len(_INT_AT)}q{rows * len(_FLOAT_AT)}d"
 
 
 def record_to_json(record: FlowRecord) -> dict:
+    """The stored form of a record: its aggregates as JSON values, its
+    MI history as ``[rows, base64]`` of one little-endian binary block
+    -- every ``int`` column as ``rows`` int64, then every ``float``
+    column as ``rows`` float64, then per optional column a bitmap
+    (``ceil(rows / 8)`` bytes, bit ``r`` of the little-endian number)
+    of the rows that hold ``None``.  Values are stored as their
+    annotated type; one that does not fit its column (a float or a
+    65-bit int in an ``int`` one) raises.
+    """
+    stats = getattr(record, _HISTORY)
+    if (type(record) is not FlowRecord
+            or not {MonitorIntervalStats}.issuperset(map(type, stats))):
+        # A subclass may carry fields this form would silently drop.
+        raise TypeError("only FlowRecord / MonitorIntervalStats instances "
+                        "themselves have a stored form, not subclasses")
+    rows = len(stats)
+    columns = (list(zip(*map(_MI_ROW, stats))) if stats
+               else [()] * len(MI_FIELDS))
+    gaps = b""
+    for at in _OPTIONAL_AT:
+        column = columns[at]
+        mask = 0
+        if None in column:
+            mask = sum(1 << row for row, v in enumerate(column) if v is None)
+            columns[at] = [0.0 if v is None else v for v in column]
+        gaps += mask.to_bytes((rows + 7) // 8, "little")
+    block = struct.pack(
+        _block_format(rows),
+        *chain.from_iterable(columns[at] for at in _STORED_AT))
     payload = {name: getattr(record, name) for name in RECORD_FIELDS}
-    payload["records"] = [[getattr(s, name) for name in MI_FIELDS]
-                          for s in record.records]
+    payload[_HISTORY] = [
+        rows, b2a_base64(block + gaps, newline=False).decode("ascii")]
     return payload
 
 
 def record_from_json(payload: dict) -> FlowRecord:
-    stats = [MonitorIntervalStats(**dict(zip(MI_FIELDS, row)))
-             for row in payload["records"]]
-    fields = {name: payload[name] for name in RECORD_FIELDS}
-    return FlowRecord(records=stats, **fields)
+    """Exact inverse of :func:`record_to_json`; ``ValueError`` /
+    ``KeyError`` / ``TypeError`` for anything it did not write."""
+    rows, packed = payload[_HISTORY]
+    if type(rows) is not int or rows < 0:
+        raise ValueError(f"MI row count {rows!r} is not a count")
+    block = a2b_base64(packed, strict_mode=True)
+    gaps_at = 8 * rows * len(MI_FIELDS)
+    gap_bytes = (rows + 7) // 8
+    if len(block) != gaps_at + gap_bytes * len(_OPTIONAL_AT):
+        raise ValueError("packed MI block disagrees with its row count")
+    values = struct.unpack_from(_block_format(rows), block)
+    columns: list = [None] * len(MI_FIELDS)
+    for k, at in enumerate(_STORED_AT):
+        columns[at] = values[k * rows:(k + 1) * rows]
+    for at in _OPTIONAL_AT:
+        mask = int.from_bytes(block[gaps_at:gaps_at + gap_bytes], "little")
+        gaps_at += gap_bytes
+        if mask >> rows:
+            raise ValueError("a None row beyond the last MI")
+        if mask:
+            column = columns[at] = list(columns[at])
+            while mask:
+                lowest = mask & -mask
+                column[lowest.bit_length() - 1] = None
+                mask ^= lowest
+    aggregates = {name: payload[name] for name in RECORD_FIELDS}
+    aggregates[_HISTORY] = list(map(MonitorIntervalStats, *columns))
+    return FlowRecord(**aggregates)
 
 
 def records_digest(records: list[FlowRecord]) -> str:
-    """Content digest of a cell's records (order- and bit-sensitive)."""
-    body = json.dumps([record_to_json(r) for r in records], sort_keys=True)
+    """Content digest of a cell's records (order- and bit-sensitive).
+
+    A cell's *identity*, not its stored form: the canonical listing
+    hashed here -- aggregates by name, one value row per MI -- is
+    private to this function and is what the goldens and the ledger's
+    ``expected.json`` pin, whatever :func:`record_to_json` packs.
+    """
+    canonical = []
+    for record in records:
+        listing = {name: getattr(record, name) for name in RECORD_FIELDS}
+        listing[_HISTORY] = list(map(_MI_ROW, getattr(record, _HISTORY)))
+        canonical.append(listing)
+    body = json.dumps(canonical, sort_keys=True)
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 

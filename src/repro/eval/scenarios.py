@@ -49,9 +49,10 @@ __all__ = ["AgentRef", "ChurnSchedule", "FlowDef", "Scenario", "ScenarioSuite",
 
 #: Bumped whenever scenario execution changes in a way that invalidates
 #: previously cached results, or the on-disk form of an entry changes.
-#: v10: the hashed payload is derived from ``dataclasses.fields()``
-#: (:mod:`repro.netsim.signing`); results themselves did not move.
-SCENARIO_CACHE_VERSION = "v10"
+#: v11: a stored record packs its monitor intervals as binary column
+#: blocks (:func:`repro.eval.resilience.record_to_json`); results
+#: themselves did not move.
+SCENARIO_CACHE_VERSION = "v11"
 
 
 def _simulation_code_digest() -> str:

@@ -37,7 +37,6 @@ stable on any one platform but can differ across exotic BLAS builds.
 numeric comparison of the per-flow summary statistics for such hosts.
 """
 
-import hashlib
 import json
 import os
 from pathlib import Path
@@ -46,7 +45,7 @@ import pytest
 
 from repro.core.agent import MoccAgent
 from repro.eval.parallel import ParallelRunner
-from repro.eval.resilience import record_to_json
+from repro.eval.resilience import records_digest
 from repro.eval.scenarios import ChurnSchedule, FlowDef, ScenarioSuite
 from repro.netsim.topology import dumbbell_asymmetric, parking_lot
 
@@ -122,10 +121,8 @@ def compute_goldens(suites: tuple | None = None) -> dict:
     scenarios = {}
     for suite in golden_suites() if suites is None else suites:
         for result in runner.run(suite):
-            rows = [record_to_json(r) for r in result.records]
-            blob = json.dumps(rows, sort_keys=True)
             scenarios[result.scenario.name] = {
-                "digest": hashlib.sha256(blob.encode()).hexdigest(),
+                "digest": records_digest(result.records),
                 "summary": [[r.scheme, r.mean_throughput_pps, r.mean_rtt,
                              r.loss_rate] for r in result.records],
             }

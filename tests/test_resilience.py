@@ -17,23 +17,28 @@ Four layers, mirroring ``repro.eval.resilience``:
   uninterrupted run.
 """
 
+import json
 import math
 import multiprocessing as mp
 import os
+import struct
 import time
-from dataclasses import replace
+from base64 import b64decode, b64encode
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.eval.parallel import ParallelRunner, ResultCache, ScenarioError
 from repro.eval.resilience import (
-    MI_FIELDS,
-    RECORD_FIELDS,
     ResilientPool,
     RetryPolicy,
     SweepCheckpoint,
+    _suite_sha,
+    _typed_fields,
     record_from_json,
     record_to_json,
     records_digest,
@@ -47,6 +52,8 @@ from repro.eval.scenarios import (
     Scenario,
     ScenarioSuite,
 )
+from repro.netsim.network import FlowRecord
+from repro.netsim.sender import MonitorIntervalStats
 from repro.netsim.topology import dumbbell
 
 NET = EvalNetwork(bandwidth_mbps=8.0, one_way_ms=10.0, buffer_bdp=1.0)
@@ -252,12 +259,30 @@ class TestResilientPool:
         assert set(mp.active_children()) == before
 
 
-def _fake_record(k: int):
-    payload = {name: float(k) for name in RECORD_FIELDS}
-    payload["flow_id"] = k
-    payload["scheme"] = f"scheme{k}"
-    payload["records"] = [[float(k + j)] * len(MI_FIELDS) for j in range(2)]
-    return record_from_json(payload)
+def _fake_mi(k: int, **changes) -> MonitorIntervalStats:
+    """Every field set, each to a different value."""
+    mi = MonitorIntervalStats(
+        flow_id=k, start=0.5 * k, end=0.5 * k + 0.5, sent=40 + k,
+        acked=38 + k, lost=2, mean_rtt=0.0625 + k, min_rtt=0.05 + k,
+        latency_gradient=0.25 * k, capacity_pps=1000.0 + k, base_rtt=0.04,
+        packet_bytes=1500, rate_pps=80.0 + k)
+    return replace(mi, **changes)
+
+
+def _fake_record(k: int, **changes) -> FlowRecord:
+    record = FlowRecord(
+        flow_id=k, scheme=f"scheme{k}", mean_throughput_pps=76.0 + k,
+        mean_throughput_mbps=0.912 + k, mean_utilization=0.076,
+        mean_rtt=0.0625 + k, base_rtt=0.04, loss_rate=0.05,
+        records=[_fake_mi(k), _fake_mi(k + 1)])
+    return replace(record, **changes)
+
+
+def _stored(records: list) -> list:
+    """What a cache hit or a journal resume hands back for ``records``."""
+    sealed_fields, restored = unseal(seal({"name": "cell"}, records))
+    assert sealed_fields == {"name": "cell"}
+    return restored
 
 
 def _damaged(line: bytes):
@@ -266,6 +291,22 @@ def _damaged(line: bytes):
         for mask in (0x01, 0x20, 0x80):
             yield line[:at] + bytes([line[at] ^ mask]) + line[at + 1:]
         yield line[:at]
+
+
+#: A journal as cache v10 (PR 19) sealed it, byte for byte: the
+#: manifest of ``["fp0", "fp1", "fp2"]`` and cell 0, its one MI spelled
+#: as a JSON row.
+V10_MANIFEST = (
+    b'{"sha":"0bbfaef9c8d38738a9279ff6af76d4900f2c699231d9ecba296e247745158d'
+    b'c2","sealed":[{"kind": "manifest", "version": "v10", "suite": "b8e741f4'
+    b'ff40d061", "cells": 3}, []]}')
+V10_CELL = (
+    b'{"sha":"bd2a33aa719f07f458a55c02c8c31172a09887889fa94bf2e38b3706f512b1'
+    b'5c","sealed":[{"kind": "cell", "idx": 0, "fp": "fp0", "elapsed": 0.5, '
+    b'"events": 10}, [{"flow_id": 0, "scheme": "cubic", "mean_throughput_pps"'
+    b': 76.0, "mean_throughput_mbps": 0.912, "mean_utilization": 0.076, "mean'
+    b'_rtt": 0.0625, "base_rtt": 0.05, "loss_rate": 0.05, "records": [[0, 0.0'
+    b', 0.5, 40, 38, 2, 0.0625, null, 0.25, 1000.0, 0.05, 1500, 80.0]]}]]}')
 
 
 class TestSealedCodec:
@@ -286,6 +327,40 @@ class TestSealedCodec:
         line = seal(self.FIELDS, [_fake_record(1)])
         assert all(unseal(bad) is None for bad in _damaged(line))
         assert unseal(line + b"}") is None
+
+    def test_a_v10_line_is_refused_not_raised(self):
+        # Intact under its own sha, but its records are in the row
+        # form this codec no longer reads.
+        assert unseal(V10_MANIFEST) is not None  # no records: same form
+        assert unseal(V10_CELL) is None
+
+    def test_a_block_that_disagrees_with_its_row_count_is_refused(self):
+        payload = record_to_json(_fake_record(1))
+        assert record_from_json(payload) == _fake_record(1)
+        rows, packed = payload["records"]
+        assert rows == 2
+
+        def decode(history):
+            return record_from_json({**payload, "records": history})
+
+        for wrong in (1, 3, -2, 2.0, True, "2", None):
+            with pytest.raises(ValueError, match="row count"):
+                decode([wrong, packed])
+        with pytest.raises(ValueError, match="row count"):
+            decode([rows, packed[:-4]])
+        with pytest.raises(ValueError):  # strict base64: no stray bytes
+            decode([rows, packed + "\n"])
+        # The last two bytes are the None bitmaps of mean_rtt / min_rtt,
+        # one byte each for two rows: bit 2 names a row that is not there.
+        block = b64decode(packed)
+        assert block[-2:] == b"\0\0"
+        assert decode([rows, b64encode(block[:-1] + b"\2").decode()]) \
+            .records[1].min_rtt is None
+        with pytest.raises(ValueError, match="beyond the last MI"):
+            decode([rows, b64encode(block[:-1] + b"\4").decode()])
+        # Two v10 MI rows are not a [count, block] pair either.
+        with pytest.raises(ValueError, match="row count"):
+            decode([[0.0] * 13, [1.0] * 13])
 
     def test_result_cache_quarantines_damage_at_every_offset(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -317,6 +392,140 @@ class TestSealedCodec:
             assert set(ck.resume(fps)) == {0}
             ck.close()
             assert path.read_bytes() == manifest + b"\n" + first + b"\n"
+
+
+#: Every field of both stored classes, with its resolved annotation.
+STORED_FIELDS = [(cls, f.name, get_type_hints(cls)[f.name])
+                 for cls in (FlowRecord, MonitorIntervalStats)
+                 for f in fields(cls)]
+#: A value of each stored type that no fake holds.
+OTHER_VALUE = {int: 7_000_000_000, float: -0.0078125, str: "other",
+               float | None: None,
+               list[MonitorIntervalStats]: [_fake_mi(9)]}
+
+
+#: A Hypothesis strategy per stored type: any value the type admits.
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+DRAW = {int: st.integers(-2**63, 2**63 - 1), float: _ANY_FLOAT,
+        float | None: st.none() | _ANY_FLOAT, str: st.text()}
+
+
+def _drawn(cls):
+    return st.builds(cls, **{name: DRAW[hint] for owner, name, hint
+                             in STORED_FIELDS if owner is cls})
+
+
+DRAW[list[MonitorIntervalStats]] = st.lists(_drawn(MonitorIntervalStats),
+                                            max_size=5)
+
+
+def _with(cls, name, value) -> FlowRecord:
+    """``_fake_record(1)`` with one field of ``cls`` set to ``value``."""
+    if cls is FlowRecord:
+        return _fake_record(1, **{name: value})
+    return _fake_record(1, records=[_fake_mi(1), _fake_mi(2, **{name: value})])
+
+
+class TestStoredFields:
+    """What is stored is derived from the dataclasses, not listed."""
+
+    @pytest.mark.parametrize(
+        "cls, name, hint", STORED_FIELDS,
+        ids=[f"{cls.__name__}.{name}" for cls, name, _ in STORED_FIELDS])
+    def test_every_field_is_stored(self, cls, name, hint):
+        record = _with(cls, name, OTHER_VALUE[hint])
+        assert record != _fake_record(1)
+        assert _stored([record]) == [record]
+
+    @pytest.mark.parametrize("cls", [FlowRecord, MonitorIntervalStats])
+    def test_a_subclass_with_an_extra_field_is_refused_not_truncated(
+            self, cls):
+        @dataclass
+        class Wider(cls):
+            extra: float = 1.0
+
+        base = _fake_record(1) if cls is FlowRecord else _fake_mi(1)
+        wider = Wider(**{f.name: getattr(base, f.name) for f in fields(cls)})
+        record = (wider if cls is FlowRecord
+                  else _fake_record(1, records=[_fake_mi(0), wider]))
+        with pytest.raises(TypeError, match="subclass"):
+            seal({}, [record])
+
+    def test_a_field_without_a_stored_form_fails_at_import(self):
+        @dataclass
+        class Tagged(MonitorIntervalStats):
+            tag: bytes = b""
+
+        # What the module runs over both classes when it is imported.
+        with pytest.raises(TypeError, match="Tagged.tag"):
+            _typed_fields(Tagged, (int, float, float | None))
+
+
+class TestStoredValues:
+    """Bit-for-bit: nothing is rounded, wrapped or mistaken for absent."""
+
+    @pytest.mark.parametrize("column", ["mean_rtt", "min_rtt"])
+    def test_none_and_nan_never_trade_places(self, column):
+        # Eleven rows: the None bitmap spans two bytes.
+        special = {0: None, 1: math.nan, 8: None, 10: None}
+        record = _fake_record(0, records=[
+            _fake_mi(k, **({column: special[k]} if k in special else {}))
+            for k in range(11)])
+        (restored,) = _stored([record])
+        for k, mi in enumerate(restored.records):
+            got = getattr(mi, column)
+            if k not in special:
+                assert got == getattr(_fake_mi(k), column)
+            elif special[k] is None:
+                assert got is None
+            else:
+                assert math.isnan(got)
+        assert records_digest([restored]) == records_digest([record])
+        # The other optional column is untouched by this one's gaps.
+        other = ({"mean_rtt", "min_rtt"} - {column}).pop()
+        assert [getattr(mi, other) for mi in restored.records] == \
+            [getattr(mi, other) for mi in record.records]
+
+    @pytest.mark.parametrize("value", [
+        -0.0, 5e-324, -2.225e-308 / 4, math.inf, -math.inf, math.nan,
+        1.7976931348623157e308])
+    def test_float_edge_values_keep_their_bits(self, value):
+        record = _fake_record(
+            0, loss_rate=value,
+            records=[_fake_mi(0, latency_gradient=value, min_rtt=value)])
+        (restored,) = _stored([record])
+        (mi,) = restored.records
+        for got in (restored.loss_rate, mi.latency_gradient, mi.min_rtt):
+            assert struct.pack("<d", got) == struct.pack("<d", value)
+        assert records_digest([restored]) == records_digest([record])
+
+    @pytest.mark.parametrize("value", [
+        2**31, -2**31 - 1, 2**53 + 1, 2**63 - 1, -2**63])
+    def test_wide_ints_are_not_wrapped(self, value):
+        record = _fake_record(0, records=[_fake_mi(0, sent=value)])
+        assert _stored([record]) == [record]
+        assert type(_stored([record])[0].records[0].sent) is int
+
+    def test_an_int_too_wide_for_its_column_is_refused_at_seal(self):
+        with pytest.raises(struct.error):
+            seal({}, [_fake_record(0, records=[_fake_mi(0, sent=2**63)])])
+
+    def test_empty_history(self):
+        record = _fake_record(3, records=[])
+        assert record_to_json(record)["records"] == [0, ""]
+        assert _stored([record]) == [record]
+        assert _stored([]) == []
+
+    @given(st.lists(_drawn(FlowRecord), max_size=3))
+    def test_any_cell_keeps_its_digest(self, cell):
+        line = seal({"name": "cell"}, cell)
+        assert b"\n" not in line
+        assert records_digest(unseal(line)[1]) == records_digest(cell)
+        # The stored form itself survives the JSON the ledger's codec
+        # probe passes it through.
+        payloads = [record_to_json(r) for r in cell]
+        assert records_digest([record_from_json(p) for p in json.loads(
+            json.dumps(payloads))]) == records_digest(cell)
 
 
 class TestSweepCheckpoint:
@@ -351,6 +560,15 @@ class TestSweepCheckpoint:
         # ...and the reset is destructive: the original suite now
         # starts over too (the journal was rebound).
         assert SweepCheckpoint(path).resume(self.FPS) == {}
+
+    def test_a_v10_journal_resets_through_the_manifest(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        path.write_bytes(V10_MANIFEST + b"\n" + V10_CELL + b"\n")
+        assert unseal(V10_MANIFEST)[0]["suite"] == _suite_sha(self.FPS)
+        assert SweepCheckpoint(path).resume(self.FPS) == {}
+        manifest, end = path.read_bytes().split(b"\n")
+        assert end == b""
+        assert unseal(manifest)[0]["version"] == SCENARIO_CACHE_VERSION
 
     def test_torn_tail_is_dropped_and_rewritten(self, tmp_path):
         path = tmp_path / "j.jsonl"
