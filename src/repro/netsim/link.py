@@ -16,14 +16,17 @@ Fig. 5(c).
 ``transmit()`` is the single hottest call of the event engine (once
 per packet per hop, both directions), so it is allocation-free: the
 outcome is a plain ``(delivered, drop_kind, depart_time, queue_delay)``
-tuple rather than a result object, constant-rate links read a cached
-rate instead of calling through the trace, and the drop threshold is
-precomputed.  :class:`PropagationLink` additionally exposes
-``pure_delay`` so the engine can skip the offer entirely on
+tuple rather than a result object, the service rate is read from the
+link's cached trace segment -- the trace itself is called only when an
+offer's time leaves the segment, never for a constant trace -- and the
+drop threshold is precomputed.  :class:`PropagationLink` additionally
+exposes ``pure_delay`` so the engine can skip the offer entirely on
 pure-propagation pseudo-links.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -71,7 +74,7 @@ class Link:
             raise ValueError("queue_size must be non-negative")
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")
-        self.trace = trace  # property: also refreshes the cached rate
+        self.trace = trace  # property: also resets the cached segment
         self.delay = float(delay)
         self.queue_size = int(queue_size)
         self.loss_rate = float(loss_rate)
@@ -107,7 +110,7 @@ class Link:
 
     @property
     def trace(self) -> BandwidthTrace:
-        """Capacity process; assigning one refreshes the cached rate."""
+        """Capacity process; assigning one resets the cached segment."""
         return self._trace
 
     @trace.setter
@@ -115,14 +118,33 @@ class Link:
         if isinstance(trace, (int, float)):
             trace = ConstantTrace(float(trace))
         self._trace = trace
-        #: Cached service rate for constant traces (``None`` = look the
-        #: rate up through the trace per offer).  Saves two method
-        #: calls per transmit on the constant-rate grids that dominate
-        #: the evaluation matrix; kept coherent here so replacing the
-        #: trace mid-experiment can never simulate a stale rate.
-        self._const_rate = trace.constant_rate()
+        #: ``(rate, start, end)`` from ``trace.segment_at``: the service
+        #: rate of every offer timed in ``[start, end)``.  Kept here,
+        #: per link, so a trace shared between cells stays stateless;
+        #: reset here, so replacing the trace mid-experiment can never
+        #: simulate a stale rate.
+        self._segment = rate, start, end = trace.segment_at(0.0)
+        #: The rate of a trace that is one unbounded segment, else
+        #: ``None``: such a link never consults segment or trace again,
+        #: and monitor intervals on it close without sampling.
+        self._const_rate = (rate if start == -math.inf and end == math.inf
+                            else None)
 
     # --- queue state ------------------------------------------------------
+
+    def _rate_at(self, t: float) -> float:
+        """Unfaulted service rate at ``t``: the cached segment's while
+        ``t`` is inside it, else that of the trace's segment around
+        ``t``, which becomes the cached one.  Times need not be
+        monotone -- a drop's future cursor re-enters on the way back.
+        """
+        rate = self._const_rate
+        if rate is None:
+            rate, start, end = self._segment
+            if not start <= t < end:
+                self._segment = segment = self._trace.segment_at(t)
+                rate = segment[0]
+        return rate
 
     def bandwidth_at(self, t: float) -> float:
         """Instantaneous service rate (packets/second).
@@ -131,9 +153,7 @@ class Link:
         is validated positive, so callers dividing by this never see
         zero.
         """
-        rate = self._const_rate
-        if rate is None:
-            rate = self.trace.bandwidth_at(t)
+        rate = self._rate_at(t)
         fault = self.fault
         if fault is not None:
             rate *= fault.capacity_scale(t)
@@ -175,7 +195,11 @@ class Link:
             self.last_arrival = t
         rate = self._const_rate
         if rate is None:
-            rate = self.trace.bandwidth_at(t)
+            # _rate_at's hit, inline: the per-packet call it would cost
+            # is what the cached segment exists to remove.
+            rate, start, end = self._segment
+            if not start <= t < end:
+                rate = self._rate_at(t)
         service = size / rate
         busy = self.busy_until
         queue_delay = busy - t
@@ -231,9 +255,7 @@ class Link:
             if busy < recovery:
                 busy = recovery
             backlog_base = recovery
-        rate = self._const_rate
-        if rate is None:
-            rate = self.trace.bandwidth_at(t)
+        rate = self._rate_at(t)
         scale = fault.capacity_scale(t)
         if scale != 1.0:
             rate *= scale

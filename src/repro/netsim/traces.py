@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 import hashlib
+import math
 
 import numpy as np
 
@@ -51,25 +52,54 @@ def pps_to_mbps(pps: float, packet_bytes: int = DEFAULT_PACKET_BYTES) -> float:
     return pps * packet_bytes * 8 / 1e6
 
 
+def _index_flip(interval: float, k: int) -> float:
+    """Smallest float ``t`` with ``int(t / interval) >= k``, for ``k >= 1``.
+
+    ``k * interval`` is only where the search starts: the product
+    rounds, and so does the quotient that maps a time back to its
+    index, so the float at which the index actually flips can sit an
+    ulp to either side.  The quotient is monotone in ``t``; walk to
+    the exact float.
+    """
+    t = k * interval
+    while int(t / interval) >= k:
+        t = math.nextafter(t, -math.inf)
+    while int(t / interval) < k:
+        t = math.nextafter(t, math.inf)
+    return t
+
+
 class BandwidthTrace:
     """Base class: capacity as a function of time (packets/second)."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # An inherited segment_at describes the parent's bandwidth_at.
+        # A subclass that redefines the one without the other gets the
+        # base answer -- never cached -- instead of a stale promise.
+        if "bandwidth_at" in vars(cls) and "segment_at" not in vars(cls):
+            cls.segment_at = BandwidthTrace.segment_at
 
     def bandwidth_at(self, t: float) -> float:
         """Instantaneous capacity at time ``t`` (seconds)."""
         raise NotImplementedError
 
-    def constant_rate(self) -> float | None:
-        """The trace's rate if it is constant for all time, else ``None``.
+    def segment_at(self, t: float) -> tuple:
+        """``(rate, start, end)``: ``bandwidth_at`` is exactly ``rate``
+        for every float in ``[start, end)``, and ``rate`` at ``t``.
 
-        The engine's hot paths key off this: a non-``None`` rate lets
-        :class:`~repro.netsim.link.Link` cache the service rate per
-        offer and lets the simulation close monitor intervals without
-        sampling the trace at all (O(1) bottleneck capacity).  Only
-        :class:`ConstantTrace` itself answers -- and only when not
-        subclassed, so a subclass overriding ``bandwidth_at`` can never
-        be wrongly cached.
+        The one question the engine's hot paths ask of a trace.  A
+        piecewise-constant trace answers with the piece around ``t``
+        (``start <= t < end``), and :class:`~repro.netsim.link.Link`
+        reuses the rate until an offer's time leaves it; a segment
+        unbounded on both sides makes the link constant-rate outright
+        (monitor intervals close without sampling the trace at all).
+        The base answer is the *empty* segment ``[t, t)``, which
+        promises nothing, so a continuous trace is looked up per offer.
+        Segments need not be maximal.  Traces stay stateless: the
+        current segment is the link's to keep.
         """
-        return None
+        return (self.bandwidth_at(t), t, t)
 
     def max_bandwidth(self) -> float:
         """Upper bound on capacity (used for rate clamping)."""
@@ -105,10 +135,8 @@ class ConstantTrace(BandwidthTrace):
     def bandwidth_at(self, t: float) -> float:
         return self.pps
 
-    def constant_rate(self) -> float | None:
-        # Exact-type guard: a subclass may override bandwidth_at, and a
-        # cached rate would silently bypass it.
-        return self.pps if type(self) is ConstantTrace else None
+    def segment_at(self, t: float) -> tuple:
+        return (self.pps, -math.inf, math.inf)
 
     def max_bandwidth(self) -> float:
         return self.pps
@@ -143,6 +171,16 @@ class StepTrace(BandwidthTrace):
         first, second = (self.high, self.low) if self.start_high else (self.low, self.high)
         return first if phase == 0 else second
 
+    def segment_at(self, t: float) -> tuple:
+        rate = self.bandwidth_at(t)
+        if t < 0.0:
+            # int() truncates towards zero, so the wave is not a mirror
+            # image below zero.  No clock goes there: one float.
+            return (rate, t, math.nextafter(t, math.inf))
+        idx = int(t / self.period)
+        return (rate, _index_flip(self.period, idx) if idx else 0.0,
+                _index_flip(self.period, idx + 1))
+
     def max_bandwidth(self) -> float:
         return max(self.low, self.high)
 
@@ -168,20 +206,27 @@ class RandomWalkTrace(BandwidthTrace):
             raise ValueError("need 0 < low <= high")
         rng = stream_rng("trace.synth", seed)
         n = max(1, int(np.ceil(horizon / interval)) + 1)
-        values = np.empty(n)
-        values[0] = rng.uniform(low_pps, high_pps)
-        for i in range(1, n):
-            factor = 1.0 + rng.uniform(-step, step)
-            values[i] = min(max(values[i - 1] * factor, low_pps), high_pps)
         self.interval = float(interval)
-        self.values = values
-        self.low = float(low_pps)
-        self.high = float(high_pps)
+        self.low = low = float(low_pps)
+        self.high = high = float(high_pps)
+        # One array draw is the same generator doubles as n - 1 scalar
+        # ones; the clamp is sequential, so it walks Python floats.
+        value = rng.uniform(low, high)
+        values = [value]
+        for factor in (1.0 + rng.uniform(-step, step, n - 1)).tolist():
+            value *= factor
+            if value < low:
+                value = low
+            elif value > high:
+                value = high
+            values.append(value)
+        self.values = np.array(values)
 
     def bandwidth_at(self, t: float) -> float:
-        # Called per offer to a trace-driven link: a compare-chain
-        # clamp and ``item`` (float64 -> float, exact) instead of
-        # min/max/len calls and a boxed numpy scalar.
+        # Called nine times per monitor-interval close on a
+        # trace-driven path: a compare-chain clamp and ``item``
+        # (float64 -> float, exact) instead of min/max/len calls and a
+        # boxed numpy scalar.
         values = self.values
         idx = int(t / self.interval)
         if idx < 0:
@@ -189,6 +234,17 @@ class RandomWalkTrace(BandwidthTrace):
         elif idx >= values.size:
             idx = values.size - 1
         return values.item(idx)
+
+    def segment_at(self, t: float) -> tuple:
+        values = self.values
+        last = values.size - 1
+        # Indices below zero and past the horizon clamp to the end
+        # pieces, which therefore run to infinity.
+        idx = min(max(int(t / self.interval), 0), last)
+        return (values.item(idx),
+                _index_flip(self.interval, idx) if idx > 0 else -math.inf,
+                _index_flip(self.interval, idx + 1) if idx < last
+                else math.inf)
 
     def max_bandwidth(self) -> float:
         return self.high
@@ -216,6 +272,16 @@ class PiecewiseTrace(BandwidthTrace):
         idx = bisect.bisect_right(self.times, t) - 1
         idx = max(idx, 0)
         return self.pps[idx]
+
+    def segment_at(self, t: float) -> tuple:
+        # The breakpoints are the boundaries, compared exactly as
+        # bandwidth_at compares them.  Before the first one the first
+        # rate already holds, as its own (non-maximal) piece.
+        times = self.times
+        after = bisect.bisect_right(times, t)
+        return (self.pps[max(after - 1, 0)],
+                times[after - 1] if after else -math.inf,
+                times[after] if after < len(times) else math.inf)
 
     def max_bandwidth(self) -> float:
         return max(self.pps)

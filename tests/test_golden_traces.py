@@ -25,6 +25,17 @@ one-ulp action change is usually rounded away; a systematic one
 (every MI nudged by an ulp) does move both digests.  The ``==``
 differential tests in ``test_policy.py`` are the per-call one-ulp gate.
 
+A ``trace_driven`` block pins cells that *cross capacity changes*: the
+three blocks above run ``fig1-step`` (period 5 s) for 4.0 s and the
+ledger runs ``wifi-walk`` (interval 0.5 s) for 0.25 s, so until PR 21
+no pinned digest ever saw a time-varying link change rate.  Every
+registered trace runs long enough to cross several of its boundaries,
+under window, rate and mixed line-ups, with and without wire loss, plus
+a two-hop lot (drops and hop dither read capacity at future cursors)
+and a faulted trace-driven link.  Digest *and* event count are pinned;
+the block was recorded on the commit before links cached a trace's
+current segment.
+
 The digest covers every float the result cache persists, serialized
 via JSON ``repr`` (shortest round-trip -- exact for float64).  A
 mismatch therefore means the engine's arithmetic changed, not a
@@ -47,7 +58,8 @@ from repro.core.agent import MoccAgent
 from repro.eval.parallel import ParallelRunner
 from repro.eval.resilience import records_digest
 from repro.eval.scenarios import ChurnSchedule, FlowDef, ScenarioSuite
-from repro.netsim.topology import dumbbell_asymmetric, parking_lot
+from repro.netsim.faults import LinkFlapSchedule, RateBrownout
+from repro.netsim.topology import dumbbell, dumbbell_asymmetric, parking_lot
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "engine_golden.json"
 
@@ -112,6 +124,53 @@ def learned_suites() -> tuple:
                  "aurora": (FlowDef("aurora-throughput",
                                     agent=_untrained_agent(0)),)},
         bandwidths_mbps=(6.0,), duration=3.0, seeds=(11,)),)
+
+
+#: Named trace -> seconds to run it: long enough to cross capacity
+#: changes (wifi-walk steps every 0.5 s, cellular-walk every 1 s,
+#: leo-handover at 0.8 / 15 / 15.8 s, fig1-step at 5 / 10 s).
+TRACE_DRIVEN_DURATIONS = {"wifi-walk": 6.0, "cellular-walk": 8.0,
+                          "leo-handover": 18.0, "fig1-step": 12.0}
+
+
+def trace_driven_suites() -> tuple:
+    """Time-varying links across their capacity changes: every named
+    trace x {window; mixed; rate} line-up x wire loss, a two-hop
+    trace-driven parking lot, and a trace-driven link under a brownout
+    plus a queue-policy flap (the faulted transmit path)."""
+    lineups = {"cubic": ("cubic",), "bbr+copa": ("bbr", "copa"),
+               "vivace": ("vivace",)}
+    named = tuple(ScenarioSuite(
+        name=f"golden-trace-{trace}", lineups=lineups,
+        bandwidths_mbps=(12.0,), losses=(0.0, 0.01), traces=(trace,),
+        duration=duration, seeds=(11,))
+        for trace, duration in TRACE_DRIVEN_DURATIONS.items())
+    lot = ScenarioSuite(
+        name="golden-trace-lot",
+        lineups={"lot": (FlowDef("bbr", path="through", label="through"),
+                         FlowDef("cubic", path="cross0", label="cross0"),
+                         FlowDef("vivace", path="cross1", label="cross1"))},
+        topologies=(parking_lot(2, bandwidth_mbps=12.0, delay_ms=6.0,
+                                loss_rate=0.005, trace="wifi-walk"),),
+        duration=6.0, seeds=(11,))
+    faulted = ScenarioSuite(
+        name="golden-trace-faulted", lineups={"duo": ("cubic", "vivace")},
+        topologies=(dumbbell(bandwidth_mbps=12.0, delay_ms=6.0,
+                             trace="wifi-walk"),),
+        faults=({"hop0": (RateBrownout(start=0.8, duration=1.6, factor=0.4),
+                          LinkFlapSchedule(period=1.3, down_time=0.12,
+                                           start=0.4, policy="queue"))},),
+        duration=6.0, seeds=(11,))
+    return named + (lot, faulted)
+
+
+def compute_trace_driven() -> dict:
+    """Digest and event count of every ``trace_driven_suites`` cell."""
+    runner = ParallelRunner(n_workers=1, use_cache=False)
+    return {result.scenario.name: {"digest": records_digest(result.records),
+                                   "events": result.events}
+            for suite in trace_driven_suites()
+            for result in runner.run(suite)}
 
 
 def compute_goldens(suites: tuple | None = None) -> dict:
@@ -189,3 +248,13 @@ class TestGoldenTraces:
         for name, entry in pinned.items():
             assert got[name]["digest"] == entry["digest"], (
                 name, entry["summary"], got[name]["summary"])
+
+    @pytest.mark.skipif(os.environ.get("REPRO_GOLDEN_RELAXED") == "1",
+                        reason="digest identity needs the reference BLAS")
+    def test_trace_driven_cells_cross_capacity_changes_unmoved(self, goldens):
+        pinned = goldens["trace_driven"]
+        got = compute_trace_driven()
+        assert sorted(got) == sorted(pinned) and len(pinned) == 26
+        moved = {name: (entry, got[name]) for name, entry in pinned.items()
+                 if got[name] != entry}
+        assert not moved, moved

@@ -5,12 +5,16 @@
 hot-path contract.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.netsim.faults import FaultProcess, RateBrownout
 from repro.netsim.link import Link, PropagationLink
-from repro.netsim.traces import ConstantTrace, StepTrace
+from repro.netsim.traces import (
+    BandwidthTrace, ConstantTrace, RandomWalkTrace, StepTrace, make_trace)
 
 
 def make_link(pps=100.0, delay=0.01, queue=50, loss=0.0, seed=0):
@@ -124,6 +128,138 @@ class TestConstantRateFastPath:
         link = Link(trace, delay=0.0, queue_size=10)
         # First phase is high (200 pps): service = 1/200.
         assert link.transmit(0.0)[2] == pytest.approx(1.0 / 200.0)
+
+
+class CountingStep(StepTrace):
+    """A square wave that counts how often the link consults it."""
+
+    calls = 0
+
+    def bandwidth_at(self, t):
+        self.calls += 1
+        return super().bandwidth_at(t)
+
+    # The same function of time, so the inherited pieces still hold (a
+    # bare ``bandwidth_at`` override drops them); each lookup reads
+    # ``bandwidth_at`` once.
+    segment_at = StepTrace.segment_at
+
+
+class Sinusoid(BandwidthTrace):
+    """Continuous: overrides ``bandwidth_at`` and nothing else."""
+
+    def bandwidth_at(self, t):
+        return 150.0 + 50.0 * math.sin(t)
+
+
+def rate_charged(link, t, rate):
+    """Whether an idle zero-delay link serves a packet offered at ``t``
+    at exactly ``rate`` (``transmit``'s own depart arithmetic)."""
+    link.busy_until = 0.0
+    return link.transmit(t)[2] == t + 0.0 + 1.0 / rate + 0.0
+
+
+class TestTraceSegmentCache:
+    """A trace-driven link keeps the trace's current segment and asks
+    again only when an offer's time leaves it -- per link, never stale."""
+
+    def test_trace_is_consulted_once_per_segment(self):
+        trace = CountingStep(100.0, 200.0, 1.0)
+        link = Link(trace, delay=0.0, queue_size=10**6)
+        built = trace.calls
+        for i in range(200):
+            link.transmit(i * 0.004)            # all inside [0, 1)
+            link.bandwidth_at(i * 0.004)
+        assert trace.calls == built
+        assert link.transmit(1.25)[3] == 0.0    # idle again, low phase
+        assert trace.calls == built + 1
+        assert link.bandwidth_at(1.5) == 100.0 and trace.calls == built + 1
+
+    def test_rates_across_a_boundary_are_the_traces(self):
+        trace = make_trace("wifi-walk")
+        link = Link(trace, delay=0.0, queue_size=10)
+        boundary = trace.segment_at(0.2)[2]
+        for t in (0.2, math.nextafter(boundary, -math.inf), boundary,
+                  boundary + 0.2, 7.3, 599.9, 1e6):
+            assert rate_charged(link, t, trace.bandwidth_at(t))
+            assert link.bandwidth_at(t) == trace.bandwidth_at(t)
+
+    def test_non_monotone_times_read_the_right_rate_both_times(self):
+        """A drop's notice is timed at a *future* cursor (the engine
+        reads ``bandwidth_at`` there), then the clock carries on."""
+        trace = StepTrace(100.0, 200.0, period=1.0)
+        link = Link(trace, delay=0.0, queue_size=10)
+        assert rate_charged(link, 0.9, 200.0)
+        assert link.bandwidth_at(1.1) == 100.0      # the future cursor
+        assert rate_charged(link, 0.95, 200.0)  # the clock again
+        assert link.bandwidth_at(2.5) == 200.0
+        assert link.bandwidth_at(1.5) == 100.0
+
+    def test_continuous_trace_is_never_served_a_reused_rate(self):
+        trace = Sinusoid()
+        link = Link(trace, delay=0.0, queue_size=10)
+        assert link._const_rate is None
+        seen = set()
+        for i in range(50):
+            t = i * 0.01
+            assert link.bandwidth_at(t) == trace.bandwidth_at(t)
+            assert rate_charged(link, t, trace.bandwidth_at(t))
+            seen.add(link.bandwidth_at(t))
+        assert len(seen) == 50
+
+    def test_assigning_a_trace_mid_run_drops_the_cached_segment(self):
+        link = Link(StepTrace(100.0, 200.0, period=1.0), delay=0.0,
+                    queue_size=10)
+        assert rate_charged(link, 0.1, 200.0)
+        link.trace = StepTrace(300.0, 400.0, period=1.0)
+        assert rate_charged(link, 0.1, 400.0)
+        assert link.bandwidth_at(0.1) == 400.0
+        link.trace = 250.0
+        assert link._const_rate == 250.0
+        assert rate_charged(link, 0.1, 250.0)
+        link.trace = StepTrace(100.0, 200.0, period=1.0)
+        assert link._const_rate is None
+        assert rate_charged(link, 1.1, 100.0)
+
+    def test_constant_subclass_overriding_bandwidth_at_is_not_constant(self):
+        class Wobbly(ConstantTrace):
+            def bandwidth_at(self, t):
+                return self.pps * (1.0 + 0.1 * math.sin(t))
+
+        trace = Wobbly(100.0)
+        link = Link(trace, delay=0.0, queue_size=10)
+        assert link._const_rate is None
+        assert link.bandwidth_at(1.0) == trace.bandwidth_at(1.0) != 100.0
+        assert rate_charged(link, 2.0, trace.bandwidth_at(2.0))
+
+    def test_single_valued_walk_is_constant_rate(self):
+        trace = RandomWalkTrace(50.0, 150.0, horizon=0.0)
+        link = Link(trace, delay=0.0, queue_size=10)
+        assert link._const_rate == trace.values.item(0)
+
+    def test_faulted_twin_reads_through_the_segment(self):
+        trace = CountingStep(100.0, 200.0, 1.0)
+        link = Link(trace, delay=0.0, queue_size=10)
+        link.fault = FaultProcess(
+            (RateBrownout(start=0.5, duration=1.0, factor=0.5),),
+            seed=0, index=0)
+        built = trace.calls
+        want = {0.2: 200.0, 0.7: 100.0, 1.2: 50.0, 1.7: 100.0, 0.3: 200.0}
+        for t, rate in want.items():
+            assert rate_charged(link, t, rate)
+            assert link.bandwidth_at(t) == rate
+        assert trace.calls == built + 2     # into [1, 2), and back
+
+    def test_shared_trace_stays_stateless(self):
+        trace = make_trace("cellular-walk")
+        before = dict(vars(trace))
+        a = Link(trace, delay=0.0, queue_size=10)
+        b = Link(trace, delay=0.0, queue_size=10)
+        a.transmit(3.5)
+        assert rate_charged(b, 0.5, trace.bandwidth_at(0.5))
+        assert a.bandwidth_at(3.6) == trace.bandwidth_at(3.6)
+        assert vars(trace).keys() == before.keys()
+        assert all(vars(trace)[k] is before[k] for k in before)
 
 
 class TestPropagationLink:
