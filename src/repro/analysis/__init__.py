@@ -29,9 +29,8 @@ key is derived from ``dataclasses.fields()``,
   derivations), env-taint (no ``os.environ`` read outside
   ``config.py``), mutable global state in simulation packages, and
   fingerprint/signature purity;
-* :mod:`repro.analysis.rules_batch`, :mod:`repro.analysis.rules_faults`
-  -- the batch layer's shared-immutable allowlist and the fault
-  streams' registry declarations.
+* :mod:`repro.analysis.rules_faults` -- the fault streams' registry
+  declarations.
 
 Run it with ``python -m repro.analysis`` (or ``scripts/replint.py``);
 ``--format=sarif`` emits SARIF 2.1.0 for GitHub code scanning.  The

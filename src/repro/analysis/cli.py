@@ -31,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="text")
     parser.add_argument("--select", default=None,
                         help="comma-separated rule ids or glob patterns "
-                             "(e.g. rng-*, batch-*) to run exclusively")
+                             "(e.g. rng-*, fault-*) to run exclusively")
     parser.add_argument("--ignore", default=None,
                         help="comma-separated rule ids or glob patterns "
                              "to skip")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from repro.analysis.rules_batch import BatchRngRule, BatchSharedMutableRule
 from repro.analysis.rules_dataflow import (
     EnvTaintRule,
     MutableGlobalStateRule,
@@ -50,9 +49,6 @@ _RULE_CLASSES = (
     EnvTaintRule,
     MutableGlobalStateRule,
     SignaturePurityRule,
-    # cross-cell isolation (batched execution)
-    BatchSharedMutableRule,
-    BatchRngRule,
     # fault injection
     FaultStreamDeclarationRule,
 )

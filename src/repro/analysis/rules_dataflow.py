@@ -18,7 +18,7 @@ multiply the ways of breaking:
   ``os.getenv`` in every other file.
 * ``mutable-global-state`` -- a module-level mutable container written
   from a function body is cross-cell shared state, the exact hazard of
-  interleaved multi-cell loops.
+  running many cells in one process.
 * ``signature-purity`` -- ``sign``/``fingerprint``/``*_form``
   functions are cache-key producers; any side effect in them (or one
   level into the same-file functions they call) corrupts key
@@ -468,7 +468,7 @@ class MutableGlobalStateRule(AstRule):
     id = "mutable-global-state"
     family = "global-state"
     description = ("module-level mutable containers written from function "
-                   "bodies are cross-cell shared state (the interleaved "
+                   "bodies are cross-cell shared state (the batched "
                    "multi-cell hazard)")
     packages = ("netsim", "baselines", "apps")
 
@@ -496,7 +496,7 @@ class MutableGlobalStateRule(AstRule):
                 findings.append(Finding(
                     relpath, node.lineno, node.col_offset, self.id,
                     f"{fn.name}() {verb} module-level mutable {name!r} "
-                    f"(declared at line {globals_[name]}); interleaved "
+                    f"(declared at line {globals_[name]}); batched "
                     f"multi-cell execution would share this state"))
         return findings
 

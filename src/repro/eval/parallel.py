@@ -421,21 +421,9 @@ _FORK_BATCHES: list[list[int]] = []
 _FORK_SCENARIOS: list[Scenario] = []
 
 
-def _init_batch_worker() -> None:
-    """Once-per-worker initializer: resolve the suite's agent refs.
-
-    Under the fork start method the zoo memo is usually already warm
-    (the parent resolves before forking, children inherit through
-    copy-on-write), so this is a set of dict hits; under a cold child
-    it loads each agent exactly once.  Either way no batch task ever
-    re-resolves refs itself (``BatchRunner(prewarm=False)`` below).
-    """
-    warm_agent_refs(_FORK_SCENARIOS)
-
-
 def _execute_batch(batch_index: int):
-    """Worker entry point: one batch -> per-cell ``(position, payload,
-    error)`` triples.
+    """One batch -> per-cell ``(position, payload, error)`` triples;
+    the pool workers' entry point and the in-process arm's.
 
     Failures come back as strings instead of raised exceptions so the
     parent can decide (per its ``early_abort`` setting) whether one bad
@@ -445,16 +433,10 @@ def _execute_batch(batch_index: int):
     cell.
     """
     positions = _FORK_BATCHES[batch_index]
-    runner = BatchRunner(prewarm=False)
-    cells = runner.run([_FORK_SCENARIOS[p] for p in positions])
-    out = []
-    for position, cell in zip(positions, cells):
-        if cell.error is not None:
-            out.append((position, None, cell.error))
-        else:
-            out.append((position,
-                        (cell.records, cell.elapsed, cell.events), None))
-    return out
+    cells = BatchRunner().run([_FORK_SCENARIOS[p] for p in positions])
+    return [(position, None, cell.error) if cell.error is not None
+            else (position, (cell.records, cell.elapsed, cell.events), None)
+            for position, cell in zip(positions, cells)]
 
 
 class ParallelRunner:
@@ -468,8 +450,8 @@ class ParallelRunner:
     re-reading (or worse, re-training) them.
 
     Pending cells are dispatched to workers in *batches* executed by
-    :class:`~repro.eval.batch.BatchRunner` -- interleaved event loops
-    sharing frozen per-batch assets -- rather than one pool task per
+    :class:`~repro.eval.batch.BatchRunner` -- cells built over frozen
+    per-batch assets, then run in turn -- rather than one pool task per
     cell; ``batch_size=None`` picks a size that still leaves several
     tasks per worker for load balancing.  Cache semantics are
     unchanged: hits and misses, fingerprint keys, and result rows are
@@ -521,8 +503,9 @@ class ParallelRunner:
     #: Auto batch sizing: leave at least this many batches per worker
     #: so one slow batch cannot idle the rest of the pool...
     AUTO_BATCHES_PER_WORKER = 3
-    #: ...and never interleave more cells than this in one process
-    #: (bounds resident simulations per worker).
+    #: ...and never batch more cells than this: a batch builds all its
+    #: cells before running any, so this bounds resident simulations
+    #: per worker.
     MAX_AUTO_BATCH = 16
 
     def __init__(self, n_workers: int | None = None,
@@ -647,34 +630,28 @@ class ParallelRunner:
                                              len(pending))))
                        for start in range(0, len(pending), batch_size)]
 
-            # A lone batch with no deadline or retry budget asked for
-            # stays here (nothing to overlap); with one, it needs the
-            # cell out of this process.
-            if self.n_workers > 1 and (len(batches) > 1
-                                       or self.retry is not None
-                                       or self.cell_timeout is not None):
-                global _FORK_BATCHES, _FORK_SCENARIOS
-                _FORK_SCENARIOS = [s for _, s, _ in pending]
-                _FORK_BATCHES = batches
-                try:
+            # Staged for both arms: forked workers index the parent's
+            # copy-on-write memory instead of unpickling scenarios.
+            global _FORK_BATCHES, _FORK_SCENARIOS
+            _FORK_SCENARIOS = [s for _, s, _ in pending]
+            _FORK_BATCHES = batches
+            try:
+                # A lone batch with no deadline or retry budget asked
+                # for stays here (nothing to overlap); with one, it
+                # needs the cell out of this process.
+                if self.n_workers > 1 and (len(batches) > 1
+                                           or self.retry is not None
+                                           or self.cell_timeout is not None):
                     self._dispatch(batches, record_result)
-                finally:
-                    _FORK_BATCHES = []
-                    _FORK_SCENARIOS = []
-            else:
-                # Serial reference path: same BatchRunner, in process.
-                # The parent already warmed the zoo above.
-                runner = BatchRunner(prewarm=False)
-                for batch in batches:
-                    cells = runner.run([pending[p][1] for p in batch])
-                    for position, cell in zip(batch, cells):
-                        if cell.error is not None:
-                            record_result(position, None, cell.error)
-                        else:
-                            record_result(
-                                position,
-                                (cell.records, cell.elapsed, cell.events),
-                                None)
+                else:
+                    # Serial reference path: the workers' own entry
+                    # point, in process.
+                    for index in range(len(batches)):
+                        for outcome in _execute_batch(index):
+                            record_result(*outcome)
+            finally:
+                _FORK_BATCHES = []
+                _FORK_SCENARIOS = []
 
             if failures and self.max_failures is None:
                 failures.sort()
@@ -695,9 +672,7 @@ class ParallelRunner:
         reports every one of its cells as failed.
         """
         pool = ResilientPool(min(self.n_workers, len(batches)),
-                             _execute_batch,
-                             initializer=_init_batch_worker,
-                             retry=self.retry)
+                             _execute_batch, retry=self.retry)
         tasks = []
         for index, batch in enumerate(batches):
             timeout = (None if self.cell_timeout is None

@@ -308,7 +308,7 @@ class RetryPolicy:
 # --- resilient pool -----------------------------------------------------------
 
 
-def _pool_worker(conn, fn, initializer) -> None:
+def _pool_worker(conn, fn) -> None:
     """Worker main: receive ``(task_id, arg)``, send ``(task_id,
     result, error)``; a ``None`` message is the shutdown sentinel.
 
@@ -316,8 +316,6 @@ def _pool_worker(conn, fn, initializer) -> None:
     must never wedge the pipe); anything that kills the process --
     including the chaos hook -- surfaces in the parent as a crash.
     """
-    if initializer is not None:
-        initializer()
     try:
         while True:
             message = conn.recv()
@@ -377,13 +375,11 @@ class ResilientPool:
     #: noticing a result, a crash, or an expired deadline.
     POLL_SECONDS = 0.05
 
-    def __init__(self, n_workers: int, fn, initializer=None,
-                 retry: RetryPolicy | None = None):
+    def __init__(self, n_workers: int, fn, retry: RetryPolicy | None = None):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         self.n_workers = int(n_workers)
         self.fn = fn
-        self.initializer = initializer
         self.retry = retry if retry is not None else RetryPolicy()
         # Backoff jitter: scheduling noise only, never simulation
         # state; seeded so retry timing is reproducible.
@@ -391,8 +387,7 @@ class ResilientPool:
 
     def _spawn(self, ctx) -> _PoolWorker:
         parent_conn, child_conn = ctx.Pipe()
-        proc = ctx.Process(target=_pool_worker,
-                           args=(child_conn, self.fn, self.initializer),
+        proc = ctx.Process(target=_pool_worker, args=(child_conn, self.fn),
                            daemon=True)
         proc.start()
         child_conn.close()

@@ -145,8 +145,10 @@ class SimState:
     pop/dispatch loop, :meth:`Simulation._drain` (it draws the pacing
     jitter, so it sits with the generator's owner).  ``SimState`` is
     the slicing surface over it: advance a cell by time
-    (:meth:`step_until`) or by event count (:meth:`step_events`) and
-    interleave many cells inside one process (:mod:`repro.eval.batch`).
+    (:meth:`step_until`) or by event count (:meth:`step_events`).  The
+    gym-style environments advance one monitor interval per
+    ``run(until=)``; :mod:`repro.eval.batch` runs each cell in one
+    full-width slice.
 
     Slicing is invisible: a slice boundary only decides *when* the
     next ``heappop`` happens, never what it returns, and every handler

@@ -307,22 +307,27 @@ def register_trace(name: str, factory, overwrite: bool = False) -> None:
         raise ValueError(f"trace {name!r} already registered")
     # Import-time registration: the registry is append-only, populated
     # before any simulation runs, and guarded against overwrites above,
-    # so interleaved cells can only ever *read* an entry concurrently.
+    # so batched cells can only ever *read* an entry.
     _TRACE_REGISTRY[name] = factory  # replint: disable=mutable-global-state
 
 
 def freeze_trace(trace: BandwidthTrace) -> BandwidthTrace:
-    """Mark a trace's array payloads read-only and return it.
+    """Make a trace's payloads immutable in place and return it: arrays
+    go read-only, lists become tuples (``bisect``, indexing and ``max``
+    read a tuple exactly as they read a list).
 
     Traces are pure functions of time -- nothing in the engine writes
     to one -- so freezing is behaviourally inert; it turns the
     shared-immutable assumption batched execution relies on
     (:mod:`repro.eval.batch` hands one trace object to many cells)
-    into a hard fault at the would-be mutation site.
+    into a hard fault at the would-be mutation site.  Cache keys never
+    see a frozen copy: signing builds its own instance.
     """
-    for value in vars(trace).values():
+    for name, value in vars(trace).items():
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
+        elif isinstance(value, list):
+            setattr(trace, name, tuple(value))
     return trace
 
 

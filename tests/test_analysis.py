@@ -14,6 +14,7 @@ Three layers:
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,11 +24,6 @@ import pytest
 from repro.analysis import Analyzer, all_rules, rules_by_id
 from repro.analysis.core import parse_suppressions
 from repro.analysis.report import render_sarif
-from repro.analysis.rules_batch import (
-    BatchRngRule,
-    BatchSharedMutableRule,
-    check_batch_source,
-)
 from repro.analysis.rules_dataflow import (EnvTaintRule,
                                            RngStreamOwnershipRule)
 from repro.analysis.rules_engine import check_engine_source
@@ -63,6 +59,15 @@ class TestRepoClean:
     def test_real_engine_passes_event_table_check(self):
         source = (SRC_ROOT / "netsim" / "network.py").read_text()
         assert check_engine_source(source, "netsim/network.py") == []
+
+    def test_readme_rule_count_matches_registry(self):
+        rules = all_rules()
+        families = {rule.family for rule in rules}
+        sentence = re.search(r"(\d+)\s+rules\s+in\s+(\d+)\s+families",
+                             (REPO / "README.md").read_text())
+        assert sentence is not None, "README lost its rule-count sentence"
+        assert (int(sentence[1]), int(sentence[2])) == (len(rules),
+                                                        len(families))
 
 
 class TestDeterminismRules:
@@ -209,52 +214,6 @@ class TestDataflowRules:
                "Spec.fingerprint() calls it" in messages
 
 
-class TestIsolationRules:
-    """The batched-execution cross-cell isolation family."""
-
-    def test_shared_mutable_fires_and_reports_stale_entry(self):
-        findings = BatchSharedMutableRule().check_project(
-            FIXTURES / "proj_batch_bad")
-        messages = " | ".join(f.message for f in findings)
-        assert "'SHARED_REGISTRY' is created outside the per-cell loop" \
-            in messages
-        assert "stale SHARED_IMMUTABLE_ALLOWLIST entry 'ghost_cache'" \
-            in messages
-
-    def test_missing_allowlist_declaration_is_a_finding(self):
-        source = ("def build(scenarios, cache):\n"
-                  "    for s in scenarios:\n"
-                  "        build_scenario_simulation(s, cache)\n")
-        messages = " | ".join(f.message
-                              for f in check_batch_source(source))
-        assert "no module-level SHARED_IMMUTABLE_ALLOWLIST" in messages
-        assert "'cache'" in messages  # the unlisted shared binding too
-
-    def test_per_iteration_bindings_are_clean(self):
-        source = ("SHARED_IMMUTABLE_ALLOWLIST = ()\n"
-                  "def build(scenarios):\n"
-                  "    for s in scenarios:\n"
-                  "        cache = {}\n"  # fresh per cell: fine
-                  "        sim = build_scenario_simulation(s, cache)\n")
-        assert check_batch_source(source) == []
-
-    def test_rng_rule_fires_on_mint_and_drain(self):
-        source = (FIXTURES / "proj_batch_bad" / "eval" / "batch.py") \
-            .read_text()
-        findings = BatchRngRule().check(ast.parse(source), source,
-                                        "eval/batch.py")
-        messages = " | ".join(f.message for f in findings)
-        assert len(findings) == 2
-        assert "mints an RNG stream in the batch layer" in messages
-        assert "draws from an RNG stream in the batch layer" in messages
-
-    def test_live_batch_layer_passes_static_rules(self):
-        assert BatchSharedMutableRule().check_project(SRC_ROOT) == []
-        source = (SRC_ROOT / "eval" / "batch.py").read_text()
-        assert BatchRngRule().check(ast.parse(source), source,
-                                    "eval/batch.py") == []
-
-
 class TestSuppressionsAndBaseline:
     # (The findings baseline is gone; the class keeps its name so the
     # suppression tests keep their ids.)
@@ -335,12 +294,12 @@ class TestCli:
         assert proc.returncode == 0
         for family in ("determinism", "engine", "rng",
                        "rng-ownership", "env-taint", "global-state",
-                       "signature-purity", "isolation"):
+                       "signature-purity", "faults"):
             assert f"{family}:" in proc.stdout
         # rule lines are indented under their family header
         assert "\n  unseeded-rng" in proc.stdout
         assert "\n  rng-stream-ownership" in proc.stdout
-        assert "\n  batch-shared-mutable" in proc.stdout
+        assert "\n  fault-stream-declaration" in proc.stdout
 
     def test_unknown_select_is_usage_error(self):
         proc = _run_cli("--select", "no-such-rule")
@@ -361,9 +320,9 @@ class TestCli:
         assert "matches no rule id" in proc.stderr
 
     def test_ignore_glob_drops_family(self):
-        proc = _run_cli("--ignore", "batch-*", "--list-rules")
+        proc = _run_cli("--ignore", "fault-*", "--list-rules")
         assert proc.returncode == 0
-        assert "isolation:" not in proc.stdout
+        assert "faults:" not in proc.stdout
 
     def test_script_entry_point_runs(self):
         proc = subprocess.run(

@@ -6,18 +6,20 @@ Three guarantees, layered:
   partition ``run()``'s event loop arbitrarily without moving a single
   float: handlers stamp ``sim.now`` from the popped event, so slice
   boundaries never leak into the dynamics.
-* **Batching is invisible.**  ``BatchRunner`` interleaves N cells in
-  one process sharing only frozen assets, so every cell's records are
-  bit-identical to running it solo -- pinned here across every perf
-  shape, and at the runner level by the serial == process-parallel
-  == batched identity grid.
+* **Batching is invisible.**  ``BatchRunner`` builds N cells over
+  shared frozen assets and runs them in turn in one process, so every
+  cell's records are bit-identical to running it solo whatever the
+  batch's composition or order -- pinned here across every perf shape
+  and one mixed batch, and at the runner level by the serial ==
+  process-parallel == batched identity grid.
 * **Failures stay per cell.**  A mid-batch ``ScenarioError`` surfaces
   the failing cell's name while its batch siblings complete (and
   cache).
 
-``TestCellIsolation`` holds the live half of the cross-cell isolation
-contract (the static half is replint's ``isolation`` family): two built
-cells' object graphs share no unlisted mutable object.
+``TestCellIsolation`` holds the cross-cell isolation contract: real
+built cells' object graphs, for every registered trace, share no
+mutable object -- and a planted shared generator or unfrozen trace is
+named.
 """
 
 import gc
@@ -26,14 +28,13 @@ import types
 import numpy as np
 import pytest
 
-from repro.eval.batch import (
-    SHARED_IMMUTABLE_ALLOWLIST,
-    BatchRunner,
-    warm_agent_refs,
-)
+import repro.eval.batch as batch_module
+import repro.eval.scenarios as scenarios_module
+from repro.eval.batch import BatchRunner, warm_agent_refs
 from repro.eval.parallel import ParallelRunner, ScenarioError
-from repro.eval.resilience import records_digest
+from repro.eval.resilience import RetryPolicy, records_digest
 from repro.eval.scenarios import (
+    SCENARIO_CACHE_VERSION,
     ChurnSchedule,
     FlowDef,
     Scenario,
@@ -42,10 +43,15 @@ from repro.eval.scenarios import (
 )
 from repro.eval.runner import EvalNetwork
 from repro.eval.sweeps import PERF_SHAPES, batched_grid_scenarios, perf_scenarios
-from repro.netsim.faults import GilbertElliottLoss, LinkFlapSchedule
+from repro.netsim.faults import GilbertElliottLoss, LinkFlapSchedule, RateBrownout
 from repro.netsim.network import SimState
 from repro.netsim.topology import dumbbell, dumbbell_asymmetric, parking_lot
-from repro.netsim.traces import BandwidthTrace, freeze_trace, make_trace
+from repro.netsim.traces import (
+    BandwidthTrace,
+    freeze_trace,
+    make_trace,
+    trace_names,
+)
 
 
 def solo_digest(scenario) -> str:
@@ -228,18 +234,64 @@ class TestPerfShapes:
                 assert sim.events_processed > 0
 
 
-class TestBatchRunner:
-    """Interleaved cells == solo cells, bit for bit."""
+def _mixed_batch() -> list[Scenario]:
+    """One cell per kind of thing a batch can hold: both shared-trace
+    payload types, no trace, per-link fault streams, a build failure."""
+    net = EvalNetwork(bandwidth_mbps=8.0, one_way_ms=8.0)
+    common = dict(network=net, duration=0.5, seed=5)
+    faulted = dumbbell(bandwidth_mbps=8.0, delay_ms=8.0).with_faults({
+        "hop0": (RateBrownout(start=0.1, duration=0.2, factor=0.4),
+                 LinkFlapSchedule(period=0.3, down_time=0.04, start=0.15))})
+    return [
+        Scenario(name="mixed/wifi", flows=("cubic", "bbr"),
+                 trace="wifi-walk", **common),
+        Scenario(name="mixed/leo", flows=("vivace",), trace="leo-handover",
+                 **common),
+        Scenario(name="mixed/constant", flows=("copa", "cubic"), **common),
+        Scenario(name="mixed/broken", flows=("no-such-scheme",), **common),
+        Scenario(name="mixed/faults", flows=("cubic", "vivace"),
+                 topology=faulted, **common),
+    ]
 
-    @pytest.mark.parametrize("shape", PERF_SHAPES)
-    def test_batched_cells_match_solo_runs(self, shape):
-        scenarios = perf_scenarios(shape, duration=0.5)
-        cells = BatchRunner(slice_seconds=0.07).run(scenarios)
-        assert len(cells) == len(scenarios)
+
+def _outcome(result) -> tuple:
+    """What a cell produced, whoever ran it: a ``BatchCell`` or a
+    ``ScenarioResult``."""
+    digest = None if result.error else records_digest(result.records)
+    return digest, result.events, result.error
+
+
+class TestBatchRunner:
+    """Batched cells == solo cells, bit for bit."""
+
+    @pytest.mark.parametrize("shape", (*PERF_SHAPES, "mixed"))
+    def test_batched_cells_match_solo_runs(self, shape, tmp_path):
+        scenarios = (_mixed_batch() if shape == "mixed"
+                     else perf_scenarios(shape, duration=0.5))
+        cells = BatchRunner().run(scenarios)
+        assert ([s.name for s, cell in zip(scenarios, cells) if cell.error]
+                == ["mixed/broken"] * (shape == "mixed"))
         for scenario, cell in zip(scenarios, cells):
-            assert cell.error is None
-            assert cell.events > 0 and cell.elapsed > 0.0
-            assert records_digest(cell.records) == solo_digest(scenario)
+            if cell.error is None:
+                assert cell.events > 0 and cell.elapsed > 0.0
+                assert records_digest(cell.records) == solo_digest(scenario)
+        # A batch's composition cannot matter: order, neighbours and
+        # the dispatch path leave every cell's outcome where it was.
+        forwards = [_outcome(cell) for cell in cells]
+        backwards = BatchRunner().run(scenarios[::-1])[::-1]
+        assert [_outcome(cell) for cell in backwards] == forwards
+        alone = [BatchRunner().run([s])[0] for s in scenarios]
+        assert [_outcome(cell) for cell in alone] == forwards
+        # Uneven batches through the in-process arm, the pool, the
+        # pool with a retry budget and the journalled pool.
+        for n_workers, extra in (
+                (1, {}), (2, {}),
+                (2, {"retry": RetryPolicy(max_attempts=2)}),
+                (2, {"checkpoint": tmp_path / "sweep.journal"})):
+            result = ParallelRunner(
+                n_workers=n_workers, use_cache=False, batch_size=2,
+                max_failures=1, **extra).run(scenarios)
+            assert [_outcome(r) for r in result] == forwards, extra
 
     def test_batched_grid_matches_solo_runs(self):
         scenarios = batched_grid_scenarios(cells=8, duration=0.25)
@@ -288,13 +340,6 @@ class TestBatchRunner:
             assert cell.error is None
             assert records_digest(cell.records) == solo_digest(good)
 
-    def test_allowlist_shape(self):
-        # The replint isolation rules parse this structure from the AST;
-        # keep it literal (name, justification) pairs.
-        for name, justification in SHARED_IMMUTABLE_ALLOWLIST:
-            assert isinstance(name, str) and name
-            assert isinstance(justification, str) and justification.strip()
-
     def test_warm_agent_refs_accepts_classical_schemes(self):
         # No AgentRefs anywhere: must be a no-op, not a crash.
         warm_agent_refs(perf_scenarios("single-bottleneck", duration=0.3))
@@ -333,11 +378,11 @@ def _is_frozen_dataclass(obj) -> bool:
 
 
 def _is_frozen_trace(obj) -> bool:
-    """The live counterpart of ``SHARED_IMMUTABLE_ALLOWLIST``: a trace
-    whose array payloads are read-only."""
-    return isinstance(obj, BandwidthTrace) and all(
-        not value.flags.writeable for value in vars(obj).values()
-        if isinstance(value, np.ndarray))
+    """A trace with nothing left to mutate: array payloads read-only,
+    no list payloads."""
+    return isinstance(obj, BandwidthTrace) and not any(
+        value.flags.writeable if isinstance(value, np.ndarray)
+        else isinstance(value, list) for value in vars(obj).values())
 
 
 def shared_mutables(states) -> list[str]:
@@ -378,9 +423,24 @@ class _FakeState:
         self.own = {"per-cell": []}  # mutable but unshared
 
 
+def _probe_scenarios(trace: str) -> list[Scenario]:
+    """Two classical-scheme cells sharing one named trace: cheap to
+    build (no zoo resolution, nothing is run) yet exercising the exact
+    sharing path -- make_trace(cache=...) -- batches use."""
+    return ScenarioSuite(
+        name="isolation-probe", lineups=[("cubic", "bbr")],
+        traces=(trace,), seeds=(0, 1), duration=0.05).expand()
+
+
+def _probe_findings(trace: str) -> str:
+    cells = BatchRunner().build_cells(_probe_scenarios(trace))
+    assert [cell.error for cell in cells] == [None, None]
+    return " | ".join(shared_mutables([cell.sim.state for cell in cells]))
+
+
 class TestCellIsolation:
-    """Interleaved cells share only frozen assets -- checked on the
-    object graphs themselves, not on what the batch layer declares."""
+    """Batched cells share only frozen assets -- checked on the object
+    graphs themselves; nothing declares what may be shared."""
 
     def test_walker_flags_shared_dict_and_generator(self):
         registry, rng = {"x": [1]}, np.random.default_rng(3)
@@ -391,21 +451,52 @@ class TestCellIsolation:
         assert "Generator is reachable from 2 cells" in messages
         assert "cell-indexed stream" in messages
 
-    def test_walker_accepts_frozen_shared_trace(self):
-        trace = freeze_trace(make_trace("wifi-walk"))
-        assert shared_mutables([_FakeState(trace=trace),
-                                _FakeState(trace=trace)]) == []
+    @pytest.mark.parametrize("trace", trace_names())
+    def test_walker_accepts_frozen_shared_trace(self, trace):
+        frozen = freeze_trace(make_trace(trace))
+        assert shared_mutables([_FakeState(trace=frozen),
+                                _FakeState(trace=frozen)]) == []
 
-    def test_built_cells_share_no_mutable_object(self):
-        # Two classical-scheme cells sharing one named trace: cheap to
-        # build (no zoo resolution, nothing is run) yet exercising the
-        # exact sharing path -- make_trace(cache=...) -- batches use.
-        scenarios = ScenarioSuite(
-            name="isolation-probe", lineups=[("cubic", "bbr")],
-            traces=("wifi-walk",), seeds=(0, 1), duration=0.05).expand()
-        cells = BatchRunner(prewarm=False).build_cells(scenarios)
-        assert [cell.error for cell in cells] == [None, None]
-        assert shared_mutables([cell.sim.state for cell in cells]) == []
+    @pytest.mark.parametrize("trace", trace_names())
+    def test_built_cells_share_no_mutable_object(self, trace):
+        assert _probe_findings(trace) == ""
+
+    # Planted defects, on real cells: the batch layer's cell build is
+    # wrapped so an outside-loop object reaches every cell.
+
+    def test_planted_shared_generator_is_named(self, monkeypatch):
+        rng = np.random.default_rng(3)
+
+        def planted(scenario, trace_cache):
+            sim = build_scenario_simulation(scenario, trace_cache)
+            sim.rng = rng
+            return sim
+
+        monkeypatch.setattr(batch_module, "build_scenario_simulation", planted)
+        assert "Generator is reachable from 2 cells" \
+            in _probe_findings("wifi-walk")
+
+    @pytest.mark.parametrize("trace", ("wifi-walk", "leo-handover"))
+    def test_planted_unfrozen_trace_is_named(self, monkeypatch, trace):
+        unfrozen = {trace: make_trace(trace)}  # memoized, never frozen
+        monkeypatch.setattr(
+            batch_module, "build_scenario_simulation",
+            lambda scenario, _cache: build_scenario_simulation(scenario,
+                                                               unfrozen))
+        assert (f"{type(unfrozen[trace]).__qualname__} is reachable from "
+                "2 cells") in _probe_findings(trace)
+
+    def test_named_trace_keys_are_the_parents(self, monkeypatch):
+        # Freezing turns a shared trace's lists into tuples; signing
+        # builds its own instance and must never see that copy.  The
+        # literal is this cell's key at the commit before the change,
+        # the source digest (any edit under netsim/ moves it) held.
+        monkeypatch.setattr(scenarios_module, "_CODE_DIGEST", "held")
+        cell = _probe_scenarios("leo-handover")[0]
+        BatchRunner().build_cells([cell])
+        assert SCENARIO_CACHE_VERSION == "v11"
+        assert cell.fingerprint() == ("927a22df5c33c025742c80c81942e37c"
+                                      "c19159300d1d869dc9b853c61a50d399")
 
 
 def identity_suite() -> list[Scenario]:
@@ -550,7 +641,7 @@ class TestBatchInterrupts:
         scenarios = self._cells()
         self._interrupt_on_second_cell(monkeypatch)
         with pytest.raises(KeyboardInterrupt):
-            BatchRunner(slice_seconds=0.1).run(scenarios)
+            BatchRunner().run(scenarios)
 
     def test_interrupted_sweep_keeps_completed_cells_cached(
             self, tmp_path, monkeypatch):
