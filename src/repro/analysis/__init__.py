@@ -20,17 +20,11 @@ key is derived from ``dataclasses.fields()``,
 * :mod:`repro.analysis.rules_engine` -- the ``EV_*`` handler table,
   heap-push tuple arity, ``__slots__`` discipline, 4-tuple
   ``Link.transmit()`` unpacking;
-* :mod:`repro.analysis.rules_rng` -- RNG-stream discipline: simulation
-  classes receive their ``Generator`` via parameter instead of
-  constructing ad-hoc streams in hot paths;
-* :mod:`repro.analysis.rules_dataflow` -- RNG-stream ownership
-  against the :mod:`repro.netsim.rngstreams` registry (undeclared
-  constructions, foreign draws, shared drains, colliding seed
-  derivations), env-taint (no ``os.environ`` read outside
+* :mod:`repro.analysis.rules_dataflow` -- RNG discipline (generators
+  are constructed in :mod:`repro.netsim.rngstreams` only; no foreign
+  draws or shared drains), env-taint (no ``os.environ`` read outside
   ``config.py``), mutable global state in simulation packages, and
-  fingerprint/signature purity;
-* :mod:`repro.analysis.rules_faults` -- the fault streams' registry
-  declarations.
+  fingerprint/signature purity.
 
 Run it with ``python -m repro.analysis`` (or ``scripts/replint.py``);
 ``--format=sarif`` emits SARIF 2.1.0 for GitHub code scanning.  The

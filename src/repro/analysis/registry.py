@@ -7,7 +7,7 @@ from repro.analysis.rules_dataflow import (
     MutableGlobalStateRule,
     RngForeignDrawRule,
     RngSharedDrainRule,
-    RngStreamOwnershipRule,
+    RngSoleConstructorRule,
     SignaturePurityRule,
 )
 from repro.analysis.rules_determinism import (
@@ -23,8 +23,6 @@ from repro.analysis.rules_engine import (
     SlotsAttrsRule,
     TransmitUnpackRule,
 )
-from repro.analysis.rules_faults import FaultStreamDeclarationRule
-from repro.analysis.rules_rng import AdhocRngRule
 
 __all__ = ["all_rules", "rules_by_id"]
 
@@ -40,17 +38,13 @@ _RULE_CLASSES = (
     HeapPushRule,
     SlotsAttrsRule,
     TransmitUnpackRule,
-    # RNG-stream discipline
-    AdhocRngRule,
     # dataflow
-    RngStreamOwnershipRule,
+    RngSoleConstructorRule,
     RngForeignDrawRule,
     RngSharedDrainRule,
     EnvTaintRule,
     MutableGlobalStateRule,
     SignaturePurityRule,
-    # fault injection
-    FaultStreamDeclarationRule,
 )
 
 

@@ -1,13 +1,12 @@
-"""Dataflow rules: RNG-stream ownership, environment reads, mutable
-global state, and signature purity.
+"""Dataflow rules: RNG construction and draws, environment reads,
+mutable global state, and signature purity.
 
 The properties batched multi-cell execution and cross-host sharding
 multiply the ways of breaking:
 
-* ``rng-stream-ownership`` -- every generator ``netsim`` constructs
-  must be a stream declared in :mod:`repro.netsim.rngstreams`, and the
-  declared derivations must be provably collision-free (or carry a
-  justification for a known overlap).
+* ``rng-sole-constructor`` -- the simulation packages construct
+  generators in ``netsim/rngstreams.py`` only; what its table declares
+  is checked there, by value, at import.
 * ``rng-foreign-draw`` / ``rng-shared-drain`` -- one stream, one
   consumer: drawing from *another object's* generator, or fanning one
   local generator out to several consumers, couples their bitstreams
@@ -31,14 +30,15 @@ identically on the live package and on fixture trees.
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 
-from repro.analysis.core import AstRule, Finding, ProjectRule, dotted_name
+from repro.analysis.core import AstRule, Finding, dotted_name
 from repro.analysis.rules_determinism import (_WALL_CLOCK,
                                               _WALL_CLOCK_SUFFIXES,
-                                              SIMULATION_PACKAGES)
+                                              RNG_CONSTRUCTORS,
+                                              SIMULATION_PACKAGES,
+                                              rng_constructions)
 
-__all__ = ["RngStreamOwnershipRule", "RngForeignDrawRule",
+__all__ = ["RngSoleConstructorRule", "RngForeignDrawRule",
            "RngSharedDrainRule", "EnvTaintRule", "MutableGlobalStateRule",
            "SignaturePurityRule"]
 
@@ -48,221 +48,38 @@ _DRAW_METHODS = frozenset({
     "shuffle", "permutation", "exponential", "poisson", "binomial",
     "lognormal", "gamma", "beta", "bytes", "triangular"})
 
-_RNG_CONSTRUCTORS = ("default_rng", "RandomState")
-
-#: Where the stream registry lives, relative to the analyzed root.
-_REGISTRY_RELPATH = "netsim/rngstreams.py"
-
-#: Mirrors :data:`repro.netsim.rngstreams.INDEX_SALT_FLOOR` -- kept as
-#: a literal so the rule stays import-free on fixture trees.
-_INDEX_SALT_FLOOR = 1 << 16
+#: The one file that may construct generators, relative to the root.
+_STREAMS_RELPATH = "netsim/rngstreams.py"
 
 
-# --- rng-stream-ownership ----------------------------------------------------
+# --- rng-sole-constructor ----------------------------------------------------
 
-def _parse_registry(path: Path) -> list[dict] | None:
-    """StreamDef literals from a registry source, or ``None`` if absent.
+class RngSoleConstructorRule(AstRule):
+    id = "rng-sole-constructor"
+    family = "rng"
+    description = ("simulation packages construct generators in "
+                   "netsim/rngstreams.py only, so every stream is a row "
+                   "of its table and passes its import-time overlap check")
+    packages = SIMULATION_PACKAGES
 
-    Pure AST extraction (constant keywords only) so the rule works on
-    fixture registries without importing them.
-    """
-    try:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-    except (OSError, SyntaxError, ValueError):
-        return None
-    streams = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = dotted_name(node.func)
-        if name is None or name.rsplit(".", 1)[-1] != "StreamDef":
-            continue
-        entry: dict = {"lineno": node.lineno, "col": node.col_offset}
-        for i, arg in enumerate(node.args):
-            if isinstance(arg, ast.Constant) and i == 0:
-                entry["name"] = arg.value
-        for kw in node.keywords:
-            if kw.arg and isinstance(kw.value, ast.Constant):
-                entry[kw.arg] = kw.value.value
-        streams.append(entry)
-    return streams
+    def applies_to(self, relpath):
+        return relpath != _STREAMS_RELPATH and super().applies_to(relpath)
 
-
-def _int_valued(stream: dict) -> bool:
-    return stream.get("derive") in ("raw", "affine")
-
-
-class RngStreamOwnershipRule(ProjectRule):
-    id = "rng-stream-ownership"
-    family = "rng-ownership"
-    description = ("every netsim RNG construction goes through a stream "
-                   "declared in netsim/rngstreams.py; declared "
-                   "derivations must be collision-free or justified")
-
-    def check_project(self, root):
-        root = Path(root)
-        registry_path = root / _REGISTRY_RELPATH
-        streams = _parse_registry(registry_path)
-        findings = []
-        used_names: set = set()
-
-        netsim_dir = root / "netsim"
-        paths = sorted(netsim_dir.rglob("*.py")) if netsim_dir.is_dir() else []
-        for path in paths:
-            if "__pycache__" in path.parts:
-                continue
-            relpath = path.relative_to(root).as_posix()
-            try:
-                tree = ast.parse(path.read_text(encoding="utf-8"))
-            except (OSError, SyntaxError, ValueError):
-                continue
-            for node in ast.walk(tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                name = dotted_name(node.func)
-                if name is None:
-                    continue
-                tail = name.rsplit(".", 1)[-1]
-                if tail in _RNG_CONSTRUCTORS \
-                        and relpath != _REGISTRY_RELPATH:
-                    findings.append(Finding(
-                        relpath, node.lineno, node.col_offset, self.id,
-                        f"{name}(...) constructs an undeclared generator; "
-                        f"declare a stream in {_REGISTRY_RELPATH} and mint "
-                        f"it via stream_rng(...)"))
-                elif tail == "stream_rng":
-                    if not node.args or not isinstance(node.args[0],
-                                                       ast.Constant):
-                        findings.append(Finding(
-                            relpath, node.lineno, node.col_offset, self.id,
-                            "stream_rng() called with a non-literal stream "
-                            "name; ownership cannot be verified statically"))
-                        continue
-                    stream_name = node.args[0].value
-                    used_names.add(stream_name)
-                    if streams is not None and not any(
-                            s.get("name") == stream_name for s in streams):
-                        findings.append(Finding(
-                            relpath, node.lineno, node.col_offset, self.id,
-                            f"stream_rng({stream_name!r}) references a "
-                            f"stream not declared in {_REGISTRY_RELPATH}"))
-
-        if streams is None:
-            if findings:  # constructions exist but no registry to own them
-                findings.append(Finding(
-                    _REGISTRY_RELPATH, 1, 0, self.id,
-                    "netsim constructs RNGs but has no stream registry "
-                    f"({_REGISTRY_RELPATH} missing or unparsable)"))
-            return findings
-
-        findings.extend(self._check_declarations(streams, used_names))
-        return findings
-
-    def _check_declarations(self, streams, used_names):
-        findings = []
-        seen: dict = {}
-        by_domain: dict = {}
-        for s in streams:
-            name = s.get("name")
-            if not name:
-                continue
-            if name in seen:
-                findings.append(Finding(
-                    _REGISTRY_RELPATH, s["lineno"], s["col"], self.id,
-                    f"stream {name!r} declared twice"))
-            seen[name] = s
-            by_domain.setdefault(s.get("domain"), []).append(s)
-            if name not in used_names:
-                findings.append(Finding(
-                    _REGISTRY_RELPATH, s["lineno"], s["col"], self.id,
-                    f"stream {name!r} is declared but never minted via "
-                    f"stream_rng(); remove the stale declaration"))
-
-        for domain, members in sorted(by_domain.items(),
-                                      key=lambda kv: str(kv[0])):
-            findings.extend(self._check_domain(domain, members))
-
-        # A collision_note must justify a *live* overlap: int-valued
-        # kinds need an int-valued sibling in the domain, a salted
-        # stream needs a sub-floor salt next to an indexed sibling.
-        for s in streams:
-            if not s.get("collision_note") or not s.get("name"):
-                continue
-            siblings = [o for o in by_domain.get(s.get("domain"), [])
-                        if o is not s]
-            live = (_int_valued(s) and any(_int_valued(o) for o in siblings)) \
-                or (s.get("derive") == "salted"
-                    and (s.get("salt") or 0) < _INDEX_SALT_FLOOR
-                    and any(o.get("derive") == "indexed" for o in siblings))
-            if not live:
-                findings.append(Finding(
-                    _REGISTRY_RELPATH, s["lineno"], s["col"], self.id,
-                    f"stream {s['name']!r} carries a collision_note but no "
-                    f"other stream in domain {s.get('domain')!r} can "
-                    f"overlap it; remove the stale note"))
-        return findings
-
-    def _check_domain(self, domain, members):
-        findings = []
-        for i, a in enumerate(members):
-            for b in members[i + 1:]:
-                findings.extend(self._check_pair(domain, a, b))
-        return findings
-
-    def _check_pair(self, domain, a, b):
-        da, db = a.get("derive"), b.get("derive")
-        loc = (b["lineno"], b["col"])
-        name_a, name_b = a.get("name"), b.get("name")
-
-        def finding(msg):
-            return [Finding(_REGISTRY_RELPATH, loc[0], loc[1], self.id, msg)]
-
-        if da == "raw" and db == "raw":
-            return finding(
-                f"streams {name_a!r} and {name_b!r} both derive raw seeds "
-                f"in domain {domain!r}: identical bitstreams for every seed")
-        if da == "affine" and db == "affine" \
-                and a.get("mul") == b.get("mul") \
-                and a.get("add") == b.get("add"):
-            return finding(
-                f"streams {name_a!r} and {name_b!r} declare the same affine "
-                f"derivation in domain {domain!r}: identical bitstreams")
-        if _int_valued(a) and _int_valued(b):
-            if not (a.get("collision_note") and b.get("collision_note")):
-                return finding(
-                    f"int-valued derivations of {name_a!r} ({da}) and "
-                    f"{name_b!r} ({db}) can overlap in domain {domain!r}; "
-                    f"use tuple seeding (salted/indexed) or document the "
-                    f"accepted overlap with collision_note on both")
-            return []
-        if da == "salted" and db == "salted" \
-                and a.get("salt") == b.get("salt"):
-            return finding(
-                f"streams {name_a!r} and {name_b!r} share salt "
-                f"{a.get('salt')!r} in domain {domain!r}: identical "
-                f"bitstreams for every seed")
-        salted, indexed = None, None
-        if da == "salted" and db == "indexed":
-            salted, indexed = a, b
-        elif da == "indexed" and db == "salted":
-            salted, indexed = b, a
-        if salted is not None \
-                and (salted.get("salt") or 0) < _INDEX_SALT_FLOOR \
-                and not salted.get("collision_note"):
-            return finding(
-                f"salt {salted.get('salt')!r} of {salted['name']!r} is below "
-                f"{_INDEX_SALT_FLOOR:#x} and can collide with an index of "
-                f"{indexed['name']!r} in domain {domain!r}; raise the salt "
-                f"or add a collision_note")
-        return []
+    def check(self, tree, source, relpath):
+        return [Finding(
+            relpath, node.lineno, node.col_offset, self.id,
+            f"{name}(...) constructs a generator outside "
+            f"{_STREAMS_RELPATH}; add the stream to its STREAMS table "
+            f"and mint it via stream_rng(...)")
+            for node, name in rng_constructions(tree)]
 
 
 # --- rng-foreign-draw --------------------------------------------------------
 
 class RngForeignDrawRule(AstRule):
     id = "rng-foreign-draw"
-    family = "rng-ownership"
-    description = ("drawing from another object's .rng couples two "
+    family = "rng"
+    description = ("drawing from another object's *rng couples two "
                    "components' bitstreams to each other's call order")
     packages = SIMULATION_PACKAGES
 
@@ -275,7 +92,7 @@ class RngForeignDrawRule(AstRule):
             if name is None:
                 continue
             parts = name.split(".")
-            if len(parts) < 3 or parts[-2] != "rng" \
+            if len(parts) < 3 or not parts[-2].endswith("rng") \
                     or parts[-1] not in _DRAW_METHODS:
                 continue
             owner = ".".join(parts[:-2])
@@ -302,15 +119,15 @@ def _is_rng_expr(node) -> bool:
         if name is None:
             return False
         tail = name.rsplit(".", 1)[-1]
-        return tail in _RNG_CONSTRUCTORS or tail == "stream_rng"
+        return tail in RNG_CONSTRUCTORS or tail == "stream_rng"
     if isinstance(node, ast.Attribute):
-        return node.attr == "rng"
+        return node.attr.endswith("rng")
     return False
 
 
 class RngSharedDrainRule(AstRule):
     id = "rng-shared-drain"
-    family = "rng-ownership"
+    family = "rng"
     description = ("a local generator handed to several consumers (or "
                    "handed off and also drawn locally) interleaves their "
                    "draw sequences nondeterministically under reordering")
@@ -585,7 +402,7 @@ def _purity_violations(fn_node):
                 continue
             tail = name.rsplit(".", 1)[-1]
             parts = name.split(".")
-            if tail in _RNG_CONSTRUCTORS or tail == "stream_rng":
+            if tail in RNG_CONSTRUCTORS or tail == "stream_rng":
                 yield node, f"constructs an RNG via {name}()"
             elif "rng" in parts[:-1] and parts[-1] in _DRAW_METHODS:
                 yield node, f"draws from an RNG via {name}()"

@@ -42,8 +42,20 @@ __all__ = ["GlobalRandomRule", "SetIterationRule", "UnseededRngRule",
 SIMULATION_PACKAGES = ("netsim", "baselines", "eval")
 
 
+RNG_CONSTRUCTORS = ("default_rng", "RandomState")
+
+
 def _last(name: str) -> str:
     return name.rsplit(".", 1)[-1]
+
+
+def rng_constructions(tree):
+    """``(call node, dotted name)`` of every generator construction."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = dotted_name(node.func)
+            if name is not None and _last(name) in RNG_CONSTRUCTORS:
+                yield node, name
 
 
 class UnseededRngRule(AstRule):
@@ -55,12 +67,7 @@ class UnseededRngRule(AstRule):
 
     def check(self, tree, source, relpath):
         findings = []
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = dotted_name(node.func)
-            if name is None or _last(name) not in ("default_rng", "RandomState"):
-                continue
+        for node, name in rng_constructions(tree):
             if not node.args and not node.keywords:
                 findings.append(Finding(
                     relpath, node.lineno, node.col_offset, self.id,

@@ -23,6 +23,7 @@ from repro.core.agent import MoccAgent
 from repro.netsim.env import apply_action
 from repro.netsim.history import StatHistory
 from repro.netsim.packet import Packet
+from repro.netsim.rngstreams import stream_rng
 from repro.netsim.sender import Controller, Flow, MonitorIntervalStats
 
 __all__ = ["Orca"]
@@ -48,7 +49,7 @@ class Orca(Controller):
         self.rl_interval = max(int(rl_interval), 1)
         self.action_scale = action_scale
         self.deterministic = deterministic
-        self.rng = np.random.default_rng(seed)
+        self.rng = stream_rng("orca.policy", seed)
         self.scale = 1.0
         self.history = StatHistory(agent.config.history_length if agent else 10)
         self._plan = agent.model.plan() if agent else None

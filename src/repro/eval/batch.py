@@ -21,9 +21,9 @@ process; the batch layer therefore shares only *immutable* assets:
 
 Everything mutable -- links, controllers, flows, heaps, and every RNG
 stream -- is constructed per cell by ``build_scenario_simulation``
-from the cell's own scenario seed, so generators always trace to a
-cell-indexed derivation through the :mod:`repro.netsim.rngstreams`
-registry and no two cells ever share one.  Nothing declares this:
+from the cell's own scenario seed, so every generator is a row of the
+:mod:`repro.netsim.rngstreams` table minted from that seed and no two
+cells ever share one.  Nothing declares this:
 ``tests/test_batch.py`` walks real built cells' object graphs, for
 every registered trace, asserting no mutable object is reachable from
 two of them, and pins batched == solo digests.

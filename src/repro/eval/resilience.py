@@ -382,8 +382,9 @@ class ResilientPool:
         self.fn = fn
         self.retry = retry if retry is not None else RetryPolicy()
         # Backoff jitter: scheduling noise only, never simulation
-        # state; seeded so retry timing is reproducible.
-        self._rng = np.random.default_rng(self.retry.seed)
+        # state (so not a census stream); seeded so retry timing is
+        # reproducible.
+        self._rng = np.random.default_rng(self.retry.seed)  # replint: disable=rng-sole-constructor
 
     def _spawn(self, ctx) -> _PoolWorker:
         parent_conn, child_conn = ctx.Pipe()

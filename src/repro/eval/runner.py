@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.baselines import (
     AuroraController,
     BBR,
@@ -26,6 +24,7 @@ from repro.baselines import (
 from repro.core.agent import MoccAgent, MoccController
 from repro.netsim.link import Link
 from repro.netsim.network import FlowRecord, FlowSpec, Simulation
+from repro.netsim.rngstreams import stream_rng
 from repro.netsim.signing import canonical
 from repro.netsim.topology import MIN_QUEUE_PACKETS
 from repro.netsim.traces import (BandwidthTrace, ConstantTrace, mbps_to_pps,
@@ -71,7 +70,7 @@ class EvalNetwork:
         trace = self.trace or ConstantTrace(self.bottleneck_pps)
         return Link(trace=trace, delay=self.one_way_ms / 1000.0,
                     queue_size=self.queue_size(), loss_rate=self.loss_rate,
-                    rng=np.random.default_rng(seed))
+                    rng=stream_rng("eval.link-loss", seed))
 
 
 def scheme_factory(name: str, network: EvalNetwork, seed: int = 0,

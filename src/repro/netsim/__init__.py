@@ -8,9 +8,9 @@ and Bernoulli random loss.
 
 Layers, bottom-up:
 
-* :mod:`repro.netsim.rngstreams` -- the named RNG-stream registry:
-  every generator the package constructs is declared there (owner,
-  seed domain, derivation) and minted via :func:`stream_rng`.
+* :mod:`repro.netsim.rngstreams` -- the RNG census: one table maps
+  each stream name to its seed space and entropy function, checked
+  for overlaps by value at import; :func:`stream_rng` mints from it.
 * :mod:`repro.netsim.signing` -- field-driven content signatures: the
   one helper every cache-keyed spec is signed through.
 * :mod:`repro.netsim.traces` -- bandwidth processes (constant, step,
@@ -34,7 +34,7 @@ Layers, bottom-up:
   (preference-aware state + dynamic reward, Eq. 2).
 """
 
-from repro.netsim.rngstreams import STREAMS, StreamDef, stream_rng
+from repro.netsim.rngstreams import STREAMS, stream_rng
 from repro.netsim.signing import UNSIGNED, Signer, canonical
 from repro.netsim.traces import (
     BandwidthTrace,
@@ -72,7 +72,6 @@ from repro.netsim.env import CongestionControlEnv, MoccEnv, RewardComponents
 
 __all__ = [
     "STREAMS",
-    "StreamDef",
     "stream_rng",
     "UNSIGNED",
     "Signer",

@@ -202,9 +202,9 @@ class FaultProcess:
     def reset(self) -> None:
         """Restore post-construction state (fresh streams, good GE state)."""
         self._flap_rng = stream_rng("link.fault-flap", self.seed,
-                                    index=self.index)
+                                    self.index)
         self._loss_rng = stream_rng("link.fault-loss", self.seed,
-                                    index=self.index)
+                                    self.index)
         #: Per flap spec, materialized ``(down_start, down_end)`` windows
         #: for cycles ``0..self._flap_cycle`` inclusive.
         self._windows: list[list] = [[] for _ in self._flaps]

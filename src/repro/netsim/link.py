@@ -85,7 +85,7 @@ class Link:
         # explicitly, as every builder in :mod:`repro.netsim.topology`
         # does.
         self.rng = rng if rng is not None else stream_rng("link.default",
-                                                          key=name)
+                                                          name)
         self.name = name
         self.busy_until = 0.0
         #: Optional :class:`~repro.netsim.faults.FaultProcess` attached

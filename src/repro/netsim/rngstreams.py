@@ -1,243 +1,130 @@
-"""The named RNG-stream registry: every generator has one owner.
+"""The RNG census: every simulation generator is one row of one table.
 
-Bit-reproducible simulation rests on a fixed census of random streams:
-who owns each :class:`numpy.random.Generator`, what seed material it
-was derived from, and why no two derivations can collide.  Before this
-module that census lived in scattered ``np.random.default_rng(...)``
-call sites -- ``default_rng(seed)`` here, ``default_rng((seed, i))``
-there, ``default_rng(seed * 7919 + 1)`` in a third place -- with
-nothing preventing two of them from quietly producing the *same*
-bitstream (identical loss patterns on two links, a training episode
-whose link stream equals another episode's pacing stream).
+Bit-reproducible simulation rests on a fixed set of random streams
+whose entropies cannot coincide by accident (identical loss patterns
+on two links, a fault chain that shifts the wire-loss sequence).
+:data:`STREAMS` maps each stream name to the seed space its material
+comes from and the function that turns that material into the exact
+entropy ``default_rng`` receives; :func:`stream_rng` is the only place
+``netsim``, ``baselines`` and ``eval`` construct a generator (the
+``rng-sole-constructor`` replint rule).  The entropies are frozen to
+the inline expressions the call sites once carried, so every golden
+digest holds (``tests/test_rngstreams.py`` pins each one).
 
-Every stream the ``netsim`` package constructs is now declared here as
-a :class:`StreamDef` and minted through :func:`stream_rng`.  Each
-declaration pins:
-
-* ``name`` -- the registry key call sites reference;
-* ``owner`` -- the attribute that holds (and alone drains) the stream;
-* ``domain`` -- the seed space the derivation consumes (collisions are
-  only meaningful within one domain: a scenario seed and a training
-  episode seed never feed the same derivation comparison);
-* ``derive`` -- how seed material becomes ``default_rng`` entropy.
-
-The derivations are *frozen to the pre-registry call sites*: for every
-stream, ``stream_rng(name, seed)`` feeds ``default_rng`` exactly the
-entropy the old inline expression did, so the migration is bit
-identical (``tests/test_golden_traces.py`` is the gate, and
-``tests/test_rngstreams.py`` pins each equivalence directly).
-
-Derivation kinds and their static disjointness rules (enforced by the
-``rng-stream-ownership`` replint rule in
-:mod:`repro.analysis.rules_dataflow`):
-
-* ``raw``     -- entropy ``seed`` (a bare int);
-* ``affine``  -- entropy ``seed * mul + add`` (an int: overlaps every
-  other int-valued derivation in its domain unless the congruences are
-  disjoint -- any accepted overlap must carry a ``collision_note``);
-* ``salted``  -- entropy ``(seed, salt)`` (a 2-tuple; disjoint from
-  every int derivation and from other salts);
-* ``indexed`` -- entropy ``(seed, index)`` for a caller-supplied small
-  index (a 2-tuple; collides with a ``salted`` stream only if the salt
-  is small enough to be a plausible index, see
-  :data:`INDEX_SALT_FLOOR`);
-* ``named``   -- entropy ``(salt, crc32(name), 0)`` (a 3-tuple, seed
-  free: deterministic fallback streams keyed by an object's name);
-* ``salted-indexed`` -- entropy ``(seed, salt, index)`` (a 3-tuple
-  carrying both a per-family salt and a caller index: disjoint from
-  every 1- and 2-element derivation by arity, from sibling
-  salted-indexed streams by salt, and from ``named`` streams -- the
-  only other 3-tuples -- because no ``named`` stream shares a domain
-  with a salted-indexed one).
-
-``SeedSequence`` treats different entropy *values* -- including
-different tuple arities -- as different streams, which is what makes
-the per-kind disjointness arguments sound.
+Disjointness is checked on values, at import: :func:`check_streams`
+evaluates every function over a small sample of its material, reduces
+each entropy to the words ``SeedSequence`` mixes, and refuses to import
+when two streams of one seed space can meet and the pair is not in
+:data:`ACCEPTED_OVERLAPS` -- or when a listed pair no longer meets.
+Streams are compared within a space only.  ``scenario`` is the cell
+seed ``s``; ``link`` is the seed ``EvalNetwork.build_link`` and
+``TopologySpec.build`` receive, which the eval pipeline forms as
+``31 * s + 17`` (``131 * s + 7`` in ``apps.bulk``) and which is
+therefore never ``s`` itself.  A caller handing *one* seed to both a
+link builder and ``Simulation`` gets link 0's loss stream equal to the
+pacing stream: ``SeedSequence`` zero-pads entropy to four words, so
+``default_rng(s)`` and ``default_rng((s, 0))`` are one stream.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from itertools import combinations, product
 
 import numpy as np
 
-__all__ = ["StreamDef", "STREAMS", "INDEX_SALT_FLOOR", "derive_seed",
-           "stream_rng", "stream_table"]
+__all__ = ["STREAMS", "ACCEPTED_OVERLAPS", "check_streams", "stream_rng"]
 
-#: A ``salted`` stream whose salt is below this floor could collide
-#: with an ``indexed`` stream in the same domain (indices are small
-#: integers: link positions, flow ids).  Salts must clear it.
-INDEX_SALT_FLOOR = 1 << 16
+#: ``{name: (seed space, entropy function)}``.  Parameter names say
+#: what the material is (``seed``, ``index``, ``key``) and pick the
+#: sample :func:`check_streams` evaluates the function over.
+STREAMS = {
+    # Simulation.rng: send-pacing jitter, the root per-cell stream.
+    "sim.pacing": ("scenario", lambda seed: seed),
+    # Simulation._hop_rng: per-hop forwarding dither, kept off
+    # sim.pacing so hop events cannot shift the send-jitter sequence.
+    "sim.hop-dither": ("scenario", lambda seed: (seed, 0x517CC1B7)),
+    # Orca.rng: policy sampling, drawn only at deterministic=False.
+    "orca.policy": ("scenario", lambda seed: seed),
+    # EvalNetwork.build_link -> Link.rng: Bernoulli wire loss on the
+    # one link of a single-bottleneck cell.
+    "eval.link-loss": ("link", lambda seed: seed),
+    # TopologySpec.build -> Link.rng: wire loss per link, keyed by the
+    # link's position in the spec.
+    "link.loss": ("link", lambda seed, index: (seed, index)),
+    # FaultProcess._flap_rng / _loss_rng: flap-window jitter and the
+    # Gilbert-Elliott chain, one stream each per link so a fault
+    # schedule can never shift the wire-loss sequence.
+    "link.fault-flap": ("link",
+                        lambda seed, index: (seed, 0x464C4150, index)),  # "FLAP"
+    "link.fault-loss": ("link",
+                        lambda seed, index: (seed, 0x47454C4F, index)),  # "GELO"
+    # Link.rng when none is passed: keyed by the link's name, so two
+    # anonymous links do not share one bitstream.
+    "link.default": ("link-name", lambda key: (
+        0x6C696E6B, zlib.crc32(key.encode("utf-8")), 0)),  # "link"
+    # CongestionControlEnv.rng: Table-3 episode parameter sampling.
+    "env.params": ("env", lambda seed: seed),
+    # CongestionControlEnv.reset -> Link.rng: per-episode wire loss.
+    "env.episode-link": ("env", lambda seed: seed * 7919 + 1),
+    # Synthetic bandwidth processes (random walk, LEO handover); their
+    # content is fingerprinted, so a pure function of the trace seed.
+    "trace.synth": ("trace", lambda seed: seed),
+}
 
+#: Pairs whose entropies meet, and why each is left as it is: moving
+#: either stream would move every digest that runs it.
+ACCEPTED_OVERLAPS = {
+    frozenset({"env.params", "env.episode-link"}):
+        "7919 * s + 1 is some other env's raw seed, never its own; the "
+        "two feed disjoint mechanisms (episode draws, link wire loss)",
+    frozenset({"sim.pacing", "orca.policy"}):
+        "both default_rng(s) within one cell; Orca draws only at "
+        "deterministic=False, which no cell sets",
+    frozenset({"eval.link-loss", "link.loss"}):
+        "default_rng(s) is default_rng((s, 0)), link 0 of a topology; a "
+        "cell builds either one EvalNetwork link or a topology",
+}
 
-@dataclass(frozen=True)
-class StreamDef:
-    """One declared RNG stream: owner, seed domain, and derivation."""
-
-    name: str
-    #: The attribute (or scope) that holds and exclusively drains the
-    #: stream -- documentation for humans and for the ownership rule.
-    owner: str
-    #: Seed space the derivation consumes; collision analysis compares
-    #: only streams sharing a domain.
-    domain: str
-    #: Derivation kind: raw | affine | salted | indexed | named |
-    #: salted-indexed.
-    derive: str
-    #: ``salted``/``named``: the tuple salt.  Must clear
-    #: :data:`INDEX_SALT_FLOOR` when any ``indexed`` stream shares the
-    #: domain.
-    salt: int | None = None
-    #: ``affine``: entropy = seed * mul + add.
-    mul: int | None = None
-    add: int | None = None
-    #: One-line justification for a *known, accepted* seed-space
-    #: overlap with another stream in the same domain.  The ownership
-    #: rule fails on undocumented overlaps and on notes whose overlap
-    #: no longer exists (a stale note is a finding, like a stale
-    #: fingerprint exclusion).
-    collision_note: str | None = None
-    #: Why this stream exists / what it feeds.
-    reason: str = ""
-
-
-#: The package's stream census.  Adding a ``default_rng`` call site to
-#: ``netsim`` without declaring it here is a replint finding.
-STREAMS: tuple[StreamDef, ...] = (
-    StreamDef(
-        name="sim.pacing",
-        owner="netsim.network.Simulation.rng",
-        domain="scenario",
-        derive="raw",
-        reason="send-pacing jitter; the root per-scenario stream"),
-    StreamDef(
-        name="sim.hop-dither",
-        owner="netsim.network.Simulation._hop_rng",
-        domain="scenario",
-        derive="salted", salt=0x517CC1B7,
-        reason="per-hop forwarding dither; separate from sim.pacing so "
-               "hop events cannot shift the send-jitter sequence"),
-    StreamDef(
-        name="link.loss",
-        owner="netsim.topology.TopologySpec.build -> Link.rng",
-        domain="scenario",
-        derive="indexed",
-        reason="per-link Bernoulli wire-loss draws, keyed by the "
-               "link's position in the spec"),
-    StreamDef(
-        name="link.fault-flap",
-        owner="netsim.faults.FaultProcess._flap_rng",
-        domain="scenario",
-        derive="salted-indexed", salt=0x464C4150,  # "FLAP"
-        reason="per-link flap-window jitter draws, keyed like "
-               "link.loss by the link's position; a dedicated stream "
-               "(and a second one for the loss chain below) so fault "
-               "schedules can never shift the wire-loss sequence"),
-    StreamDef(
-        name="link.fault-loss",
-        owner="netsim.faults.FaultProcess._loss_rng",
-        domain="scenario",
-        derive="salted-indexed", salt=0x47454C4F,  # "GELO"
-        reason="per-link Gilbert-Elliott chain draws (one transition "
-               "per offered packet, plus a loss draw in lossy states), "
-               "in transmit order"),
-    StreamDef(
-        name="link.default",
-        owner="netsim.link.Link.rng (no-rng fallback)",
-        domain="link-fallback",
-        derive="named", salt=0x6C696E6B,  # "link"
-        reason="deterministic fallback when a Link is constructed "
-               "without a generator: derived from the link name so "
-               "two anonymous links no longer share one bitstream"),
-    StreamDef(
-        name="env.params",
-        owner="netsim.env.CongestionControlEnv.rng",
-        domain="env",
-        derive="raw",
-        collision_note="env.episode-link's affine image {7919*s + 1} "
-                       "intersects raw env seeds; accepted because the "
-                       "two streams feed disjoint mechanisms (episode "
-                       "parameter draws vs. link wire loss) and the "
-                       "derivation is frozen for bit-identity with "
-                       "pre-registry training runs",
-        reason="Table-3 episode parameter sampling in the gym env"),
-    StreamDef(
-        name="env.episode-link",
-        owner="netsim.env.CongestionControlEnv.reset -> Link.rng",
-        domain="env",
-        derive="affine", mul=7919, add=1,
-        collision_note="see env.params: affine image intersects raw "
-                       "env seeds; frozen legacy derivation, disjoint "
-                       "consumers",
-        reason="per-episode link wire-loss stream in the gym env"),
-    StreamDef(
-        name="trace.synth",
-        owner="netsim.traces synthetic-trace factories",
-        domain="trace",
-        derive="raw",
-        reason="pre-generated synthetic bandwidth processes "
-               "(random-walk, LEO-handover); content is fingerprinted, "
-               "so the stream must be a pure function of the trace "
-               "seed"),
-)
-
-_BY_NAME = {s.name: s for s in STREAMS}
+_SAMPLE = {"seed": range(16), "index": range(8),
+           "key": ("", "bottleneck", "uplink")}
 
 
-def derive_seed(name: str, seed: int | None = None, *, index: int | None = None,
-                key: str | None = None):
-    """Entropy :func:`numpy.random.default_rng` receives for a stream.
-
-    Exposed separately from :func:`stream_rng` so tests (and the
-    replint ownership rule) can reason about seed material without
-    constructing generators.
-    """
-    try:
-        stream = _BY_NAME[name]
-    except KeyError:
-        raise KeyError(f"unknown RNG stream {name!r}; declared: "
-                       f"{sorted(_BY_NAME)}") from None
-    if stream.derive == "raw":
-        if seed is None:
-            raise ValueError(f"stream {name!r} derives from a seed")
-        return seed
-    if stream.derive == "affine":
-        if seed is None:
-            raise ValueError(f"stream {name!r} derives from a seed")
-        return seed * stream.mul + stream.add
-    if stream.derive == "salted":
-        if seed is None:
-            raise ValueError(f"stream {name!r} derives from a seed")
-        return (seed, stream.salt)
-    if stream.derive == "indexed":
-        if seed is None or index is None:
-            raise ValueError(f"stream {name!r} derives from (seed, index)")
-        return (seed, index)
-    if stream.derive == "named":
-        if key is None:
-            raise ValueError(f"stream {name!r} derives from a string key")
-        return (stream.salt, zlib.crc32(key.encode("utf-8")), 0)
-    if stream.derive == "salted-indexed":
-        if seed is None or index is None:
-            raise ValueError(
-                f"stream {name!r} derives from (seed, salt, index)")
-        return (seed, stream.salt, index)
-    raise ValueError(f"stream {name!r} has unknown derivation "
-                     f"{stream.derive!r}")  # pragma: no cover
+def _words(entropy) -> tuple:
+    """The uint32 words ``SeedSequence`` mixes for ``entropy``: each
+    int little-endian, concatenated, zero-padded to four."""
+    words = []
+    for n in entropy if isinstance(entropy, tuple) else (entropy,):
+        words.append(n & 0xFFFFFFFF)
+        while n := n >> 32:
+            words.append(n & 0xFFFFFFFF)
+    return tuple(words) + (0,) * (4 - len(words))
 
 
-def stream_rng(name: str, seed: int | None = None, *, index: int | None = None,
-               key: str | None = None) -> np.random.Generator:
-    """Mint the declared stream ``name`` from its seed material.
+def check_streams() -> None:
+    """Raise unless the overlapping pairs are exactly the accepted ones."""
+    images = {}
+    for name, (space, entropy) in STREAMS.items():
+        code = entropy.__code__
+        samples = (_SAMPLE[p] for p in code.co_varnames[:code.co_argcount])
+        images[name] = space, {_words(entropy(*m)) for m in product(*samples)}
+    overlapping = [(a, b) for a, b in combinations(sorted(images), 2)
+                   if images[a][0] == images[b][0]
+                   and not images[a][1].isdisjoint(images[b][1])]
+    accepted = sorted(tuple(sorted(pair)) for pair in ACCEPTED_OVERLAPS)
+    unlisted = [pair for pair in overlapping if pair not in accepted]
+    stale = [pair for pair in accepted if pair not in overlapping]
+    if unlisted or stale:
+        raise ValueError(
+            f"RNG streams that can be fed one entropy without an accepted "
+            f"reason: {unlisted}; accepted overlaps that do not overlap: "
+            f"{stale}")
 
-    This is the only sanctioned ``default_rng`` construction site in
-    the ``netsim`` package (the ``rng-stream-ownership`` rule enforces
-    it); everything else receives a ready generator via parameter.
-    """
-    return np.random.default_rng(derive_seed(name, seed, index=index, key=key))
+
+check_streams()
 
 
-def stream_table() -> tuple[StreamDef, ...]:
-    """The declared streams, in registry order (for docs and lint)."""
-    return STREAMS
+def stream_rng(name: str, *material, **named) -> np.random.Generator:
+    """Mint the declared stream ``name`` from its seed material, passed
+    by position (or by the parameter names of the row's function)."""
+    return np.random.default_rng(STREAMS[name][1](*material, **named))

@@ -439,7 +439,7 @@ class TopologySpec:
             link = Link(
                 trace=trace, delay=ld.delay_ms / 1000.0, queue_size=queue,
                 loss_rate=ld.loss_rate,
-                rng=stream_rng("link.loss", seed, index=i), name=ld.name)
+                rng=stream_rng("link.loss", seed, i), name=ld.name)
             if ld.faults:
                 # Keyed like link.loss by (seed, position) so identical
                 # schedules replay bit-for-bit across serial, parallel,

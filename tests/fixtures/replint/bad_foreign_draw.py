@@ -12,3 +12,8 @@ class Scheduler:
 
 def loss_draw(link):
     return link.rng.random()
+
+
+def fault_draw(link):
+    # a generator held under any *rng name is still someone else's
+    return link.fault._loss_rng.random()

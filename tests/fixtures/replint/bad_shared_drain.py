@@ -16,6 +16,11 @@ def build_and_draw(seed):
     return Link(rng=rng), jitter
 
 
+def share_fault_chain(fault):
+    rng = fault._loss_rng              # any *rng attribute is a generator
+    return Link(rng=rng), Link(rng=rng)
+
+
 def fine_single_consumer(seed):
     rng = np.random.default_rng(seed)
     return Link(rng=rng)             # one owner: no finding

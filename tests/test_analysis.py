@@ -24,10 +24,8 @@ import pytest
 from repro.analysis import Analyzer, all_rules, rules_by_id
 from repro.analysis.core import parse_suppressions
 from repro.analysis.report import render_sarif
-from repro.analysis.rules_dataflow import (EnvTaintRule,
-                                           RngStreamOwnershipRule)
+from repro.analysis.rules_dataflow import EnvTaintRule
 from repro.analysis.rules_engine import check_engine_source
-from repro.analysis.rules_faults import FaultStreamDeclarationRule
 
 FIXTURES = Path(__file__).parent / "fixtures" / "replint"
 REPO = Path(__file__).parent.parent
@@ -145,10 +143,19 @@ class TestEngineRules:
 
 
 class TestRngRule:
-    def test_adhoc_rng_fires_in_hot_path_not_init(self):
-        findings = run_rule("adhoc-rng", "bad_adhoc_rng.py")
-        assert len(findings) == 1
-        assert "Controller.on_ack" in findings[0].message
+    def test_sole_constructor_fires_on_every_construction(self):
+        findings = run_rule("rng-sole-constructor", "bad_sole_constructor.py")
+        # __init__, the hot path and the legacy class; not stream_rng()
+        assert sorted(f.line for f in findings) == [9, 12, 16]
+        assert "RandomState(...)" in max(findings).message
+
+    def test_sole_constructor_scope_is_simulation_minus_the_table(self):
+        rule = rules_by_id()["rng-sole-constructor"]
+        assert rule.applies_to("eval/runner.py")
+        assert rule.applies_to("baselines/orca.py")
+        assert rule.applies_to("netsim/link.py")
+        assert not rule.applies_to("netsim/rngstreams.py")
+        assert not rule.applies_to("rl/ppo.py")
 
 
 class TestDataflowRules:
@@ -156,19 +163,21 @@ class TestDataflowRules:
 
     def test_foreign_draw_fires(self):
         findings = run_rule("rng-foreign-draw", "bad_foreign_draw.py")
-        assert len(findings) == 2
+        assert len(findings) == 3
         messages = " | ".join(f.message for f in findings)
         assert "link.rng.random" in messages
         assert "self.link.rng.uniform" in messages
+        assert "link.fault._loss_rng.random" in messages  # any *rng name
 
     def test_shared_drain_fires_and_single_owner_is_clean(self):
         findings = run_rule("rng-shared-drain", "bad_shared_drain.py")
-        assert len(findings) == 2
+        assert len(findings) == 3
         messages = " | ".join(sorted(f.message for f in findings))
         assert "passed to 2 consumers" in messages
         assert "also drawn from locally" in messages
-        # fine_single_consumer (line 19) must not be flagged
-        assert all(f.line < 19 for f in findings)
+        assert 20 in [f.line for f in findings]  # rng = fault._loss_rng
+        # fine_single_consumer (line 24) must not be flagged
+        assert all(f.line < 24 for f in findings)
 
     def test_mutable_global_fires_and_shadow_is_clean(self):
         findings = run_rule("mutable-global-state", "bad_mutable_global.py")
@@ -176,20 +185,6 @@ class TestDataflowRules:
         messages = " | ".join(f.message for f in findings)
         assert "_CACHE" in messages and "_SEEN" in messages
         assert "local_shadow" not in messages
-
-    def test_stream_ownership_fires_on_every_declaration_defect(self):
-        findings = RngStreamOwnershipRule().check_project(
-            FIXTURES / "proj_rng_bad")
-        messages = " | ".join(f.message for f in findings)
-        assert "np.random.default_rng(...) constructs an undeclared" \
-            in messages
-        assert "'z.undeclared'" in messages
-        assert "non-literal stream name" in messages
-        assert "both derive raw seeds" in messages            # a.raw/b.raw
-        assert "can overlap in domain 'env'" in messages      # c.affine/d.raw
-        assert "below 0x10000" in messages                    # e.salted salt
-        assert "never minted" in messages                     # g.stale
-        assert "remove the stale note" in messages            # g.stale's note
 
     def test_env_taint_fires_everywhere_but_config(self):
         analyzer = Analyzer(root=FIXTURES / "proj_env_bad",
@@ -292,14 +287,15 @@ class TestCli:
     def test_list_rules_groups_by_family(self):
         proc = _run_cli("--list-rules")
         assert proc.returncode == 0
-        for family in ("determinism", "engine", "rng",
-                       "rng-ownership", "env-taint", "global-state",
-                       "signature-purity", "faults"):
+        for family in ("determinism", "engine", "rng", "env-taint",
+                       "global-state", "signature-purity"):
             assert f"{family}:" in proc.stdout
+        lines = proc.stdout.splitlines()
+        assert sum(not line.startswith(" ") for line in lines) == 6
+        assert sum(line.startswith(" ") for line in lines) == 15
         # rule lines are indented under their family header
         assert "\n  unseeded-rng" in proc.stdout
-        assert "\n  rng-stream-ownership" in proc.stdout
-        assert "\n  fault-stream-declaration" in proc.stdout
+        assert "\n  rng-sole-constructor" in proc.stdout
 
     def test_unknown_select_is_usage_error(self):
         proc = _run_cli("--select", "no-such-rule")
@@ -312,7 +308,7 @@ class TestCli:
         listed = {line.split()[0] for line in proc.stdout.splitlines()
                   if line.startswith("  ")}
         assert listed == {"rng-foreign-draw", "rng-shared-drain",
-                          "rng-stream-ownership"}
+                          "rng-sole-constructor"}
 
     def test_glob_matching_nothing_is_usage_error(self):
         proc = _run_cli("--select", "zzz-*")
@@ -320,9 +316,10 @@ class TestCli:
         assert "matches no rule id" in proc.stderr
 
     def test_ignore_glob_drops_family(self):
-        proc = _run_cli("--ignore", "fault-*", "--list-rules")
+        proc = _run_cli("--ignore", "rng-*", "--list-rules")
         assert proc.returncode == 0
-        assert "faults:" not in proc.stdout
+        assert "rng:" not in proc.stdout
+        assert "unseeded-rng" in proc.stdout  # a glob on ids, not families
 
     def test_script_entry_point_runs(self):
         proc = subprocess.run(
@@ -366,7 +363,7 @@ class TestSarif:
         assert run["results"] == []
         # driver metadata still lists the full rule set
         ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"rng-stream-ownership", "env-taint",
+        assert {"rng-sole-constructor", "env-taint",
                 "signature-purity"} <= ids
 
     def test_one_result_per_finding_with_repo_relative_uris(self):
@@ -406,7 +403,7 @@ class TestFixturesStayBad:
         ("heap-push-arity", "bad_heap_push.py"),
         ("slots-attrs", "bad_slots.py"),
         ("transmit-unpack", "bad_transmit_unpack.py"),
-        ("adhoc-rng", "bad_adhoc_rng.py"),
+        ("rng-sole-constructor", "bad_sole_constructor.py"),
         ("rng-foreign-draw", "bad_foreign_draw.py"),
         ("rng-shared-drain", "bad_shared_drain.py"),
         ("mutable-global-state", "bad_mutable_global.py"),
@@ -416,18 +413,3 @@ class TestFixturesStayBad:
     def test_fixture_fires(self, rule_id, fixture):
         assert run_rule(rule_id, fixture), f"{fixture} no longer trips {rule_id}"
 
-
-class TestFaultResilienceRules:
-    """The fault-injection rule family."""
-
-    def test_fault_stream_declaration_fires(self):
-        findings = FaultStreamDeclarationRule().check_project(
-            FIXTURES / "proj_faults_bad")
-        messages = " | ".join(f.message for f in findings)
-        assert "'link.fault-undeclared' is minted here but not declared" \
-            in messages
-        assert "'link.fault-flap' must derive 'salted-indexed'" in messages
-        assert "shares salt 0x464c4150 with stream 'link.loss'" in messages
-
-    def test_family_is_clean_on_the_live_tree(self):
-        assert FaultStreamDeclarationRule().check_project(SRC_ROOT) == []

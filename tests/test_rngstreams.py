@@ -1,19 +1,25 @@
-"""The RNG-stream registry: bit-identity with the pre-registry call
-sites, derivation disjointness invariants, and the Link fallback.
+"""The RNG census: bit-identity with the pre-table call sites, the
+import-time overlap check on planted defects, and the Link fallback.
 
 Every stream in :mod:`repro.netsim.rngstreams` replaced an inline
 ``np.random.default_rng(...)`` expression; these tests pin that the
-registry feeds ``default_rng`` exactly the same entropy, so the
-migration cannot have moved a single bit (golden traces check the
-end-to-end consequence, this checks the mechanism).
+table feeds ``default_rng`` exactly the same entropy, so the migration
+cannot have moved a single bit (golden traces check the end-to-end
+consequence, this checks the mechanism).
 """
+
+import re
+import timeit
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.netsim import rngstreams
 from repro.netsim.link import Link
-from repro.netsim.rngstreams import (INDEX_SALT_FLOOR, STREAMS, derive_seed,
-                                     stream_rng)
+from repro.netsim.rngstreams import STREAMS, check_streams, stream_rng
+
+SRC = Path(__file__).parent.parent / "src"
 
 
 def _same_stream(a, b, n=16):
@@ -60,60 +66,92 @@ class TestBitIdentity:
                             np.random.default_rng(seed))
 
 
-class TestDerivationContract:
-    def test_unknown_stream_rejected(self):
-        with pytest.raises(KeyError, match="unknown RNG stream"):
+class TestBitIdentityNewRows:
+    """The two streams declared where they were bare ``default_rng``."""
+
+    @pytest.mark.parametrize("seed", [0, 17, 48])
+    def test_eval_link_loss_and_orca_policy_are_raw_seed(self, seed):
+        # runner.py / orca.py formerly: np.random.default_rng(seed)
+        for name in ("eval.link-loss", "orca.policy"):
+            assert _same_stream(stream_rng(name, seed),
+                                np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("seed,i", [(0, 0), (9, 2)])
+    def test_fault_streams_are_seed_salt_index(self, seed, i):
+        # faults.py formerly: default_rng((seed, 0x464C4150, i)) etc.
+        assert _same_stream(stream_rng("link.fault-flap", seed, i),
+                            np.random.default_rng((seed, 0x464C4150, i)))
+        assert _same_stream(stream_rng("link.fault-loss", seed, i),
+                            np.random.default_rng((seed, 0x47454C4F, i)))
+
+
+def _raw(seed):
+    return seed
+
+
+class TestOverlapCheck:
+    def test_live_table_passes_within_its_import_budget(self):
+        check_streams()
+        assert min(timeit.repeat(check_streams, number=1, repeat=5)) < 5e-3
+
+    @pytest.mark.parametrize("streams,accepted,named", [
+        # two equal raw streams in one space
+        ({"a.raw": ("sim", _raw), "b.raw": ("sim", _raw)}, {},
+         "without an accepted reason: [('a.raw', 'b.raw')]"),
+        # an affine image meeting raw seeds, not listed
+        ({"c.affine": ("env", lambda seed: seed * 3 + 1),
+          "d.raw": ("env", _raw)}, {},
+         "without an accepted reason: [('c.affine', 'd.raw')]"),
+        # salt 7 is a plausible link index
+        ({"e.salted": ("sim", lambda seed: (seed, 7)),
+          "f.indexed": ("sim", lambda seed, index: (seed, index))}, {},
+         "without an accepted reason: [('e.salted', 'f.indexed')]"),
+        # zero-padding: (s, 0) is s, whatever the arity says
+        ({"g.raw": ("sim", _raw),
+          "h.indexed": ("sim", lambda seed, index: (seed, index))}, {},
+         "without an accepted reason: [('g.raw', 'h.indexed')]"),
+        # an accepted pair that cannot meet: different spaces
+        ({"a.raw": ("sim", _raw), "d.raw": ("env", _raw)},
+         {frozenset({"a.raw", "d.raw"}): "justifies nothing"},
+         "do not overlap: [('a.raw', 'd.raw')]"),
+    ])
+    def test_planted_defect_fails_by_name(self, monkeypatch, streams,
+                                          accepted, named):
+        monkeypatch.setattr(rngstreams, "STREAMS", streams)
+        monkeypatch.setattr(rngstreams, "ACCEPTED_OVERLAPS", accepted)
+        with pytest.raises(ValueError) as err:
+            check_streams()
+        assert named in str(err.value)
+
+    def test_same_entropy_in_two_spaces_is_not_an_overlap(self, monkeypatch):
+        monkeypatch.setattr(rngstreams, "STREAMS",
+                            {"a.raw": ("sim", _raw), "d.raw": ("env", _raw)})
+        monkeypatch.setattr(rngstreams, "ACCEPTED_OVERLAPS", {})
+        check_streams()
+
+    def test_unknown_or_underfed_stream_fails_at_the_call(self):
+        with pytest.raises(KeyError, match="no.such.stream"):
             stream_rng("no.such.stream", 0)
+        with pytest.raises(TypeError):
+            stream_rng("link.loss", 0)        # needs an index too
 
-    def test_missing_seed_material_rejected(self):
-        with pytest.raises(ValueError):
-            stream_rng("sim.pacing")          # raw needs a seed
-        with pytest.raises(ValueError):
-            stream_rng("link.loss", 0)        # indexed needs an index
-        with pytest.raises(ValueError):
-            stream_rng("link.default")        # named needs a key
+    @pytest.mark.parametrize("a,b", [
+        (5, (5, 0)), (5, (5, 0, 0, 0)), (5, (5, 0, 0, 0, 0)), (5, (5, 1)),
+        ((1 << 32) + 5, (5, 1)), ((5, 7), (5, 7, 0)), (0, (0, 0)), (5, 6),
+    ])
+    def test_words_agree_with_seedsequence(self, a, b):
+        # The check compares what SeedSequence mixes, not Python values.
+        same = _same_stream(np.random.default_rng(a),
+                            np.random.default_rng(b))
+        assert (rngstreams._words(a) == rngstreams._words(b)) == same
 
-    def test_tuple_kinds_disjoint_from_int_kinds(self):
-        # SeedSequence treats an int and a tuple as different entropy:
-        # salted/indexed streams can never collide with raw/affine ones
-        # even at the same seed value.
-        seed = 11
-        assert not _same_stream(stream_rng("sim.pacing", seed),
-                                stream_rng("sim.hop-dither", seed))
-        assert not _same_stream(stream_rng("sim.pacing", seed),
-                                stream_rng("link.loss", seed, index=seed))
-
-    def test_salts_clear_index_floor(self):
-        # A salted stream sharing a domain with an indexed stream must
-        # use a salt no plausible link/flow index can reach.
-        indexed_domains = {s.domain for s in STREAMS if s.derive == "indexed"}
-        for s in STREAMS:
-            if s.derive == "salted" and s.domain in indexed_domains:
-                assert s.salt >= INDEX_SALT_FLOOR, s.name
-
-    def test_int_valued_overlaps_carry_collision_notes(self):
-        # Within one domain, any two int-valued derivations (raw/affine)
-        # can overlap; the registry must document every such pair.
-        by_domain = {}
-        for s in STREAMS:
-            if s.derive in ("raw", "affine"):
-                by_domain.setdefault(s.domain, []).append(s)
-        for domain, streams in by_domain.items():
-            if len(streams) > 1:
-                for s in streams:
-                    assert s.collision_note, (
-                        f"{s.name} shares int-valued domain {domain!r} "
-                        f"without a collision_note")
-
-    def test_stream_names_unique(self):
-        names = [s.name for s in STREAMS]
-        assert len(names) == len(set(names))
-
-    def test_derive_seed_exposes_entropy(self):
-        assert derive_seed("sim.pacing", 9) == 9
-        assert derive_seed("sim.hop-dither", 9) == (9, 0x517CC1B7)
-        assert derive_seed("link.loss", 9, index=2) == (9, 2)
-        assert derive_seed("env.episode-link", 9) == 9 * 7919 + 1
+    def test_every_declared_stream_is_minted_under_src(self):
+        # what the lint's "declared but never minted" finding was
+        minted = set()
+        for path in sorted(SRC.rglob("*.py")):
+            minted.update(re.findall(r'stream_rng\(\s*"([^"]+)"',
+                                     path.read_text()))
+        assert minted == set(STREAMS)
 
 
 class TestLinkDefaultFallback:
