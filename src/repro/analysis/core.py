@@ -1,14 +1,10 @@
 """The replint framework: findings, rules, suppressions, driver.
 
-Two rule shapes cover everything the analyzer checks:
-
-* :class:`AstRule` -- a per-file check over the parsed AST (plus raw
-  source for suppression comments).  These are pure syntax: no imports
-  of the analyzed code, so they run on any file, including the
-  known-bad fixtures under ``tests/fixtures/replint/``.
-* :class:`ProjectRule` -- a check that reads several files of the
-  tree at once (a registry against its users); it runs on whole-tree
-  scans only.
+Every rule is an :class:`AstRule`: a per-file check over the parsed
+AST (plus raw source for suppression comments).  Rules are pure
+syntax -- the analyzer imports nothing it analyzes, nor numpy -- so
+they run on any file, including the known-bad fixtures under
+``tests/fixtures/replint/``.
 
 Findings are suppressed inline with ``# replint: disable=RULE`` on the
 flagged line (``disable=all`` silences every rule there;
@@ -25,8 +21,8 @@ import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-__all__ = ["Analyzer", "AstRule", "Finding", "ProjectRule",
-           "Rule", "dotted_name", "parse_suppressions"]
+__all__ = ["Analyzer", "AstRule", "Finding", "dotted_name",
+           "parse_suppressions"]
 
 
 @dataclass(frozen=True, order=True)
@@ -46,14 +42,15 @@ class Finding:
         return f"{self.location()}: {self.rule}: {self.message}"
 
 
-class Rule:
-    """Base class: an identified, documented, package-scoped check."""
+class AstRule:
+    """An identified, documented, package-scoped check over one file's
+    parsed AST."""
 
     #: Stable identifier used in reports and suppressions.
     id: str = ""
     #: One-line description shown by ``--list-rules``.
     description: str = ""
-    #: Rule family (determinism / fingerprint / engine / rng).
+    #: Rule family (determinism / rng / env-taint / ...).
     family: str = ""
     #: Package prefixes (relative to the analyzed root, ``/``-separated)
     #: this rule applies to; empty means every file.
@@ -65,18 +62,7 @@ class Rule:
         rel = relpath.replace("\\", "/")
         return any(rel == p or rel.startswith(p + "/") for p in self.packages)
 
-
-class AstRule(Rule):
-    """A per-file check over the parsed AST."""
-
     def check(self, tree: ast.AST, source: str, relpath: str) -> list:
-        raise NotImplementedError
-
-
-class ProjectRule(Rule):
-    """A check over several files at once; whole-tree scans only."""
-
-    def check_project(self, root: Path) -> list:
         raise NotImplementedError
 
 
@@ -144,8 +130,7 @@ class Analyzer:
 
     ``root`` is the package directory findings are reported relative to
     (default: the live ``repro`` package).  ``analyze()`` with no file
-    list scans the whole tree and runs every rule; with an explicit
-    file list only the per-file rules run.
+    list scans the whole tree.
     """
 
     def __init__(self, root: str | Path | None = None, rules=None):
@@ -167,20 +152,10 @@ class Analyzer:
             return path.as_posix()
 
     def analyze(self, files=None) -> list[Finding]:
-        """Findings over ``files`` (default: the whole tree), sorted.
-
-        Suppression comments are honoured for every finding whose path
-        resolves to a readable file -- including project-rule findings,
-        whose locations point into the files they read.
-        """
-        explicit = files is not None
-        paths = [Path(f).resolve() for f in files] if explicit else self.iter_files()
-        ast_rules = [r for r in self.rules if isinstance(r, AstRule)]
-        project_rules = [] if explicit else [
-            r for r in self.rules if isinstance(r, ProjectRule)]
-
+        """Findings over ``files`` (default: the whole tree), sorted."""
+        paths = (self.iter_files() if files is None
+                 else [Path(f).resolve() for f in files])
         findings: list[Finding] = []
-        suppressions: dict[str, tuple[dict, set]] = {}
         for path in paths:
             relpath = self.relpath(path)
             try:
@@ -192,32 +167,13 @@ class Analyzer:
                                         f"cannot analyze: {exc}"))
                 continue
             per_line, file_wide = parse_suppressions(source)
-            suppressions[relpath] = (per_line, file_wide)
-            for rule in ast_rules:
+            for rule in self.rules:
                 if not rule.applies_to(relpath):
                     continue
                 for finding in rule.check(tree, source, relpath):
                     if not _is_suppressed(finding, per_line, file_wide):
                         findings.append(finding)
-
-        for rule in project_rules:
-            for finding in rule.check_project(self.root):
-                per_line, file_wide = self._suppressions_for(
-                    finding.path, suppressions)
-                if not _is_suppressed(finding, per_line, file_wide):
-                    findings.append(finding)
         return sorted(findings)
-
-    def _suppressions_for(self, relpath: str, cache: dict) -> tuple[dict, set]:
-        if relpath not in cache:
-            path = self.root / relpath
-            try:
-                per_line, file_wide = parse_suppressions(
-                    path.read_text(encoding="utf-8"))
-            except OSError:
-                per_line, file_wide = {}, set()
-            cache[relpath] = (per_line, file_wide)
-        return cache[relpath]
 
 
 def finding_to_dict(finding: Finding) -> dict:

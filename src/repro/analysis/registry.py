@@ -6,42 +6,27 @@ from repro.analysis.rules_dataflow import (
     EnvTaintRule,
     MutableGlobalStateRule,
     RngForeignDrawRule,
-    RngSharedDrainRule,
     RngSoleConstructorRule,
     SignaturePurityRule,
 )
 from repro.analysis.rules_determinism import (
     GlobalRandomRule,
     SetIterationRule,
-    UnseededRngRule,
     UnsortedWalkRule,
     WallClockRule,
-)
-from repro.analysis.rules_engine import (
-    EventTableRule,
-    HeapPushRule,
-    SlotsAttrsRule,
-    TransmitUnpackRule,
 )
 
 __all__ = ["all_rules", "rules_by_id"]
 
 _RULE_CLASSES = (
     # determinism
-    UnseededRngRule,
     GlobalRandomRule,
     WallClockRule,
     UnsortedWalkRule,
     SetIterationRule,
-    # engine invariants
-    EventTableRule,
-    HeapPushRule,
-    SlotsAttrsRule,
-    TransmitUnpackRule,
     # dataflow
     RngSoleConstructorRule,
     RngForeignDrawRule,
-    RngSharedDrainRule,
     EnvTaintRule,
     MutableGlobalStateRule,
     SignaturePurityRule,

@@ -7,10 +7,13 @@ multiply the ways of breaking:
 * ``rng-sole-constructor`` -- the simulation packages construct
   generators in ``netsim/rngstreams.py`` only; what its table declares
   is checked there, by value, at import.
-* ``rng-foreign-draw`` / ``rng-shared-drain`` -- one stream, one
-  consumer: drawing from *another object's* generator, or fanning one
-  local generator out to several consumers, couples their bitstreams
-  to each other's call order.
+* ``rng-foreign-draw`` -- one stream, one consumer: drawing from
+  *another object's* generator couples two components' bitstreams to
+  each other's call order.  (That no generator is *stored* by two
+  owners is checked on live cells: ``tests/test_batch.py`` walks every
+  generator reachable from a built batch and counts its holders.  A
+  draw through someone else's attribute stores nothing, so it stays a
+  rule.)
 * ``env-taint`` -- an environment read is an input no fingerprint
   sees; the package reads the environment in ``config.py`` only (two
   cache *locations*), and the rule rejects ``os.environ`` /
@@ -23,8 +26,8 @@ multiply the ways of breaking:
   level into the same-file functions they call) corrupts key
   stability.
 
-All checks are pure AST -- no imports of analyzed code -- so they run
-identically on the live package and on fixture trees.
+All checks are pure AST -- no imports of analyzed code, nor of numpy
+-- so they run identically on the live package and on fixture trees.
 """
 
 from __future__ import annotations
@@ -34,13 +37,13 @@ import ast
 from repro.analysis.core import AstRule, Finding, dotted_name
 from repro.analysis.rules_determinism import (_WALL_CLOCK,
                                               _WALL_CLOCK_SUFFIXES,
-                                              RNG_CONSTRUCTORS,
-                                              SIMULATION_PACKAGES,
-                                              rng_constructions)
+                                              SIMULATION_PACKAGES)
 
-__all__ = ["RngSoleConstructorRule", "RngForeignDrawRule",
-           "RngSharedDrainRule", "EnvTaintRule", "MutableGlobalStateRule",
-           "SignaturePurityRule"]
+__all__ = ["RngSoleConstructorRule", "RngForeignDrawRule", "EnvTaintRule",
+           "MutableGlobalStateRule", "SignaturePurityRule"]
+
+#: Calls (by last dotted component) that construct a generator.
+RNG_CONSTRUCTORS = ("default_rng", "RandomState")
 
 #: Generator methods that consume stream state when called.
 _DRAW_METHODS = frozenset({
@@ -66,12 +69,18 @@ class RngSoleConstructorRule(AstRule):
         return relpath != _STREAMS_RELPATH and super().applies_to(relpath)
 
     def check(self, tree, source, relpath):
-        return [Finding(
-            relpath, node.lineno, node.col_offset, self.id,
-            f"{name}(...) constructs a generator outside "
-            f"{_STREAMS_RELPATH}; add the stream to its STREAMS table "
-            f"and mint it via stream_rng(...)")
-            for node, name in rng_constructions(tree)]
+        findings = []
+        for node in ast.walk(tree):
+            name = dotted_name(node.func) if isinstance(node, ast.Call) \
+                else None
+            if name is not None \
+                    and name.rsplit(".", 1)[-1] in RNG_CONSTRUCTORS:
+                findings.append(Finding(
+                    relpath, node.lineno, node.col_offset, self.id,
+                    f"{name}(...) constructs a generator outside "
+                    f"{_STREAMS_RELPATH}; add the stream to its STREAMS "
+                    f"table and mint it via stream_rng(...)"))
+        return findings
 
 
 # --- rng-foreign-draw --------------------------------------------------------
@@ -103,87 +112,6 @@ class RngForeignDrawRule(AstRule):
                 f"{name}() drains {owner}'s generator from outside; the "
                 f"owner must do its own draws (pass values, not streams)"))
         return findings
-
-
-# --- rng-shared-drain --------------------------------------------------------
-
-#: Calls that merely inspect an object, never drain a generator.
-_INSPECT_FUNCS = frozenset({"isinstance", "type", "id", "len", "repr",
-                            "str", "print", "hash"})
-
-
-def _is_rng_expr(node) -> bool:
-    """Does this expression evaluate to a generator (statically)?"""
-    if isinstance(node, ast.Call):
-        name = dotted_name(node.func)
-        if name is None:
-            return False
-        tail = name.rsplit(".", 1)[-1]
-        return tail in RNG_CONSTRUCTORS or tail == "stream_rng"
-    if isinstance(node, ast.Attribute):
-        return node.attr.endswith("rng")
-    return False
-
-
-class RngSharedDrainRule(AstRule):
-    id = "rng-shared-drain"
-    family = "rng"
-    description = ("a local generator handed to several consumers (or "
-                   "handed off and also drawn locally) interleaves their "
-                   "draw sequences nondeterministically under reordering")
-    packages = SIMULATION_PACKAGES
-
-    def check(self, tree, source, relpath):
-        findings = []
-        for fn in ast.walk(tree):
-            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                findings.extend(self._check_function(fn, relpath))
-        return findings
-
-    def _check_function(self, fn, relpath):
-        rng_locals: dict = {}
-        for node in ast.walk(fn):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1 \
-                    and isinstance(node.targets[0], ast.Name) \
-                    and _is_rng_expr(node.value):
-                rng_locals[node.targets[0].id] = node
-        if not rng_locals:
-            return []
-
-        passes: dict = {name: [] for name in rng_locals}
-        draws: dict = {name: 0 for name in rng_locals}
-        for node in ast.walk(fn):
-            if not isinstance(node, ast.Call):
-                continue
-            func_name = dotted_name(node.func) or ""
-            func_parts = func_name.split(".")
-            if func_parts[0] in rng_locals and len(func_parts) > 1:
-                if func_parts[-1] in _DRAW_METHODS:
-                    draws[func_parts[0]] += 1
-                continue
-            if func_name in _INSPECT_FUNCS:
-                continue
-            args = list(node.args) + [kw.value for kw in node.keywords]
-            for arg in args:
-                if isinstance(arg, ast.Name) and arg.id in rng_locals:
-                    passes[arg.id].append(node)
-
-        for name, sites in passes.items():
-            decl = rng_locals[name]
-            if len(sites) >= 2:
-                findings = [Finding(
-                    relpath, decl.lineno, decl.col_offset, self.id,
-                    f"generator {name!r} is passed to {len(sites)} "
-                    f"consumers in {fn.name}(); each consumer needs its "
-                    f"own declared stream")]
-                return findings
-            if sites and draws[name]:
-                return [Finding(
-                    relpath, decl.lineno, decl.col_offset, self.id,
-                    f"generator {name!r} is handed to a consumer and also "
-                    f"drawn from locally in {fn.name}(); split it into "
-                    f"two declared streams")]
-        return []
 
 
 # --- env-taint ---------------------------------------------------------------

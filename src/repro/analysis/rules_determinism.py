@@ -3,10 +3,11 @@
 The simulation contract is that every result is a pure function of the
 scenario content and its seed -- that is what makes golden traces
 pinnable, serial==parallel identity testable, and the fingerprint
-cache safe.  These rules flag the classic ways that contract erodes:
+cache safe.  These rules flag the classic ways that contract erodes
+(a generator seeded from OS entropy is not among them: outside
+``netsim/rngstreams.py`` any construction is an ``rng-sole-constructor``
+finding, and inside it every stream's entropy is evaluated at import):
 
-* ``unseeded-rng`` -- an RNG constructed from OS entropy
-  (``np.random.default_rng()`` with no seed) in simulation/eval code;
 * ``global-random`` -- the process-wide ``random`` module or legacy
   ``np.random.*`` global-stream functions, whose state is shared by
   everything in the process (ordering between callers becomes part of
@@ -31,49 +32,16 @@ import ast
 
 from repro.analysis.core import AstRule, Finding, dotted_name
 
-__all__ = ["GlobalRandomRule", "SetIterationRule", "UnseededRngRule",
-           "UnsortedWalkRule", "WallClockRule", "SIMULATION_PACKAGES"]
+__all__ = ["GlobalRandomRule", "SetIterationRule", "UnsortedWalkRule",
+           "WallClockRule", "SIMULATION_PACKAGES"]
 
-#: The packages whose behaviour shapes simulation results (and
-#: therefore fingerprints and golden traces).  ``rl``/``models``/
-#: ``core`` training internals take their generators via parameter by
-#: convention but are exercised through seeded entry points; the hard
-#: determinism gate is on the simulation and evaluation pipeline.
-SIMULATION_PACKAGES = ("netsim", "baselines", "eval")
-
-
-RNG_CONSTRUCTORS = ("default_rng", "RandomState")
-
-
-def _last(name: str) -> str:
-    return name.rsplit(".", 1)[-1]
-
-
-def rng_constructions(tree):
-    """``(call node, dotted name)`` of every generator construction."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            name = dotted_name(node.func)
-            if name is not None and _last(name) in RNG_CONSTRUCTORS:
-                yield node, name
-
-
-class UnseededRngRule(AstRule):
-    id = "unseeded-rng"
-    family = "determinism"
-    description = ("np.random.default_rng()/RandomState() with no seed "
-                   "draws from OS entropy -- results become unreproducible")
-    packages = SIMULATION_PACKAGES
-
-    def check(self, tree, source, relpath):
-        findings = []
-        for node, name in rng_constructions(tree):
-            if not node.args and not node.keywords:
-                findings.append(Finding(
-                    relpath, node.lineno, node.col_offset, self.id,
-                    f"{name}() without a seed draws OS entropy; pass a "
-                    f"seed (or a Generator) derived from the scenario seed"))
-        return findings
+#: The packages (and the one file) whose behaviour shapes simulation
+#: results (and therefore fingerprints and golden traces):
+#: ``core/agent.py`` builds the MOCC and Aurora controllers every
+#: learned cell runs.  ``rl``/``models`` and the rest of ``core`` are
+#: training internals that take their generators via parameter by
+#: convention and are exercised through seeded entry points.
+SIMULATION_PACKAGES = ("netsim", "baselines", "eval", "core/agent.py")
 
 
 #: Legacy global-stream ``np.random`` attributes; the seeded-generator

@@ -29,6 +29,7 @@ import numpy as np
 from repro.config import TrainingConfig, DEFAULT_TRAINING
 from repro.netsim.env import apply_action
 from repro.netsim.history import StatHistory
+from repro.netsim.rngstreams import stream_rng
 from repro.netsim.sender import Controller, Flow, MonitorIntervalStats
 from repro.rl.policy import PreferenceActorCritic
 
@@ -46,7 +47,7 @@ class MoccAgent:
         self.config = config
         self.weight_dim = weight_dim
         self.obs_dim = STATE_FEATURES * config.history_length
-        rng = np.random.default_rng(config.seed if seed is None else seed)
+        rng = stream_rng("agent.init", config.seed if seed is None else seed)
         self.model = PreferenceActorCritic(
             obs_dim=self.obs_dim, weight_dim=weight_dim, act_dim=1,
             hidden_sizes=config.hidden_sizes, pref_hidden=config.preference_hidden,
@@ -135,7 +136,7 @@ class PolicyRateController(Controller):
         self.history = StatHistory(history_length)
         self._plan = model.plan(self.weights)
         self.deterministic = deterministic
-        self.rng = np.random.default_rng(seed)
+        self.rng = stream_rng("policy.sample", seed)
         #: Number of policy inferences performed (overhead accounting).
         self.inference_count = 0
 

@@ -2,7 +2,8 @@
 import numpy as np
 
 
-def entropy_stream():
-    # Deliberately unseeded -- this fixture documents the suppression
-    # syntax; real code must justify every disable comment like this.
-    return np.random.default_rng()  # replint: disable=unseeded-rng
+def backoff_jitter(seed):
+    # Deliberately outside the RNG census -- this fixture documents the
+    # suppression syntax; real code must justify every disable comment
+    # like this.
+    return np.random.default_rng(seed)  # replint: disable=rng-sole-constructor

@@ -19,7 +19,9 @@ Three guarantees, layered:
 ``TestCellIsolation`` holds the cross-cell isolation contract: real
 built cells' object graphs, for every registered trace, share no
 mutable object -- and a planted shared generator or unfrozen trace is
-named.
+named.  ``TestBatchRunner::test_cells_never_share_generators`` walks
+the same graphs for generators: each is stored in exactly one
+attribute, dict value or sequence slot, within a cell as across cells.
 """
 
 import gc
@@ -30,6 +32,7 @@ import pytest
 
 import repro.eval.batch as batch_module
 import repro.eval.scenarios as scenarios_module
+from repro.core.agent import MoccAgent
 from repro.eval.batch import BatchRunner, warm_agent_refs
 from repro.eval.parallel import ParallelRunner, ScenarioError
 from repro.eval.resilience import RetryPolicy, records_digest
@@ -43,7 +46,8 @@ from repro.eval.scenarios import (
 )
 from repro.eval.runner import EvalNetwork
 from repro.eval.sweeps import PERF_SHAPES, batched_grid_scenarios, perf_scenarios
-from repro.netsim.faults import GilbertElliottLoss, LinkFlapSchedule, RateBrownout
+from repro.netsim.faults import (FaultProcess, GilbertElliottLoss,
+                                 LinkFlapSchedule, RateBrownout)
 from repro.netsim.network import SimState
 from repro.netsim.topology import dumbbell, dumbbell_asymmetric, parking_lot
 from repro.netsim.traces import (
@@ -318,15 +322,41 @@ class TestBatchRunner:
         assert traces  # sanity: the walk set came from real links
 
     def test_cells_never_share_generators(self):
-        scenarios = batched_grid_scenarios(cells=4, duration=0.25)
-        cells = BatchRunner().build_cells(scenarios)
-        rngs = []
-        for cell in cells:
-            sim = cell.sim
-            rngs.extend([id(sim.rng), id(sim._hop_rng)])
-            rngs.extend(id(link.rng) for link in sim.links
-                        if getattr(link, "rng", None) is not None)
-        assert len(rngs) == len(set(rngs))
+        """Every generator reachable from a built batch -- engine, link,
+        fault, controller -- is stored in exactly one place."""
+        holders = generator_holders(_ownership_batch())
+        assert len(holders) >= 20
+        assert shared_generators(holders) == []
+        reached = {name for names in holders.values() for name in names}
+        assert {"FaultProcess._flap_rng", "FaultProcess._loss_rng",
+                "Orca.rng", "MoccController.rng",
+                "AuroraController.rng"} <= reached
+
+    # Planted defects, on the live build path: one generator stored
+    # twice must fail the walker, naming both holders.
+
+    def test_planted_hop_rng_alias_names_both_holders(self, monkeypatch):
+        def planted(scenario, trace_cache):
+            sim = build_scenario_simulation(scenario, trace_cache)
+            sim._hop_rng = sim.rng
+            return sim
+
+        monkeypatch.setattr(batch_module, "build_scenario_simulation", planted)
+        messages = " | ".join(shared_generators(
+            generator_holders(_ownership_batch())))
+        assert "Simulation._hop_rng, Simulation.rng" in messages
+
+    def test_planted_fault_rng_alias_names_both_holders(self, monkeypatch):
+        reset = FaultProcess.reset
+
+        def planted(self):
+            reset(self)
+            self._loss_rng = self._flap_rng
+
+        monkeypatch.setattr(FaultProcess, "reset", planted)
+        assert shared_generators(generator_holders(_ownership_batch())) == [
+            "Generator held by FaultProcess._flap_rng, "
+            "FaultProcess._loss_rng"]
 
     def test_mid_batch_failure_spares_siblings(self):
         good = perf_scenarios("single-bottleneck", duration=0.3)[0]
@@ -415,6 +445,85 @@ def shared_mutables(states) -> list[str]:
         else:
             messages.add(f"mutable {kind} is reachable from {n} cells")
     return sorted(messages)
+
+
+def _ownership_batch() -> list:
+    """Built (never run) cells holding every kind of generator owner:
+    a faulted parking lot with an Orca cross flow, a lossy single link
+    carrying MOCC and Aurora, and a wifi-walk pair."""
+    net = EvalNetwork(bandwidth_mbps=8.0, one_way_ms=8.0)
+    lot = parking_lot(2, bandwidth_mbps=8.0, delay_ms=8.0).with_faults({
+        "hop0": (LinkFlapSchedule(period=0.3, down_time=0.04, start=0.1,
+                                  jitter=0.02),
+                 GilbertElliottLoss(p_enter_bad=0.02, p_exit_bad=0.3))})
+    common = dict(network=net, duration=0.5, seed=5)
+    scenarios = [
+        Scenario(name="owners/lot", topology=lot,
+                 flows=(FlowDef("cubic", path="through"),
+                        FlowDef("orca", path="cross0",
+                                agent=MoccAgent(weight_dim=0, seed=1)),
+                        FlowDef("bbr", path="cross1")), **common),
+        Scenario(name="owners/lossy",
+                 flows=(FlowDef("mocc", weights=(0.6, 0.3, 0.1),
+                                agent=MoccAgent(seed=2)),
+                        FlowDef("aurora",
+                                agent=MoccAgent(weight_dim=0, seed=3))),
+                 network=EvalNetwork(bandwidth_mbps=8.0, one_way_ms=8.0,
+                                     loss_rate=0.02),
+                 duration=0.5, seed=5),
+        *(Scenario(name=f"owners/wifi{seed}", flows=("cubic", "bbr"),
+                   trace="wifi-walk", network=net, duration=0.5, seed=seed)
+          for seed in (5, 6)),
+    ]
+    cells = BatchRunner().build_cells(scenarios)
+    assert [cell.error for cell in cells] == [None] * len(scenarios)
+    return [cell.sim for cell in cells]
+
+
+def _slot_names(cls):
+    for klass in cls.__mro__:
+        slots = vars(klass).get("__slots__", ())
+        for name in (slots,) if isinstance(slots, str) else slots:
+            if name not in ("__dict__", "__weakref__"):
+                yield name
+
+
+def generator_holders(roots) -> dict:
+    """``{id: [holder, ...]}`` for every ``np.random.Generator``
+    reachable from ``roots``: each attribute (``Type.attr``), dict value
+    (``dict[key]``) or sequence slot (``Type[i]``) that stores it."""
+    graph: dict = {}
+    for root in roots:
+        graph.update(_reachable(root))
+    holders = {obj_id: [] for obj_id, obj in graph.items()
+               if isinstance(obj, np.random.Generator)}
+    # An instance's attribute dict is named through its instance.
+    instance_dicts = {id(vars(obj)) for obj in graph.values()
+                      if hasattr(obj, "__dict__")}
+    for obj in graph.values():
+        owner = type(obj).__qualname__
+        if isinstance(obj, dict):
+            if id(obj) in instance_dicts:
+                continue
+            stored = ((f"dict[{key!r}]", value) for key, value in obj.items())
+        elif isinstance(obj, (list, tuple)):
+            stored = ((f"{owner}[{i}]", value) for i, value in enumerate(obj))
+        else:
+            attrs = dict(vars(obj)) if hasattr(obj, "__dict__") else {}
+            attrs.update((name, getattr(obj, name)) for name in
+                         _slot_names(type(obj)) if hasattr(obj, name))
+            stored = ((f"{owner}.{name}", value)
+                      for name, value in attrs.items())
+        for name, value in stored:
+            if id(value) in holders:
+                holders[id(value)].append(name)
+    return holders
+
+
+def shared_generators(holders) -> list[str]:
+    """One message per generator not stored in exactly one place."""
+    return sorted(f"Generator held by {', '.join(sorted(names))}"
+                  for names in holders.values() if len(names) != 1)
 
 
 class _FakeState:

@@ -67,12 +67,19 @@ class TestBitIdentity:
 
 
 class TestBitIdentityNewRows:
-    """The two streams declared where they were bare ``default_rng``."""
+    """The streams declared where they were bare ``default_rng``."""
 
     @pytest.mark.parametrize("seed", [0, 17, 48])
     def test_eval_link_loss_and_orca_policy_are_raw_seed(self, seed):
         # runner.py / orca.py formerly: np.random.default_rng(seed)
         for name in ("eval.link-loss", "orca.policy"):
+            assert _same_stream(stream_rng(name, seed),
+                                np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("seed", [0, 17, 48])
+    def test_policy_sample_and_agent_init_are_raw_seed(self, seed):
+        # core/agent.py formerly: np.random.default_rng(seed)
+        for name in ("policy.sample", "agent.init"):
             assert _same_stream(stream_rng(name, seed),
                                 np.random.default_rng(seed))
 
