@@ -7,12 +7,12 @@ objective (w = <0.1, 0.8, 0.1>) over the same sweeps.  Evaluation
 ranges deliberately exceed the training ranges (Table 3).
 
 Each sweep is a :class:`~repro.eval.scenarios.ScenarioSuite` (via
-:func:`sweep_schemes`) executed through the shared parallel runner, so
+:func:`sweep_suite`) executed through the shared parallel runner, so
 the 4 x 7-scheme x 4-value grid shards across cores and re-runs come
-from the result cache.
+from the result cache.  A panel is the run's result table pivoted by
+line-up (one per scheme) against the swept column.
 """
 
-import numpy as np
 from conftest import print_table, run_once
 
 from repro.core.weights import LATENCY_WEIGHTS, THROUGHPUT_WEIGHTS
@@ -22,20 +22,38 @@ from repro.eval.sweeps import (
     FIG5_BENCH_SCHEMES,
     FIG5_BENCH_SEED,
     FIG5_BENCH_SWEEPS,
-    sweep_schemes,
+    sweep_suite,
 )
 
 SCHEMES = FIG5_BENCH_SCHEMES
+#: The result-table column each sweep varies (``rtt_ms`` is round-trip:
+#: twice the one-way latency values).
+COLUMNS = {"bandwidth": "bandwidth_mbps", "latency": "rtt_ms",
+           "loss": "loss", "buffer": "buffer"}
 
 
 def _run_sweeps(runner, mocc_agent, aurora_agent, weights):
+    """``{parameter: ResultTable}`` over every Fig. 5 sweep."""
     kwargs = {"mocc_agent": mocc_agent, "mocc_weights": weights,
               "aurora_agent": aurora_agent}
-    return {param: sweep_schemes(SCHEMES, param, values, base=FIG5_BENCH_BASE,
-                                 duration=FIG5_BENCH_DURATION,
-                                 seed=FIG5_BENCH_SEED, controller_kwargs=kwargs,
-                                 runner=runner)
+    return {param: runner.run(sweep_suite(
+                SCHEMES, param, values, base=FIG5_BENCH_BASE,
+                duration=FIG5_BENCH_DURATION, seed=FIG5_BENCH_SEED,
+                controller_kwargs=kwargs)).table
             for param, values in FIG5_BENCH_SWEEPS}
+
+
+def _print_panels(tables, metric):
+    for param, table in tables.items():
+        schemes, values, matrix = table.pivot("lineup", COLUMNS[param], metric)
+        print_table(f"{metric} vs {param}", ["scheme", *values],
+                    [[scheme, *row] for scheme, row in zip(schemes, matrix)])
+
+
+def _panel(table, param, metric) -> dict:
+    """``{scheme: its values across the sweep}``: one Fig. 5 panel."""
+    schemes, _, matrix = table.pivot("lineup", COLUMNS[param], metric)
+    return dict(zip(schemes, matrix))
 
 
 def bench_fig5ad_utilization(benchmark, runner, mocc_agent, aurora_throughput):
@@ -44,22 +62,21 @@ def bench_fig5ad_utilization(benchmark, runner, mocc_agent, aurora_throughput):
     def experiment():
         return _run_sweeps(runner, mocc_agent, aurora_throughput, THROUGHPUT_WEIGHTS)
 
-    results = run_once(benchmark, experiment)
-    for param, sweep in results.items():
-        print(f"\n{sweep.format_table('utilization')}")
+    tables = run_once(benchmark, experiment)
+    _print_panels(tables, "utilization")
 
     # The headline: MOCC competes with the best existing schemes on
     # utilization across conditions (within 15 % of the best baseline
     # on the in-distribution bandwidth sweep).
-    bw = results["bandwidth"]
-    mocc_mean = bw.row("mocc")["utilization"].mean()
-    best_other = max(bw.row(s)["utilization"].mean() for s in SCHEMES[1:])
+    bw = tables["bandwidth"]
+    mocc_mean = bw.mean("utilization", lineup="mocc")
+    best_other = max(bw.mean("utilization", lineup=s) for s in SCHEMES[1:])
     assert mocc_mean > 0.7
     assert mocc_mean > best_other - 0.2
     # Loss robustness (Fig 5c): under 5-10 % random loss MOCC keeps far
     # more utilization than loss-based CUBIC.
-    loss = results["loss"]
-    assert loss.row("mocc")["utilization"][-1] > 3 * loss.row("cubic")["utilization"][-1]
+    loss = _panel(tables["loss"], "loss", "utilization")
+    assert loss["mocc"][-1] > 3 * loss["cubic"][-1]
 
 
 def bench_fig5eh_latency(benchmark, runner, mocc_agent, aurora_throughput):
@@ -68,16 +85,17 @@ def bench_fig5eh_latency(benchmark, runner, mocc_agent, aurora_throughput):
     def experiment():
         return _run_sweeps(runner, mocc_agent, aurora_throughput, LATENCY_WEIGHTS)
 
-    results = run_once(benchmark, experiment)
-    for param, sweep in results.items():
-        print(f"\n{sweep.format_table('latency_ratio')}")
+    tables = run_once(benchmark, experiment)
+    _print_panels(tables, "latency_ratio")
 
     # Latency-weighted MOCC keeps queueing low: lower latency ratio
     # than CUBIC (which fills the buffer) and than BBR across sweeps
     # (the paper's up-to-18.8 % BBR claim, Fig. 5e).
-    bw = results["bandwidth"]
-    assert bw.row("mocc")["latency_ratio"].mean() < bw.row("cubic")["latency_ratio"].mean()
-    assert bw.row("mocc")["latency_ratio"].mean() < bw.row("bbr")["latency_ratio"].mean()
-    lat = results["latency"]
-    assert (lat.row("mocc")["latency_ratio"].mean()
-            < lat.row("cubic")["latency_ratio"].mean())
+    bw = tables["bandwidth"]
+    assert (bw.mean("latency_ratio", lineup="mocc")
+            < bw.mean("latency_ratio", lineup="cubic"))
+    assert (bw.mean("latency_ratio", lineup="mocc")
+            < bw.mean("latency_ratio", lineup="bbr"))
+    lat = tables["latency"]
+    assert (lat.mean("latency_ratio", lineup="mocc")
+            < lat.mean("latency_ratio", lineup="cubic"))

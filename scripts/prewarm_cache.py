@@ -21,7 +21,7 @@ from repro.eval.sweeps import (
     FIG5_BENCH_SCHEMES,
     FIG5_BENCH_SEED,
     FIG5_BENCH_SWEEPS,
-    sweep_schemes,
+    sweep_suite,
 )
 from repro.models import default_zoo
 
@@ -54,13 +54,12 @@ def prewarm_scenarios(zoo):
                                ("latency", LATENCY_WEIGHTS)]:
         for param, values in FIG5_BENCH_SWEEPS:
             t0 = time.time()
-            sweep_schemes(FIG5_BENCH_SCHEMES, param, values,
-                          base=FIG5_BENCH_BASE, duration=FIG5_BENCH_DURATION,
-                          seed=FIG5_BENCH_SEED,
-                          controller_kwargs={**kwargs, "mocc_weights": weights},
-                          runner=runner)
+            outcome = runner.run(sweep_suite(
+                FIG5_BENCH_SCHEMES, param, values, base=FIG5_BENCH_BASE,
+                duration=FIG5_BENCH_DURATION, seed=FIG5_BENCH_SEED,
+                controller_kwargs={**kwargs, "mocc_weights": weights}))
             print(f"[prewarm] fig5 {objective}/{param} "
-                  f"({len(FIG5_BENCH_SCHEMES) * len(values)} scenarios): "
+                  f"({len(outcome)} scenarios): "
                   f"{time.time() - t0:.1f}s", flush=True)
 
 

@@ -8,9 +8,9 @@ Every table/figure in the paper's §6 is regenerated from these pieces:
   fairness index, friendliness ratio, reward statistics.
 * :mod:`repro.eval.scenarios` -- declarative scenarios and suite grids.
 * :mod:`repro.eval.parallel` -- sharded suite execution + result cache.
-* :mod:`repro.eval.sweeps` -- the Fig. 5 parameter sweeps, the
-  multi-bottleneck + churn grids beyond the paper's evaluation, and
-  the model-free engine-shape and batched-grid scenario builders.
+* :mod:`repro.eval.sweeps` -- the Fig. 5 parameter sweeps and the
+  multi-bottleneck + churn and ack-congestion grids beyond the
+  paper's evaluation, all as scenario suites.
 * :mod:`repro.eval.gaussian` -- 1-sigma ellipses for Fig. 1(b).
 * :mod:`repro.eval.cdf` -- empirical CDFs (Figs. 6, 12, 16, 18).
 * :mod:`repro.eval.overhead` -- control-loop CPU cost (Fig. 17).
@@ -49,12 +49,7 @@ from repro.eval.metrics import (
 )
 from repro.eval.gaussian import sigma_ellipse
 from repro.eval.cdf import empirical_cdf
-from repro.eval.sweeps import (
-    SweepResult,
-    ack_congestion_suite,
-    multihop_churn_suite,
-    sweep_schemes,
-)
+from repro.eval.sweeps import ack_congestion_suite, multihop_churn_suite
 
 __all__ = [
     "EvalNetwork",
@@ -67,8 +62,6 @@ __all__ = [
     "reward_of_record",
     "sigma_ellipse",
     "empirical_cdf",
-    "SweepResult",
-    "sweep_schemes",
     "multihop_churn_suite",
     "ack_congestion_suite",
     "AgentRef",

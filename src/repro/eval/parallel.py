@@ -12,6 +12,12 @@ changed; a second run of an unchanged suite is pure cache reads.
 Results aggregate into a tidy :class:`ResultTable` (one row per flow
 per scenario) plus the raw per-MI :class:`FlowRecord` streams for the
 fairness/CDF analyses.
+
+A sweep has one failure contract: a failing cell never stops it.
+Every other cell runs, is cached and is journaled; then
+:class:`ScenarioError` names the first failed cell in sweep order and
+carries the whole sweep as its ``outcome`` -- failed cells as error
+rows, the rest as records.
 """
 
 from __future__ import annotations
@@ -47,18 +53,20 @@ __all__ = ["ParallelRunner", "ResultCache", "ResultTable", "ScenarioError",
 
 
 class ScenarioError(RuntimeError):
-    """A scenario failed inside a suite run.
+    """One or more scenarios failed inside a suite run.
 
-    Carries the scenario name so a 200-cell sweep's failure points at
-    the offending cell, not just a worker traceback.
+    Raised after the rest of the sweep completed.  ``scenario_name``
+    is the first failed cell in sweep order, so a 200-cell sweep's
+    failure points at the offending cell, not just a worker traceback;
+    ``outcome`` is the whole sweep's :class:`SuiteResult`, failed cells
+    included as error rows.
     """
 
-    def __init__(self, scenario_name: str, detail: str = ""):
+    def __init__(self, scenario_name: str, detail: str,
+                 outcome: "SuiteResult"):
         self.scenario_name = scenario_name
-        message = f"scenario {scenario_name!r} failed"
-        if detail:
-            message += f": {detail}"
-        super().__init__(message)
+        self.outcome = outcome
+        super().__init__(f"scenario {scenario_name!r} failed: {detail}")
 
 
 #: Default size cap of the on-disk result cache, megabytes.  Long-lived
@@ -73,8 +81,7 @@ class ResultCache:
 
     The default location is
     :func:`repro.config.result_cache_dir` (``repro/eval/_cache`` next
-    to the model cache unless ``REPRO_RESULT_CACHE`` relocates it; CI
-    points it at a workspace-local directory).
+    to the model cache unless ``REPRO_RESULT_CACHE`` relocates it).
 
     The store is a size-capped LRU: ``get`` touches the entry's mtime,
     ``put`` evicts oldest-touched entries once the directory exceeds
@@ -230,10 +237,10 @@ class ScenarioResult:
     #: results -- no simulation ran).  Feeds the suite-level
     #: :attr:`SuiteResult.events_per_sec`.
     events: int = 0
-    #: Failure detail when the cell failed inside a budgeted run
-    #: (``ParallelRunner(max_failures=...)``); ``None`` for healthy
-    #: cells.  Failed cells have no records -- their rows carry the
-    #: condition columns plus this error, with metrics left ``None``.
+    #: Failure detail of a failed cell (see
+    #: :attr:`ScenarioError.outcome`); ``None`` for healthy cells.
+    #: Failed cells have no records -- their rows carry the condition
+    #: columns plus this error, with metrics left ``None``.
     error: str | None = None
 
     def rows(self) -> list[dict]:
@@ -425,12 +432,10 @@ def _execute_batch(batch_index: int):
     """One batch -> per-cell ``(position, payload, error)`` triples;
     the pool workers' entry point and the in-process arm's.
 
-    Failures come back as strings instead of raised exceptions so the
-    parent can decide (per its ``early_abort`` setting) whether one bad
-    cell cancels the rest of the suite -- and so unpicklable exception
-    objects never wedge the result pipe.  A failing cell never takes
-    its batch siblings with it: ``BatchRunner`` isolates errors per
-    cell.
+    Failures come back as strings instead of raised exceptions, so
+    unpicklable exception objects never wedge the result pipe.  A
+    failing cell never takes its batch siblings with it:
+    ``BatchRunner`` isolates errors per cell.
     """
     positions = _FORK_BATCHES[batch_index]
     cells = BatchRunner().run([_FORK_SCENARIOS[p] for p in positions])
@@ -452,10 +457,9 @@ class ParallelRunner:
     Pending cells are dispatched to workers in *batches* executed by
     :class:`~repro.eval.batch.BatchRunner` -- cells built over frozen
     per-batch assets, then run in turn -- rather than one pool task per
-    cell; ``batch_size=None`` picks a size that still leaves several
-    tasks per worker for load balancing.  Cache semantics are
-    unchanged: hits and misses, fingerprint keys, and result rows are
-    all per cell.
+    cell, sized to still leave several tasks per worker for load
+    balancing.  Cache semantics are unchanged: hits and misses,
+    fingerprint keys, and result rows are all per cell.
 
     Whenever a cache or a checkpoint is active, ``run`` fingerprints
     the whole sweep once, up front, through
@@ -476,19 +480,14 @@ class ParallelRunner:
     (nothing to overlap), as does everything under ``n_workers <= 1``
     -- where a deadline cannot be enforced and a crash is not isolated.
 
-    A failing scenario raises :class:`ScenarioError` naming the cell.
-    With ``early_abort=True`` batching is disabled (cells dispatch
-    one-per-task, exactly the pre-batching shape) so the first failure
-    cancels outstanding shards immediately -- the pool is torn down,
-    queued cells never start; otherwise the rest of the suite
-    completes -- and is cached -- before the error is raised.
-    ``max_failures`` trades that hard stop for a budget: up to that
-    many failed cells are recorded as result rows carrying an
-    ``error`` column (metrics ``None``) and the run succeeds; the
-    failure past the budget aborts as before.
+    A failing cell never stops the sweep: every other cell completes
+    -- and is cached and journaled -- and then :class:`ScenarioError`
+    names the first failed cell in sweep order, with the whole sweep
+    (failed cells as rows carrying an ``error`` column, metrics
+    ``None``) as its ``outcome``.
 
-    * ``retry=RetryPolicy(...)`` sets the budget and backoff for
-      transient failures (``None`` = the default ``RetryPolicy()``);
+    * ``retry=RetryPolicy(max_attempts=...)`` sets the attempt budget
+      for transient failures (``None`` = the default ``RetryPolicy()``);
       ``cell_timeout=seconds`` sets a deadline of ``cell_timeout`` x
       cells in the batch (``None`` = none).  Either one also sends a
       lone batch through the pool.
@@ -510,26 +509,13 @@ class ParallelRunner:
 
     def __init__(self, n_workers: int | None = None,
                  cache_dir: str | Path | None = None, use_cache: bool = True,
-                 early_abort: bool = False,
-                 cache_max_bytes: int | None = None,
-                 batch_size: int | None = None,
-                 max_failures: int | None = None,
                  cell_timeout: float | None = None,
                  retry: RetryPolicy | None = None,
                  checkpoint: str | Path | None = None):
         if n_workers is None:
             n_workers = max(1, min(mp.cpu_count(), 8))
         self.n_workers = int(n_workers)
-        self.cache = (ResultCache(cache_dir, max_bytes=cache_max_bytes)
-                      if use_cache else None)
-        self.early_abort = bool(early_abort)
-        if batch_size is not None and int(batch_size) < 1:
-            raise ValueError("batch_size must be >= 1")
-        self.batch_size = None if batch_size is None else int(batch_size)
-        if max_failures is not None and int(max_failures) < 0:
-            raise ValueError("max_failures must be >= 0")
-        self.max_failures = (None if max_failures is None
-                             else int(max_failures))
+        self.cache = ResultCache(cache_dir) if use_cache else None
         if cell_timeout is not None and float(cell_timeout) <= 0.0:
             raise ValueError("cell_timeout must be positive")
         self.cell_timeout = (None if cell_timeout is None
@@ -540,10 +526,6 @@ class ParallelRunner:
         self.checkpoint_path = None if checkpoint is None else Path(checkpoint)
 
     def _pick_batch_size(self, n_pending: int) -> int:
-        if self.early_abort:
-            return 1
-        if self.batch_size is not None:
-            return self.batch_size
         shards = max(1, self.n_workers) * self.AUTO_BATCHES_PER_WORKER
         return max(1, min(self.MAX_AUTO_BATCH, -(-n_pending // shards)))
 
@@ -598,22 +580,10 @@ class ParallelRunner:
 
         if pending:
             warm_agent_refs([s for _, s, _ in pending])
-            failures: list[tuple[int, str, str]] = []
 
             def record_result(position: int, payload, error: str | None):
                 idx, scenario, fingerprint = pending[position]
                 if error is not None:
-                    failures.append((position, scenario.name, error))
-                    if self.early_abort:
-                        # Raising out of the dispatch loop closes the
-                        # pool, cancelling every shard not yet finished.
-                        raise ScenarioError(scenario.name, error)
-                    if (self.max_failures is not None
-                            and len(failures) > self.max_failures):
-                        raise ScenarioError(
-                            scenario.name,
-                            f"{error} (failure budget "
-                            f"max_failures={self.max_failures} exhausted)")
                     results[idx] = ScenarioResult(scenario, [], error=error)
                     return
                 records, elapsed, events = payload
@@ -653,15 +623,16 @@ class ParallelRunner:
                 _FORK_BATCHES = []
                 _FORK_SCENARIOS = []
 
-            if failures and self.max_failures is None:
-                failures.sort()
-                _, name, error = failures[0]
-                detail = error if len(failures) == 1 else (
-                    f"{error} (+{len(failures) - 1} more failed cells)")
-                raise ScenarioError(name, detail)
-
-        ordered = [results[idx] for idx in range(len(scenarios))]
-        return SuiteResult(results=ordered, elapsed=time.perf_counter() - t0)
+        outcome = SuiteResult(
+            results=[results[idx] for idx in range(len(scenarios))],
+            elapsed=time.perf_counter() - t0)
+        failed = [r for r in outcome.results if r.error is not None]
+        if failed:
+            detail = failed[0].error
+            if len(failed) > 1:
+                detail += f" (+{len(failed) - 1} more failed cells)"
+            raise ScenarioError(failed[0].scenario.name, detail, outcome)
+        return outcome
 
     def _dispatch(self, batches: list[list[int]], record_result) -> None:
         """Run the batches on the pool, one task per batch.
@@ -678,8 +649,9 @@ class ParallelRunner:
             timeout = (None if self.cell_timeout is None
                        else self.cell_timeout * len(batch))
             tasks.append((index, index, timeout))
-        # closing(): an abort raised by record_result tears the workers
-        # down now, not whenever the generator is collected.
+        # closing(): an exception out of record_result (a full disk,
+        # an interrupt) tears the workers down now, not whenever the
+        # generator is collected.
         with closing(pool.execute(tasks)) as outcomes:
             for index, batch_results, error in outcomes:
                 if batch_results is None:

@@ -15,30 +15,32 @@ the determinism contract:
   intervals packed as binary column blocks (:func:`record_to_json`);
   :func:`records_digest` is a cell's identity and does not depend on
   that form.
-* :class:`RetryPolicy` -- bounded retries with exponential backoff and
-  seeded jitter for *transient* failures (worker crashes, timeouts).
-  Deterministic cell failures -- an exception raised by the task
-  function itself -- are never retried: a seeded simulation that
-  failed once fails identically every time.
+* :class:`RetryPolicy` -- how many attempts a task gets against
+  *transient* failures (worker crashes, timeouts).  Deterministic cell
+  failures -- an exception raised by the task function itself -- are
+  never retried: a seeded simulation that failed once fails
+  identically every time.
 * :class:`ResilientPool` -- the process pool.  Fork-based, one duplex
   pipe per worker, so it knows which worker holds which task: a
   crashed or deadline-blown worker is terminated, respawned, and its
-  task either requeued (within the retry budget) or reported as a
-  failed result instead of wedging the sweep.
+  task either requeued at once (within the retry budget) or reported
+  as a failed result instead of wedging the sweep.
 * :class:`SweepCheckpoint` -- an append-only journal of completed
   cells, one sealed line each, fingerprint-keyed so an interrupted
   grid resumes from exactly the cells it finished -- with the original
   records, wall time, and event counts, hence row-for-row identical
   digests to an uninterrupted run.
 * :func:`set_chaos_hook` -- the deterministic fault-injection point
-  the chaos tests and the CI chaos smoke job use to kill a worker at a
-  chosen cell (fork inheritance carries the hook into workers).
+  the chaos tests use to kill a worker at a chosen batch (fork
+  inheritance carries the hook into workers); the kill-schedule
+  property in ``tests/test_sweep_kills.py`` draws where.
 
 Retry safety is a contract on the pool's task function (see
 :class:`ResilientPool`): the one the runner passes,
 ``repro.eval.parallel._execute_batch``, is a pure function of its
 seeded scenarios writing to a fingerprint-keyed store, and the
-killed-and-retried == serial digest tests are its proof.
+kill-schedule property (killed-and-retried == serial digests) is its
+proof.
 
 All timeout arithmetic uses ``time.perf_counter()`` (monotonic,
 wall-clock-rule clean) and never feeds simulation state -- elapsed
@@ -61,8 +63,6 @@ from multiprocessing.connection import wait as _connection_wait
 from operator import attrgetter
 from pathlib import Path
 from typing import get_type_hints
-
-import numpy as np
 
 from repro.eval.scenarios import SCENARIO_CACHE_VERSION
 from repro.netsim.network import FlowRecord
@@ -245,7 +245,7 @@ def unseal(line: bytes) -> tuple[dict, list[FlowRecord]] | None:
 
 # --- chaos hook ---------------------------------------------------------------
 
-#: Test/CI fault-injection hook, called by every pool worker with the
+#: Test fault-injection hook, called by every pool worker with the
 #: task argument before executing it.  Set in the parent before the
 #: pool forks (children inherit it through fork); ``None`` disables.
 #: Mutable module state is acceptable here -- the hook never feeds
@@ -271,38 +271,19 @@ def chaos_probe(arg) -> None:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded retry with exponential backoff and seeded jitter.
+    """Bounded retry of transiently failed tasks.
 
     ``max_attempts`` counts the first attempt: ``1`` disables retries
-    entirely.  The backoff before attempt ``k+1`` is ``backoff_s *
-    backoff_factor**(k-1)``, jittered multiplicatively by up to
-    ``±jitter_frac`` from a generator seeded with ``seed`` -- the
-    delays are reproducible, and they never touch any simulation
-    stream (scheduling noise, not physics).
+    entirely.  A failed attempt is requeued at once: pool tasks are
+    idempotent (see :class:`ResilientPool`), so waiting before the
+    next attempt changes nothing they compute.
     """
 
     max_attempts: int = 3
-    backoff_s: float = 0.25
-    backoff_factor: float = 2.0
-    jitter_frac: float = 0.1
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.backoff_s < 0.0:
-            raise ValueError("backoff_s must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if not 0.0 <= self.jitter_frac < 1.0:
-            raise ValueError("jitter_frac must be in [0, 1)")
-
-    def delay(self, failures: int, rng: np.random.Generator) -> float:
-        """Backoff before the next attempt after ``failures`` failures."""
-        base = self.backoff_s * self.backoff_factor ** (failures - 1)
-        if self.jitter_frac > 0.0:
-            base *= 1.0 + self.jitter_frac * (2.0 * rng.random() - 1.0)
-        return base
 
 
 # --- resilient pool -----------------------------------------------------------
@@ -359,7 +340,7 @@ class ResilientPool:
     Each worker holds exactly one task at a time over a dedicated
     duplex pipe, so the pool always knows *which* task a dead or
     deadline-blown worker was holding.  That worker is
-    terminated and respawned, and the task is requeued under
+    terminated and respawned, and the task is requeued at once under
     ``retry`` (transient failures only: an exception *returned* by the
     task function is deterministic and reported immediately, never
     retried).  Tasks whose retry budget is exhausted come back as
@@ -381,10 +362,6 @@ class ResilientPool:
         self.n_workers = int(n_workers)
         self.fn = fn
         self.retry = retry if retry is not None else RetryPolicy()
-        # Backoff jitter: scheduling noise only, never simulation
-        # state (so not a census stream); seeded so retry timing is
-        # reproducible.
-        self._rng = np.random.default_rng(self.retry.seed)  # replint: disable=rng-sole-constructor
 
     def _spawn(self, ctx) -> _PoolWorker:
         parent_conn, child_conn = ctx.Pipe()
@@ -403,14 +380,13 @@ class ResilientPool:
         except OSError:
             pass
 
-    def _next_move(self, task: _PoolTask, reason: str, delayed: list):
+    def _next_move(self, task: _PoolTask, reason: str, queue: deque):
         """Requeue a transiently-failed task or emit its error result."""
         task.failures += 1
         task.errors.append(reason)
         if task.failures >= self.retry.max_attempts:
             return (task.task_id, None, "; ".join(task.errors))
-        delayed.append((time.perf_counter()
-                        + self.retry.delay(task.failures, self._rng), task))
+        queue.append(task)
         return None
 
     def execute(self, tasks):
@@ -427,7 +403,6 @@ class ResilientPool:
             for task_id, arg, timeout in tasks)
         if not queue:
             return
-        delayed: list = []  # (ready_at, task) backing off before requeue
         # Every live worker, respawned ones included: what close owns.
         workers = [self._spawn(ctx)
                    for _ in range(min(self.n_workers, len(queue)))]
@@ -440,16 +415,10 @@ class ResilientPool:
             idle.append(fresh)
 
         try:
-            while queue or delayed or inflight:
+            # Every worker is idle or in flight, so after the hand-out
+            # below something is in flight whenever this loop runs.
+            while queue or inflight:
                 now = time.perf_counter()
-                if delayed:
-                    waiting = []
-                    for ready_at, task in delayed:
-                        if ready_at <= now:
-                            queue.append(task)
-                        else:
-                            waiting.append((ready_at, task))
-                    delayed = waiting
                 while idle and queue:
                     worker = idle.pop()
                     task = queue.popleft()
@@ -457,16 +426,6 @@ class ResilientPool:
                     deadline = (None if task.timeout is None
                                 else now + task.timeout)
                     inflight[worker.conn] = (worker, task, deadline)
-                if not inflight:
-                    # Everything is backing off; sleep to the earliest
-                    # requeue (bounded by the poll granularity).
-                    ready_at = min(entry[0] for entry in delayed)
-                    pause = ready_at - time.perf_counter()
-                    if pause > self.POLL_SECONDS:
-                        pause = self.POLL_SECONDS
-                    if pause > 0:
-                        time.sleep(pause)
-                    continue
                 for conn in _connection_wait(list(inflight),
                                              timeout=self.POLL_SECONDS):
                     worker, task, _deadline = inflight[conn]
@@ -480,7 +439,7 @@ class ResilientPool:
                         verdict = self._next_move(
                             task, "WorkerCrash: worker process died "
                                   f"while running task {task.task_id!r}",
-                            delayed)
+                            queue)
                         if verdict is not None:
                             yield verdict
                     else:
@@ -501,7 +460,7 @@ class ResilientPool:
                     else:
                         reason = ("WorkerCrash: worker process died "
                                   f"while running task {task.task_id!r}")
-                    verdict = self._next_move(task, reason, delayed)
+                    verdict = self._next_move(task, reason, queue)
                     if verdict is not None:
                         yield verdict
         finally:

@@ -7,46 +7,31 @@ utilization for the throughput objective and latency ratio for the
 latency objective.  The evaluation ranges deliberately exceed the
 training ranges (Table 3) to probe robustness.
 
-Sweeps are expressed as :class:`~repro.eval.scenarios.ScenarioSuite`
-grids and executed through a :class:`~repro.eval.parallel.ParallelRunner`,
-so they shard across cores and memoize per-scenario results; the
-default runner (serial, uncached) reproduces the historical behaviour
-exactly.
+Sweeps are declared as :class:`~repro.eval.scenarios.ScenarioSuite`
+grids (:func:`sweep_suite`) and run through a
+:class:`~repro.eval.parallel.ParallelRunner`, so they shard across cores
+and memoize per-scenario results; a Fig. 5 panel is the run's
+``table.pivot("lineup", <axis column>, <metric>)``.
 
 Beyond the paper's single-bottleneck grids, :func:`multihop_churn_suite`
 declares parking-lot (multi-bottleneck) contention with churning cross
-traffic over the ``topologies``/``churns`` axes -- the workload family
-the paper's evaluation omits.
-
-Two model-free builders serve the engine and batching tests and the CI
-batched smoke: :func:`perf_scenarios` (one of :data:`PERF_SHAPES` --
-single bottleneck, 2-hop parking lot, queued ack path -- run by the
-heuristic :data:`PERF_SCHEMES`) and :func:`batched_grid_scenarios` (a
-short ``wifi-walk`` grid whose per-cell set-up is comparable to its
-run time, the regime batched dispatch exists for).
+traffic over the ``topologies``/``churns`` axes, and
+:func:`ack_congestion_suite` queues acks behind reverse-direction
+uploads -- workload families the paper's evaluation omits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from repro.eval.parallel import ParallelRunner
 from repro.eval.runner import EvalNetwork
-from repro.eval.scenarios import (
-    ChurnSchedule,
-    FlowDef,
-    Scenario,
-    ScenarioSuite,
-)
+from repro.eval.scenarios import ChurnSchedule, FlowDef, ScenarioSuite
 from repro.netsim.topology import dumbbell_asymmetric, parking_lot
 
-__all__ = ["SweepResult", "sweep_suite", "sweep_schemes",
-           "multihop_churn_suite", "multihop_bench_suites",
+__all__ = ["sweep_suite", "multihop_churn_suite", "multihop_bench_suites",
            "ack_congestion_suite",
-           "PERF_SCHEMES", "PERF_SHAPES", "perf_scenarios",
-           "batched_grid_scenarios",
            "FIG5_BANDWIDTHS", "FIG5_LATENCIES", "FIG5_LOSSES", "FIG5_BUFFERS",
            "FIG5_BENCH_SCHEMES", "FIG5_BENCH_SWEEPS", "FIG5_BENCH_BASE",
            "FIG5_BENCH_DURATION", "FIG5_BENCH_SEED",
@@ -111,45 +96,6 @@ ACK_BENCH_CHURNS = (
 ACK_BENCH_DURATION = 14.0
 ACK_BENCH_SEED = 4
 
-#: Heuristic schemes the perf shapes run (no trained models: they must
-#: be cold-start cheap and CI-friendly).
-PERF_SCHEMES = ("cubic", "bbr", "copa", "vivace")
-#: The three engine shapes: every scheme on one link; each scheme
-#: across two shared hops against per-hop CUBIC cross traffic; each
-#: scheme downloading against a CUBIC upload queued on its ack path.
-PERF_SHAPES = ("single-bottleneck", "parking-lot", "ack-congestion")
-
-_PERF_BANDWIDTH_MBPS = 16.0
-_PERF_DELAY_MS = 8.0
-
-
-@dataclass
-class SweepResult:
-    """Utilization/latency-ratio matrices over a parameter sweep."""
-
-    parameter: str
-    values: tuple
-    schemes: tuple
-    #: shape (len(schemes), len(values))
-    utilization: np.ndarray
-    latency_ratio: np.ndarray
-    loss_rate: np.ndarray
-
-    def row(self, scheme: str) -> dict:
-        i = self.schemes.index(scheme)
-        return {"utilization": self.utilization[i],
-                "latency_ratio": self.latency_ratio[i],
-                "loss_rate": self.loss_rate[i]}
-
-    def format_table(self, metric: str = "utilization") -> str:
-        data = getattr(self, metric)
-        header = "scheme".ljust(16) + "".join(f"{v:<9}" for v in self.values)
-        lines = [f"[{metric} vs {self.parameter}]", header]
-        for i, scheme in enumerate(self.schemes):
-            cells = "".join(f"{data[i, j]:<9.3f}" for j in range(len(self.values)))
-            lines.append(scheme.ljust(16) + cells)
-        return "\n".join(lines)
-
 
 def _flow_for(scheme: str, controller_kwargs: dict) -> FlowDef:
     key = scheme.lower()
@@ -171,7 +117,15 @@ def sweep_suite(schemes, parameter: str, values, base: EvalNetwork | None = None
                 duration: float = 20.0, seed: int = 0,
                 controller_kwargs: dict | None = None,
                 name: str | None = None) -> ScenarioSuite:
-    """Declare the Fig. 5-style one-parameter sweep as a scenario grid."""
+    """Declare the Fig. 5-style one-parameter sweep as a scenario grid.
+
+    One single-flow line-up per scheme, in order (a repeated scheme
+    gets its own ``<scheme>#k`` line-up), so a run's
+    ``table.pivot("lineup", column, metric)`` is the panel: rows are
+    the schemes, columns the swept ``column`` (``bandwidth_mbps``,
+    ``rtt_ms`` -- round-trip, twice the one-way ``values`` --,
+    ``loss`` or ``buffer``).
+    """
     base = base or EvalNetwork()
     controller_kwargs = controller_kwargs or {}
     schemes = tuple(schemes)
@@ -199,41 +153,6 @@ def sweep_suite(schemes, parameter: str, values, base: EvalNetwork | None = None
     return ScenarioSuite(name=name or f"fig5-{parameter}", lineups=lineups,
                          duration=duration, seeds=(seed,),
                          packet_bytes=base.packet_bytes, **axes)
-
-
-def sweep_schemes(schemes, parameter: str, values, base: EvalNetwork | None = None,
-                  duration: float = 20.0, seed: int = 0,
-                  controller_kwargs: dict | None = None,
-                  runner: ParallelRunner | None = None) -> SweepResult:
-    """Run every scheme at every parameter value; collect the metrics.
-
-    ``controller_kwargs`` carries the pre-trained agents for the
-    learning-based schemes (see :func:`repro.eval.runner.scheme_factory`),
-    either live or as :class:`~repro.eval.scenarios.AgentRef`.  Pass a
-    shared ``runner`` to parallelise and cache; the default is the
-    serial, uncached reference path.
-    """
-    schemes = tuple(schemes)
-    values = tuple(values)
-    suite = sweep_suite(schemes, parameter, values, base=base, duration=duration,
-                        seed=seed, controller_kwargs=controller_kwargs)
-    runner = runner or ParallelRunner(n_workers=1, use_cache=False)
-    outcome = runner.run(suite)
-
-    shape = (len(schemes), len(values))
-    utilization = np.zeros(shape)
-    latency_ratio = np.zeros(shape)
-    loss_rate = np.zeros(shape)
-    # expand() iterates line-ups (schemes) outermost, axis values inner.
-    for i in range(len(schemes)):
-        for j in range(len(values)):
-            record = outcome.results[i * len(values) + j].records[0]
-            utilization[i, j] = record.mean_utilization
-            latency_ratio[i, j] = record.latency_ratio
-            loss_rate[i, j] = record.loss_rate
-    return SweepResult(parameter=parameter, values=values, schemes=schemes,
-                       utilization=utilization, latency_ratio=latency_ratio,
-                       loss_rate=loss_rate)
 
 
 def multihop_churn_suite(schemes, hops: int = 3, churns=(None,),
@@ -323,55 +242,3 @@ def multihop_bench_suites(schemes=MULTIHOP_BENCH_SCHEMES,
     return [multihop_churn_suite(schemes, hops=h, churns=churns,
                                  controller_kwargs=controller_kwargs)
             for h in hops]
-
-
-def perf_scenarios(shape: str, duration: float = 10.0, seed: int = 0,
-                   schemes=PERF_SCHEMES) -> list[Scenario]:
-    """The concrete scenarios one of :data:`PERF_SHAPES` runs."""
-    schemes = tuple(schemes)
-    net = EvalNetwork(bandwidth_mbps=_PERF_BANDWIDTH_MBPS,
-                      one_way_ms=_PERF_DELAY_MS)
-    if shape == "single-bottleneck":
-        return [Scenario(name=f"perf/single/{'+'.join(schemes)}", network=net,
-                         flows=schemes, duration=duration, seed=seed,
-                         suite="perf")]
-    if shape == "parking-lot":
-        topo = parking_lot(2, bandwidth_mbps=_PERF_BANDWIDTH_MBPS,
-                           delay_ms=_PERF_DELAY_MS)
-        return [Scenario(
-            name=f"perf/lot/{scheme}", network=net,
-            flows=(FlowDef(scheme, path="through", label=f"{scheme}-through"),
-                   FlowDef("cubic", path="cross0", label="cross0"),
-                   FlowDef("cubic", path="cross1", label="cross1")),
-            topology=topo, duration=duration, seed=seed, suite="perf")
-            for scheme in schemes]
-    if shape == "ack-congestion":
-        topo = dumbbell_asymmetric(
-            bandwidth_mbps=_PERF_BANDWIDTH_MBPS, delay_ms=_PERF_DELAY_MS,
-            reverse_bandwidth_mbps=_PERF_BANDWIDTH_MBPS / 10.0)
-        return [Scenario(
-            name=f"perf/ack/{scheme}", network=net,
-            flows=(FlowDef(scheme, path="through", label=f"{scheme}-dl"),
-                   FlowDef("cubic", path="reverse", label="ul0")),
-            topology=topo, duration=duration, seed=seed, suite="perf")
-            for scheme in schemes]
-    raise ValueError(f"unknown perf shape {shape!r}; known: {PERF_SHAPES}")
-
-
-def batched_grid_scenarios(cells: int = 16, duration: float = 0.25,
-                           schemes=PERF_SCHEMES,
-                           trace: str = "wifi-walk") -> list[Scenario]:
-    """A short-duration grid: ``cells`` cells, seeds x ``schemes``.
-
-    ``wifi-walk`` is the most construction-heavy registered trace,
-    which is what the shared per-batch trace cache amortizes.
-    """
-    schemes = tuple(schemes)
-    if cells % len(schemes):
-        raise ValueError(f"cells ({cells}) must be a multiple of the "
-                         f"scheme count ({len(schemes)})")
-    suite = ScenarioSuite(name="perf-batched", lineups=list(schemes),
-                          traces=(trace,),
-                          seeds=tuple(range(cells // len(schemes))),
-                          duration=duration)
-    return suite.expand()

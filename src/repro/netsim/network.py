@@ -370,8 +370,7 @@ class Simulation:
                     # Flow.note_ack, inlined.
                     flow.total_acked += 1
                     flow.mi_acked += 1
-                    inflight = flow.inflight - 1
-                    flow.inflight = inflight if inflight > 0 else 0
+                    flow.inflight -= 1
                     if now > flow.last_event_time:
                         flow.last_event_time = now
                     rtt = now - packet.send_time

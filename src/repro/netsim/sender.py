@@ -329,8 +329,7 @@ class Flow:
     def note_ack(self, packet: Packet, now: float) -> None:
         self.total_acked += 1
         self.mi_acked += 1
-        inflight = self.inflight - 1
-        self.inflight = inflight if inflight > 0 else 0
+        self.inflight -= 1
         if now > self.last_event_time:
             self.last_event_time = now
         rtt = now - packet.send_time
@@ -348,8 +347,7 @@ class Flow:
     def note_loss(self, packet: Packet, now: float) -> None:
         self.total_lost += 1
         self.mi_lost += 1
-        inflight = self.inflight - 1
-        self.inflight = inflight if inflight > 0 else 0
+        self.inflight -= 1
         if now > self.last_event_time:
             self.last_event_time = now
 

@@ -1,0 +1,162 @@
+"""Scenario builders and Hypothesis strategies shared by the tests.
+
+* :func:`perf_scenarios` -- one of :data:`PERF_SHAPES` (single
+  bottleneck, 2-hop parking lot, queued ack path) run by the heuristic
+  :data:`PERF_SCHEMES`: model-free engine shapes, cold-start cheap.
+* :func:`batched_grid_scenarios` -- a short ``wifi-walk`` grid whose
+  per-cell set-up is comparable to its run time, the regime batched
+  dispatch exists for.
+* :func:`kill_schedules` -- sweeps for the kill-schedule property
+  (``tests/test_sweep_kills.py``): cells drawn in any order from
+  :data:`KILL_CELLS`, a worker count, a retry budget, and the batches
+  whose worker is killed once each.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from hypothesis import strategies as st
+
+from repro.eval.parallel import ParallelRunner
+from repro.eval.runner import EvalNetwork
+from repro.eval.scenarios import ChurnSchedule, FlowDef, Scenario, ScenarioSuite
+from repro.netsim.faults import GilbertElliottLoss, LinkFlapSchedule
+from repro.netsim.topology import dumbbell_asymmetric, parking_lot
+
+#: Heuristic schemes the perf shapes run (no trained models: they must
+#: be cold-start cheap).
+PERF_SCHEMES = ("cubic", "bbr", "copa", "vivace")
+#: The three engine shapes: every scheme on one link; each scheme
+#: across two shared hops against per-hop CUBIC cross traffic; each
+#: scheme downloading against a CUBIC upload queued on its ack path.
+PERF_SHAPES = ("single-bottleneck", "parking-lot", "ack-congestion")
+
+_PERF_BANDWIDTH_MBPS = 16.0
+_PERF_DELAY_MS = 8.0
+
+
+def perf_scenarios(shape: str, duration: float = 10.0, seed: int = 0,
+                   schemes=PERF_SCHEMES) -> list[Scenario]:
+    """The concrete scenarios one of :data:`PERF_SHAPES` runs."""
+    schemes = tuple(schemes)
+    net = EvalNetwork(bandwidth_mbps=_PERF_BANDWIDTH_MBPS,
+                      one_way_ms=_PERF_DELAY_MS)
+    if shape == "single-bottleneck":
+        return [Scenario(name=f"perf/single/{'+'.join(schemes)}", network=net,
+                         flows=schemes, duration=duration, seed=seed,
+                         suite="perf")]
+    if shape == "parking-lot":
+        topo = parking_lot(2, bandwidth_mbps=_PERF_BANDWIDTH_MBPS,
+                           delay_ms=_PERF_DELAY_MS)
+        return [Scenario(
+            name=f"perf/lot/{scheme}", network=net,
+            flows=(FlowDef(scheme, path="through", label=f"{scheme}-through"),
+                   FlowDef("cubic", path="cross0", label="cross0"),
+                   FlowDef("cubic", path="cross1", label="cross1")),
+            topology=topo, duration=duration, seed=seed, suite="perf")
+            for scheme in schemes]
+    if shape == "ack-congestion":
+        topo = dumbbell_asymmetric(
+            bandwidth_mbps=_PERF_BANDWIDTH_MBPS, delay_ms=_PERF_DELAY_MS,
+            reverse_bandwidth_mbps=_PERF_BANDWIDTH_MBPS / 10.0)
+        return [Scenario(
+            name=f"perf/ack/{scheme}", network=net,
+            flows=(FlowDef(scheme, path="through", label=f"{scheme}-dl"),
+                   FlowDef("cubic", path="reverse", label="ul0")),
+            topology=topo, duration=duration, seed=seed, suite="perf")
+            for scheme in schemes]
+    raise ValueError(f"unknown perf shape {shape!r}; known: {PERF_SHAPES}")
+
+
+def batched_grid_scenarios(cells: int = 16, duration: float = 0.25,
+                           schemes=PERF_SCHEMES,
+                           trace: str = "wifi-walk") -> list[Scenario]:
+    """A short-duration grid: ``cells`` cells, seeds x ``schemes``.
+
+    ``wifi-walk`` is the most construction-heavy registered trace,
+    which is what the shared per-batch trace cache amortizes.
+    """
+    schemes = tuple(schemes)
+    if cells % len(schemes):
+        raise ValueError(f"cells ({cells}) must be a multiple of the "
+                         f"scheme count ({len(schemes)})")
+    suite = ScenarioSuite(name="perf-batched", lineups=list(schemes),
+                          traces=(trace,),
+                          seeds=tuple(range(cells // len(schemes))),
+                          duration=duration)
+    return suite.expand()
+
+
+def _kill_cells() -> tuple[Scenario, ...]:
+    """Short cells of every shape a kill can land in: faulted parking
+    lots (flap + Gilbert-Elliott), queued-reverse dumbbells, a churned
+    lossy link and a time-varying one, three seeds each."""
+    lot = parking_lot(2, bandwidth_mbps=6.0, delay_ms=5.0)
+    faults = {"hop0": (LinkFlapSchedule(period=0.15, down_time=0.02,
+                                        start=0.05, jitter=0.01),
+                       GilbertElliottLoss(p_enter_bad=0.02, p_exit_bad=0.3,
+                                          loss_bad=0.4))}
+    common = dict(duration=0.3, seeds=(0, 1, 2))
+    suites = (
+        ScenarioSuite(name="kill-lot", lineups={"lot": (
+            FlowDef("cubic", path="through"),
+            FlowDef("bbr", path="cross0"),
+            FlowDef("cubic", path="cross1"))},
+            topologies=(lot,), faults=(faults,), **common),
+        ScenarioSuite(name="kill-ack", lineups={"dl+ul": (
+            FlowDef("vivace", path="through"),
+            FlowDef("cubic", path="reverse"))},
+            topologies=(dumbbell_asymmetric(6.0, delay_ms=5.0,
+                                            reverse_bandwidth_mbps=0.6),),
+            **common),
+        ScenarioSuite(name="kill-churn", lineups=[("copa", "cubic")],
+                      bandwidths_mbps=(6.0,), rtts_ms=(10.0,), losses=(0.02,),
+                      churns=(ChurnSchedule("on-off", gap=0.1, on_time=0.1,
+                                            skip=1),), **common),
+        ScenarioSuite(name="kill-trace", lineups=[("bbr",)],
+                      bandwidths_mbps=(6.0,), rtts_ms=(10.0,),
+                      traces=("wifi-walk",), **common),
+    )
+    return tuple(cell for suite in suites for cell in suite.expand())
+
+
+#: What the kill-schedule property draws its sweeps from.
+KILL_CELLS = _kill_cells()
+
+
+@dataclass(frozen=True)
+class KillSchedule:
+    """One drawn sweep and where its workers die."""
+
+    cells: tuple
+    n_workers: int
+    max_attempts: int
+    #: The runner's batches, as positions into ``cells``.
+    batches: tuple
+    #: Indices into ``batches`` whose worker is killed, once each.
+    killed: frozenset
+
+    def killed_cells(self) -> list[int]:
+        """Positions of the cells the kills land on, in sweep order."""
+        return sorted(p for b in self.killed for p in self.batches[b])
+
+
+@st.composite
+def kill_schedules(draw) -> KillSchedule:
+    """Cell order x batches killed once each x ``max_attempts`` in
+    {1, 2, 4} x 2-3 workers.  Kills are drawn among the batches the
+    runner will actually dispatch."""
+    cells = tuple(draw(st.lists(st.sampled_from(KILL_CELLS), min_size=2,
+                                max_size=len(KILL_CELLS),
+                                unique_by=lambda cell: cell.name)))
+    n_workers = draw(st.sampled_from((2, 3)))
+    size = ParallelRunner(n_workers=n_workers,
+                          use_cache=False)._pick_batch_size(len(cells))
+    batches = tuple(tuple(range(start, min(start + size, len(cells))))
+                    for start in range(0, len(cells), size))
+    killed = draw(st.frozensets(st.sampled_from(range(len(batches))),
+                                min_size=1, max_size=len(batches)))
+    return KillSchedule(cells=cells, n_workers=n_workers,
+                        max_attempts=draw(st.sampled_from((1, 2, 4))),
+                        batches=batches, killed=killed)

@@ -11,7 +11,9 @@ Three guarantees, layered:
   cell's records are bit-identical to running it solo whatever the
   batch's composition or order -- pinned here across every perf shape
   and one mixed batch, and at the runner level by the serial ==
-  process-parallel == batched identity grid.
+  process-parallel == batched identity grid and the kill-schedule
+  property (``tests/test_sweep_kills.py``), whose sweeps come back as
+  the serial digests in any cell order.
 * **Failures stay per cell.**  A mid-batch ``ScenarioError`` surfaces
   the failing cell's name while its batch siblings complete (and
   cache).
@@ -45,7 +47,6 @@ from repro.eval.scenarios import (
     build_scenario_simulation,
 )
 from repro.eval.runner import EvalNetwork
-from repro.eval.sweeps import PERF_SHAPES, batched_grid_scenarios, perf_scenarios
 from repro.netsim.faults import (FaultProcess, GilbertElliottLoss,
                                  LinkFlapSchedule, RateBrownout)
 from repro.netsim.network import SimState
@@ -56,6 +57,8 @@ from repro.netsim.traces import (
     make_trace,
     trace_names,
 )
+from strategies import PERF_SHAPES, batched_grid_scenarios, perf_scenarios
+from test_sweep_kills import run_sweep
 
 
 def solo_digest(scenario) -> str:
@@ -286,15 +289,16 @@ class TestBatchRunner:
         assert [_outcome(cell) for cell in backwards] == forwards
         alone = [BatchRunner().run([s])[0] for s in scenarios]
         assert [_outcome(cell) for cell in alone] == forwards
-        # Uneven batches through the in-process arm, the pool, the
-        # pool with a retry budget and the journalled pool.
+        # Auto-sized batches: two cells each in process (uneven for
+        # the mixed five), one per task through the pool, the pool with
+        # a retry budget and the journalled pool.
         for n_workers, extra in (
                 (1, {}), (2, {}),
                 (2, {"retry": RetryPolicy(max_attempts=2)}),
                 (2, {"checkpoint": tmp_path / "sweep.journal"})):
-            result = ParallelRunner(
-                n_workers=n_workers, use_cache=False, batch_size=2,
-                max_failures=1, **extra).run(scenarios)
+            result, _ = run_sweep(ParallelRunner(n_workers=n_workers,
+                                                 use_cache=False, **extra),
+                                  scenarios)
             assert [_outcome(r) for r in result] == forwards, extra
 
     def test_batched_grid_matches_solo_runs(self):
@@ -626,17 +630,23 @@ def identity_suite() -> list[Scenario]:
 
 
 class TestRunnerDispatchIdentity:
-    """Serial == process-parallel == batched, per cell (satellite 3)."""
+    """Serial == process-parallel == batched, per cell, with per-cell
+    accounting and failure isolation through the runner."""
 
     def test_three_dispatch_modes_agree(self):
         suite = identity_suite()
+        # Four cells: one runner per cell in process, one cell per pool
+        # task over two workers, and in-process batches of two.
+        assert ParallelRunner(n_workers=2)._pick_batch_size(len(suite)) == 1
+        assert ParallelRunner(n_workers=1)._pick_batch_size(len(suite)) == 2
+        serial = [ParallelRunner(n_workers=1, use_cache=False).run([cell])
+                  .results[0] for cell in suite]
         runs = {
-            "serial": ParallelRunner(n_workers=1, use_cache=False,
-                                     batch_size=1).run(suite),
-            "parallel": ParallelRunner(n_workers=2, use_cache=False,
-                                       batch_size=1).run(suite),
-            "batched": ParallelRunner(n_workers=2, use_cache=False,
-                                      batch_size=3).run(suite),
+            "serial": serial,
+            "parallel": ParallelRunner(n_workers=2,
+                                       use_cache=False).run(suite).results,
+            "batched": ParallelRunner(n_workers=1,
+                                      use_cache=False).run(suite).results,
         }
         digests = {
             mode: {r.scenario.name: records_digest(r.records)
@@ -670,22 +680,20 @@ class TestRunnerDispatchIdentity:
             assert records_digest(a.records) == records_digest(b.records)
 
     def test_batched_failure_names_cell_and_caches_siblings(self, tmp_path):
-        good = perf_scenarios("single-bottleneck", duration=0.3)
+        good = perf_scenarios("parking-lot", duration=0.3)
         bad = Scenario(name="perf/broken", network=EvalNetwork(),
                        flows=("no-such-scheme",), duration=0.3, suite="perf")
-        runner = ParallelRunner(n_workers=1, cache_dir=tmp_path,
-                                batch_size=4)
+        # Five cells, in-process batches of two: the broken cell shares
+        # its batch with good[2].
+        runner = ParallelRunner(n_workers=1, cache_dir=tmp_path)
+        assert runner._pick_batch_size(5) == 2
         with pytest.raises(ScenarioError) as err:
-            runner.run(good + [bad])
+            runner.run(good[:2] + [bad] + good[2:])
         assert err.value.scenario_name == "perf/broken"
-        # The healthy batch sibling completed and cached: a re-run of
-        # just that cell is a pure hit.
+        # Every healthy cell, its batch sibling included, completed and
+        # cached: a re-run of them is pure hits.
         again = runner.run(good)
         assert again.cache_hits == len(good)
-
-    def test_explicit_batch_size_validates(self):
-        with pytest.raises(ValueError):
-            ParallelRunner(batch_size=0)
 
     def test_auto_batch_size_bounds(self):
         runner = ParallelRunner(n_workers=2)
@@ -693,9 +701,6 @@ class TestRunnerDispatchIdentity:
         assert runner._pick_batch_size(6) == 1
         assert runner._pick_batch_size(60) == 10
         assert runner._pick_batch_size(10_000) == runner.MAX_AUTO_BATCH
-        # early_abort forces cell-per-task dispatch.
-        assert ParallelRunner(n_workers=2, early_abort=True,
-                              batch_size=8)._pick_batch_size(64) == 1
 
 
 class TestBatchInterrupts:
@@ -736,13 +741,14 @@ class TestBatchInterrupts:
         bad = Scenario(name="interrupt/broken",
                        network=EvalNetwork(), flows=("no-such-scheme",),
                        duration=0.4)
-        runner = ParallelRunner(n_workers=1, cache_dir=tmp_path,
-                                batch_size=4)
+        # Four cells, in-process batches of two: [good0, bad], [good1,
+        # good2].
+        runner = ParallelRunner(n_workers=1, cache_dir=tmp_path)
         with pytest.raises(ScenarioError) as err:
             runner.run([good[0], bad, good[1], good[2]])
         assert err.value.scenario_name == "interrupt/broken"
-        # Every healthy batch sibling completed and cached despite the
-        # failure in the middle of the batch.
+        # Every healthy cell, the broken one's batch sibling included,
+        # completed and cached despite the failure.
         again = runner.run(good)
         assert again.cache_hits == len(good)
 
@@ -756,8 +762,8 @@ class TestBatchInterrupts:
             self, tmp_path, monkeypatch):
         scenarios = self._cells()
         original = self._interrupt_on_second_cell(monkeypatch)
-        runner = ParallelRunner(n_workers=1, cache_dir=tmp_path,
-                                batch_size=1)
+        # Three cells, in-process batches of one.
+        runner = ParallelRunner(n_workers=1, cache_dir=tmp_path)
         with pytest.raises(KeyboardInterrupt):
             runner.run(scenarios)
         assert runner.cache.get(scenarios[0].fingerprint()) is not None

@@ -89,14 +89,19 @@ def every_kind_topology() -> Topology:
                     reverse_paths={"through": ("rev",)})
 
 
-def run(simulation_cls):
-    """Run the scenario on ``simulation_cls``; return the flow and the
-    run's outcome, down to every packet's fate."""
-    sim = simulation_cls(
+def every_kind_simulation(simulation_cls):
+    """The scenario, built (not run) on ``simulation_cls``."""
+    return simulation_cls(
         every_kind_topology(),
         [FlowSpec(ExternalRateController(60.0), path="through",
                   keep_packets=True, stop_time=3.0)],
         duration=6.0, seed=7)
+
+
+def run(simulation_cls):
+    """Run the scenario on ``simulation_cls``; return the flow and the
+    run's outcome, down to every packet's fate."""
+    sim = every_kind_simulation(simulation_cls)
     sim.run_all()
     flow = sim.flows[0]
     outcome = (sim.events_processed, flow.total_sent, flow.total_acked,

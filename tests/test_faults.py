@@ -1,4 +1,4 @@
-"""Deterministic fault injection: specs, runtime, and dispatch identity.
+"""Deterministic fault injection: specs, runtime, and replay identity.
 
 Four layers of guarantees:
 
@@ -14,7 +14,8 @@ Four layers of guarantees:
 * **Runs agree under faults.**  Every fault configuration replays to
   identical record digests, differs from its fault-free twin, and
   comes out identically through serial, process-pool, and batched
-  dispatch.
+  dispatch.  That it also survives kills and resumes is the
+  kill-schedule property's (``tests/test_sweep_kills.py``).
 """
 
 import pytest
@@ -32,12 +33,6 @@ from repro.netsim.faults import (
 )
 from repro.netsim.signing import Signer
 from repro.netsim.topology import dumbbell, parking_lot
-
-
-def suite_digests(suite, **runner_kwargs) -> dict:
-    runner = ParallelRunner(use_cache=False, **runner_kwargs)
-    result = runner.run(suite)
-    return {r.scenario.name: records_digest(r.records) for r in result}
 
 
 FLAP = LinkFlapSchedule(period=0.8, down_time=0.05, start=0.3, jitter=0.02)
@@ -221,6 +216,10 @@ class TestReplayIdentityUnderFaults:
         assert run({"hop0": ()}) != first
 
 
+def cell_digests(results) -> dict:
+    return {r.scenario.name: records_digest(r.records) for r in results}
+
+
 class TestDispatchIdentityUnderFaults:
     """serial == process-pool == batched for a faulted grid."""
 
@@ -232,8 +231,17 @@ class TestDispatchIdentityUnderFaults:
             faults=(None, {"hop0": (FLAP, GE)}),
             duration=3.0,
             seeds=(0, 1))
-        serial = suite_digests(grid, n_workers=1)
-        pooled = suite_digests(grid, n_workers=2, batch_size=1)
-        batched = suite_digests(grid, n_workers=2, batch_size=3)
+        cells = grid.expand()
+        # Four cells: one runner per cell in process, one cell per pool
+        # task over two workers, and in-process batches of two.
+        assert ParallelRunner(n_workers=2)._pick_batch_size(len(cells)) == 1
+        assert ParallelRunner(n_workers=1)._pick_batch_size(len(cells)) == 2
+        serial = cell_digests(
+            ParallelRunner(n_workers=1, use_cache=False).run([cell])
+            .results[0] for cell in cells)
+        pooled = cell_digests(
+            ParallelRunner(n_workers=2, use_cache=False).run(grid))
+        batched = cell_digests(
+            ParallelRunner(n_workers=1, use_cache=False).run(grid))
         assert serial == pooled == batched
         assert len(serial) == 4  # faults axis (2) x seeds (2)

@@ -1,5 +1,7 @@
 """Tests for the parallel scenario runner and its on-disk result cache."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.eval.parallel import (
 from repro.eval.resilience import seal, unseal
 from repro.eval.scenarios import ChurnSchedule, FlowDef, Scenario, ScenarioSuite
 from repro.eval.runner import EvalNetwork
+from repro.eval.sweeps import ack_congestion_suite, sweep_suite
 from repro.netsim.topology import dumbbell_asymmetric, parking_lot
 from repro.netsim.traces import ConstantTrace, register_trace
 
@@ -195,11 +198,6 @@ class TestCacheEviction:
         assert cache.prune() == 0
         assert len(list(tmp_path.glob("*.json"))) == 3
 
-    def test_runner_passes_cap_through(self, tmp_path):
-        runner = ParallelRunner(n_workers=1, cache_dir=tmp_path,
-                                cache_max_bytes=123456)
-        assert runner.cache.max_bytes == 123456
-
 
 #: A parking-lot grid with churning cross traffic -- the
 #: multi-bottleneck acceptance shape: >= 2 bottlenecks, staggered and
@@ -312,10 +310,21 @@ class TestReversePathDeterminism:
             (twin if is_twin else wired).append(dl_rtt)
         assert min(wired) > max(twin)
 
+    def test_ack_congestion_suite_wires_the_ack_path(self):
+        """The bench_ack_congestion grid's builder: a download whose
+        acks queue behind an upload pays RTT its twin does not."""
+        suite = ack_congestion_suite(("cubic",), reverse_loads=(1,),
+                                     duration=3.0)
+        wired, twin = ParallelRunner(n_workers=1, use_cache=False).run(suite)
+        assert "rev=None" in wired.scenario.name
+        assert "prop" in twin.scenario.name
+        assert wired.records[0].mean_rtt > 1.1 * twin.records[0].mean_rtt
 
-def _failing_suite():
+
+def _failing_suite(*more_lineups):
     return ScenarioSuite(name="bad", lineups=("cubic", "no-such-scheme",
-                                              "vegas"), duration=1.0)
+                                              "vegas", *more_lineups),
+                         duration=1.0)
 
 
 class TestFailureHandling:
@@ -340,21 +349,47 @@ class TestFailureHandling:
         assert all(runner.cache.get(s.fingerprint()) is not None
                    for s in good)
 
-    def test_early_abort_serial_stops_at_first_failure(self, tmp_path):
-        runner = ParallelRunner(n_workers=1, cache_dir=tmp_path,
-                                early_abort=True)
-        with pytest.raises(ScenarioError, match="no-such-scheme"):
-            runner.run(_failing_suite())
-        # The cell *after* the failure never ran.
-        vegas = next(s for s in _failing_suite().expand()
-                     if s.lineup == "vegas")
-        assert runner.cache.get(vegas.fingerprint()) is None
-
-    def test_early_abort_parallel_raises(self):
-        runner = ParallelRunner(n_workers=2, use_cache=False,
-                                early_abort=True)
-        with pytest.raises(ScenarioError):
-            runner.run(_failing_suite())
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_poisoned_grid_runs_every_healthy_cell(self, n_workers,
+                                                   tmp_path):
+        suite = _failing_suite("no-such-scheme-either")
+        runner = ParallelRunner(n_workers=n_workers, cache_dir=tmp_path)
+        with pytest.raises(ScenarioError) as err:
+            runner.run(suite)
+        cells = suite.expand()
+        healthy = [s for s in cells if not s.lineup.startswith("no-such")]
+        assert len(healthy) == 2
+        assert all(runner.cache.get(s.fingerprint()) is not None
+                   for s in healthy)
+        # The first failed cell in sweep order, and a count of the rest.
+        assert err.value.scenario_name == "bad/no-such-scheme"
+        assert "(+1 more failed cells)" in str(err.value)
+        # The whole sweep: error rows for exactly the failed cells,
+        # records for the rest.
+        outcome = err.value.outcome
+        assert [r.scenario.name for r in outcome] == [s.name for s in cells]
+        assert [r.error is not None for r in outcome] == [
+            False, True, False, True]
+        for result in outcome:
+            assert (result.records == []) == (result.error is not None)
+        table = outcome.table
+        failed = [row for row in table if row["error"] is not None]
+        assert len(failed) == 2 and all(
+            row["throughput_mbps"] is None and row["utilization"] is None
+            for row in failed)
+        good = [row for row in table if row["error"] is None]
+        assert len(good) == 2
+        # Aggregates skip the failed cells' None metrics; a group with
+        # nothing but failures is nan, not a TypeError.
+        assert table.mean("utilization") == pytest.approx(
+            (good[0]["utilization"] + good[1]["utilization"]) / 2)
+        assert math.isnan(table.mean("utilization", lineup="no-such-scheme"))
+        lineups, _, matrix = table.pivot("lineup", "suite", "utilization")
+        assert lineups == ["cubic", "no-such-scheme", "vegas",
+                           "no-such-scheme-either"]
+        assert [math.isnan(v) for v in matrix[:, 0]] == [
+            False, True, False, True]
+        assert matrix[0, 0] == good[0]["utilization"]
 
     def test_cached_cells_unaffected_by_failures(self, tmp_path):
         runner = ParallelRunner(n_workers=1, cache_dir=tmp_path)
@@ -368,13 +403,15 @@ class TestFailureHandling:
 
 
 class TestSweepCompat:
-    def test_sweep_schemes_accepts_duplicate_schemes(self):
-        from repro.eval.sweeps import sweep_schemes
-        result = sweep_schemes(("cubic", "cubic"), "bandwidth", (6.0,),
-                               duration=1.0, seed=0)
-        assert result.utilization.shape == (2, 1)
+    def test_sweep_suite_accepts_duplicate_schemes(self):
+        suite = sweep_suite(("cubic", "cubic"), "bandwidth", (6.0, 9.0),
+                            duration=1.0, seed=0)
+        table = ParallelRunner(n_workers=1, use_cache=False).run(suite).table
+        lineups, values, matrix = table.pivot("lineup", "bandwidth_mbps",
+                                              "utilization")
+        assert lineups == ["cubic", "cubic#1"] and values == [6.0, 9.0]
         # Same scheme, same seed: both line-ups simulate identically.
-        np.testing.assert_allclose(result.utilization[0], result.utilization[1])
+        np.testing.assert_array_equal(matrix[0], matrix[1])
 
 
 class TestResultTable:

@@ -1,8 +1,8 @@
 """Resilient sweep runtime: retries, crash recovery, checkpoints.
 
-Four layers, mirroring ``repro.eval.resilience``:
+The layers of ``repro.eval.resilience``, one at a time:
 
-* **RetryPolicy** -- validation, deterministic seeded backoff.
+* **RetryPolicy** -- an attempt budget and nothing else.
 * **ResilientPool** -- crash/timeout recovery with the chaos hook:
   deterministic task exceptions are never retried, crashed workers
   are respawned and the task requeued within budget, exhausted
@@ -11,10 +11,13 @@ Four layers, mirroring ``repro.eval.resilience``:
   offset is refused, by the codec and by both stores built on it.
 * **SweepCheckpoint** -- journal round trips, manifest binding, and
   corruption handling (torn tails and tampered lines are dropped).
-* **ParallelRunner integration** -- failure budgets become error
-  rows, corrupt cache entries are quarantined and recomputed, and a
-  killed-then-resumed sweep is row-for-row identical to an
-  uninterrupted run.
+* **ParallelRunner integration** -- pool dispatch matches serial and
+  survives a worker kill, a lone cell still leaves the parent when it
+  needs a deadline or a retry, corrupt cache entries are quarantined
+  and recomputed, and a killed-then-resumed sweep is row-for-row
+  identical to an uninterrupted run.  Kills at arbitrary batches, and
+  the resume after them, are the kill-schedule property's
+  (``tests/test_sweep_kills.py``).
 """
 
 import json
@@ -28,7 +31,6 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -58,8 +60,8 @@ from repro.netsim.topology import dumbbell
 
 NET = EvalNetwork(bandwidth_mbps=8.0, one_way_ms=10.0, buffer_bdp=1.0)
 
-#: Four cells: small enough for CI, wide enough that a killed batch
-#: leaves journaled survivors to resume from.
+#: Four cells: small enough for CI, wide enough to span several pool
+#: tasks.
 SMALL = ScenarioSuite(name="resume", lineups=("cubic", "vegas"),
                       seeds=(0, 1), duration=1.0)
 
@@ -135,31 +137,17 @@ def _kill_batch_once(marker: Path, target):
 class TestRetryPolicy:
     @pytest.mark.parametrize("bad", [
         dict(max_attempts=0),
-        dict(backoff_s=-0.1),
-        dict(backoff_factor=0.5),
-        dict(jitter_frac=-0.1),
-        dict(jitter_frac=1.0),
+        dict(max_attempts=-1),
+        # The backoff knobs are gone: a crashed task is requeued at once.
+        dict(backoff_s=0.1),
+        dict(backoff_factor=2.0),
+        dict(jitter_frac=0.1),
     ])
     def test_bad_policies_fail_at_construction(self, bad):
-        with pytest.raises(ValueError):
+        assert [f.name for f in fields(RetryPolicy)] == ["max_attempts"]
+        expected = ValueError if set(bad) == {"max_attempts"} else TypeError
+        with pytest.raises(expected):
             RetryPolicy(**bad)
-
-    def test_delays_are_seeded_and_bounded(self):
-        policy = RetryPolicy(backoff_s=0.5, backoff_factor=2.0,
-                             jitter_frac=0.1, seed=3)
-        a = [policy.delay(k, np.random.default_rng(3)) for k in (1, 2, 3)]
-        b = [policy.delay(k, np.random.default_rng(3)) for k in (1, 2, 3)]
-        assert a == b  # same seed, same jitter, same delays
-        for failures, delay in enumerate(a, start=1):
-            base = 0.5 * 2.0 ** (failures - 1)
-            assert base * 0.9 <= delay <= base * 1.1
-
-    def test_zero_jitter_is_pure_exponential(self):
-        policy = RetryPolicy(backoff_s=0.25, backoff_factor=3.0,
-                             jitter_frac=0.0)
-        rng = np.random.default_rng(0)
-        assert [policy.delay(k, rng) for k in (1, 2, 3)] == [
-            0.25, 0.75, 2.25]
 
 
 class TestResilientPool:
@@ -185,8 +173,7 @@ class TestResilientPool:
     def test_deterministic_exception_is_never_retried(self, tmp_path):
         log = tmp_path / "log"
         pool = ResilientPool(1, _log_and_fail,
-                             retry=RetryPolicy(max_attempts=3,
-                                               backoff_s=0.01))
+                             retry=RetryPolicy(max_attempts=3))
         [(task_id, result, error)] = list(
             pool.execute([(0, (7, str(log)), None)]))
         assert result is None
@@ -200,8 +187,7 @@ class TestResilientPool:
         log = tmp_path / "log"
         set_chaos_hook(_kill_once(marker))
         pool = ResilientPool(1, _log_and_double,
-                             retry=RetryPolicy(max_attempts=3,
-                                               backoff_s=0.02, seed=1))
+                             retry=RetryPolicy(max_attempts=3))
         out = dict()
         for task_id, result, error in pool.execute(
                 [(i, (i, str(log)), None) for i in range(3)]):
@@ -214,8 +200,7 @@ class TestResilientPool:
         log = tmp_path / "log"
         set_chaos_hook(_always_kill(1))
         pool = ResilientPool(2, _log_and_double,
-                             retry=RetryPolicy(max_attempts=2,
-                                               backoff_s=0.02, seed=0))
+                             retry=RetryPolicy(max_attempts=2))
         results = {task_id: (result, error)
                    for task_id, result, error in pool.execute(
                        [(i, (i, str(log)), None) for i in range(3)])}
@@ -240,8 +225,7 @@ class TestResilientPool:
         # Task 0's worker is killed once; its respawn picks task 0 up
         # again (and never finishes it) while task 1 is still napping.
         set_chaos_hook(_kill_batch_once(tmp_path / "killed", 0))
-        pool = ResilientPool(2, _nap_or_sleep_forever,
-                             retry=RetryPolicy(backoff_s=0.02))
+        pool = ResilientPool(2, _nap_or_sleep_forever)
         outcomes = pool.execute([(0, 0, None), (1, 0.4, None)])
         assert next(outcomes) == (1, 0.4, None)
         outcomes.close()
@@ -675,52 +659,17 @@ class TestCacheIntegrity:
         assert not list(tmp_path.glob("*"))
 
 
-def _failing_suite():
-    return ScenarioSuite(name="bad", lineups=("cubic", "no-such-scheme",
-                                              "vegas"), duration=1.0)
-
-
 class TestFailureBudget:
+    """The one failure budget is the retry policy's attempt count."""
+
     def test_runner_validates_knobs(self):
-        with pytest.raises(ValueError):
-            ParallelRunner(max_failures=-1)
         with pytest.raises(ValueError):
             ParallelRunner(cell_timeout=0.0)
         with pytest.raises(TypeError):
             ParallelRunner(retry="twice")
-
-    @pytest.mark.parametrize("n_workers", [1, 2])
-    def test_failures_within_budget_become_error_rows(self, n_workers):
-        runner = ParallelRunner(n_workers=n_workers, use_cache=False,
-                                max_failures=1, batch_size=1)
-        outcome = runner.run(_failing_suite())  # must NOT raise
-        assert len(outcome) == 3
-        bad = [r for r in outcome if r.error is not None]
-        assert len(bad) == 1
-        assert bad[0].scenario.lineup == "no-such-scheme"
-        assert bad[0].records == []
-        rows = [row for row in outcome.table if row["error"] is not None]
-        assert rows and all(row["throughput_mbps"] is None
-                            and row["utilization"] is None for row in rows)
-        healthy = [row for row in outcome.table if row["error"] is None]
-        assert len(healthy) == 2
-        assert all(row["throughput_mbps"] is not None for row in healthy)
-        # Aggregates skip the failed cell's None metrics; a group with
-        # nothing but failures is nan, not a TypeError.
-        table = outcome.table
-        assert table.mean("utilization") == pytest.approx(
-            sum(row["utilization"] for row in healthy) / 2)
-        assert math.isnan(table.mean("utilization", lineup="no-such-scheme"))
-        lineups, _, matrix = table.pivot("lineup", "suite", "utilization")
-        assert lineups == ["cubic", "no-such-scheme", "vegas"]
-        assert math.isnan(matrix[1, 0])
-        assert matrix[0, 0] == healthy[0]["utilization"]
-        assert matrix[2, 0] == healthy[1]["utilization"]
-
-    def test_budget_exhaustion_aborts(self):
-        runner = ParallelRunner(n_workers=1, use_cache=False, max_failures=0)
-        with pytest.raises(ScenarioError, match="budget max_failures=0"):
-            runner.run(_failing_suite())
+        # No budget of failed cells: a failing cell never stops a sweep.
+        with pytest.raises(TypeError):
+            ParallelRunner(max_failures=1)
 
 
 class TestPoolDispatchIdentity:
@@ -730,8 +679,10 @@ class TestPoolDispatchIdentity:
         return [(records_digest(r.records), r.events) for r in outcome]
 
     def test_pool_dispatch_matches_serial(self):
-        pooled = self._digests(n_workers=2, batch_size=1)
-        knobbed = self._digests(n_workers=2, batch_size=1,
+        # Four cells over two workers: one cell per pool task.
+        assert ParallelRunner(n_workers=2)._pick_batch_size(4) == 1
+        pooled = self._digests(n_workers=2)
+        knobbed = self._digests(n_workers=2,
                                 retry=RetryPolicy(max_attempts=2),
                                 cell_timeout=120.0)
         assert pooled == knobbed == self._digests(n_workers=1)
@@ -748,18 +699,20 @@ class TestPoolDispatchIdentity:
 
 class TestLoneCellDispatch:
     """One pending cell (e.g. all a resumed sweep still has to run)
-    still leaves the parent when a resilience knob is set."""
+    still leaves the parent when a deadline or a retry budget is set."""
 
     CELL = Scenario(name="lone", network=NET, flows=("cubic",), duration=1.0)
 
     def test_wedged_lone_cell_times_out(self):
         runner = ParallelRunner(n_workers=2, use_cache=False,
-                                cell_timeout=0.3, max_failures=1,
+                                cell_timeout=0.3,
                                 retry=RetryPolicy(max_attempts=1))
         set_chaos_hook(_wedge)
         t0 = time.perf_counter()
-        outcome = runner.run(self.CELL)
+        with pytest.raises(ScenarioError, match="CellTimeout") as err:
+            runner.run(self.CELL)
         assert time.perf_counter() - t0 < 10.0  # killed, not waited out
+        outcome = err.value.outcome
         [result] = outcome.results
         assert result.records == [] and "CellTimeout" in result.error
         [row] = outcome.table.rows
@@ -770,7 +723,7 @@ class TestLoneCellDispatch:
         set_chaos_hook(_kill_once(tmp_path / "killed"))
         outcome = ParallelRunner(
             n_workers=2, use_cache=False,
-            retry=RetryPolicy(max_attempts=2, backoff_s=0.0)).run(self.CELL)
+            retry=RetryPolicy(max_attempts=2)).run(self.CELL)
         assert (tmp_path / "killed").exists()
         assert [records_digest(r.records) for r in outcome] == \
             [records_digest(r.records) for r in reference]
@@ -779,8 +732,7 @@ class TestLoneCellDispatch:
 class TestCheckpointResume:
     def test_completed_run_restores_rows_bit_identically(self, tmp_path):
         journal = tmp_path / "ck.jsonl"
-        kwargs = dict(n_workers=2, use_cache=False, checkpoint=journal,
-                      batch_size=1)
+        kwargs = dict(n_workers=2, use_cache=False, checkpoint=journal)
         first = ParallelRunner(**kwargs).run(SMALL)
         second = ParallelRunner(**kwargs).run(SMALL)
         assert [records_digest(r.records) for r in second] == \
@@ -798,17 +750,21 @@ class TestCheckpointResume:
 
         journal = tmp_path / "sweep.jsonl"
         marker = tmp_path / "killed"
-        kwargs = dict(n_workers=2, use_cache=False, batch_size=1,
-                      checkpoint=journal, retry=RetryPolicy(max_attempts=1),
-                      max_failures=4)
+        kwargs = dict(n_workers=2, use_cache=False, checkpoint=journal,
+                      retry=RetryPolicy(max_attempts=1))
+        # Four cells over two workers: batch 2 is the third cell alone.
+        assert ParallelRunner(n_workers=2)._pick_batch_size(4) == 1
         set_chaos_hook(_kill_batch_once(marker, 2))
         try:
-            first = ParallelRunner(**kwargs).run(SMALL)
+            with pytest.raises(ScenarioError, match="WorkerCrash") as err:
+                ParallelRunner(**kwargs).run(SMALL)
         finally:
             set_chaos_hook(None)
         assert marker.exists()
-        killed = [r for r in first if r.error is not None]
-        assert len(killed) == 1 and "WorkerCrash" in killed[0].error
+        first = err.value.outcome
+        killed = [i for i, r in enumerate(first) if r.error is not None]
+        assert killed == [2] and "WorkerCrash" in first.results[2].error
+        assert err.value.scenario_name == first.results[2].scenario.name
 
         # Resume: the journaled survivors are restored verbatim, only
         # the killed cell re-executes, and the table is row-for-row
@@ -816,9 +772,7 @@ class TestCheckpointResume:
         second = ParallelRunner(**kwargs).run(SMALL)
         assert all(r.error is None for r in second)
         assert [records_digest(r.records) for r in second] == ref_digests
-        survivors = [i for i, r in enumerate(first.results)
-                     if r.error is None]
-        for idx in survivors:
+        for idx in (0, 1, 3):
             assert second.results[idx].elapsed == first.results[idx].elapsed
             assert second.results[idx].events == first.results[idx].events
 
