@@ -6,7 +6,9 @@
 
 Each file holds one result line per run -- the last line
 ``benchmarks/ledger/run.py --workload W`` prints -- parent and change
-in the same pair order.  The row keeps medians, quartiles
+in the same pair order, at least two pairs; a file holding a run that
+is not ``correct`` or has ``failed`` ops is refused, naming its line.
+The row keeps medians, quartiles
 (``statistics.quantiles``) and how many pairs the change won; a tie
 counts for neither side.  ``commit`` is HEAD: the parent the pairs were
 measured against, since the PR's own commit does not exist yet.
@@ -25,9 +27,23 @@ TRAJECTORY = ROOT / "BENCH_trajectory.json"
 
 
 def read_runs(path, metric) -> tuple[list[float], str]:
-    """``(values, unit)`` of ``metric`` over a file of result lines."""
-    runs = [json.loads(line)["metrics"][metric]
-            for line in Path(path).read_text().splitlines() if line.strip()]
+    """``(values, unit)`` of ``metric`` over a file of result lines;
+    ``SystemExit`` naming the first run that was not correct or had
+    failed ops (its number could record a win for broken code), and
+    for fewer than two runs (no quartiles)."""
+    runs = []
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
+        if not line.strip():
+            continue
+        result = json.loads(line)
+        if result["correct"] is not True or result["failed"] > 0:
+            raise SystemExit(
+                f"{path}:{number}: correct={json.dumps(result['correct'])}, "
+                f"failed={result['failed']}: a broken run is not a pair")
+        runs.append(result["metrics"][metric])
+    if len(runs) < 2:
+        raise SystemExit(f"{path}: {len(runs)} run(s); quartiles need at "
+                         f"least two pairs")
     return [run["value"] for run in runs], runs[0]["unit"]
 
 

@@ -12,7 +12,11 @@ the determinism contract:
   list.  Cache entries and journal lines are both sealed lines: a
   sha256 over the exact bytes stored, verified over the exact bytes
   read.  Inside the line a record is its aggregates plus its monitor
-  intervals packed as binary column blocks (:func:`record_to_json`);
+  intervals packed as binary column blocks (:func:`record_to_json`).
+  Reading one back validates the block in full inside :func:`unseal`
+  but builds its :class:`~repro.netsim.sender.MonitorIntervalStats`
+  rows only when something first reads them, so a cache hit or a
+  journal resume read for its aggregates never builds them.
   :func:`records_digest` is a cell's identity and does not depend on
   that form.
 * :class:`RetryPolicy` -- how many attempts a task gets against
@@ -56,6 +60,7 @@ import struct
 import time
 from binascii import a2b_base64, b2a_base64
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
 from itertools import chain
@@ -162,34 +167,95 @@ def record_to_json(record: FlowRecord) -> dict:
     return payload
 
 
+def _gap_masks(block: bytes, rows: int) -> list[int]:
+    """The ``None`` bitmap of each optional column, in ``_OPTIONAL_AT``
+    order, from a block of ``rows`` rows."""
+    gaps_at = 8 * rows * len(MI_FIELDS)
+    size = (rows + 7) // 8
+    return [int.from_bytes(block[gaps_at + k * size:gaps_at + (k + 1) * size],
+                           "little")
+            for k in range(len(_OPTIONAL_AT))]
+
+
+class _PackedHistory(Sequence):
+    """The MI history of a decoded record: its length from the stored
+    row count, its :class:`MonitorIntervalStats` rows built from the
+    packed block on first access.
+
+    :func:`record_from_json` validates the block before it builds one,
+    so unpacking cannot fail: it runs once, then the bytes go.  A cache
+    hit whose consumer reads only aggregates (the sweep table, a
+    journal resume) never unpacks.  Equal to a list of the same rows
+    with either operand on the left, so a decoded ``FlowRecord`` equals
+    the one that was encoded.  It fills the ``list``-annotated
+    ``FlowRecord.records`` of a decoded record and offers the read-only
+    part of the list surface; nothing appends to a decoded history.
+    """
+
+    __slots__ = ("_rows", "_block", "_stats")
+
+    def __init__(self, rows: int, block: bytes):
+        self._rows = rows
+        self._block = block
+        self._stats = None
+
+    def _unpacked(self) -> list[MonitorIntervalStats]:
+        if self._stats is None:
+            rows, block = self._rows, self._block
+            values = struct.unpack_from(_block_format(rows), block)
+            columns: list = [None] * len(MI_FIELDS)
+            for k, at in enumerate(_STORED_AT):
+                columns[at] = values[k * rows:(k + 1) * rows]
+            for at, mask in zip(_OPTIONAL_AT, _gap_masks(block, rows)):
+                if mask:
+                    column = columns[at] = list(columns[at])
+                    while mask:
+                        lowest = mask & -mask
+                        column[lowest.bit_length() - 1] = None
+                        mask ^= lowest
+            self._stats = list(map(MonitorIntervalStats, *columns))
+            self._block = None
+        return self._stats
+
+    def __len__(self) -> int:
+        return self._rows
+
+    def __getitem__(self, index):
+        return self._unpacked()[index]
+
+    def __iter__(self):
+        return iter(self._unpacked())
+
+    def __eq__(self, other):
+        if isinstance(other, _PackedHistory):
+            other = other._unpacked()
+        if not isinstance(other, list):
+            return NotImplemented
+        return self._unpacked() == other
+
+    def __repr__(self) -> str:
+        return repr(self._unpacked())
+
+
 def record_from_json(payload: dict) -> FlowRecord:
     """Exact inverse of :func:`record_to_json`; ``ValueError`` /
-    ``KeyError`` / ``TypeError`` for anything it did not write."""
+    ``KeyError`` / ``TypeError`` for anything it did not write.
+
+    Every check runs here, so a bad entry fails inside :func:`unseal`;
+    the MI rows themselves are built when first read
+    (:class:`_PackedHistory`)."""
     rows, packed = payload[_HISTORY]
     if type(rows) is not int or rows < 0:
         raise ValueError(f"MI row count {rows!r} is not a count")
     block = a2b_base64(packed, strict_mode=True)
-    gaps_at = 8 * rows * len(MI_FIELDS)
     gap_bytes = (rows + 7) // 8
-    if len(block) != gaps_at + gap_bytes * len(_OPTIONAL_AT):
+    if len(block) != (8 * rows * len(MI_FIELDS)
+                      + gap_bytes * len(_OPTIONAL_AT)):
         raise ValueError("packed MI block disagrees with its row count")
-    values = struct.unpack_from(_block_format(rows), block)
-    columns: list = [None] * len(MI_FIELDS)
-    for k, at in enumerate(_STORED_AT):
-        columns[at] = values[k * rows:(k + 1) * rows]
-    for at in _OPTIONAL_AT:
-        mask = int.from_bytes(block[gaps_at:gaps_at + gap_bytes], "little")
-        gaps_at += gap_bytes
-        if mask >> rows:
-            raise ValueError("a None row beyond the last MI")
-        if mask:
-            column = columns[at] = list(columns[at])
-            while mask:
-                lowest = mask & -mask
-                column[lowest.bit_length() - 1] = None
-                mask ^= lowest
+    if any(mask >> rows for mask in _gap_masks(block, rows)):
+        raise ValueError("a None row beyond the last MI")
     aggregates = {name: payload[name] for name in RECORD_FIELDS}
-    aggregates[_HISTORY] = list(map(MonitorIntervalStats, *columns))
+    aggregates[_HISTORY] = _PackedHistory(rows, block)
     return FlowRecord(**aggregates)
 
 

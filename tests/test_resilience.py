@@ -8,7 +8,9 @@ The layers of ``repro.eval.resilience``, one at a time:
   are respawned and the task requeued within budget, exhausted
   budgets come back as error results.
 * **seal / unseal** -- the one record codec: damage at every byte
-  offset is refused, by the codec and by both stores built on it.
+  offset is refused, by the codec and by both stores built on it, and
+  so is a malformed MI block under a valid sha -- at read time, though
+  the MI rows themselves are built only when first read.
 * **SweepCheckpoint** -- journal round trips, manifest binding, and
   corruption handling (torn tails and tampered lines are dropped).
 * **ParallelRunner integration** -- pool dispatch matches serial and
@@ -20,10 +22,12 @@ The layers of ``repro.eval.resilience``, one at a time:
   (``tests/test_sweep_kills.py``).
 """
 
+import copy
 import json
 import math
 import multiprocessing as mp
 import os
+import pickle
 import struct
 import time
 from base64 import b64decode, b64encode
@@ -34,11 +38,14 @@ from typing import get_type_hints
 import pytest
 from hypothesis import given, strategies as st
 
+import repro.eval.resilience as resilience
+from repro.eval.metrics import reward_of_record
 from repro.eval.parallel import ParallelRunner, ResultCache, ScenarioError
 from repro.eval.resilience import (
     ResilientPool,
     RetryPolicy,
     SweepCheckpoint,
+    _sealed,
     _suite_sha,
     _typed_fields,
     record_from_json,
@@ -376,6 +383,196 @@ class TestSealedCodec:
             assert set(ck.resume(fps)) == {0}
             ck.close()
             assert path.read_bytes() == manifest + b"\n" + first + b"\n"
+
+
+#: A cache entry as cache v11's ``seal`` wrote it before MI rows were
+#: built on first read, byte for byte: ``_fake_record(1)`` with its
+#: second MI's ``min_rtt`` absent.
+V11_ENTRY = (
+    b'{"sha":"71f6f1d639834784e9e9a2477b85855f02db05a80e8d73f7f14d96f14bed24'
+    b'e5","sealed":[{"version": "v11", "name": "cell"}, [{"flow_id": 1, "sch'
+    b'eme": "scheme1", "mean_throughput_pps": 77.0, "mean_throughput_mbps": 1'
+    b'.912, "mean_utilization": 0.076, "mean_rtt": 1.0625, "base_rtt": 0.04, '
+    b'"loss_rate": 0.05, "records": [2, "AQAAAAAAAAACAAAAAAAAACkAAAAAAAAAKgAA'
+    b'AAAAAAAnAAAAAAAAACgAAAAAAAAAAgAAAAAAAAACAAAAAAAAANwFAAAAAAAA3AUAAAAAAAA'
+    b'AAAAAAADgPwAAAAAAAPA/AAAAAAAA8D8AAAAAAAD4PwAAAAAAAPE/AAAAAACAAEDNzMzMzM'
+    b'zwPwAAAAAAAAAAAAAAAAAA0D8AAAAAAADgPwAAAAAASI9AAAAAAABQj0B7FK5H4XqkP3sUr'
+    b'kfheqQ/AAAAAABAVEAAAAAAAIBUQAAC"]}]]}')
+V11_RECORD = _fake_record(1, records=[_fake_mi(1), _fake_mi(2, min_rtt=None)])
+
+
+class _BuildCount:
+    """How many ``MonitorIntervalStats`` ``repro.eval.resilience``
+    builds from the moment this is made to the end of the test."""
+
+    def __init__(self, monkeypatch):
+        self.n = 0
+        real = resilience.MonitorIntervalStats
+
+        def counted(*args):
+            self.n += 1
+            return real(*args)
+
+        monkeypatch.setattr(resilience, "MonitorIntervalStats", counted)
+
+
+def _malformed_histories():
+    """``id: [rows, base64]`` of ``_fake_record(1)``'s two MIs, each
+    broken in a way only decoding the block can see."""
+    rows, packed = record_to_json(_fake_record(1))["records"]
+    block = b64decode(packed)
+    return {
+        "one-byte-long": [rows, b64encode(block + b"\0").decode()],
+        "one-byte-short": [rows, b64encode(block[:-1]).decode()],
+        # Bit 2 of min_rtt's bitmap: a third row, of two.
+        "none-bit-beyond-rows": [rows, b64encode(block[:-1] + b"\4").decode()],
+        "non-alphabet-base64": [rows, packed[:8] + "*" + packed[9:]],
+    }
+
+
+def _sealed_with(fields: dict, history) -> bytes:
+    """A line sealed over ``_fake_record(1)`` with its stored history
+    replaced: the sha is right, only the block is wrong."""
+    payload = {**record_to_json(_fake_record(1)), "records": history}
+    return _sealed(json.dumps([fields, [payload]]).encode("ascii"))
+
+
+class TestChecksStayAtReadTime:
+    """A malformed MI block under a valid sha is refused inside
+    ``unseal`` -- by the cache and the journal alike -- before any row
+    is built, though rows themselves are built on first read."""
+
+    BAD = _malformed_histories()
+    CACHE = TestSealedCodec.FIELDS
+
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_unseal_refuses(self, bad, monkeypatch):
+        line = _sealed_with({}, self.BAD[bad])
+        assert json.loads(line)  # still a well-formed sealed line
+        built = _BuildCount(monkeypatch)
+        assert unseal(line) is None
+        assert built.n == 0
+
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_result_cache_quarantines(self, bad, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path)
+        key = "f" * 64
+        cache._path(key).write_bytes(_sealed_with(self.CACHE, self.BAD[bad]))
+        built = _BuildCount(monkeypatch)
+        assert cache.get(key) is None
+        assert cache._path(key).with_suffix(".quarantined").exists()
+        assert built.n == 0
+
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_journal_resume_cuts_the_tail(self, bad, tmp_path, monkeypatch):
+        fps = ["fp0", "fp1", "fp2"]
+        path = tmp_path / "j.jsonl"
+        ck = SweepCheckpoint(path)
+        ck.resume(fps)
+        ck.record(0, "fp0", [_fake_record(0)], 0.5, 10)
+        ck.close()
+        intact = path.read_bytes()
+        cell = {"kind": "cell", "idx": 1, "fp": "fp1", "elapsed": 0.5,
+                "events": 10}
+        last = seal({**cell, "idx": 2, "fp": "fp2"}, [_fake_record(2)])
+        path.write_bytes(intact + _sealed_with(cell, self.BAD[bad]) + b"\n"
+                         + last + b"\n")
+        built = _BuildCount(monkeypatch)
+        ck = SweepCheckpoint(path)
+        assert set(ck.resume(fps)) == {0}
+        ck.close()
+        assert path.read_bytes() == intact
+        assert built.n == 0
+
+    def test_an_entry_sealed_before_deferred_rows_is_served(self, tmp_path):
+        assert seal(self.CACHE, [V11_RECORD]) == V11_ENTRY  # same bytes
+        cache = ResultCache(tmp_path)
+        cache._path("e" * 64).write_bytes(V11_ENTRY)
+        (served,) = cache.get("e" * 64)
+        assert served == V11_RECORD and served.records[1].min_rtt is None
+        assert records_digest([served]) == records_digest([V11_RECORD])
+
+
+class TestDeferredHistory:
+    """A decoded record's history behaves as the list it was."""
+
+    @staticmethod
+    def _decoded(record=V11_RECORD) -> FlowRecord:
+        """``record`` as a cache hit hands it back: rows not yet read."""
+        (decoded,) = unseal(seal({}, [record]))[1]
+        return decoded
+
+    def test_equal_to_lists_either_way_round(self):
+        rows = list(V11_RECORD.records)
+        assert self._decoded().records == rows
+        assert rows == self._decoded().records
+        assert self._decoded().records == self._decoded().records
+        assert self._decoded() == V11_RECORD
+        assert V11_RECORD == self._decoded()
+        assert self._decoded().records != rows[:1]
+        assert rows[::-1] != self._decoded().records
+        assert self._decoded() != _fake_record(1)
+        assert self._decoded().records != tuple(rows)
+
+    @pytest.mark.parametrize("read_first", [False, True])
+    def test_pickle_and_deepcopy_round_trips(self, read_first):
+        for copy_of in (lambda r: pickle.loads(pickle.dumps(r)),
+                        copy.deepcopy):
+            decoded = self._decoded()
+            if read_first:
+                list(decoded.records)
+            copied = copy_of(decoded)
+            assert type(copied.records) is type(decoded.records)
+            assert copied == decoded == V11_RECORD
+
+    def test_stored_form_and_digest_are_unchanged_by_a_read(self):
+        payload = record_to_json(V11_RECORD)
+        assert record_to_json(record_from_json(payload)) == payload
+        decoded = self._decoded()
+        before = records_digest([decoded])  # iterates: the first read
+        assert records_digest([decoded]) == before == \
+            records_digest([V11_RECORD])
+        assert record_to_json(decoded) == payload
+
+    def test_sequence_surface(self, monkeypatch):
+        decoded = self._decoded()
+        empty = self._decoded(_fake_record(3, records=[]))
+        built = _BuildCount(monkeypatch)
+        history = decoded.records
+        assert len(history) == 2 and history and not empty.records
+        assert len(empty.records) == 0 and empty.records == []
+        assert built.n == 0  # length and truth come from the row count
+        assert history[-1] == V11_RECORD.records[-1]
+        assert built.n == 2
+        assert history[:1] == V11_RECORD.records[:1]
+        assert history[::-1] == V11_RECORD.records[::-1]
+        first, again = list(history), list(history)
+        assert first == again == V11_RECORD.records
+        assert all(a is b for a, b in zip(first, again))
+        assert V11_RECORD.records[0] in history
+        assert built.n == 2  # unpacked once, whatever reads it
+        with pytest.raises(IndexError):
+            history[2]
+
+    def test_a_warm_sweep_builds_rows_only_when_they_are_read(
+            self, tmp_path, monkeypatch):
+        runner = ParallelRunner(n_workers=1, cache_dir=tmp_path)
+        cold = runner.run(SMALL)
+        built = _BuildCount(monkeypatch)
+        warm = runner.run(SMALL)
+        assert warm.cache_hits == len(warm) == 4
+        assert warm.table.rows == [{**row, "cached": True, "events": 0,
+                                    "wall_s": 0.0} for row in cold.table.rows]
+        assert built.n == 0
+        record = warm.results[0].records[0]
+        weights = (0.6, 0.3, 0.1)
+        assert reward_of_record(record, weights) == \
+            reward_of_record(cold.results[0].records[0], weights)
+        assert built.n == len(record.records) > 0
+        reward_of_record(record, weights)
+        assert built.n == len(record.records)
+        assert [records_digest(r.records) for r in warm] == \
+            [records_digest(r.records) for r in cold]
 
 
 #: Every field of both stored classes, with its resolved annotation.

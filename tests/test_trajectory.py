@@ -14,9 +14,9 @@ append_trajectory = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(append_trajectory)
 
 
-def result_lines(metric, unit, values) -> str:
+def result_lines(metric, unit, values, correct=True, failed=0) -> str:
     return "".join(
-        json.dumps({"correct": True, "attempted": 9, "failed": 0,
+        json.dumps({"correct": correct, "attempted": 9, "failed": failed,
                     "metrics": {metric: {"value": v, "unit": unit}}}) + "\n"
         for v in values)
 
@@ -48,6 +48,34 @@ def test_row_from_two_result_files(tmp_path):
     with pytest.raises(SystemExit, match="pair up"):
         append_trajectory.make_row(17, "abc1234", "grid-pool", "setup_s",
                                    parent, change)
+
+
+@pytest.mark.parametrize("broken", [{"correct": False}, {"failed": 1}],
+                         ids=["incorrect", "failed-ops"])
+def test_a_broken_run_is_refused_not_counted_as_a_win(tmp_path, broken):
+    parent, change = tmp_path / "parent.jsonl", tmp_path / "change.jsonl"
+    parent.write_text(result_lines("ops_per_mcalop", "op/mcalop",
+                                   [100.0, 102.0, 104.0]))
+    # The broken run is the fastest of all: counted, it would be a win.
+    change.write_text(
+        result_lines("ops_per_mcalop", "op/mcalop", [110.0])
+        + result_lines("ops_per_mcalop", "op/mcalop", [500.0], **broken)
+        + result_lines("ops_per_mcalop", "op/mcalop", [111.0]))
+    with pytest.raises(SystemExit, match=f"{change.name}:2: "):
+        append_trajectory.make_row(27, "abc1234", "mocc-warm",
+                                   "ops_per_mcalop", parent, change)
+
+
+@pytest.mark.parametrize("pairs", [0, 1])
+def test_fewer_than_two_pairs_is_a_clear_refusal(tmp_path, pairs):
+    parent, change = tmp_path / "parent.jsonl", tmp_path / "change.jsonl"
+    parent.write_text(result_lines("ops_per_mcalop", "op/mcalop",
+                                   [100.0] * pairs))
+    change.write_text(result_lines("ops_per_mcalop", "op/mcalop",
+                                   [110.0] * pairs))
+    with pytest.raises(SystemExit, match="at least two pairs"):
+        append_trajectory.make_row(27, "abc1234", "mocc-warm",
+                                   "ops_per_mcalop", parent, change)
 
 
 def test_checked_in_trajectory_is_what_the_script_writes():
