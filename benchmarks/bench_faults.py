@@ -75,9 +75,8 @@ def fault_grid_report() -> dict:
                 "cells": len(outcome),
                 "events": events,
                 "events_per_sec": round(events / wall, 1),
-                "utilization": round(
-                    outcome.table.mean("utilization"), 4),
-                "loss_rate": round(outcome.table.mean("loss_rate"), 5),
+                "utilization": round(outcome.mean("utilization"), 4),
+                "loss_rate": round(outcome.mean("loss_rate"), 5),
                 "digests": [records_digest(r.records) for r in outcome],
             }
     return combos

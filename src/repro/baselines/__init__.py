@@ -10,10 +10,8 @@ interface, so any scheme can drive any flow in any topology.
 """
 
 from repro.baselines.base import (
-    SCHEME_REGISTRY,
     allegro_utility,
     aurora_utility,
-    make_controller,
     orca_utility,
     vivace_utility,
 )
@@ -39,6 +37,4 @@ __all__ = [
     "vivace_utility",
     "allegro_utility",
     "orca_utility",
-    "SCHEME_REGISTRY",
-    "make_controller",
 ]

@@ -18,16 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.netsim.sender import Controller
-
 __all__ = [
     "aurora_utility",
     "vivace_utility",
     "allegro_utility",
     "allegro_sigmoid_utility",
     "orca_utility",
-    "SCHEME_REGISTRY",
-    "make_controller",
 ]
 
 
@@ -87,59 +83,3 @@ def orca_utility(throughput_pps: float, rtt_s: float, loss_rate: float,
         return 0.0
     power = (throughput_pps - eps * loss_rate * throughput_pps) / rtt_s
     return power / (max_throughput_pps / min_rtt_s)
-
-
-def make_controller(scheme: str, **kwargs) -> Controller:
-    """Instantiate a baseline by name (see :data:`SCHEME_REGISTRY`)."""
-    try:
-        factory = SCHEME_REGISTRY[scheme.lower()]
-    except KeyError:
-        raise ValueError(f"unknown scheme {scheme!r}; known: {sorted(SCHEME_REGISTRY)}")
-    return factory(**kwargs)
-
-
-def _registry() -> dict:
-    # Imported lazily to avoid import cycles at package load.
-    from repro.baselines.cubic import Cubic
-    from repro.baselines.vegas import Vegas
-    from repro.baselines.bbr import BBR
-    from repro.baselines.copa import Copa
-    from repro.baselines.allegro import PCCAllegro
-    from repro.baselines.vivace import PCCVivace
-
-    return {
-        "cubic": Cubic,
-        "vegas": Vegas,
-        "bbr": BBR,
-        "copa": Copa,
-        "allegro": PCCAllegro,
-        "vivace": PCCVivace,
-    }
-
-
-class _LazyRegistry(dict):
-    """Materialises the scheme registry on first access."""
-
-    def _ensure(self):
-        if super().__len__() == 0:
-            super().update(_registry())
-
-    def __getitem__(self, key):
-        self._ensure()
-        return super().__getitem__(key)
-
-    def __iter__(self):
-        self._ensure()
-        return super().__iter__()
-
-    def __len__(self):
-        self._ensure()
-        return super().__len__()
-
-    def keys(self):
-        self._ensure()
-        return super().keys()
-
-
-#: Name -> controller class for the heuristic/online-learning schemes.
-SCHEME_REGISTRY = _LazyRegistry()

@@ -7,7 +7,10 @@ Every table/figure in the paper's §6 is regenerated from these pieces:
 * :mod:`repro.eval.metrics` -- link utilization, latency ratio, Jain's
   fairness index, friendliness ratio, reward statistics.
 * :mod:`repro.eval.scenarios` -- declarative scenarios and suite grids.
-* :mod:`repro.eval.parallel` -- sharded suite execution + result cache.
+* :mod:`repro.eval.parallel` -- sharded suite execution; a run returns
+  one :class:`SuiteResult` (per-cell records plus a tidy table).
+* :mod:`repro.eval.resilience` -- the worker pool, the sealed record
+  codec, the on-disk result cache and the sweep journal.
 * :mod:`repro.eval.sweeps` -- the Fig. 5 parameter sweeps and the
   multi-bottleneck + churn and ack-congestion grids beyond the
   paper's evaluation, all as scenario suites.
@@ -31,16 +34,14 @@ from repro.eval.scenarios import (
     ScenarioSuite,
     build_scenario_simulation,
     run_scenario,
-    simulate_scenario,
 )
 from repro.eval.parallel import (
     ParallelRunner,
-    ResultCache,
-    ResultTable,
     ScenarioError,
     ScenarioResult,
     SuiteResult,
 )
+from repro.eval.resilience import ResultCache
 from repro.eval.metrics import (
     friendliness_ratio,
     jain_index,
@@ -72,7 +73,6 @@ __all__ = [
     "run_scenario",
     "ParallelRunner",
     "ResultCache",
-    "ResultTable",
     "ScenarioError",
     "ScenarioResult",
     "SuiteResult",

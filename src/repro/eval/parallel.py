@@ -7,11 +7,13 @@ cell of the condition x scheme matrix is an independent simulation), so
 mirroring the picklable-spec idiom of :class:`repro.rl.parallel.EnvSpec`.
 
 Completed scenarios are memoized on disk keyed by
-:meth:`Scenario.fingerprint`, so re-runs only pay for the cells that
-changed; a second run of an unchanged suite is pure cache reads.
-Results aggregate into a tidy :class:`ResultTable` (one row per flow
-per scenario) plus the raw per-MI :class:`FlowRecord` streams for the
-fairness/CDF analyses.
+:meth:`Scenario.fingerprint` in a
+:class:`~repro.eval.resilience.ResultCache`, so re-runs only pay for
+the cells that changed; a second run of an unchanged suite is pure
+cache reads.  A run returns one :class:`SuiteResult`: the per-cell
+results with their raw per-MI :class:`FlowRecord` streams for the
+fairness/CDF analyses, and a tidy ``table`` (one row per flow per
+scenario) that ``mean`` and ``pivot`` aggregate.
 
 A sweep has one failure contract: a failing cell never stops it.
 Every other cell runs, is cached and is journaled; then
@@ -23,7 +25,6 @@ rows, the rest as records.
 from __future__ import annotations
 
 import multiprocessing as mp
-import os
 import time
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -31,25 +32,17 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.config import result_cache_dir
 from repro.eval.batch import BatchRunner, warm_agent_refs
 from repro.eval.resilience import (
     ResilientPool,
+    ResultCache,
     RetryPolicy,
     SweepCheckpoint,
-    seal,
-    unseal,
 )
-from repro.eval.scenarios import (
-    SCENARIO_CACHE_VERSION,
-    Scenario,
-    ScenarioSuite,
-    fingerprint_cells,
-)
+from repro.eval.scenarios import Scenario, ScenarioSuite, fingerprint_cells
 from repro.netsim.network import FlowRecord
 
-__all__ = ["ParallelRunner", "ResultCache", "ResultTable", "ScenarioError",
-           "ScenarioResult", "SuiteResult"]
+__all__ = ["ParallelRunner", "ScenarioError", "ScenarioResult", "SuiteResult"]
 
 
 class ScenarioError(RuntimeError):
@@ -69,162 +62,6 @@ class ScenarioError(RuntimeError):
         super().__init__(f"scenario {scenario_name!r} failed: {detail}")
 
 
-#: Default size cap of the on-disk result cache, megabytes.  Long-lived
-#: sweep machines accumulate entries across many suites; without a cap
-#: the directory grows without bound.
-DEFAULT_CACHE_MAX_MB = 2048.0
-
-
-class ResultCache:
-    """Fingerprint-keyed store of finished scenario results, one
-    :func:`~repro.eval.resilience.seal`-ed ``<fingerprint>.json`` each.
-
-    The default location is
-    :func:`repro.config.result_cache_dir` (``repro/eval/_cache`` next
-    to the model cache unless ``REPRO_RESULT_CACHE`` relocates it).
-
-    The store is a size-capped LRU: ``get`` touches the entry's mtime,
-    ``put`` evicts oldest-touched entries once the directory exceeds
-    ``max_bytes`` (default :data:`DEFAULT_CACHE_MAX_MB`; ``0`` disables
-    eviction).  ``prune()`` is the explicit entry point for maintenance
-    jobs.
-    """
-
-    def __init__(self, cache_dir: str | Path | None = None,
-                 max_bytes: int | None = None):
-        self.cache_dir = Path(cache_dir or result_cache_dir())
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        if max_bytes is None:
-            max_bytes = int(DEFAULT_CACHE_MAX_MB * 1e6)
-        self.max_bytes = int(max_bytes)
-        #: Running size estimate so put() only pays a directory scan
-        #: when the cap is actually threatened (None = not yet known).
-        self._approx_bytes: int | None = None
-
-    def _path(self, fingerprint: str) -> Path:
-        return self.cache_dir / f"{fingerprint}.json"
-
-    def _quarantine(self, path: Path) -> None:
-        """Move a corrupt entry aside so its cell is recomputed.
-
-        The entry is renamed to ``<fingerprint>.quarantined`` -- out of
-        the ``*.json`` namespace, so it is never read again and never
-        counts against the size cap, but stays inspectable for
-        debugging.  ``clear()`` removes quarantined files too.  Racing
-        removals are fine: the outcome either way is a cache miss.
-        """
-        try:
-            path.replace(path.with_suffix(".quarantined"))
-        except OSError:
-            pass
-
-    def get(self, fingerprint: str) -> list[FlowRecord] | None:
-        path = self._path(fingerprint)
-        try:
-            line = path.read_bytes()
-        except OSError:
-            return None  # absent or unreadable: a plain miss
-        # An entry that is there but does not unseal (torn write, bit
-        # rot, concurrent truncation) is quarantined so the cell is
-        # recomputed instead of serving corrupt records.
-        entry = unseal(line)
-        if entry is None:
-            self._quarantine(path)
-            return None
-        fields, records = entry
-        if fields.get("version") != SCENARIO_CACHE_VERSION:
-            return None  # stale format: put() will overwrite it
-        try:
-            os.utime(path)  # LRU touch: a hit keeps the entry young
-        except OSError:
-            pass
-        return records
-
-    def put(self, fingerprint: str, name: str, records: list[FlowRecord]) -> None:
-        path = self._path(fingerprint)
-        # Staged under this writer's pid: sweeps sharing the directory
-        # may put the same cell at once, and each replace is atomic.
-        tmp = path.with_suffix(f".{os.getpid()}.tmp")
-        line = seal({"version": SCENARIO_CACHE_VERSION, "name": name},
-                    records)
-        tmp.write_bytes(line)
-        try:
-            tmp.replace(path)
-        except FileNotFoundError:
-            return  # a concurrent clear() took the staged file with it
-        if self.max_bytes > 0:
-            # Amortized eviction: keep a running size estimate and only
-            # pay the full directory scan once it crosses the cap (an
-            # overwrite counts its size twice, which merely prunes a
-            # touch early -- prune() re-measures exactly).
-            try:
-                if self._approx_bytes is None:
-                    total = 0
-                    for p in sorted(self.cache_dir.glob("*.json")):
-                        total += p.stat().st_size
-                    self._approx_bytes = total
-                else:
-                    self._approx_bytes += len(line)
-            except OSError:
-                # A concurrent prune/clear raced the scan; the next
-                # put() re-measures from scratch.
-                self._approx_bytes = None
-                return
-            if self._approx_bytes > self.max_bytes:
-                self.prune()
-
-    def prune(self, max_bytes: int | None = None) -> int:
-        """Evict least-recently-used entries above the size cap.
-
-        Returns the number of entries removed.  ``max_bytes`` overrides
-        the cache's configured cap for this call; a cap <= 0 means
-        unbounded (nothing is evicted).
-        """
-        cap = self.max_bytes if max_bytes is None else int(max_bytes)
-        if cap <= 0:
-            return 0
-        entries = []
-        total = 0
-        for path in sorted(self.cache_dir.glob("*.json")):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue  # concurrently removed
-            entries.append((stat.st_mtime, stat.st_size, path))
-            total += stat.st_size
-        removed = 0
-        for _, size, path in sorted(entries):
-            if total <= cap:
-                break
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total -= size
-            removed += 1
-        self._approx_bytes = total
-        return removed
-
-    def clear(self) -> int:
-        """Delete all entries (quarantined ones and staging files a
-        killed writer left included); returns how many were removed.
-        Tolerates entries vanishing concurrently -- two racing
-        ``clear()`` calls both succeed, splitting the count.
-        """
-        removed = 0
-        doomed = (sorted(self.cache_dir.glob("*.json"))
-                  + sorted(self.cache_dir.glob("*.quarantined"))
-                  + sorted(self.cache_dir.glob("*.tmp")))
-        for path in doomed:
-            try:
-                path.unlink()
-            except OSError:
-                continue  # concurrently removed
-            removed += 1
-        self._approx_bytes = 0
-        return removed
-
-
 @dataclass
 class ScenarioResult:
     """One executed (or cache-served, or failed) scenario."""
@@ -235,7 +72,7 @@ class ScenarioResult:
     elapsed: float = 0.0
     #: Heap events the simulation dispatched (0 for cache-served
     #: results -- no simulation ran).  Feeds the suite-level
-    #: :attr:`SuiteResult.events_per_sec`.
+    #: :attr:`SuiteResult.total_events`.
     events: int = 0
     #: Failure detail of a failed cell (see
     #: :attr:`ScenarioError.outcome`); ``None`` for healthy cells.
@@ -307,31 +144,27 @@ class ScenarioResult:
         return rows
 
 
-class ResultTable:
-    """Tidy results: one row (a plain dict) per flow per scenario."""
+@dataclass
+class SuiteResult:
+    """All scenario results of one runner invocation."""
 
-    def __init__(self, rows: list[dict]):
-        self.rows = list(rows)
+    results: list[ScenarioResult] = field(default_factory=list)
+    elapsed: float = 0.0
 
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
-
-    def filter(self, **equals) -> "ResultTable":
-        """Rows matching all ``column=value`` constraints."""
-        return ResultTable([r for r in self.rows
-                            if all(r.get(k) == v for k, v in equals.items())])
-
-    def values(self, column: str) -> np.ndarray:
-        return np.asarray([r[column] for r in self.rows])
+    @property
+    def table(self) -> list[dict]:
+        """Tidy rows, one plain dict per flow per scenario (see
+        :meth:`ScenarioResult.rows`), built on each access."""
+        return [row for result in self.results for row in result.rows()]
 
     def mean(self, column: str, **equals) -> float:
-        """Mean of ``column`` over matching rows; failed cells' ``None``
-        metrics are skipped, and nothing left to average is ``nan``."""
-        table = self.filter(**equals) if equals else self
-        values = [r[column] for r in table.rows if r[column] is not None]
+        """Mean of ``column`` over the rows matching every
+        ``column=value`` filter.  Failed cells' ``None`` metrics are
+        skipped, and nothing left to average is ``nan``; a column or
+        filter key the rows do not carry is a ``KeyError``."""
+        values = [r[column] for r in self.table
+                  if all(r[k] == v for k, v in equals.items())
+                  and r[column] is not None]
         return float(np.mean(values)) if values else float("nan")
 
     def pivot(self, index: str, columns: str, values: str) -> tuple:
@@ -340,11 +173,12 @@ class ResultTable:
         Failed cells' ``None`` values are skipped; a group with nothing
         left to average stays ``nan``.
         """
-        row_labels = list(dict.fromkeys(r[index] for r in self.rows))
-        col_labels = list(dict.fromkeys(r[columns] for r in self.rows))
+        rows = self.table
+        row_labels = list(dict.fromkeys(r[index] for r in rows))
+        col_labels = list(dict.fromkeys(r[columns] for r in rows))
         matrix = np.full((len(row_labels), len(col_labels)), np.nan)
         counts = np.zeros_like(matrix)
-        for r in self.rows:
+        for r in rows:
             if r[values] is None:
                 continue
             i, j = row_labels.index(r[index]), col_labels.index(r[columns])
@@ -355,32 +189,6 @@ class ResultTable:
         with np.errstate(invalid="ignore"):
             matrix = np.where(counts > 0, matrix / np.maximum(counts, 1), np.nan)
         return row_labels, col_labels, matrix
-
-    def format(self, columns: tuple = ("scenario", "label", "throughput_mbps",
-                                       "utilization", "latency_ratio")) -> str:
-        widths = [max(len(c), 10) for c in columns]
-        lines = ["  ".join(c.ljust(w) for c, w in zip(columns, widths))]
-        for row in self.rows:
-            cells = []
-            for c, w in zip(columns, widths):
-                value = row.get(c, "")
-                text = f"{value:.3f}" if isinstance(value, float) else str(value)
-                cells.append(text.ljust(w))
-            lines.append("  ".join(cells))
-        return "\n".join(lines)
-
-
-@dataclass
-class SuiteResult:
-    """All scenario results of one runner invocation."""
-
-    results: list[ScenarioResult] = field(default_factory=list)
-    elapsed: float = 0.0
-
-    @property
-    def table(self) -> ResultTable:
-        return ResultTable([row for result in self.results
-                            for row in result.rows()])
 
     @property
     def cache_hits(self) -> int:
@@ -394,23 +202,6 @@ class SuiteResult:
     def total_events(self) -> int:
         """Heap events dispatched by the suite's *executed* cells."""
         return sum(r.events for r in self.results if not r.cached)
-
-    @property
-    def events_per_sec(self) -> float | None:
-        """Aggregate engine speed over executed cells, events per
-        *simulation* second (per-cell measured wall, so the number is
-        comparable between serial and sharded runs; ``None`` when the
-        whole suite was cache-served)."""
-        sim_wall = sum(r.elapsed for r in self.results if not r.cached)
-        if sim_wall <= 0:
-            return None
-        return self.total_events / sim_wall
-
-    def records_for(self, name: str) -> list[FlowRecord]:
-        for result in self.results:
-            if result.scenario.name == name:
-                return result.records
-        raise KeyError(f"no scenario named {name!r}")
 
     def __iter__(self):
         return iter(self.results)

@@ -1,12 +1,13 @@
-"""Sweep runtime: the worker pool, the sealed record codec, the journal.
+"""Sweep runtime: the worker pool, the sealed record codec, the result
+cache, the journal.
 
 Production-scale sweeps die for reasons that have nothing to do with
 the cells themselves: a worker process OOM-killed mid-batch, one cell
 wedging on a pathological parameter corner, a corrupt cache entry, the
 whole run preempted halfway through a 10^4-cell grid.  This module is
 what :class:`~repro.eval.parallel.ParallelRunner` runs every
-out-of-process sweep on, and it survives all four without compromising
-the determinism contract:
+out-of-process sweep on and stores every finished cell with, and it
+survives all four without compromising the determinism contract:
 
 * :func:`seal` / :func:`unseal` -- the one on-disk form of a record
   list.  Cache entries and journal lines are both sealed lines: a
@@ -19,6 +20,9 @@ the determinism contract:
   journal resume read for its aggregates never builds them.
   :func:`records_digest` is a cell's identity and does not depend on
   that form.
+* :class:`ResultCache` -- the fingerprint-keyed, size-capped LRU
+  directory of finished cells, one sealed line per entry; an entry
+  that does not unseal is quarantined and its cell recomputed.
 * :class:`RetryPolicy` -- how many attempts a task gets against
   *transient* failures (worker crashes, timeouts).  Deterministic cell
   failures -- an exception raised by the task function itself -- are
@@ -56,6 +60,7 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing as mp
+import os
 import struct
 import time
 from binascii import a2b_base64, b2a_base64
@@ -69,18 +74,18 @@ from operator import attrgetter
 from pathlib import Path
 from typing import get_type_hints
 
+from repro.config import result_cache_dir
 from repro.eval.scenarios import SCENARIO_CACHE_VERSION
 from repro.netsim.network import FlowRecord
 from repro.netsim.sender import MonitorIntervalStats
 
-__all__ = ["ResilientPool", "RetryPolicy", "SweepCheckpoint",
+__all__ = ["ResilientPool", "ResultCache", "RetryPolicy", "SweepCheckpoint",
            "record_from_json", "record_to_json", "records_digest", "seal",
            "set_chaos_hook", "unseal"]
 
 # --- record codec -------------------------------------------------------------
 # Shared by the result cache, the checkpoint journal, and the digest
-# helpers; lives here (not in repro.eval.parallel) so parallel can
-# import the resilience layer without a cycle.
+# helpers.
 #
 # What is stored comes from ``dataclasses.fields()`` and the
 # annotations, never from a list kept by hand beside the dataclasses:
@@ -307,6 +312,151 @@ def unseal(line: bytes) -> tuple[dict, list[FlowRecord]] | None:
         return fields, [record_from_json(r) for r in payload]
     except (ValueError, KeyError, TypeError):
         return None
+
+
+# --- result cache -------------------------------------------------------------
+
+#: Size cap of a :class:`ResultCache` directory, bytes.  Long-lived
+#: sweep machines accumulate entries across many suites; without a cap
+#: the directory grows without bound.
+_CACHE_MAX_BYTES = 2048 * 10**6
+
+
+class ResultCache:
+    """Fingerprint-keyed store of finished scenario results, one
+    :func:`seal`-ed ``<fingerprint>.json`` each.
+
+    The default location is
+    :func:`repro.config.result_cache_dir` (``repro/eval/_cache`` next
+    to the model cache unless ``REPRO_RESULT_CACHE`` relocates it).
+
+    The store is a size-capped LRU: ``get`` touches the entry's mtime,
+    ``put`` evicts oldest-touched entries once the directory exceeds
+    :data:`_CACHE_MAX_BYTES`.  ``prune()`` is the explicit entry point
+    for maintenance jobs.
+    """
+
+    def __init__(self, cache_dir: str | Path | None = None):
+        self.cache_dir = Path(cache_dir or result_cache_dir())
+        self.cache_dir.mkdir(parents=True, exist_ok=True)
+        #: Running size estimate so put() only pays a directory scan
+        #: when the cap is actually threatened (None = not yet known).
+        self._approx_bytes: int | None = None
+
+    def _path(self, fingerprint: str) -> Path:
+        return self.cache_dir / f"{fingerprint}.json"
+
+    def _quarantine(self, path: Path) -> None:
+        """Move a corrupt entry aside so its cell is recomputed.
+
+        The entry is renamed to ``<fingerprint>.quarantined`` -- out of
+        the ``*.json`` namespace, so it is never read again and never
+        counts against the size cap, but stays inspectable for
+        debugging.  ``clear()`` removes quarantined files too.  Racing
+        removals are fine: the outcome either way is a cache miss.
+        """
+        try:
+            path.replace(path.with_suffix(".quarantined"))
+        except OSError:
+            pass
+
+    def get(self, fingerprint: str) -> list[FlowRecord] | None:
+        path = self._path(fingerprint)
+        try:
+            line = path.read_bytes()
+        except OSError:
+            return None  # absent or unreadable: a plain miss
+        # An entry that is there but does not unseal (torn write, bit
+        # rot, concurrent truncation) is quarantined so the cell is
+        # recomputed instead of serving corrupt records.
+        entry = unseal(line)
+        if entry is None:
+            self._quarantine(path)
+            return None
+        fields, records = entry
+        if fields.get("version") != SCENARIO_CACHE_VERSION:
+            return None  # stale format: put() will overwrite it
+        try:
+            os.utime(path)  # LRU touch: a hit keeps the entry young
+        except OSError:
+            pass
+        return records
+
+    def put(self, fingerprint: str, name: str, records: list[FlowRecord]) -> None:
+        path = self._path(fingerprint)
+        # Staged under this writer's pid: sweeps sharing the directory
+        # may put the same cell at once, and each replace is atomic.
+        tmp = path.with_suffix(f".{os.getpid()}.tmp")
+        line = seal({"version": SCENARIO_CACHE_VERSION, "name": name},
+                    records)
+        tmp.write_bytes(line)
+        try:
+            tmp.replace(path)
+        except FileNotFoundError:
+            return  # a concurrent clear() took the staged file with it
+        # Amortized eviction: keep a running size estimate and only pay
+        # the full directory scan once it crosses the cap (an overwrite
+        # counts its size twice, which merely prunes a touch early --
+        # prune() re-measures exactly).
+        try:
+            if self._approx_bytes is None:
+                total = 0
+                for p in sorted(self.cache_dir.glob("*.json")):
+                    total += p.stat().st_size
+                self._approx_bytes = total
+            else:
+                self._approx_bytes += len(line)
+        except OSError:
+            # A concurrent prune/clear raced the scan; the next put()
+            # re-measures from scratch.
+            self._approx_bytes = None
+            return
+        if self._approx_bytes > _CACHE_MAX_BYTES:
+            self.prune()
+
+    def prune(self) -> int:
+        """Evict least-recently-used entries above the size cap;
+        returns the number of entries removed."""
+        entries = []
+        total = 0
+        for path in sorted(self.cache_dir.glob("*.json")):
+            try:
+                stat = path.stat()
+            except OSError:
+                continue  # concurrently removed
+            entries.append((stat.st_mtime, stat.st_size, path))
+            total += stat.st_size
+        removed = 0
+        for _, size, path in sorted(entries):
+            if total <= _CACHE_MAX_BYTES:
+                break
+            try:
+                path.unlink()
+            except OSError:
+                continue
+            total -= size
+            removed += 1
+        self._approx_bytes = total
+        return removed
+
+    def clear(self) -> int:
+        """Delete all entries (quarantined ones and staging files a
+        killed writer left included); returns how many were removed.
+        Tolerates entries vanishing concurrently -- two racing
+        ``clear()`` calls both succeed, splitting the count.
+        """
+        removed = 0
+        doomed = (sorted(self.cache_dir.glob("*.json"))
+                  + sorted(self.cache_dir.glob("*.quarantined"))
+                  + sorted(self.cache_dir.glob("*.tmp")))
+        for path in doomed:
+            try:
+                path.unlink()
+            except OSError:
+                continue  # concurrently removed
+            removed += 1
+        self._approx_bytes = 0
+        return removed
 
 
 # --- chaos hook ---------------------------------------------------------------

@@ -119,11 +119,8 @@ def scheme_factory(name: str, network: EvalNetwork, seed: int = 0,
 def run_scheme(controller, network: EvalNetwork, duration: float = 30.0,
                seed: int = 0, mi_duration: float | None = None) -> FlowRecord:
     """Run one flow of ``controller`` over ``network``; return aggregates."""
-    link = network.build_link(seed=seed * 31 + 17)
-    spec = FlowSpec(controller=controller, packet_bytes=network.packet_bytes,
-                    mi_duration=mi_duration)
-    sim = Simulation(link, [spec], duration=duration, seed=seed)
-    return sim.run_all()[0]
+    return build_competition([controller], network, duration=duration,
+                             seed=seed, mi_duration=mi_duration).run_all()[0]
 
 
 def build_competition(controllers, network: EvalNetwork, duration: float = 60.0,

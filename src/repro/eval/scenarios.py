@@ -44,8 +44,7 @@ from repro.netsim.topology import TopologySpec
 from repro.netsim.traces import make_trace, named_trace_form
 
 __all__ = ["AgentRef", "ChurnSchedule", "FlowDef", "Scenario", "ScenarioSuite",
-           "build_scenario_simulation", "fingerprint_cells", "run_scenario",
-           "simulate_scenario"]
+           "build_scenario_simulation", "fingerprint_cells", "run_scenario"]
 
 #: Bumped whenever scenario execution changes in a way that invalidates
 #: previously cached results, or the on-disk form of an entry changes.
@@ -442,9 +441,6 @@ class Scenario:
         one-cell case of :func:`fingerprint_cells`."""
         return fingerprint_cells([self])[0]
 
-    def run(self) -> list[FlowRecord]:
-        return run_scenario(self)
-
 
 def fingerprint_cells(scenarios) -> list[str]:
     """Content hash identifying each scenario's *results*, in order.
@@ -529,24 +525,15 @@ def build_scenario_simulation(scenario: Scenario,
                              mi_duration=scenario.mi_duration)
 
 
-def simulate_scenario(scenario: Scenario) -> tuple[list[FlowRecord], Simulation]:
-    """Run one scenario; return ``(records, finished_simulation)``.
-
-    The simulation comes back finalized, with engine diagnostics
-    (``events_processed``, per-link counters) readable.
-    """
-    sim = build_scenario_simulation(scenario)
-    return sim.run_all(), sim
-
-
 def run_scenario(scenario: Scenario) -> list[FlowRecord]:
-    """Execute one scenario serially; the runner's worker entry point.
+    """Execute one scenario serially, in this process, with no cache.
 
-    Equivalent to the hand-rolled ``scheme_factory`` + ``run_scheme`` /
-    ``run_competition`` loops the benchmarks used to contain: same
-    seeds, same event streams, identical records.
+    The same records a :class:`~repro.eval.parallel.ParallelRunner`
+    sweep produces for the cell, and the same as the hand-rolled
+    ``scheme_factory`` + ``run_scheme`` / ``run_competition`` loops the
+    benchmarks used to contain: same seeds, same event streams.
     """
-    return simulate_scenario(scenario)[0]
+    return build_scenario_simulation(scenario).run_all()
 
 
 def _build_topology_simulation(scenario: Scenario,

@@ -11,7 +11,7 @@ Sweeps are declared as :class:`~repro.eval.scenarios.ScenarioSuite`
 grids (:func:`sweep_suite`) and run through a
 :class:`~repro.eval.parallel.ParallelRunner`, so they shard across cores
 and memoize per-scenario results; a Fig. 5 panel is the run's
-``table.pivot("lineup", <axis column>, <metric>)``.
+``pivot("lineup", <axis column>, <metric>)``.
 
 Beyond the paper's single-bottleneck grids, :func:`multihop_churn_suite`
 declares parking-lot (multi-bottleneck) contention with churning cross
@@ -121,7 +121,7 @@ def sweep_suite(schemes, parameter: str, values, base: EvalNetwork | None = None
 
     One single-flow line-up per scheme, in order (a repeated scheme
     gets its own ``<scheme>#k`` line-up), so a run's
-    ``table.pivot("lineup", column, metric)`` is the panel: rows are
+    ``pivot("lineup", column, metric)`` is the panel: rows are
     the schemes, columns the swept ``column`` (``bandwidth_mbps``,
     ``rtt_ms`` -- round-trip, twice the one-way ``values`` --,
     ``loss`` or ``buffer``).

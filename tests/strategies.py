@@ -10,6 +10,10 @@
   (``tests/test_sweep_kills.py``): cells drawn in any order from
   :data:`KILL_CELLS`, a worker count, a retry budget, and the batches
   whose worker is killed once each.
+* :func:`faulted_cells` -- a cell and its faulted twin for the
+  metamorphic relations (``tests/test_metamorphic.py``): topology x
+  churn x seed x faulted link x fault specs, the specs drawn by
+  :func:`late_faults` or :func:`zero_outage_flaps`.
 """
 
 from __future__ import annotations
@@ -21,7 +25,12 @@ from hypothesis import strategies as st
 from repro.eval.parallel import ParallelRunner
 from repro.eval.runner import EvalNetwork
 from repro.eval.scenarios import ChurnSchedule, FlowDef, Scenario, ScenarioSuite
-from repro.netsim.faults import GilbertElliottLoss, LinkFlapSchedule
+from repro.netsim.faults import (
+    BlackoutWindow,
+    GilbertElliottLoss,
+    LinkFlapSchedule,
+    RateBrownout,
+)
 from repro.netsim.topology import dumbbell_asymmetric, parking_lot
 
 #: Heuristic schemes the perf shapes run (no trained models: they must
@@ -160,3 +169,108 @@ def kill_schedules(draw) -> KillSchedule:
     return KillSchedule(cells=cells, n_workers=n_workers,
                         max_attempts=draw(st.sampled_from((1, 2, 4))),
                         batches=batches, killed=killed)
+
+
+#: Simulated seconds of a metamorphic-relation cell.
+RELATION_DURATION = 1.0
+_POLICIES = st.sampled_from(("queue", "drop"))
+
+
+def _relation_lineups() -> tuple:
+    """``(topology, flows)`` pairs: a flow on every path, so every link
+    -- ``rev`` included -- carries data."""
+    lots = tuple(
+        (parking_lot(hops, bandwidth_mbps=6.0, delay_ms=5.0),
+         (FlowDef("cubic", path="through"),
+          *(FlowDef(("bbr", "cubic", "vivace")[i], path=f"cross{i}")
+            for i in range(hops))))
+        for hops in (2, 3))
+    asymmetric = (dumbbell_asymmetric(6.0, delay_ms=5.0,
+                                      reverse_bandwidth_mbps=0.6),
+                  (FlowDef("vivace", path="through"),
+                   FlowDef("cubic", path="reverse")))
+    return (*lots, asymmetric)
+
+
+#: What :func:`faulted_cells` draws a cell's topology and flows from.
+RELATION_LINEUPS = _relation_lineups()
+#: ...and its churn: none, staggered arrivals, periodic on-off sessions,
+#: each leaving the first flow persistent.
+RELATION_CHURNS = (None,
+                   ChurnSchedule("staggered", gap=0.2, skip=1),
+                   ChurnSchedule("on-off", gap=0.2, on_time=0.3, period=0.5,
+                                 skip=1))
+
+
+@dataclass(frozen=True)
+class FaultedCell:
+    """A cell, faults off, and the same cell with ``faults`` on its
+    link ``link``."""
+
+    clean: Scenario
+    faulted: Scenario
+    link: str
+    faults: tuple
+
+
+def faulted_cell(lineup: tuple, churn, seed: int, link: str,
+                 faults: tuple) -> FaultedCell:
+    """One of :data:`RELATION_LINEUPS` under ``churn``, clean and with
+    ``faults`` on ``link``."""
+    topology, flows = lineup
+    common = dict(network=EvalNetwork(), flows=flows, churn=churn,
+                  duration=RELATION_DURATION, seed=seed)
+    name = (f"relation/{topology.name}/"
+            f"{churn.label() if churn is not None else 'steady'}/s{seed}")
+    return FaultedCell(
+        clean=Scenario(name=name, topology=topology, **common),
+        faulted=Scenario(name=f"{name}/faulted",
+                         topology=topology.with_faults({link: faults}),
+                         **common),
+        link=link, faults=faults)
+
+
+@st.composite
+def faulted_cells(draw, faults) -> FaultedCell:
+    """Topology x churn x seed x faulted link x a fault tuple drawn by
+    the ``faults`` strategy."""
+    lineup = draw(st.sampled_from(RELATION_LINEUPS))
+    return faulted_cell(
+        lineup, draw(st.sampled_from(RELATION_CHURNS)),
+        draw(st.integers(0, 3)),
+        draw(st.sampled_from([ld.name for ld in lineup[0].links])),
+        draw(faults))
+
+
+def late_faults(duration: float = RELATION_DURATION):
+    """1-3 fault specs of any kind, none of which can act before
+    ``duration``: every window opens at or after it, and a
+    Gilbert-Elliott chain never enters its lossy state."""
+    late = st.floats(0.0, 1.0).map(lambda after: duration + after)
+    flap = st.builds(
+        lambda start, period, down, jitter, policy: LinkFlapSchedule(
+            period=period, down_time=down * period, start=start,
+            jitter=jitter * period, policy=policy),
+        late, st.floats(0.05, 0.5), st.floats(0.01, 0.5),
+        st.sampled_from((0.0, 0.2)), _POLICIES)
+    brownout = st.builds(RateBrownout, start=late,
+                         duration=st.floats(0.01, 1.0),
+                         factor=st.floats(0.1, 1.0))
+    blackout = st.builds(BlackoutWindow, start=late,
+                         duration=st.floats(0.01, 1.0), policy=_POLICIES)
+    clean_chain = st.builds(GilbertElliottLoss, p_enter_bad=st.just(0.0),
+                            p_exit_bad=st.floats(0.0, 1.0),
+                            loss_bad=st.floats(0.0, 1.0))
+    return st.lists(st.one_of(flap, brownout, blackout, clean_chain),
+                    min_size=1, max_size=3).map(tuple)
+
+
+def zero_outage_flaps():
+    """One flap schedule whose outages last no time, started anywhere
+    in the cell: either policy, with or without jitter."""
+    return st.builds(
+        lambda start, period, jitter, policy: (LinkFlapSchedule(
+            period=period, down_time=0.0, start=start,
+            jitter=jitter * period, policy=policy),),
+        st.floats(0.0, RELATION_DURATION), st.floats(0.05, 0.5),
+        st.sampled_from((0.0, 0.5)), _POLICIES)

@@ -6,7 +6,6 @@ import pytest
 from repro.baselines import BBR, Copa, Cubic, Orca, PCCAllegro, PCCVivace, Vegas
 from repro.baselines._pcc_common import TrialTracker
 from repro.baselines.aurora import AuroraController, aurora_objective
-from repro.baselines.base import SCHEME_REGISTRY, make_controller
 from repro.config import DEFAULT_TRAINING
 from repro.core.agent import MoccAgent
 from repro.eval.runner import EvalNetwork, run_scheme
@@ -254,19 +253,6 @@ class TestRLBaselines:
     def test_orca_rejects_conditioned_model(self):
         with pytest.raises(ValueError):
             Orca(agent=MoccAgent(DEFAULT_TRAINING, weight_dim=3))
-
-
-class TestRegistry:
-    def test_all_schemes_constructible(self):
-        for name in ("cubic", "vegas", "bbr", "copa", "allegro", "vivace"):
-            assert make_controller(name) is not None
-
-    def test_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            make_controller("reno")
-
-    def test_registry_lazy_population(self):
-        assert len(SCHEME_REGISTRY) == 6
 
 
 class TestBehaviourMatrix:

@@ -5,14 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import repro.eval.resilience as resilience
 from repro.eval.metrics import jain_index_series
-from repro.eval.parallel import (
-    ParallelRunner,
-    ResultCache,
-    ResultTable,
-    ScenarioError,
-)
-from repro.eval.resilience import seal, unseal
+from repro.eval.parallel import ParallelRunner, ScenarioError
+from repro.eval.resilience import ResultCache, seal, unseal
 from repro.eval.scenarios import ChurnSchedule, FlowDef, Scenario, ScenarioSuite
 from repro.eval.runner import EvalNetwork
 from repro.eval.sweeps import ack_congestion_suite, sweep_suite
@@ -87,14 +83,6 @@ class TestParallelRunner:
         path.write_bytes(seal({**fields, "version": "stale"}, records))
         assert runner.run([scenario]).cache_misses == 1
 
-    def test_records_for(self, tmp_path):
-        runner = ParallelRunner(n_workers=1, use_cache=False)
-        outcome = runner.run(ScenarioSuite(name="rf", lineups=("cubic",),
-                                           duration=1.0))
-        assert outcome.records_for("rf/cubic")[0].scheme
-        with pytest.raises(KeyError):
-            outcome.records_for("nope")
-
     def test_cache_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
         runner = ParallelRunner(n_workers=1, cache_dir=tmp_path)
@@ -104,17 +92,15 @@ class TestParallelRunner:
         assert cache.clear() == 0
 
 
-class TestSuiteEventsPerSec:
-    def test_runner_surfaces_engine_speed(self, tmp_path):
+class TestSuiteTotalEvents:
+    def test_runner_surfaces_engine_events(self, tmp_path):
         suite = ScenarioSuite(name="eps", lineups=("cubic",), duration=1.0)
         runner = ParallelRunner(n_workers=1, cache_dir=tmp_path)
         first = runner.run(suite)
-        assert first.total_events > 0
-        assert first.events_per_sec > 0
+        assert first.total_events == first.results[0].events > 0
         # A cache-served re-run simulated nothing.
         second = runner.run(suite)
         assert second.total_events == 0
-        assert second.events_per_sec is None
 
 
 class TestSweepFingerprinting:
@@ -161,40 +147,41 @@ class TestCacheEviction:
             cache.put(s.fingerprint(), s.name, [])
         return [s.fingerprint() for s in scenarios]
 
-    def test_put_evicts_oldest_beyond_cap(self, tmp_path):
+    def test_put_evicts_oldest_beyond_cap(self, tmp_path, monkeypatch):
         import os
-        cache = ResultCache(tmp_path, max_bytes=10**9)
+        cache = ResultCache(tmp_path)
         prints = self._fill(cache, 6)
         # Age the entries oldest-first, then shrink the cap to ~3 files.
         for i, fp in enumerate(prints):
             os.utime(cache._path(fp), (1000.0 + i, 1000.0 + i))
         size = cache._path(prints[0]).stat().st_size
-        cache.max_bytes = 3 * size + size // 2
+        monkeypatch.setattr(resilience, "_CACHE_MAX_BYTES",
+                            3 * size + size // 2)
         cache.put("f" * 64, "extra", [])
         survivors = {p.stem for p in tmp_path.glob("*.json")}
         # The oldest-touched entries were evicted first.
         assert prints[0] not in survivors and prints[1] not in survivors
         assert ("f" * 64) in survivors
 
-    def test_get_touches_mtime_lru(self, tmp_path):
+    def test_get_touches_mtime_lru(self, tmp_path, monkeypatch):
         import os
-        cache = ResultCache(tmp_path, max_bytes=10**9)
+        cache = ResultCache(tmp_path)
         prints = self._fill(cache, 4)
         for i, fp in enumerate(prints):
             os.utime(cache._path(fp), (1000.0 + i, 1000.0 + i))
         assert cache.get(prints[0]) is not None  # hit rejuvenates entry 0
         size = cache._path(prints[0]).stat().st_size
-        removed = cache.prune(max_bytes=2 * size + size // 2)
+        monkeypatch.setattr(resilience, "_CACHE_MAX_BYTES",
+                            2 * size + size // 2)
+        removed = cache.prune()
         assert removed == 2
         survivors = {p.stem for p in tmp_path.glob("*.json")}
         assert prints[0] in survivors  # kept: recently used
         assert prints[1] not in survivors and prints[2] not in survivors
 
-    def test_prune_noop_under_cap_and_unbounded(self, tmp_path):
-        cache = ResultCache(tmp_path, max_bytes=10**9)
+    def test_prune_noop_under_cap(self, tmp_path):
+        cache = ResultCache(tmp_path)
         self._fill(cache, 3)
-        assert cache.prune() == 0
-        cache.max_bytes = 0  # unbounded: eviction disabled
         assert cache.prune() == 0
         assert len(list(tmp_path.glob("*.json"))) == 3
 
@@ -230,7 +217,7 @@ class TestMultihopChurn:
     def test_rows_expose_topology_path_and_churn(self):
         scenarios = [s for s in MULTIHOP_SUITE.expand() if s.seed == 0][:2]
         outcome = ParallelRunner(n_workers=1, use_cache=False).run(scenarios)
-        rows = outcome.table.rows
+        rows = outcome.table
         assert {r["topology"] for r in rows} == {"parking-lot2"}
         assert {r["path"] for r in rows} == {"through", "cross0", "cross1"}
         assert {r["churn"] for r in rows} == {None, "staggered-g2-s1"}
@@ -247,7 +234,7 @@ class TestMultihopChurn:
                    FlowDef("cubic", path="cross1")),
             duration=1.0)
         rows = ParallelRunner(n_workers=1, use_cache=False).run(
-            [scenario]).table.rows
+            [scenario]).table
         through, cross = rows
         assert through["path"] == "through"  # default path resolved
         assert through["bandwidth_mbps"] == 10.0 and cross["bandwidth_mbps"] == 16.0
@@ -372,19 +359,18 @@ class TestFailureHandling:
             False, True, False, True]
         for result in outcome:
             assert (result.records == []) == (result.error is not None)
-        table = outcome.table
-        failed = [row for row in table if row["error"] is not None]
+        failed = [row for row in outcome.table if row["error"] is not None]
         assert len(failed) == 2 and all(
             row["throughput_mbps"] is None and row["utilization"] is None
             for row in failed)
-        good = [row for row in table if row["error"] is None]
+        good = [row for row in outcome.table if row["error"] is None]
         assert len(good) == 2
         # Aggregates skip the failed cells' None metrics; a group with
         # nothing but failures is nan, not a TypeError.
-        assert table.mean("utilization") == pytest.approx(
+        assert outcome.mean("utilization") == pytest.approx(
             (good[0]["utilization"] + good[1]["utilization"]) / 2)
-        assert math.isnan(table.mean("utilization", lineup="no-such-scheme"))
-        lineups, _, matrix = table.pivot("lineup", "suite", "utilization")
+        assert math.isnan(outcome.mean("utilization", lineup="no-such-scheme"))
+        lineups, _, matrix = outcome.pivot("lineup", "suite", "utilization")
         assert lineups == ["cubic", "no-such-scheme", "vegas",
                            "no-such-scheme-either"]
         assert [math.isnan(v) for v in matrix[:, 0]] == [
@@ -406,40 +392,48 @@ class TestSweepCompat:
     def test_sweep_suite_accepts_duplicate_schemes(self):
         suite = sweep_suite(("cubic", "cubic"), "bandwidth", (6.0, 9.0),
                             duration=1.0, seed=0)
-        table = ParallelRunner(n_workers=1, use_cache=False).run(suite).table
-        lineups, values, matrix = table.pivot("lineup", "bandwidth_mbps",
-                                              "utilization")
+        outcome = ParallelRunner(n_workers=1, use_cache=False).run(suite)
+        lineups, values, matrix = outcome.pivot("lineup", "bandwidth_mbps",
+                                                "utilization")
         assert lineups == ["cubic", "cubic#1"] and values == [6.0, 9.0]
         # Same scheme, same seed: both line-ups simulate identically.
         np.testing.assert_array_equal(matrix[0], matrix[1])
 
 
-class TestResultTable:
-    def _table(self):
+class TestSuiteTable:
+    def _outcome(self):
         runner = ParallelRunner(n_workers=1, use_cache=False)
         return runner.run(ScenarioSuite(
             name="t", lineups=("cubic", "vegas"),
-            bandwidths_mbps=(6.0, 12.0), duration=1.5)).table
+            bandwidths_mbps=(6.0, 12.0), duration=1.5))
 
-    def test_rows_and_filter(self):
-        table = self._table()
-        assert len(table) == 4
-        cubic = table.filter(scheme="cubic")
-        assert len(cubic) == 2
-        assert all(r["label"] == "cubic" for r in cubic)
-        assert len(table.filter(scheme="cubic", bandwidth_mbps=6.0)) == 1
+    def test_rows(self):
+        table = self._outcome().table
+        assert isinstance(table, list) and len(table) == 4
+        assert [r["label"] for r in table] == ["cubic", "cubic",
+                                               "vegas", "vegas"]
 
-    def test_values_and_mean(self):
-        table = self._table()
-        assert table.values("utilization").shape == (4,)
-        assert 0.0 <= table.mean("utilization", scheme="cubic") <= 1.0
+    def test_mean(self):
+        outcome = self._outcome()
+        cubic = [r["utilization"] for r in outcome.table
+                 if r["scheme"] == "cubic" and r["bandwidth_mbps"] == 6.0]
+        assert outcome.mean("utilization", scheme="cubic",
+                            bandwidth_mbps=6.0) == cubic[0]
+        assert 0.0 <= outcome.mean("utilization", scheme="cubic") <= 1.0
 
     def test_pivot(self):
-        rows, cols, matrix = self._table().pivot(
+        rows, cols, matrix = self._outcome().pivot(
             "label", "bandwidth_mbps", "throughput_pps")
         assert rows == ["cubic", "vegas"] and cols == [6.0, 12.0]
         assert matrix.shape == (2, 2) and np.all(np.isfinite(matrix))
 
-    def test_format_is_printable(self):
-        text = self._table().format()
-        assert "scenario" in text and "cubic" in text
+    def test_a_misspelled_key_raises_instead_of_nan(self):
+        outcome = self._outcome()
+        with pytest.raises(KeyError, match="lineupp"):
+            outcome.mean("utilization", lineupp="cubic")
+        with pytest.raises(KeyError, match="utilisation"):
+            outcome.mean("utilisation")
+        with pytest.raises(KeyError, match="lineupp"):
+            outcome.pivot("lineupp", "bandwidth_mbps", "utilization")
+        # A real column that no row matches is still nan.
+        assert math.isnan(outcome.mean("utilization", lineup="bbr"))

@@ -40,9 +40,10 @@ from hypothesis import given, strategies as st
 
 import repro.eval.resilience as resilience
 from repro.eval.metrics import reward_of_record
-from repro.eval.parallel import ParallelRunner, ResultCache, ScenarioError
+from repro.eval.parallel import ParallelRunner, ScenarioError
 from repro.eval.resilience import (
     ResilientPool,
+    ResultCache,
     RetryPolicy,
     SweepCheckpoint,
     _sealed,
@@ -561,8 +562,8 @@ class TestDeferredHistory:
         built = _BuildCount(monkeypatch)
         warm = runner.run(SMALL)
         assert warm.cache_hits == len(warm) == 4
-        assert warm.table.rows == [{**row, "cached": True, "events": 0,
-                                    "wall_s": 0.0} for row in cold.table.rows]
+        assert warm.table == [{**row, "cached": True, "events": 0,
+                               "wall_s": 0.0} for row in cold.table]
         assert built.n == 0
         record = warm.results[0].records[0]
         weights = (0.6, 0.3, 0.1)
@@ -912,7 +913,7 @@ class TestLoneCellDispatch:
         outcome = err.value.outcome
         [result] = outcome.results
         assert result.records == [] and "CellTimeout" in result.error
-        [row] = outcome.table.rows
+        [row] = outcome.table
         assert "CellTimeout" in row["error"] and row["utilization"] is None
 
     def test_lone_cell_survives_a_worker_crash(self, tmp_path):
