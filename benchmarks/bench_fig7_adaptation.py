@@ -75,13 +75,13 @@ def bench_fig7b_no_forgetting(benchmark, mocc_agent, aurora_throughput):
         collector = SerialCollector(SPEC)
         eval_env = SPEC.build(seed_offset=555)
         rng = np.random.default_rng(13)
-        aurora_old = [evaluate_policy(eval_env, aurora.model, old_objective, rng)]
+        aurora_old = [evaluate_policy(eval_env, aurora.model, old_objective)]
         for it in range(16):
             buffers, boots, _ = collector.collect(aurora.model, NEW_OBJECTIVE, 256, rng)
             trainer.update(buffers, boots)
             if (it + 1) % 4 == 0:
                 aurora_old.append(
-                    evaluate_policy(eval_env, aurora.model, old_objective, rng))
+                    evaluate_policy(eval_env, aurora.model, old_objective))
         return trace, aurora_old
 
     trace, aurora_old = run_once(benchmark, experiment)

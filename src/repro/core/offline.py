@@ -33,7 +33,6 @@ from repro.core.sorting import neighborhood_sort
 from repro.core.weights import simplex_grid, step_for_omega
 from repro.rl.collect import evaluate_policy
 from repro.rl.parallel import EnvSpec, SerialCollector
-from repro.rl.policy import PreferenceActorCritic
 from repro.rl.ppo import PPOConfig, PPOTrainer
 
 __all__ = ["ObjectiveLog", "OfflineResult", "OfflineTrainer",
@@ -66,35 +65,19 @@ class OfflineTrainer:
     """Drives the two-phase offline training of a :class:`MoccAgent`."""
 
     def __init__(self, spec: EnvSpec | None = None,
-                 config: TrainingConfig = DEFAULT_TRAINING,
-                 ppo_config: PPOConfig | None = None,
-                 collector=None, seed: int = 0):
+                 config: TrainingConfig = DEFAULT_TRAINING, seed: int = 0):
         self.spec = spec or EnvSpec(ranges=TRAINING_RANGES, seed=seed)
         self.config = config
         self.agent = MoccAgent(config, seed=seed)
         self.ppo = PPOTrainer(self.agent.model,
-                              ppo_config or PPOConfig.from_training_config(config),
+                              PPOConfig.from_training_config(config),
                               rng=np.random.default_rng(seed + 1))
-        self.collector = collector or SerialCollector(self.spec)
+        self.collector = SerialCollector(self.spec)
         self.rng = np.random.default_rng(seed + 2)
         self.log: list[ObjectiveLog] = []
         self._iteration = 0
-        self._eval_env = self.spec.build(seed_offset=99_991)
 
     # --- building blocks ---------------------------------------------------
-
-    def train_objective(self, weights, iterations: int, phase: str = "manual") -> float:
-        """Run PPO iterations for a single objective; returns last reward."""
-        weights = np.asarray(weights, dtype=np.float64)
-        mean_reward = 0.0
-        for _ in range(iterations):
-            buffers, boots, mean_reward = self.collector.collect(
-                self.agent.model, weights, self.config.steps_per_iteration, self.rng)
-            self.ppo.update(buffers, boots)
-            self._iteration += 1
-            self.log.append(ObjectiveLog(phase, tuple(np.round(weights, 6)),
-                                         self._iteration, mean_reward))
-        return mean_reward
 
     def train_objectives_jointly(self, objectives, iterations: int,
                                  phase: str = "joint") -> float:
@@ -126,13 +109,6 @@ class OfflineTrainer:
                 self.log.append(ObjectiveLog(phase, tuple(np.round(w, 6)),
                                              self._iteration, r))
         return mean_reward
-
-    def evaluate(self, objectives, episodes: int = 1) -> np.ndarray:
-        """Deterministic episodic reward on each objective."""
-        rewards = [evaluate_policy(self._eval_env, self.agent.model, w,
-                                   self.rng, episodes=episodes)
-                   for w in np.atleast_2d(np.asarray(objectives, dtype=np.float64))]
-        return np.asarray(rewards)
 
     # --- the §4.2 procedure ----------------------------------------------------
 
@@ -177,8 +153,8 @@ class OfflineTrainer:
             agent=self.agent, landmarks=grid, traversal=order, log=list(self.log),
             wall_time=time.perf_counter() - start, total_iterations=self._iteration)
 
-    def train_individual_style(self, omega: int = 36, iters_per_objective: int = 30,
-                               bootstraps=BOOTSTRAP_OBJECTIVES) -> OfflineResult:
+    def train_individual_style(self, omega: int = 36,
+                               iters_per_objective: int = 30) -> OfflineResult:
         """Ablation: every landmark trained independently, no transfer.
 
         The model is still shared (so the comparison isolates the
@@ -189,7 +165,8 @@ class OfflineTrainer:
         start = time.perf_counter()
         grid = simplex_grid(step_for_omega(omega))
         for w in grid:
-            self.train_objective(w, iters_per_objective, phase="individual")
+            self.train_objectives_jointly([w], iters_per_objective,
+                                          phase="individual")
         return OfflineResult(
             agent=self.agent, landmarks=grid, traversal=list(range(len(grid))),
             log=list(self.log), wall_time=time.perf_counter() - start,
@@ -198,8 +175,8 @@ class OfflineTrainer:
 
 def train_single_objective(spec: EnvSpec, weights, iterations: int,
                            config: TrainingConfig = DEFAULT_TRAINING,
-                           seed: int = 0, collector=None,
-                           eval_every: int = 0) -> tuple[MoccAgent, list[float], list[tuple[int, float]]]:
+                           seed: int = 0, eval_every: int = 0
+                           ) -> tuple[MoccAgent, list[float], list[tuple[int, float]]]:
     """Train a *single-objective* agent (no preference sub-network).
 
     This is the Aurora training procedure (Fig. 2a): the weight vector
@@ -211,7 +188,7 @@ def train_single_objective(spec: EnvSpec, weights, iterations: int,
     agent = MoccAgent(config, weight_dim=0, seed=seed)
     trainer = PPOTrainer(agent.model, PPOConfig.from_training_config(config),
                          rng=np.random.default_rng(seed + 1))
-    collector = collector or SerialCollector(spec)
+    collector = SerialCollector(spec)
     rng = np.random.default_rng(seed + 2)
     eval_env = spec.build(seed_offset=99_991)
 
@@ -223,7 +200,7 @@ def train_single_objective(spec: EnvSpec, weights, iterations: int,
         trainer.update(buffers, boots)
         trace.append(mean_reward)
         if eval_every and (it % eval_every == 0 or it == iterations - 1):
-            marks.append((it, evaluate_policy(eval_env, agent.model, weights, rng)))
+            marks.append((it, evaluate_policy(eval_env, agent.model, weights)))
     return agent, trace, marks
 
 

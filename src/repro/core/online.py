@@ -75,10 +75,15 @@ class AdaptationTrace:
     old_marks: list[tuple[int, float]] = field(default_factory=list)
 
     def convergence_iteration(self, frac: float = 0.99, smooth: int = 5) -> int:
-        """First iteration whose smoothed reward reaches ``frac * max``.
+        """First iteration whose smoothed reward gain reaches ``frac``
+        of the maximum gain.
 
         This is the paper's §6.2 definition ("99 % of the maximum
-        reward gain").  Returns the 1-based iteration index.
+        reward gain"): the gain is measured from the first smoothed
+        value, so the threshold is ``first + frac * (max - first)``.
+        It neither favours a curve that starts high nor becomes
+        unreachable when every reward is negative.  Returns the 1-based
+        iteration index.
 
         ``np.convolve(..., mode="valid")`` index ``j`` averages original
         iterations ``j .. j+smooth-1``, so the crossing is re-centered
@@ -96,7 +101,7 @@ class AdaptationTrace:
             kernel = np.ones(smooth) / smooth
             r = np.convolve(r, kernel, mode="valid")
             offset = smooth - 1
-        threshold = frac * r.max()
+        threshold = r[0] + frac * (r.max() - r[0])
         crossing = int(np.argmax(r >= threshold))
         return crossing + offset + 1
 
@@ -121,19 +126,16 @@ class OnlineAdapter:
     """Adapt a trained MOCC agent to new objectives on-the-fly."""
 
     def __init__(self, agent: MoccAgent, spec: EnvSpec,
-                 config: TrainingConfig = DEFAULT_TRAINING,
-                 ppo_config: PPOConfig | None = None,
-                 replay: RequirementReplay | None = None,
-                 collector=None, seed: int = 0):
+                 config: TrainingConfig = DEFAULT_TRAINING, seed: int = 0):
         if agent.weight_dim == 0:
             raise ValueError("online adaptation needs a preference-conditioned agent")
         self.agent = agent
         self.spec = spec
         self.config = config
-        self.replay = replay if replay is not None else RequirementReplay()
-        self.collector = collector or SerialCollector(spec)
-        ppo_cfg = ppo_config or PPOConfig.from_training_config(config)
-        self.ppo = PPOTrainer(agent.model, ppo_cfg, rng=np.random.default_rng(seed + 1))
+        self.replay = RequirementReplay()
+        self.collector = SerialCollector(spec)
+        self.ppo = PPOTrainer(agent.model, PPOConfig.from_training_config(config),
+                              rng=np.random.default_rng(seed + 1))
         self.rng = np.random.default_rng(seed + 2)
         self._eval_env = spec.build(seed_offset=77_777)
 
@@ -147,10 +149,16 @@ class OnlineAdapter:
         """Adapt to ``new_weights`` for ``iterations`` PPO iterations.
 
         Each iteration collects a rollout on the new objective and --
-        when the replay pool is non-empty and ``use_replay`` -- one on a
-        sampled old objective, then applies the averaged loss of Eq. 6.
-        ``old_weights`` (if given) is evaluated every ``eval_every``
-        iterations to measure forgetting (Fig. 7b's snapshots).
+        when the replay pool is non-empty and ``use_replay`` -- one of
+        the same size on a sampled old objective.  The requirement
+        replay loss of Eq. 6 is then one pooled
+        :meth:`~repro.rl.ppo.PPOTrainer.update` over both rollouts:
+        with equal-sized rollouts, every minibatch's mean loss is the
+        average of the two objectives' losses in expectation, and the
+        advantages are normalised over the pool, so neither objective's
+        scale dominates.  ``old_weights`` (if given) is evaluated every
+        ``eval_every`` iterations to measure forgetting (Fig. 7b's
+        snapshots).
         """
         new_weights = np.asarray(new_weights, dtype=np.float64)
         trace = AdaptationTrace()
@@ -172,11 +180,11 @@ class OnlineAdapter:
 
             if eval_every and (it % eval_every == 0 or it == iterations - 1):
                 mark = evaluate_policy(self._eval_env, self.agent.model,
-                                       new_weights, self.rng)
+                                       new_weights)
                 trace.new_marks.append((it, mark))
                 if old_weights is not None:
                     old_mark = evaluate_policy(self._eval_env, self.agent.model,
-                                               old_weights, self.rng)
+                                               old_weights)
                     trace.old_marks.append((it, old_mark))
 
         self.replay.add(new_weights)

@@ -15,10 +15,11 @@ numpy implementation:
   sub-network of Fig. 3, and the single-state ``InferencePlan``.
 * :mod:`repro.rl.rollout` -- trajectory storage, returns, advantages.
 * :mod:`repro.rl.collect` -- run a policy in an env (one plan per
-  rollout) and fill a buffer.
+  rollout) and fill a buffer; score one deterministic episode.
 * :mod:`repro.rl.ppo` -- PPO-clip with entropy regularisation (Eq. 3-5).
 * :mod:`repro.rl.dqn` -- the MOCC-DQN ablation of Fig. 18.
-* :mod:`repro.rl.parallel` -- vectorized/parallel rollout collection.
+* :mod:`repro.rl.parallel` -- the environment spec and the serial and
+  vectorized (lockstep, batched-inference) rollout collectors.
 """
 
 from repro.rl.nn import MLP, Dense, Tanh, ReLU, Sequential

@@ -15,8 +15,7 @@ from repro.netsim.env import MoccEnv
 from repro.rl.policy import PreferenceActorCritic
 from repro.rl.rollout import RolloutBuffer
 
-__all__ = ["collect_rollout", "evaluate_policy", "run_policy_episode",
-           "resolve_objective"]
+__all__ = ["collect_rollout", "evaluate_policy", "resolve_objective"]
 
 #: Default environment objective when a caller passes ``weights=None``
 #: (only legal for unconditioned models): the balanced requirement.
@@ -39,15 +38,12 @@ def resolve_objective(weights, conditioned: bool) -> np.ndarray:
 
 
 def collect_rollout(env: MoccEnv, model: PreferenceActorCritic, weights,
-                    steps: int, rng: np.random.Generator,
-                    obs_state: tuple | None = None):
+                    steps: int, rng: np.random.Generator):
     """Collect ``steps`` on-policy transitions for the given objective.
 
-    Returns ``(buffer, bootstrap_value, mean_episode_reward, carry)``.
-    ``carry`` is the ``(obs, weights)`` pair to resume from (pass it back
-    as ``obs_state`` to continue the same episode across iterations).
-    ``weights=None`` is accepted for unconditioned models (the env then
-    rewards the balanced objective).
+    Starts a fresh episode and returns ``(buffer, bootstrap_value,
+    mean_episode_reward)``.  ``weights=None`` is accepted for
+    unconditioned models (the env then rewards the balanced objective).
     """
     conditioned = model.weight_dim > 0
     weights = resolve_objective(weights, conditioned)
@@ -55,11 +51,7 @@ def collect_rollout(env: MoccEnv, model: PreferenceActorCritic, weights,
     # The model is frozen until the next PPO update: one plan serves
     # the whole rollout (its preference embedding is computed here).
     plan = model.plan(weights)
-
-    if obs_state is None:
-        obs, w_obs = env.reset(weights)
-    else:
-        obs, w_obs = obs_state
+    obs, w_obs = env.reset(weights)
 
     episode_rewards: list[float] = []
     episode_total = 0.0
@@ -79,45 +71,27 @@ def collect_rollout(env: MoccEnv, model: PreferenceActorCritic, weights,
 
     bootstrap = 0.0 if done else plan.value(obs)
     if not episode_rewards:
-        # No episode completed (the rollout is shorter than an episode,
-        # e.g. after sharding across workers): extrapolate the per-step
-        # reward to the episode horizon rather than reporting the
-        # partial total as a finished episode, so reward traces stay
-        # comparable no matter how collection is sharded.
+        # No episode completed (the rollout is shorter than an episode):
+        # extrapolate the per-step reward to the episode horizon rather
+        # than reporting the partial total as a finished episode, so
+        # reward traces stay comparable no matter how collection is
+        # sharded across environments.
         horizon = getattr(getattr(env, "env", env), "max_steps", steps)
         episode_rewards.append(episode_total * max(horizon, steps) / steps)
-    return buffer, bootstrap, float(np.mean(episode_rewards)), (obs, w_obs)
+    return buffer, bootstrap, float(np.mean(episode_rewards))
 
 
-def run_policy_episode(env: MoccEnv, model: PreferenceActorCritic, weights,
-                       rng: np.random.Generator, deterministic: bool = True):
-    """Run one full episode; return ``(total_reward, mean_components)``.
+def evaluate_policy(env: MoccEnv, model: PreferenceActorCritic, weights) -> float:
+    """Total reward of one deterministic episode on one objective.
 
-    ``mean_components`` is the per-step average of (O_thr, O_lat,
-    O_loss) -- useful for utilization/latency reporting.
     ``weights=None`` is accepted for unconditioned models.
     """
-    conditioned = model.weight_dim > 0
-    weights = resolve_objective(weights, conditioned)
+    weights = resolve_objective(weights, model.weight_dim > 0)
     plan = model.plan(weights)
     obs, _ = env.reset(weights)
     total = 0.0
-    comps = np.zeros(3)
-    steps = 0
     done = False
     while not done:
-        obs, _, reward, components, done, _ = env.step(
-            plan.action(obs, rng, deterministic))
+        obs, _, reward, _, done, _ = env.step(float(plan.mean(obs)[0, 0]))
         total += reward
-        comps += components.as_array()
-        steps += 1
-    return total, comps / max(steps, 1)
-
-
-def evaluate_policy(env: MoccEnv, model: PreferenceActorCritic, weights,
-                    rng: np.random.Generator, episodes: int = 1,
-                    deterministic: bool = True) -> float:
-    """Mean episodic reward of a policy on one objective."""
-    totals = [run_policy_episode(env, model, weights, rng, deterministic)[0]
-              for _ in range(episodes)]
-    return float(np.mean(totals))
+    return float(total)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.netsim.env import MoccEnv, apply_action
+from repro.netsim.env import MoccEnv
 from repro.rl.nn import MLP, Dense, Module, ParameterArena, Sequential, Tanh
 from repro.rl.optim import Adam, clip_grad_norm
 

@@ -1,28 +1,24 @@
-"""Rollout-collection strategies: serial, vectorized, multi-process.
+"""Rollout-collection strategies: serial and vectorized.
 
 The paper accelerates MOCC's training with Ray/RLlib parallel
-environments (§5, Fig. 19).  Offline, we reproduce the same effect two
-ways:
+environments (§5, Fig. 19).  Offline, :class:`VectorCollector` steps
+several simulator environments in lockstep and batches the policy
+forward passes, which removes most Python-level NN overhead even on
+one core.  Its speed against :class:`SerialCollector` is the ledger's
+``rl.parallel.vector_ratio`` and a row of
+``benchmarks/bench_fig16_19_deepdive.py``'s Fig. 19 table.
 
-* :class:`VectorCollector` steps several simulator environments in
-  lockstep and batches the policy forward passes -- this removes most
-  Python-level NN overhead even on one core;
-* :class:`ProcessCollector` farms rollout collection out to OS
-  processes (the host has few cores, so the measured speedup is
-  bounded accordingly: ``benchmarks/bench_fig16_19_deepdive.py``
-  asserts only that two processes take < 1.5x the serial time).
-
-All collectors share one call signature::
+Both collectors share one call signature::
 
     buffers, bootstraps, mean_episode_reward = collector.collect(
         model, weights, total_steps, rng)
 
-so the offline/online trainers can swap strategies freely.
+and the trainers hand ``buffers`` and ``bootstraps`` straight to
+:meth:`~repro.rl.ppo.PPOTrainer.update`.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,15 +30,15 @@ from repro.rl.distributions import DiagGaussian
 from repro.rl.policy import PreferenceActorCritic
 from repro.rl.rollout import RolloutBuffer
 
-__all__ = ["EnvSpec", "SerialCollector", "VectorCollector", "ProcessCollector"]
+__all__ = ["EnvSpec", "SerialCollector", "VectorCollector"]
 
 
 @dataclass(frozen=True)
 class EnvSpec:
-    """Picklable recipe for building a :class:`MoccEnv`.
+    """Frozen recipe for building a :class:`MoccEnv`.
 
-    Process workers cannot receive closures, so experiments describe
-    their environment with this spec instead of a factory function.
+    A collector builds its environments from the spec, each with its
+    own seed offset, so one spec describes a whole family of envs.
     """
 
     params: NetworkParams | None = None
@@ -73,7 +69,7 @@ class SerialCollector:
 
     def collect(self, model: PreferenceActorCritic, weights, steps: int,
                 rng: np.random.Generator):
-        buffer, bootstrap, mean_reward, _ = collect_rollout(
+        buffer, bootstrap, mean_reward = collect_rollout(
             self.env, model, weights, steps, rng)
         return [buffer], [bootstrap], mean_reward
 
@@ -138,76 +134,3 @@ class VectorCollector:
 
     def close(self) -> None:
         """Nothing to release."""
-
-
-def _worker_collect(args):
-    """Process-pool entry point: build env + model, collect one rollout."""
-    (spec, arch, flat, weights, steps, seed, seed_offset) = args
-    model = PreferenceActorCritic(**arch)
-    model.parameters().value[:] = flat
-    env = spec.build(seed_offset=seed_offset)
-    rng = np.random.default_rng(seed)
-    buffer, bootstrap, mean_reward, _ = collect_rollout(env, model, weights, steps, rng)
-    payload = {
-        "obs": buffer.obs[:buffer.size],
-        "weights": None if buffer.weights is None else buffer.weights[:buffer.size],
-        "actions": buffer.actions[:buffer.size],
-        "log_probs": buffer.log_probs[:buffer.size],
-        "values": buffer.values[:buffer.size],
-        "rewards": buffer.rewards[:buffer.size],
-        "dones": buffer.dones[:buffer.size],
-    }
-    return payload, bootstrap, mean_reward
-
-
-def _rebuild_buffer(payload, weight_dim: int, act_dim: int) -> RolloutBuffer:
-    n = len(payload["obs"])
-    buffer = RolloutBuffer(payload["obs"].shape[1], weight_dim, act_dim, n)
-    buffer.obs[:] = payload["obs"]
-    if buffer.weights is not None:
-        buffer.weights[:] = payload["weights"]
-    buffer.actions[:] = payload["actions"]
-    buffer.log_probs[:] = payload["log_probs"]
-    buffer.values[:] = payload["values"]
-    buffer.rewards[:] = payload["rewards"]
-    buffer.dones[:] = payload["dones"]
-    buffer.size = n
-    return buffer
-
-
-class ProcessCollector:
-    """Collect rollouts in parallel OS processes (Fig. 19's "parallel")."""
-
-    def __init__(self, spec: EnvSpec, n_workers: int = 2):
-        if n_workers < 1:
-            raise ValueError("need at least one worker")
-        self.spec = spec
-        self.n_workers = n_workers
-        ctx = mp.get_context("fork")
-        self._pool = ctx.Pool(processes=n_workers)
-
-    def collect(self, model: PreferenceActorCritic, weights, steps: int,
-                rng: np.random.Generator):
-        per_worker = max(steps // self.n_workers, 1)
-        arch = model.architecture()
-        flat = model.parameters().value
-        weights = resolve_objective(weights, model.weight_dim > 0)
-        jobs = [(self.spec, arch, flat, weights, per_worker,
-                 int(rng.integers(0, 2 ** 31)), 1000 * (i + 1))
-                for i in range(self.n_workers)]
-        results = self._pool.map(_worker_collect, jobs)
-        buffers = [_rebuild_buffer(p, model.weight_dim, model.act_dim)
-                   for p, _, _ in results]
-        bootstraps = [b for _, b, _ in results]
-        mean_reward = float(np.mean([m for _, _, m in results]))
-        return buffers, bootstraps, mean_reward
-
-    def close(self) -> None:
-        self._pool.close()
-        self._pool.join()
-
-    def __del__(self):  # best-effort cleanup
-        try:
-            self._pool.terminate()
-        except Exception:
-            pass

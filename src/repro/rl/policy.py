@@ -146,16 +146,6 @@ class PreferenceActorCritic(Module):
 
     # --- snapshots ---------------------------------------------------------
 
-    def architecture(self) -> dict:
-        """Constructor kwargs that rebuild an identically-shaped model."""
-        return {
-            "obs_dim": self.obs_dim,
-            "weight_dim": self.weight_dim,
-            "act_dim": self.act_dim,
-            "hidden_sizes": tuple(_dense_widths(self.actor)),
-            "pref_hidden": self.pref_hidden if self.pref_hidden else 16,
-        }
-
     def clone(self) -> "PreferenceActorCritic":
         """Deep copy with identical parameters (fresh gradient buffers)."""
         twin = PreferenceActorCritic(

@@ -92,9 +92,9 @@ class PPOStats:
 class PPOTrainer:
     """PPO-clip updates for a :class:`PreferenceActorCritic`.
 
-    The trainer is environment-agnostic: callers fill a
-    :class:`RolloutBuffer` however they like (single env, vectorized
-    envs, multiprocessing workers) and hand it to :meth:`update`.
+    The trainer is environment-agnostic: callers fill one
+    :class:`RolloutBuffer` per rollout however they like (one env, or
+    several stepped in lockstep) and hand them to :meth:`update`.
     """
 
     def __init__(self, model: PreferenceActorCritic, config: PPOConfig | None = None,
@@ -109,8 +109,10 @@ class PPOTrainer:
                bootstrap_value: float | list[float] = 0.0) -> PPOStats:
         """Run ``epochs`` of minibatch PPO over the buffer contents.
 
-        Accepts a single buffer or a list (e.g. from parallel rollout
-        workers); with a list, returns/advantages are computed per
+        Accepts a single buffer or a list (one per rollout: a
+        :class:`~repro.rl.parallel.VectorCollector`'s environments, or a
+        new objective's and a replayed one's); with a list, returns and
+        advantages are computed per
         buffer (each with its own bootstrap value) before the samples
         are pooled for minibatching, so trajectories never leak into
         each other.
@@ -162,47 +164,13 @@ class PPOTrainer:
             stats.approx_kl /= batches
         return stats
 
-    def update_multi(self, buffers: list[RolloutBuffer]) -> list[PPOStats]:
-        """Average-update over several buffers *in one step*.
-
-        This realises the requirement-replay loss (Eq. 6): the gradient
-        applied is the mean of the per-objective PPO gradients, i.e.
-        ``L = (1/k) * sum_i L_CLIP+E(theta, w_i)``.  Each buffer is
-        consumed with a single epoch over its full batch, gradients are
-        accumulated across buffers, then one optimizer step is taken.
-        """
-        cfg = self.config
-        beta = cfg.entropy_coef(self.iteration)
-        scale = 1.0 / max(len(buffers), 1)
-        batches = [b.batch() for b in buffers]
-        computed = [b.compute(cfg.gamma, cfg.gae_lambda) for b in buffers]
-        # Normalise advantages jointly across the objectives (see update()).
-        pooled = np.concatenate([c[1] for c in computed])
-        mean, std = pooled.mean(), pooled.std() + 1e-8
-        computed = [(ret, (adv - mean) / std) for ret, adv in computed]
-        all_stats: list[PPOStats] = []
-        for _ in range(cfg.epochs):
-            self.optimizer.zero_grad()
-            epoch_stats = []
-            for (obs, weights, actions, old_log_probs, _), (returns, advantages) in zip(
-                    batches, computed):
-                stats = self._accumulate_gradients(
-                    obs, weights, actions, old_log_probs, returns, advantages, beta, scale)
-                epoch_stats.append(stats)
-            clip_grad_norm(self.model.parameters(), cfg.max_grad_norm)
-            self.optimizer.step()
-            self._clamp_log_std()
-            all_stats = epoch_stats
-        self.iteration += 1
-        return all_stats
-
     # --- internals --------------------------------------------------------
 
     def _update_minibatch(self, obs, weights, actions, old_log_probs,
                           returns, advantages, beta) -> PPOStats:
         self.optimizer.zero_grad()
         stats = self._accumulate_gradients(
-            obs, weights, actions, old_log_probs, returns, advantages, beta, 1.0)
+            obs, weights, actions, old_log_probs, returns, advantages, beta)
         clip_grad_norm(self.model.parameters(), self.config.max_grad_norm)
         self.optimizer.step()
         self._clamp_log_std()
@@ -213,7 +181,7 @@ class PPOTrainer:
         np.clip(self.model.log_std.value, lo, hi, out=self.model.log_std.value)
 
     def _accumulate_gradients(self, obs, weights, actions, old_log_probs,
-                              returns, advantages, beta, scale) -> PPOStats:
+                              returns, advantages, beta) -> PPOStats:
         """Forward + backward for the PPO loss; grads are *accumulated*."""
         cfg = self.config
         model = self.model
@@ -248,7 +216,7 @@ class PPOTrainer:
         value_loss = 0.5 * float(np.mean(value_err ** 2))
         d_value = cfg.value_coef * value_err / n
 
-        model.backward(d_mean * scale, d_value * scale, d_log_std * scale)
+        model.backward(d_mean, d_value, d_log_std)
 
         clip_fraction = float(np.mean(np.abs(ratio - 1.0) > cfg.clip_epsilon))
         approx_kl = float(np.mean(old_log_probs - new_log_probs))

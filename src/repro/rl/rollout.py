@@ -105,24 +105,19 @@ class RolloutBuffer:
     def full(self) -> bool:
         return self.size >= self.capacity
 
-    def compute(self, gamma: float, lam: float, bootstrap_value: float = 0.0,
-                normalize: bool = False):
+    def compute(self, gamma: float, lam: float, bootstrap_value: float = 0.0):
         """Return ``(returns, advantages)`` over the filled portion.
 
-        With ``normalize`` the advantages are scaled to zero mean / unit
-        variance.  The PPO trainer normalises over the *pooled* batch
-        instead (several buffers may carry different objectives, and
-        per-buffer normalisation would amplify the noise of a buffer
+        The advantages are raw.  The PPO trainer normalises over the
+        *pooled* batch (several buffers may carry different objectives,
+        and per-buffer normalisation would amplify the noise of a buffer
         whose rewards are nearly constant until it drowns the others'
-        signal), so the default here is raw advantages.
+        signal).
         """
         n = self.size
         advantages = gae_advantages(self.rewards[:n], self.values[:n], self.dones[:n],
                                     gamma, lam, bootstrap_value)
-        returns = advantages + self.values[:n]
-        if normalize:
-            advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
-        return returns, advantages
+        return advantages + self.values[:n], advantages
 
     def batch(self):
         """Views over the filled portion (no copies)."""

@@ -14,11 +14,13 @@
   metamorphic relations (``tests/test_metamorphic.py``): topology x
   churn x seed x faulted link x fault specs, the specs drawn by
   :func:`late_faults` or :func:`zero_outage_flaps`.
+* :func:`scaled_cells` -- a cell and its twin at twice the capacity
+  and twice the packet size, for the scale-invariance relation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from hypothesis import strategies as st
 
@@ -31,6 +33,7 @@ from repro.netsim.faults import (
     LinkFlapSchedule,
     RateBrownout,
 )
+from repro.netsim.network import ACK_BYTES
 from repro.netsim.topology import dumbbell_asymmetric, parking_lot
 
 #: Heuristic schemes the perf shapes run (no trained models: they must
@@ -274,3 +277,47 @@ def zero_outage_flaps():
             jitter=jitter * period, policy=policy),),
         st.floats(0.0, RELATION_DURATION), st.floats(0.05, 0.5),
         st.sampled_from((0.0, 0.5)), _POLICIES)
+
+
+@dataclass(frozen=True)
+class ScaledCell:
+    """A cell and its twin with every link's capacity, the packet size
+    and the ack size doubled."""
+
+    base: Scenario
+    scaled: Scenario
+
+
+def scaled_cell(lineup: tuple, churn, seed: int,
+                duration: float = RELATION_DURATION) -> ScaledCell:
+    """One of :data:`RELATION_LINEUPS` under ``churn``, at its own scale
+    and doubled.  Vivace becomes Copa: Vivace's utility is defined in
+    Mbps, so it is not scale-free."""
+    topology, flows = lineup
+    flows = tuple(replace(flow, scheme="copa") if flow.scheme == "vivace"
+                  else flow for flow in flows)
+    doubled = replace(
+        topology,
+        links=tuple(replace(ld, bandwidth_mbps=2 * ld.bandwidth_mbps)
+                    for ld in topology.links),
+        paths=tuple(replace(path, ack_bytes=2 * (path.ack_bytes or ACK_BYTES))
+                    for path in topology.paths))
+    network = EvalNetwork()
+    common = dict(flows=flows, churn=churn, duration=duration, seed=seed)
+    name = (f"scaled/{topology.name}/"
+            f"{churn.label() if churn is not None else 'steady'}/s{seed}")
+    return ScaledCell(
+        base=Scenario(name=name, network=network, topology=topology,
+                      **common),
+        scaled=Scenario(name=f"{name}/x2", topology=doubled,
+                        network=replace(network,
+                                        packet_bytes=2 * network.packet_bytes),
+                        **common))
+
+
+@st.composite
+def scaled_cells(draw) -> ScaledCell:
+    """Topology x churn x seed, each cell with its doubled twin."""
+    return scaled_cell(draw(st.sampled_from(RELATION_LINEUPS)),
+                       draw(st.sampled_from(RELATION_CHURNS)),
+                       draw(st.integers(0, 7)))

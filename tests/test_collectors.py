@@ -1,4 +1,4 @@
-"""Collector parity: Serial/Vector/Process agree on shapes and handle
+"""Collector parity: Serial and Vector agree on shapes and handle
 both preference-conditioned and unconditioned models (incl. the
 ``weights=None`` path and the no-finished-episode reward fallback)."""
 
@@ -7,9 +7,8 @@ import pytest
 
 from repro.config import DEFAULT_TRAINING, NetworkParams
 from repro.core.agent import MoccAgent
-from repro.rl.collect import (BALANCED_OBJECTIVE, collect_rollout, evaluate_policy,
-                              resolve_objective)
-from repro.rl.parallel import EnvSpec, ProcessCollector, SerialCollector, VectorCollector
+from repro.rl.collect import BALANCED_OBJECTIVE, evaluate_policy, resolve_objective
+from repro.rl.parallel import EnvSpec, SerialCollector, VectorCollector
 
 SPEC = EnvSpec(params=NetworkParams(3.0, 20.0, 200, 0.0), max_steps=16, seed=2)
 WEIGHTS = [0.5, 0.3, 0.2]
@@ -17,8 +16,7 @@ WEIGHTS = [0.5, 0.3, 0.2]
 
 def _collectors():
     return [("serial", SerialCollector(SPEC), 1),
-            ("vector", VectorCollector(SPEC, n_envs=2), 2),
-            ("process", ProcessCollector(SPEC, n_workers=2), 2)]
+            ("vector", VectorCollector(SPEC, n_envs=2), 2)]
 
 
 def _conditioned():
@@ -42,9 +40,16 @@ class TestResolveObjective:
         np.testing.assert_allclose(resolve_objective(WEIGHTS, True), WEIGHTS)
 
     def test_evaluate_policy_accepts_none_for_unconditioned(self):
-        reward = evaluate_policy(SPEC.build(), _unconditioned(), None,
-                                 np.random.default_rng(0))
+        reward = evaluate_policy(SPEC.build(), _unconditioned(), None)
         assert np.isfinite(reward)
+
+    def test_evaluate_policy_is_one_deterministic_episode(self):
+        """No exploration noise: two evaluations on equally seeded
+        environments return the same reward."""
+        model = _conditioned()
+        first = evaluate_policy(SPEC.build(), model, WEIGHTS)
+        assert np.isfinite(first)
+        assert evaluate_policy(SPEC.build(), model, WEIGHTS) == first
 
 
 class TestCollectorParity:
@@ -54,51 +59,22 @@ class TestCollectorParity:
         weights = WEIGHTS if conditioned else None
         for name, collector, n_shards in _collectors():
             model = _conditioned() if conditioned else _unconditioned()
-            try:
-                buffers, boots, reward = collector.collect(
-                    model, weights, 32, np.random.default_rng(0))
-                assert len(buffers) == len(boots) == n_shards, name
-                for buffer in buffers:
-                    assert buffer.size == 32 // n_shards, name
-                    assert buffer.obs.shape[1] == collector.spec.build().observation_dim
-                    # Unconditioned models carry no weight columns.
-                    assert (buffer.weights is not None) == conditioned, name
-                assert all(np.isfinite(b) for b in boots), name
-                assert np.isfinite(reward), name
-            finally:
-                collector.close()
+            buffers, boots, reward = collector.collect(
+                model, weights, 32, np.random.default_rng(0))
+            assert len(buffers) == len(boots) == n_shards, name
+            for buffer in buffers:
+                assert buffer.size == 32 // n_shards, name
+                assert buffer.obs.shape[1] == collector.spec.build().observation_dim
+                # Unconditioned models carry no weight columns.
+                assert (buffer.weights is not None) == conditioned, name
+            assert all(np.isfinite(b) for b in boots), name
+            assert np.isfinite(reward), name
 
     def test_conditioned_model_requires_weights_everywhere(self):
         for name, collector, _ in _collectors():
-            try:
-                with pytest.raises(ValueError, match="preference-conditioned"):
-                    collector.collect(_conditioned(), None, 8,
-                                      np.random.default_rng(0))
-            finally:
-                collector.close()
-
-
-    def test_process_workers_roll_out_the_shipped_model(self):
-        """A worker receives the model as its one flat value vector and
-        writes it in place: its rollout equals the same shard collected
-        in-process on the original (trained-away-from-init) model."""
-        model = _conditioned()
-        model.parameters().value[:] += np.random.default_rng(5).normal(
-            scale=0.05, size=model.parameters().value.size)
-        collector = ProcessCollector(SPEC, n_workers=2)
-        try:
-            buffers, boots, _ = collector.collect(model, WEIGHTS, 16,
-                                                  np.random.default_rng(0))
-        finally:
-            collector.close()
-        seeds = np.random.default_rng(0).integers(0, 2 ** 31, size=2)
-        for i, (buffer, boot) in enumerate(zip(buffers, boots)):
-            want, want_boot, _, _ = collect_rollout(
-                SPEC.build(seed_offset=1000 * (i + 1)), model, WEIGHTS, 8,
-                np.random.default_rng(int(seeds[i])))
-            assert boot == want_boot
-            for field in ("obs", "weights", "actions", "log_probs", "values", "rewards"):
-                assert np.array_equal(getattr(buffer, field), getattr(want, field)), field
+            with pytest.raises(ValueError, match="preference-conditioned"):
+                collector.collect(_conditioned(), None, 8,
+                                  np.random.default_rng(0))
 
 
 class TestVectorRewardFallback:
@@ -118,8 +94,8 @@ class TestVectorRewardFallback:
 
     def test_serial_fallback_also_extrapolated(self):
         # The extrapolation lives in shared collect_rollout, so Serial
-        # (and Process workers) agree with Vector on reward scale when
-        # the rollout is shorter than an episode.
+        # agrees with Vector on reward scale when the rollout is shorter
+        # than an episode.
         collector = SerialCollector(SPEC)
         buffers, _, reward = collector.collect(
             _conditioned(), WEIGHTS, 8, np.random.default_rng(0))

@@ -308,7 +308,19 @@ class TestRequirementReplay:
 
 class TestAdaptationTrace:
     def test_convergence_iteration(self):
+        # The gain is measured from the first reward: 10 + 0.99 * 90 = 99.1.
         trace = AdaptationTrace(rewards=[10, 50, 90, 99, 100, 100, 100])
+        assert trace.convergence_iteration(smooth=1) == 5
+
+    def test_convergence_of_a_curve_that_starts_high(self):
+        # 99 % of the 2.0 gain is 20.98; 99 % of the maximum, 20.79,
+        # would already be passed at iteration 5.
+        trace = AdaptationTrace(rewards=[19, 19.5, 20, 20.5, 20.8, 21, 21])
+        assert trace.convergence_iteration(smooth=1) == 6
+
+    def test_convergence_of_negative_rewards(self):
+        # -10 + 0.99 * 9 = -1.09; 0.99 * max = -0.99 is never reached.
+        trace = AdaptationTrace(rewards=[-10, -5, -2, -1, -1])
         assert trace.convergence_iteration(smooth=1) == 4
 
     def test_convergence_with_smoothing(self):

@@ -273,11 +273,12 @@ class TestInferencePlan:
 
 class TestCloneAndState:
     def test_clone_identical_outputs(self):
-        model = make_model(seed=9)
-        twin = model.clone()
         obs = np.random.default_rng(1).normal(size=(2, 6))
         w = np.full((2, 3), 1 / 3)
-        np.testing.assert_allclose(model.forward(obs, w)[0], twin.forward(obs, w)[0])
+        for model in (make_model(seed=9), make_model(hidden=(16, 8), pref_hidden=7)):
+            twin = model.clone()
+            np.testing.assert_allclose(model.forward(obs, w)[0],
+                                       twin.forward(obs, w)[0])
 
     def test_clone_is_independent(self):
         model = make_model()
@@ -286,9 +287,10 @@ class TestCloneAndState:
         assert model.log_std.value[0] != 99.0
 
     def test_architecture_roundtrip(self):
+        """A model rebuilt from the same constructor arguments (any
+        initialisation) and loaded from the state dict is the model."""
         model = make_model(hidden=(16, 8), pref_hidden=7)
-        arch = model.architecture()
-        rebuilt = PreferenceActorCritic(**arch)
+        rebuilt = make_model(hidden=(16, 8), pref_hidden=7, seed=3)
         rebuilt.load_state_dict(model.state_dict())
         obs = np.ones((1, 6))
         w = np.full((1, 3), 1 / 3)

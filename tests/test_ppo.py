@@ -101,20 +101,29 @@ class TestPPOMechanics:
         stats = trainer.update([b1, b2], [0.0, 0.0])
         assert np.isfinite(stats.policy_loss)
 
+    def test_pooled_update_equals_one_concatenated_buffer(self):
+        """Eq. 6's requirement replay is one pooled update: a new
+        objective's and a replayed objective's rollouts (each ending an
+        episode) train exactly as one buffer holding both would."""
+        model, pooled = self._setup(weight_dim=3)
+        twin, single = self._setup(weight_dim=3)
+        b1 = self._buffer(model, n=16, weight_dim=3, rng_seed=10)
+        b2 = self._buffer(model, n=16, weight_dim=3, rng_seed=11)
+        both = RolloutBuffer(3, 3, 1, 32)
+        for b in (b1, b2):
+            for i in range(b.size):
+                both.add(b.obs[i], b.actions[i], b.log_probs[i], b.values[i],
+                         b.rewards[i], b.dones[i], weights=b.weights[i])
+        pooled.update([b1, b2], [0.0, 0.0])
+        single.update(both)
+        assert np.array_equal(model.parameters().value, twin.parameters().value)
+        assert pooled.iteration == single.iteration == 1
+
     def test_bootstrap_count_mismatch_raises(self):
         model, trainer = self._setup()
         b1 = self._buffer(model, n=8)
         with pytest.raises(ValueError):
             trainer.update([b1], [0.0, 1.0])
-
-    def test_update_multi_averages_objectives(self):
-        """update_multi implements the Eq. 6 requirement-replay loss."""
-        model, trainer = self._setup(weight_dim=3)
-        b1 = self._buffer(model, n=16, weight_dim=3, rng_seed=10)
-        b2 = self._buffer(model, n=16, weight_dim=3, rng_seed=11)
-        stats = trainer.update_multi([b1, b2])
-        assert len(stats) == 2
-        assert trainer.iteration == 1
 
     def test_weighted_model_update(self):
         model, trainer = self._setup(weight_dim=3)

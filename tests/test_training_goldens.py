@@ -5,9 +5,9 @@ the two-phase ``OfflineTrainer.train`` at seeds 0 and 1.  The paths
 below share the optimizer, the PPO/DQN updates and the rollout
 collectors with it but are exercised by no pinned number: the
 ``weight_dim=0`` single-objective trainer (the Aurora zoo models),
-``OnlineAdapter.adapt`` with requirement replay, the Eq. 6
-``update_multi`` step and a ``DQNTrainer`` step sequence with target
-syncs.  ``goldens/training_golden.json`` was recorded on the commit
+``OnlineAdapter.adapt`` with requirement replay (Eq. 6, one pooled PPO
+update over a new and a replayed rollout) and a ``DQNTrainer`` step
+sequence with target syncs.  ``goldens/training_golden.json`` was recorded on the commit
 before the parameter arena and the per-rollout inference plan landed
 (``PYTHONPATH=<that commit>/src python tests/test_training_goldens.py``
 rewrites it); a mismatch means a float moved in training.
@@ -26,8 +26,7 @@ from repro.core.agent import MoccAgent
 from repro.core.offline import train_single_objective
 from repro.core.online import OnlineAdapter
 from repro.rl.dqn import DQNConfig, DQNTrainer
-from repro.rl.parallel import EnvSpec, SerialCollector
-from repro.rl.ppo import PPOConfig, PPOTrainer
+from repro.rl.parallel import EnvSpec
 
 GOLDEN_PATH = Path(__file__).parent / "goldens" / "training_golden.json"
 
@@ -62,18 +61,6 @@ def online_adapt() -> dict:
             "mark": repr(trace.old_marks[-1][1])}
 
 
-def update_multi() -> dict:
-    model = MoccAgent(CONFIG, seed=8).model
-    trainer = PPOTrainer(model, PPOConfig.from_training_config(CONFIG),
-                         rng=np.random.default_rng(9))
-    collector, rng = SerialCollector(SPEC), np.random.default_rng(10)
-    for _ in range(2):
-        buffers = [collector.collect(model, w, 48, rng)[0][0]
-                   for w in (OLD, NEW)]
-        stats = trainer.update_multi(buffers)
-    return {"sha": model_sha(model), "loss": repr(stats[-1].policy_loss)}
-
-
 def dqn_steps() -> dict:
     trainer = DQNTrainer(obs_dim=40, seed=1, config=DQNConfig(
         warmup_transitions=64, target_sync_steps=50))
@@ -86,7 +73,7 @@ def dqn_steps() -> dict:
 
 
 PATHS = {fn.__name__: fn for fn in
-         (single_objective, online_adapt, update_multi, dqn_steps)}
+         (single_objective, online_adapt, dqn_steps)}
 
 
 @pytest.mark.skipif(os.environ.get("REPRO_GOLDEN_RELAXED") == "1",

@@ -11,7 +11,7 @@ from repro.core.offline import OfflineTrainer, train_individual, train_single_ob
 from repro.core.online import OnlineAdapter
 from repro.models.zoo import BUDGETS, ModelZoo, TrainingBudget
 from repro.rl.dqn import DQNTrainer, QNetwork, ReplayBuffer, action_bins
-from repro.rl.parallel import EnvSpec, ProcessCollector, SerialCollector, VectorCollector
+from repro.rl.parallel import EnvSpec, SerialCollector, VectorCollector
 
 SPEC = EnvSpec(params=NetworkParams(3.0, 20.0, 200, 0.0), max_steps=16, seed=2)
 TINY = DEFAULT_TRAINING.replace(steps_per_iteration=48)
@@ -36,17 +36,6 @@ class TestCollectors:
         assert len(buffers) == 2
         assert all(b.size == 16 for b in buffers)
 
-    def test_process_collect_roundtrip(self):
-        collector = ProcessCollector(SPEC, n_workers=2)
-        try:
-            buffers, boots, reward = collector.collect(
-                self._model(), [0.5, 0.3, 0.2], 32, np.random.default_rng(0))
-            assert len(buffers) == 2
-            assert all(b.size == 16 for b in buffers)
-            assert np.isfinite(reward)
-        finally:
-            collector.close()
-
     def test_env_spec_picklable(self):
         import pickle
         assert pickle.loads(pickle.dumps(SPEC)) == SPEC
@@ -55,7 +44,7 @@ class TestCollectors:
 class TestOfflineTrainer:
     def test_objective_log_records(self):
         trainer = OfflineTrainer(spec=SPEC, config=TINY, seed=1)
-        trainer.train_objective([0.6, 0.3, 0.1], iterations=2)
+        trainer.train_objectives_jointly([[0.6, 0.3, 0.1]], 2)
         assert len(trainer.log) == 2
         assert trainer.log[0].objective == (0.6, 0.3, 0.1)
 
@@ -76,7 +65,7 @@ class TestOfflineTrainer:
     def test_parameters_change(self):
         trainer = OfflineTrainer(spec=SPEC, config=TINY, seed=1)
         before = trainer.agent.model.state_dict()
-        trainer.train_objective([0.6, 0.3, 0.1], iterations=1)
+        trainer.train_objectives_jointly([[0.6, 0.3, 0.1]], 1)
         after = trainer.agent.model.state_dict()
         assert any(not np.allclose(before[k], after[k]) for k in before)
 
