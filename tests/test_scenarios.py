@@ -1,12 +1,14 @@
 """Tests for declarative scenarios, suites, and the trace registry."""
 
 from dataclasses import field, make_dataclass, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.agent import MoccAgent
 from repro.config import DEFAULT_TRAINING
+from repro.eval.resilience import records_digest
 from repro.eval.runner import EvalNetwork, run_competition, run_scheme, scheme_factory
 from repro.eval.scenarios import (
     AgentRef,
@@ -16,6 +18,7 @@ from repro.eval.scenarios import (
     FlowDef,
     Scenario,
     ScenarioSuite,
+    build_scenario_simulation,
     fingerprint_cells,
     run_scenario,
 )
@@ -43,6 +46,8 @@ from repro.netsim.traces import (
 )
 
 NET = EvalNetwork(bandwidth_mbps=8.0, one_way_ms=10.0, buffer_bdp=1.0)
+#: The pinned learned-controller checkpoints the perf ledger runs.
+ASSETS = Path(__file__).parent.parent / "benchmarks" / "ledger" / "assets"
 
 
 class TestTraceRegistry:
@@ -444,17 +449,36 @@ class TestTopologyScenarios:
                      flows=("cubic",), trace="fig1-step")
 
     def test_dumbbell_topology_matches_single_link_network(self):
-        """A dumbbell spec mirroring NET reproduces the single-link
-        scenario exactly (same queue sizing, same seeded streams)."""
-        topo = dumbbell(bandwidth_mbps=NET.bandwidth_mbps,
-                        delay_ms=NET.one_way_ms)
-        a = run_scenario(Scenario(name="a", network=NET, flows=("cubic",),
-                                  topology=topo, duration=4.0, seed=3))[0]
-        b = run_scenario(Scenario(name="b", network=NET, flows=("cubic",),
-                                  duration=4.0, seed=3))[0]
-        assert a.mean_throughput_pps == b.mean_throughput_pps
-        assert a.mean_rtt == b.mean_rtt
-        assert a.base_rtt == b.base_rtt
+        """A single-link cell and the dumbbell spelling out its network
+        give the same bits: every record and the event count, over wire
+        loss x BDP and packet buffers x every named trace x heuristic
+        line-ups x seeds, plus a learned MOCC and Aurora cell starting
+        at a fraction of capacity."""
+        cells = ScenarioSuite(
+            name="parity", lineups={"duo": ("cubic", "bbr"),
+                                    "trio": ("copa", "vivace", "vegas")},
+            bandwidths_mbps=(8.0,), losses=(0.0, 0.02), buffers=(1.5, 12),
+            traces=(None,) + trace_names(), seeds=(3, 4),
+            duration=1.0).expand()
+        agents = {name: MoccAgent.load(ASSETS / f"{name}_fast_seed0.npz")
+                  for name in ("mocc", "aurora_throughput")}
+        cells += ScenarioSuite(
+            name="parity-learned",
+            lineups={"mocc": (FlowDef("mocc", weights=(0.5, 0.3, 0.2),
+                                      agent=agents["mocc"], rate_frac=0.6),),
+                     "aurora": (FlowDef("aurora-throughput",
+                                        agent=agents["aurora_throughput"],
+                                        rate_frac=0.6),)},
+            bandwidths_mbps=(6.0,), duration=2.0, seeds=(5,)).expand()
+        for cell in cells:
+            net = cell.network
+            twin = replace(cell, trace=None, topology=dumbbell(
+                net.bandwidth_mbps, net.one_way_ms, net.buffer_bdp,
+                net.queue_packets, net.loss_rate, cell.trace))
+            runs = [build_scenario_simulation(c) for c in (cell, twin)]
+            single, spec = [(records_digest(sim.run_all()),
+                             sim.events_processed) for sim in runs]
+            assert single == spec, cell.name
 
     def test_fingerprint_sensitive_to_topology_content(self):
         base = Scenario(name="x", network=NET, flows=("cubic",),
