@@ -19,8 +19,9 @@ def main():
     agent = default_zoo().mocc_offline(quality="fast")
 
     network = EvalNetwork(bandwidth_mbps=20.0, one_way_ms=20.0, buffer_bdp=2.0)
+    (link,) = network.topology().build(network.packet_bytes).all_links()
     print(f"\nBottleneck: {network.bandwidth_mbps} Mbps, "
-          f"{network.one_way_ms} ms one-way, {network.queue_size()}-packet buffer\n")
+          f"{network.one_way_ms} ms one-way, {link.queue_size}-packet buffer\n")
 
     print(f"{'objective':<28}{'utilization':>12}{'RTT ratio':>12}{'loss':>9}")
     for name, weights in [

@@ -35,13 +35,16 @@ from repro.analysis.core import AstRule, Finding, dotted_name
 __all__ = ["GlobalRandomRule", "SetIterationRule", "UnsortedWalkRule",
            "WallClockRule", "SIMULATION_PACKAGES"]
 
-#: The packages (and the one file) whose behaviour shapes simulation
+#: The packages (and the files) whose behaviour shapes simulation
 #: results (and therefore fingerprints and golden traces):
 #: ``core/agent.py`` builds the MOCC and Aurora controllers every
-#: learned cell runs.  ``rl``/``models`` and the rest of ``core`` are
-#: training internals that take their generators via parameter by
-#: convention and are exercised through seeded entry points.
-SIMULATION_PACKAGES = ("netsim", "baselines", "eval", "core/agent.py")
+#: learned cell runs, and ``core/library.py`` the §5 library MOCC the
+#: ``datapath`` shims drive inside the simulator (Fig. 17).
+#: ``rl``/``models`` and the rest of ``core`` are training internals
+#: that take their generators via parameter by convention and are
+#: exercised through seeded entry points.
+SIMULATION_PACKAGES = ("netsim", "baselines", "eval", "datapath",
+                       "core/agent.py", "core/library.py")
 
 
 #: Legacy global-stream ``np.random`` attributes; the seeded-generator

@@ -47,13 +47,14 @@ class BulkResult:
 def _single_transfer(controller_factory, network: EvalNetwork,
                      file_packets: int, seed: int) -> float:
     """Run one transfer to completion; return the FCT in seconds."""
-    link = network.build_link(seed=seed * 131 + 7)
+    topology = network.topology().build(network.packet_bytes,
+                                        seed=seed * 131 + 7)
     controller = controller_factory()
     spec = FlowSpec(controller=controller, packet_bytes=network.packet_bytes)
     # Generous horizon: 20x the ideal transfer time plus slow-start room.
     ideal = file_packets / network.bottleneck_pps
     horizon = 20.0 * ideal + 30.0
-    sim = Simulation(link, [spec], duration=horizon, seed=seed)
+    sim = Simulation(topology, [spec], duration=horizon, seed=seed)
     flow = sim.flows[0]
 
     step = max(network.base_rtt, 0.05)

@@ -43,10 +43,11 @@ class RtcResult:
 def run_rtc(controller: Controller, network: EvalNetwork, duration: float = 30.0,
             seed: int = 0) -> RtcResult:
     """Run an RTC-like flow and measure receiver-side packet spacing."""
-    link = network.build_link(seed=seed * 31 + 17)
+    topology = network.topology().build(network.packet_bytes,
+                                        seed=seed * 31 + 17)
     spec = FlowSpec(controller=controller, packet_bytes=network.packet_bytes,
                     keep_packets=True)
-    sim = Simulation(link, [spec], duration=duration, seed=seed)
+    sim = Simulation(topology, [spec], duration=duration, seed=seed)
     record = sim.run_all()[0]
     flow = sim.flows[0]
 

@@ -26,6 +26,7 @@ from repro.core.objectives import OnlineEstimator
 from repro.core.weights import validate_weights
 from repro.netsim.env import apply_action
 from repro.netsim.history import GRADIENT_SCALE, StatHistory
+from repro.netsim.rngstreams import stream_rng
 from repro.netsim.sender import LATENCY_RATIO_CAP, SEND_RATIO_CAP
 from repro.rl.policy import InferencePlan
 
@@ -57,7 +58,7 @@ class MOCC:
         self.estimator = OnlineEstimator()
         self.rate = float(initial_rate)
         self.deterministic = deterministic
-        self.rng = np.random.default_rng(seed)
+        self.rng = stream_rng("policy.sample", seed)
         self.weights: np.ndarray | None = None
         self._min_mean_rtt: float | None = None
         self._prev_mean_rtt: float | None = None

@@ -22,13 +22,10 @@ from repro.baselines import (
     Vegas,
 )
 from repro.core.agent import MoccAgent, MoccController
-from repro.netsim.link import Link
 from repro.netsim.network import FlowRecord, FlowSpec, Simulation
-from repro.netsim.rngstreams import stream_rng
 from repro.netsim.signing import canonical
-from repro.netsim.topology import MIN_QUEUE_PACKETS
-from repro.netsim.traces import (BandwidthTrace, ConstantTrace, mbps_to_pps,
-                                 trace_form)
+from repro.netsim.topology import TopologySpec, dumbbell
+from repro.netsim.traces import BandwidthTrace, mbps_to_pps, trace_form
 
 __all__ = ["EvalNetwork", "scheme_factory", "build_competition", "run_scheme",
            "run_competition"]
@@ -40,7 +37,8 @@ class EvalNetwork:
 
     ``buffer_bdp`` sizes the queue in bandwidth-delay products unless
     ``queue_packets`` is given explicitly.  ``trace`` (optional)
-    overrides the constant bandwidth.
+    overrides the constant bandwidth.  The network is simulated as its
+    one-link :meth:`topology`.
     """
 
     bandwidth_mbps: float = 20.0
@@ -60,17 +58,13 @@ class EvalNetwork:
     def base_rtt(self) -> float:
         return 2.0 * self.one_way_ms / 1000.0
 
-    def queue_size(self) -> int:
-        if self.queue_packets is not None:
-            return self.queue_packets
-        bdp = self.bottleneck_pps * self.base_rtt
-        return max(int(round(self.buffer_bdp * bdp)), MIN_QUEUE_PACKETS)
-
-    def build_link(self, seed: int = 0) -> Link:
-        trace = self.trace or ConstantTrace(self.bottleneck_pps)
-        return Link(trace=trace, delay=self.one_way_ms / 1000.0,
-                    queue_size=self.queue_size(), loss_rate=self.loss_rate,
-                    rng=stream_rng("eval.link-loss", seed))
+    def topology(self, trace: str | None = None) -> TopologySpec:
+        """This network as a one-link :func:`~repro.netsim.topology.dumbbell`,
+        field for field; ``trace`` names a registered trace to put on
+        the link in place of :attr:`trace` (a scenario-level trace)."""
+        return dumbbell(self.bandwidth_mbps, self.one_way_ms, self.buffer_bdp,
+                        self.queue_packets, self.loss_rate,
+                        self.trace if trace is None else trace)
 
 
 def scheme_factory(name: str, network: EvalNetwork, seed: int = 0,
@@ -136,11 +130,12 @@ def build_competition(controllers, network: EvalNetwork, duration: float = 60.0,
     n = len(controllers)
     start_times = start_times or [0.0] * n
     stop_times = stop_times or [float("inf")] * n
-    link = network.build_link(seed=seed * 31 + 17)
+    topology = network.topology().build(network.packet_bytes,
+                                        seed=seed * 31 + 17)
     specs = [FlowSpec(controller=c, packet_bytes=network.packet_bytes,
                       start_time=t0, stop_time=t1, mi_duration=mi_duration)
              for c, t0, t1 in zip(controllers, start_times, stop_times)]
-    return Simulation(link, specs, duration=duration, seed=seed)
+    return Simulation(topology, specs, duration=duration, seed=seed)
 
 
 def run_competition(controllers, network: EvalNetwork, duration: float = 60.0,

@@ -36,12 +36,12 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.eval.runner import EvalNetwork, build_competition, scheme_factory
+from repro.eval.runner import EvalNetwork, scheme_factory
 from repro.netsim.faults import coerce_faults
 from repro.netsim.network import FlowRecord, FlowSpec, Simulation
 from repro.netsim.signing import UNSIGNED, Signer, canonical
 from repro.netsim.topology import TopologySpec
-from repro.netsim.traces import make_trace, named_trace_form
+from repro.netsim.traces import named_trace_form
 
 __all__ = ["AgentRef", "ChurnSchedule", "FlowDef", "Scenario", "ScenarioSuite",
            "build_scenario_simulation", "fingerprint_cells", "run_scenario"]
@@ -430,12 +430,6 @@ class Scenario:
         elif any(flow.path is not None for flow in flows):
             raise ValueError("flow paths need a topology")
 
-    def build_network(self, trace_cache: dict | None = None) -> EvalNetwork:
-        if self.trace is None:
-            return self.network
-        return replace(self.network,
-                       trace=make_trace(self.trace, cache=trace_cache))
-
     def fingerprint(self) -> str:
         """Content hash identifying the scenario's *results*: the
         one-cell case of :func:`fingerprint_cells`."""
@@ -499,52 +493,24 @@ def build_scenario_simulation(scenario: Scenario,
     """Wire one scenario into an unrun :class:`Simulation`.
 
     The construction half of :func:`run_scenario`: same agent
-    resolution, controller sizing, link/topology seeding.  Exposed so
+    resolution, controller sizing, topology seeding.  Exposed so
     callers that need the live simulation (the batch runner, the perf
     ledger, stepping tests) can drive ``run_all`` / ``state`` and read
     ``Simulation.events_processed`` on exactly the simulations the
     evaluation pipeline would run.
+
+    A single-bottleneck cell runs on its network's one-link
+    :meth:`~repro.eval.runner.EvalNetwork.topology`, carrying the
+    scenario-level trace; controllers are sized per flow from the
+    *path* the flow traverses (nominal bottleneck capacity and
+    propagation delay).
 
     ``trace_cache`` is the batched-execution hook: cells built with a
     shared cache dict reuse (frozen, read-only) named-trace instances
     instead of re-running each registry factory per cell -- see
     :func:`repro.netsim.traces.make_trace`.
     """
-    if scenario.topology is not None:
-        return _build_topology_simulation(scenario, trace_cache)
-    network = scenario.build_network(trace_cache)
-    controllers, starts, stops = [], [], []
-    for flow in scenario.flows:
-        seed = scenario.seed if flow.seed is None else flow.seed
-        controllers.append(_build_controller(flow, network, seed))
-        starts.append(flow.start)
-        stops.append(flow.stop)
-    return build_competition(controllers, network, duration=scenario.duration,
-                             start_times=starts, stop_times=stops,
-                             seed=scenario.seed,
-                             mi_duration=scenario.mi_duration)
-
-
-def run_scenario(scenario: Scenario) -> list[FlowRecord]:
-    """Execute one scenario serially, in this process, with no cache.
-
-    The same records a :class:`~repro.eval.parallel.ParallelRunner`
-    sweep produces for the cell, and the same as the hand-rolled
-    ``scheme_factory`` + ``run_scheme`` / ``run_competition`` loops the
-    benchmarks used to contain: same seeds, same event streams.
-    """
-    return build_scenario_simulation(scenario).run_all()
-
-
-def _build_topology_simulation(scenario: Scenario,
-                               trace_cache: dict | None = None) -> Simulation:
-    """Wire a multi-bottleneck scenario over its built topology.
-
-    Controllers are sized per flow from the *path* the flow traverses
-    (nominal bottleneck capacity and propagation delay), mirroring how
-    single-link scenarios size from their ``EvalNetwork``.
-    """
-    spec = scenario.topology
+    spec = scenario.topology or scenario.network.topology(scenario.trace)
     packet_bytes = scenario.network.packet_bytes
     topology = spec.build(packet_bytes=packet_bytes,
                           seed=scenario.seed * 31 + 17,
@@ -564,6 +530,17 @@ def _build_topology_simulation(scenario: Scenario,
             path=flow.path))
     return Simulation(topology, flow_specs, duration=scenario.duration,
                       seed=scenario.seed)
+
+
+def run_scenario(scenario: Scenario) -> list[FlowRecord]:
+    """Execute one scenario serially, in this process, with no cache.
+
+    The same records a :class:`~repro.eval.parallel.ParallelRunner`
+    sweep produces for the cell, and the same as the hand-rolled
+    ``scheme_factory`` + ``run_scheme`` / ``run_competition`` loops the
+    benchmarks used to contain: same seeds, same event streams.
+    """
+    return build_scenario_simulation(scenario).run_all()
 
 
 def _coerce_lineups(lineups) -> tuple:
@@ -603,11 +580,12 @@ class ScenarioSuite:
     * ``buffers`` -- queue size; ``float`` entries are multiples of the
       BDP, ``int`` entries absolute packets (matching Fig. 5's axes);
     * ``traces`` -- names from the trace registry (``None`` = constant
-      bandwidth);
+      bandwidth); a named trace needs every ``topologies`` entry to be
+      ``None`` (a spec's links carry their own traces);
     * ``topologies`` -- :class:`~repro.netsim.topology.TopologySpec`
       entries (``None`` = the single-bottleneck network built from the
-      axes above; a spec supersedes bandwidth/RTT/loss/buffer/trace for
-      that cell);
+      axes above; a spec supersedes bandwidth/RTT/loss/buffer for that
+      cell);
     * ``reverse_paths`` -- ack-congestion axis: each entry is ``None``
       (the topology spec as declared) or a mapping of path name to an
       ordered tuple of reverse link names (wire real reverse-path
@@ -660,6 +638,12 @@ class ScenarioSuite:
             raise ValueError("the faults axis attaches per-link fault "
                              "schedules; every topologies entry must be "
                              "a TopologySpec")
+        if any(trace is not None for trace in self.traces) and \
+                any(topo is not None for topo in self.topologies):
+            raise ValueError("the traces axis sets the single link's "
+                             "capacity; a TopologySpec's links carry their "
+                             "own traces, so every topologies entry must "
+                             "be None")
 
     def __len__(self) -> int:
         return (len(self.lineups) * len(self.bandwidths_mbps) * len(self.rtts_ms)
@@ -667,7 +651,7 @@ class ScenarioSuite:
                 * len(self.topologies) * len(self.reverse_paths)
                 * len(self.faults) * len(self.churns) * len(self.seeds))
 
-    def _network(self, bandwidth, rtt, loss, buffer, trace) -> EvalNetwork:
+    def _network(self, bandwidth, rtt, loss, buffer) -> EvalNetwork:
         is_packets = isinstance(buffer, (int, np.integer)) and not isinstance(buffer, bool)
         queue_packets = int(buffer) if is_packets else None
         buffer_bdp = float(buffer) if queue_packets is None else 1.0
@@ -706,10 +690,9 @@ class ScenarioSuite:
                     parts.append(f"{axis}={values[axis]}")
             scenarios.append(Scenario(
                 name="/".join([self.name] + parts),
-                network=self._network(bw, rtt, loss, buf, trace),
+                network=self._network(bw, rtt, loss, buf),
                 flows=flows, duration=self.duration, seed=int(seed),
-                mi_duration=self.mi_duration,
-                trace=None if topo is not None else trace,
+                mi_duration=self.mi_duration, trace=trace,
                 topology=topo, churn=churn,
                 suite=self.name, lineup=label))
         return scenarios

@@ -61,6 +61,12 @@ MIN_RATE_PPS = 0.5
 MAX_RATE_FACTOR = 8.0
 #: Fallback monitor-interval duration when a path has zero delay.
 MIN_MI_DURATION = 0.01
+#: Send-pacing jitter: a rate-paced flow's next send is due after
+#: ``1/rate * (1 + PACING_JITTER * (u - 0.5))`` for a uniform ``u``.
+#: Without it equal-rate flows phase-lock (one flow's packet always
+#: reaches a full queue first and the other takes every drop) -- an
+#: artifact no real pacer has.
+PACING_JITTER = 0.02
 # ACK_BYTES (re-exported from repro.netsim.sender): default ack wire
 # size in bytes -- scales the service an ack/loss notice demands from
 # a queued reverse link relative to the flow's data packets.  A path
@@ -72,7 +78,7 @@ MIN_MI_DURATION = 0.01
 #: recovers it -- the coarse ``RTO = srtt + 4*rttvar`` of a real stack
 #: collapsed to one factor (the simulator does not track rttvar).
 ACK_RTO_FACTOR = 3.0
-#: Default per-hop forwarding dither, as a fraction of the next link's
+#: Per-hop forwarding dither, as a fraction of the next link's
 #: packet service time, applied to *deferred* hop arrivals only (never
 #: a direction's first hop, preserving single-hop bit-identity).
 #: Equal-rate links in series otherwise phase-lock: an upstream queue
@@ -208,9 +214,10 @@ class Simulation:
     """
 
     def __init__(self, links: Link | list[Link] | Topology, specs: list[FlowSpec],
-                 duration: float, seed: int = 0, jitter: float = 0.02,
-                 hop_jitter: float = HOP_JITTER_FACTOR):
-        self.hop_jitter = float(hop_jitter)
+                 duration: float, seed: int = 0):
+        #: :data:`HOP_JITTER_FACTOR`, per simulation so a unit test of
+        #: hop timing can zero it before running.
+        self.hop_jitter = HOP_JITTER_FACTOR
         if isinstance(links, Topology):
             self.topology = links
         else:
@@ -220,7 +227,6 @@ class Simulation:
             self.topology = Topology.single_path(link_list)
         self.links = self.topology.all_links()
         self.duration = float(duration)
-        self.jitter = float(jitter)
         self.rng = stream_rng("sim.pacing", seed)
         #: Dedicated stream for per-hop forwarding dither: hop events
         #: must not consume ``self.rng``, or the send-pacing jitter
@@ -347,7 +353,7 @@ class Simulation:
         """
         heap = self._heap
         handlers = self._handlers
-        jitter = self.jitter
+        jitter = PACING_JITTER
         now = self.now
         seq = self._seq
         processed = 0
@@ -458,10 +464,7 @@ class Simulation:
                         srtt = flow.srtt or max(flow.base_rtt, MIN_MI_DURATION)
                         due = now + srtt / (1.0 if 1.0 > cwnd else cwnd)
                     else:
-                        # Small pacing jitter: without it, equal-rate
-                        # flows phase-lock (one flow's packet always
-                        # reaches a full queue first and the other takes
-                        # every drop) -- an artifact no real pacer has.
+                        # Pacing jitter (see PACING_JITTER).
                         pos = self._jitter_pos
                         buf = self._jitter_buf
                         if buf is None or pos >= RNG_BLOCK:

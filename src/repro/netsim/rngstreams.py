@@ -6,10 +6,11 @@ on two links, a fault chain that shifts the wire-loss sequence).
 :data:`STREAMS` maps each stream name to the seed space its material
 comes from and the function that turns that material into the exact
 entropy ``default_rng`` receives; :func:`stream_rng` is the only place
-``netsim``, ``baselines``, ``eval`` and ``core/agent.py`` construct a
-generator (the ``rng-sole-constructor`` replint rule).  The entropies
-are frozen to the inline expressions the call sites once carried, so
-every golden digest holds (``tests/test_rngstreams.py`` pins each one).
+``netsim``, ``baselines``, ``eval``, ``datapath``, ``core/agent.py`` and
+``core/library.py`` construct a generator (the ``rng-sole-constructor``
+replint rule).  The entropies are frozen to the inline expressions the
+call sites once carried, so every golden digest holds
+(``tests/test_rngstreams.py`` pins each one).
 
 Disjointness is checked on values, at import: :func:`check_streams`
 evaluates every function over a small sample of its material, reduces
@@ -17,15 +18,16 @@ each entropy to the words ``SeedSequence`` mixes, and refuses to import
 when two streams of one seed space can meet and the pair is not in
 :data:`ACCEPTED_OVERLAPS` -- or when a listed pair no longer meets.
 Streams are compared within a space only.  ``scenario`` is the cell
-seed ``s``; ``link`` is the seed ``EvalNetwork.build_link`` and
-``TopologySpec.build`` receive, which the eval pipeline forms as
-``31 * s + 17`` (``131 * s + 7`` in ``apps.bulk``) and which is
-therefore never ``s`` itself; ``agent`` is the seed a model's weights
-are initialised from, before any cell runs.  A caller handing *one*
-seed to both a link builder and ``Simulation`` gets link 0's loss
-stream equal to the pacing stream: ``SeedSequence`` zero-pads entropy
-to four words, so ``default_rng(s)`` and ``default_rng((s, 0))`` are
-one stream.
+seed ``s``; ``link`` is the seed ``TopologySpec.build`` -- the one
+network builder, a single-bottleneck cell being its one-link dumbbell
+-- receives, which the eval pipeline forms as ``31 * s + 17``
+(``131 * s + 7`` in ``apps.bulk``) and which is therefore never ``s``
+itself; ``agent`` is the seed a model's weights are initialised from,
+before any cell runs.  A caller handing *one* seed to both
+``TopologySpec.build`` and ``Simulation`` gets link 0's loss stream
+equal to the pacing stream: ``SeedSequence`` zero-pads entropy to four
+words, so ``default_rng(s)`` and ``default_rng((s, 0))`` are one
+stream.
 """
 
 from __future__ import annotations
@@ -48,13 +50,11 @@ STREAMS = {
     "sim.hop-dither": ("scenario", lambda seed: (seed, 0x517CC1B7)),
     # Orca.rng: policy sampling, drawn only at deterministic=False.
     "orca.policy": ("scenario", lambda seed: seed),
-    # PolicyRateController.rng (MOCC, Aurora): the same, per flow.
+    # PolicyRateController.rng (MOCC, Aurora) and the §5 library's
+    # MOCC.rng: the same, per flow.
     "policy.sample": ("scenario", lambda seed: seed),
     # MoccAgent: model initialisation, from the agent's own seed.
     "agent.init": ("agent", lambda seed: seed),
-    # EvalNetwork.build_link -> Link.rng: Bernoulli wire loss on the
-    # one link of a single-bottleneck cell.
-    "eval.link-loss": ("link", lambda seed: seed),
     # TopologySpec.build -> Link.rng: wire loss per link, keyed by the
     # link's position in the spec.
     "link.loss": ("link", lambda seed, index: (seed, index)),
@@ -93,9 +93,6 @@ ACCEPTED_OVERLAPS = {
     frozenset({"orca.policy", "policy.sample"}):
         "both policy samplers, both drawn only at deterministic=False, "
         "which scheme_factory never sets",
-    frozenset({"eval.link-loss", "link.loss"}):
-        "default_rng(s) is default_rng((s, 0)), link 0 of a topology; a "
-        "cell builds either one EvalNetwork link or a topology",
 }
 
 _SAMPLE = {"seed": range(16), "index": range(8),

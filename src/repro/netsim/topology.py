@@ -35,21 +35,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from repro.netsim.faults import FaultProcess, coerce_faults
 from repro.netsim.link import Link, PropagationLink
 from repro.netsim.rngstreams import stream_rng
 from repro.netsim.signing import UNSIGNED, canonical
-from repro.netsim.traces import (ConstantTrace, make_trace, mbps_to_pps,
-                                 named_trace_form)
+from repro.netsim.traces import (BandwidthTrace, ConstantTrace, make_trace,
+                                 mbps_to_pps, named_trace_form, trace_form)
 
 __all__ = ["Path", "Topology", "LinkDef", "PathDef", "TopologySpec",
            "dumbbell", "chain", "parking_lot", "dumbbell_asymmetric"]
 
-#: Queue floor when sizing buffers from a BDP multiple (shared with
-#: :meth:`repro.eval.runner.EvalNetwork.queue_size`, which must size
-#: identically for the dumbbell-vs-single-link parity guarantee).
+#: Queue floor when sizing a buffer from a BDP multiple.
 MIN_QUEUE_PACKETS = 4
 
 
@@ -60,18 +56,15 @@ class Path:
     ``reverse_links`` is never empty: paths without explicit reverse
     wiring carry a single pure-propagation
     :class:`~repro.netsim.link.PropagationLink` whose delay is the
-    legacy ``return_delay``.  ``reverse_link_names`` is empty exactly
-    in that pseudo-link case.
+    path's return delay.
     """
 
     name: str
-    link_names: tuple
     links: tuple
     #: One-way propagation delay of the ack path, seconds (sum of the
     #: reverse links' propagation delays).
     return_delay: float
-    reverse_link_names: tuple = ()
-    reverse_links: tuple = ()
+    reverse_links: tuple
     #: Wire size of this path's acknowledgements, bytes; ``None``
     #: falls back to the engine-wide
     #: :data:`repro.netsim.network.ACK_BYTES`.
@@ -87,107 +80,67 @@ class Path:
         return self.forward_delay + self.return_delay
 
 
-class Topology:
-    """Named links and the named paths flows take across them.
+def _check_wiring(link_names: list, paths: tuple, default_path) -> None:
+    """The reference rules a spec and a live topology share: at least
+    one link and one path, unique names, every path (and reverse path)
+    over known links, and a default path that is one of the paths
+    (falsy: the first)."""
+    if not link_names:
+        raise ValueError("a topology needs at least one link")
+    if not paths:
+        raise ValueError("a topology needs at least one path")
+    if len(set(link_names)) != len(link_names):
+        raise ValueError(f"duplicate link names in {link_names}")
+    path_names = [p.name for p in paths]
+    if len(set(path_names)) != len(path_names):
+        raise ValueError(f"duplicate path names in {path_names}")
+    for p in paths:
+        for label, names in (("path", p.links),
+                             ("reverse path of", p.reverse_links or ())):
+            missing = [ln for ln in names if ln not in link_names]
+            if missing:
+                raise ValueError(f"{label} {p.name!r} references unknown "
+                                 f"link(s) {missing}; known: {link_names}")
+    if default_path and default_path not in path_names:
+        raise ValueError(f"default path {default_path!r} is not one of "
+                         f"{path_names}")
 
-    Parameters
-    ----------
-    links:
-        Mapping of link name to :class:`Link` (insertion order is the
-        canonical link order).
-    paths:
-        Mapping of path name to an ordered sequence of link names.
-    default_path:
-        Path used by flows that do not name one; defaults to the first
-        path.
-    return_delays:
-        Optional per-path return propagation delay in seconds
-        (asymmetric routes without reverse queueing).  Paths not listed
-        are symmetric: the return delay equals the forward propagation
-        delay.
-    reverse_paths:
-        Optional mapping of path name to an ordered sequence of link
-        names the path's acks and loss notices traverse.  Listed paths
-        get real reverse-direction queueing (their return delay is the
-        reverse links' propagation sum); unlisted paths keep a
-        pure-propagation pseudo-link.  A path cannot appear in both
-        ``return_delays`` and ``reverse_paths``.
-    ack_bytes:
-        Optional per-path ack wire size in bytes, overriding the
-        engine-wide :data:`repro.netsim.network.ACK_BYTES` for the
-        listed paths.
+
+class Topology:
+    """Named live links and the named paths flows take across them.
+
+    ``links`` maps link name to :class:`Link` (insertion order is the
+    canonical link order); ``paths`` is a sequence of :class:`PathDef`
+    over those names -- the same path vocabulary a
+    :class:`TopologySpec` carries.  A path with ``reverse_links`` gets
+    real reverse-direction queueing (its return delay is those links'
+    propagation sum); any other path returns over a pure-propagation
+    pseudo-link at ``return_delay_ms``, or at its forward propagation
+    delay.  ``default_path`` (flows that name none) defaults to the
+    first path.
     """
 
-    def __init__(self, links: dict, paths: dict, default_path: str | None = None,
-                 return_delays: dict | None = None,
-                 reverse_paths: dict | None = None,
-                 ack_bytes: dict | None = None):
-        if not links:
-            raise ValueError("a topology needs at least one link")
-        if not paths:
-            raise ValueError("a topology needs at least one path")
+    def __init__(self, links: dict, paths, default_path: str | None = None):
         self.links = dict(links)
-        return_delays = return_delays or {}
-        reverse_paths = reverse_paths or {}
-        ack_bytes = ack_bytes or {}
-        both = sorted(set(return_delays) & set(reverse_paths))
-        if both:
-            raise ValueError(f"path(s) {both} give both return_delays and "
-                             f"reverse_paths; pick one")
-        for label, mapping in (("return_delays", return_delays),
-                               ("reverse_paths", reverse_paths),
-                               ("ack_bytes", ack_bytes)):
-            unknown = sorted(set(mapping) - set(paths))
-            if unknown:
-                raise KeyError(f"{label} names unknown path(s) {unknown}; "
-                               f"known: {sorted(paths)}")
-        for name, value in ack_bytes.items():
-            if int(value) <= 0:
-                raise ValueError(f"ack_bytes of path {name!r} must be "
-                                 f"positive, got {value!r}")
-        self.paths: dict[str, Path] = {}
-        for name, link_names in paths.items():
-            link_names = tuple(link_names)
-            if not link_names:
-                raise ValueError(f"path {name!r} traverses no links")
-            missing = [ln for ln in link_names if ln not in self.links]
-            if missing:
-                raise KeyError(
-                    f"path {name!r} references unknown link(s) {missing}; "
-                    f"known: {sorted(self.links)}")
-            path_links = tuple(self.links[ln] for ln in link_names)
-            if name in reverse_paths:
-                reverse_names = tuple(reverse_paths[name])
-                if not reverse_names:
-                    raise ValueError(f"reverse path of {name!r} traverses "
-                                     f"no links")
-                missing = [ln for ln in reverse_names if ln not in self.links]
-                if missing:
-                    raise KeyError(
-                        f"reverse path of {name!r} references unknown "
-                        f"link(s) {missing}; known: {sorted(self.links)}")
-                reverse_links = tuple(self.links[ln] for ln in reverse_names)
-                return_delay = sum(link.delay for link in reverse_links)
-            else:
-                reverse_names = ()
-                return_delay = return_delays.get(
-                    name, sum(link.delay for link in path_links))
-                reverse_links = (PropagationLink(float(return_delay),
-                                                 name=f"{name}:return"),)
-            path_ack = ack_bytes.get(name)
-            self.paths[name] = Path(name=name, link_names=link_names,
-                                    links=path_links,
-                                    return_delay=float(return_delay),
-                                    reverse_link_names=reverse_names,
-                                    reverse_links=reverse_links,
-                                    ack_bytes=(None if path_ack is None
-                                               else int(path_ack)))
-        if default_path is None:
-            default_path = next(iter(self.paths))
-        if default_path not in self.paths:
-            raise KeyError(f"default path {default_path!r} is not a path; "
-                           f"known: {sorted(self.paths)}")
-        self.default_path = default_path
+        paths = tuple(paths)
+        _check_wiring(list(self.links), paths, default_path)
+        self.paths: dict[str, Path] = {p.name: self._resolve(p)
+                                       for p in paths}
+        self.default_path = default_path or paths[0].name
+
+    def _resolve(self, p: "PathDef") -> Path:
+        links = tuple(self.links[ln] for ln in p.links)
+        if p.reverse_links is not None:
+            reverse_links = tuple(self.links[ln] for ln in p.reverse_links)
+            return_delay = sum(link.delay for link in reverse_links)
+        else:
+            return_delay = (sum(link.delay for link in links)
+                            if p.return_delay_ms is None
+                            else p.return_delay_ms / 1000.0)
+            reverse_links = (PropagationLink(float(return_delay),
+                                             name=f"{p.name}:return"),)
+        return Path(name=p.name, links=links, return_delay=float(return_delay),
+                    reverse_links=reverse_links, ack_bytes=p.ack_bytes)
 
     def path(self, name: str | None = None) -> Path:
         """Resolve a path by name (``None`` -> the default path)."""
@@ -202,35 +155,24 @@ class Topology:
     def all_links(self) -> list[Link]:
         return list(self.links.values())
 
-    def reset(self) -> None:
-        """Clear queue state and counters on every link."""
-        for link in self.links.values():
-            link.reset()
-
-    # --- constructors ------------------------------------------------------
-
     @classmethod
     def single_path(cls, links: list[Link], name: str = "path") -> "Topology":
-        """The legacy shape: every flow traverses every link in order."""
+        """Every flow traverses every link in order (``Simulation(link)``)."""
         named = {link.name or f"link{i}": link for i, link in enumerate(links)}
         if len(named) != len(links):
             raise ValueError("duplicate link names")
-        return cls(named, {name: tuple(named)})
-
-    @classmethod
-    def parking_lot(cls, links: list[Link]) -> "Topology":
-        """N links in series: a ``through`` path plus per-hop ``crossN``."""
-        named = {link.name or f"hop{i}": link for i, link in enumerate(links)}
-        if len(named) != len(links):
-            raise ValueError("duplicate link names")
-        names = list(named)
-        paths = {"through": tuple(names)}
-        for i, link_name in enumerate(names):
-            paths[f"cross{i}"] = (link_name,)
-        return cls(named, paths, default_path="through")
+        return cls(named, (PathDef(name, tuple(named)),))
 
 
 # --- declarative layer -------------------------------------------------------
+
+
+def _link_trace_form(trace, owner, signer) -> list | None:
+    """Signing form of :attr:`LinkDef.trace`: a registered name by the
+    content its factory produces, a live trace by its own content."""
+    if isinstance(trace, str):
+        return named_trace_form(trace, owner, signer)
+    return trace_form(trace)
 
 
 @dataclass(frozen=True)
@@ -238,10 +180,12 @@ class LinkDef:
     """Declarative description of one link.
 
     ``bandwidth_mbps`` is the constant capacity, and stays the *nominal*
-    capacity for controller sizing and BDP-relative buffers when a named
-    ``trace`` overrides the actual capacity process.  ``queue_packets``
-    sizes the buffer absolutely; otherwise ``buffer_bdp`` multiples of
-    the BDP of the longest path through this link are used.
+    capacity for controller sizing and BDP-relative buffers when
+    ``trace`` -- a registered trace name, or a live
+    :class:`~repro.netsim.traces.BandwidthTrace` -- overrides the
+    actual capacity process.  ``queue_packets`` sizes the buffer
+    absolutely; otherwise ``buffer_bdp`` multiples of the BDP of the
+    longest path through this link are used.
 
     ``faults`` is a tuple of declarative fault specs (see
     :mod:`repro.netsim.faults`) attached to the built link as one
@@ -256,8 +200,8 @@ class LinkDef:
     buffer_bdp: float = 1.0
     queue_packets: int | None = None
     loss_rate: float = 0.0
-    trace: str | None = field(default=None,
-                              metadata=canonical(named_trace_form))
+    trace: str | BandwidthTrace | None = field(
+        default=None, metadata=canonical(_link_trace_form))
     faults: tuple = ()
 
     def __post_init__(self):
@@ -280,6 +224,9 @@ class PathDef:
     ``ack_bytes`` sets this path's acknowledgement wire size, scaling
     the service acks demand from queued reverse links; ``None`` uses
     the engine-wide :data:`repro.netsim.network.ACK_BYTES` default.
+
+    A path checks its own fields here; which links exist is the
+    topology's to check.
     """
 
     name: str
@@ -290,6 +237,8 @@ class PathDef:
 
     def __post_init__(self):
         object.__setattr__(self, "links", tuple(self.links))
+        if not self.links:
+            raise ValueError(f"path {self.name!r} traverses no links")
         if self.ack_bytes is not None:
             # Coerce here so the spec, its fingerprint, and the built
             # topology all agree on one value (a float would fingerprint
@@ -330,31 +279,8 @@ class TopologySpec:
     def __post_init__(self):
         object.__setattr__(self, "links", tuple(self.links))
         object.__setattr__(self, "paths", tuple(self.paths))
-        if not self.links:
-            raise ValueError("a topology spec needs at least one link")
-        if not self.paths:
-            raise ValueError("a topology spec needs at least one path")
-        link_names = [ld.name for ld in self.links]
-        if len(set(link_names)) != len(link_names):
-            raise ValueError(f"duplicate link names in {link_names}")
-        path_names = [p.name for p in self.paths]
-        if len(set(path_names)) != len(path_names):
-            raise ValueError(f"duplicate path names in {path_names}")
-        for p in self.paths:
-            missing = [ln for ln in p.links if ln not in link_names]
-            if missing:
-                raise ValueError(f"path {p.name!r} references unknown "
-                                 f"link(s) {missing}")
-            if p.reverse_links is not None:
-                missing = [ln for ln in p.reverse_links
-                           if ln not in link_names]
-                if missing:
-                    raise ValueError(
-                        f"reverse path of {p.name!r} references unknown "
-                        f"link(s) {missing}")
-        if self.default_path and self.default_path not in path_names:
-            raise ValueError(f"default path {self.default_path!r} is not "
-                             f"one of {path_names}")
+        _check_wiring([ld.name for ld in self.links], self.paths,
+                      self.default_path)
 
     # --- lookups -----------------------------------------------------------
 
@@ -422,16 +348,22 @@ class TopologySpec:
               trace_cache: dict | None = None) -> Topology:
         """Instantiate live links (deterministic RNGs) and paths.
 
-        ``trace_cache`` memoizes named-trace construction across builds
-        (frozen read-only instances; see
-        :func:`repro.netsim.traces.make_trace`) -- batched multi-cell
-        execution passes one cache for a whole batch.
+        The one place a simulated network is built: a single-bottleneck
+        cell is its one-link :func:`dumbbell`.  ``trace_cache`` memoizes
+        named-trace construction across builds (frozen read-only
+        instances; see :func:`repro.netsim.traces.make_trace`) --
+        batched multi-cell execution passes one cache for a whole batch.
+        A live trace on a link is used as it stands.
         """
         links: dict[str, Link] = {}
         for i, ld in enumerate(self.links):
             pps = mbps_to_pps(ld.bandwidth_mbps, packet_bytes)
-            trace = (make_trace(ld.trace, cache=trace_cache) if ld.trace
-                     else ConstantTrace(pps))
+            if ld.trace is None:
+                trace = ConstantTrace(pps)
+            elif isinstance(ld.trace, str):
+                trace = make_trace(ld.trace, cache=trace_cache)
+            else:
+                trace = ld.trace
             queue = ld.queue_packets
             if queue is None:
                 bdp = pps * self._bdp_rtt_s(ld.name)
@@ -446,18 +378,7 @@ class TopologySpec:
                 # and batched execution.
                 link.fault = FaultProcess(ld.faults, seed=seed, index=i)
             links[ld.name] = link
-        paths = {p.name: p.links for p in self.paths}
-        return_delays = {p.name: p.return_delay_ms / 1000.0
-                         for p in self.paths if p.return_delay_ms is not None}
-        reverse_paths = {p.name: p.reverse_links for p in self.paths
-                         if p.reverse_links is not None}
-        ack_bytes = {p.name: p.ack_bytes for p in self.paths
-                     if p.ack_bytes is not None}
-        return Topology(links, paths,
-                        default_path=self.default_path or self.paths[0].name,
-                        return_delays=return_delays,
-                        reverse_paths=reverse_paths,
-                        ack_bytes=ack_bytes)
+        return Topology(links, self.paths, self.default_path)
 
     def with_reverse_paths(self, reverse: dict,
                            name: str | None = None) -> "TopologySpec":
@@ -537,7 +458,7 @@ def _hop_links(hops: int, bandwidth_mbps, delay_ms, buffer_bdp,
 
 def dumbbell(bandwidth_mbps: float = 20.0, delay_ms: float = 10.0,
              buffer_bdp: float = 1.0, queue_packets: int | None = None,
-             loss_rate: float = 0.0, trace: str | None = None,
+             loss_rate: float = 0.0, trace: str | BandwidthTrace | None = None,
              name: str | None = None) -> TopologySpec:
     """One shared bottleneck -- the paper's evaluation shape."""
     links = _hop_links(1, bandwidth_mbps, delay_ms, buffer_bdp,

@@ -13,7 +13,7 @@ import pytest
 from repro.netsim.link import Link
 from repro.netsim.network import FlowSpec, Simulation
 from repro.netsim.sender import ExternalRateController
-from repro.netsim.topology import Topology
+from repro.netsim.topology import PathDef, Topology
 from repro.netsim.traces import ConstantTrace
 
 
@@ -27,9 +27,8 @@ def lossy_reverse_topology(rev_loss=0.3, rev_queue=500):
                     loss_rate=rev_loss, rng=np.random.default_rng(2),
                     name="rev"),
     }
-    return Topology(links, {"through": ("fwd",), "up": ("rev",)},
-                    default_path="through",
-                    reverse_paths={"through": ("rev",), "up": ("fwd",)})
+    return Topology(links, (PathDef("through", ("fwd",), reverse_links=("rev",)),
+                            PathDef("up", ("rev",), reverse_links=("fwd",))))
 
 
 def run_through(topo, duration=8.0, stop=float("inf")):

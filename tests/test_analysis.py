@@ -134,6 +134,8 @@ class TestRngRule:
         assert rule.applies_to("baselines/orca.py")
         assert rule.applies_to("netsim/link.py")
         assert rule.applies_to("core/agent.py")  # every learned cell's controller
+        assert rule.applies_to("core/library.py")  # Fig. 17's §5 library
+        assert rule.applies_to("datapath/udt.py")
         assert not rule.applies_to("netsim/rngstreams.py")
         assert not rule.applies_to("rl/ppo.py")
         assert not rule.applies_to("core/offline.py")

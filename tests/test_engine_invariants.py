@@ -20,7 +20,7 @@ import repro.netsim.network as network
 from repro.netsim.link import Link
 from repro.netsim.network import FlowSpec
 from repro.netsim.sender import ExternalRateController
-from repro.netsim.topology import Topology
+from repro.netsim.topology import PathDef, Topology
 from repro.netsim.traces import ConstantTrace
 
 SOURCE = Path(network.__file__).read_text()
@@ -85,8 +85,8 @@ def every_kind_topology() -> Topology:
         "rev": Link(ConstantTrace(500.0), delay=0.01, queue_size=500,
                     loss_rate=0.3, rng=np.random.default_rng(3), name="rev"),
     }
-    return Topology(links, {"through": ("a", "b")}, default_path="through",
-                    reverse_paths={"through": ("rev",)})
+    return Topology(links, (PathDef("through", ("a", "b"),
+                                    reverse_links=("rev",)),))
 
 
 def every_kind_simulation(simulation_cls):

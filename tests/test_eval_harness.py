@@ -158,11 +158,15 @@ class TestRunnerIntegration:
         assert records[0].mean_throughput_pps > 0
         assert records[1].records[0].start >= 4.0
 
+    @staticmethod
+    def queue_size(net):
+        return net.topology().build(net.packet_bytes).links["hop0"].queue_size
+
     def test_network_queue_sizing(self):
         net = EvalNetwork(bandwidth_mbps=12.0, one_way_ms=20.0, buffer_bdp=1.0)
         # 1 BDP at 1000 pps, 40 ms RTT = 40 packets.
-        assert net.queue_size() == pytest.approx(40, abs=1)
+        assert self.queue_size(net) == 40
 
     def test_explicit_queue_overrides(self):
         net = EvalNetwork(queue_packets=123)
-        assert net.queue_size() == 123
+        assert self.queue_size(net) == 123

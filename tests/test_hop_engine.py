@@ -23,7 +23,7 @@ from repro.netsim.link import Link
 from repro.netsim.network import ACK_BYTES, FlowSpec, Simulation
 from repro.netsim.packet import Packet
 from repro.netsim.sender import ExternalRateController
-from repro.netsim.topology import Topology
+from repro.netsim.topology import PathDef, Topology, parking_lot
 from repro.netsim.traces import ConstantTrace
 
 
@@ -41,9 +41,9 @@ def record_signature(record):
 
 
 def parking_lot_sim(duration=10.0, **kwargs):
-    links = [make_link(pps=100.0, delay=0.01, queue=20, seed=1, name="a"),
-             make_link(pps=100.0, delay=0.01, queue=20, seed=2, name="b")]
-    topo = Topology.parking_lot(links)
+    links = [make_link(pps=100.0, delay=0.01, queue=20, seed=1, name="hop0"),
+             make_link(pps=100.0, delay=0.01, queue=20, seed=2, name="hop1")]
+    topo = Topology({link.name: link for link in links}, parking_lot(2).paths)
     sim = Simulation(topo, [
         FlowSpec(ExternalRateController(90.0), path="through"),
         FlowSpec(ExternalRateController(60.0), path="cross0"),
@@ -80,9 +80,9 @@ class TestInOrderArrivals:
         links = {"fwd": make_link(pps=400.0, delay=0.01, queue=100, name="fwd"),
                  "mid": make_link(pps=120.0, delay=0.005, queue=40, name="mid"),
                  "rev": make_link(pps=60.0, delay=0.01, queue=40, name="rev")}
-        topo = Topology(links, {"dl": ("fwd",), "up": ("rev", "mid")},
-                        default_path="dl",
-                        reverse_paths={"dl": ("rev",), "up": ("mid", "fwd")})
+        topo = Topology(links, (PathDef("dl", ("fwd",), reverse_links=("rev",)),
+                                PathDef("up", ("rev", "mid"),
+                                        reverse_links=("mid", "fwd"))))
         sim = Simulation(topo, [
             FlowSpec(ExternalRateController(80.0), path="dl"),
             FlowSpec(ExternalRateController(50.0), path="up"),
@@ -112,11 +112,9 @@ def ack_loss_topology(rev_queue=2, rev_pps=50.0, ack_bytes=None):
     links = {"fwd": make_link(pps=1000.0, delay=0.01, queue=200, name="fwd"),
              "rev": make_link(pps=rev_pps, delay=0.01, queue=rev_queue,
                               name="rev")}
-    ack = {} if ack_bytes is None else {"through": ack_bytes}
-    return Topology(links, {"through": ("fwd",), "up": ("rev",)},
-                    default_path="through",
-                    reverse_paths={"through": ("rev",), "up": ("fwd",)},
-                    ack_bytes=ack)
+    return Topology(links, (PathDef("through", ("fwd",), reverse_links=("rev",),
+                                    ack_bytes=ack_bytes),
+                            PathDef("up", ("rev",), reverse_links=("fwd",))))
 
 
 class TestAckLoss:
@@ -172,9 +170,9 @@ class TestAckLoss:
         by every later cumulative ack, so notices convert to delay)."""
         links = {"fwd": make_link(pps=40.0, delay=0.01, queue=2, name="fwd"),
                  "rev": make_link(pps=50.0, delay=0.01, queue=0, name="rev")}
-        topo = Topology(links, {"through": ("fwd",), "up": ("rev",)},
-                        default_path="through",
-                        reverse_paths={"through": ("rev",), "up": ("fwd",)})
+        topo = Topology(links, (PathDef("through", ("fwd",),
+                                        reverse_links=("rev",)),
+                                PathDef("up", ("rev",), reverse_links=("fwd",))))
         specs = [FlowSpec(ExternalRateController(80.0), path="through",
                           keep_packets=True),
                  FlowSpec(ExternalRateController(100.0), path="up")]

@@ -71,14 +71,16 @@ class TestBitIdentityNewRows:
 
     @pytest.mark.parametrize("seed", [0, 17, 48])
     def test_eval_link_loss_and_orca_policy_are_raw_seed(self, seed):
-        # runner.py / orca.py formerly: np.random.default_rng(seed)
-        for name in ("eval.link-loss", "orca.policy"):
-            assert _same_stream(stream_rng(name, seed),
-                                np.random.default_rng(seed))
+        # runner.py / orca.py formerly: np.random.default_rng(seed).  A
+        # single-link cell's one link is now link 0 of its dumbbell.
+        for rng in (stream_rng("link.loss", seed, 0),
+                    stream_rng("orca.policy", seed)):
+            assert _same_stream(rng, np.random.default_rng(seed))
 
     @pytest.mark.parametrize("seed", [0, 17, 48])
     def test_policy_sample_and_agent_init_are_raw_seed(self, seed):
-        # core/agent.py formerly: np.random.default_rng(seed)
+        # core/agent.py and core/library.py formerly:
+        # np.random.default_rng(seed)
         for name in ("policy.sample", "agent.init"):
             assert _same_stream(stream_rng(name, seed),
                                 np.random.default_rng(seed))

@@ -86,8 +86,8 @@ class TestScenario:
     def test_named_trace_builds_network(self):
         scenario = Scenario(name="t", network=NET, flows=("cubic",),
                             trace="fig1-step", duration=2.0)
-        built = scenario.build_network()
-        assert isinstance(built.trace, StepTrace)
+        (link,) = build_scenario_simulation(scenario).links
+        assert isinstance(link.trace, StepTrace)
         assert scenario.network.trace is None  # original untouched
 
     def test_trace_conflict_rejected(self):
@@ -475,6 +475,8 @@ class TestTopologyScenarios:
             twin = replace(cell, trace=None, topology=dumbbell(
                 net.bandwidth_mbps, net.one_way_ms, net.buffer_bdp,
                 net.queue_packets, net.loss_rate, cell.trace))
+            # The single-link cell runs on exactly this spec.
+            assert net.topology(cell.trace) == twin.topology, cell.name
             runs = [build_scenario_simulation(c) for c in (cell, twin)]
             single, spec = [(records_digest(sim.run_all()),
                              sim.events_processed) for sim in runs]
@@ -609,7 +611,8 @@ class TestScenarioSuite:
                               traces=(None, "fig1-step"))
         plain, stepped = suite.expand()
         assert plain.trace is None and stepped.trace == "fig1-step"
-        assert isinstance(stepped.build_network().trace, StepTrace)
+        (link,) = build_scenario_simulation(stepped).links
+        assert isinstance(link.trace, StepTrace)
 
     def test_topology_axis(self):
         suite = ScenarioSuite(name="tp", lineups=("cubic",),
@@ -630,12 +633,18 @@ class TestScenarioSuite:
         assert [f.start for f in churned.flows] == [0.0, 2.0]
         assert "churn=staggered-g2" in churned.name
 
-    def test_topology_supersedes_trace_axis(self):
-        suite = ScenarioSuite(name="ts", lineups=("cubic",),
-                              traces=("fig1-step",),
-                              topologies=(parking_lot(2),))
-        scenario = suite.expand()[0]
-        assert scenario.trace is None and scenario.topology is not None
+    def test_trace_axis_under_a_topology_rejected(self):
+        """A spec's links carry their own traces: a named trace beside
+        it used to be dropped, leaving differently named cells with one
+        fingerprint and one result."""
+        for traces, topologies in (((None, "wifi-walk"), (parking_lot(2),)),
+                                   (("fig1-step",), (None, dumbbell()))):
+            with pytest.raises(ValueError, match="traces axis"):
+                ScenarioSuite(name="ts", lineups=("cubic",), traces=traces,
+                              topologies=topologies)
+        # Either axis alone, or a constant link beside a spec, is fine.
+        ScenarioSuite(name="ok", lineups=("cubic",), traces=(None,),
+                      topologies=(None, parking_lot(2)))
 
     def test_fingerprint_sensitive_to_path_ack_bytes(self):
         def with_ack(ack):

@@ -25,6 +25,12 @@ def make_link(pps=100.0, delay=0.02, queue=50, loss=0.0, seed=0, name=""):
                 loss_rate=loss, rng=np.random.default_rng(seed), name=name)
 
 
+def live_parking_lot(links):
+    """Live links ``hop0``, ``hop1``, ... on :func:`parking_lot`'s paths."""
+    return Topology({f"hop{i}": link for i, link in enumerate(links)},
+                    parking_lot(len(links)).paths)
+
+
 class TestLiveTopology:
     def test_single_path_wraps_link_list(self):
         links = [make_link(delay=0.01), make_link(delay=0.02)]
@@ -36,38 +42,38 @@ class TestLiveTopology:
 
     def test_parking_lot_paths(self):
         links = [make_link(delay=0.01), make_link(delay=0.02)]
-        topo = Topology.parking_lot(links)
+        topo = live_parking_lot(links)
         assert set(topo.paths) == {"through", "cross0", "cross1"}
         assert topo.default_path == "through"
         assert topo.path("cross1").links == (links[1],)
         assert topo.path("cross1").base_rtt == pytest.approx(0.04)
         assert topo.path("through").base_rtt == pytest.approx(0.06)
 
-    def test_asymmetric_return_delay(self):
-        topo = Topology({"a": make_link(delay=0.01)}, {"p": ("a",)},
-                        return_delays={"p": 0.05})
-        assert topo.path("p").base_rtt == pytest.approx(0.06)
-
     def test_unknown_path_and_link_rejected(self):
-        with pytest.raises(KeyError, match="unknown link"):
-            Topology({"a": make_link()}, {"p": ("a", "b")})
-        topo = Topology({"a": make_link()}, {"p": ("a",)})
+        """The spec's reference check, on live links."""
+        links = {"a": make_link()}
+        with pytest.raises(ValueError, match="unknown link"):
+            Topology(links, (PathDef("p", ("a", "b")),))
+        with pytest.raises(ValueError, match="reverse path of 'p'"):
+            Topology(links, (PathDef("p", ("a",), reverse_links=("zz",)),))
+        with pytest.raises(ValueError, match="duplicate path names"):
+            Topology(links, (PathDef("p", ("a",)), PathDef("p", ("a",))))
+        with pytest.raises(ValueError, match="default path"):
+            Topology(links, (PathDef("p", ("a",)),), default_path="q")
+        topo = Topology(links, (PathDef("p", ("a",)),))
         with pytest.raises(KeyError, match="unknown path"):
             topo.path("q")
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            Topology({}, {"p": ("a",)})
-        with pytest.raises(ValueError):
-            Topology({"a": make_link()}, {})
-        with pytest.raises(ValueError, match="no links"):
-            Topology({"a": make_link()}, {"p": ()})
+        with pytest.raises(ValueError, match="at least one link"):
+            Topology({}, (PathDef("p", ("a",)),))
+        with pytest.raises(ValueError, match="at least one path"):
+            Topology({"a": make_link()}, ())
 
     def test_default_reverse_is_propagation_pseudo_link(self):
         topo = Topology.single_path([make_link(delay=0.01),
                                      make_link(delay=0.02)])
         path = topo.path()
-        assert path.reverse_link_names == ()
         assert len(path.reverse_links) == 1
         assert isinstance(path.reverse_links[0], PropagationLink)
         assert path.reverse_links[0].delay == pytest.approx(0.03)
@@ -75,41 +81,12 @@ class TestLiveTopology:
     def test_wired_reverse_path(self):
         links = {"fwd": make_link(delay=0.01, name="fwd"),
                  "rev": make_link(delay=0.03, name="rev")}
-        topo = Topology(links, {"p": ("fwd",)},
-                        reverse_paths={"p": ("rev",)})
+        topo = Topology(links, (PathDef("p", ("fwd",), reverse_links=("rev",)),))
         path = topo.path("p")
-        assert path.reverse_link_names == ("rev",)
         assert path.reverse_links == (links["rev"],)
         # Return delay is the reverse links' propagation sum.
         assert path.return_delay == pytest.approx(0.03)
         assert path.base_rtt == pytest.approx(0.04)
-
-    def test_per_path_ack_bytes(self):
-        links = {"a": make_link(name="a")}
-        topo = Topology(links, {"p": ("a",), "q": ("a",)},
-                        ack_bytes={"p": 120})
-        assert topo.path("p").ack_bytes == 120
-        assert topo.path("q").ack_bytes is None  # engine default
-        with pytest.raises(KeyError, match="unknown path"):
-            Topology(links, {"p": ("a",)}, ack_bytes={"zz": 120})
-        with pytest.raises(ValueError, match="positive"):
-            Topology(links, {"p": ("a",)}, ack_bytes={"p": 0})
-
-    def test_reverse_path_validation(self):
-        links = {"a": make_link()}
-        with pytest.raises(KeyError, match="unknown link"):
-            Topology(links, {"p": ("a",)}, reverse_paths={"p": ("zz",)})
-        with pytest.raises(ValueError, match="no links"):
-            Topology(links, {"p": ("a",)}, reverse_paths={"p": ()})
-        with pytest.raises(ValueError, match="pick one"):
-            Topology(links, {"p": ("a",)}, return_delays={"p": 0.05},
-                     reverse_paths={"p": ("a",)})
-        # A typo'd path name must fail loudly, not silently fall back
-        # to the pure-propagation return.
-        with pytest.raises(KeyError, match="unknown path"):
-            Topology(links, {"p": ("a",)}, reverse_paths={"q": ("a",)})
-        with pytest.raises(KeyError, match="unknown path"):
-            Topology(links, {"p": ("a",)}, return_delays={"q": 0.05})
 
 
 class TestTopologySpec:
@@ -180,15 +157,21 @@ class TestTopologySpec:
             TopologySpec(name="t", links=(LinkDef("a"),),
                          paths=(PathDef("p", ("a",), reverse_links=("zz",)),))
 
+    def test_empty_path_rejected_at_construction(self):
+        """Not at build time, inside a sweep worker, once per cell."""
+        with pytest.raises(ValueError, match="'p' traverses no links"):
+            PathDef("p", ())
+
     def test_pathdef_ack_bytes_builds_through(self):
         spec = TopologySpec(
             name="t", links=(LinkDef("a"),),
             paths=(PathDef("p", ("a",), ack_bytes=90), PathDef("q", ("a",))))
         topo = spec.build()
         assert topo.path("p").ack_bytes == 90
-        assert topo.path("q").ack_bytes is None
-        with pytest.raises(ValueError, match="positive"):
-            PathDef("p", ("a",), ack_bytes=-1)
+        assert topo.path("q").ack_bytes is None  # engine default
+        for bad in (-1, 0):
+            with pytest.raises(ValueError, match="positive"):
+                PathDef("p", ("a",), ack_bytes=bad)
 
     def test_dumbbell_asymmetric_ack_bytes(self):
         spec = dumbbell_asymmetric(16.0, ack_bytes=200)
@@ -222,9 +205,11 @@ class TestTopologySpec:
         assert twin.path("through").reverse_links is None
         assert twin.path("through").return_delay_ms == pytest.approx(24.0)
         assert twin.path_rtt_s("through") == pytest.approx(spec.path_rtt_s("through"))
-        built = twin.build()
-        assert isinstance(built.path("through").reverse_links[0],
-                          PropagationLink)
+        built = twin.build().path("through")
+        assert isinstance(built.reverse_links[0], PropagationLink)
+        # ...at the twin's return_delay_ms, not the forward delay.
+        assert built.return_delay == pytest.approx(0.024)
+        assert built.base_rtt == pytest.approx(0.032)
         # Re-wiring the twin round-trips to the original shape.
         rewired = twin.with_reverse_paths({"through": ("rev",)})
         assert rewired.path("through").reverse_links == ("rev",)
@@ -235,7 +220,7 @@ class TestTopologySpec:
 class TestSimulationOverTopology:
     def test_per_flow_base_rtt(self):
         links = [make_link(delay=0.01, seed=1), make_link(delay=0.02, seed=2)]
-        topo = Topology.parking_lot(links)
+        topo = live_parking_lot(links)
         sim = Simulation(topo, [
             FlowSpec(ExternalRateController(50.0), path="through"),
             FlowSpec(ExternalRateController(50.0), path="cross1"),
@@ -255,7 +240,7 @@ class TestSimulationOverTopology:
         """Cross flows on different hops do not share any queue."""
         links = [make_link(pps=100.0, delay=0.01, seed=4, name="a"),
                  make_link(pps=100.0, delay=0.01, seed=5, name="b")]
-        topo = Topology.parking_lot(links)
+        topo = live_parking_lot(links)
         sim = Simulation(topo, [
             FlowSpec(ExternalRateController(90.0), path="cross0"),
             FlowSpec(ExternalRateController(90.0), path="cross1"),
@@ -270,7 +255,7 @@ class TestSimulationOverTopology:
         """A through flow shares each queue with that hop's cross flow."""
         links = [make_link(pps=100.0, delay=0.01, queue=20, seed=7),
                  make_link(pps=100.0, delay=0.01, queue=20, seed=8)]
-        topo = Topology.parking_lot(links)
+        topo = live_parking_lot(links)
         sim = Simulation(topo, [
             FlowSpec(ExternalRateController(100.0), path="through"),
             FlowSpec(ExternalRateController(100.0), path="cross0"),
@@ -302,10 +287,11 @@ class TestSimulationOverTopology:
             def on_loss(self, flow, packet, now):
                 times.append(now)
 
-        # hop_jitter=0: this is a unit test of the notice-cursor
+        # No hop dither: this is a unit test of the notice-cursor
         # arithmetic, not of the forwarding dither.
         sim = Simulation([a, b], [FlowSpec(Recorder(0.5))], duration=1.0,
-                         seed=12, hop_jitter=0.0)
+                         seed=12)
+        sim.hop_jitter = 0.0
         sim.run()
         # depart(a) = 0.01 service + 0.01 delay = 0.02;
         # depart(b) = 0.02 + 0.02 service + 0.05 delay = 0.09;
@@ -383,9 +369,9 @@ def asym_topology(rev_pps=50.0, wire=True):
     """A live asymmetric dumbbell: fast ``fwd``, skinny queued ``rev``."""
     links = {"fwd": make_link(pps=1000.0, delay=0.01, queue=200, name="fwd"),
              "rev": make_link(pps=rev_pps, delay=0.01, queue=200, name="rev")}
-    reverse = {"through": ("rev",), "up": ("fwd",)} if wire else {}
-    return Topology(links, {"through": ("fwd",), "up": ("rev",)},
-                    default_path="through", reverse_paths=reverse)
+    return Topology(links, (
+        PathDef("through", ("fwd",), reverse_links=("rev",) if wire else None),
+        PathDef("up", ("rev",), reverse_links=("fwd",) if wire else None)))
 
 
 class TestReversePathQueueing:
