@@ -15,6 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.agent import MoccAgent
+from repro.core.library import MOCC
 from repro.netsim import rngstreams
 from repro.netsim.link import Link
 from repro.netsim.rngstreams import STREAMS, check_streams, stream_rng
@@ -79,11 +81,16 @@ class TestBitIdentityNewRows:
 
     @pytest.mark.parametrize("seed", [0, 17, 48])
     def test_policy_sample_and_agent_init_are_raw_seed(self, seed):
-        # core/agent.py and core/library.py formerly:
-        # np.random.default_rng(seed)
+        # core/agent.py formerly: np.random.default_rng(seed)
         for name in ("policy.sample", "agent.init"):
             assert _same_stream(stream_rng(name, seed),
                                 np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_library_mocc_samples_its_policy_stream(self, seed):
+        # core/library.py formerly: np.random.default_rng(seed)
+        mocc = MOCC(MoccAgent(seed=0), seed=seed)
+        assert _same_stream(mocc.rng, np.random.default_rng(seed))
 
     @pytest.mark.parametrize("seed,i", [(0, 0), (9, 2)])
     def test_fault_streams_are_seed_salt_index(self, seed, i):

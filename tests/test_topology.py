@@ -17,7 +17,8 @@ from repro.netsim.topology import (
     dumbbell_asymmetric,
     parking_lot,
 )
-from repro.netsim.traces import ConstantTrace
+from repro.netsim.signing import Signer
+from repro.netsim.traces import ConstantTrace, StepTrace
 
 
 def make_link(pps=100.0, delay=0.02, queue=50, loss=0.0, seed=0, name=""):
@@ -143,6 +144,15 @@ class TestTopologySpec:
         spec = dumbbell(trace="fig1-step")
         link = spec.build().links["hop0"]
         assert type(link.trace).__name__ == "StepTrace"
+
+    def test_live_trace_on_a_link(self):
+        """A live trace (an EvalNetwork's, on its one-link dumbbell)
+        builds as it stands and signs by its content."""
+        trace = StepTrace(100.0, 200.0, period=5.0)
+        assert dumbbell(trace=trace).build().links["hop0"].trace is trace
+        sign = lambda t: Signer().sign(dumbbell(trace=t))
+        assert sign(StepTrace(100.0, 200.0, period=5.0)) == sign(trace)
+        assert sign(StepTrace(100.0, 200.0, period=4.0)) != sign(trace)
 
     def test_queue_packets_overrides_bdp(self):
         spec = dumbbell(queue_packets=7)
