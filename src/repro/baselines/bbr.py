@@ -41,6 +41,10 @@ class BBR(Controller):
                  rtprop_window_s: float = 10.0, probe_rtt_interval_s: float = 10.0):
         self.rate = float(initial_rate)
         self._bw_samples: deque[float] = deque(maxlen=bw_window)
+        #: The bandwidth filter's windowed max, kept by :meth:`on_mi`
+        #: (the only writer of ``_bw_samples``) so the per-send
+        #: ``inflight_cap`` reads it instead of re-scanning the window.
+        self.btl_bw = 0.0
         #: Sliding-window-minimum structure for the rt_prop filter: a
         #: *monotonic deque* of ``(time, rtt)`` with rtts strictly
         #: increasing left to right.  Appending pops dominated samples
@@ -64,10 +68,6 @@ class BBR(Controller):
 
     # --- filters ----------------------------------------------------------
 
-    @property
-    def btl_bw(self) -> float:
-        return max(self._bw_samples) if self._bw_samples else 0.0
-
     def _rt_prop(self, now: float) -> float | None:
         samples = self._rtt_samples
         horizon = now - self.rtprop_window_s
@@ -82,6 +82,7 @@ class BBR(Controller):
     def on_mi(self, flow: Flow, stats: MonitorIntervalStats, now: float) -> None:
         if stats.acked > 0:
             self._bw_samples.append(stats.throughput_pps)
+            self.btl_bw = max(self._bw_samples)
         if stats.min_rtt is not None:
             # Monotonic-deque append: drop samples that are both older
             # and >= the new rtt.  The newest sample always survives,

@@ -79,7 +79,7 @@ class Orca(Controller):
         self._mi_count += 1
         if self._plan is None or self._mi_count % self.rl_interval != 0:
             return
-        action = self._plan.action(self.history.vector(), self.rng,
+        action = self._plan.action(self.history.buffer, self.rng,
                                    self.deterministic)
         self.inference_count += 1
         self.scale = float(np.clip(

@@ -14,8 +14,8 @@ the network and applies Eq. 1 to its pacing rate.  This is the
 Inference is actor-only: a controller resolves an
 :class:`~repro.rl.policy.InferencePlan` when its flow starts (the
 preference embedding is computed once, there) and each interval costs
-one no-grad actor forward -- no critic, no log-probability, no backward
-caches.  Rollout collection resolves a plan per rollout the same way;
+one no-grad actor forward on the history buffer itself (no copy) -- no
+critic, no log-probability, no backward caches.  Rollout collection resolves a plan per rollout the same way;
 ``model.act`` / :meth:`MoccAgent.act` build a one-shot plan per call
 and are for one-off queries, not a loop.
 """
@@ -146,7 +146,7 @@ class PolicyRateController(Controller):
 
     def on_mi(self, flow: Flow, stats: MonitorIntervalStats, now: float) -> None:
         self.history.push(flow, stats)
-        action = self._plan.action(self.history.vector(), self.rng,
+        action = self._plan.action(self.history.buffer, self.rng,
                                    self.deterministic)
         self.inference_count += 1
         self.rate = apply_action(self.rate, action, self.action_scale)

@@ -116,7 +116,7 @@ class MOCC:
         """``GetSendingRate()``: the rate for the next interval (pps)."""
         if self._plan is None:
             raise RuntimeError("call register() before get_sending_rate()")
-        action = self._plan.action(self.history.vector(), self.rng,
+        action = self._plan.action(self.history.buffer, self.rng,
                                    self.deterministic)
         self.inference_count += 1
         self.rate = apply_action(self.rate, action, self.agent.config.action_scale)

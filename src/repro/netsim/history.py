@@ -55,16 +55,20 @@ class StatHistory:
         if length < 1:
             raise ValueError("history length must be >= 1")
         self.length = length
-        self._buf = np.empty(self.FEATURES * length)
+        #: The flattened state itself (what :meth:`vector` copies): the
+        #: next push or reset overwrites it, so only a caller that reads
+        #: it at once -- a controller's per-MI policy step -- takes it
+        #: uncopied.
+        self.buffer = np.empty(self.FEATURES * length)
         self.reset()
 
     def reset(self) -> None:
         """Fill with the neutral statistic <l=1, p=1, q=0, r=1>."""
-        self._buf.reshape(self.length, self.FEATURES)[:] = (1.0, 1.0, 0.0, 1.0)
+        self.buffer.reshape(self.length, self.FEATURES)[:] = (1.0, 1.0, 0.0, 1.0)
 
     def _append(self, send_ratio: float, latency_ratio: float,
                 gradient: float, rate_ratio: float) -> None:
-        buf = self._buf
+        buf = self.buffer
         buf[:-4] = buf[4:]
         buf[-4] = send_ratio
         buf[-3] = latency_ratio
@@ -96,7 +100,7 @@ class StatHistory:
         An independent copy: environments and rollout buffers hold
         observations across later pushes.
         """
-        return self._buf.copy()
+        return self.buffer.copy()
 
     @property
     def dim(self) -> int:

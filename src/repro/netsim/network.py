@@ -762,7 +762,14 @@ class Simulation:
                 break
             if rate < capacity:
                 capacity = rate
-        rate = self._effective_rate(flow)
+        # The effective send rate at the clock ``self.now`` (which a
+        # ``_finalize`` close at ``now`` need not equal): the pacing
+        # rate, or the window over the smoothed RTT.
+        if flow.is_window:
+            rate = flow.cwnd_fn(self.now) / (
+                flow.srtt or max(flow.base_rtt, MIN_MI_DURATION))
+        else:
+            rate = flow.pacing_fn(self.now)
         stats = flow.finish_mi(now, capacity, flow.base_rtt, rate)
         flow.controller.on_mi(flow, stats, now)
 
@@ -771,13 +778,6 @@ class Simulation:
     def _bottleneck_capacity(self, flow: Flow, t0: float, t1: float) -> float:
         return min(link.trace.mean_bandwidth(t0, t1, samples=9)
                    for link in flow.links)
-
-    def _effective_rate(self, flow: Flow) -> float:
-        controller = flow.controller
-        if controller.kind == "rate":
-            return controller.pacing_rate(self.now)
-        srtt = flow.srtt or max(flow.base_rtt, MIN_MI_DURATION)
-        return controller.cwnd(self.now) / srtt
 
     def summary(self, flow_id: int) -> FlowRecord:
         """Aggregate results for one flow."""

@@ -369,22 +369,26 @@ class Flow:
             gradient = (_rtt_slope_arrays(np.frombuffer(self._mi_times), rtts,
                                           rtt_mean)
                         if n > 1 else 0.0)
+            if self._min_mean_rtt is None or mean_rtt < self._min_mean_rtt:
+                self._min_mean_rtt = mean_rtt
         else:
             mean_rtt = None
             min_rtt = None
             gradient = 0.0
+        # Positional, in field order; duration and throughput are the
+        # ``stats.duration`` / ``stats.throughput_pps`` expressions
+        # without the property calls.
+        start = self.mi_start
+        acked = self.mi_acked
         stats = MonitorIntervalStats(
-            flow_id=self.flow_id, start=self.mi_start, end=now,
-            sent=self.mi_sent, acked=self.mi_acked, lost=self.mi_lost,
-            mean_rtt=mean_rtt, min_rtt=min_rtt, latency_gradient=gradient,
-            capacity_pps=capacity_pps, base_rtt=base_rtt,
-            packet_bytes=self.packet_bytes, rate_pps=rate_pps)
-        if mean_rtt is not None:
-            if self._min_mean_rtt is None or mean_rtt < self._min_mean_rtt:
-                self._min_mean_rtt = mean_rtt
-        if stats.duration > 0:
-            self.max_throughput_seen = max(self.max_throughput_seen,
-                                           stats.throughput_pps)
+            self.flow_id, start, now, self.mi_sent, acked, self.mi_lost,
+            mean_rtt, min_rtt, gradient, capacity_pps, base_rtt,
+            self.packet_bytes, rate_pps)
+        duration = now - start
+        if duration > 0:
+            throughput = acked / duration
+            if throughput > self.max_throughput_seen:
+                self.max_throughput_seen = throughput
         self.records.append(stats)
         self.mi_start = now
         self.mi_sent = 0

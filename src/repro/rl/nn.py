@@ -14,8 +14,11 @@ Conventions
 * ``forward`` caches whatever ``backward`` needs; call them in pairs.
 * ``infer`` is ``forward`` without the caches or the input re-wrapping:
   the same numpy ops on the same shapes (so results are bit-identical),
-  for callers that run a frozen network and never call ``backward``.
-  It requires a 2-D float64 input.
+  for batched callers that run a frozen network and never call
+  ``backward`` (the vectorised rollout collector, a plan's one-time
+  preference embedding).  It requires a 2-D float64 input.  One state
+  at a time goes through :class:`repro.rl.policy.InferencePlan`
+  instead, which runs the same kernels in place on a flat row.
 * Parameters and gradients are exposed as flat ``{name: array}`` dicts
   so optimizers and serialization never need to know the architecture.
 * A *model* (the unit an optimizer trains) packs its parameters into a

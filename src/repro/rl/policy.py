@@ -29,10 +29,12 @@ rollout collection needs.  :meth:`PreferenceActorCritic.act` and
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from repro.rl.distributions import DiagGaussian
-from repro.rl.nn import MLP, Dense, Module, Parameter, ParameterArena, Sequential, Tanh
+from repro.rl.nn import MLP, Dense, Module, Parameter, ParameterArena, ReLU, Sequential, Tanh
 
 __all__ = ["PreferenceActorCritic", "InferencePlan"]
 
@@ -159,65 +161,106 @@ class PreferenceActorCritic(Module):
 class InferencePlan:
     """Single-state, no-grad inference under one weight vector.
 
-    Holds the ``(1, obs_dim + pref_hidden)`` joint input row of Fig. 3.
+    Holds the flat ``obs_dim + pref_hidden`` joint input row of Fig. 3.
     Its preference half is computed **once**, here, from the model's
     preference sub-network; each call overwrites only the observation
-    half and runs the networks cache-free (``infer``), so a plan never
-    disturbs the backward caches of a batched :meth:`forward`.  A
-    deployed controller calls :meth:`action` -- actor only, no critic,
-    no log-probability; a rollout calls :meth:`act` and :meth:`value`.
-    All run the ops of a one-row ``forward`` on the same ``(1, n)``
-    shapes, so results are bit-identical to it.
+    half.  Actor and critic are resolved once into ``(W, b, activation,
+    out)`` steps, and a call runs each step as ``np.dot(row, W,
+    out=out)``, ``np.add(out, b, out=out)`` and the activation in place
+    -- no per-layer method calls, no temporaries (ReLU excepted), no
+    backward caches, so a plan never disturbs a batched :meth:`forward`.  The 1-D
+    ``dot`` is the same BLAS kernel as the ``(1, n) @ W`` of a one-row
+    ``forward`` and the ufuncs are the same ufuncs, so results are
+    bit-identical to it.  A deployed controller calls :meth:`action` --
+    actor only, no critic, no log-probability; a rollout calls
+    :meth:`act` and :meth:`value`.  Nothing a plan returns aliases its
+    ``out`` buffers.
 
     **Contract: the policy is frozen for the duration of a plan** (a
-    flow; a rollout between two PPO updates).  Actor, critic and
-    ``log_std`` are read live on every call (in-place updates are
-    seen), but the preference embedding is a snapshot: resolve a new
-    plan (controllers do at ``on_flow_start`` / ``register``,
-    collectors per ``collect``) after the model's parameters are
-    reloaded or trained.
+    flow; a rollout between two PPO updates).  The steps hold views of
+    the parameter arena, so actor, critic and ``log_std`` are read live
+    on every call (in-place updates are seen), but the preference
+    embedding is a snapshot: resolve a new plan (controllers do at
+    ``on_flow_start`` / ``register``, collectors per ``collect``) after
+    the model's parameters are reloaded or trained.
     """
 
     def __init__(self, model: PreferenceActorCritic,
                  weights: np.ndarray | None = None):
-        self._actor = model.actor
-        self._critic = model.critic
+        self._actor = _steps(model.actor)
+        self._critic = _steps(model.critic)
         self._log_std = model.log_std
-        self._joint = np.zeros((1, model.obs_dim + model.pref_hidden))
-        self._obs = self._joint[0, :model.obs_dim]
+        self._joint = np.zeros(model.obs_dim + model.pref_hidden)
+        self._obs = self._joint[:model.obs_dim]
         if model.pref_net is not None:
             if weights is None:
                 raise ValueError("model was built with a preference sub-network; pass weights")
-            self._joint[0, model.obs_dim:] = model.pref_net.infer(
+            self._joint[model.obs_dim:] = model.pref_net.infer(
                 np.asarray(weights, dtype=np.float64).reshape(1, -1))[0]
 
     def mean(self, obs: np.ndarray) -> np.ndarray:
-        """Gaussian mean, shape ``(1, act_dim)``, for one flat state."""
+        """Gaussian mean, shape ``(act_dim,)``, for one flat state."""
         self._obs[:] = obs
-        return self._actor.infer(self._joint)
+        return _run(self._actor, self._joint).copy()
 
     def action(self, obs: np.ndarray, rng: np.random.Generator,
                deterministic: bool) -> float:
         """The Eq. 1 adjustment scalar for one flat state."""
-        mean = self.mean(obs)
+        self._obs[:] = obs
+        mean = _run(self._actor, self._joint)
         if not deterministic:
             mean = DiagGaussian.sample(mean, self._log_std.value, rng)
-        return float(mean[0, 0])
+        return float(mean[0])
 
     def act(self, obs: np.ndarray, rng: np.random.Generator,
             deterministic: bool = False):
         """``(action, log_prob, value)`` for one flat state."""
-        mean = self.mean(obs)
-        value = self._critic.infer(self._joint)
+        self._obs[:] = obs
+        mean = _run(self._actor, self._joint)
+        value = float(_run(self._critic, self._joint)[0])
         log_std = self._log_std.value
-        action = mean if deterministic else DiagGaussian.sample(mean, log_std, rng)
+        action = mean.copy() if deterministic else DiagGaussian.sample(mean, log_std, rng)
         log_prob = DiagGaussian.log_prob(action, mean, log_std)
-        return action[0], float(log_prob[0]), float(value[0, 0])
+        return action, float(log_prob[0]), value
 
     def value(self, obs: np.ndarray) -> float:
         """Critic value for one flat state."""
         self._obs[:] = obs
-        return float(self._critic.infer(self._joint)[0, 0])
+        return float(_run(self._critic, self._joint)[0])
+
+
+def _relu(x: np.ndarray) -> np.ndarray:
+    return np.where(x > 0, x, 0.0)
+
+
+def _steps(mlp: MLP) -> tuple:
+    """``mlp`` as ``(W, b, activation, out)`` steps over live parameter
+    views; ``activation`` maps ``out`` to the next row (``None`` for the
+    linear head)."""
+    steps = []
+    layers = mlp.layers
+    for i, layer in enumerate(layers):
+        if not isinstance(layer, Dense):
+            continue
+        out = np.empty(layer.W.value.shape[1])
+        following = layers[i + 1] if i + 1 < len(layers) else None
+        if isinstance(following, Tanh):
+            activation = partial(np.tanh, out=out)
+        elif isinstance(following, ReLU):
+            activation = _relu
+        else:
+            activation = None
+        steps.append((layer.W.value, layer.b.value, activation, out))
+    return tuple(steps)
+
+
+def _run(steps: tuple, row: np.ndarray) -> np.ndarray:
+    """One flat ``row`` through resolved steps; returns the last ``out``."""
+    for W, b, activation, out in steps:
+        np.dot(row, W, out=out)
+        np.add(out, b, out=out)
+        row = out if activation is None else activation(out)
+    return row
 
 
 def _dense_widths(mlp: MLP) -> list[int]:

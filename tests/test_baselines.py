@@ -110,9 +110,24 @@ class TestBBRUnit:
 
     def test_inflight_cap_is_2bdp(self):
         bbr = BBR(initial_rate=10.0)
-        bbr._bw_samples.append(100.0)
-        bbr._rtt_samples.append((0.0, 0.05))
+        flow = _flow_with_srtt()
+        stats = flow.finish_mi(0.1, 100.0, 0.03, 10.0)
+        # 10 acks over the 0.1 s interval: a 100 pps bandwidth sample.
+        sample = stats.__class__(**{**stats.__dict__, "acked": 10, "min_rtt": 0.05})
+        bbr.on_mi(flow, sample, 0.0)
         assert bbr.inflight_cap(0.1) == pytest.approx(2 * 100.0 * 0.05)
+
+    def test_btl_bw_is_the_windowed_max(self):
+        """The max kept at ``on_mi`` is the max over the window, also
+        when the window's largest sample ages out."""
+        bbr = BBR(initial_rate=10.0, bw_window=3)
+        flow = _flow_with_srtt()
+        stats = flow.finish_mi(1.0, 100.0, 0.03, 10.0)
+        for i, acked in enumerate((50, 90, 20, 30, 10, 0, 40)):
+            bbr.on_mi(flow, stats.__class__(**{**stats.__dict__, "acked": acked}),
+                      float(i))
+            assert bbr.btl_bw == max(bbr._bw_samples)
+        assert bbr.btl_bw == 40.0
 
     def test_pacing_floor(self):
         assert BBR(initial_rate=0.001).pacing_rate(0.0) >= 1.0

@@ -5,12 +5,13 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.agent import MoccAgent
 from repro.netsim.history import StatHistory
 from repro.rl.distributions import DiagGaussian
 from repro.rl.dqn import QNetwork
-from repro.rl.nn import numerical_gradient
+from repro.rl.nn import ReLU, Tanh, numerical_gradient
 from repro.rl.optim import Adam
 from repro.rl.policy import PreferenceActorCritic
 
@@ -198,8 +199,8 @@ class TestInferencePlan:
         rng = np.random.default_rng(0)
         for obs in random_pushes(StatHistory(10), rng, 300):
             got = plan.mean(obs)
-            assert got.shape == (1, 1)
-            assert got[0, 0] == model.forward(obs, w)[0][0, 0]
+            assert got.shape == (1,)
+            assert got[0] == model.forward(obs, w)[0][0, 0]
             old_action, _, _ = reference_act(model, obs, w, rng, deterministic=True)
             assert plan.action(obs, rng, True) == float(old_action[0])
 
@@ -251,16 +252,16 @@ class TestInferencePlan:
         w = self.WEIGHTS if weight_dim else None
         obs = np.linspace(0.0, 2.0, 40)
         plan = model.plan(w)
-        before = plan.mean(obs)[0, 0]
+        before = plan.mean(obs)[0]
         # In-place actor update (what Adam and load_state_dict do): live.
         model.actor.layers[-1].b.value += 0.25
-        assert plan.mean(obs)[0, 0] == model.forward(obs, w)[0][0, 0] != before
+        assert plan.mean(obs)[0] == model.forward(obs, w)[0][0, 0] != before
         if weight_dim:
             # The preference embedding is frozen for the flow; a fresh
             # plan picks the new one up.
             model.pref_net.layers[0].b.value += 0.5
-            assert plan.mean(obs)[0, 0] != model.forward(obs, w)[0][0, 0]
-            assert model.plan(w).mean(obs)[0, 0] == model.forward(obs, w)[0][0, 0]
+            assert plan.mean(obs)[0] != model.forward(obs, w)[0][0, 0]
+            assert model.plan(w).mean(obs)[0] == model.forward(obs, w)[0][0, 0]
 
     def test_conditioned_model_needs_weights(self, weight_dim):
         model = self._model(weight_dim)
@@ -269,6 +270,87 @@ class TestInferencePlan:
                 model.plan(None)
         else:
             model.plan(None)
+
+    @settings(max_examples=40, deadline=None)
+    @given(hidden=st.sampled_from(((8,), (5,), (12, 6), (64, 32))),
+           activation=st.sampled_from(("tanh", "relu")),
+           seed=st.integers(0, 2 ** 16), scale=st.sampled_from((0.1, 1.0, 30.0)))
+    def test_every_method_equals_forward_bit_for_bit(self, weight_dim, hidden,
+                                                     activation, seed, scale):
+        """``mean``, ``action`` (both branches), ``act`` (both branches)
+        and ``value`` against the matching one-row ``forward``, compared
+        as bytes; then again after an in-place ``load_state_dict``."""
+        model = _trunk_model(weight_dim, hidden, activation, seed)
+        w = self.WEIGHTS if weight_dim else None
+        plan = model.plan(w)
+        obs_rng = np.random.default_rng(seed)
+
+        def check():
+            for _ in range(4):
+                obs = obs_rng.normal(size=model.obs_dim) * scale
+                mean, value = model.forward(obs, w)
+                assert plan.mean(obs).tobytes() == mean[0].tobytes()
+                assert _bytes(plan.value(obs)) == value[0].tobytes()
+                rng = np.random.default_rng(seed)
+                assert _bytes(plan.action(obs, rng, True)) == mean[0, 0].tobytes()
+                draw = DiagGaussian.sample(mean, model.log_std.value,
+                                           np.random.default_rng(seed))
+                assert (_bytes(plan.action(obs, np.random.default_rng(seed), False))
+                        == draw[0, 0].tobytes())
+                for deterministic in (True, False):
+                    got = plan.act(obs, np.random.default_rng(seed), deterministic)
+                    want = reference_act(model, obs, w, np.random.default_rng(seed),
+                                         deterministic)
+                    assert got[0].tobytes() == want[0].tobytes()
+                    assert _bytes(got[1]) == _bytes(want[1])
+                    assert _bytes(got[2]) == _bytes(want[2])
+
+        check()
+        # Everything but the preference embedding (a per-plan snapshot by
+        # contract) from a differently seeded twin, written in place.
+        twin = _trunk_model(weight_dim, hidden, activation, seed + 1)
+        state = {name: value if not name.startswith("pref.")
+                 else model.state_dict()[name]
+                 for name, value in twin.state_dict().items()}
+        model.load_state_dict(state)
+        check()
+
+    @settings(max_examples=20, deadline=None)
+    @given(hidden=st.sampled_from(((8,), (12, 6))),
+           activation=st.sampled_from(("tanh", "relu")),
+           seed=st.integers(0, 2 ** 16))
+    def test_nothing_returned_aliases_the_plan_buffers(self, weight_dim, hidden,
+                                                      activation, seed):
+        """A second call must not change what the first one returned."""
+        model = _trunk_model(weight_dim, hidden, activation, seed)
+        plan = model.plan(self.WEIGHTS if weight_dim else None)
+        rng = np.random.default_rng(seed)
+        first_obs, second_obs = rng.normal(size=(2, model.obs_dim))
+        for deterministic in (True, False):
+            action = plan.act(first_obs, rng, deterministic)[0]
+            mean = plan.mean(first_obs)
+            held = action.tobytes(), mean.tobytes()
+            plan.act(second_obs, rng, deterministic)
+            plan.mean(second_obs)
+            plan.action(second_obs, rng, deterministic)
+            plan.value(second_obs)
+            assert (action.tobytes(), mean.tobytes()) == held
+
+
+def _bytes(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+def _trunk_model(weight_dim, hidden, activation, seed):
+    """A plan-sized model with ``hidden`` trunks of ``activation``
+    (the constructor builds tanh; relu swaps the activation layers)."""
+    model = make_model(weight_dim=weight_dim, obs_dim=12, hidden=hidden,
+                       pref_hidden=4, seed=seed)
+    if activation == "relu":
+        for mlp in (model.actor, model.critic):
+            mlp.layers = [ReLU() if isinstance(layer, Tanh) else layer
+                          for layer in mlp.layers]
+    return model
 
 
 class TestCloneAndState:

@@ -151,7 +151,7 @@ class TestPPOMechanics:
         assert not np.array_equal(first.optimizer._m, second.optimizer._m)
         # A plan resolved after both updates acts on the trained model.
         mean = model.plan(np.full(3, 1 / 3)).mean(np.ones(3))
-        assert mean[0, 0] == model.forward(np.ones(3), np.full(3, 1 / 3))[0][0, 0]
+        assert mean[0] == model.forward(np.ones(3), np.full(3, 1 / 3))[0][0, 0]
 
 
 class TestPPOConfig:
