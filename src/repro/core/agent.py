@@ -15,9 +15,10 @@ Inference is actor-only: a controller resolves an
 :class:`~repro.rl.policy.InferencePlan` when its flow starts (the
 preference embedding is computed once, there) and each interval costs
 one no-grad actor forward on the history buffer itself (no copy) -- no
-critic, no log-probability, no backward caches.  Rollout collection resolves a plan per rollout the same way;
-``model.act`` / :meth:`MoccAgent.act` build a one-shot plan per call
-and are for one-off queries, not a loop.
+critic, no log-probability, no backward caches.  Rollout collection
+resolves a plan per rollout the same way; ``model.act`` /
+:meth:`MoccAgent.act` build a one-shot plan per call and are for
+one-off queries, not a loop.
 """
 
 from __future__ import annotations

@@ -16,8 +16,8 @@ What is timed for the learned schemes is the deployed inference path:
 one actor-only, no-grad forward per consulted interval through the
 flow's :class:`~repro.rl.policy.InferencePlan` (no critic, no
 log-probability, preference embedding computed once per flow) -- about
-12 us a decision against 1-3 us for the heuristics, so the ordering
-above holds with a ~5-10x gap rather than the ~30x the full
+10 us a decision against 1-3 us for the heuristics, so the ordering
+above holds with a ~3-10x gap rather than the ~30x the full
 ``model.act`` call used to cost.
 """
 

@@ -168,13 +168,13 @@ class InferencePlan:
     out)`` steps, and a call runs each step as ``np.dot(row, W,
     out=out)``, ``np.add(out, b, out=out)`` and the activation in place
     -- no per-layer method calls, no temporaries (ReLU excepted), no
-    backward caches, so a plan never disturbs a batched :meth:`forward`.  The 1-D
-    ``dot`` is the same BLAS kernel as the ``(1, n) @ W`` of a one-row
-    ``forward`` and the ufuncs are the same ufuncs, so results are
-    bit-identical to it.  A deployed controller calls :meth:`action` --
-    actor only, no critic, no log-probability; a rollout calls
-    :meth:`act` and :meth:`value`.  Nothing a plan returns aliases its
-    ``out`` buffers.
+    backward caches, so a plan never disturbs a batched
+    :meth:`forward`.  The 1-D ``dot`` is the same BLAS kernel as the
+    ``(1, n) @ W`` of a one-row ``forward`` and the ufuncs are the same
+    ufuncs, so results are bit-identical to it.  A deployed controller
+    calls :meth:`action` -- actor only, no critic, no log-probability; a
+    rollout calls :meth:`act` and :meth:`value`.  Nothing a plan returns
+    aliases its ``out`` buffers.
 
     **Contract: the policy is frozen for the duration of a plan** (a
     flow; a rollout between two PPO updates).  The steps hold views of

@@ -184,7 +184,7 @@ def random_pushes(history, rng, n):
 @pytest.mark.parametrize("weight_dim", [3, 0])
 class TestInferencePlan:
     """Differential: the plan must equal the full model bit for bit
-    (``==``, never ``approx``) -- it is the same ops on the same shapes."""
+    (``==``, never ``approx``) -- it runs the same kernels on a flat row."""
 
     WEIGHTS = np.array([0.5, 0.3, 0.2])
 
