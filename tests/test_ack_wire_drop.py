@@ -31,8 +31,9 @@ def lossy_reverse_topology(rev_loss=0.3, rev_queue=500):
                             PathDef("up", ("rev",), reverse_links=("fwd",))))
 
 
-def run_through(topo, duration=8.0, stop=float("inf")):
-    sim = Simulation(topo, [FlowSpec(ExternalRateController(60.0),
+def run_through(topo, duration=8.0, stop=float("inf"),
+                simulation_cls=Simulation):
+    sim = simulation_cls(topo, [FlowSpec(ExternalRateController(60.0),
                                      path="through", keep_packets=True,
                                      stop_time=stop)],
                      duration=duration, seed=33)
@@ -40,26 +41,31 @@ def run_through(topo, duration=8.0, stop=float("inf")):
     return sim.flows[0], sim
 
 
+def wire_drops_park_and_recover(simulation_cls) -> None:
+    flow, sim = run_through(lossy_reverse_topology(),
+                            simulation_cls=simulation_cls)
+    # The reverse buffer is deep: every reverse drop was a wire drop.
+    rev = sim.topology.links["rev"]
+    assert rev.dropped_random > 50
+    assert rev.dropped_buffer == 0
+    recovered = [p for p in flow.packets if p.ack_recovered]
+    timed_out = [p for p in flow.packets if p.ack_dropped]
+    # ~30% of acks are corrupted: most recover via later cumulative
+    # acks, the trailing ones surface as retransmit timeouts.
+    assert len(recovered) + len(timed_out) > 30
+    assert recovered
+    # Exact conservation: every packet accounted once.
+    assert (flow.total_acked + flow.total_lost + flow.inflight
+            == flow.total_sent)
+    for p in recovered:
+        assert p.ack_time is not None and p.ack_time > p.send_time
+    for p in timed_out:
+        assert not p.dropped and p.ack_time is None
+
+
 class TestWireDroppedAcks:
     def test_wire_drops_park_and_recover(self):
-        flow, sim = run_through(lossy_reverse_topology())
-        # The reverse buffer is deep: every reverse drop was a wire drop.
-        rev = sim.topology.links["rev"]
-        assert rev.dropped_random > 50
-        assert rev.dropped_buffer == 0
-        recovered = [p for p in flow.packets if p.ack_recovered]
-        timed_out = [p for p in flow.packets if p.ack_dropped]
-        # ~30% of acks are corrupted: most recover via later cumulative
-        # acks, the trailing ones surface as retransmit timeouts.
-        assert len(recovered) + len(timed_out) > 30
-        assert recovered
-        # Exact conservation: every packet accounted once.
-        assert (flow.total_acked + flow.total_lost + flow.inflight
-                == flow.total_sent)
-        for p in recovered:
-            assert p.ack_time is not None and p.ack_time > p.send_time
-        for p in timed_out:
-            assert not p.dropped and p.ack_time is None
+        wire_drops_park_and_recover(Simulation)
 
     def test_trailing_wire_drops_surface_as_rto(self):
         """A sender that stops emitting cannot be rescued by later

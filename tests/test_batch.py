@@ -551,6 +551,13 @@ def _probe_findings(trace: str) -> str:
     return " | ".join(shared_mutables([cell.sim.state for cell in cells]))
 
 
+def walker_accepts_frozen_shared_trace(freeze, trace: str) -> None:
+    """The named trace, frozen by ``freeze``, may be shared by cells."""
+    frozen = freeze(make_trace(trace))
+    assert shared_mutables([_FakeState(trace=frozen),
+                            _FakeState(trace=frozen)]) == []
+
+
 class TestCellIsolation:
     """Batched cells share only frozen assets -- checked on the object
     graphs themselves; nothing declares what may be shared."""
@@ -566,9 +573,7 @@ class TestCellIsolation:
 
     @pytest.mark.parametrize("trace", trace_names())
     def test_walker_accepts_frozen_shared_trace(self, trace):
-        frozen = freeze_trace(make_trace(trace))
-        assert shared_mutables([_FakeState(trace=frozen),
-                                _FakeState(trace=frozen)]) == []
+        walker_accepts_frozen_shared_trace(freeze_trace, trace)
 
     @pytest.mark.parametrize("trace", trace_names())
     def test_built_cells_share_no_mutable_object(self, trace):

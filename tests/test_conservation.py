@@ -32,9 +32,9 @@ inside ``_drain`` -- and compares it with the previous boundary:
   fix turns it green and ``KNOWN_OVERFILL`` must then go to 0.
 
 The laws are checked on every golden and learned cell and on the
-every-kind scenario of ``test_engine_invariants.py``, and each law's
-planted defects -- exec'd into the engine by one anchored substitution,
-as there -- must break it.
+every-kind scenario of ``test_engine_invariants.py``.  The every-kind
+check of each law is a killer in ``tests/mutants``: at least one
+planted engine defect must break it.
 """
 
 from collections import Counter
@@ -43,8 +43,9 @@ from functools import partial
 import pytest
 
 import repro.netsim.network as network
+from mutants import MUTANTS, law_killer
 from repro.eval.scenarios import build_scenario_simulation
-from test_engine_invariants import SOURCE, engine, every_kind_simulation
+from test_engine_invariants import every_kind_simulation
 from test_golden_traces import golden_suites, learned_suites
 
 #: Seconds between checks: off every MI and trace grid on purpose.
@@ -129,45 +130,6 @@ def backlog_breaks(sim, drained, before,
 LAWS = {"conservation": imbalances, "fifo": fifo_breaks,
         "clock": clock_breaks, "backlog": backlog_breaks}
 
-#: ``id: (law it breaks, text in network.py, its planted replacement)``.
-DEFECTS = {
-    "stale-rto-counted": (
-        "conservation",
-        "        if flow.pending_acks.pop(packet.seq, None) is None:\n"
-        "            return  # already recovered by a later cumulative ack\n",
-        "        flow.pending_acks.pop(packet.seq, None)\n"),
-    "recovered-ack-left-parked": (
-        "conservation",
-        "recovered = flow.pending_acks.pop(seq)",
-        "recovered = flow.pending_acks[seq]"),
-    "loss-noted-twice": (
-        "conservation",
-        "        self._recover_pending(flow, packet.seq)\n"
-        "        flow.note_loss(packet, self.now)\n",
-        "        self._recover_pending(flow, packet.seq)\n"
-        "        flow.note_loss(packet, self.now)\n"
-        "        flow.note_loss(packet, self.now)\n"),
-    # A buffer drop re-offered to its link once the queue ahead of it
-    # drains: an offer stamped in the future, so later arrivals come
-    # in behind it.
-    "drop-reoffered-at-drain": (
-        "fifo",
-        "cursor = self.now + queue_delay + links[hop].delay",
-        "cursor = links[hop].transmit(self.now + queue_delay)[2]"),
-    # "No cap" spelled as a negative budget, then tested with ``<``:
-    # every slice drains nothing.
-    "negative-budget-drains-nothing": (
-        "clock",
-        "while heap and processed != budget:",
-        "while heap and processed < budget:"),
-    # A later hop's service demand in bytes, not packet-equivalents.
-    "hop-size-in-bytes": (
-        "backlog",
-        "flow.links[hop].transmit(self.now)",
-        "flow.links[hop].transmit(self.now, packet.size_bytes)"),
-}
-
-
 def checked_run(sim, laws=tuple(LAWS.values())) -> tuple[int, list[str]]:
     """Step ``sim`` to its duration in ``SLICE_S`` slices, checking
     every law at every boundary; returns (boundaries, violations)."""
@@ -199,11 +161,16 @@ def test_golden_and_learned_cells_keep_every_law():
     assert found == []
 
 
-def test_every_kind_scenario_keeps_every_law():
-    boundaries, found = checked_run(every_kind_simulation(network.Simulation))
-    assert boundaries == 17 and found == []
-    # The unmutated source exec'd as the engine keeps them too.
-    assert checked_run(every_kind_simulation(engine(SOURCE))) == (17, [])
+def every_kind_keeps(law: str, simulation_cls) -> None:
+    """``simulation_cls`` keeps ``law`` at all 17 boundaries of the
+    every-kind scenario."""
+    assert checked_run(every_kind_simulation(simulation_cls),
+                       laws=(LAWS[law],)) == (17, [])
+
+
+@pytest.mark.parametrize("law", sorted(LAWS))
+def test_every_kind_scenario_keeps_the_law(law):
+    every_kind_keeps(law, network.Simulation)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
@@ -221,14 +188,7 @@ def test_backlog_within_its_buffer():
     assert overfilled == []
 
 
-@pytest.mark.parametrize("defect", sorted(DEFECTS))
-def test_planted_defect_breaks_its_law(defect):
-    law, old, new = DEFECTS[defect]
-    assert SOURCE.count(old) == 1, f"{defect}: its site moved; re-anchor it"
-    _, found = checked_run(every_kind_simulation(engine(
-        SOURCE.replace(old, new))), laws=(LAWS[law],))
-    assert found, f"{defect} kept the {law} law"
-
-
 def test_every_law_has_a_planted_defect():
-    assert {law for law, _, _ in DEFECTS.values()} == set(LAWS)
+    killers = {killer for mutant in MUTANTS.values()
+               for killer in mutant.killers}
+    assert {law for law in LAWS if law_killer(law) in killers} == set(LAWS)

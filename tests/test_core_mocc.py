@@ -306,6 +306,23 @@ class TestRequirementReplay:
         assert len(seen) == 2
 
 
+def convergence_of_a_curve_that_starts_high(trace_cls) -> None:
+    # 99 % of the 2.0 gain is 20.98; 99 % of the maximum, 20.79,
+    # would already be passed at iteration 5.
+    trace = trace_cls(rewards=[19, 19.5, 20, 20.5, 20.8, 21, 21])
+    assert trace.convergence_iteration(smooth=1) == 6
+
+
+def convergence_recentered_on_window_end(trace_cls) -> None:
+    # The reward jumps at iteration 11 (1-based); a smooth-5 window
+    # first fully covers the new level over iterations 11-15, so the
+    # reported convergence must be 15 -- not 11 shifted left by the
+    # convolution's index offset.
+    trace = trace_cls(rewards=[0.0] * 10 + [100.0] * 20)
+    assert trace.convergence_iteration(smooth=1) == 11
+    assert trace.convergence_iteration(smooth=5) == 15
+
+
 class TestAdaptationTrace:
     def test_convergence_iteration(self):
         # The gain is measured from the first reward: 10 + 0.99 * 90 = 99.1.
@@ -313,10 +330,7 @@ class TestAdaptationTrace:
         assert trace.convergence_iteration(smooth=1) == 5
 
     def test_convergence_of_a_curve_that_starts_high(self):
-        # 99 % of the 2.0 gain is 20.98; 99 % of the maximum, 20.79,
-        # would already be passed at iteration 5.
-        trace = AdaptationTrace(rewards=[19, 19.5, 20, 20.5, 20.8, 21, 21])
-        assert trace.convergence_iteration(smooth=1) == 6
+        convergence_of_a_curve_that_starts_high(AdaptationTrace)
 
     def test_convergence_of_negative_rewards(self):
         # -10 + 0.99 * 9 = -1.09; 0.99 * max = -0.99 is never reached.
@@ -329,13 +343,7 @@ class TestAdaptationTrace:
         assert it >= 3
 
     def test_convergence_smoothing_recentered_on_window_end(self):
-        # The reward jumps at iteration 11 (1-based); a smooth-5 window
-        # first fully covers the new level over iterations 11-15, so the
-        # reported convergence must be 15 -- not 11 shifted left by the
-        # convolution's index offset.
-        trace = AdaptationTrace(rewards=[0.0] * 10 + [100.0] * 20)
-        assert trace.convergence_iteration(smooth=1) == 11
-        assert trace.convergence_iteration(smooth=5) == 15
+        convergence_recentered_on_window_end(AdaptationTrace)
 
     def test_convergence_never_before_smoothing_window_fills(self):
         trace = AdaptationTrace(rewards=[50.0, 50.0, 50.0, 50.0])

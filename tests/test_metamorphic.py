@@ -25,19 +25,19 @@ A third relation needs no faults:
   every record are then bit-identical, except ``packet_bytes`` and
   ``mean_throughput_mbps``, which double exactly.
 
-Defects planted by one anchored text substitution, in the idiom of
-``tests/test_engine_invariants.py``, must break relation A (one in
-``_transmit_faulted``) and relation C (a later hop's service demand
-given in bytes, as ``tests/test_conservation.py`` plants it).
+Relations A and C also hold on one fixed cell each, and those two
+tests are killers in ``tests/mutants``: a drop-tail defect planted in
+``_transmit_faulted`` must break A, and a later hop's service demand
+given in bytes must break C.
 """
 
 from dataclasses import replace
-from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 
 import repro.eval.scenarios as scenarios_module
-import repro.netsim.link as link_module
+import repro.netsim.network as network
 from repro.eval.resilience import records_digest
 from repro.eval.scenarios import build_scenario_simulation
 from repro.netsim.faults import RateBrownout
@@ -52,16 +52,6 @@ from strategies import (
     scaled_cells,
     zero_outage_flaps,
 )
-from test_conservation import DEFECTS as ENGINE_DEFECTS
-from test_engine_invariants import SOURCE as ENGINE_SOURCE
-from test_engine_invariants import engine
-
-SOURCE = Path(link_module.__file__).read_text()
-
-#: ``(text in link.py, its planted replacement)``: the faulted
-#: drop-tail test admits one packet fewer than the unfaulted one.
-DEFECT = ("backlog_time * rate >= self.queue_size + 1.0 - 1e-9",
-          "backlog_time * rate >= self.queue_size - 1e-9")
 
 #: Faults-off outcomes by cell name; the plain ``transmit`` path they
 #: take is never planted on.
@@ -100,27 +90,21 @@ def test_a_zero_outage_flap_is_no_schedule(cell):
     assert relation_holds(cell), cell.faults
 
 
-def planted(source: str):
-    """``Link._transmit_faulted`` as ``source`` defines it."""
-    namespace = {"__name__": link_module.__name__}
-    exec(compile(source, link_module.__file__, "exec"), namespace)
-    return namespace["Link"]._transmit_faulted
-
-
-def test_planted_faulted_drop_tail_breaks_relation_a(monkeypatch):
-    old, new = DEFECT
-    assert SOURCE.count(old) == 1, "the defect's site moved; re-anchor it"
-    # A brownout after the end: hop0 of the 2-hop lot, shared by the
-    # through flow and its cross traffic, runs _transmit_faulted all
-    # cell long with no fault ever active.
+def late_brownout_holds(transmit_faulted) -> None:
+    """Relation A on one cell, with ``transmit_faulted`` as the link's
+    faulted path: a brownout after the end on hop0 of the 2-hop lot,
+    shared by the through flow and its cross traffic, so that path runs
+    all cell long with no fault ever active."""
     cell = faulted_cell(RELATION_LINEUPS[0], None, 0, "hop0",
                         (RateBrownout(start=RELATION_DURATION, duration=1.0,
                                       factor=0.5),))
-    monkeypatch.setattr(Link, "_transmit_faulted", planted(SOURCE))
-    assert relation_holds(cell)  # the unmutated exec is the link itself
-    monkeypatch.setattr(Link, "_transmit_faulted",
-                        planted(SOURCE.replace(old, new)))
-    assert not relation_holds(cell)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Link, "_transmit_faulted", transmit_faulted)
+        assert relation_holds(cell)
+
+
+def test_a_brownout_after_the_end_changes_nothing():
+    late_brownout_holds(Link._transmit_faulted)
 
 
 def halved(record):
@@ -149,15 +133,18 @@ def test_doubling_capacity_and_packet_size_changes_nothing(cell):
     assert scale_free(cell), cell.base.name
 
 
-def test_planted_hop_size_in_bytes_breaks_relation_c(monkeypatch):
-    _, old, new = ENGINE_DEFECTS["hop-size-in-bytes"]
-    assert ENGINE_SOURCE.count(old) == 1, "the defect's site moved; re-anchor it"
-    # The 2-hop lot's through flow reaches a second hop.  Under the
-    # defect its first packet there holds the 500 pps hop for 3 s (6 s
-    # doubled), so only a cell longer than that tells the scales apart.
+def long_lot_scale_free(simulation_cls) -> None:
+    """Relation C on a 4 s 2-hop lot, run on ``simulation_cls``.
+
+    The through flow reaches a second hop.  Were that hop's service
+    demand given in bytes, its first packet there would hold the
+    500 pps hop for 3 s (6 s doubled), so only a cell longer than that
+    tells the scales apart."""
     cell = scaled_cell(RELATION_LINEUPS[0], None, 0, duration=4.0)
-    monkeypatch.setattr(scenarios_module, "Simulation", engine(ENGINE_SOURCE))
-    assert scale_free(cell)  # the unmutated exec is the engine itself
-    monkeypatch.setattr(scenarios_module, "Simulation",
-                        engine(ENGINE_SOURCE.replace(old, new)))
-    assert not scale_free(cell)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenarios_module, "Simulation", simulation_cls)
+        assert scale_free(cell)
+
+
+def test_doubling_a_four_second_lot_changes_nothing():
+    long_lot_scale_free(network.Simulation)

@@ -7,7 +7,7 @@ import pytest
 
 import repro.eval.resilience as resilience
 from repro.eval.metrics import jain_index_series
-from repro.eval.parallel import ParallelRunner, ScenarioError
+from repro.eval.parallel import ParallelRunner, ScenarioError, SuiteResult
 from repro.eval.resilience import ResultCache, seal, unseal
 from repro.eval.scenarios import ChurnSchedule, FlowDef, Scenario, ScenarioSuite
 from repro.eval.runner import EvalNetwork
@@ -400,21 +400,36 @@ class TestSweepCompat:
         np.testing.assert_array_equal(matrix[0], matrix[1])
 
 
-class TestSuiteTable:
-    def _outcome(self):
-        runner = ParallelRunner(n_workers=1, use_cache=False)
-        return runner.run(ScenarioSuite(
-            name="t", lineups=("cubic", "vegas"),
-            bandwidths_mbps=(6.0, 12.0), duration=1.5))
+def table_outcome():
+    runner = ParallelRunner(n_workers=1, use_cache=False)
+    return runner.run(ScenarioSuite(
+        name="t", lineups=("cubic", "vegas"),
+        bandwidths_mbps=(6.0, 12.0), duration=1.5))
 
+
+def a_misspelled_key_raises(suite_result_cls) -> None:
+    """A ``suite_result_cls`` holding a small run's results names a
+    misspelled key instead of averaging to nan."""
+    outcome = suite_result_cls(results=table_outcome().results)
+    with pytest.raises(KeyError, match="lineupp"):
+        outcome.mean("utilization", lineupp="cubic")
+    with pytest.raises(KeyError, match="utilisation"):
+        outcome.mean("utilisation")
+    with pytest.raises(KeyError, match="lineupp"):
+        outcome.pivot("lineupp", "bandwidth_mbps", "utilization")
+    # A real column that no row matches is still nan.
+    assert math.isnan(outcome.mean("utilization", lineup="bbr"))
+
+
+class TestSuiteTable:
     def test_rows(self):
-        table = self._outcome().table
+        table = table_outcome().table
         assert isinstance(table, list) and len(table) == 4
         assert [r["label"] for r in table] == ["cubic", "cubic",
                                                "vegas", "vegas"]
 
     def test_mean(self):
-        outcome = self._outcome()
+        outcome = table_outcome()
         cubic = [r["utilization"] for r in outcome.table
                  if r["scheme"] == "cubic" and r["bandwidth_mbps"] == 6.0]
         assert outcome.mean("utilization", scheme="cubic",
@@ -422,18 +437,10 @@ class TestSuiteTable:
         assert 0.0 <= outcome.mean("utilization", scheme="cubic") <= 1.0
 
     def test_pivot(self):
-        rows, cols, matrix = self._outcome().pivot(
+        rows, cols, matrix = table_outcome().pivot(
             "label", "bandwidth_mbps", "throughput_pps")
         assert rows == ["cubic", "vegas"] and cols == [6.0, 12.0]
         assert matrix.shape == (2, 2) and np.all(np.isfinite(matrix))
 
     def test_a_misspelled_key_raises_instead_of_nan(self):
-        outcome = self._outcome()
-        with pytest.raises(KeyError, match="lineupp"):
-            outcome.mean("utilization", lineupp="cubic")
-        with pytest.raises(KeyError, match="utilisation"):
-            outcome.mean("utilisation")
-        with pytest.raises(KeyError, match="lineupp"):
-            outcome.pivot("lineupp", "bandwidth_mbps", "utilization")
-        # A real column that no row matches is still nan.
-        assert math.isnan(outcome.mean("utilization", lineup="bbr"))
+        a_misspelled_key_raises(SuiteResult)

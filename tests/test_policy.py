@@ -16,8 +16,9 @@ from repro.rl.optim import Adam
 from repro.rl.policy import PreferenceActorCritic
 
 
-def make_model(weight_dim=3, obs_dim=6, hidden=(8, 4), pref_hidden=5, seed=0):
-    return PreferenceActorCritic(obs_dim=obs_dim, weight_dim=weight_dim, act_dim=1,
+def make_model(weight_dim=3, obs_dim=6, hidden=(8, 4), pref_hidden=5, seed=0,
+               model_cls=PreferenceActorCritic):
+    return model_cls(obs_dim=obs_dim, weight_dim=weight_dim, act_dim=1,
                                  hidden_sizes=hidden, pref_hidden=pref_hidden,
                                  rng=np.random.default_rng(seed))
 
@@ -58,6 +59,36 @@ class TestForward:
         m1, _ = model.forward(obs, np.array([[0.8, 0.1, 0.1]]))
         m2, _ = model.forward(obs, np.array([[0.1, 0.8, 0.1]]))
         assert not np.allclose(m1, m2)
+
+
+def single_state_queries_leave_backward_caches_alone(model_cls,
+                                                     weight_dim) -> None:
+    """``forward(batch) -> value/act(one state) -> backward`` used to
+    backpropagate through the single state's caches (a matmul shape
+    error, or silently wrong gradients at batch size 1)."""
+    model = make_model(weight_dim=weight_dim, seed=7, model_cls=model_cls)
+    rng = np.random.default_rng(8)
+    obs = rng.normal(size=(4, 6))
+    w = np.abs(rng.normal(size=(4, 3))) + 0.1 if weight_dim else None
+    w_one = w[0] if weight_dim else None
+    d_mean, d_value = rng.normal(size=(4, 1)), rng.normal(size=4)
+
+    def grads(between):
+        model.forward(obs, w)
+        between()
+        model.zero_grad()
+        model.backward(d_mean, d_value)
+        return model.parameters().grad.copy()
+
+    def queries():
+        model.value(rng.normal(size=6), w_one)
+        model.act(rng.normal(size=6), w_one, rng)
+        model.plan(w_one).act(rng.normal(size=6), rng)
+        model.infer(rng.normal(size=(2, 6)), None if w is None else w[:2])
+
+    want = grads(lambda: None)
+    assert want.any()
+    assert np.array_equal(grads(queries), want)
 
 
 class TestBackward:
@@ -103,32 +134,8 @@ class TestBackward:
 
     @pytest.mark.parametrize("weight_dim", [3, 0])
     def test_single_state_queries_leave_backward_caches_alone(self, weight_dim):
-        """``forward(batch) -> value/act(one state) -> backward`` used to
-        backpropagate through the single state's caches (a matmul shape
-        error, or silently wrong gradients at batch size 1)."""
-        model = make_model(weight_dim=weight_dim, seed=7)
-        rng = np.random.default_rng(8)
-        obs = rng.normal(size=(4, 6))
-        w = np.abs(rng.normal(size=(4, 3))) + 0.1 if weight_dim else None
-        w_one = w[0] if weight_dim else None
-        d_mean, d_value = rng.normal(size=(4, 1)), rng.normal(size=4)
-
-        def grads(between):
-            model.forward(obs, w)
-            between()
-            model.zero_grad()
-            model.backward(d_mean, d_value)
-            return model.parameters().grad.copy()
-
-        def queries():
-            model.value(rng.normal(size=6), w_one)
-            model.act(rng.normal(size=6), w_one, rng)
-            model.plan(w_one).act(rng.normal(size=6), rng)
-            model.infer(rng.normal(size=(2, 6)), None if w is None else w[:2])
-
-        want = grads(lambda: None)
-        assert want.any()
-        assert np.array_equal(grads(queries), want)
+        single_state_queries_leave_backward_caches_alone(
+            PreferenceActorCritic, weight_dim)
 
 
 class TestActing:

@@ -438,6 +438,17 @@ def _sealed_with(fields: dict, history) -> bytes:
     return _sealed(json.dumps([fields, [payload]]).encode("ascii"))
 
 
+def unseal_refuses(unseal_line, bad: str) -> None:
+    """``unseal_line`` refuses a sealed line whose MI block is the
+    ``bad`` one, before building any row."""
+    line = _sealed_with({}, _malformed_histories()[bad])
+    assert json.loads(line)  # still a well-formed sealed line
+    with pytest.MonkeyPatch.context() as patch:
+        built = _BuildCount(patch)
+        assert unseal_line(line) is None
+    assert built.n == 0
+
+
 class TestChecksStayAtReadTime:
     """A malformed MI block under a valid sha is refused inside
     ``unseal`` -- by the cache and the journal alike -- before any row
@@ -447,12 +458,8 @@ class TestChecksStayAtReadTime:
     CACHE = TestSealedCodec.FIELDS
 
     @pytest.mark.parametrize("bad", sorted(BAD))
-    def test_unseal_refuses(self, bad, monkeypatch):
-        line = _sealed_with({}, self.BAD[bad])
-        assert json.loads(line)  # still a well-formed sealed line
-        built = _BuildCount(monkeypatch)
-        assert unseal(line) is None
-        assert built.n == 0
+    def test_unseal_refuses(self, bad):
+        unseal_refuses(unseal, bad)
 
     @pytest.mark.parametrize("bad", sorted(BAD))
     def test_result_cache_quarantines(self, bad, tmp_path, monkeypatch):

@@ -170,6 +170,13 @@ class TestOverlapCheck:
         assert minted == set(STREAMS)
 
 
+def fallback_disjoint_from_legacy_shared_stream(link_cls) -> None:
+    # The hazard being removed: every anonymous link used to drain
+    # one default_rng(0).
+    link = link_cls(trace=100.0, delay=0.01, queue_size=10, loss_rate=0.5)
+    assert not _same_stream(link.rng, np.random.default_rng(0))
+
+
 class TestLinkDefaultFallback:
     """Satellite: Link() without rng gets a name-derived stream, not a
     process-wide shared ``default_rng(0)``."""
@@ -189,10 +196,7 @@ class TestLinkDefaultFallback:
         assert not _same_stream(a.rng, b.rng)
 
     def test_fallback_disjoint_from_legacy_shared_stream(self):
-        # The hazard being removed: every anonymous link used to drain
-        # one default_rng(0).
-        link = Link(trace=100.0, delay=0.01, queue_size=10, loss_rate=0.5)
-        assert not _same_stream(link.rng, np.random.default_rng(0))
+        fallback_disjoint_from_legacy_shared_stream(Link)
 
     def test_explicit_rng_still_wins(self):
         rng = np.random.default_rng(77)

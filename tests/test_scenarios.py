@@ -557,6 +557,20 @@ class TestAgentRef:
             AgentRef(kind="aurora_for").resolve()
 
 
+def trace_axis_under_a_topology_rejected(suite_cls) -> None:
+    """A spec's links carry their own traces: a named trace beside
+    it used to be dropped, leaving differently named cells with one
+    fingerprint and one result."""
+    for traces, topologies in (((None, "wifi-walk"), (parking_lot(2),)),
+                               (("fig1-step",), (None, dumbbell()))):
+        with pytest.raises(ValueError, match="traces axis"):
+            suite_cls(name="ts", lineups=("cubic",), traces=traces,
+                      topologies=topologies)
+    # Either axis alone, or a constant link beside a spec, is fine.
+    suite_cls(name="ok", lineups=("cubic",), traces=(None,),
+              topologies=(None, parking_lot(2)))
+
+
 class TestScenarioSuite:
     def test_grid_size_and_names(self):
         suite = ScenarioSuite(name="grid", lineups=("cubic", "vegas"),
@@ -634,17 +648,7 @@ class TestScenarioSuite:
         assert "churn=staggered-g2" in churned.name
 
     def test_trace_axis_under_a_topology_rejected(self):
-        """A spec's links carry their own traces: a named trace beside
-        it used to be dropped, leaving differently named cells with one
-        fingerprint and one result."""
-        for traces, topologies in (((None, "wifi-walk"), (parking_lot(2),)),
-                                   (("fig1-step",), (None, dumbbell()))):
-            with pytest.raises(ValueError, match="traces axis"):
-                ScenarioSuite(name="ts", lineups=("cubic",), traces=traces,
-                              topologies=topologies)
-        # Either axis alone, or a constant link beside a spec, is fine.
-        ScenarioSuite(name="ok", lineups=("cubic",), traces=(None,),
-                      topologies=(None, parking_lot(2)))
+        trace_axis_under_a_topology_rejected(ScenarioSuite)
 
     def test_fingerprint_sensitive_to_path_ack_bytes(self):
         def with_ack(ack):

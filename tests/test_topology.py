@@ -90,6 +90,12 @@ class TestLiveTopology:
         assert path.base_rtt == pytest.approx(0.04)
 
 
+def empty_path_rejected(pathdef_cls) -> None:
+    """Not at build time, inside a sweep worker, once per cell."""
+    with pytest.raises(ValueError, match="'p' traverses no links"):
+        pathdef_cls("p", ())
+
+
 class TestTopologySpec:
     def test_builders_shape(self):
         assert len(dumbbell().links) == 1
@@ -168,9 +174,7 @@ class TestTopologySpec:
                          paths=(PathDef("p", ("a",), reverse_links=("zz",)),))
 
     def test_empty_path_rejected_at_construction(self):
-        """Not at build time, inside a sweep worker, once per cell."""
-        with pytest.raises(ValueError, match="'p' traverses no links"):
-            PathDef("p", ())
+        empty_path_rejected(PathDef)
 
     def test_pathdef_ack_bytes_builds_through(self):
         spec = TopologySpec(
@@ -225,6 +229,63 @@ class TestTopologySpec:
         assert rewired.path("through").reverse_links == ("rev",)
         with pytest.raises(KeyError, match="unknown path"):
             spec.with_reverse_paths({"nope": ("rev",)})
+
+
+def stop_time_mi_accounting_holds(simulation_cls) -> None:
+    """Regression: acks draining after stop_time must not be
+    crammed into an MI clamped at stop_time.
+
+    200 pps into a 50 pps link with a deep buffer, stopping at 1 s:
+    ~150 packets are still queued at the stop and their acks arrive
+    until ~4 s.  Pre-fix, the final MI ended at 1.0 s while
+    counting those acks, inflating flow throughput ~4x above link
+    capacity.
+    """
+    link = make_link(pps=50.0, delay=0.01, queue=10**6, seed=13)
+    sim = simulation_cls(link, [FlowSpec(ExternalRateController(200.0),
+                                         stop_time=1.0)],
+                         duration=8.0, seed=13)
+    record = sim.run_all()[0]
+    final = record.records[-1]
+    assert final.end > 1.5  # extends to the true last ack
+    assert final.throughput_pps <= 50.0 * 1.05
+    assert record.mean_throughput_pps <= 50.0 * 1.05
+    # Everything sent was eventually accounted.
+    flow = sim.flows[0]
+    assert flow.total_acked + flow.total_lost + flow.inflight == flow.total_sent
+
+
+def loss_notices_charge_downstream_queues(simulation_cls) -> None:
+    """Regression (fails on the pure-propagation engine): a buffer
+    drop on hop 0 while hop 1 holds a deep queue must push the loss
+    notice out by that queue's drain time, not bare propagation.
+
+    80 pps into a 40 pps hop with a 2-packet buffer: half the
+    packets buffer-drop on hop 0.  The survivors (40 pps) overload
+    the 30 pps second hop, whose queue grows ~10 pkt/s.  Under pure
+    propagation every notice lands exactly at ``send + q0 + d0 +
+    d1 + return``; with occupancy charging, late notices trail that
+    bound by the seconds of queue standing on hop 1.
+    """
+    a = make_link(pps=40.0, delay=0.01, queue=2, seed=20)
+    b = make_link(pps=30.0, delay=0.05, queue=1000, seed=21)
+    losses = []
+
+    class Recorder(ExternalRateController):
+        def on_loss(self, flow, packet, now):
+            losses.append((now, packet))
+
+    sim = simulation_cls([a, b], [FlowSpec(Recorder(80.0))], duration=8.0,
+                         seed=22)
+    sim.run_all()
+    assert len(losses) > 50
+    # Every drop here is a hop-0 buffer drop, so the old engine's
+    # notice time is exactly reconstructable per packet.
+    excess = [now - (p.send_time + p.queue_delay + a.delay + b.delay
+                     + 0.06)
+              for now, p in losses]
+    assert min(excess) > 0.0  # at least hop-1 service is charged
+    assert max(excess) > 0.5  # standing hop-1 queue dominates late notices
 
 
 class TestSimulationOverTopology:
@@ -309,59 +370,10 @@ class TestSimulationOverTopology:
         assert times and times[0] == pytest.approx(0.15, abs=1e-9)
 
     def test_stop_time_mi_accounting_not_inflated(self):
-        """Regression: acks draining after stop_time must not be
-        crammed into an MI clamped at stop_time.
-
-        200 pps into a 50 pps link with a deep buffer, stopping at 1 s:
-        ~150 packets are still queued at the stop and their acks arrive
-        until ~4 s.  Pre-fix, the final MI ended at 1.0 s while
-        counting those acks, inflating flow throughput ~4x above link
-        capacity.
-        """
-        link = make_link(pps=50.0, delay=0.01, queue=10**6, seed=13)
-        sim = Simulation(link, [FlowSpec(ExternalRateController(200.0),
-                                         stop_time=1.0)],
-                         duration=8.0, seed=13)
-        record = sim.run_all()[0]
-        final = record.records[-1]
-        assert final.end > 1.5  # extends to the true last ack
-        assert final.throughput_pps <= 50.0 * 1.05
-        assert record.mean_throughput_pps <= 50.0 * 1.05
-        # Everything sent was eventually accounted.
-        flow = sim.flows[0]
-        assert flow.total_acked + flow.total_lost + flow.inflight == flow.total_sent
+        stop_time_mi_accounting_holds(Simulation)
 
     def test_loss_notice_charges_downstream_queue_occupancy(self):
-        """Regression (fails on the pure-propagation engine): a buffer
-        drop on hop 0 while hop 1 holds a deep queue must push the loss
-        notice out by that queue's drain time, not bare propagation.
-
-        80 pps into a 40 pps hop with a 2-packet buffer: half the
-        packets buffer-drop on hop 0.  The survivors (40 pps) overload
-        the 30 pps second hop, whose queue grows ~10 pkt/s.  Under pure
-        propagation every notice lands exactly at ``send + q0 + d0 +
-        d1 + return``; with occupancy charging, late notices trail that
-        bound by the seconds of queue standing on hop 1.
-        """
-        a = make_link(pps=40.0, delay=0.01, queue=2, seed=20)
-        b = make_link(pps=30.0, delay=0.05, queue=1000, seed=21)
-        losses = []
-
-        class Recorder(ExternalRateController):
-            def on_loss(self, flow, packet, now):
-                losses.append((now, packet))
-
-        sim = Simulation([a, b], [FlowSpec(Recorder(80.0))], duration=8.0,
-                         seed=22)
-        sim.run_all()
-        assert len(losses) > 50
-        # Every drop here is a hop-0 buffer drop, so the old engine's
-        # notice time is exactly reconstructable per packet.
-        excess = [now - (p.send_time + p.queue_delay + a.delay + b.delay
-                         + 0.06)
-                  for now, p in losses]
-        assert min(excess) > 0.0  # at least hop-1 service is charged
-        assert max(excess) > 0.5  # standing hop-1 queue dominates late notices
+        loss_notices_charge_downstream_queues(Simulation)
 
     def test_legacy_link_list_equivalent_to_single_path_topology(self):
         def run(arg):

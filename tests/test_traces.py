@@ -55,6 +55,24 @@ class TestConstantTrace:
         assert ConstantTrace.from_mbps(12.0).pps == pytest.approx(1000.0)
 
 
+def mean_uses_true_midpoints(step_trace_cls) -> None:
+    """Regression: endpoint-inclusive sampling double-weighted both
+    regimes of an interval straddling a capacity switch.
+
+    Over one full 100/200 cycle the analytic mean is 150.  Midpoint
+    sampling with an even sample count is exact; the old
+    ``linspace(t0, t1, samples)`` sampling returned 162.5 here
+    (five samples land in the high regime, including both
+    endpoints).
+    """
+    t = step_trace_cls(low_pps=100.0, high_pps=200.0, period=1.0)
+    assert t.mean_bandwidth(0.0, 2.0, samples=8) == pytest.approx(150.0)
+    # The few-sample estimate the engine uses per MI (samples=9)
+    # stays within one sub-interval's weight of the analytic mean.
+    assert t.mean_bandwidth(0.0, 2.0, samples=9) == pytest.approx(
+        150.0, rel=0.08)
+
+
 class TestStepTrace:
     def test_square_wave(self):
         t = StepTrace(low_pps=20.0, high_pps=30.0, period=5.0)
@@ -79,21 +97,7 @@ class TestStepTrace:
         assert mean == pytest.approx(20.0, rel=0.01)
 
     def test_mean_uses_true_midpoints(self):
-        """Regression: endpoint-inclusive sampling double-weighted both
-        regimes of an interval straddling a capacity switch.
-
-        Over one full 100/200 cycle the analytic mean is 150.  Midpoint
-        sampling with an even sample count is exact; the old
-        ``linspace(t0, t1, samples)`` sampling returned 162.5 here
-        (five samples land in the high regime, including both
-        endpoints).
-        """
-        t = StepTrace(low_pps=100.0, high_pps=200.0, period=1.0)
-        assert t.mean_bandwidth(0.0, 2.0, samples=8) == pytest.approx(150.0)
-        # The few-sample estimate the engine uses per MI (samples=9)
-        # stays within one sub-interval's weight of the analytic mean.
-        assert t.mean_bandwidth(0.0, 2.0, samples=9) == pytest.approx(
-            150.0, rel=0.08)
+        mean_uses_true_midpoints(StepTrace)
 
     def test_mean_midpoints_respect_offset_interval(self):
         # [0.5, 1.5] is half high, half low: analytic mean 150.
