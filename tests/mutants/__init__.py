@@ -27,6 +27,8 @@ import importlib
 from pathlib import Path
 from typing import NamedTuple
 
+#: The kill classes, weakest first.
+RANK = ("digest", "example", "law")
 ENGINE = "repro.netsim.network"
 EVERY_KIND = "tests/test_engine_invariants.py::test_every_kind_run_keeps_its_digest"
 RELATION_A = ("tests/test_metamorphic.py::"

@@ -34,11 +34,10 @@ from pathlib import Path
 
 import pytest
 
-from mutants import EVERY_KIND, MUTANTS, mutated
+from mutants import EVERY_KIND, MUTANTS, RANK, mutated
 
 ROOT = Path(__file__).resolve().parents[2]
 SCORE = Path(__file__).with_name("SCORE.json")
-RANK = ("digest", "example", "law")
 #: ``(pattern, class)``, first match wins; anything else is an example.
 CLASSES = (
     # Stored digests, and runs compared with the unmutated code's.
@@ -56,7 +55,7 @@ CLASSES = (
 IGNORE = shutil.ignore_patterns(".git", "_cache", "__pycache__", ".hypothesis",
                                 ".pytest_cache", ".benchmarks", ".run")
 #: Seconds one test may run under a mutant; the slowest tier-1 test
-#: takes a few.
+#: takes ~6 s.
 TEST_LIMIT_S = 30
 
 

@@ -40,6 +40,7 @@ from mutants import (
     EVERY_KIND,
     MI_ORACLE,
     MUTANTS,
+    RANK,
     RELATION_A,
     RELATION_C,
     law_killer,
@@ -51,7 +52,6 @@ from mutants import (
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
 SCORE = json.loads((TESTS / "mutants" / "SCORE.json").read_text())
-RANK = ("digest", "example", "law")
 
 #: Each killer's check, run on a namespace the loader returned: the
 #: test hands its check the live symbol, this hands it the namespace's.
