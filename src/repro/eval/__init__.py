@@ -17,6 +17,8 @@ Every table/figure in the paper's §6 is regenerated from these pieces:
 * :mod:`repro.eval.gaussian` -- 1-sigma ellipses for Fig. 1(b).
 * :mod:`repro.eval.cdf` -- empirical CDFs (Figs. 6, 12, 16, 18).
 * :mod:`repro.eval.overhead` -- control-loop CPU cost (Fig. 17).
+* :mod:`repro.eval.pareto` -- Pareto fronts and exact hypervolume for
+  the multi-objective scorecard.
 """
 
 from repro.eval.runner import (

@@ -63,7 +63,7 @@ import multiprocessing as mp
 import os
 import struct
 import time
-from binascii import a2b_base64, b2a_base64
+from binascii import a2b_hex
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -138,7 +138,7 @@ def _block_format(rows: int) -> str:
 
 def record_to_json(record: FlowRecord) -> dict:
     """The stored form of a record: its aggregates as JSON values, its
-    MI history as ``[rows, base64]`` of one little-endian binary block
+    MI history as ``[rows, hex]`` of one little-endian binary block
     -- every ``int`` column as ``rows`` int64, then every ``float``
     column as ``rows`` float64, then per optional column a bitmap
     (``ceil(rows / 8)`` bytes, bit ``r`` of the little-endian number)
@@ -167,8 +167,7 @@ def record_to_json(record: FlowRecord) -> dict:
         _block_format(rows),
         *chain.from_iterable(columns[at] for at in _STORED_AT))
     payload = {name: getattr(record, name) for name in RECORD_FIELDS}
-    payload[_HISTORY] = [
-        rows, b2a_base64(block + gaps, newline=False).decode("ascii")]
+    payload[_HISTORY] = [rows, (block + gaps).hex()]
     return payload
 
 
@@ -252,7 +251,9 @@ def record_from_json(payload: dict) -> FlowRecord:
     rows, packed = payload[_HISTORY]
     if type(rows) is not int or rows < 0:
         raise ValueError(f"MI row count {rows!r} is not a count")
-    block = a2b_base64(packed, strict_mode=True)
+    # Strict: an odd length, a non-hex digit or any whitespace raises
+    # (``bytes.fromhex`` would skip whitespace).
+    block = a2b_hex(packed)
     gap_bytes = (rows + 7) // 8
     if len(block) != (8 * rows * len(MI_FIELDS)
                       + gap_bytes * len(_OPTIONAL_AT)):

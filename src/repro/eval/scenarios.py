@@ -51,7 +51,9 @@ __all__ = ["AgentRef", "ChurnSchedule", "FlowDef", "Scenario", "ScenarioSuite",
 #: v11: a stored record packs its monitor intervals as binary column
 #: blocks (:func:`repro.eval.resilience.record_to_json`); results
 #: themselves did not move.
-SCENARIO_CACHE_VERSION = "v11"
+#: v12: the packed block is stored as hex, not base64; results did not
+#: move.
+SCENARIO_CACHE_VERSION = "v12"
 
 
 def _simulation_code_digest() -> str:

@@ -44,6 +44,18 @@ def law_killer(law: str) -> str:
             f"test_every_kind_scenario_keeps_the_law[{law}]")
 
 
+def unseal_killer(bad: str) -> str:
+    """The check that ``unseal`` refuses one malformed MI block."""
+    return ("tests/test_resilience.py::TestChecksStayAtReadTime::"
+            f"test_unseal_refuses[{bad}]")
+
+
+#: The row-count, block-length, hex and None-bit checks of
+#: ``record_from_json`` on one record.
+BLOCK_CHECKS = ("tests/test_resilience.py::TestSealedCodec::"
+                "test_a_block_that_disagrees_with_its_row_count_is_refused")
+
+
 class Mutant(NamedTuple):
     module: str
     old: str
@@ -180,6 +192,18 @@ MUTANTS = {
         "                self.max_throughput_seen = throughput\n",
         "                pass\n",
         (MI_ORACLE,)),
+    # The record codec's read-time checks: a decode that skips
+    # whitespace, a block length nobody compares with its row count.
+    "hex-decode-lenient": Mutant(
+        "repro.eval.resilience",
+        "a2b_hex(packed)",
+        "bytes.fromhex(packed)",
+        (unseal_killer("embedded-whitespace"), BLOCK_CHECKS)),
+    "block-length-check-dropped": Mutant(
+        "repro.eval.resilience",
+        "if len(block) != (",
+        "if False and len(block) != (",
+        (unseal_killer("one-byte-long"),)),
     # Bugs this repo has fixed, planted back.
     "pr1-convergence-offset": Mutant(
         "repro.core.online",
@@ -247,8 +271,7 @@ MUTANTS = {
         "repro.eval.resilience",
         "if any(mask >> rows for mask in _gap_masks(block, rows)):",
         "if False:",
-        ("tests/test_resilience.py::TestChecksStayAtReadTime::"
-         "test_unseal_refuses[none-bit-beyond-rows]",)),
+        (unseal_killer("none-bit-beyond-rows"),)),
     "pr28-filter-key-get": Mutant(
         "repro.eval.parallel",
         "if all(r[k] == v for k, v in equals.items())",

@@ -16,12 +16,15 @@
   :func:`late_faults` or :func:`zero_outage_flaps`.
 * :func:`scaled_cells` -- a cell and its twin at twice the capacity
   and twice the packet size, for the scale-invariance relation.
+* :func:`objective_points` -- point sets in two or three objectives for
+  the Pareto properties (``tests/test_pareto.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
 from hypothesis import strategies as st
 
 from repro.eval.parallel import ParallelRunner
@@ -321,3 +324,18 @@ def scaled_cells(draw) -> ScaledCell:
     return scaled_cell(draw(st.sampled_from(RELATION_LINEUPS)),
                        draw(st.sampled_from(RELATION_CHURNS)),
                        draw(st.integers(0, 7)))
+
+
+#: One objective value: a small integer, so every box, union and
+#: inclusion-exclusion sum is exact in floats; some lie below the
+#: reference point 0.
+OBJECTIVE = st.integers(-2, 8).map(float)
+
+
+@st.composite
+def objective_points(draw, max_size: int = 6) -> np.ndarray:
+    """Up to ``max_size`` points in 2 or 3 objectives, duplicates
+    allowed, as an ``(n, d)`` array."""
+    dims = draw(st.sampled_from((2, 3)))
+    points = draw(st.lists(st.tuples(*[OBJECTIVE] * dims), max_size=max_size))
+    return np.array(points, dtype=np.float64).reshape(-1, dims)

@@ -608,13 +608,15 @@ class TestCellIsolation:
         # Freezing turns a shared trace's lists into tuples; signing
         # builds its own instance and must never see that copy.  The
         # literal is this cell's key at the commit before the change,
-        # the source digest (any edit under netsim/ moves it) held.
+        # the source digest (any edit under netsim/ moves it) held and
+        # the cache version set to v12: the v11 -> v12 bump moves every
+        # key and nothing else.
         monkeypatch.setattr(scenarios_module, "_CODE_DIGEST", "held")
         cell = _probe_scenarios("leo-handover")[0]
         BatchRunner().build_cells([cell])
-        assert SCENARIO_CACHE_VERSION == "v11"
-        assert cell.fingerprint() == ("927a22df5c33c025742c80c81942e37c"
-                                      "c19159300d1d869dc9b853c61a50d399")
+        assert SCENARIO_CACHE_VERSION == "v12"
+        assert cell.fingerprint() == ("c0affc8df6aabeb2cbc752de2c7218fd"
+                                      "662352380705d962d1c9018d1243d901")
 
 
 def identity_suite() -> list[Scenario]:

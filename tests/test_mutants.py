@@ -37,6 +37,7 @@ import test_scenarios
 import test_topology
 import test_traces
 from mutants import (
+    BLOCK_CHECKS,
     EVERY_KIND,
     MI_ORACLE,
     MUTANTS,
@@ -47,6 +48,7 @@ from mutants import (
     load,
     mutated,
     planted,
+    unseal_killer,
 )
 
 TESTS = Path(__file__).resolve().parent
@@ -99,10 +101,11 @@ KILLERS = {
     "test_fallback_disjoint_from_legacy_shared_stream":
         lambda ns: test_rngstreams.fallback_disjoint_from_legacy_shared_stream(
             ns["Link"]),
-    "tests/test_resilience.py::TestChecksStayAtReadTime::"
-    "test_unseal_refuses[none-bit-beyond-rows]":
-        lambda ns: test_resilience.unseal_refuses(
-            ns["unseal"], "none-bit-beyond-rows"),
+    **{unseal_killer(bad): lambda ns, bad=bad: test_resilience.unseal_refuses(
+        ns["unseal"], bad)
+       for bad in test_resilience.TestChecksStayAtReadTime.BAD},
+    BLOCK_CHECKS: lambda ns: test_resilience.block_checks_hold(
+        ns["record_from_json"]),
     "tests/test_parallel_eval.py::TestSuiteTable::"
     "test_a_misspelled_key_raises_instead_of_nan":
         lambda ns: test_parallel_eval.a_misspelled_key_raises(

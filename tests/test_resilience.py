@@ -30,7 +30,6 @@ import os
 import pickle
 import struct
 import time
-from base64 import b64decode, b64encode
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -301,6 +300,38 @@ V10_CELL = (
     b', 0.5, 40, 38, 2, 0.0625, null, 0.25, 1000.0, 0.05, 1500, 80.0]]}]]}')
 
 
+def block_checks_hold(decode_record) -> None:
+    """``decode_record`` (a ``record_from_json``) refuses a history
+    whose row count, block length, hex spelling or ``None`` bits are
+    not what ``record_to_json`` writes."""
+    payload = record_to_json(_fake_record(1))
+    assert decode_record(payload) == _fake_record(1)
+    rows, packed = payload["records"]
+    assert rows == 2
+
+    def decode(history):
+        return decode_record({**payload, "records": history})
+
+    for wrong in (1, 3, -2, 2.0, True, "2", None):
+        with pytest.raises(ValueError, match="row count"):
+            decode([wrong, packed])
+    with pytest.raises(ValueError, match="row count"):
+        decode([rows, packed[:-4]])
+    with pytest.raises(ValueError):  # strict hex: no stray bytes
+        decode([rows, packed + "\n"])
+    # The last two bytes are the None bitmaps of mean_rtt / min_rtt,
+    # one byte each for two rows: bit 2 names a row that is not there.
+    block = bytes.fromhex(packed)
+    assert block[-2:] == b"\0\0"
+    assert decode([rows, (block[:-1] + b"\2").hex()]) \
+        .records[1].min_rtt is None
+    with pytest.raises(ValueError, match="beyond the last MI"):
+        decode([rows, (block[:-1] + b"\4").hex()])
+    # Two v10 MI rows are not a [count, block] pair either.
+    with pytest.raises(ValueError, match="row count"):
+        decode([[0.0] * 13, [1.0] * 13])
+
+
 class TestSealedCodec:
     FIELDS = {"version": SCENARIO_CACHE_VERSION, "name": "cell"}
 
@@ -327,32 +358,7 @@ class TestSealedCodec:
         assert unseal(V10_CELL) is None
 
     def test_a_block_that_disagrees_with_its_row_count_is_refused(self):
-        payload = record_to_json(_fake_record(1))
-        assert record_from_json(payload) == _fake_record(1)
-        rows, packed = payload["records"]
-        assert rows == 2
-
-        def decode(history):
-            return record_from_json({**payload, "records": history})
-
-        for wrong in (1, 3, -2, 2.0, True, "2", None):
-            with pytest.raises(ValueError, match="row count"):
-                decode([wrong, packed])
-        with pytest.raises(ValueError, match="row count"):
-            decode([rows, packed[:-4]])
-        with pytest.raises(ValueError):  # strict base64: no stray bytes
-            decode([rows, packed + "\n"])
-        # The last two bytes are the None bitmaps of mean_rtt / min_rtt,
-        # one byte each for two rows: bit 2 names a row that is not there.
-        block = b64decode(packed)
-        assert block[-2:] == b"\0\0"
-        assert decode([rows, b64encode(block[:-1] + b"\2").decode()]) \
-            .records[1].min_rtt is None
-        with pytest.raises(ValueError, match="beyond the last MI"):
-            decode([rows, b64encode(block[:-1] + b"\4").decode()])
-        # Two v10 MI rows are not a [count, block] pair either.
-        with pytest.raises(ValueError, match="row count"):
-            decode([[0.0] * 13, [1.0] * 13])
+        block_checks_hold(record_from_json)
 
     def test_result_cache_quarantines_damage_at_every_offset(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -386,9 +392,8 @@ class TestSealedCodec:
             assert path.read_bytes() == manifest + b"\n" + first + b"\n"
 
 
-#: A cache entry as cache v11's ``seal`` wrote it before MI rows were
-#: built on first read, byte for byte: ``_fake_record(1)`` with its
-#: second MI's ``min_rtt`` absent.
+#: A cache entry as cache v11's ``seal`` wrote it, byte for byte:
+#: ``PINNED_RECORD`` with its block in base64.
 V11_ENTRY = (
     b'{"sha":"71f6f1d639834784e9e9a2477b85855f02db05a80e8d73f7f14d96f14bed24'
     b'e5","sealed":[{"version": "v11", "name": "cell"}, [{"flow_id": 1, "sch'
@@ -399,7 +404,22 @@ V11_ENTRY = (
     b'AAAAAAADgPwAAAAAAAPA/AAAAAAAA8D8AAAAAAAD4PwAAAAAAAPE/AAAAAACAAEDNzMzMzM'
     b'zwPwAAAAAAAAAAAAAAAAAA0D8AAAAAAADgPwAAAAAASI9AAAAAAABQj0B7FK5H4XqkP3sUr'
     b'kfheqQ/AAAAAABAVEAAAAAAAIBUQAAC"]}]]}')
-V11_RECORD = _fake_record(1, records=[_fake_mi(1), _fake_mi(2, min_rtt=None)])
+#: The same entry as cache v12's ``seal`` writes it: the block in hex.
+#: A change to the stored bytes has to change this literal.
+V12_ENTRY = (
+    b'{"sha":"17e2886474dbe00259318b903eca4b8a517b61c29a7c2f420e6f1dd65ff1c8bf'
+    b'","sealed":[{"version": "v12", "name": "cell"}, [{"flow_id": 1, "scheme"'
+    b': "scheme1", "mean_throughput_pps": 77.0, "mean_throughput_mbps": 1.912,'
+    b' "mean_utilization": 0.076, "mean_rtt": 1.0625, "base_rtt": 0.04, "loss_'
+    b'rate": 0.05, "records": [2, "0100000000000000020000000000000029000000000'
+    b'000002a00000000000000270000000000000028000000000000000200000000000000020'
+    b'0000000000000dc05000000000000dc05000000000000000000000000e03f00000000000'
+    b'0f03f000000000000f03f000000000000f83f000000000000f13f0000000000800040cdc'
+    b'cccccccccf03f0000000000000000000000000000d03f000000000000e03f00000000004'
+    b'88f400000000000508f407b14ae47e17aa43f7b14ae47e17aa43f0000000000405440000'
+    b'00000008054400002"]}]]}')
+#: ``_fake_record(1)`` with its second MI's ``min_rtt`` absent.
+PINNED_RECORD = _fake_record(1, records=[_fake_mi(1), _fake_mi(2, min_rtt=None)])
 
 
 class _BuildCount:
@@ -418,16 +438,19 @@ class _BuildCount:
 
 
 def _malformed_histories():
-    """``id: [rows, base64]`` of ``_fake_record(1)``'s two MIs, each
+    """``id: [rows, hex]`` of ``_fake_record(1)``'s two MIs, each
     broken in a way only decoding the block can see."""
     rows, packed = record_to_json(_fake_record(1))["records"]
-    block = b64decode(packed)
+    block = bytes.fromhex(packed)
     return {
-        "one-byte-long": [rows, b64encode(block + b"\0").decode()],
-        "one-byte-short": [rows, b64encode(block[:-1]).decode()],
+        "one-byte-long": [rows, (block + b"\0").hex()],
+        "one-byte-short": [rows, block[:-1].hex()],
         # Bit 2 of min_rtt's bitmap: a third row, of two.
-        "none-bit-beyond-rows": [rows, b64encode(block[:-1] + b"\4").decode()],
-        "non-alphabet-base64": [rows, packed[:8] + "*" + packed[9:]],
+        "none-bit-beyond-rows": [rows, (block[:-1] + b"\4").hex()],
+        "non-hex-digit": [rows, packed[:8] + "g" + packed[9:]],
+        "odd-length": [rows, packed[:-1]],
+        # Between two bytes: a lenient decode would read the same block.
+        "embedded-whitespace": [rows, packed[:8] + " " + packed[8:]],
     }
 
 
@@ -492,31 +515,50 @@ class TestChecksStayAtReadTime:
         assert path.read_bytes() == intact
         assert built.n == 0
 
-    def test_an_entry_sealed_before_deferred_rows_is_served(self, tmp_path):
-        assert seal(self.CACHE, [V11_RECORD]) == V11_ENTRY  # same bytes
+    def test_the_stored_bytes_are_pinned_and_served(self, tmp_path):
+        assert seal(self.CACHE, [PINNED_RECORD]) == V12_ENTRY  # same bytes
         cache = ResultCache(tmp_path)
-        cache._path("e" * 64).write_bytes(V11_ENTRY)
+        cache._path("e" * 64).write_bytes(V12_ENTRY)
         (served,) = cache.get("e" * 64)
-        assert served == V11_RECORD and served.records[1].min_rtt is None
-        assert records_digest([served]) == records_digest([V11_RECORD])
+        assert served == PINNED_RECORD and served.records[1].min_rtt is None
+        assert records_digest([served]) == records_digest([PINNED_RECORD])
+
+    def test_a_v11_entry_is_quarantined_then_served_after_a_re_put(
+            self, tmp_path):
+        # Intact under its own sha, but its block is base64, which the
+        # hex decode refuses: None, not an exception.
+        assert V11_ENTRY == _sealed(V11_ENTRY[resilience._SEAL_BODY_AT:-1])
+        assert unseal(V11_ENTRY) is None
+        cache = ResultCache(tmp_path)
+        key = "e" * 64
+        path = cache._path(key)
+        path.write_bytes(V11_ENTRY)
+        assert cache.get(key) is None
+        assert not path.exists()
+        assert path.with_suffix(".quarantined").read_bytes() == V11_ENTRY
+        # The miss is recomputed and re-put in the v12 form.
+        cache.put(key, "cell", [PINNED_RECORD])
+        assert path.read_bytes() == V12_ENTRY
+        (served,) = cache.get(key)
+        assert served == PINNED_RECORD
 
 
 class TestDeferredHistory:
     """A decoded record's history behaves as the list it was."""
 
     @staticmethod
-    def _decoded(record=V11_RECORD) -> FlowRecord:
+    def _decoded(record=PINNED_RECORD) -> FlowRecord:
         """``record`` as a cache hit hands it back: rows not yet read."""
         (decoded,) = unseal(seal({}, [record]))[1]
         return decoded
 
     def test_equal_to_lists_either_way_round(self):
-        rows = list(V11_RECORD.records)
+        rows = list(PINNED_RECORD.records)
         assert self._decoded().records == rows
         assert rows == self._decoded().records
         assert self._decoded().records == self._decoded().records
-        assert self._decoded() == V11_RECORD
-        assert V11_RECORD == self._decoded()
+        assert self._decoded() == PINNED_RECORD
+        assert PINNED_RECORD == self._decoded()
         assert self._decoded().records != rows[:1]
         assert rows[::-1] != self._decoded().records
         assert self._decoded() != _fake_record(1)
@@ -531,15 +573,15 @@ class TestDeferredHistory:
                 list(decoded.records)
             copied = copy_of(decoded)
             assert type(copied.records) is type(decoded.records)
-            assert copied == decoded == V11_RECORD
+            assert copied == decoded == PINNED_RECORD
 
     def test_stored_form_and_digest_are_unchanged_by_a_read(self):
-        payload = record_to_json(V11_RECORD)
+        payload = record_to_json(PINNED_RECORD)
         assert record_to_json(record_from_json(payload)) == payload
         decoded = self._decoded()
         before = records_digest([decoded])  # iterates: the first read
         assert records_digest([decoded]) == before == \
-            records_digest([V11_RECORD])
+            records_digest([PINNED_RECORD])
         assert record_to_json(decoded) == payload
 
     def test_sequence_surface(self, monkeypatch):
@@ -550,14 +592,14 @@ class TestDeferredHistory:
         assert len(history) == 2 and history and not empty.records
         assert len(empty.records) == 0 and empty.records == []
         assert built.n == 0  # length and truth come from the row count
-        assert history[-1] == V11_RECORD.records[-1]
+        assert history[-1] == PINNED_RECORD.records[-1]
         assert built.n == 2
-        assert history[:1] == V11_RECORD.records[:1]
-        assert history[::-1] == V11_RECORD.records[::-1]
+        assert history[:1] == PINNED_RECORD.records[:1]
+        assert history[::-1] == PINNED_RECORD.records[::-1]
         first, again = list(history), list(history)
-        assert first == again == V11_RECORD.records
+        assert first == again == PINNED_RECORD.records
         assert all(a is b for a, b in zip(first, again))
-        assert V11_RECORD.records[0] in history
+        assert PINNED_RECORD.records[0] in history
         assert built.n == 2  # unpacked once, whatever reads it
         with pytest.raises(IndexError):
             history[2]
