@@ -10,18 +10,21 @@ out-of-process sweep on and stores every finished cell with, and it
 survives all four without compromising the determinism contract:
 
 * :func:`seal` / :func:`unseal` -- the one on-disk form of a record
-  list.  Cache entries and journal lines are both sealed lines: a
-  sha256 over the exact bytes stored, verified over the exact bytes
-  read.  Inside the line a record is its aggregates plus its monitor
-  intervals packed as binary column blocks (:func:`record_to_json`).
-  Reading one back validates the block in full inside :func:`unseal`
-  but builds its :class:`~repro.netsim.sender.MonitorIntervalStats`
-  rows only when something first reads them, so a cache hit or a
-  journal resume read for its aggregates never builds them.
-  :func:`records_digest` is a cell's identity and does not depend on
-  that form.
+  list, a binary sealed frame: a sha256 over the exact bytes stored,
+  verified over the exact bytes read.  Inside the frame a short ASCII
+  JSON header holds the caller's fields and each record's aggregates
+  and MI row count; the records' monitor intervals follow as raw
+  binary column blocks, so a read hashes, parses and copies no more
+  than the data.  Reading one back validates every block in full
+  inside :func:`unseal` but builds its
+  :class:`~repro.netsim.sender.MonitorIntervalStats` rows only when
+  something first reads them, so a cache hit or a journal resume read
+  for its aggregates never builds them.  :func:`record_to_json` /
+  :func:`record_from_json` spell the same packed record as JSON
+  values.  :func:`records_digest` is a cell's identity and does not
+  depend on either form.
 * :class:`ResultCache` -- the fingerprint-keyed, size-capped LRU
-  directory of finished cells, one sealed line per entry; an entry
+  directory of finished cells, one sealed frame per entry; an entry
   that does not unseal is quarantined and its cell recomputed.
 * :class:`RetryPolicy` -- how many attempts a task gets against
   *transient* failures (worker crashes, timeouts).  Deterministic cell
@@ -34,7 +37,7 @@ survives all four without compromising the determinism contract:
   task either requeued at once (within the retry budget) or reported
   as a failed result instead of wedging the sweep.
 * :class:`SweepCheckpoint` -- an append-only journal of completed
-  cells, one sealed line each, fingerprint-keyed so an interrupted
+  cells, one sealed frame each, fingerprint-keyed so an interrupted
   grid resumes from exactly the cells it finished -- with the original
   records, wall time, and event counts, hence row-for-row identical
   digests to an uninterrupted run.
@@ -136,13 +139,21 @@ def _block_format(rows: int) -> str:
     return f"<{rows * len(_INT_AT)}q{rows * len(_FLOAT_AT)}d"
 
 
-def record_to_json(record: FlowRecord) -> dict:
-    """The stored form of a record: its aggregates as JSON values, its
-    MI history as ``[rows, hex]`` of one little-endian binary block
-    -- every ``int`` column as ``rows`` int64, then every ``float``
-    column as ``rows`` float64, then per optional column a bitmap
-    (``ceil(rows / 8)`` bytes, bit ``r`` of the little-endian number)
-    of the rows that hold ``None``.  Values are stored as their
+def _block_size(rows) -> int:
+    """Bytes in the packed block of ``rows`` MIs; ``ValueError`` for a
+    ``rows`` that is not a count."""
+    if type(rows) is not int or rows < 0:
+        raise ValueError(f"MI row count {rows!r} is not a count")
+    return 8 * rows * len(MI_FIELDS) + (rows + 7) // 8 * len(_OPTIONAL_AT)
+
+
+def _packed(record: FlowRecord) -> tuple[dict, int, bytes]:
+    """``(aggregates, rows, block)``: a record's aggregates as JSON
+    values by name, and its MI history as ``rows`` and one little-endian
+    binary block -- every ``int`` column as ``rows`` int64, then every
+    ``float`` column as ``rows`` float64, then per optional column a
+    bitmap (``ceil(rows / 8)`` bytes, bit ``r`` of the little-endian
+    number) of the rows that hold ``None``.  Values are stored as their
     annotated type; one that does not fit its column (a float or a
     65-bit int in an ``int`` one) raises.
     """
@@ -166,9 +177,8 @@ def record_to_json(record: FlowRecord) -> dict:
     block = struct.pack(
         _block_format(rows),
         *chain.from_iterable(columns[at] for at in _STORED_AT))
-    payload = {name: getattr(record, name) for name in RECORD_FIELDS}
-    payload[_HISTORY] = [rows, (block + gaps).hex()]
-    return payload
+    return ({name: getattr(record, name) for name in RECORD_FIELDS}, rows,
+            block + gaps)
 
 
 def _gap_masks(block: bytes, rows: int) -> list[int]:
@@ -186,8 +196,8 @@ class _PackedHistory(Sequence):
     row count, its :class:`MonitorIntervalStats` rows built from the
     packed block on first access.
 
-    :func:`record_from_json` validates the block before it builds one,
-    so unpacking cannot fail: it runs once, then the bytes go.  A cache
+    :func:`_history` validates the block before it builds one, so
+    unpacking cannot fail: it runs once, then the bytes go.  A cache
     hit whose consumer reads only aggregates (the sweep table, a
     journal resume) never unpacks.  Equal to a list of the same rows
     with either operand on the left, so a decoded ``FlowRecord`` equals
@@ -241,27 +251,37 @@ class _PackedHistory(Sequence):
         return repr(self._unpacked())
 
 
-def record_from_json(payload: dict) -> FlowRecord:
-    """Exact inverse of :func:`record_to_json`; ``ValueError`` /
-    ``KeyError`` / ``TypeError`` for anything it did not write.
+def _history(rows, block: bytes) -> _PackedHistory:
+    """The history of ``rows`` MIs packed in ``block``, checked in full;
+    ``ValueError`` for a row count, block length or ``None`` bit that
+    :func:`_packed` does not write.
 
-    Every check runs here, so a bad entry fails inside :func:`unseal`;
-    the MI rows themselves are built when first read
-    (:class:`_PackedHistory`)."""
-    rows, packed = payload[_HISTORY]
-    if type(rows) is not int or rows < 0:
-        raise ValueError(f"MI row count {rows!r} is not a count")
-    # Strict: an odd length, a non-hex digit or any whitespace raises
-    # (``bytes.fromhex`` would skip whitespace).
-    block = a2b_hex(packed)
-    gap_bytes = (rows + 7) // 8
-    if len(block) != (8 * rows * len(MI_FIELDS)
-                      + gap_bytes * len(_OPTIONAL_AT)):
+    Every read of a stored record runs its checks here, so a bad entry
+    fails inside :func:`unseal`; the MI rows themselves are built when
+    first read (:class:`_PackedHistory`)."""
+    if len(block) != _block_size(rows):
         raise ValueError("packed MI block disagrees with its row count")
     if any(mask >> rows for mask in _gap_masks(block, rows)):
         raise ValueError("a None row beyond the last MI")
+    return _PackedHistory(rows, block)
+
+
+def record_to_json(record: FlowRecord) -> dict:
+    """A record as JSON values: its aggregates by name, its MI history
+    as ``[rows, hex]`` of the block :func:`_packed` builds."""
+    aggregates, rows, block = _packed(record)
+    aggregates[_HISTORY] = [rows, block.hex()]
+    return aggregates
+
+
+def record_from_json(payload: dict) -> FlowRecord:
+    """Exact inverse of :func:`record_to_json`; ``ValueError`` /
+    ``KeyError`` / ``TypeError`` for anything it did not write."""
+    rows, packed = payload[_HISTORY]
     aggregates = {name: payload[name] for name in RECORD_FIELDS}
-    aggregates[_HISTORY] = _PackedHistory(rows, block)
+    # Strict: an odd length, a non-hex digit or any whitespace raises
+    # (``bytes.fromhex`` would skip whitespace).
+    aggregates[_HISTORY] = _history(rows, a2b_hex(packed))
     return FlowRecord(**aggregates)
 
 
@@ -282,37 +302,76 @@ def records_digest(records: list[FlowRecord]) -> str:
     return hashlib.sha256(body.encode("utf-8")).hexdigest()
 
 
-# A sealed line is ``{"sha":"<64 hex>","sealed":[fields, records]}``:
-# valid JSON, with the checksummed body at a fixed offset so it is
-# hashed as the bytes it was stored as, never re-serialised.
-_SEAL_BODY_AT = len(b'{"sha":"","sealed":') + 64
+# A sealed frame is ``u32 body length | sha256(body) | body``, and its
+# body ``u32 header length | header | blocks``: the header is ASCII JSON
+# ``[fields, [record head, ...]]``, a record head being its aggregates
+# by name plus its MI row count under ``_HISTORY``, and the blocks are
+# the records' packed MI blocks back to back, in record order, each as
+# long as its row count says.  Integers are little-endian.  The sha
+# covers the body as stored, so it is never re-serialised to be checked.
+_LEN = 4  # bytes in a length prefix
+_BODY_AT = _LEN + 32
 
 
-def _sealed(body: bytes) -> bytes:
-    sha = hashlib.sha256(body).hexdigest().encode("ascii")
-    return b'{"sha":"%b","sealed":%b}' % (sha, body)
+def _framed(body: bytes) -> bytes:
+    return b"".join([len(body).to_bytes(_LEN, "little"),
+                     hashlib.sha256(body).digest(), body])
 
 
 def seal(fields: dict, records: list[FlowRecord]) -> bytes:
-    """One newline-free line holding ``fields`` and ``records`` under a
-    sha256 of its body; what cache entries and journal lines are."""
-    return _sealed(json.dumps(
-        [fields, [record_to_json(r) for r in records]]).encode("ascii"))
+    """One frame holding ``fields`` and ``records`` under a sha256 of
+    its body; a cache entry is one, a journal is several back to back."""
+    heads, blocks = [], []
+    for record in records:
+        head, rows, block = _packed(record)
+        head[_HISTORY] = rows
+        heads.append(head)
+        blocks.append(block)
+    header = json.dumps([fields, heads]).encode("ascii")
+    return _framed(b"".join(
+        [len(header).to_bytes(_LEN, "little"), header, *blocks]))
 
 
-def unseal(line: bytes) -> tuple[dict, list[FlowRecord]] | None:
-    """``(fields, records)`` of a line :func:`seal` wrote, or ``None``
-    for anything else: any flipped, missing or added byte fails."""
-    body = line[_SEAL_BODY_AT:-1]
-    if line != _sealed(body):
+def unseal(frame: bytes) -> tuple[dict, list[FlowRecord]] | None:
+    """``(fields, records)`` of a frame :func:`seal` wrote, or ``None``
+    for anything else: any flipped, missing or added byte fails, and so
+    does a body whose blocks disagree with the row counts in its header
+    or that holds a byte after its last block."""
+    # Offsets into the frame itself: the body is hashed through a view
+    # and never copied whole, only each block is (into its own bytes).
+    if (int.from_bytes(frame[:_LEN], "little") != len(frame) - _BODY_AT
+            or hashlib.sha256(memoryview(frame)[_BODY_AT:]).digest()
+            != frame[_LEN:_BODY_AT]):
         return None
+    header_at = _BODY_AT + _LEN
+    at = header_at + int.from_bytes(frame[_BODY_AT:header_at], "little")
     try:
-        fields, payload = json.loads(body)
+        fields, heads = json.loads(frame[header_at:at])
         if not isinstance(fields, dict):
             return None
-        return fields, [record_from_json(r) for r in payload]
+        records = []
+        for head in heads:
+            rows = head[_HISTORY]
+            block = frame[at:at + _block_size(rows)]
+            at += len(block)
+            head[_HISTORY] = _history(rows, block)
+            records.append(FlowRecord(**head))
     except (ValueError, KeyError, TypeError):
         return None
+    if at != len(frame):
+        return None  # bytes after the last block, or a header past the end
+    return fields, records
+
+
+def _frames(data: bytes) -> list[bytes]:
+    """``data`` cut where each frame's length prefix says it ends: a
+    journal's frames, the last one possibly torn (it does not unseal)."""
+    frames, at = [], 0
+    while at < len(data):
+        end = at + _BODY_AT + int.from_bytes(data[at:at + _LEN], "little")
+        frames.append(data[at:end])
+        at = end
+    return frames
 
 
 # --- result cache -------------------------------------------------------------
@@ -364,13 +423,13 @@ class ResultCache:
     def get(self, fingerprint: str) -> list[FlowRecord] | None:
         path = self._path(fingerprint)
         try:
-            line = path.read_bytes()
+            frame = path.read_bytes()
         except OSError:
             return None  # absent or unreadable: a plain miss
         # An entry that is there but does not unseal (torn write, bit
         # rot, concurrent truncation) is quarantined so the cell is
         # recomputed instead of serving corrupt records.
-        entry = unseal(line)
+        entry = unseal(frame)
         if entry is None:
             self._quarantine(path)
             return None
@@ -388,9 +447,9 @@ class ResultCache:
         # Staged under this writer's pid: sweeps sharing the directory
         # may put the same cell at once, and each replace is atomic.
         tmp = path.with_suffix(f".{os.getpid()}.tmp")
-        line = seal({"version": SCENARIO_CACHE_VERSION, "name": name},
-                    records)
-        tmp.write_bytes(line)
+        frame = seal({"version": SCENARIO_CACHE_VERSION, "name": name},
+                     records)
+        tmp.write_bytes(frame)
         try:
             tmp.replace(path)
         except FileNotFoundError:
@@ -406,7 +465,7 @@ class ResultCache:
                     total += p.stat().st_size
                 self._approx_bytes = total
             else:
-                self._approx_bytes += len(line)
+                self._approx_bytes += len(frame)
         except OSError:
             # A concurrent prune/clear raced the scan; the next put()
             # re-measures from scratch.
@@ -707,15 +766,15 @@ def _suite_sha(fingerprints: list[str]) -> str:
 
 class SweepCheckpoint:
     """Append-only journal of a sweep's completed cells, one
-    :func:`seal`-ed line each.
+    :func:`seal`-ed frame each, back to back.
 
-    Line 0 is a manifest binding the journal to one suite (the ordered
-    cell fingerprints) and one cache version; every following line is
+    Frame 0 is a manifest binding the journal to one suite (the ordered
+    cell fingerprints) and one cache version; every following frame is
     a completed cell -- index, fingerprint, records, wall time, event
     count.  :meth:`resume` validates the chain and returns the
     completed cells; a manifest mismatch (different suite, changed
     code) starts the journal over, and a corrupt or torn tail is
-    dropped (the journal is rewritten up to the last intact line)
+    dropped (the journal is rewritten up to the last intact frame)
     rather than trusted.
 
     The journal lives in the parent: workers never write it, so a
@@ -741,26 +800,26 @@ class SweepCheckpoint:
         completed: dict[int, tuple] = {}
         kept: list[bytes] = []
         try:
-            lines = self.path.read_bytes().split(b"\n")
+            frames = _frames(self.path.read_bytes())
         except OSError:
-            lines = []
-        if lines and unseal(lines[0]) == (manifest, []):
-            for line in lines[1:]:
-                entry = self._parse_cell(line, fingerprints)
+            frames = []
+        if frames and unseal(frames[0]) == (manifest, []):
+            for frame in frames[1:]:
+                entry = self._parse_cell(frame, fingerprints)
                 if entry is None:
                     break  # torn/corrupt tail: drop it and stop
                 idx, payload = entry
                 completed[idx] = payload
-                kept.append(line)
+                kept.append(frame)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self.path.with_suffix(".tmp")
-        tmp.write_bytes(b"\n".join([seal(manifest, [])] + kept) + b"\n")
+        tmp.write_bytes(b"".join([seal(manifest, [])] + kept))
         tmp.replace(self.path)
         self._fh = open(self.path, "ab")
         return completed
 
-    def _parse_cell(self, line: bytes, fingerprints: list[str]):
-        entry = unseal(line)
+    def _parse_cell(self, frame: bytes, fingerprints: list[str]):
+        entry = unseal(frame)
         if entry is None:
             return None
         fields, records = entry
@@ -782,7 +841,7 @@ class SweepCheckpoint:
             raise RuntimeError("call resume() before record()")
         fields = {"kind": "cell", "idx": int(idx), "fp": fingerprint,
                   "elapsed": float(elapsed), "events": int(events)}
-        self._fh.write(seal(fields, records) + b"\n")
+        self._fh.write(seal(fields, records))
         self._fh.flush()
 
     def close(self) -> None:

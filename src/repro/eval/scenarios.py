@@ -53,7 +53,10 @@ __all__ = ["AgentRef", "ChurnSchedule", "FlowDef", "Scenario", "ScenarioSuite",
 #: themselves did not move.
 #: v12: the packed block is stored as hex, not base64; results did not
 #: move.
-SCENARIO_CACHE_VERSION = "v12"
+#: v13: an entry is one binary sealed frame
+#: (:func:`repro.eval.resilience.seal`) holding a JSON header and the
+#: raw blocks, not a JSON line; results did not move.
+SCENARIO_CACHE_VERSION = "v13"
 
 
 def _simulation_code_digest() -> str:

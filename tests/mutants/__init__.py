@@ -45,7 +45,7 @@ def law_killer(law: str) -> str:
 
 
 def unseal_killer(bad: str) -> str:
-    """The check that ``unseal`` refuses one malformed MI block."""
+    """The check that ``unseal`` refuses one malformed frame."""
     return ("tests/test_resilience.py::TestChecksStayAtReadTime::"
             f"test_unseal_refuses[{bad}]")
 
@@ -192,18 +192,19 @@ MUTANTS = {
         "                self.max_throughput_seen = throughput\n",
         "                pass\n",
         (MI_ORACLE,)),
-    # The record codec's read-time checks: a decode that skips
-    # whitespace, a block length nobody compares with its row count.
-    "hex-decode-lenient": Mutant(
+    # The record codec's read-time checks: a frame whose body goes on
+    # after its last block, a block length nobody compares with its
+    # row count.
+    "frame-trailing-bytes-accepted": Mutant(
         "repro.eval.resilience",
-        "a2b_hex(packed)",
-        "bytes.fromhex(packed)",
-        (unseal_killer("embedded-whitespace"), BLOCK_CHECKS)),
+        "    if at != len(frame):\n",
+        "    if False:\n",
+        (unseal_killer("trailing-byte"),)),
     "block-length-check-dropped": Mutant(
         "repro.eval.resilience",
-        "if len(block) != (",
-        "if False and len(block) != (",
-        (unseal_killer("one-byte-long"),)),
+        "if len(block) != _block_size(rows):",
+        "if False and len(block) != _block_size(rows):",
+        (unseal_killer("one-byte-short"), BLOCK_CHECKS)),
     # Bugs this repo has fixed, planted back.
     "pr1-convergence-offset": Mutant(
         "repro.core.online",

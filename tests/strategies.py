@@ -18,11 +18,14 @@
   and twice the packet size, for the scale-invariance relation.
 * :func:`objective_points` -- point sets in two or three objectives for
   the Pareto properties (``tests/test_pareto.py``).
+* :func:`flow_records` -- any ``FlowRecord`` the record codec stores,
+  for the sealed-frame property (``tests/test_resilience.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 
 import numpy as np
 from hypothesis import strategies as st
@@ -36,7 +39,8 @@ from repro.netsim.faults import (
     LinkFlapSchedule,
     RateBrownout,
 )
-from repro.netsim.network import ACK_BYTES
+from repro.netsim.network import ACK_BYTES, FlowRecord
+from repro.netsim.sender import MonitorIntervalStats
 from repro.netsim.topology import dumbbell_asymmetric, parking_lot
 
 #: Heuristic schemes the perf shapes run (no trained models: they must
@@ -339,3 +343,24 @@ def objective_points(draw, max_size: int = 6) -> np.ndarray:
     dims = draw(st.sampled_from((2, 3)))
     points = draw(st.lists(st.tuples(*[OBJECTIVE] * dims), max_size=max_size))
     return np.array(points, dtype=np.float64).reshape(-1, dims)
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+#: Per stored annotation, any value the type admits.
+_ANY_VALUE = {int: st.integers(-2**63, 2**63 - 1), float: _ANY_FLOAT,
+              float | None: st.none() | _ANY_FLOAT, str: st.text()}
+
+
+def _any(cls, **given):
+    """``cls`` with every field drawn from all its annotation admits,
+    bar the strategies ``given`` by name."""
+    hints = get_type_hints(cls)
+    drawn = {f.name: _ANY_VALUE.get(hints[f.name]) for f in fields(cls)}
+    return st.builds(cls, **{**drawn, **given})
+
+
+def flow_records(max_mis: int = 5):
+    """Any ``FlowRecord`` with 0 to ``max_mis`` monitor intervals: NaN,
+    infinities, ``None`` RTTs and 64-bit ints included."""
+    return _any(FlowRecord, records=st.lists(_any(MonitorIntervalStats),
+                                             max_size=max_mis))

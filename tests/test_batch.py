@@ -609,14 +609,14 @@ class TestCellIsolation:
         # builds its own instance and must never see that copy.  The
         # literal is this cell's key at the commit before the change,
         # the source digest (any edit under netsim/ moves it) held and
-        # the cache version set to v12: the v11 -> v12 bump moves every
+        # the cache version set to v13: the v12 -> v13 bump moves every
         # key and nothing else.
         monkeypatch.setattr(scenarios_module, "_CODE_DIGEST", "held")
         cell = _probe_scenarios("leo-handover")[0]
         BatchRunner().build_cells([cell])
-        assert SCENARIO_CACHE_VERSION == "v12"
-        assert cell.fingerprint() == ("c0affc8df6aabeb2cbc752de2c7218fd"
-                                      "662352380705d962d1c9018d1243d901")
+        assert SCENARIO_CACHE_VERSION == "v13"
+        assert cell.fingerprint() == ("b1b8d70d93421de83d75e335c7177654"
+                                      "367a43c84924dc33bf9003423f3fc750")
 
 
 def identity_suite() -> list[Scenario]:
