@@ -279,6 +279,7 @@ def record_from_json(payload: dict) -> FlowRecord:
     ``KeyError`` / ``TypeError`` for anything it did not write."""
     rows, packed = payload[_HISTORY]
     aggregates = {name: payload[name] for name in RECORD_FIELDS}
+    _block_size(rows)  # a row count that is not a count fails first
     # Strict: an odd length, a non-hex digit or any whitespace raises
     # (``bytes.fromhex`` would skip whitespace).
     aggregates[_HISTORY] = _history(rows, a2b_hex(packed))
