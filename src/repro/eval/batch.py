@@ -27,6 +27,19 @@ cells ever share one.  Nothing declares this:
 ``tests/test_batch.py`` walks real built cells' object graphs, for
 every registered trace, asserting no mutable object is reachable from
 two of them, and pins batched == solo digests.
+
+Cell lifetime
+-------------
+``run`` builds every cell of the batch first, then runs them in turn.
+Once a cell has run, the batch keeps only its records, its event count
+and its wall time: ``BatchCell.sim`` is cleared, and since a
+:class:`~repro.netsim.network.Simulation` holds no reference to
+itself, the simulation and its heap of undelivered packets are freed
+by reference counting right there, inside the cell's own ``elapsed``.
+No finished cell waits for Python's cyclic collector, so a sweep does
+not pay for collector passes over the cells it has finished.
+``build_cells`` alone returns built, unrun simulations, for the
+isolation tests.
 """
 
 from __future__ import annotations
@@ -68,11 +81,14 @@ def warm_agent_refs(scenarios: list[Scenario]) -> None:
 class BatchCell:
     """One cell of a batch: its simulation and per-cell accounting.
 
-    ``elapsed`` is the cell's own wall time -- construction plus its
-    run to completion -- so batched and per-process runs report
-    comparable per-cell numbers.  A failed cell carries ``error``
-    (``"Type: detail"``, the same shape the pool workers report) and
-    ``records is None``; sibling cells are unaffected.
+    ``sim`` is the built simulation until the cell has run, then
+    ``None`` (see "Cell lifetime" above); ``events`` is its
+    ``events_processed``, filled in when the run ends.  ``elapsed`` is
+    the cell's own wall time -- construction plus its run to
+    completion -- so batched and per-process runs report comparable
+    per-cell numbers.  A failed cell carries ``error`` (``"Type:
+    detail"``, the same shape the pool workers report) and ``records
+    is None``; sibling cells are unaffected.
     """
 
     scenario: Scenario
@@ -80,10 +96,7 @@ class BatchCell:
     records: list[FlowRecord] | None = None
     elapsed: float = 0.0
     error: str | None = None
-
-    @property
-    def events(self) -> int:
-        return self.sim.events_processed if self.sim is not None else 0
+    events: int = 0
 
 
 class BatchRunner:
@@ -117,15 +130,25 @@ class BatchRunner:
         return cells
 
     def run(self, scenarios: list[Scenario]) -> list[BatchCell]:
-        """Build every cell, then run each healthy one to completion."""
+        """Build every cell, then run each healthy one to completion,
+        dropping its simulation once it has run."""
         cells = self.build_cells(scenarios)
         for cell in cells:
             if cell.error is not None:
                 continue
             t0 = time.perf_counter()
-            try:
-                cell.records = cell.sim.run_all()
-            except Exception as exc:  # noqa: BLE001 -- isolate the cell
-                cell.error = f"{type(exc).__name__}: {exc}"
+            _run_cell(cell)
             cell.elapsed += time.perf_counter() - t0
         return cells
+
+
+def _run_cell(cell: BatchCell) -> None:
+    """Run ``cell`` to completion and keep what it produced.  The
+    simulation's last reference is this frame's, so it is freed on
+    return."""
+    sim, cell.sim = cell.sim, None
+    try:
+        cell.records = sim.run_all()
+    except Exception as exc:  # noqa: BLE001 -- isolate the cell
+        cell.error = f"{type(exc).__name__}: {exc}"
+    cell.events = sim.events_processed

@@ -89,7 +89,7 @@ ACK_RTO_FACTOR = 3.0
 #: pacing jitter ``_drain`` applies to rate-paced sends.
 HOP_JITTER_FACTOR = 0.5
 
-# Integer event kinds, indexing the per-simulation handler table (see
+# Integer event kinds, indexing the handler table ``_HANDLERS`` (see
 # ``Simulation._drain``).  Heap order never depends on them: the
 # per-push sequence number breaks every time tie before a kind would be
 # compared.
@@ -156,6 +156,13 @@ class SimState:
     ``run(until=)``; :mod:`repro.eval.batch` runs each cell in one
     full-width slice.
 
+    A handle is made on every access to :attr:`Simulation.state` and
+    is stateless, so two handles over one simulation are
+    interchangeable.  The simulation never stores one: a stored handle
+    would point back at its owner, and that cycle would keep a
+    finished cell alive until the cyclic collector ran (see
+    :class:`Simulation`).
+
     Slicing is invisible: a slice boundary only decides *when* the
     next ``heappop`` happens, never what it returns, and every handler
     -- inline or on the table -- sees the popped event's own timestamp,
@@ -211,6 +218,17 @@ class Simulation:
 
     Every packet walks its path link by link at its true per-hop
     arrival times (see the module docstring).
+
+    A simulation holds no reference to itself, directly or through
+    anything it owns: the handler table is the module's
+    :data:`_HANDLERS` of plain functions, and :attr:`state` makes a
+    handle on access instead of keeping one.  So a finished cell, with
+    its heap of undelivered packets, is freed by reference counting the
+    moment its last reference goes.  A self-reference would make every
+    cell a cycle that only Python's cyclic collector can free: grid
+    sweeps would keep each finished cell alive until the next
+    collection and pay for collector passes over all of them
+    (``tests/test_cell_lifetime.py`` pins this).
     """
 
     def __init__(self, links: Link | list[Link] | Topology, specs: list[FlowSpec],
@@ -248,14 +266,6 @@ class Simulation:
         #: ``expected.json`` and the numerator of its ``netsim.events``
         #: / ``netsim.run_calops_per_event`` layer metrics.
         self.events_processed = 0
-        # Handler table indexed by the EV_* event kinds; ``None`` marks
-        # a kind :meth:`_drain` handles inline.
-        self._handlers = (
-            self._handle_start, None, self._advance_packet,
-            None, None, self._handle_loss,
-            self._handle_ack_rto, self._handle_mi)
-        #: Resumable stepping handle (:meth:`run` delegates to it).
-        self.state = SimState(self)
 
         #: Base RTT of the topology's default path -- the single-path
         #: quantity legacy callers (gym envs, single-flow runners) read.
@@ -303,6 +313,13 @@ class Simulation:
         self._seq = seq
         heappush(self._heap, (time, seq, kind, flow, packet))
 
+    @property
+    def state(self) -> SimState:
+        """A fresh stepping handle over this simulation (:meth:`run`
+        delegates to it).  Made on access, never stored: see the class
+        docstring."""
+        return SimState(self)
+
     def run(self, until: float | None = None) -> None:
         """Process events up to ``until`` (default: the full duration).
 
@@ -339,7 +356,7 @@ class Simulation:
 
         The one pop/dispatch loop.  ``EV_SEND``, ``EV_ACK`` and
         ``EV_RCV`` -- ~95 % of all events -- are handled right here
-        instead of through a call (``None`` in ``self._handlers``);
+        instead of through a call (``None`` in :data:`_HANDLERS`);
         the rest dispatch through that table.  The clock and the push
         sequence counter are loop locals: controllers are handed
         ``now`` as an argument and nothing inline reads ``self.now``,
@@ -352,7 +369,7 @@ class Simulation:
         per-kind handlers this loop replaced.
         """
         heap = self._heap
-        handlers = self._handlers
+        handlers = _HANDLERS
         jitter = PACING_JITTER
         now = self.now
         seq = self._seq
@@ -506,7 +523,7 @@ class Simulation:
                 else:
                     self.now = now
                     self._seq = seq
-                    handlers[kind](flow, packet)
+                    handlers[kind](self, flow, packet)
                     seq = self._seq
         finally:
             # Also when a hook raises: whichever of the local and the
@@ -794,3 +811,14 @@ class Simulation:
             loss_rate=flow.overall_loss_rate(),
             records=list(flow.records),
         )
+
+
+#: The handler table :meth:`Simulation._drain` indexes by the EV_*
+#: event kinds, as plain functions called ``handlers[kind](sim, flow,
+#: packet)``; ``None`` marks a kind the loop handles inline.  It is one
+#: module-level tuple, not a per-simulation tuple of bound methods,
+#: which would make every simulation a reference cycle.
+_HANDLERS = (
+    Simulation._handle_start, None, Simulation._advance_packet,
+    None, None, Simulation._handle_loss,
+    Simulation._handle_ack_rto, Simulation._handle_mi)

@@ -36,6 +36,7 @@ RELATION_A = ("tests/test_metamorphic.py::"
 RELATION_C = ("tests/test_metamorphic.py::"
               "test_doubling_a_four_second_lot_changes_nothing")
 MI_ORACLE = "tests/test_mi_oracle.py::test_fixed_ramps_follow_the_closed_form"
+LIFETIME = "tests/test_cell_lifetime.py::test_every_kind_cell_is_freed"
 
 
 def law_killer(law: str) -> str:
@@ -69,20 +70,20 @@ MUTANTS = {
     # Link.transmit's four-value result.
     "rto-slot-dropped": Mutant(
         ENGINE,
-        "self._handle_ack_rto, self._handle_mi)",
-        "self._handle_mi)",
+        "Simulation._handle_ack_rto, Simulation._handle_mi)",
+        "Simulation._handle_mi)",
         (EVERY_KIND,)),
     "loss-rto-swapped": Mutant(
         ENGINE,
-        "None, None, self._handle_loss,\n"
-        "            self._handle_ack_rto, self._handle_mi)",
-        "None, None, self._handle_ack_rto,\n"
-        "            self._handle_loss, self._handle_mi)",
+        "None, None, Simulation._handle_loss,\n"
+        "    Simulation._handle_ack_rto, Simulation._handle_mi)",
+        "None, None, Simulation._handle_ack_rto,\n"
+        "    Simulation._handle_loss, Simulation._handle_mi)",
         (EVERY_KIND,)),
     "hop-slot-none": Mutant(
         ENGINE,
-        "self._handle_start, None, self._advance_packet,",
-        "self._handle_start, None, None,",
+        "Simulation._handle_start, None, Simulation._advance_packet,",
+        "Simulation._handle_start, None, None,",
         (EVERY_KIND,)),
     "push-4-tuple": Mutant(
         ENGINE,
@@ -128,6 +129,14 @@ MUTANTS = {
         "delivered, drop_kind, depart = \\\n"
         "                link.transmit(self.now, size)",
         (EVERY_KIND,)),
+    # A simulation that references itself is a cycle: a finished cell
+    # waits for the cyclic collector instead of freeing itself.
+    "engine-self-reference": Mutant(
+        ENGINE,
+        "        return SimState(self)",
+        "        self._state = SimState(self)\n"
+        "        return self._state",
+        (LIFETIME,)),
     # One per engine law, each breaking the law it names.
     "stale-rto-counted": Mutant(
         ENGINE,

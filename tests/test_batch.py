@@ -61,10 +61,11 @@ from strategies import PERF_SHAPES, batched_grid_scenarios, perf_scenarios
 from test_sweep_kills import run_sweep
 
 
-def solo_digest(scenario) -> str:
-    """Reference result: the cell alone, plain ``run_all``."""
+def solo_run(scenario) -> tuple[str, int]:
+    """Reference result: the cell alone, plain ``run_all``; its digest
+    and event count."""
     sim = build_scenario_simulation(scenario)
-    return records_digest(sim.run_all())
+    return records_digest(sim.run_all()), sim.events_processed
 
 
 def _branch_cells():
@@ -279,9 +280,15 @@ class TestBatchRunner:
         assert ([s.name for s, cell in zip(scenarios, cells) if cell.error]
                 == ["mixed/broken"] * (shape == "mixed"))
         for scenario, cell in zip(scenarios, cells):
+            # A cell that has run keeps its records and event count,
+            # not its simulation.
+            assert cell.sim is None
             if cell.error is None:
                 assert cell.events > 0 and cell.elapsed > 0.0
-                assert records_digest(cell.records) == solo_digest(scenario)
+                assert ((records_digest(cell.records), cell.events)
+                        == solo_run(scenario))
+            else:  # failed to build: nothing ran
+                assert (cell.records, cell.events) == (None, 0)
         # A batch's composition cannot matter: order, neighbours and
         # the dispatch path leave every cell's outcome where it was.
         forwards = [_outcome(cell) for cell in cells]
@@ -306,7 +313,7 @@ class TestBatchRunner:
         cells = BatchRunner().run(scenarios)
         for scenario, cell in zip(scenarios, cells):
             assert cell.error is None
-            assert records_digest(cell.records) == solo_digest(scenario)
+            assert records_digest(cell.records) == solo_run(scenario)[0]
 
     def test_cells_share_one_frozen_trace(self):
         scenarios = batched_grid_scenarios(cells=4, duration=0.25)
@@ -372,7 +379,7 @@ class TestBatchRunner:
         assert cells[1].records is None
         for cell in (cells[0], cells[2]):
             assert cell.error is None
-            assert records_digest(cell.records) == solo_digest(good)
+            assert records_digest(cell.records) == solo_run(good)[0]
 
     def test_warm_agent_refs_accepts_classical_schemes(self):
         # No AgentRefs anywhere: must be a no-op, not a crash.

@@ -24,6 +24,7 @@ import pytest
 
 import test_ack_wire_drop
 import test_batch
+import test_cell_lifetime
 import test_conservation
 import test_core_mocc
 import test_engine_invariants
@@ -39,6 +40,7 @@ import test_traces
 from mutants import (
     BLOCK_CHECKS,
     EVERY_KIND,
+    LIFETIME,
     MI_ORACLE,
     MUTANTS,
     RANK,
@@ -67,6 +69,8 @@ KILLERS = {
     RELATION_C: lambda ns: test_metamorphic.long_lot_scale_free(
         ns["Simulation"]),
     MI_ORACLE: lambda ns: test_mi_oracle.fixed_ramps_hold(ns["Flow"]),
+    LIFETIME: lambda ns: test_cell_lifetime.every_kind_cell_freed(
+        ns["Simulation"]),
     "tests/test_core_mocc.py::TestAdaptationTrace::"
     "test_convergence_smoothing_recentered_on_window_end":
         lambda ns: test_core_mocc.convergence_recentered_on_window_end(
