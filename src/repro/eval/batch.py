@@ -137,18 +137,12 @@ class BatchRunner:
             if cell.error is not None:
                 continue
             t0 = time.perf_counter()
-            _run_cell(cell)
+            sim, cell.sim = cell.sim, None
+            try:
+                cell.records = sim.run_all()
+            except Exception as exc:  # noqa: BLE001 -- isolate the cell
+                cell.error = f"{type(exc).__name__}: {exc}"
+            cell.events = sim.events_processed
+            del sim  # the last reference: the simulation is freed here
             cell.elapsed += time.perf_counter() - t0
         return cells
-
-
-def _run_cell(cell: BatchCell) -> None:
-    """Run ``cell`` to completion and keep what it produced.  The
-    simulation's last reference is this frame's, so it is freed on
-    return."""
-    sim, cell.sim = cell.sim, None
-    try:
-        cell.records = sim.run_all()
-    except Exception as exc:  # noqa: BLE001 -- isolate the cell
-        cell.error = f"{type(exc).__name__}: {exc}"
-    cell.events = sim.events_processed

@@ -157,8 +157,8 @@ class SimState:
     full-width slice.
 
     A handle is made on every access to :attr:`Simulation.state` and
-    is stateless, so two handles over one simulation are
-    interchangeable.  The simulation never stores one: a stored handle
+    holds nothing but its simulation, so two handles over one
+    simulation are interchangeable.  The simulation never stores one: a stored handle
     would point back at its owner, and that cycle would keep a
     finished cell alive until the cyclic collector ran (see
     :class:`Simulation`).
