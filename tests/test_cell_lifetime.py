@@ -21,7 +21,6 @@ from pathlib import Path
 
 import repro.eval.batch as batch
 from repro.core.agent import MoccAgent
-from repro.eval.batch import BatchRunner
 from repro.eval.scenarios import (
     ChurnSchedule,
     FlowDef,
@@ -45,7 +44,7 @@ def freed_by_refcounting(workload) -> None:
     dead, and a collection must find no cyclic garbage."""
     workload()
     gc.collect()
-    enabled = gc.isenabled()
+    enabled, flags = gc.isenabled(), gc.get_debug()
     gc.disable()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
@@ -54,7 +53,7 @@ def freed_by_refcounting(workload) -> None:
         gc.collect()
         garbage = Counter(type(obj).__name__ for obj in gc.garbage)
     finally:
-        gc.set_debug(0)
+        gc.set_debug(flags)
         gc.garbage.clear()
         if enabled:
             gc.enable()
@@ -163,7 +162,7 @@ def test_a_batch_drops_each_cell_once_it_has_run(monkeypatch):
 
     def batch_run():
         refs.clear()
-        cells = BatchRunner().run(scenarios)
+        cells = batch.BatchRunner().run(scenarios)
         assert [cell.sim for cell in cells] == [None] * len(scenarios)
         assert all(cell.records for cell in cells)
         assert [ref() for ref in refs] == [None] * len(scenarios)
