@@ -43,7 +43,7 @@ gym-style environments can interleave RL decisions with simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heappushpop
 
 import numpy as np
 
@@ -164,12 +164,16 @@ class SimState:
     :class:`Simulation`).
 
     Slicing is invisible: a slice boundary only decides *when* the
-    next ``heappop`` happens, never what it returns, and every handler
-    -- inline or on the table -- sees the popped event's own timestamp,
+    next pop happens, never what it returns, and every handler --
+    inline or on the table -- sees the popped event's own timestamp,
     so the horizon bump at the end of :meth:`step_until` can never
-    leak into the dynamics.  ``tests/test_golden_traces.py`` and
-    ``tests/test_batch.py`` (single-stepped cells == one-shot cells,
-    on every fused branch) pin it.
+    leak into the dynamics.  Between slices the heap holds every
+    pending event: the event ``_drain`` holds outside it (see there)
+    goes back in when a slice ends, so :meth:`peek_time`, :attr:`done`
+    and the next slice see the same heap whatever the cut.
+    ``tests/test_golden_traces.py`` and ``tests/test_batch.py``
+    (single-stepped cells == one-shot cells, on every fused branch;
+    any cut keeps the one-shot run and the pending events) pin it.
     """
 
     __slots__ = ("sim",)
@@ -367,6 +371,21 @@ class Simulation:
         :meth:`SimState.step_events` promises).  Heap keys, push order,
         RNG draw order and every float expression are those of the
         per-kind handlers this loop replaced.
+
+        The event an inline branch schedules last is *held* in a loop
+        local instead of pushed: the ack clock's send; a send's
+        first-hop event, or the flow's next send when it schedules one
+        (the hop event is then pushed); a pure-propagation receive's
+        ack or loss notice.  The next iteration pops through
+        ``heappushpop(heap, held)``, which returns the least of the
+        heap and ``held`` -- often ``held`` itself, with no sifting at
+        all.  Keys ``(time, seq)`` are unique, so that is the event a
+        push then a pop would return: pop order, and with it
+        everything above, is unchanged.  The out-of-line handlers push
+        through :meth:`_push` as before, and the ``finally`` block
+        pushes a still-held event back, so a spent budget or a raising
+        hook leaves the heap complete (an overshooting event was
+        pushed back already).
         """
         heap = self._heap
         handlers = _HANDLERS
@@ -374,12 +393,19 @@ class Simulation:
         now = self.now
         seq = self._seq
         processed = 0
+        held = None
         try:
-            while heap and processed != budget:
+            while processed != budget:
                 # Pop first: pushing the lone overshooting event back
                 # (key unchanged, so pop order is unaffected) beats
                 # re-reading ``heap[0][0]`` on every iteration.
-                item = heappop(heap)
+                if held is not None:
+                    item = heappushpop(heap, held)
+                    held = None
+                elif heap:
+                    item = heappop(heap)
+                else:
+                    break
                 time, _, kind, flow, packet = item
                 if time > horizon:
                     heappush(heap, item)
@@ -419,7 +445,7 @@ class Simulation:
                             and now < flow.stop_time:
                         flow.send_scheduled = True
                         seq += 1
-                        heappush(heap, (now, seq, EV_SEND, flow, None))
+                        held = (now, seq, EV_SEND, flow, None)
                 elif kind == EV_SEND:
                     flow.send_scheduled = False
                     if flow.stopped or now >= flow.stop_time:
@@ -466,14 +492,13 @@ class Simulation:
                         elif flow.n_links > 1:
                             packet.hop = 1
                             seq += 1
-                            heappush(heap, (
-                                self._dither_arrival(flow, packet, depart),
-                                seq, EV_HOP, flow, packet))
+                            held = (self._dither_arrival(flow, packet, depart),
+                                    seq, EV_HOP, flow, packet)
                         else:
                             packet.hop = 1
                             packet.arrival_time = depart
                             seq += 1
-                            heappush(heap, (depart, seq, EV_RCV, flow, packet))
+                            held = (depart, seq, EV_RCV, flow, packet)
                     if window:
                         if flow.inflight >= cwnd:
                             continue
@@ -496,8 +521,10 @@ class Simulation:
                     if due < flow.stop_time:
                         flow.send_scheduled = True
                         seq += 1
-                        heappush(heap, (due if due > now else now, seq,
-                                        EV_SEND, flow, None))
+                        if held is not None:
+                            heappush(heap, held)
+                        held = (due if due > now else now, seq,
+                                EV_SEND, flow, None)
                 elif kind == EV_RCV:
                     # The receiver observed the packet (or a drop's
                     # gap): its ack / loss notice walks the reverse
@@ -516,16 +543,19 @@ class Simulation:
                     cursor = now + pure
                     seq += 1
                     if packet.dropped:
-                        heappush(heap, (cursor, seq, EV_LOSS, flow, packet))
+                        held = (cursor, seq, EV_LOSS, flow, packet)
                     else:
                         packet.ack_time = cursor
-                        heappush(heap, (cursor, seq, EV_ACK, flow, packet))
+                        held = (cursor, seq, EV_ACK, flow, packet)
                 else:
                     self.now = now
                     self._seq = seq
                     handlers[kind](self, flow, packet)
                     seq = self._seq
         finally:
+            # A spent budget or a raising hook leaves the heap complete.
+            if held is not None:
+                heappush(heap, held)
             # Also when a hook raises: whichever of the local and the
             # attribute is ahead is current, and keeping it means the
             # heap never sees a sequence number twice.

@@ -37,6 +37,9 @@ RELATION_C = ("tests/test_metamorphic.py::"
               "test_doubling_a_four_second_lot_changes_nothing")
 MI_ORACLE = "tests/test_mi_oracle.py::test_fixed_ramps_follow_the_closed_form"
 LIFETIME = "tests/test_cell_lifetime.py::test_every_kind_cell_is_freed"
+SINGLE_STEPPING = ("tests/test_batch.py::TestSimStateStepping::"
+                   "test_single_stepping_every_fused_branch[step/dumbbell]")
+SLICING = "tests/test_batch.py::test_any_slicing_keeps_the_one_shot_run"
 
 
 def law_killer(law: str) -> str:
@@ -169,8 +172,23 @@ MUTANTS = {
     # every slice drains nothing.
     "negative-budget-drains-nothing": Mutant(
         ENGINE,
-        "while heap and processed != budget:",
-        "while heap and processed < budget:",
+        "while processed != budget:",
+        "while processed < budget:",
+        (law_killer("clock"),)),
+    # The event a branch scheduled last waits in a loop local instead
+    # of the heap: dropped when a step_events budget runs out, or
+    # handled next without racing the heap's earliest event.
+    "held-lost-at-slice-end": Mutant(
+        ENGINE,
+        "            if held is not None:\n"
+        "                heappush(heap, held)\n"
+        "            # Also when a hook raises",
+        "            # Also when a hook raises",
+        (SLICING, SINGLE_STEPPING)),
+    "held-jumps-the-heap": Mutant(
+        ENGINE,
+        "item = heappushpop(heap, held)",
+        "item = held",
         (law_killer("clock"),)),
     # A later hop's service demand in bytes, not packet-equivalents.
     "hop-size-in-bytes": Mutant(

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import pytest
 
-from mutants import EVERY_KIND, MUTANTS, RANK, mutated
+from mutants import EVERY_KIND, MUTANTS, RANK, SLICING, mutated
 
 ROOT = Path(__file__).resolve().parents[2]
 SCORE = Path(__file__).with_name("SCORE.json")
@@ -49,6 +49,7 @@ CLASSES = (
     ("tests/test_metamorphic.py::*", "law"),
     ("tests/test_mi_oracle.py::*", "law"),
     ("tests/test_sweep_kills.py::*", "law"),
+    (SLICING, "law"),
     ("tests/test_policy.py::TestInferencePlan::test_every_method_equals_"
      "forward_bit_for_bit", "law"),
 )

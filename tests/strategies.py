@@ -16,6 +16,9 @@
   :func:`late_faults` or :func:`zero_outage_flaps`.
 * :func:`scaled_cells` -- a cell and its twin at twice the capacity
   and twice the packet size, for the scale-invariance relation.
+* :func:`sliced_cells` -- a cell and the slices to step it in
+  (``tests/test_batch.py``): topology x churn x seed x a cycle of
+  ``step_events`` budgets and ``step_until`` widths.
 * :func:`objective_points` -- point sets in two or three objectives for
   the Pareto properties (``tests/test_pareto.py``).
 * :func:`flow_records` -- any ``FlowRecord`` the record codec stores,
@@ -328,6 +331,45 @@ def scaled_cells(draw) -> ScaledCell:
     return scaled_cell(draw(st.sampled_from(RELATION_LINEUPS)),
                        draw(st.sampled_from(RELATION_CHURNS)),
                        draw(st.integers(0, 7)))
+
+
+@dataclass(frozen=True)
+class SlicedCell:
+    """A cell and the slices that step it, repeated in turn until it is
+    done: ``("events", n)`` is ``step_events(n)``, ``("until", w)`` is
+    ``step_until(now + w)``."""
+
+    cell: Scenario
+    slices: tuple
+
+
+def sliced_cell(lineup: tuple, churn, seed: int, slices: tuple) -> SlicedCell:
+    """One of :data:`RELATION_LINEUPS` under ``churn``, cut by
+    ``slices``."""
+    topology, flows = lineup
+    name = (f"sliced/{topology.name}/"
+            f"{churn.label() if churn is not None else 'steady'}/s{seed}")
+    return SlicedCell(
+        cell=Scenario(name=name, network=EvalNetwork(), topology=topology,
+                      flows=flows, churn=churn, duration=RELATION_DURATION,
+                      seed=seed),
+        slices=slices)
+
+
+_SLICE = st.one_of(
+    st.tuples(st.just("events"), st.integers(1, 300)),
+    st.tuples(st.just("until"), st.floats(0.001, 0.4)))
+
+
+@st.composite
+def sliced_cells(draw) -> SlicedCell:
+    """Topology x churn x seed, cut by 1-4 drawn slices with a
+    one-event slice among them."""
+    slices = draw(st.lists(_SLICE, min_size=1, max_size=4))
+    slices.insert(draw(st.integers(0, len(slices))), ("events", 1))
+    return sliced_cell(draw(st.sampled_from(RELATION_LINEUPS)),
+                       draw(st.sampled_from(RELATION_CHURNS)),
+                       draw(st.integers(0, 3)), tuple(slices))
 
 
 #: One objective value: a small integer, so every box, union and

@@ -5,7 +5,9 @@ Three guarantees, layered:
 * **Stepping is invisible.**  ``SimState.step_until`` / ``step_events``
   partition ``run()``'s event loop arbitrarily without moving a single
   float: handlers stamp ``sim.now`` from the popped event, so slice
-  boundaries never leak into the dynamics.
+  boundaries never leak into the dynamics, and a slice leaves every
+  pending event in the heap -- pinned by single-stepping each fused
+  branch and by a property over drawn cells and cuts.
 * **Batching is invisible.**  ``BatchRunner`` builds N cells over
   shared frozen assets and runs them in turn in one process, so every
   cell's records are bit-identical to running it solo whatever the
@@ -31,6 +33,7 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import repro.eval.batch as batch_module
 import repro.eval.scenarios as scenarios_module
@@ -49,7 +52,7 @@ from repro.eval.scenarios import (
 from repro.eval.runner import EvalNetwork
 from repro.netsim.faults import (FaultProcess, GilbertElliottLoss,
                                  LinkFlapSchedule, RateBrownout)
-from repro.netsim.network import SimState
+from repro.netsim.network import SimState, Simulation
 from repro.netsim.topology import dumbbell, dumbbell_asymmetric, parking_lot
 from repro.netsim.traces import (
     BandwidthTrace,
@@ -57,7 +60,14 @@ from repro.netsim.traces import (
     make_trace,
     trace_names,
 )
-from strategies import PERF_SHAPES, batched_grid_scenarios, perf_scenarios
+from strategies import (
+    PERF_SHAPES,
+    RELATION_LINEUPS,
+    batched_grid_scenarios,
+    perf_scenarios,
+    sliced_cell,
+    sliced_cells,
+)
 from test_sweep_kills import run_sweep
 
 
@@ -118,24 +128,35 @@ def _loop_state(sim):
               link.dropped_fault, link.busy_until) for link in sim.links])
 
 
+#: :func:`_branch_cells` by name.
+BRANCH_CELLS = {cell.name: cell for cell in _branch_cells()}
+
+
+def single_stepping_holds(cell, simulation_cls) -> None:
+    """Every event its own slice, on ``simulation_cls``: the loop-local
+    clock, sequence counter and held event are written back at each
+    boundary on each branch."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenarios_module, "Simulation", simulation_cls)
+        whole = build_scenario_simulation(cell)
+        sim = build_scenario_simulation(cell)
+    reference = records_digest(whole.run_all())
+    state = sim.state
+    while not state.done:
+        due = state.peek_time()
+        assert state.step_events(1) == 1
+        assert sim.now == due
+    state.step_until(None)  # nothing left; lands the clock
+    assert _loop_state(sim) == _loop_state(whole)
+    assert records_digest(sim.run_all()) == reference
+
+
 class TestSimStateStepping:
     """The resumable core against the one-shot loop."""
 
-    @pytest.mark.parametrize("cell", _branch_cells(), ids=lambda c: c.name)
-    def test_single_stepping_every_fused_branch(self, cell):
-        """Every event its own slice: the loop-local clock and sequence
-        counter are written back at each boundary on each branch."""
-        whole = build_scenario_simulation(cell)
-        reference = records_digest(whole.run_all())
-        sim = build_scenario_simulation(cell)
-        state = sim.state
-        while not state.done:
-            due = state.peek_time()
-            assert state.step_events(1) == 1
-            assert sim.now == due
-        state.step_until(None)  # nothing left; lands the clock
-        assert _loop_state(sim) == _loop_state(whole)
-        assert records_digest(sim.run_all()) == reference
+    @pytest.mark.parametrize("name", BRANCH_CELLS)
+    def test_single_stepping_every_fused_branch(self, name):
+        single_stepping_holds(BRANCH_CELLS[name], Simulation)
 
     def test_empty_slices_process_and_move_nothing(self, scenario):
         sim = build_scenario_simulation(scenario)
@@ -225,6 +246,52 @@ class TestSimStateStepping:
         sim.run(0.5)
         assert sim.now == 0.5
         assert not sim.state.done
+
+
+def pending_keys(sim) -> list:
+    """The ``(time, seq)`` keys of every pending event, sorted."""
+    return sorted(item[:2] for item in sim._heap)
+
+
+def slicing_holds(sliced, simulation_cls) -> None:
+    """``sliced.cell`` stepped in ``sliced.slices`` on
+    ``simulation_cls`` ends as its one-shot run does, and after every
+    slice its pending events are those of a twin stepped one event at
+    a time to the same count."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenarios_module, "Simulation", simulation_cls)
+        whole, sim, twin = (build_scenario_simulation(sliced.cell)
+                            for _ in range(3))
+    reference = records_digest(whole.run_all()), whole.events_processed
+    state, twin_state = sim.state, twin.state
+    cuts = 0
+    while not state.done:
+        kind, size = sliced.slices[cuts % len(sliced.slices)]
+        cuts += 1
+        before = sim.events_processed, sim.now
+        if kind == "events":
+            state.step_events(size)
+        else:
+            state.step_until(sim.now + size)
+        # A slice that moves neither would repeat forever.
+        assert (sim.events_processed, sim.now) != before, (cuts, sim.now)
+        while twin.events_processed < sim.events_processed:
+            assert twin_state.step_events(1) == 1, (cuts, twin.now)
+        assert pending_keys(sim) == pending_keys(twin), (cuts, sim.now)
+    state.step_until(None)
+    assert (records_digest(sim.run_all()), sim.events_processed) == reference
+
+
+#: :func:`slicing_holds`' fixed example: the 2-hop lot, cut alternately
+#: after one event and after 0.05 s.
+SLICED_LOT = sliced_cell(RELATION_LINEUPS[0], None, 0,
+                         (("events", 1), ("until", 0.05)))
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(sliced=sliced_cells())
+def test_any_slicing_keeps_the_one_shot_run(sliced):
+    slicing_holds(sliced, Simulation)
 
 
 class TestPerfShapes:

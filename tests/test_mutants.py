@@ -46,6 +46,8 @@ from mutants import (
     RANK,
     RELATION_A,
     RELATION_C,
+    SINGLE_STEPPING,
+    SLICING,
     law_killer,
     load,
     mutated,
@@ -71,6 +73,10 @@ KILLERS = {
     MI_ORACLE: lambda ns: test_mi_oracle.fixed_ramps_hold(ns["Flow"]),
     LIFETIME: lambda ns: test_cell_lifetime.every_kind_cell_freed(
         ns["Simulation"]),
+    SINGLE_STEPPING: lambda ns: test_batch.single_stepping_holds(
+        test_batch.BRANCH_CELLS["step/dumbbell"], ns["Simulation"]),
+    SLICING: lambda ns: test_batch.slicing_holds(test_batch.SLICED_LOT,
+                                                 ns["Simulation"]),
     "tests/test_core_mocc.py::TestAdaptationTrace::"
     "test_convergence_smoothing_recentered_on_window_end":
         lambda ns: test_core_mocc.convergence_recentered_on_window_end(
