@@ -75,7 +75,7 @@ class Orca(Controller):
     # --- the coarse RL supervision loop ----------------------------------------
 
     def on_mi(self, flow: Flow, stats: MonitorIntervalStats, now: float) -> None:
-        self.history.push(flow, stats)
+        self.history.push(stats, stats.rate_pps)
         self._mi_count += 1
         if self._plan is None or self._mi_count % self.rl_interval != 0:
             return

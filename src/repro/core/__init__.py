@@ -2,8 +2,7 @@
 
 * :mod:`repro.core.weights` -- application requirement vectors and the
   landmark-objective simplex grids (§4.1, §4.2).
-* :mod:`repro.core.objectives` -- the dynamic reward function (Eq. 2)
-  and the online capacity/base-latency estimators.
+* :mod:`repro.core.objectives` -- the dynamic reward function (Eq. 2).
 * :mod:`repro.core.sorting` -- the neighbourhood-based objective sorting
   algorithm (Appendix B, Algorithm 1).
 * :mod:`repro.core.agent` -- the preference-conditioned MOCC agent and
@@ -25,7 +24,7 @@ from repro.core.weights import (
     simplex_grid,
     validate_weights,
 )
-from repro.core.objectives import OnlineEstimator, dynamic_reward
+from repro.core.objectives import dynamic_reward
 from repro.core.sorting import neighborhood_sort, objective_graph
 from repro.core.agent import MoccAgent, MoccController
 from repro.core.offline import OfflineTrainer, OfflineResult
@@ -42,7 +41,6 @@ __all__ = [
     "sample_weight",
     "project_to_simplex",
     "dynamic_reward",
-    "OnlineEstimator",
     "objective_graph",
     "neighborhood_sort",
     "MoccAgent",

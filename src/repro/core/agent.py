@@ -146,7 +146,7 @@ class PolicyRateController(Controller):
         self._plan = self.model.plan(self.weights)
 
     def on_mi(self, flow: Flow, stats: MonitorIntervalStats, now: float) -> None:
-        self.history.push(flow, stats)
+        self.history.push(stats, stats.rate_pps)
         action = self._plan.action(self.history.buffer, self.rng,
                                    self.deterministic)
         self.inference_count += 1

@@ -1,4 +1,4 @@
-"""The dynamic reward function (Eq. 2) and online estimators.
+"""The dynamic reward function (Eq. 2).
 
     r_t = w_thr * O_thr + w_lat * O_lat + w_loss * O_loss
 
@@ -8,78 +8,18 @@ with the three performance measures normalised to [0, 1]:
 * ``O_lat  = base link latency / measured latency``
 * ``O_loss = 1 - lost packets / total packets``
 
-In simulation the capacity and base latency are known; online, the
-paper estimates them from the *measured maximum throughput* and
-*minimum delay* (§4.1) -- :class:`OnlineEstimator` implements exactly
-that, with an exponential forgetting option so capacity changes are
-eventually tracked.
+In simulation the capacity and base latency are known: the env builds
+each interval's components with
+:func:`repro.netsim.env.components_from_stats`.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.netsim.env import RewardComponents
 
-__all__ = ["dynamic_reward", "components_from_measurements", "OnlineEstimator"]
+__all__ = ["dynamic_reward"]
 
 
 def dynamic_reward(components: RewardComponents, weights) -> float:
     """Eq. 2: scalarise reward components with an application weight."""
     return components.weighted(weights)
-
-
-def components_from_measurements(throughput: float, latency: float, loss_rate: float,
-                                 capacity: float, base_latency: float) -> RewardComponents:
-    """Build reward components from raw measurements.
-
-    ``throughput``/``capacity`` may be in any common unit; ``latency``
-    and ``base_latency`` likewise.  Values are clipped into [0, 1].
-    """
-    o_thr = min(throughput / capacity, 1.0) if capacity > 0 else 0.0
-    o_lat = min(base_latency / latency, 1.0) if latency > 0 else 0.0
-    o_loss = 1.0 - float(np.clip(loss_rate, 0.0, 1.0))
-    return RewardComponents(o_thr=max(o_thr, 0.0), o_lat=max(o_lat, 0.0), o_loss=o_loss)
-
-
-class OnlineEstimator:
-    """Running estimates of link capacity and base latency (§4.1).
-
-    The capacity estimate is the maximum throughput observed; the base
-    latency is the minimum delay observed.  A ``decay`` slightly relaxes
-    both each update so the estimator eventually adapts when the path
-    changes (set ``decay=0`` for the paper's pure max/min).
-    """
-
-    def __init__(self, decay: float = 0.0):
-        if not 0.0 <= decay < 1.0:
-            raise ValueError("decay must be in [0, 1)")
-        self.decay = decay
-        self.capacity: float | None = None
-        self.base_latency: float | None = None
-
-    def update(self, throughput: float, latency: float | None) -> None:
-        """Fold one interval's measurements into the estimates."""
-        if throughput > 0:
-            if self.capacity is None:
-                self.capacity = throughput
-            else:
-                if self.decay:
-                    self.capacity *= (1.0 - self.decay)
-                self.capacity = max(self.capacity, throughput)
-        if latency is not None and latency > 0:
-            if self.base_latency is None:
-                self.base_latency = latency
-            else:
-                if self.decay:
-                    self.base_latency *= (1.0 + self.decay)
-                self.base_latency = min(self.base_latency, latency)
-
-    def components(self, throughput: float, latency: float | None,
-                   loss_rate: float) -> RewardComponents:
-        """Reward components using the current estimates."""
-        self.update(throughput, latency)
-        if self.capacity is None or self.base_latency is None or latency is None:
-            return RewardComponents(0.0, 0.0, 1.0 - float(np.clip(loss_rate, 0, 1)))
-        return components_from_measurements(
-            throughput, latency, loss_rate, self.capacity, self.base_latency)

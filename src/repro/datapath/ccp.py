@@ -9,7 +9,9 @@ The agent -- here, the MOCC library -- is therefore consulted once per
 kernel-space MOCC's CPU overhead is close to Orca/CUBIC in Fig. 17.
 
 Between reports the datapath keeps sending at the last rate the agent
-installed, exactly as a CCP datapath program would.
+installed, exactly as a CCP datapath program would.  A report folds the
+batch into one interval: counts and durations add up, and the mean RTT
+and the RTT slope are the acked-weighted means of the intervals'.
 """
 
 from __future__ import annotations
@@ -44,16 +46,21 @@ class CcpShim(Controller):
         acked = sum(s.acked for s in self._pending)
         lost = sum(s.lost for s in self._pending)
         duration = sum(s.duration for s in self._pending)
-        rtts = [(s.mean_rtt, s.acked) for s in self._pending if s.mean_rtt is not None]
+        rtts = [(s.mean_rtt, s.latency_gradient, s.acked)
+                for s in self._pending if s.mean_rtt is not None]
         if rtts:
-            total_acked = sum(a for _, a in rtts)
-            mean_rtt = (sum(r * a for r, a in rtts) / total_acked
-                        if total_acked else rtts[-1][0])
+            total_acked = sum(a for _, _, a in rtts)
+            if total_acked:
+                mean_rtt = sum(r * a for r, _, a in rtts) / total_acked
+                gradient = sum(g * a for _, g, a in rtts) / total_acked
+            else:
+                mean_rtt, gradient, _ = rtts[-1]
         else:
-            mean_rtt = None
+            mean_rtt, gradient = None, 0.0
         self._pending = []
         self.library.report_status(NetworkStatus(
-            sent=sent, acked=acked, lost=lost, mean_rtt=mean_rtt, duration=duration))
+            sent=sent, acked=acked, lost=lost, mean_rtt=mean_rtt,
+            latency_gradient=gradient, duration=duration))
         self.rate = self.library.get_sending_rate()
 
     def pacing_rate(self, now: float) -> float:

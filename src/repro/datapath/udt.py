@@ -29,7 +29,9 @@ class UdtShim(Controller):
 
     def on_mi(self, flow: Flow, stats: MonitorIntervalStats, now: float) -> None:
         status = NetworkStatus(sent=stats.sent, acked=stats.acked, lost=stats.lost,
-                               mean_rtt=stats.mean_rtt, duration=stats.duration)
+                               mean_rtt=stats.mean_rtt,
+                               latency_gradient=stats.latency_gradient,
+                               duration=stats.duration)
         self.library.report_status(status)
         self.rate = self.library.get_sending_rate()
 

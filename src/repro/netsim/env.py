@@ -179,7 +179,8 @@ class CongestionControlEnv:
         # reflects real measurements rather than the neutral fill.
         self._sim.run(until=self._mi)
         if self._flow.records:
-            self.history.push(self._flow, self._flow.records[-1])
+            stats = self._flow.records[-1]
+            self.history.push(stats, stats.rate_pps)
         return self.history.vector()
 
     def step(self, action: float):
@@ -205,7 +206,7 @@ class CongestionControlEnv:
             stats = flow.finish_mi(target, self._link_capacity(), sim.base_rtt,
                                    controller.rate)
         components = components_from_stats(stats)
-        self.history.push(flow, stats)
+        self.history.push(stats, stats.rate_pps)
         self._steps += 1
         done = self._steps >= self.max_steps
         info = {"stats": stats, "rate_pps": controller.rate,

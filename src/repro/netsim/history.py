@@ -15,16 +15,27 @@ gradient 0), so a policy cannot tell 10 % utilisation from 99 % and the
 budgets.  The max-throughput normaliser is the paper's own online link
 capacity estimator (§4.1), so ``r_t`` is sender-observable and
 scale-free.
+
+:meth:`StatHistory.push` is the one place these four features are
+derived -- for the training env, the simulator's policy controllers,
+Orca and the §5 library alike.  The history owns the two running
+trackers they normalise by: the best (lowest) mean RTT of any pushed
+interval, the base of ``p_t``, and the maximum delivered throughput,
+the capacity estimate behind ``r_t``.  ``reset`` clears both, so a
+history reset at flow start sees exactly the intervals of that flow.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.netsim.sender import Flow, LATENCY_RATIO_CAP, MonitorIntervalStats
+from repro.netsim.sender import LATENCY_RATIO_CAP
 
-__all__ = ["StatHistory", "GRADIENT_SCALE", "RATE_RATIO_CAP"]
+__all__ = ["StatHistory", "GRADIENT_SCALE", "RATE_RATIO_CAP", "SEND_RATIO_CAP"]
 
+#: Cap on the send ratio; also its value for an MI that sent but saw
+#: no acks.
+SEND_RATIO_CAP = 5.0
 #: Latency gradients are tiny (seconds of RTT change per second); scale
 #: them so all features share a comparable numeric range.
 GRADIENT_SCALE = 10.0
@@ -63,8 +74,14 @@ class StatHistory:
         self.reset()
 
     def reset(self) -> None:
-        """Fill with the neutral statistic <l=1, p=1, q=0, r=1>."""
+        """Fill with the neutral statistic <l=1, p=1, q=0, r=1> and
+        forget both trackers."""
         self.buffer.reshape(self.length, self.FEATURES)[:] = (1.0, 1.0, 0.0, 1.0)
+        #: Lowest mean RTT of any pushed interval (the base of ``p_t``).
+        self.best_mean_rtt: float | None = None
+        #: Highest delivered throughput of any pushed interval, pps --
+        #: the online link-capacity estimate (§4.1) ``r_t`` divides by.
+        self.max_throughput = 0.0
 
     def _append(self, send_ratio: float, latency_ratio: float,
                 gradient: float, rate_ratio: float) -> None:
@@ -75,14 +92,40 @@ class StatHistory:
         buf[-2] = gradient
         buf[-1] = rate_ratio
 
-    def push(self, flow: Flow, stats: MonitorIntervalStats) -> None:
-        """Append the statistics of one finished monitor interval."""
-        max_thr = flow.max_throughput_seen
-        if max_thr and max_thr > 0:
-            rate_ratio = _clamp(stats.rate_pps / max_thr, 0.0, RATE_RATIO_CAP)
+    def push(self, stats, rate: float) -> None:
+        """Derive one interval's four features and append them.
+
+        ``stats`` is a :class:`~repro.netsim.sender.MonitorIntervalStats`
+        or a :class:`~repro.core.library.NetworkStatus`: only its
+        ``sent``, ``acked``, ``mean_rtt``, ``latency_gradient`` and
+        ``duration`` are read.  ``rate`` is the sending rate in force
+        over the interval, pps.
+        """
+        sent = stats.sent
+        acked = stats.acked
+        if acked == 0:
+            send_ratio = SEND_RATIO_CAP if sent > 0 else 1.0
+        else:
+            send_ratio = min(sent / acked, SEND_RATIO_CAP)
+        mean_rtt = stats.mean_rtt
+        if mean_rtt is None:
+            latency_ratio = LATENCY_RATIO_CAP
+        else:
+            best = self.best_mean_rtt
+            if best is None or mean_rtt < best:
+                self.best_mean_rtt = best = mean_rtt
+            latency_ratio = min(mean_rtt / best, LATENCY_RATIO_CAP)
+        duration = stats.duration
+        if duration > 0:
+            throughput = acked / duration
+            if throughput > self.max_throughput:
+                self.max_throughput = throughput
+        max_thr = self.max_throughput
+        if max_thr > 0:
+            rate_ratio = _clamp(rate / max_thr, 0.0, RATE_RATIO_CAP)
         else:
             rate_ratio = 1.0
-        self._append(stats.send_ratio(), flow.latency_ratio(stats),
+        self._append(send_ratio, latency_ratio,
                      _clamp(stats.latency_gradient * GRADIENT_SCALE, -10.0, 10.0),
                      rate_ratio)
 

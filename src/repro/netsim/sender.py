@@ -11,11 +11,9 @@ paper evaluates:
 
 Statistics are aggregated per *monitor interval* (MI), the sensing
 granularity of learning-based CC (§4.1): packets sent/acked/lost, mean
-RTT, and the three state features the paper feeds its model --
-
-* sending ratio ``l_t``      = packets sent / packets acked,
-* latency ratio ``p_t``      = mean RTT of this MI / min mean RTT seen,
-* latency gradient ``q_t``   = d RTT / dt (regression slope over acks).
+RTT and the latency gradient ``q_t`` = d RTT / dt (regression slope
+over the MI's acks).  The policy's features are derived from them by
+:meth:`repro.netsim.history.StatHistory.push`.
 """
 
 from __future__ import annotations
@@ -29,8 +27,7 @@ from repro.netsim.packet import Packet
 
 __all__ = ["Controller", "ExternalRateController", "MonitorIntervalStats", "Flow"]
 
-#: Feature caps keep state inputs bounded when an MI sees no acks.
-SEND_RATIO_CAP = 5.0
+#: Cap on latency ratios: bounds a state input when an MI sees no acks.
 LATENCY_RATIO_CAP = 10.0
 
 #: Default wire size of an acknowledgement, bytes (re-exported as
@@ -161,12 +158,6 @@ class MonitorIntervalStats:
             return LATENCY_RATIO_CAP
         return self.mean_rtt / self.base_rtt
 
-    def send_ratio(self) -> float:
-        """l_t = sent/acked, capped when nothing was acknowledged."""
-        if self.acked == 0:
-            return SEND_RATIO_CAP if self.sent > 0 else 1.0
-        return min(self.sent / self.acked, SEND_RATIO_CAP)
-
 
 class Flow:
     """Runtime state of one flow inside a simulation."""
@@ -264,8 +255,6 @@ class Flow:
         self.min_rtt_seen: float | None = None
         self.last_rtt: float | None = None
         self.srtt: float | None = None
-        #: Online link-capacity estimate (max observed MI throughput, §4.1).
-        self.max_throughput_seen: float = 0.0
 
         # Current-MI accumulators.  RTT samples stream into flat C
         # double arrays (time, rtt) instead of a list of tuples: one
@@ -290,7 +279,6 @@ class Flow:
         # History.
         self.records: list[MonitorIntervalStats] = []
         self.packets: list[Packet] = []
-        self._min_mean_rtt: float | None = None
 
     def set_ack_bytes(self, ack_bytes: int) -> None:
         """Set the ack wire size, keeping ``ack_size`` consistent."""
@@ -369,26 +357,15 @@ class Flow:
             gradient = (_rtt_slope_arrays(np.frombuffer(self._mi_times), rtts,
                                           rtt_mean)
                         if n > 1 else 0.0)
-            if self._min_mean_rtt is None or mean_rtt < self._min_mean_rtt:
-                self._min_mean_rtt = mean_rtt
         else:
             mean_rtt = None
             min_rtt = None
             gradient = 0.0
-        # Positional, in field order; duration and throughput are the
-        # ``stats.duration`` / ``stats.throughput_pps`` expressions
-        # without the property calls.
-        start = self.mi_start
-        acked = self.mi_acked
+        # Positional, in field order.
         stats = MonitorIntervalStats(
-            self.flow_id, start, now, self.mi_sent, acked, self.mi_lost,
-            mean_rtt, min_rtt, gradient, capacity_pps, base_rtt,
+            self.flow_id, self.mi_start, now, self.mi_sent, self.mi_acked,
+            self.mi_lost, mean_rtt, min_rtt, gradient, capacity_pps, base_rtt,
             self.packet_bytes, rate_pps)
-        duration = now - start
-        if duration > 0:
-            throughput = acked / duration
-            if throughput > self.max_throughput_seen:
-                self.max_throughput_seen = throughput
         self.records.append(stats)
         self.mi_start = now
         self.mi_sent = 0
@@ -398,12 +375,6 @@ class Flow:
         self._mi_rtts = array("d")
         self._mi_min_rtt = float("inf")
         return stats
-
-    def latency_ratio(self, stats: MonitorIntervalStats) -> float:
-        """p_t = mean RTT of the MI over the best mean RTT seen so far."""
-        if stats.mean_rtt is None or self._min_mean_rtt is None:
-            return LATENCY_RATIO_CAP
-        return min(stats.mean_rtt / self._min_mean_rtt, LATENCY_RATIO_CAP)
 
     # --- aggregates -----------------------------------------------------------
 

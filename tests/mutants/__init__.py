@@ -40,6 +40,10 @@ LIFETIME = "tests/test_cell_lifetime.py::test_every_kind_cell_is_freed"
 SINGLE_STEPPING = ("tests/test_batch.py::TestSimStateStepping::"
                    "test_single_stepping_every_fused_branch[step/dumbbell]")
 SLICING = "tests/test_batch.py::test_any_slicing_keeps_the_one_shot_run"
+LIBRARY_GRADIENT = ("tests/test_library_features.py::"
+                    "test_library_feature_equals_the_envs[latency-gradient]")
+DEPLOYED_UDT = ("tests/test_library_features.py::"
+                "test_deployed_udt_flow_sees_the_training_history")
 
 
 def law_killer(law: str) -> str:
@@ -215,10 +219,17 @@ MUTANTS = {
         "rtt_mean = np.add.reduce(rtts) / (n + 1)\n",
         (MI_ORACLE,)),
     "max-throughput-never-raised": Mutant(
-        "repro.netsim.sender",
-        "                self.max_throughput_seen = throughput\n",
+        "repro.netsim.history",
+        "                self.max_throughput = throughput\n",
         "                pass\n",
         (MI_ORACLE,)),
+    # The deployed path's features against training's: a datapath shim
+    # that reports no RTT slope.
+    "udt-drops-the-slope": Mutant(
+        "repro.datapath.udt",
+        "latency_gradient=stats.latency_gradient",
+        "latency_gradient=0.0",
+        (LIBRARY_GRADIENT, DEPLOYED_UDT)),
     # The record codec's read-time checks: a frame whose body goes on
     # after its last block, a block length nobody compares with its
     # row count.

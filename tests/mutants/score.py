@@ -112,6 +112,10 @@ def run_jobs(ids: list[str], jobs: int) -> dict:
                       flush=True)
             return found
 
+    # Import every mutant's module before the threads do: two threads
+    # importing one package at once can see it half initialised.
+    for mutant_id in ids:
+        importlib.import_module(MUTANTS[mutant_id].module)
     with ThreadPoolExecutor(jobs) as pool:
         shares = pool.map(job, [ids[i::jobs] for i in range(jobs)])
     return {k: v for share in shares for k, v in share.items()}

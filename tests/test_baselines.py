@@ -245,7 +245,7 @@ class TestRLBaselines:
 
         class ActPathOrca(Orca):
             def on_mi(self, flow, stats, now):
-                self.history.push(flow, stats)
+                self.history.push(stats, stats.rate_pps)
                 self._mi_count += 1
                 if self._mi_count % self.rl_interval != 0:
                     return

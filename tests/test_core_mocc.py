@@ -6,11 +6,7 @@ import pytest
 from repro.config import DEFAULT_TRAINING
 from repro.core.agent import MoccAgent, MoccController, PolicyRateController
 from repro.core.library import MOCC, NetworkStatus
-from repro.core.objectives import (
-    OnlineEstimator,
-    components_from_measurements,
-    dynamic_reward,
-)
+from repro.core.objectives import dynamic_reward
 from repro.core.online import AdaptationTrace, RequirementReplay
 from repro.netsim.env import RewardComponents, apply_action
 from repro.netsim.packet import Packet
@@ -18,52 +14,10 @@ from repro.netsim.sender import ExternalRateController, Flow
 
 
 class TestObjectives:
-    def test_components_basic(self):
-        comps = components_from_measurements(
-            throughput=50.0, latency=0.08, loss_rate=0.1,
-            capacity=100.0, base_latency=0.04)
-        assert comps.o_thr == pytest.approx(0.5)
-        assert comps.o_lat == pytest.approx(0.5)
-        assert comps.o_loss == pytest.approx(0.9)
-
-    def test_components_clipped(self):
-        comps = components_from_measurements(200.0, 0.01, 0.0, 100.0, 0.04)
-        assert comps.o_thr == 1.0
-        assert comps.o_lat == 1.0
-
     def test_dynamic_reward_eq2(self):
         comps = RewardComponents(1.0, 0.5, 0.8)
         r = dynamic_reward(comps, [0.6, 0.3, 0.1])
         assert r == pytest.approx(0.6 + 0.15 + 0.08)
-
-    def test_estimator_tracks_max_and_min(self):
-        est = OnlineEstimator()
-        est.update(50.0, 0.08)
-        est.update(80.0, 0.05)
-        est.update(60.0, 0.09)
-        assert est.capacity == pytest.approx(80.0)
-        assert est.base_latency == pytest.approx(0.05)
-
-    def test_estimator_components(self):
-        est = OnlineEstimator()
-        est.update(100.0, 0.04)
-        comps = est.components(throughput=50.0, latency=0.08, loss_rate=0.0)
-        assert comps.o_thr == pytest.approx(0.5)
-        assert comps.o_lat == pytest.approx(0.5)
-
-    def test_estimator_decay_relaxes(self):
-        est = OnlineEstimator(decay=0.1)
-        est.update(100.0, 0.04)
-        for _ in range(10):
-            est.update(50.0, 0.08)
-        assert est.capacity < 100.0
-        assert est.base_latency > 0.04
-
-    def test_estimator_handles_missing_latency(self):
-        est = OnlineEstimator()
-        comps = est.components(throughput=10.0, latency=None, loss_rate=0.2)
-        assert comps.o_lat == 0.0
-        assert comps.o_loss == pytest.approx(0.8)
 
 
 class TestMoccAgent:
@@ -131,7 +85,7 @@ class ActPathController(PolicyRateController):
     ``model.act`` (critic, log-prob, caches) every interval."""
 
     def on_mi(self, flow, stats, now):
-        self.history.push(flow, stats)
+        self.history.push(stats, stats.rate_pps)
         w = self.weights if self.model.weight_dim > 0 else None
         action, _, _ = self.model.act(self.history.vector(), w, self.rng,
                                       deterministic=self.deterministic)
@@ -208,7 +162,7 @@ class TestInferencePath:
     def test_library_register_picks_up_reloaded_model(self):
         agent, other = (MoccAgent(DEFAULT_TRAINING, seed=s) for s in (1, 2))
         status = NetworkStatus(sent=20, acked=19, lost=1, mean_rtt=0.05,
-                               duration=0.05)
+                               latency_gradient=0.0, duration=0.05)
         lib, fresh = MOCC(agent), MOCC(other)
         lib.register(W)
         agent.model.load_state_dict(other.model.state_dict())
@@ -227,7 +181,8 @@ class TestInferencePath:
         lib = MOCC(agent, initial_rate=100.0)
         lib.register(W)
         lib.report_status(NetworkStatus(sent=20, acked=19, lost=1,
-                                        mean_rtt=0.05, duration=0.05))
+                                        mean_rtt=0.05, latency_gradient=0.0,
+                                        duration=0.05))
         action = agent.act(lib.history.vector(), lib.weights, lib.rng)
         want = apply_action(100.0, action, agent.config.action_scale)
         assert lib.get_sending_rate() == want
@@ -248,14 +203,15 @@ class TestLibraryAPI:
         with pytest.raises(RuntimeError):
             lib.get_sending_rate()
         with pytest.raises(RuntimeError):
-            lib.report_status(NetworkStatus(1, 1, 0, 0.05, 0.1))
+            lib.report_status(NetworkStatus(1, 1, 0, 0.05, 0.0, 0.1))
 
     def test_rate_changes_after_status(self):
         lib = self._lib()
         lib.register([0.8, 0.1, 0.1])
         for _ in range(3):
             lib.report_status(NetworkStatus(sent=20, acked=19, lost=1,
-                                            mean_rtt=0.05, duration=0.05))
+                                            mean_rtt=0.05, latency_gradient=0.0,
+                                            duration=0.05))
             rate = lib.get_sending_rate()
         assert rate > 0
         assert lib.inference_count == 3
@@ -264,13 +220,14 @@ class TestLibraryAPI:
         lib = self._lib()
         lib.register([0.5, 0.3, 0.2])
         with pytest.raises(ValueError):
-            lib.report_status(NetworkStatus(1, 1, 0, 0.05, 0.0))
+            lib.report_status(NetworkStatus(1, 1, 0, 0.05, 0.0, 0.0))
 
     def test_handles_silent_interval(self):
         lib = self._lib()
         lib.register([0.5, 0.3, 0.2])
         lib.report_status(NetworkStatus(sent=0, acked=0, lost=0,
-                                        mean_rtt=None, duration=0.1))
+                                        mean_rtt=None, latency_gradient=0.0,
+                                        duration=0.1))
         assert lib.get_sending_rate() > 0
 
 

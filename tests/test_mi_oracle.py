@@ -11,12 +11,13 @@ exact rational arithmetic is exact.  Per interval the oracle expects:
   distinct times, else 0 (zero or one ack, or simultaneous acks);
 * ``mean_rtt == a + b * mean(t)``, and ``None`` with no acks;
 
-each within 1e-12 relative.  After every interval
-``max_throughput_seen`` is the running maximum of ``acked / duration``.
+each within 1e-12 relative.  Each interval is pushed into a
+:class:`~repro.netsim.history.StatHistory`, whose ``max_throughput``
+tracker after every push is the running maximum of ``acked / duration``.
 
 The oracle on the fixed ramps is the killer ``tests/mutants`` names for
-its three ``sender.py`` defects: it alone -- no digest -- must find
-each.
+its two ``sender.py`` defects and its ``history.py`` one: it alone -- no
+digest -- must find each.
 """
 
 from fractions import Fraction
@@ -24,6 +25,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings, strategies as st
 
 import repro.netsim.sender as sender
+from repro.netsim.history import StatHistory
 from repro.netsim.packet import Packet
 
 #: Seconds at which the first interval opens: far enough from 0 that an
@@ -32,15 +34,17 @@ T0 = 1.0
 REL = 1e-12
 
 
-def drive(flow_cls, a: Fraction, b: Fraction, intervals) -> tuple:
-    """Run the ramp through a fresh flow.
+def drive(flow_cls, a: Fraction, b: Fraction, intervals,
+          history_cls=StatHistory) -> tuple:
+    """Run the ramp through a fresh flow and a ``history_cls`` history.
 
     ``intervals`` is a list of ``(length, ticks)``: the interval lasts
     ``length`` seconds and acks at ``start + tick/1024 * length``.
     Returns ``(flow, times, maxima)``: per interval, its exact ack times
-    and ``max_throughput_seen`` right after its close.
+    and the history's ``max_throughput`` right after its push.
     """
     flow = flow_cls(0, sender.ExternalRateController(100.0), start_time=T0)
+    history = history_cls(1)
     start, seq, times, maxima = Fraction(T0), 0, [], []
     for length, ticks in intervals:
         acks = [start + Fraction(tick, 1024) * length for tick in sorted(ticks)]
@@ -50,15 +54,17 @@ def drive(flow_cls, a: Fraction, b: Fraction, intervals) -> tuple:
             flow.note_sent(packet)
             flow.note_ack(packet, float(t))
         start += length
-        flow.finish_mi(float(start), 100.0, 0.04, 10.0)
+        stats = flow.finish_mi(float(start), 100.0, 0.04, 10.0)
+        history.push(stats, stats.rate_pps)
         times.append(acks)
-        maxima.append(flow.max_throughput_seen)
+        maxima.append(history.max_throughput)
     return flow, times, maxima
 
 
-def violations(flow_cls, a: Fraction, b: Fraction, intervals) -> list[str]:
+def violations(flow_cls, a: Fraction, b: Fraction, intervals,
+               history_cls=StatHistory) -> list[str]:
     """Where the flow's interval statistics leave the closed form."""
-    flow, times, maxima = drive(flow_cls, a, b, intervals)
+    flow, times, maxima = drive(flow_cls, a, b, intervals, history_cls)
     found, running_max = [], 0.0
     for i, (stats, acks, seen) in enumerate(zip(flow.records, times, maxima)):
         if not acks:
@@ -119,10 +125,11 @@ def test_zero_and_one_ack_intervals():
                                     + Fraction(1, 64) * (2 + Fraction(9, 1024)))
 
 
-def fixed_ramps_hold(flow_cls) -> None:
-    """``flow_cls`` meets the closed form on every fixed ramp."""
+def fixed_ramps_hold(flow_cls, history_cls=StatHistory) -> None:
+    """``flow_cls`` and ``history_cls`` meet the closed form on every
+    fixed ramp."""
     assert [message for ramp in RAMPS
-            for message in violations(flow_cls, *ramp)] == []
+            for message in violations(flow_cls, *ramp, history_cls)] == []
 
 
 def test_fixed_ramps_follow_the_closed_form():

@@ -22,12 +22,16 @@ from pathlib import Path
 
 import pytest
 
+from repro.netsim.history import StatHistory
+from repro.netsim.sender import Flow
+
 import test_ack_wire_drop
 import test_batch
 import test_cell_lifetime
 import test_conservation
 import test_core_mocc
 import test_engine_invariants
+import test_library_features
 import test_metamorphic
 import test_mi_oracle
 import test_parallel_eval
@@ -39,7 +43,9 @@ import test_topology
 import test_traces
 from mutants import (
     BLOCK_CHECKS,
+    DEPLOYED_UDT,
     EVERY_KIND,
+    LIBRARY_GRADIENT,
     LIFETIME,
     MI_ORACLE,
     MUTANTS,
@@ -70,7 +76,14 @@ KILLERS = {
         ns["Link"]._transmit_faulted),
     RELATION_C: lambda ns: test_metamorphic.long_lot_scale_free(
         ns["Simulation"]),
-    MI_ORACLE: lambda ns: test_mi_oracle.fixed_ramps_hold(ns["Flow"]),
+    # The oracle's defects live in sender.py and history.py: each
+    # namespace supplies its own class, the other comes unmutated.
+    MI_ORACLE: lambda ns: test_mi_oracle.fixed_ramps_hold(
+        ns.get("Flow", Flow), ns.get("StatHistory", StatHistory)),
+    LIBRARY_GRADIENT: lambda ns: test_library_features.feature_equals_the_envs(
+        test_library_features.feature_rows(ns["UdtShim"]), "latency-gradient"),
+    DEPLOYED_UDT: lambda ns: test_library_features.deployed_histories_hold(
+        ns["UdtShim"]),
     LIFETIME: lambda ns: test_cell_lifetime.every_kind_cell_freed(
         ns["Simulation"]),
     SINGLE_STEPPING: lambda ns: test_batch.single_stepping_holds(

@@ -7,9 +7,7 @@ from repro.netsim.packet import Packet
 from repro.netsim.sender import (
     ExternalRateController,
     Flow,
-    LATENCY_RATIO_CAP,
     MonitorIntervalStats,
-    SEND_RATIO_CAP,
     _rtt_slope,
 )
 
@@ -116,45 +114,6 @@ class TestMonitorInterval:
         stats = flow.finish_mi(0.5, capacity_pps=100.0, base_rtt=0.04, rate_pps=10.0)
         assert stats.mean_rtt is None
         assert stats.latency_gradient == 0.0
-        assert stats.send_ratio() == 1.0
-
-    def test_send_ratio_cap_when_no_acks(self):
-        flow = make_flow()
-        flow.note_sent(packet(0))
-        stats = flow.finish_mi(0.5, 100.0, 0.04, 10.0)
-        assert stats.send_ratio() == SEND_RATIO_CAP
-
-    def test_send_ratio_normal(self):
-        flow = make_flow()
-        stats = self._run_mi(flow, [0.05, 0.05], lost=2)  # sent 4, acked 2
-        assert stats.send_ratio() == pytest.approx(2.0)
-
-
-class TestLatencyRatio:
-    def test_first_interval_is_one(self):
-        flow = make_flow()
-        p = packet(0, 0.0)
-        flow.note_sent(p)
-        flow.note_ack(p, 0.05)
-        stats = flow.finish_mi(0.5, 100.0, 0.04, 10.0)
-        assert flow.latency_ratio(stats) == pytest.approx(1.0)
-
-    def test_ratio_grows_with_latency(self):
-        flow = make_flow()
-        p = packet(0, 0.0)
-        flow.note_sent(p)
-        flow.note_ack(p, 0.05)
-        flow.finish_mi(0.5, 100.0, 0.04, 10.0)
-        p2 = packet(1, 0.6)
-        flow.note_sent(p2)
-        flow.note_ack(p2, 0.6 + 0.10)
-        stats2 = flow.finish_mi(1.0, 100.0, 0.04, 10.0)
-        assert flow.latency_ratio(stats2) == pytest.approx(2.0)
-
-    def test_capped_when_unknown(self):
-        flow = make_flow()
-        stats = flow.finish_mi(0.5, 100.0, 0.04, 10.0)
-        assert flow.latency_ratio(stats) == LATENCY_RATIO_CAP
 
 
 class TestRttSlope:
