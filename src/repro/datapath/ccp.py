@@ -11,7 +11,7 @@ kernel-space MOCC's CPU overhead is close to Orca/CUBIC in Fig. 17.
 Between reports the datapath keeps sending at the last rate the agent
 installed, exactly as a CCP datapath program would.  A report folds the
 batch into one interval: counts and durations add up, and the mean RTT
-and the RTT slope are the acked-weighted means of the intervals'.
+and the RTT slope are acked-weighted means over the batch.
 """
 
 from __future__ import annotations

@@ -98,8 +98,8 @@ class StatHistory:
         ``stats`` is a :class:`~repro.netsim.sender.MonitorIntervalStats`
         or a :class:`~repro.core.library.NetworkStatus`: only its
         ``sent``, ``acked``, ``mean_rtt``, ``latency_gradient`` and
-        ``duration`` are read.  ``rate`` is the sending rate in force
-        over the interval, pps.
+        ``duration`` are read.  ``rate`` is the flow's sending rate as
+        the interval closes, pps.
         """
         sent = stats.sent
         acked = stats.acked
