@@ -1,5 +1,7 @@
 """Tests for the gym-style environments (repro.netsim.env)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,49 @@ from repro.netsim.traces import StepTrace
 
 PARAMS = NetworkParams(bandwidth_mbps=4.0, latency_ms=30.0,
                        queue_packets=500, loss_rate=0.0)
+
+#: The parity configurations: Table-3 draws (loss up to 3 %, so the
+#: episode link's wire-loss stream is drawn), a fixed lossy link, and
+#: the trace-only configuration.
+PARITY_ENVS = (
+    dict(ranges=TRAINING_RANGES, seed=11),
+    dict(params=NetworkParams(bandwidth_mbps=3.0, latency_ms=25.0,
+                              queue_packets=40, loss_rate=0.02), seed=12),
+    dict(trace=StepTrace(100.0, 200.0, 0.5), seed=13),
+)
+#: A fixed action cycle: rates both rise and fall within an episode.
+PARITY_ACTIONS = (0.0, 2.0, -1.0, 4.0, -3.0, 0.5)
+#: sha256 over every observation, reward-component vector and rate of
+#: three 30-step episodes of each :data:`PARITY_ENVS` entry, and the
+#: episode link's random-drop count after each episode.
+PARITY_DIGEST = ("321a751475f11744f4f6d58a7591aa50"
+                 "bd15c038240df1607ed0f11f02eb51f1")
+
+
+def episode_parity(env_cls) -> tuple[str, list[int]]:
+    """Run the parity episodes on ``env_cls``; return their sha256 and
+    the episode link's random-drop count after each episode."""
+    h = hashlib.sha256()
+    drops = []
+    for kwargs in PARITY_ENVS:
+        env = env_cls(max_steps=30, **kwargs)
+        for _ in range(3):
+            h.update(env.reset().tobytes())
+            for step in range(30):
+                obs, comps, _, info = env.step(
+                    PARITY_ACTIONS[step % len(PARITY_ACTIONS)])
+                h.update(obs.tobytes())
+                h.update(comps.as_array().tobytes())
+                h.update(np.float64(info["rate_pps"]).tobytes())
+            drops.append(env._sim.links[0].dropped_random)
+            h.update(repr(drops[-1]).encode())
+    return h.hexdigest(), drops
+
+
+def episode_parity_holds(env_cls) -> None:
+    """``env_cls`` runs the parity episodes exactly as pinned."""
+    digest, drops = episode_parity(env_cls)
+    assert digest == PARITY_DIGEST
 
 
 class TestApplyAction:
@@ -180,6 +225,18 @@ class TestCongestionControlEnv:
             return rewards
 
         assert run() == run()
+
+
+def test_episodes_keep_their_digest():
+    episode_parity_holds(CongestionControlEnv)
+
+
+def test_parity_episodes_draw_wire_loss():
+    """Both lossy configurations drop packets at random, so the digest
+    covers the episode link's loss stream."""
+    _, drops = episode_parity(CongestionControlEnv)
+    assert sum(drops[:3]) > 0 and sum(drops[3:6]) > 0
+    assert drops[6:] == [0, 0, 0]
 
 
 class TestMoccEnv:
