@@ -81,9 +81,7 @@ class ModelZoo:
 
     def _env_spec(self, budget: TrainingBudget, seed: int) -> EnvSpec:
         # Table 3's training distribution, verbatim (absolute queue
-        # sizes).  BDP-relative queue sampling (EnvSpec.queue_bdp_range)
-        # is available for experiments but makes the conservative idle
-        # policy dominate at small training budgets.
+        # sizes).
         return EnvSpec(ranges=TRAINING_RANGES,
                        history_length=self.config.history_length,
                        action_scale=self.config.action_scale,

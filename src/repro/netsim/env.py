@@ -16,7 +16,11 @@ Two layers, mirroring the paper's Fig. 2:
   O_loss = 1 - lost/total, all normalised to [0, 1].
 
 Each episode runs on a bottleneck link whose parameters are either
-fixed (evaluation) or drawn from Table-3 ranges (training).
+fixed (evaluation) or drawn from Table-3 ranges (training).  The link
+is a one-link :func:`~repro.netsim.topology.dumbbell` cell built by
+``TopologySpec.build`` -- the one network builder -- with link seed
+``7919 * e + 1`` for episode seed ``e``, so its wire loss is the
+``link.loss`` stream of that seed.
 """
 
 from __future__ import annotations
@@ -27,11 +31,11 @@ import numpy as np
 
 from repro.config import NetworkParams, NetworkRanges, TRAINING_RANGES
 from repro.netsim.history import StatHistory, _clamp
-from repro.netsim.link import Link
 from repro.netsim.network import FlowSpec, Simulation
 from repro.netsim.rngstreams import stream_rng
 from repro.netsim.sender import ExternalRateController, MonitorIntervalStats
-from repro.netsim.traces import BandwidthTrace, ConstantTrace, mbps_to_pps
+from repro.netsim.topology import dumbbell
+from repro.netsim.traces import BandwidthTrace
 
 __all__ = ["RewardComponents", "CongestionControlEnv", "MoccEnv", "apply_action"]
 
@@ -110,20 +114,11 @@ class CongestionControlEnv:
                  max_steps: int = 400,
                  mi_duration: float | None = None,
                  packet_bytes: int = 1500,
-                 queue_bdp_range: tuple[float, float] | None = None,
                  seed: int = 0):
         if params is None and ranges is None and trace is None:
             ranges = TRAINING_RANGES
         self.params = params
         self.ranges = ranges
-        #: When set, the sampled queue size is re-drawn as a multiple of
-        #: the episode's bandwidth-delay product.  Table 3's absolute
-        #: range (up to 3000 packets at 1-5 Mbps) allows queues worth
-        #: tens of seconds, where latency/loss penalties arrive too late
-        #: to shape the policy within an episode; BDP-relative buffers
-        #: keep the congestion signals observable while still covering
-        #: shallow-to-bufferbloat regimes.
-        self.queue_bdp_range = queue_bdp_range
         self.trace = trace
         self.history = StatHistory(history_length)
         self.action_scale = action_scale
@@ -147,29 +142,22 @@ class CongestionControlEnv:
         """Start a new episode; returns the initial state vector."""
         self._episode_seed += 1
         params = self._draw_params()
-        trace = self.trace
-        if trace is None:
-            trace = ConstantTrace(mbps_to_pps(params.bandwidth_mbps, self.packet_bytes))
-        queue = params.queue_packets
-        if self.queue_bdp_range is not None:
-            bdp = trace.bandwidth_at(0.0) * 2.0 * params.latency_ms / 1000.0
-            lo, hi = self.queue_bdp_range
-            # Log-uniform: shallow and bufferbloat-deep buffers are both
-            # well represented, so overdriving is punished somewhere in
-            # the training distribution.
-            factor = float(np.exp(self.rng.uniform(np.log(lo), np.log(hi))))
-            queue = max(int(round(bdp * factor)), 2)
-        link = Link(trace=trace, delay=params.latency_ms / 1000.0,
-                    queue_size=queue, loss_rate=params.loss_rate,
-                    rng=stream_rng("env.episode-link", self._episode_seed))
-        capacity = trace.bandwidth_at(0.0)
+        # The queue is passed as drawn: Table 3 goes down to one packet,
+        # below the builder's BDP floor.
+        topology = dumbbell(params.bandwidth_mbps, params.latency_ms,
+                            queue_packets=params.queue_packets,
+                            loss_rate=params.loss_rate,
+                            trace=self.trace).build(
+                                self.packet_bytes, 7919 * self._episode_seed + 1)
+        link = topology.links["hop0"]
+        capacity = link.bandwidth_at(0.0)
         initial_rate = capacity * float(self.rng.uniform(0.3, 1.5))
         self._controller = ExternalRateController(initial_rate)
         mi = self.mi_duration if self.mi_duration is not None else max(link.base_rtt, 0.01)
         horizon = mi * (self.max_steps + 2)
         spec = FlowSpec(controller=self._controller, mi_duration=mi,
                         packet_bytes=self.packet_bytes)
-        self._sim = Simulation(link, [spec], duration=horizon,
+        self._sim = Simulation(topology, [spec], duration=horizon,
                                seed=self._episode_seed)
         self._mi = mi
         self._steps = 0

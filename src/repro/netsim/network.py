@@ -5,9 +5,9 @@ The engine advances a heap of timestamped events over the links of a
 *path* (an ordered forward link subset plus an ordered reverse link
 list its acks transit), so a single simulation can mix through traffic
 and cross traffic over different link subsets in either direction --
-single-bottleneck dumbbells (all the paper's experiments) are just the
-one-link, one-path, propagation-return special case, and a plain
-``Link`` or link list is still accepted and promoted to that shape.
+single-bottleneck dumbbells (all the paper's experiments, and every
+training episode) are just the one-link, one-path, propagation-return
+special case.
 
 Event kinds:
 
@@ -47,7 +47,6 @@ from heapq import heappop, heappush, heappushpop
 
 import numpy as np
 
-from repro.netsim.link import Link
 from repro.netsim.packet import Packet
 from repro.netsim.rngstreams import stream_rng
 from repro.netsim.sender import ACK_BYTES, Controller, Flow, MonitorIntervalStats
@@ -108,8 +107,7 @@ class FlowSpec:
     """Declarative description of one flow for :class:`Simulation`.
 
     ``path`` names the topology path the flow traverses; ``None`` uses
-    the topology's default path (the whole link list for the legacy
-    single-path constructor).
+    the topology's default path (a dumbbell's one path).
     """
 
     controller: Controller
@@ -235,19 +233,13 @@ class Simulation:
     (``tests/test_cell_lifetime.py`` pins this).
     """
 
-    def __init__(self, links: Link | list[Link] | Topology, specs: list[FlowSpec],
+    def __init__(self, topology: Topology, specs: list[FlowSpec],
                  duration: float, seed: int = 0):
         #: :data:`HOP_JITTER_FACTOR`, per simulation so a unit test of
         #: hop timing can zero it before running.
         self.hop_jitter = HOP_JITTER_FACTOR
-        if isinstance(links, Topology):
-            self.topology = links
-        else:
-            link_list = [links] if isinstance(links, Link) else list(links)
-            if not link_list:
-                raise ValueError("need at least one link")
-            self.topology = Topology.single_path(link_list)
-        self.links = self.topology.all_links()
+        self.topology = topology
+        self.links = topology.all_links()
         self.duration = float(duration)
         self.rng = stream_rng("sim.pacing", seed)
         #: Dedicated stream for per-hop forwarding dither: hop events
@@ -271,8 +263,8 @@ class Simulation:
         #: / ``netsim.run_calops_per_event`` layer metrics.
         self.events_processed = 0
 
-        #: Base RTT of the topology's default path -- the single-path
-        #: quantity legacy callers (gym envs, single-flow runners) read.
+        #: Base RTT of the topology's default path -- what the gym env
+        #: reads for a degenerate monitor interval.
         self.base_rtt = self.topology.path().base_rtt
 
         self.flows: list[Flow] = []

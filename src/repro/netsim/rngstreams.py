@@ -19,13 +19,15 @@ when two streams of one seed space can meet and the pair is not in
 :data:`ACCEPTED_OVERLAPS` -- or when a listed pair no longer meets.
 Streams are compared within a space only.  ``scenario`` is the cell
 seed ``s``; ``link`` is the seed ``TopologySpec.build`` -- the one
-network builder, a single-bottleneck cell being its one-link dumbbell
--- receives, which the eval pipeline forms as ``31 * s + 17``
-(``131 * s + 7`` in ``apps.bulk``) and which is therefore never ``s``
-itself; ``agent`` is the seed a model's weights are initialised from,
-before any cell runs.  A caller handing *one* seed to both
-``TopologySpec.build`` and ``Simulation`` gets link 0's loss stream
-equal to the pacing stream: ``SeedSequence`` zero-pads entropy to four
+network builder, a single-bottleneck cell or training episode being
+its one-link dumbbell -- receives, which the eval pipeline forms as
+``31 * s + 17`` (``131 * s + 7`` in ``apps.bulk``, ``7919 * e + 1``
+for episode seed ``e`` in ``CongestionControlEnv.reset``) and which is
+therefore never the cell or episode seed itself; ``env`` is the seed
+a gym env draws its episodes' parameters from; ``agent`` is the seed
+a model's weights are initialised from, before any cell runs.  A
+caller handing *one* seed to both ``TopologySpec.build`` and
+``Simulation`` gets link 0's loss stream equal to the pacing stream: ``SeedSequence`` zero-pads entropy to four
 words, so ``default_rng(s)`` and ``default_rng((s, 0))`` are one
 stream.
 """
@@ -71,8 +73,6 @@ STREAMS = {
         0x6C696E6B, zlib.crc32(key.encode("utf-8")), 0)),  # "link"
     # CongestionControlEnv.rng: Table-3 episode parameter sampling.
     "env.params": ("env", lambda seed: seed),
-    # CongestionControlEnv.reset -> Link.rng: per-episode wire loss.
-    "env.episode-link": ("env", lambda seed: seed * 7919 + 1),
     # Synthetic bandwidth processes (random walk, LEO handover); their
     # content is fingerprinted, so a pure function of the trace seed.
     "trace.synth": ("trace", lambda seed: seed),
@@ -81,9 +81,6 @@ STREAMS = {
 #: Pairs whose entropies meet, and why each is left as it is: moving
 #: either stream would move every digest that runs it.
 ACCEPTED_OVERLAPS = {
-    frozenset({"env.params", "env.episode-link"}):
-        "7919 * s + 1 is some other env's raw seed, never its own; the "
-        "two feed disjoint mechanisms (episode draws, link wire loss)",
     frozenset({"sim.pacing", "orca.policy"}):
         "both default_rng(s) within one cell; Orca draws only at "
         "deterministic=False, which no cell sets",

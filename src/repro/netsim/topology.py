@@ -155,14 +155,6 @@ class Topology:
     def all_links(self) -> list[Link]:
         return list(self.links.values())
 
-    @classmethod
-    def single_path(cls, links: list[Link], name: str = "path") -> "Topology":
-        """Every flow traverses every link in order (``Simulation(link)``)."""
-        named = {link.name or f"link{i}": link for i, link in enumerate(links)}
-        if len(named) != len(links):
-            raise ValueError("duplicate link names")
-        return cls(named, (PathDef(name, tuple(named)),))
-
 
 # --- declarative layer -------------------------------------------------------
 

@@ -48,7 +48,6 @@ class EnvSpec:
     max_steps: int = 64
     mi_duration: float | None = None
     packet_bytes: int = 1500
-    queue_bdp_range: tuple[float, float] | None = None
     seed: int = 0
 
     def build(self, seed_offset: int = 0) -> MoccEnv:
@@ -56,8 +55,7 @@ class EnvSpec:
             params=self.params, ranges=self.ranges,
             history_length=self.history_length, action_scale=self.action_scale,
             max_steps=self.max_steps, mi_duration=self.mi_duration,
-            packet_bytes=self.packet_bytes, queue_bdp_range=self.queue_bdp_range,
-            seed=self.seed + seed_offset))
+            packet_bytes=self.packet_bytes, seed=self.seed + seed_offset))
 
 
 class SerialCollector:

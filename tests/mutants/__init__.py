@@ -44,6 +44,11 @@ LIBRARY_GRADIENT = ("tests/test_library_features.py::"
                     "test_library_feature_equals_the_envs[latency-gradient]")
 DEPLOYED_UDT = ("tests/test_library_features.py::"
                 "test_deployed_udt_flow_sees_the_training_history")
+ENV_PARITY = "tests/test_env.py::test_episodes_keep_their_digest"
+#: The pin of a training episode's link stream, one per pinned seed.
+ENV_LINK_PINS = {seed: ("tests/test_rngstreams.py::TestBitIdentity::"
+                        f"test_env_episode_link_is_affine[{seed}]")
+                 for seed in (1, 6, 77)}
 
 
 def law_killer(law: str) -> str:
@@ -230,6 +235,13 @@ MUTANTS = {
         "latency_gradient=stats.latency_gradient",
         "latency_gradient=0.0",
         (LIBRARY_GRADIENT, DEPLOYED_UDT)),
+    # A training episode's link seeded with the raw episode seed: its
+    # wire loss is no longer the stream env.py once built by hand.
+    "env-link-seeded-by-episode": Mutant(
+        "repro.netsim.env",
+        "7919 * self._episode_seed + 1",
+        "self._episode_seed",
+        (ENV_PARITY, *ENV_LINK_PINS.values())),
     # The record codec's read-time checks: a frame whose body goes on
     # after its last block, a block length nobody compares with its
     # row count.

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import pytest
 
-from mutants import EVERY_KIND, MUTANTS, RANK, SLICING, mutated
+from mutants import ENV_PARITY, EVERY_KIND, MUTANTS, RANK, SLICING, mutated
 
 ROOT = Path(__file__).resolve().parents[2]
 SCORE = Path(__file__).with_name("SCORE.json")
@@ -44,6 +44,7 @@ CLASSES = (
     ("tests/test_golden_traces.py::*", "digest"),
     ("tests/test_training_goldens.py::*", "digest"),
     (EVERY_KIND, "digest"),
+    (ENV_PARITY, "digest"),
     # Laws, oracles, properties and metamorphic relations.
     ("tests/test_conservation.py::*", "law"),
     ("tests/test_metamorphic.py::*", "law"),

@@ -59,9 +59,13 @@ def episode_parity(env_cls) -> tuple[str, list[int]]:
 
 
 def episode_parity_holds(env_cls) -> None:
-    """``env_cls`` runs the parity episodes exactly as pinned."""
+    """``env_cls`` runs the parity episodes exactly as pinned, and both
+    lossy configurations drop packets at random, so the digest covers
+    the episode link's wire-loss stream."""
     digest, drops = episode_parity(env_cls)
     assert digest == PARITY_DIGEST
+    assert sum(drops[:3]) > 0 and sum(drops[3:6]) > 0
+    assert drops[6:] == [0, 0, 0]
 
 
 class TestApplyAction:
@@ -229,14 +233,6 @@ class TestCongestionControlEnv:
 
 def test_episodes_keep_their_digest():
     episode_parity_holds(CongestionControlEnv)
-
-
-def test_parity_episodes_draw_wire_loss():
-    """Both lossy configurations drop packets at random, so the digest
-    covers the episode link's loss stream."""
-    _, drops = episode_parity(CongestionControlEnv)
-    assert sum(drops[:3]) > 0 and sum(drops[3:6]) > 0
-    assert drops[6:] == [0, 0, 0]
 
 
 class TestMoccEnv:

@@ -291,14 +291,16 @@ class TestPropagationLink:
         every ack transits the pure reverse pseudo-link."""
         from repro.netsim.network import FlowSpec, Simulation
         from repro.netsim.sender import ExternalRateController
+        from repro.netsim.topology import PathDef, Topology
 
         calls = []
         orig = PropagationLink.transmit
         monkeypatch.setattr(
             PropagationLink, "transmit",
             lambda self, t, size=1.0: calls.append(t) or orig(self, t, size))
-        sim = Simulation(make_link(pps=200.0),
-                         [FlowSpec(ExternalRateController(100.0))],
+        topology = Topology({"link": make_link(pps=200.0)},
+                            (PathDef("path", ("link",)),))
+        sim = Simulation(topology, [FlowSpec(ExternalRateController(100.0))],
                          duration=0.5, seed=1)
         (record,) = sim.run_all()
         # Packets were delivered and acked, so the reverse (pure)

@@ -31,6 +31,7 @@ import test_cell_lifetime
 import test_conservation
 import test_core_mocc
 import test_engine_invariants
+import test_env
 import test_library_features
 import test_metamorphic
 import test_mi_oracle
@@ -44,6 +45,8 @@ import test_traces
 from mutants import (
     BLOCK_CHECKS,
     DEPLOYED_UDT,
+    ENV_LINK_PINS,
+    ENV_PARITY,
     EVERY_KIND,
     LIBRARY_GRADIENT,
     LIFETIME,
@@ -84,6 +87,10 @@ KILLERS = {
         test_library_features.feature_rows(ns["UdtShim"]), "latency-gradient"),
     DEPLOYED_UDT: lambda ns: test_library_features.deployed_histories_hold(
         ns["UdtShim"]),
+    ENV_PARITY: lambda ns: test_env.episode_parity_holds(
+        ns["CongestionControlEnv"]),
+    **{pin: lambda ns, seed=seed: test_rngstreams.env_episode_link_is_affine(
+        ns["CongestionControlEnv"], seed) for seed, pin in ENV_LINK_PINS.items()},
     LIFETIME: lambda ns: test_cell_lifetime.every_kind_cell_freed(
         ns["Simulation"]),
     SINGLE_STEPPING: lambda ns: test_batch.single_stepping_holds(

@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.netsim.link import Link
 from repro.netsim.network import FlowSpec, Simulation
 from repro.netsim.sender import Controller, ExternalRateController
-from repro.netsim.traces import ConstantTrace
+
+from test_topology import make_link, path_over
 
 
 def single_link(pps=100.0, delay=0.02, queue=50, loss=0.0, seed=0):
-    return Link(ConstantTrace(pps), delay=delay, queue_size=queue,
-                loss_rate=loss, rng=np.random.default_rng(seed))
+    """A one-link topology: the bottleneck alone."""
+    return path_over(make_link(pps, delay, queue, loss, seed))
 
 
 class FixedWindow(Controller):
@@ -171,12 +171,9 @@ class TestEngineMechanics:
         record = sim.run_all()[0]
         assert record is not None  # completed without error
 
-    def test_needs_a_link(self):
-        with pytest.raises(ValueError):
-            Simulation([], [FlowSpec(ExternalRateController(1.0))], duration=1.0)
-
     def test_multi_link_path_base_rtt(self):
-        links = [single_link(delay=0.01, seed=16), single_link(delay=0.02, seed=17)]
+        links = path_over(make_link(delay=0.01, seed=16),
+                          make_link(delay=0.02, seed=17))
         sim = Simulation(links, [FlowSpec(ExternalRateController(50.0))],
                          duration=2.0, seed=16)
         assert sim.base_rtt == pytest.approx(0.06)

@@ -8,6 +8,7 @@ cannot have moved a single bit (golden traces check the end-to-end
 consequence, this checks the mechanism).
 """
 
+import copy
 import re
 import timeit
 from pathlib import Path
@@ -15,9 +16,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.config import NetworkParams
 from repro.core.agent import MoccAgent
 from repro.core.library import MOCC
 from repro.netsim import rngstreams
+from repro.netsim.env import CongestionControlEnv
 from repro.netsim.link import Link
 from repro.netsim.rngstreams import STREAMS, check_streams, stream_rng
 
@@ -57,9 +60,7 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("seed", [1, 6, 77])
     def test_env_episode_link_is_affine(self, seed):
-        # env.py formerly: np.random.default_rng(seed * 7919 + 1)
-        assert _same_stream(stream_rng("env.episode-link", seed),
-                            np.random.default_rng(seed * 7919 + 1))
+        env_episode_link_is_affine(CongestionControlEnv, seed)
 
     @pytest.mark.parametrize("seed", [0, 23])
     def test_trace_synth_is_raw_seed(self, seed):
@@ -99,6 +100,20 @@ class TestBitIdentityNewRows:
                             np.random.default_rng((seed, 0x464C4150, i)))
         assert _same_stream(stream_rng("link.fault-loss", seed, i),
                             np.random.default_rng((seed, 0x47454C4F, i)))
+
+
+def env_episode_link_is_affine(env_cls, seed) -> None:
+    """The link of episode ``seed`` draws wire loss like
+    ``default_rng(seed * 7919 + 1)``, the generator env.py once built
+    by hand: ``link.loss`` of that link seed, index 0."""
+    env = env_cls(params=NetworkParams(bandwidth_mbps=4.0, latency_ms=30.0,
+                                       queue_packets=500, loss_rate=0.0),
+                  max_steps=1, seed=seed - 1)
+    env.reset()  # episode seed ``seed``; a lossless warm-up draws nothing
+    link = env._sim.links[0]
+    for reference in (np.random.default_rng(seed * 7919 + 1),
+                      stream_rng("link.loss", seed * 7919 + 1, 0)):
+        assert _same_stream(copy.deepcopy(link.rng), reference)
 
 
 def _raw(seed):

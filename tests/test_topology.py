@@ -26,6 +26,13 @@ def make_link(pps=100.0, delay=0.02, queue=50, loss=0.0, seed=0, name=""):
                 loss_rate=loss, rng=np.random.default_rng(seed), name=name)
 
 
+def path_over(*links):
+    """A live topology whose one path traverses ``links`` in order;
+    an unnamed link is named by its position."""
+    named = {link.name or f"link{i}": link for i, link in enumerate(links)}
+    return Topology(named, (PathDef("path", tuple(named)),))
+
+
 def live_parking_lot(links):
     """Live links ``hop0``, ``hop1``, ... on :func:`parking_lot`'s paths."""
     return Topology({f"hop{i}": link for i, link in enumerate(links)},
@@ -35,7 +42,7 @@ def live_parking_lot(links):
 class TestLiveTopology:
     def test_single_path_wraps_link_list(self):
         links = [make_link(delay=0.01), make_link(delay=0.02)]
-        topo = Topology.single_path(links)
+        topo = path_over(*links)
         path = topo.path()
         assert path.links == tuple(links)
         assert path.base_rtt == pytest.approx(0.06)
@@ -72,8 +79,7 @@ class TestLiveTopology:
             Topology({"a": make_link()}, ())
 
     def test_default_reverse_is_propagation_pseudo_link(self):
-        topo = Topology.single_path([make_link(delay=0.01),
-                                     make_link(delay=0.02)])
+        topo = path_over(make_link(delay=0.01), make_link(delay=0.02))
         path = topo.path()
         assert len(path.reverse_links) == 1
         assert isinstance(path.reverse_links[0], PropagationLink)
@@ -242,8 +248,9 @@ def stop_time_mi_accounting_holds(simulation_cls) -> None:
     capacity.
     """
     link = make_link(pps=50.0, delay=0.01, queue=10**6, seed=13)
-    sim = simulation_cls(link, [FlowSpec(ExternalRateController(200.0),
-                                         stop_time=1.0)],
+    sim = simulation_cls(path_over(link),
+                         [FlowSpec(ExternalRateController(200.0),
+                                   stop_time=1.0)],
                          duration=8.0, seed=13)
     record = sim.run_all()[0]
     final = record.records[-1]
@@ -275,8 +282,8 @@ def loss_notices_charge_downstream_queues(simulation_cls) -> None:
         def on_loss(self, flow, packet, now):
             losses.append((now, packet))
 
-    sim = simulation_cls([a, b], [FlowSpec(Recorder(80.0))], duration=8.0,
-                         seed=22)
+    sim = simulation_cls(path_over(a, b), [FlowSpec(Recorder(80.0))],
+                         duration=8.0, seed=22)
     sim.run_all()
     assert len(losses) > 50
     # Every drop here is a hop-0 buffer drop, so the old engine's
@@ -302,7 +309,7 @@ class TestSimulationOverTopology:
         assert sim.base_rtt == pytest.approx(0.06)
 
     def test_unknown_flow_path_rejected(self):
-        topo = Topology.single_path([make_link()])
+        topo = path_over(make_link())
         with pytest.raises(KeyError, match="unknown path"):
             Simulation(topo, [FlowSpec(ExternalRateController(1.0),
                                        path="nope")], duration=1.0)
@@ -360,8 +367,8 @@ class TestSimulationOverTopology:
 
         # No hop dither: this is a unit test of the notice-cursor
         # arithmetic, not of the forwarding dither.
-        sim = Simulation([a, b], [FlowSpec(Recorder(0.5))], duration=1.0,
-                         seed=12)
+        sim = Simulation(path_over(a, b), [FlowSpec(Recorder(0.5))],
+                         duration=1.0, seed=12)
         sim.hop_jitter = 0.0
         sim.run()
         # depart(a) = 0.01 service + 0.01 delay = 0.02;
@@ -374,17 +381,6 @@ class TestSimulationOverTopology:
 
     def test_loss_notice_charges_downstream_queue_occupancy(self):
         loss_notices_charge_downstream_queues(Simulation)
-
-    def test_legacy_link_list_equivalent_to_single_path_topology(self):
-        def run(arg):
-            sim = Simulation(arg, [FlowSpec(ExternalRateController(80.0))],
-                             duration=5.0, seed=14)
-            rec = sim.run_all()[0]
-            return (rec.mean_throughput_pps, rec.mean_rtt, rec.loss_rate)
-
-        links1 = [make_link(seed=15), make_link(seed=16, delay=0.01)]
-        links2 = [make_link(seed=15), make_link(seed=16, delay=0.01)]
-        assert run(links1) == run(Topology.single_path(links2))
 
 
 def asym_topology(rev_pps=50.0, wire=True):
