@@ -38,9 +38,10 @@ PARITY_DIGEST = ("321a751475f11744f4f6d58a7591aa50"
                  "bd15c038240df1607ed0f11f02eb51f1")
 
 
-def episode_parity(env_cls) -> tuple[str, list[int]]:
-    """Run the parity episodes on ``env_cls``; return their sha256 and
-    the episode link's random-drop count after each episode."""
+def episode_parity_holds(env_cls) -> None:
+    """``env_cls`` runs the parity episodes exactly as pinned, and both
+    lossy configurations drop packets at random, so the digest covers
+    the episode link's wire-loss stream."""
     h = hashlib.sha256()
     drops = []
     for kwargs in PARITY_ENVS:
@@ -55,15 +56,7 @@ def episode_parity(env_cls) -> tuple[str, list[int]]:
                 h.update(np.float64(info["rate_pps"]).tobytes())
             drops.append(env._sim.links[0].dropped_random)
             h.update(repr(drops[-1]).encode())
-    return h.hexdigest(), drops
-
-
-def episode_parity_holds(env_cls) -> None:
-    """``env_cls`` runs the parity episodes exactly as pinned, and both
-    lossy configurations drop packets at random, so the digest covers
-    the episode link's wire-loss stream."""
-    digest, drops = episode_parity(env_cls)
-    assert digest == PARITY_DIGEST
+    assert h.hexdigest() == PARITY_DIGEST
     assert sum(drops[:3]) > 0 and sum(drops[3:6]) > 0
     assert drops[6:] == [0, 0, 0]
 

@@ -172,9 +172,9 @@ class TestEngineMechanics:
         assert record is not None  # completed without error
 
     def test_multi_link_path_base_rtt(self):
-        links = path_over(make_link(delay=0.01, seed=16),
-                          make_link(delay=0.02, seed=17))
-        sim = Simulation(links, [FlowSpec(ExternalRateController(50.0))],
+        topo = path_over(make_link(delay=0.01, seed=16),
+                         make_link(delay=0.02, seed=17))
+        sim = Simulation(topo, [FlowSpec(ExternalRateController(50.0))],
                          duration=2.0, seed=16)
         assert sim.base_rtt == pytest.approx(0.06)
         record = sim.run_all()[0]
