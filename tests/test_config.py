@@ -1,8 +1,12 @@
 """Tests for repro.config: Table 2/3 values and helpers."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro.config
 from repro.config import (
     BOOTSTRAP_OBJECTIVES,
     DEFAULT_TRAINING,
@@ -131,3 +135,20 @@ class TestReplace:
     def test_custom_entropy_schedule(self):
         cfg = TrainingConfig(entropy_start=0.5, entropy_end=0.5)
         assert cfg.entropy_coef(123) == pytest.approx(0.5)
+
+
+def test_config_is_the_only_environment_reader():
+    """An environment read is an input no fingerprint sees: the package
+    reads it in config.py only (two cache locations, never content)."""
+    package = Path(repro.config.__file__).parent  # repro has no __file__
+    readers = []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "os" or (
+                    isinstance(node, ast.Attribute)
+                    and node.attr in ("environ", "getenv")
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "os"):
+                readers.append(path.relative_to(package).as_posix())
+                break
+    assert readers == ["config.py"]

@@ -1,5 +1,10 @@
 """Tests for declarative scenarios, suites, and the trace registry."""
 
+import hashlib
+import os
+import pickle
+import subprocess
+import sys
 from dataclasses import field, make_dataclass, replace
 from pathlib import Path
 
@@ -230,6 +235,39 @@ class TestFingerprintCells:
         uses = [any(f.agent is agent for f in c.flows) for c in cells]
         assert any(uses) and not all(uses)
         assert [a != b for a, b in zip(after, before)] == uses
+
+    @classmethod
+    def _process_cells(cls) -> list:
+        register_trace("fpc-proc", lambda: ConstantTrace(150.0),
+                       overwrite=True)
+        return cls._mixed_cells("fpc-proc",
+                                MoccAgent(DEFAULT_TRAINING, seed=3))
+
+    @staticmethod
+    def _keys_digest(cells) -> str:
+        keys = fingerprint_cells(cells)
+        return hashlib.sha256("\n".join(keys).encode()).hexdigest()
+
+    def test_keys_do_not_depend_on_the_process(self):
+        # Cache reuse across runs needs keys that are a function of the
+        # cell alone: not of hash randomisation, of object ids, or of
+        # anything a signing pass leaves on the cells.
+        cells = self._process_cells()
+        assert len(cells) == 28
+        pickled = [pickle.dumps(c) for c in cells]
+        digest = self._keys_digest(cells)
+        assert [pickle.dumps(c) for c in cells] == pickled
+        here = Path(__file__).parent
+        script = (f"import sys; sys.path.insert(0, {str(here)!r})\n"
+                  "from test_scenarios import TestFingerprintCells as T\n"
+                  "print(T._keys_digest(T._process_cells()))\n")
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True,
+                text=True, env={**os.environ, "PYTHONHASHSEED": seed,
+                                "PYTHONPATH": str(here.parent / "src")})
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout.strip() == digest, f"PYTHONHASHSEED={seed}"
 
 
 _HOP = LinkDef("hop0")
