@@ -20,9 +20,7 @@ goldens run):
   wall-clock reads, unsorted directory walks, set-order iteration;
 * :mod:`repro.analysis.rules_dataflow` -- RNG discipline (generators
   are constructed in :mod:`repro.netsim.rngstreams` only; no foreign
-  draws), env-taint (no ``os.environ`` read outside ``config.py``),
-  mutable global state in simulation packages, and fingerprint/
-  signature purity.
+  draws) and mutable global state in simulation packages.
 
 Run it with ``python -m repro.analysis`` (or ``scripts/replint.py``);
 ``--format=sarif`` emits SARIF 2.1.0 for GitHub code scanning.  The

@@ -6,7 +6,6 @@ Exit codes: 0 clean, 1 findings, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import fnmatch
 import sys
 from pathlib import Path
 
@@ -29,65 +28,15 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(default: the installed repro package)")
     parser.add_argument("--format", choices=("text", "json", "sarif"),
                         default="text")
-    parser.add_argument("--select", default=None,
-                        help="comma-separated rule ids or glob patterns "
-                             "(e.g. rng-*, fault-*) to run exclusively")
-    parser.add_argument("--ignore", default=None,
-                        help="comma-separated rule ids or glob patterns "
-                             "to skip")
     parser.add_argument("--list-rules", action="store_true",
                         help="list rule ids and descriptions, then exit")
     return parser
 
 
-def _pick_rules(select: str | None, ignore: str | None):
-    """Filter the rule set; entries may be exact ids or glob patterns.
-
-    ``--select 'rng-*'`` runs a whole family by id prefix.  An exact id
-    that matches nothing is a usage error, and so is a pattern with
-    zero hits -- a silently-empty selection would report "clean" while
-    checking nothing.
-    """
-    rules = all_rules()
-    known = {r.id for r in rules}
-    for flag, raw in (("--select", select), ("--ignore", ignore)):
-        if raw is None:
-            continue
-        chosen: set = set()
-        unknown = []
-        for pat in (p.strip() for p in raw.split(",") if p.strip()):
-            if any(ch in pat for ch in "*?["):
-                hits = {rid for rid in known
-                        if fnmatch.fnmatchcase(rid, pat)}
-                if not hits:
-                    raise SystemExit(
-                        f"replint: {flag}: pattern {pat!r} matches no "
-                        f"rule id (see --list-rules)")
-                chosen |= hits
-            elif pat in known:
-                chosen.add(pat)
-            else:
-                unknown.append(pat)
-        if unknown:
-            raise SystemExit(
-                f"replint: {flag}: unknown rule id(s): "
-                f"{', '.join(sorted(unknown))} (see --list-rules)")
-        if flag == "--select":
-            rules = [r for r in rules if r.id in chosen]
-        else:
-            rules = [r for r in rules if r.id not in chosen]
-    return rules
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-
-    try:
-        rules = _pick_rules(args.select, args.ignore)
-    except SystemExit as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    rules = all_rules()
 
     if args.list_rules:
         by_family: dict[str, list] = {}

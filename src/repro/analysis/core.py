@@ -50,7 +50,7 @@ class AstRule:
     id: str = ""
     #: One-line description shown by ``--list-rules``.
     description: str = ""
-    #: Rule family (determinism / rng / env-taint / ...).
+    #: Rule family (determinism / rng / global-state).
     family: str = ""
     #: Package prefixes (relative to the analyzed root, ``/``-separated)
     #: this rule applies to; empty means every file.

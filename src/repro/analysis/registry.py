@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 from repro.analysis.rules_dataflow import (
-    EnvTaintRule,
     MutableGlobalStateRule,
     RngForeignDrawRule,
     RngSoleConstructorRule,
-    SignaturePurityRule,
 )
 from repro.analysis.rules_determinism import (
     GlobalRandomRule,
@@ -27,9 +25,7 @@ _RULE_CLASSES = (
     # dataflow
     RngSoleConstructorRule,
     RngForeignDrawRule,
-    EnvTaintRule,
     MutableGlobalStateRule,
-    SignaturePurityRule,
 )
 
 

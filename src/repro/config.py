@@ -14,8 +14,8 @@ library draws its defaults from a single place.
 This is also the one module that reads the process environment: two
 variables, each the *location* of an on-disk cache (never its
 content -- entries are keyed by fingerprint, so moving a cache cannot
-change what a key returns).  The replint ``env-taint`` rule rejects
-an ``os.environ`` read anywhere else in the package.
+change what a key returns).  ``tests/test_config.py`` fails on an
+``os.environ`` read anywhere else in the package.
 """
 
 from __future__ import annotations

@@ -114,7 +114,7 @@ def _code_digest() -> str:
     # Idempotent memo of a pure function of the on-disk sources: the
     # digest cannot change within a process, so the write is
     # observationally pure.
-    global _CODE_DIGEST  # replint: disable=signature-purity
+    global _CODE_DIGEST
     if _CODE_DIGEST is None:
         _CODE_DIGEST = _simulation_code_digest()
     return _CODE_DIGEST

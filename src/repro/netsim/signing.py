@@ -107,7 +107,7 @@ class Signer:
                     value = self.value(value)
                 signature.append(value)
             # The memo dies with the pass: no key outlives its signer.
-            hit = self._memo[key] = (spec, signature)  # replint: disable=signature-purity
+            hit = self._memo[key] = (spec, signature)
         return hit[1]
 
     def once(self, key, pin, build):

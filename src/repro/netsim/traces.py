@@ -331,21 +331,6 @@ def freeze_trace(trace: BandwidthTrace) -> BandwidthTrace:
     return trace
 
 
-def _memoized_trace(name: str, cache: dict) -> BandwidthTrace:
-    """Shared-trace path of :func:`make_trace`: memoize and freeze.
-
-    Kept out of ``make_trace`` itself so the function signature/cache
-    fingerprinting calls (which never pass a cache) have a provably
-    pure callee -- the ``signature-purity`` replint rule checks one
-    level of call-through from ``Scenario.fingerprint``.
-    """
-    try:
-        return cache[name]
-    except KeyError:
-        trace = cache[name] = freeze_trace(make_trace(name))
-        return trace
-
-
 def make_trace(name: str, cache: dict | None = None) -> BandwidthTrace:
     """Instantiate the registered trace ``name``.
 
@@ -356,7 +341,11 @@ def make_trace(name: str, cache: dict | None = None) -> BandwidthTrace:
     of N, and provably no cross-cell mutation channel.
     """
     if cache is not None:
-        return _memoized_trace(name, cache)
+        try:
+            return cache[name]
+        except KeyError:
+            trace = cache[name] = freeze_trace(make_trace(name))
+            return trace
     try:
         factory = _TRACE_REGISTRY[name]
     except KeyError:

@@ -69,6 +69,13 @@ BLOCK_CHECKS = ("tests/test_resilience.py::TestSealedCodec::"
                 "test_a_block_that_disagrees_with_its_row_count_is_refused")
 
 
+#: The checks that a signing pass keeps nothing past its call.
+NEXT_CALL_TRACE = ("tests/test_scenarios.py::TestFingerprintCells::"
+                   "test_reregistered_trace_changes_keys_on_next_call")
+NEXT_CALL_AGENT = ("tests/test_scenarios.py::TestFingerprintCells::"
+                   "test_in_place_agent_update_changes_keys_on_next_call")
+
+
 class Mutant(NamedTuple):
     module: str
     old: str
@@ -342,6 +349,12 @@ MUTANTS = {
         "if False and",
         ("tests/test_scenarios.py::TestScenarioSuite::"
          "test_trace_axis_under_a_topology_rejected",)),
+    # One memo shared by every Signer: a key outlives its signing pass.
+    "signer-memo-outlives-pass": Mutant(
+        "repro.netsim.signing",
+        "    def __init__(self):\n        self._memo: dict = {}\n",
+        "    _memo: dict = {}\n",
+        (NEXT_CALL_TRACE, NEXT_CALL_AGENT)),
 }
 
 

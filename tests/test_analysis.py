@@ -17,14 +17,14 @@ import os
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import Analyzer, all_rules, rules_by_id
-from repro.analysis.core import parse_suppressions
+from repro.analysis.core import default_root, parse_suppressions
 from repro.analysis.report import render_sarif
-from repro.analysis.rules_dataflow import EnvTaintRule
 
 FIXTURES = Path(__file__).parent / "fixtures" / "replint"
 REPO = Path(__file__).parent.parent
@@ -159,28 +159,6 @@ class TestDataflowRules:
         assert "_CACHE" in messages and "_SEEN" in messages
         assert "local_shadow" not in messages
 
-    def test_env_taint_fires_everywhere_but_config(self):
-        analyzer = Analyzer(root=FIXTURES / "proj_env_bad",
-                            rules=[EnvTaintRule()])
-        findings = analyzer.analyze()
-        # os.environ.get and the from-import, both planted in netsim/;
-        # the same read in config.py is the one allowed place.
-        assert {(f.path, f.line) for f in findings} == {
-            ("netsim/engine.py", 4), ("netsim/engine.py", 8)}
-        messages = " | ".join(f.message for f in findings)
-        assert "os.environ outside config.py" in messages
-        assert "from os import getenv outside config.py" in messages
-
-    def test_signature_purity_fires_incl_one_level_callees(self):
-        findings = run_rule("signature-purity",
-                            "proj_sig_bad/eval/cachekeys.py")
-        messages = " | ".join(f.message for f in findings)
-        assert "stores into 'self'" in messages
-        assert "stores into parameter 'registry'" in messages
-        # the defect lives in the callee, attributed to the caller
-        assert "_helper_digest() performs write I/O via print(), and " \
-               "Spec.fingerprint() calls it" in messages
-
 
 class TestSuppressionsAndBaseline:
     # (The findings baseline is gone; the class keeps its name so the
@@ -210,6 +188,20 @@ class TestSuppressionsAndBaseline:
         analyzer = Analyzer(root=tmp_path, rules=all_rules())
         findings = analyzer.analyze()
         assert [f.rule for f in findings] == ["parse-error"]
+
+
+def test_every_suppression_names_a_registered_rule():
+    # Comment tokens only: docstrings quote the marker syntax.
+    known = set(rules_by_id()) | {"all", "*"}
+    stale = []
+    for path in sorted(default_root().rglob("*.py")):
+        with path.open("rb") as fh:
+            comments = "\n".join(tok.string for tok in tokenize.tokenize(
+                fh.readline) if tok.type == tokenize.COMMENT)
+        per_line, file_wide = parse_suppressions(comments)
+        stale += [f"{path.name}: {rule}" for rule in sorted(
+            file_wide.union(*per_line.values()) - known)]
+    assert stale == []
 
 
 class TestAnalyzerScoping:
@@ -250,38 +242,14 @@ class TestCli:
     def test_list_rules_groups_by_family(self):
         proc = _run_cli("--list-rules")
         assert proc.returncode == 0
-        for family in ("determinism", "rng", "env-taint",
-                       "global-state", "signature-purity"):
+        for family in ("determinism", "rng", "global-state"):
             assert f"{family}:" in proc.stdout
         lines = proc.stdout.splitlines()
-        assert sum(not line.startswith(" ") for line in lines) == 5
-        assert sum(line.startswith(" ") for line in lines) == 9
+        assert sum(not line.startswith(" ") for line in lines) == 3
+        assert sum(line.startswith(" ") for line in lines) == 7
         # rule lines are indented under their family header
         assert "\n  wall-clock" in proc.stdout
         assert "\n  rng-sole-constructor" in proc.stdout
-
-    def test_unknown_select_is_usage_error(self):
-        proc = _run_cli("--select", "no-such-rule")
-        assert proc.returncode == 2
-        assert "no-such-rule" in proc.stderr
-
-    def test_select_accepts_family_glob(self):
-        proc = _run_cli("--select", "rng-*", "--list-rules")
-        assert proc.returncode == 0
-        listed = {line.split()[0] for line in proc.stdout.splitlines()
-                  if line.startswith("  ")}
-        assert listed == {"rng-foreign-draw", "rng-sole-constructor"}
-
-    def test_glob_matching_nothing_is_usage_error(self):
-        proc = _run_cli("--select", "zzz-*")
-        assert proc.returncode == 2
-        assert "matches no rule id" in proc.stderr
-
-    def test_ignore_glob_drops_family(self):
-        proc = _run_cli("--ignore", "rng-*", "--list-rules")
-        assert proc.returncode == 0
-        assert "rng:" not in proc.stdout
-        assert "global-random" in proc.stdout  # a glob on ids, not families
 
     def test_script_entry_point_runs(self):
         proc = subprocess.run(
@@ -325,8 +293,7 @@ class TestSarif:
         assert run["results"] == []
         # driver metadata still lists the full rule set
         ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"rng-sole-constructor", "env-taint",
-                "signature-purity"} <= ids
+        assert ids == set(rules_by_id())
 
     def test_one_result_per_finding_with_repo_relative_uris(self):
         proc = _run_cli("--format=sarif",

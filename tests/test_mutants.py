@@ -19,9 +19,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+import repro.eval.scenarios
 from repro.netsim.history import StatHistory
 from repro.netsim.sender import Flow
 
@@ -52,6 +54,8 @@ from mutants import (
     LIFETIME,
     MI_ORACLE,
     MUTANTS,
+    NEXT_CALL_AGENT,
+    NEXT_CALL_TRACE,
     RANK,
     RELATION_A,
     RELATION_C,
@@ -67,6 +71,14 @@ from mutants import (
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
 SCORE = json.loads((TESTS / "mutants" / "SCORE.json").read_text())
+
+
+def signed_by(signer_cls, check) -> None:
+    """``check()`` with ``fingerprint_cells`` signing through
+    ``signer_cls``."""
+    with mock.patch.object(repro.eval.scenarios, "Signer", signer_cls):
+        check()
+
 
 #: Each killer's check, run on a namespace the loader returned: the
 #: test hands its check the live symbol, this hands it the namespace's.
@@ -147,6 +159,10 @@ KILLERS = {
     "test_trace_axis_under_a_topology_rejected":
         lambda ns: test_scenarios.trace_axis_under_a_topology_rejected(
             ns["ScenarioSuite"]),
+    NEXT_CALL_TRACE: lambda ns: signed_by(
+        ns["Signer"], test_scenarios.reregistered_trace_changes_keys),
+    NEXT_CALL_AGENT: lambda ns: signed_by(
+        ns["Signer"], test_scenarios.in_place_agent_update_changes_keys),
 }
 
 #: ``(module, killer)`` for every killer named for a module.

@@ -209,32 +209,10 @@ class TestFingerprintCells:
         assert fingerprint_cells([]) == []
 
     def test_reregistered_trace_changes_keys_on_next_call(self):
-        register_trace("fpc-rereg", lambda: ConstantTrace(100.0))
-        cells = self._mixed_cells("fpc-rereg",
-                                  MoccAgent(DEFAULT_TRAINING, seed=3))
-        before = fingerprint_cells(cells)
-        register_trace("fpc-rereg", lambda: ConstantTrace(200.0),
-                       overwrite=True)
-        after = fingerprint_cells(cells)
-        uses = [c.trace == "fpc-rereg" or (
-            c.topology is not None
-            and any(ld.trace == "fpc-rereg" for ld in c.topology.links))
-            for c in cells]
-        assert any(uses) and not all(uses)
-        assert [a != b for a, b in zip(after, before)] == uses
+        reregistered_trace_changes_keys()
 
     def test_in_place_agent_update_changes_keys_on_next_call(self):
-        register_trace("fpc-adapt", lambda: ConstantTrace(100.0))
-        agent = MoccAgent(DEFAULT_TRAINING, seed=3)
-        cells = self._mixed_cells("fpc-adapt", agent)
-        before = fingerprint_cells(cells)
-        # Online adaptation writes parameters in place: same object,
-        # different model.
-        next(iter(agent.model.parameters().values())).value += 1.0
-        after = fingerprint_cells(cells)
-        uses = [any(f.agent is agent for f in c.flows) for c in cells]
-        assert any(uses) and not all(uses)
-        assert [a != b for a, b in zip(after, before)] == uses
+        in_place_agent_update_changes_keys()
 
     @classmethod
     def _process_cells(cls) -> list:
@@ -268,6 +246,42 @@ class TestFingerprintCells:
                                 "PYTHONPATH": str(here.parent / "src")})
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.strip() == digest, f"PYTHONHASHSEED={seed}"
+
+
+def reregistered_trace_changes_keys() -> None:
+    """A signing pass keeps nothing: a trace re-registered between two
+    calls changes the keys of exactly the cells that use it."""
+    register_trace("fpc-rereg", lambda: ConstantTrace(100.0),
+                   overwrite=True)
+    cells = TestFingerprintCells._mixed_cells(
+        "fpc-rereg", MoccAgent(DEFAULT_TRAINING, seed=3))
+    before = fingerprint_cells(cells)
+    register_trace("fpc-rereg", lambda: ConstantTrace(200.0),
+                   overwrite=True)
+    after = fingerprint_cells(cells)
+    uses = [c.trace == "fpc-rereg" or (
+        c.topology is not None
+        and any(ld.trace == "fpc-rereg" for ld in c.topology.links))
+        for c in cells]
+    assert any(uses) and not all(uses)
+    assert [a != b for a, b in zip(after, before)] == uses
+
+
+def in_place_agent_update_changes_keys() -> None:
+    """A live agent adapted in place between two calls changes the keys
+    of exactly the cells that hold it."""
+    register_trace("fpc-adapt", lambda: ConstantTrace(100.0),
+                   overwrite=True)
+    agent = MoccAgent(DEFAULT_TRAINING, seed=3)
+    cells = TestFingerprintCells._mixed_cells("fpc-adapt", agent)
+    before = fingerprint_cells(cells)
+    # Online adaptation writes parameters in place: same object,
+    # different model.
+    next(iter(agent.model.parameters().values())).value += 1.0
+    after = fingerprint_cells(cells)
+    uses = [any(f.agent is agent for f in c.flows) for c in cells]
+    assert any(uses) and not all(uses)
+    assert [a != b for a, b in zip(after, before)] == uses
 
 
 _HOP = LinkDef("hop0")
