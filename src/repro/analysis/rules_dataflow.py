@@ -227,4 +227,3 @@ class MutableGlobalStateRule(AstRule):
                 and node.func.attr in _MUTATOR_METHODS:
             return node.func.value.id, f"calls .{node.func.attr}() on"
         return None
-

@@ -193,13 +193,14 @@ class TestSuppressionsAndBaseline:
 def test_every_suppression_names_a_registered_rule():
     # Comment tokens only: docstrings quote the marker syntax.
     known = set(rules_by_id()) | {"all", "*"}
+    root = default_root()
     stale = []
-    for path in sorted(default_root().rglob("*.py")):
+    for path in sorted(root.rglob("*.py")):
         with path.open("rb") as fh:
             comments = "\n".join(tok.string for tok in tokenize.tokenize(
                 fh.readline) if tok.type == tokenize.COMMENT)
         per_line, file_wide = parse_suppressions(comments)
-        stale += [f"{path.name}: {rule}" for rule in sorted(
+        stale += [f"{path.relative_to(root)}: {rule}" for rule in sorted(
             file_wide.union(*per_line.values()) - known)]
     assert stale == []
 

@@ -242,8 +242,9 @@ class TestFingerprintCells:
         for seed in ("0", "1"):
             proc = subprocess.run(
                 [sys.executable, "-c", script], capture_output=True,
-                text=True, env={**os.environ, "PYTHONHASHSEED": seed,
-                                "PYTHONPATH": str(here.parent / "src")})
+                text=True, timeout=60,
+                env={**os.environ, "PYTHONHASHSEED": seed,
+                     "PYTHONPATH": str(here.parent / "src")})
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.strip() == digest, f"PYTHONHASHSEED={seed}"
 
