@@ -7,27 +7,14 @@ one objective.  "Aurora-throughput" and "Aurora-latency" in the
 evaluation are two separately-trained instances.
 
 Training lives in :func:`repro.core.offline.train_single_objective`;
-this module provides the inference-time controller and convenience
-constructors.
+this module provides the inference-time controller.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core.agent import MoccAgent, PolicyRateController
-from repro.core.weights import LATENCY_WEIGHTS, THROUGHPUT_WEIGHTS
 
-__all__ = ["AuroraController", "aurora_objective"]
-
-
-def aurora_objective(flavor: str) -> np.ndarray:
-    """The environment objective a given Aurora flavour is trained for."""
-    if flavor == "throughput":
-        return THROUGHPUT_WEIGHTS.copy()
-    if flavor == "latency":
-        return LATENCY_WEIGHTS.copy()
-    raise ValueError(f"unknown Aurora flavour {flavor!r}")
+__all__ = ["AuroraController"]
 
 
 class AuroraController(PolicyRateController):

@@ -63,12 +63,6 @@ class MoccAgent:
         action, _, _ = self.model.act(obs, w, rng, deterministic=deterministic)
         return float(action[0])
 
-    def next_rate(self, rate: float, obs: np.ndarray, weights,
-                  rng: np.random.Generator, deterministic: bool = True) -> float:
-        """Apply the policy's action to a current sending rate (Eq. 1)."""
-        action = self.act(obs, weights, rng, deterministic=deterministic)
-        return apply_action(rate, action, self.config.action_scale)
-
     # --- persistence --------------------------------------------------------
 
     def save(self, path: str | Path) -> None:

@@ -22,9 +22,9 @@ import numpy as np
 
 from repro.config import DEFAULT_TRAINING, TrainingConfig
 from repro.core.agent import MoccAgent
+from repro.core.offline import OfflineTrainer
 from repro.rl.collect import evaluate_policy
-from repro.rl.parallel import EnvSpec, SerialCollector
-from repro.rl.ppo import PPOConfig, PPOTrainer
+from repro.rl.parallel import EnvSpec
 
 __all__ = ["RequirementReplay", "AdaptationTrace", "OnlineAdapter"]
 
@@ -58,9 +58,6 @@ class RequirementReplay:
         if not candidates:
             return None
         return candidates[int(rng.integers(len(candidates)))]
-
-    def all(self) -> np.ndarray:
-        return np.array(self._pool)
 
 
 @dataclass
@@ -123,20 +120,15 @@ class AdaptationTrace:
 
 
 class OnlineAdapter:
-    """Adapt a trained MOCC agent to new objectives on-the-fly."""
+    """Adapt a trained MOCC agent to new objectives on-the-fly, through
+    one :class:`~repro.core.offline.OfflineTrainer` holding the agent."""
 
     def __init__(self, agent: MoccAgent, spec: EnvSpec,
                  config: TrainingConfig = DEFAULT_TRAINING, seed: int = 0):
         if agent.weight_dim == 0:
             raise ValueError("online adaptation needs a preference-conditioned agent")
-        self.agent = agent
-        self.spec = spec
-        self.config = config
         self.replay = RequirementReplay()
-        self.collector = SerialCollector(spec)
-        self.ppo = PPOTrainer(agent.model, PPOConfig.from_training_config(config),
-                              rng=np.random.default_rng(seed + 1))
-        self.rng = np.random.default_rng(seed + 2)
+        self.trainer = OfflineTrainer(spec, config, seed, agent=agent)
         self._eval_env = spec.build(seed_offset=77_777)
 
     def seed_replay(self, objectives) -> None:
@@ -150,41 +142,35 @@ class OnlineAdapter:
 
         Each iteration collects a rollout on the new objective and --
         when the replay pool is non-empty and ``use_replay`` -- one of
-        the same size on a sampled old objective.  The requirement
-        replay loss of Eq. 6 is then one pooled
-        :meth:`~repro.rl.ppo.PPOTrainer.update` over both rollouts:
-        with equal-sized rollouts, every minibatch's mean loss is the
-        average of the two objectives' losses in expectation, and the
-        advantages are normalised over the pool, so neither objective's
-        scale dominates.  ``old_weights`` (if given) is evaluated every
-        ``eval_every`` iterations to measure forgetting (Fig. 7b's
-        snapshots).
+        the same size on an old objective, sampled after the first
+        rollout.  The requirement replay loss of Eq. 6 is then one
+        pooled :meth:`~repro.core.offline.OfflineTrainer.iterate` over
+        both rollouts: with equal-sized rollouts, every minibatch's mean
+        loss is the average of the two objectives' losses in
+        expectation, and the advantages are normalised over the pool,
+        so neither objective's scale dominates.  ``old_weights`` (if
+        given) is evaluated every ``eval_every`` iterations to measure
+        forgetting (Fig. 7b's snapshots).
         """
         new_weights = np.asarray(new_weights, dtype=np.float64)
         trace = AdaptationTrace()
-        steps = self.config.steps_per_iteration
+
+        def objectives():
+            yield new_weights
+            replay_w = (self.replay.sample(self.trainer.rng, exclude=new_weights)
+                        if use_replay else None)
+            if replay_w is not None:
+                yield replay_w
 
         for it in range(iterations):
-            buffers, boots, mean_reward = self.collector.collect(
-                self.agent.model, new_weights, steps, self.rng)
-            replay_w = None
-            if use_replay:
-                replay_w = self.replay.sample(self.rng, exclude=new_weights)
-            if replay_w is not None:
-                old_buffers, old_boots, _ = self.collector.collect(
-                    self.agent.model, replay_w, steps, self.rng)
-                self.ppo.update(buffers + old_buffers, boots + old_boots)
-            else:
-                self.ppo.update(buffers, boots)
-            trace.rewards.append(mean_reward)
+            trace.rewards.append(self.trainer.iterate(objectives(), "online")[0])
 
             if eval_every and (it % eval_every == 0 or it == iterations - 1):
-                mark = evaluate_policy(self._eval_env, self.agent.model,
-                                       new_weights)
+                model = self.trainer.agent.model
+                mark = evaluate_policy(self._eval_env, model, new_weights)
                 trace.new_marks.append((it, mark))
                 if old_weights is not None:
-                    old_mark = evaluate_policy(self._eval_env, self.agent.model,
-                                               old_weights)
+                    old_mark = evaluate_policy(self._eval_env, model, old_weights)
                     trace.old_marks.append((it, old_mark))
 
         self.replay.add(new_weights)

@@ -23,9 +23,7 @@ import math
 
 import numpy as np
 
-from repro.core.weights import simplex_grid
-
-__all__ = ["objective_graph", "neighborhood_sort", "bootstrap_indices", "traversal_order"]
+__all__ = ["objective_graph", "neighborhood_sort", "bootstrap_indices"]
 
 
 def _as_integer_grid(grid: np.ndarray) -> tuple[np.ndarray, int]:
@@ -127,10 +125,3 @@ def neighborhood_sort(grid: np.ndarray, bootstraps) -> list[int]:
             visited[u] = True
             budget -= 1
     return order
-
-
-def traversal_order(step_denominator: int, bootstraps) -> np.ndarray:
-    """Convenience: the sorted landmark list itself (shape ``(omega, 3)``)."""
-    grid = simplex_grid(step_denominator)
-    order = neighborhood_sort(grid, bootstraps)
-    return grid[order]

@@ -65,17 +65,6 @@ class DiagGaussian:
         """d entropy / d log_std = 1 for every dimension."""
         return np.ones_like(log_std)
 
-    @staticmethod
-    def kl(mean_a, log_std_a, mean_b, log_std_b) -> np.ndarray:
-        """Per-sample KL(a || b) between two diagonal Gaussians."""
-        mean_a = np.atleast_2d(mean_a)
-        mean_b = np.atleast_2d(mean_b)
-        var_a = np.exp(2.0 * log_std_a)
-        var_b = np.exp(2.0 * log_std_b)
-        per_dim = (log_std_b - log_std_a
-                   + (var_a + (mean_a - mean_b) ** 2) / (2.0 * var_b) - 0.5)
-        return per_dim.sum(axis=-1)
-
 
 class Categorical:
     """Categorical distribution over discrete actions (MOCC-DQN)."""

@@ -97,9 +97,3 @@ class Adam(Optimizer):
         m_hat = m / bias1
         v_hat = v / bias2
         value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def reset_state(self) -> None:
-        """Forget moment estimates (used when transferring to a new task)."""
-        self._m.fill(0.0)
-        self._v.fill(0.0)
-        self._t = 0

@@ -27,7 +27,7 @@ from repro.rl.optim import Adam, clip_grad_norm
 from repro.rl.policy import PreferenceActorCritic
 from repro.rl.rollout import RolloutBuffer
 
-__all__ = ["PPOConfig", "PPOTrainer"]
+__all__ = ["PPOConfig", "PPOStats", "PPOTrainer"]
 
 
 @dataclass
@@ -80,13 +80,18 @@ class PPOConfig:
 
 @dataclass
 class PPOStats:
-    """Diagnostics from one :meth:`PPOTrainer.update` call."""
+    """Diagnostics from one :meth:`PPOTrainer.update` call.
+
+    ``explained_variance`` is 1 - Var(R - V) / Var(R) over the pooled
+    batch, ``V`` as recorded at rollout time; minibatches leave it NaN.
+    """
 
     policy_loss: float
     value_loss: float
     entropy: float
     clip_fraction: float
     approx_kl: float
+    explained_variance: float = float("nan")
 
 
 class PPOTrainer:
@@ -133,6 +138,10 @@ class PPOTrainer:
                     for b, v in zip(buffers, boots)]
         returns = np.concatenate([c[0] for c in computed])
         advantages = np.concatenate([c[1] for c in computed])
+        values = np.concatenate([p[4] for p in parts])
+        spread = returns.var()
+        explained = (float(1.0 - (returns - values).var() / spread)
+                     if spread > 0 else float("nan"))
         # Pooled normalisation: objectives with near-constant rewards
         # contribute proportionally small advantages instead of having
         # their noise blown up to unit variance per buffer.
@@ -140,7 +149,7 @@ class PPOTrainer:
         n = len(obs)
         beta = cfg.entropy_coef(self.iteration)
 
-        stats = PPOStats(0.0, 0.0, 0.0, 0.0, 0.0)
+        stats = PPOStats(0.0, 0.0, 0.0, 0.0, 0.0, explained)
         batches = 0
         for _ in range(cfg.epochs):
             order = self.rng.permutation(n)

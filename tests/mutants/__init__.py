@@ -75,6 +75,13 @@ NEXT_CALL_TRACE = ("tests/test_scenarios.py::TestFingerprintCells::"
 NEXT_CALL_AGENT = ("tests/test_scenarios.py::TestFingerprintCells::"
                    "test_in_place_agent_update_changes_keys_on_next_call")
 
+#: The checks of the one PPO loop: what a log row holds, and when an
+#: online iteration draws its replayed objective.
+STATS_LOGGED = ("tests/test_training_pipeline.py::TestOfflineTrainer::"
+                "test_every_row_carries_its_update_stats")
+REPLAY_ORDER = ("tests/test_training_pipeline.py::TestOnlineAdapter::"
+                "test_replay_drawn_between_rollouts")
+
 
 class Mutant(NamedTuple):
     module: str
@@ -355,6 +362,20 @@ MUTANTS = {
         "    def __init__(self):\n        self._memo: dict = {}\n",
         "    _memo: dict = {}\n",
         (NEXT_CALL_TRACE, NEXT_CALL_AGENT)),
+    # The log keeps a zeroed copy of each update's statistics.
+    "ppo-stats-dropped": Mutant(
+        "repro.core.offline",
+        "        stats = self.ppo.update(buffers, boots)\n",
+        "        self.ppo.update(buffers, boots)\n"
+        "        stats = PPOStats(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)\n",
+        (STATS_LOGGED,)),
+    # The loop lists its objectives up front, so online adaptation
+    # draws the replayed one before the new objective's rollout.
+    "online-replay-drawn-first": Mutant(
+        "repro.core.offline",
+        "for w in objectives:",
+        "for w in list(objectives):",
+        (REPLAY_ORDER,)),
 }
 
 

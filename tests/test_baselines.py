@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines import BBR, Copa, Cubic, Orca, PCCAllegro, PCCVivace, Vegas
 from repro.baselines._pcc_common import TrialTracker
-from repro.baselines.aurora import AuroraController, aurora_objective
+from repro.baselines.aurora import AuroraController
 from repro.config import DEFAULT_TRAINING
 from repro.core.agent import MoccAgent
 from repro.eval.runner import EvalNetwork, run_scheme
@@ -216,12 +216,6 @@ class TestRLBaselines:
     def test_aurora_requires_single_objective_model(self):
         with pytest.raises(ValueError):
             AuroraController(MoccAgent(DEFAULT_TRAINING, weight_dim=3))
-
-    def test_aurora_objective_flavours(self):
-        np.testing.assert_allclose(aurora_objective("throughput"), [0.8, 0.1, 0.1])
-        np.testing.assert_allclose(aurora_objective("latency"), [0.1, 0.8, 0.1])
-        with pytest.raises(ValueError):
-            aurora_objective("jitter")
 
     def test_orca_without_model_acts_like_cubic(self):
         orca = Orca(agent=None)

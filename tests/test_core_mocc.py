@@ -33,13 +33,6 @@ class TestMoccAgent:
         a2 = agent.act(obs, [0.8, 0.1, 0.1], rng, deterministic=True)
         assert a1 == a2
 
-    def test_next_rate_applies_eq1(self):
-        agent = MoccAgent(DEFAULT_TRAINING)
-        obs = np.zeros(agent.obs_dim)
-        rng = np.random.default_rng(0)
-        rate = agent.next_rate(100.0, obs, [0.8, 0.1, 0.1], rng)
-        assert rate > 0
-
     def test_save_load_roundtrip(self, tmp_path):
         agent = MoccAgent(DEFAULT_TRAINING)
         path = tmp_path / "agent.npz"

@@ -99,18 +99,6 @@ class TestDiagGaussianSampling:
         np.testing.assert_array_equal(a, b)
 
 
-class TestDiagGaussianKL:
-    def test_zero_for_identical(self):
-        kl = DiagGaussian.kl(np.array([[1.0]]), np.array([0.3]),
-                             np.array([[1.0]]), np.array([0.3]))
-        assert kl[0] == pytest.approx(0.0, abs=1e-12)
-
-    def test_positive_for_different(self):
-        kl = DiagGaussian.kl(np.array([[0.0]]), np.array([0.0]),
-                             np.array([[1.0]]), np.array([0.0]))
-        assert kl[0] == pytest.approx(0.5)  # (mu diff)^2 / (2 sigma^2)
-
-
 class TestCategorical:
     def test_softmax_sums_to_one(self):
         probs = Categorical.softmax(np.array([[1.0, 2.0, 3.0]]))

@@ -23,6 +23,7 @@ from unittest import mock
 
 import pytest
 
+import repro.core.online
 import repro.eval.scenarios
 from repro.netsim.history import StatHistory
 from repro.netsim.sender import Flow
@@ -44,6 +45,7 @@ import test_rngstreams
 import test_scenarios
 import test_topology
 import test_traces
+import test_training_pipeline
 from mutants import (
     BLOCK_CHECKS,
     DEPLOYED_UDT,
@@ -59,8 +61,10 @@ from mutants import (
     RANK,
     RELATION_A,
     RELATION_C,
+    REPLAY_ORDER,
     SINGLE_STEPPING,
     SLICING,
+    STATS_LOGGED,
     law_killer,
     load,
     mutated,
@@ -78,6 +82,14 @@ def signed_by(signer_cls, check) -> None:
     ``signer_cls``."""
     with mock.patch.object(repro.eval.scenarios, "Signer", signer_cls):
         check()
+
+
+def adapted_by(trainer_cls) -> None:
+    """The replay-order check with ``OnlineAdapter`` iterating through
+    ``trainer_cls``."""
+    with mock.patch.object(repro.core.online, "OfflineTrainer", trainer_cls):
+        test_training_pipeline.replay_drawn_between_rollouts(
+            repro.core.online.OnlineAdapter)
 
 
 #: Each killer's check, run on a namespace the loader returned: the
@@ -163,6 +175,9 @@ KILLERS = {
         ns["Signer"], test_scenarios.reregistered_trace_changes_keys),
     NEXT_CALL_AGENT: lambda ns: signed_by(
         ns["Signer"], test_scenarios.in_place_agent_update_changes_keys),
+    STATS_LOGGED: lambda ns: test_training_pipeline.rows_carry_their_update_stats(
+        ns["OfflineTrainer"]),
+    REPLAY_ORDER: lambda ns: adapted_by(ns["OfflineTrainer"]),
 }
 
 #: ``(module, killer)`` for every killer named for a module.

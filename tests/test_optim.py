@@ -75,16 +75,6 @@ class TestAdam:
         moved = -params["x"].value
         assert moved[0] == pytest.approx(moved[1], rel=0.05)
 
-    def test_reset_state(self):
-        params = _quadratic_params([1.0])
-        opt = Adam(params, lr=0.1)
-        params["x"].grad[...] = 1.0
-        opt.step()
-        opt.reset_state()
-        assert opt._t == 0
-        assert np.all(opt._m == 0.0)
-        assert np.all(opt._v == 0.0)
-
 
 class TestClipGradNorm:
     def test_no_clip_below_threshold(self):

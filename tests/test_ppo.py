@@ -80,6 +80,24 @@ class TestPPOMechanics:
         assert stats.entropy > 0
         assert 0.0 <= stats.clip_fraction <= 1.0
 
+    @pytest.mark.parametrize("critic, explained",
+                             [("returns", 1.0), ("mean", 0.0)])
+    def test_explained_variance_closed_form(self, critic, explained):
+        """1 - Var(R - V) / Var(R) over the pooled batch: 1 for a critic
+        that predicted every return, 0 for one that predicted only their
+        mean.  One-step episodes make each return its reward."""
+        model, trainer = self._setup()
+        rewards = np.random.default_rng(15).normal(size=(2, 16))
+        buffers = []
+        for part in rewards:
+            buf = RolloutBuffer(3, 0, 1, len(part))
+            for r in part:
+                value = r if critic == "returns" else rewards.mean()
+                buf.add(np.ones(3), [0.0], 0.0, value, r, True)
+            buffers.append(buf)
+        stats = trainer.update(buffers, [0.0, 0.0])
+        assert stats.explained_variance == pytest.approx(explained, abs=1e-12)
+
     def test_update_changes_parameters(self):
         model, trainer = self._setup()
         before = model.state_dict()
@@ -132,9 +150,10 @@ class TestPPOMechanics:
 
 
     def test_two_trainers_on_one_model_see_each_other(self):
-        """OfflineTrainer and OnlineAdapter each put a PPOTrainer on the
-        same model: the parameters belong to the model, so either
-        trainer's update is the other's starting point."""
+        """An OnlineAdapter puts a second OfflineTrainer, and so a second
+        PPOTrainer, on a model an OfflineTrainer already trained: the
+        parameters belong to the model, so either trainer's update is
+        the other's starting point."""
         model, first = self._setup(weight_dim=3)
         second = PPOTrainer(model, PPOConfig(), rng=np.random.default_rng(12))
         assert first.optimizer.params is second.optimizer.params is model.parameters()

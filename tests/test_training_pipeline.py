@@ -1,5 +1,6 @@
 """Tests for the training pipeline: collectors, offline/online, DQN, zoo."""
 
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from repro.config import DEFAULT_TRAINING, NetworkParams
 from repro.core.agent import MoccAgent
-from repro.core.offline import OfflineTrainer, train_individual, train_single_objective
+from repro.core.offline import OfflineTrainer, train_single_objective
 from repro.core.online import OnlineAdapter
 from repro.models.zoo import BUDGETS, ModelZoo, TrainingBudget
 from repro.rl.dqn import DQNTrainer, QNetwork, ReplayBuffer, action_bins
@@ -41,16 +42,66 @@ class TestCollectors:
         assert pickle.loads(pickle.dumps(SPEC)) == SPEC
 
 
+def rows_carry_their_update_stats(trainer_cls) -> None:
+    """Every log row holds the statistics its iteration's update
+    returned, and they are finite."""
+    trainer = trainer_cls(spec=SPEC, config=TINY, seed=1)
+    returned = []
+    update = trainer.ppo.update
+
+    def spy(buffers, boots):
+        returned.append(update(buffers, boots))
+        return returned[-1]
+
+    trainer.ppo.update = spy
+    # Two bootstrap iterations over the three pivots, then the three
+    # landmarks of the omega = 3 grid, each beside the pivots.
+    result = trainer.train(omega=3, bootstrap_iters=2, traverse_iters=1,
+                           cycles=1)
+    assert len(returned) == result.total_iterations == 5
+    assert [row.iteration for row in result.log] == (
+        [1] * 3 + [2] * 3 + [3] * 4 + [4] * 4 + [5] * 4)
+    for row in result.log:
+        stats = astuple(row.stats)
+        assert stats == astuple(returned[row.iteration - 1])
+        assert np.isfinite(stats).all()
+
+
+def replay_drawn_between_rollouts(adapter_cls) -> None:
+    """Eq. 6's old objective is drawn after the new objective's rollout
+    and before its own."""
+    adapter = adapter_cls(MoccAgent(TINY, seed=3), SPEC, config=TINY, seed=6)
+    adapter.seed_replay([[0.6, 0.3, 0.1]])
+    calls = []
+    collect, sample = adapter.trainer.collector.collect, adapter.replay.sample
+
+    def spy_collect(*args):
+        calls.append("collect")
+        return collect(*args)
+
+    def spy_sample(*args, **kwargs):
+        calls.append("sample")
+        return sample(*args, **kwargs)
+
+    adapter.trainer.collector.collect = spy_collect
+    adapter.replay.sample = spy_sample
+    adapter.adapt([0.45, 0.45, 0.10], iterations=2, eval_every=0)
+    assert calls == ["collect", "sample", "collect"] * 2
+
+
 class TestOfflineTrainer:
     def test_objective_log_records(self):
         trainer = OfflineTrainer(spec=SPEC, config=TINY, seed=1)
-        trainer.train_objectives_jointly([[0.6, 0.3, 0.1]], 2)
+        for _ in range(2):
+            trainer.iterate([[0.6, 0.3, 0.1]], "joint")
         assert len(trainer.log) == 2
         assert trainer.log[0].objective == (0.6, 0.3, 0.1)
 
     def test_joint_training_logs_all_objectives(self):
         trainer = OfflineTrainer(spec=SPEC, config=TINY, seed=1)
-        trainer.train_objectives_jointly([[0.6, 0.3, 0.1], [0.1, 0.6, 0.3]], 2)
+        for _ in range(2):
+            rewards = trainer.iterate([[0.6, 0.3, 0.1], [0.1, 0.6, 0.3]], "joint")
+        assert len(rewards) == 2
         assert len(trainer.log) == 4  # 2 objectives x 2 iterations
 
     def test_two_phase_structure(self):
@@ -58,16 +109,21 @@ class TestOfflineTrainer:
         result = trainer.train(omega=6, bootstrap_iters=1, traverse_iters=1, cycles=1)
         phases = {entry.phase for entry in result.log}
         assert phases == {"bootstrap", "traverse"}
-        assert len(result.landmarks) == 6
-        assert sorted(result.traversal) == list(range(6))
-        assert result.wall_time > 0
+        # No pivot lies on the omega = 6 grid: one bootstrap iteration,
+        # then all six landmarks, each beside the three pivots.
+        assert result.total_iterations == 1 + 6
+        assert len(result.log) == 3 + 6 * 4
+        assert result.log[-1].mean_reward == trainer.log[-1].mean_reward
 
     def test_parameters_change(self):
         trainer = OfflineTrainer(spec=SPEC, config=TINY, seed=1)
         before = trainer.agent.model.state_dict()
-        trainer.train_objectives_jointly([[0.6, 0.3, 0.1]], 1)
+        trainer.iterate([[0.6, 0.3, 0.1]], "joint")
         after = trainer.agent.model.state_dict()
         assert any(not np.allclose(before[k], after[k]) for k in before)
+
+    def test_every_row_carries_its_update_stats(self):
+        rows_carry_their_update_stats(OfflineTrainer)
 
     def test_train_single_objective_trace(self):
         agent, trace, marks = train_single_objective(
@@ -75,13 +131,6 @@ class TestOfflineTrainer:
         assert agent.weight_dim == 0
         assert len(trace) == 3
         assert len(marks) == 2  # iterations 0 and 2
-
-    def test_train_individual_separate_models(self):
-        models = train_individual(SPEC, [(0.8, 0.1, 0.1), (0.1, 0.8, 0.1)],
-                                  iterations=1, config=TINY, seed=5)
-        assert len(models) == 2
-        a, b = models.values()
-        assert a is not b
 
 
 class TestOnlineAdapter:
@@ -107,6 +156,9 @@ class TestOnlineAdapter:
         trace = adapter.adapt([0.45, 0.45, 0.10], iterations=1, eval_every=0,
                               use_replay=False)
         assert len(trace.rewards) == 1
+
+    def test_replay_drawn_between_rollouts(self):
+        replay_drawn_between_rollouts(OnlineAdapter)
 
 
 class TestDQN:

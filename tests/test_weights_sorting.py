@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import BOOTSTRAP_OBJECTIVES
+from repro.core.offline import landmark_schedule
 from repro.core.sorting import (
     bootstrap_indices,
     neighborhood_sort,
     objective_graph,
-    traversal_order,
 )
 from repro.core.weights import (
     nearest_grid_point,
@@ -21,6 +21,7 @@ from repro.core.weights import (
     step_for_omega,
     validate_weights,
 )
+from repro.models.zoo import BUDGETS
 
 
 class TestValidation:
@@ -167,7 +168,38 @@ class TestNeighborhoodSort:
         order = neighborhood_sort(grid, [(0.5, 0.25, 0.25)])
         assert sorted(order) == [0, 1, 2]
 
-    def test_traversal_order_shape(self):
-        path = traversal_order(10, BOOTSTRAP_OBJECTIVES)
-        assert path.shape == (36, 3)
-        np.testing.assert_allclose(path.sum(axis=1), 1.0)
+
+
+class TestLandmarkSchedule:
+    """The §4.2 procedure as a schedule, built without any training."""
+
+    @pytest.mark.parametrize("omega, bootstrap, traverse, cycles",
+                             [(36, 4, 2, 2), (10, 3, 1, 3), (6, 1, 1, 1)])
+    def test_bootstrap_then_sorted_traversal(self, omega, bootstrap,
+                                             traverse, cycles):
+        schedule = landmark_schedule(omega, bootstrap, traverse, cycles)
+        pivots = np.array(BOOTSTRAP_OBJECTIVES)
+        for phase, objectives in schedule[:bootstrap]:
+            assert phase == "bootstrap"
+            np.testing.assert_array_equal(objectives, pivots)
+        grid = simplex_grid(step_for_omega(omega))
+        visits = [i for i in neighborhood_sort(grid, BOOTSTRAP_OBJECTIVES)
+                  if not np.isclose(grid[i], pivots).all(axis=1).any()]
+        expected = [grid[i] for i in visits for _ in range(traverse)] * cycles
+        assert len(schedule) == bootstrap + cycles * traverse * len(visits)
+        assert len(schedule) - bootstrap == len(expected)
+        for (phase, objectives), w in zip(schedule[bootstrap:], expected):
+            assert phase == "traverse"
+            np.testing.assert_array_equal(objectives, [w, *pivots])
+            assert not np.isclose(objectives[0], pivots).all(axis=1).any()
+
+    @pytest.mark.parametrize("quality, rollouts", [("fast", 432), ("full", 882)])
+    def test_budget_rollout_counts(self, quality, rollouts):
+        """omega = 36 has 33 non-pivot landmarks: 100 * 3 + 33 * 4 at
+        ``fast``, 250 * 3 + 33 * 4 at ``full``."""
+        budget = BUDGETS[quality]
+        schedule = landmark_schedule(36, budget.bootstrap_iters,
+                                     budget.traverse_iters, budget.cycles)
+        traverse = [entry for entry in schedule if entry[0] == "traverse"]
+        assert len(traverse) == 33
+        assert sum(len(objectives) for _, objectives in schedule) == rollouts
