@@ -113,7 +113,6 @@ class TestOfflineTrainer:
         # then all six landmarks, each beside the three pivots.
         assert result.total_iterations == 1 + 6
         assert len(result.log) == 3 + 6 * 4
-        assert result.log[-1].mean_reward == trainer.log[-1].mean_reward
 
     def test_parameters_change(self):
         trainer = OfflineTrainer(spec=SPEC, config=TINY, seed=1)
