@@ -41,8 +41,7 @@ def _eval_agent_rewards(agent, objectives, seed=30):
     net = EvalNetwork(bandwidth_mbps=4.0, one_way_ms=30.0, buffer_bdp=2.0)
     rewards = []
     for i, w in enumerate(objectives):
-        ctrl = MoccController(agent, w, initial_rate=net.bottleneck_pps / 3,
-                              seed=seed + i)
+        ctrl = MoccController(agent, w, initial_rate=net.bottleneck_pps / 3)
         record = run_scheme(ctrl, net, duration=12.0, seed=seed + i)
         rewards.append(reward_of_record(record, w))
     return np.asarray(rewards)

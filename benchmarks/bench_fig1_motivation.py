@@ -67,23 +67,23 @@ def bench_fig1b_tradeoff_ellipses(benchmark, mocc_agent, aurora_throughput,
     """Fig. 1(b): 1-sigma throughput/latency ellipses per scheme."""
     network = EvalNetwork(bandwidth_mbps=25.0, one_way_ms=20.0, buffer_bdp=2.0)
 
-    def controllers(seed):
+    def controllers():
         start = network.bottleneck_pps / 3
         return [
             ("CUBIC", Cubic()),
             ("Vegas", Vegas()),
-            ("Aurora-thr", AuroraController(aurora_throughput, initial_rate=start, seed=seed)),
-            ("Aurora-lat", AuroraController(aurora_latency, initial_rate=start, seed=seed)),
+            ("Aurora-thr", AuroraController(aurora_throughput, initial_rate=start)),
+            ("Aurora-lat", AuroraController(aurora_latency, initial_rate=start)),
             ("MOCC-thr", MoccController(mocc_agent, THROUGHPUT_WEIGHTS,
-                                        initial_rate=start, seed=seed)),
+                                        initial_rate=start)),
             ("MOCC-lat", MoccController(mocc_agent, LATENCY_WEIGHTS,
-                                        initial_rate=start, seed=seed)),
+                                        initial_rate=start)),
         ]
 
     def experiment():
-        samples = {name: [] for name, _ in controllers(0)}
+        samples = {name: [] for name, _ in controllers()}
         for seed in range(3):
-            for name, ctrl in controllers(seed):
+            for name, ctrl in controllers():
                 record = run_scheme(ctrl, network, duration=15.0, seed=seed + 1)
                 rtt_ms = (record.mean_rtt or 0.0) * 1000.0
                 samples[name].append((record.mean_throughput_mbps, rtt_ms))

@@ -20,8 +20,8 @@ def main():
     agent = default_zoo().mocc_offline(quality="fast")
     network = EvalNetwork(bandwidth_mbps=12.0, one_way_ms=20.0, buffer_bdp=1.0)
     controllers = [MoccController(agent, BALANCE_WEIGHTS,
-                                  initial_rate=network.bottleneck_pps / 4, seed=i)
-                   for i in range(3)]
+                                  initial_rate=network.bottleneck_pps / 4)
+                   for _ in range(3)]
     print("Three same-weight MOCC flows, arrivals at 0/15/30 s...\n")
     records = run_competition(controllers, network, duration=60.0,
                               start_times=[0.0, 15.0, 30.0], seed=6)

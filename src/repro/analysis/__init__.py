@@ -29,6 +29,6 @@ repository.
 """
 
 from repro.analysis.core import Analyzer, AstRule, Finding
-from repro.analysis.registry import all_rules, rules_by_id
+from repro.analysis.registry import all_rules
 
-__all__ = ["Analyzer", "AstRule", "Finding", "all_rules", "rules_by_id"]
+__all__ = ["Analyzer", "AstRule", "Finding", "all_rules"]

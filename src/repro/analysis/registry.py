@@ -14,7 +14,7 @@ from repro.analysis.rules_determinism import (
     WallClockRule,
 )
 
-__all__ = ["all_rules", "rules_by_id"]
+__all__ = ["all_rules"]
 
 _RULE_CLASSES = (
     # determinism
@@ -32,8 +32,3 @@ _RULE_CLASSES = (
 def all_rules() -> list:
     """Fresh instances of every registered rule."""
     return [cls() for cls in _RULE_CLASSES]
-
-
-def rules_by_id() -> dict:
-    """``{rule_id: rule_instance}`` for the default rule set."""
-    return {rule.id: rule for rule in all_rules()}

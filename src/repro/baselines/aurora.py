@@ -23,13 +23,11 @@ class AuroraController(PolicyRateController):
     name = "Aurora"
 
     def __init__(self, agent: MoccAgent, initial_rate: float = 100.0,
-                 deterministic: bool = True, seed: int = 0,
                  flavor: str | None = None):
         if agent.weight_dim != 0:
             raise ValueError("Aurora uses a single-objective model (weight_dim=0)")
         super().__init__(agent.model, weights=None, initial_rate=initial_rate,
                          action_scale=agent.config.action_scale,
-                         history_length=agent.config.history_length,
-                         deterministic=deterministic, seed=seed)
+                         history_length=agent.config.history_length)
         if flavor:
             self.name = f"Aurora-{flavor}"

@@ -23,7 +23,6 @@ from repro.core.agent import MoccAgent
 from repro.netsim.env import apply_action
 from repro.netsim.history import StatHistory
 from repro.netsim.packet import Packet
-from repro.netsim.rngstreams import stream_rng
 from repro.netsim.sender import Controller, Flow, MonitorIntervalStats
 
 __all__ = ["Orca"]
@@ -40,16 +39,13 @@ class Orca(Controller):
     MAX_SCALE = 4.0
 
     def __init__(self, agent: MoccAgent | None = None, rl_interval: int = 4,
-                 initial_cwnd: float = 10.0, action_scale: float = 0.2,
-                 deterministic: bool = True, seed: int = 0):
+                 initial_cwnd: float = 10.0, action_scale: float = 0.2):
         if agent is not None and agent.weight_dim != 0:
             raise ValueError("Orca uses a single-objective model (weight_dim=0)")
         self.cubic = Cubic(initial_cwnd=initial_cwnd)
         self.agent = agent
         self.rl_interval = max(int(rl_interval), 1)
         self.action_scale = action_scale
-        self.deterministic = deterministic
-        self.rng = stream_rng("orca.policy", seed)
         self.scale = 1.0
         self.history = StatHistory(agent.config.history_length if agent else 10)
         self._plan = agent.model.plan() if agent else None
@@ -79,8 +75,7 @@ class Orca(Controller):
         self._mi_count += 1
         if self._plan is None or self._mi_count % self.rl_interval != 0:
             return
-        action = self._plan.action(self.history.buffer, self.rng,
-                                   self.deterministic)
+        action = self._plan.action(self.history.buffer)
         self.inference_count += 1
         self.scale = float(np.clip(
             apply_action(self.scale, action, self.action_scale),

@@ -2,7 +2,6 @@
 
 * :mod:`repro.core.weights` -- application requirement vectors and the
   landmark-objective simplex grids (§4.1, §4.2).
-* :mod:`repro.core.objectives` -- the dynamic reward function (Eq. 2).
 * :mod:`repro.core.sorting` -- the neighbourhood-based objective sorting
   algorithm (Appendix B, Algorithm 1).
 * :mod:`repro.core.agent` -- the preference-conditioned MOCC agent and
@@ -24,7 +23,6 @@ from repro.core.weights import (
     simplex_grid,
     validate_weights,
 )
-from repro.core.objectives import dynamic_reward
 from repro.core.sorting import neighborhood_sort, objective_graph
 from repro.core.agent import MoccAgent, MoccController
 from repro.core.offline import OfflineTrainer, OfflineResult
@@ -40,7 +38,6 @@ __all__ = [
     "omega_for_step",
     "sample_weight",
     "project_to_simplex",
-    "dynamic_reward",
     "objective_graph",
     "neighborhood_sort",
     "MoccAgent",

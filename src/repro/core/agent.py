@@ -15,10 +15,11 @@ Inference is actor-only: a controller resolves an
 :class:`~repro.rl.policy.InferencePlan` when its flow starts (the
 preference embedding is computed once, there) and each interval costs
 one no-grad actor forward on the history buffer itself (no copy) -- no
-critic, no log-probability, no backward caches.  Rollout collection
-resolves a plan per rollout the same way; ``model.act`` /
-:meth:`MoccAgent.act` build a one-shot plan per call and are for
-one-off queries, not a loop.
+critic, no log-probability, no backward caches.  A deployed policy acts
+on the actor's mean: it draws no random number, so no controller takes
+a seed.  Rollout collection resolves a plan per rollout the same way;
+``model.act`` builds a one-shot plan per call and is for one-off
+queries, not a loop.
 """
 
 from __future__ import annotations
@@ -53,15 +54,6 @@ class MoccAgent:
             obs_dim=self.obs_dim, weight_dim=weight_dim, act_dim=1,
             hidden_sizes=config.hidden_sizes, pref_hidden=config.preference_hidden,
             rng=rng)
-
-    # --- acting ----------------------------------------------------------
-
-    def act(self, obs: np.ndarray, weights, rng: np.random.Generator,
-            deterministic: bool = True) -> float:
-        """One action (the Eq. 1 adjustment scalar) for a state."""
-        w = weights if self.weight_dim > 0 else None
-        action, _, _ = self.model.act(obs, w, rng, deterministic=deterministic)
-        return float(action[0])
 
     # --- persistence --------------------------------------------------------
 
@@ -120,8 +112,7 @@ class PolicyRateController(Controller):
 
     def __init__(self, model: PreferenceActorCritic, weights=None,
                  initial_rate: float = 100.0, action_scale: float = 0.025,
-                 history_length: int = 10, deterministic: bool = True,
-                 seed: int = 0):
+                 history_length: int = 10):
         self.model = model
         self.weights = None if weights is None else np.asarray(weights, dtype=np.float64)
         if model.weight_dim > 0 and self.weights is None:
@@ -130,8 +121,6 @@ class PolicyRateController(Controller):
         self.action_scale = action_scale
         self.history = StatHistory(history_length)
         self._plan = model.plan(self.weights)
-        self.deterministic = deterministic
-        self.rng = stream_rng("policy.sample", seed)
         #: Number of policy inferences performed (overhead accounting).
         self.inference_count = 0
 
@@ -141,8 +130,7 @@ class PolicyRateController(Controller):
 
     def on_mi(self, flow: Flow, stats: MonitorIntervalStats, now: float) -> None:
         self.history.push(stats, stats.rate_pps)
-        action = self._plan.action(self.history.buffer, self.rng,
-                                   self.deterministic)
+        action = self._plan.action(self.history.buffer)
         self.inference_count += 1
         self.rate = apply_action(self.rate, action, self.action_scale)
 
@@ -155,9 +143,7 @@ class MoccController(PolicyRateController):
 
     name = "MOCC"
 
-    def __init__(self, agent: MoccAgent, weights, initial_rate: float = 100.0,
-                 deterministic: bool = True, seed: int = 0):
+    def __init__(self, agent: MoccAgent, weights, initial_rate: float = 100.0):
         super().__init__(agent.model, weights=weights, initial_rate=initial_rate,
                          action_scale=agent.config.action_scale,
-                         history_length=agent.config.history_length,
-                         deterministic=deterministic, seed=seed)
+                         history_length=agent.config.history_length)

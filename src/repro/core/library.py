@@ -27,7 +27,6 @@ from repro.core.agent import MoccAgent
 from repro.core.weights import validate_weights
 from repro.netsim.env import apply_action
 from repro.netsim.history import StatHistory
-from repro.netsim.rngstreams import stream_rng
 from repro.rl.policy import InferencePlan
 
 __all__ = ["NetworkStatus", "MOCC"]
@@ -54,13 +53,10 @@ class NetworkStatus:
 class MOCC:
     """Plug-and-play multi-objective congestion control (§5 API)."""
 
-    def __init__(self, agent: MoccAgent, initial_rate: float = 100.0,
-                 deterministic: bool = True, seed: int = 0):
+    def __init__(self, agent: MoccAgent, initial_rate: float = 100.0):
         self.agent = agent
         self.history = StatHistory(agent.config.history_length)
         self.rate = float(initial_rate)
-        self.deterministic = deterministic
-        self.rng = stream_rng("policy.sample", seed)
         self.weights: np.ndarray | None = None
         self._plan: InferencePlan | None = None  # resolved by register()
         #: Policy inference counter (used by the overhead study).
@@ -93,8 +89,7 @@ class MOCC:
         """``GetSendingRate()``: the rate for the next interval (pps)."""
         if self._plan is None:
             raise RuntimeError("call register() before get_sending_rate()")
-        action = self._plan.action(self.history.buffer, self.rng,
-                                   self.deterministic)
+        action = self._plan.action(self.history.buffer)
         self.inference_count += 1
         self.rate = apply_action(self.rate, action, self.agent.config.action_scale)
         return self.rate

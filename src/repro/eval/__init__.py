@@ -15,7 +15,8 @@ Every table/figure in the paper's §6 is regenerated from these pieces:
   multi-bottleneck + churn and ack-congestion grids beyond the
   paper's evaluation, all as scenario suites.
 * :mod:`repro.eval.gaussian` -- 1-sigma ellipses for Fig. 1(b).
-* :mod:`repro.eval.cdf` -- empirical CDFs (Figs. 6, 12, 16, 18).
+* :mod:`repro.eval.cdf` -- reward-percentile tables (Figs. 6, 12, 16,
+  18).
 * :mod:`repro.eval.overhead` -- control-loop CPU cost (Fig. 17).
 * :mod:`repro.eval.pareto` -- Pareto fronts and exact hypervolume for
   the multi-objective scorecard.
@@ -35,7 +36,6 @@ from repro.eval.scenarios import (
     Scenario,
     ScenarioSuite,
     build_scenario_simulation,
-    run_scenario,
 )
 from repro.eval.parallel import (
     ParallelRunner,
@@ -51,7 +51,6 @@ from repro.eval.metrics import (
     reward_of_record,
 )
 from repro.eval.gaussian import sigma_ellipse
-from repro.eval.cdf import empirical_cdf
 from repro.eval.sweeps import ack_congestion_suite, multihop_churn_suite
 
 __all__ = [
@@ -64,7 +63,6 @@ __all__ = [
     "friendliness_ratio",
     "reward_of_record",
     "sigma_ellipse",
-    "empirical_cdf",
     "multihop_churn_suite",
     "ack_congestion_suite",
     "AgentRef",
@@ -72,7 +70,6 @@ __all__ = [
     "FlowDef",
     "Scenario",
     "ScenarioSuite",
-    "run_scenario",
     "ParallelRunner",
     "ResultCache",
     "ScenarioError",

@@ -1,27 +1,10 @@
-"""Empirical CDFs for the reward-distribution figures (6, 12, 16, 18)."""
+"""Reward percentiles for the reward-distribution figures (6, 12, 16, 18)."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["empirical_cdf", "cdf_at", "format_cdf_table"]
-
-
-def empirical_cdf(samples) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted values and cumulative probabilities (right-continuous)."""
-    x = np.sort(np.asarray(samples, dtype=np.float64))
-    if len(x) == 0:
-        return x, x
-    p = np.arange(1, len(x) + 1) / len(x)
-    return x, p
-
-
-def cdf_at(samples, value: float) -> float:
-    """Fraction of samples <= value."""
-    x = np.asarray(samples, dtype=np.float64)
-    if len(x) == 0:
-        return 0.0
-    return float(np.mean(x <= value))
+__all__ = ["format_cdf_table"]
 
 
 def format_cdf_table(named_samples: dict[str, np.ndarray],

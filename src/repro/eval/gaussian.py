@@ -25,26 +25,6 @@ class Ellipse:
     #: Rotation of the major axis, radians counter-clockwise from +x.
     angle: float
 
-    def contour(self, points: int = 64) -> np.ndarray:
-        """Sample the contour polyline (shape ``(points, 2)``)."""
-        t = np.linspace(0.0, 2.0 * np.pi, points)
-        unit = np.stack([np.cos(t), np.sin(t)])
-        rot = np.array([[np.cos(self.angle), -np.sin(self.angle)],
-                        [np.sin(self.angle), np.cos(self.angle)]])
-        xy = rot @ (np.diag(self.axes) @ unit)
-        return xy.T + np.asarray(self.center)
-
-    def contains(self, point, tol: float = 1e-9) -> bool:
-        """Whether a point lies inside (or on) the ellipse."""
-        p = np.asarray(point, dtype=np.float64) - np.asarray(self.center)
-        rot = np.array([[np.cos(self.angle), np.sin(self.angle)],
-                        [-np.sin(self.angle), np.cos(self.angle)]])
-        local = rot @ p
-        a, b = self.axes
-        if a <= 0 or b <= 0:
-            return bool(np.allclose(p, 0.0, atol=tol))
-        return (local[0] / a) ** 2 + (local[1] / b) ** 2 <= 1.0 + tol
-
 
 def sigma_ellipse(samples: np.ndarray, n_sigma: float = 1.0) -> Ellipse:
     """ML-Gaussian ``n_sigma`` contour of 2-D ``samples`` (shape (n, 2))."""

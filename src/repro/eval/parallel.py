@@ -191,14 +191,6 @@ class SuiteResult:
         return row_labels, col_labels, matrix
 
     @property
-    def cache_hits(self) -> int:
-        return sum(1 for r in self.results if r.cached)
-
-    @property
-    def cache_misses(self) -> int:
-        return sum(1 for r in self.results if not r.cached)
-
-    @property
     def total_events(self) -> int:
         """Heap events dispatched by the suite's *executed* cells."""
         return sum(r.events for r in self.results if not r.cached)

@@ -78,7 +78,9 @@ def scheme_factory(name: str, network: EvalNetwork, seed: int = 0,
     the corresponding pre-trained agents (see :mod:`repro.models.zoo`).
     Initial rates start at roughly a third of the bottleneck, as a real
     deployment's slow-start handoff would; ``initial_rate`` (pps)
-    overrides that for rate-based schemes.
+    overrides that for rate-based schemes.  ``seed`` shapes no result:
+    no controller draws a random number.  It is kept because the frozen
+    perf ledger passes it.
     """
     pps = network.bottleneck_pps
     start_rate = max(pps / 3.0, 2.0) if initial_rate is None else float(initial_rate)
@@ -98,15 +100,15 @@ def scheme_factory(name: str, network: EvalNetwork, seed: int = 0,
     if key == "mocc":
         if mocc_agent is None or mocc_weights is None:
             raise ValueError("MOCC needs mocc_agent and mocc_weights")
-        return MoccController(mocc_agent, mocc_weights, initial_rate=start_rate, seed=seed)
+        return MoccController(mocc_agent, mocc_weights, initial_rate=start_rate)
     if key.startswith("aurora"):
         if aurora_agent is None:
             raise ValueError("Aurora needs a pre-trained aurora_agent")
         flavor = key.split("-", 1)[1] if "-" in key else None
-        return AuroraController(aurora_agent, initial_rate=start_rate, seed=seed,
+        return AuroraController(aurora_agent, initial_rate=start_rate,
                                 flavor=flavor)
     if key == "orca":
-        return Orca(agent=orca_agent, seed=seed)
+        return Orca(agent=orca_agent)
     raise ValueError(f"unknown scheme {name!r}")
 
 

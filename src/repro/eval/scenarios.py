@@ -38,13 +38,13 @@ import numpy as np
 
 from repro.eval.runner import EvalNetwork, scheme_factory
 from repro.netsim.faults import coerce_faults
-from repro.netsim.network import FlowRecord, FlowSpec, Simulation
+from repro.netsim.network import FlowSpec, Simulation
 from repro.netsim.signing import UNSIGNED, Signer, canonical
 from repro.netsim.topology import TopologySpec
 from repro.netsim.traces import named_trace_form
 
 __all__ = ["AgentRef", "ChurnSchedule", "FlowDef", "Scenario", "ScenarioSuite",
-           "build_scenario_simulation", "fingerprint_cells", "run_scenario"]
+           "build_scenario_simulation", "fingerprint_cells"]
 
 #: Bumped whenever scenario execution changes in a way that invalidates
 #: previously cached results, or the on-disk form of an entry changes.
@@ -204,10 +204,11 @@ class FlowDef:
     :class:`~repro.core.agent.MoccAgent` for the learning-based
     schemes.  ``rate_frac`` overrides the initial sending rate as a
     fraction of the bottleneck capacity (of the flow's own path for
-    topology scenarios); ``seed`` overrides the controller seed
-    (defaults to the scenario seed); ``path`` names the topology path
-    the flow traverses (topology scenarios only; ``None`` = the
-    topology's default path).
+    topology scenarios); ``path`` names the topology path the flow
+    traverses (topology scenarios only; ``None`` = the topology's
+    default path).  ``seed`` shapes no result: deployed policies act on
+    their mean and draw nothing, so no controller takes a seed.  It is
+    kept, and signed, because the frozen perf ledger reads it.
     """
 
     scheme: str = field(metadata=canonical(
@@ -482,14 +483,13 @@ def _controller_kwargs(flow: FlowDef, agent) -> dict:
     return {}
 
 
-def _build_controller(flow: FlowDef, network: EvalNetwork, seed: int):
+def _build_controller(flow: FlowDef, network: EvalNetwork):
     """One sized controller for ``flow`` on a (possibly per-path) network."""
     agent = _resolve_agent(flow.agent)
     initial_rate = None
     if flow.rate_frac is not None:
         initial_rate = flow.rate_frac * network.bottleneck_pps
-    return scheme_factory(flow.scheme, network, seed=seed,
-                          initial_rate=initial_rate,
+    return scheme_factory(flow.scheme, network, initial_rate=initial_rate,
                           **_controller_kwargs(flow, agent))
 
 
@@ -497,10 +497,11 @@ def build_scenario_simulation(scenario: Scenario,
                               trace_cache: dict | None = None) -> Simulation:
     """Wire one scenario into an unrun :class:`Simulation`.
 
-    The construction half of :func:`run_scenario`: same agent
-    resolution, controller sizing, topology seeding.  Exposed so
-    callers that need the live simulation (the batch runner, the perf
-    ledger, stepping tests) can drive ``run_all`` / ``state`` and read
+    Agent resolution, controller sizing, topology seeding: its
+    ``run_all()`` gives the records a
+    :class:`~repro.eval.parallel.ParallelRunner` sweep produces for the
+    cell.  Callers that need the live simulation (the batch runner, the
+    perf ledger, stepping tests) drive ``run_all`` / ``state`` and read
     ``Simulation.events_processed`` on exactly the simulations the
     evaluation pipeline would run.
 
@@ -522,30 +523,18 @@ def build_scenario_simulation(scenario: Scenario,
                           trace_cache=trace_cache)
     flow_specs = []
     for flow in scenario.flows:
-        seed = scenario.seed if flow.seed is None else flow.seed
         path = spec.path(flow.path)
         path_network = EvalNetwork(
             bandwidth_mbps=spec.path_bottleneck_mbps(path.name),
             one_way_ms=spec.path_one_way_ms(path.name),
             packet_bytes=packet_bytes)
-        controller = _build_controller(flow, path_network, seed)
+        controller = _build_controller(flow, path_network)
         flow_specs.append(FlowSpec(
             controller=controller, start_time=flow.start, stop_time=flow.stop,
             packet_bytes=packet_bytes, mi_duration=scenario.mi_duration,
             path=flow.path))
     return Simulation(topology, flow_specs, duration=scenario.duration,
                       seed=scenario.seed)
-
-
-def run_scenario(scenario: Scenario) -> list[FlowRecord]:
-    """Execute one scenario serially, in this process, with no cache.
-
-    The same records a :class:`~repro.eval.parallel.ParallelRunner`
-    sweep produces for the cell, and the same as the hand-rolled
-    ``scheme_factory`` + ``run_scheme`` / ``run_competition`` loops the
-    benchmarks used to contain: same seeds, same event streams.
-    """
-    return build_scenario_simulation(scenario).run_all()
 
 
 def _coerce_lineups(lineups) -> tuple:

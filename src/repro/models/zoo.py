@@ -176,10 +176,6 @@ class ModelZoo:
                                               seed=seed + 100 + i)))
         return models
 
-    def clear(self) -> None:
-        """Drop the in-memory cache (disk cache untouched)."""
-        self._memory.clear()
-
 
 _default: ModelZoo | None = None
 

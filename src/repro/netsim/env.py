@@ -49,7 +49,8 @@ class RewardComponents:
     o_loss: float
 
     def weighted(self, weights) -> float:
-        """Scalarise with a weight vector ``<w_thr, w_lat, w_loss>``."""
+        """Eq. 2, the dynamic reward: scalarise with a weight vector
+        ``<w_thr, w_lat, w_loss>``."""
         return float(weights[0] * self.o_thr + weights[1] * self.o_lat
                      + weights[2] * self.o_loss)
 

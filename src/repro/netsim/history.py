@@ -129,14 +129,6 @@ class StatHistory:
                      _clamp(stats.latency_gradient * GRADIENT_SCALE, -10.0, 10.0),
                      rate_ratio)
 
-    def push_raw(self, send_ratio: float, latency_ratio: float, gradient: float,
-                 rate_ratio: float = 1.0) -> None:
-        """Append a raw statistic vector (used by tests and replayers)."""
-        self._append(_clamp(send_ratio, 0.0, 10.0),
-                     _clamp(latency_ratio, 0.0, LATENCY_RATIO_CAP),
-                     _clamp(gradient, -10.0, 10.0),
-                     _clamp(rate_ratio, 0.0, RATE_RATIO_CAP))
-
     def vector(self) -> np.ndarray:
         """Flattened state: ``4 * eta`` floats, oldest first.
 

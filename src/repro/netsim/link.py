@@ -163,10 +163,6 @@ class Link:
         """Waiting time a packet arriving at ``t`` would spend queued."""
         return max(0.0, self.busy_until - t)
 
-    def backlog_at(self, t: float) -> float:
-        """Approximate queue occupancy (packets) at time ``t``."""
-        return self.queue_delay_at(t) * self.bandwidth_at(t)
-
     # --- transmission -----------------------------------------------------
 
     def transmit(self, t: float, size: float = 1.0) -> tuple:
@@ -298,10 +294,6 @@ class Link:
     def base_rtt(self) -> float:
         """Round-trip propagation time across this link (no queueing)."""
         return 2.0 * self.delay
-
-    def bdp_packets(self, t: float = 0.0) -> float:
-        """Bandwidth-delay product in packets at time ``t``."""
-        return self.bandwidth_at(t) * self.base_rtt
 
 
 class PropagationLink(Link):

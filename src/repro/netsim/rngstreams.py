@@ -8,19 +8,19 @@ comes from and the function that turns that material into the exact
 entropy ``default_rng`` receives; :func:`stream_rng` is the only place
 ``netsim``, ``baselines``, ``eval``, ``datapath``, ``core/agent.py`` and
 ``core/library.py`` construct a generator (the ``rng-sole-constructor``
-replint rule).  The entropies are frozen to the inline expressions the
-call sites once carried, so every golden digest holds
+replint rule).  Deployed policies act on the actor's mean and hold no
+generator at all.  The entropies are frozen to the inline expressions
+the call sites once carried, so every golden digest holds
 (``tests/test_rngstreams.py`` pins each one).
 
 Disjointness is checked on values, at import: :func:`check_streams`
 evaluates every function over a small sample of its material, reduces
 each entropy to the words ``SeedSequence`` mixes, and refuses to import
-when two streams of one seed space can meet and the pair is not in
-:data:`ACCEPTED_OVERLAPS` -- or when a listed pair no longer meets.
-Streams are compared within a space only.  ``scenario`` is the cell
-seed ``s``; ``link`` is the seed ``TopologySpec.build`` -- the one
-network builder, a single-bottleneck cell or training episode being
-its one-link dumbbell -- receives, which the eval pipeline forms as
+when two streams of one seed space can meet.  Streams are compared
+within a space only.  ``scenario`` is the cell seed ``s``; ``link`` is
+the seed ``TopologySpec.build`` -- the one network builder, a
+single-bottleneck cell or training episode being its one-link
+dumbbell -- receives, which the eval pipeline forms as
 ``31 * s + 17`` (``131 * s + 7`` in ``apps.bulk``, ``7919 * e + 1``
 for episode seed ``e`` in ``CongestionControlEnv.reset``) and which is
 therefore never the cell or episode seed itself; ``env`` is the seed
@@ -39,7 +39,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-__all__ = ["STREAMS", "ACCEPTED_OVERLAPS", "check_streams", "stream_rng"]
+__all__ = ["STREAMS", "check_streams", "stream_rng"]
 
 #: ``{name: (seed space, entropy function)}``.  Parameter names say
 #: what the material is (``seed``, ``index``, ``key``) and pick the
@@ -50,11 +50,6 @@ STREAMS = {
     # Simulation._hop_rng: per-hop forwarding dither, kept off
     # sim.pacing so hop events cannot shift the send-jitter sequence.
     "sim.hop-dither": ("scenario", lambda seed: (seed, 0x517CC1B7)),
-    # Orca.rng: policy sampling, drawn only at deterministic=False.
-    "orca.policy": ("scenario", lambda seed: seed),
-    # PolicyRateController.rng (MOCC, Aurora) and the §5 library's
-    # MOCC.rng: the same, per flow.
-    "policy.sample": ("scenario", lambda seed: seed),
     # MoccAgent: model initialisation, from the agent's own seed.
     "agent.init": ("agent", lambda seed: seed),
     # TopologySpec.build -> Link.rng: wire loss per link, keyed by the
@@ -78,20 +73,6 @@ STREAMS = {
     "trace.synth": ("trace", lambda seed: seed),
 }
 
-#: Pairs whose entropies meet, and why each is left as it is: moving
-#: either stream would move every digest that runs it.
-ACCEPTED_OVERLAPS = {
-    frozenset({"sim.pacing", "orca.policy"}):
-        "both default_rng(s) within one cell; Orca draws only at "
-        "deterministic=False, which no cell sets",
-    frozenset({"sim.pacing", "policy.sample"}):
-        "both default_rng(s) within one cell; a policy controller draws "
-        "only at deterministic=False, which scheme_factory never sets",
-    frozenset({"orca.policy", "policy.sample"}):
-        "both policy samplers, both drawn only at deterministic=False, "
-        "which scheme_factory never sets",
-}
-
 _SAMPLE = {"seed": range(16), "index": range(8),
            "key": ("", "bottleneck", "uplink")}
 
@@ -108,7 +89,8 @@ def _words(entropy) -> tuple:
 
 
 def check_streams() -> None:
-    """Raise unless the overlapping pairs are exactly the accepted ones."""
+    """Raise, naming each pair, when two streams of one seed space can
+    be fed one entropy."""
     images = {}
     for name, (space, entropy) in STREAMS.items():
         code = entropy.__code__
@@ -117,14 +99,9 @@ def check_streams() -> None:
     overlapping = [(a, b) for a, b in combinations(sorted(images), 2)
                    if images[a][0] == images[b][0]
                    and not images[a][1].isdisjoint(images[b][1])]
-    accepted = sorted(tuple(sorted(pair)) for pair in ACCEPTED_OVERLAPS)
-    unlisted = [pair for pair in overlapping if pair not in accepted]
-    stale = [pair for pair in accepted if pair not in overlapping]
-    if unlisted or stale:
-        raise ValueError(
-            f"RNG streams that can be fed one entropy without an accepted "
-            f"reason: {unlisted}; accepted overlaps that do not overlap: "
-            f"{stale}")
+    if overlapping:
+        raise ValueError(f"RNG streams that can be fed one entropy: "
+                         f"{overlapping}")
 
 
 check_streams()

@@ -151,13 +151,6 @@ class MonitorIntervalStats:
             return 0.0
         return self.lost / total
 
-    @property
-    def latency_ratio_to_base(self) -> float:
-        """Mean RTT over propagation RTT (the Fig. 5e-h metric)."""
-        if self.mean_rtt is None or self.base_rtt <= 0:
-            return LATENCY_RATIO_CAP
-        return self.mean_rtt / self.base_rtt
-
 
 class Flow:
     """Runtime state of one flow inside a simulation."""
@@ -290,16 +283,6 @@ class Flow:
         self.fwd_hop_floor = [0.0] * len(self.links)
         self.rev_hop_floor = [0.0] * len(self.reverse_links)
 
-    @property
-    def mi_rtt_samples(self) -> list[tuple[float, float]]:
-        """Current-MI ``(ack_time, rtt)`` samples as a list (debug view).
-
-        The engine streams samples into flat buffers; this property
-        materialises them for tests and interactive inspection only --
-        do not use it on a hot path.
-        """
-        return list(zip(self._mi_times, self._mi_rtts))
-
     # --- accounting hooks --------------------------------------------------
     # ``Simulation._drain`` carries ``note_sent`` and ``note_ack`` inline
     # on its per-packet path; the methods serve its cold callers (parked
@@ -419,16 +402,3 @@ def _rtt_slope_arrays(times: np.ndarray, rtts: np.ndarray,
     if denom <= 1e-12:
         return 0.0
     return float(np.dot(t_center, rtts - rtt_mean) / denom)
-
-
-def _rtt_slope(samples: list[tuple[float, float]]) -> float:
-    """Least-squares slope of RTT vs. ack time (the latency gradient).
-
-    List-of-tuples convenience wrapper around :func:`_rtt_slope_arrays`
-    (which is what the flow's streaming buffers feed directly).
-    """
-    if len(samples) < 2:
-        return 0.0
-    times = np.array([s[0] for s in samples])
-    rtts = np.array([s[1] for s in samples])
-    return _rtt_slope_arrays(times, rtts, np.add.reduce(rtts) / len(samples))

@@ -350,7 +350,7 @@ def make_trace(name: str, cache: dict | None = None) -> BandwidthTrace:
         factory = _TRACE_REGISTRY[name]
     except KeyError:
         raise KeyError(
-            f"unknown trace {name!r}; registered: {sorted(_TRACE_REGISTRY)}"
+            f"unknown trace {name!r}; registered: {trace_names()}"
         ) from None
     return factory()
 

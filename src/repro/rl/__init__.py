@@ -7,10 +7,10 @@ numpy implementation:
 * :mod:`repro.rl.nn` -- dense layers and MLPs with manual backprop, and
   the parameter arena (one flat value and one flat gradient vector per
   model; every ``Parameter`` is a view into them).
-* :mod:`repro.rl.optim` -- Adam (the paper's optimizer) and SGD, one
-  pass over the arena per step.
-* :mod:`repro.rl.distributions` -- diagonal Gaussian and categorical
-  action distributions.
+* :mod:`repro.rl.optim` -- Adam (the paper's optimizer), one pass over
+  the arena per step.
+* :mod:`repro.rl.distributions` -- the diagonal Gaussian action
+  distribution.
 * :mod:`repro.rl.policy` -- the actor-critic model with the preference
   sub-network of Fig. 3, and the single-state ``InferencePlan``.
 * :mod:`repro.rl.rollout` -- trajectory storage, returns, advantages.
@@ -23,8 +23,8 @@ numpy implementation:
 """
 
 from repro.rl.nn import MLP, Dense, Tanh, ReLU, Sequential
-from repro.rl.optim import Adam, SGD
-from repro.rl.distributions import DiagGaussian, Categorical
+from repro.rl.optim import Adam
+from repro.rl.distributions import DiagGaussian
 from repro.rl.policy import PreferenceActorCritic
 from repro.rl.rollout import RolloutBuffer, discounted_returns, gae_advantages
 from repro.rl.ppo import PPOTrainer, PPOConfig
@@ -36,9 +36,7 @@ __all__ = [
     "ReLU",
     "Sequential",
     "Adam",
-    "SGD",
     "DiagGaussian",
-    "Categorical",
     "PreferenceActorCritic",
     "RolloutBuffer",
     "discounted_returns",

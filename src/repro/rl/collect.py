@@ -92,6 +92,6 @@ def evaluate_policy(env: MoccEnv, model: PreferenceActorCritic, weights) -> floa
     total = 0.0
     done = False
     while not done:
-        obs, _, reward, _, done, _ = env.step(float(plan.mean(obs)[0]))
+        obs, _, reward, _, done, _ = env.step(plan.action(obs))
         total += reward
     return float(total)

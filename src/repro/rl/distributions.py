@@ -1,18 +1,16 @@
-"""Action distributions for the policy networks.
+"""The action distribution of the policy networks.
 
 MOCC's actor outputs the mean and standard deviation of a Gaussian over
-the continuous rate-adjustment action (Fig. 2b/3); MOCC-DQN (the Fig. 18
-ablation) uses a categorical distribution over discretised actions.
-
-Both classes are stateless: they take distribution parameters per call
-and return values plus the gradients PPO/DQN need.
+the continuous rate-adjustment action (Fig. 2b/3).  The class is
+stateless: it takes distribution parameters per call and returns values
+plus the gradients PPO needs.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["DiagGaussian", "Categorical"]
+__all__ = ["DiagGaussian"]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -65,31 +63,3 @@ class DiagGaussian:
         """d entropy / d log_std = 1 for every dimension."""
         return np.ones_like(log_std)
 
-
-class Categorical:
-    """Categorical distribution over discrete actions (MOCC-DQN)."""
-
-    @staticmethod
-    def softmax(logits: np.ndarray) -> np.ndarray:
-        logits = np.atleast_2d(logits)
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        exp = np.exp(shifted)
-        return exp / exp.sum(axis=-1, keepdims=True)
-
-    @staticmethod
-    def sample(logits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        probs = Categorical.softmax(logits)
-        cumulative = probs.cumsum(axis=-1)
-        draws = rng.random(size=(probs.shape[0], 1))
-        return (draws < cumulative).argmax(axis=-1)
-
-    @staticmethod
-    def log_prob(actions: np.ndarray, logits: np.ndarray) -> np.ndarray:
-        probs = Categorical.softmax(logits)
-        idx = np.arange(probs.shape[0])
-        return np.log(probs[idx, np.asarray(actions, dtype=int)] + 1e-12)
-
-    @staticmethod
-    def entropy(logits: np.ndarray) -> np.ndarray:
-        probs = Categorical.softmax(logits)
-        return -(probs * np.log(probs + 1e-12)).sum(axis=-1)

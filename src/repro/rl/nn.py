@@ -45,7 +45,6 @@ __all__ = [
     "MLP",
     "Parameter",
     "ParameterArena",
-    "numerical_gradient",
 ]
 
 
@@ -288,24 +287,3 @@ class MLP(Sequential):
         self.in_features = in_features
         self.out_features = out_features
 
-
-def numerical_gradient(f, params: dict[str, Parameter], eps: float = 1e-6) -> dict[str, np.ndarray]:
-    """Central-difference gradient of scalar ``f()`` w.r.t. each parameter.
-
-    Used by the test suite to validate the manual backprop.
-    """
-    grads: dict[str, np.ndarray] = {}
-    for name, param in params.items():
-        grad = np.zeros_like(param.value)
-        flat = param.value.ravel()
-        grad_flat = grad.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = f()
-            flat[i] = orig - eps
-            f_minus = f()
-            flat[i] = orig
-            grad_flat[i] = (f_plus - f_minus) / (2.0 * eps)
-        grads[name] = grad
-    return grads

@@ -2,8 +2,7 @@
 
 The paper uses Adam ("a famous adaptive learning rate optimization
 algorithm, which consistently outperforms standard SGD", §5) with a
-learning rate of 0.001 (Table 2).  SGD is provided for comparison and
-for the deep-dive tests.
+learning rate of 0.001 (Table 2).
 
 Optimizers work on a model's :class:`~repro.rl.nn.ParameterArena`:
 the update rules are elementwise, so running them once over the flat
@@ -22,7 +21,7 @@ import numpy as np
 
 from repro.rl.nn import ParameterArena
 
-__all__ = ["Optimizer", "Adam", "SGD", "clip_grad_norm"]
+__all__ = ["Adam", "clip_grad_norm"]
 
 
 def clip_grad_norm(params: ParameterArena, max_norm: float) -> float:
@@ -39,45 +38,14 @@ def clip_grad_norm(params: ParameterArena, max_norm: float) -> float:
     return norm
 
 
-class Optimizer:
-    """Base optimizer over a model's parameter arena."""
-
-    def __init__(self, params: ParameterArena, lr: float):
-        self.params = params
-        self.lr = lr
-
-    def step(self) -> None:
-        raise NotImplementedError
-
-    def zero_grad(self) -> None:
-        self.params.zero_grad()
-
-
-class SGD(Optimizer):
-    """Plain stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params: ParameterArena, lr: float, momentum: float = 0.0):
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self._velocity = np.zeros_like(params.value)
-
-    def step(self) -> None:
-        value = self.params.value
-        if self.momentum > 0:
-            vel = self._velocity
-            vel *= self.momentum
-            vel -= self.lr * self.params.grad
-            value += vel
-        else:
-            value -= self.lr * self.params.grad
-
-
-class Adam(Optimizer):
-    """Adam (Kingma & Ba, 2014) -- the paper's optimizer of choice."""
+class Adam:
+    """Adam (Kingma & Ba, 2014) -- the paper's optimizer of choice, over
+    a model's parameter arena."""
 
     def __init__(self, params: ParameterArena, lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        super().__init__(params, lr)
+        self.params = params
+        self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
@@ -97,3 +65,6 @@ class Adam(Optimizer):
         m_hat = m / bias1
         v_hat = v / bias2
         value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+    def zero_grad(self) -> None:
+        self.params.zero_grad()

@@ -21,8 +21,9 @@ degenerate case ``weight_dim=0``, which skips the PN entirely.
 
 One way to run the model on one state: an :class:`InferencePlan`,
 resolved once per flow or per rollout.  ``plan.action`` runs only the
-actor, for controllers that consult a frozen policy once per monitor
-interval; ``plan.act`` returns the ``(action, log_prob, value)`` triple
+actor and returns its mean, for controllers that consult a frozen
+policy once per monitor interval and for evaluation episodes;
+``plan.act`` returns the sampled ``(action, log_prob, value)`` triple
 rollout collection needs.  :meth:`PreferenceActorCritic.act` and
 ``.value`` are one-shot plans for one-off queries.
 """
@@ -172,9 +173,10 @@ class InferencePlan:
     :meth:`forward`.  The 1-D ``dot`` is the same BLAS kernel as the
     ``(1, n) @ W`` of a one-row ``forward`` and the ufuncs are the same
     ufuncs, so results are bit-identical to it.  A deployed controller
-    calls :meth:`action` -- actor only, no critic, no log-probability; a
-    rollout calls :meth:`act` and :meth:`value`.  Nothing a plan returns
-    aliases its ``out`` buffers.
+    and an evaluation episode call :meth:`action` -- the actor's mean,
+    no draw, no critic, no log-probability; a rollout calls :meth:`act`
+    and :meth:`value`.  Nothing a plan returns aliases its ``out``
+    buffers.
 
     **Contract: the policy is frozen for the duration of a plan** (a
     flow; a rollout between two PPO updates).  The steps hold views of
@@ -198,19 +200,11 @@ class InferencePlan:
             self._joint[model.obs_dim:] = model.pref_net.infer(
                 np.asarray(weights, dtype=np.float64).reshape(1, -1))[0]
 
-    def mean(self, obs: np.ndarray) -> np.ndarray:
-        """Gaussian mean, shape ``(act_dim,)``, for one flat state."""
+    def action(self, obs: np.ndarray) -> float:
+        """The Eq. 1 adjustment scalar for one flat state: the actor's
+        Gaussian mean."""
         self._obs[:] = obs
-        return _run(self._actor, self._joint).copy()
-
-    def action(self, obs: np.ndarray, rng: np.random.Generator,
-               deterministic: bool) -> float:
-        """The Eq. 1 adjustment scalar for one flat state."""
-        self._obs[:] = obs
-        mean = _run(self._actor, self._joint)
-        if not deterministic:
-            mean = DiagGaussian.sample(mean, self._log_std.value, rng)
-        return float(mean[0])
+        return float(_run(self._actor, self._joint)[0])
 
     def act(self, obs: np.ndarray, rng: np.random.Generator,
             deterministic: bool = False):

@@ -82,6 +82,17 @@ STATS_LOGGED = ("tests/test_training_pipeline.py::TestOfflineTrainer::"
 REPLAY_ORDER = ("tests/test_training_pipeline.py::TestOnlineAdapter::"
                 "test_replay_drawn_between_rollouts")
 
+#: The deployed policies against ``model.act``'s mean branch: the
+#: simulator's rate controllers, the §5 library and Orca.
+CONTROLLER_PARITY = {
+    weight_dim: ("tests/test_core_mocc.py::TestInferencePath::"
+                 f"test_rates_equal_act_path_over_a_flow[{weight_dim}]")
+    for weight_dim in (3, 0)}
+LIBRARY_PARITY = ("tests/test_core_mocc.py::TestInferencePath::"
+                  "test_library_matches_act_path")
+ORCA_PARITY = ("tests/test_baselines.py::TestRLBaselines::"
+               "test_orca_scale_equals_act_path")
+
 
 class Mutant(NamedTuple):
     module: str
@@ -376,6 +387,15 @@ MUTANTS = {
         "for w in objectives:",
         "for w in list(objectives):",
         (REPLAY_ORDER,)),
+    # A deployed policy that samples its action instead of acting on
+    # the actor's mean.
+    "deployed-action-sampled": Mutant(
+        "repro.rl.policy",
+        "        return float(_run(self._actor, self._joint)[0])\n",
+        "        return float(DiagGaussian.sample(\n"
+        "            _run(self._actor, self._joint), self._log_std.value,\n"
+        "            np.random.default_rng(0))[0])\n",
+        (*CONTROLLER_PARITY.values(), LIBRARY_PARITY, ORCA_PARITY)),
 }
 
 

@@ -22,12 +22,17 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Analyzer, all_rules, rules_by_id
+from repro.analysis import Analyzer, all_rules
 from repro.analysis.core import default_root, parse_suppressions
 from repro.analysis.report import render_sarif
 
 FIXTURES = Path(__file__).parent / "fixtures" / "replint"
 REPO = Path(__file__).parent.parent
+
+
+def rules_by_id() -> dict:
+    """``{rule_id: rule_instance}`` for the default rule set."""
+    return {rule.id: rule for rule in all_rules()}
 
 
 def run_rule(rule_id: str, fixture: str):

@@ -13,6 +13,8 @@ from repro.netsim.env import apply_action
 from repro.netsim.packet import Packet
 from repro.netsim.sender import ExternalRateController, Flow
 
+from test_core_mocc import act_path_action
+
 NET = EvalNetwork(bandwidth_mbps=8.0, one_way_ms=15.0, buffer_bdp=1.5)
 
 
@@ -233,35 +235,38 @@ class TestRLBaselines:
         assert orca.inference_count > 0
 
     def test_orca_scale_equals_act_path(self):
-        """Orca's actor-only plan against the ``model.act`` call it
-        replaced: same supervision decisions, bit for bit."""
-        agent = MoccAgent(DEFAULT_TRAINING, weight_dim=0, seed=2)
-
-        class ActPathOrca(Orca):
-            def on_mi(self, flow, stats, now):
-                self.history.push(stats, stats.rate_pps)
-                self._mi_count += 1
-                if self._mi_count % self.rl_interval != 0:
-                    return
-                action, _, _ = self.agent.model.act(
-                    self.history.vector(), None, self.rng,
-                    deterministic=self.deterministic)
-                self.inference_count += 1
-                self.scale = float(np.clip(
-                    apply_action(self.scale, float(action[0]), self.action_scale),
-                    self.MIN_SCALE, self.MAX_SCALE))
-
-        for deterministic in (True, False):
-            new, old = (cls(agent=agent, rl_interval=2, deterministic=deterministic,
-                            seed=3) for cls in (Orca, ActPathOrca))
-            records = [run_scheme(c, NET, duration=5.0, seed=6) for c in (new, old)]
-            assert new.scale == old.scale != 1.0
-            assert new.inference_count == old.inference_count > 0
-            assert records[0].mean_throughput_pps == records[1].mean_throughput_pps
+        orca_scale_equals_act_path()
 
     def test_orca_rejects_conditioned_model(self):
         with pytest.raises(ValueError):
             Orca(agent=MoccAgent(DEFAULT_TRAINING, weight_dim=3))
+
+
+class ActPathOrca(Orca):
+    """Orca's ``on_mi`` as it was before the actor-only plan: the full
+    ``model.act`` (critic, log-prob, caches) at every decision."""
+
+    def on_mi(self, flow, stats, now):
+        self.history.push(stats, stats.rate_pps)
+        self._mi_count += 1
+        if self._mi_count % self.rl_interval != 0:
+            return
+        action = act_path_action(self.agent.model, self.history.vector(), None)
+        self.inference_count += 1
+        self.scale = float(np.clip(
+            apply_action(self.scale, action, self.action_scale),
+            self.MIN_SCALE, self.MAX_SCALE))
+
+
+def orca_scale_equals_act_path() -> None:
+    """Orca's actor-only plan against the ``model.act`` call it
+    replaced: same supervision decisions, bit for bit."""
+    agent = MoccAgent(DEFAULT_TRAINING, weight_dim=0, seed=2)
+    new, old = (cls(agent=agent, rl_interval=2) for cls in (Orca, ActPathOrca))
+    records = [run_scheme(c, NET, duration=5.0, seed=6) for c in (new, old)]
+    assert new.scale == old.scale != 1.0
+    assert new.inference_count == old.inference_count > 0
+    assert records[0].mean_throughput_pps == records[1].mean_throughput_pps
 
 
 class TestBehaviourMatrix:

@@ -47,6 +47,7 @@ from mutants import MUTANTS, law_killer
 from repro.eval.scenarios import build_scenario_simulation
 from test_engine_invariants import every_kind_simulation
 from test_golden_traces import golden_suites, learned_suites
+from test_link import backlog_at
 
 #: Seconds between checks: off every MI and trace grid on purpose.
 SLICE_S = 0.37
@@ -118,7 +119,7 @@ def backlog_breaks(sim, drained, before,
     _, links_before = before
     found = []
     for link, (_, busy) in zip(sim.links, links_before):
-        backlog = link.backlog_at(sim.now)
+        backlog = backlog_at(link, sim.now)
         if (link.busy_until < busy
                 or not 0.0 <= backlog <= link.queue_size + 1 + overfill):
             found.append(f"t={sim.now:.2f} link {link.name!r}: busy until "

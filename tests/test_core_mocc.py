@@ -1,37 +1,25 @@
-"""Tests for the MOCC core: objectives, agent, library API, online parts."""
+"""Tests for the MOCC core: agent, library API, online parts."""
+
+import inspect
 
 import numpy as np
 import pytest
 
+from repro.baselines import Orca
+from repro.baselines.aurora import AuroraController
 from repro.config import DEFAULT_TRAINING
 from repro.core.agent import MoccAgent, MoccController, PolicyRateController
 from repro.core.library import MOCC, NetworkStatus
-from repro.core.objectives import dynamic_reward
 from repro.core.online import AdaptationTrace, RequirementReplay
-from repro.netsim.env import RewardComponents, apply_action
+from repro.netsim.env import apply_action
 from repro.netsim.packet import Packet
 from repro.netsim.sender import ExternalRateController, Flow
-
-
-class TestObjectives:
-    def test_dynamic_reward_eq2(self):
-        comps = RewardComponents(1.0, 0.5, 0.8)
-        r = dynamic_reward(comps, [0.6, 0.3, 0.1])
-        assert r == pytest.approx(0.6 + 0.15 + 0.08)
 
 
 class TestMoccAgent:
     def test_obs_dim_from_config(self):
         agent = MoccAgent(DEFAULT_TRAINING)
         assert agent.obs_dim == 4 * DEFAULT_TRAINING.history_length
-
-    def test_act_deterministic(self):
-        agent = MoccAgent(DEFAULT_TRAINING)
-        obs = np.zeros(agent.obs_dim)
-        rng = np.random.default_rng(0)
-        a1 = agent.act(obs, [0.8, 0.1, 0.1], rng, deterministic=True)
-        a2 = agent.act(obs, [0.8, 0.1, 0.1], rng, deterministic=True)
-        assert a1 == a2
 
     def test_save_load_roundtrip(self, tmp_path):
         agent = MoccAgent(DEFAULT_TRAINING)
@@ -40,9 +28,7 @@ class TestMoccAgent:
         loaded = MoccAgent.load(path)
         obs = np.ones(agent.obs_dim)
         w = np.array([0.5, 0.3, 0.2])
-        rng = np.random.default_rng(1)
-        assert (agent.act(obs, w, rng, deterministic=True)
-                == loaded.act(obs, w, rng, deterministic=True))
+        assert agent.model.plan(w).action(obs) == loaded.model.plan(w).action(obs)
 
     def test_clone_independent(self):
         agent = MoccAgent(DEFAULT_TRAINING)
@@ -52,9 +38,8 @@ class TestMoccAgent:
 
     def test_single_objective_agent(self):
         agent = MoccAgent(DEFAULT_TRAINING, weight_dim=0)
-        obs = np.zeros(agent.obs_dim)
-        action = agent.act(obs, None, np.random.default_rng(0))
-        assert np.isfinite(action)
+        assert agent.model.pref_net is None
+        assert np.isfinite(agent.model.plan().action(np.zeros(agent.obs_dim)))
 
 
 class TestPolicyRateController:
@@ -73,6 +58,13 @@ class TestPolicyRateController:
         assert 40 <= ctrl.inference_count <= 55
 
 
+def act_path_action(model, obs, weights) -> float:
+    """The deployed action through ``model.act``'s mean branch (critic,
+    log-prob, a one-shot plan), which draws nothing."""
+    action, _, _ = model.act(obs, weights, None, deterministic=True)
+    return float(action[0])
+
+
 class ActPathController(PolicyRateController):
     """``on_mi`` as it was before the actor-only plan: the full
     ``model.act`` (critic, log-prob, caches) every interval."""
@@ -80,10 +72,9 @@ class ActPathController(PolicyRateController):
     def on_mi(self, flow, stats, now):
         self.history.push(stats, stats.rate_pps)
         w = self.weights if self.model.weight_dim > 0 else None
-        action, _, _ = self.model.act(self.history.vector(), w, self.rng,
-                                      deterministic=self.deterministic)
+        action = act_path_action(self.model, self.history.vector(), w)
         self.inference_count += 1
-        self.rate = apply_action(self.rate, float(action[0]), self.action_scale)
+        self.rate = apply_action(self.rate, action, self.action_scale)
 
 
 def one_interval():
@@ -104,26 +95,8 @@ class TestInferencePath:
     replaced, and the frozen-for-a-flow contract around it."""
 
     @pytest.mark.parametrize("weight_dim", [3, 0])
-    @pytest.mark.parametrize("deterministic", [True, False])
-    def test_rates_equal_act_path_over_a_flow(self, weight_dim, deterministic):
-        from repro.eval.runner import EvalNetwork, run_scheme
-        net = EvalNetwork(bandwidth_mbps=2.0, one_way_ms=20.0, buffer_bdp=2.0)
-        model = MoccAgent(DEFAULT_TRAINING, weight_dim=weight_dim, seed=3).model
-        trajectories = []
-        for cls in (PolicyRateController, ActPathController):
-            ctrl = cls(model, weights=W if weight_dim else None,
-                       initial_rate=120.0, deterministic=deterministic, seed=5)
-            rates, on_mi = [], ctrl.on_mi
-
-            def spy(flow, stats, now, on_mi=on_mi, ctrl=ctrl, rates=rates):
-                on_mi(flow, stats, now)
-                rates.append(ctrl.rate)
-
-            ctrl.on_mi = spy
-            run_scheme(ctrl, net, duration=10.0, seed=1)
-            assert ctrl.inference_count == len(rates) > 200
-            trajectories.append(rates)
-        assert trajectories[0] == trajectories[1]
+    def test_rates_equal_act_path_over_a_flow(self, weight_dim):
+        rates_equal_act_path_over_a_flow(weight_dim)
 
     def test_flow_start_picks_up_reloaded_model(self):
         agent, other = (MoccAgent(DEFAULT_TRAINING, seed=s) for s in (1, 2))
@@ -169,16 +142,62 @@ class TestInferencePath:
             a.model.actor.layers[-1].b.value += 0.3
         assert lib.get_sending_rate() == fresh.get_sending_rate()
 
-    def test_library_matches_agent_act(self):
-        agent = MoccAgent(DEFAULT_TRAINING, seed=4)
-        lib = MOCC(agent, initial_rate=100.0)
-        lib.register(W)
-        lib.report_status(NetworkStatus(sent=20, acked=19, lost=1,
-                                        mean_rtt=0.05, latency_gradient=0.0,
-                                        duration=0.05))
-        action = agent.act(lib.history.vector(), lib.weights, lib.rng)
-        want = apply_action(100.0, action, agent.config.action_scale)
-        assert lib.get_sending_rate() == want
+    def test_library_matches_act_path(self):
+        library_matches_act_path()
+
+
+def rates_equal_act_path_over_a_flow(weight_dim) -> None:
+    from repro.eval.runner import EvalNetwork, run_scheme
+    net = EvalNetwork(bandwidth_mbps=2.0, one_way_ms=20.0, buffer_bdp=2.0)
+    model = MoccAgent(DEFAULT_TRAINING, weight_dim=weight_dim, seed=3).model
+    trajectories = []
+    for cls in (PolicyRateController, ActPathController):
+        ctrl = cls(model, weights=W if weight_dim else None, initial_rate=120.0)
+        rates, on_mi = [], ctrl.on_mi
+
+        def spy(flow, stats, now, on_mi=on_mi, ctrl=ctrl, rates=rates):
+            on_mi(flow, stats, now)
+            rates.append(ctrl.rate)
+
+        ctrl.on_mi = spy
+        run_scheme(ctrl, net, duration=10.0, seed=1)
+        assert ctrl.inference_count == len(rates) > 200
+        trajectories.append(rates)
+    assert trajectories[0] == trajectories[1]
+
+
+def library_matches_act_path() -> None:
+    agent = MoccAgent(DEFAULT_TRAINING, seed=4)
+    lib = MOCC(agent, initial_rate=100.0)
+    lib.register(W)
+    lib.report_status(NetworkStatus(sent=20, acked=19, lost=1,
+                                    mean_rtt=0.05, latency_gradient=0.0,
+                                    duration=0.05))
+    action = act_path_action(agent.model, lib.history.vector(), lib.weights)
+    want = apply_action(100.0, action, agent.config.action_scale)
+    assert lib.get_sending_rate() == want
+
+
+#: Every way a trained policy is deployed: ``(class, weight_dim, build)``.
+DEPLOYED_POLICIES = {
+    "PolicyRateController": (PolicyRateController, 3, lambda agent:
+                             PolicyRateController(agent.model, weights=W)),
+    "MoccController": (MoccController, 3, lambda agent: MoccController(agent, W)),
+    "AuroraController": (AuroraController, 0, AuroraController),
+    "Orca": (Orca, 0, Orca),
+    "MOCC": (MOCC, 3, MOCC),
+}
+
+
+@pytest.mark.parametrize("name", DEPLOYED_POLICIES)
+def test_deployed_policy_takes_no_seed_and_holds_no_generator(name):
+    """A deployed policy acts on the actor's mean: there is no knob to
+    sample instead, and nothing to sample with."""
+    cls, weight_dim, build = DEPLOYED_POLICIES[name]
+    assert not {"seed", "deterministic"} & set(inspect.signature(cls).parameters)
+    policy = build(MoccAgent(DEFAULT_TRAINING, weight_dim=weight_dim, seed=1))
+    assert not any(isinstance(value, np.random.Generator)
+                   for value in vars(policy).values())
 
 
 class TestLibraryAPI:

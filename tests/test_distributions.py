@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from repro.rl.distributions import Categorical, DiagGaussian
+from repro.rl.distributions import DiagGaussian
 
 
 class TestDiagGaussianLogProb:
@@ -98,35 +98,3 @@ class TestDiagGaussianSampling:
         b = DiagGaussian.sample(np.zeros((3, 1)), np.zeros(1), np.random.default_rng(5))
         np.testing.assert_array_equal(a, b)
 
-
-class TestCategorical:
-    def test_softmax_sums_to_one(self):
-        probs = Categorical.softmax(np.array([[1.0, 2.0, 3.0]]))
-        assert probs.sum() == pytest.approx(1.0)
-
-    def test_softmax_stable_with_large_logits(self):
-        probs = Categorical.softmax(np.array([[1000.0, 1000.0]]))
-        np.testing.assert_allclose(probs, [[0.5, 0.5]])
-
-    def test_log_prob(self):
-        logits = np.array([[0.0, np.log(3.0)]])  # probs 0.25, 0.75
-        lp = Categorical.log_prob(np.array([1]), logits)
-        assert lp[0] == pytest.approx(np.log(0.75))
-
-    def test_entropy_uniform_is_max(self):
-        uniform = Categorical.entropy(np.array([[0.0, 0.0, 0.0]]))[0]
-        skewed = Categorical.entropy(np.array([[10.0, 0.0, 0.0]]))[0]
-        assert uniform == pytest.approx(np.log(3))
-        assert skewed < uniform
-
-    def test_sample_distribution(self):
-        rng = np.random.default_rng(1)
-        logits = np.repeat(np.array([[np.log(0.2), np.log(0.8)]]), 10000, axis=0)
-        samples = Categorical.sample(logits, rng)
-        assert samples.mean() == pytest.approx(0.8, abs=0.02)
-
-    def test_sample_shape(self):
-        rng = np.random.default_rng(2)
-        out = Categorical.sample(np.zeros((5, 3)), rng)
-        assert out.shape == (5,)
-        assert set(out) <= {0, 1, 2}

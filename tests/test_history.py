@@ -12,9 +12,8 @@ from repro.netsim.history import (GRADIENT_SCALE, RATE_RATIO_CAP, SEND_RATIO_CAP
 from repro.netsim.packet import Packet
 from repro.netsim.sender import LATENCY_RATIO_CAP, ExternalRateController, Flow
 
-#: Every (lo, hi) pair ``push``/``push_raw`` clamp to.
-CLAMP_BOUNDS = ((0.0, 10.0), (0.0, LATENCY_RATIO_CAP), (-10.0, 10.0),
-                (0.0, RATE_RATIO_CAP))
+#: Every (lo, hi) pair ``push`` clamps to.
+CLAMP_BOUNDS = ((0.0, RATE_RATIO_CAP), (-10.0, 10.0))
 #: ... and the action bound ``CongestionControlEnv.step`` clamps to.
 ACTION_BOUNDS = (-CongestionControlEnv.ACTION_CLIP, CongestionControlEnv.ACTION_CLIP)
 
@@ -41,18 +40,6 @@ class TestClampMatchesNpClip:
             assert _bits(_clamp(x, lo, hi)) == _bits(float(np.clip(x, lo, hi))), \
                 (x, lo, hi)
 
-    @given(st.lists(st.tuples(*[st.floats(allow_nan=True, allow_infinity=True)] * 4),
-                    min_size=1, max_size=8))
-    def test_push_raw_window_equals_clipped_rows(self, rows):
-        h = StatHistory(3)
-        for row in rows:
-            h.push_raw(*row)
-        want = [1.0, 1.0, 0.0, 1.0] * 3
-        for row in rows:
-            want = want[4:] + [float(np.clip(x, lo, hi))
-                               for x, (lo, hi) in zip(row, CLAMP_BOUNDS)]
-        assert h.vector().tobytes() == np.array(want).tobytes()
-
 
 class TestStatHistory:
     def test_dimension(self):
@@ -63,35 +50,19 @@ class TestStatHistory:
         h = StatHistory(2)
         np.testing.assert_allclose(h.vector(), [1, 1, 0, 1, 1, 1, 0, 1])
 
-    def test_push_raw_slides_window(self):
-        h = StatHistory(2)
-        h.push_raw(2.0, 3.0, 0.5, 1.5)
-        vec = h.vector()
-        np.testing.assert_allclose(vec[:4], [1, 1, 0, 1])     # old neutral
-        np.testing.assert_allclose(vec[4:], [2, 3, 0.5, 1.5])  # newest last
-
-    def test_push_raw_clips(self):
-        h = StatHistory(1)
-        h.push_raw(100.0, 100.0, -100.0, 100.0)
-        vec = h.vector()
-        assert vec[0] == 10.0
-        assert vec[1] == 10.0
-        assert vec[2] == -10.0
-        assert vec[3] == RATE_RATIO_CAP
-
     def test_reset_restores_neutral(self):
         h = StatHistory(2)
-        h.push_raw(5, 5, 5, 2)
+        h._append(5, 5, 5, 2)
         h.reset()
         np.testing.assert_allclose(h.vector(), [1, 1, 0, 1, 1, 1, 0, 1])
 
     def test_vector_is_independent_of_later_pushes(self):
         # MoccEnv / RolloutBuffer hold observations across steps.
         h = StatHistory(2)
-        h.push_raw(2.0, 3.0, 0.5, 1.5)
+        h._append(2.0, 3.0, 0.5, 1.5)
         held = h.vector()
         snapshot = held.copy()
-        h.push_raw(4.0, 5.0, -0.5, 0.5)
+        h._append(4.0, 5.0, -0.5, 0.5)
         h.reset()
         np.testing.assert_array_equal(held, snapshot)
         held[:] = 7.0

@@ -25,10 +25,12 @@ import pytest
 
 import repro.core.online
 import repro.eval.scenarios
+import repro.rl.policy
 from repro.netsim.history import StatHistory
 from repro.netsim.sender import Flow
 
 import test_ack_wire_drop
+import test_baselines
 import test_batch
 import test_cell_lifetime
 import test_conservation
@@ -48,16 +50,19 @@ import test_traces
 import test_training_pipeline
 from mutants import (
     BLOCK_CHECKS,
+    CONTROLLER_PARITY,
     DEPLOYED_UDT,
     ENV_LINK_PINS,
     ENV_PARITY,
     EVERY_KIND,
     LIBRARY_GRADIENT,
+    LIBRARY_PARITY,
     LIFETIME,
     MI_ORACLE,
     MUTANTS,
     NEXT_CALL_AGENT,
     NEXT_CALL_TRACE,
+    ORCA_PARITY,
     RANK,
     RELATION_A,
     RELATION_C,
@@ -81,6 +86,13 @@ def signed_by(signer_cls, check) -> None:
     """``check()`` with ``fingerprint_cells`` signing through
     ``signer_cls``."""
     with mock.patch.object(repro.eval.scenarios, "Signer", signer_cls):
+        check()
+
+
+def planned_by(plan_cls, check) -> None:
+    """``check()`` with every model resolving its plans through
+    ``plan_cls``."""
+    with mock.patch.object(repro.rl.policy, "InferencePlan", plan_cls):
         check()
 
 
@@ -178,6 +190,13 @@ KILLERS = {
     STATS_LOGGED: lambda ns: test_training_pipeline.rows_carry_their_update_stats(
         ns["OfflineTrainer"]),
     REPLAY_ORDER: lambda ns: adapted_by(ns["OfflineTrainer"]),
+    **{parity: lambda ns, weight_dim=weight_dim: planned_by(
+        ns["InferencePlan"], lambda: test_core_mocc.rates_equal_act_path_over_a_flow(
+            weight_dim)) for weight_dim, parity in CONTROLLER_PARITY.items()},
+    LIBRARY_PARITY: lambda ns: planned_by(
+        ns["InferencePlan"], test_core_mocc.library_matches_act_path),
+    ORCA_PARITY: lambda ns: planned_by(
+        ns["InferencePlan"], test_baselines.orca_scale_equals_act_path),
 }
 
 #: ``(module, killer)`` for every killer named for a module.

@@ -8,15 +8,28 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.rl.nn import (
-    MLP,
-    Dense,
-    ParameterArena,
-    ReLU,
-    Sequential,
-    Tanh,
-    numerical_gradient,
-)
+from repro.rl.nn import MLP, Dense, Parameter, ParameterArena, ReLU, Sequential, Tanh
+
+
+def numerical_gradient(f, params: dict[str, Parameter],
+                       eps: float = 1e-6) -> dict[str, np.ndarray]:
+    """Central-difference gradient of scalar ``f()`` w.r.t. each
+    parameter: the oracle the manual backprop is checked against."""
+    grads: dict[str, np.ndarray] = {}
+    for name, param in params.items():
+        grad = np.zeros_like(param.value)
+        flat = param.value.ravel()
+        grad_flat = grad.ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            f_plus = f()
+            flat[i] = orig - eps
+            f_minus = f()
+            flat[i] = orig
+            grad_flat[i] = (f_plus - f_minus) / (2.0 * eps)
+        grads[name] = grad
+    return grads
 
 
 def _loss_through(module, x):

@@ -1,11 +1,11 @@
-"""Tests for repro.rl.optim (Adam, SGD, gradient clipping)."""
+"""Tests for repro.rl.optim (Adam, gradient clipping)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.rl.nn import Parameter, ParameterArena
-from repro.rl.optim import Adam, SGD, clip_grad_norm
+from repro.rl.optim import Adam, clip_grad_norm
 
 
 def _quadratic_params(start):
@@ -17,37 +17,13 @@ def _set_quadratic_grad(params, target):
     params["x"].grad[...] = params["x"].value - target
 
 
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        params = _quadratic_params([5.0, -3.0])
-        target = np.array([1.0, 2.0])
-        opt = SGD(params, lr=0.1)
-        for _ in range(200):
-            _set_quadratic_grad(params, target)
-            opt.step()
-        np.testing.assert_allclose(params["x"].value, target, atol=1e-4)
-
-    def test_momentum_accelerates(self):
-        target = np.array([1.0])
-        plain = _quadratic_params([10.0])
-        heavy = _quadratic_params([10.0])
-        opt_p = SGD(plain, lr=0.01)
-        opt_m = SGD(heavy, lr=0.01, momentum=0.9)
-        for _ in range(50):
-            _set_quadratic_grad(plain, target)
-            opt_p.step()
-            _set_quadratic_grad(heavy, target)
-            opt_m.step()
-        assert abs(heavy["x"].value[0] - 1.0) < abs(plain["x"].value[0] - 1.0)
-
+class TestAdam:
     def test_zero_grad(self):
         params = _quadratic_params([1.0])
         params["x"].grad[...] = 3.0
-        SGD(params, lr=0.1).zero_grad()
+        Adam(params, lr=0.1).zero_grad()
         assert params["x"].grad[0] == 0.0
 
-
-class TestAdam:
     def test_converges_on_quadratic(self):
         params = _quadratic_params([5.0, -3.0])
         target = np.array([1.0, 2.0])
@@ -148,21 +124,6 @@ class _RefAdam:
             value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-class _RefSGD:
-    def __init__(self, values, lr, momentum):
-        self.values, self.lr, self.momentum = values, lr, momentum
-        self.velocity = [np.zeros_like(v) for v in values]
-
-    def step(self, grads):
-        for value, grad, vel in zip(self.values, grads, self.velocity):
-            if self.momentum > 0:
-                vel *= self.momentum
-                vel -= self.lr * grad
-                value += vel
-            else:
-                value -= self.lr * grad
-
-
 SHAPES = st.lists(st.one_of(
     st.tuples(st.integers(1, 9)),
     st.tuples(st.integers(1, 9), st.integers(1, 70))), min_size=1, max_size=6)
@@ -170,20 +131,15 @@ SHAPES = st.lists(st.one_of(
 
 @given(shapes=SHAPES, seed=st.integers(0, 2 ** 16), steps=st.integers(1, 6),
        grad_scale=st.sampled_from([1e-3, 1.0, 40.0]),
-       max_norm=st.sampled_from([0.0, 1e-12, 5.0]),
-       kind=st.sampled_from(["adam", "sgd", "momentum"]))
+       max_norm=st.sampled_from([0.0, 1e-12, 5.0]))
 @settings(max_examples=60, deadline=None)
 def test_flat_optimizers_equal_per_parameter_loop(shapes, seed, steps,
-                                                   grad_scale, max_norm, kind):
+                                                   grad_scale, max_norm):
     rng = np.random.default_rng(seed)
     arena = ParameterArena({f"p{i}": Parameter(rng.normal(size=shape))
                             for i, shape in enumerate(shapes)})
     ref_values = [p.value.copy() for p in arena.values()]
-    if kind == "adam":
-        opt, ref = Adam(arena, lr=1e-2), _RefAdam(ref_values, lr=1e-2)
-    else:
-        momentum = 0.9 if kind == "momentum" else 0.0
-        opt, ref = SGD(arena, 1e-2, momentum), _RefSGD(ref_values, 1e-2, momentum)
+    opt, ref = Adam(arena, lr=1e-2), _RefAdam(ref_values, lr=1e-2)
     for _ in range(steps):
         opt.zero_grad()
         assert not arena.grad.any()

@@ -1,6 +1,7 @@
 """Tests for the preference-conditioned actor-critic (repro.rl.policy)."""
 
 import copy
+import inspect
 import pickle
 
 import numpy as np
@@ -11,9 +12,11 @@ from repro.core.agent import MoccAgent
 from repro.netsim.history import StatHistory
 from repro.rl.distributions import DiagGaussian
 from repro.rl.dqn import QNetwork
-from repro.rl.nn import ReLU, Tanh, numerical_gradient
+from repro.rl.nn import ReLU, Tanh
 from repro.rl.optim import Adam
-from repro.rl.policy import PreferenceActorCritic
+from repro.rl.policy import InferencePlan, PreferenceActorCritic
+
+from test_nn import numerical_gradient
 
 
 def make_model(weight_dim=3, obs_dim=6, hidden=(8, 4), pref_hidden=5, seed=0,
@@ -182,9 +185,9 @@ def reference_act(model, obs, weights, rng, deterministic=False):
 
 
 def random_pushes(history, rng, n):
-    """Yield ``n`` observations from seeded random ``push_raw`` rows."""
+    """Yield ``n`` observations from seeded random in-range rows."""
     for _ in range(n):
-        history.push_raw(*rng.uniform((0.0, 0.0, -12.0, 0.0), (12.0, 12.0, 12.0, 5.0)))
+        history._append(*rng.uniform((0.0, 0.0, -10.0, 0.0), (10.0, 10.0, 10.0, 4.0)))
         yield history.vector()
 
 
@@ -199,27 +202,17 @@ class TestInferencePlan:
         return make_model(weight_dim=weight_dim, obs_dim=40, hidden=(64, 32),
                           pref_hidden=16, seed=4)
 
-    def test_mean_equals_forward_and_deterministic_act(self, weight_dim):
+    def test_action_equals_forward_and_deterministic_act(self, weight_dim):
         model = self._model(weight_dim)
         w = self.WEIGHTS if weight_dim else None
         plan = model.plan(w)
         rng = np.random.default_rng(0)
         for obs in random_pushes(StatHistory(10), rng, 300):
-            got = plan.mean(obs)
-            assert got.shape == (1,)
-            assert got[0] == model.forward(obs, w)[0][0, 0]
+            got = plan.action(obs)
+            assert type(got) is float
+            assert got == model.forward(obs, w)[0][0, 0]
             old_action, _, _ = reference_act(model, obs, w, rng, deterministic=True)
-            assert plan.action(obs, rng, True) == float(old_action[0])
-
-    def test_sampled_branch_draws_the_same_value(self, weight_dim):
-        model = self._model(weight_dim)
-        w = self.WEIGHTS if weight_dim else None
-        plan = model.plan(w)
-        rng_new, rng_old = np.random.default_rng(7), np.random.default_rng(7)
-        for obs in random_pushes(StatHistory(10), np.random.default_rng(1), 200):
-            old_action, _, _ = reference_act(model, obs, w, rng_old)
-            assert plan.action(obs, rng_new, False) == float(old_action[0])
-        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+            assert got == float(old_action[0])
 
     def test_act_triple_unchanged(self, weight_dim):
         model = self._model(weight_dim)
@@ -259,16 +252,16 @@ class TestInferencePlan:
         w = self.WEIGHTS if weight_dim else None
         obs = np.linspace(0.0, 2.0, 40)
         plan = model.plan(w)
-        before = plan.mean(obs)[0]
+        before = plan.action(obs)
         # In-place actor update (what Adam and load_state_dict do): live.
         model.actor.layers[-1].b.value += 0.25
-        assert plan.mean(obs)[0] == model.forward(obs, w)[0][0, 0] != before
+        assert plan.action(obs) == model.forward(obs, w)[0][0, 0] != before
         if weight_dim:
             # The preference embedding is frozen for the flow; a fresh
             # plan picks the new one up.
             model.pref_net.layers[0].b.value += 0.5
-            assert plan.mean(obs)[0] != model.forward(obs, w)[0][0, 0]
-            assert model.plan(w).mean(obs)[0] == model.forward(obs, w)[0][0, 0]
+            assert plan.action(obs) != model.forward(obs, w)[0][0, 0]
+            assert model.plan(w).action(obs) == model.forward(obs, w)[0][0, 0]
 
     def test_conditioned_model_needs_weights(self, weight_dim):
         model = self._model(weight_dim)
@@ -284,9 +277,9 @@ class TestInferencePlan:
            seed=st.integers(0, 2 ** 16), scale=st.sampled_from((0.1, 1.0, 30.0)))
     def test_every_method_equals_forward_bit_for_bit(self, weight_dim, hidden,
                                                      activation, seed, scale):
-        """``mean``, ``action`` (both branches), ``act`` (both branches)
-        and ``value`` against the matching one-row ``forward``, compared
-        as bytes; then again after an in-place ``load_state_dict``."""
+        """``action``, ``act`` (both branches) and ``value`` against the
+        matching one-row ``forward``, compared as bytes; then again after
+        an in-place ``load_state_dict``."""
         model = _trunk_model(weight_dim, hidden, activation, seed)
         w = self.WEIGHTS if weight_dim else None
         plan = model.plan(w)
@@ -296,14 +289,8 @@ class TestInferencePlan:
             for _ in range(4):
                 obs = obs_rng.normal(size=model.obs_dim) * scale
                 mean, value = model.forward(obs, w)
-                assert plan.mean(obs).tobytes() == mean[0].tobytes()
+                assert _bytes(plan.action(obs)) == mean[0, 0].tobytes()
                 assert _bytes(plan.value(obs)) == value[0].tobytes()
-                rng = np.random.default_rng(seed)
-                assert _bytes(plan.action(obs, rng, True)) == mean[0, 0].tobytes()
-                draw = DiagGaussian.sample(mean, model.log_std.value,
-                                           np.random.default_rng(seed))
-                assert (_bytes(plan.action(obs, np.random.default_rng(seed), False))
-                        == draw[0, 0].tobytes())
                 for deterministic in (True, False):
                     got = plan.act(obs, np.random.default_rng(seed), deterministic)
                     want = reference_act(model, obs, w, np.random.default_rng(seed),
@@ -335,13 +322,17 @@ class TestInferencePlan:
         first_obs, second_obs = rng.normal(size=(2, model.obs_dim))
         for deterministic in (True, False):
             action = plan.act(first_obs, rng, deterministic)[0]
-            mean = plan.mean(first_obs)
-            held = action.tobytes(), mean.tobytes()
+            held = action.tobytes()
             plan.act(second_obs, rng, deterministic)
-            plan.mean(second_obs)
-            plan.action(second_obs, rng, deterministic)
+            plan.action(second_obs)
             plan.value(second_obs)
-            assert (action.tobytes(), mean.tobytes()) == held
+            assert action.tobytes() == held
+
+
+def test_plan_action_reads_only_the_observation():
+    """The deployed actor has no sampled branch: ``action`` takes the
+    observation and nothing else."""
+    assert list(inspect.signature(InferencePlan.action).parameters) == ["self", "obs"]
 
 
 def _bytes(x: float) -> bytes:

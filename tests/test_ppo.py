@@ -169,8 +169,8 @@ class TestPPOMechanics:
         assert first.optimizer._t == second.optimizer._t > 0
         assert not np.array_equal(first.optimizer._m, second.optimizer._m)
         # A plan resolved after both updates acts on the trained model.
-        mean = model.plan(np.full(3, 1 / 3)).mean(np.ones(3))
-        assert mean[0] == model.forward(np.ones(3), np.full(3, 1 / 3))[0][0, 0]
+        action = model.plan(np.full(3, 1 / 3)).action(np.ones(3))
+        assert action == model.forward(np.ones(3), np.full(3, 1 / 3))[0][0, 0]
 
 
 class TestPPOConfig:

@@ -69,6 +69,7 @@ from repro.netsim.network import FlowRecord
 from repro.netsim.sender import MonitorIntervalStats
 from repro.netsim.topology import dumbbell
 from strategies import flow_records
+from test_parallel_eval import cache_hits, cache_misses
 
 NET = EvalNetwork(bandwidth_mbps=8.0, one_way_ms=10.0, buffer_bdp=1.0)
 
@@ -642,7 +643,7 @@ class TestDeferredHistory:
         cold = runner.run(SMALL)
         built = _BuildCount(monkeypatch)
         warm = runner.run(SMALL)
-        assert warm.cache_hits == len(warm) == 4
+        assert cache_hits(warm) == len(warm) == 4
         assert warm.table == [{**row, "cached": True, "events": 0,
                                "wall_s": 0.0} for row in cold.table]
         assert built.n == 0
@@ -885,10 +886,10 @@ class TestCacheIntegrity:
         # the frame's length) are now stale.
         path.write_bytes(entry.replace(b'"mean_rtt": ', b'"mean_rtt": 9', 1))
         outcome = runner.run([scenario])
-        assert outcome.cache_misses == 1  # recomputed, not served corrupt
+        assert cache_misses(outcome) == 1  # recomputed, not served corrupt
         assert path.with_suffix(".quarantined").exists()
         # The recomputed entry is healthy again: third run is a hit.
-        assert runner.run([scenario]).cache_hits == 1
+        assert cache_hits(runner.run([scenario])) == 1
 
     def test_non_object_entry_is_quarantined(self, tmp_path):
         runner = ParallelRunner(n_workers=1, cache_dir=tmp_path)
@@ -896,7 +897,7 @@ class TestCacheIntegrity:
         runner.run([scenario])
         path = runner.cache._path(scenario.fingerprint())
         path.write_text("[1, 2, 3]")
-        assert runner.run([scenario]).cache_misses == 1
+        assert cache_misses(runner.run([scenario])) == 1
         assert path.with_suffix(".quarantined").exists()
 
     def test_previous_version_entry_is_a_plain_miss(self, tmp_path):
@@ -908,7 +909,7 @@ class TestCacheIntegrity:
         assert fields["version"] == SCENARIO_CACHE_VERSION != "v9"
         # Sealed intact under the old version: only stale, not damaged.
         path.write_bytes(seal({**fields, "version": "v9"}, records))
-        assert runner.run([scenario]).cache_misses == 1  # not served
+        assert cache_misses(runner.run([scenario])) == 1  # not served
         assert not list(tmp_path.glob("*.quarantined"))
         assert unseal(path.read_bytes())[0]["version"] == SCENARIO_CACHE_VERSION
 
@@ -1104,5 +1105,5 @@ class TestPerCellKeysStillServe:
         for idx, cell in enumerate(cells):
             cache.put(cell.fingerprint(), cell.name, [_fake_record(idx)])
         outcome = ParallelRunner(n_workers=2, cache_dir=tmp_path).run(cells)
-        assert outcome.cache_hits == len(cells)
+        assert cache_hits(outcome) == len(cells)
         assert self._serves_the_fakes(outcome)

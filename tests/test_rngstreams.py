@@ -16,8 +16,6 @@ import numpy as np
 import pytest
 
 from repro.config import NetworkParams
-from repro.core.agent import MoccAgent
-from repro.core.library import MOCC
 from repro.netsim import rngstreams
 from repro.netsim.env import CongestionControlEnv
 from repro.netsim.link import Link
@@ -72,25 +70,17 @@ class TestBitIdentityNewRows:
     """The streams declared where they were bare ``default_rng``."""
 
     @pytest.mark.parametrize("seed", [0, 17, 48])
-    def test_eval_link_loss_and_orca_policy_are_raw_seed(self, seed):
-        # runner.py / orca.py formerly: np.random.default_rng(seed).  A
+    def test_eval_link_loss_is_raw_seed(self, seed):
+        # runner.py formerly: np.random.default_rng(seed).  A
         # single-link cell's one link is now link 0 of its dumbbell.
-        for rng in (stream_rng("link.loss", seed, 0),
-                    stream_rng("orca.policy", seed)):
-            assert _same_stream(rng, np.random.default_rng(seed))
+        assert _same_stream(stream_rng("link.loss", seed, 0),
+                            np.random.default_rng(seed))
 
     @pytest.mark.parametrize("seed", [0, 17, 48])
-    def test_policy_sample_and_agent_init_are_raw_seed(self, seed):
+    def test_agent_init_is_raw_seed(self, seed):
         # core/agent.py formerly: np.random.default_rng(seed)
-        for name in ("policy.sample", "agent.init"):
-            assert _same_stream(stream_rng(name, seed),
-                                np.random.default_rng(seed))
-
-    @pytest.mark.parametrize("seed", [0, 17])
-    def test_library_mocc_samples_its_policy_stream(self, seed):
-        # core/library.py formerly: np.random.default_rng(seed)
-        mocc = MOCC(MoccAgent(seed=0), seed=seed)
-        assert _same_stream(mocc.rng, np.random.default_rng(seed))
+        assert _same_stream(stream_rng("agent.init", seed),
+                            np.random.default_rng(seed))
 
     @pytest.mark.parametrize("seed,i", [(0, 0), (9, 2)])
     def test_fault_streams_are_seed_salt_index(self, seed, i):
@@ -124,31 +114,25 @@ class TestOverlapCheck:
         check_streams()
         assert min(timeit.repeat(check_streams, number=1, repeat=5)) < 5e-3
 
-    @pytest.mark.parametrize("streams,accepted,named", [
+    @pytest.mark.parametrize("streams,named", [
         # two equal raw streams in one space
-        ({"a.raw": ("sim", _raw), "b.raw": ("sim", _raw)}, {},
-         "without an accepted reason: [('a.raw', 'b.raw')]"),
-        # an affine image meeting raw seeds, not listed
+        ({"a.raw": ("sim", _raw), "b.raw": ("sim", _raw)},
+         "fed one entropy: [('a.raw', 'b.raw')]"),
+        # an affine image meeting raw seeds
         ({"c.affine": ("env", lambda seed: seed * 3 + 1),
-          "d.raw": ("env", _raw)}, {},
-         "without an accepted reason: [('c.affine', 'd.raw')]"),
+          "d.raw": ("env", _raw)},
+         "fed one entropy: [('c.affine', 'd.raw')]"),
         # salt 7 is a plausible link index
         ({"e.salted": ("sim", lambda seed: (seed, 7)),
-          "f.indexed": ("sim", lambda seed, index: (seed, index))}, {},
-         "without an accepted reason: [('e.salted', 'f.indexed')]"),
+          "f.indexed": ("sim", lambda seed, index: (seed, index))},
+         "fed one entropy: [('e.salted', 'f.indexed')]"),
         # zero-padding: (s, 0) is s, whatever the arity says
         ({"g.raw": ("sim", _raw),
-          "h.indexed": ("sim", lambda seed, index: (seed, index))}, {},
-         "without an accepted reason: [('g.raw', 'h.indexed')]"),
-        # an accepted pair that cannot meet: different spaces
-        ({"a.raw": ("sim", _raw), "d.raw": ("env", _raw)},
-         {frozenset({"a.raw", "d.raw"}): "justifies nothing"},
-         "do not overlap: [('a.raw', 'd.raw')]"),
+          "h.indexed": ("sim", lambda seed, index: (seed, index))},
+         "fed one entropy: [('g.raw', 'h.indexed')]"),
     ])
-    def test_planted_defect_fails_by_name(self, monkeypatch, streams,
-                                          accepted, named):
+    def test_planted_defect_fails_by_name(self, monkeypatch, streams, named):
         monkeypatch.setattr(rngstreams, "STREAMS", streams)
-        monkeypatch.setattr(rngstreams, "ACCEPTED_OVERLAPS", accepted)
         with pytest.raises(ValueError) as err:
             check_streams()
         assert named in str(err.value)
@@ -156,7 +140,6 @@ class TestOverlapCheck:
     def test_same_entropy_in_two_spaces_is_not_an_overlap(self, monkeypatch):
         monkeypatch.setattr(rngstreams, "STREAMS",
                             {"a.raw": ("sim", _raw), "d.raw": ("env", _raw)})
-        monkeypatch.setattr(rngstreams, "ACCEPTED_OVERLAPS", {})
         check_streams()
 
     def test_unknown_or_underfed_stream_fails_at_the_call(self):

@@ -25,7 +25,6 @@ from repro.eval.scenarios import (
     ScenarioSuite,
     build_scenario_simulation,
     fingerprint_cells,
-    run_scenario,
 )
 from repro.netsim.faults import (
     BlackoutWindow,
@@ -136,10 +135,23 @@ class TestScenario:
         assert fp(a1) == fp(a1)
         assert len({fp(a1), fp(a2), fp(None), fp(AgentRef())}) == 4
 
+    @pytest.mark.parametrize("scheme", ["mocc", "aurora", "orca"])
+    def test_flow_seed_shapes_no_result(self, scheme):
+        """Deployed policies draw nothing, so ``FlowDef.seed`` (kept for
+        the frozen ledger) moves no bit of a learned flow."""
+        agent = MoccAgent(DEFAULT_TRAINING, weight_dim=3 if scheme == "mocc"
+                          else 0, seed=2)
+        weights = (0.6, 0.3, 0.1) if scheme == "mocc" else None
+        digests = {records_digest(build_scenario_simulation(Scenario(
+            name="seeded", network=NET, duration=2.0, seed=3,
+            flows=(FlowDef(scheme, weights=weights, agent=agent, seed=seed),),
+        )).run_all()) for seed in (None, 7)}
+        assert len(digests) == 1
+
     def test_run_matches_legacy_single_flow(self):
         scenario = Scenario(name="parity", network=NET, flows=("cubic",),
                             duration=4.0, seed=3)
-        record = run_scenario(scenario)[0]
+        record = build_scenario_simulation(scenario).run_all()[0]
         legacy = run_scheme(scheme_factory("cubic", NET, seed=3), NET,
                             duration=4.0, seed=3)
         assert record.mean_throughput_pps == legacy.mean_throughput_pps
@@ -151,7 +163,7 @@ class TestScenario:
             name="parity2", network=NET,
             flows=(FlowDef("cubic", start=0.0), FlowDef("vegas", start=2.0)),
             duration=6.0, seed=5)
-        records = run_scenario(scenario)
+        records = build_scenario_simulation(scenario).run_all()
         legacy = run_competition(
             [scheme_factory("cubic", NET, seed=5), scheme_factory("vegas", NET, seed=5)],
             NET, duration=6.0, start_times=[0.0, 2.0], seed=5)
@@ -162,7 +174,7 @@ class TestScenario:
         scenario = Scenario(name="r", network=NET,
                             flows=(FlowDef("bbr", rate_frac=0.5),), duration=1.0)
         # Equivalent hand-built controller: BBR at half the bottleneck.
-        record = run_scenario(scenario)[0]
+        record = build_scenario_simulation(scenario).run_all()[0]
         legacy = run_scheme(
             scheme_factory("bbr", NET, seed=0, initial_rate=NET.bottleneck_pps / 2),
             NET, duration=1.0, seed=0)
@@ -477,7 +489,7 @@ class TestPeriodicChurn:
                                 skip=1))
         # bbr persists; cubic gets sessions [0,2), [4,6), [8,10).
         assert len(scenario.flows) == 4
-        records = run_scenario(scenario)
+        records = build_scenario_simulation(scenario).run_all()
         assert len(records) == 4
         session = records[2]  # cubic's second session
         assert session.records[0].start >= 4.0
@@ -585,7 +597,7 @@ class TestTopologyScenarios:
                    FlowDef("cubic", path="cross0"),
                    FlowDef("cubic", path="cross1")),
             duration=4.0, seed=1)
-        records = run_scenario(scenario)
+        records = build_scenario_simulation(scenario).run_all()
         assert len(records) == 3
         # through crosses two 10 ms hops; cross flows see one.
         assert records[0].base_rtt == pytest.approx(0.04)
@@ -748,8 +760,8 @@ class TestReversePathsAxis:
         wired cell's download RTT is measurably higher because its acks
         queue behind the upload; the twin is blind to it."""
         wired, twin = self.suite(duration=5.0, seeds=(4,)).expand()
-        rtt_wired = run_scenario(wired)[0].mean_rtt
-        rtt_twin = run_scenario(twin)[0].mean_rtt
+        rtt_wired = build_scenario_simulation(wired).run_all()[0].mean_rtt
+        rtt_twin = build_scenario_simulation(twin).run_all()[0].mean_rtt
         assert rtt_wired > 1.3 * rtt_twin
 
 

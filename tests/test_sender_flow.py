@@ -8,8 +8,24 @@ from repro.netsim.sender import (
     ExternalRateController,
     Flow,
     MonitorIntervalStats,
-    _rtt_slope,
+    _rtt_slope_arrays,
 )
+
+
+def _rtt_slope(samples: list[tuple[float, float]]) -> float:
+    """Least-squares slope of RTT vs. ack time over ``(ack_time, rtt)``
+    pairs: :func:`_rtt_slope_arrays` as the MI close calls it."""
+    if len(samples) < 2:
+        return 0.0
+    times = np.array([s[0] for s in samples])
+    rtts = np.array([s[1] for s in samples])
+    return _rtt_slope_arrays(times, rtts, np.add.reduce(rtts) / len(samples))
+
+
+def mi_rtt_samples(flow) -> list[tuple[float, float]]:
+    """The current MI's ``(ack_time, rtt)`` samples, read from the
+    flow's streaming buffers."""
+    return list(zip(flow._mi_times, flow._mi_rtts))
 
 
 def make_flow(**kwargs):
@@ -90,7 +106,7 @@ class TestMonitorInterval:
         self._run_mi(flow, [0.05])
         assert flow.mi_sent == 0
         assert flow.mi_acked == 0
-        assert flow.mi_rtt_samples == []
+        assert mi_rtt_samples(flow) == []
 
     def test_loss_rate(self):
         flow = make_flow()

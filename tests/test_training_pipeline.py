@@ -256,8 +256,5 @@ class TestZoo:
             a1 = zoo.aurora_for([0.5, 0.3, 0.2], tag="t", quality="tiny")
             a2 = zoo.aurora_for([0.5, 0.3, 0.2], tag="t", quality="tiny")
             assert a1 is a2
-            zoo.clear()
-            a3 = zoo.aurora_for([0.5, 0.3, 0.2], tag="t", quality="tiny")
-            assert a3 is not a1
         finally:
             BUDGETS.pop("tiny")
