@@ -1,6 +1,9 @@
 """Collector parity: Serial and Vector agree on shapes and handle
 both preference-conditioned and unconditioned models (incl. the
-``weights=None`` path and the no-finished-episode reward fallback)."""
+``weights=None`` path and the no-finished-episode reward fallback),
+and each collector's rollouts keep their pinned digest."""
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -120,3 +123,48 @@ class TestVectorRewardFallback:
                     total = 0.0
         assert finished
         assert reward == pytest.approx(float(np.mean(finished)))
+
+
+#: sha256 of every collected buffer's bytes, bootstrap and mean reward
+#: (see ``rollout_digest``), per collector.  Any change to the draw
+#: order, the sampling arithmetic or the log-probability scoring moves
+#: these; a refactor of either collector must leave them alone.
+ROLLOUT_DIGESTS = {
+    "serial": "54e0736d2de14311f3cc1e9d7aae9b7a"
+              "fd327d8f439a9f0e6ff5158baf6656dd",
+    "vector-1": "eb75e6d5574a66e3ca49dafe56bf2f1a"
+                "5c54456b976ea585d588b707800c5923",
+    "vector-3": "a5356754422a6d1c5dee121f06c50cf9"
+                "8fa5b8c1d41244cd286b85d8da0e3678",
+}
+COLLECTORS = {
+    "serial": lambda: SerialCollector(SPEC),
+    "vector-1": lambda: VectorCollector(SPEC, n_envs=1),
+    "vector-3": lambda: VectorCollector(SPEC, n_envs=3),
+}
+
+
+def rollout_digest(collector) -> str:
+    """A 60-step rollout at rng seed 0 and a 48-step one at seed 1 of
+    the conditioned model.  ``max_steps`` is 16, so every env finishes
+    an episode in each (three envs take 20 and 16 steps); the first
+    ends mid-episode and the second on a boundary, so resets, dones and
+    both bootstrap branches are all hashed."""
+    h = hashlib.sha256()
+    model = _conditioned()
+    for seed, steps in ((0, 60), (1, 48)):
+        buffers, boots, reward = collector.collect(
+            model, WEIGHTS, steps, np.random.default_rng(seed))
+        for buffer in buffers:
+            for field in (buffer.obs, buffer.weights, buffer.actions,
+                          buffer.log_probs, buffer.values, buffer.rewards,
+                          buffer.dones):
+                h.update(field[:buffer.size].tobytes())
+        h.update(np.array(boots, dtype=np.float64).tobytes())
+        h.update(np.float64(reward).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", COLLECTORS)
+def test_rollouts_keep_their_digest(name):
+    assert rollout_digest(COLLECTORS[name]()) == ROLLOUT_DIGESTS[name]
