@@ -70,14 +70,26 @@ def apply_action(rate: float, action: float, scale: float) -> float:
 
 
 def components_from_stats(stats: MonitorIntervalStats) -> RewardComponents:
-    """Compute O_thr, O_lat, O_loss for one monitor interval."""
-    o_thr = stats.utilization
-    if stats.mean_rtt is None or stats.mean_rtt <= 0:
+    """Compute O_thr, O_lat, O_loss for one monitor interval.
+
+    ``o_thr`` is ``stats.utilization`` and ``o_loss`` is ``1 -
+    stats.loss_rate``, computed inline with the same operations (this
+    runs once per env step; the properties cost a call each).
+    """
+    duration = stats.end - stats.start
+    capacity = stats.capacity_pps
+    if capacity <= 0 or duration <= 0:
+        o_thr = 0.0
+    else:
+        o_thr = min(stats.acked / duration / capacity, 1.0)
+    mean_rtt = stats.mean_rtt
+    if mean_rtt is None or mean_rtt <= 0:
         o_lat = 0.0
     else:
-        o_lat = min(stats.base_rtt / stats.mean_rtt, 1.0)
-    o_loss = 1.0 - stats.loss_rate
-    return RewardComponents(o_thr=o_thr, o_lat=o_lat, o_loss=o_loss)
+        o_lat = min(stats.base_rtt / mean_rtt, 1.0)
+    total = stats.lost + stats.acked
+    o_loss = 1.0 - stats.lost / total if total else 1.0
+    return RewardComponents(o_thr, o_lat, o_loss)
 
 
 class CongestionControlEnv:
@@ -233,6 +245,7 @@ class MoccEnv:
     def __init__(self, env: CongestionControlEnv):
         self.env = env
         self.weights = np.array([1 / 3, 1 / 3, 1 / 3])
+        self._w = tuple(self.weights.tolist())
 
     @property
     def observation_dim(self) -> int:
@@ -249,11 +262,14 @@ class MoccEnv:
         if not np.isclose(w.sum(), 1.0, atol=1e-6):
             raise ValueError("weights must sum to 1")
         self.weights = w
+        # Eq. 2 on Python floats: the same products and sums as on the
+        # array's float64 scalars, without building one per access.
+        self._w = tuple(w.tolist())
         obs = self.env.reset()
         return obs, self.weights.copy()
 
     def step(self, action: float):
         """Returns ``(obs, weights, reward, components, done, info)``."""
         obs, components, done, info = self.env.step(action)
-        reward = components.weighted(self.weights)
+        reward = components.weighted(self._w)
         return obs, self.weights.copy(), reward, components, done, info

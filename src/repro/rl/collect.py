@@ -5,6 +5,20 @@ the PPO trainer.  Both MOCC (preference-conditioned) and Aurora-style
 (single-objective) agents are served: for the latter, the weight vector
 still parameterises the *environment's* reward (the objective the agent
 is being trained for) but is not part of the model's state.
+
+**Draw order.**  A rollout draws its exploration noise in one block,
+``rng.standard_normal((steps, act_dim))`` (the vector collector:
+``(steps_per_env, n_envs, act_dim)``), before its first step.  The
+generator fills a block element by element in C order, so the block
+holds exactly the numbers one ``standard_normal((act_dim,))`` per step
+(per batched step) would have drawn -- provided nothing else draws
+from that generator during the rollout, which nothing does: the
+environments own their streams and the policy is frozen.  A step then
+costs the actor and critic passes, one add (``mean + sigma * eps``,
+with ``sigma = exp(log_std)`` taken once under the plan's frozen-policy
+contract) and the env step; the log-probabilities are scored after the
+loop, one :meth:`~repro.rl.distributions.DiagGaussian.log_prob` over
+the buffer's actions and the stored means.
 """
 
 from __future__ import annotations
@@ -12,6 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.netsim.env import MoccEnv
+from repro.rl.distributions import DiagGaussian
 from repro.rl.policy import PreferenceActorCritic
 from repro.rl.rollout import RolloutBuffer
 
@@ -49,17 +64,24 @@ def collect_rollout(env: MoccEnv, model: PreferenceActorCritic, weights,
     weights = resolve_objective(weights, conditioned)
     buffer = RolloutBuffer(env.observation_dim, model.weight_dim, model.act_dim, steps)
     # The model is frozen until the next PPO update: one plan serves
-    # the whole rollout (its preference embedding is computed here).
+    # the whole rollout (its preference embedding is computed here),
+    # and one block of noise, scaled by the frozen sigma, its steps.
     plan = model.plan(weights)
+    log_std = model.log_std.value
+    scaled_noise = np.exp(log_std) * rng.standard_normal((steps, model.act_dim))
+    means = np.empty((steps, model.act_dim))
     obs, w_obs = env.reset(weights)
 
     episode_rewards: list[float] = []
     episode_total = 0.0
     done = False
-    for _ in range(steps):
-        action, log_prob, value = plan.act(obs, rng)
+    for t in range(steps):
+        mean, value = plan.mean_value(obs)
+        means[t] = mean
+        action = mean + scaled_noise[t]
         next_obs, next_w, reward, _, done, _ = env.step(float(action[0]))
-        buffer.add(obs, action, log_prob, value, reward, done,
+        # The log-probability is scored after the loop.
+        buffer.add(obs, action, 0.0, value, reward, done,
                    weights=w_obs if conditioned else None)
         episode_total += reward
         if done:
@@ -69,6 +91,7 @@ def collect_rollout(env: MoccEnv, model: PreferenceActorCritic, weights,
         else:
             obs, w_obs = next_obs, next_w
 
+    buffer.log_probs[:] = DiagGaussian.log_prob(buffer.actions, means, log_std)
     bootstrap = 0.0 if done else plan.value(obs)
     if not episode_rewards:
         # No episode completed (the rollout is shorter than an episode):

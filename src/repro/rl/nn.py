@@ -174,7 +174,8 @@ class Dense(Module):
         return {"W": self.W, "b": self.b}
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if not _is_matrix(x):
+            x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         self._x = x
         return x @ self.W.value + self.b.value
 
@@ -184,10 +185,18 @@ class Dense(Module):
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._x is None:
             raise RuntimeError("backward called before forward")
-        grad_out = np.atleast_2d(grad_out)
+        if not _is_matrix(grad_out):
+            grad_out = np.atleast_2d(grad_out)
         self.W.grad += self._x.T @ grad_out
         self.b.grad += grad_out.sum(axis=0)
         return grad_out @ self.W.value.T
+
+
+def _is_matrix(x) -> bool:
+    """Whether ``x`` is already what ``np.atleast_2d(np.asarray(x,
+    dtype=np.float64))`` would return it as (that call is then a no-op
+    costing two function calls)."""
+    return type(x) is np.ndarray and x.ndim == 2 and x.dtype == np.float64
 
 
 class Tanh(Module):

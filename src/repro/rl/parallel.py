@@ -86,8 +86,17 @@ class VectorCollector:
 
     def collect(self, model: PreferenceActorCritic, weights, steps: int,
                 rng: np.random.Generator):
+        """``steps`` transitions, ``steps / n_envs`` from each env.
+
+        Draws and scores as :func:`~repro.rl.collect.collect_rollout`
+        does: one ``(steps_per_env, n_envs, act_dim)`` noise block up
+        front, one log-probability pass per buffer after the loop.
+        """
         n = len(self.envs)
-        per_env = max(steps // n, 1)
+        if steps < n or steps % n:
+            raise ValueError(f"steps={steps} is not a positive multiple "
+                             f"of n_envs={n}")
+        per_env = steps // n
         conditioned = model.weight_dim > 0
         weights = resolve_objective(weights, conditioned)
 
@@ -95,17 +104,21 @@ class VectorCollector:
         w_batch = np.repeat(weights[None, :], n, axis=0) if conditioned else None
         buffers = [RolloutBuffer(self.envs[0].observation_dim, model.weight_dim,
                                  model.act_dim, per_env) for _ in range(n)]
+        log_std = model.log_std.value
+        scaled_noise = np.exp(log_std) * rng.standard_normal(
+            (per_env, n, model.act_dim))
+        means = np.empty((n, per_env, model.act_dim))
         episode_totals = np.zeros(n)
         finished: list[float] = []
 
-        for _ in range(per_env):
+        for t in range(per_env):
             mean, value = model.infer(obs, w_batch)
-            actions = DiagGaussian.sample(mean, model.log_std.value, rng)
-            log_probs = DiagGaussian.log_prob(actions, mean, model.log_std.value)
+            means[:, t] = mean
+            actions = mean + scaled_noise[t]
             for i, env in enumerate(self.envs):
                 next_obs, _, reward, _, done, _ = env.step(float(actions[i, 0]))
-                buffers[i].add(obs[i], actions[i], float(log_probs[i]),
-                               float(value[i]), reward, done,
+                buffers[i].add(obs[i], actions[i], 0.0, float(value[i]),
+                               reward, done,
                                weights=weights if conditioned else None)
                 episode_totals[i] += reward
                 if done:
@@ -117,7 +130,8 @@ class VectorCollector:
         _, boot_values = model.infer(obs, w_batch)
         bootstraps = []
         for i, buffer in enumerate(buffers):
-            bootstraps.append(0.0 if buffer.dones[buffer.size - 1] else float(boot_values[i]))
+            buffer.log_probs[:] = DiagGaussian.log_prob(buffer.actions, means[i], log_std)
+            bootstraps.append(0.0 if buffer.dones[-1] else float(boot_values[i]))
         if not finished:
             # No episode completed within per_env steps (common once the
             # rollout is split n ways: per_env can be shorter than an

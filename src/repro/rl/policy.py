@@ -23,9 +23,11 @@ One way to run the model on one state: an :class:`InferencePlan`,
 resolved once per flow or per rollout.  ``plan.action`` runs only the
 actor and returns its mean, for controllers that consult a frozen
 policy once per monitor interval and for evaluation episodes;
-``plan.act`` returns the sampled ``(action, log_prob, value)`` triple
-rollout collection needs.  :meth:`PreferenceActorCritic.act` and
-``.value`` are one-shot plans for one-off queries.
+``plan.mean_value`` returns the actor's mean and the critic's value,
+the two passes a rollout step needs (the collector adds its pre-drawn
+noise and scores log-probabilities once per buffer).
+:meth:`PreferenceActorCritic.act` and ``.value`` are one-shot plans for
+one-off queries.
 """
 
 from __future__ import annotations
@@ -172,11 +174,20 @@ class InferencePlan:
     backward caches, so a plan never disturbs a batched
     :meth:`forward`.  The 1-D ``dot`` is the same BLAS kernel as the
     ``(1, n) @ W`` of a one-row ``forward`` and the ufuncs are the same
-    ufuncs, so results are bit-identical to it.  A deployed controller
-    and an evaluation episode call :meth:`action` -- the actor's mean,
-    no draw, no critic, no log-probability; a rollout calls :meth:`act`
-    and :meth:`value`.  Nothing a plan returns aliases its ``out``
-    buffers.
+    ufuncs, so results are bit-identical to it.  Who calls what:
+
+    * a deployed controller and an evaluation episode call
+      :meth:`action` -- the actor's mean, no draw, no critic, no
+      log-probability;
+    * a rollout (:func:`~repro.rl.collect.collect_rollout`) calls
+      :meth:`mean_value` once per step and :meth:`value` for its
+      bootstrap; it draws the rollout's noise and scores its
+      log-probabilities itself, once each;
+    * :meth:`PreferenceActorCritic.act` (one-off queries) calls
+      :meth:`act`, which is :meth:`mean_value` plus one draw and one
+      log-probability.
+
+    Nothing a plan returns aliases its ``out`` buffers.
 
     **Contract: the policy is frozen for the duration of a plan** (a
     flow; a rollout between two PPO updates).  The steps hold views of
@@ -206,14 +217,19 @@ class InferencePlan:
         self._obs[:] = obs
         return float(_run(self._actor, self._joint)[0])
 
+    def mean_value(self, obs: np.ndarray) -> tuple[np.ndarray, float]:
+        """``(mean, value)`` for one flat state: a copy of the actor's
+        Gaussian mean, shape ``(act_dim,)``, and the critic's value."""
+        self._obs[:] = obs
+        mean = _run(self._actor, self._joint).copy()
+        return mean, float(_run(self._critic, self._joint)[0])
+
     def act(self, obs: np.ndarray, rng: np.random.Generator,
             deterministic: bool = False):
         """``(action, log_prob, value)`` for one flat state."""
-        self._obs[:] = obs
-        mean = _run(self._actor, self._joint)
-        value = float(_run(self._critic, self._joint)[0])
+        mean, value = self.mean_value(obs)
         log_std = self._log_std.value
-        action = mean.copy() if deterministic else DiagGaussian.sample(mean, log_std, rng)
+        action = mean if deterministic else DiagGaussian.sample(mean, log_std, rng)
         log_prob = DiagGaussian.log_prob(action, mean, log_std)
         return action, float(log_prob[0]), value
 

@@ -93,6 +93,11 @@ LIBRARY_PARITY = ("tests/test_core_mocc.py::TestInferencePath::"
 ORCA_PARITY = ("tests/test_baselines.py::TestRLBaselines::"
                "test_orca_scale_equals_act_path")
 
+#: The sampling law of a collected rollout, and the flat Adam step
+#: against the per-parameter loop.
+SAMPLING_LAW = "tests/test_collectors.py::test_rollout_samples_by_the_law"
+FLAT_ADAM = "tests/test_optim.py::test_flat_optimizers_equal_per_parameter_loop"
+
 
 class Mutant(NamedTuple):
     module: str
@@ -396,6 +401,26 @@ MUTANTS = {
         "            _run(self._actor, self._joint), self._log_std.value,\n"
         "            np.random.default_rng(0))[0])\n",
         (*CONTROLLER_PARITY.values(), LIBRARY_PARITY, ORCA_PARITY)),
+    # Every step of a rollout takes the block's first noise row.
+    "rollout-noise-row-reused": Mutant(
+        "repro.rl.collect",
+        "        action = mean + scaled_noise[t]\n",
+        "        action = mean + scaled_noise[0]\n",
+        (SAMPLING_LAW,)),
+    # Each step's log-probability is scored against the previous
+    # step's mean (the first step's against its own).
+    "rollout-logprob-stale-mean": Mutant(
+        "repro.rl.collect",
+        "        means[t] = mean\n",
+        "        means[t] = mean if t == 0 else previous\n"
+        "        previous = mean\n",
+        (SAMPLING_LAW,)),
+    # Adam's numerator and denominator share one scratch vector.
+    "adam-scratch-aliased": Mutant(
+        "repro.rl.optim",
+        "        self._den = np.empty_like(params.value)\n",
+        "        self._den = self._num\n",
+        (FLAT_ADAM,)),
 }
 
 

@@ -34,7 +34,16 @@ from pathlib import Path
 
 import pytest
 
-from mutants import ENV_PARITY, EVERY_KIND, MUTANTS, RANK, SLICING, mutated
+from mutants import (
+    ENV_PARITY,
+    EVERY_KIND,
+    FLAT_ADAM,
+    MUTANTS,
+    RANK,
+    SAMPLING_LAW,
+    SLICING,
+    mutated,
+)
 
 ROOT = Path(__file__).resolve().parents[2]
 SCORE = Path(__file__).with_name("SCORE.json")
@@ -45,12 +54,15 @@ CLASSES = (
     ("tests/test_training_goldens.py::*", "digest"),
     (EVERY_KIND, "digest"),
     (ENV_PARITY, "digest"),
+    ("tests/test_collectors.py::test_rollouts_keep_their_digest*", "digest"),
     # Laws, oracles, properties and metamorphic relations.
     ("tests/test_conservation.py::*", "law"),
     ("tests/test_metamorphic.py::*", "law"),
     ("tests/test_mi_oracle.py::*", "law"),
     ("tests/test_sweep_kills.py::*", "law"),
     (SLICING, "law"),
+    (SAMPLING_LAW, "law"),
+    (FLAT_ADAM, "law"),
     ("tests/test_policy.py::TestInferencePlan::test_every_method_equals_"
      "forward_bit_for_bit", "law"),
 )

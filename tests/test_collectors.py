@@ -1,7 +1,8 @@
 """Collector parity: Serial and Vector agree on shapes and handle
 both preference-conditioned and unconditioned models (incl. the
 ``weights=None`` path and the no-finished-episode reward fallback),
-and each collector's rollouts keep their pinned digest."""
+each collector's rollouts keep their pinned digest, and a rollout's
+actions and log-probabilities follow the sampling law."""
 
 import hashlib
 
@@ -10,7 +11,13 @@ import pytest
 
 from repro.config import DEFAULT_TRAINING, NetworkParams
 from repro.core.agent import MoccAgent
-from repro.rl.collect import BALANCED_OBJECTIVE, evaluate_policy, resolve_objective
+from repro.rl.collect import (
+    BALANCED_OBJECTIVE,
+    collect_rollout,
+    evaluate_policy,
+    resolve_objective,
+)
+from repro.rl.distributions import DiagGaussian
 from repro.rl.parallel import EnvSpec, SerialCollector, VectorCollector
 
 SPEC = EnvSpec(params=NetworkParams(3.0, 20.0, 200, 0.0), max_steps=16, seed=2)
@@ -72,6 +79,14 @@ class TestCollectorParity:
                 assert (buffer.weights is not None) == conditioned, name
             assert all(np.isfinite(b) for b in boots), name
             assert np.isfinite(reward), name
+
+    @pytest.mark.parametrize("steps", [1, 15, 17, 31])
+    def test_vector_steps_must_split_evenly(self, steps):
+        """Asked for a number of steps it cannot split evenly, the vector
+        collector refuses instead of filling a different number."""
+        with pytest.raises(ValueError, match="multiple of n_envs=2"):
+            VectorCollector(SPEC, n_envs=2).collect(
+                _conditioned(), WEIGHTS, steps, np.random.default_rng(0))
 
     def test_conditioned_model_requires_weights_everywhere(self):
         for name, collector, _ in _collectors():
@@ -168,3 +183,31 @@ def rollout_digest(collector) -> str:
 @pytest.mark.parametrize("name", COLLECTORS)
 def test_rollouts_keep_their_digest(name):
     assert rollout_digest(COLLECTORS[name]()) == ROLLOUT_DIGESTS[name]
+
+
+def sampling_law_holds(collect) -> None:
+    """Bit for bit, a collected buffer's ``actions`` are ``mu +
+    exp(log_std) * eps`` and its ``log_probs`` are
+    ``DiagGaussian.log_prob(actions, mu, log_std)``: ``mu`` recomputed
+    per stored obs through ``plan.action``, ``eps`` the first ``steps``
+    rows a twin generator's ``standard_normal((steps, act_dim))`` draws.
+
+    ``collect`` is :func:`collect_rollout` or a stand-in for it.  The 40
+    steps cross an episode boundary (``max_steps`` is 16).
+    """
+    model, steps, seed = _conditioned(), 40, 7
+    assert model.act_dim == 1  # plan.action returns the mean's one entry
+    buffer, _, _ = collect(SPEC.build(), model, WEIGHTS, steps,
+                           np.random.default_rng(seed))
+    assert buffer.dones.any()
+    plan = model.plan(WEIGHTS)
+    mu = np.array([[plan.action(obs)] for obs in buffer.obs])
+    eps = np.random.default_rng(seed).standard_normal((steps, model.act_dim))
+    log_std = model.log_std.value
+    assert np.array_equal(buffer.actions, mu + np.exp(log_std) * eps)
+    assert np.array_equal(buffer.log_probs,
+                          DiagGaussian.log_prob(buffer.actions, mu, log_std))
+
+
+def test_rollout_samples_by_the_law():
+    sampling_law_holds(collect_rollout)

@@ -33,6 +33,7 @@ import test_ack_wire_drop
 import test_baselines
 import test_batch
 import test_cell_lifetime
+import test_collectors
 import test_conservation
 import test_core_mocc
 import test_engine_invariants
@@ -40,6 +41,7 @@ import test_env
 import test_library_features
 import test_metamorphic
 import test_mi_oracle
+import test_optim
 import test_parallel_eval
 import test_policy
 import test_resilience
@@ -55,6 +57,7 @@ from mutants import (
     ENV_LINK_PINS,
     ENV_PARITY,
     EVERY_KIND,
+    FLAT_ADAM,
     LIBRARY_GRADIENT,
     LIBRARY_PARITY,
     LIFETIME,
@@ -67,6 +70,7 @@ from mutants import (
     RELATION_A,
     RELATION_C,
     REPLAY_ORDER,
+    SAMPLING_LAW,
     SINGLE_STEPPING,
     SLICING,
     STATS_LOGGED,
@@ -197,6 +201,11 @@ KILLERS = {
         ns["InferencePlan"], test_core_mocc.library_matches_act_path),
     ORCA_PARITY: lambda ns: planned_by(
         ns["InferencePlan"], test_baselines.orca_scale_equals_act_path),
+    SAMPLING_LAW: lambda ns: test_collectors.sampling_law_holds(
+        ns["collect_rollout"]),
+    FLAT_ADAM: lambda ns: test_optim.flat_equals_loop(
+        ns["Adam"], [(3,), (4, 5)], seed=0, steps=3, grad_scale=1.0,
+        max_norm=5.0),
 }
 
 #: ``(module, killer)`` for every killer named for a module.
