@@ -12,14 +12,16 @@ numpy implementation:
 * :mod:`repro.rl.distributions` -- the diagonal Gaussian action
   distribution.
 * :mod:`repro.rl.policy` -- the actor-critic model with the preference
-  sub-network of Fig. 3, and the single-state ``InferencePlan``.
+  sub-network of Fig. 3, and the no-grad ``InferencePlan`` (one flat
+  state, or one row per environment).
 * :mod:`repro.rl.rollout` -- trajectory storage, returns, advantages.
-* :mod:`repro.rl.collect` -- run a policy in an env (one plan per
-  rollout) and fill a buffer; score one deterministic episode.
+* :mod:`repro.rl.collect` -- score one deterministic episode; the
+  objective a weight argument stands for.
 * :mod:`repro.rl.ppo` -- PPO-clip with entropy regularisation (Eq. 3-5).
 * :mod:`repro.rl.dqn` -- the MOCC-DQN ablation of Fig. 18.
-* :mod:`repro.rl.parallel` -- the environment spec and the serial and
-  vectorized (lockstep, batched-inference) rollout collectors.
+* :mod:`repro.rl.parallel` -- the environment spec and the one rollout
+  loop (lockstep envs, one batched plan per rollout), over one env
+  (serial) or several (vectorized).
 """
 
 from repro.rl.nn import MLP, Dense, Tanh, ReLU, Sequential

@@ -12,13 +12,11 @@ Conventions
 * Inputs are 2-D arrays of shape ``(batch, features)``; single samples
   can be passed as 1-D arrays and are promoted internally.
 * ``forward`` caches whatever ``backward`` needs; call them in pairs.
-* ``infer`` is ``forward`` without the caches or the input re-wrapping:
-  the same numpy ops on the same shapes (so results are bit-identical),
-  for batched callers that run a frozen network and never call
-  ``backward`` (the vectorised rollout collector, a plan's one-time
-  preference embedding).  It requires a 2-D float64 input.  One state
-  at a time goes through :class:`repro.rl.policy.InferencePlan`
-  instead, which runs the same kernels in place on a flat row.
+* Inference without gradients (a rollout, a deployed controller) does
+  not go through these modules: :class:`repro.rl.policy.InferencePlan`
+  resolves a network's parameters once and runs the same kernels in
+  place, on one flat row or on one row per environment, caching
+  nothing.
 * Parameters and gradients are exposed as flat ``{name: array}`` dicts
   so optimizers and serialization never need to know the architecture.
 * A *model* (the unit an optimizer trains) packs its parameters into a
@@ -125,10 +123,6 @@ class Module:
         """Accumulate parameter gradients; return gradient w.r.t. input."""
         raise NotImplementedError
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """``forward`` for a 2-D float64 ``x``, caching nothing."""
-        raise NotImplementedError
-
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)
 
@@ -179,9 +173,6 @@ class Dense(Module):
         self._x = x
         return x @ self.W.value + self.b.value
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.W.value + self.b.value
-
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._x is None:
             raise RuntimeError("backward called before forward")
@@ -209,9 +200,6 @@ class Tanh(Module):
         self._y = np.tanh(x)
         return self._y
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return np.tanh(x)
-
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._y is None:
             raise RuntimeError("backward called before forward")
@@ -227,9 +215,6 @@ class ReLU(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
         return np.where(self._mask, x, 0.0)
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        return np.where(x > 0, x, 0.0)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -253,11 +238,6 @@ class Sequential(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         for layer in self.layers:
             x = layer.forward(x)
-        return x
-
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        for layer in self.layers:
-            x = layer.infer(x)
         return x
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:

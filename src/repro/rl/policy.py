@@ -19,15 +19,17 @@ requirements into consideration."
 A plain single-objective actor-critic (for Aurora/Orca baselines) is the
 degenerate case ``weight_dim=0``, which skips the PN entirely.
 
-One way to run the model on one state: an :class:`InferencePlan`,
-resolved once per flow or per rollout.  ``plan.action`` runs only the
+One way to run the frozen model without gradients: an
+:class:`InferencePlan`, resolved once per flow or per rollout.  A flat
+plan (``model.plan(w)``) holds one state: ``plan.action`` runs only the
 actor and returns its mean, for controllers that consult a frozen
-policy once per monitor interval and for evaluation episodes;
-``plan.mean_value`` returns the actor's mean and the critic's value,
-the two passes a rollout step needs (the collector adds its pre-drawn
-noise and scores log-probabilities once per buffer).
-:meth:`PreferenceActorCritic.act` and ``.value`` are one-shot plans for
-one-off queries.
+policy once per monitor interval and for evaluation episodes.  A
+batched plan (``model.plan(w, rows=n)``) holds one state per
+environment: ``plan.mean_value`` returns the actor's means and the
+critic's values, the two passes a rollout step needs (the collector
+adds its pre-drawn noise and scores log-probabilities once per buffer).
+:meth:`PreferenceActorCritic.act` is a one-shot flat plan for one-off
+queries.
 """
 
 from __future__ import annotations
@@ -90,8 +92,7 @@ class PreferenceActorCritic(Module):
 
     # --- forward/backward ------------------------------------------------
 
-    def _embed(self, obs: np.ndarray, weights: np.ndarray | None,
-               cache: bool = True) -> np.ndarray:
+    def _embed(self, obs: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
         obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
         if self.pref_net is None:
             return obs
@@ -100,8 +101,7 @@ class PreferenceActorCritic(Module):
         weights = np.atleast_2d(np.asarray(weights, dtype=np.float64))
         if weights.shape[0] == 1 and obs.shape[0] > 1:
             weights = np.repeat(weights, obs.shape[0], axis=0)
-        pref = self.pref_net.forward(weights) if cache else self.pref_net.infer(weights)
-        return np.concatenate([obs, pref], axis=1)
+        return np.concatenate([obs, self.pref_net.forward(weights)], axis=1)
 
     def forward(self, obs: np.ndarray, weights: np.ndarray | None = None):
         """Return ``(mean, value)`` for a batch of states.
@@ -114,11 +114,6 @@ class PreferenceActorCritic(Module):
         mean = self.actor.forward(joint)
         value = self.critic.forward(joint)[:, 0]
         return mean, value
-
-    def infer(self, obs: np.ndarray, weights: np.ndarray | None = None):
-        """:meth:`forward` for a batch of states, caching nothing."""
-        joint = self._embed(obs, weights, cache=False)
-        return self.actor.infer(joint), self.critic.infer(joint)[:, 0]
 
     def backward(self, d_mean: np.ndarray, d_value: np.ndarray,
                  d_log_std: np.ndarray | None = None) -> None:
@@ -141,13 +136,11 @@ class PreferenceActorCritic(Module):
         """
         return self.plan(weights).act(obs, rng, deterministic)
 
-    def value(self, obs: np.ndarray, weights: np.ndarray | None = None) -> float:
-        """Critic value for a single state (a one-shot plan)."""
-        return self.plan(weights).value(obs)
-
-    def plan(self, weights: np.ndarray | None = None) -> "InferencePlan":
-        """No-grad single-state inference under a fixed ``weights``."""
-        return InferencePlan(self, weights)
+    def plan(self, weights: np.ndarray | None = None,
+             rows: int | None = None) -> "InferencePlan":
+        """No-grad inference under a fixed ``weights``: one flat state,
+        or ``rows`` states at once."""
+        return InferencePlan(self, weights, rows)
 
     # --- snapshots ---------------------------------------------------------
 
@@ -162,30 +155,38 @@ class PreferenceActorCritic(Module):
 
 
 class InferencePlan:
-    """Single-state, no-grad inference under one weight vector.
+    """No-grad inference under one weight vector, on one state or on
+    ``rows`` states at once.
 
-    Holds the flat ``obs_dim + pref_hidden`` joint input row of Fig. 3.
-    Its preference half is computed **once**, here, from the model's
-    preference sub-network; each call overwrites only the observation
-    half.  Actor and critic are resolved once into ``(W, b, activation,
-    out)`` steps, and a call runs each step as ``np.dot(row, W,
-    out=out)``, ``np.add(out, b, out=out)`` and the activation in place
-    -- no per-layer method calls, no temporaries (ReLU excepted), no
-    backward caches, so a plan never disturbs a batched
-    :meth:`forward`.  The 1-D ``dot`` is the same BLAS kernel as the
-    ``(1, n) @ W`` of a one-row ``forward`` and the ufuncs are the same
-    ufuncs, so results are bit-identical to it.  Who calls what:
+    Holds the joint input of Fig. 3: an ``(rows, obs_dim +
+    pref_hidden)`` matrix, or the flat row when there is one state
+    (``rows=None`` or ``1``; only the shapes :meth:`mean_value` returns
+    tell the two apart).  A flat row is kept because a 1-D ``dot`` is
+    the cheaper call: a ``(1, n)`` matrix costs a decision about a
+    microsecond more.  The preference half is computed **once**, here,
+    by the model's preference sub-network over ``rows`` repeated weight
+    rows (one, for a flat row); each call overwrites only the
+    observation half.  Actor and critic are resolved once into ``(W, b,
+    activation, out)`` steps, and a call runs each step as ``np.dot(x,
+    W, out=out)``, ``np.add(out, b, out=out)`` and the activation in
+    place -- no per-layer method calls, no temporaries (ReLU excepted),
+    no backward caches, so a plan never disturbs a batched
+    :meth:`forward`.  The results are bit-identical to :meth:`forward`
+    on the same rows: the flat row's 1-D ``dot`` is the same BLAS kernel
+    as a one-row ``forward``, a matrix's 2-D ``dot`` gives the bits of
+    ``forward``'s ``matmul``, and the ufuncs are the same ufuncs.  Who
+    calls what:
 
     * a deployed controller and an evaluation episode call
-      :meth:`action` -- the actor's mean, no draw, no critic, no
-      log-probability;
-    * a rollout (:func:`~repro.rl.collect.collect_rollout`) calls
-      :meth:`mean_value` once per step and :meth:`value` for its
-      bootstrap; it draws the rollout's noise and scores its
-      log-probabilities itself, once each;
+      :meth:`action` on a flat plan -- the actor's mean, no draw, no
+      critic, no log-probability;
+    * a rollout (:meth:`~repro.rl.parallel.VectorCollector.collect`)
+      calls :meth:`mean_value` on a plan with one row per environment,
+      once per step and once for its bootstraps; it draws the rollout's
+      noise and scores its log-probabilities itself, once each;
     * :meth:`PreferenceActorCritic.act` (one-off queries) calls
-      :meth:`act`, which is :meth:`mean_value` plus one draw and one
-      log-probability.
+      :meth:`act` on a flat plan, which is :meth:`mean_value` plus one
+      draw and one log-probability.
 
     Nothing a plan returns aliases its ``out`` buffers.
 
@@ -199,17 +200,21 @@ class InferencePlan:
     """
 
     def __init__(self, model: PreferenceActorCritic,
-                 weights: np.ndarray | None = None):
-        self._actor = _steps(model.actor)
-        self._critic = _steps(model.critic)
-        self._log_std = model.log_std
-        self._joint = np.zeros(model.obs_dim + model.pref_hidden)
-        self._obs = self._joint[:model.obs_dim]
+                 weights: np.ndarray | None = None, rows: int | None = None):
+        n = 1 if rows is None else rows
+        joint = np.zeros((n, model.obs_dim + model.pref_hidden))
         if model.pref_net is not None:
             if weights is None:
                 raise ValueError("model was built with a preference sub-network; pass weights")
-            self._joint[model.obs_dim:] = model.pref_net.infer(
-                np.asarray(weights, dtype=np.float64).reshape(1, -1))[0]
+            w = np.asarray(weights, dtype=np.float64).reshape(1, -1)
+            pref = _run(_steps(model.pref_net, (n,)), np.repeat(w, n, axis=0))
+            joint[:, model.obs_dim:] = pref
+        self._joint = joint[0] if n == 1 else joint
+        self._obs = self._joint[..., :model.obs_dim]
+        self._actor = _steps(model.actor, self._joint.shape[:-1])
+        self._critic = _steps(model.critic, self._joint.shape[:-1])
+        self._log_std = model.log_std
+        self._rows = () if rows is None else (rows,)
 
     def action(self, obs: np.ndarray) -> float:
         """The Eq. 1 adjustment scalar for one flat state: the actor's
@@ -217,12 +222,15 @@ class InferencePlan:
         self._obs[:] = obs
         return float(_run(self._actor, self._joint)[0])
 
-    def mean_value(self, obs: np.ndarray) -> tuple[np.ndarray, float]:
-        """``(mean, value)`` for one flat state: a copy of the actor's
-        Gaussian mean, shape ``(act_dim,)``, and the critic's value."""
+    def mean_value(self, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of the actor's Gaussian means and the critic's values:
+        shapes ``(rows, act_dim)`` and ``(rows,)`` for ``rows`` states,
+        ``(act_dim,)`` and ``()`` for one state of a ``rows=None``
+        plan."""
         self._obs[:] = obs
-        mean = _run(self._actor, self._joint).copy()
-        return mean, float(_run(self._critic, self._joint)[0])
+        mean = _run(self._actor, self._joint).reshape(self._rows + (-1,))
+        value = _run(self._critic, self._joint).reshape(self._rows)
+        return mean.copy(), value.copy()
 
     def act(self, obs: np.ndarray, rng: np.random.Generator,
             deterministic: bool = False):
@@ -231,28 +239,25 @@ class InferencePlan:
         log_std = self._log_std.value
         action = mean if deterministic else DiagGaussian.sample(mean, log_std, rng)
         log_prob = DiagGaussian.log_prob(action, mean, log_std)
-        return action, float(log_prob[0]), value
-
-    def value(self, obs: np.ndarray) -> float:
-        """Critic value for one flat state."""
-        self._obs[:] = obs
-        return float(_run(self._critic, self._joint)[0])
+        return action, float(log_prob[0]), float(value)
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0, x, 0.0)
 
 
-def _steps(mlp: MLP) -> tuple:
-    """``mlp`` as ``(W, b, activation, out)`` steps over live parameter
-    views; ``activation`` maps ``out`` to the next row (``None`` for the
-    linear head)."""
+def _steps(net: Sequential, rows: tuple) -> tuple:
+    """``net`` as ``(W, b, activation, out)`` steps over live parameter
+    views, for a flat row (``rows=()``) or a matrix of ``rows[0]`` rows;
+    ``activation`` maps ``out`` to the next input (``None`` for a
+    linear output)."""
     steps = []
-    layers = mlp.layers
+    layers = net.layers
     for i, layer in enumerate(layers):
         if not isinstance(layer, Dense):
             continue
-        out = np.empty(layer.W.value.shape[1])
+        width = layer.W.value.shape[1]
+        out = np.empty(rows + (width,))
         following = layers[i + 1] if i + 1 < len(layers) else None
         if isinstance(following, Tanh):
             activation = partial(np.tanh, out=out)
@@ -264,13 +269,14 @@ def _steps(mlp: MLP) -> tuple:
     return tuple(steps)
 
 
-def _run(steps: tuple, row: np.ndarray) -> np.ndarray:
-    """One flat ``row`` through resolved steps; returns the last ``out``."""
+def _run(steps: tuple, x: np.ndarray) -> np.ndarray:
+    """A flat row or a matrix ``x`` through resolved steps; returns the
+    last ``out``."""
     for W, b, activation, out in steps:
-        np.dot(row, W, out=out)
+        np.dot(x, W, out=out)
         np.add(out, b, out=out)
-        row = out if activation is None else activation(out)
-    return row
+        x = out if activation is None else activation(out)
+    return x
 
 
 def _dense_widths(mlp: MLP) -> list[int]:

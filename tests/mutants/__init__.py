@@ -96,6 +96,11 @@ ORCA_PARITY = ("tests/test_baselines.py::TestRLBaselines::"
 #: The sampling law of a collected rollout, and the flat Adam step
 #: against the per-parameter loop.
 SAMPLING_LAW = "tests/test_collectors.py::test_rollout_samples_by_the_law"
+#: A batched plan against a batched ``forward``, and the pinned
+#: rollouts of the three-env collector.
+ROWS_LAW = ("tests/test_policy.py::TestInferencePlan::"
+            "test_every_method_equals_forward_bit_for_bit[3]")
+VECTOR_DIGEST = "tests/test_collectors.py::test_rollouts_keep_their_digest[vector-3]"
 FLAT_ADAM = "tests/test_optim.py::test_flat_optimizers_equal_per_parameter_loop"
 
 
@@ -329,10 +334,17 @@ MUTANTS = {
         'if drop_kind == "buffer" and not packet.dropped:',
         ("tests/test_ack_wire_drop.py::TestWireDroppedAcks::"
          "test_wire_drops_park_and_recover",)),
+    # A one-off query through the caching forward (PR 19 had it in the
+    # single-state value query, which is gone).
     "pr19-value-through-forward": Mutant(
         "repro.rl.policy",
-        "        return self.plan(weights).value(obs)\n",
-        "        return float(self.forward(obs, weights)[1][0])\n",
+        "        return self.plan(weights).act(obs, rng, deterministic)\n",
+        "        mean, value = self.forward(obs, weights)\n"
+        "        log_std = self.log_std.value\n"
+        "        action = mean[0] if deterministic else DiagGaussian.sample(\n"
+        "            mean, log_std, rng)[0]\n"
+        "        log_prob = DiagGaussian.log_prob(action, mean, log_std)\n"
+        "        return action, float(log_prob[0]), float(value[0])\n",
         ("tests/test_policy.py::TestBackward::"
          "test_single_state_queries_leave_backward_caches_alone[3]",)),
     "pr22-unfrozen-list": Mutant(
@@ -403,18 +415,25 @@ MUTANTS = {
         (*CONTROLLER_PARITY.values(), LIBRARY_PARITY, ORCA_PARITY)),
     # Every step of a rollout takes the block's first noise row.
     "rollout-noise-row-reused": Mutant(
-        "repro.rl.collect",
-        "        action = mean + scaled_noise[t]\n",
-        "        action = mean + scaled_noise[0]\n",
+        "repro.rl.parallel",
+        "            actions = mean + scaled_noise[t]\n",
+        "            actions = mean + scaled_noise[0]\n",
         (SAMPLING_LAW,)),
     # Each step's log-probability is scored against the previous
     # step's mean (the first step's against its own).
     "rollout-logprob-stale-mean": Mutant(
-        "repro.rl.collect",
-        "        means[t] = mean\n",
-        "        means[t] = mean if t == 0 else previous\n"
-        "        previous = mean\n",
+        "repro.rl.parallel",
+        "            means[:, t] = mean\n",
+        "            means[:, t] = mean if t == 0 else previous\n"
+        "            previous = mean\n",
         (SAMPLING_LAW,)),
+    # A batched plan fills only its first row's preference half; the
+    # other rows see a zero embedding.
+    "plan-pref-first-row-only": Mutant(
+        "repro.rl.policy",
+        "            joint[:, model.obs_dim:] = pref\n",
+        "            joint[:1, model.obs_dim:] = pref[:1]\n",
+        (VECTOR_DIGEST, ROWS_LAW)),
     # Adam's numerator and denominator share one scratch vector.
     "adam-scratch-aliased": Mutant(
         "repro.rl.optim",

@@ -12,9 +12,10 @@ by the time the call returns, would raise the peak by that much.
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from repro.rl.collect import collect_rollout
 from repro.rl.optim import Adam
+from repro.rl.parallel import SerialCollector, VectorCollector
 
 from test_collectors import SPEC, WEIGHTS, _conditioned
 
@@ -39,10 +40,13 @@ def test_adam_step_allocates_nothing_arena_sized():
     assert peak_rise(Adam(arena).step) < arena.value.nbytes
 
 
-def test_a_rollout_step_allocates_nothing_arena_sized():
-    """A one-step rollout, the episode reset included."""
+@pytest.mark.parametrize("make, steps", [
+    (lambda: SerialCollector(SPEC), 1),
+    (lambda: VectorCollector(SPEC, n_envs=2), 2)], ids=["serial", "vector-2"])
+def test_a_rollout_step_allocates_nothing_arena_sized(make, steps):
+    """A one-step rollout (per env), the episode resets included."""
     model = _conditioned()
-    env = SPEC.build()
+    collector = make()
     rng = np.random.default_rng(0)
-    rise = peak_rise(lambda: collect_rollout(env, model, WEIGHTS, 1, rng))
+    rise = peak_rise(lambda: collector.collect(model, WEIGHTS, steps, rng))
     assert rise < model.parameters().value.nbytes

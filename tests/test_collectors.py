@@ -11,12 +11,7 @@ import pytest
 
 from repro.config import DEFAULT_TRAINING, NetworkParams
 from repro.core.agent import MoccAgent
-from repro.rl.collect import (
-    BALANCED_OBJECTIVE,
-    collect_rollout,
-    evaluate_policy,
-    resolve_objective,
-)
+from repro.rl.collect import BALANCED_OBJECTIVE, evaluate_policy, resolve_objective
 from repro.rl.distributions import DiagGaussian
 from repro.rl.parallel import EnvSpec, SerialCollector, VectorCollector
 
@@ -80,13 +75,18 @@ class TestCollectorParity:
             assert all(np.isfinite(b) for b in boots), name
             assert np.isfinite(reward), name
 
-    @pytest.mark.parametrize("steps", [1, 15, 17, 31])
-    def test_vector_steps_must_split_evenly(self, steps):
-        """Asked for a number of steps it cannot split evenly, the vector
-        collector refuses instead of filling a different number."""
-        with pytest.raises(ValueError, match="multiple of n_envs=2"):
-            VectorCollector(SPEC, n_envs=2).collect(
-                _conditioned(), WEIGHTS, steps, np.random.default_rng(0))
+    @pytest.mark.parametrize("kind, steps", [
+        ("vector", 0), ("vector", 1), ("vector", 15), ("vector", 17),
+        ("vector", 31), ("serial", 0)])
+    def test_vector_steps_must_split_evenly(self, kind, steps):
+        """Asked for a number of steps it cannot split evenly (or for
+        none), a collector refuses instead of filling a different
+        number."""
+        collectors = {name: (c, n) for name, c, n in _collectors()}
+        collector, n_envs = collectors[kind]
+        with pytest.raises(ValueError, match=f"multiple of n_envs={n_envs}"):
+            collector.collect(_conditioned(), WEIGHTS, steps,
+                              np.random.default_rng(0))
 
     def test_conditioned_model_requires_weights_everywhere(self):
         for name, collector, _ in _collectors():
@@ -111,9 +111,8 @@ class TestVectorRewardFallback:
         assert reward == pytest.approx(2.0 * np.mean(partial_totals))
 
     def test_serial_fallback_also_extrapolated(self):
-        # The extrapolation lives in shared collect_rollout, so Serial
-        # agrees with Vector on reward scale when the rollout is shorter
-        # than an episode.
+        # Serial is the same loop over one env, so it agrees with Vector
+        # on reward scale when the rollout is shorter than an episode.
         collector = SerialCollector(SPEC)
         buffers, _, reward = collector.collect(
             _conditioned(), WEIGHTS, 8, np.random.default_rng(0))
@@ -185,20 +184,20 @@ def test_rollouts_keep_their_digest(name):
     assert rollout_digest(COLLECTORS[name]()) == ROLLOUT_DIGESTS[name]
 
 
-def sampling_law_holds(collect) -> None:
+def sampling_law_holds(serial_collector) -> None:
     """Bit for bit, a collected buffer's ``actions`` are ``mu +
     exp(log_std) * eps`` and its ``log_probs`` are
     ``DiagGaussian.log_prob(actions, mu, log_std)``: ``mu`` recomputed
     per stored obs through ``plan.action``, ``eps`` the first ``steps``
     rows a twin generator's ``standard_normal((steps, act_dim))`` draws.
 
-    ``collect`` is :func:`collect_rollout` or a stand-in for it.  The 40
-    steps cross an episode boundary (``max_steps`` is 16).
+    ``serial_collector`` is :class:`SerialCollector` or a stand-in for
+    it.  The 40 steps cross an episode boundary (``max_steps`` is 16).
     """
     model, steps, seed = _conditioned(), 40, 7
     assert model.act_dim == 1  # plan.action returns the mean's one entry
-    buffer, _, _ = collect(SPEC.build(), model, WEIGHTS, steps,
-                           np.random.default_rng(seed))
+    (buffer,), _, _ = serial_collector(SPEC).collect(
+        model, WEIGHTS, steps, np.random.default_rng(seed))
     assert buffer.dones.any()
     plan = model.plan(WEIGHTS)
     mu = np.array([[plan.action(obs)] for obs in buffer.obs])
@@ -210,4 +209,4 @@ def sampling_law_holds(collect) -> None:
 
 
 def test_rollout_samples_by_the_law():
-    sampling_law_holds(collect_rollout)
+    sampling_law_holds(SerialCollector)

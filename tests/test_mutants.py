@@ -70,10 +70,12 @@ from mutants import (
     RELATION_A,
     RELATION_C,
     REPLAY_ORDER,
+    ROWS_LAW,
     SAMPLING_LAW,
     SINGLE_STEPPING,
     SLICING,
     STATS_LOGGED,
+    VECTOR_DIGEST,
     law_killer,
     load,
     mutated,
@@ -202,7 +204,12 @@ KILLERS = {
     ORCA_PARITY: lambda ns: planned_by(
         ns["InferencePlan"], test_baselines.orca_scale_equals_act_path),
     SAMPLING_LAW: lambda ns: test_collectors.sampling_law_holds(
-        ns["collect_rollout"]),
+        ns["SerialCollector"]),
+    ROWS_LAW: lambda ns: planned_by(
+        ns["InferencePlan"], lambda: test_policy.batched_plans_equal_forward(3)),
+    VECTOR_DIGEST: lambda ns: planned_by(
+        ns["InferencePlan"],
+        lambda: test_collectors.test_rollouts_keep_their_digest("vector-3")),
     FLAT_ADAM: lambda ns: test_optim.flat_equals_loop(
         ns["Adam"], [(3,), (4, 5)], seed=0, steps=3, grad_scale=1.0,
         max_norm=5.0),

@@ -84,10 +84,9 @@ def single_state_queries_leave_backward_caches_alone(model_cls,
         return model.parameters().grad.copy()
 
     def queries():
-        model.value(rng.normal(size=6), w_one)
         model.act(rng.normal(size=6), w_one, rng)
         model.plan(w_one).act(rng.normal(size=6), rng)
-        model.infer(rng.normal(size=(2, 6)), None if w is None else w[:2])
+        model.plan(w_one, rows=2).mean_value(rng.normal(size=(2, 6)))
 
     want = grads(lambda: None)
     assert want.any()
@@ -169,7 +168,7 @@ class TestActing:
         w = np.full(3, 1 / 3)
         _, _, value = model.act(np.ones(6), w, np.random.default_rng(0),
                                 deterministic=True)
-        assert value == pytest.approx(model.value(np.ones(6), w))
+        assert value == pytest.approx(model.forward(np.ones(6), w)[1][0])
 
 
 def reference_act(model, obs, weights, rng, deterministic=False):
@@ -189,6 +188,10 @@ def random_pushes(history, rng, n):
     for _ in range(n):
         history._append(*rng.uniform((0.0, 0.0, -10.0, 0.0), (10.0, 10.0, 10.0, 4.0)))
         yield history.vector()
+
+
+#: The row counts a batched plan is checked at.
+ROWS = (1, 2, 3, 8)
 
 
 @pytest.mark.parametrize("weight_dim", [3, 0])
@@ -226,8 +229,8 @@ class TestInferencePlan:
                 assert (log_prob, value) == want[1:]
 
     def test_plan_act_and_value_equal_reference(self, weight_dim):
-        """One plan over a whole rollout: the triple, the bootstrap value
-        and the number of RNG draws are those of the per-call formula."""
+        """One plan over many states: the triple, ``mean_value`` and the
+        number of RNG draws are those of the per-call formula."""
         model = self._model(weight_dim)
         w = self.WEIGHTS if weight_dim else None
         plan = model.plan(w)
@@ -239,13 +242,10 @@ class TestInferencePlan:
                 assert action.shape == (1,) and action[0] == want[0][0]
                 assert type(log_prob) is type(value) is float
                 assert (log_prob, value) == want[1:]
-                assert plan.value(obs) == want[2] == model.value(obs, w)
+                mean, plan_value = plan.mean_value(obs)
+                assert mean.shape == (1,) and plan_value.shape == ()
+                assert plan_value == want[2]
             assert rng_new.bit_generator.state == rng_old.bit_generator.state
-        # Batched no-grad inference is the same rows, cache-free.
-        batch = np.stack(list(random_pushes(StatHistory(10), np.random.default_rng(9), 8)))
-        w_batch = np.repeat(w[None, :], 8, axis=0) if weight_dim else None
-        for got, want in zip(model.infer(batch, w_batch), model.forward(batch, w_batch)):
-            assert np.array_equal(got, want)
 
     def test_actor_updates_seen_live_embedding_snapshotted(self, weight_dim):
         model = self._model(weight_dim)
@@ -274,23 +274,29 @@ class TestInferencePlan:
     @settings(max_examples=40, deadline=None)
     @given(hidden=st.sampled_from(((8,), (5,), (12, 6), (64, 32))),
            activation=st.sampled_from(("tanh", "relu")),
-           seed=st.integers(0, 2 ** 16), scale=st.sampled_from((0.1, 1.0, 30.0)))
+           seed=st.integers(0, 2 ** 16), scale=st.sampled_from((0.1, 1.0, 30.0)),
+           rows=st.sampled_from(ROWS))
     def test_every_method_equals_forward_bit_for_bit(self, weight_dim, hidden,
-                                                     activation, seed, scale):
-        """``action``, ``act`` (both branches) and ``value`` against the
-        matching one-row ``forward``, compared as bytes; then again after
-        an in-place ``load_state_dict``."""
+                                                     activation, seed, scale,
+                                                     rows):
+        """``action``, ``act`` (both branches) and ``mean_value`` against
+        the matching one-row ``forward``, and a ``rows``-row plan's
+        ``mean_value`` against a ``rows``-row ``forward``, compared as
+        bytes; then again after an in-place ``load_state_dict``."""
         model = _trunk_model(weight_dim, hidden, activation, seed)
         w = self.WEIGHTS if weight_dim else None
         plan = model.plan(w)
+        batched = model.plan(w, rows=rows)
         obs_rng = np.random.default_rng(seed)
 
         def check():
+            rows_equal_forward(batched, model,
+                               obs_rng.normal(size=(rows, model.obs_dim)) * scale, w)
             for _ in range(4):
                 obs = obs_rng.normal(size=model.obs_dim) * scale
                 mean, value = model.forward(obs, w)
                 assert _bytes(plan.action(obs)) == mean[0, 0].tobytes()
-                assert _bytes(plan.value(obs)) == value[0].tobytes()
+                assert plan.mean_value(obs)[1].tobytes() == value[0].tobytes()
                 for deterministic in (True, False):
                     got = plan.act(obs, np.random.default_rng(seed), deterministic)
                     want = reference_act(model, obs, w, np.random.default_rng(seed),
@@ -317,7 +323,8 @@ class TestInferencePlan:
                                                       activation, seed):
         """A second call must not change what the first one returned."""
         model = _trunk_model(weight_dim, hidden, activation, seed)
-        plan = model.plan(self.WEIGHTS if weight_dim else None)
+        w = self.WEIGHTS if weight_dim else None
+        plan = model.plan(w)
         rng = np.random.default_rng(seed)
         first_obs, second_obs = rng.normal(size=(2, model.obs_dim))
         for deterministic in (True, False):
@@ -325,8 +332,36 @@ class TestInferencePlan:
             held = action.tobytes()
             plan.act(second_obs, rng, deterministic)
             plan.action(second_obs)
-            plan.value(second_obs)
+            plan.mean_value(second_obs)
             assert action.tobytes() == held
+        batched = model.plan(w, rows=2)
+        first = batched.mean_value(rng.normal(size=(2, model.obs_dim)))
+        held = [part.tobytes() for part in first]
+        batched.mean_value(rng.normal(size=(2, model.obs_dim)))
+        assert [part.tobytes() for part in first] == held
+
+
+def rows_equal_forward(plan, model, batch, w) -> None:
+    """``plan.mean_value(batch)`` against ``forward`` on the same rows
+    under ``w`` repeated per row, compared as bytes."""
+    w_rows = None if w is None else np.repeat(np.reshape(w, (1, -1)),
+                                              len(batch), axis=0)
+    mean, value = model.forward(batch, w_rows)
+    got_mean, got_value = plan.mean_value(batch)
+    assert got_mean.shape == mean.shape and got_value.shape == value.shape
+    assert got_mean.tobytes() == mean.tobytes()
+    assert got_value.tobytes() == value.tobytes()
+
+
+def batched_plans_equal_forward(weight_dim) -> None:
+    """A plan of each row count in :data:`ROWS` against ``forward``, on
+    a tanh and a ReLU trunk."""
+    for activation in ("tanh", "relu"):
+        model = _trunk_model(weight_dim, (12, 6), activation, seed=0)
+        w = TestInferencePlan.WEIGHTS if weight_dim else None
+        for rows in ROWS:
+            batch = np.random.default_rng(rows).normal(size=(rows, model.obs_dim))
+            rows_equal_forward(model.plan(w, rows=rows), model, batch, w)
 
 
 def test_plan_action_reads_only_the_observation():
