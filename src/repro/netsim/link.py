@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from repro.netsim.rngstreams import stream_rng
+from repro.netsim.rngstreams import RNG_BLOCK, stream_rng
 from repro.netsim.traces import BandwidthTrace, ConstantTrace
 
 __all__ = ["Link", "PropagationLink"]
@@ -86,6 +86,12 @@ class Link:
         # does.
         self.rng = rng if rng is not None else stream_rng("link.default",
                                                           name)
+        #: Wire-loss uniforms prefetched from ``rng`` (see RNG_BLOCK),
+        #: one buffer for ``transmit`` and its faulted twin.  A draw is
+        #: taken only while ``loss_rate > 0``, one per offer reaching
+        #: the wire, so the sequence is that of scalar ``rng.random()``.
+        self._loss_buf = None
+        self._loss_pos = RNG_BLOCK
         self.name = name
         self.busy_until = 0.0
         #: Optional :class:`~repro.netsim.faults.FaultProcess` attached
@@ -208,7 +214,7 @@ class Link:
             return (False, "buffer", t, queue_delay)
         self.busy_until = (busy if busy > t else t) + service
         depart = t + queue_delay + service + self.delay
-        if self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
+        if self.loss_rate > 0.0 and self._wire_draw() < self.loss_rate:
             self.dropped_random += 1
             return (False, "random", depart, queue_delay)
         self.delivered += 1
@@ -270,11 +276,20 @@ class Link:
         if fault.wire_loss(t):
             self.dropped_fault += 1
             return (False, "random", depart, queue_delay)
-        if self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
+        if self.loss_rate > 0.0 and self._wire_draw() < self.loss_rate:
             self.dropped_random += 1
             return (False, "random", depart, queue_delay)
         self.delivered += 1
         return (True, None, depart, queue_delay)
+
+    def _wire_draw(self) -> float:
+        """The next wire-loss uniform from ``rng``'s prefetched block."""
+        pos = self._loss_pos
+        if pos >= RNG_BLOCK:
+            self._loss_buf = self.rng.random(RNG_BLOCK).tolist()
+            pos = 0
+        self._loss_pos = pos + 1
+        return self._loss_buf[pos]
 
     def reset(self) -> None:
         """Clear queue state and counters."""

@@ -48,7 +48,7 @@ from heapq import heappop, heappush, heappushpop
 import numpy as np
 
 from repro.netsim.packet import Packet
-from repro.netsim.rngstreams import stream_rng
+from repro.netsim.rngstreams import RNG_BLOCK, stream_rng
 from repro.netsim.sender import ACK_BYTES, Controller, Flow, MonitorIntervalStats
 from repro.netsim.topology import Topology
 
@@ -93,13 +93,6 @@ HOP_JITTER_FACTOR = 0.5
 # per-push sequence number breaks every time tie before a kind would be
 # compared.
 EV_START, EV_SEND, EV_HOP, EV_RCV, EV_ACK, EV_LOSS, EV_RTO, EV_MI = range(8)
-
-#: How many uniform draws are prefetched per block from the pacing and
-#: hop-dither generators.  Block draws are element-wise identical to
-#: repeated scalar draws on the same ``numpy`` bitstream, and
-#: ``tolist()`` makes them Python floats exactly, so batching changes
-#: no result -- it only amortizes the per-call generator overhead.
-RNG_BLOCK = 512
 
 
 @dataclass

@@ -8,7 +8,7 @@ comes from and the function that turns that material into the exact
 entropy ``default_rng`` receives; :func:`stream_rng` is the only place
 ``netsim``, ``baselines``, ``eval``, ``datapath``, ``core/agent.py`` and
 ``core/library.py`` construct a generator (the ``rng-sole-constructor``
-replint rule).  Deployed policies act on the actor's mean and hold no
+replint check).  Deployed policies act on the actor's mean and hold no
 generator at all.  The entropies are frozen to the inline expressions
 the call sites once carried, so every golden digest holds
 (``tests/test_rngstreams.py`` pins each one).
@@ -39,7 +39,15 @@ from itertools import combinations, product
 
 import numpy as np
 
-__all__ = ["STREAMS", "check_streams", "stream_rng"]
+__all__ = ["RNG_BLOCK", "STREAMS", "check_streams", "stream_rng"]
+
+#: How many uniform draws are prefetched per block from the pacing,
+#: hop-dither and wire-loss generators.  Block draws are element-wise
+#: identical to repeated scalar draws on the same ``numpy`` bitstream,
+#: and ``tolist()`` makes them Python floats exactly, so batching
+#: changes no result -- it only amortizes the per-call generator
+#: overhead.
+RNG_BLOCK = 512
 
 #: ``{name: (seed space, entropy function)}``.  Parameter names say
 #: what the material is (``seed``, ``index``, ``key``) and pick the

@@ -307,8 +307,9 @@ def register_trace(name: str, factory, overwrite: bool = False) -> None:
         raise ValueError(f"trace {name!r} already registered")
     # Import-time registration: the registry is append-only, populated
     # before any simulation runs, and guarded against overwrites above,
-    # so batched cells can only ever *read* an entry.
-    _TRACE_REGISTRY[name] = factory  # replint: disable=mutable-global-state
+    # so batched cells can only ever *read* an entry (the one entry of
+    # repro.analysis.ALLOWED).
+    _TRACE_REGISTRY[name] = factory
 
 
 def freeze_trace(trace: BandwidthTrace) -> BandwidthTrace:

@@ -102,6 +102,11 @@ ROWS_LAW = ("tests/test_policy.py::TestInferencePlan::"
             "test_every_method_equals_forward_bit_for_bit[3]")
 VECTOR_DIGEST = "tests/test_collectors.py::test_rollouts_keep_their_digest[vector-3]"
 FLAT_ADAM = "tests/test_optim.py::test_flat_optimizers_equal_per_parameter_loop"
+#: The zero-findings gate of the determinism analyzer, and the wire-loss
+#: draws of a lossy link against the stream's scalar draws.
+ANALYSIS_GATE = "tests/test_analysis.py::test_the_package_has_no_findings"
+LOSS_DRAWS = ("tests/test_link.py::TestTransmit::"
+              "test_wire_loss_draws_are_the_streams_scalar_draws")
 
 
 class Mutant(NamedTuple):
@@ -440,6 +445,34 @@ MUTANTS = {
         "        self._den = np.empty_like(params.value)\n",
         "        self._den = self._num\n",
         (FLAT_ADAM,)),
+    # The wire-loss block hands every offer its first uniform.
+    "link-loss-block-not-advanced": Mutant(
+        "repro.netsim.link",
+        "        self._loss_pos = pos + 1\n",
+        "        self._loss_pos = pos\n",
+        (LOSS_DRAWS,)),
+    # One per family of the determinism analyzer's checks.  rng: the
+    # model initialisation builds its own generator from the same
+    # entropy, bit-identical and outside the stream table.
+    "agent-init-rng-outside-census": Mutant(
+        "repro.core.agent",
+        'rng = stream_rng("agent.init", ',
+        "rng = np.random.default_rng(",
+        (ANALYSIS_GATE,)),
+    # determinism: zoo entries trained or loaded in set (hash) order.
+    "zoo-refs-warmed-in-set-order": Mutant(
+        "repro.eval.batch",
+        "    for ref in sorted(refs, key=repr):\n",
+        "    for ref in refs:\n",
+        (ANALYSIS_GATE,)),
+    # global-state: minted generators memoized in the module's table,
+    # so two cells of one seed in one process share a generator.
+    "stream-rng-memoized-process-wide": Mutant(
+        "repro.netsim.rngstreams",
+        "    return np.random.default_rng(STREAMS[name][1](*material, **named))\n",
+        "    return STREAMS.setdefault((name, *material), np.random.default_rng(\n"
+        "        STREAMS[name][1](*material, **named)))\n",
+        (ANALYSIS_GATE,)),
 }
 
 
@@ -463,11 +496,13 @@ def mutated(mutant_id: str) -> str:
 
 def load(module: str, text: str | None = None) -> dict:
     """Exec ``text`` (default: the pristine source) as ``module`` and
-    return the namespace it defines."""
+    return the namespace it defines, with the text under
+    ``__source__`` for the checks that read source, not behaviour."""
     real = importlib.import_module(module)
+    text = source(module) if text is None else text
     namespace = {"__name__": real.__name__, "__file__": real.__file__}
-    exec(compile(source(module) if text is None else text,
-                 real.__file__, "exec"), namespace)
+    exec(compile(text, real.__file__, "exec"), namespace)
+    namespace["__source__"] = text
     return namespace
 
 

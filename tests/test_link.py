@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.netsim.faults import FaultProcess, RateBrownout
 from repro.netsim.link import Link, PropagationLink
+from repro.netsim.rngstreams import RNG_BLOCK, stream_rng
 from repro.netsim.traces import (
     BandwidthTrace, ConstantTrace, RandomWalkTrace, StepTrace, make_trace)
 
@@ -20,6 +21,23 @@ from repro.netsim.traces import (
 def make_link(pps=100.0, delay=0.01, queue=50, loss=0.0, seed=0):
     return Link(ConstantTrace(pps), delay=delay, queue_size=queue,
                 loss_rate=loss, rng=np.random.default_rng(seed))
+
+
+def loss_draws_follow_the_stream(link_cls, seed=3, p=0.3) -> None:
+    """A lossy link drops exactly the offers that per-offer scalar
+    ``rng.random() < p`` draws from a fresh ``link.loss`` stream drop,
+    across two block boundaries, with every other offer taking the
+    faulted twin (an idle fault process) on the one shared buffer."""
+    n = 2 * RNG_BLOCK + 7
+    link = link_cls(ConstantTrace(1e9), delay=0.0, queue_size=10**6,
+                    loss_rate=p, rng=stream_rng("link.loss", seed, 0))
+    idle = FaultProcess((), seed, 0)
+    dropped = []
+    for i in range(n):
+        link.fault = idle if i % 2 else None
+        dropped.append(not link.transmit(i * 1e-6)[0])
+    reference = stream_rng("link.loss", seed, 0)
+    assert dropped == [reference.random() < p for _ in range(n)]
 
 
 def backlog_at(link, t: float) -> float:
@@ -83,6 +101,9 @@ class TestTransmit:
         if not delivered:
             assert drop_kind == "random"
             assert depart > 0.0
+
+    def test_wire_loss_draws_are_the_streams_scalar_draws(self):
+        loss_draws_follow_the_stream(Link)
 
     @settings(max_examples=20, deadline=None)
     @given(queue=st.integers(1, 30), n=st.integers(1, 100))

@@ -30,6 +30,7 @@ from repro.netsim.history import StatHistory
 from repro.netsim.sender import Flow
 
 import test_ack_wire_drop
+import test_analysis
 import test_baselines
 import test_batch
 import test_cell_lifetime
@@ -39,6 +40,7 @@ import test_core_mocc
 import test_engine_invariants
 import test_env
 import test_library_features
+import test_link
 import test_metamorphic
 import test_mi_oracle
 import test_optim
@@ -51,6 +53,7 @@ import test_topology
 import test_traces
 import test_training_pipeline
 from mutants import (
+    ANALYSIS_GATE,
     BLOCK_CHECKS,
     CONTROLLER_PARITY,
     DEPLOYED_UDT,
@@ -61,6 +64,7 @@ from mutants import (
     LIBRARY_GRADIENT,
     LIBRARY_PARITY,
     LIFETIME,
+    LOSS_DRAWS,
     MI_ORACLE,
     MUTANTS,
     NEXT_CALL_AGENT,
@@ -210,6 +214,9 @@ KILLERS = {
     VECTOR_DIGEST: lambda ns: planned_by(
         ns["InferencePlan"],
         lambda: test_collectors.test_rollouts_keep_their_digest("vector-3")),
+    ANALYSIS_GATE: lambda ns: test_analysis.module_is_clean(
+        ns["__file__"], ns["__source__"]),
+    LOSS_DRAWS: lambda ns: test_link.loss_draws_follow_the_stream(ns["Link"]),
     FLAT_ADAM: lambda ns: test_optim.flat_equals_loop(
         ns["Adam"], [(3,), (4, 5)], seed=0, steps=3, grad_scale=1.0,
         max_norm=5.0),
