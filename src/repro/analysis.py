@@ -17,9 +17,11 @@ engine's handler table, heap tuples and ``Packet`` slots.
 
 The checks are pure syntax: this module imports nothing it analyzes,
 nor numpy.  A finding that stands is an :data:`ALLOWED` entry with its
-reason; there is no inline suppression.  Exit status 1 means findings::
+reason; there is no inline suppression.  The command prints a JSON
+report (``findings`` and ``summary.{total,files}``, what the ledger's
+``analysis`` probe reads) and exits 1 on findings::
 
-    PYTHONPATH=src python -m repro.analysis [--format {text,json}]
+    PYTHONPATH=src python -m repro.analysis [--format json]
 """
 
 from __future__ import annotations
@@ -465,18 +467,14 @@ def main() -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description="determinism checks over the repro package")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
-    args = parser.parse_args()
+    # The report is JSON only; ``--format json`` is the ledger probe's
+    # spelling and stays accepted.
+    parser.add_argument("--format", choices=("json",), default="json")
+    parser.parse_args()
     findings, n_files = analyze()
-    if args.format == "json":
-        print(json.dumps({"findings": [asdict(f) for f in findings],
-                          "summary": {"total": len(findings),
-                                      "files": n_files}},
-                         indent=2, sort_keys=True))
-    else:
-        for finding in findings:
-            print(finding)
-        print(f"{len(findings)} finding(s) in {n_files} file(s)")
+    print(json.dumps({"findings": [asdict(f) for f in findings],
+                      "summary": {"total": len(findings), "files": n_files}},
+                     indent=2, sort_keys=True))
     return 1 if findings else 0
 
 

@@ -52,8 +52,9 @@ class Link:
     loss_rate:
         Bernoulli random-loss probability.
     rng:
-        Random generator for loss draws (shared with the simulation for
-        reproducibility).
+        Random generator for loss draws, owned by this link alone:
+        draws are prefetched in blocks, so a second consumer of the
+        same generator would move them (and with them the drops).
     name:
         Optional label used by :class:`~repro.netsim.topology.Topology`
         for path wiring and diagnostics.
@@ -81,15 +82,16 @@ class Link:
         # Fallback stream derived from the link *name*: two differently
         # named links no longer share one bitstream (the old shared
         # ``default_rng(0)`` made their loss draws identical).  Links
-        # that need correlated or seed-controlled loss pass ``rng``
-        # explicitly, as every builder in :mod:`repro.netsim.topology`
-        # does.
+        # that need seed-controlled loss pass their own ``rng``, as
+        # every builder in :mod:`repro.netsim.topology` does.
         self.rng = rng if rng is not None else stream_rng("link.default",
                                                           name)
         #: Wire-loss uniforms prefetched from ``rng`` (see RNG_BLOCK),
         #: one buffer for ``transmit`` and its faulted twin.  A draw is
         #: taken only while ``loss_rate > 0``, one per offer reaching
-        #: the wire, so the sequence is that of scalar ``rng.random()``.
+        #: the wire, so as long as nothing else draws from ``rng`` the
+        #: sequence is that of scalar ``rng.random()``; a shared
+        #: generator would have its draws moved by the prefetch.
         self._loss_buf = None
         self._loss_pos = RNG_BLOCK
         self.name = name

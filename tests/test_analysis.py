@@ -7,12 +7,13 @@ fixture.
 * planted fixtures -- each ``tests/fixtures/replint/bad_*.py``, parsed
   (never imported) as a module of ``netsim/``, fires exactly its named
   check at the marked lines;
-* scopes and the allow-list.
+* scopes, the allow-list, and README's check count.
 """
 
 import ast
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -123,6 +124,12 @@ def test_planted_fixture_fires_only_its_check(check, fixture, lines, names):
 
 def test_every_check_has_a_planted_fixture():
     assert sorted(BY_ID) == sorted(IDS)
+
+
+def test_readme_check_count_matches_checks():
+    sentence = re.search(r"(\d+) AST checks", (REPO / "README.md").read_text())
+    assert sentence is not None, "README lost its check-count sentence"
+    assert int(sentence[1]) == len(CHECKS)
 
 
 @pytest.mark.parametrize("check, fixture, lines, names", PLANTED, ids=IDS)
