@@ -24,6 +24,10 @@ import dataclasses
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.netsim.traces import BandwidthTrace
 
 _PACKAGE = Path(__file__).resolve().parent
 
@@ -120,12 +124,22 @@ class NetworkRanges:
 
 @dataclass(frozen=True)
 class NetworkParams:
-    """A concrete network-condition point."""
+    """A concrete network-condition point.
+
+    ``trace``, when given, is the link's bandwidth process in place of
+    the constant ``bandwidth_mbps``.
+    """
 
     bandwidth_mbps: float
     latency_ms: float
     queue_packets: int
     loss_rate: float
+    trace: BandwidthTrace | None = None
+
+    def sample(self, rng) -> "NetworkParams":
+        """A fixed point is its own only draw: returns itself and leaves
+        ``rng`` untouched."""
+        return self
 
 
 #: Table 3, "Training" row: 1-5 Mbps, 10-50 ms, 0-3000 pkts, 0-3 % loss.

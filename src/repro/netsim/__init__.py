@@ -29,9 +29,10 @@ Layers, bottom-up:
   routing any number of flows over a topology.
 * :mod:`repro.netsim.history` -- the eta-length statistics history that
   forms the RL state (§4.1).
-* :mod:`repro.netsim.env` -- gym-style environments:
-  :class:`CongestionControlEnv` (raw) and :class:`MoccEnv`
-  (preference-aware state + dynamic reward, Eq. 2).
+* :mod:`repro.netsim.env` -- the gym-style environment
+  :class:`MoccEnv` (eta-history state, Eq. 1 action, the dynamic
+  reward of Eq. 2), built from an :class:`EnvSpec` whose one network
+  argument is Table-3 ranges or a fixed point.
 """
 
 from repro.netsim.rngstreams import STREAMS, stream_rng
@@ -68,7 +69,7 @@ from repro.netsim.topology import (
 )
 from repro.netsim.network import Simulation, FlowSpec, FlowRecord
 from repro.netsim.history import StatHistory
-from repro.netsim.env import CongestionControlEnv, MoccEnv, RewardComponents
+from repro.netsim.env import EnvSpec, MoccEnv, RewardComponents
 
 __all__ = [
     "STREAMS",
@@ -106,7 +107,7 @@ __all__ = [
     "FlowSpec",
     "FlowRecord",
     "StatHistory",
-    "CongestionControlEnv",
+    "EnvSpec",
     "MoccEnv",
     "RewardComponents",
 ]

@@ -305,13 +305,6 @@ class Link:
         if self.fault is not None:
             self.fault.reset()
 
-    # --- convenience --------------------------------------------------------
-
-    @property
-    def base_rtt(self) -> float:
-        """Round-trip propagation time across this link (no queueing)."""
-        return 2.0 * self.delay
-
 
 class PropagationLink(Link):
     """A pure-propagation pseudo-link: fixed delay, no queue, no drops.

@@ -22,7 +22,7 @@ the seed ``TopologySpec.build`` -- the one network builder, a
 single-bottleneck cell or training episode being its one-link
 dumbbell -- receives, which the eval pipeline forms as
 ``31 * s + 17`` (``131 * s + 7`` in ``apps.bulk``, ``7919 * e + 1``
-for episode seed ``e`` in ``CongestionControlEnv.reset``) and which is
+for episode seed ``e`` in ``MoccEnv.reset``) and which is
 therefore never the cell or episode seed itself; ``env`` is the seed
 a gym env draws its episodes' parameters from; ``agent`` is the seed
 a model's weights are initialised from, before any cell runs.  A
@@ -74,7 +74,8 @@ STREAMS = {
     # anonymous links do not share one bitstream.
     "link.default": ("link-name", lambda key: (
         0x6C696E6B, zlib.crc32(key.encode("utf-8")), 0)),  # "link"
-    # CongestionControlEnv.rng: Table-3 episode parameter sampling.
+    # MoccEnv.rng: Table-3 episode parameter sampling and the initial
+    # rate; a fixed network draws only the latter.
     "env.params": ("env", lambda seed: seed),
     # Synthetic bandwidth processes (random walk, LEO handover); their
     # content is fingerprinted, so a pure function of the trace seed.

@@ -1,4 +1,5 @@
-"""The rollout loop: the environment spec and the two collectors.
+"""The rollout loop: the two collectors, over environments built from
+one :class:`~repro.netsim.env.EnvSpec` (re-exported here).
 
 The paper accelerates MOCC's training with Ray/RLlib parallel
 environments (§5, Fig. 19).  Offline, :class:`VectorCollector` steps
@@ -38,43 +39,15 @@ its actions and the stored means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.config import NetworkParams, NetworkRanges
-from repro.netsim.env import CongestionControlEnv, MoccEnv
+from repro.netsim.env import EnvSpec
 from repro.rl.collect import resolve_objective
 from repro.rl.distributions import DiagGaussian
 from repro.rl.policy import PreferenceActorCritic
 from repro.rl.rollout import RolloutBuffer
 
 __all__ = ["EnvSpec", "SerialCollector", "VectorCollector"]
-
-
-@dataclass(frozen=True)
-class EnvSpec:
-    """Frozen recipe for building a :class:`MoccEnv`.
-
-    A collector builds its environments from the spec, each with its
-    own seed offset, so one spec describes a whole family of envs.
-    """
-
-    params: NetworkParams | None = None
-    ranges: NetworkRanges | None = None
-    history_length: int = 10
-    action_scale: float = 0.025
-    max_steps: int = 64
-    mi_duration: float | None = None
-    packet_bytes: int = 1500
-    seed: int = 0
-
-    def build(self, seed_offset: int = 0) -> MoccEnv:
-        return MoccEnv(CongestionControlEnv(
-            params=self.params, ranges=self.ranges,
-            history_length=self.history_length, action_scale=self.action_scale,
-            max_steps=self.max_steps, mi_duration=self.mi_duration,
-            packet_bytes=self.packet_bytes, seed=self.seed + seed_offset))
 
 
 class VectorCollector:

@@ -45,6 +45,11 @@ LIBRARY_GRADIENT = ("tests/test_library_features.py::"
 DEPLOYED_UDT = ("tests/test_library_features.py::"
                 "test_deployed_udt_flow_sees_the_training_history")
 ENV_PARITY = "tests/test_env.py::test_episodes_keep_their_digest"
+#: Eq. 2: each weight on its own component, the env's reward written
+#: out, and O_loss over every packet of the interval.
+EQ2_WEIGHTS = "tests/test_env.py::TestRewardComponents::test_weighted"
+EQ2_ENV_REWARD = "tests/test_env.py::TestMoccEnv::test_reward_is_weighted_components"
+EQ2_LOSS = "tests/test_env.py::TestRewardComponents::test_loss_penalty"
 #: The pin of a training episode's link stream, one per pinned seed.
 ENV_LINK_PINS = {seed: ("tests/test_rngstreams.py::TestBitIdentity::"
                         f"test_env_episode_link_is_affine[{seed}]")
@@ -282,6 +287,18 @@ MUTANTS = {
         "7919 * self._episode_seed + 1",
         "self._episode_seed",
         (ENV_PARITY, *ENV_LINK_PINS.values())),
+    # Eq. 2's reward: the latency term weighted by w_loss, and O_loss
+    # counted against the acked packets alone.
+    "reward-lat-loss-swapped": Mutant(
+        "repro.netsim.env",
+        "weights[1] * self.o_lat",
+        "weights[2] * self.o_lat",
+        (EQ2_WEIGHTS, EQ2_ENV_REWARD)),
+    "o-loss-over-acked-only": Mutant(
+        "repro.netsim.env",
+        "total = stats.lost + stats.acked",
+        "total = stats.acked",
+        (EQ2_LOSS, ENV_PARITY)),
     # The record codec's read-time checks: a frame whose body goes on
     # after its last block, a block length nobody compares with its
     # row count.

@@ -28,7 +28,7 @@ from repro.eval.scenarios import (
     build_scenario_simulation,
 )
 from repro.netsim import network
-from repro.netsim.env import CongestionControlEnv
+from repro.netsim.env import EnvSpec
 from repro.netsim.faults import GilbertElliottLoss, LinkFlapSchedule
 from repro.netsim.topology import dumbbell_asymmetric, parking_lot
 from strategies import PERF_SHAPES, perf_scenarios
@@ -132,16 +132,16 @@ def test_env_episodes_are_freed():
     """``reset`` frees the previous episode's simulation on the spot."""
 
     def episodes():
-        env = CongestionControlEnv(max_steps=15, seed=3)
+        env = EnvSpec(max_steps=15).build(3)
         refs = []
         for _ in range(3):
-            env.reset()
+            env.reset((1 / 3, 1 / 3, 1 / 3))
             if refs:
                 assert refs[-1]() is None
             refs.append(weakref.ref(env._sim))
             done = False
             while not done:
-                _, _, done, _ = env.step(0.5)
+                done = env.step(0.5)[4]
         return refs
 
     freed_by_refcounting(episodes)

@@ -15,7 +15,7 @@ from repro.rl.collect import BALANCED_OBJECTIVE, evaluate_policy, resolve_object
 from repro.rl.distributions import DiagGaussian
 from repro.rl.parallel import EnvSpec, SerialCollector, VectorCollector
 
-SPEC = EnvSpec(params=NetworkParams(3.0, 20.0, 200, 0.0), max_steps=16, seed=2)
+SPEC = EnvSpec(ranges=NetworkParams(3.0, 20.0, 200, 0.0), max_steps=16, seed=2)
 WEIGHTS = [0.5, 0.3, 0.2]
 
 

@@ -1,4 +1,4 @@
-"""Tests for the gym-style environments (repro.netsim.env)."""
+"""Tests for the gym-style environment (repro.netsim.env)."""
 
 import hashlib
 
@@ -8,26 +8,30 @@ from hypothesis import given, settings, strategies as st
 
 from repro.config import NetworkParams, TRAINING_RANGES
 from repro.netsim.env import (
-    CongestionControlEnv,
+    EnvSpec,
     MoccEnv,
     RewardComponents,
     apply_action,
     components_from_stats,
 )
+from repro.netsim.rngstreams import stream_rng
 from repro.netsim.sender import MonitorIntervalStats
 from repro.netsim.traces import StepTrace
 
 PARAMS = NetworkParams(bandwidth_mbps=4.0, latency_ms=30.0,
                        queue_packets=500, loss_rate=0.0)
 
-#: The parity configurations: Table-3 draws (loss up to 3 %, so the
-#: episode link's wire-loss stream is drawn), a fixed lossy link, and
-#: the trace-only configuration.
+W = (0.5, 0.3, 0.2)
+
+#: The parity configurations, ``(network, seed)``: Table-3 draws (loss
+#: up to 3 %, so the episode link's wire-loss stream is drawn), a fixed
+#: lossy link, and a trace on a lossless 20 ms link.
 PARITY_ENVS = (
-    dict(ranges=TRAINING_RANGES, seed=11),
-    dict(params=NetworkParams(bandwidth_mbps=3.0, latency_ms=25.0,
-                              queue_packets=40, loss_rate=0.02), seed=12),
-    dict(trace=StepTrace(100.0, 200.0, 0.5), seed=13),
+    (TRAINING_RANGES, 11),
+    (NetworkParams(bandwidth_mbps=3.0, latency_ms=25.0,
+                   queue_packets=40, loss_rate=0.02), 12),
+    (NetworkParams(bandwidth_mbps=0.0, latency_ms=20.0, queue_packets=1000,
+                   loss_rate=0.0, trace=StepTrace(100.0, 200.0, 0.5)), 13),
 )
 #: A fixed action cycle: rates both rise and fall within an episode.
 PARITY_ACTIONS = (0.0, 2.0, -1.0, 4.0, -3.0, 0.5)
@@ -44,12 +48,12 @@ def episode_parity_holds(env_cls) -> None:
     the episode link's wire-loss stream."""
     h = hashlib.sha256()
     drops = []
-    for kwargs in PARITY_ENVS:
-        env = env_cls(max_steps=30, **kwargs)
+    for network, seed in PARITY_ENVS:
+        env = env_cls(EnvSpec(ranges=network, max_steps=30), seed)
         for _ in range(3):
-            h.update(env.reset().tobytes())
+            h.update(env.reset(W)[0].tobytes())
             for step in range(30):
-                obs, comps, _, info = env.step(
+                obs, _, _, comps, _, info = env.step(
                     PARITY_ACTIONS[step % len(PARITY_ACTIONS)])
                 h.update(obs.tobytes())
                 h.update(comps.as_array().tobytes())
@@ -93,39 +97,62 @@ class TestApplyAction:
                 > apply_action(100.0, action, 0.025))
 
 
-class TestRewardComponents:
-    def _stats(self, acked=50, sent=50, lost=0, mean_rtt=0.06):
-        return MonitorIntervalStats(
-            flow_id=0, start=0.0, end=1.0, sent=sent, acked=acked, lost=lost,
-            mean_rtt=mean_rtt, min_rtt=mean_rtt, latency_gradient=0.0,
-            capacity_pps=100.0, base_rtt=0.06, packet_bytes=1500, rate_pps=50.0)
+def mi_stats(acked=50, sent=50, lost=0, mean_rtt=0.06):
+    return MonitorIntervalStats(
+        flow_id=0, start=0.0, end=1.0, sent=sent, acked=acked, lost=lost,
+        mean_rtt=mean_rtt, min_rtt=mean_rtt, latency_gradient=0.0,
+        capacity_pps=100.0, base_rtt=0.06, packet_bytes=1500, rate_pps=50.0)
 
+
+def weighted_is_eq2(components_cls) -> None:
+    """Each weight scales its own component (Eq. 2)."""
+    reward = components_cls(1.0, 0.5, 0.25).weighted([0.5, 0.3, 0.2])
+    assert reward == pytest.approx(0.5 + 0.15 + 0.05)
+
+
+def loss_penalty_holds(components_fn) -> None:
+    """O_loss counts lost packets against all packets of the interval,
+    lost ones included."""
+    comps = components_fn(mi_stats(acked=50, sent=100, lost=50))
+    assert comps.o_loss == pytest.approx(0.5)
+
+
+def eq2_reward_holds(spec_cls) -> None:
+    """The env's reward is Eq. 2 under the episode's weights, written
+    out."""
+    env = spec_cls(ranges=PARAMS, max_steps=3).build(1)
+    env.reset([0.5, 0.3, 0.2])
+    for _ in range(3):
+        _, _, reward, comps, _, _ = env.step(0.0)
+        assert comps.o_lat > 0.0
+        assert reward == pytest.approx(
+            0.5 * comps.o_thr + 0.3 * comps.o_lat + 0.2 * comps.o_loss)
+
+
+class TestRewardComponents:
     def test_perfect_interval(self):
-        comps = components_from_stats(self._stats(acked=100, sent=100))
+        comps = components_from_stats(mi_stats(acked=100, sent=100))
         assert comps.o_thr == pytest.approx(1.0)
         assert comps.o_lat == pytest.approx(1.0)
         assert comps.o_loss == pytest.approx(1.0)
 
     def test_half_utilization(self):
-        comps = components_from_stats(self._stats(acked=50))
+        comps = components_from_stats(mi_stats(acked=50))
         assert comps.o_thr == pytest.approx(0.5)
 
     def test_latency_penalty(self):
-        comps = components_from_stats(self._stats(mean_rtt=0.12))
+        comps = components_from_stats(mi_stats(mean_rtt=0.12))
         assert comps.o_lat == pytest.approx(0.5)
 
     def test_loss_penalty(self):
-        comps = components_from_stats(self._stats(acked=50, sent=100, lost=50))
-        assert comps.o_loss == pytest.approx(0.5)
+        loss_penalty_holds(components_from_stats)
 
     def test_no_acks(self):
-        comps = components_from_stats(self._stats(acked=0, mean_rtt=None))
+        comps = components_from_stats(mi_stats(acked=0, mean_rtt=None))
         assert comps.o_lat == 0.0
 
     def test_weighted(self):
-        comps = RewardComponents(1.0, 0.5, 0.25)
-        reward = comps.weighted([0.5, 0.3, 0.2])
-        assert reward == pytest.approx(0.5 + 0.15 + 0.05)
+        weighted_is_eq2(RewardComponents)
 
     @given(st.tuples(*[st.floats(0.0, 1.0)] * 3), st.tuples(*[st.floats(0.0, 1.0)] * 3))
     def test_weighted_same_float_for_any_weight_container(self, comps, w):
@@ -137,125 +164,111 @@ class TestRewardComponents:
         assert comps.weighted(arr) == comps.weighted(list(w)) == comps.weighted(w) == want
 
     def test_components_bounded(self):
-        comps = components_from_stats(self._stats(acked=1000, mean_rtt=0.001))
+        comps = components_from_stats(mi_stats(acked=1000, mean_rtt=0.001))
         assert 0.0 <= comps.o_thr <= 1.0
         assert 0.0 <= comps.o_lat <= 1.0
 
 
-class TestCongestionControlEnv:
-    def test_reset_returns_state(self):
-        env = CongestionControlEnv(params=PARAMS, seed=0)
-        obs = env.reset()
-        assert obs.shape == (40,)
-
-    def test_custom_history_length(self):
-        env = CongestionControlEnv(params=PARAMS, history_length=4, seed=0)
-        assert env.reset().shape == (16,)
-        assert env.observation_dim == 16
-
-    def test_step_before_reset_raises(self):
-        env = CongestionControlEnv(params=PARAMS)
-        with pytest.raises(RuntimeError):
-            env.step(0.0)
-
-    def test_episode_terminates(self):
-        env = CongestionControlEnv(params=PARAMS, max_steps=5, seed=1)
-        env.reset()
-        done = False
-        for i in range(5):
-            _, _, done, _ = env.step(0.0)
-        assert done
-
-    def test_positive_actions_raise_rate(self):
-        env = CongestionControlEnv(params=PARAMS, max_steps=50, seed=2)
-        env.reset()
-        _, _, _, info0 = env.step(0.0)
-        for _ in range(20):
-            _, _, _, info = env.step(1.0)
-        assert info["rate_pps"] > info0["rate_pps"]
-
-    @pytest.mark.parametrize("action, bound", [(5e3, 1e3), (float("inf"), 1e3),
-                                               (-5e3, -1e3), (float("-inf"), -1e3)])
-    def test_out_of_range_action_steps_like_the_bound(self, action, bound):
-        assert abs(bound) == CongestionControlEnv.ACTION_CLIP
-        rates = []
-        for a in (action, bound):
-            env = CongestionControlEnv(params=PARAMS, max_steps=5, seed=2)
-            env.reset()
-            obs, _, _, info = env.step(a)
-            rates.append((info["rate_pps"], obs.tobytes()))
-        assert rates[0] == rates[1]
-
-    def test_reward_components_in_range(self):
-        env = CongestionControlEnv(params=PARAMS, max_steps=20, seed=3)
-        env.reset()
-        for _ in range(20):
-            _, comps, _, _ = env.step(0.5)
-            assert 0.0 <= comps.o_thr <= 1.0
-            assert 0.0 <= comps.o_lat <= 1.0
-            assert 0.0 <= comps.o_loss <= 1.0
-
-    def test_randomized_reset_draws_new_conditions(self):
-        env = CongestionControlEnv(ranges=TRAINING_RANGES, max_steps=4, seed=4)
-        env.reset()
-        p1 = env._active_params
-        env.reset()
-        p2 = env._active_params
-        assert (p1.bandwidth_mbps, p1.latency_ms) != (p2.bandwidth_mbps, p2.latency_ms)
-
-    def test_trace_override(self):
-        env = CongestionControlEnv(trace=StepTrace(100.0, 200.0, 5.0),
-                                   max_steps=5, seed=5)
-        obs = env.reset()
-        assert obs.shape == (40,)
-        _, comps, _, info = env.step(0.0)
-        assert info["stats"].capacity_pps in (100.0, 200.0)
-
-    def test_deterministic_given_seed(self):
-        def run():
-            env = CongestionControlEnv(params=PARAMS, max_steps=10, seed=9)
-            env.reset()
-            rewards = []
-            for _ in range(10):
-                _, comps, _, _ = env.step(0.3)
-                rewards.append(comps.o_thr)
-            return rewards
-
-        assert run() == run()
-
-
-def test_episodes_keep_their_digest():
-    episode_parity_holds(CongestionControlEnv)
+def fixed_env(**kwargs) -> MoccEnv:
+    """An env on the fixed :data:`PARAMS` network."""
+    seed = kwargs.pop("seed", 0)
+    return EnvSpec(ranges=PARAMS, **kwargs).build(seed)
 
 
 class TestMoccEnv:
     def test_reset_returns_obs_and_weights(self):
-        env = MoccEnv(CongestionControlEnv(params=PARAMS, seed=0))
-        obs, w = env.reset([0.8, 0.1, 0.1])
+        obs, w = fixed_env().reset([0.8, 0.1, 0.1])
         assert obs.shape == (40,)
         np.testing.assert_allclose(w, [0.8, 0.1, 0.1])
 
+    def test_custom_history_length(self):
+        env = fixed_env(history_length=4)
+        assert env.reset(W)[0].shape == (16,)
+        assert env.observation_dim == 16
+
+    def test_step_before_reset_raises(self):
+        with pytest.raises(RuntimeError):
+            fixed_env().step(0.0)
+
     def test_invalid_weights_rejected(self):
-        env = MoccEnv(CongestionControlEnv(params=PARAMS))
+        env = fixed_env()
         with pytest.raises(ValueError):
             env.reset([0.8, 0.1])
         with pytest.raises(ValueError):
             env.reset([0.5, 0.5, 0.5])
 
-    def test_reward_is_weighted_components(self):
-        env = MoccEnv(CongestionControlEnv(params=PARAMS, max_steps=3, seed=1))
-        env.reset([0.5, 0.3, 0.2])
-        _, _, reward, comps, _, _ = env.step(0.0)
-        assert reward == pytest.approx(comps.weighted([0.5, 0.3, 0.2]))
-
     def test_weight_dim(self):
-        env = MoccEnv(CongestionControlEnv(params=PARAMS))
-        assert env.weight_dim == 3
+        assert fixed_env().weight_dim == 3
+
+    def test_episode_terminates(self):
+        env = fixed_env(max_steps=5, seed=1)
+        env.reset(W)
+        done = False
+        for i in range(5):
+            done = env.step(0.0)[4]
+        assert done
+
+    def test_positive_actions_raise_rate(self):
+        env = fixed_env(max_steps=50, seed=2)
+        env.reset(W)
+        info0 = env.step(0.0)[5]
+        for _ in range(20):
+            info = env.step(1.0)[5]
+        assert info["rate_pps"] > info0["rate_pps"]
+
+    @pytest.mark.parametrize("action, bound", [(5e3, 1e3), (float("inf"), 1e3),
+                                               (-5e3, -1e3), (float("-inf"), -1e3)])
+    def test_out_of_range_action_steps_like_the_bound(self, action, bound):
+        assert abs(bound) == MoccEnv.ACTION_CLIP
+        rates = []
+        for a in (action, bound):
+            env = fixed_env(max_steps=5, seed=2)
+            env.reset(W)
+            obs, _, _, _, _, info = env.step(a)
+            rates.append((info["rate_pps"], obs.tobytes()))
+        assert rates[0] == rates[1]
+
+    def test_reward_components_in_range(self):
+        env = fixed_env(max_steps=20, seed=3)
+        env.reset(W)
+        for _ in range(20):
+            comps = env.step(0.5)[3]
+            assert 0.0 <= comps.o_thr <= 1.0
+            assert 0.0 <= comps.o_lat <= 1.0
+            assert 0.0 <= comps.o_loss <= 1.0
+
+    def test_reward_is_weighted_components(self):
+        eq2_reward_holds(EnvSpec)
+
+    def test_randomized_reset_draws_new_conditions(self):
+        env = EnvSpec(ranges=TRAINING_RANGES, max_steps=4).build(4)
+        drawn = []
+        for _ in range(2):
+            env.reset(W)
+            drawn.append(env._sim.links[0].delay)
+        assert drawn[0] != drawn[1]
+
+    def test_trace_override(self):
+        trace = StepTrace(100.0, 200.0, 5.0)
+        env = EnvSpec(ranges=NetworkParams(0.0, 20.0, 1000, 0.0, trace=trace),
+                      max_steps=5).build(5)
+        obs, _ = env.reset(W)
+        assert obs.shape == (40,)
+        info = env.step(0.0)[5]
+        assert info["stats"].capacity_pps in (100.0, 200.0)
+
+    def test_deterministic_given_seed(self):
+        def run():
+            env = fixed_env(max_steps=10, seed=9)
+            env.reset(W)
+            return [env.step(0.3)[3].o_thr for _ in range(10)]
+
+        assert run() == run()
 
     def test_different_weights_change_reward_only(self):
         """Same seed/actions: weights change the reward, not the dynamics."""
         def run(weights):
-            env = MoccEnv(CongestionControlEnv(params=PARAMS, max_steps=5, seed=2))
+            env = fixed_env(max_steps=5, seed=2)
             env.reset(weights)
             comps_seen, rewards = [], []
             for _ in range(5):
@@ -268,3 +281,29 @@ class TestMoccEnv:
         c2, r2 = run([0.1, 0.8, 0.1])
         np.testing.assert_allclose(c1, c2)
         assert not np.allclose(r1, r2)
+
+
+class TestEnvSpec:
+    def test_a_fixed_network_samples_to_itself_and_draws_nothing(self):
+        """Why ``EnvSpec(ranges=NetworkParams(...))`` keeps the digests
+        of a fixed network: its draw leaves ``env.params`` untouched,
+        so the initial-rate draw is the stream's first."""
+        env = fixed_env(seed=7)
+        state = env.rng.bit_generator.state
+        assert PARAMS.sample(env.rng) is PARAMS
+        assert env.rng.bit_generator.state == state
+
+    def test_build_seeds_the_env_at_seed_plus_offset(self):
+        spec = EnvSpec(ranges=PARAMS, seed=40)
+        env = spec.build(2)
+        reference = MoccEnv(spec, 42)
+        assert env.spec is spec
+        assert (env.rng.bit_generator.state
+                == reference.rng.bit_generator.state
+                == stream_rng("env.params", 42).bit_generator.state)
+        assert env.reset(W)[0].tobytes() == reference.reset(W)[0].tobytes()
+        assert env._episode_seed == 43
+
+
+def test_episodes_keep_their_digest():
+    episode_parity_holds(MoccEnv)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from repro.netsim.env import CongestionControlEnv
+from repro.netsim.env import MoccEnv
 from repro.netsim.history import (GRADIENT_SCALE, RATE_RATIO_CAP, SEND_RATIO_CAP,
                                   StatHistory, _clamp)
 from repro.netsim.packet import Packet
@@ -14,8 +14,8 @@ from repro.netsim.sender import LATENCY_RATIO_CAP, ExternalRateController, Flow
 
 #: Every (lo, hi) pair ``push`` clamps to.
 CLAMP_BOUNDS = ((0.0, RATE_RATIO_CAP), (-10.0, 10.0))
-#: ... and the action bound ``CongestionControlEnv.step`` clamps to.
-ACTION_BOUNDS = (-CongestionControlEnv.ACTION_CLIP, CongestionControlEnv.ACTION_CLIP)
+#: ... and the action bound ``MoccEnv.step`` clamps to.
+ACTION_BOUNDS = (-MoccEnv.ACTION_CLIP, MoccEnv.ACTION_CLIP)
 
 
 def _bits(x: float) -> bytes:

@@ -26,7 +26,7 @@ from repro.core.agent import MoccAgent
 from repro.core.library import MOCC
 from repro.datapath import CcpShim, UdtShim
 from repro.eval.runner import EvalNetwork, run_scheme
-from repro.netsim.env import CongestionControlEnv
+from repro.netsim.env import EnvSpec
 from repro.netsim.history import StatHistory
 from repro.netsim.sender import MonitorIntervalStats
 
@@ -45,20 +45,20 @@ def feature_rows(shim_cls=UdtShim) -> tuple[np.ndarray, np.ndarray]:
     agent = MoccAgent(DEFAULT_TRAINING, seed=0)
     env_rows, library_rows = [], []
     for episode in range(EPISODES):
-        env = CongestionControlEnv(ranges=TRAINING_RANGES, max_steps=STEPS,
-                                   seed=episode)
+        env = EnvSpec(ranges=TRAINING_RANGES, max_steps=STEPS).build(episode)
         actions = np.random.default_rng(episode).uniform(-2.0, 2.0, STEPS)
         shim = shim_cls(MOCC(agent), W)
-        env.reset()
+        env.reset(W)
         fed = 0
         for action in actions:
             env.step(action)
-            records = env._flow.records
+            flow = env._sim.flows[0]
+            records = flow.records
             for stats in records[fed:]:
                 # The env's random actions, not the library, set the
                 # rate: report against the rate the interval ran at.
                 shim.library.rate = stats.rate_pps
-                shim.on_mi(env._flow, stats, stats.end)
+                shim.on_mi(flow, stats, stats.end)
             fed = len(records)
             env_rows.append(env.history.buffer[-4:].copy())
             library_rows.append(shim.library.history.buffer[-4:].copy())

@@ -355,9 +355,6 @@ class TestAccounting:
 
 
 class TestProperties:
-    def test_base_rtt(self):
-        assert make_link(delay=0.02).base_rtt == pytest.approx(0.04)
-
     def test_float_trace_promotion(self):
         link = Link(250.0, delay=0.01, queue_size=10)
         assert link.bandwidth_at(0.0) == 250.0

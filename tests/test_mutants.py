@@ -59,6 +59,9 @@ from mutants import (
     DEPLOYED_UDT,
     ENV_LINK_PINS,
     ENV_PARITY,
+    EQ2_ENV_REWARD,
+    EQ2_LOSS,
+    EQ2_WEIGHTS,
     EVERY_KIND,
     FLAT_ADAM,
     LIBRARY_GRADIENT,
@@ -133,10 +136,13 @@ KILLERS = {
         test_library_features.feature_rows(ns["UdtShim"]), "latency-gradient"),
     DEPLOYED_UDT: lambda ns: test_library_features.deployed_histories_hold(
         ns["UdtShim"]),
-    ENV_PARITY: lambda ns: test_env.episode_parity_holds(
-        ns["CongestionControlEnv"]),
+    ENV_PARITY: lambda ns: test_env.episode_parity_holds(ns["MoccEnv"]),
     **{pin: lambda ns, seed=seed: test_rngstreams.env_episode_link_is_affine(
-        ns["CongestionControlEnv"], seed) for seed, pin in ENV_LINK_PINS.items()},
+        ns["MoccEnv"], seed) for seed, pin in ENV_LINK_PINS.items()},
+    EQ2_WEIGHTS: lambda ns: test_env.weighted_is_eq2(ns["RewardComponents"]),
+    EQ2_ENV_REWARD: lambda ns: test_env.eq2_reward_holds(ns["EnvSpec"]),
+    EQ2_LOSS: lambda ns: test_env.loss_penalty_holds(
+        ns["components_from_stats"]),
     LIFETIME: lambda ns: test_cell_lifetime.every_kind_cell_freed(
         ns["Simulation"]),
     SINGLE_STEPPING: lambda ns: test_batch.single_stepping_holds(

@@ -17,7 +17,7 @@ import pytest
 
 from repro.config import NetworkParams
 from repro.netsim import rngstreams
-from repro.netsim.env import CongestionControlEnv
+from repro.netsim.env import EnvSpec, MoccEnv
 from repro.netsim.link import Link
 from repro.netsim.rngstreams import STREAMS, check_streams, stream_rng
 
@@ -57,7 +57,7 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("seed", [1, 6, 77])
     def test_env_episode_link_is_affine(self, seed):
-        env_episode_link_is_affine(CongestionControlEnv, seed)
+        env_episode_link_is_affine(MoccEnv, seed)
 
     @pytest.mark.parametrize("seed", [0, 23])
     def test_trace_synth_is_raw_seed(self, seed):
@@ -95,10 +95,10 @@ def env_episode_link_is_affine(env_cls, seed) -> None:
     """The link of episode ``seed`` draws wire loss like
     ``default_rng(seed * 7919 + 1)``, the generator env.py once built
     by hand: ``link.loss`` of that link seed, index 0."""
-    env = env_cls(params=NetworkParams(bandwidth_mbps=4.0, latency_ms=30.0,
-                                       queue_packets=500, loss_rate=0.0),
-                  max_steps=1, seed=seed - 1)
-    env.reset()  # episode seed ``seed``; a lossless warm-up draws nothing
+    env = env_cls(EnvSpec(ranges=NetworkParams(bandwidth_mbps=4.0, latency_ms=30.0,
+                                               queue_packets=500, loss_rate=0.0),
+                          max_steps=1), seed - 1)
+    env.reset((1 / 3, 1 / 3, 1 / 3))  # episode seed ``seed``; a lossless warm-up draws nothing
     state = env._sim.links[0].rng.bit_generator.state
     for reference in (np.random.default_rng(seed * 7919 + 1),
                       stream_rng("link.loss", seed * 7919 + 1, 0)):

@@ -14,7 +14,7 @@ from repro.models.zoo import BUDGETS, ModelZoo, TrainingBudget
 from repro.rl.dqn import DQNTrainer, QNetwork, ReplayBuffer, action_bins
 from repro.rl.parallel import EnvSpec, SerialCollector, VectorCollector
 
-SPEC = EnvSpec(params=NetworkParams(3.0, 20.0, 200, 0.0), max_steps=16, seed=2)
+SPEC = EnvSpec(ranges=NetworkParams(3.0, 20.0, 200, 0.0), max_steps=16, seed=2)
 TINY = DEFAULT_TRAINING.replace(steps_per_iteration=48)
 
 
