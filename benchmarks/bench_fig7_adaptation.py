@@ -14,11 +14,10 @@ from conftest import print_table, run_once
 
 from repro.config import BOOTSTRAP_OBJECTIVES, DEFAULT_TRAINING, TRAINING_RANGES
 from repro.core.online import AdaptationTrace, OnlineAdapter
-from repro.core.offline import train_single_objective
+from repro.core.offline import OfflineTrainer, train_single_objective
 from repro.core.weights import THROUGHPUT_WEIGHTS
 from repro.rl.collect import evaluate_policy
-from repro.rl.parallel import EnvSpec, SerialCollector
-from repro.rl.ppo import PPOConfig, PPOTrainer
+from repro.rl.parallel import EnvSpec
 
 #: An objective not on the omega=36 landmark grid (unforeseen app).
 NEW_OBJECTIVE = np.array([0.45, 0.44, 0.11])
@@ -69,16 +68,11 @@ def bench_fig7b_no_forgetting(benchmark, mocc_agent, aurora_throughput):
         # Aurora: continue training its fixed model toward the new
         # objective; its behaviour on the old objective degrades freely.
         aurora = aurora_throughput.clone()
-        trainer = PPOTrainer(aurora.model,
-                             PPOConfig.from_training_config(DEFAULT_TRAINING),
-                             rng=np.random.default_rng(12))
-        collector = SerialCollector(SPEC)
+        trainer = OfflineTrainer(SPEC, DEFAULT_TRAINING, seed=11, agent=aurora)
         eval_env = SPEC.build(seed_offset=555)
-        rng = np.random.default_rng(13)
         aurora_old = [evaluate_policy(eval_env, aurora.model, old_objective)]
         for it in range(16):
-            buffers, boots, _ = collector.collect(aurora.model, NEW_OBJECTIVE, 256, rng)
-            trainer.update(buffers, boots)
+            trainer.iterate([NEW_OBJECTIVE], "aurora")
             if (it + 1) % 4 == 0:
                 aurora_old.append(
                     evaluate_policy(eval_env, aurora.model, old_objective))

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.eval.runner import EvalNetwork
 from repro.netsim.network import FlowSpec, Simulation
+from repro.netsim.rngstreams import link_seed
 from repro.netsim.sender import Controller
 
 __all__ = ["RtcResult", "run_rtc"]
@@ -44,7 +45,7 @@ def run_rtc(controller: Controller, network: EvalNetwork, duration: float = 30.0
             seed: int = 0) -> RtcResult:
     """Run an RTC-like flow and measure receiver-side packet spacing."""
     topology = network.topology().build(network.packet_bytes,
-                                        seed=seed * 31 + 17)
+                                        seed=link_seed(seed))
     spec = FlowSpec(controller=controller, packet_bytes=network.packet_bytes,
                     keep_packets=True)
     sim = Simulation(topology, [spec], duration=duration, seed=seed)

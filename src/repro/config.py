@@ -8,8 +8,13 @@ Two tables in the paper pin down the configuration surface:
 * Table 3 lists the network-parameter ranges used for training and the
   (deliberately wider) ranges used for testing.
 
-Both are captured here as frozen dataclasses so every component of the
-library draws its defaults from a single place.
+Both are captured here as frozen dataclasses, and Table 2's omega as
+:data:`NUM_LANDMARKS`, so every component of the library draws its
+defaults from a single place: :class:`TrainingConfig` is the one
+training recipe, read directly by the agent, the PPO trainer and the
+offline trainer.  Two PPO settings are not knobs and live beside the
+loss in :mod:`repro.rl.ppo`: ``ENTROPY_SCALE`` (beta's multiplier) and
+``LOG_STD_BOUNDS`` (the clamp on the policy's log-std).
 
 This is also the one module that reads the process environment: two
 variables, each the *location* of an on-disk cache (never its
@@ -58,8 +63,6 @@ class TrainingConfig:
     * ``action_scale`` -- alpha in Eq. 1, dampens rate oscillations.
     * ``history_length`` -- eta, number of past statistic vectors in the
       state.
-    * ``num_landmarks`` -- omega, number of pre-trained landmark
-      objectives (36 in the paper, simplex step 1/10).
     * ``clip_epsilon`` -- PPO clipping threshold (0.2, §5).
     * ``entropy_start`` / ``entropy_end`` / ``entropy_decay_iters`` --
       the entropy coefficient beta decays 1 -> 0.1 over 1000 iterations.
@@ -69,7 +72,6 @@ class TrainingConfig:
     learning_rate: float = 1e-3
     action_scale: float = 0.025
     history_length: int = 10
-    num_landmarks: int = 36
     clip_epsilon: float = 0.2
     entropy_start: float = 1.0
     entropy_end: float = 0.1
@@ -85,7 +87,6 @@ class TrainingConfig:
     gae_lambda: float = 0.95
     value_coef: float = 0.5
     max_grad_norm: float = 5.0
-    seed: int = 0
 
     def entropy_coef(self, iteration: int) -> float:
         """Linearly decayed entropy coefficient for a given iteration."""
@@ -160,6 +161,10 @@ TESTING_RANGES = NetworkRanges(
 
 #: Default hyperparameters (Table 2).
 DEFAULT_TRAINING = TrainingConfig()
+
+#: Table 2's omega: the number of landmark objectives offline training
+#: visits (the interior simplex grid at step 1/10).
+NUM_LANDMARKS = 36
 
 #: The three bootstrap landmark objectives from Appendix B.
 BOOTSTRAP_OBJECTIVES = (

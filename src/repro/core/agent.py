@@ -45,11 +45,11 @@ class MoccAgent:
     """Preference-conditioned congestion-control agent."""
 
     def __init__(self, config: TrainingConfig = DEFAULT_TRAINING,
-                 weight_dim: int = 3, seed: int | None = None):
+                 weight_dim: int = 3, seed: int = 0):
         self.config = config
         self.weight_dim = weight_dim
         self.obs_dim = STATE_FEATURES * config.history_length
-        rng = stream_rng("agent.init", config.seed if seed is None else seed)
+        rng = stream_rng("agent.init", seed)
         self.model = PreferenceActorCritic(
             obs_dim=self.obs_dim, weight_dim=weight_dim, act_dim=1,
             hidden_sizes=config.hidden_sizes, pref_hidden=config.preference_hidden,

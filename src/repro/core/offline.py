@@ -27,13 +27,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.config import BOOTSTRAP_OBJECTIVES, DEFAULT_TRAINING, TRAINING_RANGES, TrainingConfig
+from repro.config import (BOOTSTRAP_OBJECTIVES, DEFAULT_TRAINING, NUM_LANDMARKS,
+                          TRAINING_RANGES, TrainingConfig)
 from repro.core.agent import MoccAgent
 from repro.core.sorting import neighborhood_sort
 from repro.core.weights import simplex_grid, step_for_omega
 from repro.rl.collect import evaluate_policy
 from repro.rl.parallel import EnvSpec, SerialCollector
-from repro.rl.ppo import PPOConfig, PPOStats, PPOTrainer
+from repro.rl.ppo import PPOStats, PPOTrainer
 
 __all__ = ["ObjectiveLog", "OfflineResult", "OfflineTrainer",
            "landmark_schedule", "train_single_objective"]
@@ -99,8 +100,7 @@ class OfflineTrainer:
         self.spec = spec or EnvSpec(ranges=TRAINING_RANGES, seed=seed)
         self.config = config
         self.agent = agent if agent is not None else MoccAgent(config, seed=seed)
-        self.ppo = PPOTrainer(self.agent.model,
-                              PPOConfig.from_training_config(config),
+        self.ppo = PPOTrainer(self.agent.model, config,
                               rng=np.random.default_rng(seed + 1))
         self.collector = SerialCollector(self.spec)
         self.rng = np.random.default_rng(seed + 2)
@@ -141,14 +141,14 @@ class OfflineTrainer:
             self.iterate(objectives, phase)
         return OfflineResult(self.agent, list(self.log), self.ppo.iteration)
 
-    def train(self, omega: int = 36, bootstrap_iters: int = 30,
+    def train(self, omega: int = NUM_LANDMARKS, bootstrap_iters: int = 30,
               traverse_iters: int = 2, cycles: int = 2) -> OfflineResult:
         """Two-phase offline training over an ``omega``-landmark grid
         (:func:`landmark_schedule`)."""
         return self.run(landmark_schedule(omega, bootstrap_iters,
                                           traverse_iters, cycles))
 
-    def train_individual_style(self, omega: int = 36,
+    def train_individual_style(self, omega: int = NUM_LANDMARKS,
                                iters_per_objective: int = 30) -> OfflineResult:
         """Ablation: every landmark trained independently, no transfer.
 

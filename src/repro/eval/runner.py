@@ -23,6 +23,7 @@ from repro.baselines import (
 )
 from repro.core.agent import MoccAgent, MoccController
 from repro.netsim.network import FlowRecord, FlowSpec, Simulation
+from repro.netsim.rngstreams import link_seed
 from repro.netsim.signing import canonical
 from repro.netsim.topology import TopologySpec, dumbbell
 from repro.netsim.traces import BandwidthTrace, mbps_to_pps, trace_form
@@ -133,7 +134,7 @@ def build_competition(controllers, network: EvalNetwork, duration: float = 60.0,
     start_times = start_times or [0.0] * n
     stop_times = stop_times or [float("inf")] * n
     topology = network.topology().build(network.packet_bytes,
-                                        seed=seed * 31 + 17)
+                                        seed=link_seed(seed))
     specs = [FlowSpec(controller=c, packet_bytes=network.packet_bytes,
                       start_time=t0, stop_time=t1, mi_duration=mi_duration)
              for c, t0, t1 in zip(controllers, start_times, stop_times)]

@@ -36,9 +36,11 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.config import NUM_LANDMARKS
 from repro.eval.runner import EvalNetwork, scheme_factory
 from repro.netsim.faults import coerce_faults
 from repro.netsim.network import FlowSpec, Simulation
+from repro.netsim.rngstreams import link_seed
 from repro.netsim.signing import UNSIGNED, Signer, canonical
 from repro.netsim.topology import TopologySpec
 from repro.netsim.traces import named_trace_form
@@ -144,7 +146,7 @@ class AgentRef:
     flavor: str = "throughput"
     quality: str = "fast"
     seed: int = 0
-    omega: int = 36
+    omega: int = NUM_LANDMARKS
     weights: tuple | None = field(default=None,
                                   metadata=canonical(_weights_form))
 
@@ -519,7 +521,7 @@ def build_scenario_simulation(scenario: Scenario,
     spec = scenario.topology or scenario.network.topology(scenario.trace)
     packet_bytes = scenario.network.packet_bytes
     topology = spec.build(packet_bytes=packet_bytes,
-                          seed=scenario.seed * 31 + 17,
+                          seed=link_seed(scenario.seed),
                           trace_cache=trace_cache)
     flow_specs = []
     for flow in scenario.flows:

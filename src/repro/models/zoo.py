@@ -25,8 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.config import (DEFAULT_TRAINING, TRAINING_RANGES, TrainingConfig,
-                          model_cache_dir)
+from repro.config import (DEFAULT_TRAINING, NUM_LANDMARKS, TRAINING_RANGES,
+                          TrainingConfig, model_cache_dir)
 from repro.core.agent import MoccAgent
 from repro.core.offline import OfflineTrainer, train_single_objective
 from repro.core.weights import LATENCY_WEIGHTS, THROUGHPUT_WEIGHTS, simplex_grid
@@ -70,25 +70,25 @@ PIPELINE_VERSION = "v3"
 class ModelZoo:
     """Train-on-first-use registry of the experiments' models."""
 
-    def __init__(self, cache_dir: str | Path | None = None,
-                 config: TrainingConfig = DEFAULT_TRAINING):
+    def __init__(self, cache_dir: str | Path | None = None):
         self.cache_dir = Path(cache_dir or model_cache_dir())
         self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self.config = config
         self._memory: dict[str, MoccAgent] = {}
 
     # --- plumbing ---------------------------------------------------------
 
-    def _env_spec(self, budget: TrainingBudget, seed: int) -> EnvSpec:
+    @staticmethod
+    def _env_spec(budget: TrainingBudget, seed: int) -> EnvSpec:
         # Table 3's training distribution, verbatim (absolute queue
         # sizes).
         return EnvSpec(ranges=TRAINING_RANGES,
-                       history_length=self.config.history_length,
-                       action_scale=self.config.action_scale,
+                       history_length=DEFAULT_TRAINING.history_length,
+                       action_scale=DEFAULT_TRAINING.action_scale,
                        max_steps=budget.episode_steps, seed=seed)
 
-    def _config_for(self, budget: TrainingBudget) -> TrainingConfig:
-        return self.config.replace(steps_per_iteration=budget.steps_per_iteration)
+    @staticmethod
+    def _config_for(budget: TrainingBudget) -> TrainingConfig:
+        return DEFAULT_TRAINING.replace(steps_per_iteration=budget.steps_per_iteration)
 
     def _cached(self, key: str, train) -> MoccAgent:
         if key in self._memory:
@@ -119,7 +119,7 @@ class ModelZoo:
                 f"c{budget.cycles}i{budget.single_objective_iters}"
                 f"s{budget.steps_per_iteration}e{budget.episode_steps}")
 
-    def mocc_offline(self, quality: str = "fast", omega: int = 36,
+    def mocc_offline(self, quality: str = "fast", omega: int = NUM_LANDMARKS,
                      seed: int = 0) -> MoccAgent:
         """The two-phase offline-trained multi-objective model (§4.2)."""
         budget = BUDGETS[quality]

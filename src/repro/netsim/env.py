@@ -144,10 +144,6 @@ class MoccEnv:
     def observation_dim(self) -> int:
         return self.history.dim
 
-    @property
-    def weight_dim(self) -> int:
-        return 3
-
     def reset(self, weights) -> tuple[np.ndarray, np.ndarray]:
         """Start a new episode under ``weights``; returns the initial
         state vector and the weights."""

@@ -20,9 +20,9 @@ when two streams of one seed space can meet.  Streams are compared
 within a space only.  ``scenario`` is the cell seed ``s``; ``link`` is
 the seed ``TopologySpec.build`` -- the one network builder, a
 single-bottleneck cell or training episode being its one-link
-dumbbell -- receives, which the eval pipeline forms as
-``31 * s + 17`` (``131 * s + 7`` in ``apps.bulk``, ``7919 * e + 1``
-for episode seed ``e`` in ``MoccEnv.reset``) and which is
+dumbbell -- receives, which the eval pipeline forms with
+:func:`link_seed` as ``31 * s + 17`` (``131 * s + 7`` in ``apps.bulk``,
+``7919 * e + 1`` for episode seed ``e`` in ``MoccEnv.reset``) and which is
 therefore never the cell or episode seed itself; ``env`` is the seed
 a gym env draws its episodes' parameters from; ``agent`` is the seed
 a model's weights are initialised from, before any cell runs.  A
@@ -39,7 +39,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-__all__ = ["RNG_BLOCK", "STREAMS", "check_streams", "stream_rng"]
+__all__ = ["RNG_BLOCK", "STREAMS", "check_streams", "link_seed", "stream_rng"]
 
 #: How many uniform draws are prefetched per block from the pacing,
 #: hop-dither and wire-loss generators.  Block draws are element-wise
@@ -120,3 +120,10 @@ def stream_rng(name: str, *material, **named) -> np.random.Generator:
     """Mint the declared stream ``name`` from its seed material, passed
     by position (or by the parameter names of the row's function)."""
     return np.random.default_rng(STREAMS[name][1](*material, **named))
+
+
+def link_seed(seed: int) -> int:
+    """The ``link`` seed an eval cell of seed ``seed`` builds its
+    topology with: never the cell seed itself, so link 0's loss stream
+    is not the pacing stream."""
+    return seed * 31 + 17

@@ -17,7 +17,8 @@ numpy implementation:
 * :mod:`repro.rl.rollout` -- trajectory storage, returns, advantages.
 * :mod:`repro.rl.collect` -- score one deterministic episode; the
   objective a weight argument stands for.
-* :mod:`repro.rl.ppo` -- PPO-clip with entropy regularisation (Eq. 3-5).
+* :mod:`repro.rl.ppo` -- PPO-clip with entropy regularisation (Eq. 3-5),
+  its knobs read from :class:`repro.config.TrainingConfig`.
 * :mod:`repro.rl.dqn` -- the MOCC-DQN ablation of Fig. 18.
 * :mod:`repro.rl.parallel` -- the environment spec and the one rollout
   loop (lockstep envs, one batched plan per rollout), over one env
@@ -29,7 +30,7 @@ from repro.rl.optim import Adam
 from repro.rl.distributions import DiagGaussian
 from repro.rl.policy import PreferenceActorCritic
 from repro.rl.rollout import RolloutBuffer, discounted_returns, gae_advantages
-from repro.rl.ppo import PPOTrainer, PPOConfig
+from repro.rl.ppo import PPOTrainer
 
 __all__ = [
     "MLP",
@@ -44,5 +45,4 @@ __all__ = [
     "discounted_returns",
     "gae_advantages",
     "PPOTrainer",
-    "PPOConfig",
 ]

@@ -1,8 +1,10 @@
 """Proximal Policy Optimization (Schulman et al., 2017) -- §4.2.
 
 Implements the clipped surrogate objective the paper trains MOCC with
-(Eq. 3), plus the entropy regularisation term (Eq. 5) whose coefficient
-beta decays from 1 to 0.1 over 1000 iterations (§5).
+(Eq. 3), plus the entropy regularisation term (Eq. 5).  Every knob is
+read from :class:`repro.config.TrainingConfig`.  The entropy
+coefficient is beta, decaying from 1 to 0.1 over 1000 iterations (§5,
+``TrainingConfig.entropy_coef``), times ``ENTROPY_SCALE``.
 
 The gradient of the clipped surrogate w.r.t. the new policy's
 log-probability is::
@@ -21,61 +23,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import TrainingConfig
+from repro.config import DEFAULT_TRAINING, TrainingConfig
 from repro.rl.distributions import DiagGaussian
 from repro.rl.optim import Adam, clip_grad_norm
 from repro.rl.policy import PreferenceActorCritic
 from repro.rl.rollout import RolloutBuffer
 
-__all__ = ["PPOConfig", "PPOStats", "PPOTrainer"]
+__all__ = ["PPOStats", "PPOTrainer"]
 
 
-@dataclass
-class PPOConfig:
-    """Optimisation hyperparameters (defaults follow paper Table 2/§5)."""
-
-    gamma: float = 0.99
-    gae_lambda: float = 0.95
-    clip_epsilon: float = 0.2
-    learning_rate: float = 1e-3
-    entropy_start: float = 1.0
-    entropy_end: float = 0.1
-    entropy_decay_iters: int = 1000
-    entropy_scale: float = 0.01
-    value_coef: float = 0.5
-    epochs: int = 4
-    minibatch_size: int = 64
-    max_grad_norm: float = 5.0
-    #: Bounds on the Gaussian's log-std.  The entropy bonus exerts a
-    #: constant upward pull on log_std; with Adam's per-parameter step
-    #: normalisation that pull would otherwise win over long runs and
-    #: blow the exploration noise up.
-    log_std_bounds: tuple = (-2.5, 0.0)
-
-    @classmethod
-    def from_training_config(cls, cfg: TrainingConfig) -> "PPOConfig":
-        return cls(
-            gamma=cfg.discount_factor,
-            gae_lambda=cfg.gae_lambda,
-            clip_epsilon=cfg.clip_epsilon,
-            learning_rate=cfg.learning_rate,
-            entropy_start=cfg.entropy_start,
-            entropy_end=cfg.entropy_end,
-            entropy_decay_iters=cfg.entropy_decay_iters,
-            value_coef=cfg.value_coef,
-            epochs=cfg.epochs_per_iteration,
-            minibatch_size=cfg.minibatch_size,
-            max_grad_norm=cfg.max_grad_norm,
-        )
-
-    def entropy_coef(self, iteration: int) -> float:
-        """beta(iteration): linear decay 1 -> 0.1 over the first 1000 its."""
-        if iteration >= self.entropy_decay_iters:
-            base = self.entropy_end
-        else:
-            frac = iteration / float(self.entropy_decay_iters)
-            base = self.entropy_start + frac * (self.entropy_end - self.entropy_start)
-        return base * self.entropy_scale
+#: Multiplier on the paper's beta schedule (``TrainingConfig.entropy_coef``).
+ENTROPY_SCALE = 0.01
+#: Bounds on the Gaussian's log-std.  The entropy bonus exerts a
+#: constant upward pull on log_std; with Adam's per-parameter step
+#: normalisation that pull would otherwise win over long runs and blow
+#: the exploration noise up.
+LOG_STD_BOUNDS = (-2.5, 0.0)
 
 
 @dataclass
@@ -102,17 +65,19 @@ class PPOTrainer:
     several stepped in lockstep) and hand them to :meth:`update`.
     """
 
-    def __init__(self, model: PreferenceActorCritic, config: PPOConfig | None = None,
+    def __init__(self, model: PreferenceActorCritic,
+                 config: TrainingConfig = DEFAULT_TRAINING,
                  rng: np.random.Generator | None = None):
         self.model = model
-        self.config = config or PPOConfig()
+        self.config = config
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self.optimizer = Adam(model.parameters(), lr=self.config.learning_rate)
         self.iteration = 0
 
     def update(self, buffer: RolloutBuffer | list[RolloutBuffer],
                bootstrap_value: float | list[float] = 0.0) -> PPOStats:
-        """Run ``epochs`` of minibatch PPO over the buffer contents.
+        """Run ``epochs_per_iteration`` of minibatch PPO over the buffer
+        contents.
 
         Accepts a single buffer or a list (one per rollout: a
         :class:`~repro.rl.parallel.VectorCollector`'s environments, or a
@@ -134,7 +99,7 @@ class PPOTrainer:
                    else np.concatenate([p[1] for p in parts]))
         actions = np.concatenate([p[2] for p in parts])
         old_log_probs = np.concatenate([p[3] for p in parts])
-        computed = [b.compute(cfg.gamma, cfg.gae_lambda, v)
+        computed = [b.compute(cfg.discount_factor, cfg.gae_lambda, v)
                     for b, v in zip(buffers, boots)]
         returns = np.concatenate([c[0] for c in computed])
         advantages = np.concatenate([c[1] for c in computed])
@@ -147,11 +112,11 @@ class PPOTrainer:
         # their noise blown up to unit variance per buffer.
         advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
         n = len(obs)
-        beta = cfg.entropy_coef(self.iteration)
+        beta = cfg.entropy_coef(self.iteration) * ENTROPY_SCALE
 
         stats = PPOStats(0.0, 0.0, 0.0, 0.0, 0.0, explained)
         batches = 0
-        for _ in range(cfg.epochs):
+        for _ in range(cfg.epochs_per_iteration):
             order = self.rng.permutation(n)
             for start in range(0, n, cfg.minibatch_size):
                 idx = order[start:start + cfg.minibatch_size]
@@ -186,7 +151,7 @@ class PPOTrainer:
         return stats
 
     def _clamp_log_std(self) -> None:
-        lo, hi = self.config.log_std_bounds
+        lo, hi = LOG_STD_BOUNDS
         np.clip(self.model.log_std.value, lo, hi, out=self.model.log_std.value)
 
     def _accumulate_gradients(self, obs, weights, actions, old_log_probs,

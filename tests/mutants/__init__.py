@@ -86,6 +86,8 @@ STATS_LOGGED = ("tests/test_training_pipeline.py::TestOfflineTrainer::"
                 "test_every_row_carries_its_update_stats")
 REPLAY_ORDER = ("tests/test_training_pipeline.py::TestOnlineAdapter::"
                 "test_replay_drawn_between_rollouts")
+#: The discount and GAE lambda a PPO update reads from its config.
+GAE_READ = "tests/test_ppo.py::TestTrainingRecipe::test_update_reads_gamma_and_lambda"
 
 #: The deployed policies against ``model.act``'s mean branch: the
 #: simulator's rate controllers, the §5 library and Orca.
@@ -426,6 +428,12 @@ MUTANTS = {
         "for w in objectives:",
         "for w in list(objectives):",
         (REPLAY_ORDER,)),
+    # The update discounts advantages with gamma where lambda goes.
+    "ppo-lambda-is-gamma": Mutant(
+        "repro.rl.ppo",
+        "b.compute(cfg.discount_factor, cfg.gae_lambda, v)",
+        "b.compute(cfg.discount_factor, cfg.discount_factor, v)",
+        (GAE_READ,)),
     # A deployed policy that samples its action instead of acting on
     # the actor's mean.
     "deployed-action-sampled": Mutant(

@@ -153,12 +153,16 @@ class TestOverhead:
         assert report.sim_seconds == 2.0
 
     def test_model_controller_costs_more_than_cubic(self):
+        """Each side is the least of three interleaved wall-clock runs,
+        so one stalled run cannot invert the comparison."""
         from repro.core.agent import MoccController
         agent = MoccAgent(DEFAULT_TRAINING)
-        mocc_report = measure_overhead(
-            MoccController(agent, [0.5, 0.3, 0.2], initial_rate=100.0),
-            NET, duration=3.0, seed=1)
-        cubic_report = measure_overhead(Cubic(), NET, duration=3.0, seed=1)
-        assert mocc_report.inference_count > 0
-        assert (mocc_report.control_us_per_sim_second
-                > cubic_report.control_us_per_sim_second)
+        mocc, cubic = [], []
+        for _ in range(3):
+            mocc.append(measure_overhead(
+                MoccController(agent, [0.5, 0.3, 0.2], initial_rate=100.0),
+                NET, duration=3.0, seed=1))
+            cubic.append(measure_overhead(Cubic(), NET, duration=3.0, seed=1))
+        assert all(report.inference_count > 0 for report in mocc)
+        assert (min(r.control_us_per_sim_second for r in mocc)
+                > min(r.control_us_per_sim_second for r in cubic))

@@ -31,8 +31,8 @@ class TestTable2:
     def test_history_length(self):
         assert DEFAULT_TRAINING.history_length == 10
 
-    def test_num_landmarks(self):
-        assert DEFAULT_TRAINING.num_landmarks == 36
+    def test_landmark_count(self):
+        assert repro.config.NUM_LANDMARKS == 36
 
     def test_clip_epsilon(self):
         assert DEFAULT_TRAINING.clip_epsilon == pytest.approx(0.2)

@@ -197,9 +197,6 @@ class TestMoccEnv:
         with pytest.raises(ValueError):
             env.reset([0.5, 0.5, 0.5])
 
-    def test_weight_dim(self):
-        assert fixed_env().weight_dim == 3
-
     def test_episode_terminates(self):
         env = fixed_env(max_steps=5, seed=1)
         env.reset(W)

@@ -46,6 +46,7 @@ import test_mi_oracle
 import test_optim
 import test_parallel_eval
 import test_policy
+import test_ppo
 import test_resilience
 import test_rngstreams
 import test_scenarios
@@ -64,6 +65,7 @@ from mutants import (
     EQ2_WEIGHTS,
     EVERY_KIND,
     FLAT_ADAM,
+    GAE_READ,
     LIBRARY_GRADIENT,
     LIBRARY_PARITY,
     LIFETIME,
@@ -206,6 +208,8 @@ KILLERS = {
     STATS_LOGGED: lambda ns: test_training_pipeline.rows_carry_their_update_stats(
         ns["OfflineTrainer"]),
     REPLAY_ORDER: lambda ns: adapted_by(ns["OfflineTrainer"]),
+    GAE_READ: lambda ns: test_ppo.update_reads_gamma_and_lambda(
+        ns["PPOTrainer"]),
     **{parity: lambda ns, weight_dim=weight_dim: planned_by(
         ns["InferencePlan"], lambda: test_core_mocc.rates_equal_act_path_over_a_flow(
             weight_dim)) for weight_dim, parity in CONTROLLER_PARITY.items()},

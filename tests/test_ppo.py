@@ -5,8 +5,12 @@ import pytest
 
 from repro.config import DEFAULT_TRAINING
 from repro.rl.policy import PreferenceActorCritic
-from repro.rl.ppo import PPOConfig, PPOTrainer
-from repro.rl.rollout import RolloutBuffer
+from repro.rl.ppo import PPOTrainer
+from repro.rl.rollout import RolloutBuffer, gae_advantages
+
+#: A config with beta zeroed: the schedule is 0 -> 0.
+NO_ENTROPY = DEFAULT_TRAINING.replace(learning_rate=3e-3, entropy_start=0.0,
+                                      entropy_end=0.0)
 
 
 class _TargetBandit:
@@ -31,7 +35,7 @@ class TestPPOLearnsBandit:
         rng = np.random.default_rng(0)
         model = PreferenceActorCritic(obs_dim=4, weight_dim=0, act_dim=1,
                                       hidden_sizes=(8,), rng=rng)
-        trainer = PPOTrainer(model, PPOConfig(learning_rate=3e-3, entropy_scale=0.0),
+        trainer = PPOTrainer(model, NO_ENTROPY,
                              rng=np.random.default_rng(1))
         env = _TargetBandit(target=0.7)
         for _ in range(60):
@@ -44,7 +48,7 @@ class TestPPOLearnsBandit:
         rng = np.random.default_rng(2)
         model = PreferenceActorCritic(obs_dim=4, weight_dim=0, act_dim=1,
                                       hidden_sizes=(8,), rng=rng)
-        trainer = PPOTrainer(model, PPOConfig(learning_rate=3e-3, entropy_scale=0.0),
+        trainer = PPOTrainer(model, NO_ENTROPY,
                              rng=np.random.default_rng(3))
         env = _TargetBandit(target=-0.5)
         for _ in range(60):
@@ -58,7 +62,7 @@ class TestPPOMechanics:
     def _setup(self, weight_dim=0):
         model = PreferenceActorCritic(obs_dim=3, weight_dim=weight_dim, act_dim=1,
                                       hidden_sizes=(6,), rng=np.random.default_rng(4))
-        trainer = PPOTrainer(model, PPOConfig(), rng=np.random.default_rng(5))
+        trainer = PPOTrainer(model, rng=np.random.default_rng(5))
         return model, trainer
 
     def _buffer(self, model, n=32, weight_dim=0, rng_seed=6):
@@ -155,7 +159,7 @@ class TestPPOMechanics:
         parameters belong to the model, so either trainer's update is
         the other's starting point."""
         model, first = self._setup(weight_dim=3)
-        second = PPOTrainer(model, PPOConfig(), rng=np.random.default_rng(12))
+        second = PPOTrainer(model, rng=np.random.default_rng(12))
         assert first.optimizer.params is second.optimizer.params is model.parameters()
         start = model.parameters().value.copy()
         first.update(self._buffer(model, weight_dim=3, rng_seed=13))
@@ -173,21 +177,40 @@ class TestPPOMechanics:
         assert action == model.forward(np.ones(3), np.full(3, 1 / 3))[0][0, 0]
 
 
-class TestPPOConfig:
-    def test_from_training_config(self):
-        cfg = PPOConfig.from_training_config(DEFAULT_TRAINING)
-        assert cfg.gamma == DEFAULT_TRAINING.discount_factor
-        assert cfg.clip_epsilon == DEFAULT_TRAINING.clip_epsilon
-        assert cfg.learning_rate == DEFAULT_TRAINING.learning_rate
+class TestTrainingRecipe:
+    def test_update_reads_gamma_and_lambda(self):
+        update_reads_gamma_and_lambda(PPOTrainer)
 
-    def test_entropy_decays(self):
-        cfg = PPOConfig()
-        assert cfg.entropy_coef(0) > cfg.entropy_coef(500) > cfg.entropy_coef(1000)
-        assert cfg.entropy_coef(1000) == pytest.approx(cfg.entropy_coef(2000))
 
-    def test_entropy_scaling(self):
-        cfg = PPOConfig(entropy_scale=0.5)
-        assert cfg.entropy_coef(0) == pytest.approx(0.5)
+def update_reads_gamma_and_lambda(trainer_cls) -> None:
+    """The explained variance ``update`` reports is the closed form over
+    GAE returns at the config's own gamma and lambda (0.9 and 0.5 here,
+    neither a default): ``1 - Var(R - V) / Var(R)`` with ``R = A + V``.
+    Episodes of five steps and a bootstrapped tail make both matter."""
+    gamma, lam, boot = 0.9, 0.5, 0.7
+    config = DEFAULT_TRAINING.replace(discount_factor=gamma, gae_lambda=lam)
+    model = PreferenceActorCritic(obs_dim=3, weight_dim=0, act_dim=1,
+                                  hidden_sizes=(6,), rng=np.random.default_rng(4))
+    rng = np.random.default_rng(16)
+    buf = RolloutBuffer(3, 0, 1, 32)
+    for i in range(32):
+        buf.add(rng.normal(size=3), [0.0], 0.0, rng.normal(), rng.normal(),
+                i % 5 == 4)
+
+    def explained(g, lmb):
+        returns = gae_advantages(buf.rewards, buf.values, buf.dones, g, lmb,
+                                 boot) + buf.values
+        return 1.0 - (returns - buf.values).var() / returns.var()
+
+    # The closed form tells the config's gamma and lambda from a swap,
+    # from lambda read as gamma, and from the defaults.
+    expected = explained(gamma, lam)
+    for g, lmb in ((lam, gamma), (gamma, gamma),
+                 (DEFAULT_TRAINING.discount_factor, DEFAULT_TRAINING.gae_lambda)):
+        assert abs(explained(g, lmb) - expected) > 1e-3
+    stats = trainer_cls(model, config, rng=np.random.default_rng(5)).update(
+        buf, boot)
+    assert stats.explained_variance == pytest.approx(expected, rel=1e-12)
 
 
 class TestClippingBehaviour:
@@ -195,7 +218,8 @@ class TestClippingBehaviour:
         """Re-updating many times on one buffer must trigger the clip."""
         model = PreferenceActorCritic(obs_dim=3, weight_dim=0, act_dim=1,
                                       hidden_sizes=(6,), rng=np.random.default_rng(12))
-        trainer = PPOTrainer(model, PPOConfig(learning_rate=5e-3, epochs=1),
+        trainer = PPOTrainer(model, DEFAULT_TRAINING.replace(
+                                 learning_rate=5e-3, epochs_per_iteration=1),
                              rng=np.random.default_rng(13))
         rng = np.random.default_rng(14)
         buf = RolloutBuffer(3, 0, 1, 64)
