@@ -53,15 +53,15 @@ class VideoResult:
 class VideoSession:
     """MPC ABR streaming over a transport's throughput timeline."""
 
-    def __init__(self, chunk_seconds: float = 4.0, horizon: int = 3,
-                 buffer_capacity_s: float = 30.0, rebuffer_penalty: float = 4.3,
-                 switch_penalty: float = 1.0, predictor_window: int = 5):
-        self.chunk_seconds = chunk_seconds
-        self.horizon = horizon
-        self.buffer_capacity_s = buffer_capacity_s
-        self.rebuffer_penalty = rebuffer_penalty
-        self.switch_penalty = switch_penalty
-        self.predictor_window = predictor_window
+    chunk_seconds = 4.0
+    #: Chunks the MPC plans ahead.
+    horizon = 3
+    buffer_capacity_s = 30.0
+    #: QoE penalties: per second of rebuffering and per level switched.
+    rebuffer_penalty = 4.3
+    switch_penalty = 1.0
+    #: Past chunks the harmonic-mean throughput predictor averages.
+    predictor_window = 5
 
     # --- throughput timeline -------------------------------------------------
 

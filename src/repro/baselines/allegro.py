@@ -44,12 +44,11 @@ class PCCAllegro(Controller):
     #: Perturbation schedule within one decision round.
     PLAN = (+1, -1, -1, +1)
 
-    def __init__(self, initial_rate: float = 20.0, min_rate: float = 1.0,
-                 step_fraction: float = 0.05, max_step_multiplier: int = 4):
+    def __init__(self, initial_rate: float = 20.0):
         self.base_rate = float(initial_rate)
-        self.min_rate = min_rate
-        self.step_fraction = step_fraction
-        self.max_step_multiplier = max_step_multiplier
+        self.min_rate = 1.0
+        self.step_fraction = 0.05
+        self.max_step_multiplier = 4
 
         self._tracker = TrialTracker()
         self._position = 0            # index into PLAN, or len(PLAN) = waiting

@@ -37,10 +37,9 @@ class BBR(Controller):
     kind = "rate"
     name = "BBR"
 
-    def __init__(self, initial_rate: float = 20.0, bw_window: int = 10,
-                 rtprop_window_s: float = 10.0, probe_rtt_interval_s: float = 10.0):
+    def __init__(self, initial_rate: float = 20.0):
         self.rate = float(initial_rate)
-        self._bw_samples: deque[float] = deque(maxlen=bw_window)
+        self._bw_samples: deque[float] = deque(maxlen=10)
         #: The bandwidth filter's windowed max, kept by :meth:`on_mi`
         #: (the only writer of ``_bw_samples``) so the per-send
         #: ``inflight_cap`` reads it instead of re-scanning the window.
@@ -55,8 +54,8 @@ class BBR(Controller):
         #: simulation (called per send via ``inflight_cap``); the value
         #: returned is exactly identical.
         self._rtt_samples: deque[tuple[float, float]] = deque()
-        self.rtprop_window_s = rtprop_window_s
-        self.probe_rtt_interval_s = probe_rtt_interval_s
+        self.rtprop_window_s = 10.0
+        self.probe_rtt_interval_s = 10.0
 
         self.state = "STARTUP"
         self._full_bw = 0.0

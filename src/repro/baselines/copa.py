@@ -5,7 +5,7 @@ Copa steers the congestion window so the sending rate tracks the target
     lambda* = 1 / (delta * d_q)
 
 where ``d_q`` is the measured queueing delay and ``delta`` trades
-throughput for delay (default 0.5, i.e. ~2 packets of standing queue at
+throughput for delay (0.5 here, i.e. ~2 packets of standing queue at
 equilibrium).  The implementation follows the paper's per-ack update:
 
 * ``srtt_standing`` is the minimum RTT over a sliding window of the
@@ -39,12 +39,11 @@ class Copa(Controller):
     kind = "window"
     name = "Copa"
 
-    def __init__(self, delta: float = 0.5, initial_cwnd: float = 10.0,
-                 min_cwnd: float = 2.0, max_velocity: float = 16.0):
-        self.delta = delta
-        self._cwnd = float(initial_cwnd)
-        self.min_cwnd = float(min_cwnd)
-        self.max_velocity = max_velocity
+    def __init__(self):
+        self.delta = 0.5
+        self._cwnd = 10.0
+        self.min_cwnd = 2.0
+        self.max_velocity = 16.0
         self._velocity = 1.0
         self._direction = 0
         self._last_double = 0.0

@@ -37,11 +37,9 @@ class Cubic(Controller):
     #: expression it replaces).
     RENO_SLOPE = 3.0 * (1.0 - BETA) / (1.0 + BETA)
 
-    def __init__(self, initial_cwnd: float = 10.0, min_cwnd: float = 2.0,
-                 fast_convergence: bool = True):
-        self._cwnd = float(initial_cwnd)
-        self.min_cwnd = float(min_cwnd)
-        self.fast_convergence = fast_convergence
+    def __init__(self):
+        self._cwnd = 10.0
+        self.min_cwnd = 2.0
         self.ssthresh = float("inf")
         self.w_max = 0.0
         self.epoch_start: float | None = None
@@ -81,7 +79,7 @@ class Cubic(Controller):
         if now - self._last_reduction < rtt:
             return  # at most one reduction per round trip
         self._last_reduction = now
-        if self.fast_convergence and self._cwnd < self.w_max:
+        if self._cwnd < self.w_max:  # fast convergence
             self.w_max = self._cwnd * (1.0 + self.BETA) / 2.0
         else:
             self.w_max = self._cwnd

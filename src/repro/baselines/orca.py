@@ -27,6 +27,9 @@ from repro.netsim.sender import Controller, Flow, MonitorIntervalStats
 
 __all__ = ["Orca"]
 
+#: Step size of the RL multiplier's multiplicative update.
+ACTION_SCALE = 0.2
+
 
 class Orca(Controller):
     """CUBIC substrate supervised by an RL cwnd multiplier."""
@@ -38,17 +41,15 @@ class Orca(Controller):
     MIN_SCALE = 0.25
     MAX_SCALE = 4.0
 
-    def __init__(self, agent: MoccAgent | None = None, rl_interval: int = 4,
-                 initial_cwnd: float = 10.0, action_scale: float = 0.2):
+    def __init__(self, agent: MoccAgent | None = None, rl_interval: int = 4):
         if agent is not None and agent.weight_dim != 0:
             raise ValueError("Orca uses a single-objective model (weight_dim=0)")
-        self.cubic = Cubic(initial_cwnd=initial_cwnd)
+        self.cubic = Cubic()
         self.agent = agent
         self.rl_interval = max(int(rl_interval), 1)
-        self.action_scale = action_scale
         self.scale = 1.0
         self.history = StatHistory(agent.config.history_length if agent else 10)
-        self._plan = agent.model.plan() if agent else None
+        self._plan = None
         self._mi_count = 0
         #: Policy inference counter (overhead accounting, Fig. 17).
         self.inference_count = 0
@@ -78,5 +79,5 @@ class Orca(Controller):
         action = self._plan.action(self.history.buffer)
         self.inference_count += 1
         self.scale = float(np.clip(
-            apply_action(self.scale, action, self.action_scale),
+            apply_action(self.scale, action, ACTION_SCALE),
             self.MIN_SCALE, self.MAX_SCALE))

@@ -23,16 +23,14 @@ class Vegas(Controller):
     kind = "window"
     name = "Vegas"
 
-    def __init__(self, alpha: float = 2.0, beta: float = 4.0,
-                 gamma: float = 1.0, initial_cwnd: float = 10.0,
-                 min_cwnd: float = 2.0):
-        if beta < alpha:
-            raise ValueError("need beta >= alpha")
-        self.alpha = alpha
-        self.beta = beta
-        self.gamma = gamma
-        self._cwnd = float(initial_cwnd)
-        self.min_cwnd = float(min_cwnd)
+    def __init__(self):
+        #: The backlog band (packets) the window is steered into, and
+        #: the backlog that ends slow start.
+        self.alpha = 2.0
+        self.beta = 4.0
+        self.gamma = 1.0
+        self._cwnd = 10.0
+        self.min_cwnd = 2.0
         self.slow_start = True
 
     def cwnd(self, now: float) -> float:

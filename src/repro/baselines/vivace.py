@@ -38,13 +38,11 @@ class PCCVivace(Controller):
     EPSILON = 0.05
     PLAN = (+1, -1, -1, +1)
 
-    def __init__(self, initial_rate: float = 20.0, min_rate: float = 1.0,
-                 theta: float = 1.0, max_change_fraction: float = 0.25,
-                 packet_bytes: int = 1500):
+    def __init__(self, initial_rate: float = 20.0, packet_bytes: int = 1500):
         self.base_rate = float(initial_rate)
-        self.min_rate = min_rate
-        self.theta = theta
-        self.max_change_fraction = max_change_fraction
+        self.min_rate = 1.0
+        self.theta = 1.0
+        self.max_change_fraction = 0.25
         self.packet_bytes = packet_bytes
 
         self._tracker = TrialTracker()

@@ -110,9 +110,9 @@ class PolicyRateController(Controller):
     kind = "rate"
     name = "policy"
 
-    def __init__(self, model: PreferenceActorCritic, weights=None,
-                 initial_rate: float = 100.0, action_scale: float = 0.025,
-                 history_length: int = 10):
+    def __init__(self, model: PreferenceActorCritic, weights,
+                 initial_rate: float, action_scale: float,
+                 history_length: int):
         self.model = model
         self.weights = None if weights is None else np.asarray(weights, dtype=np.float64)
         if model.weight_dim > 0 and self.weights is None:
@@ -120,7 +120,7 @@ class PolicyRateController(Controller):
         self.rate = float(initial_rate)
         self.action_scale = action_scale
         self.history = StatHistory(history_length)
-        self._plan = model.plan(self.weights)
+        self._plan = None
         #: Number of policy inferences performed (overhead accounting).
         self.inference_count = 0
 

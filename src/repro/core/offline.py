@@ -32,7 +32,6 @@ from repro.config import (BOOTSTRAP_OBJECTIVES, DEFAULT_TRAINING, NUM_LANDMARKS,
 from repro.core.agent import MoccAgent
 from repro.core.sorting import neighborhood_sort
 from repro.core.weights import simplex_grid, step_for_omega
-from repro.rl.collect import evaluate_policy
 from repro.rl.parallel import EnvSpec, SerialCollector
 from repro.rl.ppo import PPOStats, PPOTrainer
 
@@ -164,24 +163,20 @@ class OfflineTrainer:
 
 def train_single_objective(spec: EnvSpec, weights, iterations: int,
                            config: TrainingConfig = DEFAULT_TRAINING,
-                           seed: int = 0, eval_every: int = 0
-                           ) -> tuple[MoccAgent, list[float], list[tuple[int, float]]]:
+                           seed: int = 0
+                           ) -> tuple[MoccAgent, list[float], list]:
     """Train a *single-objective* agent (no preference sub-network).
 
     This is the Aurora training procedure (Fig. 2a): the weight vector
     parameterises only the environment's reward.  Returns the agent,
-    the per-iteration mean episode rewards, and (optionally) sparser
-    deterministic evaluation marks every ``eval_every`` iterations.
+    the per-iteration mean episode rewards and an empty list of
+    evaluation marks: nothing is evaluated during training, and the
+    callers unpack three values.
     """
     weights = np.asarray(weights, dtype=np.float64)
     trainer = OfflineTrainer(spec, config, seed,
                              agent=MoccAgent(config, weight_dim=0, seed=seed))
-    eval_env = spec.build(seed_offset=99_991)
-
     trace: list[float] = []
-    marks: list[tuple[int, float]] = []
-    for it in range(iterations):
+    for _ in range(iterations):
         trace += trainer.iterate([weights], "single")
-        if eval_every and (it % eval_every == 0 or it == iterations - 1):
-            marks.append((it, evaluate_policy(eval_env, trainer.agent.model, weights)))
-    return trainer.agent, trace, marks
+    return trainer.agent, trace, []

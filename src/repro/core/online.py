@@ -32,8 +32,9 @@ __all__ = ["RequirementReplay", "AdaptationTrace", "OnlineAdapter"]
 class RequirementReplay:
     """Pool of encountered application requirements (weight vectors)."""
 
-    def __init__(self, tolerance: float = 1e-6):
-        self.tolerance = tolerance
+    def __init__(self):
+        #: Two requirements closer than this per component are one.
+        self.tolerance = 1e-6
         self._pool: list[np.ndarray] = []
 
     def __len__(self) -> int:
@@ -71,13 +72,13 @@ class AdaptationTrace:
     #: (iteration, deterministic eval reward) on the old objective.
     old_marks: list[tuple[int, float]] = field(default_factory=list)
 
-    def convergence_iteration(self, frac: float = 0.99, smooth: int = 5) -> int:
-        """First iteration whose smoothed reward gain reaches ``frac``
-        of the maximum gain.
+    def convergence_iteration(self, smooth: int = 5) -> int:
+        """First iteration whose smoothed reward gain reaches 99 % of
+        the maximum gain.
 
         This is the paper's §6.2 definition ("99 % of the maximum
         reward gain"): the gain is measured from the first smoothed
-        value, so the threshold is ``first + frac * (max - first)``.
+        value, so the threshold is ``first + 0.99 * (max - first)``.
         It neither favours a curve that starts high nor becomes
         unreachable when every reward is negative.  Returns the 1-based
         iteration index.
@@ -98,7 +99,7 @@ class AdaptationTrace:
             kernel = np.ones(smooth) / smooth
             r = np.convolve(r, kernel, mode="valid")
             offset = smooth - 1
-        threshold = r[0] + frac * (r.max() - r[0])
+        threshold = r[0] + 0.99 * (r.max() - r[0])
         crossing = int(np.argmax(r >= threshold))
         return crossing + offset + 1
 

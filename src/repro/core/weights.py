@@ -40,16 +40,16 @@ BALANCE_WEIGHTS = np.array([0.34, 0.33, 0.33])
 LOSS_WEIGHTS = np.array([0.1, 0.1, 0.8])
 
 
-def validate_weights(weights, atol: float = 1e-6) -> np.ndarray:
+def validate_weights(weights) -> np.ndarray:
     """Check the simplex constraint; return the vector as an ndarray.
 
     Raises ``ValueError`` when a component is outside (0, 1) or the
-    components do not sum to one.
+    components do not sum to one (to within 1e-6).
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (3,):
         raise ValueError(f"weight vector must have 3 components, got shape {w.shape}")
-    if not np.isclose(w.sum(), 1.0, atol=atol):
+    if not np.isclose(w.sum(), 1.0, atol=1e-6):
         raise ValueError(f"weights must sum to 1 (got {w.sum():.6f})")
     if np.any(w <= 0.0) or np.any(w >= 1.0):
         raise ValueError(f"each weight must lie in the open interval (0, 1): {w}")
@@ -93,14 +93,14 @@ def step_for_omega(omega: int) -> int:
     return k
 
 
-def sample_weight(rng: np.random.Generator, min_weight: float = 0.05) -> np.ndarray:
+def sample_weight(rng: np.random.Generator) -> np.ndarray:
     """Draw one weight vector uniformly from the (slightly shrunk) simplex.
 
     The Dirichlet(1,1,1) draw is re-scaled so every component is at
-    least ``min_weight``, respecting the open-interval constraint.
+    least 0.05, respecting the open-interval constraint.
     """
     raw = rng.dirichlet(np.ones(3))
-    return project_to_simplex(raw, min_weight)
+    return project_to_simplex(raw, 0.05)
 
 
 def project_to_simplex(weights, min_weight: float = 0.01) -> np.ndarray:

@@ -7,9 +7,9 @@ import numpy as np
 __all__ = ["format_cdf_table"]
 
 
-def format_cdf_table(named_samples: dict[str, np.ndarray],
-                     percentiles=(10, 25, 50, 75, 90)) -> str:
+def format_cdf_table(named_samples: dict[str, np.ndarray]) -> str:
     """Tabulate per-scheme reward percentiles (the figures' key content)."""
+    percentiles = (10, 25, 50, 75, 90)
     header = "scheme".ljust(18) + "".join(f"p{p:<8}" for p in percentiles) + "mean"
     lines = [header]
     for name, samples in named_samples.items():

@@ -20,14 +20,14 @@ class Ellipse:
     """A 2-D confidence ellipse ``x = center + R(angle) @ diag(axes) @ unit``."""
 
     center: tuple[float, float]
-    #: Semi-axis lengths (sqrt of covariance eigenvalues, scaled by n_sigma).
+    #: Semi-axis lengths (sqrt of covariance eigenvalues: one sigma).
     axes: tuple[float, float]
     #: Rotation of the major axis, radians counter-clockwise from +x.
     angle: float
 
 
-def sigma_ellipse(samples: np.ndarray, n_sigma: float = 1.0) -> Ellipse:
-    """ML-Gaussian ``n_sigma`` contour of 2-D ``samples`` (shape (n, 2))."""
+def sigma_ellipse(samples: np.ndarray) -> Ellipse:
+    """ML-Gaussian 1-sigma contour of 2-D ``samples`` (shape (n, 2))."""
     pts = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if pts.shape[1] != 2:
         raise ValueError("samples must be (n, 2)")
@@ -39,7 +39,7 @@ def sigma_ellipse(samples: np.ndarray, n_sigma: float = 1.0) -> Ellipse:
     order = np.argsort(eigvals)[::-1]
     eigvals = np.clip(eigvals[order], 0.0, None)
     eigvecs = eigvecs[:, order]
-    axes = n_sigma * np.sqrt(eigvals)
+    axes = np.sqrt(eigvals)
     angle = float(np.arctan2(eigvecs[1, 0], eigvecs[0, 0]))
     return Ellipse(center=(float(center[0]), float(center[1])),
                    axes=(float(axes[0]), float(axes[1])), angle=angle)

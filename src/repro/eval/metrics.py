@@ -28,16 +28,16 @@ def jain_index(throughputs) -> float:
     return float(x.sum() ** 2 / (len(x) * np.sum(x ** 2)))
 
 
-def jain_index_series(records: list[FlowRecord], interval: float = 1.0,
-                      duration: float | None = None) -> np.ndarray:
-    """Per-``interval`` Jain index over the flows' throughput timelines.
+def jain_index_series(records: list[FlowRecord],
+                      interval: float = 1.0) -> np.ndarray:
+    """Per-``interval`` Jain index over the flows' throughput timelines,
+    up to the last monitor interval's end.
 
     The paper computes the index "for each second" while flows come and
     go (Fig. 12); intervals where fewer than two flows are active are
     skipped.
     """
-    if duration is None:
-        duration = max((r.records[-1].end for r in records if r.records), default=0.0)
+    duration = max((r.records[-1].end for r in records if r.records), default=0.0)
     edges = np.arange(0.0, duration + interval, interval)
     series = []
     for lo, hi in zip(edges[:-1], edges[1:]):

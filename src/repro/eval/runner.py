@@ -114,10 +114,10 @@ def scheme_factory(name: str, network: EvalNetwork, seed: int = 0,
 
 
 def run_scheme(controller, network: EvalNetwork, duration: float = 30.0,
-               seed: int = 0, mi_duration: float | None = None) -> FlowRecord:
+               seed: int = 0) -> FlowRecord:
     """Run one flow of ``controller`` over ``network``; return aggregates."""
     return build_competition([controller], network, duration=duration,
-                             seed=seed, mi_duration=mi_duration).run_all()[0]
+                             seed=seed).run_all()[0]
 
 
 def build_competition(controllers, network: EvalNetwork, duration: float = 60.0,
@@ -142,14 +142,12 @@ def build_competition(controllers, network: EvalNetwork, duration: float = 60.0,
 
 
 def run_competition(controllers, network: EvalNetwork, duration: float = 60.0,
-                    start_times=None, stop_times=None, seed: int = 0,
-                    mi_duration: float | None = None) -> list[FlowRecord]:
+                    start_times=None, seed: int = 0) -> list[FlowRecord]:
     """Run several controllers sharing the bottleneck (dumbbell setup).
 
-    ``start_times``/``stop_times`` allow the staggered-flow arrivals of
-    the fairness experiment (Fig. 11).
+    ``start_times`` allow the staggered-flow arrivals of the fairness
+    experiment (Fig. 11).
     """
     sim = build_competition(controllers, network, duration=duration,
-                            start_times=start_times, stop_times=stop_times,
-                            seed=seed, mi_duration=mi_duration)
+                            start_times=start_times, seed=seed)
     return sim.run_all()

@@ -150,9 +150,9 @@ class AgentRef:
     weights: tuple | None = field(default=None,
                                   metadata=canonical(_weights_form))
 
-    def resolve(self, zoo=None):
+    def resolve(self):
         from repro.models.zoo import default_zoo
-        zoo = zoo or default_zoo()
+        zoo = default_zoo()
         if self.kind == "mocc":
             return zoo.mocc_offline(quality=self.quality, omega=self.omega,
                                     seed=self.seed)

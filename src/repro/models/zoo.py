@@ -81,10 +81,8 @@ class ModelZoo:
     def _env_spec(budget: TrainingBudget, seed: int) -> EnvSpec:
         # Table 3's training distribution, verbatim (absolute queue
         # sizes).
-        return EnvSpec(ranges=TRAINING_RANGES,
-                       history_length=DEFAULT_TRAINING.history_length,
-                       action_scale=DEFAULT_TRAINING.action_scale,
-                       max_steps=budget.episode_steps, seed=seed)
+        return EnvSpec(ranges=TRAINING_RANGES, max_steps=budget.episode_steps,
+                       seed=seed)
 
     @staticmethod
     def _config_for(budget: TrainingBudget) -> TrainingConfig:
@@ -159,8 +157,8 @@ class ModelZoo:
         key = f"aurora_{tag}_{quality}_{self._budget_tag(budget)}_seed{seed}"
         return self._cached(key, train)
 
-    def enhanced_aurora(self, n_models: int = 10, quality: str = "fast",
-                        seed: int = 0) -> list[tuple[np.ndarray, MoccAgent]]:
+    def enhanced_aurora(self, n_models: int = 10, quality: str = "fast"
+                        ) -> list[tuple[np.ndarray, MoccAgent]]:
         """Fig. 6's enhanced Aurora: ``n_models`` pre-trained instances.
 
         Objectives are spread over the simplex (a coarse grid), which is
@@ -173,7 +171,7 @@ class ModelZoo:
         for i, w in enumerate(objectives):
             tag = "enh%d_%d" % (n_models, i)
             models.append((w, self.aurora_for(w, tag=tag, quality=quality,
-                                              seed=seed + 100 + i)))
+                                              seed=100 + i)))
         return models
 
 

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import NetworkParams, NetworkRanges, TRAINING_RANGES
+from repro.config import (DEFAULT_TRAINING, NetworkParams, NetworkRanges,
+                          TRAINING_RANGES)
 from repro.netsim.history import StatHistory, _clamp
 from repro.netsim.network import MIN_MI_DURATION, FlowSpec, Simulation
 from repro.netsim.rngstreams import stream_rng
@@ -101,14 +102,14 @@ class EnvSpec:
     ``ranges`` is the episode network: Table-3 ranges are sampled anew
     at every ``reset`` (the paper's randomised training), a fixed
     :class:`~repro.config.NetworkParams` samples to itself and draws
-    nothing.  ``history_length`` is eta (Table 2: 10), ``action_scale``
-    alpha in Eq. 1 (Table 2: 0.025), ``max_steps`` the episode length
-    in monitor intervals.
+    nothing.  ``history_length`` is eta and ``action_scale`` alpha in
+    Eq. 1, both Table 2's values from ``DEFAULT_TRAINING`` by default;
+    ``max_steps`` is the episode length in monitor intervals.
     """
 
     ranges: NetworkRanges | NetworkParams = TRAINING_RANGES
-    history_length: int = 10
-    action_scale: float = 0.025
+    history_length: int = DEFAULT_TRAINING.history_length
+    action_scale: float = DEFAULT_TRAINING.action_scale
     max_steps: int = 64
     seed: int = 0
 

@@ -552,7 +552,7 @@ class Simulation:
 
     # --- event handlers -------------------------------------------------------
 
-    def _handle_start(self, flow: Flow, packet: Packet | None = None) -> None:
+    def _handle_start(self, flow: Flow, packet: Packet | None) -> None:
         flow.started = True
         flow.mi_start = self.now
         flow.controller.on_flow_start(flow, self.now)
@@ -769,7 +769,7 @@ class Simulation:
         if flow.inflight < flow.cwnd_fn(self.now):
             self._send_now(flow)
 
-    def _handle_mi(self, flow: Flow, packet: Packet | None = None) -> None:
+    def _handle_mi(self, flow: Flow, packet: Packet | None) -> None:
         if flow.stopped:
             return
         if self.now >= flow.stop_time:
@@ -808,7 +808,7 @@ class Simulation:
     # --- helpers ----------------------------------------------------------------
 
     def _bottleneck_capacity(self, flow: Flow, t0: float, t1: float) -> float:
-        return min(link.trace.mean_bandwidth(t0, t1, samples=9)
+        return min(link.trace.mean_bandwidth(t0, t1)
                    for link in flow.links)
 
     def summary(self, flow_id: int) -> FlowRecord:

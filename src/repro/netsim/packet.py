@@ -21,10 +21,9 @@ class Packet:
 
     A hand-rolled ``__slots__`` class rather than a dataclass: one
     packet is allocated per emitted packet on the engine's hottest
-    path, and the engine constructs it with the four leading positional
-    arguments (binding only those beats a generated keyword-rich
-    ``__init__`` by about 2x).  The field set, defaults, and
-    constructor signature are unchanged from the historical dataclass.
+    path, and the engine constructs it with the four positional
+    arguments the constructor takes.  Every other field starts at its
+    in-flight value and is set by the engine as the packet moves.
     """
 
     __slots__ = ("flow_id", "seq", "send_time", "size_bytes", "arrival_time",
@@ -33,43 +32,33 @@ class Packet:
                  "ack_recovered")
 
     def __init__(self, flow_id: int, seq: int, send_time: float,
-                 size_bytes: int = 1500,
-                 arrival_time: float | None = None,
-                 ack_time: float | None = None,
-                 dropped: bool = False,
-                 drop_kind: str | None = None,  # "buffer" | "random"
-                 queue_delay: float = 0.0,
-                 ack_queue_delay: float = 0.0,
-                 hop: int = 0,
-                 reversing: bool = False,
-                 ack_dropped: bool = False,
-                 ack_recovered: bool = False):
+                 size_bytes: int = 1500):
         self.flow_id = flow_id
         self.seq = seq
         self.send_time = send_time
         self.size_bytes = size_bytes
         #: Receiver arrival time (``None`` while in flight or dropped).
-        self.arrival_time = arrival_time
-        self.ack_time = ack_time
-        self.dropped = dropped
-        self.drop_kind = drop_kind
-        self.queue_delay = queue_delay
+        self.arrival_time = None
+        self.ack_time = None
+        self.dropped = False
+        self.drop_kind = None  # "buffer" | "random"
+        self.queue_delay = 0.0
         #: Queueing the acknowledgement saw on the reverse path (0.0 on
         #: a pure-propagation return).
-        self.ack_queue_delay = ack_queue_delay
+        self.ack_queue_delay = 0.0
         #: Index of the next link to transit in the active direction.
-        self.hop = hop
+        self.hop = 0
         #: The packet delivered (or its drop was observed) and its ack /
         #: loss notice is now walking the reverse links.
-        self.reversing = reversing
+        self.reversing = False
         #: The acknowledgement itself was dropped on the reverse path
         #: and the sender recovered via retransmit timeout (counted as
         #: a loss) rather than a later cumulative ack.
-        self.ack_dropped = ack_dropped
+        self.ack_dropped = False
         #: The acknowledgement was dropped on the reverse path but a
         #: later cumulative ack covered it (``ack_time`` is that
         #: recovery moment, not the lost ack's own would-be arrival).
-        self.ack_recovered = ack_recovered
+        self.ack_recovered = False
 
     @property
     def rtt(self) -> float | None:

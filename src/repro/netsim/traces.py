@@ -105,17 +105,18 @@ class BandwidthTrace:
         """Upper bound on capacity (used for rate clamping)."""
         raise NotImplementedError
 
-    def mean_bandwidth(self, t0: float, t1: float, samples: int = 64) -> float:
+    def mean_bandwidth(self, t0: float, t1: float) -> float:
         """Average capacity over ``[t0, t1]`` (midpoint sampling).
 
-        ``[t0, t1]`` is split into ``samples`` equal sub-intervals and
-        the capacity is read at each sub-interval's centre -- the
-        midpoint rule.  (Sampling ``linspace(t0, t1)`` instead would
+        ``[t0, t1]`` is split into nine equal sub-intervals and the
+        capacity is read at each sub-interval's centre -- the midpoint
+        rule, the per-MI estimate the engine takes on a varying link.  (Sampling ``linspace(t0, t1)`` instead would
         weight both endpoints' regimes twice and bias the estimate for
         step-like traces whose switch falls inside the interval.)
         """
         if t1 <= t0:
             return self.bandwidth_at(t0)
+        samples = 9
         width = (t1 - t0) / samples
         at = self.bandwidth_at
         values = [at(float(t))
@@ -141,7 +142,7 @@ class ConstantTrace(BandwidthTrace):
     def max_bandwidth(self) -> float:
         return self.pps
 
-    def mean_bandwidth(self, t0: float, t1: float, samples: int = 64) -> float:
+    def mean_bandwidth(self, t0: float, t1: float) -> float:
         return self.pps
 
     @classmethod
@@ -156,7 +157,7 @@ class StepTrace(BandwidthTrace):
     The wave starts at ``high``.
     """
 
-    def __init__(self, low_pps: float, high_pps: float, period: float, start_high: bool = True):
+    def __init__(self, low_pps: float, high_pps: float, period: float):
         if low_pps <= 0 or high_pps <= 0:
             raise ValueError("bandwidth must be positive")
         if period <= 0:
@@ -164,12 +165,9 @@ class StepTrace(BandwidthTrace):
         self.low = float(low_pps)
         self.high = float(high_pps)
         self.period = float(period)
-        self.start_high = start_high
 
     def bandwidth_at(self, t: float) -> float:
-        phase = int(t / self.period) % 2
-        first, second = (self.high, self.low) if self.start_high else (self.low, self.high)
-        return first if phase == 0 else second
+        return self.high if int(t / self.period) % 2 == 0 else self.low
 
     def segment_at(self, t: float) -> tuple:
         rate = self.bandwidth_at(t)
@@ -185,10 +183,9 @@ class StepTrace(BandwidthTrace):
         return max(self.low, self.high)
 
     @classmethod
-    def from_mbps(cls, low_mbps: float, high_mbps: float, period: float,
-                  packet_bytes: int = DEFAULT_PACKET_BYTES, start_high: bool = True) -> "StepTrace":
-        return cls(mbps_to_pps(low_mbps, packet_bytes),
-                   mbps_to_pps(high_mbps, packet_bytes), period, start_high)
+    def from_mbps(cls, low_mbps: float, high_mbps: float,
+                  period: float) -> "StepTrace":
+        return cls(mbps_to_pps(low_mbps), mbps_to_pps(high_mbps), period)
 
 
 class RandomWalkTrace(BandwidthTrace):
@@ -297,13 +294,14 @@ class PiecewiseTrace(BandwidthTrace):
 _TRACE_REGISTRY: dict = {}
 
 
-def register_trace(name: str, factory, overwrite: bool = False) -> None:
+def register_trace(name: str, factory) -> None:
     """Register a named trace factory (``factory() -> BandwidthTrace``).
 
-    Experiments register their traces at import time; ``overwrite``
-    guards against two experiments silently claiming the same name.
+    Experiments register their traces at import time; a second
+    registration of a name raises, so two experiments cannot silently
+    claim the same name.
     """
-    if not overwrite and name in _TRACE_REGISTRY:
+    if name in _TRACE_REGISTRY:
         raise ValueError(f"trace {name!r} already registered")
     # Import-time registration: the registry is append-only, populated
     # before any simulation runs, and guarded against overwrites above,
@@ -386,24 +384,23 @@ def named_trace_form(name, _owner, signer) -> list | None:
                        lambda: trace_form(make_trace(name)))
 
 
-def _leo_handover_trace(horizon: float = 600.0, period: float = 15.0,
-                        dip: float = 0.8, seed: int = 23) -> PiecewiseTrace:
+def _leo_handover_trace() -> PiecewiseTrace:
     """LEO-satellite-like capacity: periodic handovers with deep dips.
 
     Low-earth-orbit constellations hand a terminal over to a new
     satellite every ~15 s; each handover briefly collapses the usable
     rate before the new beam settles at a different capacity.  Modelled
-    as a piecewise-constant process: every ``period`` seconds the
-    capacity drops to ~2 Mbps for ``dip`` seconds, then holds a fresh
-    per-satellite draw from 25-60 Mbps.  Deterministic given the seed.
+    as a piecewise-constant process over 600 s: every 15 s the capacity
+    drops to ~2 Mbps for 0.8 s, then holds a fresh per-satellite draw
+    from 25-60 Mbps.  Deterministic: seed 23.
     """
-    rng = stream_rng("trace.synth", seed)
+    rng = stream_rng("trace.synth", 23)
     points: list[tuple[float, float]] = []
     t = 0.0
-    while t < horizon:
+    while t < 600.0:
         points.append((t, mbps_to_pps(2.0)))
-        points.append((t + dip, mbps_to_pps(float(rng.uniform(25.0, 60.0)))))
-        t += period
+        points.append((t + 0.8, mbps_to_pps(float(rng.uniform(25.0, 60.0)))))
+        t += 15.0
     return PiecewiseTrace(points)
 
 

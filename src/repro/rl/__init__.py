@@ -25,7 +25,7 @@ numpy implementation:
   (serial) or several (vectorized).
 """
 
-from repro.rl.nn import MLP, Dense, Tanh, ReLU, Sequential
+from repro.rl.nn import MLP, Dense, Tanh, Sequential
 from repro.rl.optim import Adam
 from repro.rl.distributions import DiagGaussian
 from repro.rl.policy import PreferenceActorCritic
@@ -36,7 +36,6 @@ __all__ = [
     "MLP",
     "Dense",
     "Tanh",
-    "ReLU",
     "Sequential",
     "Adam",
     "DiagGaussian",

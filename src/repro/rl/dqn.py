@@ -49,7 +49,7 @@ class QNetwork(Module):
         else:
             self.pref_net = None
         self.trunk = MLP(obs_dim + self.pref_hidden, hidden_sizes, n_actions,
-                         activation="tanh", rng=rng)
+                         rng=rng)
         self._params = ParameterArena.of(pref=self.pref_net, trunk=self.trunk)
 
     def parameters(self) -> ParameterArena:
@@ -83,8 +83,8 @@ class QNetwork(Module):
 class ReplayBuffer:
     """Uniform-sampling transition store."""
 
-    def __init__(self, obs_dim: int, weight_dim: int, capacity: int = 20_000):
-        self.capacity = capacity
+    def __init__(self, obs_dim: int, weight_dim: int):
+        self.capacity = capacity = 20_000
         self.obs = np.zeros((capacity, obs_dim))
         self.weights = np.zeros((capacity, weight_dim)) if weight_dim else None
         self.actions = np.zeros(capacity, dtype=np.int64)
@@ -134,9 +134,8 @@ class DQNConfig:
 class DQNTrainer:
     """Train a preference-conditioned Q-network on MoccEnv rollouts."""
 
-    def __init__(self, obs_dim: int, weight_dim: int = 3,
-                 config: DQNConfig | None = None, seed: int = 0):
-        self.config = config or DQNConfig()
+    def __init__(self, obs_dim: int, weight_dim: int = 3, seed: int = 0):
+        self.config = DQNConfig()
         rng = np.random.default_rng(seed)
         self.q = QNetwork(obs_dim, weight_dim, self.config.n_actions, rng=rng)
         self.target = self.q.clone()

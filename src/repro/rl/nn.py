@@ -38,7 +38,6 @@ __all__ = [
     "Module",
     "Dense",
     "Tanh",
-    "ReLU",
     "Sequential",
     "MLP",
     "Parameter",
@@ -206,22 +205,6 @@ class Tanh(Module):
         return grad_out * (1.0 - self._y ** 2)
 
 
-class ReLU(Module):
-    """Elementwise rectified linear unit."""
-
-    def __init__(self):
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before forward")
-        return grad_out * self._mask
-
-
 class Sequential(Module):
     """Chain of modules applied in order."""
 
@@ -246,32 +229,24 @@ class Sequential(Module):
         return grad_out
 
 
-def _activation(name: str) -> Module:
-    if name == "tanh":
-        return Tanh()
-    if name == "relu":
-        return ReLU()
-    raise ValueError(f"unknown activation {name!r}")
-
-
 class MLP(Sequential):
     """Fully-connected network: ``in -> hidden... -> out``.
 
-    ``activation`` is applied between layers; the output is linear
-    (callers add their own heads, e.g. a Gaussian mean or Q-values).
+    A tanh follows every hidden layer; the output is linear, drawn at
+    the small (0.01) scale (callers add their own heads, e.g. a
+    Gaussian mean or Q-values).
     """
 
     def __init__(self, in_features: int, hidden_sizes: tuple[int, ...], out_features: int,
-                 activation: str = "tanh", rng: np.random.Generator | None = None,
-                 out_init: str = "small"):
+                 rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
         layers: list[Module] = []
         prev = in_features
         for width in hidden_sizes:
             layers.append(Dense(prev, width, rng=rng))
-            layers.append(_activation(activation))
+            layers.append(Tanh())
             prev = width
-        layers.append(Dense(prev, out_features, rng=rng, init=out_init))
+        layers.append(Dense(prev, out_features, rng=rng, init="small"))
         super().__init__(*layers)
         self.in_features = in_features
         self.out_features = out_features

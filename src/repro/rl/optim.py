@@ -43,15 +43,15 @@ def clip_grad_norm(params: ParameterArena, max_norm: float) -> float:
 
 class Adam:
     """Adam (Kingma & Ba, 2014) -- the paper's optimizer of choice, over
-    a model's parameter arena."""
+    a model's parameter arena, at the published defaults for the
+    moment decays and epsilon."""
 
-    def __init__(self, params: ParameterArena, lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: ParameterArena, lr: float = 1e-3):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+        self.beta1 = 0.9
+        self.beta2 = 0.999
+        self.eps = 1e-8
         self._m = np.zeros_like(params.value)
         self._v = np.zeros_like(params.value)
         self._num = np.empty_like(params.value)

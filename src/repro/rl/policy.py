@@ -34,12 +34,10 @@ queries.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
 
 from repro.rl.distributions import DiagGaussian
-from repro.rl.nn import MLP, Dense, Module, Parameter, ParameterArena, ReLU, Sequential, Tanh
+from repro.rl.nn import MLP, Dense, Module, Parameter, ParameterArena, Sequential, Tanh
 
 __all__ = ["PreferenceActorCritic", "InferencePlan"]
 
@@ -64,8 +62,7 @@ class PreferenceActorCritic(Module):
 
     def __init__(self, obs_dim: int, weight_dim: int = 3, act_dim: int = 1,
                  hidden_sizes: tuple[int, ...] = (64, 32), pref_hidden: int = 16,
-                 rng: np.random.Generator | None = None,
-                 init_log_std: float = -0.5):
+                 rng: np.random.Generator | None = None):
         rng = rng if rng is not None else np.random.default_rng(0)
         self.obs_dim = obs_dim
         self.weight_dim = weight_dim
@@ -79,9 +76,9 @@ class PreferenceActorCritic(Module):
             self.pref_net = None
 
         trunk_in = obs_dim + self.pref_hidden
-        self.actor = MLP(trunk_in, hidden_sizes, act_dim, activation="tanh", rng=rng)
-        self.critic = MLP(trunk_in, hidden_sizes, 1, activation="tanh", rng=rng)
-        self.log_std = Parameter(np.full(act_dim, init_log_std))
+        self.actor = MLP(trunk_in, hidden_sizes, act_dim, rng=rng)
+        self.critic = MLP(trunk_in, hidden_sizes, 1, rng=rng)
+        self.log_std = Parameter(np.full(act_dim, -0.5))
 
         self._params = ParameterArena.of(
             log_std=self.log_std, pref=self.pref_net, actor=self.actor,
@@ -167,10 +164,10 @@ class InferencePlan:
     by the model's preference sub-network over ``rows`` repeated weight
     rows (one, for a flat row); each call overwrites only the
     observation half.  Actor and critic are resolved once into ``(W, b,
-    activation, out)`` steps, and a call runs each step as ``np.dot(x,
-    W, out=out)``, ``np.add(out, b, out=out)`` and the activation in
-    place -- no per-layer method calls, no temporaries (ReLU excepted),
-    no backward caches, so a plan never disturbs a batched
+    out, squash)`` steps, and a call runs each step as ``np.dot(x, W,
+    out=out)``, ``np.add(out, b, out=out)`` and, on a hidden layer,
+    ``np.tanh(out, out=out)`` -- no per-layer method calls, no
+    temporaries, no backward caches, so a plan never disturbs a batched
     :meth:`forward`.  The results are bit-identical to :meth:`forward`
     on the same rows: the flat row's 1-D ``dot`` is the same BLAS kernel
     as a one-row ``forward``, a matrix's 2-D ``dot`` gives the bits of
@@ -242,40 +239,30 @@ class InferencePlan:
         return action, float(log_prob[0]), float(value)
 
 
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0, x, 0.0)
-
-
 def _steps(net: Sequential, rows: tuple) -> tuple:
-    """``net`` as ``(W, b, activation, out)`` steps over live parameter
+    """``net`` as ``(W, b, out, squash)`` steps over live parameter
     views, for a flat row (``rows=()``) or a matrix of ``rows[0]`` rows;
-    ``activation`` maps ``out`` to the next input (``None`` for a
+    ``squash`` is whether a :class:`Tanh` follows the layer (not on a
     linear output)."""
     steps = []
     layers = net.layers
     for i, layer in enumerate(layers):
-        if not isinstance(layer, Dense):
-            continue
-        width = layer.W.value.shape[1]
-        out = np.empty(rows + (width,))
-        following = layers[i + 1] if i + 1 < len(layers) else None
-        if isinstance(following, Tanh):
-            activation = partial(np.tanh, out=out)
-        elif isinstance(following, ReLU):
-            activation = _relu
-        else:
-            activation = None
-        steps.append((layer.W.value, layer.b.value, activation, out))
+        if isinstance(layer, Dense):
+            squash = i + 1 < len(layers) and isinstance(layers[i + 1], Tanh)
+            steps.append((layer.W.value, layer.b.value,
+                          np.empty(rows + (layer.W.value.shape[1],)), squash))
     return tuple(steps)
 
 
 def _run(steps: tuple, x: np.ndarray) -> np.ndarray:
     """A flat row or a matrix ``x`` through resolved steps; returns the
     last ``out``."""
-    for W, b, activation, out in steps:
+    for W, b, out, squash in steps:
         np.dot(x, W, out=out)
         np.add(out, b, out=out)
-        x = out if activation is None else activation(out)
+        if squash:
+            np.tanh(out, out=out)
+        x = out
     return x
 
 

@@ -18,19 +18,18 @@ import numpy as np
 __all__ = ["RolloutBuffer", "discounted_returns", "gae_advantages"]
 
 
-def discounted_returns(rewards: np.ndarray, dones: np.ndarray, gamma: float,
-                       bootstrap_value: float = 0.0) -> np.ndarray:
-    """Discounted reward-to-go for each step.
+def discounted_returns(rewards: np.ndarray, dones: np.ndarray,
+                       gamma: float) -> np.ndarray:
+    """Discounted reward-to-go for each step, with nothing bootstrapped
+    past the last one.
 
     ``dones[t]`` marks that the episode ended *after* step ``t``; the
-    return does not leak across episode boundaries.  ``bootstrap_value``
-    is the critic's estimate of the state following the last step (zero
-    if the rollout ends exactly at an episode boundary).
+    return does not leak across episode boundaries.
     """
     rewards = np.asarray(rewards, dtype=np.float64)
     dones = np.asarray(dones, dtype=bool)
     returns = np.zeros_like(rewards)
-    running = float(bootstrap_value)
+    running = 0.0
     for t in range(len(rewards) - 1, -1, -1):
         if dones[t]:
             running = 0.0

@@ -323,8 +323,8 @@ MUTANTS = {
          "test_convergence_smoothing_recentered_on_window_end",)),
     "pr29-frac-max-threshold": Mutant(
         "repro.core.online",
-        "r[0] + frac * (r.max() - r[0])",
-        "frac * r.max()",
+        "r[0] + 0.99 * (r.max() - r[0])",
+        "0.99 * r.max()",
         ("tests/test_core_mocc.py::TestAdaptationTrace::"
          "test_convergence_of_a_curve_that_starts_high",)),
     "pr2-final-mi-stop-clamped": Mutant(

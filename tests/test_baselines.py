@@ -6,6 +6,7 @@ import pytest
 from repro.baselines import BBR, Copa, Cubic, Orca, PCCAllegro, PCCVivace, Vegas
 from repro.baselines._pcc_common import TrialTracker
 from repro.baselines.aurora import AuroraController
+from repro.baselines.orca import ACTION_SCALE as ORCA_ACTION_SCALE
 from repro.config import DEFAULT_TRAINING
 from repro.core.agent import MoccAgent
 from repro.eval.runner import EvalNetwork, run_scheme
@@ -29,37 +30,42 @@ def _packet(send_time=0.0):
     return Packet(flow_id=0, seq=0, send_time=send_time)
 
 
+def _at_cwnd(controller, cwnd):
+    controller._cwnd = cwnd
+    return controller
+
+
 class TestCubicUnit:
     def test_slow_start_doubles_per_rtt(self):
-        cubic = Cubic(initial_cwnd=10.0)
+        cubic = Cubic()
         flow = _flow_with_srtt()
         for _ in range(10):  # one ack per cwnd packet
             cubic.on_ack(flow, _packet(), 0.05)
         assert cubic.cwnd(0.05) == pytest.approx(20.0)
 
     def test_loss_multiplies_by_beta(self):
-        cubic = Cubic(initial_cwnd=100.0)
+        cubic = _at_cwnd(Cubic(), 100.0)
         flow = _flow_with_srtt()
         cubic.on_loss(flow, _packet(), 1.0)
         assert cubic.cwnd(1.0) == pytest.approx(70.0)
         assert cubic.ssthresh == pytest.approx(70.0)
 
     def test_single_reduction_per_rtt(self):
-        cubic = Cubic(initial_cwnd=100.0)
+        cubic = _at_cwnd(Cubic(), 100.0)
         flow = _flow_with_srtt(srtt=0.1)
         cubic.on_loss(flow, _packet(), 1.0)
         cubic.on_loss(flow, _packet(), 1.01)  # within the same RTT
         assert cubic.cwnd(1.01) == pytest.approx(70.0)
 
     def test_cwnd_floor(self):
-        cubic = Cubic(initial_cwnd=2.0)
+        cubic = _at_cwnd(Cubic(), 2.0)
         flow = _flow_with_srtt()
         for i in range(5):
             cubic.on_loss(flow, _packet(), float(i))
         assert cubic.cwnd(5.0) >= cubic.min_cwnd
 
     def test_concave_growth_after_loss(self):
-        cubic = Cubic(initial_cwnd=100.0)
+        cubic = _at_cwnd(Cubic(), 100.0)
         flow = _flow_with_srtt()
         cubic.on_loss(flow, _packet(), 1.0)
         start = cubic.cwnd(1.0)
@@ -70,7 +76,7 @@ class TestCubicUnit:
 
 class TestVegasUnit:
     def test_increases_when_backlog_small(self):
-        vegas = Vegas(initial_cwnd=10.0)
+        vegas = Vegas()
         vegas.slow_start = False
         flow = _flow_with_srtt(srtt=0.05)
         flow.min_rtt_seen = 0.05  # rtt == base: zero backlog
@@ -80,7 +86,7 @@ class TestVegasUnit:
         assert vegas.cwnd(0.5) == pytest.approx(11.0)
 
     def test_decreases_when_backlog_large(self):
-        vegas = Vegas(initial_cwnd=50.0)
+        vegas = _at_cwnd(Vegas(), 50.0)
         vegas.slow_start = False
         flow = _flow_with_srtt()
         flow.min_rtt_seen = 0.05
@@ -90,13 +96,9 @@ class TestVegasUnit:
         assert vegas.cwnd(0.5) == pytest.approx(49.0)
 
     def test_loss_halves(self):
-        vegas = Vegas(initial_cwnd=40.0)
+        vegas = _at_cwnd(Vegas(), 40.0)
         vegas.on_loss(_flow_with_srtt(), _packet(), 1.0)
         assert vegas.cwnd(1.0) == pytest.approx(20.0)
-
-    def test_invalid_alpha_beta(self):
-        with pytest.raises(ValueError):
-            Vegas(alpha=4.0, beta=2.0)
 
 
 class TestBBRUnit:
@@ -122,10 +124,12 @@ class TestBBRUnit:
     def test_btl_bw_is_the_windowed_max(self):
         """The max kept at ``on_mi`` is the max over the window, also
         when the window's largest sample ages out."""
-        bbr = BBR(initial_rate=10.0, bw_window=3)
+        bbr = BBR(initial_rate=10.0)
         flow = _flow_with_srtt()
         stats = flow.finish_mi(1.0, 100.0, 0.03, 10.0)
-        for i, acked in enumerate((50, 90, 20, 30, 10, 0, 40)):
+        # Ten-sample window: the 90 ages out at the eleventh sample.
+        for i, acked in enumerate((50, 90, 20, 30, 10, 0, 25, 15, 35, 12,
+                                   18, 11, 40)):
             bbr.on_mi(flow, stats.__class__(**{**stats.__dict__, "acked": acked}),
                       float(i))
             assert bbr.btl_bw == max(bbr._bw_samples)
@@ -137,7 +141,7 @@ class TestBBRUnit:
 
 class TestCopaUnit:
     def test_slow_start_exits_on_queue(self):
-        copa = Copa(initial_cwnd=10.0)
+        copa = Copa()
         flow = _flow_with_srtt(srtt=0.05)
         flow.min_rtt_seen = 0.04
         # Ack with a big queueing delay -> slow start should end.
@@ -146,13 +150,13 @@ class TestCopaUnit:
         assert not copa.slow_start or copa._cwnd >= 10.0
 
     def test_loss_brake(self):
-        copa = Copa(initial_cwnd=100.0)
+        copa = _at_cwnd(Copa(), 100.0)
         copa.on_loss(_flow_with_srtt(), _packet(), 1.0)
         assert copa._cwnd == pytest.approx(90.0)
         assert not copa.slow_start
 
     def test_step_capped_at_one_packet(self):
-        copa = Copa(initial_cwnd=2.0, min_cwnd=2.0)
+        copa = _at_cwnd(Copa(), 2.0)
         copa.slow_start = False
         copa._velocity = 16.0
         copa._direction = 1
@@ -254,7 +258,7 @@ class ActPathOrca(Orca):
         action = act_path_action(self.agent.model, self.history.vector(), None)
         self.inference_count += 1
         self.scale = float(np.clip(
-            apply_action(self.scale, action, self.action_scale),
+            apply_action(self.scale, action, ORCA_ACTION_SCALE),
             self.MIN_SCALE, self.MAX_SCALE))
 
 

@@ -42,11 +42,16 @@ class TestMoccAgent:
         assert np.isfinite(agent.model.plan().action(np.zeros(agent.obs_dim)))
 
 
+#: Table 2's alpha and eta, which a bare controller is given.
+TABLE_2 = {"action_scale": DEFAULT_TRAINING.action_scale,
+           "history_length": DEFAULT_TRAINING.history_length}
+
+
 class TestPolicyRateController:
     def test_requires_weights_for_conditioned_model(self):
         agent = MoccAgent(DEFAULT_TRAINING)
         with pytest.raises(ValueError):
-            PolicyRateController(agent.model, weights=None)
+            PolicyRateController(agent.model, None, 100.0, **TABLE_2)
 
     def test_inference_counting(self):
         from repro.eval.runner import EvalNetwork, run_scheme
@@ -152,7 +157,8 @@ def rates_equal_act_path_over_a_flow(weight_dim) -> None:
     model = MoccAgent(DEFAULT_TRAINING, weight_dim=weight_dim, seed=3).model
     trajectories = []
     for cls in (PolicyRateController, ActPathController):
-        ctrl = cls(model, weights=W if weight_dim else None, initial_rate=120.0)
+        ctrl = cls(model, weights=W if weight_dim else None, initial_rate=120.0,
+                   **TABLE_2)
         rates, on_mi = [], ctrl.on_mi
 
         def spy(flow, stats, now, on_mi=on_mi, ctrl=ctrl, rates=rates):
@@ -181,7 +187,8 @@ def library_matches_act_path() -> None:
 #: Every way a trained policy is deployed: ``(class, weight_dim, build)``.
 DEPLOYED_POLICIES = {
     "PolicyRateController": (PolicyRateController, 3, lambda agent:
-                             PolicyRateController(agent.model, weights=W)),
+                             PolicyRateController(agent.model, W, 100.0,
+                                                  **TABLE_2)),
     "MoccController": (MoccController, 3, lambda agent: MoccController(agent, W)),
     "AuroraController": (AuroraController, 0, AuroraController),
     "Orca": (Orca, 0, Orca),

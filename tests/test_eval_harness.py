@@ -52,14 +52,14 @@ class TestJainSeries:
     def test_series_windows(self):
         r1 = _record(stats=[self._stats(t, 10) for t in np.arange(0, 4, 0.5)])
         r2 = _record(stats=[self._stats(t, 10) for t in np.arange(0, 4, 0.5)])
-        series = jain_index_series([r1, r2], interval=1.0, duration=4.0)
+        series = jain_index_series([r1, r2], interval=1.0)
         assert len(series) == 4
         np.testing.assert_allclose(series, 1.0)
 
     def test_skips_single_flow_windows(self):
         r1 = _record(stats=[self._stats(t, 10) for t in np.arange(0, 4, 0.5)])
         r2 = _record(stats=[self._stats(t, 10) for t in np.arange(2, 4, 0.5)])
-        series = jain_index_series([r1, r2], interval=1.0, duration=4.0)
+        series = jain_index_series([r1, r2], interval=1.0)
         assert len(series) == 2  # only the overlap windows
 
 

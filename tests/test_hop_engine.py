@@ -196,7 +196,8 @@ class TestAckLoss:
         parked = Packet(flow_id=0, seq=0, send_time=0.0)
         flow.note_sent(parked)
         flow.pending_acks[0] = parked
-        lost = Packet(flow_id=0, seq=1, send_time=0.1, dropped=True)
+        lost = Packet(flow_id=0, seq=1, send_time=0.1)
+        lost.dropped = True
         flow.note_sent(lost)
         sim.now = 0.5
         sim._handle_loss(flow, lost)

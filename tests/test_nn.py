@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.rl.nn import MLP, Dense, Parameter, ParameterArena, ReLU, Sequential, Tanh
+from repro.rl.nn import MLP, Dense, Parameter, ParameterArena, Sequential, Tanh
 
 
 def numerical_gradient(f, params: dict[str, Parameter],
@@ -114,15 +114,6 @@ class TestActivations:
         grad = act.backward(np.ones((1, 2)))
         np.testing.assert_allclose(grad, 1.0 - np.tanh(x) ** 2)
 
-    def test_relu_zeroes_negatives(self):
-        act = ReLU()
-        np.testing.assert_array_equal(act.forward(np.array([-1.0, 2.0])), [0.0, 2.0])
-
-    def test_relu_gradient_mask(self):
-        act = ReLU()
-        act.forward(np.array([[-1.0, 2.0]]))
-        np.testing.assert_array_equal(act.backward(np.ones((1, 2))), [[0.0, 1.0]])
-
 
 class TestMLP:
     def test_hidden_structure(self):
@@ -156,14 +147,6 @@ class TestMLP:
         for name in analytic:
             np.testing.assert_allclose(analytic[name], numeric[name],
                                        atol=1e-5, rtol=1e-3)
-
-    def test_relu_variant(self):
-        mlp = MLP(4, (8,), 2, activation="relu", rng=np.random.default_rng(0))
-        assert mlp.forward(np.ones((1, 4))).shape == (1, 2)
-
-    def test_unknown_activation(self):
-        with pytest.raises(ValueError):
-            MLP(4, (8,), 2, activation="swish")
 
 
 class TestStateDict:

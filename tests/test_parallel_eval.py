@@ -13,7 +13,9 @@ from repro.eval.scenarios import ChurnSchedule, FlowDef, Scenario, ScenarioSuite
 from repro.eval.runner import EvalNetwork
 from repro.eval.sweeps import ack_congestion_suite, sweep_suite
 from repro.netsim.topology import dumbbell_asymmetric, parking_lot
-from repro.netsim.traces import ConstantTrace, register_trace
+from repro.netsim.traces import ConstantTrace
+
+from test_scenarios import reregister_trace
 
 NET = EvalNetwork(bandwidth_mbps=8.0, one_way_ms=10.0, buffer_bdp=1.0)
 
@@ -127,8 +129,8 @@ class TestSweepFingerprinting:
                 return ConstantTrace(pps)
             return factory
 
-        register_trace("count-a", counted("count-a", 500.0), overwrite=True)
-        register_trace("count-b", counted("count-b", 700.0), overwrite=True)
+        reregister_trace("count-a", counted("count-a", 500.0))
+        reregister_trace("count-b", counted("count-b", 700.0))
         suite = ScenarioSuite(name="count", lineups=("cubic",),
                               traces=("count-a", "count-b"),
                               seeds=tuple(range(32)), duration=0.2)

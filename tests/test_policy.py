@@ -12,7 +12,6 @@ from repro.core.agent import MoccAgent
 from repro.netsim.history import StatHistory
 from repro.rl.distributions import DiagGaussian
 from repro.rl.dqn import QNetwork
-from repro.rl.nn import ReLU, Tanh
 from repro.rl.optim import Adam
 from repro.rl.policy import InferencePlan, PreferenceActorCritic
 
@@ -273,17 +272,15 @@ class TestInferencePlan:
 
     @settings(max_examples=40, deadline=None)
     @given(hidden=st.sampled_from(((8,), (5,), (12, 6), (64, 32))),
-           activation=st.sampled_from(("tanh", "relu")),
            seed=st.integers(0, 2 ** 16), scale=st.sampled_from((0.1, 1.0, 30.0)),
            rows=st.sampled_from(ROWS))
     def test_every_method_equals_forward_bit_for_bit(self, weight_dim, hidden,
-                                                     activation, seed, scale,
-                                                     rows):
+                                                     seed, scale, rows):
         """``action``, ``act`` (both branches) and ``mean_value`` against
         the matching one-row ``forward``, and a ``rows``-row plan's
         ``mean_value`` against a ``rows``-row ``forward``, compared as
         bytes; then again after an in-place ``load_state_dict``."""
-        model = _trunk_model(weight_dim, hidden, activation, seed)
+        model = _trunk_model(weight_dim, hidden, seed)
         w = self.WEIGHTS if weight_dim else None
         plan = model.plan(w)
         batched = model.plan(w, rows=rows)
@@ -308,7 +305,7 @@ class TestInferencePlan:
         check()
         # Everything but the preference embedding (a per-plan snapshot by
         # contract) from a differently seeded twin, written in place.
-        twin = _trunk_model(weight_dim, hidden, activation, seed + 1)
+        twin = _trunk_model(weight_dim, hidden, seed + 1)
         state = {name: value if not name.startswith("pref.")
                  else model.state_dict()[name]
                  for name, value in twin.state_dict().items()}
@@ -317,12 +314,11 @@ class TestInferencePlan:
 
     @settings(max_examples=20, deadline=None)
     @given(hidden=st.sampled_from(((8,), (12, 6))),
-           activation=st.sampled_from(("tanh", "relu")),
            seed=st.integers(0, 2 ** 16))
     def test_nothing_returned_aliases_the_plan_buffers(self, weight_dim, hidden,
-                                                      activation, seed):
+                                                      seed):
         """A second call must not change what the first one returned."""
-        model = _trunk_model(weight_dim, hidden, activation, seed)
+        model = _trunk_model(weight_dim, hidden, seed)
         w = self.WEIGHTS if weight_dim else None
         plan = model.plan(w)
         rng = np.random.default_rng(seed)
@@ -354,14 +350,12 @@ def rows_equal_forward(plan, model, batch, w) -> None:
 
 
 def batched_plans_equal_forward(weight_dim) -> None:
-    """A plan of each row count in :data:`ROWS` against ``forward``, on
-    a tanh and a ReLU trunk."""
-    for activation in ("tanh", "relu"):
-        model = _trunk_model(weight_dim, (12, 6), activation, seed=0)
-        w = TestInferencePlan.WEIGHTS if weight_dim else None
-        for rows in ROWS:
-            batch = np.random.default_rng(rows).normal(size=(rows, model.obs_dim))
-            rows_equal_forward(model.plan(w, rows=rows), model, batch, w)
+    """A plan of each row count in :data:`ROWS` against ``forward``."""
+    model = _trunk_model(weight_dim, (12, 6), seed=0)
+    w = TestInferencePlan.WEIGHTS if weight_dim else None
+    for rows in ROWS:
+        batch = np.random.default_rng(rows).normal(size=(rows, model.obs_dim))
+        rows_equal_forward(model.plan(w, rows=rows), model, batch, w)
 
 
 def test_plan_action_reads_only_the_observation():
@@ -374,16 +368,10 @@ def _bytes(x: float) -> bytes:
     return np.float64(x).tobytes()
 
 
-def _trunk_model(weight_dim, hidden, activation, seed):
-    """A plan-sized model with ``hidden`` trunks of ``activation``
-    (the constructor builds tanh; relu swaps the activation layers)."""
-    model = make_model(weight_dim=weight_dim, obs_dim=12, hidden=hidden,
-                       pref_hidden=4, seed=seed)
-    if activation == "relu":
-        for mlp in (model.actor, model.critic):
-            mlp.layers = [ReLU() if isinstance(layer, Tanh) else layer
-                          for layer in mlp.layers]
-    return model
+def _trunk_model(weight_dim, hidden, seed):
+    """A plan-sized model with ``hidden`` tanh trunks."""
+    return make_model(weight_dim=weight_dim, obs_dim=12, hidden=hidden,
+                      pref_hidden=4, seed=seed)
 
 
 class TestCloneAndState:

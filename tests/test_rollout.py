@@ -23,16 +23,6 @@ class TestDiscountedReturns:
         out = discounted_returns(rewards, dones, 0.99)
         assert out[0] == pytest.approx(1.0)  # no leak from next episode
 
-    def test_bootstrap_value(self):
-        out = discounted_returns(np.array([1.0]), np.array([False]), 0.9,
-                                 bootstrap_value=10.0)
-        assert out[0] == pytest.approx(1.0 + 0.9 * 10.0)
-
-    def test_bootstrap_ignored_after_done(self):
-        out = discounted_returns(np.array([1.0]), np.array([True]), 0.9,
-                                 bootstrap_value=10.0)
-        assert out[0] == pytest.approx(1.0)
-
     @settings(max_examples=20, deadline=None)
     @given(n=st.integers(1, 30), gamma=st.floats(0.5, 0.999))
     def test_constant_reward_geometric_sum(self, n, gamma):

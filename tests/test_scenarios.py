@@ -48,10 +48,17 @@ from repro.netsim.traces import (
     register_trace,
     trace_names,
 )
+from repro.netsim import traces as traces_module
 
 NET = EvalNetwork(bandwidth_mbps=8.0, one_way_ms=10.0, buffer_bdp=1.0)
 #: The pinned learned-controller checkpoints the perf ledger runs.
 ASSETS = Path(__file__).parent.parent / "benchmarks" / "ledger" / "assets"
+
+
+def reregister_trace(name, factory):
+    """Register ``factory`` under ``name``, replacing any earlier one."""
+    traces_module._TRACE_REGISTRY.pop(name, None)
+    register_trace(name, factory)
 
 
 class TestTraceRegistry:
@@ -67,7 +74,7 @@ class TestTraceRegistry:
         register_trace("test-dup", lambda: ConstantTrace(100.0))
         with pytest.raises(ValueError, match="already registered"):
             register_trace("test-dup", lambda: ConstantTrace(200.0))
-        register_trace("test-dup", lambda: ConstantTrace(300.0), overwrite=True)
+        reregister_trace("test-dup", lambda: ConstantTrace(300.0))
         assert make_trace("test-dup").pps == 300.0
 
     def test_factories_return_fresh_instances(self):
@@ -123,7 +130,7 @@ class TestScenario:
         before = scenario.fingerprint()
         # Re-registering the same name with different content must
         # invalidate cached results for scenarios using it.
-        register_trace("fp-trace", lambda: ConstantTrace(200.0), overwrite=True)
+        reregister_trace("fp-trace", lambda: ConstantTrace(200.0))
         assert scenario.fingerprint() != before
 
     def test_live_agent_signatures_differ_by_parameters(self):
@@ -228,8 +235,7 @@ class TestFingerprintCells:
 
     @classmethod
     def _process_cells(cls) -> list:
-        register_trace("fpc-proc", lambda: ConstantTrace(150.0),
-                       overwrite=True)
+        reregister_trace("fpc-proc", lambda: ConstantTrace(150.0))
         return cls._mixed_cells("fpc-proc",
                                 MoccAgent(DEFAULT_TRAINING, seed=3))
 
@@ -264,13 +270,11 @@ class TestFingerprintCells:
 def reregistered_trace_changes_keys() -> None:
     """A signing pass keeps nothing: a trace re-registered between two
     calls changes the keys of exactly the cells that use it."""
-    register_trace("fpc-rereg", lambda: ConstantTrace(100.0),
-                   overwrite=True)
+    reregister_trace("fpc-rereg", lambda: ConstantTrace(100.0))
     cells = TestFingerprintCells._mixed_cells(
         "fpc-rereg", MoccAgent(DEFAULT_TRAINING, seed=3))
     before = fingerprint_cells(cells)
-    register_trace("fpc-rereg", lambda: ConstantTrace(200.0),
-                   overwrite=True)
+    reregister_trace("fpc-rereg", lambda: ConstantTrace(200.0))
     after = fingerprint_cells(cells)
     uses = [c.trace == "fpc-rereg" or (
         c.topology is not None
@@ -283,8 +287,7 @@ def reregistered_trace_changes_keys() -> None:
 def in_place_agent_update_changes_keys() -> None:
     """A live agent adapted in place between two calls changes the keys
     of exactly the cells that hold it."""
-    register_trace("fpc-adapt", lambda: ConstantTrace(100.0),
-                   overwrite=True)
+    reregister_trace("fpc-adapt", lambda: ConstantTrace(100.0))
     agent = MoccAgent(DEFAULT_TRAINING, seed=3)
     cells = TestFingerprintCells._mixed_cells("fpc-adapt", agent)
     before = fingerprint_cells(cells)

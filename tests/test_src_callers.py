@@ -1,16 +1,24 @@
-"""Every definition in ``src/repro`` has a caller outside the tests.
+"""Every definition in ``src/repro`` has a caller outside the tests,
+and every defaulted parameter has a caller that sets it.
 
 ROADMAP item 21: a ``src/`` name earns its place with a use in
 ``src/``, ``benchmarks/``, ``examples/`` or ``scripts/``.  A test-only
 oracle or reader lives in ``tests/``; a definition only tests reach
-goes with those tests.
+goes with those tests.  The same holds one level down: a defaulted
+parameter that only tests set is a knob no run of the program turns,
+so it becomes a constant of the body.
 
-The census is by name, not by resolution: a non-dunder ``def`` or
+Both censuses are by name, not by resolution.  A non-dunder ``def`` or
 ``class`` counts as called when some ``Name`` or ``Attribute`` node
 spells its name outside its own body.  Imports and ``__all__`` strings
-are not nodes of either kind, so a re-export alone never counts.  The
-few kept definitions name the item that will call them, or the
-reference they are.
+are not nodes of either kind, so a re-export alone never counts.  A
+parameter counts as set when a call spelling its function's name (the
+class name for ``__init__``) passes it by keyword or by position, or
+forwards ``*args`` / ``**kwargs``; ``super().__init__(...)`` in a
+subclass calls its bases, ``cls(...)`` calls the enclosing class and
+``partial(f, ...)`` calls ``f``.  The few kept definitions and
+parameters name the item that will use them, the reference they are,
+or the protocol that fixes their signature.
 """
 
 import ast
@@ -22,6 +30,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src", "repro")
 CALLER_DIRS = ("src", "benchmarks", "examples", "scripts")
+REASONS = ("item ", "reference: ", "protocol: ")
 
 KEPT = {
     "repro.core.weights.nearest_grid_point":
@@ -40,10 +49,50 @@ KEPT = {
         "reference: the README's one way to wipe the result cache",
 }
 
+#: ``qualname(parameter)`` -> why a parameter no caller sets stays.
+KEPT_PARAMS = {
+    "repro.netsim.traces.trace_form(_owner)":
+        "protocol: a canonical form is called as form(value, owner, signer)",
+    "repro.netsim.traces.trace_form(_signer)":
+        "protocol: a canonical form is called as form(value, owner, signer)",
+}
+
+#: The scenario language, exempt from the parameter census by name:
+#: its builders take every axis a scenario may vary, and item 5(a)
+#: makes every figure a suite built from them.
+SCENARIO_LANGUAGE = {
+    f"repro.netsim.topology.{name}" for name in (
+        "dumbbell", "chain", "parking_lot", "dumbbell_asymmetric",
+        "TopologySpec.with_reverse_paths", "TopologySpec.with_faults")
+} | {
+    f"repro.eval.sweeps.{name}" for name in (
+        "sweep_suite", "multihop_churn_suite", "ack_congestion_suite",
+        "multihop_bench_suites")
+}
+
 
 def _module_name(relpath: Path) -> str:
     parts = relpath.relative_to(PACKAGE.parent).with_suffix("").parts
     return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+@cache
+def _trees(root: Path) -> tuple:
+    """``(path, module name or None, tree)`` per file under
+    :data:`CALLER_DIRS`; the module name is set for ``src/repro``."""
+    trees = []
+    for folder in CALLER_DIRS:
+        for path in sorted((root / folder).rglob("*.py")):
+            relpath = path.relative_to(root)
+            module = (_module_name(relpath) if relpath.is_relative_to(PACKAGE)
+                      else None)
+            trees.append((path, module,
+                          ast.parse(path.read_text(), filename=str(path))))
+    return tuple(trees)
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
 
 
 def _definitions(tree: ast.AST, prefix: str):
@@ -53,20 +102,28 @@ def _definitions(tree: ast.AST, prefix: str):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             qualname = f"{prefix}.{node.name}"
-            if not (node.name.startswith("__") and node.name.endswith("__")):
+            if not _is_dunder(node.name):
                 yield qualname, node.name, node.lineno, node.end_lineno
             yield from _definitions(node, qualname)
         else:
             yield from _definitions(node, prefix)
 
 
+def _spelled(node: ast.AST) -> str | None:
+    """The name a ``Name`` or ``Attribute`` node spells."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
 def _uses(tree: ast.AST):
     """``(name, line)`` per ``Name`` and ``Attribute`` node."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+        name = _spelled(node)
+        if name is not None:
+            yield name, node.lineno
 
 
 @cache
@@ -75,19 +132,97 @@ def census(root: Path = ROOT) -> tuple[str, ...]:
     nothing outside the tests reaches."""
     definitions = []
     uses: dict[str, list[tuple[Path, int]]] = {}
-    for folder in CALLER_DIRS:
-        for path in sorted((root / folder).rglob("*.py")):
-            tree = ast.parse(path.read_text(), filename=str(path))
-            for name, line in _uses(tree):
-                uses.setdefault(name, []).append((path, line))
-            relpath = path.relative_to(root)
-            if relpath.is_relative_to(PACKAGE):
-                definitions += [(path, *d) for d in
-                                _definitions(tree, _module_name(relpath))]
+    for path, module, tree in _trees(root):
+        for name, line in _uses(tree):
+            uses.setdefault(name, []).append((path, line))
+        if module is not None:
+            definitions += [(path, *d) for d in _definitions(tree, module)]
     return tuple(sorted(
         qualname for path, qualname, name, first, last in definitions
         if not any(p != path or not first <= line <= last
                    for p, line in uses.get(name, ()))))
+
+
+def _defaulted(tree: ast.AST, prefix: str, cls: str | None = None):
+    """``(qualname, callee, parameter, position)`` per defaulted
+    parameter of a non-dunder ``def`` or an ``__init__`` (whose callee
+    is its class).  ``position`` counts the call's positional
+    arguments, past ``self``/``cls``; it is None for keyword-only."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            yield from _defaulted(node, f"{prefix}.{node.name}", node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            qualname = f"{prefix}.{node.name}"
+            if node.name == "__init__" or not _is_dunder(node.name):
+                bound = cls is not None and not any(
+                    _spelled(d) == "staticmethod" for d in node.decorator_list)
+                args = node.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                callee = cls if node.name == "__init__" else node.name
+                for i in range(first, len(positional)):
+                    yield qualname, callee, positional[i].arg, i - bound
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        yield qualname, callee, arg.arg, None
+            yield from _defaulted(node, qualname)
+        else:
+            yield from _defaulted(node, prefix, cls)
+
+
+def _calls(tree: ast.AST, cls: ast.ClassDef | None = None):
+    """``(callee, positional count, keywords)`` per call, with
+    ``super().__init__`` resolved to the enclosing class's bases,
+    ``cls`` to the enclosing class and ``partial(f, ...)`` to ``f``.
+    A ``*args`` makes the count unbounded and a ``**kwargs`` puts None
+    among the keywords."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            yield from _calls(node, node)
+            continue
+        if isinstance(node, ast.Call):
+            func, args = node.func, node.args
+            callees = [_spelled(func)]
+            if callees[0] == "partial" and args:
+                callees, args = [_spelled(args[0])], args[1:]
+            elif (callees[0] == "__init__" and isinstance(func, ast.Attribute)
+                  and isinstance(func.value, ast.Call)
+                  and _spelled(func.value.func) == "super"):
+                callees = [_spelled(b) for b in cls.bases] if cls else []
+            elif callees[0] == "cls" and cls is not None:
+                callees = [cls.name]
+            count = (float("inf") if any(isinstance(a, ast.Starred) for a in args)
+                     else len(args))
+            keywords = frozenset(k.arg for k in node.keywords)
+            for callee in callees:
+                yield callee, count, keywords
+        yield from _calls(node, cls)
+
+
+@cache
+def parameter_census(root: Path = ROOT) -> tuple[str, ...]:
+    """``qualname(parameter)`` per defaulted ``src/repro`` parameter
+    under ``root`` that no call outside the tests sets, the scenario
+    language left out."""
+    parameters = []
+    calls: dict[str, list[tuple[float, frozenset]]] = {}
+    for _, module, tree in _trees(root):
+        for callee, count, keywords in _calls(tree):
+            calls.setdefault(callee, []).append((count, keywords))
+        if module is not None:
+            parameters += _defaulted(tree, module)
+    return tuple(sorted(
+        f"{qualname}({name})"
+        for qualname, callee, name, position in parameters
+        if qualname not in SCENARIO_LANGUAGE
+        and not any(name in keywords or None in keywords
+                    or (position is not None and position < count)
+                    for count, keywords in calls.get(callee, ()))))
+
+
+def stale(kept: dict, flagged: tuple) -> list[str]:
+    """Kept entries the census no longer flags."""
+    return sorted(set(kept) - set(flagged))
 
 
 def test_every_src_definition_has_a_non_test_caller():
@@ -98,13 +233,28 @@ def test_every_src_definition_has_a_non_test_caller():
 
 
 def test_every_kept_definition_is_still_uncalled():
-    stale = sorted(set(KEPT) - set(census()))
-    assert stale == [], f"KEPT entries now called or gone: {stale}"
+    assert stale(KEPT, census()) == [], "KEPT entries now called or gone"
 
 
 def test_every_kept_entry_names_an_item_or_a_reference():
-    assert all(reason.startswith(("item ", "reference: "))
-               for reason in KEPT.values())
+    assert all(reason.startswith(REASONS[:2]) for reason in KEPT.values())
+
+
+def test_every_defaulted_parameter_has_a_non_test_setter():
+    unset = [p for p in parameter_census() if p not in KEPT_PARAMS]
+    assert unset == [], (
+        "no caller outside the tests sets these; make each a constant of "
+        f"its body, or name its next setter in KEPT_PARAMS: {unset}")
+
+
+def test_every_kept_parameter_is_still_unset():
+    assert stale(KEPT_PARAMS, parameter_census()) == [], (
+        "KEPT_PARAMS entries now set or gone")
+
+
+def test_every_kept_parameter_names_an_item_a_reference_or_a_protocol():
+    assert all(reason.startswith(REASONS) for reason in KEPT_PARAMS.values())
+    assert len(KEPT_PARAMS) <= 10
 
 
 #: Planted trees: ``{relpath: source}`` and the census they must give.
@@ -135,10 +285,76 @@ PLANTED = {
 }
 
 
+#: Planted trees for the parameter census: ``repro/m.py`` defines
+#: ``f(x=1)`` or a class around it, the other files call it.
+F = "def f(x=1):\n    pass\n"
+PLANTED_PARAMS = {
+    "unset": ({"src/repro/m.py": F + "\n\nf()\n"}, ("repro.m.f(x)",)),
+    "test-setter": ({"src/repro/m.py": F,
+                     "tests/test_m.py": "from repro.m import f\nf(x=2)\n"},
+                    ("repro.m.f(x)",)),
+    "benchmark-keyword": ({"src/repro/m.py": F,
+                           "benchmarks/b.py": "from repro.m import f\nf(x=2)\n"},
+                          ()),
+    "position": ({"src/repro/m.py": F, "scripts/s.py": "f(2)\n"}, ()),
+    "star-args": ({"src/repro/m.py": F, "scripts/s.py": "f(*a)\n"}, ()),
+    "double-star": ({"src/repro/m.py": F, "examples/e.py": "f(**kw)\n"}, ()),
+    "keyword-only-by-position": (
+        {"src/repro/m.py": "def f(*, x=1):\n    pass\n",
+         "scripts/s.py": "f(2)\n"},
+        ("repro.m.f(x)",)),
+    "method-by-position": (
+        {"src/repro/m.py": "class C:\n    def go(self, x=1):\n        pass\n",
+         "examples/e.py": "C().go(2)\n"},
+        ()),
+    "init-by-class-name": (
+        {"src/repro/m.py": "class C:\n    def __init__(self, x=1):\n"
+                           "        pass\n",
+         "examples/e.py": "C(x=2)\n"},
+        ()),
+    "super-init": (
+        {"src/repro/m.py": "class B:\n    def __init__(self, x=1):\n"
+                           "        pass\n\n\nclass D(B):\n"
+                           "    def __init__(self):\n"
+                           "        super().__init__(2)\n"},
+        ()),
+    "cls-call": (
+        {"src/repro/m.py": "class C:\n    def __init__(self, x=1):\n"
+                           "        pass\n\n    @classmethod\n"
+                           "    def make(cls):\n        return cls(x=2)\n"},
+        ()),
+    "partial": ({"src/repro/m.py": F,
+                 "scripts/s.py": "from functools import partial\n"
+                                 "g = partial(f, 2)\n"},
+                ()),
+    "scenario-language": (
+        {"src/repro/netsim/topology.py": "def dumbbell(delay_ms=10.0):\n"
+                                         "    pass\n"},
+        ()),
+}
+
+
+def _plant(root: Path, files: dict) -> None:
+    for relpath, source in files.items():
+        (root / relpath).parent.mkdir(parents=True, exist_ok=True)
+        (root / relpath).write_text(source)
+
+
 @pytest.mark.parametrize("case", PLANTED)
 def test_census_on_a_planted_tree(tmp_path, case):
     files, uncalled = PLANTED[case]
-    for relpath, source in files.items():
-        (tmp_path / relpath).parent.mkdir(parents=True, exist_ok=True)
-        (tmp_path / relpath).write_text(source)
+    _plant(tmp_path, files)
     assert census(tmp_path) == uncalled
+
+
+@pytest.mark.parametrize("case", PLANTED_PARAMS)
+def test_parameter_census_on_a_planted_tree(tmp_path, case):
+    files, unset = PLANTED_PARAMS[case]
+    _plant(tmp_path, files)
+    assert parameter_census(tmp_path) == unset
+
+
+def test_a_stale_kept_parameter_is_reported(tmp_path):
+    _plant(tmp_path, {"src/repro/m.py": F, "scripts/s.py": "f(x=2)\n"})
+    kept = {"repro.m.f(x)": "item 1: a setter will come"}
+    assert stale(kept, parameter_census(tmp_path)) == ["repro.m.f(x)"]

@@ -59,18 +59,18 @@ def mean_uses_true_midpoints(step_trace_cls) -> None:
     """Regression: endpoint-inclusive sampling double-weighted both
     regimes of an interval straddling a capacity switch.
 
-    Over one full 100/200 cycle the analytic mean is 150.  Midpoint
-    sampling with an even sample count is exact; the old
-    ``linspace(t0, t1, samples)`` sampling returned 162.5 here
-    (five samples land in the high regime, including both
-    endpoints).
+    Over [0, 9] of a 100/200 wave with a 3 s period, the switches at
+    3 and 6 fall on sub-interval edges of the nine samples, so the
+    midpoint rule gives the analytic mean, 1500 / 9; the old
+    ``linspace(t0, t1, samples)`` sampling returned 1400 / 9 here
+    (its endpoint sample at 9 lands in the next low regime).
     """
+    t = step_trace_cls(low_pps=100.0, high_pps=200.0, period=3.0)
+    assert t.mean_bandwidth(0.0, 9.0) == pytest.approx(1500.0 / 9.0)
+    # Over a full 1 s cycle the nine-sample estimate stays within one
+    # sub-interval's weight of the analytic mean.
     t = step_trace_cls(low_pps=100.0, high_pps=200.0, period=1.0)
-    assert t.mean_bandwidth(0.0, 2.0, samples=8) == pytest.approx(150.0)
-    # The few-sample estimate the engine uses per MI (samples=9)
-    # stays within one sub-interval's weight of the analytic mean.
-    assert t.mean_bandwidth(0.0, 2.0, samples=9) == pytest.approx(
-        150.0, rel=0.08)
+    assert t.mean_bandwidth(0.0, 2.0) == pytest.approx(150.0, rel=0.08)
 
 
 class TestStepTrace:
@@ -81,28 +81,20 @@ class TestStepTrace:
         assert t.bandwidth_at(5.1) == 20.0
         assert t.bandwidth_at(10.1) == 30.0
 
-    def test_start_low(self):
-        t = StepTrace(20.0, 30.0, 5.0, start_high=False)
-        assert t.bandwidth_at(0.0) == 20.0
-
     def test_fig1a_settings(self):
         """Fig. 1(a): link oscillates between 20 and 30 Mbps."""
         t = StepTrace.from_mbps(20.0, 30.0, period=10.0)
         values = {t.bandwidth_at(x) for x in np.arange(0, 50, 1.0)}
         assert values == {mbps_to_pps(20.0), mbps_to_pps(30.0)}
 
-    def test_mean_over_full_cycle(self):
-        t = StepTrace(10.0, 30.0, 1.0)
-        mean = t.mean_bandwidth(0.0, 2.0, samples=2001)
-        assert mean == pytest.approx(20.0, rel=0.01)
-
     def test_mean_uses_true_midpoints(self):
         mean_uses_true_midpoints(StepTrace)
 
     def test_mean_midpoints_respect_offset_interval(self):
-        # [0.5, 1.5] is half high, half low: analytic mean 150.
-        t = StepTrace(low_pps=100.0, high_pps=200.0, period=1.0)
-        assert t.mean_bandwidth(0.5, 1.5, samples=10) == pytest.approx(150.0)
+        # [1, 10] is 5 s high, 4 s low: analytic mean 1400 / 9, and
+        # every switch falls on a sub-interval edge.
+        t = StepTrace(low_pps=100.0, high_pps=200.0, period=3.0)
+        assert t.mean_bandwidth(1.0, 10.0) == pytest.approx(1400.0 / 9.0)
 
     def test_max(self):
         assert StepTrace(10.0, 30.0, 1.0).max_bandwidth() == 30.0
@@ -224,9 +216,9 @@ walks = st.builds(
     high_pps=st.floats(500.0, 9000.0), interval=intervals,
     step=st.floats(0.0, 0.5), horizon=st.floats(0.5, 40.0),
     seed=st.integers(0, 2**31))
-steps = st.builds(StepTrace, low_pps=st.floats(1.0, 500.0),
-                  high_pps=st.floats(500.0, 9000.0), period=intervals,
-                  start_high=st.booleans())
+# Either level may be the larger one, so waves that start low are drawn.
+steps = st.builds(StepTrace, low_pps=st.floats(1.0, 9000.0),
+                  high_pps=st.floats(1.0, 9000.0), period=intervals)
 pieces = st.builds(
     lambda ts, rates: PiecewiseTrace(
         list(zip(sorted(ts), (rates * len(ts))[:len(ts)]))),

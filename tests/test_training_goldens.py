@@ -25,6 +25,7 @@ from repro.config import DEFAULT_TRAINING, TRAINING_RANGES
 from repro.core.agent import MoccAgent
 from repro.core.offline import train_single_objective
 from repro.core.online import OnlineAdapter
+from repro.rl.collect import evaluate_policy
 from repro.rl.dqn import DQNConfig, DQNTrainer
 from repro.rl.parallel import EnvSpec
 
@@ -45,11 +46,17 @@ def model_sha(model) -> str:
 
 
 def single_objective() -> dict:
-    agent, trace, marks = train_single_objective(
-        SPEC, [0.8, 0.1, 0.1], iterations=3, config=CONFIG, seed=5,
-        eval_every=2)
+    agent, trace, _ = train_single_objective(
+        SPEC, [0.8, 0.1, 0.1], iterations=3, config=CONFIG, seed=5)
+    # The mark is the second episode of the evaluation env: the one
+    # after iteration 2, once an episode after iteration 0 has run.  An
+    # episode's conditions are drawn at reset, whatever the policy did
+    # before, so the first episode may run on the final model.
+    eval_env = SPEC.build(seed_offset=99_991)
+    marks = [evaluate_policy(eval_env, agent.model, [0.8, 0.1, 0.1])
+             for _ in range(2)]
     return {"sha": model_sha(agent.model), "reward": repr(trace[-1]),
-            "mark": repr(marks[-1][1])}
+            "mark": repr(marks[-1])}
 
 
 def online_adapt() -> dict:
@@ -62,8 +69,9 @@ def online_adapt() -> dict:
 
 
 def dqn_steps() -> dict:
-    trainer = DQNTrainer(obs_dim=40, seed=1, config=DQNConfig(
-        warmup_transitions=64, target_sync_steps=50))
+    trainer = DQNTrainer(obs_dim=40, seed=1)
+    # Both fields are read per update, not at construction.
+    trainer.config = DQNConfig(warmup_transitions=64, target_sync_steps=50)
     env = SPEC.build()
     rewards = [trainer.train_objective(env, w, steps=96)
                for w in (OLD, NEW, OLD)]
