@@ -108,7 +108,7 @@ def bench_fig1c_retraining_cost(benchmark):
     spec = EnvSpec(ranges=TRAINING_RANGES, max_steps=64, seed=3)
 
     def experiment():
-        _, trace, _ = train_single_objective(spec, (0.45, 0.45, 0.10), 40, seed=3)
+        _, trace = train_single_objective(spec, (0.45, 0.45, 0.10), 40, seed=3)
         return trace
 
     trace = run_once(benchmark, experiment)

@@ -30,7 +30,7 @@ def bench_fig7a_quick_adaptation(benchmark, mocc_agent):
         adapter = OnlineAdapter(agent, SPEC, config=DEFAULT_TRAINING, seed=9)
         adapter.seed_replay(BOOTSTRAP_OBJECTIVES)
         mocc_trace = adapter.adapt(NEW_OBJECTIVE, iterations=25, eval_every=0)
-        _, scratch_trace, _ = train_single_objective(SPEC, NEW_OBJECTIVE, 50, seed=9)
+        _, scratch_trace = train_single_objective(SPEC, NEW_OBJECTIVE, 50, seed=9)
         return mocc_trace, scratch_trace
 
     mocc_trace, scratch_trace = run_once(benchmark, experiment)

@@ -163,15 +163,12 @@ class OfflineTrainer:
 
 def train_single_objective(spec: EnvSpec, weights, iterations: int,
                            config: TrainingConfig = DEFAULT_TRAINING,
-                           seed: int = 0
-                           ) -> tuple[MoccAgent, list[float], list]:
+                           seed: int = 0) -> tuple[MoccAgent, list[float]]:
     """Train a *single-objective* agent (no preference sub-network).
 
     This is the Aurora training procedure (Fig. 2a): the weight vector
-    parameterises only the environment's reward.  Returns the agent,
-    the per-iteration mean episode rewards and an empty list of
-    evaluation marks: nothing is evaluated during training, and the
-    callers unpack three values.
+    parameterises only the environment's reward.  Returns the agent
+    and the per-iteration mean episode rewards.
     """
     weights = np.asarray(weights, dtype=np.float64)
     trainer = OfflineTrainer(spec, config, seed,
@@ -179,4 +176,4 @@ def train_single_objective(spec: EnvSpec, weights, iterations: int,
     trace: list[float] = []
     for _ in range(iterations):
         trace += trainer.iterate([weights], "single")
-    return trainer.agent, trace, []
+    return trainer.agent, trace

@@ -30,7 +30,6 @@ from repro.eval.runner import (
     scheme_factory,
 )
 from repro.eval.scenarios import (
-    AgentRef,
     ChurnSchedule,
     FlowDef,
     Scenario,
@@ -65,7 +64,6 @@ __all__ = [
     "sigma_ellipse",
     "multihop_churn_suite",
     "ack_congestion_suite",
-    "AgentRef",
     "ChurnSchedule",
     "FlowDef",
     "Scenario",

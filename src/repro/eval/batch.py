@@ -16,8 +16,8 @@ process; the batch layer therefore shares only *immutable* assets:
 
 * named traces -- built once per batch via ``make_trace(cache=...)``,
   frozen read-only before any cell sees them;
-* the process-wide agent zoo -- resolved once (sorted order) before
-  any cell is built; agents are inference-only during evaluation.
+* the live agents the scenarios carry -- inference-only during
+  evaluation.
 
 Everything mutable -- links, controllers, flows, heaps, and every RNG
 stream -- is constructed per cell by ``build_scenario_simulation``
@@ -47,34 +47,15 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.eval.scenarios import (
-    AgentRef,
-    Scenario,
-    build_scenario_simulation,
-)
+from repro.eval.scenarios import Scenario, build_scenario_simulation
 from repro.netsim.network import FlowRecord, Simulation
 
-__all__ = ["BatchCell", "BatchRunner", "warm_agent_refs"]
+__all__ = ["BatchCell", "BatchRunner"]
 
 #: Width, in simulated seconds, of the slices the perf ledger's
 #: ``netsim.slice_ratio`` probe cuts a cell into.  Nothing in ``src/``
 #: slices a cell: a batch runs each one to completion in one call.
 DEFAULT_SLICE_SECONDS = 0.25
-
-
-def warm_agent_refs(scenarios: list[Scenario]) -> None:
-    """Resolve every :class:`AgentRef` in ``scenarios``, sorted.
-
-    Sorted so every host trains/loads missing zoo entries in the same
-    order (set order varies with hash randomization).  Resolution goes
-    through the process-wide zoo memo, so calling this again -- per
-    batch, after the parent runner warmed the zoo its workers were
-    forked from -- is a set of dict hits.
-    """
-    refs = {flow.agent for s in scenarios for flow in s.flows
-            if isinstance(flow.agent, AgentRef)}
-    for ref in sorted(refs, key=repr):
-        ref.resolve()
 
 
 @dataclass
@@ -115,7 +96,6 @@ class BatchRunner:
         Build failures are captured per cell, not raised.  Exposed for
         the isolation tests, which inspect built-but-unrun cells.
         """
-        warm_agent_refs(scenarios)
         trace_cache: dict = {}
         cells = []
         for scenario in scenarios:

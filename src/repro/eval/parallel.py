@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.eval.batch import BatchRunner, warm_agent_refs
+from repro.eval.batch import BatchRunner
 from repro.eval.resilience import (
     ResilientPool,
     ResultCache,
@@ -233,9 +233,8 @@ class ParallelRunner:
     ``n_workers <= 1`` runs in-process (the reference serial path);
     results are bit-identical either way because every scenario is a
     self-contained, seeded simulation.  Workers are forked per ``run``
-    call *after* agent references resolve in the parent, so children
-    inherit the loaded models through copy-on-write memory instead of
-    re-reading (or worse, re-training) them.
+    call, so children inherit the live agents the scenarios carry
+    through copy-on-write memory.
 
     Pending cells are dispatched to workers in *batches* executed by
     :class:`~repro.eval.batch.BatchRunner` -- cells built over frozen
@@ -362,8 +361,6 @@ class ParallelRunner:
                 pending.append((idx, scenario, fingerprint))
 
         if pending:
-            warm_agent_refs([s for _, s, _ in pending])
-
             def record_result(position: int, payload, error: str | None):
                 idx, scenario, fingerprint = pending[position]
                 if error is not None:

@@ -76,7 +76,7 @@ def scheme_factory(name: str, network: EvalNetwork, seed: int = 0,
     """Build a controller for ``name``, sized sensibly for the network.
 
     Heuristic schemes need no models; ``mocc``/``aurora``/``orca`` take
-    the corresponding pre-trained agents (see :mod:`repro.models.zoo`).
+    the corresponding pre-trained agents, handed in live.
     Initial rates start at roughly a third of the bottleneck, as a real
     deployment's slow-start handoff would; ``initial_rate`` (pps)
     overrides that for rate-based schemes.  ``seed`` shapes no result:

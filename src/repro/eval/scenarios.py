@@ -5,12 +5,9 @@ conditions x objectives x competing schemes.  Instead of every
 benchmark hand-rolling loops over :func:`repro.eval.runner.run_scheme`,
 experiments *declare* what to run:
 
-* :class:`AgentRef` -- a picklable reference to a pre-trained model in
-  the :mod:`repro.models.zoo` cache (process workers resolve it
-  locally instead of receiving a closure);
-* :class:`FlowDef` -- one flow: scheme name, objective weights, agent,
-  start/stop times, and (for multi-bottleneck topologies) the named
-  path it traverses;
+* :class:`FlowDef` -- one flow: scheme name, objective weights, a
+  live agent (forked workers inherit it), start/stop times, and (for
+  multi-bottleneck topologies) the named path it traverses;
 * :class:`ChurnSchedule` -- declarative flow churn: staggered
   arrivals/departures and on/off windows rewritten onto a line-up's
   ``start``/``stop`` fields;
@@ -36,7 +33,6 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.config import NUM_LANDMARKS
 from repro.eval.runner import EvalNetwork, scheme_factory
 from repro.netsim.faults import coerce_faults
 from repro.netsim.network import FlowSpec, Simulation
@@ -45,7 +41,7 @@ from repro.netsim.signing import UNSIGNED, Signer, canonical
 from repro.netsim.topology import TopologySpec
 from repro.netsim.traces import named_trace_form
 
-__all__ = ["AgentRef", "ChurnSchedule", "FlowDef", "Scenario", "ScenarioSuite",
+__all__ = ["ChurnSchedule", "FlowDef", "Scenario", "ScenarioSuite",
            "build_scenario_simulation", "fingerprint_cells"]
 
 #: Bumped whenever scenario execution changes in a way that invalidates
@@ -130,54 +126,14 @@ def _weights_form(weights, _owner, _signer) -> list | None:
     return [f"{float(w):.8f}" for w in weights]
 
 
-@dataclass(frozen=True)
-class AgentRef:
-    """Picklable reference to a model in the zoo's on-disk cache.
-
-    ``kind`` selects the zoo entry point: ``"mocc"`` (the offline
-    multi-objective model), ``"aurora"`` (``flavor`` in
-    throughput/latency), or ``"aurora_for"`` (``flavor`` is the tag and
-    ``weights`` the fixed objective).  Workers resolve refs through the
-    process-wide zoo, so a model is loaded (or trained) at most once
-    per process and inherited for free by forked workers.
-    """
-
-    kind: str = "mocc"
-    flavor: str = "throughput"
-    quality: str = "fast"
-    seed: int = 0
-    omega: int = NUM_LANDMARKS
-    weights: tuple | None = field(default=None,
-                                  metadata=canonical(_weights_form))
-
-    def resolve(self):
-        from repro.models.zoo import default_zoo
-        zoo = default_zoo()
-        if self.kind == "mocc":
-            return zoo.mocc_offline(quality=self.quality, omega=self.omega,
-                                    seed=self.seed)
-        if self.kind == "aurora":
-            return zoo.aurora(self.flavor, quality=self.quality, seed=self.seed)
-        if self.kind == "aurora_for":
-            if self.weights is None:
-                raise ValueError("aurora_for needs an objective weight vector")
-            return zoo.aurora_for(np.asarray(self.weights, dtype=np.float64),
-                                  tag=self.flavor, quality=self.quality,
-                                  seed=self.seed)
-        raise ValueError(f"unknown agent kind {self.kind!r}")
-
-
 def _agent_form(agent, _owner, signer):
-    """Signing form of a flow's agent: an :class:`AgentRef` by its
-    fields, a live agent by its parameters."""
+    """Signing form of a flow's agent: its parameters, so
+    differently-trained models never share cache entries."""
     if agent is None:
         return None
-    if isinstance(agent, AgentRef):
-        return signer.sign(agent)
-    # A live agent (e.g. handed in by a fixture): hash its parameters so
-    # differently-trained models never share cache entries.  Digested
-    # once per pass, never across passes -- online adaptation mutates
-    # models in place, and a stale digest would alias cache entries.
+    # Digested once per pass, never across passes -- online adaptation
+    # mutates models in place, and a stale digest would alias cache
+    # entries.
     return signer.once(("live-agent", id(agent)), agent,
                        lambda: _parameter_digest(agent))
 
@@ -191,26 +147,21 @@ def _parameter_digest(agent) -> str:
     return "live:" + digest.hexdigest()[:16]
 
 
-def _resolve_agent(agent):
-    if agent is None or not isinstance(agent, AgentRef):
-        return agent
-    return agent.resolve()
-
-
 @dataclass(frozen=True)
 class FlowDef:
     """One flow of a scenario.
 
     ``weights`` is the MOCC preference vector (ignored by heuristic
-    schemes); ``agent`` is an :class:`AgentRef` or a live
-    :class:`~repro.core.agent.MoccAgent` for the learning-based
-    schemes.  ``rate_frac`` overrides the initial sending rate as a
-    fraction of the bottleneck capacity (of the flow's own path for
-    topology scenarios); ``path`` names the topology path the flow
-    traverses (topology scenarios only; ``None`` = the topology's
-    default path).  ``seed`` shapes no result: deployed policies act on
-    their mean and draw nothing, so no controller takes a seed.  It is
-    kept, and signed, because the frozen perf ledger reads it.
+    schemes); ``agent`` is the live
+    :class:`~repro.core.agent.MoccAgent` a learning-based scheme runs,
+    signed by its parameters.  ``rate_frac`` overrides the initial
+    sending rate as a fraction of the bottleneck capacity (of the
+    flow's own path for topology scenarios); ``path`` names the
+    topology path the flow traverses (topology scenarios only;
+    ``None`` = the topology's default path).  ``seed`` shapes no
+    result: deployed policies act on their mean and draw nothing, so no
+    controller takes a seed.  It is kept, and signed, because the
+    frozen perf ledger reads it.
     """
 
     scheme: str = field(metadata=canonical(
@@ -474,38 +425,36 @@ def fingerprint_cells(scenarios) -> list[str]:
     return fingerprints
 
 
-def _controller_kwargs(flow: FlowDef, agent) -> dict:
+def _controller_kwargs(flow: FlowDef) -> dict:
     key = flow.scheme.lower()
     if key == "mocc":
-        return {"mocc_agent": agent, "mocc_weights": flow.weights}
+        return {"mocc_agent": flow.agent, "mocc_weights": flow.weights}
     if key.startswith("aurora"):
-        return {"aurora_agent": agent}
+        return {"aurora_agent": flow.agent}
     if key == "orca":
-        return {"orca_agent": agent}
+        return {"orca_agent": flow.agent}
     return {}
 
 
 def _build_controller(flow: FlowDef, network: EvalNetwork):
     """One sized controller for ``flow`` on a (possibly per-path) network."""
-    agent = _resolve_agent(flow.agent)
     initial_rate = None
     if flow.rate_frac is not None:
         initial_rate = flow.rate_frac * network.bottleneck_pps
     return scheme_factory(flow.scheme, network, initial_rate=initial_rate,
-                          **_controller_kwargs(flow, agent))
+                          **_controller_kwargs(flow))
 
 
 def build_scenario_simulation(scenario: Scenario,
                               trace_cache: dict | None = None) -> Simulation:
     """Wire one scenario into an unrun :class:`Simulation`.
 
-    Agent resolution, controller sizing, topology seeding: its
-    ``run_all()`` gives the records a
-    :class:`~repro.eval.parallel.ParallelRunner` sweep produces for the
-    cell.  Callers that need the live simulation (the batch runner, the
-    perf ledger, stepping tests) drive ``run_all`` / ``state`` and read
-    ``Simulation.events_processed`` on exactly the simulations the
-    evaluation pipeline would run.
+    Controller sizing, topology seeding: its ``run_all()`` gives the
+    records a :class:`~repro.eval.parallel.ParallelRunner` sweep
+    produces for the cell.  Callers that need the live simulation (the
+    batch runner, the perf ledger, stepping tests) drive ``run_all`` /
+    ``state`` and read ``Simulation.events_processed`` on exactly the
+    simulations the evaluation pipeline would run.
 
     A single-bottleneck cell runs on its network's one-link
     :meth:`~repro.eval.runner.EvalNetwork.topology`, carrying the

@@ -117,21 +117,21 @@ class ModelZoo:
                 f"c{budget.cycles}i{budget.single_objective_iters}"
                 f"s{budget.steps_per_iteration}e{budget.episode_steps}")
 
-    def mocc_offline(self, quality: str = "fast", omega: int = NUM_LANDMARKS,
-                     seed: int = 0) -> MoccAgent:
+    def mocc_offline(self, quality: str = "fast", seed: int = 0) -> MoccAgent:
         """The two-phase offline-trained multi-objective model (§4.2)."""
         budget = BUDGETS[quality]
 
         def train() -> MoccAgent:
             trainer = OfflineTrainer(spec=self._env_spec(budget, seed),
                                      config=self._config_for(budget), seed=seed)
-            result = trainer.train(omega=omega,
+            result = trainer.train(omega=NUM_LANDMARKS,
                                    bootstrap_iters=budget.bootstrap_iters,
                                    traverse_iters=budget.traverse_iters,
                                    cycles=budget.cycles)
             return result.agent
 
-        key = f"mocc_omega{omega}_{quality}_{self._budget_tag(budget)}_seed{seed}"
+        key = (f"mocc_omega{NUM_LANDMARKS}_{quality}_"
+               f"{self._budget_tag(budget)}_seed{seed}")
         return self._cached(key, train)
 
     def aurora(self, flavor: str = "throughput", quality: str = "fast",
@@ -148,7 +148,7 @@ class ModelZoo:
         weights = np.asarray(weights, dtype=np.float64)
 
         def train() -> MoccAgent:
-            agent, _, _ = train_single_objective(
+            agent, _ = train_single_objective(
                 self._env_spec(budget, seed + 7), weights,
                 budget.single_objective_iters,
                 config=self._config_for(budget), seed=seed)

@@ -2,11 +2,11 @@
 
 The result cache is keyed by a hash over every declarative spec a
 scenario is made of -- ``Scenario``, ``EvalNetwork``, ``FlowDef``,
-``AgentRef``, ``LinkDef``, ``PathDef``, ``TopologySpec`` and the four
-fault specs -- all frozen dataclasses.  A key that forgets a field
-serves one cell's result for another, so no signature here is written
-by hand: :meth:`Signer.sign` walks ``dataclasses.fields()``, and what
-a field contributes is decided where the field is declared.
+``LinkDef``, ``PathDef``, ``TopologySpec`` and the four fault specs --
+all frozen dataclasses.  A key that forgets a field serves one cell's
+result for another, so no signature here is written by hand:
+:meth:`Signer.sign` walks ``dataclasses.fields()``, and what a field
+contributes is decided where the field is declared.
 
 * By default a field is signed as it stands: a new field -- on the
   class or on a subclass -- reaches the key with no signing code

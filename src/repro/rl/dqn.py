@@ -113,22 +113,25 @@ class ReplayBuffer:
                 self.next_obs[idx], self.dones[idx])
 
 
+#: Q-learning hyperparameters, matched to the PPO budget.
+N_ACTIONS = 9
+ACTION_SPAN = 2.0
+GAMMA = 0.99
+LEARNING_RATE = 1e-3
+BATCH_SIZE = 64
+EPSILON_START = 1.0
+EPSILON_END = 0.05
+EPSILON_DECAY_STEPS = 5_000
+UPDATES_PER_ITERATION = 64
+MAX_GRAD_NORM = 5.0
+
+
 @dataclass
 class DQNConfig:
-    """Q-learning hyperparameters (matched to the PPO budget)."""
+    """The replay warm-up and the target-sync period, read per update."""
 
-    n_actions: int = 9
-    action_span: float = 2.0
-    gamma: float = 0.99
-    learning_rate: float = 1e-3
-    batch_size: int = 64
     target_sync_steps: int = 200
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
-    epsilon_decay_steps: int = 5_000
-    updates_per_iteration: int = 64
     warmup_transitions: int = 256
-    max_grad_norm: float = 5.0
 
 
 class DQNTrainer:
@@ -137,11 +140,11 @@ class DQNTrainer:
     def __init__(self, obs_dim: int, weight_dim: int = 3, seed: int = 0):
         self.config = DQNConfig()
         rng = np.random.default_rng(seed)
-        self.q = QNetwork(obs_dim, weight_dim, self.config.n_actions, rng=rng)
+        self.q = QNetwork(obs_dim, weight_dim, N_ACTIONS, rng=rng)
         self.target = self.q.clone()
-        self.bins = action_bins(self.config.n_actions, self.config.action_span)
+        self.bins = action_bins(N_ACTIONS, ACTION_SPAN)
         self.replay = ReplayBuffer(obs_dim, weight_dim)
-        self.optimizer = Adam(self.q.parameters(), lr=self.config.learning_rate)
+        self.optimizer = Adam(self.q.parameters(), lr=LEARNING_RATE)
         self.rng = np.random.default_rng(seed + 1)
         self.env_steps = 0
         self.grad_steps = 0
@@ -149,13 +152,12 @@ class DQNTrainer:
     # --- acting ------------------------------------------------------------
 
     def epsilon(self) -> float:
-        cfg = self.config
-        frac = min(self.env_steps / max(cfg.epsilon_decay_steps, 1), 1.0)
-        return cfg.epsilon_start + frac * (cfg.epsilon_end - cfg.epsilon_start)
+        frac = min(self.env_steps / EPSILON_DECAY_STEPS, 1.0)
+        return EPSILON_START + frac * (EPSILON_END - EPSILON_START)
 
     def act_index(self, obs, weights, greedy: bool = False) -> int:
         if not greedy and self.rng.random() < self.epsilon():
-            return int(self.rng.integers(self.config.n_actions))
+            return int(self.rng.integers(N_ACTIONS))
         qvals = self.q.forward(obs, weights)
         return int(np.argmax(qvals[0]))
 
@@ -186,7 +188,7 @@ class DQNTrainer:
                 obs, w_obs = env.reset(weights)
             else:
                 obs, w_obs = next_obs, next_w
-        for _ in range(self.config.updates_per_iteration):
+        for _ in range(UPDATES_PER_ITERATION):
             self._update()
         if not episode_totals:
             episode_totals.append(total)
@@ -197,9 +199,9 @@ class DQNTrainer:
         if self.replay.size < cfg.warmup_transitions:
             return
         obs, weights, actions, rewards, next_obs, dones = self.replay.sample(
-            cfg.batch_size, self.rng)
+            BATCH_SIZE, self.rng)
         next_q = self.target.forward(next_obs, weights)
-        targets = rewards + cfg.gamma * np.where(dones, 0.0, next_q.max(axis=1))
+        targets = rewards + GAMMA * np.where(dones, 0.0, next_q.max(axis=1))
 
         qvals = self.q.forward(obs, weights)
         idx = np.arange(len(actions))
@@ -209,7 +211,7 @@ class DQNTrainer:
 
         self.optimizer.zero_grad()
         self.q.backward(d_q)
-        clip_grad_norm(self.q.parameters(), cfg.max_grad_norm)
+        clip_grad_norm(self.q.parameters(), MAX_GRAD_NORM)
         self.optimizer.step()
         self.grad_steps += 1
         if self.grad_steps % cfg.target_sync_steps == 0:

@@ -153,8 +153,6 @@ class Dense(Module):
         rng = rng if rng is not None else np.random.default_rng(0)
         if init == "xavier":
             scale = np.sqrt(2.0 / (in_features + out_features))
-        elif init == "he":
-            scale = np.sqrt(2.0 / in_features)
         elif init == "small":
             scale = 0.01
         else:

@@ -484,11 +484,12 @@ MUTANTS = {
         'rng = stream_rng("agent.init", ',
         "rng = np.random.default_rng(",
         (ANALYSIS_GATE,)),
-    # determinism: zoo entries trained or loaded in set (hash) order.
-    "zoo-refs-warmed-in-set-order": Mutant(
-        "repro.eval.batch",
-        "    for ref in sorted(refs, key=repr):\n",
-        "    for ref in refs:\n",
+    # determinism: a bad reverse-path axis names its unknown paths in
+    # set (hash) order, so the error text differs between processes.
+    "unknown-paths-in-set-order": Mutant(
+        "repro.netsim.topology",
+        "        unknown = sorted(set(reverse) - known)\n",
+        "        unknown = [name for name in set(reverse) - known]\n",
         (ANALYSIS_GATE,)),
     # global-state: minted generators memoized in the module's table,
     # so two cells of one seed in one process share a generator.

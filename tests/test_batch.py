@@ -38,7 +38,7 @@ from hypothesis import given, settings
 import repro.eval.batch as batch_module
 import repro.eval.scenarios as scenarios_module
 from repro.core.agent import MoccAgent
-from repro.eval.batch import BatchRunner, warm_agent_refs
+from repro.eval.batch import BatchRunner
 from repro.eval.parallel import ParallelRunner, ScenarioError
 from repro.eval.resilience import RetryPolicy, records_digest
 from repro.eval.scenarios import (
@@ -446,10 +446,6 @@ class TestBatchRunner:
         for cell in (cells[0], cells[2]):
             assert cell.error is None
             assert records_digest(cell.records) == solo_run(good)[0]
-
-    def test_warm_agent_refs_accepts_classical_schemes(self):
-        # No AgentRefs anywhere: must be a no-op, not a crash.
-        warm_agent_refs(perf_scenarios("single-bottleneck", duration=0.3))
 
 
 #: Never traversed (and never reported): code/metadata objects shared

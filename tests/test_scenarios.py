@@ -16,7 +16,6 @@ from repro.config import DEFAULT_TRAINING
 from repro.eval.resilience import records_digest
 from repro.eval.runner import EvalNetwork, run_competition, run_scheme, scheme_factory
 from repro.eval.scenarios import (
-    AgentRef,
     _digest_files,
     _simulation_code_digest,
     ChurnSchedule,
@@ -140,7 +139,7 @@ class TestScenario:
             name="x", network=NET, flows=(FlowDef(
                 "mocc", weights=(0.5, 0.3, 0.2), agent=agent),)).fingerprint()
         assert fp(a1) == fp(a1)
-        assert len({fp(a1), fp(a2), fp(None), fp(AgentRef())}) == 4
+        assert len({fp(a1), fp(a2), fp(None)}) == 3
 
     @pytest.mark.parametrize("scheme", ["mocc", "aurora", "orca"])
     def test_flow_seed_shapes_no_result(self, scheme):
@@ -211,7 +210,7 @@ class TestFingerprintCells:
             churns=(None, ChurnSchedule(gap=0.2)), duration=1.0).expand()
         cells += ScenarioSuite(
             name="agents", lineups={
-                "ref": (FlowDef("mocc", weights=weights, agent=AgentRef()),),
+                "none": (FlowDef("mocc", weights=weights),),
                 "live": (FlowDef("mocc", weights=weights, agent=agent),
                          FlowDef("cubic", start=0.5))},
             traces=(None, trace), seeds=(0, 1), duration=1.0).expand()
@@ -320,9 +319,6 @@ SIGNED_CLASSES = {
         name="x", network=cls(bandwidth_mbps=8.0, **extra), flows=("cubic",)),
     FlowDef: lambda cls, **extra: Scenario(
         name="x", network=NET, flows=(cls("cubic", **extra),)),
-    AgentRef: lambda cls, **extra: Scenario(
-        name="x", network=NET, flows=(FlowDef(
-            "mocc", weights=(0.5, 0.3, 0.2), agent=cls(**extra)),)),
     LinkDef: lambda cls, **extra: Scenario(
         name="x", network=NET, flows=("cubic",), topology=TopologySpec(
             "t", (cls("hop0", **extra),), (_THROUGH,))),
@@ -606,23 +602,6 @@ class TestTopologyScenarios:
         assert records[0].base_rtt == pytest.approx(0.04)
         assert records[1].base_rtt == pytest.approx(0.02)
         assert all(r.mean_throughput_pps > 0 for r in records)
-
-
-class TestAgentRef:
-    def test_keys_distinguish_models(self):
-        refs = (AgentRef(), AgentRef(quality="full"),
-                AgentRef(kind="aurora", flavor="latency"),
-                AgentRef(kind="aurora_for", flavor="rtc",
-                         weights=(0.2, 0.3, 0.5)))
-        assert len({repr(Signer().sign(ref)) for ref in refs}) == 4
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown agent kind"):
-            AgentRef(kind="bogus").resolve()
-
-    def test_aurora_for_requires_weights(self):
-        with pytest.raises(ValueError, match="weight vector"):
-            AgentRef(kind="aurora_for").resolve()
 
 
 def trace_axis_under_a_topology_rejected(suite_cls) -> None:

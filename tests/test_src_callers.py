@@ -8,10 +8,15 @@ goes with those tests.  The same holds one level down: a defaulted
 parameter that only tests set is a knob no run of the program turns,
 so it becomes a constant of the body.
 
-Both censuses are by name, not by resolution.  A non-dunder ``def`` or
-``class`` counts as called when some ``Name`` or ``Attribute`` node
-spells its name outside its own body.  Imports and ``__all__`` strings
-are not nodes of either kind, so a re-export alone never counts.  A
+Both censuses are by name, not by resolution.  A non-dunder ``def``
+counts as called when some ``Name`` or ``Attribute`` node spells its
+name outside its own body.  Imports and ``__all__`` strings are not
+nodes of either kind, so a re-export alone never counts.  A ``class``
+counts as used only when it is built or subclassed: a call spelling
+its name (``Cls(...)``), a call of one of its attributes
+(``Cls.of(...)``), ``cls(...)`` inside its own body, or a base naming
+it.  A class that is only tested for (``isinstance``), annotated or
+listed in a type tuple is never made by a run of the program.  A
 parameter counts as set when a call spelling its function's name (the
 class name for ``__init__``) passes it by keyword or by position, or
 forwards ``*args`` / ``**kwargs``; ``super().__init__(...)`` in a
@@ -70,6 +75,15 @@ SCENARIO_LANGUAGE = {
         "multihop_bench_suites")
 }
 
+#: The fault specs, exempt from the class census by name: they are the
+#: values of the scenario language's ``faults=`` axis, which a suite
+#: may leave unused.
+FAULT_SPECS = {
+    f"repro.netsim.faults.{name}" for name in (
+        "LinkFlapSchedule", "GilbertElliottLoss", "RateBrownout",
+        "BlackoutWindow")
+}
+
 
 def _module_name(relpath: Path) -> str:
     parts = relpath.relative_to(PACKAGE.parent).with_suffix("").parts
@@ -96,14 +110,15 @@ def _is_dunder(name: str) -> bool:
 
 
 def _definitions(tree: ast.AST, prefix: str):
-    """``(qualname, name, first_line, last_line)`` per non-dunder
-    ``def``/``class``, nested ones included."""
+    """``(qualname, name, first_line, last_line, is_class)`` per
+    non-dunder ``def``/``class``, nested ones included."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
             qualname = f"{prefix}.{node.name}"
             if not _is_dunder(node.name):
-                yield qualname, node.name, node.lineno, node.end_lineno
+                yield (qualname, node.name, node.lineno, node.end_lineno,
+                       isinstance(node, ast.ClassDef))
             yield from _definitions(node, qualname)
         else:
             yield from _definitions(node, prefix)
@@ -126,21 +141,48 @@ def _uses(tree: ast.AST):
             yield name, node.lineno
 
 
+def _constructions(tree: ast.AST, cls: str | None = None):
+    """``(name, line)`` per call spelling ``name`` or an attribute of
+    it, and per base naming it; ``cls(...)`` builds the enclosing
+    class, with line None so its own body counts."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            for base in node.bases:
+                yield _spelled(base), node.lineno
+            yield from _constructions(node, node.name)
+            continue
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "cls" and cls:
+                yield cls, None
+            else:
+                yield _spelled(func), node.lineno
+                if isinstance(func, ast.Attribute):
+                    yield _spelled(func.value), node.lineno
+        yield from _constructions(node, cls)
+
+
 @cache
 def census(root: Path = ROOT) -> tuple[str, ...]:
     """Qualnames of the ``src/repro`` definitions under ``root`` that
-    nothing outside the tests reaches."""
+    nothing outside the tests reaches: a ``def`` by name, a ``class``
+    by construction, the fault specs left out."""
     definitions = []
     uses: dict[str, list[tuple[Path, int]]] = {}
+    constructions: dict[str, list[tuple[Path, int | None]]] = {}
     for path, module, tree in _trees(root):
         for name, line in _uses(tree):
             uses.setdefault(name, []).append((path, line))
+        for name, line in _constructions(tree):
+            constructions.setdefault(name, []).append((path, line))
         if module is not None:
             definitions += [(path, *d) for d in _definitions(tree, module)]
     return tuple(sorted(
-        qualname for path, qualname, name, first, last in definitions
-        if not any(p != path or not first <= line <= last
-                   for p, line in uses.get(name, ()))))
+        qualname for path, qualname, name, first, last, is_class in definitions
+        if qualname not in FAULT_SPECS
+        and not any(p != path or line is None or not first <= line <= last
+                    for p, line in (constructions if is_class
+                                    else uses).get(name, ()))))
 
 
 def _defaulted(tree: ast.AST, prefix: str, cls: str | None = None):
@@ -282,6 +324,32 @@ PLANTED = {
     "test-call": ({"src/repro/m.py": "def f():\n    pass\n",
                    "tests/test_m.py": "from repro.m import f\nf()\n"},
                   ("repro.m.f",)),
+    "isinstance-only": ({"src/repro/m.py": "class C:\n    pass\n",
+                         "scripts/s.py": "from repro.m import C\n"
+                                         "isinstance(x, (C, int))\n"},
+                        ("repro.m.C",)),
+    "annotation-only": ({"src/repro/m.py": "class C:\n    pass\n",
+                         "scripts/s.py": "def g(c: C) -> C:\n"
+                                         "    return c\n"},
+                        ("repro.m.C",)),
+    "cls-in-classmethod": ({"src/repro/m.py": "class C:\n    @classmethod\n"
+                                              "    def make(cls):\n"
+                                              "        return cls()\n",
+                            "scripts/s.py": "def g(kind):\n"
+                                            "    return kind.make()\n"},
+                           ()),
+    "classmethod-call": ({"src/repro/m.py": "class C:\n    @classmethod\n"
+                                            "    def of(cls):\n"
+                                            "        return object.__new__(cls)\n",
+                          "scripts/s.py": "from repro.m import C\nC.of()\n"},
+                         ()),
+    "base": ({"src/repro/m.py": "class B:\n    pass\n",
+              "examples/e.py": "from repro.m import B\n\n\n"
+                               "class D(B):\n    pass\n\n\nD()\n"},
+             ()),
+    "fault-spec": ({"src/repro/netsim/faults.py": "class RateBrownout:\n"
+                                                  "    pass\n"},
+                   ()),
 }
 
 

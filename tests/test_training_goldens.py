@@ -46,7 +46,7 @@ def model_sha(model) -> str:
 
 
 def single_objective() -> dict:
-    agent, trace, _ = train_single_objective(
+    agent, trace = train_single_objective(
         SPEC, [0.8, 0.1, 0.1], iterations=3, config=CONFIG, seed=5)
     # The mark is the second episode of the evaluation env: the one
     # after iteration 2, once an episode after iteration 0 has run.  An

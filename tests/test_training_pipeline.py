@@ -125,11 +125,10 @@ class TestOfflineTrainer:
         rows_carry_their_update_stats(OfflineTrainer)
 
     def test_train_single_objective_trace(self):
-        agent, trace, marks = train_single_objective(
+        agent, trace = train_single_objective(
             SPEC, (0.8, 0.1, 0.1), 3, config=TINY, seed=4)
         assert agent.weight_dim == 0
         assert len(trace) == 3
-        assert marks == []
 
 
 class TestOnlineAdapter:
