@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.config import (BOOTSTRAP_OBJECTIVES, DEFAULT_TRAINING, NUM_LANDMARKS,
-                          TRAINING_RANGES, TrainingConfig)
+from repro.config import (BOOTSTRAP_OBJECTIVES, DEFAULT_TRAINING, TRAINING_RANGES,
+                          TrainingConfig)
 from repro.core.agent import MoccAgent
 from repro.core.sorting import neighborhood_sort
 from repro.core.weights import simplex_grid, step_for_omega
@@ -140,15 +140,15 @@ class OfflineTrainer:
             self.iterate(objectives, phase)
         return OfflineResult(self.agent, list(self.log), self.ppo.iteration)
 
-    def train(self, omega: int = NUM_LANDMARKS, bootstrap_iters: int = 30,
-              traverse_iters: int = 2, cycles: int = 2) -> OfflineResult:
+    def train(self, omega: int, bootstrap_iters: int, traverse_iters: int,
+              cycles: int) -> OfflineResult:
         """Two-phase offline training over an ``omega``-landmark grid
         (:func:`landmark_schedule`)."""
         return self.run(landmark_schedule(omega, bootstrap_iters,
                                           traverse_iters, cycles))
 
-    def train_individual_style(self, omega: int = NUM_LANDMARKS,
-                               iters_per_objective: int = 30) -> OfflineResult:
+    def train_individual_style(self, omega: int,
+                               iters_per_objective: int) -> OfflineResult:
         """Ablation: every landmark trained independently, no transfer.
 
         The model is still shared (so the comparison isolates the

@@ -18,7 +18,7 @@ numpy implementation:
 * :mod:`repro.rl.collect` -- score one deterministic episode; the
   objective a weight argument stands for.
 * :mod:`repro.rl.ppo` -- PPO-clip with entropy regularisation (Eq. 3-5),
-  its knobs read from :class:`repro.config.TrainingConfig`.
+  Table 2's values read from :mod:`repro.config`.
 * :mod:`repro.rl.dqn` -- the MOCC-DQN ablation of Fig. 18.
 * :mod:`repro.rl.parallel` -- the environment spec and the one rollout
   loop (lockstep envs, one batched plan per rollout), over one env

@@ -126,7 +126,7 @@ UPDATES_PER_ITERATION = 64
 MAX_GRAD_NORM = 5.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class DQNConfig:
     """The replay warm-up and the target-sync period, read per update."""
 

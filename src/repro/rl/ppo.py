@@ -1,10 +1,12 @@
 """Proximal Policy Optimization (Schulman et al., 2017) -- §4.2.
 
 Implements the clipped surrogate objective the paper trains MOCC with
-(Eq. 3), plus the entropy regularisation term (Eq. 5).  Every knob is
-read from :class:`repro.config.TrainingConfig`.  The entropy
-coefficient is beta, decaying from 1 to 0.1 over 1000 iterations (§5,
-``TrainingConfig.entropy_coef``), times ``ENTROPY_SCALE``.
+(Eq. 3), plus the entropy regularisation term (Eq. 5).  Its settings
+are Table 2's constants in :mod:`repro.config`; only the minibatch size
+comes from the :class:`~repro.config.TrainingConfig` it is given.  The
+entropy coefficient is beta, decaying from 1 to 0.1 over 1000
+iterations (§5, :func:`repro.config.entropy_coef`), times
+``ENTROPY_SCALE``.
 
 The gradient of the clipped surrogate w.r.t. the new policy's
 log-probability is::
@@ -23,7 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.config import DEFAULT_TRAINING, TrainingConfig
+from repro.config import (CLIP_EPSILON, DEFAULT_TRAINING, DISCOUNT_FACTOR,
+                          EPOCHS_PER_ITERATION, GAE_LAMBDA, LEARNING_RATE,
+                          MAX_GRAD_NORM, VALUE_COEF, TrainingConfig,
+                          entropy_coef)
 from repro.rl.distributions import DiagGaussian
 from repro.rl.optim import Adam, clip_grad_norm
 from repro.rl.policy import PreferenceActorCritic
@@ -32,7 +37,7 @@ from repro.rl.rollout import RolloutBuffer
 __all__ = ["PPOStats", "PPOTrainer"]
 
 
-#: Multiplier on the paper's beta schedule (``TrainingConfig.entropy_coef``).
+#: Multiplier on the paper's beta schedule (:func:`repro.config.entropy_coef`).
 ENTROPY_SCALE = 0.01
 #: Bounds on the Gaussian's log-std.  The entropy bonus exerts a
 #: constant upward pull on log_std; with Adam's per-parameter step
@@ -71,13 +76,13 @@ class PPOTrainer:
         self.model = model
         self.config = config
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.optimizer = Adam(model.parameters(), lr=self.config.learning_rate)
+        self.optimizer = Adam(model.parameters(), lr=LEARNING_RATE)
         self.iteration = 0
 
     def update(self, buffer: RolloutBuffer | list[RolloutBuffer],
                bootstrap_value: float | list[float] = 0.0) -> PPOStats:
-        """Run ``epochs_per_iteration`` of minibatch PPO over the buffer
-        contents.
+        """Run ``EPOCHS_PER_ITERATION`` epochs of minibatch PPO over the
+        buffer contents.
 
         Accepts a single buffer or a list (one per rollout: a
         :class:`~repro.rl.parallel.VectorCollector`'s environments, or a
@@ -87,7 +92,6 @@ class PPOTrainer:
         are pooled for minibatching, so trajectories never leak into
         each other.
         """
-        cfg = self.config
         buffers = [buffer] if isinstance(buffer, RolloutBuffer) else list(buffer)
         boots = ([bootstrap_value] * len(buffers)
                  if isinstance(bootstrap_value, (int, float)) else list(bootstrap_value))
@@ -99,7 +103,7 @@ class PPOTrainer:
                    else np.concatenate([p[1] for p in parts]))
         actions = np.concatenate([p[2] for p in parts])
         old_log_probs = np.concatenate([p[3] for p in parts])
-        computed = [b.compute(cfg.discount_factor, cfg.gae_lambda, v)
+        computed = [b.compute(DISCOUNT_FACTOR, GAE_LAMBDA, v)
                     for b, v in zip(buffers, boots)]
         returns = np.concatenate([c[0] for c in computed])
         advantages = np.concatenate([c[1] for c in computed])
@@ -112,14 +116,15 @@ class PPOTrainer:
         # their noise blown up to unit variance per buffer.
         advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
         n = len(obs)
-        beta = cfg.entropy_coef(self.iteration) * ENTROPY_SCALE
+        size = self.config.minibatch_size
+        beta = entropy_coef(self.iteration) * ENTROPY_SCALE
 
         stats = PPOStats(0.0, 0.0, 0.0, 0.0, 0.0, explained)
         batches = 0
-        for _ in range(cfg.epochs_per_iteration):
+        for _ in range(EPOCHS_PER_ITERATION):
             order = self.rng.permutation(n)
-            for start in range(0, n, cfg.minibatch_size):
-                idx = order[start:start + cfg.minibatch_size]
+            for start in range(0, n, size):
+                idx = order[start:start + size]
                 mb_stats = self._update_minibatch(
                     obs[idx], None if weights is None else weights[idx],
                     actions[idx], old_log_probs[idx], returns[idx], advantages[idx], beta)
@@ -145,7 +150,7 @@ class PPOTrainer:
         self.optimizer.zero_grad()
         stats = self._accumulate_gradients(
             obs, weights, actions, old_log_probs, returns, advantages, beta)
-        clip_grad_norm(self.model.parameters(), self.config.max_grad_norm)
+        clip_grad_norm(self.model.parameters(), MAX_GRAD_NORM)
         self.optimizer.step()
         self._clamp_log_std()
         return stats
@@ -157,7 +162,6 @@ class PPOTrainer:
     def _accumulate_gradients(self, obs, weights, actions, old_log_probs,
                               returns, advantages, beta) -> PPOStats:
         """Forward + backward for the PPO loss; grads are *accumulated*."""
-        cfg = self.config
         model = self.model
         n = len(obs)
 
@@ -167,7 +171,7 @@ class PPOTrainer:
 
         ratio = np.exp(new_log_probs - old_log_probs)
         unclipped = ratio * advantages
-        clipped = np.clip(ratio, 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon) * advantages
+        clipped = np.clip(ratio, 1.0 - CLIP_EPSILON, 1.0 + CLIP_EPSILON) * advantages
         surrogate = np.minimum(unclipped, clipped)
         policy_loss = -float(surrogate.mean())
 
@@ -188,11 +192,11 @@ class PPOTrainer:
         # Value loss: 0.5 * c_v * mean((V - R)^2).
         value_err = value - returns
         value_loss = 0.5 * float(np.mean(value_err ** 2))
-        d_value = cfg.value_coef * value_err / n
+        d_value = VALUE_COEF * value_err / n
 
         model.backward(d_mean, d_value, d_log_std)
 
-        clip_fraction = float(np.mean(np.abs(ratio - 1.0) > cfg.clip_epsilon))
+        clip_fraction = float(np.mean(np.abs(ratio - 1.0) > CLIP_EPSILON))
         approx_kl = float(np.mean(old_log_probs - new_log_probs))
         return PPOStats(policy_loss, value_loss, entropy, clip_fraction, approx_kl)
 

@@ -86,8 +86,10 @@ STATS_LOGGED = ("tests/test_training_pipeline.py::TestOfflineTrainer::"
                 "test_every_row_carries_its_update_stats")
 REPLAY_ORDER = ("tests/test_training_pipeline.py::TestOnlineAdapter::"
                 "test_replay_drawn_between_rollouts")
-#: The discount and GAE lambda a PPO update reads from its config.
+#: The discount and GAE lambda a PPO update reads from Table 2's
+#: constants, and the direction of the entropy schedule.
 GAE_READ = "tests/test_ppo.py::TestTrainingRecipe::test_update_reads_gamma_and_lambda"
+ENTROPY_LAW = "tests/test_config.py::TestEntropyDecay::test_monotone_decreasing"
 
 #: The deployed policies against ``model.act``'s mean branch: the
 #: simulator's rate controllers, the §5 library and Orca.
@@ -431,9 +433,15 @@ MUTANTS = {
     # The update discounts advantages with gamma where lambda goes.
     "ppo-lambda-is-gamma": Mutant(
         "repro.rl.ppo",
-        "b.compute(cfg.discount_factor, cfg.gae_lambda, v)",
-        "b.compute(cfg.discount_factor, cfg.discount_factor, v)",
+        "b.compute(DISCOUNT_FACTOR, GAE_LAMBDA, v)",
+        "b.compute(DISCOUNT_FACTOR, DISCOUNT_FACTOR, v)",
         (GAE_READ,)),
+    # beta runs from 0.1 up to 1 instead of decaying from 1 to 0.1.
+    "entropy-schedule-swapped": Mutant(
+        "repro.config",
+        "ENTROPY_START = 1.0\nENTROPY_END = 0.1\n",
+        "ENTROPY_START = 0.1\nENTROPY_END = 1.0\n",
+        (ENTROPY_LAW,)),
     # A deployed policy that samples its action instead of acting on
     # the actor's mean.
     "deployed-action-sampled": Mutant(

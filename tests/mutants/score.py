@@ -35,6 +35,7 @@ from pathlib import Path
 import pytest
 
 from mutants import (
+    ENTROPY_LAW,
     ENV_PARITY,
     EVERY_KIND,
     FLAT_ADAM,
@@ -63,6 +64,7 @@ CLASSES = (
     (SLICING, "law"),
     (SAMPLING_LAW, "law"),
     (FLAT_ADAM, "law"),
+    (ENTROPY_LAW, "law"),
     ("tests/test_policy.py::TestInferencePlan::test_every_method_equals_"
      "forward_bit_for_bit[[]*", "law"),
 )

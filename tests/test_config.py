@@ -12,7 +12,7 @@ from repro.config import (
     DEFAULT_TRAINING,
     TESTING_RANGES,
     TRAINING_RANGES,
-    TrainingConfig,
+    entropy_coef,
 )
 
 
@@ -20,10 +20,10 @@ class TestTable2:
     """The learning hyperparameters of paper Table 2."""
 
     def test_discount_factor(self):
-        assert DEFAULT_TRAINING.discount_factor == 0.99
+        assert repro.config.DISCOUNT_FACTOR == 0.99
 
     def test_learning_rate(self):
-        assert DEFAULT_TRAINING.learning_rate == pytest.approx(1e-3)
+        assert repro.config.LEARNING_RATE == pytest.approx(1e-3)
 
     def test_action_scale(self):
         assert DEFAULT_TRAINING.action_scale == pytest.approx(0.025)
@@ -35,7 +35,7 @@ class TestTable2:
         assert repro.config.NUM_LANDMARKS == 36
 
     def test_clip_epsilon(self):
-        assert DEFAULT_TRAINING.clip_epsilon == pytest.approx(0.2)
+        assert repro.config.CLIP_EPSILON == pytest.approx(0.2)
 
     def test_architecture_is_64_32_per_section5(self):
         assert DEFAULT_TRAINING.hidden_sizes == (64, 32)
@@ -45,20 +45,27 @@ class TestEntropyDecay:
     """beta decays 1 -> 0.1 over 1000 iterations (§5)."""
 
     def test_start(self):
-        assert DEFAULT_TRAINING.entropy_coef(0) == pytest.approx(1.0)
+        assert entropy_coef(0) == pytest.approx(1.0)
 
     def test_end(self):
-        assert DEFAULT_TRAINING.entropy_coef(1000) == pytest.approx(0.1)
+        assert entropy_coef(1000) == pytest.approx(0.1)
 
     def test_beyond_end_stays(self):
-        assert DEFAULT_TRAINING.entropy_coef(5000) == pytest.approx(0.1)
+        assert entropy_coef(5000) == pytest.approx(0.1)
 
     def test_midpoint(self):
-        assert DEFAULT_TRAINING.entropy_coef(500) == pytest.approx(0.55)
+        assert entropy_coef(500) == pytest.approx(0.55)
 
     def test_monotone_decreasing(self):
-        values = [DEFAULT_TRAINING.entropy_coef(i) for i in range(0, 1200, 100)]
-        assert all(a >= b for a, b in zip(values, values[1:]))
+        entropy_decays(entropy_coef)
+
+
+def entropy_decays(schedule) -> None:
+    """beta never rises from one iteration to the next, and it falls
+    over the schedule."""
+    values = [schedule(i) for i in range(0, 1200, 100)]
+    assert all(a >= b for a, b in zip(values, values[1:]))
+    assert values[0] > values[-1]
 
 
 class TestTable3:
@@ -124,17 +131,19 @@ class TestBootstrapObjectives:
 
 class TestReplace:
     def test_replace_returns_new_config(self):
-        cfg = DEFAULT_TRAINING.replace(learning_rate=5e-4)
-        assert cfg.learning_rate == pytest.approx(5e-4)
-        assert DEFAULT_TRAINING.learning_rate == pytest.approx(1e-3)
+        cfg = DEFAULT_TRAINING.replace(steps_per_iteration=64)
+        assert cfg.steps_per_iteration == 64
+        assert DEFAULT_TRAINING.steps_per_iteration == 256
 
     def test_frozen(self):
         with pytest.raises(Exception):
-            DEFAULT_TRAINING.learning_rate = 0.5  # type: ignore[misc]
+            DEFAULT_TRAINING.steps_per_iteration = 64  # type: ignore[misc]
 
-    def test_custom_entropy_schedule(self):
-        cfg = TrainingConfig(entropy_start=0.5, entropy_end=0.5)
-        assert cfg.entropy_coef(123) == pytest.approx(0.5)
+    def test_custom_entropy_schedule(self, monkeypatch):
+        """The schedule reads the module's constants at call time."""
+        monkeypatch.setattr(repro.config, "ENTROPY_START", 0.5)
+        monkeypatch.setattr(repro.config, "ENTROPY_END", 0.5)
+        assert entropy_coef(123) == pytest.approx(0.5)
 
 
 def test_config_is_the_only_environment_reader():

@@ -35,6 +35,7 @@ import test_baselines
 import test_batch
 import test_cell_lifetime
 import test_collectors
+import test_config
 import test_conservation
 import test_core_mocc
 import test_engine_invariants
@@ -58,6 +59,7 @@ from mutants import (
     BLOCK_CHECKS,
     CONTROLLER_PARITY,
     DEPLOYED_UDT,
+    ENTROPY_LAW,
     ENV_LINK_PINS,
     ENV_PARITY,
     EQ2_ENV_REWARD,
@@ -208,8 +210,8 @@ KILLERS = {
     STATS_LOGGED: lambda ns: test_training_pipeline.rows_carry_their_update_stats(
         ns["OfflineTrainer"]),
     REPLAY_ORDER: lambda ns: adapted_by(ns["OfflineTrainer"]),
-    GAE_READ: lambda ns: test_ppo.update_reads_gamma_and_lambda(
-        ns["PPOTrainer"]),
+    GAE_READ: test_ppo.update_reads_gamma_and_lambda,
+    ENTROPY_LAW: lambda ns: test_config.entropy_decays(ns["entropy_coef"]),
     **{parity: lambda ns, weight_dim=weight_dim: planned_by(
         ns["InferencePlan"], lambda: test_core_mocc.rates_equal_act_path_over_a_flow(
             weight_dim)) for weight_dim, parity in CONTROLLER_PARITY.items()},

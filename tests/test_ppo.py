@@ -3,14 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.config import DEFAULT_TRAINING
+import repro.rl.ppo
+from repro.config import DISCOUNT_FACTOR, GAE_LAMBDA
 from repro.rl.policy import PreferenceActorCritic
 from repro.rl.ppo import PPOTrainer
 from repro.rl.rollout import RolloutBuffer, gae_advantages
 
-#: A config with beta zeroed: the schedule is 0 -> 0.
-NO_ENTROPY = DEFAULT_TRAINING.replace(learning_rate=3e-3, entropy_start=0.0,
-                                      entropy_end=0.0)
+
+@pytest.fixture
+def no_entropy(monkeypatch):
+    """beta zeroed (the schedule is 0 -> 0) at a step size of 3e-3."""
+    monkeypatch.setattr(repro.rl.ppo, "entropy_coef", lambda iteration: 0.0)
+    monkeypatch.setattr(repro.rl.ppo, "LEARNING_RATE", 3e-3)
 
 
 class _TargetBandit:
@@ -30,13 +34,13 @@ class _TargetBandit:
         return buf
 
 
+@pytest.mark.usefixtures("no_entropy")
 class TestPPOLearnsBandit:
     def test_mean_moves_to_target(self):
         rng = np.random.default_rng(0)
         model = PreferenceActorCritic(obs_dim=4, weight_dim=0, act_dim=1,
                                       hidden_sizes=(8,), rng=rng)
-        trainer = PPOTrainer(model, NO_ENTROPY,
-                             rng=np.random.default_rng(1))
+        trainer = PPOTrainer(model, rng=np.random.default_rng(1))
         env = _TargetBandit(target=0.7)
         for _ in range(60):
             buf = env.rollout(model, 128, rng)
@@ -48,8 +52,7 @@ class TestPPOLearnsBandit:
         rng = np.random.default_rng(2)
         model = PreferenceActorCritic(obs_dim=4, weight_dim=0, act_dim=1,
                                       hidden_sizes=(8,), rng=rng)
-        trainer = PPOTrainer(model, NO_ENTROPY,
-                             rng=np.random.default_rng(3))
+        trainer = PPOTrainer(model, rng=np.random.default_rng(3))
         env = _TargetBandit(target=-0.5)
         for _ in range(60):
             buf = env.rollout(model, 128, rng)
@@ -179,16 +182,16 @@ class TestPPOMechanics:
 
 class TestTrainingRecipe:
     def test_update_reads_gamma_and_lambda(self):
-        update_reads_gamma_and_lambda(PPOTrainer)
+        update_reads_gamma_and_lambda(vars(repro.rl.ppo))
 
 
-def update_reads_gamma_and_lambda(trainer_cls) -> None:
+def update_reads_gamma_and_lambda(ppo: dict) -> None:
     """The explained variance ``update`` reports is the closed form over
-    GAE returns at the config's own gamma and lambda (0.9 and 0.5 here,
-    neither a default): ``1 - Var(R - V) / Var(R)`` with ``R = A + V``.
-    Episodes of five steps and a bootstrapped tail make both matter."""
+    GAE returns at the gamma and lambda its module reads (patched to 0.9
+    and 0.5 here, neither Table 2's): ``1 - Var(R - V) / Var(R)`` with
+    ``R = A + V``.  Episodes of five steps and a bootstrapped tail make
+    both matter.  ``ppo`` is the namespace of a ``repro.rl.ppo``."""
     gamma, lam, boot = 0.9, 0.5, 0.7
-    config = DEFAULT_TRAINING.replace(discount_factor=gamma, gae_lambda=lam)
     model = PreferenceActorCritic(obs_dim=3, weight_dim=0, act_dim=1,
                                   hidden_sizes=(6,), rng=np.random.default_rng(4))
     rng = np.random.default_rng(16)
@@ -202,25 +205,28 @@ def update_reads_gamma_and_lambda(trainer_cls) -> None:
                                  boot) + buf.values
         return 1.0 - (returns - buf.values).var() / returns.var()
 
-    # The closed form tells the config's gamma and lambda from a swap,
-    # from lambda read as gamma, and from the defaults.
+    # The closed form tells the patched gamma and lambda from a swap,
+    # from lambda read as gamma, and from Table 2's.
     expected = explained(gamma, lam)
     for g, lmb in ((lam, gamma), (gamma, gamma),
-                 (DEFAULT_TRAINING.discount_factor, DEFAULT_TRAINING.gae_lambda)):
+                   (DISCOUNT_FACTOR, GAE_LAMBDA)):
         assert abs(explained(g, lmb) - expected) > 1e-3
-    stats = trainer_cls(model, config, rng=np.random.default_rng(5)).update(
-        buf, boot)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(ppo, "DISCOUNT_FACTOR", gamma)
+        patch.setitem(ppo, "GAE_LAMBDA", lam)
+        stats = ppo["PPOTrainer"](model, rng=np.random.default_rng(5)).update(
+            buf, boot)
     assert stats.explained_variance == pytest.approx(expected, rel=1e-12)
 
 
 class TestClippingBehaviour:
-    def test_stale_buffer_produces_clipping(self):
+    def test_stale_buffer_produces_clipping(self, monkeypatch):
         """Re-updating many times on one buffer must trigger the clip."""
+        monkeypatch.setattr(repro.rl.ppo, "LEARNING_RATE", 5e-3)
+        monkeypatch.setattr(repro.rl.ppo, "EPOCHS_PER_ITERATION", 1)
         model = PreferenceActorCritic(obs_dim=3, weight_dim=0, act_dim=1,
                                       hidden_sizes=(6,), rng=np.random.default_rng(12))
-        trainer = PPOTrainer(model, DEFAULT_TRAINING.replace(
-                                 learning_rate=5e-3, epochs_per_iteration=1),
-                             rng=np.random.default_rng(13))
+        trainer = PPOTrainer(model, rng=np.random.default_rng(13))
         rng = np.random.default_rng(14)
         buf = RolloutBuffer(3, 0, 1, 64)
         for i in range(64):

@@ -1,12 +1,14 @@
 """Every definition in ``src/repro`` has a caller outside the tests,
-and every defaulted parameter has a caller that sets it.
+and every defaulted parameter and dataclass field has a caller that
+sets it.
 
 ROADMAP item 21: a ``src/`` name earns its place with a use in
 ``src/``, ``benchmarks/``, ``examples/`` or ``scripts/``.  A test-only
 oracle or reader lives in ``tests/``; a definition only tests reach
 goes with those tests.  The same holds one level down: a defaulted
-parameter that only tests set is a knob no run of the program turns,
-so it becomes a constant of the body.
+parameter or field that only tests set is a knob no run of the
+program turns, so it becomes a constant (Table 2's PPO settings are
+the constant block of ``repro.config`` for this reason).
 
 Both censuses are by name, not by resolution.  A non-dunder ``def``
 counts as called when some ``Name`` or ``Attribute`` node spells its
@@ -21,9 +23,15 @@ parameter counts as set when a call spelling its function's name (the
 class name for ``__init__``) passes it by keyword or by position, or
 forwards ``*args`` / ``**kwargs``; ``super().__init__(...)`` in a
 subclass calls its bases, ``cls(...)`` calls the enclosing class and
-``partial(f, ...)`` calls ``f``.  The few kept definitions and
-parameters name the item that will use them, the reference they are,
-or the protocol that fixes their signature.
+``partial(f, ...)`` calls ``f``.  A defaulted field of a frozen
+dataclass counts as set when a call spelling its class passes it by
+keyword or by position, or forwards ``*args`` / ``**kwargs``, or when
+a ``.replace(...)`` call passes it by keyword; the ``**kwargs`` a
+class's own ``replace`` forwards names no field, so it sets none.  A
+non-frozen dataclass holds state, not settings, and is not counted.
+The few kept definitions, parameters and fields name the item that
+will use them, the reference they are, or the protocol that fixes
+their signature.
 """
 
 import ast
@@ -62,9 +70,24 @@ KEPT_PARAMS = {
         "protocol: a canonical form is called as form(value, owner, signer)",
 }
 
-#: The scenario language, exempt from the parameter census by name:
-#: its builders take every axis a scenario may vary, and item 5(a)
-#: makes every figure a suite built from them.
+#: ``qualname.field`` -> why a field no caller sets stays.
+KEPT_FIELDS = {
+    "repro.config.TrainingConfig.minibatch_size":
+        "reference: the training golden trains at minibatch_size=32",
+    "repro.rl.dqn.DQNConfig.target_sync_steps":
+        "reference: the training golden's DQN row syncs every 50 steps",
+    "repro.rl.dqn.DQNConfig.warmup_transitions":
+        "reference: the training golden's DQN row warms up on 64",
+    "repro.eval.resilience.RetryPolicy.max_attempts":
+        "item 2: test_sweep_kills.py's kill schedules draw it from {1, 2, 4}",
+    "repro.config.NetworkParams.trace":
+        "item 23(a): training on a moving-capacity link",
+}
+
+#: The scenario language, exempt from the parameter and field
+#: censuses by name: its builders and its churn schedule take every
+#: axis a scenario may vary, and item 5(a) makes every figure a suite
+#: built from them.
 SCENARIO_LANGUAGE = {
     f"repro.netsim.topology.{name}" for name in (
         "dumbbell", "chain", "parking_lot", "dumbbell_asymmetric",
@@ -73,11 +96,11 @@ SCENARIO_LANGUAGE = {
     f"repro.eval.sweeps.{name}" for name in (
         "sweep_suite", "multihop_churn_suite", "ack_congestion_suite",
         "multihop_bench_suites")
-}
+} | {"repro.eval.scenarios.ChurnSchedule"}
 
-#: The fault specs, exempt from the class census by name: they are the
-#: values of the scenario language's ``faults=`` axis, which a suite
-#: may leave unused.
+#: The fault specs, exempt from the class and field censuses by name:
+#: they are the values of the scenario language's ``faults=`` axis,
+#: which a suite may leave unused.
 FAULT_SPECS = {
     f"repro.netsim.faults.{name}" for name in (
         "LinkFlapSchedule", "GilbertElliottLoss", "RateBrownout",
@@ -242,24 +265,87 @@ def _calls(tree: ast.AST, cls: ast.ClassDef | None = None):
 
 
 @cache
+def _call_index(root: Path) -> dict[str, list[tuple[float, frozenset]]]:
+    """``callee -> [(positional count, keywords)]`` over every call
+    outside the tests under ``root``."""
+    calls: dict[str, list[tuple[float, frozenset]]] = {}
+    for _, _, tree in _trees(root):
+        for callee, count, keywords in _calls(tree):
+            calls.setdefault(callee, []).append((count, keywords))
+    return calls
+
+
+def _is_set(root: Path, callee: str, name: str, position: int | None) -> bool:
+    """Whether a call of ``callee`` passes ``name`` by keyword, at
+    ``position`` (None: keyword only) or through ``*`` / ``**``."""
+    return any(name in keywords or None in keywords
+               or (position is not None and position < count)
+               for count, keywords in _call_index(root).get(callee, ()))
+
+
+@cache
 def parameter_census(root: Path = ROOT) -> tuple[str, ...]:
     """``qualname(parameter)`` per defaulted ``src/repro`` parameter
     under ``root`` that no call outside the tests sets, the scenario
     language left out."""
-    parameters = []
-    calls: dict[str, list[tuple[float, frozenset]]] = {}
-    for _, module, tree in _trees(root):
-        for callee, count, keywords in _calls(tree):
-            calls.setdefault(callee, []).append((count, keywords))
-        if module is not None:
-            parameters += _defaulted(tree, module)
+    parameters = [p for _, module, tree in _trees(root) if module is not None
+                  for p in _defaulted(tree, module)]
     return tuple(sorted(
         f"{qualname}({name})"
         for qualname, callee, name, position in parameters
         if qualname not in SCENARIO_LANGUAGE
-        and not any(name in keywords or None in keywords
-                    or (position is not None and position < count)
-                    for count, keywords in calls.get(callee, ()))))
+        and not _is_set(root, callee, name, position)))
+
+
+def _is_frozen(node: ast.ClassDef) -> bool:
+    """Whether ``node`` is decorated ``@dataclass(frozen=True)``."""
+    return any(isinstance(d, ast.Call) and _spelled(d.func) == "dataclass"
+               and any(k.arg == "frozen" and isinstance(k.value, ast.Constant)
+                       and k.value.value is True for k in d.keywords)
+               for d in node.decorator_list)
+
+
+def _has_default(value: ast.expr | None) -> bool:
+    """Whether a field's right-hand side gives it a default: any value
+    but a ``field(...)`` without ``default=`` or ``default_factory=``."""
+    if isinstance(value, ast.Call) and _spelled(value.func) == "field":
+        return any(k.arg in ("default", "default_factory")
+                   for k in value.keywords)
+    return value is not None
+
+
+def _fields(tree: ast.AST, prefix: str):
+    """``(class qualname, class, field, position)`` per defaulted field
+    of a frozen dataclass; ``position`` is the field's place among the
+    constructor's arguments."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            qualname = f"{prefix}.{node.name}"
+            if _is_frozen(node):
+                fields = [s for s in node.body if isinstance(s, ast.AnnAssign)]
+                for position, statement in enumerate(fields):
+                    if _has_default(statement.value):
+                        yield (qualname, node.name, statement.target.id,
+                               position)
+            yield from _fields(node, qualname)
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _fields(node, prefix)
+
+
+@cache
+def field_census(root: Path = ROOT) -> tuple[str, ...]:
+    """``qualname.field`` per defaulted field of a frozen ``src/repro``
+    dataclass under ``root`` that no call outside the tests sets, the
+    scenario language and the fault specs left out."""
+    fields = [f for _, module, tree in _trees(root) if module is not None
+              for f in _fields(tree, module)]
+    replaced = set().union(*(keywords for _, keywords
+                             in _call_index(root).get("replace", ())))
+    return tuple(sorted(
+        f"{qualname}.{name}"
+        for qualname, cls, name, position in fields
+        if qualname not in SCENARIO_LANGUAGE | FAULT_SPECS
+        and name not in replaced and not _is_set(root, cls, name, position)))
 
 
 def stale(kept: dict, flagged: tuple) -> list[str]:
@@ -297,6 +383,23 @@ def test_every_kept_parameter_is_still_unset():
 def test_every_kept_parameter_names_an_item_a_reference_or_a_protocol():
     assert all(reason.startswith(REASONS) for reason in KEPT_PARAMS.values())
     assert len(KEPT_PARAMS) <= 10
+
+
+def test_every_defaulted_field_has_a_non_test_setter():
+    unset = [f for f in field_census() if f not in KEPT_FIELDS]
+    assert unset == [], (
+        "no caller outside the tests sets these; make each a module "
+        f"constant, or name its next setter in KEPT_FIELDS: {unset}")
+
+
+def test_every_kept_field_is_still_unset():
+    assert stale(KEPT_FIELDS, field_census()) == [], (
+        "KEPT_FIELDS entries now set or gone")
+
+
+def test_every_kept_field_names_an_item_a_reference_or_a_protocol():
+    assert all(reason.startswith(REASONS) for reason in KEPT_FIELDS.values())
+    assert len(KEPT_FIELDS) <= 5
 
 
 #: Planted trees: ``{relpath: source}`` and the census they must give.
@@ -402,6 +505,35 @@ PLANTED_PARAMS = {
 }
 
 
+#: Planted trees for the field census: ``repro/m.py`` defines the
+#: frozen ``C(a, x=1)``, the other files build or replace it.
+C = ("from dataclasses import dataclass, field, replace\n\n\n"
+     "@dataclass(frozen=True)\nclass C:\n    a: int\n    x: int = 1\n")
+PLANTED_FIELDS = {
+    "unset": ({"src/repro/m.py": C + "\n\nC(0)\n"}, ("repro.m.C.x",)),
+    "test-setter": ({"src/repro/m.py": C,
+                     "tests/test_m.py": "from repro.m import C\nC(0, x=2)\n"},
+                    ("repro.m.C.x",)),
+    "keyword": ({"src/repro/m.py": C, "scripts/s.py": "C(0, x=2)\n"}, ()),
+    "position": ({"src/repro/m.py": C, "examples/e.py": "C(0, 2)\n"}, ()),
+    "double-star": ({"src/repro/m.py": C, "scripts/s.py": "C(**kw)\n"}, ()),
+    "replace-keyword": ({"src/repro/m.py": C,
+                         "benchmarks/b.py": "replace(c, x=2)\nc.replace(x=3)\n"},
+                        ()),
+    "own-replace-forward": (
+        {"src/repro/m.py": C + "\n    def replace(self, **kwargs):\n"
+                               "        return replace(self, **kwargs)\n",
+         "scripts/s.py": "C(0).replace(**changes)\n"},
+        ("repro.m.C.x",)),
+    "field-without-default": (
+        {"src/repro/m.py": C.replace("a: int", "a: int = field(metadata={})")},
+        ("repro.m.C.x",)),
+    "non-frozen": ({"src/repro/m.py": C.replace("(frozen=True)", "")}, ()),
+    "scenario-language": ({"src/repro/eval/scenarios.py":
+                           C.replace("class C", "class ChurnSchedule")}, ()),
+}
+
+
 def _plant(root: Path, files: dict) -> None:
     for relpath, source in files.items():
         (root / relpath).parent.mkdir(parents=True, exist_ok=True)
@@ -420,6 +552,19 @@ def test_parameter_census_on_a_planted_tree(tmp_path, case):
     files, unset = PLANTED_PARAMS[case]
     _plant(tmp_path, files)
     assert parameter_census(tmp_path) == unset
+
+
+@pytest.mark.parametrize("case", PLANTED_FIELDS)
+def test_field_census_on_a_planted_tree(tmp_path, case):
+    files, unset = PLANTED_FIELDS[case]
+    _plant(tmp_path, files)
+    assert field_census(tmp_path) == unset
+
+
+def test_a_stale_kept_field_is_reported(tmp_path):
+    _plant(tmp_path, {"src/repro/m.py": C, "scripts/s.py": "C(0, x=2)\n"})
+    kept = {"repro.m.C.x": "item 1: a setter will come"}
+    assert stale(kept, field_census(tmp_path)) == ["repro.m.C.x"]
 
 
 def test_a_stale_kept_parameter_is_reported(tmp_path):
