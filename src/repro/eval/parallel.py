@@ -202,29 +202,21 @@ class SuiteResult:
         return len(self.results)
 
 
-#: Cell batches staged for the forked pool, as lists of positions into
-#: the pending list.  Workers index into the parent's copy-on-write
-#: memory instead of receiving pickled scenarios -- live agents
-#: embedded in a FlowDef would otherwise be serialised through the IPC
-#: pipe once per task.
-_FORK_BATCHES: list[list[int]] = []
-_FORK_SCENARIOS: list[Scenario] = []
+def _execute_batch(cells: list[Scenario]):
+    """One batch of cells -> per-cell ``(payload, error)`` pairs in
+    batch order; the pool workers' entry point and the in-process
+    arm's.
 
-
-def _execute_batch(batch_index: int):
-    """One batch -> per-cell ``(position, payload, error)`` triples;
-    the pool workers' entry point and the in-process arm's.
-
+    The batch's cells are the task argument, so a long-lived worker
+    runs the cells of this sweep, live agents as they are now included.
     Failures come back as strings instead of raised exceptions, so
     unpicklable exception objects never wedge the result pipe.  A
     failing cell never takes its batch siblings with it:
     ``BatchRunner`` isolates errors per cell.
     """
-    positions = _FORK_BATCHES[batch_index]
-    cells = BatchRunner().run([_FORK_SCENARIOS[p] for p in positions])
-    return [(position, None, cell.error) if cell.error is not None
-            else (position, (cell.records, cell.elapsed, cell.events), None)
-            for position, cell in zip(positions, cells)]
+    return [(None, cell.error) if cell.error is not None
+            else ((cell.records, cell.elapsed, cell.events), None)
+            for cell in BatchRunner().run(cells)]
 
 
 class ParallelRunner:
@@ -232,9 +224,12 @@ class ParallelRunner:
 
     ``n_workers <= 1`` runs in-process (the reference serial path);
     results are bit-identical either way because every scenario is a
-    self-contained, seeded simulation.  Workers are forked per ``run``
-    call, so children inherit the live agents the scenarios carry
-    through copy-on-write memory.
+    self-contained, seeded simulation.  Pool workers outlive a ``run``
+    and the runner (see :class:`~repro.eval.resilience.ResilientPool`):
+    each task carries its batch's cells, live agents pickled with them,
+    so a worker always runs the sweep's cells as they are now.  Workers
+    inherit only code, the chaos hook and the named-trace registry, and
+    are forked again when either of the last two has changed.
 
     Pending cells are dispatched to workers in *batches* executed by
     :class:`~repro.eval.batch.BatchRunner` -- cells built over frozen
@@ -379,29 +374,21 @@ class ParallelRunner:
             batches = [list(range(start, min(start + batch_size,
                                              len(pending))))
                        for start in range(0, len(pending), batch_size)]
-
-            # Staged for both arms: forked workers index the parent's
-            # copy-on-write memory instead of unpickling scenarios.
-            global _FORK_BATCHES, _FORK_SCENARIOS
-            _FORK_SCENARIOS = [s for _, s, _ in pending]
-            _FORK_BATCHES = batches
-            try:
-                # A lone batch with no deadline or retry budget asked
-                # for stays here (nothing to overlap); with one, it
-                # needs the cell out of this process.
-                if self.n_workers > 1 and (len(batches) > 1
-                                           or self.retry is not None
-                                           or self.cell_timeout is not None):
-                    self._dispatch(batches, record_result)
-                else:
-                    # Serial reference path: the workers' own entry
-                    # point, in process.
-                    for index in range(len(batches)):
-                        for outcome in _execute_batch(index):
-                            record_result(*outcome)
-            finally:
-                _FORK_BATCHES = []
-                _FORK_SCENARIOS = []
+            cells = [[pending[p][1] for p in batch] for batch in batches]
+            # A lone batch with no deadline or retry budget asked for
+            # stays here (nothing to overlap); with one, it needs the
+            # cell out of this process.
+            if self.n_workers > 1 and (len(batches) > 1
+                                       or self.retry is not None
+                                       or self.cell_timeout is not None):
+                self._dispatch(batches, cells, record_result)
+            else:
+                # Serial reference path: the workers' own entry point,
+                # in process.
+                for batch, batch_cells in zip(batches, cells):
+                    for position, outcome in zip(
+                            batch, _execute_batch(batch_cells)):
+                        record_result(position, *outcome)
 
         outcome = SuiteResult(
             results=[results[idx] for idx in range(len(scenarios))],
@@ -414,8 +401,11 @@ class ParallelRunner:
             raise ScenarioError(failed[0].scenario.name, detail, outcome)
         return outcome
 
-    def _dispatch(self, batches: list[list[int]], record_result) -> None:
-        """Run the batches on the pool, one task per batch.
+    def _dispatch(self, batches: list[list[int]],
+                  cells: list[list[Scenario]], record_result) -> None:
+        """Run the batches on the pool, one task per batch: its index
+        is the task id (the chaos hook's argument), its cells the task
+        argument.
 
         The batch deadline scales with its size (``cell_timeout`` is
         per cell).  A batch whose retry budget is exhausted -- or that
@@ -425,13 +415,13 @@ class ParallelRunner:
         pool = ResilientPool(min(self.n_workers, len(batches)),
                              _execute_batch, retry=self.retry)
         tasks = []
-        for index, batch in enumerate(batches):
+        for index, batch_cells in enumerate(cells):
             timeout = (None if self.cell_timeout is None
-                       else self.cell_timeout * len(batch))
-            tasks.append((index, index, timeout))
+                       else self.cell_timeout * len(batch_cells))
+            tasks.append((index, batch_cells, timeout))
         # closing(): an exception out of record_result (a full disk,
-        # an interrupt) tears the workers down now, not whenever the
-        # generator is collected.
+        # an interrupt) ends the workers still running a task now, not
+        # whenever the generator is collected.
         with closing(pool.execute(tasks)) as outcomes:
             for index, batch_results, error in outcomes:
                 if batch_results is None:
@@ -439,5 +429,6 @@ class ParallelRunner:
                         record_result(position, None,
                                       error or "batch produced no result")
                 else:
-                    for position, payload, cell_error in batch_results:
-                        record_result(position, payload, cell_error)
+                    for position, outcome in zip(batches[index],
+                                                 batch_results):
+                        record_result(position, *outcome)

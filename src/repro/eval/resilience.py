@@ -35,7 +35,11 @@ survives all four without compromising the determinism contract:
   pipe per worker, so it knows which worker holds which task: a
   crashed or deadline-blown worker is terminated, respawned, and its
   task either requeued at once (within the retry budget) or reported
-  as a failed result instead of wedging the sweep.
+  as a failed result instead of wedging the sweep.  Workers outlive a
+  run: a process forks them once and every later pool reuses them,
+  because each task message carries everything its task reads.
+  Besides code they inherit only the chaos hook and the named-trace
+  registry, and a change to either forks new ones.
 * :class:`SweepCheckpoint` -- an append-only journal of completed
   cells, one sealed frame each, fingerprint-keyed so an interrupted
   grid resumes from exactly the cells it finished -- with the original
@@ -43,7 +47,8 @@ survives all four without compromising the determinism contract:
   digests to an uninterrupted run.
 * :func:`set_chaos_hook` -- the deterministic fault-injection point
   the chaos tests use to kill a worker at a chosen batch (fork
-  inheritance carries the hook into workers); the kill-schedule
+  inheritance carries the hook into workers, so installing another
+  one forks new workers); the kill-schedule
   property in ``tests/test_sweep_kills.py`` draws where.
 
 Retry safety is a contract on the pool's task function (see
@@ -81,6 +86,7 @@ from repro.config import result_cache_dir
 from repro.eval.scenarios import SCENARIO_CACHE_VERSION
 from repro.netsim.network import FlowRecord
 from repro.netsim.sender import MonitorIntervalStats
+from repro.netsim.traces import _TRACE_REGISTRY
 
 __all__ = ["ResilientPool", "ResultCache", "RetryPolicy", "SweepCheckpoint",
            "record_from_json", "record_to_json", "records_digest", "seal",
@@ -523,8 +529,9 @@ class ResultCache:
 # --- chaos hook ---------------------------------------------------------------
 
 #: Test fault-injection hook, called by every pool worker with the
-#: task argument before executing it.  Set in the parent before the
-#: pool forks (children inherit it through fork); ``None`` disables.
+#: task id (a runner batch's index) before executing the task.
+#: Workers inherit it through fork: a pool whose idle workers were
+#: forked under another hook forks new ones.  ``None`` disables.
 #: Mutable module state is acceptable here -- the hook never feeds
 #: simulation results, only kills or delays workers.
 _CHAOS_HOOK = None
@@ -566,21 +573,30 @@ class RetryPolicy:
 # --- resilient pool -----------------------------------------------------------
 
 
+#: How often an idle worker checks that the process that forked it is
+#: still there, seconds.
+_ORPHAN_POLL_SECONDS = 1.0
+
+
 def _pool_worker(conn, fn) -> None:
     """Worker main: receive ``(task_id, arg)``, send ``(task_id,
-    result, error)``; a ``None`` message is the shutdown sentinel.
+    result, error)``, until terminated or the pipe closes.
 
+    A worker waits for tasks across runs, so it also ends once the
+    process that forked it is gone: end of file on the pipe need not
+    come, because workers forked later hold copies of the parent's end.
     Task exceptions come back as strings (unpicklable exception objects
     must never wedge the pipe); anything that kills the process --
     including the chaos hook -- surfaces in the parent as a crash.
     """
+    parent = os.getppid()
     try:
         while True:
-            message = conn.recv()
-            if message is None:
-                return
-            task_id, arg = message
-            chaos_probe(arg)
+            while not conn.poll(_ORPHAN_POLL_SECONDS):
+                if os.getppid() != parent:
+                    return
+            task_id, arg = conn.recv()
+            chaos_probe(task_id)
             try:
                 result = fn(arg)
             except Exception as exc:  # noqa: BLE001 -- reported per task
@@ -603,11 +619,73 @@ class _PoolTask:
 
 
 class _PoolWorker:
-    __slots__ = ("proc", "conn")
+    __slots__ = ("proc", "conn", "inherited")
 
-    def __init__(self, proc, conn):
+    def __init__(self, proc, conn, inherited):
         self.proc = proc
         self.conn = conn
+        #: What the worker took from this process at fork besides
+        #: code (see :func:`_inheritance`).
+        self.inherited = inherited
+
+
+def _inheritance(fn) -> tuple:
+    """What a worker forked now inherits that a task message does not
+    carry: its task function, the chaos hook, and the named-trace
+    registry's factories."""
+    return fn, _CHAOS_HOOK, tuple(_TRACE_REGISTRY.items())
+
+
+def _spawn(fn) -> _PoolWorker:
+    ctx = mp.get_context("fork")
+    parent_conn, child_conn = ctx.Pipe()
+    proc = ctx.Process(target=_pool_worker, args=(child_conn, fn),
+                       daemon=True)
+    proc.start()
+    child_conn.close()
+    return _PoolWorker(proc, parent_conn, _inheritance(fn))
+
+
+def _kill(worker: _PoolWorker) -> None:
+    if worker.proc.is_alive():
+        worker.proc.terminate()
+    worker.proc.join()
+    try:
+        worker.conn.close()
+    except OSError:
+        pass
+
+
+#: This process's idle pool workers, shared by every pool: ``execute``
+#: takes the ones it can use and gives back those that end it idle.  A
+#: process forked from this one does not own them, so its copy of the
+#: list starts empty.
+_IDLE: list[_PoolWorker] = []
+
+
+def _disown() -> None:
+    del _IDLE[:]
+
+
+os.register_at_fork(after_in_child=_disown)
+
+
+def _claim(fn, n: int) -> list[_PoolWorker]:
+    """``n`` workers for one ``execute``: idle ones that run ``fn``
+    under the current hook and registry first, freshly forked ones for
+    the rest.  An idle worker forked under another hook or registry is
+    ended, as is a dead one."""
+    inherited = _inheritance(fn)
+    claimed, kept = [], []
+    for worker in _IDLE:
+        if worker.inherited != inherited or not worker.proc.is_alive():
+            _kill(worker)
+        elif len(claimed) < n:
+            claimed.append(worker)
+        else:
+            kept.append(worker)
+    _IDLE[:] = kept
+    return claimed + [_spawn(fn) for _ in range(n - len(claimed))]
 
 
 class ResilientPool:
@@ -623,8 +701,18 @@ class ResilientPool:
     retried).  Tasks whose retry budget is exhausted come back as
     error results; the pool itself never raises for a task.
 
-    ``fn`` must be a module-level function (workers import it by
-    reference) and idempotent: the pool re-runs it after a crash or a
+    Workers outlive an ``execute`` and the pool object: they are the
+    process's, and every later pool reuses the idle ones.  So a task's
+    ``arg`` must carry everything the task reads that may change
+    between runs; it is pickled into the worker with each task.  A
+    worker inherits only code, its ``fn``, the chaos hook and the
+    named-trace registry, and an idle worker forked under another
+    ``fn``, hook or registry is ended and replaced by a fresh fork.
+    An ``execute`` closed early ends the workers still holding its
+    tasks.  The idle ones are daemon processes, which multiprocessing
+    terminates and joins at interpreter exit.
+
+    ``fn`` must be idempotent: the pool re-runs it after a crash or a
     timeout, so running it twice must be observationally equivalent to
     running it once.
     """
@@ -640,23 +728,6 @@ class ResilientPool:
         self.fn = fn
         self.retry = retry if retry is not None else RetryPolicy()
 
-    def _spawn(self, ctx) -> _PoolWorker:
-        parent_conn, child_conn = ctx.Pipe()
-        proc = ctx.Process(target=_pool_worker, args=(child_conn, self.fn),
-                           daemon=True)
-        proc.start()
-        child_conn.close()
-        return _PoolWorker(proc, parent_conn)
-
-    def _kill(self, worker: _PoolWorker) -> None:
-        if worker.proc.is_alive():
-            worker.proc.terminate()
-        worker.proc.join()
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
-
     def _next_move(self, task: _PoolTask, reason: str, queue: deque):
         """Requeue a transiently-failed task or emit its error result."""
         task.failures += 1
@@ -670,25 +741,24 @@ class ResilientPool:
         """Yield one ``(task_id, result, error)`` per task, unordered.
 
         ``tasks`` is an iterable of ``(task_id, arg, timeout_s)``
-        (``timeout_s=None`` = no deadline).  The generator owns the
-        worker processes: closing it early (or an exception in the
-        consuming loop) terminates them.
+        (``timeout_s=None`` = no deadline).  Closing the generator
+        early (or an exception in the consuming loop) terminates the
+        workers still running a task; the rest stay for the next
+        ``execute``.
         """
-        ctx = mp.get_context("fork")
         queue: deque[_PoolTask] = deque(
             _PoolTask(task_id, arg, timeout)
             for task_id, arg, timeout in tasks)
         if not queue:
             return
-        # Every live worker, respawned ones included: what close owns.
-        workers = [self._spawn(ctx)
-                   for _ in range(min(self.n_workers, len(queue)))]
+        # Every worker this execute holds, respawned ones included.
+        workers = _claim(self.fn, min(self.n_workers, len(queue)))
         idle = list(workers)
         inflight: dict = {}  # conn -> (worker, task, deadline | None)
 
         def respawn(worker: _PoolWorker) -> None:
-            self._kill(worker)
-            fresh = workers[workers.index(worker)] = self._spawn(ctx)
+            _kill(worker)
+            fresh = workers[workers.index(worker)] = _spawn(self.fn)
             idle.append(fresh)
 
         try:
@@ -699,10 +769,14 @@ class ResilientPool:
                 while idle and queue:
                     worker = idle.pop()
                     task = queue.popleft()
-                    worker.conn.send((task.task_id, task.arg))
                     deadline = (None if task.timeout is None
                                 else now + task.timeout)
+                    # In flight before the send: a large task is written
+                    # in several chunks, and a worker whose send was cut
+                    # short (an interrupt) holds half a message, so the
+                    # finally below must end it rather than keep it.
                     inflight[worker.conn] = (worker, task, deadline)
+                    worker.conn.send((task.task_id, task.arg))
                 for conn in _connection_wait(list(inflight),
                                              timeout=self.POLL_SECONDS):
                     worker, task, _deadline = inflight[conn]
@@ -742,19 +816,14 @@ class ResilientPool:
                         yield verdict
         finally:
             # A worker still in flight here is running a task nobody
-            # will collect (early close, abort): terminate it at once.
-            # Idle ones get the sentinel and a moment to exit.
+            # will collect (early close, abort): terminate it at once,
+            # so no worker is left holding a stale task.  The idle
+            # ones wait for the next execute.
             for worker in workers:
                 if worker.conn in inflight:
-                    worker.proc.terminate()
+                    _kill(worker)
                 else:
-                    try:
-                        worker.conn.send(None)
-                    except OSError:
-                        pass
-            for worker in workers:
-                worker.proc.join(timeout=1.0)
-                self._kill(worker)
+                    _IDLE.append(worker)
 
 
 # --- sweep checkpoint ---------------------------------------------------------

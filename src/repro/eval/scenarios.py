@@ -6,7 +6,8 @@ benchmark hand-rolling loops over :func:`repro.eval.runner.run_scheme`,
 experiments *declare* what to run:
 
 * :class:`FlowDef` -- one flow: scheme name, objective weights, a
-  live agent (forked workers inherit it), start/stop times, and (for
+  live agent (pickled into pool workers with its cell), start/stop
+  times, and (for
   multi-bottleneck topologies) the named path it traverses;
 * :class:`ChurnSchedule` -- declarative flow churn: staggered
   arrivals/departures and on/off windows rewritten onto a line-up's

@@ -119,8 +119,9 @@ class TestSweepFingerprinting:
     def test_named_trace_built_once_per_name_per_run(self, tmp_path):
         """A noise-free count of the parent's fingerprinting work: one
         factory call per distinct trace name per ``run()``, whatever
-        the cell count.  Cells build in the forked workers, whose calls
-        land in their own copy of the counter."""
+        the cell count.  Cells build in the pool workers, forked again
+        once the registry changed, whose calls land in their own copy
+        of the counter."""
         calls = []
 
         def counted(name, pps):

@@ -115,6 +115,11 @@ def _nap_or_sleep_forever(arg):
     time.sleep(60.0)
 
 
+def idle_procs() -> set:
+    """The processes of this process's idle pool workers."""
+    return {worker.proc for worker in resilience._IDLE}
+
+
 def _kill_once(marker: Path):
     """Chaos hook: hard-kill the first worker that probes, then behave."""
     def hook(arg):
@@ -234,7 +239,6 @@ class TestResilientPool:
         assert time.perf_counter() - t0 < 10.0  # killed, not waited out
 
     def test_early_close_reaps_a_respawned_worker(self, tmp_path):
-        before = set(mp.active_children())
         # Task 0's worker is killed once; its respawn picks task 0 up
         # again (and never finishes it) while task 1 is still napping.
         set_chaos_hook(_kill_batch_once(tmp_path / "killed", 0))
@@ -243,17 +247,20 @@ class TestResilientPool:
         assert next(outcomes) == (1, 0.4, None)
         outcomes.close()
         assert (tmp_path / "killed").exists()
-        assert set(mp.active_children()) == before
+        # The respawn holding task 0 is gone; the worker that finished
+        # task 1 is the one child left, idle for the next execute.
+        assert set(mp.active_children()) == idle_procs()
+        assert len(idle_procs()) == 1
 
     def test_early_close_terminates_inflight_workers_at_once(self):
-        before = set(mp.active_children())
         pool = ResilientPool(3, _nap_or_sleep_forever)
         outcomes = pool.execute([(0, 0.05, None), (1, 0, None), (2, 0, None)])
         assert next(outcomes) == (0, 0.05, None)
         t0 = time.perf_counter()
         outcomes.close()  # two workers mid-task: no grace period each
         assert time.perf_counter() - t0 < 1.0
-        assert set(mp.active_children()) == before
+        assert set(mp.active_children()) == idle_procs()
+        assert len(idle_procs()) == 1
 
 
 def _fake_mi(k: int, **changes) -> MonitorIntervalStats:

@@ -13,7 +13,9 @@ churned lossy link and a time-varying one), with a checkpoint journal:
   killed ones.
 
 Kills go through :func:`set_chaos_hook`, which pool workers call with
-their batch index before running it; every drawn kill must fire.
+their batch index before running it; every drawn kill must fire.  The
+resume check maps a batch index to its cells through the runner's own
+deterministic batching of the cells left to run.
 """
 
 import inspect
@@ -24,7 +26,6 @@ from pathlib import Path
 
 from hypothesis import given, settings
 
-import repro.eval.parallel as parallel
 from repro.eval.parallel import ParallelRunner, ScenarioError
 from repro.eval.resilience import RetryPolicy, records_digest, set_chaos_hook
 from strategies import KILL_CELLS, kill_schedules
@@ -53,14 +54,20 @@ def kill_once_each(marks: Path, batches: frozenset):
     return hook
 
 
-def log_cells(log: Path):
-    """Chaos hook: append the names of the cells each task runs."""
+def log_cells(log: Path, batches: list):
+    """Chaos hook: append the names of the cells each task runs, given
+    the runner's batches as cell names by batch index."""
     def hook(batch):
-        names = [parallel._FORK_SCENARIOS[p].name
-                 for p in parallel._FORK_BATCHES[batch]]
         with open(log, "a", encoding="utf-8") as fh:
-            fh.write("".join(f"{name}\n" for name in names))
+            fh.write("".join(f"{name}\n" for name in batches[batch]))
     return hook
+
+
+def resumed_batches(runner, names: list) -> list:
+    """The batches a re-run dispatches when ``names`` are its pending
+    cells, in sweep order: the runner's own deterministic batching."""
+    size = runner._pick_batch_size(len(names))
+    return [names[start:start + size] for start in range(0, len(names), size)]
 
 
 def run_sweep(runner, cells):
@@ -109,7 +116,11 @@ def test_kill_schedules(schedule):
 
         # Resume: the journal restores every survivor as it was, and
         # only the killed cells run again.
-        set_chaos_hook(log_cells(tmp / "ran"))
+        # A batch index past the killed cells' batches has no entry:
+        # the hook raises and the worker dies, so re-running a
+        # survivor cannot pass unseen.
+        set_chaos_hook(log_cells(tmp / "ran", resumed_batches(
+            runner, [cells[i].name for i in killed])))
         try:
             resumed, error = run_sweep(runner, cells)
         finally:
