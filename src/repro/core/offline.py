@@ -117,22 +117,27 @@ class OfflineTrainer:
         while ignoring the preference input -- and be overwritten by the
         next block (catastrophic interference).
 
-        ``objectives`` is consumed lazily, so an objective may be drawn
-        after the rollouts before it (online adaptation's replay).
-        Returns each rollout's mean episode reward, and logs one row each.
+        All of the iteration's rollouts are one ``collector.collect``
+        call, so their episodes can run on every usable core at once.
+        ``objectives`` is consumed lazily, one rollout at a time, so an
+        objective may be drawn after the rollouts before it (online
+        adaptation's replay).  Returns each rollout's mean episode
+        reward, and logs one row each.
         """
-        buffers, boots, rows = [], [], []
-        for w in objectives:
-            w = np.asarray(w, dtype=np.float64)
-            bufs, bs, reward = self.collector.collect(
-                self.agent.model, w, self.config.steps_per_iteration, self.rng)
-            buffers.extend(bufs)
-            boots.extend(bs)
-            rows.append((tuple(np.round(w, 6)), reward))
+        logged = []
+
+        def logging_as_taken():
+            for w in objectives:
+                logged.append(tuple(np.round(np.asarray(w, dtype=np.float64), 6)))
+                yield w
+
+        buffers, boots, rewards = self.collector.collect(
+            self.agent.model, logging_as_taken(),
+            self.config.steps_per_iteration, self.rng)
         stats = self.ppo.update(buffers, boots)
         self.log.extend(ObjectiveLog(phase, w, self.ppo.iteration, reward, stats)
-                        for w, reward in rows)
-        return [reward for _, reward in rows]
+                        for w, reward in zip(logged, rewards))
+        return rewards
 
     def run(self, schedule) -> OfflineResult:
         """One :meth:`iterate` per ``(phase, objectives)`` entry."""

@@ -33,14 +33,10 @@ from pathlib import Path
 import numpy as np
 
 from repro.eval.batch import BatchRunner
-from repro.eval.resilience import (
-    ResilientPool,
-    ResultCache,
-    RetryPolicy,
-    SweepCheckpoint,
-)
+from repro.eval.resilience import ResultCache, SweepCheckpoint
 from repro.eval.scenarios import Scenario, ScenarioSuite, fingerprint_cells
 from repro.netsim.network import FlowRecord
+from repro.pool import ResilientPool, RetryPolicy
 
 __all__ = ["ParallelRunner", "ScenarioError", "ScenarioResult", "SuiteResult"]
 
@@ -225,11 +221,12 @@ class ParallelRunner:
     ``n_workers <= 1`` runs in-process (the reference serial path);
     results are bit-identical either way because every scenario is a
     self-contained, seeded simulation.  Pool workers outlive a ``run``
-    and the runner (see :class:`~repro.eval.resilience.ResilientPool`):
-    each task carries its batch's cells, live agents pickled with them,
-    so a worker always runs the sweep's cells as they are now.  Workers
-    inherit only code, the chaos hook and the named-trace registry, and
-    are forked again when either of the last two has changed.
+    and the runner (see :class:`~repro.pool.ResilientPool`), and serve
+    training rollouts too: each task carries its batch's cells, live
+    agents pickled with them, so a worker always runs the sweep's cells
+    as they are now.  Workers inherit only code, the chaos hook and the
+    named-trace registry, and are forked again when either of the last
+    two has changed.
 
     Pending cells are dispatched to workers in *batches* executed by
     :class:`~repro.eval.batch.BatchRunner` -- cells built over frozen
@@ -248,7 +245,7 @@ class ParallelRunner:
     live agent adapted in place must change the keys of the next run.
 
     Out-of-process dispatch is always
-    :class:`~repro.eval.resilience.ResilientPool`: a worker that
+    :class:`~repro.pool.ResilientPool`: a worker that
     crashes or blows its deadline is respawned and its batch re-run
     within the retry budget, then reported as failed cells -- a dead
     worker never hangs a sweep.  Re-running is safe because cells are

@@ -1,13 +1,13 @@
-"""Sweep runtime: the worker pool, the sealed record codec, the result
-cache, the journal.
+"""Sweep runtime: the sealed record codec, the result cache, the
+journal, and the worker pool re-exported.
 
 Production-scale sweeps die for reasons that have nothing to do with
 the cells themselves: a worker process OOM-killed mid-batch, one cell
 wedging on a pathological parameter corner, a corrupt cache entry, the
 whole run preempted halfway through a 10^4-cell grid.  This module is
-what :class:`~repro.eval.parallel.ParallelRunner` runs every
-out-of-process sweep on and stores every finished cell with, and it
-survives all four without compromising the determinism contract:
+what :class:`~repro.eval.parallel.ParallelRunner` stores every finished
+cell with, and with the pool below it survives all four without
+compromising the determinism contract:
 
 * :func:`seal` / :func:`unseal` -- the one on-disk form of a record
   list, a binary sealed frame: a sha256 over the exact bytes stored,
@@ -26,58 +26,32 @@ survives all four without compromising the determinism contract:
 * :class:`ResultCache` -- the fingerprint-keyed, size-capped LRU
   directory of finished cells, one sealed frame per entry; an entry
   that does not unseal is quarantined and its cell recomputed.
-* :class:`RetryPolicy` -- how many attempts a task gets against
-  *transient* failures (worker crashes, timeouts).  Deterministic cell
-  failures -- an exception raised by the task function itself -- are
-  never retried: a seeded simulation that failed once fails
-  identically every time.
-* :class:`ResilientPool` -- the process pool.  Fork-based, one duplex
-  pipe per worker, so it knows which worker holds which task: a
-  crashed or deadline-blown worker is terminated, respawned, and its
-  task either requeued at once (within the retry budget) or reported
-  as a failed result instead of wedging the sweep.  Workers outlive a
-  run: a process forks them once and every later pool reuses them,
-  because each task message carries everything its task reads.
-  Besides code they inherit only the chaos hook and the named-trace
-  registry, and a change to either forks new ones.
 * :class:`SweepCheckpoint` -- an append-only journal of completed
   cells, one sealed frame each, fingerprint-keyed so an interrupted
   grid resumes from exactly the cells it finished -- with the original
   records, wall time, and event counts, hence row-for-row identical
   digests to an uninterrupted run.
-* :func:`set_chaos_hook` -- the deterministic fault-injection point
-  the chaos tests use to kill a worker at a chosen batch (fork
-  inheritance carries the hook into workers, so installing another
-  one forks new workers); the kill-schedule
-  property in ``tests/test_sweep_kills.py`` draws where.
 
-Retry safety is a contract on the pool's task function (see
-:class:`ResilientPool`): the one the runner passes,
-``repro.eval.parallel._execute_batch``, is a pure function of its
-seeded scenarios writing to a fingerprint-keyed store, and the
-kill-schedule property (killed-and-retried == serial digests) is its
-proof.
-
-All timeout arithmetic uses ``time.perf_counter()`` (monotonic,
-wall-clock-rule clean) and never feeds simulation state -- elapsed
-time is reporting, not physics.
+The pool every out-of-process sweep runs on -- :class:`ResilientPool`,
+its :class:`RetryPolicy` and :func:`set_chaos_hook` -- lives in
+:mod:`repro.pool`, which the rollout loop shares, and is re-exported
+here.  Retry safety is a contract on the pool's task function: the one
+the runner passes, ``repro.eval.parallel._execute_batch``, is a pure
+function of its seeded scenarios writing to a fingerprint-keyed store,
+and the kill-schedule property (killed-and-retried == serial digests)
+is its proof.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing as mp
 import os
 import struct
-import time
 from binascii import a2b_hex
-from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
 from itertools import chain
-from multiprocessing.connection import wait as _connection_wait
 from operator import attrgetter
 from pathlib import Path
 from typing import get_type_hints
@@ -86,7 +60,8 @@ from repro.config import result_cache_dir
 from repro.eval.scenarios import SCENARIO_CACHE_VERSION
 from repro.netsim.network import FlowRecord
 from repro.netsim.sender import MonitorIntervalStats
-from repro.netsim.traces import _TRACE_REGISTRY
+# Re-exported: the perf ledger and the tests import the pool from here.
+from repro.pool import ResilientPool, RetryPolicy, set_chaos_hook
 
 __all__ = ["ResilientPool", "ResultCache", "RetryPolicy", "SweepCheckpoint",
            "record_from_json", "record_to_json", "records_digest", "seal",
@@ -524,306 +499,6 @@ class ResultCache:
             removed += 1
         self._approx_bytes = 0
         return removed
-
-
-# --- chaos hook ---------------------------------------------------------------
-
-#: Test fault-injection hook, called by every pool worker with the
-#: task id (a runner batch's index) before executing the task.
-#: Workers inherit it through fork: a pool whose idle workers were
-#: forked under another hook forks new ones.  ``None`` disables.
-#: Mutable module state is acceptable here -- the hook never feeds
-#: simulation results, only kills or delays workers.
-_CHAOS_HOOK = None
-
-
-def set_chaos_hook(hook) -> None:
-    """Install (or with ``None`` clear) the worker chaos hook."""
-    global _CHAOS_HOOK
-    _CHAOS_HOOK = hook
-
-
-def chaos_probe(arg) -> None:
-    """Invoke the installed chaos hook, if any (worker-side)."""
-    hook = _CHAOS_HOOK
-    if hook is not None:
-        hook(arg)
-
-
-# --- retry policy -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry of transiently failed tasks.
-
-    ``max_attempts`` counts the first attempt: ``1`` disables retries
-    entirely.  A failed attempt is requeued at once: pool tasks are
-    idempotent (see :class:`ResilientPool`), so waiting before the
-    next attempt changes nothing they compute.
-    """
-
-    max_attempts: int = 3
-
-    def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-
-
-# --- resilient pool -----------------------------------------------------------
-
-
-#: How often an idle worker checks that the process that forked it is
-#: still there, seconds.
-_ORPHAN_POLL_SECONDS = 1.0
-
-
-def _pool_worker(conn, fn) -> None:
-    """Worker main: receive ``(task_id, arg)``, send ``(task_id,
-    result, error)``, until terminated or the pipe closes.
-
-    A worker waits for tasks across runs, so it also ends once the
-    process that forked it is gone: end of file on the pipe need not
-    come, because workers forked later hold copies of the parent's end.
-    Task exceptions come back as strings (unpicklable exception objects
-    must never wedge the pipe); anything that kills the process --
-    including the chaos hook -- surfaces in the parent as a crash.
-    """
-    parent = os.getppid()
-    try:
-        while True:
-            while not conn.poll(_ORPHAN_POLL_SECONDS):
-                if os.getppid() != parent:
-                    return
-            task_id, arg = conn.recv()
-            chaos_probe(task_id)
-            try:
-                result = fn(arg)
-            except Exception as exc:  # noqa: BLE001 -- reported per task
-                conn.send((task_id, None, f"{type(exc).__name__}: {exc}"))
-            else:
-                conn.send((task_id, result, None))
-    except (EOFError, OSError, KeyboardInterrupt):
-        return
-
-
-class _PoolTask:
-    __slots__ = ("task_id", "arg", "timeout", "failures", "errors")
-
-    def __init__(self, task_id, arg, timeout):
-        self.task_id = task_id
-        self.arg = arg
-        self.timeout = timeout
-        self.failures = 0
-        self.errors: list[str] = []
-
-
-class _PoolWorker:
-    __slots__ = ("proc", "conn", "inherited")
-
-    def __init__(self, proc, conn, inherited):
-        self.proc = proc
-        self.conn = conn
-        #: What the worker took from this process at fork besides
-        #: code (see :func:`_inheritance`).
-        self.inherited = inherited
-
-
-def _inheritance(fn) -> tuple:
-    """What a worker forked now inherits that a task message does not
-    carry: its task function, the chaos hook, and the named-trace
-    registry's factories."""
-    return fn, _CHAOS_HOOK, tuple(_TRACE_REGISTRY.items())
-
-
-def _spawn(fn) -> _PoolWorker:
-    ctx = mp.get_context("fork")
-    parent_conn, child_conn = ctx.Pipe()
-    proc = ctx.Process(target=_pool_worker, args=(child_conn, fn),
-                       daemon=True)
-    proc.start()
-    child_conn.close()
-    return _PoolWorker(proc, parent_conn, _inheritance(fn))
-
-
-def _kill(worker: _PoolWorker) -> None:
-    if worker.proc.is_alive():
-        worker.proc.terminate()
-    worker.proc.join()
-    try:
-        worker.conn.close()
-    except OSError:
-        pass
-
-
-#: This process's idle pool workers, shared by every pool: ``execute``
-#: takes the ones it can use and gives back those that end it idle.  A
-#: process forked from this one does not own them, so its copy of the
-#: list starts empty.
-_IDLE: list[_PoolWorker] = []
-
-
-def _disown() -> None:
-    del _IDLE[:]
-
-
-os.register_at_fork(after_in_child=_disown)
-
-
-def _claim(fn, n: int) -> list[_PoolWorker]:
-    """``n`` workers for one ``execute``: idle ones that run ``fn``
-    under the current hook and registry first, freshly forked ones for
-    the rest.  An idle worker forked under another hook or registry is
-    ended, as is a dead one."""
-    inherited = _inheritance(fn)
-    claimed, kept = [], []
-    for worker in _IDLE:
-        if worker.inherited != inherited or not worker.proc.is_alive():
-            _kill(worker)
-        elif len(claimed) < n:
-            claimed.append(worker)
-        else:
-            kept.append(worker)
-    _IDLE[:] = kept
-    return claimed + [_spawn(fn) for _ in range(n - len(claimed))]
-
-
-class ResilientPool:
-    """The sweep runtime's process pool: idempotent tasks, surviving
-    worker crashes and blown deadlines.
-
-    Each worker holds exactly one task at a time over a dedicated
-    duplex pipe, so the pool always knows *which* task a dead or
-    deadline-blown worker was holding.  That worker is
-    terminated and respawned, and the task is requeued at once under
-    ``retry`` (transient failures only: an exception *returned* by the
-    task function is deterministic and reported immediately, never
-    retried).  Tasks whose retry budget is exhausted come back as
-    error results; the pool itself never raises for a task.
-
-    Workers outlive an ``execute`` and the pool object: they are the
-    process's, and every later pool reuses the idle ones.  So a task's
-    ``arg`` must carry everything the task reads that may change
-    between runs; it is pickled into the worker with each task.  A
-    worker inherits only code, its ``fn``, the chaos hook and the
-    named-trace registry, and an idle worker forked under another
-    ``fn``, hook or registry is ended and replaced by a fresh fork.
-    An ``execute`` closed early ends the workers still holding its
-    tasks.  The idle ones are daemon processes, which multiprocessing
-    terminates and joins at interpreter exit.
-
-    ``fn`` must be idempotent: the pool re-runs it after a crash or a
-    timeout, so running it twice must be observationally equivalent to
-    running it once.
-    """
-
-    #: Parent poll granularity, seconds: the latency ceiling on
-    #: noticing a result, a crash, or an expired deadline.
-    POLL_SECONDS = 0.05
-
-    def __init__(self, n_workers: int, fn, retry: RetryPolicy | None = None):
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        self.n_workers = int(n_workers)
-        self.fn = fn
-        self.retry = retry if retry is not None else RetryPolicy()
-
-    def _next_move(self, task: _PoolTask, reason: str, queue: deque):
-        """Requeue a transiently-failed task or emit its error result."""
-        task.failures += 1
-        task.errors.append(reason)
-        if task.failures >= self.retry.max_attempts:
-            return (task.task_id, None, "; ".join(task.errors))
-        queue.append(task)
-        return None
-
-    def execute(self, tasks):
-        """Yield one ``(task_id, result, error)`` per task, unordered.
-
-        ``tasks`` is an iterable of ``(task_id, arg, timeout_s)``
-        (``timeout_s=None`` = no deadline).  Closing the generator
-        early (or an exception in the consuming loop) terminates the
-        workers still running a task; the rest stay for the next
-        ``execute``.
-        """
-        queue: deque[_PoolTask] = deque(
-            _PoolTask(task_id, arg, timeout)
-            for task_id, arg, timeout in tasks)
-        if not queue:
-            return
-        # Every worker this execute holds, respawned ones included.
-        workers = _claim(self.fn, min(self.n_workers, len(queue)))
-        idle = list(workers)
-        inflight: dict = {}  # conn -> (worker, task, deadline | None)
-
-        def respawn(worker: _PoolWorker) -> None:
-            _kill(worker)
-            fresh = workers[workers.index(worker)] = _spawn(self.fn)
-            idle.append(fresh)
-
-        try:
-            # Every worker is idle or in flight, so after the hand-out
-            # below something is in flight whenever this loop runs.
-            while queue or inflight:
-                now = time.perf_counter()
-                while idle and queue:
-                    worker = idle.pop()
-                    task = queue.popleft()
-                    deadline = (None if task.timeout is None
-                                else now + task.timeout)
-                    # In flight before the send: a large task is written
-                    # in several chunks, and a worker whose send was cut
-                    # short (an interrupt) holds half a message, so the
-                    # finally below must end it rather than keep it.
-                    inflight[worker.conn] = (worker, task, deadline)
-                    worker.conn.send((task.task_id, task.arg))
-                for conn in _connection_wait(list(inflight),
-                                             timeout=self.POLL_SECONDS):
-                    worker, task, _deadline = inflight[conn]
-                    try:
-                        task_id, result, error = conn.recv()
-                    except (EOFError, OSError):
-                        # Worker died mid-task (chaos kill, OOM,
-                        # segfault): respawn and requeue within budget.
-                        del inflight[conn]
-                        respawn(worker)
-                        verdict = self._next_move(
-                            task, "WorkerCrash: worker process died "
-                                  f"while running task {task.task_id!r}",
-                            queue)
-                        if verdict is not None:
-                            yield verdict
-                    else:
-                        del inflight[conn]
-                        idle.append(worker)
-                        yield (task_id, result, error)
-                now = time.perf_counter()
-                for conn in list(inflight):
-                    worker, task, deadline = inflight[conn]
-                    expired = deadline is not None and now > deadline
-                    if worker.proc.is_alive() and not expired:
-                        continue
-                    del inflight[conn]
-                    respawn(worker)
-                    if expired:
-                        reason = (f"CellTimeout: task {task.task_id!r} "
-                                  f"exceeded {task.timeout:.3f}s")
-                    else:
-                        reason = ("WorkerCrash: worker process died "
-                                  f"while running task {task.task_id!r}")
-                    verdict = self._next_move(task, reason, queue)
-                    if verdict is not None:
-                        yield verdict
-        finally:
-            # A worker still in flight here is running a task nobody
-            # will collect (early close, abort): terminate it at once,
-            # so no worker is left holding a stale task.  The idle
-            # ones wait for the next execute.
-            for worker in workers:
-                if worker.conn in inflight:
-                    _kill(worker)
-                else:
-                    _IDLE.append(worker)
 
 
 # --- sweep checkpoint ---------------------------------------------------------

@@ -37,7 +37,8 @@ from repro.netsim.rngstreams import stream_rng
 from repro.netsim.sender import ExternalRateController, MonitorIntervalStats
 from repro.netsim.topology import dumbbell
 
-__all__ = ["EnvSpec", "MoccEnv", "RewardComponents", "apply_action"]
+__all__ = ["EnvSpec", "EpisodeDraw", "MoccEnv", "RewardComponents",
+           "apply_action", "checked_objective"]
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,28 @@ class EnvSpec:
         return MoccEnv(self, self.seed + seed_offset)
 
 
+def checked_objective(weights) -> np.ndarray:
+    """``weights`` as an episode takes them: three float64 components
+    summing to one."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.shape != (3,):
+        raise ValueError("weight vector must have three components")
+    if not np.isclose(w.sum(), 1.0, atol=1e-6):
+        raise ValueError("weights must sum to 1")
+    return w
+
+
+@dataclass(frozen=True)
+class EpisodeDraw:
+    """What an env draws for one episode (:meth:`MoccEnv.draw`): its
+    network, its seed, and the factor its initial rate is of the
+    link's capacity."""
+
+    params: NetworkParams
+    seed: int
+    rate_scale: float
+
+
 class MoccEnv:
     """Single-flow bottleneck environment with a gym-like API.
 
@@ -125,6 +148,11 @@ class MoccEnv:
     network-state vector and the weight vector (the two state inputs of
     the preference-conditioned policy).  ``seed`` seeds the env's
     ``env.params`` stream and numbers its episodes.
+
+    A reset is :meth:`draw`, which takes everything the episode needs
+    from the env's stream, then :meth:`start`, which draws nothing: a
+    collector draws its episodes here and may run them in another
+    process, on another env of the same spec.
     """
 
     #: Action bound: sampled Gaussian actions are clipped to this range
@@ -146,35 +174,48 @@ class MoccEnv:
         return self.history.dim
 
     def reset(self, weights) -> tuple[np.ndarray, np.ndarray]:
-        """Start a new episode under ``weights``; returns the initial
-        state vector and the weights."""
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (3,):
-            raise ValueError("weight vector must have three components")
-        if not np.isclose(w.sum(), 1.0, atol=1e-6):
-            raise ValueError("weights must sum to 1")
-        self.weights = w
-        # Eq. 2 on Python floats: the same products and sums as on the
-        # array's float64 scalars, without building one per access.
-        self._w = tuple(w.tolist())
+        """Start a new episode under ``weights``: this env's next
+        :meth:`draw`, then :meth:`start`.  Returns the initial state
+        vector and the weights."""
+        return self.start(checked_objective(weights), self.draw())
 
+    def draw(self) -> EpisodeDraw:
+        """Everything a new episode takes from this env's stream, in
+        the order a reset always drew it: the episode network, then the
+        initial-rate factor; and the next episode seed."""
         self._episode_seed += 1
         params = self.spec.ranges.sample(self.rng)
+        return EpisodeDraw(params, self._episode_seed,
+                           float(self.rng.uniform(0.3, 1.5)))
+
+    def start(self, weights: np.ndarray, episode: EpisodeDraw
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """Start ``episode`` under ``weights`` (a
+        :func:`checked_objective`), drawing nothing: an episode is a
+        function of its draw and its weights alone, whichever env of
+        the spec runs it.  Returns the initial state vector and the
+        weights."""
+        self.weights = weights
+        # Eq. 2 on Python floats: the same products and sums as on the
+        # array's float64 scalars, without building one per access.
+        self._w = tuple(weights.tolist())
+
+        params = episode.params
         # The queue is passed as drawn: Table 3 goes down to one packet,
         # below the builder's BDP floor.
         topology = dumbbell(params.bandwidth_mbps, params.latency_ms,
                             queue_packets=params.queue_packets,
                             loss_rate=params.loss_rate,
                             trace=params.trace).build(
-                                seed=7919 * self._episode_seed + 1)
+                                seed=7919 * episode.seed + 1)
         capacity = topology.links["hop0"].bandwidth_at(0.0)
-        initial_rate = capacity * float(self.rng.uniform(0.3, 1.5))
+        initial_rate = capacity * episode.rate_scale
         self._controller = ExternalRateController(initial_rate)
         self._mi = max(topology.path().base_rtt, MIN_MI_DURATION)
         flow = FlowSpec(controller=self._controller, mi_duration=self._mi)
         self._sim = Simulation(topology, [flow],
                                duration=self._mi * (self.spec.max_steps + 2),
-                               seed=self._episode_seed)
+                               seed=episode.seed)
         self._steps = 0
         self.history.reset()
         # Warm-up: run one MI at the initial rate so the first state

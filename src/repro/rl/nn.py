@@ -59,6 +59,18 @@ class Parameter:
     def shape(self):
         return self.value.shape
 
+    def __getstate__(self):
+        # An all-zero gradient (a deployed or freshly cloned model's)
+        # is rebuilt on load instead of pickled: it is half the bytes.
+        if self.grad.any():
+            return self.__dict__
+        return {"value": self.value}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        if "grad" not in state:
+            self.grad = np.zeros_like(self.value)
+
 
 class ParameterArena(dict):
     """``{name: Parameter}`` backed by one flat ``value`` and one flat

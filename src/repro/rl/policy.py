@@ -177,10 +177,12 @@ class InferencePlan:
     * a deployed controller and an evaluation episode call
       :meth:`action` on a flat plan -- the actor's mean, no draw, no
       critic, no log-probability;
-    * a rollout (:meth:`~repro.rl.parallel.VectorCollector.collect`)
+    * a rollout segment (:func:`~repro.rl.parallel.run_segment`, in
+      this process or in a pool worker on a pickled copy of the model)
       calls :meth:`mean_value` on a plan with one row per environment,
-      once per step and once for its bootstraps; it draws the rollout's
-      noise and scores its log-probabilities itself, once each;
+      once per step and, unless its episodes ended, once for its
+      bootstraps; the collector draws the rollout's noise and scores
+      its log-probabilities itself, once each per rollout;
     * :meth:`PreferenceActorCritic.act` (one-off queries) calls
       :meth:`act` on a flat plan, which is :meth:`mean_value` plus one
       draw and one log-probability.
@@ -192,8 +194,8 @@ class InferencePlan:
     the parameter arena, so actor, critic and ``log_std`` are read live
     on every call (in-place updates are seen), but the preference
     embedding is a snapshot: resolve a new plan (controllers do at
-    ``on_flow_start`` / ``register``, collectors per ``collect``) after
-    the model's parameters are reloaded or trained.
+    ``on_flow_start`` / ``register``, rollouts per segment) after the
+    model's parameters are reloaded or trained.
     """
 
     def __init__(self, model: PreferenceActorCritic,

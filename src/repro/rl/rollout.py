@@ -81,6 +81,24 @@ class RolloutBuffer:
         self.dones = np.zeros(capacity, dtype=bool)
         self.size = 0
 
+    @classmethod
+    def joined(cls, parts: list["RolloutBuffer"]) -> "RolloutBuffer":
+        """The full buffers ``parts`` one after another, as one full
+        buffer (the first part itself, when it is the only one)."""
+        if len(parts) == 1:
+            return parts[0]
+        first = parts[0]
+        whole = cls(first.obs.shape[1],
+                    0 if first.weights is None else first.weights.shape[1],
+                    first.actions.shape[1], sum(p.size for p in parts))
+        for name in ("obs", "weights", "actions", "log_probs", "values",
+                     "rewards", "dones"):
+            if getattr(whole, name) is not None:
+                np.concatenate([getattr(p, name) for p in parts],
+                               out=getattr(whole, name))
+        whole.size = whole.capacity
+        return whole
+
     def add(self, obs, action, log_prob, value, reward, done, weights=None) -> None:
         if self.size >= self.capacity:
             raise RuntimeError("rollout buffer full")

@@ -288,8 +288,8 @@ MUTANTS = {
     # wire loss is no longer the stream env.py once built by hand.
     "env-link-seeded-by-episode": Mutant(
         "repro.netsim.env",
-        "7919 * self._episode_seed + 1",
-        "self._episode_seed",
+        "7919 * episode.seed + 1",
+        "episode.seed",
         (ENV_PARITY, *ENV_LINK_PINS.values())),
     # Eq. 2's reward: the latency term weighted by w_loss, and O_loss
     # counted against the acked packets alone.
@@ -454,16 +454,16 @@ MUTANTS = {
     # Every step of a rollout takes the block's first noise row.
     "rollout-noise-row-reused": Mutant(
         "repro.rl.parallel",
-        "            actions = mean + scaled_noise[t]\n",
-        "            actions = mean + scaled_noise[0]\n",
+        "        actions = mean + scaled_noise[t]\n",
+        "        actions = mean + scaled_noise[0]\n",
         (SAMPLING_LAW,)),
     # Each step's log-probability is scored against the previous
     # step's mean (the first step's against its own).
     "rollout-logprob-stale-mean": Mutant(
         "repro.rl.parallel",
-        "            means[:, t] = mean\n",
-        "            means[:, t] = mean if t == 0 else previous\n"
-        "            previous = mean\n",
+        "        means[:, t] = mean\n",
+        "        means[:, t] = mean if t == 0 else previous\n"
+        "        previous = mean\n",
         (SAMPLING_LAW,)),
     # A batched plan fills only its first row's preference half; the
     # other rows see a zero embedding.

@@ -1,17 +1,20 @@
 """Collector parity: Serial and Vector agree on shapes and handle
 both preference-conditioned and unconditioned models (incl. the
 ``weights=None`` path and the no-finished-episode reward fallback),
-each collector's rollouts keep their pinned digest, and a rollout's
-actions and log-probabilities follow the sampling law."""
+each collector's rollouts keep their pinned digest, a rollout's
+actions and log-probabilities follow the sampling law, and a rollout
+whose segments run on the pool is bit for bit the one run in process."""
 
 import hashlib
+import os
 
 import numpy as np
 import pytest
 
-from repro.config import DEFAULT_TRAINING, NetworkParams
+from repro.config import DEFAULT_TRAINING, TRAINING_RANGES, NetworkParams
 from repro.core.agent import MoccAgent
 from repro.rl.collect import BALANCED_OBJECTIVE, evaluate_policy, resolve_objective
+from repro.pool import set_chaos_hook
 from repro.rl.distributions import DiagGaussian
 from repro.rl.parallel import EnvSpec, SerialCollector, VectorCollector
 
@@ -210,3 +213,118 @@ def sampling_law_holds(serial_collector) -> None:
 
 def test_rollout_samples_by_the_law():
     sampling_law_holds(SerialCollector)
+
+
+def on_one_core(check) -> None:
+    """``check()`` with this process pinned to one core, where a
+    collector runs its segments in process."""
+    cores = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cores)})
+    try:
+        check()
+    finally:
+        os.sched_setaffinity(0, cores)
+
+
+#: Table-3 episodes: every reset draws a network as well as a rate.
+RANGED = EnvSpec(ranges=TRAINING_RANGES, max_steps=16, seed=5)
+OBJECTIVES = ([0.6, 0.3, 0.1], [0.1, 0.6, 0.3], [0.3, 0.1, 0.6])
+
+
+def lazy_objectives(rng):
+    """Two objectives, the second drawn from the rollouts' own
+    generator after the first rollout drew its noise."""
+    yield WEIGHTS
+    yield OBJECTIVES[int(rng.integers(len(OBJECTIVES)))]
+
+
+def two_collects(make, model, weights, steps: int) -> str:
+    """sha256 over two collects in a row on one collector (the second
+    starts where the first left every env's stream): every buffer's
+    fields, the bootstraps, the rewards, and after both the envs'
+    stream states and the generator's."""
+    collector = make()
+    rng = np.random.default_rng(11)
+    h = hashlib.sha256()
+    for _ in range(2):
+        buffers, boots, rewards = collector.collect(
+            model, weights(rng) if callable(weights) else weights, steps, rng)
+        for buffer in buffers:
+            for field in (buffer.obs, buffer.weights, buffer.actions,
+                          buffer.log_probs, buffer.values, buffer.rewards,
+                          buffer.dones):
+                if field is not None:
+                    h.update(field[:buffer.size].tobytes())
+        h.update(np.array(boots, dtype=np.float64).tobytes())
+        h.update(np.array(rewards, dtype=np.float64).tobytes())
+    for env in collector.envs:
+        h.update(repr((env.rng.bit_generator.state, env._episode_seed)).encode())
+    h.update(repr(rng.bit_generator.state).encode())
+    return h.hexdigest()
+
+
+def task_logger(path):
+    """Chaos hook: one line per task a pool worker starts."""
+    def hook(task_id) -> None:
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{task_id}\n")
+    return hook
+
+
+@pytest.mark.parametrize("make", [lambda: SerialCollector(RANGED),
+                                  lambda: VectorCollector(RANGED, n_envs=3)],
+                         ids=["serial", "vector-3"])
+def test_a_rollout_ending_an_episode_draws_the_reset_after_it(make):
+    """A lockstep loop resets an env the step its episode ends, the
+    last step included: 32 steps per env of 16-step episodes draw
+    three episodes from every env's stream, the third never run."""
+    collector = make()
+    collector.collect(_conditioned(), WEIGHTS, 32 * len(collector.envs),
+                      np.random.default_rng(0))
+    for env, twin in zip(collector.envs, make().envs):
+        for _ in range(3):
+            twin.draw()
+        assert env.rng.bit_generator.state == twin.rng.bit_generator.state
+        assert env._episode_seed == twin._episode_seed
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="one usable core: every rollout runs in process")
+class TestPooledEqualsInProcess:
+    """Bit for bit, a collect whose segments run on the pool equals
+    the same collect run in process."""
+
+    MAKERS = {"serial": lambda: SerialCollector(RANGED),
+              "vector-3": lambda: VectorCollector(RANGED, n_envs=3)}
+
+    def check(self, tmp_path, kind, model, weights, per_env) -> None:
+        make = self.MAKERS[kind]
+        steps = per_env * len(make().envs)
+        in_process = []
+        on_one_core(lambda: in_process.append(
+            two_collects(make, model, weights, steps)))
+        log = tmp_path / "tasks"
+        set_chaos_hook(task_logger(log))
+        try:
+            pooled = two_collects(make, model, weights, steps)
+        finally:
+            set_chaos_hook(None)
+        assert log.read_text().split(), "no segment ran on the pool"
+        assert pooled == in_process[0]
+
+    # 48 steps end on an episode boundary (the reset that ends the
+    # rollout draws too), 40 end mid-episode, 12 finish no episode (and
+    # are one segment, which runs in process: two objectives make two).
+    @pytest.mark.parametrize("per_env, weights", [
+        (48, WEIGHTS), (40, WEIGHTS), (12, OBJECTIVES[:2])])
+    @pytest.mark.parametrize("kind", ["serial", "vector-3"])
+    def test_a_conditioned_model(self, tmp_path, kind, per_env, weights):
+        self.check(tmp_path, kind, _conditioned(), weights, per_env)
+
+    @pytest.mark.parametrize("kind", ["serial", "vector-3"])
+    def test_an_unconditioned_model_given_no_weights(self, tmp_path, kind):
+        self.check(tmp_path, kind, _unconditioned(), None, 40)
+
+    @pytest.mark.parametrize("kind", ["serial", "vector-3"])
+    def test_objectives_drawn_between_rollouts(self, tmp_path, kind):
+        self.check(tmp_path, kind, _conditioned(), lazy_objectives, 40)

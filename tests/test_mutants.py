@@ -123,6 +123,10 @@ def adapted_by(trainer_cls) -> None:
 
 #: Each killer's check, run on a namespace the loader returned: the
 #: test hands its check the live symbol, this hands it the namespace's.
+#: A check that collects rollouts runs on one core, where the segments
+#: run in process: a pool worker imports its segment function by name,
+#: never a namespace's planted one, and runs the code it was forked
+#: with, which need not hold a patch made since.
 KILLERS = {
     EVERY_KIND: lambda ns: test_engine_invariants.every_kind_run_holds(
         ns["Simulation"]),
@@ -219,13 +223,13 @@ KILLERS = {
         ns["InferencePlan"], test_core_mocc.library_matches_act_path),
     ORCA_PARITY: lambda ns: planned_by(
         ns["InferencePlan"], test_baselines.orca_scale_equals_act_path),
-    SAMPLING_LAW: lambda ns: test_collectors.sampling_law_holds(
-        ns["SerialCollector"]),
+    SAMPLING_LAW: lambda ns: test_collectors.on_one_core(
+        lambda: test_collectors.sampling_law_holds(ns["SerialCollector"])),
     ROWS_LAW: lambda ns: planned_by(
         ns["InferencePlan"], lambda: test_policy.batched_plans_equal_forward(3)),
-    VECTOR_DIGEST: lambda ns: planned_by(
+    VECTOR_DIGEST: lambda ns: test_collectors.on_one_core(lambda: planned_by(
         ns["InferencePlan"],
-        lambda: test_collectors.test_rollouts_keep_their_digest("vector-3")),
+        lambda: test_collectors.test_rollouts_keep_their_digest("vector-3"))),
     ANALYSIS_GATE: lambda ns: test_analysis.module_is_clean(
         ns["__file__"], ns["__source__"]),
     LOSS_DRAWS: lambda ns: test_link.loss_draws_follow_the_stream(ns["Link"]),

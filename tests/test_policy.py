@@ -470,3 +470,16 @@ def test_arena_aliasing_survives_copies(how, tmp_path):
         assert np.all(param.value != original[name]), name
         assert np.array_equal(model.state_dict()[name], original[name])
     assert np.array_equal(trunk.layers[0].W.value, twin.state_dict()[f"{prefix}.0.W"])
+
+
+def test_a_pickle_leaves_out_only_all_zero_gradients():
+    """A deployed or cloned model's gradients are all zero and are
+    rebuilt on load, not pickled: about half the bytes.  A gradient
+    holding anything travels."""
+    model = make_model()
+    unaccumulated = len(pickle.dumps(model))
+    grad = model.parameters().grad
+    grad[:] = np.linspace(-1.0, 1.0, grad.size)
+    accumulated = pickle.dumps(model)
+    assert unaccumulated < 0.6 * len(accumulated)
+    assert np.array_equal(pickle.loads(accumulated).parameters().grad, grad)

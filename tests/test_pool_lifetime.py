@@ -1,7 +1,8 @@
 """Pool workers outlive a sweep, and a live pool never runs stale cells.
 
 A process forks its pool workers once and every later sweep reuses
-them; each task carries its batch's cells.  So the tests here keep one
+them, as does every later training iteration; each task carries its
+batch's cells (or its rollout segment).  So the tests here keep one
 live pool across two sweeps and change one thing in between:
 
 * a named trace re-registered, a chaos hook installed, or a live agent
@@ -24,16 +25,25 @@ from pathlib import Path
 
 import pytest
 
-import repro.eval.resilience as resilience
+import repro.pool as pool
+from repro.config import DEFAULT_TRAINING, NetworkParams
 from repro.core.agent import MoccAgent
+from repro.core.offline import OfflineTrainer
 from repro.eval.parallel import ParallelRunner
 from repro.eval.resilience import records_digest, set_chaos_hook
 from repro.eval.scenarios import FlowDef, ScenarioSuite
 from repro.netsim.traces import ConstantTrace
+from repro.rl.parallel import EnvSpec
 from test_resilience import _kill_batch_once, idle_procs
 from test_scenarios import reregister_trace
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: Three 16-step segments per objective: an iteration of two runs on
+#: both workers.
+TRAIN_SPEC = EnvSpec(ranges=NetworkParams(3.0, 20.0, 200, 0.0), max_steps=16,
+                     seed=2)
+TRAIN_CONFIG = DEFAULT_TRAINING.replace(steps_per_iteration=48)
 
 #: Four cells: one batch each over two workers.
 SUITE = ScenarioSuite(name="live", lineups=("cubic", "vegas"), seeds=(0, 1),
@@ -62,6 +72,16 @@ class TestWorkersOutliveASweep:
         assert len(pids) >= 2
         assert digests(SUITE) == first == digests(SUITE, n_workers=1)
         assert idle_pids() == pids
+
+    def test_a_training_iteration_between_sweeps_runs_on_them_too(self):
+        first = digests(SUITE)
+        pids = idle_pids()
+        trainer = OfflineTrainer(spec=TRAIN_SPEC, config=TRAIN_CONFIG, seed=1)
+        trainer.iterate(([0.6, 0.3, 0.1], [0.1, 0.6, 0.3]), "joint")
+        assert idle_pids() == pids
+        second = digests(SUITE)
+        assert idle_pids() == pids
+        assert first == second == digests(SUITE, n_workers=1)
 
     def test_a_reregistered_trace_is_the_one_the_next_sweep_runs(self):
         suite = ScenarioSuite(name="retrace", lineups=("cubic", "vegas"),
@@ -141,20 +161,20 @@ class TestAbortedSweep:
         monkeypatch.undo()
         assert cut, "no task message was large enough to cut"
         # The worker holding half a message was ended, not kept idle.
-        assert all(worker.conn is not cut[0] for worker in resilience._IDLE)
+        assert all(worker.conn is not cut[0] for worker in pool._IDLE)
         assert set(mp.active_children()) == idle_procs()
         assert digests(suite) == digests(suite, n_workers=1)
 
 
 SWEEP_THEN_EXIT = """
 import os, sys
-import repro.eval.resilience as resilience
+import repro.pool as pool
 from repro.eval.parallel import ParallelRunner
 from repro.eval.scenarios import ScenarioSuite
 suite = ScenarioSuite(name="exit", lineups=("cubic", "vegas"), seeds=(0, 1),
                       duration=0.2)
 ParallelRunner(n_workers=2, use_cache=False).run(suite)
-print(" ".join(str(worker.proc.pid) for worker in resilience._IDLE),
+print(" ".join(str(worker.proc.pid) for worker in pool._IDLE),
       flush=True)
 if sys.argv[1] == "abrupt":
     os._exit(0)  # no interpreter exit: the workers must notice alone

@@ -40,6 +40,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.eval.resilience as resilience
+import repro.pool as pool
 from repro.eval.metrics import reward_of_record
 from repro.eval.parallel import ParallelRunner, ScenarioError
 from repro.eval.resilience import (
@@ -117,7 +118,7 @@ def _nap_or_sleep_forever(arg):
 
 def idle_procs() -> set:
     """The processes of this process's idle pool workers."""
-    return {worker.proc for worker in resilience._IDLE}
+    return {worker.proc for worker in pool._IDLE}
 
 
 def _kill_once(marker: Path):

@@ -78,7 +78,7 @@ KEPT_FIELDS = {
         "reference: the training golden's DQN row syncs every 50 steps",
     "repro.rl.dqn.DQNConfig.warmup_transitions":
         "reference: the training golden's DQN row warms up on 64",
-    "repro.eval.resilience.RetryPolicy.max_attempts":
+    "repro.pool.RetryPolicy.max_attempts":
         "item 2: test_sweep_kills.py's kill schedules draw it from {1, 2, 4}",
     "repro.config.NetworkParams.trace":
         "item 23(a): training on a moving-capacity link",

@@ -1,18 +1,24 @@
 """Tests for the training pipeline: collectors, offline/online, DQN, zoo."""
 
+import multiprocessing as mp
+import os
 from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro.pool as pool
 from repro.config import DEFAULT_TRAINING, NetworkParams
 from repro.core.agent import MoccAgent
 from repro.core.offline import OfflineTrainer, train_single_objective
 from repro.core.online import OnlineAdapter
 from repro.models.zoo import BUDGETS, ModelZoo, TrainingBudget
+from repro.pool import set_chaos_hook
 from repro.rl.dqn import DQNTrainer, QNetwork, ReplayBuffer, action_bins
 from repro.rl.parallel import EnvSpec, SerialCollector, VectorCollector
+from test_resilience import _kill_batch_once
+from test_training_goldens import model_sha
 
 SPEC = EnvSpec(ranges=NetworkParams(3.0, 20.0, 200, 0.0), max_steps=16, seed=2)
 TINY = DEFAULT_TRAINING.replace(steps_per_iteration=48)
@@ -67,9 +73,26 @@ def rows_carry_their_update_stats(trainer_cls) -> None:
         assert np.isfinite(stats).all()
 
 
+class DrawLog:
+    """A generator's stand-in that logs each exploration-noise block
+    drawn from it (a rollout's one draw) as ``"rollout"``."""
+
+    def __init__(self, rng, calls: list):
+        self._rng, self._calls = rng, calls
+
+    def standard_normal(self, *args, **kwargs):
+        self._calls.append("rollout")
+        return self._rng.standard_normal(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
 def replay_drawn_between_rollouts(adapter_cls) -> None:
     """Eq. 6's old objective is drawn after the new objective's rollout
-    and before its own."""
+    and before its own: a rollout draws its noise block from the
+    trainer's generator, the replay draws its objective from the same
+    one, and one collect call takes both rollouts."""
     adapter = adapter_cls(MoccAgent(TINY, seed=3), SPEC, config=TINY, seed=6)
     adapter.seed_replay([[0.6, 0.3, 0.1]])
     calls = []
@@ -84,9 +107,10 @@ def replay_drawn_between_rollouts(adapter_cls) -> None:
         return sample(*args, **kwargs)
 
     adapter.trainer.collector.collect = spy_collect
+    adapter.trainer.rng = DrawLog(adapter.trainer.rng, calls)
     adapter.replay.sample = spy_sample
     adapter.adapt([0.45, 0.45, 0.10], iterations=2, eval_every=0)
-    assert calls == ["collect", "sample", "collect"] * 2
+    assert calls == ["collect", "rollout", "sample", "rollout"] * 2
 
 
 class TestOfflineTrainer:
@@ -129,6 +153,71 @@ class TestOfflineTrainer:
             SPEC, (0.8, 0.1, 0.1), 3, config=TINY, seed=4)
         assert agent.weight_dim == 0
         assert len(trace) == 3
+
+
+#: Three segments of 16 steps per objective: an iteration runs on the
+#: pool wherever two cores are usable.
+POOLED_OBJECTIVES = ([0.6, 0.3, 0.1], [0.1, 0.6, 0.3])
+
+
+def one_iteration() -> tuple[str, list[float]]:
+    """The model sha and rewards after one pooled-size iteration."""
+    trainer = OfflineTrainer(spec=SPEC, config=TINY, seed=1)
+    rewards = trainer.iterate(POOLED_OBJECTIVES, "joint")
+    return model_sha(trainer.agent.model), rewards
+
+
+def _iterate_in_a_daemon(conn) -> None:
+    sha, rewards = one_iteration()
+    conn.send((sha, rewards, len(pool._IDLE)))
+
+
+class TestPooledIteration:
+    def test_a_worker_killed_mid_iteration_is_retried(self, tmp_path):
+        reference = one_iteration()
+        marker = tmp_path / "killed"
+        set_chaos_hook(_kill_batch_once(marker, 2))
+        try:
+            killed = one_iteration()
+        finally:
+            set_chaos_hook(None)
+        if len(os.sched_getaffinity(0)) > 1:
+            assert marker.exists()  # segment 2 was killed once
+        assert killed == reference
+
+    def test_a_traced_collect_sees_one_call_per_iteration(self):
+        """The perf ledger times rollouts by wrapping
+        ``trainer.collector.collect`` on the instance."""
+        plain = OfflineTrainer(spec=SPEC, config=TINY, seed=1)
+        plain.train(omega=3, bootstrap_iters=2, traverse_iters=1, cycles=1)
+        trainer = OfflineTrainer(spec=SPEC, config=TINY, seed=1)
+        collect, env_steps = trainer.collector.collect, []
+
+        def traced_collect(model, weights, steps, rng):
+            buffers, boots, reward = collect(model, weights, steps, rng)
+            env_steps.append(sum(b.size for b in buffers))
+            return buffers, boots, reward
+
+        trainer.collector.collect = traced_collect
+        result = trainer.train(omega=3, bootstrap_iters=2, traverse_iters=1,
+                               cycles=1)
+        assert len(env_steps) == result.total_iterations == 5
+        assert sum(env_steps) == len(result.log) * TINY.steps_per_iteration
+        assert model_sha(trainer.agent.model) == model_sha(plain.agent.model)
+
+    def test_a_training_in_a_daemonic_process_runs_in_process(self):
+        """A pool worker may not fork children: a training started in
+        one runs its segments in process, to the same model."""
+        ctx = mp.get_context("fork")
+        parent_conn, child_conn = ctx.Pipe()
+        proc = ctx.Process(target=_iterate_in_a_daemon, args=(child_conn,),
+                           daemon=True)
+        proc.start()
+        sha, rewards, workers = parent_conn.recv()
+        proc.join()
+        assert proc.exitcode == 0
+        assert workers == 0  # it forked no pool workers
+        assert (sha, rewards) == one_iteration()
 
 
 class TestOnlineAdapter:
