@@ -24,7 +24,6 @@ rows, the rest as records.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import time
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -36,7 +35,7 @@ from repro.eval.batch import BatchRunner
 from repro.eval.resilience import ResultCache, SweepCheckpoint
 from repro.eval.scenarios import Scenario, ScenarioSuite, fingerprint_cells
 from repro.netsim.network import FlowRecord
-from repro.pool import ResilientPool, RetryPolicy
+from repro.pool import ResilientPool, RetryPolicy, usable_workers
 
 __all__ = ["ParallelRunner", "ScenarioError", "ScenarioResult", "SuiteResult"]
 
@@ -220,8 +219,11 @@ class ParallelRunner:
 
     ``n_workers <= 1`` runs in-process (the reference serial path);
     results are bit-identical either way because every scenario is a
-    self-contained, seeded simulation.  Pool workers outlive a ``run``
-    and the runner (see :class:`~repro.pool.ResilientPool`), and serve
+    self-contained, seeded simulation.  The default is the cores this
+    process may run on (:func:`repro.pool.usable_workers`), at most 8:
+    one under ``taskset -c 0`` or inside a pool worker.  Pool workers
+    outlive a ``run`` and the runner (see
+    :class:`~repro.pool.ResilientPool`), and serve
     training rollouts too: each task carries its batch's cells, live
     agents pickled with them, so a worker always runs the sweep's cells
     as they are now.  Workers inherit only code, the chaos hook and the
@@ -287,7 +289,7 @@ class ParallelRunner:
                  retry: RetryPolicy | None = None,
                  checkpoint: str | Path | None = None):
         if n_workers is None:
-            n_workers = max(1, min(mp.cpu_count(), 8))
+            n_workers = min(usable_workers(), 8)
         self.n_workers = int(n_workers)
         self.cache = ResultCache(cache_dir) if use_cache else None
         if cell_timeout is not None and float(cell_timeout) <= 0.0:

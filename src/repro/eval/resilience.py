@@ -293,6 +293,9 @@ def records_digest(records: list[FlowRecord]) -> str:
 # covers the body as stored, so it is never re-serialised to be checked.
 _LEN = 4  # bytes in a length prefix
 _BODY_AT = _LEN + 32
+#: The header's one parser: :func:`seal` writes it as ASCII, so it is
+#: read as text, with no encoding detection and no per-call decoder.
+_decode_header = json.JSONDecoder().decode
 
 
 def _framed(body: bytes) -> bytes:
@@ -318,7 +321,9 @@ def unseal(frame: bytes) -> tuple[dict, list[FlowRecord]] | None:
     """``(fields, records)`` of a frame :func:`seal` wrote, or ``None``
     for anything else: any flipped, missing or added byte fails, and so
     does a body whose blocks disagree with the row counts in its header
-    or that holds a byte after its last block."""
+    or that holds a byte after its last block.  The header is decoded
+    as ASCII text by :data:`_decode_header`; a byte :func:`seal` does
+    not write there fails like any other."""
     # Offsets into the frame itself: the body is hashed through a view
     # and never copied whole, only each block is (into its own bytes).
     if (int.from_bytes(frame[:_LEN], "little") != len(frame) - _BODY_AT
@@ -328,7 +333,7 @@ def unseal(frame: bytes) -> tuple[dict, list[FlowRecord]] | None:
     header_at = _BODY_AT + _LEN
     at = header_at + int.from_bytes(frame[_BODY_AT:header_at], "little")
     try:
-        fields, heads = json.loads(frame[header_at:at])
+        fields, heads = _decode_header(frame[header_at:at].decode("ascii"))
         if not isinstance(fields, dict):
             return None
         records = []
@@ -376,19 +381,27 @@ class ResultCache:
     ``put`` evicts oldest-touched entries once the directory exceeds
     :data:`_CACHE_MAX_BYTES`.  ``prune()`` is the explicit entry point
     for maintenance jobs.
+
+    A warm sweep is a ``get`` per cell, so an entry is named by a
+    ``str`` path joined once from the directory and read and written
+    through raw file descriptors: a hit is one ``open``, ``fstat``,
+    ``read`` and ``close``, the checks :func:`unseal` makes, and the
+    touch.  ``cache_dir`` stays a :class:`~pathlib.Path` for the
+    directory-wide scans.
     """
 
     def __init__(self, cache_dir: str | Path | None = None):
         self.cache_dir = Path(cache_dir or result_cache_dir())
         self.cache_dir.mkdir(parents=True, exist_ok=True)
+        self._prefix = os.path.join(self.cache_dir, "")
         #: Running size estimate so put() only pays a directory scan
         #: when the cap is actually threatened (None = not yet known).
         self._approx_bytes: int | None = None
 
-    def _path(self, fingerprint: str) -> Path:
-        return self.cache_dir / f"{fingerprint}.json"
+    def _path(self, fingerprint: str) -> str:
+        return f"{self._prefix}{fingerprint}.json"
 
-    def _quarantine(self, path: Path) -> None:
+    def _quarantine(self, path: str) -> None:
         """Move a corrupt entry aside so its cell is recomputed.
 
         The entry is renamed to ``<fingerprint>.quarantined`` -- out of
@@ -398,16 +411,24 @@ class ResultCache:
         removals are fine: the outcome either way is a cache miss.
         """
         try:
-            path.replace(path.with_suffix(".quarantined"))
+            os.replace(path, path.removesuffix(".json") + ".quarantined")
         except OSError:
             pass
 
     def get(self, fingerprint: str) -> list[FlowRecord] | None:
         path = self._path(fingerprint)
         try:
-            frame = path.read_bytes()
+            fd = os.open(path, os.O_RDONLY)
         except OSError:
             return None  # absent or unreadable: a plain miss
+        try:
+            # One byte past the size: a file that grew since fstat
+            # reads longer than its frame and fails unseal.
+            frame = os.read(fd, os.fstat(fd).st_size + 1)
+        except OSError:
+            return None  # e.g. a directory where the entry should be
+        finally:
+            os.close(fd)
         # An entry that is there but does not unseal (torn write, bit
         # rot, concurrent truncation) is quarantined so the cell is
         # recomputed instead of serving corrupt records.
@@ -428,12 +449,18 @@ class ResultCache:
         path = self._path(fingerprint)
         # Staged under this writer's pid: sweeps sharing the directory
         # may put the same cell at once, and each replace is atomic.
-        tmp = path.with_suffix(f".{os.getpid()}.tmp")
+        tmp = f"{self._prefix}{fingerprint}.{os.getpid()}.tmp"
         frame = seal({"version": SCENARIO_CACHE_VERSION, "name": name},
                      records)
-        tmp.write_bytes(frame)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
         try:
-            tmp.replace(path)
+            unwritten = memoryview(frame)
+            while unwritten:  # a write may be short
+                unwritten = unwritten[os.write(fd, unwritten):]
+        finally:
+            os.close(fd)
+        try:
+            os.replace(tmp, path)
         except FileNotFoundError:
             return  # a concurrent clear() took the staged file with it
         # Amortized eviction: keep a running size estimate and only pay

@@ -79,6 +79,10 @@ NEXT_CALL_TRACE = ("tests/test_scenarios.py::TestFingerprintCells::"
                    "test_reregistered_trace_changes_keys_on_next_call")
 NEXT_CALL_AGENT = ("tests/test_scenarios.py::TestFingerprintCells::"
                    "test_in_place_agent_update_changes_keys_on_next_call")
+#: The pinned signatures of 350 cells, and a cache hit's LRU touch.
+SIGNATURE_PIN = "tests/test_scenarios.py::test_signatures_are_pinned"
+LRU_TOUCH = ("tests/test_resilience.py::TestRawEntryIO::"
+             "test_a_hit_touches_its_entry")
 
 #: The checks of the one PPO loop: what a log row holds, and when an
 #: online iteration draws its replayed objective.
@@ -416,6 +420,19 @@ MUTANTS = {
         "    def __init__(self):\n        self._memo: dict = {}\n",
         "    _memo: dict = {}\n",
         (NEXT_CALL_TRACE, NEXT_CALL_AGENT)),
+    # The signing plan leaves out each class's last field, so cells
+    # that differ only there share a key.
+    "signer-plan-drops-last-field": Mutant(
+        "repro.netsim.signing",
+        "    return shape, tuple(plan)\n",
+        "    return shape, tuple(plan[:-1])\n",
+        (SIGNATURE_PIN,)),
+    # A hit leaves its entry's mtime alone: eviction takes hot entries.
+    "cache-hit-skips-lru-touch": Mutant(
+        "repro.eval.resilience",
+        "            os.utime(path)  # LRU touch: a hit keeps the entry young\n",
+        "            pass\n",
+        (LRU_TOUCH,)),
     # The log keeps a zeroed copy of each update's statistics.
     "ppo-stats-dropped": Mutant(
         "repro.core.offline",

@@ -72,6 +72,7 @@ from mutants import (
     LIBRARY_PARITY,
     LIFETIME,
     LOSS_DRAWS,
+    LRU_TOUCH,
     MI_ORACLE,
     MUTANTS,
     NEXT_CALL_AGENT,
@@ -83,6 +84,7 @@ from mutants import (
     REPLAY_ORDER,
     ROWS_LAW,
     SAMPLING_LAW,
+    SIGNATURE_PIN,
     SINGLE_STEPPING,
     SLICING,
     STATS_LOGGED,
@@ -211,6 +213,10 @@ KILLERS = {
         ns["Signer"], test_scenarios.reregistered_trace_changes_keys),
     NEXT_CALL_AGENT: lambda ns: signed_by(
         ns["Signer"], test_scenarios.in_place_agent_update_changes_keys),
+    SIGNATURE_PIN: lambda ns: test_scenarios.signatures_are_pinned(
+        ns["Signer"]),
+    LRU_TOUCH: lambda ns: test_resilience.a_hit_touches_its_entry(
+        ns["ResultCache"]),
     STATS_LOGGED: lambda ns: test_training_pipeline.rows_carry_their_update_stats(
         ns["OfflineTrainer"]),
     REPLAY_ORDER: lambda ns: adapted_by(ns["OfflineTrainer"]),

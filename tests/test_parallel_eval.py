@@ -1,6 +1,8 @@
 """Tests for the parallel scenario runner and its on-disk result cache."""
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +50,15 @@ class TestParallelRunner:
         parallel = ParallelRunner(n_workers=2, use_cache=False)
         assert _flat(serial.run(SUITE)) == _flat(parallel.run(SUITE))
 
+    def test_default_workers_follow_the_cpu_affinity(self, monkeypatch):
+        # Pinned to one core (``taskset -c 0``) a default runner runs in
+        # process instead of forking two workers onto that core.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert ParallelRunner(use_cache=False).n_workers == 1
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(12)))
+        assert ParallelRunner(use_cache=False).n_workers == 8
+
     def test_cache_round_trip_and_speedup(self, tmp_path):
         runner = ParallelRunner(n_workers=2, cache_dir=tmp_path)
         first = runner.run(SUITE)
@@ -81,7 +92,7 @@ class TestParallelRunner:
         runner = ParallelRunner(n_workers=1, cache_dir=tmp_path)
         scenario = Scenario(name="c", network=NET, flows=("cubic",), duration=1.0)
         runner.run([scenario])
-        path = runner.cache._path(scenario.fingerprint())
+        path = Path(runner.cache._path(scenario.fingerprint()))
         path.write_text("{not json")
         outcome = runner.run([scenario])
         assert cache_misses(outcome) == 1  # silently recomputed
@@ -90,7 +101,7 @@ class TestParallelRunner:
         runner = ParallelRunner(n_workers=1, cache_dir=tmp_path)
         scenario = Scenario(name="v", network=NET, flows=("cubic",), duration=1.0)
         runner.run([scenario])
-        path = runner.cache._path(scenario.fingerprint())
+        path = Path(runner.cache._path(scenario.fingerprint()))
         fields, records = unseal(path.read_bytes())
         path.write_bytes(seal({**fields, "version": "stale"}, records))
         assert cache_misses(runner.run([scenario])) == 1
@@ -161,13 +172,12 @@ class TestCacheEviction:
         return [s.fingerprint() for s in scenarios]
 
     def test_put_evicts_oldest_beyond_cap(self, tmp_path, monkeypatch):
-        import os
         cache = ResultCache(tmp_path)
         prints = self._fill(cache, 6)
         # Age the entries oldest-first, then shrink the cap to ~3 files.
         for i, fp in enumerate(prints):
             os.utime(cache._path(fp), (1000.0 + i, 1000.0 + i))
-        size = cache._path(prints[0]).stat().st_size
+        size = os.stat(cache._path(prints[0])).st_size
         monkeypatch.setattr(resilience, "_CACHE_MAX_BYTES",
                             3 * size + size // 2)
         cache.put("f" * 64, "extra", [])
@@ -177,13 +187,12 @@ class TestCacheEviction:
         assert ("f" * 64) in survivors
 
     def test_get_touches_mtime_lru(self, tmp_path, monkeypatch):
-        import os
         cache = ResultCache(tmp_path)
         prints = self._fill(cache, 4)
         for i, fp in enumerate(prints):
             os.utime(cache._path(fp), (1000.0 + i, 1000.0 + i))
         assert cache.get(prints[0]) is not None  # hit rejuvenates entry 0
-        size = cache._path(prints[0]).stat().st_size
+        size = os.stat(cache._path(prints[0])).st_size
         monkeypatch.setattr(resilience, "_CACHE_MAX_BYTES",
                             2 * size + size // 2)
         removed = cache.prune()

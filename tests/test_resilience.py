@@ -31,6 +31,7 @@ import multiprocessing as mp
 import os
 import pickle
 import struct
+import tempfile
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -388,7 +389,7 @@ class TestSealedCodec:
     def test_result_cache_quarantines_damage_at_every_offset(self, tmp_path):
         cache = ResultCache(tmp_path)
         key = "f" * 64
-        path = cache._path(key)
+        path = Path(cache._path(key))
         for bad in _damaged(seal(self.FIELDS, [_fake_record(1)])):
             path.write_bytes(bad)
             assert cache.get(key) is None
@@ -530,10 +531,10 @@ class TestChecksStayAtReadTime:
     def test_result_cache_quarantines(self, bad, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path)
         key = "f" * 64
-        cache._path(key).write_bytes(_malformed_frames(self.CACHE)[bad])
+        Path(cache._path(key)).write_bytes(_malformed_frames(self.CACHE)[bad])
         built = _BuildCount(monkeypatch)
         assert cache.get(key) is None
-        assert cache._path(key).with_suffix(".quarantined").exists()
+        assert Path(cache._path(key)).with_suffix(".quarantined").exists()
         assert built.n == 0
 
     @pytest.mark.parametrize("bad", BAD)
@@ -559,7 +560,7 @@ class TestChecksStayAtReadTime:
     def test_the_stored_bytes_are_pinned_and_served(self, tmp_path):
         assert seal(self.CACHE, [PINNED_RECORD]) == V13_ENTRY  # same bytes
         cache = ResultCache(tmp_path)
-        cache._path("e" * 64).write_bytes(V13_ENTRY)
+        Path(cache._path("e" * 64)).write_bytes(V13_ENTRY)
         (served,) = cache.get("e" * 64)
         assert served == PINNED_RECORD and served.records[1].min_rtt is None
         assert records_digest([served]) == records_digest([PINNED_RECORD])
@@ -572,7 +573,7 @@ class TestChecksStayAtReadTime:
         assert unseal(V12_ENTRY) is None
         cache = ResultCache(tmp_path)
         key = "e" * 64
-        path = cache._path(key)
+        path = Path(cache._path(key))
         path.write_bytes(V12_ENTRY)
         assert cache.get(key) is None
         assert not path.exists()
@@ -887,7 +888,7 @@ class TestCacheIntegrity:
         runner = ParallelRunner(n_workers=1, cache_dir=tmp_path)
         scenario = self._scenario()
         runner.run([scenario])
-        path = runner.cache._path(scenario.fingerprint())
+        path = Path(runner.cache._path(scenario.fingerprint()))
         entry = path.read_bytes()
         assert b'"mean_rtt": ' in entry
         # Bit rot in the header that still parses as JSON: the sha (and
@@ -903,7 +904,7 @@ class TestCacheIntegrity:
         runner = ParallelRunner(n_workers=1, cache_dir=tmp_path)
         scenario = self._scenario()
         runner.run([scenario])
-        path = runner.cache._path(scenario.fingerprint())
+        path = Path(runner.cache._path(scenario.fingerprint()))
         path.write_text("[1, 2, 3]")
         assert cache_misses(runner.run([scenario])) == 1
         assert path.with_suffix(".quarantined").exists()
@@ -912,7 +913,7 @@ class TestCacheIntegrity:
         runner = ParallelRunner(n_workers=1, cache_dir=tmp_path)
         scenario = self._scenario()
         runner.run([scenario])
-        path = runner.cache._path(scenario.fingerprint())
+        path = Path(runner.cache._path(scenario.fingerprint()))
         fields, records = unseal(path.read_bytes())
         assert fields["version"] == SCENARIO_CACHE_VERSION != "v9"
         # Sealed intact under the old version: only stale, not damaged.
@@ -925,7 +926,7 @@ class TestCacheIntegrity:
         runner = ParallelRunner(n_workers=1, cache_dir=tmp_path)
         scenario = self._scenario()
         runner.run([scenario])
-        path = runner.cache._path(scenario.fingerprint())
+        path = Path(runner.cache._path(scenario.fingerprint()))
         path.write_text("{broken")
         runner.run([scenario])  # quarantines, recomputes, re-puts
         assert runner.cache.clear() == 2  # fresh entry + quarantined one
@@ -935,12 +936,79 @@ class TestCacheIntegrity:
             self, tmp_path):
         cache = ResultCache(tmp_path)
         key = "f" * 64
-        stray = cache._path(key).with_suffix(".tmp")
+        stray = Path(cache._path(key)).with_suffix(".tmp")
         stray.write_bytes(b'{"sha":"half an ent')  # a writer killed mid-put
         cache.put(key, "cell", [_fake_record(1)])
         assert cache.get(key) is not None
         assert stray.exists()  # staging names are per writer: not reused
         assert cache.clear() == 2
+        assert not list(tmp_path.glob("*"))
+
+
+def a_hit_touches_its_entry(cache_cls) -> None:
+    """A hit moves its entry's mtime to now (the LRU touch); a stale
+    entry, which is not served, is not touched."""
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = cache_cls(tmp)
+        fresh, stale = "a" * 64, "b" * 64
+        cache.put(fresh, "cell", [_fake_record(1)])
+        Path(cache._path(stale)).write_bytes(
+            seal({"version": "v12", "name": "cell"}, [_fake_record(2)]))
+        for key in (fresh, stale):
+            os.utime(cache._path(key), (1000.0, 1000.0))
+        assert cache.get(fresh) is not None and cache.get(stale) is None
+        assert os.stat(cache._path(fresh)).st_mtime > 1e9
+        assert os.stat(cache._path(stale)).st_mtime == 1000.0
+
+
+class TestRawEntryIO:
+    """What ``ResultCache`` meets on disk where an entry should be."""
+
+    KEY = "d" * 64
+
+    def test_a_directory_reads_as_a_miss(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        os.mkdir(cache._path(self.KEY))
+        assert cache.get(self.KEY) is None
+        assert os.path.isdir(cache._path(self.KEY))  # not moved aside
+
+    def test_an_entry_one_byte_longer_than_its_frame_is_quarantined(
+            self, tmp_path):
+        cache = ResultCache(tmp_path)
+        frame = seal({"version": SCENARIO_CACHE_VERSION, "name": "cell"},
+                     [_fake_record(1)])
+        path = Path(cache._path(self.KEY))
+        path.write_bytes(frame + b"\0")
+        assert cache.get(self.KEY) is None
+        assert not path.exists()
+        assert path.with_suffix(".quarantined").read_bytes() == frame + b"\0"
+
+    def test_a_stale_entry_is_a_miss_then_overwritten(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        path = Path(cache._path(self.KEY))
+        path.write_bytes(seal({"version": "v12", "name": "cell"},
+                              [_fake_record(1)]))
+        assert cache.get(self.KEY) is None
+        assert path.exists() and not list(tmp_path.glob("*.quarantined"))
+        cache.put(self.KEY, "cell", [_fake_record(2)])
+        assert path.read_bytes() == seal(
+            {"version": SCENARIO_CACHE_VERSION, "name": "cell"},
+            [_fake_record(2)])
+        assert cache.get(self.KEY) == [_fake_record(2)]
+
+    def test_a_hit_touches_its_entry(self):
+        a_hit_touches_its_entry(ResultCache)
+
+    def test_a_killed_writers_staging_file_is_never_served(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        # Complete and intact, but never replaced onto the entry name.
+        staged = Path(cache._path(self.KEY)).with_suffix(".4242.tmp")
+        staged.write_bytes(seal(
+            {"version": SCENARIO_CACHE_VERSION, "name": "cell"},
+            [_fake_record(1)]))
+        assert cache.get(self.KEY) is None
+        assert staged.exists()
+        assert cache.clear() == 1
         assert not list(tmp_path.glob("*"))
 
 

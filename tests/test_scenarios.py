@@ -1,6 +1,7 @@
 """Tests for declarative scenarios, suites, and the trace registry."""
 
 import hashlib
+import json
 import os
 import pickle
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core import simplex_grid
 from repro.core.agent import MoccAgent
 from repro.config import DEFAULT_TRAINING
 from repro.eval.resilience import records_digest
@@ -297,6 +299,48 @@ def in_place_agent_update_changes_keys() -> None:
     uses = [any(f.agent is agent for f in c.flows) for c in cells]
     assert any(uses) and not all(uses)
     assert [a != b for a, b in zip(after, before)] == uses
+
+
+def pinned_cells() -> list:
+    """The mixed cells, a Fig. 6-style MOCC traversal (ten weight
+    vectors plus Aurora, over 3 bandwidths x 2 RTTs) and a 256-cell
+    wifi-walk grid: 350 cells."""
+    reregister_trace("fpc-pin", lambda: ConstantTrace(150.0))
+    cells = TestFingerprintCells._mixed_cells(
+        "fpc-pin", MoccAgent(DEFAULT_TRAINING, seed=3))
+    mocc = MoccAgent(DEFAULT_TRAINING, seed=4)
+    lineups = {f"w{i}": (FlowDef("mocc", weights=tuple(map(float, w)),
+                                 agent=mocc),)
+               for i, w in enumerate(simplex_grid(6))}
+    lineups["aurora"] = (FlowDef("aurora-throughput", agent=MoccAgent(
+        DEFAULT_TRAINING, weight_dim=0, seed=5)),)
+    cells += ScenarioSuite(name="pin-mocc", lineups=lineups,
+                           bandwidths_mbps=(3.0, 6.0, 12.0),
+                           rtts_ms=(20.0, 40.0), duration=3.0).expand()
+    for scheme in ("cubic", "bbr", "copa", "vivace"):
+        cells += ScenarioSuite(name=f"pin-grid/{scheme}", lineups=[scheme],
+                               traces=("wifi-walk",), seeds=tuple(range(64)),
+                               duration=0.25).expand()
+    return cells
+
+
+#: sha256 of the JSON signatures of :func:`pinned_cells`, one signing
+#: pass per cell.  The code digest is not in a signature, so this moves
+#: only when what a spec signs does.
+PINNED_SIGNATURES = (
+    "848d0116094f0e3fa261e12242eccda9fbc682e07db245d2b3bc954e220c67fe")
+
+
+def signatures_are_pinned(signer_cls) -> None:
+    """``signer_cls`` signs every pinned cell as the pin says."""
+    cells = pinned_cells()
+    assert len(cells) == 350
+    body = json.dumps([signer_cls().sign(cell) for cell in cells])
+    assert hashlib.sha256(body.encode()).hexdigest() == PINNED_SIGNATURES
+
+
+def test_signatures_are_pinned():
+    signatures_are_pinned(Signer)
 
 
 _HOP = LinkDef("hop0")
