@@ -7,8 +7,9 @@ impossible.  With reverse paths wired to real queued links
 share the skinny uplink with competing uploads -- the ADSL/cable/
 satellite regime where latency objectives diverge hardest.
 
-This benchmark runs the :func:`~repro.eval.sweeps.ack_congestion_suite`
-grid: heuristic download schemes against 0-2 CUBIC uploads, every cell
+This benchmark runs the ``ack-congestion`` entry of the figure
+registry, an :func:`~repro.eval.sweeps.ack_congestion_suite` grid:
+heuristic download schemes against 0-2 CUBIC uploads, every cell
 paired with its *pure-propagation twin* (same base RTT, no reverse
 queueing) through the ``reverse_paths`` axis, under steady and
 periodically restarting upload sessions.
@@ -28,19 +29,14 @@ Headline shapes asserted:
 import numpy as np
 from conftest import print_table, run_once
 
-from repro.eval.sweeps import (
-    ACK_BENCH_CHURNS,
-    ACK_BENCH_REVERSE_LOADS,
-    ACK_BENCH_SCHEMES,
-    ack_congestion_suite,
-)
+from repro.eval.sweeps import FIGURES
 from repro.netsim.traces import mbps_to_pps
 
 
 def bench_ack_congestion_grid(benchmark, runner):
     """Download RTT/throughput: wired reverse path vs. its twin."""
-    suite = ack_congestion_suite(ACK_BENCH_SCHEMES, churns=ACK_BENCH_CHURNS)
-    outcome = run_once(benchmark, lambda: runner.run(suite))
+    outcome = run_once(benchmark,
+                       lambda: runner.run(FIGURES["ack-congestion"]()))
 
     # cells[(scheme, load, wired, churn_label)] = download record
     cells = {}
@@ -62,9 +58,9 @@ def bench_ack_congestion_grid(benchmark, runner):
                  "dl rtt", "dl loss"], rows)
 
     forward_pps = mbps_to_pps(16.0)
-    churn_labels = [c.label() if c is not None else "none"
-                    for c in ACK_BENCH_CHURNS]
-    for scheme in ACK_BENCH_SCHEMES:
+    schemes, loads, _, churn_labels = (
+        list(dict.fromkeys(key[i] for key in cells)) for i in range(4))
+    for scheme in schemes:
         for churn in churn_labels:
             idle_wired = cells[(scheme, 0, True, churn)]
             idle_twin = cells[(scheme, 0, False, churn)]
@@ -73,7 +69,7 @@ def bench_ack_congestion_grid(benchmark, runner):
                 (scheme, churn)
             loaded = [(cells[(scheme, n, True, churn)],
                        cells[(scheme, n, False, churn)])
-                      for n in ACK_BENCH_REVERSE_LOADS if n > 0]
+                      for n in loads if n > 0]
             # Ack-path queueing is visible on average across loads.
             wired_rtt = np.mean([w.mean_rtt for w, _ in loaded])
             twin_rtt = np.mean([t.mean_rtt for _, t in loaded])

@@ -10,57 +10,31 @@
 * Fig. 14: throughput ratios of weight variants across RTTs stay within
   a moderate band (paper: 0.43-2.04).
 
-Every experiment is a :class:`~repro.eval.scenarios.ScenarioSuite`
-executed through the shared parallel runner, so independent
-competitions shard across cores and re-runs hit the result cache.
+Every experiment is an entry of the figure registry, executed through
+the shared parallel runner, so independent competitions shard across
+cores and re-runs hit the result cache.  MOCC flows start at a quarter
+of their scenario's bottleneck rate.
 """
 
 import numpy as np
 from conftest import print_table, run_once
 
-from repro.core.weights import (
-    BALANCE_WEIGHTS,
-    LATENCY_WEIGHTS,
-    THROUGHPUT_WEIGHTS,
-)
 from repro.eval.metrics import jain_index_series
-from repro.eval.scenarios import FlowDef, ScenarioSuite
-
-FAIR_BW, PAIR_BW = 12.0, 20.0
-VARIANTS = {"MOCC-Throughput": THROUGHPUT_WEIGHTS,
-            "MOCC-Balance": BALANCE_WEIGHTS,
-            "MOCC-Latency": LATENCY_WEIGHTS}
-
-
-def _mocc(agent, weights, seed, start=0.0, label=""):
-    """One MOCC flow starting at a quarter of the bottleneck rate.
-
-    ``rate_frac`` sizes the initial rate from the scenario's *own*
-    network; the pre-suite code sized every figure's flows from the
-    12 Mbps fairness network, so fig13's pairs on the 20 Mbps network
-    now start at 0.25x its bottleneck instead of 0.15x.
-    """
-    return FlowDef("mocc", weights=tuple(np.asarray(weights)), agent=agent,
-                   seed=seed, start=start, rate_frac=0.25, label=label)
+from repro.eval.sweeps import FIGURES
 
 
 def bench_fig11_fairness_dynamics(benchmark, runner, mocc_agent):
     """Fig. 11: staggered same-weight MOCC flows share the bottleneck."""
-    suite = ScenarioSuite(
-        name="fig11",
-        lineups={"3xBalance": tuple(
-            _mocc(mocc_agent, BALANCE_WEIGHTS, seed=i, start=15.0 * i)
-            for i in range(3))},
-        bandwidths_mbps=(FAIR_BW,), rtts_ms=(40.0,), duration=60.0, seeds=(6,))
+    cells = FIGURES["fig11"](mocc_agent)
 
-    records = run_once(benchmark, lambda: runner.run(suite).results[0].records)
+    records = run_once(benchmark, lambda: runner.run(cells).results[0].records)
     # Mean throughput of each flow during the all-three-active epoch.
     shares = []
     for record in records:
         acked = sum(s.acked for s in record.records if 30.0 <= s.start < 60.0)
         shares.append(acked / 30.0)
     total = sum(shares)
-    bottleneck = suite.expand()[0].network.bottleneck_pps
+    bottleneck = cells[0].network.bottleneck_pps
     print_table("Fig 11: per-flow share while 3 MOCC flows compete (30-60s)",
                 ["flow", "throughput pps", "share"],
                 [[i, s, s / total] for i, s in enumerate(shares)])
@@ -71,15 +45,10 @@ def bench_fig11_fairness_dynamics(benchmark, runner, mocc_agent):
 
 def bench_fig12_jain_cdf(benchmark, runner, mocc_agent):
     """Fig. 12: Jain-index distribution for MOCC weight variants."""
-    suite = ScenarioSuite(
-        name="fig12",
-        lineups={name: tuple(
-            _mocc(mocc_agent, weights, seed=i, start=10.0 * i)
-            for i in range(3)) for name, weights in VARIANTS.items()},
-        bandwidths_mbps=(FAIR_BW,), rtts_ms=(40.0,), duration=45.0, seeds=(7,))
+    cells = FIGURES["fig12"](mocc_agent)
 
     def experiment():
-        outcome = runner.run(suite)
+        outcome = runner.run(cells)
         return {result.scenario.lineup:
                 jain_index_series(result.records, interval=1.0)
                 for result in outcome}
@@ -96,27 +65,17 @@ def bench_fig12_jain_cdf(benchmark, runner, mocc_agent):
 
 def bench_fig13_weight_competition(benchmark, runner, mocc_agent):
     """Fig. 13: pairwise competition of MOCC variants (+ CUBIC/Vegas)."""
-    pairs = {
-        "Thr vs Bal": (THROUGHPUT_WEIGHTS, BALANCE_WEIGHTS),
-        "Thr vs Lat": (THROUGHPUT_WEIGHTS, LATENCY_WEIGHTS),
-        "Lat vs Bal": (LATENCY_WEIGHTS, BALANCE_WEIGHTS),
-    }
-    lineups = {name: (_mocc(mocc_agent, w1, seed=1), _mocc(mocc_agent, w2, seed=2))
-               for name, (w1, w2) in pairs.items()}
-    lineups["CUBIC vs Vegas"] = (FlowDef("cubic"), FlowDef("vegas"))
-    suite = ScenarioSuite(name="fig13", lineups=lineups,
-                          bandwidths_mbps=(PAIR_BW,), rtts_ms=(40.0,),
-                          duration=30.0, seeds=(8,))
+    cells = FIGURES["fig13"](mocc_agent)
 
     def experiment():
-        outcome = runner.run(suite)
+        outcome = runner.run(cells)
         return {result.scenario.lineup:
                 (result.records[0].mean_throughput_pps,
                  result.records[1].mean_throughput_pps)
                 for result in outcome}
 
     results = run_once(benchmark, experiment)
-    total = suite.expand()[0].network.bottleneck_pps
+    total = cells[0].network.bottleneck_pps
     rows = [[name, a, b, a / max(b, 1e-9)] for name, (a, b) in results.items()]
     print_table("Fig 13: pairwise competition (flow1 pps, flow2 pps, ratio)",
                 ["pair", "flow1", "flow2", "ratio"], rows)
@@ -131,18 +90,11 @@ def bench_fig13_weight_competition(benchmark, runner, mocc_agent):
 
 def bench_fig14_friendliness_weights(benchmark, runner, mocc_agent):
     """Fig. 14: variant-vs-balance throughput ratios across RTTs."""
-    suite = ScenarioSuite(
-        name="fig14",
-        lineups={name: (_mocc(mocc_agent, w, seed=1),
-                        _mocc(mocc_agent, BALANCE_WEIGHTS, seed=2))
-                 for name, w in [("w1 <.8,.1,.1>", THROUGHPUT_WEIGHTS),
-                                 ("w5 <.1,.8,.1>", LATENCY_WEIGHTS)]},
-        bandwidths_mbps=(PAIR_BW,), rtts_ms=(20.0, 40.0, 80.0),
-        duration=25.0, seeds=(9,))
+    cells = FIGURES["fig14"](mocc_agent)
 
     def experiment():
         out = {}
-        for result in runner.run(suite):
+        for result in runner.run(cells):
             rtt = 2.0 * result.scenario.network.one_way_ms
             ratio = (result.records[0].mean_throughput_pps
                      / max(result.records[1].mean_throughput_pps, 1e-9))

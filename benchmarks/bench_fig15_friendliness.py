@@ -6,47 +6,24 @@ paper finds MOCC-Throughput more aggressive, MOCC-Balance/-Latency
 friendlier, and MOCC overall comparable to other schemes (ratios
 roughly within 0.1-5).
 
-The contender x RTT matrix is one
-:class:`~repro.eval.scenarios.ScenarioSuite` run through the shared
-parallel runner (15 independent head-to-head competitions).
+The contender x RTT matrix is the ``fig15`` entry of the figure
+registry, run through the shared parallel runner (15 independent
+head-to-head competitions).
 """
 
 import numpy as np
 from conftest import print_table, run_once
 
-from repro.core.weights import (
-    BALANCE_WEIGHTS,
-    LATENCY_WEIGHTS,
-    THROUGHPUT_WEIGHTS,
-)
 from repro.eval.metrics import friendliness_ratio
-from repro.eval.scenarios import FlowDef, ScenarioSuite
-
-RTTS_MS = (20.0, 60.0, 120.0)
+from repro.eval.sweeps import FIGURES
 
 
 def bench_fig15_friendliness(benchmark, runner, mocc_agent):
-    def contender(name, weights=None, seed=0):
-        if weights is not None:
-            probe = FlowDef("mocc", weights=tuple(np.asarray(weights)),
-                            agent=mocc_agent, seed=seed, rate_frac=0.25,
-                            label=name)
-        else:
-            probe = FlowDef(name.lower(), rate_frac=0.25, label=name)
-        return name, (probe, FlowDef("cubic"))
-
-    suite = ScenarioSuite(
-        name="fig15",
-        lineups=dict([contender("MOCC-Throughput", THROUGHPUT_WEIGHTS, seed=1),
-                      contender("MOCC-Balance", BALANCE_WEIGHTS, seed=2),
-                      contender("MOCC-Latency", LATENCY_WEIGHTS, seed=3),
-                      contender("BBR"),
-                      contender("Vegas")]),
-        bandwidths_mbps=(20.0,), rtts_ms=RTTS_MS, duration=25.0, seeds=(10,))
+    cells = FIGURES["fig15"](mocc_agent)
 
     def experiment():
         out = {}
-        for result in runner.run(suite):
+        for result in runner.run(cells):
             rtt = 2.0 * result.scenario.network.one_way_ms
             out[(result.scenario.lineup, rtt)] = friendliness_ratio(
                 result.records[0], result.records[1])

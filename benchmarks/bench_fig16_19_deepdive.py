@@ -21,14 +21,15 @@ from repro.baselines import Cubic, Vegas
 from repro.baselines.aurora import AuroraController
 from repro.baselines.orca import Orca
 from repro.config import DEFAULT_TRAINING, TRAINING_RANGES
-from repro.core.agent import MoccAgent, MoccController
+from repro.core.agent import MoccAgent
 from repro.core.library import MOCC
 from repro.core.offline import OfflineTrainer
 from repro.core.weights import BALANCE_WEIGHTS, sample_weight
 from repro.datapath import CcpShim, UdtShim
 from repro.eval.overhead import measure_overhead
-from repro.eval.runner import EvalNetwork, run_scheme
+from repro.eval.runner import EvalNetwork
 from repro.eval.metrics import reward_of_record
+from repro.eval.sweeps import fig16_cells
 from repro.rl.collect import evaluate_policy
 from repro.rl.dqn import DQNTrainer
 from repro.rl.parallel import EnvSpec, SerialCollector, VectorCollector
@@ -36,23 +37,10 @@ from repro.rl.parallel import EnvSpec, SerialCollector, VectorCollector
 SPEC = EnvSpec(ranges=TRAINING_RANGES, max_steps=96, seed=21)
 
 
-def _eval_agent_rewards(agent, objectives, seed=30):
-    """Mean Eq. 2 rewards of an agent over objectives on a test network."""
-    net = EvalNetwork(bandwidth_mbps=4.0, one_way_ms=30.0, buffer_bdp=2.0)
-    rewards = []
-    for i, w in enumerate(objectives):
-        ctrl = MoccController(agent, w, initial_rate=net.bottleneck_pps / 3)
-        record = run_scheme(ctrl, net, duration=12.0, seed=seed + i)
-        rewards.append(reward_of_record(record, w))
-    return np.asarray(rewards)
-
-
-def bench_fig16_omega(benchmark):
+def bench_fig16_omega(benchmark, runner):
     """Fig. 16: base-model quality and training time vs omega."""
 
     def experiment():
-        rng = np.random.default_rng(16)
-        objectives = [sample_weight(rng) for _ in range(6)]
         out = {}
         for omega, bootstrap in [(3, 40), (10, 40), (36, 40)]:
             trainer = OfflineTrainer(spec=SPEC, config=DEFAULT_TRAINING, seed=16)
@@ -60,8 +48,10 @@ def bench_fig16_omega(benchmark):
             trainer.train(omega=omega, bootstrap_iters=bootstrap,
                           traverse_iters=1, cycles=1)
             elapsed = time.perf_counter() - start
-            rewards = _eval_agent_rewards(trainer.agent, objectives)
-            out[omega] = (float(rewards.mean()), elapsed)
+            # Mean Eq. 2 reward over six objectives on a test network.
+            rewards = [reward_of_record(r.records[0], r.scenario.flows[0].weights)
+                       for r in runner.run(fig16_cells(trainer.agent))]
+            out[omega] = (float(np.mean(rewards)), elapsed)
         return out
 
     results = run_once(benchmark, experiment)

@@ -12,32 +12,21 @@
 import numpy as np
 from conftest import print_table, run_once
 
-from repro.baselines import Cubic, Vegas
-from repro.baselines.aurora import AuroraController
-from repro.core.agent import MoccController
 from repro.core.offline import train_single_objective
-from repro.core.weights import LATENCY_WEIGHTS, THROUGHPUT_WEIGHTS
 from repro.eval.gaussian import sigma_ellipse
-from repro.eval.runner import EvalNetwork, run_scheme
-from repro.netsim.traces import StepTrace
+from repro.eval.sweeps import FIGURES
 from repro.rl.parallel import EnvSpec
 from repro.config import TRAINING_RANGES
 
 
-def bench_fig1a_throughput_timeline(benchmark, aurora_throughput):
+def bench_fig1a_throughput_timeline(benchmark, runner, aurora_throughput):
     """Fig. 1(a): 50 s on a 20<->30 Mbps square-wave bottleneck."""
-    trace = StepTrace.from_mbps(20.0, 30.0, period=10.0)
-    network = EvalNetwork(bandwidth_mbps=30.0, one_way_ms=20.0, buffer_bdp=1.0,
-                          loss_rate=0.0002, trace=trace)
+    cells = FIGURES["fig1a"](aurora_throughput)
 
     def experiment():
         results = {}
-        for name, ctrl in [
-                ("CUBIC", Cubic()),
-                ("Vegas", Vegas()),
-                ("Aurora", AuroraController(aurora_throughput,
-                                            initial_rate=network.bottleneck_pps / 2))]:
-            record = run_scheme(ctrl, network, duration=50.0, seed=1)
+        for result in runner.run(cells):
+            (record,) = result.records
             # 5-second throughput buckets (the paper's timeline).
             buckets = {}
             for s in record.records:
@@ -47,7 +36,7 @@ def bench_fig1a_throughput_timeline(benchmark, aurora_throughput):
             # from a cold start; the paper's runs are steady-state).
             steady = float(np.mean([s.throughput_mbps for s in record.records
                                     if s.start >= 20.0]))
-            results[name] = (steady, timeline)
+            results[result.scenario.lineup] = (steady, timeline)
         return results
 
     results = run_once(benchmark, experiment)
@@ -62,31 +51,18 @@ def bench_fig1a_throughput_timeline(benchmark, aurora_throughput):
     assert results["Aurora"][0] > 0.6 * 25.0  # tracks a 20-30 Mbps link
 
 
-def bench_fig1b_tradeoff_ellipses(benchmark, mocc_agent, aurora_throughput,
-                                  aurora_latency):
+def bench_fig1b_tradeoff_ellipses(benchmark, runner, mocc_agent,
+                                  aurora_throughput, aurora_latency):
     """Fig. 1(b): 1-sigma throughput/latency ellipses per scheme."""
-    network = EvalNetwork(bandwidth_mbps=25.0, one_way_ms=20.0, buffer_bdp=2.0)
-
-    def controllers():
-        start = network.bottleneck_pps / 3
-        return [
-            ("CUBIC", Cubic()),
-            ("Vegas", Vegas()),
-            ("Aurora-thr", AuroraController(aurora_throughput, initial_rate=start)),
-            ("Aurora-lat", AuroraController(aurora_latency, initial_rate=start)),
-            ("MOCC-thr", MoccController(mocc_agent, THROUGHPUT_WEIGHTS,
-                                        initial_rate=start)),
-            ("MOCC-lat", MoccController(mocc_agent, LATENCY_WEIGHTS,
-                                        initial_rate=start)),
-        ]
+    cells = FIGURES["fig1b"](mocc_agent, aurora_throughput, aurora_latency)
 
     def experiment():
-        samples = {name: [] for name, _ in controllers()}
-        for seed in range(3):
-            for name, ctrl in controllers():
-                record = run_scheme(ctrl, network, duration=15.0, seed=seed + 1)
-                rtt_ms = (record.mean_rtt or 0.0) * 1000.0
-                samples[name].append((record.mean_throughput_mbps, rtt_ms))
+        samples = {}
+        for result in runner.run(cells):
+            (record,) = result.records
+            rtt_ms = (record.mean_rtt or 0.0) * 1000.0
+            samples.setdefault(result.scenario.lineup, []).append(
+                (record.mean_throughput_mbps, rtt_ms))
         return {name: sigma_ellipse(np.array(pts)) for name, pts in samples.items()}
 
     ellipses = run_once(benchmark, experiment)

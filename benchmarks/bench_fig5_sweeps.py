@@ -6,41 +6,31 @@ loss, and buffer size.  Panels (e)-(h): latency ratio for the latency
 objective (w = <0.1, 0.8, 0.1>) over the same sweeps.  Evaluation
 ranges deliberately exceed the training ranges (Table 3).
 
-Each sweep is a :class:`~repro.eval.scenarios.ScenarioSuite` (via
-:func:`sweep_suite`) executed through the shared parallel runner, so
-the 4 x 7-scheme x 4-value grid shards across cores and re-runs come
-from the result cache.  A panel is the run's ``SuiteResult`` pivoted
-by line-up (one per scheme) against the swept column.
+The eight panels are the ``fig5ad`` and ``fig5eh`` entries of the
+figure registry: four :func:`~repro.eval.sweeps.sweep_suite` grids
+each, 7 schemes x 4 values, run as one sweep through the shared
+parallel runner, so the cells shard across cores and re-runs come from
+the result cache.  A panel is one grid's results pivoted by line-up
+(one per scheme) against the swept column.
 """
 
 from conftest import print_table, run_once
 
-from repro.core.weights import LATENCY_WEIGHTS, THROUGHPUT_WEIGHTS
-from repro.eval.sweeps import (
-    FIG5_BENCH_BASE,
-    FIG5_BENCH_DURATION,
-    FIG5_BENCH_SCHEMES,
-    FIG5_BENCH_SEED,
-    FIG5_BENCH_SWEEPS,
-    sweep_suite,
-)
+from repro.eval.parallel import SuiteResult
+from repro.eval.sweeps import FIGURES
 
-SCHEMES = FIG5_BENCH_SCHEMES
 #: The result column each sweep varies (``rtt_ms`` is round-trip:
 #: twice the one-way latency values).
 COLUMNS = {"bandwidth": "bandwidth_mbps", "latency": "rtt_ms",
            "loss": "loss", "buffer": "buffer"}
 
 
-def _run_sweeps(runner, mocc_agent, aurora_agent, weights):
+def _run_sweeps(runner, figure, mocc_agent, aurora_agent):
     """``{parameter: SuiteResult}`` over every Fig. 5 sweep."""
-    kwargs = {"mocc_agent": mocc_agent, "mocc_weights": weights,
-              "aurora_agent": aurora_agent}
-    return {param: runner.run(sweep_suite(
-                SCHEMES, param, values, base=FIG5_BENCH_BASE,
-                duration=FIG5_BENCH_DURATION, seed=FIG5_BENCH_SEED,
-                controller_kwargs=kwargs))
-            for param, values in FIG5_BENCH_SWEEPS}
+    outcome = runner.run(FIGURES[figure](mocc_agent, aurora_agent))
+    return {param: SuiteResult([r for r in outcome
+                                if r.scenario.suite == f"fig5-{param}"])
+            for param in COLUMNS}
 
 
 def _print_panels(sweeps, metric):
@@ -60,7 +50,7 @@ def bench_fig5ad_utilization(benchmark, runner, mocc_agent, aurora_throughput):
     """Fig. 5(a-d): utilization sweeps, throughput objective."""
 
     def experiment():
-        return _run_sweeps(runner, mocc_agent, aurora_throughput, THROUGHPUT_WEIGHTS)
+        return _run_sweeps(runner, "fig5ad", mocc_agent, aurora_throughput)
 
     sweeps = run_once(benchmark, experiment)
     _print_panels(sweeps, "utilization")
@@ -70,7 +60,9 @@ def bench_fig5ad_utilization(benchmark, runner, mocc_agent, aurora_throughput):
     # on the in-distribution bandwidth sweep).
     bw = sweeps["bandwidth"]
     mocc_mean = bw.mean("utilization", lineup="mocc")
-    best_other = max(bw.mean("utilization", lineup=s) for s in SCHEMES[1:])
+    best_other = max(bw.mean("utilization", lineup=s)
+                     for s in _panel(bw, "bandwidth", "utilization")
+                     if s != "mocc")
     assert mocc_mean > 0.7
     assert mocc_mean > best_other - 0.2
     # Loss robustness (Fig 5c): under 5-10 % random loss MOCC keeps far
@@ -83,7 +75,7 @@ def bench_fig5eh_latency(benchmark, runner, mocc_agent, aurora_throughput):
     """Fig. 5(e-h): latency-ratio sweeps, latency objective."""
 
     def experiment():
-        return _run_sweeps(runner, mocc_agent, aurora_throughput, LATENCY_WEIGHTS)
+        return _run_sweeps(runner, "fig5eh", mocc_agent, aurora_throughput)
 
     sweeps = run_once(benchmark, experiment)
     _print_panels(sweeps, "latency_ratio")

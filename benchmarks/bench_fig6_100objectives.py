@@ -6,62 +6,29 @@ only, no online adaptation) beats every other scheme; "enhanced Aurora"
 (10 pre-trained single-objective models, best one picked per objective)
 is second; vanilla Aurora and the heuristics trail.
 
-Scaled here to 12 objectives x 4 conditions = 48 scenarios per scheme.
+Scaled here to 12 objectives x 4 conditions = 48 scenarios per scheme,
+the ``fig6`` entry of the figure registry.
 """
 
 import numpy as np
 from conftest import print_table, run_once
 
-from repro.core.agent import MoccController
-from repro.baselines.aurora import AuroraController
-from repro.core.weights import sample_weight
 from repro.eval.cdf import format_cdf_table
 from repro.eval.metrics import reward_of_record
-from repro.eval.runner import EvalNetwork, run_scheme, scheme_factory
-
-CONDITIONS = [
-    EvalNetwork(bandwidth_mbps=12.0, one_way_ms=20.0, buffer_bdp=1.0),
-    EvalNetwork(bandwidth_mbps=25.0, one_way_ms=60.0, buffer_bdp=2.0),
-    EvalNetwork(bandwidth_mbps=18.0, one_way_ms=40.0, buffer_bdp=0.5, loss_rate=0.01),
-    EvalNetwork(bandwidth_mbps=35.0, one_way_ms=15.0, buffer_bdp=3.0),
-]
-N_OBJECTIVES = 12
-DURATION = 10.0
+from repro.eval.sweeps import FIGURES
 
 
-def bench_fig6_reward_cdf(benchmark, zoo, mocc_agent, aurora_throughput):
+def bench_fig6_reward_cdf(benchmark, zoo, runner, mocc_agent, aurora_throughput):
     enhanced = zoo.enhanced_aurora(10, quality="fast")
+    cells = FIGURES["fig6"](mocc_agent, aurora_throughput, enhanced)
 
     def experiment():
-        rng = np.random.default_rng(7)
-        objectives = [sample_weight(rng) for _ in range(N_OBJECTIVES)]
-        rewards: dict[str, list] = {
-            "MOCC": [], "Enhanced Aurora": [], "Aurora": [],
-            "CUBIC": [], "Vegas": [], "BBR": [], "Vivace": [],
-        }
-        for ci, net in enumerate(CONDITIONS):
-            start = net.bottleneck_pps / 3
-            for oi, w in enumerate(objectives):
-                seed = ci * 100 + oi
-                # MOCC: one model, conditioned on the objective.
-                record = run_scheme(MoccController(mocc_agent, w, initial_rate=start),
-                                    net, duration=DURATION, seed=seed)
-                rewards["MOCC"].append(reward_of_record(record, w))
-                # Enhanced Aurora: nearest pre-trained model.
-                dists = [float(np.sum((ew - w) ** 2)) for ew, _ in enhanced]
-                _, agent = enhanced[int(np.argmin(dists))]
-                record = run_scheme(AuroraController(agent, initial_rate=start),
-                                    net, duration=DURATION, seed=seed)
-                rewards["Enhanced Aurora"].append(reward_of_record(record, w))
-                # Vanilla Aurora: one fixed throughput-trained model.
-                record = run_scheme(AuroraController(aurora_throughput, initial_rate=start),
-                                    net, duration=DURATION, seed=seed)
-                rewards["Aurora"].append(reward_of_record(record, w))
-                # Heuristics: objective-agnostic behaviour.
-                for scheme in ("CUBIC", "Vegas", "BBR", "Vivace"):
-                    ctrl = scheme_factory(scheme.lower(), net, seed=seed)
-                    record = run_scheme(ctrl, net, duration=DURATION, seed=seed)
-                    rewards[scheme].append(reward_of_record(record, w))
+        # Each flow carries the objective its cell is scored against.
+        rewards: dict[str, list] = {}
+        for result in runner.run(cells):
+            rewards.setdefault(result.scenario.lineup, []).append(
+                reward_of_record(result.records[0],
+                                 result.scenario.flows[0].weights))
         return {k: np.asarray(v) for k, v in rewards.items()}
 
     rewards = run_once(benchmark, experiment)

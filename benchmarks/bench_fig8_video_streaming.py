@@ -8,33 +8,17 @@ chunks (14 level-5 chunks vs 9/2/0).
 from conftest import print_table, run_once
 
 from repro.apps.video import VideoSession
-from repro.baselines import BBR, Cubic, Vegas
-from repro.core.agent import MoccController
-from repro.core.weights import THROUGHPUT_WEIGHTS
-from repro.eval.runner import EvalNetwork, run_scheme
-from repro.netsim.traces import RandomWalkTrace, mbps_to_pps
-
-NETWORK = EvalNetwork(
-    bandwidth_mbps=8.0, one_way_ms=25.0, buffer_bdp=2.0,
-    trace=RandomWalkTrace(mbps_to_pps(3.0), mbps_to_pps(8.0),
-                          interval=2.0, step=0.25, horizon=120.0, seed=5))
+from repro.eval.sweeps import FIGURES
 
 
-def bench_fig8_video(benchmark, mocc_agent):
+def bench_fig8_video(benchmark, runner, mocc_agent):
     session = VideoSession()
+    cells = FIGURES["fig8"](mocc_agent)
 
     def experiment():
-        start = NETWORK.bottleneck_pps / 3
-        results = {}
-        for name, ctrl in [
-                ("MOCC", MoccController(mocc_agent, THROUGHPUT_WEIGHTS,
-                                        initial_rate=start)),
-                ("CUBIC", Cubic()),
-                ("BBR", BBR(initial_rate=start)),
-                ("Vegas", Vegas())]:
-            record = run_scheme(ctrl, NETWORK, duration=90.0, seed=3)
-            results[name] = session.stream(record, n_chunks=20)
-        return results
+        return {result.scenario.lineup: session.stream(result.records[0],
+                                                       n_chunks=20)
+                for result in runner.run(cells)}
 
     results = run_once(benchmark, experiment)
     rows = []

@@ -6,7 +6,7 @@ show that multi-hop contention and workload churn materially change
 the throughput/latency trade-off.  This benchmark runs heuristic
 through schemes across 2- and 3-bottleneck parking lots while CUBIC
 cross traffic arrives and leaves on staggered / on-off schedules
-(the :data:`~repro.eval.sweeps.MULTIHOP_BENCH_CHURNS` grid), all
+(the ``multihop-churn`` entry of the figure registry), all
 through the shared :class:`~repro.eval.parallel.ParallelRunner` and
 (since PR 4) over the event-driven per-hop engine, whose shared hops
 see honestly time-ordered arrivals from every flow.
@@ -24,42 +24,33 @@ Headline shapes asserted:
 import numpy as np
 from conftest import print_table, run_once
 
-from repro.eval.sweeps import (
-    MULTIHOP_BENCH_BANDWIDTH,
-    MULTIHOP_BENCH_CHURNS,
-    MULTIHOP_BENCH_HOPS,
-    MULTIHOP_BENCH_SCHEMES,
-    multihop_bench_suites,
-)
+from repro.eval.sweeps import FIGURES
 from repro.netsim.traces import mbps_to_pps
 
 
 def bench_multihop_churn_grid(benchmark, runner):
     """Through-scheme throughput across hops x churn schedules."""
-    suites = multihop_bench_suites()
-
-    def experiment():
-        return [runner.run(suite) for suite in suites]
-
-    outcomes = run_once(benchmark, experiment)
-    bottleneck_pps = mbps_to_pps(MULTIHOP_BENCH_BANDWIDTH)
-    churn_labels = [c.label() if c is not None else "none"
-                    for c in MULTIHOP_BENCH_CHURNS]
+    cells = FIGURES["multihop-churn"]()
+    outcome = run_once(benchmark, lambda: runner.run(cells))
+    bottleneck_pps = mbps_to_pps(
+        cells[0].topology.path_bottleneck_mbps("through"))
 
     # through[(scheme, hops, churn_label)] = through-flow pps
     through = {}
-    for hops, outcome in zip(MULTIHOP_BENCH_HOPS, outcomes):
-        for result in outcome:
-            scheme = result.scenario.lineup.removesuffix("-through")
-            churn = (result.scenario.churn.label()
-                     if result.scenario.churn is not None else "none")
-            through[(scheme, hops, churn)] = result.records[0].mean_throughput_pps
+    for result in outcome:
+        scheme = result.scenario.lineup.removesuffix("-through")
+        hops = int(result.scenario.suite.removeprefix("multihop"))
+        churn = (result.scenario.churn.label()
+                 if result.scenario.churn is not None else "none")
+        through[(scheme, hops, churn)] = result.records[0].mean_throughput_pps
+    schemes, hop_counts, churn_labels = (
+        list(dict.fromkeys(key[i] for key in through)) for i in range(3))
 
     rows = [[scheme, hops, churn,
              through[(scheme, hops, churn)],
              through[(scheme, hops, churn)] / bottleneck_pps]
-            for scheme in MULTIHOP_BENCH_SCHEMES
-            for hops in MULTIHOP_BENCH_HOPS
+            for scheme in schemes
+            for hops in hop_counts
             for churn in churn_labels]
     print_table("Parking-lot through flow vs. churning cross traffic",
                 ["scheme", "hops", "churn", "through pps", "share"], rows)
@@ -72,20 +63,20 @@ def bench_multihop_churn_grid(benchmark, runner):
         # in the classic parking-lot beat-down.
         assert pps / bottleneck_pps > 0.01, (scheme, hops, churn)
         assert pps <= bottleneck_pps * 1.05, (scheme, hops, churn)
-    for scheme in MULTIHOP_BENCH_SCHEMES:
+    for scheme in schemes:
         # Adding a hop adds a queue *and* (under always-on cross
         # traffic, the only controlled comparison: churned grids stagger
         # the extra hop's cross flow in later, leaving the longer path
         # idle capacity the shorter one never had) a competitor -- the
         # through flow must not come out ahead.
         h2, h3 = (through[(scheme, h, churn_labels[0])]
-                  for h in MULTIHOP_BENCH_HOPS)
+                  for h in hop_counts)
         assert h3 <= h2 * 1.25, scheme
         # On-off churn leaves the bottleneck idle between sessions; the
         # persistent through flow must do at least as well as under
         # always-on cross traffic (averaged over hop counts).
         onoff = np.mean([through[(scheme, h, churn_labels[2])]
-                         for h in MULTIHOP_BENCH_HOPS])
+                         for h in hop_counts])
         always = np.mean([through[(scheme, h, churn_labels[0])]
-                          for h in MULTIHOP_BENCH_HOPS])
+                          for h in hop_counts])
         assert onoff >= always * 0.8, scheme

@@ -12,7 +12,7 @@ import numpy as np
 from repro.core.agent import MoccController
 from repro.core.weights import BALANCE_WEIGHTS
 from repro.eval.metrics import jain_index
-from repro.eval.runner import EvalNetwork, run_competition
+from repro.eval.runner import EvalNetwork, build_competition
 from repro.models import default_zoo
 
 
@@ -23,8 +23,8 @@ def main():
                                   initial_rate=network.bottleneck_pps / 4)
                    for _ in range(3)]
     print("Three same-weight MOCC flows, arrivals at 0/15/30 s...\n")
-    records = run_competition(controllers, network, duration=60.0,
-                              start_times=[0.0, 15.0, 30.0], seed=6)
+    records = build_competition(controllers, network, duration=60.0,
+                                start_times=[0.0, 15.0, 30.0], seed=6).run_all()
 
     print(f"{'window':<10}" + "".join(f"flow{i:<7}" for i in range(3)) + "jain")
     for lo in np.arange(0.0, 60.0, 5.0):

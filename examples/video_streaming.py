@@ -12,7 +12,7 @@ from repro.apps.video import BITRATES_MBPS, VideoSession
 from repro.baselines import BBR, Cubic, Vegas
 from repro.core.agent import MoccController
 from repro.core.weights import THROUGHPUT_WEIGHTS
-from repro.eval.runner import EvalNetwork, run_scheme
+from repro.eval.runner import EvalNetwork, build_competition
 from repro.models import default_zoo
 from repro.netsim.traces import RandomWalkTrace, mbps_to_pps
 
@@ -34,7 +34,8 @@ def main():
             ("CUBIC", Cubic()),
             ("BBR", BBR(initial_rate=start)),
             ("Vegas", Vegas())]:
-        record = run_scheme(controller, network, duration=90.0, seed=3)
+        (record,) = build_competition([controller], network, duration=90.0,
+                                      seed=3).run_all()
         result = session.stream(record, n_chunks=20)
         counts = " ".join(f"{c:2d}" for c in result.quality_counts())
         print(f"{name:<8}{result.mean_throughput_mbps:>10.2f}"

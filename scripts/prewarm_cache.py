@@ -1,28 +1,17 @@
 """Pre-train and cache every model the test/benchmark suite needs,
-then pre-warm the scenario-result cache for the heavyweight suites.
+then pre-warm the scenario-result cache for every figure.
 
 Scenario results are memoized by content fingerprint
 (:meth:`repro.eval.scenarios.Scenario.fingerprint`), so warming the
-exact grids the benchmarks declare means a later benchmark run is
+cells of every entry of the figure registry
+(:data:`repro.eval.sweeps.FIGURES`) means a later benchmark run is
 served from the cache instead of re-simulating.
 """
 import time
 
-from repro.core.weights import (
-    LATENCY_WEIGHTS,
-    RTC_WEIGHTS,
-    THROUGHPUT_WEIGHTS,
-    project_to_simplex,
-)
+from repro.core.weights import RTC_WEIGHTS, project_to_simplex
 from repro.eval.parallel import ParallelRunner
-from repro.eval.sweeps import (
-    FIG5_BENCH_BASE,
-    FIG5_BENCH_DURATION,
-    FIG5_BENCH_SCHEMES,
-    FIG5_BENCH_SEED,
-    FIG5_BENCH_SWEEPS,
-    sweep_suite,
-)
+from repro.eval.sweeps import FIGURES, figure_cells
 from repro.models import default_zoo
 
 
@@ -46,21 +35,18 @@ def prewarm_models(zoo):
 
 
 def prewarm_scenarios(zoo):
-    """Run the Fig. 5 sweep suites through the parallel runner."""
+    """Run every figure's cells through the parallel runner, with the
+    models the benchmarks' fixtures load."""
     runner = ParallelRunner()
-    kwargs = {"mocc_agent": zoo.mocc_offline(quality="full"),
-              "aurora_agent": zoo.aurora("throughput", quality="full")}
-    for objective, weights in [("throughput", THROUGHPUT_WEIGHTS),
-                               ("latency", LATENCY_WEIGHTS)]:
-        for param, values in FIG5_BENCH_SWEEPS:
-            t0 = time.time()
-            outcome = runner.run(sweep_suite(
-                FIG5_BENCH_SCHEMES, param, values, base=FIG5_BENCH_BASE,
-                duration=FIG5_BENCH_DURATION, seed=FIG5_BENCH_SEED,
-                controller_kwargs={**kwargs, "mocc_weights": weights}))
-            print(f"[prewarm] fig5 {objective}/{param} "
-                  f"({len(outcome)} scenarios): "
-                  f"{time.time() - t0:.1f}s", flush=True)
+    models = {"mocc_agent": zoo.mocc_offline(quality="full"),
+              "aurora_throughput": zoo.aurora("throughput", quality="full"),
+              "aurora_latency": zoo.aurora("latency", quality="full"),
+              "enhanced_aurora": zoo.enhanced_aurora(10, quality="fast")}
+    for name in FIGURES:
+        t0 = time.time()
+        outcome = runner.run(figure_cells(name, models))
+        print(f"[prewarm] {name} ({len(outcome)} scenarios): "
+              f"{time.time() - t0:.1f}s", flush=True)
 
 
 def main():

@@ -2,8 +2,8 @@
 
 Every table/figure in the paper's §6 is regenerated from these pieces:
 
-* :mod:`repro.eval.runner` -- run one scheme on one network, collect
-  :class:`FlowRecord` aggregates; run competing flows on shared links.
+* :mod:`repro.eval.runner` -- the single-bottleneck network, sized
+  scheme controllers, and live controllers wired onto a shared link.
 * :mod:`repro.eval.metrics` -- link utilization, latency ratio, Jain's
   fairness index, friendliness ratio, reward statistics.
 * :mod:`repro.eval.scenarios` -- declarative scenarios and suite grids.
@@ -11,9 +11,10 @@ Every table/figure in the paper's §6 is regenerated from these pieces:
   one :class:`SuiteResult` (per-cell records plus a tidy table).
 * :mod:`repro.eval.resilience` -- the worker pool, the sealed record
   codec, the on-disk result cache and the sweep journal.
-* :mod:`repro.eval.sweeps` -- the Fig. 5 parameter sweeps and the
+* :mod:`repro.eval.sweeps` -- the figure registry: every scenario
+  figure's cells, from the Fig. 5 parameter sweeps to the
   multi-bottleneck + churn and ack-congestion grids beyond the
-  paper's evaluation, all as scenario suites.
+  paper's evaluation.
 * :mod:`repro.eval.gaussian` -- 1-sigma ellipses for Fig. 1(b).
 * :mod:`repro.eval.cdf` -- reward-percentile tables (Figs. 6, 12, 16,
   18).
@@ -25,8 +26,6 @@ Every table/figure in the paper's §6 is regenerated from these pieces:
 from repro.eval.runner import (
     EvalNetwork,
     build_competition,
-    run_competition,
-    run_scheme,
     scheme_factory,
 )
 from repro.eval.scenarios import (
@@ -54,8 +53,7 @@ from repro.eval.sweeps import ack_congestion_suite, multihop_churn_suite
 
 __all__ = [
     "EvalNetwork",
-    "run_scheme",
-    "run_competition",
+    "build_competition",
     "scheme_factory",
     "jain_index",
     "jain_index_series",

@@ -96,10 +96,11 @@ def measure_overhead(controller: Controller, network, duration: float = 20.0,
     ``network`` is an :class:`repro.eval.runner.EvalNetwork`; import is
     deferred to avoid a cycle.
     """
-    from repro.eval.runner import run_scheme
+    from repro.eval.runner import build_competition
 
     profiled = ProfilingController(controller)
-    run_scheme(profiled, network, duration=duration, seed=seed)
+    build_competition([profiled], network, duration=duration,
+                      seed=seed).run_all()
     inference = getattr(controller, "inference_count", 0)
     # Datapath shims expose their wrapped library's counter.
     library = getattr(controller, "library", None)

@@ -463,6 +463,11 @@ class ResultCache:
             os.replace(tmp, path)
         except FileNotFoundError:
             return  # a concurrent clear() took the staged file with it
+        except IsADirectoryError:
+            # A directory holds the entry's name: get() reads it as a
+            # miss, so the cell stays uncached.
+            os.unlink(tmp)
+            return
         # Amortized eviction: keep a running size estimate and only pay
         # the full directory scan once it crosses the cap (an overwrite
         # counts its size twice, which merely prunes a touch early --

@@ -1,10 +1,10 @@
 """Run congestion-control schemes on simulated networks.
 
 :class:`EvalNetwork` describes the evaluation topology (one bottleneck
-link, Pantheon-style); :func:`run_scheme` runs a single flow of a named
-scheme on it and returns the aggregate :class:`FlowRecord`;
-:func:`run_competition` runs several (possibly different) controllers
-sharing the bottleneck -- the fairness/friendliness setups of §6.4.
+link, Pantheon-style); :func:`scheme_factory` sizes a named scheme's
+controller for it, and :func:`build_competition` wires live controllers
+sharing its bottleneck into an unrun :class:`Simulation`.  Figures run
+as scenario cells (:mod:`repro.eval.sweeps`), not through this module.
 """
 
 from __future__ import annotations
@@ -22,14 +22,13 @@ from repro.baselines import (
     Vegas,
 )
 from repro.core.agent import MoccAgent, MoccController
-from repro.netsim.network import FlowRecord, FlowSpec, Simulation
+from repro.netsim.network import FlowSpec, Simulation
 from repro.netsim.rngstreams import link_seed
 from repro.netsim.signing import canonical
 from repro.netsim.topology import TopologySpec, dumbbell
 from repro.netsim.traces import BandwidthTrace, mbps_to_pps, trace_form
 
-__all__ = ["EvalNetwork", "scheme_factory", "build_competition", "run_scheme",
-           "run_competition"]
+__all__ = ["EvalNetwork", "scheme_factory", "build_competition"]
 
 
 @dataclass(frozen=True)
@@ -113,22 +112,15 @@ def scheme_factory(name: str, network: EvalNetwork, seed: int = 0,
     raise ValueError(f"unknown scheme {name!r}")
 
 
-def run_scheme(controller, network: EvalNetwork, duration: float = 30.0,
-               seed: int = 0) -> FlowRecord:
-    """Run one flow of ``controller`` over ``network``; return aggregates."""
-    return build_competition([controller], network, duration=duration,
-                             seed=seed).run_all()[0]
-
-
 def build_competition(controllers, network: EvalNetwork, duration: float = 60.0,
                       start_times=None, stop_times=None, seed: int = 0,
                       mi_duration: float | None = None) -> Simulation:
     """Wire several controllers sharing the bottleneck into a Simulation.
 
-    The construction half of :func:`run_competition`, split out so
-    callers that need the live :class:`Simulation` -- incremental
-    ``run(until=...)`` drivers -- reuse the exact seeding and sizing of
-    the standard evaluation path.
+    The seeding and sizing of the standard evaluation path, for
+    callers that bring their own controller objects (a profiling
+    proxy, a datapath shim) or drive the live :class:`Simulation`;
+    ``run_all()`` returns one :class:`FlowRecord` per controller.
     """
     n = len(controllers)
     start_times = start_times or [0.0] * n
@@ -139,15 +131,3 @@ def build_competition(controllers, network: EvalNetwork, duration: float = 60.0,
                       start_time=t0, stop_time=t1, mi_duration=mi_duration)
              for c, t0, t1 in zip(controllers, start_times, stop_times)]
     return Simulation(topology, specs, duration=duration, seed=seed)
-
-
-def run_competition(controllers, network: EvalNetwork, duration: float = 60.0,
-                    start_times=None, seed: int = 0) -> list[FlowRecord]:
-    """Run several controllers sharing the bottleneck (dumbbell setup).
-
-    ``start_times`` allow the staggered-flow arrivals of the fairness
-    experiment (Fig. 11).
-    """
-    sim = build_competition(controllers, network, duration=duration,
-                            start_times=start_times, seed=seed)
-    return sim.run_all()

@@ -1,9 +1,9 @@
 """Declarative evaluation scenarios and scenario grids.
 
 The paper's evaluation (Figs. 5-19) is a large matrix of network
-conditions x objectives x competing schemes.  Instead of every
-benchmark hand-rolling loops over :func:`repro.eval.runner.run_scheme`,
-experiments *declare* what to run:
+conditions x objectives x competing schemes, so experiments *declare*
+what to run (every figure's cells are in the registry,
+:data:`repro.eval.sweeps.FIGURES`):
 
 * :class:`FlowDef` -- one flow: scheme name, objective weights, a
   live agent (pickled into pool workers with its cell), start/stop
@@ -613,10 +613,13 @@ class ScenarioSuite:
                 ("rev", self.reverse_paths), ("faults", self.faults),
                 ("churn", self.churns), ("seed", self.seeds)]
         varying = {label for label, values in axes if len(values) > 1}
-        for (label, flows), bw, rtt, loss, buf, trace, topo, rev, flt, \
-                churn, seed in product(
-                self.lineups, self.bandwidths_mbps, self.rtts_ms, self.losses,
-                self.buffers, self.traces, self.topologies,
+        # One network per condition, shared by its cells: a signing
+        # pass then signs it once, not once per cell.
+        conditions = [(*c, self._network(*c)) for c in product(
+            self.bandwidths_mbps, self.rtts_ms, self.losses, self.buffers)]
+        for (label, flows), (bw, rtt, loss, buf, network), trace, topo, rev, \
+                flt, churn, seed in product(
+                self.lineups, conditions, self.traces, self.topologies,
                 self.reverse_paths, self.faults, self.churns, self.seeds):
             if rev is not None:
                 topo = topo.with_reverse_paths(rev)
@@ -636,7 +639,7 @@ class ScenarioSuite:
                     parts.append(f"{axis}={values[axis]}")
             scenarios.append(Scenario(
                 name="/".join([self.name] + parts),
-                network=self._network(bw, rtt, loss, buf),
+                network=network,
                 flows=flows, duration=self.duration, seed=int(seed),
                 mi_duration=self.mi_duration, trace=trace,
                 topology=topo, churn=churn,

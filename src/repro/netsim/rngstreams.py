@@ -25,7 +25,8 @@ dumbbell -- receives, which the eval pipeline forms with
 ``7919 * e + 1`` for episode seed ``e`` in ``MoccEnv.reset``) and which is
 therefore never the cell or episode seed itself; ``env`` is the seed
 a gym env draws its episodes' parameters from; ``agent`` is the seed
-a model's weights are initialised from, before any cell runs.  A
+a model's weights are initialised from, and ``objectives`` the seed a
+figure samples its weight vectors from, both before any cell runs.  A
 caller handing *one* seed to both ``TopologySpec.build`` and
 ``Simulation`` gets link 0's loss stream equal to the pacing stream: ``SeedSequence`` zero-pads entropy to four
 words, so ``default_rng(s)`` and ``default_rng((s, 0))`` are one
@@ -80,6 +81,9 @@ STREAMS = {
     # Synthetic bandwidth processes (random walk, LEO handover); their
     # content is fingerprinted, so a pure function of the trace seed.
     "trace.synth": ("trace", lambda seed: seed),
+    # The objectives a figure samples (repro.eval.sweeps), drawn while
+    # its cells are declared; each flow carries its weights.
+    "eval.objectives": ("objectives", lambda seed: seed),
 }
 
 _SAMPLE = {"seed": range(16), "index": range(8),

@@ -12,7 +12,7 @@ from repro.core.agent import MoccAgent
 from repro.core.library import MOCC
 from repro.datapath import CcpShim, UdtShim
 from repro.eval.overhead import ProfilingController, measure_overhead
-from repro.eval.runner import EvalNetwork, run_scheme
+from repro.eval.runner import EvalNetwork, build_competition
 from repro.netsim.network import FlowRecord
 from repro.netsim.sender import ExternalRateController, MonitorIntervalStats
 
@@ -118,15 +118,15 @@ class TestDatapathShims:
 
     def test_udt_inference_every_mi(self):
         shim = UdtShim(self._lib(), [0.5, 0.3, 0.2])
-        run_scheme(shim, NET, duration=2.0, seed=1)
+        build_competition([shim], NET, duration=2.0, seed=1).run_all()
         # MI = base RTT = 20 ms -> ~100 intervals in 2 s.
         assert 80 <= shim.library.inference_count <= 110
 
     def test_ccp_batches_inferences(self):
         udt = UdtShim(self._lib(), [0.5, 0.3, 0.2])
         ccp = CcpShim(self._lib(), [0.5, 0.3, 0.2], batch=4)
-        run_scheme(udt, NET, duration=2.0, seed=1)
-        run_scheme(ccp, NET, duration=2.0, seed=1)
+        build_competition([udt], NET, duration=2.0, seed=1).run_all()
+        build_competition([ccp], NET, duration=2.0, seed=1).run_all()
         assert ccp.library.inference_count * 3 < udt.library.inference_count
 
     def test_ccp_invalid_batch(self):
@@ -135,14 +135,15 @@ class TestDatapathShims:
 
     def test_shims_keep_sending(self):
         shim = CcpShim(self._lib(), [0.5, 0.3, 0.2], batch=4)
-        record = run_scheme(shim, NET, duration=3.0, seed=2)
+        (record,) = build_competition([shim], NET, duration=3.0,
+                                     seed=2).run_all()
         assert record.mean_throughput_pps > 0
 
 
 class TestOverhead:
     def test_profiling_controller_accumulates(self):
         profiled = ProfilingController(Cubic())
-        run_scheme(profiled, NET, duration=2.0, seed=1)
+        build_competition([profiled], NET, duration=2.0, seed=1).run_all()
         assert profiled.calls > 0
         assert profiled.control_seconds > 0
 

@@ -9,7 +9,7 @@ from repro.baselines.aurora import AuroraController
 from repro.baselines.orca import ACTION_SCALE as ORCA_ACTION_SCALE
 from repro.config import DEFAULT_TRAINING
 from repro.core.agent import MoccAgent
-from repro.eval.runner import EvalNetwork, run_scheme
+from repro.eval.runner import EvalNetwork, build_competition
 from repro.netsim.env import apply_action
 from repro.netsim.packet import Packet
 from repro.netsim.sender import ExternalRateController, Flow
@@ -17,6 +17,12 @@ from repro.netsim.sender import ExternalRateController, Flow
 from test_core_mocc import act_path_action
 
 NET = EvalNetwork(bandwidth_mbps=8.0, one_way_ms=15.0, buffer_bdp=1.5)
+
+
+def run_one(controller, network, duration, seed):
+    """One flow of ``controller`` over ``network``: its record."""
+    return build_competition([controller], network, duration=duration,
+                             seed=seed).run_all()[0]
 
 
 def _flow_with_srtt(srtt=0.05):
@@ -198,23 +204,23 @@ class TestTrialTracker:
 
 class TestPCCBehaviour:
     def test_allegro_climbs_on_clean_link(self):
-        record = run_scheme(PCCAllegro(initial_rate=NET.bottleneck_pps / 10),
-                            NET, duration=25.0, seed=3)
+        record = run_one(PCCAllegro(initial_rate=NET.bottleneck_pps / 10),
+                         NET, duration=25.0, seed=3)
         assert record.mean_utilization > 0.5
 
     def test_vivace_climbs_on_clean_link(self):
-        record = run_scheme(PCCVivace(initial_rate=NET.bottleneck_pps / 10),
-                            NET, duration=25.0, seed=3)
+        record = run_one(PCCVivace(initial_rate=NET.bottleneck_pps / 10),
+                         NET, duration=25.0, seed=3)
         assert record.mean_utilization > 0.5
 
     def test_allegro_collapses_beyond_sigmoid_cliff(self):
         """Allegro's utility cuts throughput credit beyond ~5 % loss."""
         lossy = EvalNetwork(bandwidth_mbps=8.0, one_way_ms=15.0,
                             buffer_bdp=1.5, loss_rate=0.10)
-        record = run_scheme(PCCAllegro(initial_rate=NET.bottleneck_pps / 4),
-                            lossy, duration=20.0, seed=4)
-        clean = run_scheme(PCCAllegro(initial_rate=NET.bottleneck_pps / 4),
-                           NET, duration=20.0, seed=4)
+        record = run_one(PCCAllegro(initial_rate=NET.bottleneck_pps / 4),
+                         lossy, duration=20.0, seed=4)
+        clean = run_one(PCCAllegro(initial_rate=NET.bottleneck_pps / 4),
+                        NET, duration=20.0, seed=4)
         assert record.mean_utilization < clean.mean_utilization
 
 
@@ -225,8 +231,8 @@ class TestRLBaselines:
 
     def test_orca_without_model_acts_like_cubic(self):
         orca = Orca(agent=None)
-        cubic_record = run_scheme(Cubic(), NET, duration=10.0, seed=5)
-        orca_record = run_scheme(orca, NET, duration=10.0, seed=5)
+        cubic_record = run_one(Cubic(), NET, duration=10.0, seed=5)
+        orca_record = run_one(orca, NET, duration=10.0, seed=5)
         assert orca_record.mean_utilization == pytest.approx(
             cubic_record.mean_utilization, abs=0.1)
         assert orca.scale == 1.0
@@ -234,7 +240,7 @@ class TestRLBaselines:
     def test_orca_scale_bounded(self):
         agent = MoccAgent(DEFAULT_TRAINING, weight_dim=0)
         orca = Orca(agent=agent, rl_interval=1)
-        run_scheme(orca, NET, duration=5.0, seed=6)
+        run_one(orca, NET, duration=5.0, seed=6)
         assert Orca.MIN_SCALE <= orca.scale <= Orca.MAX_SCALE
         assert orca.inference_count > 0
 
@@ -267,7 +273,7 @@ def orca_scale_equals_act_path() -> None:
     replaced: same supervision decisions, bit for bit."""
     agent = MoccAgent(DEFAULT_TRAINING, weight_dim=0, seed=2)
     new, old = (cls(agent=agent, rl_interval=2) for cls in (Orca, ActPathOrca))
-    records = [run_scheme(c, NET, duration=5.0, seed=6) for c in (new, old)]
+    records = [run_one(c, NET, duration=5.0, seed=6) for c in (new, old)]
     assert new.scale == old.scale != 1.0
     assert new.inference_count == old.inference_count > 0
     assert records[0].mean_throughput_pps == records[1].mean_throughput_pps
@@ -277,20 +283,20 @@ class TestBehaviourMatrix:
     """Cross-scheme sanity: the qualitative Fig. 5 orderings."""
 
     def test_cubic_fills_buffer_vegas_does_not(self):
-        cubic = run_scheme(Cubic(), NET, duration=15.0, seed=7)
-        vegas = run_scheme(Vegas(), NET, duration=15.0, seed=7)
+        cubic = run_one(Cubic(), NET, duration=15.0, seed=7)
+        vegas = run_one(Vegas(), NET, duration=15.0, seed=7)
         assert cubic.latency_ratio > vegas.latency_ratio
 
     def test_bbr_robust_to_random_loss_cubic_not(self):
         lossy = EvalNetwork(bandwidth_mbps=8.0, one_way_ms=15.0,
                             buffer_bdp=1.5, loss_rate=0.03)
-        bbr = run_scheme(BBR(initial_rate=lossy.bottleneck_pps / 3),
-                         lossy, duration=15.0, seed=8)
-        cubic = run_scheme(Cubic(), lossy, duration=15.0, seed=8)
+        bbr = run_one(BBR(initial_rate=lossy.bottleneck_pps / 3),
+                      lossy, duration=15.0, seed=8)
+        cubic = run_one(Cubic(), lossy, duration=15.0, seed=8)
         assert bbr.mean_utilization > 2 * cubic.mean_utilization
 
     def test_all_schemes_loss_free_on_clean_underbuffered_link(self):
         clean = EvalNetwork(bandwidth_mbps=8.0, one_way_ms=15.0, buffer_bdp=4.0)
         for ctrl in (Vegas(), Copa()):
-            record = run_scheme(ctrl, clean, duration=10.0, seed=9)
+            record = run_one(ctrl, clean, duration=10.0, seed=9)
             assert record.loss_rate < 0.05, ctrl.name

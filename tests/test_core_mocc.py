@@ -54,11 +54,11 @@ class TestPolicyRateController:
             PolicyRateController(agent.model, None, 100.0, **TABLE_2)
 
     def test_inference_counting(self):
-        from repro.eval.runner import EvalNetwork, run_scheme
+        from repro.eval.runner import EvalNetwork, build_competition
         agent = MoccAgent(DEFAULT_TRAINING)
         ctrl = MoccController(agent, [0.8, 0.1, 0.1], initial_rate=50.0)
         net = EvalNetwork(bandwidth_mbps=2.0, one_way_ms=20.0, buffer_bdp=2.0)
-        run_scheme(ctrl, net, duration=2.0, seed=1)
+        build_competition([ctrl], net, duration=2.0, seed=1).run_all()
         # One inference per monitor interval (2 s / 40 ms = ~50).
         assert 40 <= ctrl.inference_count <= 55
 
@@ -152,7 +152,7 @@ class TestInferencePath:
 
 
 def rates_equal_act_path_over_a_flow(weight_dim) -> None:
-    from repro.eval.runner import EvalNetwork, run_scheme
+    from repro.eval.runner import EvalNetwork, build_competition
     net = EvalNetwork(bandwidth_mbps=2.0, one_way_ms=20.0, buffer_bdp=2.0)
     model = MoccAgent(DEFAULT_TRAINING, weight_dim=weight_dim, seed=3).model
     trajectories = []
@@ -166,7 +166,7 @@ def rates_equal_act_path_over_a_flow(weight_dim) -> None:
             rates.append(ctrl.rate)
 
         ctrl.on_mi = spy
-        run_scheme(ctrl, net, duration=10.0, seed=1)
+        build_competition([ctrl], net, duration=10.0, seed=1).run_all()
         assert ctrl.inference_count == len(rates) > 200
         trajectories.append(rates)
     assert trajectories[0] == trajectories[1]

@@ -11,7 +11,7 @@ from repro.eval.metrics import (
     jain_index_series,
     reward_of_record,
 )
-from repro.eval.runner import EvalNetwork, run_competition, run_scheme, scheme_factory
+from repro.eval.runner import EvalNetwork, build_competition, scheme_factory
 from repro.netsim.network import FlowRecord
 from repro.netsim.sender import ExternalRateController, MonitorIntervalStats
 
@@ -117,8 +117,9 @@ class TestRunnerIntegration:
     NET = EvalNetwork(bandwidth_mbps=4.0, one_way_ms=10.0, buffer_bdp=1.0)
 
     def test_run_scheme_heuristic(self):
-        record = run_scheme(scheme_factory("cubic", self.NET), self.NET,
-                            duration=5.0, seed=1)
+        """One sized heuristic flow on the shared link."""
+        (record,) = build_competition([scheme_factory("cubic", self.NET)],
+                                     self.NET, duration=5.0, seed=1).run_all()
         assert record.mean_utilization > 0.5
 
     def test_scheme_factory_all_heuristics(self):
@@ -135,9 +136,10 @@ class TestRunnerIntegration:
             scheme_factory("mocc", self.NET)
 
     def test_run_competition_staggered(self):
+        """Live controllers with staggered starts on the shared link."""
         controllers = [ExternalRateController(150.0), ExternalRateController(150.0)]
-        records = run_competition(controllers, self.NET, duration=8.0,
-                                  start_times=[0.0, 4.0], seed=2)
+        records = build_competition(controllers, self.NET, duration=8.0,
+                                    start_times=[0.0, 4.0], seed=2).run_all()
         assert records[0].mean_throughput_pps > 0
         assert records[1].records[0].start >= 4.0
 

@@ -25,7 +25,7 @@ from repro.config import DEFAULT_TRAINING, TRAINING_RANGES
 from repro.core.agent import MoccAgent
 from repro.core.library import MOCC
 from repro.datapath import CcpShim, UdtShim
-from repro.eval.runner import EvalNetwork, run_scheme
+from repro.eval.runner import EvalNetwork, build_competition
 from repro.netsim.env import EnvSpec
 from repro.netsim.history import StatHistory
 from repro.netsim.sender import MonitorIntervalStats
@@ -99,7 +99,7 @@ def deployed_histories_hold(shim_cls) -> None:
     agent = MoccAgent.load(ASSETS / "mocc_fast_seed0.npz")
     # Starting at capacity keeps a queue, so RTTs move within intervals.
     shim = Recording(MOCC(agent, initial_rate=NET.bottleneck_pps), W)
-    record = run_scheme(shim, NET, duration=3.0, seed=1)
+    record = build_competition([shim], NET, duration=3.0, seed=1).run_all()[0]
     reference = StatHistory(agent.config.history_length)
     want = []
     for stats in record.records:

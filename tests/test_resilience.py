@@ -972,6 +972,18 @@ class TestRawEntryIO:
         assert cache.get(self.KEY) is None
         assert os.path.isdir(cache._path(self.KEY))  # not moved aside
 
+    def test_a_sweep_onto_a_directory_completes_uncached(self, tmp_path):
+        cell = Scenario(name="dir", network=EvalNetwork(bandwidth_mbps=4.0),
+                        flows=("cubic",), duration=0.5)
+        runner = ParallelRunner(n_workers=1, cache_dir=tmp_path)
+        os.mkdir(runner.cache._path(cell.fingerprint()))
+        for _ in range(2):  # a miss both times: the put stored nothing
+            (result,) = runner.run([cell])
+            assert not result.cached and result.records
+        assert os.path.isdir(runner.cache._path(cell.fingerprint()))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"{cell.fingerprint()}.json"]  # no staging file left
+
     def test_an_entry_one_byte_longer_than_its_frame_is_quarantined(
             self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -16,7 +16,7 @@ from repro.core import simplex_grid
 from repro.core.agent import MoccAgent
 from repro.config import DEFAULT_TRAINING
 from repro.eval.resilience import records_digest
-from repro.eval.runner import EvalNetwork, run_competition, run_scheme, scheme_factory
+from repro.eval.runner import EvalNetwork, build_competition, scheme_factory
 from repro.eval.scenarios import (
     _digest_files,
     _simulation_code_digest,
@@ -160,8 +160,8 @@ class TestScenario:
         scenario = Scenario(name="parity", network=NET, flows=("cubic",),
                             duration=4.0, seed=3)
         record = build_scenario_simulation(scenario).run_all()[0]
-        legacy = run_scheme(scheme_factory("cubic", NET, seed=3), NET,
-                            duration=4.0, seed=3)
+        (legacy,) = build_competition([scheme_factory("cubic", NET, seed=3)],
+                                      NET, duration=4.0, seed=3).run_all()
         assert record.mean_throughput_pps == legacy.mean_throughput_pps
         assert record.mean_rtt == legacy.mean_rtt
         assert record.loss_rate == legacy.loss_rate
@@ -172,9 +172,9 @@ class TestScenario:
             flows=(FlowDef("cubic", start=0.0), FlowDef("vegas", start=2.0)),
             duration=6.0, seed=5)
         records = build_scenario_simulation(scenario).run_all()
-        legacy = run_competition(
+        legacy = build_competition(
             [scheme_factory("cubic", NET, seed=5), scheme_factory("vegas", NET, seed=5)],
-            NET, duration=6.0, start_times=[0.0, 2.0], seed=5)
+            NET, duration=6.0, start_times=[0.0, 2.0], seed=5).run_all()
         for mine, theirs in zip(records, legacy):
             assert mine.mean_throughput_pps == theirs.mean_throughput_pps
 
@@ -183,9 +183,9 @@ class TestScenario:
                             flows=(FlowDef("bbr", rate_frac=0.5),), duration=1.0)
         # Equivalent hand-built controller: BBR at half the bottleneck.
         record = build_scenario_simulation(scenario).run_all()[0]
-        legacy = run_scheme(
-            scheme_factory("bbr", NET, seed=0, initial_rate=NET.bottleneck_pps / 2),
-            NET, duration=1.0, seed=0)
+        (legacy,) = build_competition([scheme_factory(
+            "bbr", NET, seed=0, initial_rate=NET.bottleneck_pps / 2)],
+            NET, duration=1.0, seed=0).run_all()
         assert record.mean_throughput_pps == legacy.mean_throughput_pps
 
 
@@ -684,6 +684,15 @@ class TestScenarioSuite:
         bdp, pkts = suite.expand()
         assert bdp.network.buffer_bdp == 2.0 and bdp.network.queue_packets is None
         assert pkts.network.queue_packets == 1500
+
+    def test_cells_of_one_condition_share_their_network(self):
+        # One network object per (bw, rtt, loss, buf): a signing pass
+        # signs it once.  1 packet and 1.0 BDP stay two conditions.
+        cells = ScenarioSuite(name="n", lineups=("cubic", "vegas"),
+                              bandwidths_mbps=(8.0, 12.0), buffers=(1.0, 1),
+                              seeds=(0, 1)).expand()
+        assert len({id(c.network) for c in cells}) == 4
+        assert len({c.network for c in cells}) == 4
 
     def test_buffer_axis_accepts_numpy_integers(self):
         suite = ScenarioSuite(name="b", lineups=("cubic",),
