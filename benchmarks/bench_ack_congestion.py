@@ -11,7 +11,7 @@ This benchmark runs the ``ack-congestion`` entry of the figure
 registry, an :func:`~repro.eval.sweeps.ack_congestion_suite` grid:
 heuristic download schemes against 0-2 CUBIC uploads, every cell
 paired with its *pure-propagation twin* (same base RTT, no reverse
-queueing) through the ``reverse_paths`` axis, under steady and
+queueing), a second ``topologies`` entry, under steady and
 periodically restarting upload sessions.
 
 Headline shapes asserted:
@@ -42,8 +42,9 @@ def bench_ack_congestion_grid(benchmark, runner):
     cells = {}
     for result in outcome:
         scheme, load = result.scenario.lineup.rsplit("-rev", 1)
-        wired = "rev=" not in result.scenario.name or \
-            "prop" not in result.scenario.name.split("rev=")[1].split("/")[0]
+        # The twin's through path has no reverse links to queue on.
+        wired = result.scenario.topology.path("through").reverse_links \
+            is not None
         churn = (result.scenario.churn.label()
                  if result.scenario.churn is not None else "none")
         cells[(scheme, int(load), wired, churn)] = result.records[0]

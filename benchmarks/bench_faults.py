@@ -38,11 +38,12 @@ LINEUPS = {
     "heuristic": ("cubic", "bbr"),
     "learned": ("vivace", "copa"),
 }
+LOT = parking_lot(2, bandwidth_mbps=6.0, delay_ms=8.0)
 FAULT_GRID = {
-    "clean": None,
-    "flap": {"hop0": (FLAP,)},
-    "ge-loss": {"hop0": (GE,)},
-    "flap+ge": {"hop0": (FLAP, GE)},
+    "clean": LOT,
+    "flap": LOT.with_faults({"hop0": (FLAP,)}, name="flap"),
+    "ge-loss": LOT.with_faults({"hop0": (GE,)}, name="ge-loss"),
+    "flap+ge": LOT.with_faults({"hop0": (FLAP, GE)}, name="flap+ge"),
 }
 SEEDS = (0, 1)
 
@@ -51,8 +52,7 @@ def _suite(lineup_name: str, fault_name: str) -> ScenarioSuite:
     return ScenarioSuite(
         name=f"bench-faults/{lineup_name}/{fault_name}",
         lineups={lineup_name: LINEUPS[lineup_name]},
-        topologies=(parking_lot(2, bandwidth_mbps=6.0, delay_ms=8.0),),
-        faults=(FAULT_GRID[fault_name],),
+        topologies=(FAULT_GRID[fault_name],),
         duration=DURATION,
         seeds=SEEDS)
 

@@ -18,7 +18,6 @@ __all__ = [
     "LATENCY_WEIGHTS",
     "RTC_WEIGHTS",
     "BALANCE_WEIGHTS",
-    "LOSS_WEIGHTS",
     "validate_weights",
     "simplex_grid",
     "step_for_omega",
@@ -36,8 +35,6 @@ LATENCY_WEIGHTS = np.array([0.1, 0.8, 0.1])
 RTC_WEIGHTS = np.array([0.4, 0.5, 0.1])
 #: The "MOCC-Balance" variant of §6.4.
 BALANCE_WEIGHTS = np.array([0.34, 0.33, 0.33])
-#: Loss-averse weight (w6 in Fig. 14).
-LOSS_WEIGHTS = np.array([0.1, 0.1, 0.8])
 
 
 def validate_weights(weights) -> np.ndarray:

@@ -20,9 +20,9 @@ compromising the determinism contract:
   :class:`~repro.netsim.sender.MonitorIntervalStats` rows only when
   something first reads them, so a cache hit or a journal resume read
   for its aggregates never builds them.  :func:`record_to_json` /
-  :func:`record_from_json` spell the same packed record as JSON
-  values.  :func:`records_digest` is a cell's identity and does not
-  depend on either form.
+  :func:`record_from_json` spell one record's frame as a hex string.
+  :func:`records_digest` is a cell's identity and does not depend on
+  the stored form.
 * :class:`ResultCache` -- the fingerprint-keyed, size-capped LRU
   directory of finished cells, one sealed frame per entry; an entry
   that does not unseal is quarantined and its cell recomputed.
@@ -48,7 +48,6 @@ import hashlib
 import json
 import os
 import struct
-from binascii import a2b_hex
 from collections.abc import Sequence
 from dataclasses import fields as dataclass_fields
 from itertools import chain
@@ -247,24 +246,18 @@ def _history(rows, block: bytes) -> _PackedHistory:
     return _PackedHistory(rows, block)
 
 
-def record_to_json(record: FlowRecord) -> dict:
-    """A record as JSON values: its aggregates by name, its MI history
-    as ``[rows, hex]`` of the block :func:`_packed` builds."""
-    aggregates, rows, block = _packed(record)
-    aggregates[_HISTORY] = [rows, block.hex()]
-    return aggregates
+def record_to_json(record: FlowRecord) -> str:
+    """A record as one JSON value: the hex of ``seal({}, [record])``."""
+    return seal({}, [record]).hex()
 
 
-def record_from_json(payload: dict) -> FlowRecord:
-    """Exact inverse of :func:`record_to_json`; ``ValueError`` /
-    ``KeyError`` / ``TypeError`` for anything it did not write."""
-    rows, packed = payload[_HISTORY]
-    aggregates = {name: payload[name] for name in RECORD_FIELDS}
-    _block_size(rows)  # a row count that is not a count fails first
-    # Strict: an odd length, a non-hex digit or any whitespace raises
-    # (``bytes.fromhex`` would skip whitespace).
-    aggregates[_HISTORY] = _history(rows, a2b_hex(packed))
-    return FlowRecord(**aggregates)
+def record_from_json(payload: str) -> FlowRecord:
+    """Exact inverse of :func:`record_to_json`; ``ValueError`` for
+    anything it did not write."""
+    sealed = unseal(bytes.fromhex(payload))
+    if sealed is None or sealed[0] or len(sealed[1]) != 1:
+        raise ValueError("not one record's sealed frame")
+    return sealed[1][0]
 
 
 def records_digest(records: list[FlowRecord]) -> str:
@@ -273,7 +266,7 @@ def records_digest(records: list[FlowRecord]) -> str:
     A cell's *identity*, not its stored form: the canonical listing
     hashed here -- aggregates by name, one value row per MI -- is
     private to this function and is what the goldens and the ledger's
-    ``expected.json`` pin, whatever :func:`record_to_json` packs.
+    ``expected.json`` pin, whatever :func:`seal` packs.
     """
     canonical = []
     for record in records:

@@ -35,7 +35,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.eval.runner import EvalNetwork, scheme_factory
-from repro.netsim.faults import coerce_faults
 from repro.netsim.network import FlowSpec, Simulation
 from repro.netsim.rngstreams import link_seed
 from repro.netsim.signing import UNSIGNED, Signer, canonical
@@ -208,8 +207,7 @@ class ChurnSchedule:
       the window *repeats* every ``period`` seconds until the scenario
       ends: each repeat is a fresh session (its own flow, restarting
       from the controller's initial state, like a user re-opening a
-      connection).  ``duty`` sizes the window as a fraction of
-      ``period`` instead of ``on_time``.
+      connection).
 
     ``skip`` exempts the first ``skip`` flows of the line-up -- e.g. a
     persistent through flow on a parking lot while the cross traffic
@@ -222,7 +220,6 @@ class ChurnSchedule:
     on_time: float | None = None
     skip: int = 0
     period: float | None = None
-    duty: float | None = None
 
     def __post_init__(self):
         if self.kind not in ("staggered", "departures", "on-off"):
@@ -231,28 +228,16 @@ class ChurnSchedule:
             raise ValueError("gap, offset and skip must be non-negative")
         if self.on_time is not None and self.on_time <= 0:
             raise ValueError("on_time must be positive")
-        if self.period is not None or self.duty is not None:
-            if self.kind != "on-off":
-                raise ValueError("period/duty only apply to on-off churn")
+        if self.period is not None and self.kind != "on-off":
+            raise ValueError("period only applies to on-off churn")
         if self.period is not None and self.period <= 0:
             raise ValueError("period must be positive")
-        if self.duty is not None:
-            if self.period is None:
-                raise ValueError("duty needs a period")
-            if self.on_time is not None:
-                raise ValueError("give either on_time or duty, not both")
-            if not 0.0 < self.duty < 1.0:
-                raise ValueError("duty must be in (0, 1)")
         if self.period is not None and self._on_duration() > self.period:
             raise ValueError("on_time must not exceed period "
                              "(windows would overlap themselves)")
 
     def _on_duration(self) -> float:
-        if self.on_time is not None:
-            return self.on_time
-        if self.duty is not None:
-            return self.duty * self.period
-        return self.gap
+        return self.on_time if self.on_time is not None else self.gap
 
     def label(self) -> str:
         bits = [self.kind, f"g{self.gap:g}"]
@@ -262,8 +247,6 @@ class ChurnSchedule:
             bits.append(f"on{self.on_time:g}")
         if self.period is not None:
             bits.append(f"p{self.period:g}")
-        if self.duty is not None:
-            bits.append(f"d{self.duty:g}")
         if self.skip:
             bits.append(f"s{self.skip}")
         return "-".join(bits)
@@ -531,25 +514,16 @@ class ScenarioSuite:
     * ``topologies`` -- :class:`~repro.netsim.topology.TopologySpec`
       entries (``None`` = the single-bottleneck network built from the
       axes above; a spec supersedes bandwidth/RTT/loss/buffer for that
-      cell);
-    * ``reverse_paths`` -- ack-congestion axis: each entry is ``None``
-      (the topology spec as declared) or a mapping of path name to an
-      ordered tuple of reverse link names (wire real reverse-path
-      queueing) or ``None`` (strip back to the pure-propagation twin at
-      the same return propagation delay), applied to the cell's
-      topology via :meth:`TopologySpec.with_reverse_paths` -- needs a
-      non-``None`` topology;
-    * ``faults`` -- ``None`` (fault-free, bit-identical to the golden
-      traces) or a mapping of link name to a fault spec / tuple of
-      fault specs from :mod:`repro.netsim.faults` (``None``/``()``
-      strips a link back to fault-free), applied to the cell's
-      topology via :meth:`TopologySpec.with_faults` -- needs a
-      non-``None`` topology;
+      cell).  A rewired or faulted variant of a spec is its own entry,
+      made by :meth:`~repro.netsim.topology.TopologySpec
+      .with_reverse_paths` or :meth:`~repro.netsim.topology
+      .TopologySpec.with_faults` under its own ``name``;
     * ``churns`` -- :class:`ChurnSchedule` entries rewriting the
       line-up's start/stop times (``None`` = the line-up's own times).
 
     ``expand()`` returns the cross product as concrete
-    :class:`Scenario` objects with stable, human-readable names.
+    :class:`Scenario` objects with stable, human-readable names, and
+    refuses a grid in which two cells would share one.
     """
 
     name: str
@@ -560,8 +534,6 @@ class ScenarioSuite:
     buffers: tuple = (1.0,)
     traces: tuple = (None,)
     topologies: tuple = (None,)
-    reverse_paths: tuple = (None,)
-    faults: tuple = (None,)
     churns: tuple = (None,)
     seeds: tuple = (0,)
     duration: float = 20.0
@@ -571,19 +543,8 @@ class ScenarioSuite:
     def __post_init__(self):
         object.__setattr__(self, "lineups", _coerce_lineups(self.lineups))
         for axis in ("bandwidths_mbps", "rtts_ms", "losses", "buffers",
-                     "traces", "topologies", "reverse_paths", "faults",
-                     "churns", "seeds"):
+                     "traces", "topologies", "churns", "seeds"):
             object.__setattr__(self, axis, tuple(getattr(self, axis)))
-        if any(rev is not None for rev in self.reverse_paths) and \
-                any(topo is None for topo in self.topologies):
-            raise ValueError("the reverse_paths axis rewires topology "
-                             "paths; every topologies entry must be a "
-                             "TopologySpec")
-        if any(flt is not None for flt in self.faults) and \
-                any(topo is None for topo in self.topologies):
-            raise ValueError("the faults axis attaches per-link fault "
-                             "schedules; every topologies entry must be "
-                             "a TopologySpec")
         if any(trace is not None for trace in self.traces) and \
                 any(topo is not None for topo in self.topologies):
             raise ValueError("the traces axis sets the single link's "
@@ -594,8 +555,7 @@ class ScenarioSuite:
     def __len__(self) -> int:
         return (len(self.lineups) * len(self.bandwidths_mbps) * len(self.rtts_ms)
                 * len(self.losses) * len(self.buffers) * len(self.traces)
-                * len(self.topologies) * len(self.reverse_paths)
-                * len(self.faults) * len(self.churns) * len(self.seeds))
+                * len(self.topologies) * len(self.churns) * len(self.seeds))
 
     def _network(self, bandwidth, rtt, loss, buffer) -> EvalNetwork:
         is_packets = isinstance(buffer, (int, np.integer)) and not isinstance(buffer, bool)
@@ -610,31 +570,24 @@ class ScenarioSuite:
         axes = [("bw", self.bandwidths_mbps), ("rtt", self.rtts_ms),
                 ("loss", self.losses), ("buf", self.buffers),
                 ("trace", self.traces), ("topo", self.topologies),
-                ("rev", self.reverse_paths), ("faults", self.faults),
                 ("churn", self.churns), ("seed", self.seeds)]
         varying = {label for label, values in axes if len(values) > 1}
         # One network per condition, shared by its cells: a signing
         # pass then signs it once, not once per cell.
         conditions = [(*c, self._network(*c)) for c in product(
             self.bandwidths_mbps, self.rtts_ms, self.losses, self.buffers)]
-        for (label, flows), (bw, rtt, loss, buf, network), trace, topo, rev, \
-                flt, churn, seed in product(
+        for (label, flows), (bw, rtt, loss, buf, network), trace, topo, \
+                churn, seed in product(
                 self.lineups, conditions, self.traces, self.topologies,
-                self.reverse_paths, self.faults, self.churns, self.seeds):
-            if rev is not None:
-                topo = topo.with_reverse_paths(rev)
-            if flt is not None:
-                topo = topo.with_faults(flt)
+                self.churns, self.seeds):
             parts = [label]
             values = {"bw": bw, "rtt": rtt, "loss": loss, "buf": buf,
                       "trace": trace,
                       "topo": topo.name if topo is not None else None,
-                      "rev": _reverse_label(rev),
-                      "faults": _faults_label(flt),
                       "churn": churn.label() if churn is not None else None,
                       "seed": seed}
             for axis in ("bw", "rtt", "loss", "buf", "trace", "topo",
-                         "rev", "faults", "churn", "seed"):
+                         "churn", "seed"):
                 if axis in varying:
                     parts.append(f"{axis}={values[axis]}")
             scenarios.append(Scenario(
@@ -644,25 +597,9 @@ class ScenarioSuite:
                 mi_duration=self.mi_duration, trace=trace,
                 topology=topo, churn=churn,
                 suite=self.name, lineup=label))
+        if len({s.name for s in scenarios}) != len(scenarios):
+            raise ValueError(f"suite {self.name!r} names two cells alike: "
+                             "give each axis entry its own label (a "
+                             "TopologySpec its own name)")
         return scenarios
 
-
-def _reverse_label(rev) -> str | None:
-    """Stable display label for a ``reverse_paths`` axis entry."""
-    if rev is None:
-        return None
-    return ",".join(
-        f"{path}:{'+'.join(links) if links is not None else 'prop'}"
-        for path, links in sorted(rev.items()))
-
-
-def _faults_label(flt) -> str | None:
-    """Stable display label for a ``faults`` axis entry."""
-    if flt is None:
-        return None
-    parts = []
-    for link_name, specs in sorted(flt.items()):
-        specs = coerce_faults(specs)
-        kinds = "+".join(type(s).__name__ for s in specs) if specs else "none"
-        parts.append(f"{link_name}:{kinds}")
-    return ",".join(parts)

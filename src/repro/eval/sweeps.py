@@ -129,10 +129,12 @@ def ack_congestion_suite(schemes, bandwidth_mbps=16.0,
     :class:`~repro.eval.scenarios.FlowDef`) downloading over the ``through``
     path while ``n`` ``reverse_scheme`` uploads (one per entry of
     ``reverse_loads``) saturate the skinny reverse link the through
-    flow's acks share.  The ``reverse_paths`` axis pairs every cell
-    with its *pure-propagation twin* -- same base RTT, no reverse
-    queueing -- so the cost of ack-path congestion is directly
-    measurable (`rev=None` wired vs ``rev=...prop`` twin cells).
+    flow's acks share.  A second ``topologies`` entry, made by
+    :meth:`~repro.netsim.topology.TopologySpec.with_reverse_paths`,
+    pairs every cell with its *pure-propagation twin* -- same base RTT,
+    no reverse queueing -- so the cost of ack-path congestion is
+    directly measurable (``topo=<name>`` wired vs
+    ``topo=<name>-twin`` cells).
     ``churns`` (e.g. periodic on-off with ``skip=1``) drives upload
     session arrival/restart patterns around the persistent download.
     """
@@ -146,9 +148,10 @@ def ack_congestion_suite(schemes, bandwidth_mbps=16.0,
             uploads = tuple(FlowDef(reverse_scheme, path="reverse",
                                     label=f"ul{i}") for i in range(n))
             lineups[f"{flow.scheme}-rev{n}"] = (through,) + uploads
-    twin = {"through": None, "reverse": None}
+    twin = topo.with_reverse_paths({"through": None, "reverse": None},
+                                   name=f"{topo.name}-twin")
     return ScenarioSuite(name=name or "ack-congestion", lineups=lineups,
-                         topologies=(topo,), reverse_paths=(None, twin),
+                         topologies=(topo, twin),
                          churns=tuple(churns), duration=duration,
                          seeds=tuple(seeds))
 

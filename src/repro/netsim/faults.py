@@ -4,7 +4,8 @@ MOCC's pitch is robustness across conditions competitors weren't tuned
 for, yet the base scenario grid is fair-weather: links never flap and
 loss is never bursty.  This module adds a declarative fault layer a
 :class:`~repro.netsim.topology.LinkDef` can carry (and a suite can
-sweep via the ``faults=`` axis):
+sweep as ``topologies`` entries made by
+:meth:`~repro.netsim.topology.TopologySpec.with_faults`):
 
 * :class:`LinkFlapSchedule` -- periodic up/down intervals, optionally
   jittered per cycle; while down the link either queues arrivals for

@@ -380,8 +380,9 @@ class TopologySpec:
         names (wire real reverse-path queueing) or ``None`` (strip the
         wiring back to a pure-propagation pseudo-link *with the same
         return propagation delay*, i.e. the scenario's queue-free
-        twin).  This is what the :class:`~repro.eval.scenarios
-        .ScenarioSuite` ``reverse_paths`` axis applies per grid cell.
+        twin).  ``name`` names the new spec (default: this spec's);
+        a suite that sweeps both needs a distinct one, since its cell
+        names show ``topo=<name>``.
         """
         known = {p.name for p in self.paths}
         unknown = sorted(set(reverse) - known)
@@ -407,8 +408,7 @@ class TopologySpec:
 
         ``faults`` maps link names to a fault spec, an iterable of
         specs, or ``None``/``()`` (strip the link back to fault-free).
-        This is what the :class:`~repro.eval.scenarios.ScenarioSuite`
-        ``faults`` axis applies per grid cell.
+        ``name`` names the new spec as in :meth:`with_reverse_paths`.
         """
         known = {ld.name for ld in self.links}
         unknown = sorted(set(faults) - known)

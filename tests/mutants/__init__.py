@@ -68,12 +68,6 @@ def unseal_killer(bad: str) -> str:
             f"test_unseal_refuses[{bad}]")
 
 
-#: The row-count, block-length, hex and None-bit checks of
-#: ``record_from_json`` on one record.
-BLOCK_CHECKS = ("tests/test_resilience.py::TestSealedCodec::"
-                "test_a_block_that_disagrees_with_its_row_count_is_refused")
-
-
 #: The checks that a signing pass keeps nothing past its call.
 NEXT_CALL_TRACE = ("tests/test_scenarios.py::TestFingerprintCells::"
                    "test_reregistered_trace_changes_keys_on_next_call")
@@ -319,7 +313,7 @@ MUTANTS = {
         "repro.eval.resilience",
         "if len(block) != _block_size(rows):",
         "if False and len(block) != _block_size(rows):",
-        (unseal_killer("one-byte-short"), BLOCK_CHECKS)),
+        (unseal_killer("one-byte-short"),)),
     # Bugs this repo has fixed, planted back.
     "pr1-convergence-offset": Mutant(
         "repro.core.online",

@@ -125,7 +125,7 @@ def _kill_cells() -> tuple[Scenario, ...]:
             FlowDef("cubic", path="through"),
             FlowDef("bbr", path="cross0"),
             FlowDef("cubic", path="cross1"))},
-            topologies=(lot,), faults=(faults,), **common),
+            topologies=(lot.with_faults(faults),), **common),
         ScenarioSuite(name="kill-ack", lineups={"dl+ul": (
             FlowDef("vivace", path="through"),
             FlowDef("cubic", path="reverse"))},

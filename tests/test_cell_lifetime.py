@@ -100,7 +100,7 @@ def test_faulted_churned_and_ack_congested_cells_are_freed():
                                           loss_bad=0.4))}
     suites = (
         ScenarioSuite(name="freed-faulted", lineups=through,
-                      topologies=(lot,), faults=(faults,), duration=1.0),
+                      topologies=(lot.with_faults(faults),), duration=1.0),
         ScenarioSuite(name="freed-churned", lineups=through,
                       topologies=(lot,),
                       churns=(ChurnSchedule("on-off", gap=0.2, on_time=0.3,

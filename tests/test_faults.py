@@ -180,8 +180,7 @@ def faulted_suite(faults):
     return ScenarioSuite(
         name="faults",
         lineups=[("cubic", "vivace")],
-        topologies=(topo,),
-        faults=(faults,),
+        topologies=(topo.with_faults(faults),),
         duration=4.0,
         seeds=(0,))
 
@@ -224,11 +223,12 @@ class TestDispatchIdentityUnderFaults:
     """serial == process-pool == batched for a faulted grid."""
 
     def test_all_dispatch_paths_agree(self):
+        lot = parking_lot(2, bandwidth_mbps=6.0)
         grid = ScenarioSuite(
             name="faults-dispatch",
             lineups=[("cubic", "bbr")],
-            topologies=(parking_lot(2, bandwidth_mbps=6.0),),
-            faults=(None, {"hop0": (FLAP, GE)}),
+            topologies=(lot, lot.with_faults({"hop0": (FLAP, GE)},
+                                             name="faulted")),
             duration=3.0,
             seeds=(0, 1))
         cells = grid.expand()
@@ -244,4 +244,4 @@ class TestDispatchIdentityUnderFaults:
         batched = cell_digests(
             ParallelRunner(n_workers=1, use_cache=False).run(grid))
         assert serial == pooled == batched
-        assert len(serial) == 4  # faults axis (2) x seeds (2)
+        assert len(serial) == 4  # topologies (2) x seeds (2)

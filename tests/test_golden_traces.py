@@ -156,10 +156,10 @@ def trace_driven_suites() -> tuple:
     faulted = ScenarioSuite(
         name="golden-trace-faulted", lineups={"duo": ("cubic", "vivace")},
         topologies=(dumbbell(bandwidth_mbps=12.0, delay_ms=6.0,
-                             trace="wifi-walk"),),
-        faults=({"hop0": (RateBrownout(start=0.8, duration=1.6, factor=0.4),
-                          LinkFlapSchedule(period=1.3, down_time=0.12,
-                                           start=0.4, policy="queue"))},),
+                             trace="wifi-walk").with_faults(
+            {"hop0": (RateBrownout(start=0.8, duration=1.6, factor=0.4),
+                      LinkFlapSchedule(period=1.3, down_time=0.12,
+                                       start=0.4, policy="queue"))}),),
         duration=6.0, seeds=(11,))
     return named + (lot, faulted)
 

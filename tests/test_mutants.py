@@ -56,7 +56,6 @@ import test_traces
 import test_training_pipeline
 from mutants import (
     ANALYSIS_GATE,
-    BLOCK_CHECKS,
     CONTROLLER_PARITY,
     DEPLOYED_UDT,
     ENTROPY_LAW,
@@ -196,8 +195,6 @@ KILLERS = {
     **{unseal_killer(bad): lambda ns, bad=bad: test_resilience.unseal_refuses(
         ns["unseal"], bad)
        for bad in test_resilience.TestChecksStayAtReadTime.BAD},
-    BLOCK_CHECKS: lambda ns: test_resilience.block_checks_hold(
-        ns["record_from_json"]),
     "tests/test_parallel_eval.py::TestSuiteTable::"
     "test_a_misspelled_key_raises_instead_of_nan":
         lambda ns: test_parallel_eval.a_misspelled_key_raises(

@@ -283,12 +283,13 @@ class TestMultihopChurn:
 #: download's acks share the skinny uplink with CUBIC uploads that
 #: restart periodically -- wired cells paired with their
 #: pure-propagation twins, across two seeds.
+_WIRED = dumbbell_asymmetric(12.0, delay_ms=8.0)
 REVERSE_SUITE = ScenarioSuite(
     name="rev",
     lineups={"dl+ul": (FlowDef("bbr", path="through", label="dl"),
                        FlowDef("cubic", path="reverse", label="ul"))},
-    topologies=(dumbbell_asymmetric(12.0, delay_ms=8.0),),
-    reverse_paths=(None, {"through": None, "reverse": None}),
+    topologies=(_WIRED, _WIRED.with_reverse_paths(
+        {"through": None, "reverse": None}, name="twin")),
     churns=(None, ChurnSchedule("on-off", gap=1.0, on_time=2.5, period=4.0,
                                 skip=1)),
     seeds=(0, 1), duration=6.0)
@@ -314,8 +315,8 @@ class TestReversePathDeterminism:
         wired, twin = [], []
         for result in outcome:
             dl_rtt = result.records[0].mean_rtt
-            is_twin = "prop" in (result.scenario.name.split("rev=")[1]
-                                 .split("/")[0])
+            is_twin = result.scenario.topology.path("through") \
+                .reverse_links is None
             (twin if is_twin else wired).append(dl_rtt)
         assert min(wired) > max(twin)
 
@@ -325,8 +326,9 @@ class TestReversePathDeterminism:
         suite = ack_congestion_suite(("cubic",), reverse_loads=(1,),
                                      duration=3.0)
         wired, twin = ParallelRunner(n_workers=1, use_cache=False).run(suite)
-        assert "rev=None" in wired.scenario.name
-        assert "prop" in twin.scenario.name
+        assert wired.scenario.topology.path("through").reverse_links
+        assert twin.scenario.topology.path("through").reverse_links is None
+        assert "topo=dumbbell-asym-twin" in twin.scenario.name
         assert wired.records[0].mean_rtt > 1.1 * twin.records[0].mean_rtt
 
 

@@ -197,18 +197,18 @@ class TestFingerprintCells:
     @staticmethod
     def _mixed_cells(trace: str, agent) -> list:
         base = dumbbell(bandwidth_mbps=8.0)
-        traced = replace(base, links=tuple(
+        traced = replace(base, name="traced", links=tuple(
             replace(ld, trace=trace) for ld in base.links))
         weights = (0.5, 0.3, 0.2)
         cells = ScenarioSuite(
             name="named", lineups=("cubic", ("bbr", "vegas")),
             traces=(None, trace, "fig1-step"), seeds=(0, 1),
             duration=1.0).expand()
+        flap = {"hop0": LinkFlapSchedule(period=0.8, down_time=0.05)}
         cells += ScenarioSuite(
             name="topo", lineups=(("cubic", "bbr"),),
-            topologies=(base, traced),
-            faults=(None, {"hop0": LinkFlapSchedule(period=0.8,
-                                                    down_time=0.05)}),
+            topologies=(base, base.with_faults(flap, name="base-flap"),
+                        traced, traced.with_faults(flap, name="traced-flap")),
             churns=(None, ChurnSchedule(gap=0.2)), duration=1.0).expand()
         cells += ScenarioSuite(
             name="agents", lineups={
@@ -477,8 +477,8 @@ class TestChurnSchedule:
     def test_label_is_stable(self):
         assert ChurnSchedule("on-off", gap=3.0, on_time=4.0, skip=1).label() \
             == "on-off-g3-on4-s1"
-        assert ChurnSchedule("on-off", gap=3.0, period=8.0,
-                             duty=0.25).label() == "on-off-g3-p8-d0.25"
+        assert ChurnSchedule("on-off", gap=3.0, on_time=2.0,
+                             period=8.0).label() == "on-off-g3-on2-p8"
 
 
 class TestPeriodicChurn:
@@ -489,10 +489,6 @@ class TestPeriodicChurn:
         assert wins[1] == [(2.0, 3.5), (7.0, 8.5)]
         # windows() keeps its single-window contract: the first repeat.
         assert churn.windows(2, 12.0) == [(0.0, 1.5), (2.0, 3.5)]
-
-    def test_duty_sizes_the_window(self):
-        churn = ChurnSchedule("on-off", gap=0.0, period=4.0, duty=0.5)
-        assert churn.all_windows(1, 8.0)[0] == [(0.0, 2.0), (4.0, 6.0)]
 
     def test_apply_expands_repeats_into_fresh_sessions(self):
         churn = ChurnSchedule("on-off", gap=1.0, offset=1.0, on_time=2.0,
@@ -512,16 +508,10 @@ class TestPeriodicChurn:
         assert len(churn.apply(flows, 10.0)) == 2
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="only apply to on-off"):
+        with pytest.raises(ValueError, match="only applies to on-off"):
             ChurnSchedule("staggered", period=5.0)
         with pytest.raises(ValueError, match="period must be positive"):
             ChurnSchedule("on-off", period=0.0)
-        with pytest.raises(ValueError, match="needs a period"):
-            ChurnSchedule("on-off", duty=0.5)
-        with pytest.raises(ValueError, match="not both"):
-            ChurnSchedule("on-off", period=5.0, duty=0.5, on_time=1.0)
-        with pytest.raises(ValueError, match="duty must be in"):
-            ChurnSchedule("on-off", period=5.0, duty=1.5)
         with pytest.raises(ValueError, match="exceed period"):
             ChurnSchedule("on-off", period=2.0, on_time=3.0)
 
@@ -761,15 +751,18 @@ class TestScenarioSuite:
 
 
 class TestReversePathsAxis:
-    TWIN = {"through": None, "reverse": None}
+    """A wired topology and its pure-propagation twin as two
+    ``topologies`` entries."""
 
     def suite(self, **kwargs):
         kwargs.setdefault("duration", 2.0)
+        wired = dumbbell_asymmetric(16.0, delay_ms=8.0)
+        twin = wired.with_reverse_paths({"through": None, "reverse": None},
+                                        name="twin")
         return ScenarioSuite(
             name="rp", lineups={"dl": (FlowDef("cubic", path="through"),
                                        FlowDef("cubic", path="reverse"))},
-            topologies=(dumbbell_asymmetric(16.0, delay_ms=8.0),),
-            reverse_paths=(None, self.TWIN), **kwargs)
+            topologies=(wired, twin), **kwargs)
 
     def test_axis_expands_wired_and_twin_cells(self):
         suite = self.suite()
@@ -778,13 +771,15 @@ class TestReversePathsAxis:
         assert wired.topology.path("through").reverse_links == ("rev",)
         assert twin.topology.path("through").reverse_links is None
         assert twin.topology.path("through").return_delay_ms == pytest.approx(8.0)
-        assert "rev=None" in wired.name
-        assert "rev=reverse:prop,through:prop" in twin.name
+        assert wired.name == "rp/dl/topo=dumbbell-asym"
+        assert twin.name == "rp/dl/topo=twin"
 
-    def test_axis_needs_topology(self):
-        with pytest.raises(ValueError, match="must be a TopologySpec"):
-            ScenarioSuite(name="x", lineups=("cubic",),
-                          reverse_paths=(None, self.TWIN))
+    def test_a_twin_left_with_its_wired_name_is_refused(self):
+        wired = dumbbell_asymmetric(16.0, delay_ms=8.0)
+        suite = ScenarioSuite(name="rp", lineups=("cubic",), topologies=(
+            wired, wired.with_reverse_paths({"through": None})))
+        with pytest.raises(ValueError, match="names two cells alike"):
+            suite.expand()
 
     def test_fingerprint_sensitive_to_reverse_wiring(self):
         wired, twin = self.suite().expand()

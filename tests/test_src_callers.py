@@ -1,5 +1,5 @@
-"""Every definition in ``src/repro`` has a caller outside the tests,
-and every defaulted parameter and dataclass field has a caller that
+"""Every definition and module constant in ``src/repro`` has a caller
+or reader outside the tests, and every defaulted parameter and dataclass field has a caller that
 sets it.
 
 ROADMAP item 21: a ``src/`` name earns its place with a use in
@@ -12,7 +12,9 @@ the constant block of ``repro.config`` for this reason).
 
 Both censuses are by name, not by resolution.  A non-dunder ``def``
 counts as called when some ``Name`` or ``Attribute`` node spells its
-name outside its own body.  Imports and ``__all__`` strings are not
+name outside its own body, and so does an UPPER_CASE name that a
+module-level assignment binds, outside its own statement; only nodes
+that read count, so rebinding a name is no use of it.  Imports and ``__all__`` strings are not
 nodes of either kind, so a re-export alone never counts.  A ``class``
 counts as used only when it is built or subclassed: a call spelling
 its name (``Cls(...)``), a call of one of its attributes
@@ -36,6 +38,7 @@ their signature.
 
 import ast
 from functools import cache
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -60,6 +63,8 @@ KEPT = {
         "beside note_ack and note_loss",
     "repro.eval.resilience.ResultCache.clear":
         "reference: the README's one way to wipe the result cache",
+    "repro.config.TESTING_RANGES":
+        "reference: Table 3's testing row, beside the training row it widens",
 }
 
 #: ``qualname(parameter)`` -> why a parameter no caller sets stays.
@@ -91,16 +96,15 @@ KEPT_FIELDS = {
 #: ``sweep_suite`` needs no exemption: the Fig. 5 entries set all of it.
 SCENARIO_LANGUAGE = {
     f"repro.netsim.topology.{name}" for name in (
-        "dumbbell", "chain", "parking_lot", "dumbbell_asymmetric",
-        "TopologySpec.with_reverse_paths", "TopologySpec.with_faults")
+        "dumbbell", "chain", "parking_lot", "dumbbell_asymmetric")
 } | {
     f"repro.eval.sweeps.{name}" for name in (
         "multihop_churn_suite", "ack_congestion_suite")
 } | {"repro.eval.scenarios.ChurnSchedule"}
 
 #: The fault specs, exempt from the class and field censuses by name:
-#: they are the values of the scenario language's ``faults=`` axis,
-#: which a suite may leave unused.
+#: they are the values ``TopologySpec.with_faults`` attaches to a
+#: link, and a suite may leave any of them unused.
 FAULT_SPECS = {
     f"repro.netsim.faults.{name}" for name in (
         "LinkFlapSchedule", "GilbertElliottLoss", "RateBrownout",
@@ -147,6 +151,21 @@ def _definitions(tree: ast.AST, prefix: str):
             yield from _definitions(node, prefix)
 
 
+def _constants(tree: ast.Module, prefix: str):
+    """``(qualname, name, first_line, last_line, False)`` per UPPER_CASE
+    name a module-level assignment binds, the lines its statement's."""
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        for target in targets:
+            for name in (target.elts if isinstance(target, ast.Tuple)
+                         else [target]):
+                if isinstance(name, ast.Name) and name.id.isupper():
+                    yield (f"{prefix}.{name.id}", name.id, node.lineno,
+                           node.end_lineno, False)
+
+
 def _spelled(node: ast.AST) -> str | None:
     """The name a ``Name`` or ``Attribute`` node spells."""
     if isinstance(node, ast.Name):
@@ -157,10 +176,10 @@ def _spelled(node: ast.AST) -> str | None:
 
 
 def _uses(tree: ast.AST):
-    """``(name, line)`` per ``Name`` and ``Attribute`` node."""
+    """``(name, line)`` per ``Name`` and ``Attribute`` node that reads."""
     for node in ast.walk(tree):
         name = _spelled(node)
-        if name is not None:
+        if name is not None and isinstance(node.ctx, ast.Load):
             yield name, node.lineno
 
 
@@ -188,8 +207,8 @@ def _constructions(tree: ast.AST, cls: str | None = None):
 @cache
 def census(root: Path = ROOT) -> tuple[str, ...]:
     """Qualnames of the ``src/repro`` definitions under ``root`` that
-    nothing outside the tests reaches: a ``def`` by name, a ``class``
-    by construction, the fault specs left out."""
+    nothing outside the tests reaches: a ``def`` or a module constant
+    by name, a ``class`` by construction, the fault specs left out."""
     definitions = []
     uses: dict[str, list[tuple[Path, int]]] = {}
     constructions: dict[str, list[tuple[Path, int | None]]] = {}
@@ -199,7 +218,8 @@ def census(root: Path = ROOT) -> tuple[str, ...]:
         for name, line in _constructions(tree):
             constructions.setdefault(name, []).append((path, line))
         if module is not None:
-            definitions += [(path, *d) for d in _definitions(tree, module)]
+            definitions += [(path, *d) for d in chain(
+                _definitions(tree, module), _constants(tree, module))]
     return tuple(sorted(
         qualname for path, qualname, name, first, last, is_class in definitions
         if qualname not in FAULT_SPECS
@@ -462,6 +482,14 @@ PLANTED = {
     "fault-spec": ({"src/repro/netsim/faults.py": "class RateBrownout:\n"
                                                   "    pass\n"},
                    ()),
+    "unread-constants": ({"src/repro/m.py": "x, X, Y = 1, 2, 3\nZ: int = 4\n"
+                                            "\n\ndef f():\n    return Y\n",
+                          "scripts/s.py": "Z = 5\n"},
+                         ("repro.m.X", "repro.m.Z", "repro.m.f")),
+    "benchmark-reads-constant": ({"src/repro/m.py": "X = 1\n",
+                                  "benchmarks/b.py": "from repro import m\n"
+                                                     "print(m.X)\n"},
+                                 ()),
 }
 
 
