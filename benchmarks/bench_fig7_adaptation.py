@@ -27,7 +27,7 @@ SPEC = EnvSpec(ranges=TRAINING_RANGES, max_steps=96, seed=9)
 def bench_fig7a_quick_adaptation(benchmark, mocc_agent):
     def experiment():
         agent = mocc_agent.clone()  # do not mutate the shared fixture
-        adapter = OnlineAdapter(agent, SPEC, config=DEFAULT_TRAINING, seed=9)
+        adapter = OnlineAdapter(agent, SPEC, seed=9)
         adapter.seed_replay(BOOTSTRAP_OBJECTIVES)
         mocc_trace = adapter.adapt(NEW_OBJECTIVE, iterations=25, eval_every=0)
         _, scratch_trace = train_single_objective(SPEC, NEW_OBJECTIVE, 50, seed=9)
@@ -60,7 +60,7 @@ def bench_fig7b_no_forgetting(benchmark, mocc_agent, aurora_throughput):
     def experiment():
         # MOCC with requirement replay (Eq. 6).
         agent = mocc_agent.clone()
-        adapter = OnlineAdapter(agent, SPEC, config=DEFAULT_TRAINING, seed=11)
+        adapter = OnlineAdapter(agent, SPEC, seed=11)
         adapter.seed_replay([old_objective, *BOOTSTRAP_OBJECTIVES])
         trace = adapter.adapt(NEW_OBJECTIVE, iterations=16, eval_every=4,
                               old_weights=old_objective, use_replay=True)

@@ -10,7 +10,7 @@ Run:  python examples/adapt_new_objective.py
 
 import numpy as np
 
-from repro.config import BOOTSTRAP_OBJECTIVES, DEFAULT_TRAINING, TRAINING_RANGES
+from repro.config import BOOTSTRAP_OBJECTIVES, TRAINING_RANGES
 from repro.core.online import OnlineAdapter
 from repro.core.weights import THROUGHPUT_WEIGHTS
 from repro.models import default_zoo
@@ -24,7 +24,7 @@ def main():
     print("Loading the offline model and starting online adaptation...")
     agent = default_zoo().mocc_offline(quality="fast").clone()
     spec = EnvSpec(ranges=TRAINING_RANGES, max_steps=96, seed=5)
-    adapter = OnlineAdapter(agent, spec, config=DEFAULT_TRAINING, seed=5)
+    adapter = OnlineAdapter(agent, spec, seed=5)
     adapter.seed_replay([old_objective, *BOOTSTRAP_OBJECTIVES])
 
     trace = adapter.adapt(new_objective, iterations=12, eval_every=4,

@@ -25,75 +25,23 @@ Table-1 summary (``T - delta*RTT``) is exposed separately as
 
 from __future__ import annotations
 
-from repro.baselines._pcc_common import Trial, TrialTracker
+from repro.baselines._pcc_common import PCCController, Trial
 from repro.baselines.base import allegro_sigmoid_utility
-from repro.netsim.packet import Packet
-from repro.netsim.sender import Controller, Flow, MonitorIntervalStats
 
 __all__ = ["PCCAllegro"]
 
 
-class PCCAllegro(Controller):
+class PCCAllegro(PCCController):
     """PCC Allegro rate control via sequential 4-MI micro-experiments."""
 
-    kind = "rate"
     name = "PCC Allegro"
 
-    #: Trial rate perturbation.
-    EPSILON = 0.05
-    #: Perturbation schedule within one decision round.
-    PLAN = (+1, -1, -1, +1)
-
     def __init__(self, initial_rate: float = 20.0):
-        self.base_rate = float(initial_rate)
-        self.min_rate = 1.0
+        super().__init__(initial_rate)
         self.step_fraction = 0.05
         self.max_step_multiplier = 4
-
-        self._tracker = TrialTracker()
-        self._position = 0            # index into PLAN, or len(PLAN) = waiting
-        self._round = 0
-        self._collected: list[Trial] = []
         self._consecutive = 0
         self._last_direction = 0
-
-    # --- datapath events --------------------------------------------------
-
-    def on_flow_start(self, flow: Flow, now: float) -> None:
-        self._begin_interval(now)
-
-    def on_ack(self, flow: Flow, packet: Packet, now: float) -> None:
-        self._tracker.on_ack(packet, now)
-
-    def on_loss(self, flow: Flow, packet: Packet, now: float) -> None:
-        self._tracker.on_loss(packet)
-
-    def on_mi(self, flow: Flow, stats: MonitorIntervalStats, now: float) -> None:
-        grace = 1.5 * (flow.srtt if flow.srtt is not None else stats.base_rtt)
-        for trial in self._tracker.pop_resolved(now, grace):
-            if trial.round_id == self._round and trial.sign != 0:
-                self._collected.append(trial)
-
-        if self._position < len(self.PLAN):
-            self._position += 1
-        if self._position >= len(self.PLAN) and len(self._collected) >= len(self.PLAN):
-            self._decide(self._collected)
-            self._collected = []
-            self._round += 1
-            self._position = 0
-        self._begin_interval(now)
-
-    # --- decision logic ------------------------------------------------------
-
-    def _current_sign(self) -> int:
-        if self._position < len(self.PLAN):
-            return self.PLAN[self._position]
-        return 0  # waiting at the base rate for results
-
-    def _begin_interval(self, now: float) -> None:
-        sign = self._current_sign()
-        rate = max(self.base_rate * (1.0 + sign * self.EPSILON), self.min_rate)
-        self._tracker.begin(sign, rate, now, self._round)
 
     def _decide(self, trials: list[Trial]) -> None:
         up = [allegro_sigmoid_utility(t.rate, t.loss_rate) for t in trials if t.sign > 0]
@@ -120,9 +68,3 @@ class PCCAllegro(Controller):
         self._last_direction = direction
         step = self.step_fraction * self._consecutive
         self.base_rate = max(self.base_rate * (1.0 + direction * step), self.min_rate)
-
-    # --- pacing ------------------------------------------------------------------
-
-    def pacing_rate(self, now: float) -> float:
-        sign = self._current_sign()
-        return max(self.base_rate * (1.0 + sign * self.EPSILON), self.min_rate)

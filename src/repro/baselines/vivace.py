@@ -20,77 +20,32 @@ the published coefficients ``b`` and ``c`` keep their intended balance.
 
 from __future__ import annotations
 
-from repro.baselines._pcc_common import Trial, TrialTracker
+from repro.baselines._pcc_common import PCCController, Trial
 from repro.baselines.base import vivace_utility
-from repro.netsim.packet import Packet
-from repro.netsim.sender import Controller, Flow, MonitorIntervalStats
+from repro.netsim.sender import Flow, MonitorIntervalStats
 from repro.netsim.traces import pps_to_mbps
 
 __all__ = ["PCCVivace"]
 
 
-class PCCVivace(Controller):
+class PCCVivace(PCCController):
     """PCC Vivace rate control via sequential utility-gradient rounds."""
 
-    kind = "rate"
     name = "PCC Vivace"
 
-    EPSILON = 0.05
-    PLAN = (+1, -1, -1, +1)
-
     def __init__(self, initial_rate: float = 20.0, packet_bytes: int = 1500):
-        self.base_rate = float(initial_rate)
-        self.min_rate = 1.0
+        super().__init__(initial_rate)
         self.theta = 1.0
         self.max_change_fraction = 0.25
         self.packet_bytes = packet_bytes
-
-        self._tracker = TrialTracker()
-        self._position = 0
-        self._round = 0
-        self._collected: list[Trial] = []
         self._confidence = 1.0
         self._last_sign = 0
         self._rtt_gradient = 0.0
 
-    # --- datapath events --------------------------------------------------
-
-    def on_flow_start(self, flow: Flow, now: float) -> None:
-        self._begin_interval(now)
-
-    def on_ack(self, flow: Flow, packet: Packet, now: float) -> None:
-        self._tracker.on_ack(packet, now)
-
-    def on_loss(self, flow: Flow, packet: Packet, now: float) -> None:
-        self._tracker.on_loss(packet)
-
     def on_mi(self, flow: Flow, stats: MonitorIntervalStats, now: float) -> None:
+        # The round's utilities read the latest interval's RTT gradient.
         self._rtt_gradient = stats.latency_gradient
-        grace = 1.5 * (flow.srtt if flow.srtt is not None else stats.base_rtt)
-        for trial in self._tracker.pop_resolved(now, grace):
-            if trial.round_id == self._round and trial.sign != 0:
-                self._collected.append(trial)
-
-        if self._position < len(self.PLAN):
-            self._position += 1
-        if self._position >= len(self.PLAN) and len(self._collected) >= len(self.PLAN):
-            self._decide(self._collected)
-            self._collected = []
-            self._round += 1
-            self._position = 0
-        self._begin_interval(now)
-
-    # --- decision logic ------------------------------------------------------
-
-    def _current_sign(self) -> int:
-        if self._position < len(self.PLAN):
-            return self.PLAN[self._position]
-        return 0
-
-    def _begin_interval(self, now: float) -> None:
-        sign = self._current_sign()
-        rate = max(self.base_rate * (1.0 + sign * self.EPSILON), self.min_rate)
-        self._tracker.begin(sign, rate, now, self._round)
+        super().on_mi(flow, stats, now)
 
     def _utility(self, trial: Trial) -> float:
         return vivace_utility(pps_to_mbps(trial.rate, self.packet_bytes),
@@ -119,9 +74,3 @@ class PCCVivace(Controller):
         bound = self.max_change_fraction * self.base_rate
         change_pps = max(min(change_pps, bound), -bound)
         self.base_rate = max(self.base_rate + change_pps, self.min_rate)
-
-    # --- pacing ------------------------------------------------------------------
-
-    def pacing_rate(self, now: float) -> float:
-        sign = self._current_sign()
-        return max(self.base_rate * (1.0 + sign * self.EPSILON), self.min_rate)

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.config import DEFAULT_TRAINING, TrainingConfig
 from repro.core.agent import MoccAgent
 from repro.core.offline import OfflineTrainer
 from repro.rl.collect import evaluate_policy
@@ -122,14 +121,14 @@ class AdaptationTrace:
 
 class OnlineAdapter:
     """Adapt a trained MOCC agent to new objectives on-the-fly, through
-    one :class:`~repro.core.offline.OfflineTrainer` holding the agent."""
+    one :class:`~repro.core.offline.OfflineTrainer` holding the agent
+    and training it under the agent's own config."""
 
-    def __init__(self, agent: MoccAgent, spec: EnvSpec,
-                 config: TrainingConfig = DEFAULT_TRAINING, seed: int = 0):
+    def __init__(self, agent: MoccAgent, spec: EnvSpec, seed: int = 0):
         if agent.weight_dim == 0:
             raise ValueError("online adaptation needs a preference-conditioned agent")
         self.replay = RequirementReplay()
-        self.trainer = OfflineTrainer(spec, config, seed, agent=agent)
+        self.trainer = OfflineTrainer(spec, agent.config, seed, agent=agent)
         self._eval_env = spec.build(seed_offset=77_777)
 
     def seed_replay(self, objectives) -> None:

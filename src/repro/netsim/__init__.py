@@ -54,7 +54,7 @@ from repro.netsim.faults import (
     LinkFlapSchedule,
     RateBrownout,
 )
-from repro.netsim.link import Link, PropagationLink
+from repro.netsim.link import Link
 from repro.netsim.sender import MonitorIntervalStats, Flow
 from repro.netsim.topology import (
     LinkDef,
@@ -91,7 +91,6 @@ __all__ = [
     "LinkFlapSchedule",
     "RateBrownout",
     "Link",
-    "PropagationLink",
     "MonitorIntervalStats",
     "Flow",
     "Path",

@@ -178,7 +178,7 @@ class FaultProcess:
     """Runtime fault state for one link: outages, rate scale, GE loss.
 
     Built per link by :meth:`TopologySpec.build`; the link consults it
-    from ``Link._transmit_faulted`` (admission + wire loss) and
+    from ``Link.transmit`` (admission + wire loss) and
     ``Link.bandwidth_at`` (brownout scaling).  ``reset()`` re-mints
     both streams and clears all chain/window state, restoring the
     exact post-construction bitstreams.

@@ -13,15 +13,19 @@ Random loss is an independent Bernoulli drop applied *after* queueing
 (i.e. on the wire), matching the "random loss rate" knob of Table 3 and
 Fig. 5(c).
 
+``transmit()`` is the only way a packet enters a queue.  A link's
+optional :class:`~repro.netsim.faults.FaultProcess` adds its outage,
+brownout and bursty-loss steps inside that one method, so a faulted
+link and a clean one share the drop-tail test, the busy-horizon update
+and the wire draw.  A path with no reverse links has no link on its
+return at all: the engine adds the path's return delay.
+
 ``transmit()`` is the single hottest call of the event engine (once
 per packet per hop, both directions), so it is allocation-free: the
 outcome is a plain ``(delivered, drop_kind, depart_time, queue_delay)``
-tuple rather than a result object, the service rate is read from the
-link's cached trace segment -- the trace itself is called only when an
-offer's time leaves the segment, never for a constant trace -- and the
-drop threshold is precomputed.  :class:`PropagationLink` additionally
-exposes ``pure_delay`` so the engine can skip the offer entirely on
-pure-propagation pseudo-links.
+tuple rather than a result object, and the service rate is read from
+the link's cached trace segment -- the trace itself is called only
+when an offer's time leaves the segment, never for a constant trace.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 from repro.netsim.rngstreams import RNG_BLOCK, stream_rng
 from repro.netsim.traces import BandwidthTrace, ConstantTrace
 
-__all__ = ["Link", "PropagationLink"]
+__all__ = ["Link"]
 
 
 class Link:
@@ -60,12 +64,6 @@ class Link:
         for path wiring and diagnostics.
     """
 
-    #: One-way delay of a pure-propagation pseudo-link, or ``None`` for
-    #: a real queued link.  The engine fast-paths ``pure_delay`` links
-    #: (arrival = now + delay) without an offer -- see
-    #: :class:`PropagationLink`, which is the only subclass setting it.
-    pure_delay: float | None = None
-
     def __init__(self, trace: BandwidthTrace | float, delay: float,
                  queue_size: int, loss_rate: float = 0.0,
                  rng: np.random.Generator | None = None, name: str = ""):
@@ -87,7 +85,7 @@ class Link:
         self.rng = rng if rng is not None else stream_rng("link.default",
                                                           name)
         #: Wire-loss uniforms prefetched from ``rng`` (see RNG_BLOCK),
-        #: one buffer for ``transmit`` and its faulted twin.  A draw is
+        #: one buffer for every ``transmit``.  A draw is
         #: taken only while ``loss_rate > 0``, one per offer reaching
         #: the wire, so as long as nothing else draws from ``rng`` the
         #: sequence is that of scalar ``rng.random()``; a shared
@@ -97,11 +95,10 @@ class Link:
         self.name = name
         self.busy_until = 0.0
         #: Optional :class:`~repro.netsim.faults.FaultProcess` attached
-        #: by the topology builder.  ``None`` (the default) keeps
-        #: ``transmit()`` on the exact pre-fault fast path -- one
-        #: attribute load and a ``None`` check, no float or RNG
-        #: changes -- so faults-off runs stay bit-identical to the
-        #: golden traces.
+        #: by the topology builder.  ``None`` (the default) skips
+        #: ``transmit()``'s three fault steps -- a ``None`` check each,
+        #: no float or RNG changes -- so faults-off runs stay
+        #: bit-identical to the golden traces.
         self.fault = None
         # Counters for diagnostics/tests.
         self.delivered = 0
@@ -189,9 +186,24 @@ class Link:
         the drop (the packet never leaves); for random drops it is the
         time the packet would have arrived (the drop happens on the
         wire, so downstream loss detection sees the normal timing).
+
+        An attached :attr:`fault` process adds three steps, in order:
+
+        * an outage: under the ``drop`` policy the packet is discarded
+          at ``t`` with ``drop_kind == "fault"`` (the engine's
+          non-random drop branches time it like a buffer drop); under
+          ``queue`` the busy horizon is floored at the recovery time --
+          arrivals park behind it and replay on recovery -- and the
+          drop-tail backlog is measured from the recovery time, so dead
+          air doesn't count as queued packets;
+        * a brownout scales the service rate;
+        * a Gilbert-Elliott chain adds a wire loss before the Bernoulli
+          draw (reported as ``"random"``, so downstream loss timing and
+          ack parking behave like the plain wire loss, but counted in
+          ``dropped_fault``).
+
+        With no fault active the steps change no float and draw nothing.
         """
-        if self.fault is not None:
-            return self._transmit_faulted(t, size)
         last = self.last_arrival
         if t < last - 1e-12:
             self.reordered += 1
@@ -204,78 +216,34 @@ class Link:
             rate, start, end = self._segment
             if not start <= t < end:
                 rate = self._rate_at(t)
-        service = size / rate
         busy = self.busy_until
+        backlog_base = t
+        fault = self.fault
+        if fault is not None:
+            outage = fault.outage_at(t)
+            if outage is not None:
+                recovery, policy = outage
+                if policy == "drop":
+                    self.dropped_fault += 1
+                    wait = busy - t
+                    return (False, "fault", t, wait if wait > 0.0 else 0.0)
+                if busy < recovery:
+                    busy = recovery
+                backlog_base = recovery
+            rate *= fault.capacity_scale(t)
+        service = size / rate
         queue_delay = busy - t
         if queue_delay < 0.0:
             queue_delay = 0.0
         # The buffer holds `queue_size` waiting packet-equivalents; the
-        # packet in service occupies the server, not the buffer.
-        if queue_delay * rate >= self.queue_size + 1.0 - 1e-9:
+        # packet in service occupies the server, not the buffer.  A
+        # negative backlog (an idle server) never reaches the limit.
+        if (busy - backlog_base) * rate >= self.queue_size + 1.0 - 1e-9:
             self.dropped_buffer += 1
             return (False, "buffer", t, queue_delay)
         self.busy_until = (busy if busy > t else t) + service
         depart = t + queue_delay + service + self.delay
-        if self.loss_rate > 0.0 and self._wire_draw() < self.loss_rate:
-            self.dropped_random += 1
-            return (False, "random", depart, queue_delay)
-        self.delivered += 1
-        return (True, None, depart, queue_delay)
-
-    def _transmit_faulted(self, t: float, size: float = 1.0) -> tuple:
-        """The fault-aware twin of :meth:`transmit` (cold side path).
-
-        Same contract and same float arithmetic where faults are
-        inactive, plus three fault effects in order:
-
-        * a ``drop``-policy outage discards the packet at ``t`` with
-          ``drop_kind == "fault"`` (the engines' non-random drop
-          branches handle the timing, exactly like a buffer drop);
-        * a ``queue``-policy outage floors the busy horizon at the
-          recovery time -- arrivals park behind it and replay on
-          recovery -- while the drop-tail test measures backlog from
-          the recovery time, so dead air doesn't count as queued
-          packets;
-        * brownouts scale the service rate; Gilbert-Elliott chains add
-          a wire loss (reported as ``"random"`` so downstream loss
-          timing and ack parking behave like the existing wire loss,
-          but counted in ``dropped_fault``).
-        """
-        last = self.last_arrival
-        if t < last - 1e-12:
-            self.reordered += 1
-        if t > last:
-            self.last_arrival = t
-        fault = self.fault
-        busy = self.busy_until
-        backlog_base = t
-        outage = fault.outage_at(t)
-        if outage is not None:
-            recovery, policy = outage
-            if policy == "drop":
-                self.dropped_fault += 1
-                wait = busy - t
-                return (False, "fault", t, wait if wait > 0.0 else 0.0)
-            if busy < recovery:
-                busy = recovery
-            backlog_base = recovery
-        rate = self._rate_at(t)
-        scale = fault.capacity_scale(t)
-        if scale != 1.0:
-            rate *= scale
-        service = size / rate
-        queue_delay = busy - t
-        if queue_delay < 0.0:
-            queue_delay = 0.0
-        backlog_time = busy - backlog_base
-        if backlog_time < 0.0:
-            backlog_time = 0.0
-        if backlog_time * rate >= self.queue_size + 1.0 - 1e-9:
-            self.dropped_buffer += 1
-            return (False, "buffer", t, queue_delay)
-        self.busy_until = (busy if busy > t else t) + service
-        depart = t + queue_delay + service + self.delay
-        if fault.wire_loss(t):
+        if fault is not None and fault.wire_loss(t):
             self.dropped_fault += 1
             return (False, "random", depart, queue_delay)
         if self.loss_rate > 0.0 and self._wire_draw() < self.loss_rate:
@@ -292,45 +260,3 @@ class Link:
             pos = 0
         self._loss_pos = pos + 1
         return self._loss_buf[pos]
-
-    def reset(self) -> None:
-        """Clear queue state and counters."""
-        self.busy_until = 0.0
-        self.delivered = 0
-        self.dropped_buffer = 0
-        self.dropped_random = 0
-        self.dropped_fault = 0
-        self.last_arrival = float("-inf")
-        self.reordered = 0
-        if self.fault is not None:
-            self.fault.reset()
-
-
-class PropagationLink(Link):
-    """A pure-propagation pseudo-link: fixed delay, no queue, no drops.
-
-    Topologies use one of these as the default *reverse* path so acks
-    and loss notices transit the return direction through the same
-    ``transmit()`` interface as data packets, while reproducing the
-    legacy scalar-``return_delay`` timing exactly: every packet departs
-    at ``t + delay``, bit-for-bit, regardless of load.  Wiring real
-    :class:`Link` objects into a path's reverse list replaces this with
-    emergent reverse-path queueing.
-
-    ``pure_delay`` (the same delay, non-``None`` only here) lets the
-    engine's per-hop scheduler compute that arrival arithmetic inline
-    -- the zero-work fast path -- without the call; ``transmit()``
-    stays for direct callers and keeps the identical contract.
-    """
-
-    def __init__(self, delay: float, name: str = ""):
-        super().__init__(trace=ConstantTrace(1.0), delay=delay,
-                         queue_size=0, name=name)
-        self.pure_delay = self.delay
-
-    def transmit(self, t: float, size: float = 1.0) -> tuple:
-        # Stateless on purpose: infinite capacity, zero service time.
-        return (True, None, t + self.delay, 0.0)
-
-    def queue_delay_at(self, t: float) -> float:
-        return 0.0

@@ -6,8 +6,10 @@ The engine advances a heap of timestamped events over the links of a
 list its acks transit), so a single simulation can mix through traffic
 and cross traffic over different link subsets in either direction --
 single-bottleneck dumbbells (all the paper's experiments, and every
-training episode) are just the one-link, one-path, propagation-return
-special case.
+training episode) are just the one-link, one-path special case whose
+reverse link list is empty: an ack arrives one return delay after the
+receiver sees its packet.  Every queue a packet enters, in either
+direction, is entered through ``Link.transmit``.
 
 Event kinds:
 
@@ -24,7 +26,7 @@ Event kinds:
   links* through the same per-hop scheduler;
 * ``ack``   -- a delivered packet's acknowledgement reaches the sender,
   having transited the reverse links (queueing behind reverse cross
-  traffic; pure propagation only on the default pseudo-link);
+  traffic; pure propagation on a path with none);
 * ``loss``  -- the sender learns a packet was lost (about one path RTT
   after the drop, approximating duplicate-ack/timeout detection; the
   notice charges estimated queueing on the links past the drop and
@@ -273,14 +275,11 @@ class Simulation:
             flow.n_links = len(path.links)
             flow.reverse_links = path.reverse_links
             flow.n_rev_links = len(path.reverse_links)
-            # Single pure-propagation reverse pseudo-link (the default
-            # return for every unwired path): the receive handler
-            # inlines the whole reverse walk.
-            flow.pure_return_delay = (
-                path.reverse_links[0].pure_delay
-                if len(path.reverse_links) == 1 else None)
+            # An unwired path returns by pure propagation: the receive
+            # handler inlines the whole reverse walk.
+            flow.pure_return_delay = (None if path.reverse_links
+                                      else path.return_delay)
             flow.base_rtt = path.base_rtt
-            flow.return_delay = path.return_delay
             flow.set_ack_bytes(ACK_BYTES if path.ack_bytes is None
                                else path.ack_bytes)
             flow.init_hop_floors()
@@ -513,18 +512,17 @@ class Simulation:
                 elif kind == EV_RCV:
                     # The receiver observed the packet (or a drop's
                     # gap): its ack / loss notice walks the reverse
-                    # links -- for the dominant shape, one
-                    # pure-propagation pseudo-link, in one addition.
+                    # links -- for the dominant shape, none: pure
+                    # propagation, in one addition.
                     packet.reversing = True
+                    packet.hop = 0
                     pure = flow.pure_return_delay
                     if pure is None:
-                        packet.hop = 0
                         self.now = now
                         self._seq = seq
                         self._advance_reverse(flow, packet)
                         seq = self._seq
                         continue
-                    packet.hop = 1
                     cursor = now + pure
                     seq += 1
                     if packet.dropped:
@@ -677,36 +675,29 @@ class Simulation:
         sender, with an ``"rto"`` event as the retransmit-timeout
         fallback.
         """
-        reverse_links = flow.reverse_links
         hop = packet.hop
-        link = reverse_links[hop]
-        pure = link.pure_delay
-        if pure is not None:
-            # Zero-work fast path: a pure-propagation pseudo-link never
-            # queues, drops, or counts -- the arrival is an addition.
-            cursor = self.now + pure
+        link = flow.reverse_links[hop]
+        size = flow.ack_size
+        delivered, drop_kind, depart, queue_delay = \
+            link.transmit(self.now, size)
+        packet.ack_queue_delay += queue_delay
+        if not delivered and not packet.dropped:
+            # Real ack loss (buffer overflow or wire drop alike):
+            # sender recovery via cumulative ack or RTO.
+            flow.pending_acks[packet.seq] = packet
+            rto = ACK_RTO_FACTOR * max(flow.srtt or flow.base_rtt,
+                                       MIN_MI_DURATION)
+            self._push(self.now + rto, EV_RTO, flow, packet)
+            return
+        if delivered or drop_kind == "random":
+            # A random drop's depart_time already carries the full
+            # queue + service + propagation timing (loss notices
+            # only -- a random-dropped ack parked above).
+            cursor = depart
         else:
-            size = flow.ack_size
-            delivered, drop_kind, depart, queue_delay = \
-                link.transmit(self.now, size)
-            packet.ack_queue_delay += queue_delay
-            if not delivered and not packet.dropped:
-                # Real ack loss (buffer overflow or wire drop alike):
-                # sender recovery via cumulative ack or RTO.
-                flow.pending_acks[packet.seq] = packet
-                rto = ACK_RTO_FACTOR * max(flow.srtt or flow.base_rtt,
-                                           MIN_MI_DURATION)
-                self._push(self.now + rto, EV_RTO, flow, packet)
-                return
-            if delivered or drop_kind == "random":
-                # A random drop's depart_time already carries the full
-                # queue + service + propagation timing (loss notices
-                # only -- a random-dropped ack parked above).
-                cursor = depart
-            else:
-                # Buffer-dropped loss notice: delivered late.
-                cursor = (self.now + queue_delay
-                          + size / link.bandwidth_at(self.now) + link.delay)
+            # Buffer-dropped loss notice: delivered late.
+            cursor = (self.now + queue_delay
+                      + size / link.bandwidth_at(self.now) + link.delay)
         hop += 1
         packet.hop = hop
         if hop < flow.n_rev_links:

@@ -198,18 +198,15 @@ class Flow:
         self.path_name: str | None = None
         self.links: tuple = ()
         self.n_links = 0
-        #: Ordered reverse links acks/loss notices transit (a single
-        #: pure-propagation pseudo-link unless the topology wires a
-        #: real reverse route).
+        #: Ordered reverse links acks/loss notices transit (empty
+        #: unless the topology wires a real reverse route).
         self.reverse_links: tuple = ()
         self.n_rev_links = 0
-        #: Delay of the reverse direction when it is a single
-        #: pure-propagation pseudo-link (``None`` when real reverse
-        #: links are wired): the engine's inline ack fast path.
+        #: Delay of the reverse direction when no reverse links are
+        #: wired (``None`` when they are): the engine's inline ack
+        #: fast path.
         self.pure_return_delay: float | None = None
         self.base_rtt = 0.0
-        #: Propagation sum of the reverse links (no queueing).
-        self.return_delay = 0.0
         self.max_rate = float("inf")
         #: Wire size of this flow's acknowledgements, bytes; the
         #: engine overrides it from the path's ``ack_bytes`` via

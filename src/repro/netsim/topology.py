@@ -25,10 +25,10 @@ Every path carries an ordered *reverse* link list that acks and loss
 notices physically transit hop by hop (see
 :meth:`repro.netsim.network.Simulation._advance_packet`, the unified
 per-hop scheduler for both directions).  Paths that do not wire one
-get a :class:`~repro.netsim.link.PropagationLink` pseudo-link
-reproducing the legacy scalar ``return_delay`` timing bit-for-bit;
-wiring real links instead makes ack-path queueing, ack compression,
-ack *loss*, and asymmetric satellite/cable routes emergent.
+have an empty list: their acks arrive one ``return_delay`` after the
+receiver sees the packet, with no queue and no drop.  Wiring real links
+instead makes ack-path queueing, ack compression, ack *loss*, and
+asymmetric satellite/cable routes emergent.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.netsim.faults import FaultProcess, coerce_faults
-from repro.netsim.link import Link, PropagationLink
+from repro.netsim.link import Link
 from repro.netsim.rngstreams import stream_rng
 from repro.netsim.signing import UNSIGNED, canonical
 from repro.netsim.traces import (BandwidthTrace, ConstantTrace, make_trace,
@@ -53,16 +53,14 @@ MIN_QUEUE_PACKETS = 4
 class Path:
     """A resolved forward route plus the resolved reverse route.
 
-    ``reverse_links`` is never empty: paths without explicit reverse
-    wiring carry a single pure-propagation
-    :class:`~repro.netsim.link.PropagationLink` whose delay is the
-    path's return delay.
+    ``reverse_links`` is empty for a path without explicit reverse
+    wiring: its acks take ``return_delay`` of pure propagation.
     """
 
     name: str
     links: tuple
     #: One-way propagation delay of the ack path, seconds (sum of the
-    #: reverse links' propagation delays).
+    #: reverse links' propagation delays, if any are wired).
     return_delay: float
     reverse_links: tuple
     #: Wire size of this path's acknowledgements, bytes; ``None``
@@ -114,9 +112,9 @@ class Topology:
     over those names -- the same path vocabulary a
     :class:`TopologySpec` carries.  A path with ``reverse_links`` gets
     real reverse-direction queueing (its return delay is those links'
-    propagation sum); any other path returns over a pure-propagation
-    pseudo-link at ``return_delay_ms``, or at its forward propagation
-    delay.  ``default_path`` (flows that name none) defaults to the
+    propagation sum); any other path has no reverse links and returns
+    by pure propagation at ``return_delay_ms``, or at its forward
+    propagation delay.  ``default_path`` (flows that name none) defaults to the
     first path.
     """
 
@@ -130,15 +128,13 @@ class Topology:
 
     def _resolve(self, p: "PathDef") -> Path:
         links = tuple(self.links[ln] for ln in p.links)
-        if p.reverse_links is not None:
-            reverse_links = tuple(self.links[ln] for ln in p.reverse_links)
+        reverse_links = tuple(self.links[ln] for ln in p.reverse_links or ())
+        if reverse_links:
             return_delay = sum(link.delay for link in reverse_links)
+        elif p.return_delay_ms is None:
+            return_delay = sum(link.delay for link in links)
         else:
-            return_delay = (sum(link.delay for link in links)
-                            if p.return_delay_ms is None
-                            else p.return_delay_ms / 1000.0)
-            reverse_links = (PropagationLink(float(return_delay),
-                                             name=f"{p.name}:return"),)
+            return_delay = p.return_delay_ms / 1000.0
         return Path(name=p.name, links=links, return_delay=float(return_delay),
                     reverse_links=reverse_links, ack_bytes=p.ack_bytes)
 
@@ -378,8 +374,8 @@ class TopologySpec:
 
         ``reverse`` maps path names to either an ordered tuple of link
         names (wire real reverse-path queueing) or ``None`` (strip the
-        wiring back to a pure-propagation pseudo-link *with the same
-        return propagation delay*, i.e. the scenario's queue-free
+        wiring back to a pure-propagation return *with the same
+        propagation delay*, i.e. the scenario's queue-free
         twin).  ``name`` names the new spec (default: this spec's);
         a suite that sweeps both needs a distinct one, since its cell
         names show ``topo=<name>``.

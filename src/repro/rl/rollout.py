@@ -115,13 +115,6 @@ class RolloutBuffer:
         self.dones[i] = done
         self.size += 1
 
-    def reset(self) -> None:
-        self.size = 0
-
-    @property
-    def full(self) -> bool:
-        return self.size >= self.capacity
-
     def compute(self, gamma: float, lam: float, bootstrap_value: float = 0.0):
         """Return ``(returns, advantages)`` over the filled portion.
 

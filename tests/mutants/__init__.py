@@ -4,7 +4,7 @@ A mutant is one anchored text substitution in one ``repro`` module.
 :func:`planted` applies it to the module's pristine source, execs the
 result under the module's own ``__name__`` and ``__file__`` and returns
 the namespace; each caller takes the symbol it swaps in
-(``Simulation``, ``Flow``, ``Link._transmit_faulted``, ...).  Because
+(``Simulation``, ``Flow``, ``Link``, ...).  Because
 the substitution is always made on the pristine text, two mutants may
 share an anchor and each is planted alone.
 
@@ -184,9 +184,9 @@ MUTANTS = {
     "reverse-walk-3-unpack": Mutant(
         ENGINE,
         "delivered, drop_kind, depart, queue_delay = \\\n"
-        "                link.transmit(self.now, size)",
+        "            link.transmit(self.now, size)",
         "delivered, drop_kind, depart = \\\n"
-        "                link.transmit(self.now, size)",
+        "            link.transmit(self.now, size)",
         (EVERY_KIND,)),
     # A simulation that references itself is a cycle: a finished cell
     # waits for the cyclic collector instead of freeing itself.
@@ -252,12 +252,14 @@ MUTANTS = {
         "flow.links[hop].transmit(self.now)",
         "flow.links[hop].transmit(self.now, packet.size_bytes)",
         (law_killer("backlog"), RELATION_C)),
-    # The faulted drop-tail test admits one packet fewer than the
-    # unfaulted one.
+    # The fault-only backlog step counts the arriving packet as queued,
+    # so a link with a fault process, even an idle one, admits one
+    # packet fewer than a link without.
     "faulted-drop-tail": Mutant(
         "repro.netsim.link",
-        "backlog_time * rate >= self.queue_size + 1.0 - 1e-9",
-        "backlog_time * rate >= self.queue_size - 1e-9",
+        "                backlog_base = recovery\n",
+        "                backlog_base = recovery\n"
+        "            backlog_base -= 1.0 / rate\n",
         (RELATION_A,)),
     # The monitor-interval statistics against their closed form.
     "uncentred-ack-times": Mutant(

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.netsim.faults import FaultProcess, RateBrownout
-from repro.netsim.link import Link, PropagationLink
+from repro.netsim.link import Link
 from repro.netsim.rngstreams import RNG_BLOCK, stream_rng
 from repro.netsim.traces import (
     BandwidthTrace, ConstantTrace, RandomWalkTrace, StepTrace, make_trace)
@@ -27,7 +27,7 @@ def loss_draws_follow_the_stream(link_cls, seed=3, p=0.3) -> None:
     """A lossy link drops exactly the offers that per-offer scalar
     ``rng.random() < p`` draws from a fresh ``link.loss`` stream drop,
     across two block boundaries, with every other offer taking the
-    faulted twin (an idle fault process) on the one shared buffer."""
+    fault steps (an idle fault process) on the one shared buffer."""
     n = 2 * RNG_BLOCK + 7
     link = link_cls(ConstantTrace(1e9), delay=0.0, queue_size=10**6,
                     loss_rate=p, rng=stream_rng("link.loss", seed, 0))
@@ -289,69 +289,12 @@ class TestTraceSegmentCache:
         assert all(vars(trace)[k] is before[k] for k in before)
 
 
-class TestPropagationLink:
-    def test_pure_propagation_timing(self):
-        link = PropagationLink(0.03)
-        for t in (0.0, 1.0, 0.5):  # stateless: order does not matter
-            delivered, drop_kind, depart, queue_delay = link.transmit(t)
-            assert delivered and drop_kind is None
-            assert depart == pytest.approx(t + 0.03)
-            assert queue_delay == 0.0
-
-    def test_never_queues_or_drops(self):
-        link = PropagationLink(0.01)
-        for _ in range(100):
-            assert link.transmit(0.0)[0]
-        assert link.queue_delay_at(0.0) == 0.0
-        assert link.dropped_buffer == 0
-
-    def test_pure_delay_marker(self):
-        """The engine's zero-work fast path keys off ``pure_delay``:
-        set (to the delay) on the pseudo-link, None on real links."""
-        assert PropagationLink(0.02).pure_delay == pytest.approx(0.02)
-        assert make_link().pure_delay is None
-
-    def test_engine_never_calls_transmit_on_pure_links(self, monkeypatch):
-        """The engine computes pure-link arrivals inline
-        (``now + pure_delay``); the zero-work fast path means
-        ``transmit`` is never invoked from the hot loop even though
-        every ack transits the pure reverse pseudo-link."""
-        from repro.netsim.network import FlowSpec, Simulation
-        from repro.netsim.sender import ExternalRateController
-        from repro.netsim.topology import PathDef, Topology
-
-        calls = []
-        orig = PropagationLink.transmit
-        monkeypatch.setattr(
-            PropagationLink, "transmit",
-            lambda self, t, size=1.0: calls.append(t) or orig(self, t, size))
-        topology = Topology({"link": make_link(pps=200.0)},
-                            (PathDef("path", ("link",)),))
-        sim = Simulation(topology, [FlowSpec(ExternalRateController(100.0))],
-                         duration=0.5, seed=1)
-        (record,) = sim.run_all()
-        # Packets were delivered and acked, so the reverse (pure)
-        # pseudo-link was exercised -- without the call.
-        assert record.mean_throughput_pps > 0
-        assert sim.events_processed > 50
-        assert calls == []
-
-
 class TestAccounting:
     def test_counters(self):
         link = make_link(pps=100.0, delay=0.0, queue=2)
         for _ in range(5):
             link.transmit(0.0)
         assert link.delivered + link.dropped_buffer == 5
-
-    def test_reset(self):
-        link = make_link(pps=100.0, delay=0.0, queue=2)
-        for _ in range(5):
-            link.transmit(0.0)
-        link.reset()
-        assert link.busy_until == 0.0
-        assert link.delivered == 0
-        assert link.dropped_buffer == 0
 
 
 class TestProperties:

@@ -1,7 +1,8 @@
 """Metamorphic relations of the engine, as Hypothesis properties.
 
-``Link._transmit_faulted`` promises the same contract and the same
-float arithmetic as ``Link.transmit`` wherever no fault is active.  Two
+``Link.transmit`` runs three fault steps (outage, brownout, bursty
+loss) only on a link with a fault process, and promises that they
+change no float and draw nothing wherever no fault is active.  Two
 relations hold it to that without a closed form or a second
 implementation.  Each compares a cell with its faulted twin
 (``strategies.faulted_cells``: 2- and 3-hop parking lots and an
@@ -27,8 +28,8 @@ A third relation needs no faults:
 
 Relations A and C also hold on one fixed cell each, and those two
 tests are killers in ``tests/mutants``: a drop-tail defect planted in
-``_transmit_faulted`` must break A, and a later hop's service demand
-given in bytes must break C.
+the fault-only backlog step of ``transmit`` must break A, and a later
+hop's service demand given in bytes must break C.
 """
 
 from dataclasses import replace
@@ -53,8 +54,8 @@ from strategies import (
     zero_outage_flaps,
 )
 
-#: Faults-off outcomes by cell name; the plain ``transmit`` path they
-#: take is never planted on.
+#: Faults-off outcomes by cell name; they skip the fault steps of
+#: ``transmit``, the only ones a relation-A defect is planted in.
 _CLEAN: dict = {}
 
 
@@ -90,21 +91,21 @@ def test_a_zero_outage_flap_is_no_schedule(cell):
     assert relation_holds(cell), cell.faults
 
 
-def late_brownout_holds(transmit_faulted) -> None:
-    """Relation A on one cell, with ``transmit_faulted`` as the link's
-    faulted path: a brownout after the end on hop0 of the 2-hop lot,
-    shared by the through flow and its cross traffic, so that path runs
-    all cell long with no fault ever active."""
+def late_brownout_holds(transmit) -> None:
+    """Relation A on one cell, with ``transmit`` as the links' offer: a
+    brownout after the end on hop0 of the 2-hop lot, shared by the
+    through flow and its cross traffic, so the fault steps run all cell
+    long with no fault ever active."""
     cell = faulted_cell(RELATION_LINEUPS[0], None, 0, "hop0",
                         (RateBrownout(start=RELATION_DURATION, duration=1.0,
                                       factor=0.5),))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Link, "_transmit_faulted", transmit_faulted)
+        patch.setattr(Link, "transmit", transmit)
         assert relation_holds(cell)
 
 
 def test_a_brownout_after_the_end_changes_nothing():
-    late_brownout_holds(Link._transmit_faulted)
+    late_brownout_holds(Link.transmit)
 
 
 def halved(record):

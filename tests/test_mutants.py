@@ -134,7 +134,7 @@ KILLERS = {
     **{law_killer(law): lambda ns, law=law: test_conservation.every_kind_keeps(
         law, ns["Simulation"]) for law in test_conservation.LAWS},
     RELATION_A: lambda ns: test_metamorphic.late_brownout_holds(
-        ns["Link"]._transmit_faulted),
+        ns["Link"].transmit),
     RELATION_C: lambda ns: test_metamorphic.long_lot_scale_free(
         ns["Simulation"]),
     # The oracle's defects live in sender.py and history.py: each

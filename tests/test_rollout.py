@@ -81,8 +81,7 @@ class TestRolloutBuffer:
 
     def test_fills_to_capacity(self):
         buf = self._filled(5)
-        assert buf.full
-        assert buf.size == 5
+        assert buf.size == buf.capacity == 5
 
     def test_overflow_raises(self):
         buf = self._filled(3)
@@ -100,12 +99,6 @@ class TestRolloutBuffer:
         obs, weights, actions, log_probs, values = buf.batch()
         assert weights is None
         assert len(obs) == 1
-
-    def test_reset(self):
-        buf = self._filled(4)
-        buf.reset()
-        assert buf.size == 0
-        assert not buf.full
 
     def test_compute_raw_by_default(self):
         buf = self._filled(8)

@@ -4,7 +4,7 @@ multi-bottleneck simulation semantics (per-flow paths and RTTs)."""
 import numpy as np
 import pytest
 
-from repro.netsim.link import Link, PropagationLink
+from repro.netsim.link import Link
 from repro.netsim.network import FlowSpec, Simulation
 from repro.netsim.sender import ExternalRateController
 from repro.netsim.topology import (
@@ -81,9 +81,8 @@ class TestLiveTopology:
     def test_default_reverse_is_propagation_pseudo_link(self):
         topo = path_over(make_link(delay=0.01), make_link(delay=0.02))
         path = topo.path()
-        assert len(path.reverse_links) == 1
-        assert isinstance(path.reverse_links[0], PropagationLink)
-        assert path.reverse_links[0].delay == pytest.approx(0.03)
+        assert path.reverse_links == ()
+        assert path.return_delay == pytest.approx(0.03)
 
     def test_wired_reverse_path(self):
         links = {"fwd": make_link(delay=0.01, name="fwd"),
@@ -226,7 +225,7 @@ class TestTopologySpec:
         assert twin.path("through").return_delay_ms == pytest.approx(24.0)
         assert twin.path_rtt_s("through") == pytest.approx(spec.path_rtt_s("through"))
         built = twin.build().path("through")
-        assert isinstance(built.reverse_links[0], PropagationLink)
+        assert built.reverse_links == ()
         # ...at the twin's return_delay_ms, not the forward delay.
         assert built.return_delay == pytest.approx(0.024)
         assert built.base_rtt == pytest.approx(0.032)

@@ -61,7 +61,7 @@ def single_objective() -> dict:
 
 def online_adapt() -> dict:
     agent = MoccAgent(CONFIG, seed=4)
-    adapter = OnlineAdapter(agent, SPEC, config=CONFIG, seed=6)
+    adapter = OnlineAdapter(agent, SPEC, seed=6)
     adapter.seed_replay([OLD])
     trace = adapter.adapt(NEW, iterations=3, eval_every=2, old_weights=OLD)
     return {"sha": model_sha(agent.model), "reward": repr(trace.rewards[-1]),

@@ -93,7 +93,7 @@ def replay_drawn_between_rollouts(adapter_cls) -> None:
     and before its own: a rollout draws its noise block from the
     trainer's generator, the replay draws its objective from the same
     one, and one collect call takes both rollouts."""
-    adapter = adapter_cls(MoccAgent(TINY, seed=3), SPEC, config=TINY, seed=6)
+    adapter = adapter_cls(MoccAgent(TINY, seed=3), SPEC, seed=6)
     adapter.seed_replay([[0.6, 0.3, 0.1]])
     calls = []
     collect, sample = adapter.trainer.collector.collect, adapter.replay.sample
@@ -223,11 +223,11 @@ class TestPooledIteration:
 class TestOnlineAdapter:
     def test_rejects_single_objective_agent(self):
         with pytest.raises(ValueError):
-            OnlineAdapter(MoccAgent(TINY, weight_dim=0), SPEC, config=TINY)
+            OnlineAdapter(MoccAgent(TINY, weight_dim=0), SPEC)
 
     def test_adapt_produces_trace(self):
         agent = MoccAgent(TINY)
-        adapter = OnlineAdapter(agent, SPEC, config=TINY, seed=6)
+        adapter = OnlineAdapter(agent, SPEC, seed=6)
         adapter.seed_replay([[0.6, 0.3, 0.1]])
         trace = adapter.adapt([0.45, 0.45, 0.10], iterations=2, eval_every=1,
                               old_weights=[0.6, 0.3, 0.1])
@@ -239,7 +239,7 @@ class TestOnlineAdapter:
 
     def test_adapt_without_replay(self):
         agent = MoccAgent(TINY)
-        adapter = OnlineAdapter(agent, SPEC, config=TINY, seed=7)
+        adapter = OnlineAdapter(agent, SPEC, seed=7)
         trace = adapter.adapt([0.45, 0.45, 0.10], iterations=1, eval_every=0,
                               use_replay=False)
         assert len(trace.rewards) == 1
