@@ -21,11 +21,9 @@ from repro.baselines import Cubic, Vegas
 from repro.baselines.aurora import AuroraController
 from repro.baselines.orca import Orca
 from repro.config import DEFAULT_TRAINING, TRAINING_RANGES
-from repro.core.agent import MoccAgent
-from repro.core.library import MOCC
+from repro.core.agent import MoccAgent, MoccController
 from repro.core.offline import OfflineTrainer
 from repro.core.weights import BALANCE_WEIGHTS, sample_weight
-from repro.datapath import CcpShim, UdtShim
 from repro.eval.overhead import measure_overhead
 from repro.eval.runner import EvalNetwork
 from repro.eval.metrics import reward_of_record
@@ -70,10 +68,11 @@ def bench_fig17_cpu_overhead(benchmark, mocc_agent, aurora_throughput):
     def experiment():
         start = net.bottleneck_pps / 3
         controllers = {
-            "MOCC-UDT": UdtShim(MOCC(mocc_agent, initial_rate=start), BALANCE_WEIGHTS),
+            "MOCC-UDT": MoccController(mocc_agent, BALANCE_WEIGHTS,
+                                       initial_rate=start, batch=1),
             "Aurora (user)": AuroraController(aurora_throughput, initial_rate=start),
-            "MOCC-Kernel": CcpShim(MOCC(mocc_agent, initial_rate=start),
-                                   BALANCE_WEIGHTS, batch=4),
+            "MOCC-Kernel": MoccController(mocc_agent, BALANCE_WEIGHTS,
+                                          initial_rate=start, batch=4),
             "Orca (kernel)": Orca(agent=aurora_throughput, rl_interval=4),
             "CUBIC": Cubic(),
             "Vegas": Vegas(),

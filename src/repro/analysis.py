@@ -73,12 +73,12 @@ def _within(relpath: str, packages: tuple) -> bool:
 #: The packages (and the files) whose behaviour shapes simulation
 #: results, and therefore fingerprints and golden traces:
 #: ``core/agent.py`` builds the MOCC and Aurora controllers every
-#: learned cell runs, and ``core/library.py`` the §5 library MOCC the
-#: ``datapath`` shims drive inside the simulator (Fig. 17).
+#: learned cell runs, and ``core/library.py`` is the §5 library whose
+#: one policy step decides their rates.
 #: ``rl``/``models`` and the rest of ``core`` are training internals
 #: that take their generators via parameter and are exercised through
 #: seeded entry points.
-SIMULATION_PACKAGES = ("netsim", "baselines", "eval", "datapath",
+SIMULATION_PACKAGES = ("netsim", "baselines", "eval",
                        "core/agent.py", "core/library.py")
 
 

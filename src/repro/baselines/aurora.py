@@ -26,8 +26,6 @@ class AuroraController(PolicyRateController):
                  flavor: str | None = None):
         if agent.weight_dim != 0:
             raise ValueError("Aurora uses a single-objective model (weight_dim=0)")
-        super().__init__(agent.model, weights=None, initial_rate=initial_rate,
-                         action_scale=agent.config.action_scale,
-                         history_length=agent.config.history_length)
+        super().__init__(agent, None, initial_rate)
         if flavor:
             self.name = f"Aurora-{flavor}"

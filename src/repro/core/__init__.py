@@ -5,12 +5,13 @@
 * :mod:`repro.core.sorting` -- the neighbourhood-based objective sorting
   algorithm (Appendix B, Algorithm 1).
 * :mod:`repro.core.agent` -- the preference-conditioned MOCC agent and
-  its rate controller for the simulator.
+  its rate controller for the simulator, a datapath around the library.
 * :mod:`repro.core.offline` -- two-phase offline training (§4.2).
 * :mod:`repro.core.online` -- online adaptation with requirement replay
   (§4.3).
 * :mod:`repro.core.library` -- the deployable library API (§5):
-  ``register`` / ``report_status`` / ``get_sending_rate``.
+  ``register`` / ``report_status`` / ``get_sending_rate``, the one
+  policy step every deployed learned controller runs.
 """
 
 from repro.core.weights import (

@@ -4,22 +4,19 @@
 (§4.1) plus the hyperparameters, and provides save/load so offline
 training, online adaptation and evaluation can share checkpoints.
 
-:class:`PolicyRateController` adapts any trained policy (MOCC's, or a
-single-objective Aurora-style one) to the simulator's controller
-interface: at each monitor interval it feeds the statistics history to
-the network and applies Eq. 1 to its pacing rate.  This is the
-"inference path" a real deployment runs -- the datapath shims in
-:mod:`repro.datapath` wrap it with call-frequency accounting.
+:class:`PolicyRateController` runs any trained policy (MOCC's, or a
+single-objective Aurora-style one) under the simulator's controller
+interface.  It is a datapath around the §5 library
+(:class:`repro.core.library.MOCC`), which feeds the statistics history
+to the network and applies Eq. 1: the controller registers the flow's
+weights when the flow starts, reports each monitor interval -- or,
+at a kernel-space cadence, each folded batch of intervals -- and paces
+at the rate the library returns.  Both deployments of Fig. 17 are this
+one controller at ``batch=1`` and ``batch=4``.
 
-Inference is actor-only: a controller resolves an
-:class:`~repro.rl.policy.InferencePlan` when its flow starts (the
-preference embedding is computed once, there) and each interval costs
-one no-grad actor forward on the history buffer itself (no copy) -- no
-critic, no log-probability, no backward caches.  A deployed policy acts
-on the actor's mean: it draws no random number, so no controller takes
-a seed.  Rollout collection resolves a plan per rollout the same way;
-``model.act`` builds a one-shot plan per call and is for one-off
-queries, not a loop.
+Rollout collection resolves an inference plan per rollout the same way
+the library does per flow; ``model.act`` builds a one-shot plan per
+call and is for one-off queries, not a loop.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.config import TrainingConfig, DEFAULT_TRAINING
-from repro.netsim.env import apply_action
+from repro.core.library import MOCC, NetworkStatus
 from repro.netsim.history import StatHistory
 from repro.netsim.rngstreams import stream_rng
 from repro.netsim.sender import Controller, Flow, MonitorIntervalStats
@@ -95,47 +92,74 @@ class MoccAgent:
 
 
 class PolicyRateController(Controller):
-    """Run a frozen policy as a rate-based congestion controller.
+    """Run a frozen policy as a rate-based congestion controller: the
+    simulator's datapath around one §5 library, which owns the history,
+    the inference plan and Eq. 1.
 
-    At every monitor interval the controller pushes the interval's
-    statistics into its history window, queries the policy, and applies
-    the Eq. 1 multiplicative adjustment to the pacing rate.
-
-    The policy is frozen for the duration of a flow: the inference plan
-    (and with it the preference embedding of ``weights``) is resolved at
-    ``on_flow_start``, so a model reloaded or trained between flows is
-    picked up by the next one.
+    ``on_flow_start`` registers ``weights`` (``None`` for Aurora), so
+    the policy is frozen for a flow and a model reloaded or trained
+    between flows is picked up by the next one.  ``batch`` is the
+    cadence: every monitor interval is reported as it is at 1 (the
+    paper's user-space UDT integration); at ``k > 1`` the rate holds
+    while ``k`` intervals collect, then they are reported as one
+    :func:`fold` (a CCP datapath's report to the kernel-space agent).
     """
 
     kind = "rate"
     name = "policy"
 
-    def __init__(self, model: PreferenceActorCritic, weights,
-                 initial_rate: float, action_scale: float,
-                 history_length: int):
-        self.model = model
-        self.weights = None if weights is None else np.asarray(weights, dtype=np.float64)
-        if model.weight_dim > 0 and self.weights is None:
-            raise ValueError("preference-conditioned model needs a weight vector")
-        self.rate = float(initial_rate)
-        self.action_scale = action_scale
-        self.history = StatHistory(history_length)
-        self._plan = None
-        #: Number of policy inferences performed (overhead accounting).
-        self.inference_count = 0
+    def __init__(self, agent: MoccAgent, weights, initial_rate: float,
+                 batch: int = 1):
+        if batch < 1:
+            raise ValueError("batch must be >= 1")
+        self.library = MOCC(agent, initial_rate)
+        self.library.register(weights)  # refuses a bad vector here
+        self.rate = self.library.rate
+        self.batch = batch
+        self._pending: list[MonitorIntervalStats] = []
+
+    @property
+    def inference_count(self) -> int:
+        """Number of policy inferences performed (overhead accounting)."""
+        return self.library.inference_count
 
     def on_flow_start(self, flow: Flow, now: float) -> None:
-        self.history.reset()
-        self._plan = self.model.plan(self.weights)
+        self.library.register(self.library.weights)
 
     def on_mi(self, flow: Flow, stats: MonitorIntervalStats, now: float) -> None:
-        self.history.push(stats, stats.rate_pps)
-        action = self._plan.action(self.history.buffer)
-        self.inference_count += 1
-        self.rate = apply_action(self.rate, action, self.action_scale)
+        if self.batch > 1:
+            pending = self._pending
+            pending.append(stats)
+            if len(pending) < self.batch:
+                return
+            self._pending = []
+            stats = fold(pending)
+        library = self.library
+        library.report_status(stats)
+        self.rate = library.get_sending_rate()
 
     def pacing_rate(self, now: float) -> float:
         return self.rate
+
+
+def fold(intervals: list[MonitorIntervalStats]) -> NetworkStatus:
+    """One report for a batch of intervals, made the way a CCP fold
+    function makes it: counts and durations add up, and the mean RTT
+    and the RTT slope are acked-weighted means over the batch."""
+    rtts = [(s.mean_rtt, s.latency_gradient, s.acked)
+            for s in intervals if s.mean_rtt is not None]
+    total_acked = sum(a for _, _, a in rtts)
+    if total_acked:
+        mean_rtt = sum(r * a for r, _, a in rtts) / total_acked
+        gradient = sum(g * a for _, g, a in rtts) / total_acked
+    elif rtts:
+        mean_rtt, gradient, _ = rtts[-1]
+    else:
+        mean_rtt, gradient = None, 0.0
+    return NetworkStatus(
+        sum(s.sent for s in intervals), sum(s.acked for s in intervals),
+        sum(s.lost for s in intervals), mean_rtt, gradient,
+        sum(s.duration for s in intervals))
 
 
 class MoccController(PolicyRateController):
@@ -143,7 +167,6 @@ class MoccController(PolicyRateController):
 
     name = "MOCC"
 
-    def __init__(self, agent: MoccAgent, weights, initial_rate: float = 100.0):
-        super().__init__(agent.model, weights=weights, initial_rate=initial_rate,
-                         action_scale=agent.config.action_scale,
-                         history_length=agent.config.history_length)
+    def __init__(self, agent: MoccAgent, weights, initial_rate: float = 100.0,
+                 batch: int = 1):
+        super().__init__(agent, weights, initial_rate, batch)

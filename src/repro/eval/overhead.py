@@ -101,12 +101,8 @@ def measure_overhead(controller: Controller, network, duration: float = 20.0,
     profiled = ProfilingController(controller)
     build_competition([profiled], network, duration=duration,
                       seed=seed).run_all()
-    inference = getattr(controller, "inference_count", 0)
-    # Datapath shims expose their wrapped library's counter.
-    library = getattr(controller, "library", None)
-    if library is not None:
-        inference = max(inference, getattr(library, "inference_count", 0))
     return OverheadReport(scheme=controller.name,
                           control_seconds=profiled.control_seconds,
                           sim_seconds=duration, calls=profiled.calls,
-                          inference_count=inference)
+                          inference_count=getattr(controller,
+                                                  "inference_count", 0))

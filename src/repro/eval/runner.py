@@ -119,7 +119,7 @@ def build_competition(controllers, network: EvalNetwork, duration: float = 60.0,
 
     The seeding and sizing of the standard evaluation path, for
     callers that bring their own controller objects (a profiling
-    proxy, a datapath shim) or drive the live :class:`Simulation`;
+    proxy, a batched MOCC controller) or drive the live :class:`Simulation`;
     ``run_all()`` returns one :class:`FlowRecord` per controller.
     """
     n = len(controllers)

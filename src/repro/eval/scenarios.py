@@ -69,11 +69,13 @@ def _simulation_code_digest() -> str:
     """
     import repro.baselines
     import repro.core.agent
+    import repro.core.library
     import repro.netsim
 
     roots = [Path(repro.netsim.__file__).parent,
              Path(repro.baselines.__file__).parent]
     singles = [Path(repro.core.agent.__file__),
+               Path(repro.core.library.__file__),
                Path(__file__).resolve().parent / "runner.py"]
     singles += [Path(repro.core.agent.__file__).parent.parent / "rl" / name
                 for name in ("policy.py", "nn.py", "distributions.py")]

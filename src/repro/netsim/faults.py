@@ -28,8 +28,8 @@ shift the existing wire-loss sequence.
 
 Determinism contract
 --------------------
-All randomness is confined to two named streams minted in
-:meth:`FaultProcess.reset`:
+All randomness is confined to two named streams minted when a
+:class:`FaultProcess` is built:
 
 * flap-window jitter comes from ``link.fault-flap``.  Windows extend
   lazily but *in lockstep across specs and cycles*, so the jitter of
@@ -179,9 +179,8 @@ class FaultProcess:
 
     Built per link by :meth:`TopologySpec.build`; the link consults it
     from ``Link.transmit`` (admission + wire loss) and
-    ``Link.bandwidth_at`` (brownout scaling).  ``reset()`` re-mints
-    both streams and clears all chain/window state, restoring the
-    exact post-construction bitstreams.
+    ``Link.bandwidth_at`` (brownout scaling).  Two processes built from
+    the same ``(specs, seed, index)`` draw the same chains and windows.
     """
 
     def __init__(self, specs, seed: int, index: int):
@@ -198,10 +197,6 @@ class FaultProcess:
         self._brownouts = tuple(
             (s.start, s.start + s.duration, s.factor)
             for s in self.specs if isinstance(s, RateBrownout))
-        self.reset()
-
-    def reset(self) -> None:
-        """Restore post-construction state (fresh streams, good GE state)."""
         self._flap_rng = stream_rng("link.fault-flap", self.seed,
                                     self.index)
         self._loss_rng = stream_rng("link.fault-loss", self.seed,

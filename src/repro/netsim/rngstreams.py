@@ -6,7 +6,7 @@ on two links, a fault chain that shifts the wire-loss sequence).
 :data:`STREAMS` maps each stream name to the seed space its material
 comes from and the function that turns that material into the exact
 entropy ``default_rng`` receives; :func:`stream_rng` is the only place
-``netsim``, ``baselines``, ``eval``, ``datapath``, ``core/agent.py`` and
+``netsim``, ``baselines``, ``eval``, ``core/agent.py`` and
 ``core/library.py`` construct a generator (the ``rng-sole-constructor``
 replint check).  Deployed policies act on the actor's mean and hold no
 generator at all.  The entropies are frozen to the inline expressions

@@ -40,10 +40,9 @@ LIFETIME = "tests/test_cell_lifetime.py::test_every_kind_cell_is_freed"
 SINGLE_STEPPING = ("tests/test_batch.py::TestSimStateStepping::"
                    "test_single_stepping_every_fused_branch[step/dumbbell]")
 SLICING = "tests/test_batch.py::test_any_slicing_keeps_the_one_shot_run"
-LIBRARY_GRADIENT = ("tests/test_library_features.py::"
-                    "test_library_feature_equals_the_envs[latency-gradient]")
-DEPLOYED_UDT = ("tests/test_library_features.py::"
-                "test_deployed_udt_flow_sees_the_training_history")
+#: A kernel-space batch of four identical intervals against one.
+CCP_FOLD = ("tests/test_library_features.py::"
+            "test_ccp_batch_of_identical_intervals_is_one_udt_interval[4]")
 ENV_PARITY = "tests/test_env.py::test_episodes_keep_their_digest"
 #: Eq. 2: each weight on its own component, the env's reward written
 #: out, and O_loss over every packet of the interval.
@@ -277,13 +276,13 @@ MUTANTS = {
         "                self.max_throughput = throughput\n",
         "                pass\n",
         (MI_ORACLE,)),
-    # The deployed path's features against training's: a datapath shim
-    # that reports no RTT slope.
+    # The deployed path's features against training's: a kernel-space
+    # fold that reports no RTT slope.
     "udt-drops-the-slope": Mutant(
-        "repro.datapath.udt",
-        "latency_gradient=stats.latency_gradient",
-        "latency_gradient=0.0",
-        (LIBRARY_GRADIENT, DEPLOYED_UDT)),
+        "repro.core.agent",
+        "gradient = sum(g * a for _, g, a in rtts) / total_acked",
+        "gradient = 0.0",
+        (CCP_FOLD,)),
     # A training episode's link seeded with the raw episode seed: its
     # wire loss is no longer the stream env.py once built by hand.
     "env-link-seeded-by-episode": Mutant(

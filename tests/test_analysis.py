@@ -143,9 +143,10 @@ def test_outside_the_simulation_packages_only_walks_are_checked(
 
 @pytest.mark.parametrize("relpath, fires", [
     ("netsim/link.py", True), ("eval/runner.py", True),
-    ("baselines/orca.py", True), ("datapath/udt.py", True),
+    ("baselines/orca.py", True),
     ("core/agent.py", True),  # every learned cell's controller
-    ("core/library.py", True),  # Fig. 17's §5 library
+    ("core/library.py", True),  # the §5 library deciding its rates
+    ("core/weights.py", False),  # no other file of core
     ("netsim/rngstreams.py", False), ("rl/ppo.py", False),
     ("core/offline.py", False)])
 def test_generators_are_built_in_the_stream_table_only(relpath, fires):

@@ -1,4 +1,5 @@
-"""Tests for the application workloads (§6.3) and datapath shims (§5)."""
+"""Tests for the application workloads (§6.3) and the library's two
+deployments (§5): consulted every interval (UDT) or per batch (CCP)."""
 
 import numpy as np
 import pytest
@@ -8,9 +9,7 @@ from repro.apps.rtc import run_rtc
 from repro.apps.video import BITRATES_MBPS, VideoSession
 from repro.baselines import Cubic
 from repro.config import DEFAULT_TRAINING
-from repro.core.agent import MoccAgent
-from repro.core.library import MOCC
-from repro.datapath import CcpShim, UdtShim
+from repro.core.agent import MoccAgent, MoccController
 from repro.eval.overhead import ProfilingController, measure_overhead
 from repro.eval.runner import EvalNetwork, build_competition
 from repro.netsim.network import FlowRecord
@@ -97,6 +96,17 @@ class TestBulk:
         ideal = 0.5 * 8e6 / (NET.bandwidth_mbps * 1e6)
         assert result.mean_fct == pytest.approx(ideal, rel=0.5)
 
+    def test_fct_is_the_completing_ack(self):
+        """Fig. 10's FCT is when the last needed ack lands: off any
+        0.05 s slice grid, and moved by the seed's wire losses."""
+        net = EvalNetwork(bandwidth_mbps=20.0, one_way_ms=5.0,
+                          buffer_bdp=2.0, loss_rate=0.005)
+        fcts = run_bulk_transfers(
+            lambda: ExternalRateController(net.bottleneck_pps * 0.8),
+            net, file_mbytes=0.5, repeats=2, seed=8).fct_seconds / 0.05
+        assert fcts[0] != fcts[1]
+        assert np.all(np.abs(fcts - np.round(fcts)) > 1e-6)
+
     def test_slower_scheme_takes_longer(self):
         fast = run_bulk_transfers(
             lambda: ExternalRateController(NET.bottleneck_pps),
@@ -113,29 +123,30 @@ class TestBulk:
 
 
 class TestDatapathShims:
-    def _lib(self):
-        return MOCC(MoccAgent(DEFAULT_TRAINING), initial_rate=NET.bottleneck_pps / 3)
+    """§5's UDT and CCP shims: the controller's two cadences."""
+
+    def _ctrl(self, batch=1):
+        return MoccController(MoccAgent(DEFAULT_TRAINING), [0.5, 0.3, 0.2],
+                              initial_rate=NET.bottleneck_pps / 3, batch=batch)
 
     def test_udt_inference_every_mi(self):
-        shim = UdtShim(self._lib(), [0.5, 0.3, 0.2])
-        build_competition([shim], NET, duration=2.0, seed=1).run_all()
+        udt = self._ctrl()
+        build_competition([udt], NET, duration=2.0, seed=1).run_all()
         # MI = base RTT = 20 ms -> ~100 intervals in 2 s.
-        assert 80 <= shim.library.inference_count <= 110
+        assert 80 <= udt.inference_count <= 110
 
     def test_ccp_batches_inferences(self):
-        udt = UdtShim(self._lib(), [0.5, 0.3, 0.2])
-        ccp = CcpShim(self._lib(), [0.5, 0.3, 0.2], batch=4)
+        udt, ccp = self._ctrl(), self._ctrl(batch=4)
         build_competition([udt], NET, duration=2.0, seed=1).run_all()
         build_competition([ccp], NET, duration=2.0, seed=1).run_all()
-        assert ccp.library.inference_count * 3 < udt.library.inference_count
+        assert ccp.inference_count * 3 < udt.inference_count
 
     def test_ccp_invalid_batch(self):
         with pytest.raises(ValueError):
-            CcpShim(self._lib(), [0.5, 0.3, 0.2], batch=0)
+            self._ctrl(batch=0)
 
     def test_shims_keep_sending(self):
-        shim = CcpShim(self._lib(), [0.5, 0.3, 0.2], batch=4)
-        (record,) = build_competition([shim], NET, duration=3.0,
+        (record,) = build_competition([self._ctrl(batch=4)], NET, duration=3.0,
                                      seed=2).run_all()
         assert record.mean_throughput_pps > 0
 
@@ -156,7 +167,6 @@ class TestOverhead:
     def test_model_controller_costs_more_than_cubic(self):
         """Each side is the least of three interleaved wall-clock runs,
         so one stalled run cannot invert the comparison."""
-        from repro.core.agent import MoccController
         agent = MoccAgent(DEFAULT_TRAINING)
         mocc, cubic = [], []
         for _ in range(3):

@@ -429,13 +429,13 @@ class TestBatchRunner:
         assert "Simulation._hop_rng, Simulation.rng" in messages
 
     def test_planted_fault_rng_alias_names_both_holders(self, monkeypatch):
-        reset = FaultProcess.reset
+        init = FaultProcess.__init__
 
-        def planted(self):
-            reset(self)
+        def planted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
             self._loss_rng = self._flap_rng
 
-        monkeypatch.setattr(FaultProcess, "reset", planted)
+        monkeypatch.setattr(FaultProcess, "__init__", planted)
         assert shared_generators(generator_holders(_ownership_batch())) == [
             "Generator held by FaultProcess._flap_rng, "
             "FaultProcess._loss_rng"]

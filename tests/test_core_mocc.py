@@ -11,6 +11,7 @@ from repro.config import DEFAULT_TRAINING
 from repro.core.agent import MoccAgent, MoccController, PolicyRateController
 from repro.core.library import MOCC, NetworkStatus
 from repro.core.online import AdaptationTrace, RequirementReplay
+from repro.eval.runner import EvalNetwork, build_competition
 from repro.netsim.env import apply_action
 from repro.netsim.packet import Packet
 from repro.netsim.sender import ExternalRateController, Flow
@@ -42,19 +43,13 @@ class TestMoccAgent:
         assert np.isfinite(agent.model.plan().action(np.zeros(agent.obs_dim)))
 
 
-#: Table 2's alpha and eta, which a bare controller is given.
-TABLE_2 = {"action_scale": DEFAULT_TRAINING.action_scale,
-           "history_length": DEFAULT_TRAINING.history_length}
-
-
 class TestPolicyRateController:
     def test_requires_weights_for_conditioned_model(self):
         agent = MoccAgent(DEFAULT_TRAINING)
         with pytest.raises(ValueError):
-            PolicyRateController(agent.model, None, 100.0, **TABLE_2)
+            PolicyRateController(agent, None, 100.0)
 
     def test_inference_counting(self):
-        from repro.eval.runner import EvalNetwork, build_competition
         agent = MoccAgent(DEFAULT_TRAINING)
         ctrl = MoccController(agent, [0.8, 0.1, 0.1], initial_rate=50.0)
         net = EvalNetwork(bandwidth_mbps=2.0, one_way_ms=20.0, buffer_bdp=2.0)
@@ -68,18 +63,6 @@ def act_path_action(model, obs, weights) -> float:
     log-prob, a one-shot plan), which draws nothing."""
     action, _, _ = model.act(obs, weights, None, deterministic=True)
     return float(action[0])
-
-
-class ActPathController(PolicyRateController):
-    """``on_mi`` as it was before the actor-only plan: the full
-    ``model.act`` (critic, log-prob, caches) every interval."""
-
-    def on_mi(self, flow, stats, now):
-        self.history.push(stats, stats.rate_pps)
-        w = self.weights if self.model.weight_dim > 0 else None
-        action = act_path_action(self.model, self.history.vector(), w)
-        self.inference_count += 1
-        self.rate = apply_action(self.rate, action, self.action_scale)
 
 
 def one_interval():
@@ -96,8 +79,8 @@ W = [0.5, 0.3, 0.2]
 
 
 class TestInferencePath:
-    """The per-MI actor-only plan against the ``model.act`` path it
-    replaced, and the frozen-for-a-flow contract around it."""
+    """The library's actor-only plan against ``model.act``'s mean
+    branch, and the frozen-for-a-flow contract around it."""
 
     @pytest.mark.parametrize("weight_dim", [3, 0])
     def test_rates_equal_act_path_over_a_flow(self, weight_dim):
@@ -130,46 +113,31 @@ class TestInferencePath:
             ctrl.on_mi(flow, stats, 0.5)
         assert running.rate == fresh.rate != 100.0
 
-    def test_library_register_picks_up_reloaded_model(self):
-        agent, other = (MoccAgent(DEFAULT_TRAINING, seed=s) for s in (1, 2))
-        status = NetworkStatus(sent=20, acked=19, lost=1, mean_rtt=0.05,
-                               latency_gradient=0.0, duration=0.05)
-        lib, fresh = MOCC(agent), MOCC(other)
-        lib.register(W)
-        agent.model.load_state_dict(other.model.state_dict())
-        lib.register(W)
-        fresh.register(W)
-        for library in (lib, fresh):
-            library.report_status(status)
-        assert lib.get_sending_rate() == fresh.get_sending_rate()
-        # In-place actor updates need no re-register.
-        for a in (agent, other):
-            a.model.actor.layers[-1].b.value += 0.3
-        assert lib.get_sending_rate() == fresh.get_sending_rate()
-
     def test_library_matches_act_path(self):
         library_matches_act_path()
 
 
 def rates_equal_act_path_over_a_flow(weight_dim) -> None:
-    from repro.eval.runner import EvalNetwork, build_competition
+    """Every rate a controller paces at over a 10 s flow is Eq. 1
+    applied to ``model.act``'s mean on the library's history."""
     net = EvalNetwork(bandwidth_mbps=2.0, one_way_ms=20.0, buffer_bdp=2.0)
-    model = MoccAgent(DEFAULT_TRAINING, weight_dim=weight_dim, seed=3).model
-    trajectories = []
-    for cls in (PolicyRateController, ActPathController):
-        ctrl = cls(model, weights=W if weight_dim else None, initial_rate=120.0,
-                   **TABLE_2)
-        rates, on_mi = [], ctrl.on_mi
+    agent = MoccAgent(DEFAULT_TRAINING, weight_dim=weight_dim, seed=3)
+    ctrl = PolicyRateController(agent, W if weight_dim else None, 120.0)
+    rates, want, on_mi = [], [], ctrl.on_mi
 
-        def spy(flow, stats, now, on_mi=on_mi, ctrl=ctrl, rates=rates):
-            on_mi(flow, stats, now)
-            rates.append(ctrl.rate)
+    def spy(flow, stats, now):
+        before = ctrl.rate
+        on_mi(flow, stats, now)
+        library = ctrl.library
+        action = act_path_action(agent.model, library.history.vector(),
+                                 library.weights)
+        want.append(apply_action(before, action, agent.config.action_scale))
+        rates.append(ctrl.rate)
 
-        ctrl.on_mi = spy
-        build_competition([ctrl], net, duration=10.0, seed=1).run_all()
-        assert ctrl.inference_count == len(rates) > 200
-        trajectories.append(rates)
-    assert trajectories[0] == trajectories[1]
+    ctrl.on_mi = spy
+    build_competition([ctrl], net, duration=10.0, seed=1).run_all()
+    assert ctrl.inference_count == len(rates) > 200
+    assert rates == want
 
 
 def library_matches_act_path() -> None:
@@ -187,8 +155,7 @@ def library_matches_act_path() -> None:
 #: Every way a trained policy is deployed: ``(class, weight_dim, build)``.
 DEPLOYED_POLICIES = {
     "PolicyRateController": (PolicyRateController, 3, lambda agent:
-                             PolicyRateController(agent.model, W, 100.0,
-                                                  **TABLE_2)),
+                             PolicyRateController(agent, W, 100.0, batch=4)),
     "MoccController": (MoccController, 3, lambda agent: MoccController(agent, W)),
     "AuroraController": (AuroraController, 0, AuroraController),
     "Orca": (Orca, 0, Orca),
@@ -199,12 +166,13 @@ DEPLOYED_POLICIES = {
 @pytest.mark.parametrize("name", DEPLOYED_POLICIES)
 def test_deployed_policy_takes_no_seed_and_holds_no_generator(name):
     """A deployed policy acts on the actor's mean: there is no knob to
-    sample instead, and nothing to sample with."""
+    sample instead, and nothing to sample with, in it or its library."""
     cls, weight_dim, build = DEPLOYED_POLICIES[name]
     assert not {"seed", "deterministic"} & set(inspect.signature(cls).parameters)
     policy = build(MoccAgent(DEFAULT_TRAINING, weight_dim=weight_dim, seed=1))
-    assert not any(isinstance(value, np.random.Generator)
-                   for value in vars(policy).values())
+    for holder in (policy, getattr(policy, "library", policy)):
+        assert not any(isinstance(value, np.random.Generator)
+                       for value in vars(holder).values())
 
 
 class TestLibraryAPI:

@@ -7,7 +7,8 @@ Four layers of guarantees:
   changed schedule is a changed cache key.
 * **The fault runtime is a pure function of (schedule, seed, index).**
   Flap windows, brownout scaling, and Gilbert-Elliott chains replay
-  exactly across ``reset()`` and are independent of query order.
+  exactly in a process built from the same three and are independent
+  of query order.
 * **Faults-off is bit-identical.**  A topology without faults builds
   links with ``fault is None`` -- the golden-trace suite pins the
   fast path itself.
@@ -145,11 +146,10 @@ class TestFaultProcess:
         assert proc.capacity_scale(0.7) == pytest.approx(0.35)
         assert proc.capacity_scale(1.2) == 1.0
 
-    def test_chain_replays_after_reset(self):
-        proc = FaultProcess((GE,), seed=7, index=2)
-        first = [proc.wire_loss(0.01 * i) for i in range(400)]
-        proc.reset()
-        again = [proc.wire_loss(0.01 * i) for i in range(400)]
+    def test_chain_replays_in_a_twin(self):
+        twins = [FaultProcess((GE,), seed=7, index=2) for _ in range(2)]
+        first, again = ([proc.wire_loss(0.01 * i) for i in range(400)]
+                        for proc in twins)
         assert first == again
         assert any(first)  # loss_bad=0.4 must actually fire somewhere
 

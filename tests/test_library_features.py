@@ -6,14 +6,14 @@ hands each reported interval to it.  Three checks hold the deployed
 path to that:
 
 * six env episodes on Table-3 draws, driven by random actions, hand
-  every monitor interval to a ``UdtShim`` -- the status a user-space
-  datapath reports -- and the library's newest history row must equal
-  the env's, feature by feature, bit for bit;
-* a ``UdtShim`` flow in a real simulation, running the pinned ledger
-  model, must hold after every interval the history a ``StatHistory``
-  builds from the flow's own records;
-* a ``CcpShim`` batch of ``k`` identical intervals folds into the row
-  ``UdtShim`` reports for one of them.
+  every monitor interval to a ``MoccController`` at ``batch=1`` (the
+  user-space UDT cadence), and the library's newest history row must
+  equal the env's, feature by feature, bit for bit;
+* such a flow in a real simulation, running the pinned ledger model,
+  must hold after every interval the history a ``StatHistory`` builds
+  from the flow's own records;
+* ``k`` identical intervals folded at ``batch=k`` (the kernel-space
+  CCP cadence) report the row one of them does at ``batch=1``.
 """
 
 from pathlib import Path
@@ -22,9 +22,7 @@ import numpy as np
 import pytest
 
 from repro.config import DEFAULT_TRAINING, TRAINING_RANGES
-from repro.core.agent import MoccAgent
-from repro.core.library import MOCC
-from repro.datapath import CcpShim, UdtShim
+from repro.core.agent import MoccAgent, MoccController
 from repro.eval.runner import EvalNetwork, build_competition
 from repro.netsim.env import EnvSpec
 from repro.netsim.history import StatHistory
@@ -39,7 +37,7 @@ FEATURES = {"send-ratio": 0, "latency-ratio": 1, "latency-gradient": 2,
             "rate-ratio": 3}
 
 
-def feature_rows(shim_cls=UdtShim) -> tuple[np.ndarray, np.ndarray]:
+def feature_rows() -> tuple[np.ndarray, np.ndarray]:
     """``(env_rows, library_rows)``: per env step, the newest history
     row of each path, over all episodes."""
     agent = MoccAgent(DEFAULT_TRAINING, seed=0)
@@ -47,7 +45,7 @@ def feature_rows(shim_cls=UdtShim) -> tuple[np.ndarray, np.ndarray]:
     for episode in range(EPISODES):
         env = EnvSpec(ranges=TRAINING_RANGES, max_steps=STEPS).build(episode)
         actions = np.random.default_rng(episode).uniform(-2.0, 2.0, STEPS)
-        shim = shim_cls(MOCC(agent), W)
+        ctrl = MoccController(agent, W)
         env.reset(W)
         fed = 0
         for action in actions:
@@ -57,11 +55,11 @@ def feature_rows(shim_cls=UdtShim) -> tuple[np.ndarray, np.ndarray]:
             for stats in records[fed:]:
                 # The env's random actions, not the library, set the
                 # rate: report against the rate the interval ran at.
-                shim.library.rate = stats.rate_pps
-                shim.on_mi(flow, stats, stats.end)
+                ctrl.library.rate = stats.rate_pps
+                ctrl.on_mi(flow, stats, stats.end)
             fed = len(records)
             env_rows.append(env.history.buffer[-4:].copy())
-            library_rows.append(shim.library.history.buffer[-4:].copy())
+            library_rows.append(ctrl.library.history.buffer[-4:].copy())
     return np.array(env_rows), np.array(library_rows)
 
 
@@ -86,11 +84,11 @@ def test_library_feature_equals_the_envs(rows, feature):
 NET = EvalNetwork(bandwidth_mbps=4.0, one_way_ms=10.0, buffer_bdp=2.0)
 
 
-def deployed_histories_hold(shim_cls) -> None:
-    """A ``shim_cls`` flow's library history after each interval equals
-    a ``StatHistory`` pushed with the flow's records, bit for bit."""
+def test_deployed_udt_flow_sees_the_training_history():
+    """A controller's library history after each interval equals a
+    ``StatHistory`` pushed with the flow's records, bit for bit."""
 
-    class Recording(shim_cls):
+    class Recording(MoccController):
         def on_mi(self, flow, stats, now):
             super().on_mi(flow, stats, now)
             seen.append(self.library.history.vector())
@@ -98,8 +96,8 @@ def deployed_histories_hold(shim_cls) -> None:
     seen = []
     agent = MoccAgent.load(ASSETS / "mocc_fast_seed0.npz")
     # Starting at capacity keeps a queue, so RTTs move within intervals.
-    shim = Recording(MOCC(agent, initial_rate=NET.bottleneck_pps), W)
-    record = build_competition([shim], NET, duration=3.0, seed=1).run_all()[0]
+    ctrl = Recording(agent, W, initial_rate=NET.bottleneck_pps)
+    record = build_competition([ctrl], NET, duration=3.0, seed=1).run_all()[0]
     reference = StatHistory(agent.config.history_length)
     want = []
     for stats in record.records:
@@ -113,10 +111,6 @@ def deployed_histories_hold(shim_cls) -> None:
     assert got.tobytes() == want.tobytes()
 
 
-def test_deployed_udt_flow_sees_the_training_history():
-    deployed_histories_hold(UdtShim)
-
-
 #: A dyadic interval: every sum and quotient of a batch's fold is exact.
 INTERVAL = MonitorIntervalStats(
     flow_id=0, start=0.0, end=0.25, sent=10, acked=8, lost=2,
@@ -124,16 +118,21 @@ INTERVAL = MonitorIntervalStats(
     capacity_pps=64.0, base_rtt=1 / 32, packet_bytes=1500, rate_pps=48.0)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
-def test_ccp_batch_of_identical_intervals_is_one_udt_interval(k):
+def batch_folds_to_one_interval(controller_cls, k: int) -> None:
+    """``k`` identical intervals at ``batch=k`` give the history and
+    the rate one of them gives at ``batch=1``, after one inference."""
     agent = MoccAgent(DEFAULT_TRAINING, seed=0)
-    udt = UdtShim(MOCC(agent, initial_rate=48.0), W)
-    ccp = CcpShim(MOCC(agent, initial_rate=48.0), W, batch=k)
+    udt, ccp = (controller_cls(agent, W, 48.0, batch=b) for b in (1, k))
     udt.on_mi(None, INTERVAL, 0.25)
     for _ in range(k):
         ccp.on_mi(None, INTERVAL, 0.25)
-    assert ccp.library.inference_count == 1
+    assert ccp.inference_count == 1
     row = udt.library.history.buffer[-4:]
     assert row.tolist() == [1.25, 1.0, -10 / 128, 1.5]
     assert ccp.library.history.buffer.tobytes() == udt.library.history.buffer.tobytes()
     assert ccp.rate == udt.rate
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+def test_ccp_batch_of_identical_intervals_is_one_udt_interval(k):
+    batch_folds_to_one_interval(MoccController, k)

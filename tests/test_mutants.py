@@ -56,8 +56,8 @@ import test_traces
 import test_training_pipeline
 from mutants import (
     ANALYSIS_GATE,
+    CCP_FOLD,
     CONTROLLER_PARITY,
-    DEPLOYED_UDT,
     ENTROPY_LAW,
     ENV_LINK_PINS,
     ENV_PARITY,
@@ -67,7 +67,6 @@ from mutants import (
     EVERY_KIND,
     FLAT_ADAM,
     GAE_READ,
-    LIBRARY_GRADIENT,
     LIBRARY_PARITY,
     LIFETIME,
     LOSS_DRAWS,
@@ -141,10 +140,8 @@ KILLERS = {
     # namespace supplies its own class, the other comes unmutated.
     MI_ORACLE: lambda ns: test_mi_oracle.fixed_ramps_hold(
         ns.get("Flow", Flow), ns.get("StatHistory", StatHistory)),
-    LIBRARY_GRADIENT: lambda ns: test_library_features.feature_equals_the_envs(
-        test_library_features.feature_rows(ns["UdtShim"]), "latency-gradient"),
-    DEPLOYED_UDT: lambda ns: test_library_features.deployed_histories_hold(
-        ns["UdtShim"]),
+    CCP_FOLD: lambda ns: test_library_features.batch_folds_to_one_interval(
+        ns["MoccController"], 4),
     ENV_PARITY: lambda ns: test_env.episode_parity_holds(ns["MoccEnv"]),
     **{pin: lambda ns, seed=seed: test_rngstreams.env_episode_link_is_affine(
         ns["MoccEnv"], seed) for seed, pin in ENV_LINK_PINS.items()},

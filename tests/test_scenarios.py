@@ -843,3 +843,13 @@ class TestCodeDigest:
     def test_live_digest_is_stable_and_short(self):
         assert _simulation_code_digest() == _simulation_code_digest()
         assert len(_simulation_code_digest()) == 16
+
+    def test_the_deployed_policy_step_is_digested(self, monkeypatch):
+        """The §5 library decides every learned cell's rates, so an
+        edit to it must re-simulate."""
+        import repro.core.library
+        digested = []
+        monkeypatch.setattr(repro.eval.scenarios, "_digest_files",
+                            lambda files, root: digested.extend(files))
+        _simulation_code_digest()
+        assert Path(repro.core.library.__file__) in digested

@@ -14,7 +14,10 @@ Both censuses are by name, not by resolution.  A non-dunder ``def``
 counts as called when some ``Name`` or ``Attribute`` node spells its
 name outside its own body, and so does an UPPER_CASE name that a
 module-level assignment binds, outside its own statement; only nodes
-that read count, so rebinding a name is no use of it.  Imports and ``__all__`` strings are not
+that read count, so rebinding a name is no use of it, and an
+attribute of a module bound by ``import x [as y]`` from outside
+``repro`` (``np.full``, ``os.replace``) is no use of a ``repro``
+method.  Imports and ``__all__`` strings are not
 nodes of either kind, so a re-export alone never counts.  A ``class``
 counts as used only when it is built or subclassed: a call spelling
 its name (``Cls(...)``), a call of one of its attributes
@@ -53,8 +56,6 @@ KEPT = {
         "item 15(b): unseen objectives at a distance from the landmarks",
     "repro.eval.pareto.hypervolume": "item 3(c): the scorecard's front",
     "repro.netsim.network.SimState.peek_time":
-        "item 4(e): the first-divergence locator steps by events",
-    "repro.netsim.network.SimState.step_events":
         "item 4(e): the first-divergence locator steps by events",
     "repro.rl.rollout.discounted_returns":
         "reference: Eq. 4, the returns GAE is tested against",
@@ -176,10 +177,19 @@ def _spelled(node: ast.AST) -> str | None:
 
 
 def _uses(tree: ast.AST):
-    """``(name, line)`` per ``Name`` and ``Attribute`` node that reads."""
+    """``(name, line)`` per ``Name`` and ``Attribute`` node that reads,
+    but an attribute of a module outside ``repro`` (``np.full``)."""
+    foreign = {alias.asname or alias.name.split(".")[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names if alias.name.split(".")[0] != "repro"}
     for node in ast.walk(tree):
         name = _spelled(node)
-        if name is not None and isinstance(node.ctx, ast.Load):
+        if name is None or not isinstance(node.ctx, ast.Load):
+            continue
+        root = node
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        if root is node or getattr(root, "id", None) not in foreign:
             yield name, node.lineno
 
 
@@ -446,6 +456,12 @@ PLANTED = {
                    ("repro.m.f",)),
     "self-recursion": ({"src/repro/m.py": "def f(n):\n    return f(n - 1)\n"},
                        ("repro.m.f",)),
+    "foreign-module-attribute": ({"src/repro/m.py": "class C:\n"
+                                                    "    def full(self):\n"
+                                                    "        pass\n\n\nC()\n",
+                                  "scripts/s.py": "import numpy as np\n"
+                                                  "np.full(3, 0.0)\n"},
+                                 ("repro.m.C.full",)),
     "attribute-call": ({"src/repro/m.py": "class C:\n    def go(self):\n"
                                           "        pass\n",
                         "examples/e.py": "import repro.m\nrepro.m.C().go()\n"},
