@@ -60,8 +60,10 @@ class Orca(Controller):
     # --- delegate the datapath events to CUBIC -----------------------------
 
     def on_flow_start(self, flow: Flow, now: float) -> None:
+        if self.agent:
+            self._plan = self.agent.model.plan()
+            self.history.buffer = self._plan.obs
         self.history.reset()
-        self._plan = self.agent.model.plan() if self.agent else None
 
     def on_ack(self, flow: Flow, packet: Packet, now: float) -> None:
         self.cubic.on_ack(flow, packet, now)
@@ -76,7 +78,7 @@ class Orca(Controller):
         self._mi_count += 1
         if self._plan is None or self._mi_count % self.rl_interval != 0:
             return
-        action = self._plan.action(self.history.buffer)
+        action = self._plan.action()
         self.inference_count += 1
         self.scale = float(np.clip(
             apply_action(self.scale, action, ACTION_SCALE),

@@ -19,8 +19,9 @@ deployed model sees the features it learned from.
 
 Inference is actor-only: ``register`` resolves an
 :class:`~repro.rl.policy.InferencePlan` (the preference embedding is
-computed once, there) and each consultation costs one no-grad actor
-forward on the history buffer itself (no copy) -- no critic, no
+computed once, there) and makes the history's buffer the plan's
+observation row, so each consultation costs one no-grad actor forward
+on the history buffer itself (no copy) -- no critic, no
 log-probability, no backward caches.  A deployed policy acts on the
 actor's mean: it draws no random number, so the library takes no seed.
 """
@@ -83,8 +84,9 @@ class MOCC:
 
         ``None`` serves an unconditioned (Aurora) agent.  Also resolves
         the inference plan from the agent's current model: the policy
-        is frozen until the next ``register``.  The history starts
-        afresh: neutral fill, no RTT or throughput seen.
+        is frozen until the next ``register``.  The history moves onto
+        the new plan's observation row and starts afresh there: neutral
+        fill, no RTT or throughput seen.
         """
         model = self.agent.model
         if weights is not None:
@@ -92,8 +94,10 @@ class MOCC:
         elif model.weight_dim > 0:
             raise ValueError("preference-conditioned model needs a weight vector")
         self.weights = weights
+        plan = model.plan(weights)
+        self.history.buffer = plan.obs
         self.history.reset()
-        self._plan = model.plan(weights)
+        self._plan = plan
 
     def report_status(self, status: NetworkStatus) -> None:
         """``ReportStatus(st)``: append the interval's features, derived
@@ -110,7 +114,7 @@ class MOCC:
         plan = self._plan
         if plan is None:
             raise RuntimeError("call register() before get_sending_rate()")
-        action = plan.action(self.history.buffer)
+        action = plan.action()
         self.inference_count += 1
         self.rate = rate = apply_action(self.rate, action, self._action_scale)
         return rate

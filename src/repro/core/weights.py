@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.netsim.env import sums_to_one
+
 __all__ = [
     "THROUGHPUT_WEIGHTS",
     "LATENCY_WEIGHTS",
@@ -41,12 +43,12 @@ def validate_weights(weights) -> np.ndarray:
     """Check the simplex constraint; return the vector as an ndarray.
 
     Raises ``ValueError`` when a component is outside (0, 1) or the
-    components do not sum to one (to within 1e-6).
+    components do not sum to one (:func:`~repro.netsim.env.sums_to_one`).
     """
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (3,):
         raise ValueError(f"weight vector must have 3 components, got shape {w.shape}")
-    if not np.isclose(w.sum(), 1.0, atol=1e-6):
+    if not sums_to_one(w):
         raise ValueError(f"weights must sum to 1 (got {w.sum():.6f})")
     if np.any(w <= 0.0) or np.any(w >= 1.0):
         raise ValueError(f"each weight must lie in the open interval (0, 1): {w}")

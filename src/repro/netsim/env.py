@@ -38,7 +38,7 @@ from repro.netsim.sender import ExternalRateController, MonitorIntervalStats
 from repro.netsim.topology import dumbbell
 
 __all__ = ["EnvSpec", "EpisodeDraw", "MoccEnv", "RewardComponents",
-           "apply_action", "checked_objective"]
+           "apply_action", "checked_objective", "sums_to_one"]
 
 
 @dataclass(frozen=True)
@@ -124,9 +124,15 @@ def checked_objective(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (3,):
         raise ValueError("weight vector must have three components")
-    if not np.isclose(w.sum(), 1.0, atol=1e-6):
+    if not sums_to_one(w):
         raise ValueError("weights must sum to 1")
     return w
+
+
+def sums_to_one(w: np.ndarray) -> bool:
+    """Whether ``w`` sums to one: what ``np.isclose(w.sum(), 1.0,
+    atol=1e-6)`` accepts (``atol + rtol * 1.0``), on a plain float."""
+    return abs(float(w.sum()) - 1.0) <= 1e-6 + 1e-5
 
 
 @dataclass(frozen=True)

@@ -67,9 +67,8 @@ class StatHistory:
             raise ValueError("history length must be >= 1")
         self.length = length
         #: The flattened state itself (what :meth:`vector` copies): the
-        #: next push or reset overwrites it, so only a caller that reads
-        #: it at once -- a controller's per-MI policy step -- takes it
-        #: uncopied.
+        #: next push or reset overwrites it.  For a deployed flow it is
+        #: the inference plan's observation row, re-pointed at each plan.
         self.buffer = np.empty(self.FEATURES * length)
         self.reset()
 

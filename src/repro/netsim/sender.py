@@ -98,7 +98,7 @@ class ExternalRateController(Controller):
         self.rate = float(rate)
 
 
-@dataclass
+@dataclass(slots=True)
 class MonitorIntervalStats:
     """Sender-observable statistics for one monitor interval."""
 
@@ -326,17 +326,23 @@ class Flow:
         """Close the current MI, appending and returning its statistics."""
         n = len(self._mi_rtts)
         if n:
-            # Zero-copy float64 view of the streamed C array; then
+            # Zero-copy float64 views of the streamed C arrays; then
             # np.add.reduce is the exact pairwise kernel ndarray.mean
             # wraps (umr_sum / count) minus the wrapper overhead, so
-            # the quotient is bit-identical.
+            # each quotient is bit-identical.  The gradient is the
+            # least-squares slope of RTT over ack time.
             rtts = np.frombuffer(self._mi_rtts)
             rtt_mean = np.add.reduce(rtts) / n
             mean_rtt: float | None = float(rtt_mean)
             min_rtt: float | None = self._mi_min_rtt
-            gradient = (_rtt_slope_arrays(np.frombuffer(self._mi_times), rtts,
-                                          rtt_mean)
-                        if n > 1 else 0.0)
+            if n > 1:
+                times = np.frombuffer(self._mi_times)
+                t_center = times - np.add.reduce(times) / n
+                denom = float(t_center.dot(t_center))
+            else:
+                denom = 0.0
+            gradient = (0.0 if denom <= 1e-12 else
+                        float(t_center.dot(rtts - rtt_mean) / denom))
         else:
             mean_rtt = None
             min_rtt = None
@@ -385,17 +391,3 @@ class Flow:
             return 0.0
         return self.total_lost / total
 
-
-def _rtt_slope_arrays(times: np.ndarray, rtts: np.ndarray,
-                      rtt_mean: float) -> float:
-    """Least-squares slope of RTT vs. ack time over parallel arrays.
-
-    ``rtt_mean`` is ``np.add.reduce(rtts) / n``, which the MI close
-    already holds: ``x.mean()`` without the wrapper (same pairwise
-    kernel, bit-identical quotient).
-    """
-    t_center = times - np.add.reduce(times) / times.shape[0]
-    denom = float(np.dot(t_center, t_center))
-    if denom <= 1e-12:
-        return 0.0
-    return float(np.dot(t_center, rtts - rtt_mean) / denom)

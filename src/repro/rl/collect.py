@@ -49,6 +49,7 @@ def evaluate_policy(env: MoccEnv, model: PreferenceActorCritic, weights) -> floa
     total = 0.0
     done = False
     while not done:
-        obs, _, reward, _, done, _ = env.step(plan.action(obs))
+        plan.obs[:] = obs
+        obs, _, reward, _, done, _ = env.step(plan.action())
         total += reward
     return float(total)

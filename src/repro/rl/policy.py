@@ -21,9 +21,10 @@ degenerate case ``weight_dim=0``, which skips the PN entirely.
 
 One way to run the frozen model without gradients: an
 :class:`InferencePlan`, resolved once per flow or per rollout.  A flat
-plan (``model.plan(w)``) holds one state: ``plan.action`` runs only the
-actor and returns its mean, for controllers that consult a frozen
-policy once per monitor interval and for evaluation episodes.  A
+plan (``model.plan(w)``) holds one state in its ``obs`` row:
+``plan.action()`` runs only the actor on that row and returns its mean,
+for controllers that consult a frozen policy once per monitor interval
+(their history *is* the row) and for evaluation episodes.  A
 batched plan (``model.plan(w, rows=n)``) holds one state per
 environment: ``plan.mean_value`` returns the actor's means and the
 critic's values, the two passes a rollout step needs (the collector
@@ -162,21 +163,21 @@ class InferencePlan:
     the cheaper call: a ``(1, n)`` matrix costs a decision about a
     microsecond more.  The preference half is computed **once**, here,
     by the model's preference sub-network over ``rows`` repeated weight
-    rows (one, for a flat row); each call overwrites only the
-    observation half.  Actor and critic are resolved once into ``(W, b,
-    out, squash)`` steps, and a call runs each step as ``np.dot(x, W,
-    out=out)``, ``np.add(out, b, out=out)`` and, on a hidden layer,
-    ``np.tanh(out, out=out)`` -- no per-layer method calls, no
-    temporaries, no backward caches, so a plan never disturbs a batched
-    :meth:`forward`.  The results are bit-identical to :meth:`forward`
-    on the same rows: the flat row's 1-D ``dot`` is the same BLAS kernel
-    as a one-row ``forward``, a matrix's 2-D ``dot`` gives the bits of
-    ``forward``'s ``matmul``, and the ufuncs are the same ufuncs.  Who
-    calls what:
+    rows (one, for a flat row); only the observation half, :attr:`obs`,
+    is ever written.  Actor and critic are resolved once into ``(W, b,
+    out, squash)`` steps, and a call runs each step as ``x.dot(W,
+    out)``, ``out += b`` and, on a hidden layer, ``np.tanh(out, out)``
+    -- no per-layer method calls, no temporaries, no backward caches,
+    so a plan never disturbs a batched :meth:`forward`.  The results
+    are bit-identical to :meth:`forward` on the same rows: the flat
+    row's 1-D ``dot`` is the same BLAS kernel as a one-row ``forward``,
+    a matrix's 2-D ``dot`` gives the bits of ``forward``'s ``matmul``,
+    and the ufuncs are the same ufuncs.  Who calls what:
 
     * a deployed controller and an evaluation episode call
-      :meth:`action` on a flat plan -- the actor's mean, no draw, no
-      critic, no log-probability;
+      :meth:`action` on a flat plan -- the actor's mean on :attr:`obs`
+      (a deployed flow's history buffer, or each state an episode
+      writes there), no draw, no critic, no log-probability;
     * a rollout segment (:func:`~repro.rl.parallel.run_segment`, in
       this process or in a pool worker on a pickled copy of the model)
       calls :meth:`mean_value` on a plan with one row per environment,
@@ -209,24 +210,24 @@ class InferencePlan:
             pref = _run(_steps(model.pref_net, (n,)), np.repeat(w, n, axis=0))
             joint[:, model.obs_dim:] = pref
         self._joint = joint[0] if n == 1 else joint
-        self._obs = self._joint[..., :model.obs_dim]
+        #: The joint input's observation half, written in place.
+        self.obs = self._joint[..., :model.obs_dim]
         self._actor = _steps(model.actor, self._joint.shape[:-1])
         self._critic = _steps(model.critic, self._joint.shape[:-1])
         self._log_std = model.log_std
         self._rows = () if rows is None else (rows,)
 
-    def action(self, obs: np.ndarray) -> float:
-        """The Eq. 1 adjustment scalar for one flat state: the actor's
-        Gaussian mean."""
-        self._obs[:] = obs
-        return float(_run(self._actor, self._joint)[0])
+    def action(self) -> float:
+        """The Eq. 1 adjustment scalar for the flat state in
+        :attr:`obs`: the actor's Gaussian mean."""
+        return _run(self._actor, self._joint).item(0)
 
     def mean_value(self, obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Copies of the actor's Gaussian means and the critic's values:
         shapes ``(rows, act_dim)`` and ``(rows,)`` for ``rows`` states,
         ``(act_dim,)`` and ``()`` for one state of a ``rows=None``
         plan."""
-        self._obs[:] = obs
+        self.obs[:] = obs
         mean = _run(self._actor, self._joint).reshape(self._rows + (-1,))
         value = _run(self._critic, self._joint).reshape(self._rows)
         return mean.copy(), value.copy()
@@ -260,10 +261,10 @@ def _run(steps: tuple, x: np.ndarray) -> np.ndarray:
     """A flat row or a matrix ``x`` through resolved steps; returns the
     last ``out``."""
     for W, b, out, squash in steps:
-        np.dot(x, W, out=out)
-        np.add(out, b, out=out)
+        x.dot(W, out)
+        out += b
         if squash:
-            np.tanh(out, out=out)
+            np.tanh(out, out)
         x = out
     return x
 

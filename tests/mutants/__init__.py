@@ -96,6 +96,9 @@ CONTROLLER_PARITY = {
     for weight_dim in (3, 0)}
 LIBRARY_PARITY = ("tests/test_core_mocc.py::TestInferencePath::"
                   "test_library_matches_act_path")
+#: The §5 library's history is its plan's observation row.
+ONE_BUFFER = ("tests/test_core_mocc.py::TestInferencePath::"
+              "test_history_is_the_plan_row")
 ORCA_PARITY = ("tests/test_baselines.py::TestRLBaselines::"
                "test_orca_scale_equals_act_path")
 
@@ -263,8 +266,8 @@ MUTANTS = {
     # The monitor-interval statistics against their closed form.
     "uncentred-ack-times": Mutant(
         "repro.netsim.sender",
-        "    t_center = times - np.add.reduce(times) / times.shape[0]\n",
-        "    t_center = times\n",
+        "                t_center = times - np.add.reduce(times) / n\n",
+        "                t_center = times\n",
         (MI_ORACLE,)),
     "mean-over-n-plus-one": Mutant(
         "repro.netsim.sender",
@@ -458,11 +461,19 @@ MUTANTS = {
     # the actor's mean.
     "deployed-action-sampled": Mutant(
         "repro.rl.policy",
-        "        return float(_run(self._actor, self._joint)[0])\n",
+        "        return _run(self._actor, self._joint).item(0)\n",
         "        return float(DiagGaussian.sample(\n"
         "            _run(self._actor, self._joint), self._log_std.value,\n"
         "            np.random.default_rng(0))[0])\n",
         (*CONTROLLER_PARITY.values(), LIBRARY_PARITY, ORCA_PARITY)),
+    # A re-register resolves the new plan but leaves the history on the
+    # first plan's row: the actor reads a row nothing writes any more.
+    "history-left-on-old-row": Mutant(
+        "repro.core.library",
+        "        self.history.buffer = plan.obs\n",
+        "        if self._plan is None:\n"
+        "            self.history.buffer = plan.obs\n",
+        (ONE_BUFFER,)),
     # Every step of a rollout takes the block's first noise row.
     "rollout-noise-row-reused": Mutant(
         "repro.rl.parallel",

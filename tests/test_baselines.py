@@ -1,5 +1,7 @@
 """Tests for the baseline congestion-control schemes."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -87,7 +89,7 @@ class TestVegasUnit:
         flow = _flow_with_srtt(srtt=0.05)
         flow.min_rtt_seen = 0.05  # rtt == base: zero backlog
         stats = flow.finish_mi(0.5, 100.0, 0.05, 100.0)
-        stats_fixed = stats.__class__(**{**stats.__dict__, "mean_rtt": 0.05})
+        stats_fixed = replace(stats, mean_rtt=0.05)
         vegas.on_mi(flow, stats_fixed, 0.5)
         assert vegas.cwnd(0.5) == pytest.approx(11.0)
 
@@ -97,7 +99,7 @@ class TestVegasUnit:
         flow = _flow_with_srtt()
         flow.min_rtt_seen = 0.05
         stats = flow.finish_mi(0.5, 100.0, 0.05, 100.0)
-        congested = stats.__class__(**{**stats.__dict__, "mean_rtt": 0.10})
+        congested = replace(stats, mean_rtt=0.10)
         vegas.on_mi(flow, congested, 0.5)  # backlog = 50*(0.05/0.10) = 25 > beta
         assert vegas.cwnd(0.5) == pytest.approx(49.0)
 
@@ -112,8 +114,7 @@ class TestBBRUnit:
         bbr = BBR(initial_rate=10.0)
         flow = _flow_with_srtt()
         stats = flow.finish_mi(0.1, 100.0, 0.03, 10.0)
-        sample = stats.__class__(**{**stats.__dict__, "acked": 10,
-                                    "mean_rtt": 0.03, "min_rtt": 0.03})
+        sample = replace(stats, acked=10, mean_rtt=0.03, min_rtt=0.03)
         for i in range(6):
             bbr.on_mi(flow, sample, 0.1 * (i + 1))
         assert bbr.state in ("DRAIN", "PROBE_BW")
@@ -123,7 +124,7 @@ class TestBBRUnit:
         flow = _flow_with_srtt()
         stats = flow.finish_mi(0.1, 100.0, 0.03, 10.0)
         # 10 acks over the 0.1 s interval: a 100 pps bandwidth sample.
-        sample = stats.__class__(**{**stats.__dict__, "acked": 10, "min_rtt": 0.05})
+        sample = replace(stats, acked=10, min_rtt=0.05)
         bbr.on_mi(flow, sample, 0.0)
         assert bbr.inflight_cap(0.1) == pytest.approx(2 * 100.0 * 0.05)
 
@@ -136,8 +137,7 @@ class TestBBRUnit:
         # Ten-sample window: the 90 ages out at the eleventh sample.
         for i, acked in enumerate((50, 90, 20, 30, 10, 0, 25, 15, 35, 12,
                                    18, 11, 40)):
-            bbr.on_mi(flow, stats.__class__(**{**stats.__dict__, "acked": acked}),
-                      float(i))
+            bbr.on_mi(flow, replace(stats, acked=acked), float(i))
             assert bbr.btl_bw == max(bbr._bw_samples)
         assert bbr.btl_bw == 40.0
 
@@ -275,6 +275,7 @@ def orca_scale_equals_act_path() -> None:
     new, old = (cls(agent=agent, rl_interval=2) for cls in (Orca, ActPathOrca))
     records = [run_one(c, NET, duration=5.0, seed=6) for c in (new, old)]
     assert new.scale == old.scale != 1.0
+    assert np.shares_memory(new.history.buffer, new._plan.obs)
     assert new.inference_count == old.inference_count > 0
     assert records[0].mean_throughput_pps == records[1].mean_throughput_pps
 

@@ -18,6 +18,8 @@ from repro.pool import set_chaos_hook
 from repro.rl.distributions import DiagGaussian
 from repro.rl.parallel import EnvSpec, SerialCollector, VectorCollector
 
+from test_policy import action_on
+
 SPEC = EnvSpec(ranges=NetworkParams(3.0, 20.0, 200, 0.0), max_steps=16, seed=2)
 WEIGHTS = [0.5, 0.3, 0.2]
 
@@ -203,7 +205,7 @@ def sampling_law_holds(serial_collector) -> None:
         model, WEIGHTS, steps, np.random.default_rng(seed))
     assert buffer.dones.any()
     plan = model.plan(WEIGHTS)
-    mu = np.array([[plan.action(obs)] for obs in buffer.obs])
+    mu = np.array([[action_on(plan, obs)] for obs in buffer.obs])
     eps = np.random.default_rng(seed).standard_normal((steps, model.act_dim))
     log_std = model.log_std.value
     assert np.array_equal(buffer.actions, mu + np.exp(log_std) * eps)

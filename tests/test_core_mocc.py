@@ -1,10 +1,12 @@
 """Tests for the MOCC core: agent, library API, online parts."""
 
 import inspect
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import repro.core.agent
 from repro.baselines import Orca
 from repro.baselines.aurora import AuroraController
 from repro.config import DEFAULT_TRAINING
@@ -15,6 +17,8 @@ from repro.eval.runner import EvalNetwork, build_competition
 from repro.netsim.env import apply_action
 from repro.netsim.packet import Packet
 from repro.netsim.sender import ExternalRateController, Flow
+
+from test_policy import action_on
 
 
 class TestMoccAgent:
@@ -29,7 +33,8 @@ class TestMoccAgent:
         loaded = MoccAgent.load(path)
         obs = np.ones(agent.obs_dim)
         w = np.array([0.5, 0.3, 0.2])
-        assert agent.model.plan(w).action(obs) == loaded.model.plan(w).action(obs)
+        assert (action_on(agent.model.plan(w), obs)
+                == action_on(loaded.model.plan(w), obs))
 
     def test_clone_independent(self):
         agent = MoccAgent(DEFAULT_TRAINING)
@@ -40,7 +45,7 @@ class TestMoccAgent:
     def test_single_objective_agent(self):
         agent = MoccAgent(DEFAULT_TRAINING, weight_dim=0)
         assert agent.model.pref_net is None
-        assert np.isfinite(agent.model.plan().action(np.zeros(agent.obs_dim)))
+        assert np.isfinite(action_on(agent.model.plan(), np.zeros(agent.obs_dim)))
 
 
 class TestPolicyRateController:
@@ -116,6 +121,9 @@ class TestInferencePath:
     def test_library_matches_act_path(self):
         library_matches_act_path()
 
+    def test_history_is_the_plan_row(self):
+        history_is_the_plan_row(MOCC)
+
 
 def rates_equal_act_path_over_a_flow(weight_dim) -> None:
     """Every rate a controller paces at over a 10 s flow is Eq. 1
@@ -150,6 +158,30 @@ def library_matches_act_path() -> None:
     action = act_path_action(agent.model, lib.history.vector(), lib.weights)
     want = apply_action(100.0, action, agent.config.action_scale)
     assert lib.get_sending_rate() == want
+
+
+def history_is_the_plan_row(library_cls) -> None:
+    """One buffer per deployed flow: after the controller's
+    construction-time ``register``, after an ``on_flow_start`` on a
+    model reloaded in between, and after each interval, the library's
+    history is its plan's observation row (no state is copied per MI),
+    and each paced rate is Eq. 1 on the reloaded model's mean over that
+    history."""
+    agent, other = (MoccAgent(DEFAULT_TRAINING, seed=s) for s in (1, 2))
+    flow, stats = one_interval()
+    with mock.patch.object(repro.core.agent, "MOCC", library_cls):
+        ctrl = MoccController(agent, W)
+    library = ctrl.library
+    assert np.shares_memory(library.history.buffer, library._plan.obs)
+    agent.model.load_state_dict(other.model.state_dict())
+    ctrl.on_flow_start(flow, 0.0)
+    for now in (0.5, 1.0):
+        assert np.shares_memory(library.history.buffer, library._plan.obs)
+        before = ctrl.rate
+        ctrl.on_mi(flow, stats, now)
+        action = act_path_action(agent.model, library.history.vector(),
+                                 library.weights)
+        assert ctrl.rate == apply_action(before, action, agent.config.action_scale)
 
 
 #: Every way a trained policy is deployed: ``(class, weight_dim, build)``.

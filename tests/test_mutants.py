@@ -75,6 +75,7 @@ from mutants import (
     MUTANTS,
     NEXT_CALL_AGENT,
     NEXT_CALL_TRACE,
+    ONE_BUFFER,
     ORCA_PARITY,
     RANK,
     RELATION_A,
@@ -221,6 +222,7 @@ KILLERS = {
             weight_dim)) for weight_dim, parity in CONTROLLER_PARITY.items()},
     LIBRARY_PARITY: lambda ns: planned_by(
         ns["InferencePlan"], test_core_mocc.library_matches_act_path),
+    ONE_BUFFER: lambda ns: test_core_mocc.history_is_the_plan_row(ns["MOCC"]),
     ORCA_PARITY: lambda ns: planned_by(
         ns["InferencePlan"], test_baselines.orca_scale_equals_act_path),
     SAMPLING_LAW: lambda ns: test_collectors.on_one_core(

@@ -182,6 +182,12 @@ def reference_act(model, obs, weights, rng, deterministic=False):
     return action, log_prob, float(value[0])
 
 
+def action_on(plan, obs) -> float:
+    """``plan.action()`` with ``obs`` written into the plan's row."""
+    plan.obs[:] = obs
+    return plan.action()
+
+
 def random_pushes(history, rng, n):
     """Yield ``n`` observations from seeded random in-range rows."""
     for _ in range(n):
@@ -210,7 +216,7 @@ class TestInferencePlan:
         plan = model.plan(w)
         rng = np.random.default_rng(0)
         for obs in random_pushes(StatHistory(10), rng, 300):
-            got = plan.action(obs)
+            got = action_on(plan, obs)
             assert type(got) is float
             assert got == model.forward(obs, w)[0][0, 0]
             old_action, _, _ = reference_act(model, obs, w, rng, deterministic=True)
@@ -251,16 +257,16 @@ class TestInferencePlan:
         w = self.WEIGHTS if weight_dim else None
         obs = np.linspace(0.0, 2.0, 40)
         plan = model.plan(w)
-        before = plan.action(obs)
+        before = action_on(plan, obs)
         # In-place actor update (what Adam and load_state_dict do): live.
         model.actor.layers[-1].b.value += 0.25
-        assert plan.action(obs) == model.forward(obs, w)[0][0, 0] != before
+        assert action_on(plan, obs) == model.forward(obs, w)[0][0, 0] != before
         if weight_dim:
             # The preference embedding is frozen for the flow; a fresh
             # plan picks the new one up.
             model.pref_net.layers[0].b.value += 0.5
-            assert plan.action(obs) != model.forward(obs, w)[0][0, 0]
-            assert model.plan(w).action(obs) == model.forward(obs, w)[0][0, 0]
+            assert action_on(plan, obs) != model.forward(obs, w)[0][0, 0]
+            assert action_on(model.plan(w), obs) == model.forward(obs, w)[0][0, 0]
 
     def test_conditioned_model_needs_weights(self, weight_dim):
         model = self._model(weight_dim)
@@ -292,7 +298,7 @@ class TestInferencePlan:
             for _ in range(4):
                 obs = obs_rng.normal(size=model.obs_dim) * scale
                 mean, value = model.forward(obs, w)
-                assert _bytes(plan.action(obs)) == mean[0, 0].tobytes()
+                assert _bytes(action_on(plan, obs)) == mean[0, 0].tobytes()
                 assert plan.mean_value(obs)[1].tobytes() == value[0].tobytes()
                 for deterministic in (True, False):
                     got = plan.act(obs, np.random.default_rng(seed), deterministic)
@@ -327,7 +333,7 @@ class TestInferencePlan:
             action = plan.act(first_obs, rng, deterministic)[0]
             held = action.tobytes()
             plan.act(second_obs, rng, deterministic)
-            plan.action(second_obs)
+            action_on(plan, second_obs)
             plan.mean_value(second_obs)
             assert action.tobytes() == held
         batched = model.plan(w, rows=2)
@@ -359,9 +365,9 @@ def batched_plans_equal_forward(weight_dim) -> None:
 
 
 def test_plan_action_reads_only_the_observation():
-    """The deployed actor has no sampled branch: ``action`` takes the
-    observation and nothing else."""
-    assert list(inspect.signature(InferencePlan.action).parameters) == ["self", "obs"]
+    """The deployed actor has no sampled branch: ``action`` takes
+    nothing, it reads the observation in the plan's row."""
+    assert list(inspect.signature(InferencePlan.action).parameters) == ["self"]
 
 
 def _bytes(x: float) -> bytes:

@@ -9,6 +9,8 @@ from repro.rl.policy import PreferenceActorCritic
 from repro.rl.ppo import PPOTrainer
 from repro.rl.rollout import RolloutBuffer, gae_advantages
 
+from test_policy import action_on
+
 
 @pytest.fixture
 def no_entropy(monkeypatch):
@@ -176,7 +178,7 @@ class TestPPOMechanics:
         assert first.optimizer._t == second.optimizer._t > 0
         assert not np.array_equal(first.optimizer._m, second.optimizer._m)
         # A plan resolved after both updates acts on the trained model.
-        action = model.plan(np.full(3, 1 / 3)).action(np.ones(3))
+        action = action_on(model.plan(np.full(3, 1 / 3)), np.ones(3))
         assert action == model.forward(np.ones(3), np.full(3, 1 / 3))[0][0, 0]
 
 

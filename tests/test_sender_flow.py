@@ -4,22 +4,17 @@ import numpy as np
 import pytest
 
 from repro.netsim.packet import Packet
-from repro.netsim.sender import (
-    ExternalRateController,
-    Flow,
-    MonitorIntervalStats,
-    _rtt_slope_arrays,
-)
+from repro.netsim.sender import ExternalRateController, Flow, MonitorIntervalStats
 
 
 def _rtt_slope(samples: list[tuple[float, float]]) -> float:
     """Least-squares slope of RTT vs. ack time over ``(ack_time, rtt)``
-    pairs: :func:`_rtt_slope_arrays` as the MI close calls it."""
-    if len(samples) < 2:
-        return 0.0
-    times = np.array([s[0] for s in samples])
-    rtts = np.array([s[1] for s in samples])
-    return _rtt_slope_arrays(times, rtts, np.add.reduce(rtts) / len(samples))
+    pairs, as the MI close computes it from its streamed samples."""
+    flow = make_flow()
+    for ack_time, rtt in samples:
+        flow._mi_times.append(ack_time)
+        flow._mi_rtts.append(rtt)
+    return flow.finish_mi(2.0, 100.0, 0.04, 10.0).latency_gradient
 
 
 def mi_rtt_samples(flow) -> list[tuple[float, float]]:

@@ -22,6 +22,7 @@ from repro.core.weights import (
     validate_weights,
 )
 from repro.models.zoo import BUDGETS
+from repro.netsim.env import checked_objective
 
 
 class TestValidation:
@@ -42,6 +43,21 @@ class TestValidation:
             validate_weights([1.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="open interval"):
             validate_weights([-0.1, 0.6, 0.5])
+
+    @pytest.mark.parametrize("check", [validate_weights, checked_objective])
+    @pytest.mark.parametrize("excess", [1.09e-5, -1.09e-5, 1.11e-5, -1.11e-5])
+    def test_sum_tolerance_is_isclose(self, check, excess):
+        """Both simplex checks accept a sum just inside the edge of
+        ``np.isclose(s, 1.0, atol=1e-6)`` (1.1e-5 from one) and refuse
+        one just outside it."""
+        w = np.array([0.5, 0.3, 0.2 + excess])
+        if np.isclose(w.sum(), 1.0, atol=1e-6):
+            assert abs(excess) < 1.1e-5
+            assert check(w).tolist() == w.tolist()
+        else:
+            assert abs(excess) > 1.1e-5
+            with pytest.raises(ValueError, match="sum"):
+                check(w)
 
 
 class TestSimplexGrid:
